@@ -194,8 +194,15 @@ mod tests {
     fn exhaustive_time_grows_much_faster_than_approximation() {
         let exh5 = measure(5, "exhaustive", 2, 1);
         let exh6 = measure(6, "exhaustive", 2, 1);
-        let apx5 = measure(5, "approximation", 2, 1);
-        let apx6 = measure(6, "approximation", 2, 1);
+        // The approximation runs for microseconds, so one scheduler hiccup
+        // can multiply a single reading: keep the fastest of several (noise
+        // only ever adds time).
+        let fastest = |m| {
+            let runs = (0..9).map(|_| measure(m, "approximation", 2, 1));
+            runs.min_by_key(|point| point.mean_time).unwrap()
+        };
+        let apx5 = fastest(5);
+        let apx6 = fastest(6);
         let exh_growth = exh6.mean_time.as_secs_f64() / exh5.mean_time.as_secs_f64().max(1e-9);
         let apx_growth = apx6.mean_time.as_secs_f64() / apx5.mean_time.as_secs_f64().max(1e-9);
         assert!(

@@ -52,7 +52,7 @@ use crate::device::Provider;
 use crate::message::{Invocation, InvocationOutcome, RuntimeError};
 use crate::telemetry::Telemetry;
 
-use event::{run_blocking, BlockingTask, EventCore, RequestResult, RequestSpec, Shared};
+use event::{run_blocking, BlockingTask, DoneFn, EventCore, RequestResult, RequestSpec, Shared};
 pub(crate) use policy::PolicyState;
 pub(crate) use pool::WorkerPool;
 
@@ -126,6 +126,23 @@ impl std::fmt::Debug for ExecSpec {
             .field("request", &self.request.request_id)
             .field("policy", &self.policy)
             .finish_non_exhaustive()
+    }
+}
+
+impl ExecSpec {
+    /// The spec as an owning request of an event core, resolving through
+    /// `done`. `clock` is left behind: the core runs on its own.
+    pub(crate) fn into_request(self, done: DoneFn<'static>) -> RequestSpec<'static> {
+        RequestSpec {
+            strategy: Shared::Owned(Arc::new(self.strategy)),
+            providers: Shared::Owned(self.providers.into()),
+            request: Shared::Owned(Arc::new(self.request)),
+            collector: self.collector.map(Shared::Owned),
+            telemetry: self.telemetry.map(Shared::Owned),
+            budget: self.budget,
+            policy: PolicyState::new(self.policy),
+            done,
+        }
     }
 }
 
@@ -278,10 +295,26 @@ impl ExecutionEngine {
         self.pool.stats()
     }
 
-    /// The shared blocking-leaf pool, for callers (the gateway's event
-    /// loops) that submit blocking work outside `execute`.
-    pub(crate) fn pool(&self) -> &Arc<WorkerPool> {
-        &self.pool
+    /// The pooled blocking-leaf spawner: runs a leaf that must really block
+    /// on this engine's worker pool, reporting back into `core`. Holds the
+    /// core weakly, so a task that outlives it (shutdown or eviction race)
+    /// frees the clock slot reserved for its leg instead of panicking.
+    pub(crate) fn pooled_spawner(
+        &self,
+        core: &Arc<EventCore<'static>>,
+        clock: &Arc<dyn Clock>,
+    ) -> impl Fn(BlockingTask) + Send + Sync + 'static {
+        let core = Arc::downgrade(core);
+        let clock = Arc::clone(clock);
+        let pool = Arc::clone(&self.pool);
+        move |task: BlockingTask| {
+            let core = core.clone();
+            let clock = Arc::clone(&clock);
+            pool.submit(Box::new(move || match core.upgrade() {
+                Some(core) => run_blocking(&core, task),
+                None => clock.release_worker(),
+            }));
+        }
     }
 
     /// Executes `spec` on the calling thread's event loop; blocking
@@ -298,49 +331,26 @@ impl ExecutionEngine {
     /// panics (propagated to the caller).
     pub fn execute(&self, spec: ExecSpec) -> Result<EngineOutcome, RuntimeError> {
         validate(&spec.strategy, &spec.providers)?;
-        let policy = PolicyState::new(spec.policy);
+        Ok(self.execute_validated(spec))
+    }
 
+    /// [`ExecutionEngine::execute`] for a spec that already passed
+    /// [`validate`].
+    pub(crate) fn execute_validated(&self, spec: ExecSpec) -> EngineOutcome {
         let clock = Arc::clone(&spec.clock);
         // See `execute_scoped`: an already-registered caller keeps its slot.
         let worker = (!clock.thread_is_worker()).then(|| WorkerGuard::enter(&*clock));
-        let core = Arc::new(EventCore::new(Shared::Owned(Arc::clone(&spec.clock))));
+        let core = Arc::new(EventCore::new(Shared::Owned(Arc::clone(&clock))));
         let result = Arc::new(Mutex::new(None));
-        let spawn = {
-            let core = Arc::downgrade(&core);
-            let clock = Arc::clone(&spec.clock);
-            let pool = Arc::clone(&self.pool);
-            move |task: BlockingTask| {
-                let core = core.clone();
-                let clock = Arc::clone(&clock);
-                pool.submit(Box::new(move || match core.upgrade() {
-                    Some(core) => run_blocking(&core, task),
-                    // The core was torn down mid-flight (shutdown or
-                    // eviction race): free the slot reserved for this leg
-                    // and vanish instead of panicking.
-                    None => clock.release_worker(),
-                }));
-            }
-        };
+        let spawn = self.pooled_spawner(&core, &clock);
         let done = {
             let result = Arc::clone(&result);
             Box::new(move |r| *result.lock() = Some(r))
         };
-        let req = core.submit(
-            RequestSpec {
-                strategy: Shared::Owned(Arc::new(spec.strategy)),
-                providers: Shared::Owned(spec.providers.into()),
-                request: Shared::Owned(Arc::new(spec.request)),
-                collector: spec.collector.map(Shared::Owned),
-                telemetry: spec.telemetry.map(Shared::Owned),
-                budget: spec.budget,
-                policy,
-                done,
-            },
-            &spawn,
-        );
+        let req = core.submit(spec.into_request(done), &spawn);
         core.drive_request(req, &spawn);
         drop(worker);
         let settled = settle(result.lock().take());
-        Ok(settled)
+        settled
     }
 }

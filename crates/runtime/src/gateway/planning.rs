@@ -1,0 +1,417 @@
+//! The generator side of the feedback loop: per-service planning state and
+//! the slot-boundary logic that plans, holds, or re-plans its strategy.
+
+use std::collections::VecDeque;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+use qce_strategy::{EnvQos, Qos, Requirements, Strategy};
+
+use crate::device::Provider;
+use crate::generator::{Planner, SlotPlan, StrategyOrigin};
+use crate::message::RuntimeError;
+use crate::script::{MsSpec, ServiceScript};
+
+use super::{Gateway, ServiceEntry, SlotRecord};
+
+struct ActivePlan {
+    plan: SlotPlan,
+    providers: Vec<Arc<dyn Provider>>,
+    /// Names of the microservices the plan was synthesized over, aligned
+    /// with the strategy's indices. Usually the script's full name list,
+    /// but a subset when providers for some capabilities were missing at
+    /// planning time (the slot plans over what it has).
+    names: Vec<String>,
+    /// The effective requirement the plan was synthesized against, so the
+    /// drift trigger never holds a plan across a live requirement change.
+    requirement: Requirements,
+}
+
+pub(super) struct ServiceState {
+    script: ServiceScript,
+    /// Persistent per-service planner: keeps the warm-start incumbent and
+    /// the plan cache alive across slot boundaries.
+    planner: Planner,
+    slot: u64,
+    invocations_in_slot: u32,
+    active: Option<ActivePlan>,
+    history: VecDeque<SlotRecord>,
+}
+
+/// Everything a single request needs from its service's current slot plan,
+/// cloned out of the per-service state cell so execution runs outside
+/// every lock. Produced by [`Gateway::plan_slot`].
+pub(super) struct Planned {
+    pub(super) strategy: Strategy,
+    pub(super) providers: Vec<Arc<dyn Provider>>,
+    pub(super) names: Vec<String>,
+    pub(super) slot: u64,
+    pub(super) origin: StrategyOrigin,
+    pub(super) estimated: Option<Qos>,
+    pub(super) base_requirements: Requirements,
+    pub(super) quorum: Option<usize>,
+}
+
+impl Gateway {
+    /// Fetches/validates the script and plans (or reuses) the slot's
+    /// strategy under the *per-service* lock only — the global map lock is
+    /// held just long enough to find the entry, so one service's
+    /// exhaustive re-plan never blocks invocations of other services.
+    /// Execution then happens outside every lock.
+    pub(super) fn plan_slot(
+        &self,
+        service_id: &str,
+        entry: &Arc<ServiceEntry>,
+    ) -> Result<Planned, RuntimeError> {
+        let mut guard = entry.cell.lock();
+        let state = match &mut *guard {
+            Some(state) => state,
+            empty => match self.fetch_service(service_id) {
+                Ok(state) => empty.insert(state),
+                Err(error) => {
+                    drop(guard);
+                    self.discard_uninitialised(service_id, entry);
+                    return Err(error);
+                }
+            },
+        };
+
+        let boundary = state.invocations_in_slot >= state.script.slot_size;
+        let active: &ActivePlan = match &state.active {
+            Some(active) if !boundary => active,
+            _ => {
+                // Plan against the *effective* requirement: a live
+                // `set_requirement`/`set_class` override changes what the
+                // operator demands, and the synthesized strategy (and its
+                // plan-cache key) must track it — not the deployed script.
+                let requirement = entry
+                    .overrides
+                    .lock()
+                    .planning_requirement(&state.script.requirements);
+                // Take the previous slot's plan out *before* planning: if
+                // plan() fails (e.g. a provider departed), the stale plan
+                // must not keep serving the new slot — the next invocation
+                // retries planning instead.
+                let mut held = state.active.take();
+                if let Some(active) = &held {
+                    // With `replan_on_drift`, measure how far the
+                    // collector's table has moved from the plan's
+                    // assumptions before discarding it (`None` =
+                    // requirement or provider set changed, which always
+                    // re-plans).
+                    let drift = self
+                        .config
+                        .replan_on_drift
+                        .then(|| self.boundary_drift(state, active, &requirement))
+                        .flatten();
+                    state.slot += 1;
+                    state.invocations_in_slot = 0;
+                    match drift {
+                        // Every quantized cell of the assumed QoS table is
+                        // unchanged: a re-plan would see identical search
+                        // inputs, so hold the plan for this slot.
+                        Some(drift) if drift <= 0.0 => self.telemetry.record_drift_hold(service_id),
+                        Some(drift) => {
+                            self.telemetry
+                                .record_drift_trigger(service_id, state.slot, drift);
+                            held = None;
+                        }
+                        None => held = None,
+                    }
+                }
+                let active = match held {
+                    Some(active) => active,
+                    None => self.replan(service_id, state, &requirement)?,
+                };
+                state.active.insert(active)
+            }
+        };
+
+        state.invocations_in_slot += 1;
+        Ok(Planned {
+            strategy: active.plan.strategy.clone(),
+            providers: active.providers.clone(),
+            names: active.names.clone(),
+            slot: state.slot,
+            origin: active.plan.origin.clone(),
+            estimated: active.plan.estimated,
+            base_requirements: state.script.requirements,
+            quorum: state.script.quorum,
+        })
+    }
+
+    /// Fetches and validates `service_id`'s script and builds its planner:
+    /// the state of a service seen for the first time.
+    fn fetch_service(&self, service_id: &str) -> Result<ServiceState, RuntimeError> {
+        let t0 = self.clock.now();
+        let fetched = self.market.fetch(service_id);
+        self.telemetry
+            .record_market_fetch(self.clock.now().saturating_sub(t0), fetched.is_ok());
+        let script = fetched?;
+        script.validate()?;
+        let settings = self.config.synthesis_settings();
+        // A fleet-shared view replaces the private per-service cache (the
+        // local `plan_cache` knob still gates caching as a whole).
+        let view = self
+            .config
+            .plan_cache
+            .then(|| self.plan_view.read().clone())
+            .flatten();
+        let planner = match view {
+            Some(view) => Planner::with_cache(&script, &settings, view)?,
+            None => Planner::new(&script, &settings)?,
+        };
+        Ok(ServiceState {
+            script,
+            planner,
+            slot: 0,
+            invocations_in_slot: 0,
+            active: None,
+            history: VecDeque::new(),
+        })
+    }
+
+    /// Plans `state`'s current slot and records the decision in telemetry
+    /// and the slot history.
+    fn replan(
+        &self,
+        service_id: &str,
+        state: &mut ServiceState,
+        requirement: &Requirements,
+    ) -> Result<ActivePlan, RuntimeError> {
+        let active = self.plan(state, requirement).inspect_err(|error| {
+            self.telemetry
+                .record_plan_failure(service_id, state.slot, error);
+        })?;
+        let strategy_text = active.plan.strategy.to_string_with_names(&active.names);
+        self.telemetry.record_replan(
+            service_id,
+            state.slot,
+            &active.plan.origin.to_string(),
+            &strategy_text,
+            active.plan.report.as_ref(),
+            active.plan.source,
+        );
+        state.history.push_back(SlotRecord {
+            slot: state.slot,
+            strategy_text,
+            origin: active.plan.origin.clone(),
+            estimated: active.plan.estimated,
+        });
+        let limit = self.config.history_limit.max(1);
+        while state.history.len() > limit {
+            state.history.pop_front();
+            self.telemetry.record_history_evicted(service_id, 1);
+        }
+        Ok(active)
+    }
+
+    /// Plans the current slot for `state`: resolve providers, then generate
+    /// (or default) the strategy.
+    fn plan(
+        &self,
+        state: &ServiceState,
+        requirement: &Requirements,
+    ) -> Result<ActivePlan, RuntimeError> {
+        let utility = qce_strategy::UtilityIndex::new(state.script.penalty_k).map_err(|e| {
+            RuntimeError::InvalidScript {
+                reason: e.to_string(),
+            }
+        })?;
+        // Resolve each equivalent microservice to its best provider.
+        // Capabilities with no live provider (device churn) are dropped
+        // from this slot's plan instead of failing the whole service — the
+        // gateway plans over what it has, as long as anything survives.
+        let mut specs: Vec<MsSpec> = Vec::with_capacity(state.script.microservices.len());
+        let mut providers: Vec<Arc<dyn Provider>> =
+            Vec::with_capacity(state.script.microservices.len());
+        let mut missing: Option<RuntimeError> = None;
+        for spec in &state.script.microservices {
+            match self.registry.best_provider(
+                &spec.capability,
+                &spec.prior,
+                &self.collector,
+                utility,
+                requirement,
+            ) {
+                Ok(provider) => {
+                    specs.push(spec.clone());
+                    providers.push(provider);
+                }
+                Err(error @ RuntimeError::NoProvider { .. }) => {
+                    if missing.is_none() {
+                        missing = Some(error);
+                    }
+                }
+                Err(error) => return Err(error),
+            }
+        }
+        // A validated script lists at least one microservice, so nothing
+        // surviving means at least one lookup reported its capability gone.
+        if let Some(error) = missing.filter(|_| providers.is_empty()) {
+            return Err(error);
+        }
+        let reduced_script;
+        let script = if specs.len() == state.script.microservices.len() {
+            &state.script
+        } else {
+            reduced_script = ServiceScript {
+                microservices: specs,
+                ..state.script.clone()
+            };
+            &reduced_script
+        };
+
+        let plan = state.planner.plan_slot_for(
+            script,
+            requirement,
+            &providers,
+            &self.collector,
+            state.slot,
+            Some(&self.telemetry),
+        )?;
+
+        Ok(ActivePlan {
+            names: script.ms_names().iter().map(|s| (*s).to_string()).collect(),
+            plan,
+            providers,
+            requirement: *requirement,
+        })
+    }
+
+    /// How far the collector's QoS table has drifted from `active`'s
+    /// assumed table, at the plan-cache quantization granularity (see
+    /// [`env_drift`](crate::env_drift)).
+    ///
+    /// Returns `None` — forcing a re-plan — when the effective requirement
+    /// changed since the plan was synthesized (live override), or the
+    /// plan's microservice set no longer maps onto the script (provider
+    /// churn reshaped the service mid-slot).
+    fn boundary_drift(
+        &self,
+        state: &ServiceState,
+        active: &ActivePlan,
+        requirement: &Requirements,
+    ) -> Option<f64> {
+        if active.requirement != *requirement {
+            return None;
+        }
+        // Rebuild the QoS table the planner would assume right now over
+        // the active plan's own provider set, then compare cell-by-cell.
+        let mut current: Vec<qce_strategy::Qos> = Vec::with_capacity(active.providers.len());
+        for (name, provider) in active.names.iter().zip(&active.providers) {
+            let spec = state
+                .script
+                .microservices
+                .iter()
+                .find(|spec| &spec.name == name)?;
+            let prior = crate::collector::prior_with_advertised_cost(&spec.prior, provider.cost());
+            current.push(self.collector.qos_or_prior(provider.id(), &prior));
+        }
+        let current: EnvQos = current.into_iter().collect();
+        Some(crate::generator::env_drift(
+            &active.plan.assumed_env,
+            &current,
+            self.config.plan_quantize,
+        ))
+    }
+
+    /// Removes `entry` from the map if it is still the registered,
+    /// never-initialised entry for `service_id`, so failed fetches don't
+    /// accumulate empty entries. An entry another thread initialised in the
+    /// meantime is left alone.
+    fn discard_uninitialised(&self, service_id: &str, entry: &Arc<ServiceEntry>) {
+        let mut services = self.services.write();
+        if let Some(existing) = services.get(service_id) {
+            let discard = Arc::ptr_eq(existing, entry) && existing.cell.lock().is_none();
+            if discard {
+                services.remove(service_id);
+            }
+        }
+    }
+
+    /// Runs `f` on the planning state of `service_id`, if the service has
+    /// been fetched.
+    fn with_state<R>(&self, service_id: &str, f: impl FnOnce(&mut ServiceState) -> R) -> Option<R> {
+        let entry = self.services.read().get(service_id).map(Arc::clone)?;
+        let mut guard = entry.cell.lock();
+        guard.as_mut().map(f)
+    }
+
+    /// Forces the next invocation of `service_id` to re-plan its strategy,
+    /// as if a slot boundary had been reached.
+    pub fn end_slot(&self, service_id: &str) {
+        self.with_state(service_id, |state| {
+            if state.active.take().is_some() {
+                state.slot += 1;
+                state.invocations_in_slot = 0;
+            }
+        });
+    }
+
+    /// The per-slot planning history of `service_id` (empty if the service
+    /// has not been invoked yet). Bounded by
+    /// [`GatewayConfig::history_limit`](super::GatewayConfig::history_limit);
+    /// evictions are counted in telemetry.
+    #[must_use]
+    pub fn slot_history(&self, service_id: &str) -> Vec<SlotRecord> {
+        self.with_state(service_id, |state| state.history.iter().cloned().collect())
+            .unwrap_or_default()
+    }
+
+    /// The strategy currently serving `service_id`, rendered with script
+    /// names.
+    #[must_use]
+    pub fn current_strategy(&self, service_id: &str) -> Option<String> {
+        let active = |state: &mut ServiceState| {
+            let active = state.active.as_ref()?;
+            Some(active.plan.strategy.to_string_with_names(&active.names))
+        };
+        self.with_state(service_id, active).flatten()
+    }
+
+    /// Drops the cached script and planning state of `service_id` (e.g.
+    /// after publishing an updated script to the market). Any cached plans
+    /// were computed for the evicted script, so the planner's cache is
+    /// invalidated first and the dropped entries are surfaced as stale in
+    /// telemetry.
+    ///
+    /// Requests in flight at eviction time are cancelled through their
+    /// budgets: every strategy leg that has not started is pruned, the
+    /// request completes with whatever its started legs produced, and its
+    /// response carries
+    /// [`PruneReason::Cancelled`](crate::PruneReason::Cancelled). The
+    /// planning state is *taken* out of the entry (not merely dropped with
+    /// it), so the cache invalidation and its telemetry flush happen
+    /// exactly once even when in-flight requests still hold the entry.
+    pub fn evict_service(&self, service_id: &str) {
+        let entry = self.services.write().remove(service_id);
+        if let Some(entry) = entry {
+            entry.evicted.store(true, Ordering::SeqCst);
+            let state = entry.cell.lock().take();
+            if let Some(state) = state {
+                state.planner.invalidate();
+                if let Some(stats) = state.planner.cache_stats() {
+                    self.telemetry.record_plan_cache(service_id, &stats);
+                }
+            }
+        }
+    }
+
+    /// Drops `service_id`'s cached and warm-started plans after a
+    /// requirement-affecting override. The memoized winners (and the
+    /// incumbent pruning bars) were synthesized for the *pre-override*
+    /// requirement; without this, the next slot boundary could serve one
+    /// of them and quietly plan against a requirement the operator just
+    /// replaced. The active slot keeps serving (overrides never re-plan
+    /// mid-slot); the next boundary runs a truly cold search.
+    pub(super) fn invalidate_override_plans(&self, service_id: &str, entry: &ServiceEntry) {
+        let guard = entry.cell.lock();
+        if let Some(state) = guard.as_ref() {
+            state.planner.invalidate_plans();
+            if let Some(stats) = state.planner.cache_stats() {
+                self.telemetry.record_plan_cache(service_id, &stats);
+            }
+        }
+    }
+}

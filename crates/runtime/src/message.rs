@@ -143,6 +143,13 @@ pub enum RuntimeError {
     /// the request was in flight; the request was abandoned without a
     /// result.
     Shutdown,
+    /// The operating system refused the gateway its first event-loop
+    /// thread, so an asynchronous request had nothing to run on. Nothing
+    /// was admitted; a later submission tries again.
+    LoopSpawn {
+        /// The operating system's error.
+        reason: String,
+    },
 }
 
 impl fmt::Display for RuntimeError {
@@ -181,6 +188,9 @@ impl fmt::Display for RuntimeError {
             }
             RuntimeError::Shutdown => {
                 write!(f, "runtime shut down while the request was in flight")
+            }
+            RuntimeError::LoopSpawn { reason } => {
+                write!(f, "could not start an event-loop thread: {reason}")
             }
         }
     }
@@ -257,6 +267,11 @@ mod tests {
         assert!(expired.contains("deadline"), "{expired}");
         assert!(expired.contains("critical"), "{expired}");
         assert!(RuntimeError::Shutdown.to_string().contains("shut down"));
+        assert!(RuntimeError::LoopSpawn {
+            reason: "EAGAIN".into()
+        }
+        .to_string()
+        .contains("EAGAIN"));
     }
 
     #[test]

@@ -73,12 +73,13 @@ fn propagate(result: std::thread::Result<NodeStatus>) -> NodeStatus {
     result.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
 }
 
-/// The slot handoff the engine's walker uses (see `SlotHandoff` in
-/// `engine/walker.rs` and the advance-protocol notes in the clock module),
-/// applied identically to the oracle copies: a leg that finishes last
-/// while the parent is passively parked leaves its worker slot for the
-/// parent to release after `exit_passive`; every other leg releases its
-/// own. Without it the clock can advance past the parent's continuation
+/// The slot handoff of the engine's first, thread-per-leg walker (the
+/// event core that replaced it keeps a finished leg's slot *orphaned*
+/// instead — see the module docs of `engine/event.rs` and the
+/// advance-protocol notes in the clock module), applied to the oracle
+/// copies: a leg that finishes last while the parent is passively parked
+/// leaves its worker slot for the parent to release after `exit_passive`;
+/// every other leg releases its own. Without it the clock can advance past the parent's continuation
 /// in the window between the last leg completing and the parent being
 /// rescheduled, making the *oracle itself* scheduling-dependent — the
 /// only departure from the verbatim pre-engine walkers below.
