@@ -403,15 +403,12 @@ impl VirtualClock {
     /// Jumps to the earliest sleeping deadline if no worker can make
     /// progress. Call after any counter change that could block progress.
     fn try_advance(&self, state: &mut VcState) {
-        if state.sleepers.is_empty() || state.worker_sleepers + state.parked < state.workers {
+        if state.worker_sleepers + state.parked < state.workers {
             return;
         }
-        let earliest = state
-            .sleepers
-            .iter()
-            .map(|&(_, deadline)| deadline)
-            .min()
-            .expect("sleepers is non-empty");
+        let Some(earliest) = state.sleepers.iter().map(|&(_, deadline)| deadline).min() else {
+            return;
+        };
         // A deadline at or before `now` belongs to a sleeper that has been
         // woken but has not yet removed itself; it will re-trigger the
         // advance when it next blocks or exits.

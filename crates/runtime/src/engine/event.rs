@@ -797,9 +797,10 @@ impl<'env> EventCore<'env> {
                 }
             }
             NodeShape::Seq(len) => {
-                let frame = self.alloc_frame(
-                    state,
-                    req,
+                let frame = Self::alloc_frame(
+                    &mut state.frames_live,
+                    &mut state.frames_peak,
+                    request,
                     Frame {
                         parent,
                         path,
@@ -809,9 +810,10 @@ impl<'env> EventCore<'env> {
                 self.advance_seq(state, deferred, req, frame);
             }
             NodeShape::Par(len) => {
-                let frame = self.alloc_frame(
-                    state,
-                    req,
+                let frame = Self::alloc_frame(
+                    &mut state.frames_live,
+                    &mut state.frames_peak,
+                    request,
                     Frame {
                         parent,
                         path: path.clone(),
@@ -839,15 +841,16 @@ impl<'env> EventCore<'env> {
         }
     }
 
-    fn alloc_frame(&self, state: &mut CoreState<'env>, req: u64, frame: Frame) -> usize {
-        state.frames_live += 1;
-        if state.frames_live > state.frames_peak {
-            state.frames_peak = state.frames_live;
-        }
-        let request = state
-            .requests
-            .get_mut(&req)
-            .expect("frame allocated for a live request");
+    /// Appends `frame` to the request `start_node` has just looked up, so
+    /// there is always a live request to allocate it for.
+    fn alloc_frame(
+        live: &mut usize,
+        peak: &mut usize,
+        request: &mut RequestState<'env>,
+        frame: Frame,
+    ) -> usize {
+        *live += 1;
+        *peak = (*peak).max(*live);
         if let Some(telemetry) = &request.telemetry {
             telemetry.record_engine_frame();
         }

@@ -66,23 +66,15 @@ impl Default for SynthesisSettings {
 /// differs between two QoS tables — the drift measure behind
 /// `replan_on_drift`.
 ///
-/// Quantization matches the plan cache's key derivation: with a positive
-/// `quantum`, each attribute maps to `round(value / quantum)`; with
-/// `quantum <= 0.0`, to its exact bit pattern. A microservice present in
-/// only one table counts as fully drifted (all three attribute cells
-/// differ). Returns `0.0` for two empty tables.
+/// Quantization *is* the plan cache's key derivation
+/// ([`qce_strategy::plan_cache::cell`]): with a positive `quantum`, each
+/// attribute maps to `round(value / quantum)`; with `quantum <= 0.0`, to
+/// its exact bit pattern. A microservice present in only one table counts
+/// as fully drifted (all three attribute cells differ). Returns `0.0` for
+/// two empty tables.
 #[must_use]
 pub fn env_drift(old: &EnvQos, new: &EnvQos, quantum: f64) -> f64 {
-    fn cell(value: f64, quantum: f64) -> i64 {
-        if quantum > 0.0 {
-            #[allow(clippy::cast_possible_truncation)]
-            {
-                (value / quantum).round() as i64
-            }
-        } else {
-            value.to_bits() as i64
-        }
-    }
+    use qce_strategy::plan_cache::cell;
     let mut ids: Vec<qce_strategy::MsId> = old.ids();
     for id in new.ids() {
         if !ids.contains(&id) {
@@ -388,43 +380,40 @@ impl Planner {
             });
         }
 
-        let generated: Generated = if let Some(selector) = &self.selector {
-            // `auto`: a deterministic UCB1 bandit picks the backend; the
-            // realized utility-per-search-cost of each fresh plan feeds
-            // the arm's statistics (cache hits cost nothing to produce
-            // and would inflate every arm equally, so they don't count).
-            let mut sel = selector.lock();
-            let eligible = sel.eligibility(ids.len(), self.generator.threshold());
-            let picked = sel.choose(&eligible);
-            let choice = picked.map_or(BackendChoice::Threshold, |arm| sel.arms()[arm]);
-            let generated = self
-                .generator
-                .generate_with(choice, &env, &ids, &requirements)
-                .map_err(|e| RuntimeError::Generation {
-                    reason: e.to_string(),
-                })?;
-            if let Some(arm) = picked {
-                if generated.source != PlanSource::Cached {
-                    sel.record(arm, generated.utility, generated.evaluated as u64);
-                }
-                if let Some(telemetry) = telemetry {
-                    telemetry.record_backend_choice(
-                        &script.service_id,
-                        slot,
-                        &choice.to_string(),
-                        sel.pulls(arm),
-                        sel.mean(arm),
-                    );
-                }
-            }
-            generated
-        } else {
-            self.generator
-                .generate_with(self.choice, &env, &ids, &requirements)
-                .map_err(|e| RuntimeError::Generation {
-                    reason: e.to_string(),
-                })?
+        // `auto`: a deterministic UCB1 bandit picks the backend before the
+        // search and, after it, the realized utility-per-search-cost of
+        // each fresh plan feeds the arm's statistics (cache hits cost
+        // nothing to produce and would inflate every arm equally, so they
+        // don't count).
+        let mut selector = self.selector.as_ref().map(|selector| selector.lock());
+        let arm = selector
+            .as_ref()
+            .and_then(|sel| sel.choose(&sel.eligibility(ids.len(), self.generator.threshold())));
+        // With no arm to pull, `auto` itself plans by the threshold rule.
+        let choice = match (&selector, arm) {
+            (Some(sel), Some(arm)) => sel.arms()[arm],
+            _ => self.choice,
         };
+        let generated: Generated = self
+            .generator
+            .generate_with(choice, &env, &ids, &requirements)
+            .map_err(|e| RuntimeError::Generation {
+                reason: e.to_string(),
+            })?;
+        if let (Some(sel), Some(arm)) = (selector.as_mut(), arm) {
+            if generated.source != PlanSource::Cached {
+                sel.record(arm, generated.utility, generated.evaluated as u64);
+            }
+            if let Some(telemetry) = telemetry {
+                telemetry.record_backend_choice(
+                    &script.service_id,
+                    slot,
+                    &choice.to_string(),
+                    sel.pulls(arm),
+                    sel.mean(arm),
+                );
+            }
+        }
         if let Some(telemetry) = telemetry {
             telemetry.record_synthesis(&script.service_id, &generated.report);
             if let Some(stats) = self.cache_stats() {
@@ -894,6 +883,53 @@ mod tests {
         // Empty tables are trivially identical.
         let empty = EnvQos::from_triples(&[]).unwrap();
         assert_eq!(env_drift(&empty, &empty, 0.0), 0.0);
+    }
+
+    /// `replan_on_drift` holds a plan exactly when the plan cache would
+    /// have served it: both read the one quantizer, so zero drift and a
+    /// cache hit are the same statement about two environments.
+    #[test]
+    fn env_drift_is_zero_exactly_when_the_plan_cache_hits() {
+        let base = [(50.0, 30.0, 0.7), (60.0, 40.0, 0.8)];
+        let one_ulp = f64::from_bits(40.0f64.to_bits() + 1);
+        let perturbed = [
+            base[1],
+            (60.0, one_ulp, 0.8),
+            (60.0, 41.0, 0.8),
+            (60.0, 43.0, 0.8),
+            (62.4, 40.0, 0.8),
+            (62.6, 40.0, 0.8),
+            (60.0, 40.0, 0.81),
+        ];
+        let requirements = Requirements::new(100.0, 100.0, 0.97).unwrap();
+        for quantum in [0.0, 5.0] {
+            let mut zero_drift = 0;
+            for second in perturbed {
+                let old = EnvQos::from_triples(&base).unwrap();
+                let new = EnvQos::from_triples(&[base[0], second]).unwrap();
+                let cache = Arc::new(PlanCache::new(PlanCacheConfig {
+                    capacity: 4,
+                    quantum,
+                }));
+                let generator = Generator::builder().plan_cache(cache).build();
+                generator
+                    .exhaustive(&old, &old.ids(), &requirements)
+                    .unwrap();
+                let replan = generator
+                    .exhaustive(&new, &new.ids(), &requirements)
+                    .unwrap();
+                let drift = env_drift(&old, &new, quantum);
+                assert_eq!(
+                    drift == 0.0,
+                    replan.source == PlanSource::Cached,
+                    "quantum={quantum} second={second:?} drift={drift}"
+                );
+                zero_drift += usize::from(drift == 0.0);
+            }
+            // Both outcomes occur: only the unperturbed table at quantum 0,
+            // every sub-cell perturbation as well at quantum 5.
+            assert_eq!(zero_drift, if quantum == 0.0 { 1 } else { 5 });
+        }
     }
 
     #[test]

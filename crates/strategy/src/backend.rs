@@ -1,22 +1,24 @@
-//! Pluggable search backends and the adaptive backend selector.
+//! Search-backend selection and the adaptive backend selector.
 //!
 //! Strategy synthesis historically offered one hard-coded policy: the
 //! paper's threshold rule (exhaustive search while `|M| ≤ θ`, greedy
-//! approximation beyond). This module re-expresses every search path as a
-//! [`SearchBackend`] behind a common trait so the runtime can pick a
-//! backend per re-plan:
+//! approximation beyond). [`BackendChoice`] is the operator-facing
+//! selection (`--planner`) among the three planner backends, all of which
+//! run through [`Generator::generate_with`](crate::Generator::generate_with):
 //!
-//! * [`ExhaustiveBackend`] — the branch-and-bound engine over `F(M)`
-//!   ([`Generator::exhaustive`]), exact but exponential in `M`;
-//! * [`GreedyBackend`] — Algorithm 2's approximation
-//!   ([`Generator::approximation`]), `O(M)` estimates, shape-committed;
-//! * [`BeamBackend`] — the width-`W` beam search ([`Generator::beam`])
-//!   that interpolates between the two: width 1 *is* the greedy
-//!   trajectory, width ∞ is bit-identical to the exhaustive winner.
+//! * `Exhaustive` — the branch-and-bound engine over `F(M)`
+//!   ([`Generator::exhaustive`](crate::Generator::exhaustive)), exact but
+//!   exponential in `M`;
+//! * `Greedy` — Algorithm 2's approximation
+//!   ([`Generator::approximation`](crate::Generator::approximation)),
+//!   `O(M)` estimates, shape-committed;
+//! * `Beam(W)` — the width-`W` beam search
+//!   ([`Generator::beam`](crate::Generator::beam)) that interpolates
+//!   between the two: width 1 *is* the greedy trajectory, width ∞ is
+//!   bit-identical to the exhaustive winner.
 //!
-//! [`BackendChoice`] is the operator-facing selection (`--planner`), with
-//! [`BackendChoice::Threshold`] preserving the historical behaviour and
-//! [`BackendChoice::Auto`] delegating to a deterministic UCB1 bandit
+//! [`BackendChoice::Threshold`] preserves the historical behaviour and
+//! [`BackendChoice::Auto`] delegates to a deterministic UCB1 bandit
 //! ([`BackendSelector`]) that learns, per service, which backend yields
 //! the best realized utility per unit of search effort.
 //!
@@ -28,10 +30,6 @@ use std::fmt;
 use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
-
-use crate::error::GenerateError;
-use crate::generate::{Generated, Generator, SynthesisReport};
-use crate::qos::{EnvQos, MsId, Requirements};
 
 /// Default beam width for `--planner beam` without an explicit `:W`.
 pub const DEFAULT_BEAM_WIDTH: usize = 4;
@@ -99,8 +97,9 @@ pub enum BackendChoice {
     /// Beam search at the given width (≥ 1).
     Beam(usize),
     /// Let the runtime's UCB1 bandit ([`BackendSelector`]) pick per
-    /// re-plan. A bare [`Generator`] resolves this like `Threshold`; the
-    /// runtime resolves it to a concrete arm before searching.
+    /// re-plan. A bare [`Generator`](crate::Generator) resolves this like
+    /// `Threshold`; the runtime resolves it to a concrete arm before
+    /// searching.
     Auto,
 }
 
@@ -159,131 +158,19 @@ impl FromStr for BackendChoice {
     }
 }
 
-/// A pluggable strategy-search backend: a stable name/identity plus a
-/// search entry point. Every backend returns a [`Generated`] whose
-/// [`SynthesisReport`] follows the unified effort accounting
-/// (`candidates_seen + candidates_pruned == evaluated`, auxiliary
-/// estimates excluded — see [`SynthesisReport`]).
-pub trait SearchBackend: fmt::Debug + Send + Sync {
-    /// Stable backend name (matches [`BackendId::name`]).
-    fn name(&self) -> &'static str;
-
-    /// The cache-keying identity of this backend.
-    fn id(&self) -> BackendId;
-
-    /// Runs the search over `ids` under `env`/`req` using `generator`'s
-    /// configuration (utility index, estimator, parallelism, caches).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GenerateError::NoMicroservices`] for an empty id list, or
-    /// an estimation error if `env` lacks an entry for some id.
-    fn search(
-        &self,
-        generator: &Generator,
-        env: &EnvQos,
-        ids: &[MsId],
-        req: &Requirements,
-    ) -> Result<Generated, GenerateError>;
-
-    /// The effort report of a result this backend produced.
-    fn report(&self, generated: &Generated) -> SynthesisReport {
-        generated.report
-    }
-}
-
-/// The exhaustive branch-and-bound backend ([`Generator::exhaustive`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExhaustiveBackend;
-
-impl SearchBackend for ExhaustiveBackend {
-    fn name(&self) -> &'static str {
-        BackendId::EXHAUSTIVE.name
-    }
-
-    fn id(&self) -> BackendId {
-        BackendId::EXHAUSTIVE
-    }
-
-    fn search(
-        &self,
-        generator: &Generator,
-        env: &EnvQos,
-        ids: &[MsId],
-        req: &Requirements,
-    ) -> Result<Generated, GenerateError> {
-        generator.exhaustive(env, ids, req)
-    }
-}
-
-/// The greedy-approximation backend ([`Generator::approximation`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GreedyBackend;
-
-impl SearchBackend for GreedyBackend {
-    fn name(&self) -> &'static str {
-        BackendId::GREEDY.name
-    }
-
-    fn id(&self) -> BackendId {
-        BackendId::GREEDY
-    }
-
-    fn search(
-        &self,
-        generator: &Generator,
-        env: &EnvQos,
-        ids: &[MsId],
-        req: &Requirements,
-    ) -> Result<Generated, GenerateError> {
-        generator.approximation(env, ids, req)
-    }
-}
-
-/// The beam-search backend ([`Generator::beam`]) at a fixed width.
-#[derive(Debug, Clone, Copy)]
-pub struct BeamBackend {
-    /// Beam width `W ≥ 1`.
-    pub width: usize,
-}
-
-impl SearchBackend for BeamBackend {
-    fn name(&self) -> &'static str {
-        "beam"
-    }
-
-    fn id(&self) -> BackendId {
-        BackendId::beam(self.width)
-    }
-
-    fn search(
-        &self,
-        generator: &Generator,
-        env: &EnvQos,
-        ids: &[MsId],
-        req: &Requirements,
-    ) -> Result<Generated, GenerateError> {
-        generator.beam(env, ids, req, self.width)
-    }
-}
-
-/// Resolves a [`BackendChoice`] to a concrete backend for a search over
-/// `m` microservices under threshold `θ`. `Threshold` and `Auto` both
-/// resolve via the paper rule here — the runtime's bandit replaces `Auto`
-/// with a concrete arm *before* reaching the generator.
+/// Resolves a [`BackendChoice`] to the concrete backend — `Exhaustive`,
+/// `Greedy` or `Beam(W)` — that a search over `m` microservices under
+/// threshold `θ` runs. `Threshold` and `Auto` both resolve via the paper
+/// rule here — the runtime's bandit replaces `Auto` with a concrete arm
+/// *before* reaching the generator.
 #[must_use]
-pub fn resolve(choice: BackendChoice, m: usize, threshold: usize) -> Box<dyn SearchBackend> {
+pub fn resolve(choice: BackendChoice, m: usize, threshold: usize) -> BackendChoice {
     match choice {
-        BackendChoice::Threshold | BackendChoice::Auto => {
-            if m <= threshold {
-                Box::new(ExhaustiveBackend)
-            } else {
-                Box::new(GreedyBackend)
-            }
+        BackendChoice::Threshold | BackendChoice::Auto if m <= threshold => {
+            BackendChoice::Exhaustive
         }
-        BackendChoice::Exhaustive => Box::new(ExhaustiveBackend),
-        BackendChoice::Greedy => Box::new(GreedyBackend),
-        BackendChoice::Beam(width) => Box::new(BeamBackend { width }),
+        BackendChoice::Threshold | BackendChoice::Auto => BackendChoice::Greedy,
+        concrete => concrete,
     }
 }
 
@@ -299,7 +186,8 @@ pub fn resolve(choice: BackendChoice, m: usize, threshold: usize) -> Box<dyn Sea
 /// ```
 ///
 /// so an arm only justifies a large search space by a materially better
-/// utility. The effort term uses [`Generated::evaluated`] — the
+/// utility. The effort term uses
+/// [`Generated::evaluated`](crate::Generated::evaluated) — the
 /// *considered* candidate count, which is deterministic across pruning and
 /// parallelism settings — never wall-clock time, keeping two identical
 /// runs byte-identical.
@@ -399,7 +287,8 @@ impl BackendSelector {
     }
 
     /// Feeds back one pull's outcome: the realized utility of the chosen
-    /// plan and the search effort ([`Generated::evaluated`]) it took.
+    /// plan and the search effort it took
+    /// ([`Generated::evaluated`](crate::Generated::evaluated)).
     pub fn record(&mut self, arm: usize, utility: f64, evaluated: u64) {
         if arm >= self.arms.len() {
             return;
@@ -456,16 +345,16 @@ mod tests {
     #[test]
     fn resolve_follows_the_threshold_rule() {
         for choice in [BackendChoice::Threshold, BackendChoice::Auto] {
-            assert_eq!(resolve(choice, 4, 6).id(), BackendId::EXHAUSTIVE);
-            assert_eq!(resolve(choice, 8, 6).id(), BackendId::GREEDY);
+            assert_eq!(resolve(choice, 4, 6), BackendChoice::Exhaustive);
+            assert_eq!(resolve(choice, 8, 6), BackendChoice::Greedy);
         }
         assert_eq!(
-            resolve(BackendChoice::Beam(2), 8, 6).id(),
-            BackendId::beam(2)
+            resolve(BackendChoice::Beam(2), 8, 6),
+            BackendChoice::Beam(2)
         );
         assert_eq!(
-            resolve(BackendChoice::Exhaustive, 99, 6).id(),
-            BackendId::EXHAUSTIVE
+            resolve(BackendChoice::Exhaustive, 99, 6),
+            BackendChoice::Exhaustive
         );
     }
 

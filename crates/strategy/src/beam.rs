@@ -42,13 +42,10 @@
 //! property tests below at `M ≤ 5`).
 
 use std::collections::HashSet;
-use std::time::Instant;
 
-use crate::backend::BackendId;
 use crate::error::GenerateError;
 use crate::expr::{Node, Strategy};
-use crate::generate::{better_tiebreak, Generated, Generator, Method, SynthesisReport};
-use crate::plan_cache::PlanSource;
+use crate::generate::{better_tiebreak, Found, Generator};
 use crate::qos::{EnvQos, MsId, Qos, Requirements};
 
 /// One scored beam candidate.
@@ -157,60 +154,15 @@ fn insertions(node: &Node, x: MsId, out: &mut Vec<Node>) {
 }
 
 impl Generator {
-    /// Beam search of width `W` (clamped to ≥ 1): the pluggable middle
-    /// ground between [`Generator::approximation`] (identical results at
-    /// `W = 1`) and [`Generator::exhaustive`] (identical results as
-    /// `W → ∞`; bit-for-bit, not just equal utility). Runtime grows
-    /// roughly linearly in `W` and quadratically in `|ids|`, so moderate
-    /// widths stay practical far beyond the exhaustive search's `M ≤ 6`
-    /// ceiling.
-    ///
-    /// Results are memoized in the configured plan cache (if any) under a
-    /// width-specific [`BackendId`], so beam plans never collide with
-    /// exhaustive or greedy entries for the same inputs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GenerateError::NoMicroservices`] for an empty id list, or
-    /// an estimation error if `env` lacks an entry for some id.
-    pub fn beam(
+    /// The beam search behind [`Generator::beam`], from inputs the door has
+    /// already validated (`width ≥ 1`).
+    pub(crate) fn beam_search(
         &self,
         env: &EnvQos,
         ids: &[MsId],
         req: &Requirements,
         width: usize,
-    ) -> Result<Generated, GenerateError> {
-        if ids.is_empty() {
-            return Err(GenerateError::NoMicroservices);
-        }
-        req.validate().map_err(GenerateError::InvalidRequirements)?;
-        for &id in ids {
-            if env.get(id).is_none() {
-                return Err(crate::error::EstimateError::MissingMicroservice(id).into());
-            }
-        }
-        let width = width.max(1);
-        let start = Instant::now();
-        let backend = BackendId::beam(width);
-        if let Some(cache) = self.plan_cache() {
-            if let Some(mut hit) = cache.lookup(
-                env,
-                ids,
-                req,
-                false,
-                self.utility_index().k(),
-                self.estimator().name(),
-                backend,
-            ) {
-                hit.source = PlanSource::Cached;
-                hit.report = SynthesisReport {
-                    candidates_seen: 0,
-                    candidates_pruned: 0,
-                    elapsed: start.elapsed(),
-                };
-                return Ok(hit);
-            }
-        }
+    ) -> Result<Found, GenerateError> {
         let order = self.sort_by_utility(env, ids, req)?;
         let score = |s: Strategy| -> Result<Cand, GenerateError> {
             let qos = self.estimator().estimate(&s, env)?;
@@ -225,7 +177,7 @@ impl Generator {
         // Unified effort accounting: the best-leaf incumbent counts as one
         // candidate; the per-leaf sorting estimates are auxiliary and do
         // not count (see `SynthesisReport`).
-        let mut evaluated: usize = 1;
+        let mut evaluated: u64 = 1;
         let mut slots: Vec<Cand> = vec![score(Strategy::leaf(order[0]))?];
         for &x in &order[1..] {
             let mut pool: Vec<Cand> = Vec::new();
@@ -328,39 +280,15 @@ impl Generator {
             qos,
             utility,
         } = slots.swap_remove(winner);
-        let generated = Generated {
-            strategy,
-            qos,
-            utility,
-            evaluated,
-            method: Method::Beam,
-            report: SynthesisReport {
-                candidates_seen: evaluated as u64,
-                candidates_pruned: 0,
-                elapsed: start.elapsed(),
-            },
-            source: PlanSource::Cold,
-        };
-        if let Some(cache) = self.plan_cache() {
-            cache.store(
-                env,
-                ids,
-                req,
-                false,
-                self.utility_index().k(),
-                self.estimator().name(),
-                backend,
-                &generated,
-            );
-        }
-        Ok(generated)
+        Ok((strategy, qos, utility, evaluated, 0))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan_cache::{PlanCache, PlanCacheConfig};
+    use crate::generate::{Generated, Method};
+    use crate::plan_cache::{PlanCache, PlanCacheConfig, PlanSource};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
     use std::sync::Arc;

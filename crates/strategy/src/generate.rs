@@ -41,13 +41,14 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
+use crate::backend::{BackendChoice, BackendId};
 use crate::enumerate::{
     failover, for_each_full, for_each_with_subsets, speculative_parallel, StrategyIter, MAX_COUNT_M,
 };
-use crate::error::GenerateError;
+use crate::error::{BuildError, EstimateError, GenerateError};
 use crate::estimate::{Algorithm1, Estimator};
 use crate::expr::Strategy;
-use crate::plan_cache::{PlanCache, PlanSource};
+use crate::plan_cache::{PlanCache, PlanSource, SearchId};
 use crate::qos::{EnvQos, MsId, Qos, Requirements};
 use crate::synth;
 use crate::utility::UtilityIndex;
@@ -73,7 +74,7 @@ pub enum Method {
     SpeculativeParallel,
     /// Width-`W` beam search ([`Generator::beam`]): greedy at width 1,
     /// exhaustive in the limit. The width is carried by the backend
-    /// identity ([`crate::backend::BackendId`]), not the method.
+    /// identity ([`BackendId`]), not the method.
     Beam,
 }
 
@@ -478,32 +479,33 @@ impl Generator {
         ids: &[MsId],
         req: &Requirements,
     ) -> Result<Generated, GenerateError> {
-        if ids.len() <= self.threshold {
-            self.exhaustive(env, ids, req)
-        } else {
-            self.approximation(env, ids, req)
-        }
+        self.generate_with(BackendChoice::Threshold, env, ids, req)
     }
 
     /// Runs the search backend selected by `choice` — the pluggable entry
     /// point behind the CLI's `--planner` flag.
-    /// [`BackendChoice::Threshold`](crate::backend::BackendChoice) (the
-    /// default) reproduces [`Generator::generate`]'s paper rule exactly;
-    /// `Auto` also falls back to that rule here, because the runtime's
-    /// bandit resolves `Auto` to a concrete arm *before* calling the
-    /// generator.
+    /// [`BackendChoice::Threshold`] (the default) is the paper rule of
+    /// [`Generator::generate`]; `Auto` also falls back to that rule here,
+    /// because the runtime's bandit resolves `Auto` to a concrete arm
+    /// *before* calling the generator.
     ///
     /// # Errors
     ///
     /// Same conditions as [`Generator::generate`].
     pub fn generate_with(
         &self,
-        choice: crate::backend::BackendChoice,
+        choice: BackendChoice,
         env: &EnvQos,
         ids: &[MsId],
         req: &Requirements,
     ) -> Result<Generated, GenerateError> {
-        crate::backend::resolve(choice, ids.len(), self.threshold).search(self, env, ids, req)
+        let search = match crate::backend::resolve(choice, ids.len(), self.threshold) {
+            BackendChoice::Greedy => Search::Greedy { early_stop: false },
+            BackendChoice::Beam(width) => Search::Beam(width.max(1)),
+            // `resolve` leaves no `Threshold` or `Auto`.
+            _ => Search::Exhaustive { subsets: false },
+        };
+        self.run(search, env, ids, req)
     }
 
     /// Exhaustive search over `F(M)`: estimates every strategy that uses
@@ -522,7 +524,7 @@ impl Generator {
         ids: &[MsId],
         req: &Requirements,
     ) -> Result<Generated, GenerateError> {
-        self.search(env, ids, req, Method::Exhaustive)
+        self.run(Search::Exhaustive { subsets: false }, env, ids, req)
     }
 
     /// Exhaustive search over `F'(M)`: like [`Generator::exhaustive`] but
@@ -537,93 +539,82 @@ impl Generator {
         ids: &[MsId],
         req: &Requirements,
     ) -> Result<Generated, GenerateError> {
-        self.search(env, ids, req, Method::ExhaustiveSubsets)
+        self.run(Search::Exhaustive { subsets: true }, env, ids, req)
     }
 
-    fn search(
+    /// The one door into every search. Once per call it rejects an empty id
+    /// list, then invalid requirements, then an id `env` does not cover;
+    /// starts the timer; serves the plan cache's entry if `search` is a
+    /// cached one and these inputs were searched before; and otherwise runs
+    /// the algorithm — a function from the validated inputs to a [`Found`]
+    /// — stamps the result, and memoizes it under the same key.
+    ///
+    /// Only the exhaustive searches and the beam are cached, each under its
+    /// own [`BackendId`] (and subsets flag). The algorithms that seed one
+    /// another — the exhaustive engine's bound, the hill climb's starts —
+    /// call each other directly, not this door, so a seed is never counted,
+    /// cached or timed as a search of its own.
+    fn run(
         &self,
+        search: Search,
         env: &EnvQos,
         ids: &[MsId],
         req: &Requirements,
-        method: Method,
     ) -> Result<Generated, GenerateError> {
         if ids.is_empty() {
             return Err(GenerateError::NoMicroservices);
         }
         req.validate().map_err(GenerateError::InvalidRequirements)?;
-        // Validate availability up front so the scan paths below can rely
-        // on successful estimation.
-        for &id in ids {
-            if env.get(id).is_none() {
-                return Err(crate::error::EstimateError::MissingMicroservice(id).into());
-            }
+        if let Some(&id) = ids.iter().find(|&&id| env.get(id).is_none()) {
+            return Err(EstimateError::MissingMicroservice(id).into());
         }
         let start = Instant::now();
-        let subsets = method == Method::ExhaustiveSubsets;
-        if let Some(cache) = &self.plan_cache {
-            if let Some(mut hit) = cache.lookup(
-                env,
-                ids,
-                req,
-                subsets,
-                self.utility.k(),
-                self.estimator.name(),
-                crate::backend::BackendId::EXHAUSTIVE,
-            ) {
-                // The stored winner (and its `evaluated` space size) is
-                // what a fresh search over these keyed inputs would have
-                // produced; only the effort counters describe *this* call.
-                hit.source = PlanSource::Cached;
-                hit.report = SynthesisReport {
-                    candidates_seen: 0,
-                    candidates_pruned: 0,
-                    elapsed: start.elapsed(),
-                };
-                return Ok(hit);
-            }
-        }
-        let workers = self.resolved_parallelism();
-        let mut source = PlanSource::Cold;
-        let (strategy, qos, utility, seen, pruned) =
-            if self.estimator.is_algorithm1() && ids.len() <= MAX_COUNT_M {
-                let initial_bound = if self.pruning {
-                    let mut bound = self.seed_bound(env, ids, req)?;
-                    if let Some(incumbent) = self.incumbent_utility(env, ids, req, subsets) {
-                        bound = synth::fold_incumbent(bound, incumbent);
-                        source = PlanSource::WarmStart;
-                    }
-                    bound
-                } else {
-                    f64::NEG_INFINITY
-                };
-                let cache = self.node_cache(ids);
-                let outcome = synth::search(&synth::SearchSpec {
-                    env,
-                    ids,
-                    req,
-                    utility: self.utility,
+        let cached_as = match search {
+            Search::Exhaustive { subsets } => Some((subsets, BackendId::EXHAUSTIVE)),
+            Search::Beam(width) => Some((false, BackendId::beam(width))),
+            _ => None,
+        };
+        let memo = match (&self.plan_cache, cached_as) {
+            (Some(cache), Some((subsets, backend))) => {
+                let search = SearchId {
                     subsets,
-                    pruning: self.pruning,
-                    parallelism: workers,
-                    initial_bound,
-                    cache: &cache,
-                });
-                (
-                    outcome.strategy,
-                    outcome.qos,
-                    outcome.utility,
-                    outcome.seen,
-                    outcome.pruned,
-                )
-            } else {
-                self.generic_scan(env, ids, req, subsets, workers)?
+                    penalty: self.utility.k(),
+                    estimator: self.estimator.name(),
+                    backend,
+                };
+                cache.key(env, ids, req, search).map(|key| (cache, key))
+            }
+            _ => None,
+        };
+        if let Some(mut hit) = memo.as_ref().and_then(|(cache, key)| cache.lookup(key)) {
+            // The stored winner (and its `evaluated` space size) is what a
+            // fresh search over these keyed inputs would have produced;
+            // only the effort counters describe *this* call.
+            hit.source = PlanSource::Cached;
+            hit.report = SynthesisReport {
+                elapsed: start.elapsed(),
+                ..SynthesisReport::default()
             };
+            return Ok(hit);
+        }
+        let mut source = PlanSource::Cold;
+        let (strategy, qos, utility, seen, pruned) = match search {
+            Search::Exhaustive { subsets } => self.scan(env, ids, req, subsets, &mut source)?,
+            Search::Greedy { early_stop } => self.greedy(env, ids, req, early_stop)?,
+            Search::Beam(width) => self.beam_search(env, ids, req, width)?,
+            Search::HillClimb => self.climb(env, ids, req)?,
+            Search::Failover { ranked: true } => {
+                self.pattern(failover, &self.sort_by_utility(env, ids, req)?, env, req)?
+            }
+            Search::Failover { ranked: false } => self.pattern(failover, ids, env, req)?,
+            Search::SpeculativeParallel => self.pattern(speculative_parallel, ids, env, req)?,
+        };
         let generated = Generated {
             strategy,
             qos,
             utility,
             evaluated: usize::try_from(seen + pruned).unwrap_or(usize::MAX),
-            method,
+            method: search.method(),
             report: SynthesisReport {
                 candidates_seen: seen,
                 candidates_pruned: pruned,
@@ -631,22 +622,63 @@ impl Generator {
             },
             source,
         };
-        if self.warm_start {
-            self.remember_incumbent(ids, subsets, &generated.strategy);
+        if let Some((cache, key)) = memo {
+            cache.store(key, &generated);
         }
-        if let Some(cache) = &self.plan_cache {
-            cache.store(
+        Ok(generated)
+    }
+
+    /// The exhaustive search over `F(M)` (`F'(M)` with `subsets`): the
+    /// branch-and-bound engine for Algorithm 1, the generic scan for any
+    /// other estimator. Sets `source` to [`PlanSource::WarmStart`] when a
+    /// remembered incumbent seeded the pruning bar, and remembers the
+    /// winner as the next incumbent for `(ids, subsets)`.
+    fn scan(
+        &self,
+        env: &EnvQos,
+        ids: &[MsId],
+        req: &Requirements,
+        subsets: bool,
+        source: &mut PlanSource,
+    ) -> Result<Found, GenerateError> {
+        let workers = self.resolved_parallelism();
+        let found = if self.estimator.is_algorithm1() && ids.len() <= MAX_COUNT_M {
+            let initial_bound = if self.pruning {
+                let mut bound = self.seed_bound(env, ids, req)?;
+                if let Some(incumbent) = self.incumbent_utility(env, ids, req, subsets) {
+                    bound = synth::fold_incumbent(bound, incumbent);
+                    *source = PlanSource::WarmStart;
+                }
+                bound
+            } else {
+                f64::NEG_INFINITY
+            };
+            let cache = self.node_cache(ids);
+            let outcome = synth::search(&synth::SearchSpec {
                 env,
                 ids,
                 req,
+                utility: self.utility,
                 subsets,
-                self.utility.k(),
-                self.estimator.name(),
-                crate::backend::BackendId::EXHAUSTIVE,
-                &generated,
-            );
+                pruning: self.pruning,
+                parallelism: workers,
+                initial_bound,
+                cache: &cache,
+            });
+            (
+                outcome.strategy,
+                outcome.qos,
+                outcome.utility,
+                outcome.seen,
+                outcome.pruned,
+            )
+        } else {
+            self.generic_scan(env, ids, req, subsets, workers)?
+        };
+        if self.warm_start {
+            self.remember_incumbent(ids, subsets, &found.0);
         }
-        Ok(generated)
+        Ok(found)
     }
 
     /// The warm-start incumbent bound: the previous winner over the same
@@ -725,11 +757,12 @@ impl Generator {
         ids: &[MsId],
         req: &Requirements,
     ) -> Result<f64, GenerateError> {
-        let mut bound = self.failover(env, ids, req)?.utility;
+        let order = self.sort_by_utility(env, ids, req)?;
+        let mut bound = self.pattern(failover, &order, env, req)?.2;
         if ids.len() >= 2 {
-            bound = bound.max(self.speculative_parallel(env, ids, req)?.utility);
+            bound = bound.max(self.pattern(speculative_parallel, ids, env, req)?.2);
         }
-        bound = bound.max(self.approximation(env, ids, req)?.utility);
+        bound = bound.max(self.greedy(env, ids, req, false)?.2);
         Ok(bound)
     }
 
@@ -737,7 +770,8 @@ impl Generator {
     /// branch-and-bound bounds are only admissible against Algorithm 1's
     /// formulas), optionally chunked across worker threads with
     /// [`StrategyIter`]. The winner is identical for any worker count
-    /// because the per-candidate comparison is a strict total order.
+    /// because the per-candidate comparison is a strict total order. The
+    /// first estimate the estimator refuses ends the scan with that error.
     fn generic_scan(
         &self,
         env: &EnvQos,
@@ -745,9 +779,9 @@ impl Generator {
         req: &Requirements,
         subsets: bool,
         workers: usize,
-    ) -> Result<(Strategy, Qos, f64, u64, u64), GenerateError> {
-        type Local = (Option<(Strategy, Qos, f64)>, u64);
-        let merge = |best: &mut Option<(Strategy, Qos, f64)>, s: Strategy, qos: Qos, u: f64| {
+    ) -> Result<Found, GenerateError> {
+        type Best = Option<(Strategy, Qos, f64)>;
+        let merge = |best: &mut Best, s: Strategy, qos: Qos, u: f64| {
             let better = match &best {
                 None => true,
                 Some((bs, bq, bu)) => u > *bu || (u == *bu && better_tiebreak(&s, &qos, bs, bq)),
@@ -756,16 +790,14 @@ impl Generator {
                 *best = Some((s, qos, u));
             }
         };
-        let consider = |best: &mut Option<(Strategy, Qos, f64)>, seen: &mut u64, s: Strategy| {
-            let qos = self
-                .estimator
-                .estimate_uncached(&s, env)
-                .expect("ids validated above");
+        let consider = |best: &mut Best, seen: &mut u64, s: Strategy| {
+            let qos = self.estimator.estimate_uncached(&s, env)?;
             let u = self.utility.utility(&qos, req);
             *seen += 1;
             merge(best, s, qos, u);
+            Ok::<(), EstimateError>(())
         };
-        let locals: Vec<Local> = if workers > 1 && ids.len() <= MAX_COUNT_M {
+        let locals: Vec<(Best, u64)> = if workers > 1 && ids.len() <= MAX_COUNT_M {
             let iter = if subsets {
                 StrategyIter::with_subsets(ids)
             } else {
@@ -781,40 +813,49 @@ impl Generator {
                             let mut best = None;
                             let mut seen = 0u64;
                             for s in chunk {
-                                consider(&mut best, &mut seen, s);
+                                consider(&mut best, &mut seen, s)?;
                             }
-                            (best, seen)
+                            Ok((best, seen))
                         })
                     })
                     .collect();
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("scan worker panicked"))
-                    .collect()
-            })
+                    .collect::<Result<_, EstimateError>>()
+            })?
         } else {
             // `for_each_*` has no `MAX_COUNT_M` ceiling, so very large id
             // lists still scan (sequentially), exactly as before.
             let mut best = None;
             let mut seen = 0u64;
-            let mut visit = |s: Strategy| consider(&mut best, &mut seen, s);
+            let mut refused = None;
+            let mut visit = |s: Strategy| {
+                if refused.is_none() {
+                    refused = consider(&mut best, &mut seen, s).err();
+                }
+            };
             if subsets {
                 for_each_with_subsets(ids, &mut visit);
             } else {
                 for_each_full(ids, &mut visit);
             }
+            if let Some(err) = refused {
+                return Err(err.into());
+            }
             vec![(best, seen)]
         };
         let mut seen = 0u64;
-        let mut best: Option<(Strategy, Qos, f64)> = None;
+        let mut best: Best = None;
         for (local, n) in locals {
             seen += n;
             if let Some((s, qos, u)) = local {
                 merge(&mut best, s, qos, u);
             }
         }
-        let (strategy, qos, u) = best.expect("non-empty id list yields at least one strategy");
-        Ok((strategy, qos, u, seen, 0))
+        let (strategy, qos, utility) =
+            best.expect("non-empty id list yields at least one strategy");
+        Ok((strategy, qos, utility, seen, 0))
     }
 
     /// The greedy approximation heuristic of Algorithm 2 (lines 4–13).
@@ -833,7 +874,7 @@ impl Generator {
         ids: &[MsId],
         req: &Requirements,
     ) -> Result<Generated, GenerateError> {
-        self.greedy(env, ids, req, false)
+        self.run(Search::Greedy { early_stop: false }, env, ids, req)
     }
 
     /// The subset variant of the approximation heuristic: stops as soon as
@@ -848,7 +889,7 @@ impl Generator {
         ids: &[MsId],
         req: &Requirements,
     ) -> Result<Generated, GenerateError> {
-        self.greedy(env, ids, req, true)
+        self.run(Search::Greedy { early_stop: true }, env, ids, req)
     }
 
     fn greedy(
@@ -857,17 +898,13 @@ impl Generator {
         ids: &[MsId],
         req: &Requirements,
         early_stop: bool,
-    ) -> Result<Generated, GenerateError> {
-        if ids.is_empty() {
-            return Err(GenerateError::NoMicroservices);
-        }
-        let start = Instant::now();
+    ) -> Result<Found, GenerateError> {
         let order = self.sort_by_utility(env, ids, req)?;
         // Unified effort accounting: the per-leaf estimates behind the
         // sort are auxiliary and not counted (matching the exhaustive
         // engine, whose seed estimates are likewise free); the best-leaf
         // incumbent is the first candidate considered.
-        let mut evaluated = 1;
+        let mut seen = 1;
         let mut es = Strategy::leaf(order[0]);
         let mut qos = self.est(&es, env)?;
         let mut utility = self.utility.utility(&qos, req);
@@ -884,7 +921,7 @@ impl Generator {
             let par_qos = self.est(&par, env)?;
             let seq_u = self.utility.utility(&seq_qos, req);
             let par_u = self.utility.utility(&par_qos, req);
-            evaluated += 2;
+            seen += 2;
             // Paper, Algorithm 2 line 8: strict '>' — ties go parallel.
             let (cand, cand_qos, cand_u) = if seq_u > par_u {
                 (seq, seq_qos, seq_u)
@@ -898,23 +935,7 @@ impl Generator {
             qos = cand_qos;
             utility = cand_u;
         }
-        Ok(Generated {
-            strategy: es,
-            qos,
-            utility,
-            evaluated,
-            method: if early_stop {
-                Method::ApproximationEarlyStop
-            } else {
-                Method::Approximation
-            },
-            report: SynthesisReport {
-                candidates_seen: evaluated as u64,
-                candidates_pruned: 0,
-                elapsed: start.elapsed(),
-            },
-            source: PlanSource::Cold,
-        })
+        Ok((es, qos, utility, seen, 0))
     }
 
     /// Multi-start hill climbing: an extension beyond the paper that sits
@@ -943,25 +964,30 @@ impl Generator {
         ids: &[MsId],
         req: &Requirements,
     ) -> Result<Generated, GenerateError> {
-        if ids.is_empty() {
-            return Err(GenerateError::NoMicroservices);
-        }
-        let start_time = Instant::now();
+        self.run(Search::HillClimb, env, ids, req)
+    }
+
+    fn climb(
+        &self,
+        env: &EnvQos,
+        ids: &[MsId],
+        req: &Requirements,
+    ) -> Result<Found, GenerateError> {
         // Unified effort accounting: only candidates considered count —
         // the starts' own estimates plus every leaf-swap neighbour; the
         // sorting estimates inside the starts are auxiliary.
-        let mut evaluated = 0;
-        let mut starts = vec![self.approximation(env, ids, req)?];
-        evaluated += starts[0].evaluated;
+        let mut starts = vec![self.greedy(env, ids, req, false)?];
+        let mut seen = starts[0].3;
         if ids.len() >= 2 {
-            starts.push(self.failover(env, ids, req)?);
-            starts.push(self.speculative_parallel(env, ids, req)?);
-            evaluated += 2;
+            let order = self.sort_by_utility(env, ids, req)?;
+            starts.push(self.pattern(failover, &order, env, req)?);
+            starts.push(self.pattern(speculative_parallel, ids, env, req)?);
+            seen += 2;
         }
 
         let mut best: Option<(Strategy, Qos, f64)> = None;
-        for start in starts {
-            let mut current = (start.strategy, start.qos, start.utility);
+        for (strategy, qos, utility, ..) in starts {
+            let mut current = (strategy, qos, utility);
             // Hill climb: move to the best improving leaf-swap neighbour.
             loop {
                 let mut improved: Option<(Strategy, Qos, f64)> = None;
@@ -985,7 +1011,7 @@ impl Generator {
                         }
                         let qos = self.est(&swapped, env)?;
                         let utility = self.utility.utility(&qos, req);
-                        evaluated += 1;
+                        seen += 1;
                         let beats_improved = improved.as_ref().is_none_or(|(_, _, u)| utility > *u);
                         if utility > current.2 && beats_improved {
                             improved = Some((swapped, qos, utility));
@@ -1009,19 +1035,7 @@ impl Generator {
             }
         }
         let (strategy, qos, utility) = best.expect("at least one start");
-        Ok(Generated {
-            strategy,
-            qos,
-            utility,
-            evaluated,
-            method: Method::LocalSearch,
-            report: SynthesisReport {
-                candidates_seen: evaluated as u64,
-                candidates_pruned: 0,
-                elapsed: start_time.elapsed(),
-            },
-            source: PlanSource::Cold,
-        })
+        Ok((strategy, qos, utility, seen, 0))
     }
 
     /// The predefined fail-over pattern over `ids`, ordered by individual
@@ -1038,24 +1052,7 @@ impl Generator {
         ids: &[MsId],
         req: &Requirements,
     ) -> Result<Generated, GenerateError> {
-        let start = Instant::now();
-        let order = self.sort_by_utility(env, ids, req)?;
-        let strategy = failover(&order).expect("ids are distinct and non-empty");
-        let qos = self.est(&strategy, env)?;
-        let utility = self.utility.utility(&qos, req);
-        Ok(Generated {
-            strategy,
-            qos,
-            utility,
-            evaluated: 1,
-            method: Method::Failover,
-            report: SynthesisReport {
-                candidates_seen: 1,
-                candidates_pruned: 0,
-                elapsed: start.elapsed(),
-            },
-            source: PlanSource::Cold,
-        })
+        self.run(Search::Failover { ranked: true }, env, ids, req)
     }
 
     /// The predefined fail-over pattern in the *given* order — the chain a
@@ -1073,27 +1070,7 @@ impl Generator {
         ids: &[MsId],
         req: &Requirements,
     ) -> Result<Generated, GenerateError> {
-        if ids.is_empty() {
-            return Err(GenerateError::NoMicroservices);
-        }
-        req.validate().map_err(GenerateError::InvalidRequirements)?;
-        let start = Instant::now();
-        let strategy = failover(ids).map_err(|_| GenerateError::NoMicroservices)?;
-        let qos = self.est(&strategy, env)?;
-        let utility = self.utility.utility(&qos, req);
-        Ok(Generated {
-            strategy,
-            qos,
-            utility,
-            evaluated: 1,
-            method: Method::Failover,
-            report: SynthesisReport {
-                candidates_seen: 1,
-                candidates_pruned: 0,
-                elapsed: start.elapsed(),
-            },
-            source: PlanSource::Cold,
-        })
+        self.run(Search::Failover { ranked: false }, env, ids, req)
     }
 
     /// The predefined speculative-parallel pattern over `ids`, with its
@@ -1108,27 +1085,48 @@ impl Generator {
         ids: &[MsId],
         req: &Requirements,
     ) -> Result<Generated, GenerateError> {
-        if ids.is_empty() {
-            return Err(GenerateError::NoMicroservices);
-        }
-        req.validate().map_err(GenerateError::InvalidRequirements)?;
-        let start = Instant::now();
-        let strategy = speculative_parallel(ids).expect("ids are distinct and non-empty");
+        self.run(Search::SpeculativeParallel, env, ids, req)
+    }
+
+    /// A predefined pattern — `shape` applied to `order` — as a
+    /// one-candidate search.
+    fn pattern(
+        &self,
+        shape: fn(&[MsId]) -> Result<Strategy, BuildError>,
+        order: &[MsId],
+        env: &EnvQos,
+        req: &Requirements,
+    ) -> Result<Found, GenerateError> {
+        let strategy = shape(order).map_err(|_| GenerateError::NoMicroservices)?;
         let qos = self.est(&strategy, env)?;
         let utility = self.utility.utility(&qos, req);
-        Ok(Generated {
-            strategy,
-            qos,
-            utility,
-            evaluated: 1,
-            method: Method::SpeculativeParallel,
-            report: SynthesisReport {
-                candidates_seen: 1,
-                candidates_pruned: 0,
-                elapsed: start.elapsed(),
-            },
-            source: PlanSource::Cold,
-        })
+        Ok((strategy, qos, utility, 1, 0))
+    }
+
+    /// Beam search of width `W` (clamped to ≥ 1): the pluggable middle
+    /// ground between [`Generator::approximation`] (identical results at
+    /// `W = 1`) and [`Generator::exhaustive`] (identical results as
+    /// `W → ∞`; bit-for-bit, not just equal utility). Runtime grows
+    /// roughly linearly in `W` and quadratically in `|ids|`, so moderate
+    /// widths stay practical far beyond the exhaustive search's `M ≤ 6`
+    /// ceiling.
+    ///
+    /// Results are memoized in the configured plan cache (if any) under a
+    /// width-specific [`BackendId`], so beam plans never collide with
+    /// exhaustive or greedy entries for the same inputs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GenerateError::NoMicroservices`] for an empty id list, or
+    /// an estimation error if `env` lacks an entry for some id.
+    pub fn beam(
+        &self,
+        env: &EnvQos,
+        ids: &[MsId],
+        req: &Requirements,
+        width: usize,
+    ) -> Result<Generated, GenerateError> {
+        self.run(Search::Beam(width.max(1)), env, ids, req)
     }
 
     /// Sorts `ids` by individual (single-microservice) utility, best first —
@@ -1162,6 +1160,46 @@ impl Generator {
         Ok(scored.into_iter().map(|(id, _)| id).collect())
     }
 }
+
+/// The searches behind the door ([`Generator::run`]): what a
+/// [`BackendChoice`] or a named entry point resolves to.
+#[derive(Debug, Clone, Copy)]
+enum Search {
+    /// Every strategy in `F(M)`, or in `F'(M)` with `subsets`.
+    Exhaustive { subsets: bool },
+    /// Algorithm 2's approximation, optionally stopping at the first
+    /// microservice that does not improve the utility.
+    Greedy { early_stop: bool },
+    /// Beam search at this width (≥ 1).
+    Beam(usize),
+    /// Multi-start hill climbing over leaf swaps.
+    HillClimb,
+    /// The fail-over chain, `ranked` by individual utility or as given.
+    Failover { ranked: bool },
+    /// The speculative-parallel pattern.
+    SpeculativeParallel,
+}
+
+impl Search {
+    /// The [`Method`] a result of this search is stamped with.
+    fn method(self) -> Method {
+        match self {
+            Search::Exhaustive { subsets: false } => Method::Exhaustive,
+            Search::Exhaustive { subsets: true } => Method::ExhaustiveSubsets,
+            Search::Greedy { early_stop: false } => Method::Approximation,
+            Search::Greedy { early_stop: true } => Method::ApproximationEarlyStop,
+            Search::Beam(_) => Method::Beam,
+            Search::HillClimb => Method::LocalSearch,
+            Search::Failover { .. } => Method::Failover,
+            Search::SpeculativeParallel => Method::SpeculativeParallel,
+        }
+    }
+}
+
+/// What a search algorithm hands the door: `(strategy, qos, utility, seen,
+/// pruned)` — the winner, its estimate, and how many candidates were
+/// estimated and how many skipped by bound.
+pub(crate) type Found = (Strategy, Qos, f64, u64, u64);
 
 /// Deterministic tie-break for equal utilities: lower cost, then lower
 /// latency, then the lexicographically smaller rendering.
@@ -1353,6 +1391,71 @@ mod tests {
         assert!(gen.failover(&env, &[], &r).is_err());
         assert!(gen.speculative_parallel(&env, &[], &r).is_err());
         assert!(gen.sort_by_utility(&env, &[], &r).is_err());
+
+        // Every entry point rejects, in this order: an empty id list, then
+        // invalid requirements, then the first id `env` does not cover.
+        let bad_req = Requirements { cost: 0.0, ..r };
+        let missing = [MsId(0), MsId(9), MsId(8)];
+        for (name, run) in entry_points() {
+            assert_eq!(
+                run(&gen, &env, &[], &bad_req),
+                Err(GenerateError::NoMicroservices),
+                "{name}: empty ids come first"
+            );
+            assert!(
+                matches!(
+                    run(&gen, &env, &missing, &bad_req),
+                    Err(GenerateError::InvalidRequirements(_))
+                ),
+                "{name}: invalid requirements come before a missing id"
+            );
+            assert_eq!(
+                run(&gen, &env, &missing, &r),
+                Err(EstimateError::MissingMicroservice(MsId(9)).into()),
+                "{name}: the first missing id is reported"
+            );
+            assert_eq!(run(&gen, &env, &env.ids(), &r), Ok(()), "{name}");
+        }
+    }
+
+    type EntryPoint = fn(&Generator, &EnvQos, &[MsId], &Requirements) -> Result<(), GenerateError>;
+
+    /// Every public search entry point of [`Generator`], result dropped.
+    fn entry_points() -> Vec<(&'static str, EntryPoint)> {
+        use crate::backend::BackendChoice;
+        vec![
+            ("generate", |g, e, i, r| g.generate(e, i, r).map(drop)),
+            ("generate_with(beam)", |g, e, i, r| {
+                g.generate_with(BackendChoice::Beam(2), e, i, r).map(drop)
+            }),
+            ("generate_with(greedy)", |g, e, i, r| {
+                g.generate_with(BackendChoice::Greedy, e, i, r).map(drop)
+            }),
+            ("exhaustive", |g, e, i, r| g.exhaustive(e, i, r).map(drop)),
+            ("exhaustive_subsets", |g, e, i, r| {
+                g.exhaustive_subsets(e, i, r).map(drop)
+            }),
+            ("approximation", |g, e, i, r| {
+                g.approximation(e, i, r).map(drop)
+            }),
+            ("approximation_early_stop", |g, e, i, r| {
+                g.approximation_early_stop(e, i, r).map(drop)
+            }),
+            ("beam", |g, e, i, r| g.beam(e, i, r, 3).map(drop)),
+            ("local_search", |g, e, i, r| {
+                g.local_search(e, i, r).map(drop)
+            }),
+            ("failover", |g, e, i, r| g.failover(e, i, r).map(drop)),
+            ("failover_in_order", |g, e, i, r| {
+                g.failover_in_order(e, i, r).map(drop)
+            }),
+            ("speculative_parallel", |g, e, i, r| {
+                g.speculative_parallel(e, i, r).map(drop)
+            }),
+            ("sort_by_utility", |g, e, i, r| {
+                g.sort_by_utility(e, i, r).map(drop)
+            }),
+        ]
     }
 
     #[test]
@@ -1451,6 +1554,102 @@ mod tests {
             .unwrap();
         assert_eq!(beam, gen.beam(&env, &ids, &r, 2).unwrap());
         assert_eq!(beam.method, Method::Beam);
+        // A zero width clamps to 1 on both routes.
+        let clamped = gen
+            .generate_with(BackendChoice::Beam(0), &env, &ids, &r)
+            .unwrap();
+        assert_eq!(clamped, gen.beam(&env, &ids, &r, 1).unwrap());
+
+        // The entry points no `BackendChoice` names report what they ran:
+        // the predefined chains are one estimate of the pattern itself…
+        let order = gen.sort_by_utility(&env, &ids, &r).unwrap();
+        for (out, chain) in [
+            (gen.failover(&env, &ids, &r).unwrap(), &order),
+            (gen.failover_in_order(&env, &ids, &r).unwrap(), &ids),
+        ] {
+            assert_eq!(out.strategy, failover(chain).unwrap());
+            assert_eq!(out.qos, estimate(&out.strategy, &env).unwrap());
+            assert_eq!((out.method, out.evaluated), (Method::Failover, 1));
+            assert_eq!(out.source, PlanSource::Cold);
+        }
+        // …and the hill climb starts from greedy, so it counts at least
+        // greedy's candidates plus the two pattern starts.
+        let local = gen.local_search(&env, &ids, &r).unwrap();
+        assert_eq!(local.method, Method::LocalSearch);
+        assert!(local.evaluated >= greedy.evaluated + 2);
+        assert!(local.utility >= greedy.utility && local.utility <= exact.utility);
+    }
+
+    /// What the door leans on: only the exhaustive searches and the beam
+    /// touch the plan cache, each under its own key.
+    #[test]
+    fn only_exhaustive_and_beam_searches_touch_the_plan_cache() {
+        use crate::backend::BackendChoice;
+        use crate::plan_cache::{PlanCacheConfig, PlanCacheStats};
+        let cache = Arc::new(PlanCache::new(PlanCacheConfig::default()));
+        let gen = Generator::builder()
+            .parallelism(1)
+            .plan_cache(Arc::clone(&cache))
+            .build();
+        let env = env5();
+        let ids: Vec<MsId> = (0..4).map(MsId).collect();
+        let r = req();
+
+        gen.approximation(&env, &ids, &r).unwrap();
+        gen.approximation_early_stop(&env, &ids, &r).unwrap();
+        gen.local_search(&env, &ids, &r).unwrap();
+        gen.failover(&env, &ids, &r).unwrap();
+        gen.failover_in_order(&env, &ids, &r).unwrap();
+        gen.speculative_parallel(&env, &ids, &r).unwrap();
+        gen.sort_by_utility(&env, &ids, &r).unwrap();
+        gen.generate_with(BackendChoice::Greedy, &env, &ids, &r)
+            .unwrap();
+        assert_eq!(cache.stats(), PlanCacheStats::default());
+
+        // One exhaustive miss is one miss and one entry: the seed-bound
+        // estimates behind its pruning bar are not searches of their own.
+        type Run = fn(&Generator, &EnvQos, &[MsId], &Requirements) -> Generated;
+        let searches: [Run; 4] = [
+            |g, e, i, r| g.exhaustive(e, i, r).unwrap(),
+            |g, e, i, r| g.exhaustive_subsets(e, i, r).unwrap(),
+            |g, e, i, r| g.beam(e, i, r, 2).unwrap(),
+            |g, e, i, r| g.beam(e, i, r, 3).unwrap(),
+        ];
+        let mut fresh = Vec::new();
+        for (n, run) in searches.iter().enumerate() {
+            let out = run(&gen, &env, &ids, &r);
+            assert_eq!(out.source, PlanSource::Cold, "search {n}");
+            let stats = cache.stats();
+            assert_eq!(
+                (stats.hits, stats.misses, stats.entries),
+                (0, n as u64 + 1, n + 1)
+            );
+            fresh.push(out);
+        }
+        // Four distinct entries; a repeat hits its own and nothing else's.
+        for (n, run) in searches.iter().enumerate() {
+            let out = run(&gen, &env, &ids, &r);
+            assert_eq!(out.source, PlanSource::Cached, "search {n}");
+            assert_eq!(out, fresh[n], "search {n} is served its own plan");
+            assert_eq!(out.report.candidates_seen, 0);
+            let stats = cache.stats();
+            assert_eq!(
+                (stats.hits, stats.misses, stats.entries),
+                (n as u64 + 1, 4, 4)
+            );
+        }
+        let methods: Vec<Method> = fresh.iter().map(|g| g.method).collect();
+        assert_eq!(
+            methods,
+            [
+                Method::Exhaustive,
+                Method::ExhaustiveSubsets,
+                Method::Beam,
+                Method::Beam
+            ]
+        );
+        assert_ne!(fresh[0].evaluated, fresh[1].evaluated, "F(4) vs F'(4)");
+        assert_ne!(fresh[2].evaluated, fresh[3].evaluated, "beam 2 vs beam 3");
     }
 }
 
@@ -1964,6 +2163,52 @@ mod engine_equivalence_tests {
             .sort_by_utility(&env, &ids, &requirements)
             .unwrap();
         assert_eq!(ranked.len(), ids.len());
+    }
+
+    /// Satellite: an estimator may refuse a strategy (the trait allows any
+    /// error). The generic scan used to `expect` every estimate and so
+    /// panicked — in the caller with one worker, in the scoped threads and
+    /// then the caller with more; it must return the error at any worker
+    /// count, in both `F(M)` and `F'(M)` modes.
+    #[test]
+    fn a_refusing_estimator_is_an_error_not_a_panic() {
+        /// Estimates single leaves only.
+        #[derive(Debug)]
+        struct LeavesOnly;
+
+        impl Estimator for LeavesOnly {
+            fn estimate(&self, s: &Strategy, env: &EnvQos) -> Result<Qos, EstimateError> {
+                if s.len() >= 2 {
+                    return Err(EstimateError::MissingMicroservice(MsId(99)));
+                }
+                crate::estimate::estimate(s, env)
+            }
+        }
+
+        let env =
+            EnvQos::from_triples(&[(50.0, 50.0, 0.6), (100.0, 100.0, 0.6), (150.0, 150.0, 0.7)])
+                .unwrap();
+        let requirements = Requirements::new(100.0, 100.0, 0.97).unwrap();
+        let refused = Err(EstimateError::MissingMicroservice(MsId(99)).into());
+        for workers in [1, 2, 4] {
+            let gen = Generator::builder()
+                .estimator(Arc::new(LeavesOnly))
+                .parallelism(workers)
+                .build();
+            assert_eq!(
+                gen.exhaustive(&env, &env.ids(), &requirements),
+                refused,
+                "workers={workers}"
+            );
+            assert_eq!(
+                gen.exhaustive_subsets(&env, &env.ids(), &requirements),
+                refused,
+                "workers={workers} subsets"
+            );
+            // A space the estimator covers entirely still searches.
+            let single = gen.exhaustive(&env, &[MsId(1)], &requirements).unwrap();
+            assert_eq!(single.strategy, Strategy::leaf(MsId(1)));
+        }
     }
 
     /// The builder's knobs round-trip and `Generator::new` still works.

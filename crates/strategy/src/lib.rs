@@ -81,10 +81,7 @@ pub mod qos;
 mod synth;
 pub mod utility;
 
-pub use backend::{
-    BackendChoice, BackendId, BackendSelector, BeamBackend, ExhaustiveBackend, GreedyBackend,
-    SearchBackend, DEFAULT_BEAM_WIDTH,
-};
+pub use backend::{BackendChoice, BackendId, BackendSelector, DEFAULT_BEAM_WIDTH};
 pub use enumerate::StrategyIter;
 pub use error::{BuildError, EstimateError, GenerateError, ParseError, QosError};
 pub use estimate::{Algorithm1, Estimator, Folding};
@@ -118,7 +115,6 @@ mod tests {
         assert_send_sync::<BackendChoice>();
         assert_send_sync::<BackendId>();
         assert_send_sync::<BackendSelector>();
-        assert_send_sync::<Box<dyn SearchBackend>>();
     }
 
     #[test]

@@ -120,20 +120,34 @@ pub struct PlanCacheStats {
     pub entries: usize,
 }
 
+/// Which search a [`PlanKey`] is for and how it ranks candidates — every
+/// key component that is not the id list, the requirements or the
+/// environment.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SearchId {
+    /// `F'(M)` rather than `F(M)`.
+    pub(crate) subsets: bool,
+    /// Utility penalty `k`.
+    pub(crate) penalty: f64,
+    /// Estimator identity ([`Estimator::name`](crate::Estimator::name)).
+    pub(crate) estimator: &'static str,
+    /// Search backend identity (name plus beam width): a greedy or
+    /// narrow-beam winner must never be served to an exhaustive search.
+    pub(crate) backend: BackendId,
+}
+
 /// The full identity of a search: any difference in these inputs can
-/// change the winner, so all of them key the cache.
+/// change the winner, so all of them key the cache. Built once per search
+/// by [`PlanCache::key`] and used for both the lookup and the store.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct Key {
+pub(crate) struct PlanKey {
     ids: Vec<MsId>,
     subsets: bool,
     /// `(cost, latency, reliability)` requirement bit patterns.
     req: [u64; 3],
     /// Utility penalty `k` bit pattern.
     penalty: u64,
-    /// Estimator identity ([`Estimator::name`](crate::Estimator::name)).
     estimator: &'static str,
-    /// Search backend identity (name plus beam width): a greedy or
-    /// narrow-beam winner must never be served to an exhaustive search.
     backend: BackendId,
     /// Quantized `(r, l, c)` cells per microservice (exact bit patterns
     /// when the quantum is zero).
@@ -152,7 +166,7 @@ struct Entry {
 #[derive(Debug)]
 struct Store {
     config: PlanCacheConfig,
-    entries: Mutex<HashMap<Key, Entry>>,
+    entries: Mutex<HashMap<PlanKey, Entry>>,
     /// Monotone access stamp driving LRU eviction.
     clock: AtomicU64,
     stale: AtomicU64,
@@ -165,7 +179,7 @@ struct Store {
 }
 
 impl Store {
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<Key, Entry>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<PlanKey, Entry>> {
         self.entries
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -267,21 +281,10 @@ impl PlanCache {
         dropped
     }
 
-    // One argument per key component, mirroring `store` and `key`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn lookup(
-        &self,
-        env: &EnvQos,
-        ids: &[MsId],
-        req: &Requirements,
-        subsets: bool,
-        penalty: f64,
-        estimator: &'static str,
-        backend: BackendId,
-    ) -> Option<Generated> {
-        let key = self.key(env, ids, req, subsets, penalty, estimator, backend)?;
+    /// The plan memoized under `key`, counting a hit or a miss.
+    pub(crate) fn lookup(&self, key: &PlanKey) -> Option<Generated> {
         let mut entries = self.store.lock();
-        match entries.get_mut(&key) {
+        match entries.get_mut(key) {
             Some(entry) => {
                 entry.stamp = self.store.clock.fetch_add(1, Ordering::Relaxed);
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -300,25 +303,12 @@ impl PlanCache {
         }
     }
 
-    // One argument per key component, mirroring `lookup` and `key`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn store(
-        &self,
-        env: &EnvQos,
-        ids: &[MsId],
-        req: &Requirements,
-        subsets: bool,
-        penalty: f64,
-        estimator: &'static str,
-        backend: BackendId,
-        generated: &Generated,
-    ) {
+    /// Memoizes `generated` under `key`, evicting the least-recently-used
+    /// entry at capacity.
+    pub(crate) fn store(&self, key: PlanKey, generated: &Generated) {
         if self.store.config.capacity == 0 {
             return;
         }
-        let Some(key) = self.key(env, ids, req, subsets, penalty, estimator, backend) else {
-            return;
-        };
         let stamp = self.store.clock.fetch_add(1, Ordering::Relaxed);
         let mut entries = self.store.lock();
         if entries.len() >= self.store.config.capacity && !entries.contains_key(&key) {
@@ -344,54 +334,54 @@ impl PlanCache {
     /// Builds the cache key, or `None` when some id has no environment
     /// entry (the generator validates that before calling, but a bare
     /// lookup must not panic).
-    #[allow(clippy::too_many_arguments)]
-    fn key(
+    pub(crate) fn key(
         &self,
         env: &EnvQos,
         ids: &[MsId],
         req: &Requirements,
-        subsets: bool,
-        penalty: f64,
-        estimator: &'static str,
-        backend: BackendId,
-    ) -> Option<Key> {
+        search: SearchId,
+    ) -> Option<PlanKey> {
+        let quantum = self.store.config.quantum;
         let env = ids
             .iter()
             .map(|&id| {
                 env.get(id).map(|q| {
                     [
-                        self.cell(q.reliability.value()),
-                        self.cell(q.latency),
-                        self.cell(q.cost),
+                        cell(q.reliability.value(), quantum),
+                        cell(q.latency, quantum),
+                        cell(q.cost, quantum),
                     ]
                 })
             })
             .collect::<Option<Vec<_>>>()?;
-        Some(Key {
+        Some(PlanKey {
             ids: ids.to_vec(),
-            subsets,
+            subsets: search.subsets,
             req: [
                 req.cost.to_bits(),
                 req.latency.to_bits(),
                 req.reliability.value().to_bits(),
             ],
-            penalty: penalty.to_bits(),
-            estimator,
-            backend,
+            penalty: search.penalty.to_bits(),
+            estimator: search.estimator,
+            backend: search.backend,
             env,
         })
     }
+}
 
-    /// Maps one QoS attribute value to its key cell: the nearest multiple
-    /// of the quantum, or the exact bit pattern when the quantum is zero.
-    fn cell(&self, value: f64) -> i64 {
-        if self.store.config.quantum > 0.0 {
-            // Saturating float→int cast; inputs are validated finite.
-            (value / self.store.config.quantum).round() as i64
-        } else {
-            // Bit pattern as a (bijective) i64 so both modes share a type.
-            value.to_bits() as i64
-        }
+/// Maps one QoS attribute value to its plan-cache key cell: the nearest
+/// multiple of `quantum`, or the exact bit pattern when `quantum <= 0.0`.
+/// Two environments share a cache key exactly when every attribute of every
+/// microservice lands in the same cell.
+#[must_use]
+pub fn cell(value: f64, quantum: f64) -> i64 {
+    if quantum > 0.0 {
+        // Saturating float→int cast; inputs are validated finite.
+        (value / quantum).round() as i64
+    } else {
+        // Bit pattern as a (bijective) i64 so both modes share a type.
+        value.to_bits() as i64
     }
 }
 
@@ -454,6 +444,61 @@ mod tests {
 
     const EX: BackendId = BackendId::EXHAUSTIVE;
 
+    /// The key `cache` files the search these inputs identify under.
+    #[allow(clippy::too_many_arguments)]
+    fn key(
+        cache: &PlanCache,
+        env: &EnvQos,
+        ids: &[MsId],
+        req: &Requirements,
+        subsets: bool,
+        penalty: f64,
+        estimator: &'static str,
+        backend: BackendId,
+    ) -> PlanKey {
+        let search = SearchId {
+            subsets,
+            penalty,
+            estimator,
+            backend,
+        };
+        cache.key(env, ids, req, search).expect("env covers ids")
+    }
+
+    /// Looks `cache` up under [`key`] of the remaining arguments.
+    #[allow(clippy::too_many_arguments)]
+    fn lookup(
+        cache: &PlanCache,
+        env: &EnvQos,
+        ids: &[MsId],
+        req: &Requirements,
+        subsets: bool,
+        penalty: f64,
+        estimator: &'static str,
+        backend: BackendId,
+    ) -> Option<Generated> {
+        cache.lookup(&key(
+            cache, env, ids, req, subsets, penalty, estimator, backend,
+        ))
+    }
+
+    /// Stores `generated` in `cache` under [`key`] of the arguments between.
+    #[allow(clippy::too_many_arguments)]
+    fn store(
+        cache: &PlanCache,
+        env: &EnvQos,
+        ids: &[MsId],
+        req: &Requirements,
+        subsets: bool,
+        penalty: f64,
+        estimator: &'static str,
+        backend: BackendId,
+        generated: &Generated,
+    ) {
+        let key = key(cache, env, ids, req, subsets, penalty, estimator, backend);
+        cache.store(key, generated);
+    }
+
     fn env(triples: &[(f64, f64, f64)]) -> EnvQos {
         EnvQos::from_triples(triples).unwrap()
     }
@@ -474,59 +519,47 @@ mod tests {
         let e1 = env(&[(50.0, 50.0, 0.6), (100.0, 100.0, 0.7)]);
         let g = plan(&e1);
         let ids = e1.ids();
-        cache.store(&e1, &ids, &req(), false, 2.0, "algorithm1", EX, &g);
-        assert!(cache
-            .lookup(&e1, &ids, &req(), false, 2.0, "algorithm1", EX)
-            .is_some());
+        store(&cache, &e1, &ids, &req(), false, 2.0, "algorithm1", EX, &g);
+        assert!(lookup(&cache, &e1, &ids, &req(), false, 2.0, "algorithm1", EX).is_some());
 
         // One ulp of drift in a single attribute must miss.
         let mut e2 = e1.clone();
         let mut q = *e2.get(crate::MsId(0)).unwrap();
         q.cost = f64::from_bits(q.cost.to_bits() + 1);
         e2.set(crate::MsId(0), q);
-        assert!(cache
-            .lookup(&e2, &ids, &req(), false, 2.0, "algorithm1", EX)
-            .is_none());
+        assert!(lookup(&cache, &e2, &ids, &req(), false, 2.0, "algorithm1", EX).is_none());
 
         // So must any change to requirements, subsets mode, penalty, or
         // estimator identity.
         let other_req = Requirements::new(100.0, 100.0, 0.91).unwrap();
-        assert!(cache
-            .lookup(&e1, &ids, &other_req, false, 2.0, "algorithm1", EX)
-            .is_none());
-        assert!(cache
-            .lookup(&e1, &ids, &req(), true, 2.0, "algorithm1", EX)
-            .is_none());
-        assert!(cache
-            .lookup(&e1, &ids, &req(), false, 3.0, "algorithm1", EX)
-            .is_none());
-        assert!(cache
-            .lookup(&e1, &ids, &req(), false, 2.0, "folding", EX)
-            .is_none());
+        assert!(lookup(&cache, &e1, &ids, &other_req, false, 2.0, "algorithm1", EX).is_none());
+        assert!(lookup(&cache, &e1, &ids, &req(), true, 2.0, "algorithm1", EX).is_none());
+        assert!(lookup(&cache, &e1, &ids, &req(), false, 3.0, "algorithm1", EX).is_none());
+        assert!(lookup(&cache, &e1, &ids, &req(), false, 2.0, "folding", EX).is_none());
         // …or to the search backend: a greedy or beam search must never be
         // served the exhaustive winner (or another width's beam winner).
-        assert!(cache
-            .lookup(
-                &e1,
-                &ids,
-                &req(),
-                false,
-                2.0,
-                "algorithm1",
-                BackendId::GREEDY
-            )
-            .is_none());
-        assert!(cache
-            .lookup(
-                &e1,
-                &ids,
-                &req(),
-                false,
-                2.0,
-                "algorithm1",
-                BackendId::beam(2)
-            )
-            .is_none());
+        assert!(lookup(
+            &cache,
+            &e1,
+            &ids,
+            &req(),
+            false,
+            2.0,
+            "algorithm1",
+            BackendId::GREEDY
+        )
+        .is_none());
+        assert!(lookup(
+            &cache,
+            &e1,
+            &ids,
+            &req(),
+            false,
+            2.0,
+            "algorithm1",
+            BackendId::beam(2)
+        )
+        .is_none());
 
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
@@ -544,17 +577,13 @@ mod tests {
         let e1 = env(&[(50.0, 50.0, 0.6)]);
         let ids = e1.ids();
         let g = plan(&e1);
-        cache.store(&e1, &ids, &req(), false, 2.0, "algorithm1", EX, &g);
+        store(&cache, &e1, &ids, &req(), false, 2.0, "algorithm1", EX, &g);
         // 50.3 rounds into the same 1.0-wide cell as 50.0 …
         let near = env(&[(50.3, 49.8, 0.6)]);
-        assert!(cache
-            .lookup(&near, &ids, &req(), false, 2.0, "algorithm1", EX)
-            .is_some());
+        assert!(lookup(&cache, &near, &ids, &req(), false, 2.0, "algorithm1", EX).is_some());
         // … but 50.6 does not.
         let far = env(&[(50.6, 50.0, 0.6)]);
-        assert!(cache
-            .lookup(&far, &ids, &req(), false, 2.0, "algorithm1", EX)
-            .is_none());
+        assert!(lookup(&cache, &far, &ids, &req(), false, 2.0, "algorithm1", EX).is_none());
     }
 
     #[test]
@@ -568,22 +597,14 @@ mod tests {
             .collect();
         let ids = envs[0].ids();
         let g = plan(&envs[0]);
-        cache.store(&envs[0], &ids, &req(), false, 2.0, "a1", EX, &g);
-        cache.store(&envs[1], &ids, &req(), false, 2.0, "a1", EX, &g);
+        store(&cache, &envs[0], &ids, &req(), false, 2.0, "a1", EX, &g);
+        store(&cache, &envs[1], &ids, &req(), false, 2.0, "a1", EX, &g);
         // Touch entry 0 so entry 1 is the LRU victim.
-        assert!(cache
-            .lookup(&envs[0], &ids, &req(), false, 2.0, "a1", EX)
-            .is_some());
-        cache.store(&envs[2], &ids, &req(), false, 2.0, "a1", EX, &g);
-        assert!(cache
-            .lookup(&envs[0], &ids, &req(), false, 2.0, "a1", EX)
-            .is_some());
-        assert!(cache
-            .lookup(&envs[1], &ids, &req(), false, 2.0, "a1", EX)
-            .is_none());
-        assert!(cache
-            .lookup(&envs[2], &ids, &req(), false, 2.0, "a1", EX)
-            .is_some());
+        assert!(lookup(&cache, &envs[0], &ids, &req(), false, 2.0, "a1", EX).is_some());
+        store(&cache, &envs[2], &ids, &req(), false, 2.0, "a1", EX, &g);
+        assert!(lookup(&cache, &envs[0], &ids, &req(), false, 2.0, "a1", EX).is_some());
+        assert!(lookup(&cache, &envs[1], &ids, &req(), false, 2.0, "a1", EX).is_none());
+        assert!(lookup(&cache, &envs[2], &ids, &req(), false, 2.0, "a1", EX).is_some());
         let stats = cache.stats();
         assert_eq!(stats.stale, 1, "one capacity eviction");
         assert_eq!(stats.entries, 2);
@@ -595,11 +616,9 @@ mod tests {
         let e1 = env(&[(50.0, 50.0, 0.6)]);
         let ids = e1.ids();
         let g = plan(&e1);
-        cache.store(&e1, &ids, &req(), false, 2.0, "a1", EX, &g);
+        store(&cache, &e1, &ids, &req(), false, 2.0, "a1", EX, &g);
         assert_eq!(cache.invalidate(), 1);
-        assert!(cache
-            .lookup(&e1, &ids, &req(), false, 2.0, "a1", EX)
-            .is_none());
+        assert!(lookup(&cache, &e1, &ids, &req(), false, 2.0, "a1", EX).is_none());
         let stats = cache.stats();
         assert_eq!(stats.stale, 1);
         assert_eq!(stats.entries, 0);
@@ -614,10 +633,8 @@ mod tests {
         let e1 = env(&[(50.0, 50.0, 0.6)]);
         let ids = e1.ids();
         let g = plan(&e1);
-        cache.store(&e1, &ids, &req(), false, 2.0, "a1", EX, &g);
-        assert!(cache
-            .lookup(&e1, &ids, &req(), false, 2.0, "a1", EX)
-            .is_none());
+        store(&cache, &e1, &ids, &req(), false, 2.0, "a1", EX, &g);
+        assert!(lookup(&cache, &e1, &ids, &req(), false, 2.0, "a1", EX).is_none());
         assert_eq!(cache.stats().entries, 0);
     }
 
@@ -630,10 +647,10 @@ mod tests {
         let g = plan(&e1);
 
         // View A stores; view B's lookup is a hit *and* a remote hit.
-        a.store(&e1, &ids, &req(), false, 2.0, "a1", EX, &g);
-        assert!(b.lookup(&e1, &ids, &req(), false, 2.0, "a1", EX).is_some());
+        store(&a, &e1, &ids, &req(), false, 2.0, "a1", EX, &g);
+        assert!(lookup(&b, &e1, &ids, &req(), false, 2.0, "a1", EX).is_some());
         // View A's own lookup is a plain local hit.
-        assert!(a.lookup(&e1, &ids, &req(), false, 2.0, "a1", EX).is_some());
+        assert!(lookup(&a, &e1, &ids, &req(), false, 2.0, "a1", EX).is_some());
 
         let sa = a.stats();
         let sb = b.stats();
@@ -652,13 +669,13 @@ mod tests {
         let e2 = env(&[(60.0, 60.0, 0.7)]);
         let ids = e1.ids();
         let g = plan(&e1);
-        a.store(&e1, &ids, &req(), false, 2.0, "a1", EX, &g);
-        b.store(&e2, &ids, &req(), false, 2.0, "a1", EX, &g);
+        store(&a, &e1, &ids, &req(), false, 2.0, "a1", EX, &g);
+        store(&b, &e2, &ids, &req(), false, 2.0, "a1", EX, &g);
 
         // Invalidating A drops only A's entry; B's survives for both views.
         assert_eq!(a.invalidate(), 1);
-        assert!(a.lookup(&e1, &ids, &req(), false, 2.0, "a1", EX).is_none());
-        assert!(a.lookup(&e2, &ids, &req(), false, 2.0, "a1", EX).is_some());
+        assert!(lookup(&a, &e1, &ids, &req(), false, 2.0, "a1", EX).is_none());
+        assert!(lookup(&a, &e2, &ids, &req(), false, 2.0, "a1", EX).is_some());
         assert_eq!(a.stats().stale, 1);
         assert_eq!(a.stats().entries, 1);
     }
@@ -672,9 +689,9 @@ mod tests {
         let ids = e1.ids();
         let g = plan(&e1);
 
-        assert!(a.lookup(&e1, &ids, &req(), false, 2.0, "a1", EX).is_none());
-        a.store(&e1, &ids, &req(), false, 2.0, "a1", EX, &g);
-        assert!(b.lookup(&e1, &ids, &req(), false, 2.0, "a1", EX).is_some());
+        assert!(lookup(&a, &e1, &ids, &req(), false, 2.0, "a1", EX).is_none());
+        store(&a, &e1, &ids, &req(), false, 2.0, "a1", EX, &g);
+        assert!(lookup(&b, &e1, &ids, &req(), false, 2.0, "a1", EX).is_some());
 
         let total = hub.stats();
         assert_eq!(total.hits, 1);
