@@ -52,8 +52,8 @@ pub fn scaling_config(m: usize) -> RandomEnvConfig {
 
 /// Measures one `(M, method)` point over `services` random environments.
 ///
-/// `method` is one of `"exhaustive"`, `"approximation"`, `"local-search"`,
-/// `"failover"`, `"parallel"`.
+/// `method` is one of `"exhaustive"`, `"approximation"`, `"failover"`,
+/// `"parallel"`.
 ///
 /// # Panics
 ///
@@ -73,7 +73,6 @@ pub fn measure(m: usize, method: &'static str, services: usize, seed: u64) -> Sc
         let generated: Generated = match method {
             "exhaustive" => generator.exhaustive(&env, &ids, &requirements),
             "approximation" => generator.approximation(&env, &ids, &requirements),
-            "local-search" => generator.local_search(&env, &ids, &requirements),
             "failover" => generator.failover_in_order(&env, &ids, &requirements),
             "parallel" => generator.speculative_parallel(&env, &ids, &requirements),
             other => panic!("unknown method {other:?}"),
@@ -123,13 +122,7 @@ pub fn run(
     let mut parallel_sat = 0usize;
 
     for m in 6..=max_m {
-        for method in [
-            "exhaustive",
-            "approximation",
-            "local-search",
-            "failover",
-            "parallel",
-        ] {
+        for method in ["exhaustive", "approximation", "failover", "parallel"] {
             if method == "exhaustive" && m > exhaustive_max_m {
                 continue;
             }

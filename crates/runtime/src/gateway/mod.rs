@@ -82,9 +82,8 @@ pub struct GatewayConfig {
     /// small environment drift.
     pub plan_quantize: f64,
     /// Which search backend plans each slot: a fixed backend
-    /// (`Exhaustive` / `Greedy` / `Beam(W)`), the paper's threshold rule
-    /// (`Threshold`, the default), or a per-service UCB1 bandit over the
-    /// backends (`Auto`).
+    /// (`Exhaustive` / `Greedy` / `Beam(W)`) or the paper's threshold rule
+    /// (`Threshold`, the default).
     pub planner: qce_strategy::BackendChoice,
     /// Re-plan at a slot boundary only when the collector's QoS table has
     /// drifted outside the active plan's quantization band (measured with

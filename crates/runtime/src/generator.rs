@@ -5,10 +5,9 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use qce_strategy::{
-    BackendChoice, BackendSelector, EnvQos, Generated, Generator, PlanCache, PlanCacheConfig,
-    PlanCacheStats, PlanSource, Requirements, Strategy, SynthesisReport, UtilityIndex,
+    BackendChoice, EnvQos, Generated, Generator, PlanCache, PlanCacheConfig, PlanCacheStats,
+    PlanSource, Requirements, Strategy, SynthesisReport, UtilityIndex,
 };
 
 /// Synthesis-engine knobs threaded from the gateway configuration into the
@@ -35,9 +34,8 @@ pub struct SynthesisSettings {
     /// for more hits under small drift.
     pub plan_quantize: f64,
     /// Which search backend plans each slot: a fixed backend
-    /// (`Exhaustive` / `Greedy` / `Beam(W)`), the paper's threshold rule
-    /// (`Threshold`, the default), or a per-service UCB1 bandit over the
-    /// backends (`Auto`).
+    /// (`Exhaustive` / `Greedy` / `Beam(W)`) or the paper's threshold rule
+    /// (`Threshold`, the default).
     pub planner: BackendChoice,
     /// Re-plan at a slot boundary only when the collector's QoS table has
     /// drifted outside the active plan's quantization band (measured with
@@ -213,10 +211,6 @@ pub struct Planner {
     generator: Generator,
     cache: Option<Arc<PlanCache>>,
     choice: BackendChoice,
-    /// UCB1 selector over search backends, present only for
-    /// [`BackendChoice::Auto`]: one per service, so arm statistics track
-    /// that service's environment.
-    selector: Option<Mutex<BackendSelector>>,
 }
 
 impl Planner {
@@ -273,14 +267,10 @@ impl Planner {
         if let Some(cache) = &cache {
             builder = builder.plan_cache(Arc::clone(cache));
         }
-        let choice = settings.planner;
-        let selector =
-            (choice == BackendChoice::Auto).then(|| Mutex::new(BackendSelector::default()));
         Ok(Planner {
             generator: builder.build(),
             cache,
-            choice,
-            selector,
+            choice: settings.planner,
         })
     }
 
@@ -380,40 +370,12 @@ impl Planner {
             });
         }
 
-        // `auto`: a deterministic UCB1 bandit picks the backend before the
-        // search and, after it, the realized utility-per-search-cost of
-        // each fresh plan feeds the arm's statistics (cache hits cost
-        // nothing to produce and would inflate every arm equally, so they
-        // don't count).
-        let mut selector = self.selector.as_ref().map(|selector| selector.lock());
-        let arm = selector
-            .as_ref()
-            .and_then(|sel| sel.choose(&sel.eligibility(ids.len(), self.generator.threshold())));
-        // With no arm to pull, `auto` itself plans by the threshold rule.
-        let choice = match (&selector, arm) {
-            (Some(sel), Some(arm)) => sel.arms()[arm],
-            _ => self.choice,
-        };
         let generated: Generated = self
             .generator
-            .generate_with(choice, &env, &ids, &requirements)
+            .generate_with(self.choice, &env, &ids, &requirements)
             .map_err(|e| RuntimeError::Generation {
                 reason: e.to_string(),
             })?;
-        if let (Some(sel), Some(arm)) = (selector.as_mut(), arm) {
-            if generated.source != PlanSource::Cached {
-                sel.record(arm, generated.utility, generated.evaluated as u64);
-            }
-            if let Some(telemetry) = telemetry {
-                telemetry.record_backend_choice(
-                    &script.service_id,
-                    slot,
-                    &choice.to_string(),
-                    sel.pulls(arm),
-                    sel.mean(arm),
-                );
-            }
-        }
         if let Some(telemetry) = telemetry {
             telemetry.record_synthesis(&script.service_id, &generated.report);
             if let Some(stats) = self.cache_stats() {
@@ -952,79 +914,6 @@ mod tests {
                 plan.origin,
                 StrategyOrigin::Generated(method),
                 "planner={choice}"
-            );
-        }
-    }
-
-    #[test]
-    fn auto_planner_pulls_every_arm_then_exploits() {
-        use crate::clock::VirtualClock;
-        let telemetry = Telemetry::new(
-            Arc::new(VirtualClock::new()) as Arc<dyn crate::clock::Clock>,
-            64,
-        );
-        let collector = Collector::new(10);
-        let settings = SynthesisSettings {
-            planner: BackendChoice::Auto,
-            ..SynthesisSettings::default()
-        };
-        let planner = Planner::new(&script(), &settings).unwrap();
-        for slot in 1..=5 {
-            planner
-                .plan_slot(&script(), &providers(), &collector, slot, Some(&telemetry))
-                .unwrap();
-        }
-        let chosen: Vec<String> = telemetry
-            .events()
-            .iter()
-            .filter_map(|e| match &e.kind {
-                crate::telemetry::EventKind::BackendChosen { arm, .. } => Some(arm.clone()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(chosen.len(), 5, "one choice event per generated slot");
-        // UCB1 pulls each untried arm once, in arm order, before
-        // exploiting the best mean.
-        assert_eq!(&chosen[..3], &["exhaustive", "greedy", "beam:4"]);
-        // Deterministic: a fresh planner replays the same choices.
-        let replay = Planner::new(&script(), &settings).unwrap();
-        let telemetry2 = Telemetry::new(
-            Arc::new(VirtualClock::new()) as Arc<dyn crate::clock::Clock>,
-            64,
-        );
-        for slot in 1..=5 {
-            replay
-                .plan_slot(&script(), &providers(), &collector, slot, Some(&telemetry2))
-                .unwrap();
-        }
-        let chosen2: Vec<String> = telemetry2
-            .events()
-            .iter()
-            .filter_map(|e| match &e.kind {
-                crate::telemetry::EventKind::BackendChosen { arm, .. } => Some(arm.clone()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(chosen, chosen2);
-    }
-
-    #[test]
-    fn auto_planner_masks_exhaustive_beyond_threshold() {
-        let collector = Collector::new(10);
-        let settings = SynthesisSettings {
-            planner: BackendChoice::Auto,
-            threshold: 2,
-            ..SynthesisSettings::default()
-        };
-        let planner = Planner::new(&script(), &settings).unwrap();
-        for slot in 1..=6 {
-            let plan = planner
-                .plan_slot(&script(), &providers(), &collector, slot, None)
-                .unwrap();
-            assert_ne!(
-                plan.origin,
-                StrategyOrigin::Generated(qce_strategy::Method::Exhaustive),
-                "m=3 > θ=2: the exhaustive arm is never eligible"
             );
         }
     }

@@ -320,21 +320,6 @@ pub enum EventKind {
         /// and emit no event).
         drift: f64,
     },
-    /// The `auto` planner's bandit selected a search backend for a
-    /// re-plan. `pulls` and `mean` reflect the arm's statistics *after*
-    /// the pull is recorded.
-    BackendChosen {
-        /// Service id.
-        service: String,
-        /// Slot the plan serves.
-        slot: u64,
-        /// The chosen arm, rendered (`exhaustive` / `greedy` / `beam:W`).
-        arm: String,
-        /// Times this arm has been pulled for this service.
-        pulls: u64,
-        /// The arm's mean reward (utility per log-damped search cost).
-        mean: f64,
-    },
     /// A re-plan chose a different strategy than the previous slot's.
     StrategySwitched {
         /// Service id.
@@ -982,25 +967,6 @@ impl Telemetry {
         self.service(service)
             .drift_holds
             .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records the `auto` planner's bandit choosing a search backend for
-    /// one re-plan, emitting an [`EventKind::BackendChosen`] event.
-    pub fn record_backend_choice(
-        &self,
-        service: &str,
-        slot: u64,
-        arm: &str,
-        pulls: u64,
-        mean: f64,
-    ) {
-        self.emit(EventKind::BackendChosen {
-            service: service.to_string(),
-            slot,
-            arm: arm.to_string(),
-            pulls,
-            mean,
-        });
     }
 
     /// Records a failed slot plan, emitting

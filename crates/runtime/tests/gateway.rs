@@ -436,16 +436,15 @@ fn drift_hold_never_survives_a_requirement_override() {
 }
 
 #[test]
-fn drift_and_bandit_replay_byte_identical_telemetry() {
+fn drift_replay_byte_identical_telemetry() {
     use qce_runtime::telemetry::EventKind;
-    // Satellite property: the whole adaptive stack — drift trigger +
-    // UCB1 backend bandit — is deterministic. Two identical runs must
-    // produce byte-identical telemetry event streams once the one
-    // wall-clock field (synthesis elapsed) is zeroed.
+    // Satellite property: the drift trigger is deterministic. Two
+    // identical runs must produce byte-identical telemetry event streams
+    // once the one wall-clock field (synthesis elapsed) is zeroed.
     let run = || {
         let config = GatewayConfig::builder()
             .replan_on_drift(true)
-            .planner(qce_strategy::BackendChoice::Auto)
+            .planner(qce_strategy::BackendChoice::Beam(4))
             .generator_parallelism(1)
             .build();
         let gateway = drift_gateway(config, 0.5);
@@ -469,12 +468,9 @@ fn drift_and_bandit_replay_byte_identical_telemetry() {
     let first = run();
     let second = run();
     assert_eq!(first, second, "replayed telemetry streams diverged");
-    // The streams exercise the new adaptive events, not a vacuous
-    // equality of empty rings.
+    // The streams exercise the drift event, not a vacuous equality of
+    // empty rings.
     let events: Vec<qce_runtime::telemetry::TelemetryEvent> = serde_json::from_str(&first).unwrap();
-    assert!(events
-        .iter()
-        .any(|e| matches!(e.kind, EventKind::BackendChosen { .. })));
     assert!(events
         .iter()
         .any(|e| matches!(e.kind, EventKind::ReplanTriggered { .. })));

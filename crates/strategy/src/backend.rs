@@ -1,4 +1,4 @@
-//! Search-backend selection and the adaptive backend selector.
+//! Search-backend selection.
 //!
 //! Strategy synthesis historically offered one hard-coded policy: the
 //! paper's threshold rule (exhaustive search while `|M| ≤ θ`, greedy
@@ -17,14 +17,13 @@
 //!   between the two: width 1 *is* the greedy trajectory, width ∞ is
 //!   bit-identical to the exhaustive winner.
 //!
-//! [`BackendChoice::Threshold`] preserves the historical behaviour and
-//! [`BackendChoice::Auto`] delegates to a deterministic UCB1 bandit
-//! ([`BackendSelector`]) that learns, per service, which backend yields
-//! the best realized utility per unit of search effort.
+//! [`BackendChoice::Threshold`] (the default) is the paper's rule itself:
+//! `Exhaustive` while `|M| ≤ θ`, `Greedy` beyond.
 //!
 //! [`BackendId`] is the compact identity that keys the plan cache: two
 //! backends may disagree on the winner for identical inputs, so cached
-//! plans must never cross backend boundaries.
+//! plans must never cross backend boundaries. Only the exhaustive and beam
+//! searches are cached, so only they have an identity.
 
 use std::fmt;
 use std::str::FromStr;
@@ -42,7 +41,7 @@ pub const DEFAULT_BEAM_WIDTH: usize = 4;
 /// produced an entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BackendId {
-    /// Stable backend name (`"exhaustive"`, `"greedy"`, `"beam"`, …).
+    /// Stable backend name (`"exhaustive"` or `"beam"`).
     pub name: &'static str,
     /// Beam width for the beam backend; `0` for widthless backends.
     pub width: u64,
@@ -53,12 +52,6 @@ impl BackendId {
     /// modes — the cache key carries the subsets flag separately).
     pub const EXHAUSTIVE: BackendId = BackendId {
         name: "exhaustive",
-        width: 0,
-    };
-
-    /// The greedy approximation (Algorithm 2).
-    pub const GREEDY: BackendId = BackendId {
-        name: "greedy",
         width: 0,
     };
 
@@ -96,11 +89,6 @@ pub enum BackendChoice {
     Greedy,
     /// Beam search at the given width (≥ 1).
     Beam(usize),
-    /// Let the runtime's UCB1 bandit ([`BackendSelector`]) pick per
-    /// re-plan. A bare [`Generator`](crate::Generator) resolves this like
-    /// `Threshold`; the runtime resolves it to a concrete arm before
-    /// searching.
-    Auto,
 }
 
 impl fmt::Display for BackendChoice {
@@ -110,7 +98,6 @@ impl fmt::Display for BackendChoice {
             BackendChoice::Exhaustive => f.write_str("exhaustive"),
             BackendChoice::Greedy => f.write_str("greedy"),
             BackendChoice::Beam(w) => write!(f, "beam:{w}"),
-            BackendChoice::Auto => f.write_str("auto"),
         }
     }
 }
@@ -125,7 +112,7 @@ impl fmt::Display for ParseBackendError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "unknown planner '{}' (expected threshold|exhaustive|greedy|beam[:W]|auto, W >= 1)",
+            "unknown planner '{}' (expected threshold|exhaustive|greedy|beam[:W], W >= 1)",
             self.input
         )
     }
@@ -144,7 +131,6 @@ impl FromStr for BackendChoice {
             "threshold" => Ok(BackendChoice::Threshold),
             "exhaustive" => Ok(BackendChoice::Exhaustive),
             "greedy" => Ok(BackendChoice::Greedy),
-            "auto" => Ok(BackendChoice::Auto),
             "beam" => Ok(BackendChoice::Beam(DEFAULT_BEAM_WIDTH)),
             _ => {
                 let width = s.strip_prefix("beam:").ok_or_else(err)?;
@@ -155,156 +141,6 @@ impl FromStr for BackendChoice {
                 Ok(BackendChoice::Beam(width))
             }
         }
-    }
-}
-
-/// Resolves a [`BackendChoice`] to the concrete backend — `Exhaustive`,
-/// `Greedy` or `Beam(W)` — that a search over `m` microservices under
-/// threshold `θ` runs. `Threshold` and `Auto` both resolve via the paper
-/// rule here — the runtime's bandit replaces `Auto` with a concrete arm
-/// *before* reaching the generator.
-#[must_use]
-pub fn resolve(choice: BackendChoice, m: usize, threshold: usize) -> BackendChoice {
-    match choice {
-        BackendChoice::Threshold | BackendChoice::Auto if m <= threshold => {
-            BackendChoice::Exhaustive
-        }
-        BackendChoice::Threshold | BackendChoice::Auto => BackendChoice::Greedy,
-        concrete => concrete,
-    }
-}
-
-/// A deterministic UCB1 bandit over search backends.
-///
-/// One selector per service; each re-plan under `--planner auto` pulls an
-/// arm, runs that backend, and feeds back the realized utility and search
-/// effort. The reward of a pull is the utility squashed into `(0, 1)` and
-/// damped by the logarithm of the search effort:
-///
-/// ```text
-/// reward = (0.5 + 0.5·U/(1+|U|)) / (1 + ln(1 + evaluated))
-/// ```
-///
-/// so an arm only justifies a large search space by a materially better
-/// utility. The effort term uses
-/// [`Generated::evaluated`](crate::Generated::evaluated) — the
-/// *considered* candidate count, which is deterministic across pruning and
-/// parallelism settings — never wall-clock time, keeping two identical
-/// runs byte-identical.
-///
-/// Arm selection is fully deterministic: untried eligible arms are pulled
-/// first in arm order, then the arm maximizing `mean + sqrt(2·ln(total) /
-/// pulls)` with ties broken toward the lowest arm index. There is no
-/// random exploration, so replaying a run reproduces every choice.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BackendSelector {
-    arms: Vec<BackendChoice>,
-    pulls: Vec<u64>,
-    means: Vec<f64>,
-}
-
-impl Default for BackendSelector {
-    fn default() -> Self {
-        BackendSelector::new(vec![
-            BackendChoice::Exhaustive,
-            BackendChoice::Greedy,
-            BackendChoice::Beam(DEFAULT_BEAM_WIDTH),
-        ])
-    }
-}
-
-impl BackendSelector {
-    /// Creates a selector over the given concrete arms (callers should
-    /// not include `Threshold` or `Auto` — arms are what `Auto` resolves
-    /// *to*).
-    #[must_use]
-    pub fn new(arms: Vec<BackendChoice>) -> Self {
-        let n = arms.len();
-        BackendSelector {
-            arms,
-            pulls: vec![0; n],
-            means: vec![0.0; n],
-        }
-    }
-
-    /// The configured arms.
-    #[must_use]
-    pub fn arms(&self) -> &[BackendChoice] {
-        &self.arms
-    }
-
-    /// How often `arm` has been pulled.
-    #[must_use]
-    pub fn pulls(&self, arm: usize) -> u64 {
-        self.pulls.get(arm).copied().unwrap_or(0)
-    }
-
-    /// The running mean reward of `arm`.
-    #[must_use]
-    pub fn mean(&self, arm: usize) -> f64 {
-        self.means.get(arm).copied().unwrap_or(0.0)
-    }
-
-    /// Which arms are eligible for a search over `m` microservices under
-    /// threshold `θ`: the exhaustive arm only below the threshold (its
-    /// cost is exponential in `m`), every other arm always.
-    #[must_use]
-    pub fn eligibility(&self, m: usize, threshold: usize) -> Vec<bool> {
-        self.arms
-            .iter()
-            .map(|arm| !matches!(arm, BackendChoice::Exhaustive) || m <= threshold)
-            .collect()
-    }
-
-    /// Picks the next arm among the `eligible` ones (parallel to
-    /// [`BackendSelector::arms`]); `None` if nothing is eligible.
-    #[must_use]
-    pub fn choose(&self, eligible: &[bool]) -> Option<usize> {
-        let live = |i: usize| eligible.get(i).copied().unwrap_or(false);
-        // Untried arms first, in fixed arm order — deterministic
-        // round-robin exploration.
-        if let Some(i) = (0..self.arms.len()).find(|&i| live(i) && self.pulls[i] == 0) {
-            return Some(i);
-        }
-        let total: u64 = (0..self.arms.len())
-            .filter(|&i| live(i))
-            .map(|i| self.pulls[i])
-            .sum();
-        let total = total.max(1) as f64;
-        let mut best: Option<(usize, f64)> = None;
-        for i in 0..self.arms.len() {
-            if !live(i) {
-                continue;
-            }
-            let bonus = (2.0 * total.ln() / self.pulls[i] as f64).sqrt();
-            let score = self.means[i] + bonus;
-            // Strict '>' keeps ties on the lowest arm index.
-            if best.is_none_or(|(_, b)| score > b) {
-                best = Some((i, score));
-            }
-        }
-        best.map(|(i, _)| i)
-    }
-
-    /// Feeds back one pull's outcome: the realized utility of the chosen
-    /// plan and the search effort it took
-    /// ([`Generated::evaluated`](crate::Generated::evaluated)).
-    pub fn record(&mut self, arm: usize, utility: f64, evaluated: u64) {
-        if arm >= self.arms.len() {
-            return;
-        }
-        let reward = Self::reward(utility, evaluated);
-        self.pulls[arm] += 1;
-        let n = self.pulls[arm] as f64;
-        self.means[arm] += (reward - self.means[arm]) / n;
-    }
-
-    /// The reward function (see the type docs): utility squashed into
-    /// `(0, 1)`, log-damped by search effort.
-    #[must_use]
-    pub fn reward(utility: f64, evaluated: u64) -> f64 {
-        let squashed = 0.5 + 0.5 * utility / (1.0 + utility.abs());
-        squashed / (1.0 + (1.0 + evaluated as f64).ln())
     }
 }
 
@@ -319,18 +155,27 @@ mod tests {
             ("exhaustive", BackendChoice::Exhaustive),
             ("greedy", BackendChoice::Greedy),
             ("beam:7", BackendChoice::Beam(7)),
-            ("auto", BackendChoice::Auto),
         ] {
             assert_eq!(text.parse::<BackendChoice>().unwrap(), choice);
             assert_eq!(choice.to_string(), text);
+            let json = serde_json::to_string(&choice).unwrap();
+            assert_eq!(
+                serde_json::from_str::<BackendChoice>(&json).unwrap(),
+                choice
+            );
         }
         assert_eq!(
             "beam".parse::<BackendChoice>().unwrap(),
             BackendChoice::Beam(DEFAULT_BEAM_WIDTH)
         );
-        for bad in ["beam:0", "beam:", "beam:x", "dfs", ""] {
+        for bad in ["beam:0", "beam:", "beam:x", "dfs", "", "auto"] {
             assert!(bad.parse::<BackendChoice>().is_err(), "{bad}");
         }
+        assert_eq!(
+            "auto".parse::<BackendChoice>().unwrap_err().to_string(),
+            "unknown planner 'auto' (expected threshold|exhaustive|greedy|beam[:W], W >= 1)"
+        );
+        assert!(serde_json::from_str::<BackendChoice>("\"Auto\"").is_err());
         assert_eq!(BackendChoice::default(), BackendChoice::Threshold);
     }
 
@@ -339,84 +184,6 @@ mod tests {
         assert_eq!(BackendId::EXHAUSTIVE.to_string(), "exhaustive");
         assert_eq!(BackendId::beam(3).to_string(), "beam:3");
         assert_ne!(BackendId::beam(3), BackendId::beam(4));
-        assert_ne!(BackendId::GREEDY, BackendId::EXHAUSTIVE);
-    }
-
-    #[test]
-    fn resolve_follows_the_threshold_rule() {
-        for choice in [BackendChoice::Threshold, BackendChoice::Auto] {
-            assert_eq!(resolve(choice, 4, 6), BackendChoice::Exhaustive);
-            assert_eq!(resolve(choice, 8, 6), BackendChoice::Greedy);
-        }
-        assert_eq!(
-            resolve(BackendChoice::Beam(2), 8, 6),
-            BackendChoice::Beam(2)
-        );
-        assert_eq!(
-            resolve(BackendChoice::Exhaustive, 99, 6),
-            BackendChoice::Exhaustive
-        );
-    }
-
-    #[test]
-    fn selector_pulls_untried_arms_first_in_order() {
-        let mut sel = BackendSelector::default();
-        let all = vec![true; sel.arms().len()];
-        assert_eq!(sel.choose(&all), Some(0));
-        sel.record(0, 1.0, 64_743);
-        assert_eq!(sel.choose(&all), Some(1));
-        sel.record(1, 0.9, 10);
-        assert_eq!(sel.choose(&all), Some(2));
-        sel.record(2, 0.95, 40);
-        // All arms tried: UCB1 takes over; the greedy arm's cheap effort
-        // gives it the best damped reward here.
-        assert_eq!(sel.choose(&all), Some(1));
-    }
-
-    #[test]
-    fn selector_respects_eligibility_mask() {
-        let mut sel = BackendSelector::default();
-        let masked = sel.eligibility(10, 6);
-        assert_eq!(masked, vec![false, true, true]);
-        assert_eq!(sel.choose(&masked), Some(1), "exhaustive masked out");
-        sel.record(1, 0.5, 18);
-        assert_eq!(sel.choose(&masked), Some(2));
-        sel.record(2, 0.5, 60);
-        assert_ne!(sel.choose(&masked), Some(0));
-        assert_eq!(sel.choose(&[false, false, false]), None);
-    }
-
-    #[test]
-    fn reward_prefers_cheap_searches_at_equal_utility() {
-        let cheap = BackendSelector::reward(0.8, 10);
-        let dear = BackendSelector::reward(0.8, 64_743);
-        assert!(cheap > dear);
-        // …but a large utility edge still wins against log-damped cost.
-        assert!(BackendSelector::reward(5.0, 64_743) > BackendSelector::reward(-5.0, 10));
-        // Squashing keeps every reward positive and bounded.
-        for u in [-1e9, -1.0, 0.0, 1.0, 1e9] {
-            let r = BackendSelector::reward(u, 1);
-            assert!(r > 0.0 && r < 1.0, "u={u} r={r}");
-        }
-    }
-
-    #[test]
-    fn selector_is_deterministic_under_replay() {
-        let run = || {
-            let mut sel = BackendSelector::default();
-            let mut picks = Vec::new();
-            for step in 0..20u64 {
-                let eligible = sel.eligibility(if step % 3 == 0 { 8 } else { 5 }, 6);
-                let arm = sel.choose(&eligible).unwrap();
-                picks.push(arm);
-                let utility = 0.5 + (step as f64) * 0.01 - (arm as f64) * 0.05;
-                sel.record(arm, utility, 10 + 100 * arm as u64);
-            }
-            (picks, sel)
-        };
-        let (picks_a, sel_a) = run();
-        let (picks_b, sel_b) = run();
-        assert_eq!(picks_a, picks_b);
-        assert_eq!(sel_a, sel_b);
+        assert_ne!(BackendId::beam(1), BackendId::EXHAUSTIVE);
     }
 }

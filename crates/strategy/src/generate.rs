@@ -62,9 +62,6 @@ pub enum Method {
     ExhaustiveSubsets,
     /// Greedy approximation over all microservices (Algorithm 2).
     Approximation,
-    /// Multi-start hill climbing over leaf swaps, seeded by the
-    /// approximation and the two predefined patterns.
-    LocalSearch,
     /// Greedy approximation that stops early when utility stops improving.
     ApproximationEarlyStop,
     /// Predefined fail-over pattern (`a-b-…`), microservices ordered by
@@ -84,7 +81,6 @@ impl fmt::Display for Method {
             Method::Exhaustive => "exhaustive",
             Method::ExhaustiveSubsets => "exhaustive-subsets",
             Method::Approximation => "approximation",
-            Method::LocalSearch => "local-search",
             Method::ApproximationEarlyStop => "approximation-early-stop",
             Method::Failover => "failover",
             Method::SpeculativeParallel => "speculative-parallel",
@@ -485,9 +481,7 @@ impl Generator {
     /// Runs the search backend selected by `choice` — the pluggable entry
     /// point behind the CLI's `--planner` flag.
     /// [`BackendChoice::Threshold`] (the default) is the paper rule of
-    /// [`Generator::generate`]; `Auto` also falls back to that rule here,
-    /// because the runtime's bandit resolves `Auto` to a concrete arm
-    /// *before* calling the generator.
+    /// [`Generator::generate`].
     ///
     /// # Errors
     ///
@@ -499,11 +493,15 @@ impl Generator {
         ids: &[MsId],
         req: &Requirements,
     ) -> Result<Generated, GenerateError> {
-        let search = match crate::backend::resolve(choice, ids.len(), self.threshold) {
-            BackendChoice::Greedy => Search::Greedy { early_stop: false },
+        let search = match choice {
+            BackendChoice::Exhaustive => Search::Exhaustive { subsets: false },
+            BackendChoice::Threshold if ids.len() <= self.threshold => {
+                Search::Exhaustive { subsets: false }
+            }
+            BackendChoice::Threshold | BackendChoice::Greedy => {
+                Search::Greedy { early_stop: false }
+            }
             BackendChoice::Beam(width) => Search::Beam(width.max(1)),
-            // `resolve` leaves no `Threshold` or `Auto`.
-            _ => Search::Exhaustive { subsets: false },
         };
         self.run(search, env, ids, req)
     }
@@ -550,10 +548,9 @@ impl Generator {
     /// — stamps the result, and memoizes it under the same key.
     ///
     /// Only the exhaustive searches and the beam are cached, each under its
-    /// own [`BackendId`] (and subsets flag). The algorithms that seed one
-    /// another — the exhaustive engine's bound, the hill climb's starts —
-    /// call each other directly, not this door, so a seed is never counted,
-    /// cached or timed as a search of its own.
+    /// own [`BackendId`] (and subsets flag). The exhaustive engine's bound
+    /// calls the algorithms that seed it directly, not this door, so a seed
+    /// is never counted, cached or timed as a search of its own.
     fn run(
         &self,
         search: Search,
@@ -602,7 +599,6 @@ impl Generator {
             Search::Exhaustive { subsets } => self.scan(env, ids, req, subsets, &mut source)?,
             Search::Greedy { early_stop } => self.greedy(env, ids, req, early_stop)?,
             Search::Beam(width) => self.beam_search(env, ids, req, width)?,
-            Search::HillClimb => self.climb(env, ids, req)?,
             Search::Failover { ranked: true } => {
                 self.pattern(failover, &self.sort_by_utility(env, ids, req)?, env, req)?
             }
@@ -938,106 +934,6 @@ impl Generator {
         Ok((es, qos, utility, seen, 0))
     }
 
-    /// Multi-start hill climbing: an extension beyond the paper that sits
-    /// between the exhaustive search (optimal, exponential) and the greedy
-    /// approximation (fast, shape-committed).
-    ///
-    /// Starting from the approximation result, the fail-over chain, and the
-    /// speculative-parallel pattern, the search repeatedly moves to the best
-    /// *leaf-swap* neighbour (exchange the positions of two microservices in
-    /// the strategy tree) while utility improves. Leaf swaps explore
-    /// assignments of microservices to tree positions that the greedy
-    /// construction can never reach, at `O(M²)` estimates per step instead
-    /// of `F(M)`.
-    ///
-    /// The result is never worse than [`Generator::approximation`] (it is
-    /// one of the starts) and never better than [`Generator::exhaustive`]
-    /// (which scans the full space).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GenerateError::NoMicroservices`] for an empty id list, or
-    /// an estimation error if `env` lacks an entry for some id.
-    pub fn local_search(
-        &self,
-        env: &EnvQos,
-        ids: &[MsId],
-        req: &Requirements,
-    ) -> Result<Generated, GenerateError> {
-        self.run(Search::HillClimb, env, ids, req)
-    }
-
-    fn climb(
-        &self,
-        env: &EnvQos,
-        ids: &[MsId],
-        req: &Requirements,
-    ) -> Result<Found, GenerateError> {
-        // Unified effort accounting: only candidates considered count —
-        // the starts' own estimates plus every leaf-swap neighbour; the
-        // sorting estimates inside the starts are auxiliary.
-        let mut starts = vec![self.greedy(env, ids, req, false)?];
-        let mut seen = starts[0].3;
-        if ids.len() >= 2 {
-            let order = self.sort_by_utility(env, ids, req)?;
-            starts.push(self.pattern(failover, &order, env, req)?);
-            starts.push(self.pattern(speculative_parallel, ids, env, req)?);
-            seen += 2;
-        }
-
-        let mut best: Option<(Strategy, Qos, f64)> = None;
-        for (strategy, qos, utility, ..) in starts {
-            let mut current = (strategy, qos, utility);
-            // Hill climb: move to the best improving leaf-swap neighbour.
-            loop {
-                let mut improved: Option<(Strategy, Qos, f64)> = None;
-                for i in 0..ids.len() {
-                    for j in (i + 1)..ids.len() {
-                        let (a, b) = (ids[i], ids[j]);
-                        let swapped = current
-                            .0
-                            .map_ids(|id| {
-                                if id == a {
-                                    b
-                                } else if id == b {
-                                    a
-                                } else {
-                                    id
-                                }
-                            })
-                            .expect("transpositions are bijections");
-                        if swapped == current.0 {
-                            continue; // Par-sibling swap: same strategy
-                        }
-                        let qos = self.est(&swapped, env)?;
-                        let utility = self.utility.utility(&qos, req);
-                        seen += 1;
-                        let beats_improved = improved.as_ref().is_none_or(|(_, _, u)| utility > *u);
-                        if utility > current.2 && beats_improved {
-                            improved = Some((swapped, qos, utility));
-                        }
-                    }
-                }
-                match improved {
-                    Some(next) => current = next,
-                    None => break,
-                }
-            }
-            let better = match &best {
-                None => true,
-                Some((bs, bq, bu)) => {
-                    current.2 > *bu
-                        || (current.2 == *bu && better_tiebreak(&current.0, &current.1, bs, bq))
-                }
-            };
-            if better {
-                best = Some(current);
-            }
-        }
-        let (strategy, qos, utility) = best.expect("at least one start");
-        Ok((strategy, qos, utility, seen, 0))
-    }
-
     /// The predefined fail-over pattern over `ids`, ordered by individual
     /// utility (the priority order a MOLE script would specify), with its
     /// estimated QoS.
@@ -1172,8 +1068,6 @@ enum Search {
     Greedy { early_stop: bool },
     /// Beam search at this width (≥ 1).
     Beam(usize),
-    /// Multi-start hill climbing over leaf swaps.
-    HillClimb,
     /// The fail-over chain, `ranked` by individual utility or as given.
     Failover { ranked: bool },
     /// The speculative-parallel pattern.
@@ -1189,7 +1083,6 @@ impl Search {
             Search::Greedy { early_stop: false } => Method::Approximation,
             Search::Greedy { early_stop: true } => Method::ApproximationEarlyStop,
             Search::Beam(_) => Method::Beam,
-            Search::HillClimb => Method::LocalSearch,
             Search::Failover { .. } => Method::Failover,
             Search::SpeculativeParallel => Method::SpeculativeParallel,
         }
@@ -1442,9 +1335,6 @@ mod tests {
                 g.approximation_early_stop(e, i, r).map(drop)
             }),
             ("beam", |g, e, i, r| g.beam(e, i, r, 3).map(drop)),
-            ("local_search", |g, e, i, r| {
-                g.local_search(e, i, r).map(drop)
-            }),
             ("failover", |g, e, i, r| g.failover(e, i, r).map(drop)),
             ("failover_in_order", |g, e, i, r| {
                 g.failover_in_order(e, i, r).map(drop)
@@ -1504,7 +1394,6 @@ mod tests {
             gen.exhaustive_subsets(&env, &ids, &r).unwrap(),
             gen.approximation(&env, &ids, &r).unwrap(),
             gen.approximation_early_stop(&env, &ids, &r).unwrap(),
-            gen.local_search(&env, &ids, &r).unwrap(),
             gen.failover(&env, &ids, &r).unwrap(),
             gen.failover_in_order(&env, &ids, &r).unwrap(),
             gen.speculative_parallel(&env, &ids, &r).unwrap(),
@@ -1525,7 +1414,7 @@ mod tests {
             1 + 2 * (ids.len() - 1),
             "greedy counts the best-leaf incumbent plus two per step"
         );
-        assert_eq!(approx.evaluated, outputs[8].evaluated, "beam(1) matches");
+        assert_eq!(approx.evaluated, outputs[7].evaluated, "beam(1) matches");
     }
 
     #[test]
@@ -1535,12 +1424,12 @@ mod tests {
         let env = env5();
         let ids = env.ids();
         let r = req();
-        // Threshold and Auto follow the paper rule (M=5 > θ=3 ⇒ greedy).
-        for choice in [BackendChoice::Threshold, BackendChoice::Auto] {
-            let out = gen.generate_with(choice, &env, &ids, &r).unwrap();
-            assert_eq!(out, gen.generate(&env, &ids, &r).unwrap(), "{choice}");
-            assert_eq!(out.method, Method::Approximation);
-        }
+        // Threshold follows the paper rule (M=5 > θ=3 ⇒ greedy).
+        let out = gen
+            .generate_with(BackendChoice::Threshold, &env, &ids, &r)
+            .unwrap();
+        assert_eq!(out, gen.generate(&env, &ids, &r).unwrap());
+        assert_eq!(out.method, Method::Approximation);
         let exact = gen
             .generate_with(BackendChoice::Exhaustive, &env, &ids, &r)
             .unwrap();
@@ -1561,7 +1450,7 @@ mod tests {
         assert_eq!(clamped, gen.beam(&env, &ids, &r, 1).unwrap());
 
         // The entry points no `BackendChoice` names report what they ran:
-        // the predefined chains are one estimate of the pattern itself…
+        // the predefined chains are one estimate of the pattern itself.
         let order = gen.sort_by_utility(&env, &ids, &r).unwrap();
         for (out, chain) in [
             (gen.failover(&env, &ids, &r).unwrap(), &order),
@@ -1572,12 +1461,6 @@ mod tests {
             assert_eq!((out.method, out.evaluated), (Method::Failover, 1));
             assert_eq!(out.source, PlanSource::Cold);
         }
-        // …and the hill climb starts from greedy, so it counts at least
-        // greedy's candidates plus the two pattern starts.
-        let local = gen.local_search(&env, &ids, &r).unwrap();
-        assert_eq!(local.method, Method::LocalSearch);
-        assert!(local.evaluated >= greedy.evaluated + 2);
-        assert!(local.utility >= greedy.utility && local.utility <= exact.utility);
     }
 
     /// What the door leans on: only the exhaustive searches and the beam
@@ -1597,7 +1480,6 @@ mod tests {
 
         gen.approximation(&env, &ids, &r).unwrap();
         gen.approximation_early_stop(&env, &ids, &r).unwrap();
-        gen.local_search(&env, &ids, &r).unwrap();
         gen.failover(&env, &ids, &r).unwrap();
         gen.failover_in_order(&env, &ids, &r).unwrap();
         gen.speculative_parallel(&env, &ids, &r).unwrap();
@@ -1650,105 +1532,6 @@ mod tests {
         );
         assert_ne!(fresh[0].evaluated, fresh[1].evaluated, "F(4) vs F'(4)");
         assert_ne!(fresh[2].evaluated, fresh[3].evaluated, "beam 2 vs beam 3");
-    }
-}
-
-#[cfg(test)]
-mod local_search_tests {
-    use super::*;
-
-    fn env5() -> EnvQos {
-        EnvQos::from_triples(&[
-            (50.0, 50.0, 0.6),
-            (100.0, 100.0, 0.6),
-            (150.0, 150.0, 0.7),
-            (200.0, 200.0, 0.7),
-            (250.0, 250.0, 0.8),
-        ])
-        .unwrap()
-    }
-
-    fn req(c: f64, l: f64) -> Requirements {
-        Requirements::new(c, l, 0.97).unwrap()
-    }
-
-    #[test]
-    fn never_worse_than_approximation_never_better_than_exhaustive() {
-        let gen = Generator::default();
-        let env = env5();
-        let ids = env.ids();
-        for requirements in [req(100.0, 100.0), req(400.0, 90.0), req(150.0, 200.0)] {
-            let approx = gen.approximation(&env, &ids, &requirements).unwrap();
-            let local = gen.local_search(&env, &ids, &requirements).unwrap();
-            let exact = gen.exhaustive(&env, &ids, &requirements).unwrap();
-            assert!(local.utility >= approx.utility - 1e-12, "{requirements}");
-            assert!(local.utility <= exact.utility + 1e-12, "{requirements}");
-            assert_eq!(local.method, Method::LocalSearch);
-        }
-    }
-
-    #[test]
-    fn improves_on_approximation_somewhere() {
-        // Across random environments, the leaf-swap search must find at
-        // least one case where it strictly beats the greedy construction —
-        // otherwise it adds nothing.
-        use rand::SeedableRng;
-        let gen = Generator::default();
-        let requirements = req(400.0, 90.0);
-        let mut improvements = 0usize;
-        for seed in 0..30u64 {
-            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-            use rand::Rng;
-            let env: EnvQos = (0..6)
-                .map(|_| {
-                    Qos::new(
-                        rng.gen_range(20.0..200.0),
-                        rng.gen_range(20.0..200.0),
-                        rng.gen_range(0.3..0.95),
-                    )
-                    .unwrap()
-                })
-                .collect();
-            let ids = env.ids();
-            let approx = gen.approximation(&env, &ids, &requirements).unwrap();
-            let local = gen.local_search(&env, &ids, &requirements).unwrap();
-            if local.utility > approx.utility + 1e-9 {
-                improvements += 1;
-            }
-        }
-        assert!(improvements > 0, "local search never improved in 30 trials");
-    }
-
-    #[test]
-    fn single_microservice_is_trivial() {
-        let gen = Generator::default();
-        let env = EnvQos::from_triples(&[(10.0, 10.0, 0.9)]).unwrap();
-        let local = gen
-            .local_search(&env, &[MsId(0)], &req(100.0, 100.0))
-            .unwrap();
-        assert_eq!(local.strategy, Strategy::leaf(MsId(0)));
-    }
-
-    #[test]
-    fn empty_ids_rejected() {
-        let gen = Generator::default();
-        assert!(matches!(
-            gen.local_search(&env5(), &[], &req(100.0, 100.0)),
-            Err(GenerateError::NoMicroservices)
-        ));
-    }
-
-    #[test]
-    fn deterministic() {
-        let gen = Generator::default();
-        let env = env5();
-        let a = gen
-            .local_search(&env, &env.ids(), &req(400.0, 90.0))
-            .unwrap();
-        let b = gen
-            .local_search(&env, &env.ids(), &req(400.0, 90.0))
-            .unwrap();
-        assert_eq!(a, b);
     }
 }
 

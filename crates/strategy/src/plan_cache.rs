@@ -131,8 +131,8 @@ pub(crate) struct SearchId {
     pub(crate) penalty: f64,
     /// Estimator identity ([`Estimator::name`](crate::Estimator::name)).
     pub(crate) estimator: &'static str,
-    /// Search backend identity (name plus beam width): a greedy or
-    /// narrow-beam winner must never be served to an exhaustive search.
+    /// Search backend identity (name plus beam width): a narrow-beam
+    /// winner must never be served to an exhaustive search.
     pub(crate) backend: BackendId,
 }
 
@@ -536,8 +536,8 @@ mod tests {
         assert!(lookup(&cache, &e1, &ids, &req(), true, 2.0, "algorithm1", EX).is_none());
         assert!(lookup(&cache, &e1, &ids, &req(), false, 3.0, "algorithm1", EX).is_none());
         assert!(lookup(&cache, &e1, &ids, &req(), false, 2.0, "folding", EX).is_none());
-        // …or to the search backend: a greedy or beam search must never be
-        // served the exhaustive winner (or another width's beam winner).
+        // …or to the search backend: a beam search must never be served
+        // the exhaustive winner (or another width's beam winner).
         assert!(lookup(
             &cache,
             &e1,
@@ -546,7 +546,7 @@ mod tests {
             false,
             2.0,
             "algorithm1",
-            BackendId::GREEDY
+            BackendId::beam(1)
         )
         .is_none());
         assert!(lookup(

@@ -28,14 +28,11 @@
 //!                     (repeatable; first is `a`, second `b`, …)
 //!   --require c,l,r   QoS requirements (default 100,100,97)
 //!   --k K             utility penalty factor (default 2)
-//!   --method M        exhaustive | approximation | local-search |
-//!                     failover | parallel | auto (default auto)
+//!   --method M        exhaustive | approximation | failover | parallel |
+//!                     auto (default auto: the threshold rule)
 //!   --planner P       search backend: threshold | exhaustive | greedy |
-//!                     beam:W | auto. For `generate` it supersedes
-//!                     --method (auto falls back to the threshold rule);
-//!                     for run/stats it picks the gateway's per-slot
-//!                     backend, with auto running a deterministic UCB1
-//!                     bandit over exhaustive/greedy/beam arms
+//!                     beam:W. For `generate` it supersedes --method; for
+//!                     run/stats it picks the gateway's per-slot backend
 //!   --replan-on-drift run/stats: re-plan a slot boundary only when the
 //!                     observed QoS has drifted outside the plan's
 //!                     quantization band (--quantize); the default
@@ -80,7 +77,7 @@ use std::sync::Arc;
 
 use qce::runtime::{
     Clock, EventKind, FleetConfig, GatewayConfig, GatewayFleet, Harness, InMemoryMarket, MsSpec,
-    QosClass, Request, ServiceScript, SimulatedProvider, VirtualClock,
+    QosClass, Request, ServiceScript, SimulatedProvider, SimulatedProviderBuilder, VirtualClock,
 };
 use qce::sim::{simulate, Environment};
 use qce::strategy::enumerate::{count_full, enumerate_full, paper};
@@ -285,11 +282,10 @@ fn ms_name(index: usize) -> String {
     }
 }
 
-/// Builds the `run`/`stats` scenario: one gateway service
-/// (`cli-service`) whose i-th microservice is hosted by one simulated
-/// device with exactly the advertised cost/latency/reliability, all wired
-/// to a shared virtual clock by [`Harness`].
-fn build_harness(options: &Options) -> Result<Harness, String> {
+/// The validated `run`/`stats`/`ctl` inputs: the one gateway service
+/// (`cli-service`, its i-th microservice named [`ms_name`]`(i)` on
+/// capability `cap{i}`) and the gateway configuration the flags ask for.
+fn service_setup(options: &Options) -> Result<(ServiceScript, GatewayConfig), String> {
     if options.triples.is_empty() {
         return Err("no microservices; pass at least one --ms cost,latency,reliability%".into());
     }
@@ -304,22 +300,13 @@ fn build_harness(options: &Options) -> Result<Harness, String> {
     }
     let requirements = requirements(options)?;
     let mut specs = Vec::new();
-    let mut builder = Harness::builder();
     for (i, &(cost, latency, reliability)) in options.triples.iter().enumerate() {
-        let capability = format!("cap{i}");
         specs.push(MsSpec {
             name: ms_name(i),
-            capability: capability.clone(),
+            capability: format!("cap{i}"),
             prior: qce::strategy::Qos::new(cost, latency, reliability / 100.0)
                 .map_err(|e| format!("--ms #{}: {e}", i + 1))?,
         });
-        builder = builder.provider(
-            SimulatedProvider::builder(format!("dev{i}/{capability}"), capability)
-                .cost(cost)
-                .latency(Duration::from_secs_f64(latency / 1e3))
-                .reliability(reliability / 100.0)
-                .seed(options.seed.wrapping_add(i as u64)),
-        );
     }
     let mut script = ServiceScript::new("cli-service", specs, requirements);
     script.penalty_k = options.k;
@@ -335,6 +322,29 @@ fn build_harness(options: &Options) -> Result<Harness, String> {
         .max_in_flight(options.max_in_flight)
         .request_deadline(options.deadline_ms.map(Duration::from_millis))
         .build();
+    Ok((script, config))
+}
+
+/// The simulated device hosting the i-th `--ms` microservice, with exactly
+/// the advertised cost/latency/reliability.
+fn device(options: &Options, i: usize) -> SimulatedProviderBuilder {
+    let (cost, latency, reliability) = options.triples[i];
+    SimulatedProvider::builder(format!("dev{i}/cap{i}"), format!("cap{i}"))
+        .cost(cost)
+        .latency(Duration::from_secs_f64(latency / 1e3))
+        .reliability(reliability / 100.0)
+        .seed(options.seed.wrapping_add(i as u64))
+}
+
+/// Builds the `run`/`stats` scenario: [`service_setup`]'s service, each
+/// microservice hosted by its [`device`], all wired to a shared virtual
+/// clock by [`Harness`].
+fn build_harness(options: &Options) -> Result<Harness, String> {
+    let (script, config) = service_setup(options)?;
+    let mut builder = Harness::builder();
+    for i in 0..options.triples.len() {
+        builder = builder.provider(device(options, i));
+    }
     Ok(builder.config(config).script(script).build())
 }
 
@@ -372,39 +382,9 @@ fn run_fleet(options: &Options) -> Result<(), String> {
     if options.trace {
         return Err("--trace is not supported with --shards".into());
     }
-    if options.triples.is_empty() {
-        return Err("no microservices; pass at least one --ms cost,latency,reliability%".into());
-    }
-    if options.slot_size == 0 {
-        return Err("--slot-size must be at least 1".into());
-    }
-    let requirements = requirements(options)?;
-    let mut specs = Vec::new();
-    for (i, &(cost, latency, reliability)) in options.triples.iter().enumerate() {
-        specs.push(MsSpec {
-            name: ms_name(i),
-            capability: format!("cap{i}"),
-            prior: qce::strategy::Qos::new(cost, latency, reliability / 100.0)
-                .map_err(|e| format!("--ms #{}: {e}", i + 1))?,
-        });
-    }
-    let mut script = ServiceScript::new("cli-service", specs, requirements);
-    script.penalty_k = options.k;
-    script.slot_size = options.slot_size;
-    script.quorum = options.quorum;
-    script.validate().map_err(|e| e.to_string())?;
+    let (script, gateway) = service_setup(options)?;
     let market = InMemoryMarket::new();
     market.publish(script).map_err(|e| e.to_string())?;
-
-    let gateway = GatewayConfig::builder()
-        .generator_warm_start(options.plan_cache)
-        .plan_cache(options.plan_cache)
-        .plan_quantize(options.quantize)
-        .planner(planner_choice(options)?)
-        .replan_on_drift(options.replan_on_drift)
-        .max_in_flight(options.max_in_flight)
-        .request_deadline(options.deadline_ms.map(Duration::from_millis))
-        .build();
     let clock = Arc::new(VirtualClock::new());
     let fleet = GatewayFleet::with_clock(
         Arc::new(market),
@@ -413,14 +393,9 @@ fn run_fleet(options: &Options) -> Result<(), String> {
             .gateway(gateway),
         Arc::clone(&clock) as Arc<dyn Clock>,
     );
-    for (i, &(cost, latency, reliability)) in options.triples.iter().enumerate() {
-        let capability = format!("cap{i}");
+    for i in 0..options.triples.len() {
         fleet.register(
-            SimulatedProvider::builder(format!("dev{i}/{capability}"), capability)
-                .cost(cost)
-                .latency(Duration::from_secs_f64(latency / 1e3))
-                .reliability(reliability / 100.0)
-                .seed(options.seed.wrapping_add(i as u64))
+            device(options, i)
                 .clock(Arc::clone(&clock) as Arc<dyn Clock>)
                 .build(),
         );
@@ -540,7 +515,6 @@ fn run(command: &str, expr: Option<&str>, options: &Options) -> Result<(), Strin
                     "auto" => generator.generate(&env, &ids, &req),
                     "exhaustive" => generator.exhaustive(&env, &ids, &req),
                     "approximation" => generator.approximation(&env, &ids, &req),
-                    "local-search" => generator.local_search(&env, &ids, &req),
                     "failover" => generator.failover(&env, &ids, &req),
                     "parallel" => generator.speculative_parallel(&env, &ids, &req),
                     other => return Err(format!("unknown method {other:?}")),
@@ -1040,7 +1014,7 @@ mod tests {
             ],
             ..Options::default()
         };
-        for planner in ["exhaustive", "greedy", "beam:2", "auto", "threshold"] {
+        for planner in ["exhaustive", "greedy", "beam:2", "threshold"] {
             let options = Options {
                 planner: Some(planner.into()),
                 ..base.clone()
@@ -1057,9 +1031,20 @@ mod tests {
         assert!(run("generate", None, &bogus).is_err(), "unknown backend");
         let zero_width = Options {
             planner: Some("beam:0".into()),
-            ..base
+            ..base.clone()
         };
         assert!(run("generate", None, &zero_width).is_err(), "empty beam");
+        let bandit = Options {
+            planner: Some("auto".into()),
+            ..base.clone()
+        };
+        assert!(run("generate", None, &bandit).is_err(), "--planner auto");
+        assert!(run("run", None, &bandit).is_err(), "--planner auto");
+        let hill_climb = Options {
+            method: "local-search".into(),
+            ..base
+        };
+        assert!(run("generate", None, &hill_climb).is_err());
     }
 
     #[test]
@@ -1075,7 +1060,7 @@ mod tests {
         let (cadence, cadence_ok) = drive_gateway(&base, false).unwrap();
         let drifted = Options {
             replan_on_drift: true,
-            planner: Some("auto".into()),
+            planner: Some("beam:4".into()),
             ..base.clone()
         };
         let (drift, drift_ok) = drive_gateway(&drifted, false).unwrap();
@@ -1304,6 +1289,45 @@ mod tests {
         options.quantize = 0.0;
         options.deadline_ms = Some(0);
         assert!(build_harness(&options).is_err(), "zero deadline");
+    }
+
+    #[test]
+    fn bad_flags_fail_alike_with_and_without_shards() {
+        type Spoil = fn(&mut Options);
+        let cases: [(Spoil, &str); 5] = [
+            (
+                |o| o.triples.clear(),
+                "no microservices; pass at least one --ms cost,latency,reliability%",
+            ),
+            (|o| o.slot_size = 0, "--slot-size must be at least 1"),
+            (
+                |o| o.quantize = -1.0,
+                "--quantize must be a finite value >= 0",
+            ),
+            (
+                |o| o.quantize = f64::NAN,
+                "--quantize must be a finite value >= 0",
+            ),
+            (
+                |o| o.deadline_ms = Some(0),
+                "--deadline-ms must be at least 1",
+            ),
+        ];
+        for (spoil, text) in cases {
+            for shards in [0, 2] {
+                let mut options = Options {
+                    triples: vec![(50.0, 5.0, 90.0), (50.0, 8.0, 90.0)],
+                    shards,
+                    ..Options::default()
+                };
+                spoil(&mut options);
+                assert_eq!(
+                    run("run", None, &options).unwrap_err(),
+                    text,
+                    "--shards {shards}"
+                );
+            }
+        }
     }
 
     #[test]
