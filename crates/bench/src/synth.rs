@@ -2,7 +2,11 @@
 //! synthesis engine in `qce-strategy`.
 //!
 //! For each `M = 3..=max_m` the harness draws seeded random environments
-//! and runs the exhaustive search four ways:
+//! (`random` tables), derives a second family from the same draw with
+//! `⌊M/2⌋` legs at reliability exactly 1.0 (`reliable_legs` — what a
+//! collector window without a failure reports, and where whole sub-trees
+//! of the search space tie bit for bit), and runs the exhaustive search
+//! over each family four ways:
 //!
 //! * **baseline** — the pre-engine code path: plain Algorithm 1 behind the
 //!   [`Estimator`] trait with `is_algorithm1() == false`, which routes the
@@ -18,6 +22,12 @@
 //! run with a nonzero exit, which is what the CI `bench-smoke` job keys
 //! on. Timings are written to `bench_synth.tsv` and, as machine-readable
 //! before/after numbers, to `BENCH_synth.json`.
+//!
+//! Every `(M, tables)` point gets fresh generators, so each
+//! configuration's first search also builds its candidate-family cache:
+//! the *mean* time includes that one cold search, the *warm* mean (over
+//! searches 2..n) is what a gateway's planner pays from its second re-plan
+//! on.
 
 use std::io;
 use std::path::Path;
@@ -61,10 +71,14 @@ impl Estimator for LegacyBaseline {
 pub struct SynthPoint {
     /// Number of equivalent microservices.
     pub m: usize,
+    /// Table family: `random` or `reliable_legs`.
+    pub tables: &'static str,
     /// Configuration name.
     pub config: &'static str,
-    /// Mean wall time per exhaustive search.
+    /// Mean wall time per exhaustive search, the first (cold) one included.
     pub mean_time: Duration,
+    /// Mean wall time over searches 2..n (the mean itself when n = 1).
+    pub warm_time: Duration,
     /// Candidates considered per search (estimated plus pruned; this is
     /// `F(M)` for the full exhaustive search).
     pub candidates: usize,
@@ -76,13 +90,14 @@ pub struct SynthPoint {
 }
 
 /// Runs `generator.exhaustive` over every environment and returns the
-/// results plus the mean wall time per search.
+/// results plus the mean wall time per search, over all searches and over
+/// all but the first.
 fn measure(
     generator: &Generator,
     envs: &[EnvQos],
     req: &Requirements,
-) -> (Vec<Generated>, Duration) {
-    let mut total = Duration::ZERO;
+) -> (Vec<Generated>, Duration, Duration) {
+    let mut times = Vec::with_capacity(envs.len());
     let mut out = Vec::with_capacity(envs.len());
     for env in envs {
         let ids = env.ids();
@@ -90,22 +105,27 @@ fn measure(
         let generated = generator
             .exhaustive(env, &ids, req)
             .expect("random environments are valid");
-        total += started.elapsed();
+        times.push(started.elapsed());
         out.push(generated);
     }
-    let mean = total / u32::try_from(envs.len().max(1)).unwrap_or(1);
-    (out, mean)
+    let mean = |times: &[Duration]| {
+        times.iter().sum::<Duration>() / u32::try_from(times.len().max(1)).unwrap_or(1)
+    };
+    let warm = if times.len() > 1 { &times[1..] } else { &times };
+    (out, mean(&times), mean(warm))
 }
 
-fn point(m: usize, config: &'static str, results: &[Generated], mean_time: Duration) -> SynthPoint {
-    SynthPoint {
-        m,
-        config,
-        mean_time,
-        candidates: results.first().map_or(0, |g| g.evaluated),
-        seen: results.iter().map(|g| g.report.candidates_seen).sum(),
-        pruned: results.iter().map(|g| g.report.candidates_pruned).sum(),
+/// `env` with its first `legs` microservices at reliability exactly 1.0.
+fn with_reliable_legs(env: &EnvQos, legs: usize) -> EnvQos {
+    let mut out = env.clone();
+    for id in env.ids().into_iter().take(legs) {
+        let qos = env.get(id).expect("ids come from env");
+        out.set(
+            id,
+            Qos::new(qos.cost, qos.latency, 1.0).expect("cost and latency were valid"),
+        );
     }
+    out
 }
 
 /// Verifies that an engine configuration reproduced the baseline search
@@ -113,6 +133,7 @@ fn point(m: usize, config: &'static str, results: &[Generated], mean_time: Durat
 /// candidate count.
 fn check_equivalent(
     m: usize,
+    tables: &str,
     config: &str,
     baseline: &[Generated],
     engine: &[Generated],
@@ -123,7 +144,7 @@ fn check_equivalent(
             || b.evaluated != e.evaluated
         {
             return Err(io::Error::other(format!(
-                "EQUIVALENCE DIVERGENCE at M={m}, env #{i}, config {config}: \
+                "EQUIVALENCE DIVERGENCE at M={m}, {tables} env #{i}, config {config}: \
                  baseline chose {} (utility {}, {} candidates) but engine chose \
                  {} (utility {}, {} candidates)",
                 b.strategy, b.utility, b.evaluated, e.strategy, e.utility, e.evaluated
@@ -157,14 +178,6 @@ pub fn run(
     let services = services.max(1);
     let requirements = sim_requirements();
 
-    let baseline_generator = Generator::builder()
-        .estimator(Arc::new(LegacyBaseline))
-        .parallelism(1)
-        .build();
-    let engine_seq_unpruned = Generator::builder().parallelism(1).pruning(false).build();
-    let engine_seq = Generator::builder().parallelism(1).pruning(true).build();
-    let engine_par = Generator::builder().parallelism(0).pruning(true).build();
-
     let mut report = Report::new(
         format!(
             "bench-synth: exhaustive search, baseline vs engine \
@@ -172,8 +185,10 @@ pub fn run(
         ),
         &[
             "M",
+            "tables",
             "config",
             "mean time",
+            "warm mean",
             "speedup",
             "candidates",
             "estimated",
@@ -185,62 +200,99 @@ pub fn run(
     let mut final_speedup = None;
     for m in 3..=max_m {
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ ((m as u64) << 32));
-        let envs: Vec<EnvQos> = (0..services)
+        let random: Vec<EnvQos> = (0..services)
             .map(|_| scaling_config(m).generate(&mut rng).mean_qos_table())
             .collect();
+        let reliable_legs: Vec<EnvQos> = random
+            .iter()
+            .map(|env| with_reliable_legs(env, m / 2))
+            .collect();
+        for (tables, envs) in [("random", &random), ("reliable_legs", &reliable_legs)] {
+            let engine = |workers: usize, pruning: bool| {
+                Generator::builder()
+                    .parallelism(workers)
+                    .pruning(pruning)
+                    .build()
+            };
+            let baseline = Generator::builder()
+                .estimator(Arc::new(LegacyBaseline))
+                .parallelism(1)
+                .build();
+            let runs = [
+                ("baseline", measure(&baseline, envs, &requirements)),
+                (
+                    "engine/seq/unpruned",
+                    measure(&engine(1, false), envs, &requirements),
+                ),
+                ("engine/seq", measure(&engine(1, true), envs, &requirements)),
+                ("engine/par", measure(&engine(0, true), envs, &requirements)),
+            ];
+            let (base, base_time, _) = &runs[0].1;
+            for (config, (results, ..)) in &runs[1..] {
+                check_equivalent(m, tables, config, base, results)?;
+            }
 
-        let (base, base_time) = measure(&baseline_generator, &envs, &requirements);
-        let (unpruned, unpruned_time) = measure(&engine_seq_unpruned, &envs, &requirements);
-        let (seq, seq_time) = measure(&engine_seq, &envs, &requirements);
-        let (par, par_time) = measure(&engine_par, &envs, &requirements);
-
-        check_equivalent(m, "engine/seq/unpruned", &base, &unpruned)?;
-        check_equivalent(m, "engine/seq", &base, &seq)?;
-        check_equivalent(m, "engine/par", &base, &par)?;
-
-        let speedup = |t: Duration| millis(base_time) / millis(t).max(1e-9);
-        let points = [
-            point(m, "baseline", &base, base_time),
-            point(m, "engine/seq/unpruned", &unpruned, unpruned_time),
-            point(m, "engine/seq", &seq, seq_time),
-            point(m, "engine/par", &par, par_time),
-        ];
-        for p in &points {
-            report.row([
-                p.m.to_string(),
-                p.config.to_string(),
-                format!("{:.3?}", p.mean_time),
-                format!("{:.1}x", speedup(p.mean_time)),
-                p.candidates.to_string(),
-                p.seen.to_string(),
-                p.pruned.to_string(),
-            ]);
+            let speedup = |t: Duration| millis(*base_time) / millis(t).max(1e-9);
+            let points = runs
+                .each_ref()
+                .map(|(config, (results, mean_time, warm_time))| SynthPoint {
+                    m,
+                    tables,
+                    config,
+                    mean_time: *mean_time,
+                    warm_time: *warm_time,
+                    candidates: results.first().map_or(0, |g| g.evaluated),
+                    seen: results.iter().map(|g| g.report.candidates_seen).sum(),
+                    pruned: results.iter().map(|g| g.report.candidates_pruned).sum(),
+                });
+            for p in &points {
+                report.row([
+                    p.m.to_string(),
+                    p.tables.to_string(),
+                    p.config.to_string(),
+                    format!("{:.3?}", p.mean_time),
+                    format!("{:.3?}", p.warm_time),
+                    format!("{:.1}x", speedup(p.mean_time)),
+                    p.candidates.to_string(),
+                    p.seen.to_string(),
+                    p.pruned.to_string(),
+                ]);
+            }
+            let [base_p, unpruned_p, seq_p, par_p] = &points;
+            if tables == "random" {
+                final_speedup = Some(speedup(par_p.mean_time));
+            }
+            json_points.push(format!(
+                "    {{\"m\": {m}, \"tables\": \"{tables}\", \"candidates\": {}, \
+                 \"baseline_ms\": {}, \"engine_seq_unpruned_ms\": {}, \
+                 \"engine_seq_ms\": {}, \"engine_seq_warm_ms\": {}, \
+                 \"engine_par_ms\": {}, \"speedup_seq\": {}, \"speedup_par\": {}, \
+                 \"estimated\": {}, \"pruned\": {}}}",
+                base_p.candidates,
+                fmt_f(millis(base_p.mean_time), 4),
+                fmt_f(millis(unpruned_p.mean_time), 4),
+                fmt_f(millis(seq_p.mean_time), 4),
+                fmt_f(millis(seq_p.warm_time), 4),
+                fmt_f(millis(par_p.mean_time), 4),
+                fmt_f(speedup(seq_p.mean_time), 2),
+                fmt_f(speedup(par_p.mean_time), 2),
+                par_p.seen,
+                par_p.pruned,
+            ));
         }
-        final_speedup = Some(speedup(par_time));
-        json_points.push(format!(
-            "    {{\"m\": {m}, \"candidates\": {}, \"baseline_ms\": {}, \
-             \"engine_seq_unpruned_ms\": {}, \"engine_seq_ms\": {}, \
-             \"engine_par_ms\": {}, \"speedup_seq\": {}, \"speedup_par\": {}, \
-             \"estimated\": {}, \"pruned\": {}}}",
-            points[0].candidates,
-            fmt_f(millis(base_time), 4),
-            fmt_f(millis(unpruned_time), 4),
-            fmt_f(millis(seq_time), 4),
-            fmt_f(millis(par_time), 4),
-            fmt_f(speedup(seq_time), 2),
-            fmt_f(speedup(par_time), 2),
-            points[3].seen,
-            points[3].pruned,
-        ));
     }
 
     if let Some(speedup) = final_speedup {
         report.note(format!(
-            "engine/par speedup over the pre-engine sequential scan at M={max_m}: \
-             {speedup:.1}x (target: >=5x at M=6)"
+            "engine/par speedup over the pre-engine sequential scan at M={max_m}, random \
+             tables: {speedup:.1}x (target: >=5x at M=6)"
         ));
     }
     report.note("every engine run verified bit-identical to the baseline search");
+    report.note(
+        "fresh generators per (M, tables): 'mean time' includes each configuration's first \
+         (cold, cache-building) search, 'warm mean' is over searches 2..n",
+    );
     report.emit(reports, "bench_synth")?;
 
     let json = format!(
@@ -281,10 +333,21 @@ mod tests {
             .parallelism(1)
             .build();
         let engine = Generator::builder().parallelism(2).pruning(true).build();
-        let (base, _) = measure(&baseline, &envs, &requirements);
-        let (eng, _) = measure(&engine, &envs, &requirements);
-        check_equivalent(4, "engine/par", &base, &eng).unwrap();
+        let (base, ..) = measure(&baseline, &envs, &requirements);
+        let (eng, ..) = measure(&engine, &envs, &requirements);
+        check_equivalent(4, "random", "engine/par", &base, &eng).unwrap();
         assert_eq!(base[0].evaluated, 195, "F(4)");
+    }
+
+    #[test]
+    fn reliable_legs_touch_only_the_first_legs_reliability() {
+        let env =
+            EnvQos::from_triples(&[(50.0, 50.0, 0.6), (100.0, 100.0, 0.6), (150.0, 150.0, 0.7)])
+                .unwrap();
+        let expect =
+            EnvQos::from_triples(&[(50.0, 50.0, 1.0), (100.0, 100.0, 0.6), (150.0, 150.0, 0.7)])
+                .unwrap();
+        assert_eq!(with_reliable_legs(&env, 3 / 2), expect);
     }
 
     #[test]
@@ -297,6 +360,16 @@ mod tests {
         assert!(text.contains("\"m\": 3"));
         assert!(text.contains("\"candidates\": 19"));
         assert!(text.contains("\"candidates\": 195"));
+        for tables in ["random", "reliable_legs"] {
+            assert_eq!(
+                text.matches(&format!("\"tables\": \"{tables}\"")).count(),
+                2
+            );
+        }
+        assert_eq!(text.matches("\"engine_seq_warm_ms\": ").count(), 4);
+        let tsv = std::fs::read_to_string(dir.join("bench_synth.tsv")).unwrap();
+        assert!(tsv.contains("M\ttables\tconfig\tmean time\twarm mean\t"));
+        assert_eq!(tsv.matches("\treliable_legs\tengine/seq\t").count(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

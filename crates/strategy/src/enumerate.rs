@@ -84,7 +84,7 @@ pub(crate) fn submasks(mask: Mask) -> impl Iterator<Item = Mask> {
 ///
 /// Strategies are produced in a deterministic order. This streams with
 /// `O(depth)` memory, so it can walk strategy spaces too large to collect
-/// (e.g. `F(7)` ≈ 1.5 M strategies).
+/// (e.g. `F(7)` = 1 152 019 strategies).
 ///
 /// # Panics
 ///
@@ -147,7 +147,7 @@ pub fn for_each_with_subsets(ids: &[MsId], mut visit: impl FnMut(Strategy)) {
 /// Collects `F(M)`: every distinct strategy using **all** of `ids` — a
 /// `.collect()` over [`StrategyIter::full`].
 ///
-/// Practical for `M ≤ 6` (64 743 strategies); prefer [`for_each_full`] or
+/// Practical for `M ≤ 6` (51 303 strategies); prefer [`for_each_full`] or
 /// [`StrategyIter`] beyond that.
 ///
 /// # Panics

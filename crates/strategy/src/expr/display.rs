@@ -54,7 +54,7 @@ fn write_named<S: AsRef<str>>(node: &Node, names: &[S], out: &mut String, parent
     match node {
         Node::Leaf(id) => match names.get(id.index()) {
             Some(name) => out.push_str(name.as_ref()),
-            None => out.push_str(&id.to_string()),
+            None => id.write_name(out).expect("writing to a String cannot fail"),
         },
         Node::Seq(children) => {
             if parenthesize_seq {
@@ -79,6 +79,13 @@ fn write_named<S: AsRef<str>>(node: &Node, names: &[S], out: &mut String, parent
             }
         }
     }
+}
+
+/// Appends to `out` what [`Display`](fmt::Display) prints for the strategy
+/// rooted at `node`, without building the [`Strategy`] or a fresh `String`
+/// (the synthesis engine renders whole candidate families into one arena).
+pub(crate) fn render_into(node: &Node, out: &mut String) {
+    write_named::<&str>(node, &[], out, false);
 }
 
 /// Writes `node`; `parenthesize_seq` is `true` when the node appears as an

@@ -11,4 +11,5 @@ mod display;
 mod parser;
 
 pub use ast::{Node, Strategy};
+pub(crate) use display::render_into;
 pub use parser::MAX_NESTING_DEPTH;

@@ -226,8 +226,9 @@ const INCUMBENT_LISTS: usize = 16;
 /// single-search cache) — they just rebuild the trees next time.
 const NODE_CACHE_LISTS: usize = 8;
 
-/// Default exhaustive/approximation switch-over: `F(6) = 64 743` candidates
-/// estimate in tens of milliseconds, `F(7) ≈ 1.6 M` takes seconds.
+/// Default exhaustive/approximation switch-over: a warm search of
+/// `F(6) = 51 303` candidates takes about 4 ms on one core, one of
+/// `F(7) = 1 152 019` about 300 ms (`BENCH_synth.json`, EXPERIMENTS.md).
 pub const DEFAULT_THRESHOLD: usize = 6;
 
 impl Default for Generator {
@@ -1653,6 +1654,73 @@ mod engine_equivalence_tests {
                 }
             }
         }
+    }
+
+    /// The test above draws continuous QoS, so no two candidates ever tie
+    /// and the engine's last tie-break — the renderings — never decides.
+    /// Here the tables come from a small lattice with half the legs at
+    /// reliability exactly 1.0 (a collector window without a failure):
+    /// everything sequenced after such a leg is gated with probability 0,
+    /// so whole sub-trees tie bit for bit on utility, cost and latency.
+    #[test]
+    fn tie_heavy_tables_match_the_generic_scan() {
+        let requirements = Requirements::new(40.0, 24.0, 0.97).unwrap();
+        let ground_truth = Generator::builder()
+            .estimator(Arc::new(PlainAlg1))
+            .parallelism(1)
+            .build();
+        let configs = [
+            ("engine unpruned sequential", false, 1),
+            ("engine pruned sequential", true, 1),
+            ("engine pruned parallel", true, 4),
+        ]
+        .map(|(name, pruning, workers)| {
+            let engine = Generator::builder().pruning(pruning).parallelism(workers);
+            (name, engine.build())
+        });
+        let mut tied_cases = 0;
+        for m in 2..=5usize {
+            for seed in 0..12u64 {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed * 41 + m as u64);
+                let env: EnvQos = (0..m)
+                    .map(|_| {
+                        Qos::new(
+                            [10.0, 20.0, 40.0][rng.gen_range(0..3)],
+                            [8.0, 16.0][rng.gen_range(0..2)],
+                            [0.5, 0.8, 1.0, 1.0][rng.gen_range(0..4)],
+                        )
+                        .unwrap()
+                    })
+                    .collect();
+                let ids = env.ids();
+                for subsets in [false, true] {
+                    let run = |g: &Generator| {
+                        if subsets {
+                            g.exhaustive_subsets(&env, &ids, &requirements).unwrap()
+                        } else {
+                            g.exhaustive(&env, &ids, &requirements).unwrap()
+                        }
+                    };
+                    let truth = run(&ground_truth);
+                    for (name, g) in &configs {
+                        let what = format!("m={m} seed={seed} subsets={subsets} config={name}");
+                        assert_bit_identical(&truth, &run(g), &what);
+                    }
+                    if !subsets {
+                        let mut same_qos = 0;
+                        for_each_full(&ids, |s| {
+                            same_qos +=
+                                usize::from(crate::estimate::estimate(&s, &env) == Ok(truth.qos));
+                        });
+                        tied_cases += usize::from(same_qos > 1);
+                    }
+                }
+            }
+        }
+        assert!(
+            tied_cases >= 20,
+            "only {tied_cases} of 48 F(M) winners were decided on renderings"
+        );
     }
 
     /// Pruning does real work on the paper's fire-detection environment:

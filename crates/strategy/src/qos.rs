@@ -69,14 +69,21 @@ impl MsId {
     }
 }
 
+impl MsId {
+    /// Writes what `Display` prints. Generic, so that rendering into a
+    /// `String` pushes the letter instead of going through a `Formatter`.
+    pub(crate) fn write_name(self, out: &mut impl fmt::Write) -> fmt::Result {
+        if self.0 < 26 {
+            out.write_char((b'a' + self.0 as u8) as char)
+        } else {
+            write!(out, "ms{}", self.0)
+        }
+    }
+}
+
 impl fmt::Display for MsId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0 < 26 {
-            let c = (b'a' + self.0 as u8) as char;
-            write!(f, "{c}")
-        } else {
-            write!(f, "ms{}", self.0)
-        }
+        self.write_name(f)
     }
 }
 

@@ -1,12 +1,20 @@
 //! Parallel branch-and-bound search engine behind
 //! [`Generator`](crate::Generator)'s exhaustive paths.
 //!
-//! The pre-existing exhaustive search streams every candidate of `F(M)`
-//! (or `F'(M)`), materializes it as a [`Strategy`], re-walks its timelines
-//! from scratch, and estimates it with Algorithm 1. This engine keeps the
-//! result **bit-for-bit identical** (same winning strategy, same `Qos`,
-//! same utility) while doing strictly less work:
+//! The generic exhaustive scan streams every candidate of `F(M)` (or
+//! `F'(M)`), materializes it as a [`Strategy`], re-walks its timelines from
+//! scratch, and estimates it with Algorithm 1. This engine keeps the result
+//! **bit-for-bit identical** (same winning strategy, same `Qos`, same
+//! utility) while doing strictly less work — and without building a tree,
+//! a `Strategy` or a `String` per candidate; the one `Strategy` of a search
+//! is parsed from the winner's rendering after the workers are merged:
 //!
+//! * **Flat family rows** — the candidate blocks of a leaf subset are kept
+//!   (per id list, shared by every search) not as trees but as rows: a
+//!   *schedule* that reproduces the block's
+//!   [`timelines`](crate::estimate::timelines) with a loop of `max` and one
+//!   addition per leaf, and the block's *rendering*, which is all the
+//!   tie-break needs (see `Family`).
 //! * **Shared chain prefixes** — sequential candidates are explored as a
 //!   chain recursion; the timelines of the already-fixed blocks are walked
 //!   once and reused for every extension, with the same absolute-offset
@@ -29,8 +37,10 @@
 //! * **Work-stealing jobs** — the search space is cut into jobs (one
 //!   par-rooted family plus one job per first-block choice, per leaf
 //!   subset); workers claim jobs off an atomic counter. The per-candidate
-//!   tie-break is a strict total order, so the merged winner is
-//!   independent of worker count and scheduling.
+//!   tie-break (utility, then cost, then latency, then the rendering's
+//!   bytes — compared only on a full tie, in a reused buffer) is a strict
+//!   total order, so the merged winner is independent of worker count and
+//!   scheduling.
 //!
 //! Pruning is disabled (the engine still runs, unpruned) when any leaf has
 //! a non-positive average latency: the cost bound's admissibility argument
@@ -42,8 +52,7 @@ use std::sync::OnceLock;
 
 use crate::enumerate::{submasks, Counts, EnumCtx, Mask, MAX_COUNT_M};
 use crate::estimate::{estimate_from_timelines, walk, Timeline};
-use crate::expr::{Node, Strategy};
-use crate::generate::better_tiebreak;
+use crate::expr::{render_into, Node, Strategy};
 use crate::qos::{EnvQos, MsId, Qos, Reliability, Requirements};
 use crate::utility::UtilityIndex;
 
@@ -66,10 +75,10 @@ const PRUNE_MARGIN: f64 = 1e-9;
 ///
 /// * `incumbent ≤ max utility of the space`, so the bar never starts above
 ///   the optimum;
-/// * candidate screening ([`WorkerState::consider`]) compares with strict
+/// * candidate screening ([`JobRunner::consider`]) compares with strict
 ///   `<`, so candidates *tying* the bar — including the incumbent itself
 ///   and the eventual winner — always survive to the tie-break;
-/// * family pruning ([`WorkerState::prunable`]) requires the upper bound
+/// * family pruning ([`JobRunner::prunable`]) requires the upper bound
 ///   to fall below `bar − PRUNE_MARGIN`, so no family containing the
 ///   optimum is ever skipped.
 ///
@@ -101,15 +110,182 @@ const NODE_CACHE_MAX: u128 = 1 << 17;
 /// mask-indexed table of `2^M` slots).
 const NODE_CACHE_MAX_M: usize = 14;
 
-/// Environment-independent node families shared by every worker of every
-/// search over the same `ids` slice (the [`Generator`](crate::Generator)
-/// keeps one per id list): `slots[mask]` lazily materializes every
-/// non-seq-rooted tree over `mask` in canonical streaming order. The
-/// candidate *trees* depend only on the id list, so rebuilding them per
-/// environment — which dominated the engine's profile — is pure waste.
+/// Bit of a schedule mask that names the block's own offset; the bits
+/// below it name the block's leaves by walk index.
+const OFFSET_BIT: u32 = 1 << MAX_COUNT_M;
+
+/// A schedule word keeps a leaf's position in `ids` above its start mask.
+const POS_SHIFT: u32 = MAX_COUNT_M as u32 + 1;
+
+/// Every tree of one non-seq family (a leaf, or the par-rooted trees over
+/// one leaf subset) in canonical streaming order, as flat **rows**: what
+/// the evaluator and the tie-break need of a tree, with nothing to chase.
+///
+/// A row is a *schedule* and a *rendering*.
+///
+/// The schedule is one word per leaf in walk order — the leaf's position
+/// in `ids`, above the mask of what its start time is the maximum of:
+/// earlier leaves' ends by walk index and/or, under [`OFFSET_BIT`], the
+/// offset the block is scheduled at — then one word with the same kind of
+/// mask for the block's makespan. It is [`walk`] unrolled: `walk` hands
+/// every start down as an offset (the block's own, or the makespan of the
+/// previous child of a `Seq`) and folds every makespan with `max` over an
+/// offset and child makespans, a leaf's makespan being its end. So each
+/// start, and the block's makespan, is the maximum of a *set* of leaf ends
+/// and possibly the offset. `f64::max` returns one of its arguments and is
+/// commutative and associative on non-NaN values, so folding the set in
+/// any order gives `walk`'s bits, and each end is still the single
+/// addition `start + latency` — whatever the sign of a latency.
+///
+/// The rendering is what `Display` prints for the block. Blocks are
+/// `Leaf`- or `Par`-rooted, so a chain renders as its blocks' renderings
+/// joined by `-`, and rendering is injective on canonical strategies: the
+/// search orders and finally rebuilds candidates from these bytes alone.
+#[derive(Debug)]
+struct Family {
+    /// Leaves per tree (every tree of the family covers the same subset).
+    leaves: usize,
+    /// `leaves + 1` words per row.
+    sched: Vec<u32>,
+    /// Every row's rendering, back to back.
+    text: String,
+    /// Where each row's rendering ends in `text`.
+    text_ends: Vec<u32>,
+}
+
+/// One tree of a [`Family`].
+#[derive(Clone, Copy)]
+struct Row<'f> {
+    sched: &'f [u32],
+    text: &'f str,
+}
+
+impl Family {
+    fn with_capacity(leaves: usize, rows: usize) -> Family {
+        Family {
+            leaves,
+            sched: Vec::with_capacity(rows * (leaves + 1)),
+            text: String::new(),
+            text_ends: Vec::with_capacity(rows),
+        }
+    }
+
+    /// Makes this the one-row family of `node` — how the trees of a family
+    /// too large to cache reach the evaluator — and returns the row.
+    fn set_single(&mut self, ids: &[MsId], node: &Node) -> Row<'_> {
+        self.sched.clear();
+        self.text.clear();
+        self.text_ends.clear();
+        self.push(ids, node);
+        self.rows().next().expect("just pushed")
+    }
+
+    /// Appends the row of `node`, a canonical non-seq tree over `leaves`
+    /// of `ids`.
+    fn push(&mut self, ids: &[MsId], node: &Node) {
+        let first = self.sched.len();
+        let makespan = compile(node, OFFSET_BIT, ids, first, &mut self.sched);
+        assert_eq!(self.sched.len() - first, self.leaves, "{node:?}");
+        self.sched.push(makespan);
+        render_into(node, &mut self.text);
+        self.text_ends
+            .push(u32::try_from(self.text.len()).expect("a family renders into under 4 GiB"));
+    }
+
+    fn rows(&self) -> impl Iterator<Item = Row<'_>> {
+        let mut from = 0;
+        self.sched
+            .chunks_exact(self.leaves + 1)
+            .zip(&self.text_ends)
+            .map(move |(sched, &to)| {
+                let text = &self.text[from..to as usize];
+                from = to as usize;
+                Row { sched, text }
+            })
+    }
+}
+
+/// Appends one schedule word per leaf of `node` to `sched` (whose current
+/// row began at `first`) and returns the mask of `node`'s makespan; `after`
+/// is the mask of the offset `node` is scheduled at. Mirrors [`walk`] arm
+/// for arm, on masks instead of times.
+fn compile(node: &Node, after: u32, ids: &[MsId], first: usize, sched: &mut Vec<u32>) -> u32 {
+    match node {
+        Node::Leaf(id) => {
+            let index = sched.len() - first;
+            assert!(
+                index < MAX_COUNT_M,
+                "a block has at most {MAX_COUNT_M} leaves"
+            );
+            let pos = ids
+                .iter()
+                .position(|x| x == id)
+                .expect("the enumeration draws leaves from `ids`");
+            sched.push((pos as u32) << POS_SHIFT | after);
+            1 << index
+        }
+        Node::Seq(children) => children.iter().fold(after, |cursor, child| {
+            compile(child, cursor, ids, first, sched)
+        }),
+        Node::Par(children) => children.iter().fold(after, |makespan, child| {
+            makespan | compile(child, after, ids, first, sched)
+        }),
+    }
+}
+
+/// The maximum of the values `mask` names: `block[i].end` for each leaf bit
+/// `i`, and `offset` under [`OFFSET_BIT`] (bits above it are ignored).
+fn max_named(mask: u32, offset: f64, block: &[Timeline]) -> f64 {
+    let mut value = if mask & OFFSET_BIT != 0 {
+        offset
+    } else {
+        f64::NEG_INFINITY
+    };
+    let mut bits = mask & (OFFSET_BIT - 1);
+    while bits != 0 {
+        value = value.max(block[bits.trailing_zeros() as usize].end);
+        bits &= bits - 1;
+    }
+    value
+}
+
+/// Schedules `row` at `offset`: appends its timelines to `scratch` (and
+/// each leaf's QoS to `meta`) exactly as [`walk`] would for the row's tree,
+/// and returns the block's makespan.
+fn schedule(
+    row: Row<'_>,
+    offset: f64,
+    ids: &[MsId],
+    tables: &Tables,
+    scratch: &mut Vec<Timeline>,
+    meta: &mut Vec<Meta>,
+) -> f64 {
+    let mark = scratch.len();
+    let (&makespan, steps) = row.sched.split_last().expect("a row is never empty");
+    for &step in steps {
+        let pos = (step >> POS_SHIFT) as usize;
+        let start = max_named(step, offset, &scratch[mark..]);
+        scratch.push(Timeline {
+            ms: ids[pos],
+            start,
+            end: start + tables.lat[pos],
+        });
+        meta.push(tables.meta[pos]);
+    }
+    max_named(makespan, offset, &scratch[mark..])
+}
+
+/// Environment-independent candidate families shared by every worker of
+/// every search over the same `ids` slice (the
+/// [`Generator`](crate::Generator) keeps one per id list): `slots[mask]`
+/// lazily compiles every non-seq-rooted tree over `mask`, in canonical
+/// streaming order, into a [`Family`]. The candidate *trees* depend only on
+/// the id list, so rebuilding them per environment — which dominated the
+/// engine's profile — is pure waste; and once compiled the trees
+/// themselves are dropped: nothing here holds a [`Node`].
 #[derive(Debug)]
 pub(crate) struct NodeCache {
-    slots: Vec<OnceLock<Vec<Node>>>,
+    slots: Vec<OnceLock<Family>>,
 }
 
 impl NodeCache {
@@ -121,19 +297,26 @@ impl NodeCache {
         }
     }
 
-    /// The non-seq family over `mask`, materialized on first use; `None`
-    /// when the family is too large to cache (see [`NODE_CACHE_MAX`]) and
-    /// the caller must stream instead.
-    fn family(&self, ctx: EnumCtx<'_>, counts: &Counts, mask: Mask) -> Option<&[Node]> {
+    /// The non-seq family over `mask`, compiled on first use; `None` when
+    /// the family is too large to cache (see [`NODE_CACHE_MAX`]) and the
+    /// caller must stream instead.
+    fn family(
+        &self,
+        ctx: EnumCtx<'_>,
+        ids: &[MsId],
+        counts: &Counts,
+        mask: Mask,
+    ) -> Option<&Family> {
         let slot = self.slots.get(mask as usize)?;
         let n = mask.count_ones() as usize;
         if counts.non_seq[n] > NODE_CACHE_MAX {
             return None;
         }
         Some(slot.get_or_init(|| {
-            let mut nodes = Vec::with_capacity(to_u64(counts.non_seq[n]) as usize);
-            ctx.stream_non_seq(mask, &mut |node| nodes.push(node));
-            nodes
+            let mut family = Family::with_capacity(n, to_u64(counts.non_seq[n]) as usize);
+            ctx.stream_non_seq(mask, &mut |node| family.push(ids, &node));
+            family.text.shrink_to_fit();
+            family
         }))
     }
 }
@@ -156,7 +339,7 @@ pub(crate) struct SearchSpec<'a> {
     /// the initial pruning bar — the winner is always re-derived from the
     /// search itself.
     pub initial_bound: f64,
-    /// Shared environment-independent candidate-tree cache for this `ids`
+    /// Shared environment-independent candidate-family cache for this `ids`
     /// slice (must have been created with `NodeCache::new(ids.len())`).
     pub cache: &'a NodeCache,
 }
@@ -185,9 +368,10 @@ enum Job {
 
 /// Per-leaf and per-mask precomputation shared by every worker.
 struct Tables {
-    /// Per leaf position: average latency and reliability.
+    /// Per leaf position: average latency, and what else a candidate's
+    /// evaluation reads of the leaf.
     lat: Vec<f64>,
-    rel: Vec<f64>,
+    meta: Vec<Meta>,
     /// Per mask: product of failure probabilities.
     fail: Vec<f64>,
     /// Per mask: maximum leaf latency.
@@ -205,16 +389,22 @@ impl Tables {
             .iter()
             .map(|&id| *env.get(id).expect("caller validated coverage"))
             .collect();
-        let cost: Vec<f64> = per.iter().map(|q| q.cost).collect();
         let lat: Vec<f64> = per.iter().map(|q| q.latency).collect();
-        let rel: Vec<f64> = per.iter().map(|q| q.reliability.value()).collect();
+        let meta: Vec<Meta> = per
+            .iter()
+            .map(|q| Meta {
+                rel: q.reliability.value(),
+                fail: q.reliability.failure_probability(),
+                cost: q.cost,
+            })
+            .collect();
         let size = 1usize << m;
         let mut fail = vec![1.0f64; size];
         let mut maxl = vec![0.0f64; size];
         for mask in 1..size {
             let i = mask.trailing_zeros() as usize;
             let rest = mask & (mask - 1);
-            fail[mask] = fail[rest] * (1.0 - rel[i]);
+            fail[mask] = fail[rest] * (1.0 - meta[i].rel);
             maxl[mask] = maxl[rest].max(lat[i]);
         }
         let mut costlb1 = vec![0.0f64; size];
@@ -224,13 +414,13 @@ impl Tables {
             while bits != 0 {
                 let i = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                sum += cost[i] * fail[mask & !(1 << i)];
+                sum += meta[i].cost * fail[mask & !(1 << i)];
             }
             *slot = sum;
         }
         Tables {
             lat,
-            rel,
+            meta,
             fail,
             maxl,
             costlb1,
@@ -293,11 +483,29 @@ fn from_ordered(enc: u64) -> f64 {
     }
 }
 
-/// A worker-local incumbent.
+/// A worker-local incumbent: its rendering stands in for the tree.
 struct Cand {
-    strategy: Strategy,
+    text: String,
     qos: Qos,
     utility: f64,
+}
+
+/// Whether a candidate of utility `u` and estimate `qos` outranks `cur` —
+/// higher utility, then lower cost, then lower latency — or `None` on a
+/// full tie, which the smaller rendering wins. The same strict total order
+/// as the generic scan's, with the rendering left to the caller so that it
+/// is only produced when it decides.
+fn outranks(u: f64, qos: &Qos, cur: &Cand) -> Option<bool> {
+    if u != cur.utility {
+        return Some(u > cur.utility);
+    }
+    if qos.cost != cur.qos.cost {
+        return Some(qos.cost < cur.qos.cost);
+    }
+    if qos.latency != cur.qos.latency {
+        return Some(qos.latency < cur.qos.latency);
+    }
+    None
 }
 
 /// Runs the search and returns the utility-maximal strategy under the
@@ -381,21 +589,16 @@ pub(crate) fn search(spec: &SearchSpec<'_>) -> SearchOutcome {
     let mut best: Option<Cand> = None;
     let mut seen = 0u64;
     let mut pruned = 0u64;
-    // `better_tiebreak` extends `utility` into a strict total order over
+    // `outranks` plus the rendering is a strict total order over
     // candidates, so folding worker maxima in any order yields the same
     // winner as the sequential scan.
     for (cand, job_seen, job_pruned) in results {
         seen += job_seen;
         pruned += job_pruned;
         if let Some(c) = cand {
-            let replace = match &best {
-                None => true,
-                Some(cur) => {
-                    c.utility > cur.utility
-                        || (c.utility == cur.utility
-                            && better_tiebreak(&c.strategy, &c.qos, &cur.strategy, &cur.qos))
-                }
-            };
+            let replace = best.as_ref().is_none_or(|cur| {
+                outranks(c.utility, &c.qos, cur).unwrap_or_else(|| c.text < cur.text)
+            });
             if replace {
                 best = Some(c);
             }
@@ -403,7 +606,8 @@ pub(crate) fn search(spec: &SearchSpec<'_>) -> SearchOutcome {
     }
     let best = best.expect("the utility-maximal family is never pruned");
     SearchOutcome {
-        strategy: best.strategy,
+        // The one tree this search builds.
+        strategy: Strategy::parse(&best.text).expect("the engine renders canonical strategies"),
         qos: best.qos,
         utility: best.utility,
         seen,
@@ -411,14 +615,68 @@ pub(crate) fn search(spec: &SearchSpec<'_>) -> SearchOutcome {
     }
 }
 
-/// Per-timeline QoS values resolved once per walk (parallel to
-/// `JobRunner::scratch`), so per-candidate evaluation never goes back to
-/// the environment table.
+/// Per-leaf QoS values a candidate's evaluation reads (one per `ids`
+/// position in [`Tables`], one per timeline in `JobRunner::meta`), so
+/// per-candidate evaluation never goes back to the environment table.
 #[derive(Clone, Copy)]
 struct Meta {
     rel: f64,
     fail: f64,
     cost: f64,
+}
+
+/// What the chain recursion hands down about the blocks fixed so far
+/// (their timelines are the `JobRunner::scratch` a callee is entered
+/// with): their renderings as a stack-linked list, and the estimator's
+/// accumulators over them, each in the exact floating-point operation
+/// sequence of [`estimate_from_timelines`] so that the fast evaluator can
+/// extend it bit-exactly.
+#[derive(Clone, Copy)]
+struct Fixed<'p> {
+    /// The last fixed block's rendering and the blocks before it; `None`
+    /// while nothing is fixed.
+    blocks: Option<(&'p str, &'p Fixed<'p>)>,
+    /// Makespan of the fixed blocks: where the next block starts.
+    t0: f64,
+    /// Walk-order failure product of every fixed leaf.
+    fail: f64,
+    /// Exact expected-cost contribution of the fixed leaves (later blocks
+    /// can never gate them, so this term is final).
+    cost: f64,
+    /// Latency accumulators over the sorted fixed entries (see
+    /// [`JobRunner::push_sorted_level`]).
+    lat_partial: f64,
+    pf: f64,
+}
+
+impl Fixed<'_> {
+    /// Nothing fixed: a candidate or a chain that starts at time 0.
+    const NONE: Fixed<'static> = Fixed {
+        blocks: None,
+        t0: 0.0,
+        fail: 1.0,
+        cost: 0.0,
+        lat_partial: 0.0,
+        pf: 1.0,
+    };
+
+    /// Appends the fixed blocks' renderings in chain order, each followed
+    /// by the `-` that joins it to the next block.
+    fn push_blocks(&self, out: &mut String) {
+        if let Some((text, before)) = self.blocks {
+            before.push_blocks(out);
+            out.push_str(text);
+            out.push('-');
+        }
+    }
+
+    /// Overwrites `out` with the rendering of the candidate that ends these
+    /// blocks with the block rendering as `last`.
+    fn render(&self, last: &str, out: &mut String) {
+        out.clear();
+        self.push_blocks(out);
+        out.push_str(last);
+    }
 }
 
 /// Per-worker mutable state.
@@ -439,8 +697,9 @@ struct JobRunner<'a> {
     /// chain order — so this list, plus a per-candidate sort of just the
     /// final block, reproduces the full sort's exact permutation.
     lsorted: Vec<(f64, f64)>,
-    /// Canonical nodes of the fixed chain prefix blocks.
-    prefix: Vec<Node>,
+    /// Where a candidate that ties the incumbent on utility, cost and
+    /// latency is rendered to be compared with it.
+    rendering: String,
     /// `1 − fail[mask]` of the family currently being searched.
     family_rel: f64,
     best: Option<Cand>,
@@ -457,7 +716,7 @@ impl<'a> JobRunner<'a> {
             meta: Vec::new(),
             bentries: Vec::new(),
             lsorted: Vec::new(),
-            prefix: Vec::new(),
+            rendering: String::new(),
             family_rel: 0.0,
             best: None,
             seen: 0,
@@ -476,11 +735,12 @@ impl<'a> JobRunner<'a> {
         self.family_rel = 1.0 - self.shared.tables.fail_of(mask);
         self.scratch.clear();
         self.meta.clear();
-        self.prefix.clear();
         self.lsorted.clear();
         match job {
             Job::NonSeq { mask } => self.run_non_seq_family(*mask),
-            Job::SeqPartition { mask, first } => self.run_seq_partition(*mask, *first),
+            Job::SeqPartition { mask, first } => {
+                self.run_partition(&Fixed::NONE, *first, mask & !first);
+            }
         }
     }
 
@@ -499,52 +759,68 @@ impl<'a> JobRunner<'a> {
                 return;
             }
         }
-        self.for_each_non_seq(mask, &mut |runner, node| runner.eval_block(node, 0.0));
+        self.for_each_non_seq(mask, &mut |runner, row| {
+            runner.eval_final(&Fixed::NONE, row);
+        });
     }
 
     /// Runs `f` once per non-seq-rooted tree over `mask`, in the canonical
     /// streaming emission order.
     ///
-    /// Small families are materialized into the shared [`NodeCache`] on
-    /// first use and replayed from the cached slice afterwards — the chain
+    /// Small families are compiled into the shared [`NodeCache`] on first
+    /// use and replayed from the cached rows afterwards — the chain
     /// recursion revisits the same remainder mask once per concrete
     /// prefix, and rebuilding the trees each time dominated the engine's
     /// profile. The cache only depends on `ids`, so it is shared across
-    /// environments, searches, and workers. Oversized families stream
-    /// exactly as before.
-    fn for_each_non_seq(&mut self, mask: Mask, f: &mut impl FnMut(&mut Self, &Node)) {
+    /// environments, searches, and workers. Oversized families stream as
+    /// trees, each compiled into a one-row family of its own, so `f` — and
+    /// everything below it — only ever sees rows.
+    fn for_each_non_seq(&mut self, mask: Mask, f: &mut impl FnMut(&mut Self, Row<'_>)) {
         let shared = self.shared;
-        match shared.cache.family(self.ctx, &shared.counts, mask) {
-            Some(nodes) => {
-                for node in nodes {
-                    f(self, node);
+        match shared
+            .cache
+            .family(self.ctx, shared.ids, &shared.counts, mask)
+        {
+            Some(family) => {
+                for row in family.rows() {
+                    f(self, row);
                 }
             }
             None => {
                 let ctx = self.ctx;
-                ctx.stream_non_seq(mask, &mut |node| f(self, &node));
+                let mut one = Family::with_capacity(mask.count_ones() as usize, 1);
+                ctx.stream_non_seq(mask, &mut |node| {
+                    f(self, one.set_single(shared.ids, &node));
+                });
             }
         }
     }
 
-    /// Walks `node` onto `scratch`, resolving per-leaf QoS into `meta`.
-    fn walk_tracked(&mut self, node: &Node, offset: f64) -> f64 {
+    /// Schedules `row` at `offset` onto `scratch`, with per-leaf QoS into
+    /// `meta`, and returns its makespan.
+    fn walk_tracked(&mut self, row: Row<'_>, offset: f64) -> f64 {
+        let shared = self.shared;
         let mark = self.scratch.len();
-        let end = walk(node, offset, self.shared.env, &mut self.scratch)
-            .expect("caller validated coverage");
-        for t in &self.scratch[mark..] {
-            let qos = self
-                .shared
-                .env
-                .get(t.ms)
-                .expect("caller validated coverage");
-            self.meta.push(Meta {
-                rel: qos.reliability.value(),
-                fail: qos.reliability.failure_probability(),
-                cost: qos.cost,
-            });
-        }
+        let end = schedule(
+            row,
+            offset,
+            shared.ids,
+            &shared.tables,
+            &mut self.scratch,
+            &mut self.meta,
+        );
+        debug_assert!(self.block_matches_walk(row, mark, offset, end));
         end
+    }
+
+    /// The per-block reference check of debug builds: `scratch[mark..]`
+    /// and `end` are what [`walk`] computes for the tree `row` renders.
+    fn block_matches_walk(&self, row: Row<'_>, mark: usize, offset: f64, end: f64) -> bool {
+        let tree = Strategy::parse(row.text).expect("rows render canonical strategies");
+        let mut timelines = Vec::new();
+        let makespan = walk(tree.node(), offset, self.shared.env, &mut timelines)
+            .expect("caller validated coverage");
+        (&self.scratch[mark..], end) == (&timelines[..], makespan)
     }
 
     fn truncate_to(&mut self, mark: usize) {
@@ -553,30 +829,21 @@ impl<'a> JobRunner<'a> {
     }
 
     /// QoS of the complete candidate currently in `scratch`, whose final
-    /// block is `scratch[mark..]`.
+    /// block is `scratch[mark..]` and whose earlier blocks `fixed`
+    /// accumulated.
     ///
-    /// `fail_pre`/`cost_base`/`lat_partial`/`pf` are the reliability
-    /// product, expected cost, r-weighted latency partial sum, and latency
-    /// prefix-failure product accumulated over `scratch[..mark]` (the
-    /// fixed chain prefix) in the exact floating-point operation sequence
-    /// of [`estimate_from_timelines`]; the fast path extends each over the
-    /// final block only — same multiply order for the failure product,
-    /// same left-to-right accumulation for cost and latency, same stable
-    /// end-sorted permutation — so the result is bit-identical.
-    fn qos_of_final(
-        &mut self,
-        mark: usize,
-        fail_pre: f64,
-        cost_base: f64,
-        lat_partial: f64,
-        pf: f64,
-    ) -> Qos {
+    /// The fast path extends `fixed`'s reliability product, expected cost
+    /// and latency accumulators over the final block only — same multiply
+    /// order for the failure product, same left-to-right accumulation for
+    /// cost and latency, same stable end-sorted permutation as
+    /// [`estimate_from_timelines`] — so the result is bit-identical.
+    fn qos_of_final(&mut self, mark: usize, fixed: &Fixed<'_>) -> Qos {
         if !self.shared.fast_eval {
             return estimate_from_timelines(&self.scratch, self.shared.env);
         }
-        let all_fail = self.mul_fails_onto(mark, fail_pre);
-        let cost = self.added_cost_block(mark, cost_base, fail_pre);
-        let latency = self.latency_with_final(mark, lat_partial, pf);
+        let all_fail = self.mul_fails_onto(mark, fixed.fail);
+        let cost = self.added_cost_block(mark, fixed.cost, fixed.fail);
+        let latency = self.latency_with_final(mark, fixed.lat_partial, fixed.pf);
         let qos = Qos {
             cost,
             latency,
@@ -646,36 +913,46 @@ impl<'a> JobRunner<'a> {
         latency
     }
 
-    /// Evaluates one complete non-seq candidate rooted at time 0.
-    fn eval_block(&mut self, node: &Node, offset: f64) {
-        debug_assert!(self.scratch.is_empty() && self.prefix.is_empty());
-        self.walk_tracked(node, offset);
-        let qos = self.qos_of_final(0, 1.0, 0.0, 0.0, 1.0);
-        self.consider(qos, |_| node.clone());
-        self.truncate_to(0);
+    /// Evaluates one complete candidate: the blocks of `fixed` (already in
+    /// `scratch`; none for a non-seq candidate) plus `row` as the final
+    /// block.
+    fn eval_final(&mut self, fixed: &Fixed<'_>, row: Row<'_>) {
+        let mark = self.scratch.len();
+        self.walk_tracked(row, fixed.t0);
+        let qos = self.qos_of_final(mark, fixed);
+        self.consider(qos, fixed, row.text);
+        self.truncate_to(mark);
     }
 
-    /// All seq-rooted trees over `mask` whose first block is `first`.
-    fn run_seq_partition(&mut self, mask: Mask, first: Mask) {
-        let rest = mask & !first;
+    /// All chains that continue `fixed` with a block over exactly `block`
+    /// and then cover `tail` — a whole [`Job::SeqPartition`] when nothing
+    /// is fixed yet.
+    fn run_partition(&mut self, fixed: &Fixed<'_>, block: Mask, tail: Mask) {
         if self.shared.prune
-            && self.seq_partition_count(first, rest) >= MIN_PRUNE_COUNT
-            && self.partition_prunable(1.0, 0.0, 0.0, first, rest)
+            && self.seq_partition_count(block, tail) >= MIN_PRUNE_COUNT
+            && self.partition_prunable(fixed, block, tail)
         {
-            self.pruned += to_u64(self.seq_partition_count(first, rest));
+            self.pruned += to_u64(self.seq_partition_count(block, tail));
             return;
         }
-        self.for_each_non_seq(first, &mut |runner, node| {
-            debug_assert!(runner.scratch.is_empty() && runner.prefix.is_empty());
-            let t0 = runner.walk_tracked(node, 0.0);
-            let cost_fixed = runner.added_cost_block(0, 0.0, 1.0);
-            let fail_first = runner.mul_fails_onto(0, 1.0);
-            let (lat_partial, pf) = runner.push_sorted_level(0, 0.0, 1.0);
-            runner.prefix.push(node.clone());
-            runner.chain_rest(rest, t0, fail_first, cost_fixed, lat_partial, pf);
-            runner.prefix.pop();
-            runner.lsorted.clear();
-            runner.truncate_to(0);
+        self.for_each_non_seq(block, &mut |runner, row| {
+            let mark = runner.scratch.len();
+            let lmark = runner.lsorted.len();
+            let t0 = runner.walk_tracked(row, fixed.t0);
+            let cost = runner.added_cost_block(mark, fixed.cost, fixed.fail);
+            let fail = runner.mul_fails_onto(mark, fixed.fail);
+            let (lat_partial, pf) = runner.push_sorted_level(mark, fixed.lat_partial, fixed.pf);
+            let fixed = Fixed {
+                blocks: Some((row.text, fixed)),
+                t0,
+                fail,
+                cost,
+                lat_partial,
+                pf,
+            };
+            runner.chain_rest(&fixed, tail);
+            runner.lsorted.truncate(lmark);
+            runner.truncate_to(mark);
         });
     }
 
@@ -688,25 +965,9 @@ impl<'a> JobRunner<'a> {
         counts.non_seq[b] * (counts.non_seq[r] + counts.seq[r])
     }
 
-    /// Extends the fixed chain (timelines in `scratch`, blocks in
-    /// `prefix`) over the remaining leaves `rem`, starting at time `t0`.
-    ///
-    /// `fail_pre` is the walk-order failure product of every fixed leaf;
-    /// `cost_fixed` is the exact expected-cost contribution of the fixed
-    /// leaves (later blocks can never gate them, so this term is final);
-    /// `lat_partial`/`pf` are the latency accumulators over the sorted
-    /// prefix (see [`Self::push_sorted_level`]). All carry the
-    /// accumulation order of the full estimator, so the fast evaluator can
-    /// extend them bit-exactly.
-    fn chain_rest(
-        &mut self,
-        rem: Mask,
-        t0: f64,
-        fail_pre: f64,
-        cost_fixed: f64,
-        lat_partial: f64,
-        pf: f64,
-    ) {
+    /// Extends the chain `fixed` (timelines in `scratch`) over the
+    /// remaining leaves `rem`.
+    fn chain_rest(&mut self, fixed: &Fixed<'_>, rem: Mask) {
         let counts = &self.shared.counts;
         let r = rem.count_ones() as usize;
         // Option A — finish the chain with `rem` as one non-seq block.
@@ -714,77 +975,32 @@ impl<'a> JobRunner<'a> {
         if self.shared.prune && counts.non_seq[r] >= MIN_PRUNE_COUNT {
             self.bentries.clear();
             self.push_fixed_entries();
-            self.push_virtual_entries(rem, t0);
-            let cost_lb = cost_fixed + fail_pre * self.shared.tables.costlb1_of(rem);
+            self.push_virtual_entries(rem, fixed.t0);
+            let cost_lb = fixed.cost + fixed.fail * self.shared.tables.costlb1_of(rem);
             if self.prunable(cost_lb) {
                 self.pruned += to_u64(counts.non_seq[r]);
                 enumerate_final = false;
             }
         }
         if enumerate_final {
-            self.for_each_non_seq(rem, &mut |runner, node| {
-                runner.eval_chain_final(node, t0, fail_pre, cost_fixed, lat_partial, pf);
-            });
+            self.for_each_non_seq(rem, &mut |runner, row| runner.eval_final(fixed, row));
         }
         // Option B — place a proper sub-block next and keep chaining.
         if r < 2 {
             return;
         }
         for next_block in submasks(rem) {
-            if next_block == 0 || next_block == rem {
-                continue;
+            if next_block != 0 && next_block != rem {
+                self.run_partition(fixed, next_block, rem & !next_block);
             }
-            let tail = rem & !next_block;
-            if self.shared.prune
-                && self.seq_partition_count(next_block, tail) >= MIN_PRUNE_COUNT
-                && self.partition_prunable(fail_pre, cost_fixed, t0, next_block, tail)
-            {
-                self.pruned += to_u64(self.seq_partition_count(next_block, tail));
-                continue;
-            }
-            self.for_each_non_seq(next_block, &mut |runner, node| {
-                let mark = runner.scratch.len();
-                let lmark = runner.lsorted.len();
-                let t1 = runner.walk_tracked(node, t0);
-                let cost_now = runner.added_cost_block(mark, cost_fixed, fail_pre);
-                let fail_now = runner.mul_fails_onto(mark, fail_pre);
-                let (lat_now, pf_now) = runner.push_sorted_level(mark, lat_partial, pf);
-                runner.prefix.push(node.clone());
-                runner.chain_rest(tail, t1, fail_now, cost_now, lat_now, pf_now);
-                runner.prefix.pop();
-                runner.lsorted.truncate(lmark);
-                runner.truncate_to(mark);
-            });
         }
     }
 
-    /// Evaluates one chain candidate: fixed prefix (already in `scratch`)
-    /// plus `block` as the final element.
-    fn eval_chain_final(
-        &mut self,
-        block: &Node,
-        t0: f64,
-        fail_pre: f64,
-        cost_fixed: f64,
-        lat_partial: f64,
-        pf: f64,
-    ) {
-        let mark = self.scratch.len();
-        self.walk_tracked(block, t0);
-        let qos = self.qos_of_final(mark, fail_pre, cost_fixed, lat_partial, pf);
-        self.consider(qos, |prefix| {
-            let mut children: Vec<Node> = Vec::with_capacity(prefix.len() + 1);
-            children.extend(prefix.iter().cloned());
-            children.push(block.clone());
-            Node::Seq(children)
-        });
-        self.truncate_to(mark);
-    }
-
-    /// Records an estimated candidate. `make` builds the candidate's
-    /// canonical node from the fixed prefix blocks — only invoked when the
-    /// candidate might become the worker-local incumbent.
-    fn consider(&mut self, qos: Qos, make: impl FnOnce(&[Node]) -> Node) {
+    /// Records an estimated candidate: the blocks of `fixed`, then the
+    /// block that renders as `last`. Nothing is rendered unless the
+    /// candidate ties the worker-local incumbent on utility, cost and
+    /// latency, or replaces it.
+    fn consider(&mut self, qos: Qos, fixed: &Fixed<'_>, last: &str) {
         self.seen += 1;
         let u = self.shared.utility.utility(&qos, self.shared.req);
         // Global screen: a candidate strictly below the shared bar can be
@@ -794,47 +1010,37 @@ impl<'a> JobRunner<'a> {
             return;
         }
         if let Some(cur) = &self.best {
-            if u < cur.utility {
+            let wins = outranks(u, &qos, cur).unwrap_or_else(|| {
+                fixed.render(last, &mut self.rendering);
+                self.rendering < cur.text
+            });
+            if !wins {
                 return;
             }
         }
-        let strategy =
-            Strategy::from_node(make(&self.prefix)).expect("engine produces valid strategies");
-        let replace = match &self.best {
-            None => true,
-            Some(cur) => {
-                u > cur.utility
-                    || (u == cur.utility
-                        && better_tiebreak(&strategy, &qos, &cur.strategy, &cur.qos))
-            }
-        };
-        if replace {
-            self.shared.bar.fetch_max(to_ordered(u), Ordering::Relaxed);
-            self.best = Some(Cand {
-                strategy,
-                qos,
-                utility: u,
-            });
-        }
+        // (A second time after a won tie: idempotent, and rare.)
+        fixed.render(last, &mut self.rendering);
+        let best = self.best.get_or_insert_with(|| Cand {
+            text: String::new(),
+            qos,
+            utility: u,
+        });
+        best.text.clone_from(&self.rendering);
+        best.qos = qos;
+        best.utility = u;
+        self.shared.bar.fetch_max(to_ordered(u), Ordering::Relaxed);
     }
 
-    /// Bound check for continuing the chain with next block `block` and
-    /// remainder `tail`, given the current fixed context.
-    fn partition_prunable(
-        &mut self,
-        fail_pre: f64,
-        cost_fixed: f64,
-        t0: f64,
-        block: Mask,
-        tail: Mask,
-    ) -> bool {
+    /// Bound check for continuing the chain `fixed` with next block
+    /// `block` and remainder `tail`.
+    fn partition_prunable(&mut self, fixed: &Fixed<'_>, block: Mask, tail: Mask) -> bool {
         let tables = &self.shared.tables;
         self.bentries.clear();
         self.push_fixed_entries();
-        self.push_virtual_entries(block, t0);
-        self.push_virtual_entries(tail, t0 + tables.maxl_of(block));
-        let cost_lb = cost_fixed
-            + fail_pre
+        self.push_virtual_entries(block, fixed.t0);
+        self.push_virtual_entries(tail, fixed.t0 + tables.maxl_of(block));
+        let cost_lb = fixed.cost
+            + fixed.fail
                 * (tables.costlb1_of(block) + tables.fail_of(block) * tables.costlb1_of(tail));
         self.prunable(cost_lb)
     }
@@ -868,7 +1074,8 @@ impl<'a> JobRunner<'a> {
         while bits != 0 {
             let i = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            self.bentries.push((offset + tables.lat[i], tables.rel[i]));
+            self.bentries
+                .push((offset + tables.lat[i], tables.meta[i].rel));
         }
     }
 
@@ -927,6 +1134,106 @@ fn to_u64(x: u128) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Thirty leaves with distinct, inexact latencies; leaf `a` has none.
+    fn env30() -> EnvQos {
+        (0..30)
+            .map(|i| {
+                let latency = if i == 0 {
+                    0.0
+                } else {
+                    7.3 + 1.9 * f64::from(i)
+                };
+                Qos::new(10.0 + f64::from(i), latency, 0.5 + 0.01 * f64::from(i)).unwrap()
+            })
+            .collect()
+    }
+
+    /// `row` is `node`: it renders as the canonical strategy does, and at
+    /// every offset its schedule gives [`walk`]'s timelines and makespan,
+    /// bit for bit.
+    fn assert_row_is(row: Row<'_>, node: &Node, ids: &[MsId], env: &EnvQos) {
+        let tree = Strategy::from_node(node.clone()).unwrap();
+        assert_eq!(row.text, tree.to_string());
+        let tables = Tables::build(env, ids);
+        for offset in [0.0, 3.7, 1e6 + 0.1] {
+            let mut expect = Vec::new();
+            let makespan = walk(node, offset, env, &mut expect).unwrap();
+            let (mut got, mut meta) = (Vec::new(), Vec::new());
+            let end = schedule(row, offset, ids, &tables, &mut got, &mut meta);
+            let bits = |timelines: &[Timeline]| -> Vec<(MsId, u64, u64)> {
+                timelines
+                    .iter()
+                    .map(|t| (t.ms, t.start.to_bits(), t.end.to_bits()))
+                    .collect()
+            };
+            assert_eq!(bits(&got), bits(&expect), "{tree} at {offset}");
+            assert_eq!(end.to_bits(), makespan.to_bits(), "{tree} at {offset}");
+            for (t, leaf) in got.iter().zip(&meta) {
+                let qos = env.get(t.ms).unwrap();
+                assert_eq!(
+                    (leaf.rel, leaf.fail, leaf.cost),
+                    (
+                        qos.reliability.value(),
+                        qos.reliability.failure_probability(),
+                        qos.cost
+                    )
+                );
+            }
+            assert_eq!(meta.len(), got.len());
+        }
+    }
+
+    #[test]
+    fn every_cached_row_is_its_tree() {
+        let env = env30();
+        let all = [MsId(3), MsId(27), MsId(0), MsId(12), MsId(5)];
+        for m in 1..=all.len() {
+            let ids = &all[..m];
+            let (ctx, counts, cache) = (EnumCtx::new(ids), Counts::up_to(m), NodeCache::new(m));
+            for mask in 1..1u64 << m {
+                let mut nodes = Vec::new();
+                ctx.stream_non_seq(mask, &mut |node| nodes.push(node));
+                let family = cache.family(ctx, ids, &counts, mask).unwrap();
+                assert_eq!(family.rows().count(), nodes.len());
+                assert_eq!(
+                    nodes.len() as u128,
+                    counts.non_seq[mask.count_ones() as usize]
+                );
+                for (row, node) in family.rows().zip(&nodes) {
+                    assert_row_is(row, node, ids, &env);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_streamed_row_is_its_tree() {
+        let env = env30();
+        let ids = [MsId(3), MsId(27), MsId(0), MsId(12), MsId(5)];
+        let mut one = Family::with_capacity(ids.len(), 1);
+        // The second call must leave nothing of the first behind.
+        for text in ["a*(f-d*ms27-m)", "d*(m-a)*(ms27-f)"] {
+            let tree = Strategy::parse(text).unwrap();
+            let row = one.set_single(&ids, tree.node());
+            assert_row_is(row, tree.node(), &ids, &env);
+        }
+    }
+
+    /// `t*(a-b-…-s)`: the makespan names walk index 19, one bit below
+    /// [`OFFSET_BIT`], and `s` starts at the end of walk index 18.
+    #[test]
+    fn a_twenty_leaf_block_fits_the_masks() {
+        let env = env30();
+        let ids: Vec<MsId> = (0..MAX_COUNT_M).map(MsId).collect();
+        let chain: Vec<String> = ids[..19].iter().map(MsId::to_string).collect();
+        let tree = Strategy::parse(&format!("t*({})", chain.join("-"))).unwrap();
+        let mut one = Family::with_capacity(ids.len(), 1);
+        let row = one.set_single(&ids, tree.node());
+        assert_eq!(row.sched[20], OFFSET_BIT | 1 << 19 | 1);
+        assert_eq!(row.sched[19], 18 << POS_SHIFT | 1 << 18);
+        assert_row_is(row, tree.node(), &ids, &env);
+    }
 
     #[test]
     fn ordered_f64_encoding_is_monotone() {
