@@ -15,7 +15,7 @@
 //!   ablations     design-choice ablations (k, window, cost, latency shapes)
 //!   contention    §VII scarce-resource contention
 //!   bench-synth   synthesis engine: baseline vs pruned/parallel exhaustive search
-//!   bench-replan  slot re-planning: cold vs warm-start vs plan-cache
+//!   bench-replan  slot re-planning: cold vs plan-cache
 //!   bench-throughput  gateway concurrency: N clients, admission control, worker pool
 //!   bench-fleet   sharded gateway fleet: consistent-hash routing, shared plan store
 //!   bench-scenarios   adversarial scenario pack: storms, flash crowds, churn + QoS gate

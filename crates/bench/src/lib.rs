@@ -19,7 +19,7 @@
 //! | [`ablation`] | design-choice ablations (k, window, cost semantics, latency shapes) |
 //! | [`contention`] | §VII scarce-resource contention (capacity-limited devices) |
 //! | [`synth`] | synthesis-engine benchmark — baseline vs pruned/parallel search |
-//! | [`replan`] | slot re-planning benchmark — cold vs warm-start vs plan-cache |
+//! | [`replan`] | slot re-planning benchmark — cold vs plan-cache |
 //! | [`throughput`] | gateway throughput — concurrent clients, admission control, worker pool |
 //! | [`fleet`] | sharded gateway fleet — consistent-hash routing + cross-shard plan economics |
 //! | [`scenarios`] | adversarial scenario pack — storms, flash crowds, churn + QoS-consistency gate |

@@ -1,6 +1,6 @@
 //! `bench-replan` — before/after benchmark of slot re-planning: the
-//! warm-start plan cache, the pluggable search backends, and the
-//! drift-triggered re-plan policy.
+//! plan cache, the pluggable search backends, and the drift-triggered
+//! re-plan policy.
 //!
 //! The gateway re-plans once per time slot, and real deployments cycle
 //! through a small set of recurring environment regimes (day/night load,
@@ -8,12 +8,10 @@
 //!
 //! 1. **Cache** — the harness models recurring regimes with `PHASES`
 //!    seeded environments visited round-robin over `slots` slots, and
-//!    times the same exhaustive search three ways: **cold** (full search
-//!    every slot), **warm-start** (previous winner seeds the
-//!    branch-and-bound bar), and **cached** (warm-start plus a
-//!    [`PlanCache`]). Every warm-start and cached slot is checked
-//!    **bit-for-bit** against the cold search; any divergence aborts with
-//!    a nonzero exit.
+//!    times the same exhaustive search two ways: **cold** (full search
+//!    every slot) and **cached** (through a [`PlanCache`]). Every cached
+//!    slot is checked **bit-for-bit** against the cold search; any
+//!    divergence aborts with a nonzero exit.
 //! 2. **Backends** — the greedy and beam search backends run on the same
 //!    environments. For `M <= 6` the exhaustive search provides ground
 //!    truth and the per-backend relative utility gap is gated by
@@ -82,7 +80,7 @@ fn phase_envs(m: usize, seed: u64) -> Vec<EnvQos> {
 
 /// Runs `generator.exhaustive` once per slot over the cycling environments
 /// and records each slot's wall time. The generator is reused across
-/// slots, which is exactly what lets warm-start and the cache help.
+/// slots, which is exactly what lets the cache help.
 fn drive(generator: &Generator, envs: &[EnvQos], slots: usize, req: &Requirements) -> Timed {
     let mut results = Vec::with_capacity(slots);
     let mut per_slot = Vec::with_capacity(slots);
@@ -115,23 +113,19 @@ fn median(samples: &[Duration]) -> Duration {
     }
 }
 
-/// Verifies that a warm configuration reproduced the cold search exactly
-/// on every slot: same strategy, same utility bits, same candidate count.
-fn check_equivalent(
-    m: usize,
-    config: &str,
-    cold: &[Generated],
-    warm: &[Generated],
-) -> io::Result<()> {
-    for (slot, (c, w)) in cold.iter().zip(warm).enumerate() {
+/// Verifies that the cached configuration reproduced the cold search
+/// exactly on every slot: same strategy, same utility bits, same candidate
+/// count.
+fn check_equivalent(m: usize, cold: &[Generated], cached: &[Generated]) -> io::Result<()> {
+    for (slot, (c, w)) in cold.iter().zip(cached).enumerate() {
         if c.strategy != w.strategy
             || c.utility.to_bits() != w.utility.to_bits()
             || c.evaluated != w.evaluated
         {
             return Err(io::Error::other(format!(
-                "EQUIVALENCE DIVERGENCE at M={m}, slot #{slot}, config {config}: \
-                 cold search chose {} (utility {}, {} candidates) but {config} \
-                 chose {} (utility {}, {} candidates)",
+                "EQUIVALENCE DIVERGENCE at M={m}, slot #{slot}: \
+                 cold search chose {} (utility {}, {} candidates) but the plan cache \
+                 served {} (utility {}, {} candidates)",
                 c.strategy, c.utility, c.evaluated, w.strategy, w.utility, w.evaluated
             )));
         }
@@ -434,8 +428,8 @@ fn check_drift(outcome: &DriftOutcome) -> io::Result<()> {
 /// # Errors
 ///
 /// Returns an error if a report cannot be written — or, deliberately,
-/// if a warm-start or cached slot diverges bit-for-bit from the cold
-/// search, if an approximate backend's utility gap exceeds
+/// if a cached slot diverges bit-for-bit from the cold search, if an
+/// approximate backend's utility gap exceeds
 /// `QCE_REPLAN_MAX_UTILITY_GAP` where ground truth exists, or if the
 /// drift trigger fails to cut re-plans at equal satisfaction (the CI
 /// smoke job relies on these exit codes). The gap and drift gates fire
@@ -454,7 +448,7 @@ pub fn run(
 
     let mut report = Report::new(
         format!(
-            "bench-replan: slot re-planning, cold vs warm-start vs plan-cache \
+            "bench-replan: slot re-planning, cold vs plan-cache \
              ({slots} slots over {PHASES} recurring environments)"
         ),
         &[
@@ -477,20 +471,16 @@ pub fn run(
         // purely algorithmic (tighter bound, memoized winners), not thread
         // scaling, and the medians are stable enough for a smoke gate.
         let cold_generator = Generator::builder().parallelism(1).build();
-        let warm_generator = Generator::builder().parallelism(1).warm_start(true).build();
         let cache = Arc::new(PlanCache::new(PlanCacheConfig::default()));
         let cached_generator = Generator::builder()
             .parallelism(1)
-            .warm_start(true)
             .plan_cache(Arc::clone(&cache))
             .build();
 
         let cold = drive(&cold_generator, &envs, slots, &requirements);
-        let warm = drive(&warm_generator, &envs, slots, &requirements);
         let cached = drive(&cached_generator, &envs, slots, &requirements);
 
-        check_equivalent(m, "warm-start", &cold.results, &warm.results)?;
-        check_equivalent(m, "cached", &cold.results, &cached.results)?;
+        check_equivalent(m, &cold.results, &cached.results)?;
 
         let stats = cache.stats();
         let lookups = stats.hits + stats.misses;
@@ -501,13 +491,11 @@ pub fn run(
         };
 
         let cold_median = median(&cold.per_slot);
-        let warm_median = median(&warm.per_slot);
         let cached_median = median(&cached.per_slot);
         let speedup = |t: Duration| millis(cold_median) / millis(t).max(1e-9);
 
         let rows = [
             ("cold", cold_median, 0, 0, None),
-            ("warm-start", warm_median, 0, 0, None),
             (
                 "cached",
                 cached_median,
@@ -544,7 +532,7 @@ pub fn run(
              {speedup:.1}x (target: >=2x median)"
         ));
     }
-    report.note("every warm-start and cached slot verified bit-identical to the cold search");
+    report.note("every cached slot verified bit-identical to the cold search");
     report.note("wall-clock medians live in this TSV only; BENCH_replan.json is byte-reproducible");
     report.emit(reports, "bench_replan")?;
 
@@ -760,7 +748,6 @@ mod tests {
         let cache = Arc::new(PlanCache::new(PlanCacheConfig::default()));
         let generator = Generator::builder()
             .parallelism(1)
-            .warm_start(true)
             .plan_cache(Arc::clone(&cache))
             .build();
         let slots = 3 * PHASES;

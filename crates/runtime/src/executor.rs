@@ -33,7 +33,6 @@ use crate::collector::Collector;
 use crate::device::Provider;
 use crate::engine::{self, Budget, Completion};
 use crate::message::{Invocation, InvocationOutcome, RuntimeError};
-use crate::telemetry::Telemetry;
 
 /// The observable result of executing a strategy for one service request.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,33 +132,13 @@ pub fn execute_strategy_with_clock(
     collector: Option<&Collector>,
     clock: &dyn Clock,
 ) -> Result<ServiceOutcome, RuntimeError> {
-    execute_strategy_instrumented(strategy, providers, request, collector, clock, None)
-}
-
-/// [`execute_strategy_with_clock`] that additionally records every
-/// completed invocation (per-provider counters and latency/cost
-/// histograms) into `telemetry` when provided. Recording is a handful of
-/// relaxed atomic increments on the invocation's own thread — no lock is
-/// held across provider calls.
-///
-/// # Errors
-///
-/// As [`execute_strategy`].
-pub fn execute_strategy_instrumented(
-    strategy: &Strategy,
-    providers: &[Arc<dyn Provider>],
-    request: &Invocation,
-    collector: Option<&Collector>,
-    clock: &dyn Clock,
-    telemetry: Option<&Telemetry>,
-) -> Result<ServiceOutcome, RuntimeError> {
     engine::execute_scoped(
         strategy,
         providers,
         request,
         collector,
         clock,
-        telemetry,
+        None,
         &Budget::unlimited(),
         CompletionPolicy::FirstSuccess,
     )

@@ -67,8 +67,8 @@ pub struct FleetConfig {
     /// [`GatewayConfig::plan_cache`]; `false` keeps per-shard caches).
     pub share_plans: bool,
     /// Capacity of the shared plan store — global across every shard and
-    /// service, so it should be sized well above one gateway's
-    /// [`GatewayConfig::plan_cache_capacity`].
+    /// service, so it should be sized well above the 64 plans of one
+    /// service's private cache ([`PlanCacheConfig::default`]).
     pub plan_capacity: usize,
     /// Configuration applied to every shard's gateway.
     pub gateway: GatewayConfig,

@@ -59,8 +59,8 @@ impl GatewayControl<'_> {
     /// Overrides the traffic class of `service_id` for every subsequent
     /// request that does not set one explicitly. The class default
     /// requirement changes what planning must satisfy, so the service's
-    /// cached/warm-started plans are invalidated: the next slot boundary
-    /// re-plans cold for the new class.
+    /// cached plans are invalidated: the next slot boundary re-plans cold
+    /// for the new class.
     pub fn set_class(&self, service_id: &str, class: QosClass) {
         let entry = self.gateway.service_entry(service_id);
         entry.overrides.lock().class = Some(class);
@@ -85,9 +85,9 @@ impl GatewayControl<'_> {
     /// Overrides the QoS requirement requests of `service_id` are judged
     /// against (the response advisory reports violations of this
     /// requirement instead of the script's) — and that slot planning must
-    /// satisfy from the next boundary on. Plans cached or warm-started
-    /// under the old requirement are invalidated so the next re-plan runs
-    /// cold against the new one.
+    /// satisfy from the next boundary on. Plans cached under the old
+    /// requirement are invalidated so the next re-plan runs cold against
+    /// the new one.
     pub fn set_requirement(&self, service_id: &str, requirement: Requirements) {
         let entry = self.gateway.service_entry(service_id);
         entry.overrides.lock().requirement = Some(requirement);

@@ -57,25 +57,14 @@ use planning::ServiceState;
 #[non_exhaustive]
 pub struct GatewayConfig {
     /// Sliding-window size of the QoS collector (observations per
-    /// provider).
+    /// provider). `0` is treated as `1`.
     pub collector_window: usize,
-    /// Exhaustive/approximation threshold `θ` for the generator.
-    pub generator_threshold: usize,
     /// Worker threads for the per-slot exhaustive search (`0` = one per
     /// available core).
     pub generator_parallelism: usize,
-    /// Branch-and-bound pruning for the per-slot exhaustive search.
-    /// Never changes the chosen strategy, only how fast it is found.
-    pub generator_pruning: bool,
-    /// Warm-start each slot's search with the previous slot's winner as
-    /// the initial pruning bar. Never changes the chosen strategy, only
-    /// how fast it is found.
-    pub generator_warm_start: bool,
     /// Cache winning plans per service, keyed by the search inputs, so a
     /// slot whose environment is unchanged skips the search entirely.
     pub plan_cache: bool,
-    /// Plan-cache capacity (entries per service) when `plan_cache` is on.
-    pub plan_cache_capacity: usize,
     /// Plan-cache key quantization step. `0.0` (the default) keys on exact
     /// bit patterns, making cache hits provably bit-identical to a fresh
     /// search; positive steps trade that exactness for more hits under
@@ -122,12 +111,8 @@ impl Default for GatewayConfig {
     fn default() -> Self {
         GatewayConfig {
             collector_window: 100,
-            generator_threshold: qce_strategy::generate::DEFAULT_THRESHOLD,
             generator_parallelism: 0,
-            generator_pruning: true,
-            generator_warm_start: false,
             plan_cache: false,
-            plan_cache_capacity: 64,
             plan_quantize: 0.0,
             planner: qce_strategy::BackendChoice::Threshold,
             replan_on_drift: false,
@@ -153,12 +138,8 @@ impl GatewayConfig {
     #[must_use]
     pub fn synthesis_settings(&self) -> SynthesisSettings {
         SynthesisSettings {
-            threshold: self.generator_threshold,
             parallelism: self.generator_parallelism,
-            pruning: self.generator_pruning,
-            warm_start: self.generator_warm_start,
             plan_cache: self.plan_cache,
-            plan_cache_capacity: self.plan_cache_capacity,
             plan_quantize: self.plan_quantize,
             planner: self.planner,
             replan_on_drift: self.replan_on_drift,
@@ -211,18 +192,10 @@ impl GatewayConfigBuilder {
     config_setters! {
         /// See [`GatewayConfig::collector_window`].
         collector_window: usize,
-        /// See [`GatewayConfig::generator_threshold`].
-        generator_threshold: usize,
         /// See [`GatewayConfig::generator_parallelism`].
         generator_parallelism: usize,
-        /// See [`GatewayConfig::generator_pruning`].
-        generator_pruning: bool,
-        /// See [`GatewayConfig::generator_warm_start`].
-        generator_warm_start: bool,
         /// See [`GatewayConfig::plan_cache`].
         plan_cache: bool,
-        /// See [`GatewayConfig::plan_cache_capacity`].
-        plan_cache_capacity: usize,
         /// See [`GatewayConfig::plan_quantize`].
         plan_quantize: f64,
         /// See [`GatewayConfig::planner`].
@@ -518,7 +491,7 @@ impl Gateway {
         Gateway {
             market,
             registry: Arc::new(Registry::new()),
-            collector: Arc::new(Collector::new(config.collector_window)),
+            collector: Arc::new(Collector::new(config.collector_window.max(1))),
             clock,
             engine,
             config,

@@ -29,8 +29,7 @@ struct ActivePlan {
 
 pub(super) struct ServiceState {
     script: ServiceScript,
-    /// Persistent per-service planner: keeps the warm-start incumbent and
-    /// the plan cache alive across slot boundaries.
+    /// Persistent per-service planner: its plan cache outlives the slot.
     planner: Planner,
     slot: u64,
     invocations_in_slot: u32,
@@ -390,28 +389,29 @@ impl Gateway {
             entry.evicted.store(true, Ordering::SeqCst);
             let state = entry.cell.lock().take();
             if let Some(state) = state {
-                state.planner.invalidate();
-                if let Some(stats) = state.planner.cache_stats() {
-                    self.telemetry.record_plan_cache(service_id, &stats);
-                }
+                self.drop_cached_plans(service_id, &state);
             }
         }
     }
 
-    /// Drops `service_id`'s cached and warm-started plans after a
-    /// requirement-affecting override. The memoized winners (and the
-    /// incumbent pruning bars) were synthesized for the *pre-override*
-    /// requirement; without this, the next slot boundary could serve one
-    /// of them and quietly plan against a requirement the operator just
-    /// replaced. The active slot keeps serving (overrides never re-plan
-    /// mid-slot); the next boundary runs a truly cold search.
+    /// Drops `service_id`'s cached plans after a requirement-affecting
+    /// override. The memoized winners were synthesized for the
+    /// *pre-override* requirement; without this, the next slot boundary
+    /// could serve one of them and quietly plan against a requirement the
+    /// operator just replaced. The active slot keeps serving (overrides
+    /// never re-plan mid-slot); the next boundary runs a cold search.
     pub(super) fn invalidate_override_plans(&self, service_id: &str, entry: &ServiceEntry) {
         let guard = entry.cell.lock();
         if let Some(state) = guard.as_ref() {
-            state.planner.invalidate_plans();
-            if let Some(stats) = state.planner.cache_stats() {
-                self.telemetry.record_plan_cache(service_id, &stats);
-            }
+            self.drop_cached_plans(service_id, state);
+        }
+    }
+
+    /// Invalidates the planner's cache; telemetry counts the drop as stale.
+    fn drop_cached_plans(&self, service_id: &str, state: &ServiceState) {
+        state.planner.invalidate();
+        if let Some(stats) = state.planner.cache_stats() {
+            self.telemetry.record_plan_cache(service_id, &stats);
         }
     }
 }

@@ -14,20 +14,11 @@ use qce_strategy::{
 /// per-slot [`Generator`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SynthesisSettings {
-    /// Exhaustive/approximation switch-over `θ` (Algorithm 2 line 1).
-    pub threshold: usize,
     /// Worker threads for the exhaustive search; `0` = one per core.
     pub parallelism: usize,
-    /// Branch-and-bound pruning (never changes the chosen strategy).
-    pub pruning: bool,
-    /// Warm-start each slot's search with the previous slot's winner as
-    /// the initial pruning bar (never changes the chosen strategy).
-    pub warm_start: bool,
     /// Memoize winning plans in a per-service [`PlanCache`] keyed by the
     /// search inputs, so an unchanged environment skips the search.
     pub plan_cache: bool,
-    /// Plan-cache capacity (entries) when `plan_cache` is on.
-    pub plan_cache_capacity: usize,
     /// Plan-cache key quantization step for environment QoS attributes;
     /// `0.0` keys on exact bit patterns (cache hits are then guaranteed
     /// bit-identical to a fresh search), positive values trade exactness
@@ -47,12 +38,8 @@ pub struct SynthesisSettings {
 impl Default for SynthesisSettings {
     fn default() -> Self {
         SynthesisSettings {
-            threshold: qce_strategy::generate::DEFAULT_THRESHOLD,
             parallelism: 0,
-            pruning: true,
-            warm_start: false,
             plan_cache: false,
-            plan_cache_capacity: 64,
             plan_quantize: 0.0,
             planner: BackendChoice::Threshold,
             replan_on_drift: false,
@@ -146,8 +133,8 @@ pub struct SlotPlan {
     /// The generator's search report (`None` for the default strategy of
     /// slot 0, which is not searched).
     pub report: Option<SynthesisReport>,
-    /// How the plan was obtained — cold search, warm-started search, or
-    /// plan-cache hit (`None` for the unsearched default strategy).
+    /// How the plan was obtained — a search or a plan-cache hit (`None`
+    /// for the unsearched default strategy).
     pub source: Option<PlanSource>,
 }
 
@@ -200,12 +187,12 @@ pub fn plan_slot(
 }
 
 /// A persistent per-service planner: one [`Generator`] (and, when enabled,
-/// one [`PlanCache`]) that lives across slot boundaries, so warm-start
-/// incumbents and cached plans survive from one re-plan to the next.
+/// one [`PlanCache`]) that lives across slot boundaries, so cached plans
+/// survive from one re-plan to the next.
 ///
 /// The free-standing [`plan_slot`] builds a throwaway `Planner` per call
-/// and therefore never benefits from either optimization; the gateway
-/// keeps one `Planner` per service instead.
+/// and therefore never hits the cache; the gateway keeps one `Planner` per
+/// service instead.
 #[derive(Debug)]
 pub struct Planner {
     generator: Generator,
@@ -223,8 +210,8 @@ impl Planner {
     pub fn new(script: &ServiceScript, settings: &SynthesisSettings) -> Result<Self, RuntimeError> {
         let cache = settings.plan_cache.then(|| {
             Arc::new(PlanCache::new(PlanCacheConfig {
-                capacity: settings.plan_cache_capacity,
                 quantum: settings.plan_quantize,
+                ..PlanCacheConfig::default()
             }))
         });
         Planner::build(script, settings, cache)
@@ -234,9 +221,9 @@ impl Planner {
     /// the provided (possibly [shared](PlanCache::share)) cache instead of
     /// a private one. This is how a gateway fleet lets a plan synthesized
     /// on one shard be served warm on another: every shard's planner holds
-    /// a view of the same store, and `settings.plan_cache`,
-    /// `plan_cache_capacity`, and `plan_quantize` are ignored in favor of
-    /// the cache's own configuration.
+    /// a view of the same store, and `settings.plan_cache` and
+    /// `plan_quantize` are ignored in favor of the cache's own
+    /// configuration.
     ///
     /// # Errors
     ///
@@ -260,10 +247,7 @@ impl Planner {
             })?;
         let mut builder = Generator::builder()
             .utility(utility)
-            .threshold(settings.threshold)
-            .parallelism(settings.parallelism)
-            .pruning(settings.pruning)
-            .warm_start(settings.warm_start);
+            .parallelism(settings.parallelism);
         if let Some(cache) = &cache {
             builder = builder.plan_cache(Arc::clone(cache));
         }
@@ -283,25 +267,8 @@ impl Planner {
     /// Drops every cached plan (call when the service script is evicted or
     /// replaced — the cached winners were computed for the old script).
     /// Returns how many entries were dropped; `0` with no cache.
-    ///
-    /// Warm-start incumbents survive: the next search still prunes from
-    /// the remembered winner's bar. Use [`Planner::invalidate_plans`] when
-    /// even that seed must go.
     pub fn invalidate(&self) -> usize {
         self.cache.as_ref().map_or(0, |cache| cache.invalidate())
-    }
-
-    /// Drops every cached plan **and** every warm-start incumbent, so the
-    /// next re-plan runs truly cold ([`PlanSource::Cold`]). The runtime
-    /// calls this when a live override changes the effective planning
-    /// requirement mid-slot: both the cached winners and the incumbent
-    /// pruning bars were won under the old requirement, and neither may
-    /// shape the first plan for the new one. Returns how many cache
-    /// entries were dropped; `0` with no cache.
-    pub fn invalidate_plans(&self) -> usize {
-        let dropped = self.invalidate();
-        self.generator.clear_incumbents();
-        dropped
     }
 
     /// Plans the strategy for a time slot (see [`plan_slot`]).
@@ -563,20 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn threshold_switches_to_approximation() {
-        let collector = Collector::new(10);
-        let settings = SynthesisSettings {
-            threshold: 2,
-            ..SynthesisSettings::default()
-        };
-        let plan = plan_slot(&script(), &providers(), &collector, 1, &settings, None).unwrap();
-        assert_eq!(
-            plan.origin,
-            StrategyOrigin::Generated(qce_strategy::Method::Approximation)
-        );
-    }
-
-    #[test]
     fn origin_display() {
         assert_eq!(StrategyOrigin::Default.to_string(), "default");
         assert_eq!(
@@ -652,18 +605,12 @@ mod tests {
         )
         .unwrap();
         assert!(pruned.estimated.is_some());
-        let unpruned = plan_slot(
-            &script(),
-            &providers(),
-            &collector,
-            1,
-            &SynthesisSettings {
-                pruning: false,
-                ..SynthesisSettings::default()
-            },
-            None,
-        )
-        .unwrap();
+        let env = assumed_env(&script(), &providers(), &collector);
+        let unpruned = Generator::builder()
+            .pruning(false)
+            .build()
+            .generate(&env, &env.ids(), &script().requirements)
+            .unwrap();
         assert_eq!(
             pruned.strategy, unpruned.strategy,
             "pruning never changes the winner"
@@ -723,12 +670,11 @@ mod tests {
     }
 
     #[test]
-    fn persistent_planner_caches_and_warm_starts() {
+    fn persistent_planner_caches() {
         use qce_strategy::PlanSource;
         let collector = Collector::new(10);
         let settings = SynthesisSettings {
             plan_cache: true,
-            warm_start: true,
             ..SynthesisSettings::default()
         };
         let planner = Planner::new(&script(), &settings).unwrap();
@@ -747,37 +693,35 @@ mod tests {
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
         // Invalidation (script eviction) drops the entries; the next plan
-        // re-searches, warm-started by the remembered incumbent.
+        // re-searches from scratch.
         assert_eq!(planner.invalidate(), stats.entries);
         let third = planner
             .plan_slot(&script(), &providers(), &collector, 3, None)
             .unwrap();
-        assert_eq!(third.source, Some(PlanSource::WarmStart));
+        assert_eq!(third.source, Some(PlanSource::Cold));
         assert_eq!(third.strategy, first.strategy);
     }
 
+    /// What used to be gateway knobs nothing set are constants: every
+    /// planner searches with the default `θ`, prunes, and caches 64 plans.
     #[test]
-    fn invalidate_plans_forces_a_truly_cold_replan() {
-        use qce_strategy::PlanSource;
-        let collector = Collector::new(10);
-        let settings = SynthesisSettings {
-            plan_cache: true,
-            warm_start: true,
-            ..SynthesisSettings::default()
-        };
-        let planner = Planner::new(&script(), &settings).unwrap();
-        let first = planner
-            .plan_slot(&script(), &providers(), &collector, 1, None)
-            .unwrap();
-        assert_eq!(first.source, Some(PlanSource::Cold));
-        // Unlike plain `invalidate` (which leaves the warm-start incumbent
-        // seeded — see `persistent_planner_caches_and_warm_starts`),
-        // `invalidate_plans` drops the incumbents too.
-        assert_eq!(planner.invalidate_plans(), 1);
-        let second = planner
-            .plan_slot(&script(), &providers(), &collector, 2, None)
-            .unwrap();
-        assert_eq!(second.source, Some(PlanSource::Cold));
+    fn default_settings_pin_the_generator_constants() {
+        for settings in [
+            SynthesisSettings::default(),
+            crate::GatewayConfig::default().synthesis_settings(),
+        ] {
+            let settings = SynthesisSettings {
+                plan_cache: true,
+                ..settings
+            };
+            let planner = Planner::new(&script(), &settings).unwrap();
+            assert_eq!(
+                planner.generator.threshold(),
+                qce_strategy::generate::DEFAULT_THRESHOLD
+            );
+            assert!(planner.generator.pruning());
+            assert_eq!(planner.cache.as_ref().unwrap().capacity(), 64);
+        }
     }
 
     #[test]
@@ -813,7 +757,6 @@ mod tests {
         let collector = Collector::new(10);
         let settings = SynthesisSettings {
             plan_cache: true,
-            warm_start: true,
             ..SynthesisSettings::default()
         };
         for slot in [1, 2] {

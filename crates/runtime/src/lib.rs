@@ -108,9 +108,7 @@ pub use engine::{
     Budget, Completion, CompletionPolicy, EngineOutcome, EngineStats, ExecSpec, ExecutionEngine,
     PoolStats, PruneDetail, PruneReason,
 };
-pub use executor::{
-    execute_strategy, execute_strategy_instrumented, execute_strategy_with_clock, ServiceOutcome,
-};
+pub use executor::{execute_strategy, execute_strategy_with_clock, ServiceOutcome};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultProfile, FaultyProvider};
 pub use fleet::{FleetConfig, FleetStats, GatewayFleet, GatewayShard, ServiceRouter, ShardStats};
 pub use gateway::{
@@ -121,13 +119,11 @@ pub use generator::{
     assumed_env, env_drift, plan_slot, Planner, SlotPlan, StrategyOrigin, SynthesisSettings,
 };
 pub use harness::{Harness, HarnessBuilder};
-pub use market::{CachingMarket, FileMarket, InMemoryMarket, Market, MarketCacheStats, TtlMarket};
+pub use market::{FileMarket, InMemoryMarket, Market, MarketCacheStats, TtlMarket};
 pub use message::{Invocation, InvocationOutcome, InvokeError, RuntimeError};
 pub use pipeline::{invoke_pipeline, PipelineResponse};
 pub use qce_strategy::SynthesisReport;
-pub use quorum::{
-    execute_with_quorum, execute_with_quorum_clock, execute_with_quorum_instrumented, QuorumOutcome,
-};
+pub use quorum::{execute_with_quorum, execute_with_quorum_clock, QuorumOutcome};
 pub use registry::Registry;
 pub use request::{QosClass, Request, CLASS_COUNT};
 pub use script::{MsSpec, ServiceScript};

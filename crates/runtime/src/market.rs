@@ -239,70 +239,6 @@ impl Market for FileMarket {
     }
 }
 
-/// Wraps any market with a local script cache: the first fetch goes to the
-/// backing market, later fetches are served locally (the gateway behaviour
-/// described in Section IV.A).
-#[derive(Debug)]
-pub struct CachingMarket<M> {
-    inner: M,
-    cache: RwLock<HashMap<String, ServiceScript>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl<M: Market> CachingMarket<M> {
-    /// Wraps `inner` with an empty cache.
-    #[must_use]
-    pub fn new(inner: M) -> Self {
-        CachingMarket {
-            inner,
-            cache: RwLock::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// `(cache hits, cache misses)` so far.
-    #[must_use]
-    pub fn cache_stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Drops every cached script (e.g. to force re-download after a market
-    /// update).
-    pub fn invalidate(&self) {
-        self.cache.write().clear();
-    }
-
-    /// A reference to the backing market.
-    #[must_use]
-    pub fn inner(&self) -> &M {
-        &self.inner
-    }
-}
-
-impl<M: Market> Market for CachingMarket<M> {
-    fn fetch(&self, service_id: &str) -> Result<ServiceScript, RuntimeError> {
-        if let Some(script) = self.cache.read().get(service_id) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(script.clone());
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let script = self.inner.fetch(service_id)?;
-        self.cache
-            .write()
-            .insert(service_id.to_string(), script.clone());
-        Ok(script)
-    }
-
-    fn service_ids(&self) -> Vec<String> {
-        self.inner.service_ids()
-    }
-}
-
 /// Counter snapshot of a [`TtlMarket`]'s script cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MarketCacheStats {
@@ -319,13 +255,12 @@ pub struct MarketCacheStats {
 /// *shared* backing market — the per-shard market front of a gateway
 /// fleet.
 ///
-/// Unlike [`CachingMarket`], which caches forever and owns its backend,
 /// `TtlMarket` (a) holds the backend by `Arc`, so N shards can front the
 /// same cloud market with independent caches, and (b) stamps every cached
 /// script with the fetch instant on a [`Clock`]: a copy older than the TTL
 /// is re-fetched, so market-side script updates propagate to every shard
 /// within one TTL without any invalidation broadcast. A zero TTL never
-/// expires (equivalent to [`CachingMarket`] over a shared backend).
+/// expires.
 ///
 /// # Examples
 ///
@@ -536,26 +471,27 @@ mod tests {
     }
 
     #[test]
-    fn caching_market_hits_after_first_fetch() {
-        let inner = InMemoryMarket::new();
-        inner.publish(script("a")).unwrap();
-        let caching = CachingMarket::new(inner);
-        caching.fetch("a").unwrap();
-        caching.fetch("a").unwrap();
-        caching.fetch("a").unwrap();
-        assert_eq!(caching.cache_stats(), (2, 1));
-        assert_eq!(caching.inner().fetch_count(), 1, "cloud contacted once");
-        caching.invalidate();
-        caching.fetch("a").unwrap();
-        assert_eq!(caching.cache_stats(), (2, 2));
-    }
-
-    #[test]
     fn caching_market_propagates_errors_without_caching_them() {
-        let caching = CachingMarket::new(InMemoryMarket::new());
+        let clock = Arc::new(crate::clock::VirtualClock::new());
+        let inner = Arc::new(InMemoryMarket::new());
+        let caching = TtlMarket::new(
+            Arc::clone(&inner) as Arc<dyn Market>,
+            Duration::ZERO,
+            clock as Arc<dyn Clock>,
+        );
         assert!(caching.fetch("nope").is_err());
         assert!(caching.fetch("nope").is_err());
-        assert_eq!(caching.cache_stats(), (0, 2));
+        assert_eq!(
+            caching.cache_stats(),
+            MarketCacheStats {
+                hits: 0,
+                misses: 2,
+                expired: 0
+            }
+        );
+        // A failure left no entry: once published, the script is fetched.
+        inner.publish(script("nope")).unwrap();
+        assert_eq!(caching.fetch("nope").unwrap().service_id, "nope");
     }
 
     #[test]

@@ -31,7 +31,6 @@ use crate::collector::Collector;
 use crate::device::Provider;
 use crate::engine::{self, Budget, Completion};
 use crate::message::{Invocation, InvocationOutcome, RuntimeError};
-use crate::telemetry::Telemetry;
 
 /// Result of a quorum execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -156,29 +155,6 @@ pub fn execute_with_quorum_clock(
     quorum: usize,
     clock: &dyn Clock,
 ) -> Result<QuorumOutcome, RuntimeError> {
-    execute_with_quorum_instrumented(strategy, providers, request, collector, quorum, clock, None)
-}
-
-/// [`execute_with_quorum_clock`] that additionally records every completed
-/// invocation into `telemetry` when provided (see
-/// [`execute_strategy_instrumented`](crate::executor::execute_strategy_instrumented)).
-///
-/// # Errors
-///
-/// As [`execute_with_quorum`].
-///
-/// # Panics
-///
-/// Panics if `quorum` is zero.
-pub fn execute_with_quorum_instrumented(
-    strategy: &Strategy,
-    providers: &[Arc<dyn Provider>],
-    request: &Invocation,
-    collector: Option<&Collector>,
-    quorum: usize,
-    clock: &dyn Clock,
-    telemetry: Option<&Telemetry>,
-) -> Result<QuorumOutcome, RuntimeError> {
     assert!(quorum >= 1, "quorum must be at least 1");
     engine::execute_scoped(
         strategy,
@@ -186,7 +162,7 @@ pub fn execute_with_quorum_instrumented(
         request,
         collector,
         clock,
-        telemetry,
+        None,
         &Budget::unlimited(),
         CompletionPolicy::Quorum { quorum },
     )

@@ -391,6 +391,12 @@ impl Scenario {
         self.validate_storms(&known)?;
         self.validate_churn(&known)?;
         self.validate_background()?;
+        if self.gateway.collector_window == Some(0) {
+            return Err(ScenarioError::OutOfRange {
+                field: "gateway.collector_window".to_string(),
+                reason: "the collector window must hold at least one observation".to_string(),
+            });
+        }
         Ok(())
     }
 
@@ -781,6 +787,18 @@ mod tests {
             s.validate(),
             Err(ScenarioError::NondeterministicBurst { microservice }) if microservice == "svc/a"
         ));
+    }
+
+    #[test]
+    fn rejects_zero_collector_window() {
+        let mut s = small();
+        s.gateway.collector_window = Some(0);
+        assert!(matches!(
+            s.validate(),
+            Err(ScenarioError::OutOfRange { field, .. }) if field == "gateway.collector_window"
+        ));
+        s.gateway.collector_window = Some(1);
+        s.validate().unwrap();
     }
 
     #[test]

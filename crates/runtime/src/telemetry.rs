@@ -165,7 +165,6 @@ struct ServiceMetrics {
     quorum_votes_agreed: AtomicU64,
     replans: AtomicU64,
     plans_cold: AtomicU64,
-    plans_warm_start: AtomicU64,
     plans_cached: AtomicU64,
     /// Plan-cache gauges: absolute values of the service planner's
     /// [`PlanCacheStats`], stored (not accumulated) on every re-plan.
@@ -211,7 +210,6 @@ impl ServiceMetrics {
             quorum_votes_agreed: AtomicU64::new(0),
             replans: AtomicU64::new(0),
             plans_cold: AtomicU64::new(0),
-            plans_warm_start: AtomicU64::new(0),
             plans_cached: AtomicU64::new(0),
             plan_cache_hits: AtomicU64::new(0),
             plan_cache_remote_hits: AtomicU64::new(0),
@@ -300,8 +298,8 @@ pub enum EventKind {
         candidates_pruned: u64,
         /// Time the generation call took.
         elapsed: Duration,
-        /// How the plan was obtained (cold search, warm-started search, or
-        /// plan-cache hit); `None` for the unsearched default strategy.
+        /// How the plan was obtained (a search or a plan-cache hit);
+        /// `None` for the unsearched default strategy.
         #[serde(default)]
         source: Option<PlanSource>,
     },
@@ -515,9 +513,6 @@ pub struct ServiceSnapshot {
     /// Re-plans served by a full cold synthesis run.
     #[serde(default)]
     pub plans_cold: u64,
-    /// Re-plans served by a warm-started (incumbent-seeded) search.
-    #[serde(default)]
-    pub plans_warm_start: u64,
     /// Re-plans served straight from the plan cache.
     #[serde(default)]
     pub plans_cached: u64,
@@ -914,7 +909,6 @@ impl Telemetry {
         metrics.replans.fetch_add(1, Ordering::Relaxed);
         match source {
             Some(PlanSource::Cold) => metrics.plans_cold.fetch_add(1, Ordering::Relaxed),
-            Some(PlanSource::WarmStart) => metrics.plans_warm_start.fetch_add(1, Ordering::Relaxed),
             Some(PlanSource::Cached) => metrics.plans_cached.fetch_add(1, Ordering::Relaxed),
             None => 0,
         };
@@ -1173,7 +1167,6 @@ impl Telemetry {
                 quorum_votes_agreed: m.quorum_votes_agreed.load(Ordering::Relaxed),
                 replans: m.replans.load(Ordering::Relaxed),
                 plans_cold: m.plans_cold.load(Ordering::Relaxed),
-                plans_warm_start: m.plans_warm_start.load(Ordering::Relaxed),
                 plans_cached: m.plans_cached.load(Ordering::Relaxed),
                 plan_cache_hits: m.plan_cache_hits.load(Ordering::Relaxed),
                 plan_cache_remote_hits: m.plan_cache_remote_hits.load(Ordering::Relaxed),
@@ -1433,14 +1426,7 @@ mod tests {
         let (_, t) = telemetry(8);
         t.record_replan("svc", 0, "default", "a*b", None, None);
         t.record_replan("svc", 1, "generated", "a-b", None, Some(PlanSource::Cold));
-        t.record_replan(
-            "svc",
-            2,
-            "generated",
-            "a-b",
-            None,
-            Some(PlanSource::WarmStart),
-        );
+        t.record_replan("svc", 2, "generated", "a-b", None, Some(PlanSource::Cached));
         t.record_replan("svc", 3, "generated", "a-b", None, Some(PlanSource::Cached));
         t.record_replan("svc", 4, "generated", "a-b", None, Some(PlanSource::Cached));
         let stats = PlanCacheStats {
@@ -1456,8 +1442,7 @@ mod tests {
         let svc = snap.service("svc").unwrap();
         assert_eq!(svc.replans, 5);
         assert_eq!(svc.plans_cold, 1);
-        assert_eq!(svc.plans_warm_start, 1);
-        assert_eq!(svc.plans_cached, 2);
+        assert_eq!(svc.plans_cached, 3);
         assert_eq!(svc.plan_cache_hits, 2);
         assert_eq!(svc.plan_cache_remote_hits, 1);
         assert_eq!(svc.plan_cache_misses, 3);
@@ -1476,7 +1461,7 @@ mod tests {
             vec![
                 None,
                 Some(PlanSource::Cold),
-                Some(PlanSource::WarmStart),
+                Some(PlanSource::Cached),
                 Some(PlanSource::Cached),
                 Some(PlanSource::Cached),
             ]
@@ -1506,7 +1491,7 @@ mod tests {
             "generated(exhaustive)",
             "a-b",
             Some(&report),
-            Some(PlanSource::WarmStart),
+            Some(PlanSource::Cached),
         );
         let snap = t.snapshot();
         let svc = snap.service("svc").unwrap();

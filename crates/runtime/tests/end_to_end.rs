@@ -5,8 +5,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use qce_runtime::{
-    CachingMarket, Client, Collector, Gateway, GatewayConfig, InMemoryMarket, Market, MsSpec,
-    Registry, Request, ServiceScript, SimulatedProvider, StrategyOrigin,
+    Client, Collector, Gateway, GatewayConfig, InMemoryMarket, Market, MsSpec, Registry, Request,
+    ServiceScript, SimulatedProvider, StrategyOrigin, TtlMarket, WallClock,
 };
 use qce_strategy::{Qos, Requirements};
 
@@ -234,17 +234,21 @@ fn concurrent_clients_share_one_gateway() {
 
 #[test]
 fn caching_market_fetches_cloud_once() {
-    let inner = InMemoryMarket::with_latency(Duration::from_millis(10));
+    let inner = Arc::new(InMemoryMarket::with_latency(Duration::from_millis(10)));
     inner.publish(temperature_script(10)).unwrap();
-    let caching = CachingMarket::new(inner);
+    let caching = TtlMarket::new(
+        Arc::clone(&inner) as Arc<dyn Market>,
+        Duration::ZERO,
+        Arc::new(WallClock::new()),
+    );
     // Exercise Market-level caching directly (the gateway additionally
     // caches the parsed script in its service state).
     caching.fetch("detect-temperature").unwrap();
     caching.fetch("detect-temperature").unwrap();
     caching.fetch("detect-temperature").unwrap();
-    let (hits, misses) = caching.cache_stats();
-    assert_eq!((hits, misses), (2, 1));
-    assert_eq!(caching.inner().fetch_count(), 1);
+    let stats = caching.cache_stats();
+    assert_eq!((stats.hits, stats.misses), (2, 1));
+    assert_eq!(inner.fetch_count(), 1);
 }
 
 #[test]

@@ -323,6 +323,19 @@ fn history_is_bounded_and_evictions_are_counted() {
     assert_eq!(snapshot.service("temp").unwrap().history_evicted, 7);
 }
 
+/// Regression: a zero window reached `Collector::new`'s assertion and
+/// panicked; it is served as a window of one.
+#[test]
+fn zero_collector_window_serves_as_a_window_of_one() {
+    let config = GatewayConfig::builder().collector_window(0).build();
+    let gateway = Gateway::new(market_with(script(1)), config);
+    register_devices(&gateway, 1.0);
+    for _ in 0..3 {
+        assert!(gateway.submit(Request::new("temp")).unwrap().success);
+    }
+    assert_eq!(gateway.collector().observation_count("dev0/read-temp"), 1);
+}
+
 /// Builds a virtual-clock gateway with three perfectly reliable
 /// providers (bit-reproducible latencies), for the drift-trigger
 /// tests.
@@ -477,7 +490,7 @@ fn drift_replay_byte_identical_telemetry() {
 }
 
 #[test]
-fn plan_cache_and_warm_start_surface_in_telemetry() {
+fn plan_cache_surfaces_in_telemetry() {
     use qce_runtime::clock::VirtualClock;
     use qce_runtime::telemetry::EventKind;
     use qce_strategy::PlanSource;
@@ -486,10 +499,7 @@ fn plan_cache_and_warm_start_surface_in_telemetry() {
     // the collector means — and with them the assumed environment —
     // are bit-identical from slot to slot: the plan cache must hit.
     let clock = Arc::new(VirtualClock::new());
-    let config = GatewayConfig::builder()
-        .generator_warm_start(true)
-        .plan_cache(true)
-        .build();
+    let config = GatewayConfig::builder().plan_cache(true).build();
     let gateway = Gateway::with_clock(
         market_with(script(1)),
         config,
@@ -1081,8 +1091,8 @@ fn requirement_override_retunes_the_advisory_without_replanning() {
 }
 
 /// Headline regression test (stale plan on live override): a
-/// requirement override mid-slot must invalidate the plans cached or
-/// warm-started under the old requirement — the next slot boundary
+/// requirement override mid-slot must invalidate the plans cached under
+/// the old requirement — the next slot boundary
 /// must re-plan **cold** against the new requirement, not serve the
 /// pre-override winner. Pre-fix, the boundary re-planned with the
 /// script requirement (same cache key, nothing invalidated) and served
@@ -1114,10 +1124,7 @@ fn requirement_override_invalidates_plans_and_replans_cold() {
     script.slot_size = 1000; // boundaries driven by end_slot() only
 
     let clock = Arc::new(VirtualClock::new());
-    let config = GatewayConfig::builder()
-        .generator_warm_start(true)
-        .plan_cache(true)
-        .build();
+    let config = GatewayConfig::builder().plan_cache(true).build();
     let gateway = Gateway::with_clock(
         market_with(script),
         config,
@@ -1168,8 +1175,8 @@ fn requirement_override_invalidates_plans_and_replans_cold() {
         "the re-plan must switch to the fast leg"
     );
 
-    // And the re-plan must be truly cold: the cached winner and the
-    // warm-start incumbent were both won under the old requirement.
+    // And the re-plan must be cold: the cached winner was won under
+    // the old requirement.
     let snapshot = gateway.telemetry().snapshot();
     let slot2_source = snapshot
         .recent_events

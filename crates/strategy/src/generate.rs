@@ -129,8 +129,7 @@ pub struct Generated {
     /// Counts and timing of the synthesis run.
     #[serde(default)]
     pub report: SynthesisReport,
-    /// Whether this result came from a cold search, a warm-started search,
-    /// or the plan cache.
+    /// Whether this result came from a search or from the plan cache.
     #[serde(default)]
     pub source: PlanSource,
 }
@@ -198,7 +197,6 @@ pub struct Generator {
     threshold: usize,
     parallelism: usize,
     pruning: bool,
-    warm_start: bool,
     estimator: Arc<dyn Estimator>,
     /// Environment-independent candidate-tree caches for the synthesis
     /// engine, keyed by the searched id list and shared across searches
@@ -206,19 +204,7 @@ pub struct Generator {
     caches: Arc<Mutex<HashMap<Vec<MsId>, Arc<synth::NodeCache>>>>,
     /// Cross-slot plan memo, consulted before searching and filled after.
     plan_cache: Option<Arc<PlanCache>>,
-    /// Last winner per `(ids, subsets)` searched — the warm-start
-    /// incumbents, shared across clones like [`Generator::caches`].
-    incumbents: Arc<Mutex<IncumbentMap>>,
 }
-
-/// Warm-start incumbent memo: the last winner per searched `(ids,
-/// subsets)` pair.
-type IncumbentMap = HashMap<(Vec<MsId>, bool), Strategy>;
-
-/// How many `(ids, subsets)` keys the warm-start incumbent memo retains.
-/// Like [`NODE_CACHE_LISTS`], runtimes re-search the same few equivalent
-/// sets; past the cap an arbitrary entry is replaced.
-const INCUMBENT_LISTS: usize = 16;
 
 /// How many distinct id lists [`Generator`] keeps candidate-tree caches
 /// for. Runtimes search the same equivalent set over and over, so a small
@@ -260,7 +246,6 @@ pub struct GeneratorBuilder {
     threshold: usize,
     parallelism: usize,
     pruning: bool,
-    warm_start: bool,
     estimator: Option<Arc<dyn Estimator>>,
     plan_cache: Option<Arc<PlanCache>>,
 }
@@ -272,7 +257,6 @@ impl Default for GeneratorBuilder {
             threshold: DEFAULT_THRESHOLD,
             parallelism: 0,
             pruning: true,
-            warm_start: false,
             estimator: None,
             plan_cache: None,
         }
@@ -312,21 +296,6 @@ impl GeneratorBuilder {
         self
     }
 
-    /// Enables incumbent warm-starting (off by default): each exhaustive
-    /// search re-estimates the *previous* winner over the same `(ids,
-    /// subsets)` under the current environment and seeds the
-    /// branch-and-bound bar with its utility, so pruning bites from the
-    /// first candidate. The winner stays bit-identical to a cold search —
-    /// the bound is the exact utility of a member of the search space (see
-    /// `DESIGN.md` §11) — only [`SynthesisReport::candidates_seen`]
-    /// shrinks. No effect when pruning is disabled or the estimator routes
-    /// through the generic scan.
-    #[must_use]
-    pub fn warm_start(mut self, enabled: bool) -> Self {
-        self.warm_start = enabled;
-        self
-    }
-
     /// Installs a shared [`PlanCache`] (none by default): exhaustive
     /// searches first look up the winner memoized for these exact (or,
     /// with a positive quantum, near-identical quantized) inputs, and
@@ -356,13 +325,11 @@ impl GeneratorBuilder {
             threshold: self.threshold,
             parallelism: self.parallelism,
             pruning: self.pruning,
-            warm_start: self.warm_start,
             estimator: self
                 .estimator
                 .unwrap_or_else(|| Arc::new(Algorithm1::new())),
             caches: Arc::new(Mutex::new(HashMap::new())),
             plan_cache: self.plan_cache,
-            incumbents: Arc::new(Mutex::new(HashMap::new())),
         }
     }
 }
@@ -413,12 +380,6 @@ impl Generator {
         self.pruning
     }
 
-    /// Whether incumbent warm-starting is enabled.
-    #[must_use]
-    pub fn warm_start(&self) -> bool {
-        self.warm_start
-    }
-
     /// The installed plan cache, if any.
     #[must_use]
     pub fn plan_cache(&self) -> Option<&Arc<PlanCache>> {
@@ -429,21 +390,6 @@ impl Generator {
     #[must_use]
     pub fn estimator(&self) -> &Arc<dyn Estimator> {
         &self.estimator
-    }
-
-    /// Forgets every warm-start incumbent. Callers use this when the
-    /// inputs the incumbents were won under stop being representative —
-    /// e.g. a live requirement override — so the next search runs truly
-    /// cold instead of warm-started from a winner for the old inputs.
-    /// Returns how many incumbents were dropped.
-    pub fn clear_incumbents(&self) -> usize {
-        let mut incumbents = self
-            .incumbents
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let dropped = incumbents.len();
-        incumbents.clear();
-        dropped
     }
 
     /// Estimates through the configured estimator; ids are pre-validated
@@ -595,9 +541,8 @@ impl Generator {
             };
             return Ok(hit);
         }
-        let mut source = PlanSource::Cold;
         let (strategy, qos, utility, seen, pruned) = match search {
-            Search::Exhaustive { subsets } => self.scan(env, ids, req, subsets, &mut source)?,
+            Search::Exhaustive { subsets } => self.scan(env, ids, req, subsets)?,
             Search::Greedy { early_stop } => self.greedy(env, ids, req, early_stop)?,
             Search::Beam(width) => self.beam_search(env, ids, req, width)?,
             Search::Failover { ranked: true } => {
@@ -617,7 +562,7 @@ impl Generator {
                 candidates_pruned: pruned,
                 elapsed: start.elapsed(),
             },
-            source,
+            source: PlanSource::Cold,
         };
         if let Some((cache, key)) = memo {
             cache.store(key, &generated);
@@ -627,26 +572,18 @@ impl Generator {
 
     /// The exhaustive search over `F(M)` (`F'(M)` with `subsets`): the
     /// branch-and-bound engine for Algorithm 1, the generic scan for any
-    /// other estimator. Sets `source` to [`PlanSource::WarmStart`] when a
-    /// remembered incumbent seeded the pruning bar, and remembers the
-    /// winner as the next incumbent for `(ids, subsets)`.
+    /// other estimator.
     fn scan(
         &self,
         env: &EnvQos,
         ids: &[MsId],
         req: &Requirements,
         subsets: bool,
-        source: &mut PlanSource,
     ) -> Result<Found, GenerateError> {
         let workers = self.resolved_parallelism();
-        let found = if self.estimator.is_algorithm1() && ids.len() <= MAX_COUNT_M {
+        if self.estimator.is_algorithm1() && ids.len() <= MAX_COUNT_M {
             let initial_bound = if self.pruning {
-                let mut bound = self.seed_bound(env, ids, req)?;
-                if let Some(incumbent) = self.incumbent_utility(env, ids, req, subsets) {
-                    bound = synth::fold_incumbent(bound, incumbent);
-                    *source = PlanSource::WarmStart;
-                }
-                bound
+                self.seed_bound(env, ids, req)?
             } else {
                 f64::NEG_INFINITY
             };
@@ -662,66 +599,16 @@ impl Generator {
                 initial_bound,
                 cache: &cache,
             });
-            (
+            Ok((
                 outcome.strategy,
                 outcome.qos,
                 outcome.utility,
                 outcome.seen,
                 outcome.pruned,
-            )
+            ))
         } else {
-            self.generic_scan(env, ids, req, subsets, workers)?
-        };
-        if self.warm_start {
-            self.remember_incumbent(ids, subsets, &found.0);
+            self.generic_scan(env, ids, req, subsets, workers)
         }
-        Ok(found)
-    }
-
-    /// The warm-start incumbent bound: the previous winner over the same
-    /// `(ids, subsets)`, re-estimated under the *current* environment and
-    /// requirements. The previous winner is by construction a member of
-    /// the current search space, so its exact utility is an admissible
-    /// initial bar (see [`synth::fold_incumbent`]).
-    fn incumbent_utility(
-        &self,
-        env: &EnvQos,
-        ids: &[MsId],
-        req: &Requirements,
-        subsets: bool,
-    ) -> Option<f64> {
-        if !self.warm_start {
-            return None;
-        }
-        let previous = {
-            let incumbents = self
-                .incumbents
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            incumbents.get(&(ids.to_vec(), subsets)).cloned()?
-        };
-        // The incumbent's leaves are a subset of `ids`, all validated
-        // against `env` by the caller, so estimation cannot fail — but a
-        // custom estimator may still object; a bound is optional, so any
-        // failure just degrades to a cold search.
-        let qos = self.est(&previous, env).ok()?;
-        Some(self.utility.utility(&qos, req))
-    }
-
-    /// Records `winner` as the warm-start incumbent for `(ids, subsets)`.
-    fn remember_incumbent(&self, ids: &[MsId], subsets: bool, winner: &Strategy) {
-        let mut incumbents = self
-            .incumbents
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let key = (ids.to_vec(), subsets);
-        if incumbents.len() >= INCUMBENT_LISTS && !incumbents.contains_key(&key) {
-            let victim = incumbents.keys().next().cloned();
-            if let Some(victim) = victim {
-                incumbents.remove(&victim);
-            }
-        }
-        incumbents.insert(key, winner.clone());
     }
 
     /// The shared candidate-tree cache for `ids`, created on first use.
@@ -1801,13 +1688,13 @@ mod engine_equivalence_tests {
     }
 
     /// Tentpole property test: a *persistent* generator with the plan
-    /// cache and warm-start both enabled selects a winner bit-identical to
-    /// a fresh, cold, unpruned exhaustive search at every slot of every
+    /// cache enabled selects a winner bit-identical to a fresh, cold,
+    /// unpruned exhaustive search at every slot of every
     /// seeded slot sequence — in both `F(M)` and `F'(M)` modes. Slot
     /// sequences cycle through a few exact-repeat environments so cache
     /// hits genuinely occur (`quantum = 0` ⇒ exact-match keys).
     #[test]
-    fn plan_cache_and_warm_start_match_cold_exhaustive_search() {
+    fn plan_cache_matches_cold_exhaustive_search() {
         let requirements = Requirements::new(150.0, 150.0, 0.95).unwrap();
         for m in 1..=4usize {
             for seed in 0..4u64 {
@@ -1815,10 +1702,9 @@ mod engine_equivalence_tests {
                 let phases: Vec<EnvQos> = (0..3).map(|_| random_env(&mut rng, m)).collect();
                 for subsets in [false, true] {
                     let cache = Arc::new(PlanCache::new(PlanCacheConfig::default()));
-                    let warm = Generator::builder()
+                    let persistent = Generator::builder()
                         .pruning(true)
                         .parallelism(2)
-                        .warm_start(true)
                         .plan_cache(Arc::clone(&cache))
                         .build();
                     for slot in 0..9usize {
@@ -1837,9 +1723,9 @@ mod engine_equivalence_tests {
                             .estimator(Arc::new(PlainAlg1))
                             .parallelism(1)
                             .build());
-                        let out = run(&warm);
+                        let out = run(&persistent);
                         let what =
-                            format!("m={m} seed={seed} subsets={subsets} slot={slot} (cache+warm)");
+                            format!("m={m} seed={seed} subsets={subsets} slot={slot} (cache)");
                         assert_bit_identical(&truth, &out, &what);
                         if slot >= phases.len() {
                             // Every environment repeats exactly from the
@@ -1853,37 +1739,6 @@ mod engine_equivalence_tests {
                     assert_eq!(stats.hits, 6, "two full repeat cycles hit");
                     assert_eq!(stats.misses, 3, "one miss per distinct env");
                 }
-            }
-        }
-    }
-
-    /// Warm-start alone (no cache) must also stay bit-identical to a cold
-    /// search, and later slots over the same id list must actually report
-    /// `WarmStart` provenance.
-    #[test]
-    fn warm_start_without_cache_matches_cold_search() {
-        let requirements = Requirements::new(150.0, 150.0, 0.95).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let warm = Generator::builder()
-            .pruning(true)
-            .parallelism(1)
-            .warm_start(true)
-            .build();
-        for slot in 0..6usize {
-            let env = random_env(&mut rng, 4);
-            let ids = env.ids();
-            let truth = Generator::builder()
-                .estimator(Arc::new(PlainAlg1))
-                .parallelism(1)
-                .build()
-                .exhaustive(&env, &ids, &requirements)
-                .unwrap();
-            let out = warm.exhaustive(&env, &ids, &requirements).unwrap();
-            assert_bit_identical(&truth, &out, &format!("warm-only slot={slot}"));
-            if slot == 0 {
-                assert_eq!(out.source, PlanSource::Cold, "no incumbent yet");
-            } else {
-                assert_eq!(out.source, PlanSource::WarmStart, "slot={slot}");
             }
         }
     }

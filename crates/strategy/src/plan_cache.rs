@@ -55,18 +55,13 @@ use crate::backend::BackendId;
 use crate::generate::Generated;
 use crate::qos::{EnvQos, MsId, Requirements};
 
-/// How a plan was obtained: from scratch, from a warm-started search, or
-/// straight from the [`PlanCache`].
+/// How a plan was obtained: from a search, or straight from the
+/// [`PlanCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum PlanSource {
     /// A full synthesis run with no prior-slot information.
     #[default]
     Cold,
-    /// A full synthesis run whose incumbent bar was seeded with the
-    /// previous winner's utility re-estimated under the current
-    /// environment (cache miss, but pruning bites from the first
-    /// candidate).
-    WarmStart,
     /// Returned directly from the plan cache without searching.
     Cached,
 }
@@ -75,7 +70,6 @@ impl fmt::Display for PlanSource {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             PlanSource::Cold => "cold",
-            PlanSource::WarmStart => "warm-start",
             PlanSource::Cached => "cached",
         })
     }
@@ -703,12 +697,12 @@ mod tests {
     #[test]
     fn plan_source_display_and_default() {
         assert_eq!(PlanSource::Cold.to_string(), "cold");
-        assert_eq!(PlanSource::WarmStart.to_string(), "warm-start");
         assert_eq!(PlanSource::Cached.to_string(), "cached");
         assert_eq!(PlanSource::default(), PlanSource::Cold);
-        let json = serde_json::to_string(&PlanSource::WarmStart).unwrap();
+        let json = serde_json::to_string(&PlanSource::Cached).unwrap();
         let back: PlanSource = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, PlanSource::WarmStart);
+        assert_eq!(back, PlanSource::Cached);
+        assert!(serde_json::from_str::<PlanSource>("\"WarmStart\"").is_err());
     }
 
     #[test]

@@ -63,31 +63,6 @@ use crate::utility::UtilityIndex;
 /// every maximal candidate.
 const PRUNE_MARGIN: f64 = 1e-9;
 
-/// Folds a warm-start incumbent — the previous slot's winner, re-estimated
-/// under the *current* environment — into the seed bound, seeding the
-/// branch-and-bound incumbent bar so pruning bites from the first
-/// candidate even on a plan-cache miss.
-///
-/// **Admissibility.** The incumbent must be a member of the current search
-/// space (same id list and subsets mode) and `incumbent` must be its exact
-/// utility under the current environment and requirements. Then the fold
-/// is exact, never just approximate:
-///
-/// * `incumbent ≤ max utility of the space`, so the bar never starts above
-///   the optimum;
-/// * candidate screening ([`JobRunner::consider`]) compares with strict
-///   `<`, so candidates *tying* the bar — including the incumbent itself
-///   and the eventual winner — always survive to the tie-break;
-/// * family pruning ([`JobRunner::prunable`]) requires the upper bound
-///   to fall below `bar − PRUNE_MARGIN`, so no family containing the
-///   optimum is ever skipped.
-///
-/// Hence the winner (strategy, QoS bits, utility, tie-breaks) is
-/// bit-identical to a cold search; only `candidates_seen` shrinks.
-pub(crate) fn fold_incumbent(seed: f64, incumbent: f64) -> f64 {
-    seed.max(incumbent)
-}
-
 /// Minimum number of candidates a family must contain before the engine
 /// bothers computing its utility bound. Evaluating a bound costs about as
 /// much as estimating one candidate, and bounds are recomputed per
@@ -334,10 +309,9 @@ pub(crate) struct SearchSpec<'a> {
     pub pruning: bool,
     pub parallelism: usize,
     /// Utility of the best *member of the search space* known before the
-    /// search (seed candidates, or a warm-start incumbent folded in via
-    /// [`fold_incumbent`]), or `f64::NEG_INFINITY`. Used only to tighten
-    /// the initial pruning bar — the winner is always re-derived from the
-    /// search itself.
+    /// search (the seed candidates), or `f64::NEG_INFINITY`. Used only to
+    /// tighten the initial pruning bar — the winner is always re-derived
+    /// from the search itself.
     pub initial_bound: f64,
     /// Shared environment-independent candidate-family cache for this `ids`
     /// slice (must have been created with `NodeCache::new(ids.len())`).

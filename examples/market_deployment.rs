@@ -9,8 +9,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use qce_runtime::{
-    AdvisoryPolicy, CachingMarket, Client, ClientError, FileMarket, Gateway, GatewayConfig, Market,
-    MsSpec, Request, ServiceScript, SimulatedProvider,
+    AdvisoryPolicy, Client, ClientError, FileMarket, Gateway, GatewayConfig, Market, MsSpec,
+    Request, ServiceScript, SimulatedProvider,
 };
 use qce_strategy::{Qos, Requirements};
 
@@ -69,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- Edge side: gateway + devices ------------------------------------
-    let market = CachingMarket::new(FileMarket::new(&market_dir));
+    let market = FileMarket::new(&market_dir);
     let gateway = Arc::new(Gateway::new(Box::new(market), GatewayConfig::default()));
 
     for (device, capability, cost, ms, reliability) in [

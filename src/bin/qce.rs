@@ -46,8 +46,7 @@
 //!   --slot-size N     run/stats: requests per time slot (default 5)
 //!   --quorum Q        run/stats: require Q agreeing results (§VII)
 //!   --plan-cache      run/stats: cache winning plans per quantized
-//!                     environment and warm-start re-planning from the
-//!                     previous slot's winner
+//!                     environment
 //!   --quantize Q      run/stats: plan-cache key quantization step for
 //!                     observed QoS values (default 0 = exact match)
 //!   --max-in-flight N run/stats: concurrent requests per service
@@ -314,7 +313,6 @@ fn service_setup(options: &Options) -> Result<(ServiceScript, GatewayConfig), St
     script.quorum = options.quorum;
     script.validate().map_err(|e| e.to_string())?;
     let config = GatewayConfig::builder()
-        .generator_warm_start(options.plan_cache)
         .plan_cache(options.plan_cache)
         .plan_quantize(options.quantize)
         .planner(planner_choice(options)?)
@@ -662,10 +660,9 @@ fn run(command: &str, expr: Option<&str>, options: &Options) -> Result<(), Strin
             );
             if options.plan_cache {
                 println!(
-                    "caching  : {} cold / {} warm-start / {} cached plan(s); \
+                    "caching  : {} cold / {} cached plan(s); \
                      {} hit(s), {} miss(es), {} stale",
                     service.plans_cold,
-                    service.plans_warm_start,
                     service.plans_cached,
                     service.plan_cache_hits,
                     service.plan_cache_misses,
@@ -1161,17 +1158,18 @@ mod tests {
         };
         let (cold, cold_ok) = drive_gateway(&options, false).unwrap();
         options.plan_cache = true;
-        let (warm, warm_ok) = drive_gateway(&options, false).unwrap();
-        assert_eq!(cold_ok, warm_ok, "same virtual run, same outcomes");
+        let (cached, cached_ok) = drive_gateway(&options, false).unwrap();
+        assert_eq!(cold_ok, cached_ok, "same virtual run, same outcomes");
         assert_eq!(
             cold.gateway()
                 .current_strategy("cli-service")
                 .map(|s| s.to_string()),
-            warm.gateway()
+            cached
+                .gateway()
                 .current_strategy("cli-service")
                 .map(|s| s.to_string()),
         );
-        let snapshot = warm.telemetry().snapshot();
+        let snapshot = cached.telemetry().snapshot();
         let service = snapshot.service("cli-service").unwrap();
         assert_eq!(
             service.plan_cache_hits + service.plan_cache_misses,
@@ -1339,21 +1337,18 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("qce-cli-scenario-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("calm.json");
-        std::fs::write(
-            &path,
-            r#"{
-                "name": "cli-smoke", "seed": 5,
-                "slots": 2, "slot_ms": 100, "requests_per_slot": 4,
-                "services": [{
-                    "name": "svc",
-                    "microservices": [
-                        {"name": "a", "cost": 10.0, "latency_ms": 4.0, "reliability": 1.0}
-                    ],
-                    "require": {"cost": 100.0, "latency_ms": 50.0, "reliability": 0.9}
-                }]
-            }"#,
-        )
-        .unwrap();
+        let calm = r#"{
+            "name": "cli-smoke", "seed": 5,
+            "slots": 2, "slot_ms": 100, "requests_per_slot": 4,
+            "services": [{
+                "name": "svc",
+                "microservices": [
+                    {"name": "a", "cost": 10.0, "latency_ms": 4.0, "reliability": 1.0}
+                ],
+                "require": {"cost": 100.0, "latency_ms": 50.0, "reliability": 0.9}
+            }]
+        }"#;
+        std::fs::write(&path, calm).unwrap();
         let options = Options {
             scenario: Some(path.to_string_lossy().into_owned()),
             ..Options::default()
@@ -1369,6 +1364,12 @@ mod tests {
         assert!(run("run", None, &missing).is_err());
         std::fs::write(&path, "{}").unwrap();
         assert!(run("run", None, &options).is_err());
+        // Regression: a zero collector window used to pass validation and
+        // panic in the collector.
+        let zero_window = calm.replacen('{', r#"{"gateway": {"collector_window": 0},"#, 1);
+        std::fs::write(&path, zero_window).unwrap();
+        let error = run("run", None, &options).unwrap_err();
+        assert!(error.contains("gateway.collector_window"), "{error}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
