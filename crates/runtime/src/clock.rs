@@ -232,7 +232,10 @@ impl Drop for WorkerGuard<'_> {
 #[derive(Debug)]
 pub struct WallClock {
     epoch: Instant,
-    waiters: Mutex<()>,
+    /// Threads blocked on `wake`, counted under the lock they wait on (see
+    /// [`VcState::waiting`]): `notify_sleepers` skips the wake-up syscall
+    /// when it reads zero.
+    waiters: Mutex<usize>,
     wake: Condvar,
 }
 
@@ -242,7 +245,7 @@ impl WallClock {
     pub fn new() -> Self {
         WallClock {
             epoch: Instant::now(),
-            waiters: Mutex::new(()),
+            waiters: Mutex::new(0),
             wake: Condvar::new(),
         }
     }
@@ -275,34 +278,41 @@ impl Clock for WallClock {
             if ready() {
                 return;
             }
-            match deadline {
+            let timeout = match deadline {
                 Some(deadline) => {
                     let now = self.now();
                     if now >= deadline {
                         return;
                     }
-                    let (next, _timed_out) = self
-                        .wake
-                        .wait_timeout(guard, deadline - now)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    guard = next;
+                    Some(deadline - now)
                 }
-                None => {
-                    guard = self
-                        .wake
-                        .wait(guard)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
+                None => None,
+            };
+            *guard += 1;
+            guard = match timeout {
+                Some(timeout) => {
+                    self.wake
+                        .wait_timeout(guard, timeout)
+                        .unwrap_or_else(std::sync::PoisonError::into_inner)
+                        .0
                 }
-            }
+                None => self
+                    .wake
+                    .wait(guard)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner),
+            };
+            *guard -= 1;
         }
     }
 
     fn notify_sleepers(&self) {
-        let _guard = self
+        let waiting = self
             .waiters
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        self.wake.notify_all();
+        if *waiting > 0 {
+            self.wake.notify_all();
+        }
     }
 }
 
@@ -326,6 +336,15 @@ struct VcState {
     /// `(token, deadline)` per thread blocked in `sleep`, worker or not.
     sleepers: Vec<(u64, Duration)>,
     next_token: u64,
+    /// Threads blocked on the clock's condvar right now. Incremented under
+    /// the state lock *before* `Condvar::wait` releases it and decremented
+    /// under it after the wait returns, so whoever holds the lock and
+    /// reads zero knows no thread can be parked: a thread that has not yet
+    /// counted itself has not yet checked its predicate either, and will
+    /// check it under this same lock after the notifier's update. That is
+    /// what lets `notify` skip `notify_all` — an unconditional
+    /// `futex(FUTEX_WAKE)` in std — without losing a wake-up.
+    waiting: usize,
 }
 
 /// Deterministic simulated time (see the module docs for the advance
@@ -364,6 +383,7 @@ impl VirtualClock {
                 worker_sleepers: 0,
                 sleepers: Vec::new(),
                 next_token: 0,
+                waiting: 0,
             }),
             wake: Condvar::new(),
         }
@@ -375,13 +395,36 @@ impl VirtualClock {
     pub fn advance(&self, duration: Duration) {
         let mut state = self.lock();
         state.now = state.now.saturating_add(duration);
-        self.wake.notify_all();
+        self.notify(&state);
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, VcState> {
         self.state
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Blocks on the condvar, counted in [`VcState::waiting`] for as long
+    /// as the thread is parked.
+    fn wait<'a>(
+        &self,
+        mut state: std::sync::MutexGuard<'a, VcState>,
+    ) -> std::sync::MutexGuard<'a, VcState> {
+        state.waiting += 1;
+        let mut state = self
+            .wake
+            .wait(state)
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        state.waiting -= 1;
+        state
+    }
+
+    /// Wakes every parked thread to re-check its predicate; free when
+    /// nobody is parked (see [`VcState::waiting`]).
+    fn notify(&self, state: &VcState) {
+        if state.waiting > 0 {
+            self.wake.notify_all();
+        }
     }
 
     /// Adjusts the calling thread's registration depth for this clock.
@@ -414,7 +457,7 @@ impl VirtualClock {
         // advance when it next blocks or exits.
         if earliest > state.now {
             state.now = earliest;
-            self.wake.notify_all();
+            self.notify(state);
         }
     }
 }
@@ -445,10 +488,7 @@ impl Clock for VirtualClock {
         }
         self.try_advance(&mut state);
         while state.now < deadline {
-            state = self
-                .wake
-                .wait(state)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            state = self.wait(state);
         }
         state.sleepers.retain(|&(t, _)| t != token);
         if is_worker {
@@ -522,10 +562,7 @@ impl Clock for VirtualClock {
                 }
                 self.try_advance(&mut state);
                 while state.now < deadline && !ready() {
-                    state = self
-                        .wake
-                        .wait(state)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    state = self.wait(state);
                 }
                 state.sleepers.retain(|&(t, _)| t != token);
                 if is_worker {
@@ -542,10 +579,7 @@ impl Clock for VirtualClock {
                     self.try_advance(&mut state);
                 }
                 while !ready() {
-                    state = self
-                        .wake
-                        .wait(state)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    state = self.wait(state);
                 }
                 if is_worker {
                     state.parked = state.parked.saturating_sub(1);
@@ -555,8 +589,8 @@ impl Clock for VirtualClock {
     }
 
     fn notify_sleepers(&self) {
-        let _state = self.lock();
-        self.wake.notify_all();
+        let state = self.lock();
+        self.notify(&state);
     }
 }
 
@@ -782,6 +816,105 @@ mod tests {
         let t0 = clock.now();
         clock.sleep_until_or(Some(t0 + Duration::from_millis(5)), &|| false);
         assert!(clock.now() - t0 >= Duration::from_millis(4));
+    }
+
+    /// The waiter count must never cost a wake-up: a loop thread that idles
+    /// in `sleep_until_or` between tasks is woken by every single post,
+    /// whether the post finds it parked (notify) or still on its way to
+    /// the condvar (the predicate re-check under the lock). Each round
+    /// waits for its task to have run, so every post races the loop going
+    /// back to sleep; the receive timeout is the watchdog.
+    fn every_post_wakes_the_idle_loop(clock: Arc<dyn Clock>) {
+        use crate::engine::event::{EventCore, Shared};
+        use std::sync::mpsc;
+
+        let core = Arc::new(EventCore::new(Shared::Owned(Arc::clone(&clock))));
+        let driver = {
+            let core = Arc::clone(&core);
+            std::thread::spawn(move || {
+                let _worker = WorkerGuard::enter(&*clock);
+                core.run_loop(&|_| unreachable!("no request is ever submitted"));
+            })
+        };
+        let (ran, rounds) = mpsc::channel();
+        for round in 0..10_000u32 {
+            let ran = ran.clone();
+            core.post_task(Box::new(move || ran.send(round).unwrap()));
+            match rounds.recv_timeout(Duration::from_secs(20)) {
+                Ok(seen) => assert_eq!(seen, round),
+                Err(_) => panic!("post {round} never woke the loop"),
+            }
+        }
+        core.shutdown();
+        driver.join().unwrap();
+    }
+
+    #[test]
+    fn virtual_clock_wakes_an_idle_loop_on_every_post() {
+        let clock = Arc::new(VirtualClock::new());
+        every_post_wakes_the_idle_loop(Arc::clone(&clock) as Arc<dyn Clock>);
+        let state = clock.lock();
+        assert_eq!((state.workers, state.parked, state.waiting), (0, 0, 0));
+        assert_eq!(
+            state.now,
+            Duration::ZERO,
+            "nothing ever slept to a deadline"
+        );
+    }
+
+    #[test]
+    fn wall_clock_wakes_an_idle_loop_on_every_post() {
+        let clock = Arc::new(WallClock::new());
+        every_post_wakes_the_idle_loop(Arc::clone(&clock) as Arc<dyn Clock>);
+        assert_eq!(*clock.waiters.lock().unwrap(), 0);
+    }
+
+    #[test]
+    fn notifying_nobody_changes_nothing() {
+        type Counts = (
+            Duration,
+            usize,
+            usize,
+            usize,
+            Vec<(u64, Duration)>,
+            u64,
+            usize,
+        );
+        fn counts(clock: &VirtualClock) -> Counts {
+            let s = clock.lock();
+            let sleepers = s.sleepers.clone();
+            (
+                s.now,
+                s.workers,
+                s.parked,
+                s.worker_sleepers,
+                sleepers,
+                s.next_token,
+                s.waiting,
+            )
+        }
+        let clock = VirtualClock::new();
+        clock.enter_worker();
+        clock.sleep(Duration::from_millis(3)); // a past sleeper leaves no trace
+        clock.reserve_worker();
+        let before = counts(&clock);
+        assert_eq!(
+            (before.0, before.1, before.6),
+            (Duration::from_millis(3), 2, 0)
+        );
+        clock.notify_sleepers();
+        assert_eq!(counts(&clock), before);
+        // `advance` with nobody waiting moves `now` and nothing else.
+        clock.advance(Duration::from_millis(4));
+        let mut moved = before.clone();
+        moved.0 = Duration::from_millis(7);
+        assert_eq!(counts(&clock), moved);
+        clock.release_worker();
+        clock.exit_worker();
+
+        let wall = WallClock::new();
+        wall.notify_sleepers();
+        assert_eq!(*wall.waiters.lock().unwrap(), 0);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //!
 //! * every started `Seq`/`Par` node is a [`Frame`] in a per-request arena
 //!   (frames are never removed until the request resolves, so the arena's
-//!   high-water mark is the request's true memory footprint);
+//!   high-water mark is the request's true memory footprint); a frame
+//!   stores only its `(parent frame, ordinal)` link, and the strategy node
+//!   it stands for is re-derived from that chain when a child starts;
 //! * every leaf invocation is either a **timed completion event** — the
 //!   provider pre-computes `(latency, result)` via
 //!   [`Provider::try_timed_invoke`] and the core schedules the completion
@@ -40,8 +42,9 @@
 //! new reservations that processing made).
 
 use std::any::Any;
+use std::borrow::Cow;
 use std::cmp::Ordering as CmpOrdering;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -68,6 +71,16 @@ pub(crate) type PanicPayload = Box<dyn Any + Send + 'static>;
 /// Per-request completion callback, run by the driver outside the core
 /// lock once the request resolves.
 pub(crate) type DoneFn<'env> = Box<dyn FnOnce(RequestResult) + Send + 'env>;
+
+/// Where a resolved request's [`RequestResult`] goes.
+pub(crate) enum Done<'env> {
+    /// The submitter drives the core itself: the result is parked in the
+    /// request's slot and [`EventCore::drive_request`] returns it.
+    Park,
+    /// Someone else drives (the gateway's event loops): the driver hands
+    /// the result to this callback.
+    Call(DoneFn<'env>),
+}
 
 /// An embedder thunk queued on the core (admission grants, queue-deadline
 /// cancellations). Runs on the driver thread, outside the core lock.
@@ -115,15 +128,163 @@ impl std::fmt::Debug for RequestResult {
 }
 
 /// Everything one request needs, with per-field borrow-or-own flexibility.
+/// This is the crate's own request form: the public entry points build it
+/// from their arguments, and the gateway builds it directly from a slot's
+/// shared plan (no per-request copy of the strategy or the providers).
 pub(crate) struct RequestSpec<'env> {
     pub strategy: Shared<'env, Strategy>,
     pub providers: Shared<'env, [Arc<dyn Provider>]>,
-    pub request: Shared<'env, Invocation>,
+    pub request: Cow<'env, Invocation>,
     pub collector: Option<Shared<'env, Collector>>,
     pub telemetry: Option<Shared<'env, Telemetry>>,
     pub budget: Budget,
     pub policy: PolicyState,
-    pub done: DoneFn<'env>,
+    /// Whether [`EngineOutcome::invocations`] is wanted. Every public
+    /// entry point returns the records and sets this; the gateway reads
+    /// only the total cost, so its requests skip building them (two
+    /// `String`s and a payload copy per leaf).
+    pub record_invocations: bool,
+    pub done: Done<'env>,
+}
+
+/// Handle of one request in an [`EventCore`]: its slot and the slot's
+/// generation when the request was inserted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ReqId {
+    index: u32,
+    generation: u32,
+}
+
+enum SlotEntry<T> {
+    /// On the free list, linking to the next free slot.
+    Free { next: Option<u32> },
+    /// Occupied since the `seq`-th insertion.
+    Live { seq: u64, value: T },
+}
+
+struct Slot<T> {
+    /// Bumped every time the slot is freed, so an id handed out for an
+    /// earlier occupant resolves to nothing — a blocking leg's late
+    /// `LeafEvent` must never reach the request that reused its slot.
+    generation: u32,
+    entry: SlotEntry<T>,
+}
+
+/// The in-flight table: a slot vector with an intrusive free list. A
+/// per-request core pays one allocation of one slot for it (an ordered
+/// map's first node is sized for eleven entries), a long-lived core reuses
+/// its slots, and lookup is an index plus a generation compare.
+struct Slots<T> {
+    slots: Vec<Slot<T>>,
+    free: Option<u32>,
+    live: usize,
+    next_seq: u64,
+}
+
+impl<T> Slots<T> {
+    fn new() -> Self {
+        Slots {
+            slots: Vec::new(),
+            free: None,
+            live: 0,
+            next_seq: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.live
+    }
+
+    fn insert(&mut self, value: T) -> ReqId {
+        let entry = SlotEntry::Live {
+            seq: self.next_seq,
+            value,
+        };
+        self.next_seq += 1;
+        self.live += 1;
+        let index = match self.free {
+            Some(index) => {
+                let slot = &mut self.slots[index as usize];
+                if let SlotEntry::Free { next } = slot.entry {
+                    self.free = next;
+                }
+                slot.entry = entry;
+                index
+            }
+            None => {
+                let index = u32::try_from(self.slots.len())
+                    .expect("fewer than 2^32 requests are in flight at once");
+                self.slots.push(Slot {
+                    generation: 0,
+                    entry,
+                });
+                index
+            }
+        };
+        ReqId {
+            index,
+            generation: self.slots[index as usize].generation,
+        }
+    }
+
+    fn get(&self, id: ReqId) -> Option<&T> {
+        match self.slots.get(id.index as usize) {
+            Some(Slot {
+                generation,
+                entry: SlotEntry::Live { value, .. },
+            }) if *generation == id.generation => Some(value),
+            _ => None,
+        }
+    }
+
+    fn get_mut(&mut self, id: ReqId) -> Option<&mut T> {
+        match self.slots.get_mut(id.index as usize) {
+            Some(Slot {
+                generation,
+                entry: SlotEntry::Live { value, .. },
+            }) if *generation == id.generation => Some(value),
+            _ => None,
+        }
+    }
+
+    fn remove(&mut self, id: ReqId) -> Option<T> {
+        self.get(id)?;
+        Some(self.free_slot(id.index))
+    }
+
+    /// Frees the occupied slot `index`, returning its value.
+    fn free_slot(&mut self, index: u32) -> T {
+        let slot = &mut self.slots[index as usize];
+        let freed = SlotEntry::Free { next: self.free };
+        let SlotEntry::Live { value, .. } = std::mem::replace(&mut slot.entry, freed) else {
+            unreachable!("free_slot is only called on occupied slots");
+        };
+        slot.generation = slot.generation.wrapping_add(1);
+        self.free = Some(index);
+        self.live -= 1;
+        value
+    }
+
+    /// Visits every entry in insertion order (slot order is not: a reused
+    /// slot puts a later request below an earlier one) and frees the ones
+    /// `keep` rejects.
+    fn retain_in_order(&mut self, mut keep: impl FnMut(&mut T) -> bool) {
+        let mut order: Vec<(u64, u32)> = (0u32..)
+            .zip(&self.slots)
+            .filter_map(|(index, slot)| match slot.entry {
+                SlotEntry::Live { seq, .. } => Some((seq, index)),
+                SlotEntry::Free { .. } => None,
+            })
+            .collect();
+        order.sort_unstable();
+        for (_, index) in order {
+            if let SlotEntry::Live { value, .. } = &mut self.slots[index as usize].entry {
+                if !keep(value) {
+                    drop(self.free_slot(index));
+                }
+            }
+        }
+    }
 }
 
 /// A leaf invocation that must run on a real thread: the provider either
@@ -131,7 +292,7 @@ pub(crate) struct RequestSpec<'env> {
 /// or does not implement it (arbitrary closures). The worker slot for the
 /// task was already reserved when it was created.
 pub(crate) struct BlockingTask {
-    req: u64,
+    req: ReqId,
     parent: Option<(usize, usize)>,
     provider_index: usize,
     provider: Arc<dyn Provider>,
@@ -181,7 +342,7 @@ enum LeafOutcome {
 
 /// A leaf completion travelling to the driver.
 struct LeafEvent {
-    req: u64,
+    req: ReqId,
     parent: Option<(usize, usize)>,
     provider_index: usize,
     t0: Duration,
@@ -246,12 +407,13 @@ enum Status {
     Panicked(PanicPayload),
 }
 
-/// A started `Seq`/`Par` node. ~100 bytes against the old model's one OS
+/// A started `Seq`/`Par` node. 64 bytes against the old model's one OS
 /// thread (8 KiB stack minimum) per running leg.
 struct Frame {
+    /// The frame this node is a child of and its ordinal there (`None` =
+    /// the strategy root). The chain of these links is also the node's
+    /// position in the strategy tree (see [`node_at`]).
     parent: Option<(usize, usize)>,
-    /// Child-index path of this node within the strategy tree.
-    path: Vec<usize>,
     kind: FrameKind,
 }
 
@@ -277,16 +439,36 @@ enum FrameKind {
 struct RequestState<'env> {
     strategy: Shared<'env, Strategy>,
     providers: Shared<'env, [Arc<dyn Provider>]>,
-    request: Shared<'env, Invocation>,
+    request: Cow<'env, Invocation>,
     collector: Option<Shared<'env, Collector>>,
     telemetry: Option<Shared<'env, Telemetry>>,
     budget: Budget,
     policy: PolicyState,
     started_at: Duration,
-    invocations: Vec<InvocationOutcome>,
+    /// Cost charged so far, added up in completion order. Starts at
+    /// `-0.0`, not `0.0`: the total is by definition
+    /// `invocations.iter().map(cost).sum()`, and `Iterator::sum::<f64>()`
+    /// folds from `-0.0`, which is therefore what a request that started
+    /// no invocation (budget tripped before its first leaf) reports.
+    cost: f64,
+    /// The started invocations' records, when the submitter wants them
+    /// ([`RequestSpec::record_invocations`]).
+    invocations: Option<Vec<InvocationOutcome>>,
     pruned: Option<super::PruneDetail>,
     frames: Vec<Frame>,
-    done: Option<DoneFn<'env>>,
+    done: Done<'env>,
+}
+
+/// What a request's slot holds.
+// `Running` is what nearly every occupied slot holds; boxing it would cost
+// each request the allocation the slot vector is there to save.
+#[allow(clippy::large_enum_variant)]
+enum Entry<'env> {
+    Running(RequestState<'env>),
+    /// A resolved [`Done::Park`] request, waiting for its driver's next
+    /// [`EventCore::drive_request`] step to collect it (until then it still
+    /// occupies the slot and counts as in flight).
+    Parked(RequestResult),
 }
 
 impl RequestState<'_> {
@@ -322,8 +504,7 @@ struct CoreState<'env> {
     ready: VecDeque<Event<'env>>,
     timers: BinaryHeap<Timer<'env>>,
     timer_seq: u64,
-    requests: BTreeMap<u64, RequestState<'env>>,
-    next_req: u64,
+    requests: Slots<Entry<'env>>,
     frames_live: usize,
     frames_peak: usize,
     shutdown: bool,
@@ -358,25 +539,27 @@ impl std::fmt::Debug for EventCore<'_> {
     }
 }
 
-/// Resolves a child-index path to the node's shallow shape.
-enum NodeShape {
-    Leaf(usize),
-    Seq(usize),
-    Par(usize),
+/// The strategy node that is child `ordinal` of frame `frame` for
+/// `slot = Some((frame, ordinal))`, or the root for `None`: climbs the
+/// frames' parent links to the root and descends the tree on the way back
+/// (recursion as deep as the node, like every other walk of a strategy).
+fn node_at<'s>(strategy: &'s Strategy, frames: &[Frame], slot: Option<(usize, usize)>) -> &'s Node {
+    let Some((frame, ordinal)) = slot else {
+        return strategy.node();
+    };
+    match node_at(strategy, frames, frames[frame].parent) {
+        Node::Seq(children) | Node::Par(children) => &children[ordinal],
+        Node::Leaf(_) => unreachable!("frames are never leaves"),
+    }
 }
 
-fn node_shape(strategy: &Strategy, path: &[usize]) -> NodeShape {
-    let mut node = strategy.node();
-    for &index in path {
-        node = match node {
-            Node::Seq(children) | Node::Par(children) => &children[index],
-            Node::Leaf(_) => unreachable!("paths never descend into leaves"),
-        };
-    }
-    match node {
-        Node::Leaf(id) => NodeShape::Leaf(id.index()),
-        Node::Seq(children) => NodeShape::Seq(children.len()),
-        Node::Par(children) => NodeShape::Par(children.len()),
+impl<'env> CoreState<'env> {
+    /// The state of `req` while it is still walking its strategy.
+    fn running(&mut self, req: ReqId) -> Option<&mut RequestState<'env>> {
+        match self.requests.get_mut(req) {
+            Some(Entry::Running(request)) => Some(request),
+            _ => None,
+        }
     }
 }
 
@@ -388,8 +571,7 @@ impl<'env> EventCore<'env> {
                 ready: VecDeque::new(),
                 timers: BinaryHeap::new(),
                 timer_seq: 0,
-                requests: BTreeMap::new(),
-                next_req: 0,
+                requests: Slots::new(),
                 frames_live: 0,
                 frames_peak: 0,
                 shutdown: false,
@@ -422,40 +604,44 @@ impl<'env> EventCore<'env> {
     /// `started_at` is the submission instant, exactly like the walker).
     /// Blocking legs the root fans out immediately are handed to `spawn`;
     /// a request whose whole tree resolves synchronously (e.g. a
-    /// pre-tripped budget) has its `done` callback run before this
-    /// returns.
-    pub(crate) fn submit(&self, spec: RequestSpec<'env>, spawn: &dyn Fn(BlockingTask)) -> u64 {
+    /// pre-tripped budget) is resolved — callback run or result parked —
+    /// before this returns.
+    pub(crate) fn submit(&self, spec: RequestSpec<'env>, spawn: &dyn Fn(BlockingTask)) -> ReqId {
         let mut deferred = Deferred::default();
         let req;
         {
             let mut state = self.state.lock();
-            req = state.next_req;
-            state.next_req += 1;
             if state.shutdown {
-                deferred.dones.push((spec.done, RequestResult::Shutdown));
+                req = state
+                    .requests
+                    .insert(Entry::Parked(RequestResult::Shutdown));
+                if let Done::Call(done) = spec.done {
+                    // Nobody will collect it: the returned id resolves to
+                    // nothing and the callback gets the result instead.
+                    state.requests.remove(req);
+                    deferred.dones.push((done, RequestResult::Shutdown));
+                }
             } else {
                 if let Some(telemetry) = &spec.telemetry {
                     telemetry.record_engine_request_start();
                 }
                 let started_at = self.clock().now();
-                state.requests.insert(
-                    req,
-                    RequestState {
-                        strategy: spec.strategy,
-                        providers: spec.providers,
-                        request: spec.request,
-                        collector: spec.collector,
-                        telemetry: spec.telemetry,
-                        budget: spec.budget,
-                        policy: spec.policy,
-                        started_at,
-                        invocations: Vec::new(),
-                        pruned: None,
-                        frames: Vec::new(),
-                        done: Some(spec.done),
-                    },
-                );
-                self.start_node(&mut state, &mut deferred, req, Vec::new(), None);
+                req = state.requests.insert(Entry::Running(RequestState {
+                    strategy: spec.strategy,
+                    providers: spec.providers,
+                    request: spec.request,
+                    collector: spec.collector,
+                    telemetry: spec.telemetry,
+                    budget: spec.budget,
+                    policy: spec.policy,
+                    started_at,
+                    cost: -0.0,
+                    invocations: spec.record_invocations.then(Vec::new),
+                    pruned: None,
+                    frames: Vec::new(),
+                    done: spec.done,
+                }));
+                self.start_node(&mut state, &mut deferred, req, None);
             }
         }
         self.flush(deferred, spawn);
@@ -463,10 +649,22 @@ impl<'env> EventCore<'env> {
         req
     }
 
-    /// Drives the core until request `req` resolves. The calling thread is
-    /// the driver: it should hold a worker slot on the clock.
-    pub(crate) fn drive_request(&self, req: u64, spawn: &dyn Fn(BlockingTask)) {
-        while self.step(spawn, &|state| !state.requests.contains_key(&req)) {}
+    /// Drives the core until request `req` — submitted with
+    /// [`Done::Park`] — resolves, and returns its result (`None` for an id
+    /// that is not, or no longer, in the core). The calling thread is the
+    /// driver: it should hold a worker slot on the clock.
+    pub(crate) fn drive_request(
+        &self,
+        req: ReqId,
+        spawn: &dyn Fn(BlockingTask),
+    ) -> Option<RequestResult> {
+        let resolved =
+            |state: &CoreState<'env>| !matches!(state.requests.get(req), Some(Entry::Running(_)));
+        while self.step(spawn, &resolved) {}
+        match self.state.lock().requests.remove(req) {
+            Some(Entry::Parked(result)) => Some(result),
+            _ => None,
+        }
     }
 
     /// Drives the core until [`EventCore::shutdown`] is called. This is
@@ -522,17 +720,32 @@ impl<'env> EventCore<'env> {
                 }
             }
             state.timers.clear();
-            let requests = std::mem::take(&mut state.requests);
-            for (_, mut request) in requests {
-                state.frames_live -= request.frames.len();
+            let CoreState {
+                requests,
+                frames_live,
+                ..
+            } = &mut *state;
+            requests.retain_in_order(|entry| {
+                // An already parked result stays for its driver to collect.
+                let Entry::Running(request) = entry else {
+                    return true;
+                };
+                *frames_live -= request.frames.len();
                 if let Some(telemetry) = &request.telemetry {
                     telemetry.record_engine_frames_done(request.frames.len());
                     telemetry.record_engine_request_end();
                 }
-                if let Some(done) = request.done.take() {
-                    deferred.dones.push((done, RequestResult::Shutdown));
+                match std::mem::replace(&mut request.done, Done::Park) {
+                    Done::Call(done) => {
+                        deferred.dones.push((done, RequestResult::Shutdown));
+                        false
+                    }
+                    Done::Park => {
+                        *entry = Entry::Parked(RequestResult::Shutdown);
+                        true
+                    }
                 }
-            }
+            });
         }
         for _ in 0..deferred.release_slots {
             self.clock().release_worker();
@@ -694,10 +907,10 @@ impl<'env> EventCore<'env> {
             LeafOutcome::Panicked(panic) => Status::Panicked(panic),
             LeafOutcome::Completed(result) => {
                 let clock = self.clock();
-                let Some(request) = state.requests.get_mut(&event.req) else {
+                let Some(request) = state.running(event.req) else {
                     return;
                 };
-                let provider = Arc::clone(&request.providers[event.provider_index]);
+                let provider = &request.providers[event.provider_index];
                 let now = clock.now();
                 // Timed legs report the latency the provider declared; on
                 // an unclamped virtual clock `now - t0` equals it exactly,
@@ -706,28 +919,31 @@ impl<'env> EventCore<'env> {
                     .declared
                     .unwrap_or_else(|| now.saturating_sub(event.t0));
                 let success = result.is_ok();
-                let outcome = InvocationOutcome {
-                    provider_id: provider.id().to_string(),
-                    capability: provider.capability().to_string(),
-                    payload: result.as_ref().ok().cloned(),
-                    latency,
-                    cost: provider.cost(),
-                    success,
-                };
+                let cost = provider.cost();
+                if let Some(invocations) = &mut request.invocations {
+                    invocations.push(InvocationOutcome {
+                        provider_id: provider.id().to_string(),
+                        capability: provider.capability().to_string(),
+                        payload: result.as_ref().ok().cloned(),
+                        latency,
+                        cost,
+                        success,
+                    });
+                }
                 if let Some(collector) = &request.collector {
                     collector.record(
                         provider.id(),
                         ExecutionRecord {
                             success,
                             latency,
-                            cost: provider.cost(),
+                            cost,
                         },
                     );
                 }
                 if let Some(telemetry) = &request.telemetry {
-                    telemetry.record_invocation(provider.id(), success, latency, provider.cost());
+                    telemetry.record_invocation(provider.id(), success, latency, cost);
                 }
-                request.invocations.push(outcome);
+                request.cost += cost;
                 match result {
                     Ok(payload) => {
                         let at = now.saturating_sub(request.started_at);
@@ -741,21 +957,22 @@ impl<'env> EventCore<'env> {
         self.deliver(state, deferred, event.req, event.parent, status);
     }
 
-    /// Starts the node at `path`, delivering to `parent` when it resolves.
+    /// Starts the node in `parent`'s child slot (`None` = the strategy
+    /// root), delivering to `parent` when it resolves.
     fn start_node(
         &self,
         state: &mut CoreState<'env>,
         deferred: &mut Deferred<'env>,
-        req: u64,
-        path: Vec<usize>,
+        req: ReqId,
         parent: Option<(usize, usize)>,
     ) {
         let clock = self.clock();
-        let Some(request) = state.requests.get_mut(&req) else {
+        let Some(Entry::Running(request)) = state.requests.get_mut(req) else {
             return;
         };
-        match node_shape(&request.strategy, &path) {
-            NodeShape::Leaf(provider_index) => {
+        match *node_at(&request.strategy, &request.frames, parent) {
+            Node::Leaf(id) => {
+                let provider_index = id.index();
                 // The short-circuit: once the policy halts or the budget
                 // trips, new invocations never start (never charged).
                 if request.stopped(clock) {
@@ -792,31 +1009,31 @@ impl<'env> EventCore<'env> {
                         parent,
                         provider_index,
                         provider,
-                        invocation: (*request.request).clone(),
+                        invocation: Invocation::clone(&request.request),
                     });
                 }
             }
-            NodeShape::Seq(len) => {
+            Node::Seq(ref children) => {
+                let len = children.len();
                 let frame = Self::alloc_frame(
                     &mut state.frames_live,
                     &mut state.frames_peak,
                     request,
                     Frame {
                         parent,
-                        path,
                         kind: FrameKind::Seq { next: 0, len },
                     },
                 );
                 self.advance_seq(state, deferred, req, frame);
             }
-            NodeShape::Par(len) => {
+            Node::Par(ref children) => {
+                let len = children.len();
                 let frame = Self::alloc_frame(
                     &mut state.frames_live,
                     &mut state.frames_peak,
                     request,
                     Frame {
                         parent,
-                        path: path.clone(),
                         kind: FrameKind::Par {
                             pending: len,
                             succeeded: false,
@@ -833,9 +1050,7 @@ impl<'env> EventCore<'env> {
                 // `pending` starts at `len`, so even a zero-latency child
                 // resolving synchronously cannot fold the Par early.
                 for ordinal in 0..len {
-                    let mut child_path = path.clone();
-                    child_path.push(ordinal);
-                    self.start_node(state, deferred, req, child_path, Some((frame, ordinal)));
+                    self.start_node(state, deferred, req, Some((frame, ordinal)));
                 }
             }
         }
@@ -865,17 +1080,17 @@ impl<'env> EventCore<'env> {
         &self,
         state: &mut CoreState<'env>,
         deferred: &mut Deferred<'env>,
-        req: u64,
+        req: ReqId,
         frame: usize,
     ) {
         enum Step {
             Exhausted,
             Stopped,
-            Start(Vec<usize>, usize),
+            Start(usize),
         }
         let clock = self.clock();
         let step = {
-            let Some(request) = state.requests.get_mut(&req) else {
+            let Some(request) = state.running(req) else {
                 return;
             };
             let FrameKind::Seq { next, len } = request.frames[frame].kind else {
@@ -890,17 +1105,13 @@ impl<'env> EventCore<'env> {
                     next: next + 1,
                     len,
                 };
-                let mut child_path = request.frames[frame].path.clone();
-                child_path.push(next);
-                Step::Start(child_path, next)
+                Step::Start(next)
             }
         };
         match step {
             Step::Exhausted => self.resolve_frame(state, deferred, req, frame, Status::Failed),
             Step::Stopped => self.resolve_frame(state, deferred, req, frame, Status::Cancelled),
-            Step::Start(child_path, ordinal) => {
-                self.start_node(state, deferred, req, child_path, Some((frame, ordinal)));
-            }
+            Step::Start(ordinal) => self.start_node(state, deferred, req, Some((frame, ordinal))),
         }
     }
 
@@ -909,12 +1120,12 @@ impl<'env> EventCore<'env> {
         &self,
         state: &mut CoreState<'env>,
         deferred: &mut Deferred<'env>,
-        req: u64,
+        req: ReqId,
         frame: usize,
         status: Status,
     ) {
         let parent = {
-            let Some(request) = state.requests.get_mut(&req) else {
+            let Some(request) = state.running(req) else {
                 return;
             };
             request.frames[frame].kind = FrameKind::Resolved;
@@ -929,7 +1140,7 @@ impl<'env> EventCore<'env> {
         &self,
         state: &mut CoreState<'env>,
         deferred: &mut Deferred<'env>,
-        req: u64,
+        req: ReqId,
         slot: Option<(usize, usize)>,
         status: Status,
     ) {
@@ -943,7 +1154,7 @@ impl<'env> EventCore<'env> {
             Wait,
         }
         let next = {
-            let Some(request) = state.requests.get_mut(&req) else {
+            let Some(request) = state.running(req) else {
                 return;
             };
             let absorbs = request.policy.seq_absorbs_success();
@@ -1006,16 +1217,20 @@ impl<'env> EventCore<'env> {
 
     /// The root resolved: assembles the [`EngineOutcome`] (at the
     /// resolution instant — every leg has completed by construction) and
-    /// defers the request's `done` callback.
+    /// parks it in the request's slot or defers its `done` callback.
     fn resolve_request(
         &self,
         state: &mut CoreState<'env>,
         deferred: &mut Deferred<'env>,
-        req: u64,
+        req: ReqId,
         status: Status,
     ) {
-        let Some(mut request) = state.requests.remove(&req) else {
+        let Some(entry) = state.requests.get_mut(req) else {
             return;
+        };
+        let parked = Entry::Parked(RequestResult::Shutdown);
+        let Entry::Running(request) = std::mem::replace(entry, parked) else {
+            unreachable!("only a running request's root resolves");
         };
         state.frames_live -= request.frames.len();
         if let Some(telemetry) = &request.telemetry {
@@ -1025,23 +1240,25 @@ impl<'env> EventCore<'env> {
         let result = match status {
             Status::Panicked(panic) => RequestResult::Panicked(panic),
             Status::Succeeded | Status::Failed | Status::Cancelled => {
-                let invocations = std::mem::take(&mut request.invocations);
-                let cost = invocations.iter().map(|i| i.cost).sum();
                 let fallback = self.clock().now().saturating_sub(request.started_at);
                 let (completion, latency) = request.policy.finish(fallback);
                 let prune_detail = request.pruned;
                 RequestResult::Finished(EngineOutcome {
                     completion,
                     latency,
-                    cost,
-                    invocations,
+                    cost: request.cost,
+                    invocations: request.invocations.unwrap_or_default(),
                     pruned: prune_detail.map(|d| d.reason),
                     prune_detail,
                 })
             }
         };
-        if let Some(done) = request.done.take() {
-            deferred.dones.push((done, result));
+        match request.done {
+            Done::Park => *entry = Entry::Parked(result),
+            Done::Call(done) => {
+                state.requests.remove(req);
+                deferred.dones.push((done, result));
+            }
         }
     }
 }
@@ -1054,5 +1271,172 @@ impl Drop for EventCore<'_> {
         // the core, or it would freeze virtual time for every other user
         // of a shared clock.
         self.disarm();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::clock::VirtualClock;
+    use crate::device::SimulatedProvider;
+    use qce_strategy::CompletionPolicy;
+
+    #[test]
+    fn a_reused_slot_does_not_answer_to_its_old_id() {
+        let mut slots = Slots::new();
+        let first = slots.insert("first");
+        assert_eq!(slots.get(first), Some(&"first"));
+        assert_eq!(slots.remove(first), Some("first"));
+        assert_eq!(slots.get(first), None, "freed");
+        let second = slots.insert("second");
+        assert_eq!(second.index, first.index, "the freed slot is reused");
+        assert_ne!(second, first, "under a new generation");
+        assert_eq!(slots.get(first), None);
+        assert_eq!(slots.get_mut(first), None);
+        assert_eq!(slots.remove(first), None, "a stale id frees nothing");
+        assert_eq!(slots.get(second), Some(&"second"));
+    }
+
+    #[test]
+    fn len_tracks_inserts_and_removes() {
+        let mut slots = Slots::new();
+        assert_eq!(slots.len(), 0);
+        let ids: Vec<ReqId> = (0..5).map(|i| slots.insert(i)).collect();
+        assert_eq!(slots.len(), 5);
+        assert_eq!(slots.remove(ids[1]), Some(1));
+        assert_eq!(slots.remove(ids[3]), Some(3));
+        assert_eq!(slots.remove(ids[3]), None);
+        assert_eq!(slots.len(), 3);
+        // Freed slots are reused, most recently freed first, before the
+        // vector grows.
+        assert_eq!(slots.insert(5).index, ids[3].index);
+        assert_eq!(slots.insert(6).index, ids[1].index);
+        assert_eq!(slots.insert(7).index, 5);
+        assert_eq!(slots.len(), 6);
+        assert_eq!(slots.slots.len(), 6);
+    }
+
+    #[test]
+    fn retain_visits_in_insertion_order_across_reuse() {
+        let mut slots = Slots::new();
+        let ids: Vec<ReqId> = (0..4).map(|i| slots.insert(i)).collect();
+        slots.remove(ids[0]);
+        slots.remove(ids[2]);
+        slots.insert(4); // slot 2
+        slots.insert(5); // slot 0
+        let mut seen = Vec::new();
+        slots.retain_in_order(|value| {
+            seen.push(*value);
+            *value % 2 == 1
+        });
+        assert_eq!(seen, [1, 3, 4, 5], "insertion order, not slot order");
+        assert_eq!(slots.len(), 3);
+        assert_eq!(slots.get(ids[1]), Some(&1));
+    }
+
+    /// A request on `provider` alone whose resolution is appended to `log`
+    /// under `name`.
+    fn logged_request<'env>(
+        name: &'static str,
+        strategy: &'env Strategy,
+        provider: &'env [Arc<dyn Provider>],
+        request: &'env Invocation,
+        log: &'env Mutex<Vec<(&'static str, String)>>,
+    ) -> RequestSpec<'env> {
+        RequestSpec {
+            strategy: Shared::Borrowed(strategy),
+            providers: Shared::Borrowed(provider),
+            request: Cow::Borrowed(request),
+            collector: None,
+            telemetry: None,
+            budget: Budget::unlimited(),
+            policy: PolicyState::new(CompletionPolicy::FirstSuccess),
+            record_invocations: false,
+            done: Done::Call(Box::new(move |result| {
+                log.lock().push((name, format!("{result:?}")));
+            })),
+        }
+    }
+
+    /// `shutdown` resolves what it drains in submission order, as the
+    /// ordered map did — also when a reused slot puts a later request at a
+    /// lower index than an earlier one.
+    #[test]
+    fn shutdown_resolves_in_submission_order() {
+        let clock: Arc<dyn Clock> = Arc::new(VirtualClock::new());
+        let provider = |latency_ms| -> Vec<Arc<dyn Provider>> {
+            vec![SimulatedProvider::builder("p", "cap")
+                .latency(Duration::from_millis(latency_ms))
+                .clock(Arc::clone(&clock))
+                .build()]
+        };
+        let (instant, slow) = (provider(0), provider(50));
+        let strategy = Strategy::parse("a").unwrap();
+        let request = Invocation::new(1, "", vec![]);
+        let log = Mutex::new(Vec::new());
+        let no_spawn = |_: BlockingTask| unreachable!("every leaf is timed");
+
+        let core = EventCore::new(Shared::Borrowed(&*clock));
+        let spec = |name, provider| logged_request(name, &strategy, provider, &request, &log);
+        let first = core.submit(spec("first", &instant), &no_spawn);
+        let second = core.submit(spec("second", &slow), &no_spawn);
+        assert_eq!((first.index, second.index), (0, 1));
+        // One driver step completes the zero-latency leaf; its slot frees.
+        assert!(core.step(&no_spawn, &|_| false));
+        assert_eq!(log.lock().len(), 1);
+        assert_eq!(core.stats().in_flight, 1);
+        let third = core.submit(spec("third", &slow), &no_spawn);
+        assert_eq!(third.index, first.index, "reuses the freed slot");
+        assert_eq!(core.stats().in_flight, 2);
+
+        core.shutdown();
+        assert_eq!(core.stats().in_flight, 0);
+        assert_eq!(core.stats().frames_live, 0);
+        let log = log.lock();
+        let names: Vec<&str> = log.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names, ["first", "second", "third"]);
+        assert!(log[0].1.starts_with("Finished"));
+        assert_eq!(
+            (log[1].1.as_str(), log[2].1.as_str()),
+            ("Shutdown", "Shutdown")
+        );
+    }
+
+    /// A blocking leg's completion can arrive after its request is gone
+    /// and the slot serves another: the stale id must not reach it.
+    #[test]
+    fn a_late_leaf_event_cannot_reach_the_slots_next_request() {
+        let clock: Arc<dyn Clock> = Arc::new(VirtualClock::new());
+        let provider: Vec<Arc<dyn Provider>> = vec![SimulatedProvider::builder("p", "cap")
+            .latency(Duration::from_millis(50))
+            .clock(Arc::clone(&clock))
+            .build()];
+        let strategy = Strategy::parse("a").unwrap();
+        let request = Invocation::new(1, "", vec![]);
+        let log = Mutex::new(Vec::new());
+        let no_spawn = |_: BlockingTask| unreachable!("every leaf is timed");
+
+        let core = EventCore::new(Shared::Borrowed(&*clock));
+        let spec = |name| logged_request(name, &strategy, &provider, &request, &log);
+        let gone = core.submit(spec("gone"), &no_spawn);
+        core.state.lock().requests.remove(gone);
+        let current = core.submit(spec("current"), &no_spawn);
+        assert_eq!(current.index, gone.index);
+
+        core.post_leaf(LeafEvent {
+            req: gone,
+            parent: None,
+            provider_index: 0,
+            t0: Duration::ZERO,
+            declared: None,
+            result: LeafOutcome::Completed(Ok(vec![1])),
+            orphan_slot: false,
+        });
+        assert!(core.step(&no_spawn, &|_| false));
+        assert!(
+            log.lock().is_empty(),
+            "the stale completion resolved nothing"
+        );
+        assert_eq!(core.stats().in_flight, 1);
     }
 }

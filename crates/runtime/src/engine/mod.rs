@@ -38,11 +38,10 @@ pub use policy::Completion;
 pub use pool::PoolStats;
 pub use qce_strategy::{CompletionPolicy, PruneReason};
 
+use std::borrow::Cow;
 use std::panic::resume_unwind;
 use std::sync::Arc;
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use qce_strategy::Strategy;
 
@@ -52,7 +51,7 @@ use crate::device::Provider;
 use crate::message::{Invocation, InvocationOutcome, RuntimeError};
 use crate::telemetry::Telemetry;
 
-use event::{run_blocking, BlockingTask, DoneFn, EventCore, RequestResult, RequestSpec, Shared};
+use event::{run_blocking, BlockingTask, Done, EventCore, RequestResult, RequestSpec, Shared};
 pub(crate) use policy::PolicyState;
 pub(crate) use pool::WorkerPool;
 
@@ -130,18 +129,20 @@ impl std::fmt::Debug for ExecSpec {
 }
 
 impl ExecSpec {
-    /// The spec as an owning request of an event core, resolving through
-    /// `done`. `clock` is left behind: the core runs on its own.
-    pub(crate) fn into_request(self, done: DoneFn<'static>) -> RequestSpec<'static> {
+    /// The spec as an owning request its submitter drives itself, every
+    /// invocation recorded. `clock` is left behind: the core runs on its
+    /// own.
+    fn into_request(self) -> RequestSpec<'static> {
         RequestSpec {
             strategy: Shared::Owned(Arc::new(self.strategy)),
             providers: Shared::Owned(self.providers.into()),
-            request: Shared::Owned(Arc::new(self.request)),
+            request: Cow::Owned(self.request),
             collector: self.collector.map(Shared::Owned),
             telemetry: self.telemetry.map(Shared::Owned),
             budget: self.budget,
             policy: PolicyState::new(self.policy),
-            done,
+            record_invocations: true,
+            done: Done::Park,
         }
     }
 }
@@ -205,9 +206,8 @@ pub fn execute_scoped(
     // event loop runs inline on its thread, so registering again would
     // double-count it and stall the virtual clock.
     let worker = (!clock.thread_is_worker()).then(|| WorkerGuard::enter(clock));
-    let result: Mutex<Option<RequestResult>> = Mutex::new(None);
     let core = EventCore::new(Shared::Borrowed(clock));
-    std::thread::scope(|scope| {
+    let result = std::thread::scope(|scope| {
         let core = &core;
         let spawn = move |task: BlockingTask| {
             scope.spawn(move || run_blocking(core, task));
@@ -216,20 +216,21 @@ pub fn execute_scoped(
             RequestSpec {
                 strategy: Shared::Borrowed(strategy),
                 providers: Shared::Borrowed(providers),
-                request: Shared::Borrowed(request),
+                request: Cow::Borrowed(request),
                 collector: collector.map(Shared::Borrowed),
                 telemetry: telemetry.map(Shared::Borrowed),
                 budget: budget.clone(),
                 policy,
-                done: Box::new(|r| *result.lock() = Some(r)),
+                record_invocations: true,
+                done: Done::Park,
             },
             &spawn,
         );
-        core.drive_request(req, &spawn);
+        core.drive_request(req, &spawn)
     });
     drop(core);
     drop(worker);
-    Ok(settle(result.into_inner()))
+    Ok(settle(result))
 }
 
 /// The unified execution engine: a bounded worker pool (for blocking
@@ -331,26 +332,242 @@ impl ExecutionEngine {
     /// panics (propagated to the caller).
     pub fn execute(&self, spec: ExecSpec) -> Result<EngineOutcome, RuntimeError> {
         validate(&spec.strategy, &spec.providers)?;
-        Ok(self.execute_validated(spec))
+        let clock = Arc::clone(&spec.clock);
+        Ok(self.drive(&clock, spec.into_request()))
     }
 
-    /// [`ExecutionEngine::execute`] for a spec that already passed
-    /// [`validate`].
-    pub(crate) fn execute_validated(&self, spec: ExecSpec) -> EngineOutcome {
-        let clock = Arc::clone(&spec.clock);
+    /// Runs `request` — already [`validate`]d, resolving by [`Done::Park`]
+    /// — to its outcome on a core of its own, driven by the calling
+    /// thread. The core is created and dropped per call on purpose: a pool
+    /// thread's trailing `wake()` can arm an idle core's signal, and the
+    /// clock slot the armed signal reserves would pin virtual time until a
+    /// driver came back — `Drop` is what disarms it.
+    pub(crate) fn drive(
+        &self,
+        clock: &Arc<dyn Clock>,
+        request: RequestSpec<'static>,
+    ) -> EngineOutcome {
         // See `execute_scoped`: an already-registered caller keeps its slot.
-        let worker = (!clock.thread_is_worker()).then(|| WorkerGuard::enter(&*clock));
-        let core = Arc::new(EventCore::new(Shared::Owned(Arc::clone(&clock))));
-        let result = Arc::new(Mutex::new(None));
-        let spawn = self.pooled_spawner(&core, &clock);
-        let done = {
-            let result = Arc::clone(&result);
-            Box::new(move |r| *result.lock() = Some(r))
-        };
-        let req = core.submit(spec.into_request(done), &spawn);
-        core.drive_request(req, &spawn);
+        let worker = (!clock.thread_is_worker()).then(|| WorkerGuard::enter(&**clock));
+        let core = Arc::new(EventCore::new(Shared::Owned(Arc::clone(clock))));
+        let spawn = self.pooled_spawner(&core, clock);
+        let req = core.submit(request, &spawn);
+        let result = core.drive_request(req, &spawn);
         drop(worker);
-        let settled = settle(result.lock().take());
-        settled
+        settle(result)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::clock::VirtualClock;
+    use crate::device::SimulatedProvider;
+    use crate::fault::{FaultPlan, FaultProfile, FaultyProvider};
+    use crate::message::InvokeError;
+    use qce_strategy::enumerate::StrategySampler;
+    use qce_strategy::MsId;
+    use rand::SeedableRng;
+
+    /// The rig of `tests/engine_equivalence.rs`: a fresh clock plus `m`
+    /// providers with distinct power-of-two latencies, reliability 0 or 1
+    /// from `mask`, and a seeded fault plan where `fault_mask` says so.
+    fn rig(
+        m: usize,
+        mask: u8,
+        fault_mask: u8,
+        seed: u64,
+    ) -> (Arc<dyn Clock>, Vec<Arc<dyn Provider>>) {
+        let clock: Arc<dyn Clock> = Arc::new(VirtualClock::new());
+        let profile = FaultProfile {
+            mean_time_between_faults: Duration::from_millis(20),
+            mean_fault_duration: Duration::from_millis(10),
+            latency_spike: Duration::from_millis(1024),
+            byzantine_payload: vec![0xBB],
+            ..FaultProfile::default()
+        };
+        let providers = (0..m)
+            .map(|i| {
+                let device = SimulatedProvider::builder(format!("p{i}"), format!("cap{i}"))
+                    .latency(Duration::from_millis(1 << i))
+                    .cost(5.0 * (i as f64 + 1.0))
+                    .reliability(if mask & (1 << i) != 0 { 1.0 } else { 0.0 })
+                    .response(vec![b'r', (i % 2) as u8])
+                    .clock(Arc::clone(&clock))
+                    .build();
+                if fault_mask & (1 << i) == 0 {
+                    return device as Arc<dyn Provider>;
+                }
+                let plan = FaultPlan::seeded(
+                    seed.wrapping_add(i as u64),
+                    Duration::from_secs(60),
+                    &profile,
+                );
+                FaultyProvider::new(device, Arc::clone(&clock), plan) as Arc<dyn Provider>
+            })
+            .collect();
+        (clock, providers)
+    }
+
+    /// The budgets a request can meet: none, a deadline that trips
+    /// mid-walk, and one tripped before the first leaf starts.
+    fn budgets() -> [Budget; 3] {
+        let cancelled = Budget::unlimited();
+        cancelled.cancel();
+        [
+            Budget::unlimited(),
+            Budget::unlimited().with_deadline(Duration::from_millis(3)),
+            cancelled,
+        ]
+    }
+
+    /// The gateway's request form keeps no `InvocationOutcome`s and adds
+    /// the cost up as legs complete; everything it does report must be
+    /// what `ExecutionEngine::execute` reports for the same inputs, bit
+    /// for bit — `-0.0` for a request that started nothing included.
+    #[test]
+    fn record_free_requests_agree_with_execute() {
+        let engine = ExecutionEngine::new(2);
+        let policies = [
+            CompletionPolicy::FirstSuccess,
+            CompletionPolicy::Quorum { quorum: 1 },
+            CompletionPolicy::Quorum { quorum: 2 },
+            CompletionPolicy::Quorum { quorum: 3 },
+        ];
+        for seed in 0..48u64 {
+            let m = 1 + (seed % 5) as usize;
+            let mixed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let (mask, fault_mask) = ((mixed >> 8) as u8, (mixed >> 24) as u8);
+            let ids: Vec<MsId> = (0..m).map(MsId).collect();
+            let strategy = StrategySampler::new(&ids)
+                .sample(&mut rand_chacha::ChaCha8Rng::seed_from_u64(seed));
+            for policy in policies {
+                for (which, budget) in budgets().into_iter().enumerate() {
+                    let ctx = format!("seed {seed} strategy {strategy} {policy:?} budget {which}");
+
+                    let (clock, providers) = rig(m, mask, fault_mask, seed);
+                    let recorded = engine
+                        .execute(ExecSpec {
+                            strategy: strategy.clone(),
+                            providers,
+                            request: Invocation::new(7, "", vec![]),
+                            collector: None,
+                            telemetry: None,
+                            clock,
+                            budget: budget.clone(),
+                            policy,
+                        })
+                        .unwrap();
+                    // What the running total replaced.
+                    let summed: f64 = recorded.invocations.iter().map(|i| i.cost).sum();
+                    assert_eq!(recorded.cost.to_bits(), summed.to_bits(), "{ctx}");
+
+                    let (clock, providers) = rig(m, mask, fault_mask, seed);
+                    let bare = engine.drive(
+                        &clock,
+                        RequestSpec {
+                            strategy: Shared::Owned(Arc::new(strategy.clone())),
+                            providers: Shared::Owned(providers.into()),
+                            request: Cow::Owned(Invocation::new(7, "", vec![])),
+                            collector: None,
+                            telemetry: None,
+                            budget,
+                            policy: PolicyState::new(policy),
+                            record_invocations: false,
+                            done: Done::Park,
+                        },
+                    );
+                    assert!(bare.invocations.is_empty(), "{ctx}");
+                    assert_eq!(bare.completion, recorded.completion, "{ctx}");
+                    assert_eq!(bare.latency, recorded.latency, "{ctx}");
+                    assert_eq!(bare.cost.to_bits(), recorded.cost.to_bits(), "{ctx}");
+                    assert_eq!(bare.pruned, recorded.pruned, "{ctx}");
+                    assert_eq!(bare.prune_detail, recorded.prune_detail, "{ctx}");
+                    if which == 2 {
+                        assert_eq!(bare.cost.to_bits(), (-0.0f64).to_bits(), "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Logs the order its instances are started in, then fails after 1 ms
+    /// so the walk goes on to every other leaf.
+    #[derive(Debug)]
+    struct Logged {
+        id: &'static str,
+        log: Arc<parking_lot::Mutex<Vec<&'static str>>>,
+    }
+
+    impl Provider for Logged {
+        fn id(&self) -> &str {
+            self.id
+        }
+
+        fn capability(&self) -> &str {
+            self.id
+        }
+
+        fn cost(&self) -> f64 {
+            1.0
+        }
+
+        fn invoke(&self, _request: &Invocation) -> Result<Vec<u8>, InvokeError> {
+            unreachable!("always timed")
+        }
+
+        fn try_timed_invoke(
+            &self,
+            _request: &Invocation,
+            _clock: &dyn Clock,
+        ) -> Option<(Duration, Result<Vec<u8>, InvokeError>)> {
+            self.log.lock().push(self.id);
+            Some((
+                Duration::from_millis(1),
+                Err(InvokeError::DeviceUnavailable),
+            ))
+        }
+    }
+
+    /// A frame no longer carries its path: a child's node is found by
+    /// climbing the `(frame, ordinal)` links. On a four-level tree the walk
+    /// must start the leaves in the order, and allocate the frames, that
+    /// the path-carrying walk did — the literals are what the parent
+    /// commit produces for this test.
+    #[test]
+    fn nested_walk_follows_the_parent_chain() {
+        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let providers: Vec<Arc<dyn Provider>> = ["a", "b", "c", "d", "e"]
+            .into_iter()
+            .map(|id| {
+                let log = Arc::clone(&log);
+                Arc::new(Logged { id, log }) as Arc<dyn Provider>
+            })
+            .collect();
+        let clock = VirtualClock::new();
+        let telemetry = Telemetry::new(Arc::new(VirtualClock::new()), 0);
+        let strategy = Strategy::parse("a-(b*(c-d))*e").unwrap();
+        let outcome = execute_scoped(
+            &strategy,
+            &providers,
+            &Invocation::new(1, "", vec![]),
+            None,
+            &clock,
+            Some(&telemetry),
+            &Budget::unlimited(),
+            CompletionPolicy::FirstSuccess,
+        )
+        .unwrap();
+        assert!(!outcome.completion.is_success());
+        assert_eq!(*log.lock(), ["a", "b", "e", "c", "d"]);
+        assert_eq!(telemetry.snapshot().engine.frames_peak, 3);
+        let completed: Vec<&str> = outcome
+            .invocations
+            .iter()
+            .map(|i| i.provider_id.as_str())
+            .collect();
+        assert_eq!(completed, ["a", "b", "e", "c", "d"]);
+        assert_eq!(outcome.latency, Duration::from_millis(3));
+        assert_eq!(outcome.cost, 5.0);
     }
 }

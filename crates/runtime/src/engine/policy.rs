@@ -3,10 +3,7 @@
 //! winner slot, or the quorum vote tally.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use qce_strategy::CompletionPolicy;
 
@@ -36,34 +33,27 @@ impl VoteBox {
         entry.0
     }
 
-    /// The plurality payload (ties broken by first-seen order).
-    pub fn winner(&self) -> (Option<Vec<u8>>, usize) {
+    /// The plurality payload (ties broken by first-seen order), moved out
+    /// of the tally.
+    pub fn into_winner(self) -> (Option<Vec<u8>>, usize) {
         self.tally
-            .iter()
+            .into_iter()
             .max_by(|(_, (va, oa)), (_, (vb, ob))| va.cmp(vb).then(ob.cmp(oa)))
-            .map_or((None, 0), |(payload, (votes, _))| {
-                (Some(payload.clone()), *votes)
-            })
+            .map_or((None, 0), |(payload, (votes, _))| (Some(payload), votes))
     }
 }
 
-/// The mutable per-request state of a completion policy: shared by every
-/// leg of one execution, it decides when the walk halts and assembles the
-/// final [`Completion`].
+/// The mutable per-request state of a completion policy: it decides when
+/// the walk halts and assembles the final [`Completion`]. Owned by the
+/// request's state in the event core and only ever reached through `&mut`
+/// under the core lock, so its fields are plain values.
 #[derive(Debug)]
 pub(crate) enum PolicyState {
     /// First success ends the strategy (paper Section III.A).
-    FirstSuccess {
-        done: AtomicBool,
-        win: Mutex<Option<Win>>,
-    },
+    FirstSuccess { win: Option<Win> },
     /// Execution continues until `quorum` byte-equal payloads agree
     /// (paper Section VII).
-    Quorum {
-        quorum: usize,
-        done: AtomicBool,
-        votes: Mutex<VoteBox>,
-    },
+    Quorum { quorum: usize, votes: VoteBox },
 }
 
 /// How an execution completed, per policy.
@@ -114,16 +104,12 @@ impl Completion {
 impl PolicyState {
     pub fn new(policy: CompletionPolicy) -> Self {
         match policy {
-            CompletionPolicy::FirstSuccess => PolicyState::FirstSuccess {
-                done: AtomicBool::new(false),
-                win: Mutex::new(None),
-            },
+            CompletionPolicy::FirstSuccess => PolicyState::FirstSuccess { win: None },
             CompletionPolicy::Quorum { quorum } => {
                 assert!(quorum >= 1, "quorum must be at least 1");
                 PolicyState::Quorum {
                     quorum,
-                    done: AtomicBool::new(false),
-                    votes: Mutex::new(VoteBox::default()),
+                    votes: VoteBox::default(),
                 }
             }
         }
@@ -132,9 +118,8 @@ impl PolicyState {
     /// Whether the walk has globally halted (strategy won / quorum met).
     pub fn halted(&self) -> bool {
         match self {
-            PolicyState::FirstSuccess { done, .. } | PolicyState::Quorum { done, .. } => {
-                done.load(Ordering::SeqCst)
-            }
+            PolicyState::FirstSuccess { win } => win.is_some(),
+            PolicyState::Quorum { votes, .. } => votes.decided_at.is_some(),
         }
     }
 
@@ -145,28 +130,17 @@ impl PolicyState {
 
     /// Registers a successful invocation that completed `at` after the
     /// execution started.
-    pub fn on_success(&self, payload: Vec<u8>, at: Duration) {
+    pub fn on_success(&mut self, payload: Vec<u8>, at: Duration) {
         match self {
-            PolicyState::FirstSuccess { done, win } => {
-                let mut win = win.lock();
-                let earlier = win.as_ref().is_none_or(|w| at < w.at);
-                if earlier {
+            PolicyState::FirstSuccess { win } => {
+                if win.as_ref().is_none_or(|w| at < w.at) {
                     *win = Some(Win { at, payload });
                 }
-                drop(win);
-                done.store(true, Ordering::SeqCst);
             }
-            PolicyState::Quorum {
-                quorum,
-                done,
-                votes,
-            } => {
-                let mut votes = votes.lock();
+            PolicyState::Quorum { quorum, votes } => {
                 let count = votes.vote(payload);
                 if count >= *quorum && votes.decided_at.is_none() {
                     votes.decided_at = Some(at);
-                    drop(votes);
-                    done.store(true, Ordering::SeqCst);
                 }
             }
         }
@@ -175,35 +149,32 @@ impl PolicyState {
     /// Assembles the completion and latency once the walk has finished.
     /// `fallback_latency` (start-to-now) is reported when the policy never
     /// decided — total failure, or quorum not reached.
-    pub fn finish(&self, fallback_latency: Duration) -> (Completion, Duration) {
+    pub fn finish(self, fallback_latency: Duration) -> (Completion, Duration) {
         match self {
-            PolicyState::FirstSuccess { win, .. } => match &*win.lock() {
-                Some(win) => (
-                    Completion::First {
-                        success: true,
-                        payload: Some(win.payload.clone()),
-                    },
-                    win.at,
-                ),
-                None => (
-                    Completion::First {
-                        success: false,
-                        payload: None,
-                    },
-                    fallback_latency,
-                ),
-            },
-            PolicyState::Quorum { quorum, votes, .. } => {
-                let votes = votes.lock();
-                let (payload, winner_votes) = votes.winner();
-                let agreed = winner_votes >= *quorum;
+            PolicyState::FirstSuccess { win: Some(win) } => (
+                Completion::First {
+                    success: true,
+                    payload: Some(win.payload),
+                },
+                win.at,
+            ),
+            PolicyState::FirstSuccess { win: None } => (
+                Completion::First {
+                    success: false,
+                    payload: None,
+                },
+                fallback_latency,
+            ),
+            PolicyState::Quorum { quorum, votes } => {
                 let latency = votes.decided_at.unwrap_or(fallback_latency);
+                let votes_cast = votes.total;
+                let (payload, winner_votes) = votes.into_winner();
                 (
                     Completion::Agreement {
                         payload,
                         votes: winner_votes,
-                        votes_cast: votes.total,
-                        agreed,
+                        votes_cast,
+                        agreed: winner_votes >= quorum,
                     },
                     latency,
                 )
@@ -218,7 +189,7 @@ mod tests {
 
     #[test]
     fn first_success_keeps_the_earliest_win() {
-        let state = PolicyState::new(CompletionPolicy::FirstSuccess);
+        let mut state = PolicyState::new(CompletionPolicy::FirstSuccess);
         assert!(!state.halted());
         state.on_success(vec![2], Duration::from_millis(8));
         assert!(state.halted());
@@ -247,7 +218,7 @@ mod tests {
 
     #[test]
     fn quorum_decides_at_kth_agreeing_vote() {
-        let state = PolicyState::new(CompletionPolicy::Quorum { quorum: 2 });
+        let mut state = PolicyState::new(CompletionPolicy::Quorum { quorum: 2 });
         state.on_success(vec![7], Duration::from_millis(1));
         assert!(!state.halted());
         state.on_success(vec![8], Duration::from_millis(2));
@@ -269,7 +240,7 @@ mod tests {
 
     #[test]
     fn quorum_plurality_tie_breaks_on_first_seen() {
-        let state = PolicyState::new(CompletionPolicy::Quorum { quorum: 3 });
+        let mut state = PolicyState::new(CompletionPolicy::Quorum { quorum: 3 });
         state.on_success(vec![1], Duration::from_millis(1));
         state.on_success(vec![2], Duration::from_millis(2));
         let (completion, latency) = state.finish(Duration::from_millis(10));

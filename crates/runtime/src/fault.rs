@@ -180,6 +180,10 @@ fn pick_weighted(rng: &mut ChaCha8Rng, weights: &[u32]) -> usize {
     unreachable!("draw is below the total weight")
 }
 
+/// The fault kinds, as telemetry names them and as [`FaultCondition`]
+/// indexes them.
+const FAULT_NAMES: [&str; 3] = ["crash", "latency", "byzantine"];
+
 /// The fault condition in force at some instant.
 #[derive(Debug, Default)]
 struct FaultCondition {
@@ -188,6 +192,11 @@ struct FaultCondition {
     crashed: bool,
     added_latency: Duration,
     byzantine: Option<Vec<u8>>,
+    /// Per fault kind (in [`FAULT_NAMES`] order): whether the window in
+    /// force has emitted its `FaultWindowHit` event. Cleared by the
+    /// transition that closes the window, so each window announces itself
+    /// once however many invocations land in it.
+    announced: [bool; 3],
 }
 
 /// A [`Provider`] decorator that subjects a [`SimulatedProvider`] to a
@@ -261,7 +270,7 @@ impl FaultyProvider {
     /// Like [`FaultyProvider::new`], but every invocation that lands inside
     /// an active fault window is also counted as a
     /// [fault-window hit](crate::telemetry::EventKind::FaultWindowHit) on
-    /// `telemetry`.
+    /// `telemetry`; the first one to land in a window also emits the event.
     #[must_use]
     pub fn with_telemetry(
         inner: Arc<SimulatedProvider>,
@@ -284,9 +293,10 @@ impl FaultyProvider {
         &self.inner
     }
 
-    /// Applies every event due at `now` and returns the resulting
-    /// condition.
-    fn condition_at(&self, now: Duration) -> (bool, Duration, Option<Vec<u8>>) {
+    /// Applies every event due now, counts the invocation against each
+    /// fault window it lands in, and returns the resulting condition.
+    fn enter(&self) -> (bool, Duration, Option<Vec<u8>>) {
+        let now = self.clock.now();
         let mut cond = self.condition.lock();
         while let Some(event) = self.plan.events.get(cond.cursor) {
             if event.at > now {
@@ -294,15 +304,45 @@ impl FaultyProvider {
             }
             match &event.kind {
                 FaultKind::Crash => cond.crashed = true,
-                FaultKind::Recover => cond.crashed = false,
+                FaultKind::Recover => {
+                    cond.crashed = false;
+                    cond.announced[0] = false;
+                }
                 FaultKind::AddLatency(extra) => cond.added_latency = *extra,
-                FaultKind::ClearLatency => cond.added_latency = Duration::ZERO,
+                FaultKind::ClearLatency => {
+                    cond.added_latency = Duration::ZERO;
+                    cond.announced[1] = false;
+                }
                 FaultKind::Byzantine(payload) => cond.byzantine = Some(payload.clone()),
-                FaultKind::Honest => cond.byzantine = None,
+                FaultKind::Honest => {
+                    cond.byzantine = None;
+                    cond.announced[2] = false;
+                }
             }
             cond.cursor += 1;
         }
-        (cond.crashed, cond.added_latency, cond.byzantine.clone())
+        let condition = (cond.crashed, cond.added_latency, cond.byzantine.clone());
+        let Some(telemetry) = &self.telemetry else {
+            return condition;
+        };
+        // Per kind: `None` outside its window, else whether this is the
+        // window's first hit — decided under the lock, emitted after it.
+        let in_force = [condition.0, !condition.1.is_zero(), condition.2.is_some()];
+        let mut hits = [None; 3];
+        for ((hit, in_force), announced) in hits.iter_mut().zip(in_force).zip(&mut cond.announced) {
+            if in_force {
+                *hit = Some(!std::mem::replace(announced, true));
+            }
+        }
+        drop(cond);
+        for (hit, fault) in hits.into_iter().zip(FAULT_NAMES) {
+            match hit {
+                Some(true) => telemetry.record_fault_window(self.id(), fault),
+                Some(false) => telemetry.count_fault_window(self.id()),
+                None => {}
+            }
+        }
+        condition
     }
 }
 
@@ -320,18 +360,7 @@ impl Provider for FaultyProvider {
     }
 
     fn invoke(&self, request: &Invocation) -> Result<Vec<u8>, InvokeError> {
-        let (crashed, added_latency, byzantine) = self.condition_at(self.clock.now());
-        if let Some(telemetry) = &self.telemetry {
-            if crashed {
-                telemetry.record_fault_window(self.id(), "crash");
-            }
-            if !added_latency.is_zero() {
-                telemetry.record_fault_window(self.id(), "latency");
-            }
-            if byzantine.is_some() {
-                telemetry.record_fault_window(self.id(), "byzantine");
-            }
-        }
+        let (crashed, added_latency, byzantine) = self.enter();
         if crashed {
             return Err(InvokeError::DeviceUnavailable);
         }
@@ -354,18 +383,7 @@ impl Provider for FaultyProvider {
         if !self.inner.timed_eligible(clock) || !crate::clock::same_clock(&*self.clock, clock) {
             return None;
         }
-        let (crashed, added_latency, byzantine) = self.condition_at(self.clock.now());
-        if let Some(telemetry) = &self.telemetry {
-            if crashed {
-                telemetry.record_fault_window(self.id(), "crash");
-            }
-            if !added_latency.is_zero() {
-                telemetry.record_fault_window(self.id(), "latency");
-            }
-            if byzantine.is_some() {
-                telemetry.record_fault_window(self.id(), "byzantine");
-            }
-        }
+        let (crashed, added_latency, byzantine) = self.enter();
         if crashed {
             // A crashed device fails before reaching the inner provider,
             // so the inner invocation counter must not move.
@@ -477,20 +495,66 @@ mod tests {
         let p = FaultyProvider::with_telemetry(
             inner,
             Arc::clone(&clock) as Arc<dyn Clock>,
-            FaultPlan::new(vec![at(10, FaultKind::Crash), at(30, FaultKind::Recover)]),
+            FaultPlan::new(vec![
+                at(10, FaultKind::Crash),
+                at(30, FaultKind::Recover),
+                at(50, FaultKind::Crash),
+                at(60, FaultKind::Byzantine(vec![9])),
+            ]),
             Arc::clone(&telemetry),
         );
+        let hits = || {
+            telemetry
+                .snapshot()
+                .provider("d/cap")
+                .unwrap()
+                .fault_window_hits
+        };
+        let events = || -> Vec<String> {
+            let events = telemetry.events();
+            let kinds = events.iter().map(|e| match &e.kind {
+                EventKind::FaultWindowHit { provider, fault } if provider == "d/cap" => {
+                    fault.clone()
+                }
+                other => panic!("unexpected event {other:?}"),
+            });
+            kinds.collect()
+        };
         let req = Invocation::new(0, "cap", vec![]);
         assert!(p.invoke(&req).is_ok(), "healthy invocation records no hit");
+        assert!(telemetry.snapshot().provider("d/cap").is_none());
+
+        // Every hit in a window is counted; the window is announced once,
+        // whichever entry point lands in it first.
         clock.advance(Duration::from_millis(10));
         assert!(p.invoke(&req).is_err());
-        let snap = telemetry.snapshot();
-        assert_eq!(snap.provider("d/cap").unwrap().fault_window_hits, 1);
-        assert!(telemetry.events().iter().any(|e| matches!(
-            &e.kind,
-            EventKind::FaultWindowHit { provider, fault }
-                if provider == "d/cap" && fault == "crash"
-        )));
+        assert!(p.try_timed_invoke(&req, &*clock).unwrap().1.is_err());
+        assert!(p.invoke(&req).is_err());
+        assert_eq!(hits(), 3);
+        assert_eq!(events(), ["crash"]);
+
+        // A probe the provider declines (foreign clock) leaves the fault
+        // cursor, the counter and the ring alone — although a new window
+        // has opened by now.
+        clock.advance(Duration::from_millis(40)); // past recovery, crashed again
+        assert!(p.try_timed_invoke(&req, &VirtualClock::new()).is_none());
+        assert_eq!(p.condition.lock().cursor, 1);
+        assert_eq!(hits(), 3);
+        assert_eq!(events(), ["crash"]);
+
+        // The second crash window is a second event.
+        assert!(p.try_timed_invoke(&req, &*clock).unwrap().1.is_err());
+        assert!(p.invoke(&req).is_err());
+        assert_eq!(p.condition.lock().cursor, 3);
+        assert_eq!(hits(), 5);
+        assert_eq!(events(), ["crash", "crash"]);
+
+        // A window of another kind opening inside it announces itself; the
+        // crash window still in force does not announce itself again.
+        clock.advance(Duration::from_millis(10));
+        assert!(p.invoke(&req).is_err());
+        assert_eq!(hits(), 7, "one hit per window in force");
+        assert_eq!(events(), ["crash", "crash", "byzantine"]);
     }
 
     #[test]

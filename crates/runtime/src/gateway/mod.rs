@@ -19,6 +19,7 @@ mod planning;
 pub use control::GatewayControl;
 pub use handle::RequestHandle;
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -31,9 +32,11 @@ use qce_strategy::{Attribute, PlanCacheHub, Qos, Requirements, Strategy};
 use crate::clock::{Clock, WallClock, WorkerGuard};
 use crate::collector::Collector;
 use crate::device::Provider;
-use crate::engine::event::{BlockingTask, DoneFn, EventCore, RequestResult, Shared, TaskFn};
+use crate::engine::event::{
+    BlockingTask, Done, EventCore, RequestResult, RequestSpec, Shared, TaskFn,
+};
 use crate::engine::{
-    Budget, Completion, CompletionPolicy, EngineOutcome, EngineStats, ExecSpec, ExecutionEngine,
+    Budget, Completion, CompletionPolicy, EngineOutcome, EngineStats, ExecutionEngine, PolicyState,
     PoolStats, PruneDetail, PruneReason,
 };
 use crate::generator::{StrategyOrigin, SynthesisSettings};
@@ -46,7 +49,7 @@ use crate::telemetry::Telemetry;
 use admission::{Admission, AdmissionGate, AdmitOutcome, Shed, WakerFn};
 use control::ServiceOverrides;
 use handle::{FinishGuard, HandleShared};
-use planning::ServiceState;
+use planning::{ServiceState, SlotShared};
 
 /// Gateway configuration knobs.
 ///
@@ -369,10 +372,8 @@ struct Resolved {
 /// of the [`ServiceResponse`] that is known before execution.
 struct Reply {
     meta: RequestMeta,
-    strategy: Strategy,
-    names: Vec<String>,
+    plan: Arc<SlotShared>,
     slot: u64,
-    origin: StrategyOrigin,
     advisory: Option<QosAdvisory>,
 }
 
@@ -409,10 +410,10 @@ impl Reply {
             payload,
             latency: outcome.latency,
             cost: outcome.cost,
-            strategy_text: self.strategy.to_string_with_names(&self.names),
-            strategy: self.strategy,
+            strategy: Strategy::clone(&self.plan.strategy),
+            strategy_text: self.plan.strategy_text.clone(),
             slot: self.slot,
-            origin: self.origin,
+            origin: self.plan.origin.clone(),
             advisory: self.advisory,
             votes,
             pruned: outcome.pruned,
@@ -583,7 +584,7 @@ impl Gateway {
             spec.budget = spec.budget.with_deadline(self.clock.now() + deadline);
         }
         // The caller's thread drives the walk: no hop to a loop thread.
-        let outcome = self.engine.execute_validated(spec);
+        let outcome = self.engine.drive(&self.clock, spec);
         Ok(reply.respond(&self.telemetry, outcome))
     }
 
@@ -647,7 +648,7 @@ impl Gateway {
                     spec.budget = spec.budget.with_deadline(abs);
                 }
                 let telemetry = Arc::clone(&gateway.telemetry);
-                let done: DoneFn<'static> = Box::new(move |result| {
+                spec.done = Done::Call(Box::new(move |result| {
                     // The permit outlives the finish call so the freed
                     // admission slot is handed over only after the handle
                     // resolves.
@@ -659,10 +660,8 @@ impl Gateway {
                         RequestResult::Panicked(panic) => finish.finish_panic(panic),
                         RequestResult::Shutdown => finish.finish(Err(RuntimeError::Shutdown)),
                     }
-                });
-                gateway
-                    .core
-                    .submit(spec.into_request(done), &*gateway.spawn);
+                }));
+                gateway.core.submit(spec, &*gateway.spawn);
             })
         };
 
@@ -759,10 +758,13 @@ impl Gateway {
 
     /// Pipeline stage 3 (after admission): plans the slot and builds what
     /// the engine executes (validated; the entry point still anchors the
-    /// budget's deadline) and what [`Reply::respond`] needs afterwards.
-    fn prepare(&self, request: Resolved) -> Result<(ExecSpec, Reply), RuntimeError> {
+    /// budget's deadline and, if it does not drive the request itself,
+    /// sets `done`) and what [`Reply::respond`] needs afterwards. Strategy
+    /// and providers are the slot's own, shared: a request copies neither.
+    fn prepare(&self, request: Resolved) -> Result<(RequestSpec<'static>, Reply), RuntimeError> {
         let meta = request.meta;
-        let plan = self.plan_slot(&meta.service_id, &request.entry)?;
+        let planned = self.plan_slot(&meta.service_id, &request.entry)?;
+        let plan = planned.plan;
         crate::engine::validate(&plan.strategy, &plan.providers)?;
 
         // The advisory judges the slot's estimated QoS against *this
@@ -771,7 +773,7 @@ impl Gateway {
         // probe does not raise alarms calibrated for interactive clients.
         let requirement = request
             .requirement
-            .unwrap_or_else(|| meta.class.default_requirement(&plan.base_requirements));
+            .unwrap_or_else(|| meta.class.default_requirement(&planned.base_requirements));
         let advisory = plan.estimated.and_then(|estimated| {
             let violations = requirement.violations(&estimated);
             (!violations.is_empty()).then_some(QosAdvisory {
@@ -779,27 +781,31 @@ impl Gateway {
                 violations,
             })
         });
-        let spec = ExecSpec {
-            strategy: plan.strategy.clone(),
-            providers: plan.providers,
-            request: Invocation::new(meta.request_id, meta.service_id.clone(), request.payload),
-            collector: Some(Arc::clone(&self.collector)),
-            telemetry: Some(Arc::clone(&self.telemetry)),
-            clock: Arc::clone(&self.clock),
+        let spec = RequestSpec {
+            strategy: Shared::Owned(Arc::clone(&plan.strategy)),
+            providers: Shared::Owned(Arc::clone(&plan.providers)),
+            request: Cow::Owned(Invocation::new(
+                meta.request_id,
+                meta.service_id.clone(),
+                request.payload,
+            )),
+            collector: Some(Shared::Owned(Arc::clone(&self.collector))),
+            telemetry: Some(Shared::Owned(Arc::clone(&self.telemetry))),
             budget: Budget::unlimited()
                 .with_class(meta.class)
                 .with_parent_flag(Arc::clone(&request.entry.evicted)),
-            policy: match plan.quorum {
+            policy: PolicyState::new(match planned.quorum {
                 Some(q) if q > 1 => CompletionPolicy::Quorum { quorum: q },
                 _ => CompletionPolicy::FirstSuccess,
-            },
+            }),
+            // The response carries the total cost only.
+            record_invocations: false,
+            done: Done::Park,
         };
         let reply = Reply {
             meta,
-            strategy: plan.strategy,
-            names: plan.names,
-            slot: plan.slot,
-            origin: plan.origin,
+            plan,
+            slot: planned.slot,
             advisory,
         };
         Ok((spec, reply))

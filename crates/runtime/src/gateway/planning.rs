@@ -14,9 +14,33 @@ use crate::script::{MsSpec, ServiceScript};
 
 use super::{Gateway, ServiceEntry, SlotRecord};
 
-struct ActivePlan {
+/// The part of a slot's plan every request of the slot reads and none
+/// changes, built once per re-plan and shared by `Arc`: the engine gets
+/// its own handles on the strategy and the providers, the reply keeps the
+/// whole.
+pub(super) struct SlotShared {
+    pub(super) strategy: Arc<Strategy>,
+    pub(super) providers: Arc<[Arc<dyn Provider>]>,
+    /// The strategy rendered with the script's microservice names.
+    pub(super) strategy_text: String,
+    pub(super) origin: StrategyOrigin,
+    pub(super) estimated: Option<Qos>,
+}
+
+/// A slot's plan as [`Gateway::plan`] drafts it, before
+/// [`Gateway::replan`] records the decision and splits it into what
+/// requests share and what only planning reads.
+struct Draft {
     plan: SlotPlan,
     providers: Vec<Arc<dyn Provider>>,
+    /// See [`ActivePlan::names`].
+    names: Vec<String>,
+}
+
+struct ActivePlan {
+    shared: Arc<SlotShared>,
+    /// The QoS table the plan was synthesized under, for the drift trigger.
+    assumed_env: EnvQos,
     /// Names of the microservices the plan was synthesized over, aligned
     /// with the strategy's indices. Usually the script's full name list,
     /// but a subset when providers for some capabilities were missing at
@@ -38,15 +62,11 @@ pub(super) struct ServiceState {
 }
 
 /// Everything a single request needs from its service's current slot plan,
-/// cloned out of the per-service state cell so execution runs outside
+/// taken out of the per-service state cell so execution runs outside
 /// every lock. Produced by [`Gateway::plan_slot`].
 pub(super) struct Planned {
-    pub(super) strategy: Strategy,
-    pub(super) providers: Vec<Arc<dyn Provider>>,
-    pub(super) names: Vec<String>,
+    pub(super) plan: Arc<SlotShared>,
     pub(super) slot: u64,
-    pub(super) origin: StrategyOrigin,
-    pub(super) estimated: Option<Qos>,
     pub(super) base_requirements: Requirements,
     pub(super) quorum: Option<usize>,
 }
@@ -128,12 +148,8 @@ impl Gateway {
 
         state.invocations_in_slot += 1;
         Ok(Planned {
-            strategy: active.plan.strategy.clone(),
-            providers: active.providers.clone(),
-            names: active.names.clone(),
+            plan: Arc::clone(&active.shared),
             slot: state.slot,
-            origin: active.plan.origin.clone(),
-            estimated: active.plan.estimated,
             base_requirements: state.script.requirements,
             quorum: state.script.quorum,
         })
@@ -178,31 +194,46 @@ impl Gateway {
         state: &mut ServiceState,
         requirement: &Requirements,
     ) -> Result<ActivePlan, RuntimeError> {
-        let active = self.plan(state, requirement).inspect_err(|error| {
+        let Draft {
+            plan,
+            providers,
+            names,
+        } = self.plan(state, requirement).inspect_err(|error| {
             self.telemetry
                 .record_plan_failure(service_id, state.slot, error);
         })?;
-        let strategy_text = active.plan.strategy.to_string_with_names(&active.names);
+        let strategy_text = plan.strategy.to_string_with_names(&names);
         self.telemetry.record_replan(
             service_id,
             state.slot,
-            &active.plan.origin.to_string(),
+            &plan.origin.to_string(),
             &strategy_text,
-            active.plan.report.as_ref(),
-            active.plan.source,
+            plan.report.as_ref(),
+            plan.source,
         );
         state.history.push_back(SlotRecord {
             slot: state.slot,
-            strategy_text,
-            origin: active.plan.origin.clone(),
-            estimated: active.plan.estimated,
+            strategy_text: strategy_text.clone(),
+            origin: plan.origin.clone(),
+            estimated: plan.estimated,
         });
         let limit = self.config.history_limit.max(1);
         while state.history.len() > limit {
             state.history.pop_front();
             self.telemetry.record_history_evicted(service_id, 1);
         }
-        Ok(active)
+        Ok(ActivePlan {
+            shared: Arc::new(SlotShared {
+                strategy: Arc::new(plan.strategy),
+                providers: providers.into(),
+                strategy_text,
+                origin: plan.origin,
+                estimated: plan.estimated,
+            }),
+            assumed_env: plan.assumed_env,
+            names,
+            requirement: *requirement,
+        })
     }
 
     /// Plans the current slot for `state`: resolve providers, then generate
@@ -211,7 +242,7 @@ impl Gateway {
         &self,
         state: &ServiceState,
         requirement: &Requirements,
-    ) -> Result<ActivePlan, RuntimeError> {
+    ) -> Result<Draft, RuntimeError> {
         let utility = qce_strategy::UtilityIndex::new(state.script.penalty_k).map_err(|e| {
             RuntimeError::InvalidScript {
                 reason: e.to_string(),
@@ -270,11 +301,10 @@ impl Gateway {
             Some(&self.telemetry),
         )?;
 
-        Ok(ActivePlan {
+        Ok(Draft {
             names: script.ms_names().iter().map(|s| (*s).to_string()).collect(),
             plan,
             providers,
-            requirement: *requirement,
         })
     }
 
@@ -297,8 +327,9 @@ impl Gateway {
         }
         // Rebuild the QoS table the planner would assume right now over
         // the active plan's own provider set, then compare cell-by-cell.
-        let mut current: Vec<qce_strategy::Qos> = Vec::with_capacity(active.providers.len());
-        for (name, provider) in active.names.iter().zip(&active.providers) {
+        let providers = &active.shared.providers;
+        let mut current: Vec<qce_strategy::Qos> = Vec::with_capacity(providers.len());
+        for (name, provider) in active.names.iter().zip(providers.iter()) {
             let spec = state
                 .script
                 .microservices
@@ -309,7 +340,7 @@ impl Gateway {
         }
         let current: EnvQos = current.into_iter().collect();
         Some(crate::generator::env_drift(
-            &active.plan.assumed_env,
+            &active.assumed_env,
             &current,
             self.config.plan_quantize,
         ))
@@ -362,11 +393,9 @@ impl Gateway {
     /// names.
     #[must_use]
     pub fn current_strategy(&self, service_id: &str) -> Option<String> {
-        let active = |state: &mut ServiceState| {
-            let active = state.active.as_ref()?;
-            Some(active.plan.strategy.to_string_with_names(&active.names))
-        };
-        self.with_state(service_id, active).flatten()
+        let text =
+            |state: &mut ServiceState| Some(state.active.as_ref()?.shared.strategy_text.clone());
+        self.with_state(service_id, text).flatten()
     }
 
     /// Drops the cached script and planning state of `service_id` (e.g.

@@ -349,7 +349,9 @@ pub enum EventKind {
         capability: String,
     },
     /// An invocation landed inside an active fault window of a
-    /// [`FaultyProvider`](crate::FaultyProvider).
+    /// [`FaultyProvider`](crate::FaultyProvider). Emitted by the first
+    /// invocation to land in each window;
+    /// [`ProviderSnapshot::fault_window_hits`] counts them all.
     FaultWindowHit {
         /// Provider id.
         provider: String,
@@ -1090,13 +1092,19 @@ impl Telemetry {
     /// Records an invocation landing inside a provider's active fault
     /// window, emitting an [`EventKind::FaultWindowHit`] event.
     pub fn record_fault_window(&self, provider: &str, fault: &str) {
-        self.provider(provider)
-            .fault_window_hits
-            .fetch_add(1, Ordering::Relaxed);
+        self.count_fault_window(provider);
         self.emit(EventKind::FaultWindowHit {
             provider: provider.to_string(),
             fault: fault.to_string(),
         });
+    }
+
+    /// Counts an invocation landing inside a fault window whose
+    /// [`EventKind::FaultWindowHit`] event was already emitted.
+    pub(crate) fn count_fault_window(&self, provider: &str) {
+        self.provider(provider)
+            .fault_window_hits
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records the onset of a correlated-failure storm, emitting an
