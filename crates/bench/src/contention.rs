@@ -14,7 +14,8 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-use qce_runtime::{execute_strategy, Invocation, Provider, SimulatedProvider};
+use qce_runtime::engine::{execute_scoped, Budget, CompletionPolicy};
+use qce_runtime::{Invocation, Provider, SimulatedProvider, WallClock};
 use qce_strategy::Strategy;
 
 use crate::report::{fmt_f, fmt_pct, Report};
@@ -61,9 +62,22 @@ pub fn run_scenario(strategy: &Strategy, clients: usize, requests: u32) -> Conte
                     for r in 0..requests {
                         let request =
                             Invocation::new(u64::from(r) * 100 + client as u64, "", vec![]);
-                        let outcome = execute_strategy(&strategy, &providers, &request, None)
-                            .expect("providers resolved");
-                        out.push((outcome.success, outcome.cost, outcome.latency));
+                        let outcome = execute_scoped(
+                            &strategy,
+                            &providers,
+                            &request,
+                            None,
+                            &WallClock::new(),
+                            None,
+                            &Budget::unlimited(),
+                            CompletionPolicy::FirstSuccess,
+                        )
+                        .expect("providers resolved");
+                        out.push((
+                            outcome.completion.is_success(),
+                            outcome.cost,
+                            outcome.latency,
+                        ));
                     }
                     out
                 })

@@ -10,10 +10,10 @@
 //! * [`execute_scoped`] — borrows everything; the calling thread drives
 //!   the event loop, and the rare leaf that must really block (capacity
 //!   limits, foreign clocks, closure providers) runs on a scoped OS
-//!   thread. This is what [`execute_strategy`](crate::execute_strategy)
-//!   and [`execute_with_quorum`](crate::execute_with_quorum) delegate to;
-//!   with an unlimited [`Budget`] its behaviour is bit-for-bit the
-//!   pre-engine executors'.
+//!   thread. This is the one way to execute a strategy outside a
+//!   gateway; with an unlimited [`Budget`] its behaviour is bit-for-bit
+//!   the pre-engine executors' (`tests/engine_equivalence.rs` embeds
+//!   them as oracles).
 //! * [`ExecutionEngine::execute`] — owns its inputs ([`ExecSpec`]); the
 //!   calling thread drives, and blocking leaves run on the engine's
 //!   bounded, reusable worker pool (a saturated pool spills to one-shot
@@ -147,11 +147,18 @@ impl ExecSpec {
     }
 }
 
-/// Rejects strategies that reference an unresolved provider index.
+/// Rejects a quorum of zero, and strategies that reference an unresolved
+/// provider index.
 pub(crate) fn validate(
     strategy: &Strategy,
     providers: &[Arc<dyn Provider>],
+    policy: CompletionPolicy,
 ) -> Result<(), RuntimeError> {
+    if matches!(policy, CompletionPolicy::Quorum { quorum: 0 }) {
+        return Err(RuntimeError::InvalidScript {
+            reason: "quorum must be at least 1".to_string(),
+        });
+    }
     for id in strategy.leaves() {
         if providers.get(id.index()).is_none() {
             return Err(RuntimeError::NoProvider {
@@ -173,20 +180,24 @@ fn settle(result: Option<RequestResult>) -> EngineOutcome {
 }
 
 /// Executes `strategy` with borrowed inputs on the calling thread's event
-/// loop; blocking leaves run on scoped OS threads. The behaviour with
-/// [`Budget::unlimited`] is bit-for-bit the pre-engine
-/// [`execute_strategy_with_clock`](crate::execute_strategy_with_clock) /
-/// [`execute_with_quorum_clock`](crate::execute_with_quorum_clock).
+/// loop; blocking leaves run on scoped OS threads. With
+/// [`Budget::unlimited`] this is the historical behaviour of the
+/// pre-engine executors, bit for bit: the paper's first-success semantics
+/// (Section III.A) under [`CompletionPolicy::FirstSuccess`], its
+/// "require `q` agreeing results" direction (Section VII) under
+/// [`CompletionPolicy::Quorum`].
 ///
 /// # Errors
 ///
 /// Returns [`RuntimeError::NoProvider`] if the strategy references an
-/// index with no resolved provider.
+/// index with no resolved provider, and [`RuntimeError::InvalidScript`]
+/// if `policy` is a quorum of zero; nothing is invoked, charged or
+/// recorded before either.
 ///
 /// # Panics
 ///
-/// Panics if `policy` is a quorum of zero, or if a provider panics (the
-/// leg's panic is propagated, with clock worker accounting unwound).
+/// Panics if a provider panics (the leg's panic is propagated, with clock
+/// worker accounting unwound).
 #[allow(clippy::too_many_arguments)]
 pub fn execute_scoped(
     strategy: &Strategy,
@@ -198,7 +209,7 @@ pub fn execute_scoped(
     budget: &Budget,
     policy: CompletionPolicy,
 ) -> Result<EngineOutcome, RuntimeError> {
-    validate(strategy, providers)?;
+    validate(strategy, providers, policy)?;
     let policy = PolicyState::new(policy);
 
     // A caller already registered as a worker of this clock (e.g. a load
@@ -323,15 +334,13 @@ impl ExecutionEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::NoProvider`] if the strategy references an
-    /// index with no resolved provider.
+    /// As [`execute_scoped`].
     ///
     /// # Panics
     ///
-    /// Panics if `spec.policy` is a quorum of zero, or if a provider
-    /// panics (propagated to the caller).
+    /// Panics if a provider panics (propagated to the caller).
     pub fn execute(&self, spec: ExecSpec) -> Result<EngineOutcome, RuntimeError> {
-        validate(&spec.strategy, &spec.providers)?;
+        validate(&spec.strategy, &spec.providers, spec.policy)?;
         let clock = Arc::clone(&spec.clock);
         Ok(self.drive(&clock, spec.into_request()))
     }

@@ -765,7 +765,11 @@ impl Gateway {
         let meta = request.meta;
         let planned = self.plan_slot(&meta.service_id, &request.entry)?;
         let plan = planned.plan;
-        crate::engine::validate(&plan.strategy, &plan.providers)?;
+        let policy = match planned.quorum {
+            Some(q) if q > 1 => CompletionPolicy::Quorum { quorum: q },
+            _ => CompletionPolicy::FirstSuccess,
+        };
+        crate::engine::validate(&plan.strategy, &plan.providers, policy)?;
 
         // The advisory judges the slot's estimated QoS against *this
         // request's* effective requirement (explicit → live override →
@@ -794,10 +798,7 @@ impl Gateway {
             budget: Budget::unlimited()
                 .with_class(meta.class)
                 .with_parent_flag(Arc::clone(&request.entry.evicted)),
-            policy: PolicyState::new(match planned.quorum {
-                Some(q) if q > 1 => CompletionPolicy::Quorum { quorum: q },
-                _ => CompletionPolicy::FirstSuccess,
-            }),
+            policy: PolicyState::new(policy),
             // The response carries the total cost only.
             record_invocations: false,
             done: Done::Park,

@@ -24,10 +24,12 @@
 //!   host; the gateway picks the best provider per capability
 //!   (Assumption 1);
 //! * [`Collector`] — windowed per-provider QoS statistics;
-//! * [`execute_strategy`] — threaded execution with fail-over, speculative
-//!   parallelism, global short-circuit, and Assumption-2 cost accounting;
-//! * [`execute_with_quorum`] — the paper's future-work extension: require
-//!   `q` agreeing results to outvote malicious devices;
+//! * [`engine::execute_scoped`] — executes one strategy outside a gateway:
+//!   fail-over, speculative parallelism, global short-circuit and
+//!   Assumption-2 cost accounting under
+//!   [`CompletionPolicy::FirstSuccess`]; under [`CompletionPolicy::Quorum`]
+//!   the paper's future-work extension, `q` agreeing results to outvote
+//!   malicious devices;
 //! * [`Gateway`] — ties it all together with per-time-slot strategy
 //!   regeneration; [`Client`] adds the Section IV.C advisory protocol;
 //! * [`scenario`] — the adversarial scenario suite: a declarative DSL for
@@ -84,7 +86,6 @@ pub mod clock;
 pub mod collector;
 pub mod device;
 pub mod engine;
-pub mod executor;
 pub mod fault;
 pub mod fleet;
 pub mod gateway;
@@ -93,7 +94,6 @@ pub mod harness;
 pub mod market;
 pub mod message;
 pub mod pipeline;
-pub mod quorum;
 pub mod registry;
 pub mod request;
 pub mod scenario;
@@ -108,7 +108,6 @@ pub use engine::{
     Budget, Completion, CompletionPolicy, EngineOutcome, EngineStats, ExecSpec, ExecutionEngine,
     PoolStats, PruneDetail, PruneReason,
 };
-pub use executor::{execute_strategy, execute_strategy_with_clock, ServiceOutcome};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultProfile, FaultyProvider};
 pub use fleet::{FleetConfig, FleetStats, GatewayFleet, GatewayShard, ServiceRouter, ShardStats};
 pub use gateway::{
@@ -123,7 +122,6 @@ pub use market::{FileMarket, InMemoryMarket, Market, MarketCacheStats, TtlMarket
 pub use message::{Invocation, InvocationOutcome, InvokeError, RuntimeError};
 pub use pipeline::{invoke_pipeline, PipelineResponse};
 pub use qce_strategy::SynthesisReport;
-pub use quorum::{execute_with_quorum, execute_with_quorum_clock, QuorumOutcome};
 pub use registry::Registry;
 pub use request::{QosClass, Request, CLASS_COUNT};
 pub use script::{MsSpec, ServiceScript};

@@ -4,17 +4,16 @@
 //! pre-engine executors *exactly* — outcome, payload, cost, latency, and
 //! the multiset of started invocations.
 //!
-//! The ground truth is not today's `execute_strategy_with_clock` (now a
-//! thin wrapper over the engine) but the **original tree walkers**, copied
-//! verbatim below from the pre-engine `executor.rs` / `quorum.rs` — except
+//! The ground truth is the **original tree walkers**, copied verbatim
+//! below from the pre-engine `executor.rs` / `quorum.rs` (both files are
+//! gone; these copies are what is left of them) — except
 //! that the oracles join their legs with the same slot-handoff the engine
 //! uses (see [`OracleSlot`]), without which the oracle itself is
 //! scheduling-dependent. Each case runs three independent rigs on fresh
 //! virtual clocks:
 //!
 //! 1. the copied legacy walker (the oracle),
-//! 2. `execute_strategy_with_clock` / `execute_with_quorum_clock`
-//!    (scoped-spawner engine path),
+//! 2. `execute_scoped` (scoped-spawner engine path),
 //! 3. `ExecutionEngine::execute` (pooled-spawner engine path).
 //!
 //! Determinism argument: reliabilities are 0 or 1 and latencies are
@@ -33,11 +32,12 @@ use std::time::Duration;
 use parking_lot::Mutex;
 use proptest::prelude::*;
 
-use qce_runtime::engine::{Budget, Completion, CompletionPolicy, ExecSpec, ExecutionEngine};
+use qce_runtime::engine::{
+    execute_scoped, Budget, Completion, CompletionPolicy, EngineOutcome, ExecSpec, ExecutionEngine,
+};
 use qce_runtime::{
-    execute_strategy_with_clock, execute_with_quorum_clock, Clock, FaultPlan, FaultProfile,
-    FaultyProvider, Invocation, InvocationOutcome, Provider, SimulatedProvider, VirtualClock,
-    WorkerGuard,
+    Clock, FaultPlan, FaultProfile, FaultyProvider, Invocation, InvocationOutcome, Provider,
+    SimulatedProvider, VirtualClock, WorkerGuard,
 };
 use qce_strategy::enumerate::StrategySampler;
 use qce_strategy::{MsId, Node, Strategy};
@@ -541,6 +541,47 @@ fn request() -> Invocation {
     Invocation::new(7, "", vec![])
 }
 
+/// Rig 2: the scoped door with an unlimited budget.
+fn run_scoped(
+    strategy: &Strategy,
+    providers: &[Arc<dyn Provider>],
+    clock: &dyn Clock,
+    policy: CompletionPolicy,
+) -> EngineOutcome {
+    execute_scoped(
+        strategy,
+        providers,
+        &request(),
+        None,
+        clock,
+        None,
+        &Budget::unlimited(),
+        policy,
+    )
+    .unwrap()
+}
+
+/// `(success, payload)` of a first-success run.
+fn first(completion: Completion) -> (bool, Option<Vec<u8>>) {
+    match completion {
+        Completion::First { success, payload } => (success, payload),
+        Completion::Agreement { .. } => panic!("first-success run returned agreement"),
+    }
+}
+
+/// `(payload, votes, votes_cast, agreed)` of a quorum run.
+fn agreement(completion: Completion) -> (Option<Vec<u8>>, usize, usize, bool) {
+    match completion {
+        Completion::Agreement {
+            payload,
+            votes,
+            votes_cast,
+            agreed,
+        } => (payload, votes, votes_cast, agreed),
+        Completion::First { .. } => panic!("quorum run returned first-success"),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The properties.
 // ---------------------------------------------------------------------------
@@ -549,7 +590,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// `CompletionPolicy::FirstSuccess` — both engine paths reproduce the
-    /// pre-engine `execute_strategy_with_clock` bit for bit.
+    /// pre-engine first-success walker bit for bit.
     #[test]
     fn first_success_engine_equals_legacy_walker(
         m in 1usize..6,
@@ -563,8 +604,8 @@ proptest! {
         let oracle = oracle_first_success(&strategy, &providers, &request(), &*clock);
 
         let (clock, providers) = rig(m, mask, fault_mask, seed);
-        let legacy =
-            execute_strategy_with_clock(&strategy, &providers, &request(), None, &*clock).unwrap();
+        let scoped = run_scoped(&strategy, &providers, &*clock, CompletionPolicy::FirstSuccess);
+        let (scoped_success, scoped_payload) = first(scoped.completion);
 
         let (clock, providers) = rig(m, mask, fault_mask, seed);
         let engine = ExecutionEngine::new(4)
@@ -579,18 +620,15 @@ proptest! {
                 policy: CompletionPolicy::FirstSuccess,
             })
             .unwrap();
-        let (engine_success, engine_payload) = match engine.completion {
-            Completion::First { success, payload } => (success, payload),
-            Completion::Agreement { .. } => panic!("first-success run returned agreement"),
-        };
+        let (engine_success, engine_payload) = first(engine.completion);
 
-        // Legacy wrapper vs original walker.
-        prop_assert_eq!(legacy.success, oracle.success, "strategy {}", strategy);
-        prop_assert_eq!(&legacy.payload, &oracle.payload, "strategy {}", strategy);
-        prop_assert_eq!(legacy.latency, oracle.latency, "strategy {}", strategy);
-        prop_assert_eq!(legacy.cost, oracle.cost, "strategy {}", strategy);
+        // Scoped engine vs original walker.
+        prop_assert_eq!(scoped_success, oracle.success, "strategy {}", strategy);
+        prop_assert_eq!(&scoped_payload, &oracle.payload, "strategy {}", strategy);
+        prop_assert_eq!(scoped.latency, oracle.latency, "strategy {}", strategy);
+        prop_assert_eq!(scoped.cost, oracle.cost, "strategy {}", strategy);
         prop_assert_eq!(
-            sorted_trace(&legacy.invocations),
+            sorted_trace(&scoped.invocations),
             sorted_trace(&oracle.invocations),
             "strategy {}",
             strategy
@@ -611,7 +649,7 @@ proptest! {
     }
 
     /// `CompletionPolicy::Quorum { k }` — both engine paths reproduce the
-    /// pre-engine `execute_with_quorum_clock` bit for bit, votes included.
+    /// pre-engine quorum walker bit for bit, votes included.
     #[test]
     fn quorum_engine_equals_legacy_walker(
         m in 1usize..6,
@@ -626,9 +664,9 @@ proptest! {
         let oracle = oracle_quorum(&strategy, &providers, &request(), quorum, &*clock);
 
         let (clock, providers) = rig(m, mask, fault_mask, seed);
-        let legacy =
-            execute_with_quorum_clock(&strategy, &providers, &request(), None, quorum, &*clock)
-                .unwrap();
+        let scoped = run_scoped(&strategy, &providers, &*clock, CompletionPolicy::Quorum { quorum });
+        let (scoped_payload, scoped_votes, scoped_cast, scoped_agreed) =
+            agreement(scoped.completion);
 
         let (clock, providers) = rig(m, mask, fault_mask, seed);
         let engine = ExecutionEngine::new(4)
@@ -643,22 +681,18 @@ proptest! {
                 policy: CompletionPolicy::Quorum { quorum },
             })
             .unwrap();
-        let (engine_payload, engine_votes, engine_cast, engine_agreed) = match engine.completion {
-            Completion::Agreement { payload, votes, votes_cast, agreed } => {
-                (payload, votes, votes_cast, agreed)
-            }
-            Completion::First { .. } => panic!("quorum run returned first-success"),
-        };
+        let (engine_payload, engine_votes, engine_cast, engine_agreed) =
+            agreement(engine.completion);
 
-        // Legacy wrapper vs original walker.
-        prop_assert_eq!(&legacy.payload, &oracle.payload, "strategy {} q{}", strategy, quorum);
-        prop_assert_eq!(legacy.votes, oracle.votes, "strategy {} q{}", strategy, quorum);
-        prop_assert_eq!(legacy.votes_cast, oracle.votes_cast, "strategy {} q{}", strategy, quorum);
-        prop_assert_eq!(legacy.agreed, oracle.agreed, "strategy {} q{}", strategy, quorum);
-        prop_assert_eq!(legacy.latency, oracle.latency, "strategy {} q{}", strategy, quorum);
-        prop_assert_eq!(legacy.cost, oracle.cost, "strategy {} q{}", strategy, quorum);
+        // Scoped engine vs original walker.
+        prop_assert_eq!(&scoped_payload, &oracle.payload, "strategy {} q{}", strategy, quorum);
+        prop_assert_eq!(scoped_votes, oracle.votes, "strategy {} q{}", strategy, quorum);
+        prop_assert_eq!(scoped_cast, oracle.votes_cast, "strategy {} q{}", strategy, quorum);
+        prop_assert_eq!(scoped_agreed, oracle.agreed, "strategy {} q{}", strategy, quorum);
+        prop_assert_eq!(scoped.latency, oracle.latency, "strategy {} q{}", strategy, quorum);
+        prop_assert_eq!(scoped.cost, oracle.cost, "strategy {} q{}", strategy, quorum);
         prop_assert_eq!(
-            sorted_trace(&legacy.invocations),
+            sorted_trace(&scoped.invocations),
             sorted_trace(&oracle.invocations),
             "strategy {} q{}",
             strategy,
@@ -731,15 +765,8 @@ fn parked_parent_handoff_keeps_pending_leaves() {
                 policy: CompletionPolicy::Quorum { quorum },
             })
             .unwrap();
-        let (engine_payload, engine_votes, engine_cast, engine_agreed) = match engine.completion {
-            Completion::Agreement {
-                payload,
-                votes,
-                votes_cast,
-                agreed,
-            } => (payload, votes, votes_cast, agreed),
-            Completion::First { .. } => panic!("quorum run returned first-success"),
-        };
+        let (engine_payload, engine_votes, engine_cast, engine_agreed) =
+            agreement(engine.completion);
         let ctx = format!("iter {iter} strategy {strategy} q{quorum}");
         assert_eq!(engine_payload, oracle.payload, "{ctx}");
         assert_eq!(engine_votes, oracle.votes, "{ctx}");

@@ -1,6 +1,7 @@
-//! Property-based tests for the threaded strategy executor: for random
-//! strategies and deterministic provider behaviours, the executor's
-//! success/cost accounting must match the analytic semantics exactly.
+//! Property-based tests for `engine::execute_scoped` on a wall clock: for
+//! random strategies and deterministic provider behaviours, the
+//! executor's success/cost accounting must match the analytic semantics
+//! exactly.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -9,7 +10,8 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use qce_runtime::{execute_strategy, execute_with_quorum, Invocation, Provider, SimulatedProvider};
+use qce_runtime::engine::{execute_scoped, Budget, Completion, CompletionPolicy, EngineOutcome};
+use qce_runtime::{Invocation, Provider, SimulatedProvider, WallClock};
 use qce_strategy::enumerate::StrategySampler;
 use qce_strategy::{EnvQos, MsId, Qos, Strategy};
 
@@ -33,6 +35,32 @@ fn sampled_strategy(m: usize, seed: u64) -> Strategy {
     StrategySampler::new(&ids).sample(&mut ChaCha8Rng::seed_from_u64(seed))
 }
 
+/// The door with its fixed arguments filled in.
+fn run(
+    strategy: &Strategy,
+    providers: &[Arc<dyn Provider>],
+    policy: CompletionPolicy,
+) -> EngineOutcome {
+    execute_scoped(
+        strategy,
+        providers,
+        &Invocation::new(1, "", vec![]),
+        None,
+        &WallClock::new(),
+        None,
+        &Budget::unlimited(),
+        policy,
+    )
+    .unwrap()
+}
+
+fn votes_cast(outcome: &EngineOutcome) -> usize {
+    match outcome.completion {
+        Completion::Agreement { votes_cast, .. } => votes_cast,
+        Completion::First { .. } => panic!("quorum run returned first-success"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -44,14 +72,8 @@ proptest! {
         let outcomes: Vec<bool> = (0..m).map(|i| mask & (1 << i) != 0).collect();
         let strategy = sampled_strategy(m, seed);
         let providers = deterministic_providers(&outcomes);
-        let outcome = execute_strategy(
-            &strategy,
-            &providers,
-            &Invocation::new(1, "", vec![]),
-            None,
-        )
-        .unwrap();
-        prop_assert_eq!(outcome.success, outcomes.iter().any(|&b| b));
+        let outcome = run(&strategy, &providers, CompletionPolicy::FirstSuccess);
+        prop_assert_eq!(outcome.completion.is_success(), outcomes.iter().any(|&b| b));
     }
 
     /// With deterministic outcomes, the threaded executor's cost matches
@@ -76,13 +98,7 @@ proptest! {
             })
             .collect();
         let estimated = qce_strategy::estimate::estimate(&strategy, &env).unwrap();
-        let outcome = execute_strategy(
-            &strategy,
-            &providers,
-            &Invocation::new(1, "", vec![]),
-            None,
-        )
-        .unwrap();
+        let outcome = run(&strategy, &providers, CompletionPolicy::FirstSuccess);
         // Deterministic outcomes make expected cost an exact invocation
         // count; scheduling jitter can only flip *simultaneity* cases,
         // which distinct latencies rule out analytically. Allow one
@@ -102,10 +118,9 @@ proptest! {
         let outcomes: Vec<bool> = (0..m).map(|i| mask & (1 << i) != 0).collect();
         let strategy = sampled_strategy(m, seed);
         let providers = deterministic_providers(&outcomes);
-        let request = Invocation::new(1, "", vec![]);
-        let plain = execute_strategy(&strategy, &providers, &request, None).unwrap();
-        let quorum = execute_with_quorum(&strategy, &providers, &request, None, 1).unwrap();
-        prop_assert_eq!(plain.success, quorum.agreed);
+        let plain = run(&strategy, &providers, CompletionPolicy::FirstSuccess);
+        let quorum = run(&strategy, &providers, CompletionPolicy::Quorum { quorum: 1 });
+        prop_assert_eq!(plain.completion.is_success(), quorum.completion.is_success());
     }
 
     /// Raising the quorum never decreases the cost.
@@ -114,11 +129,10 @@ proptest! {
         let outcomes: Vec<bool> = vec![true; m];
         let strategy = sampled_strategy(m, seed);
         let providers = deterministic_providers(&outcomes);
-        let request = Invocation::new(1, "", vec![]);
-        let q1 = execute_with_quorum(&strategy, &providers, &request, None, 1).unwrap();
-        let q2 = execute_with_quorum(&strategy, &providers, &request, None, 2).unwrap();
+        let q1 = run(&strategy, &providers, CompletionPolicy::Quorum { quorum: 1 });
+        let q2 = run(&strategy, &providers, CompletionPolicy::Quorum { quorum: 2 });
         prop_assert!(q2.cost >= q1.cost - 1e-9, "q1 {} vs q2 {}", q1.cost, q2.cost);
-        prop_assert!(q2.votes_cast >= q1.votes_cast);
+        prop_assert!(votes_cast(&q2) >= votes_cast(&q1));
     }
 
     /// Every reported invocation belongs to the strategy and is charged at
@@ -128,13 +142,7 @@ proptest! {
         let outcomes: Vec<bool> = (0..m).map(|i| mask & (1 << i) != 0).collect();
         let strategy = sampled_strategy(m, seed);
         let providers = deterministic_providers(&outcomes);
-        let outcome = execute_strategy(
-            &strategy,
-            &providers,
-            &Invocation::new(1, "", vec![]),
-            None,
-        )
-        .unwrap();
+        let outcome = run(&strategy, &providers, CompletionPolicy::FirstSuccess);
         let total: f64 = outcome.invocations.iter().map(|i| i.cost).sum();
         prop_assert!((total - outcome.cost).abs() < 1e-9);
         prop_assert!(outcome.invocations.len() <= m, "each ms invoked at most once");

@@ -8,9 +8,10 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+use qce_runtime::engine::{execute_scoped, Budget, Completion, CompletionPolicy};
 use qce_runtime::{
-    execute_strategy_with_clock, Clock, FaultPlan, FaultProfile, FaultyProvider, Invocation,
-    Provider, SimulatedProvider, VirtualClock,
+    Clock, FaultPlan, FaultProfile, FaultyProvider, Invocation, Provider, SimulatedProvider,
+    VirtualClock,
 };
 use qce_strategy::enumerate::StrategySampler;
 use qce_strategy::estimate::estimate;
@@ -43,7 +44,7 @@ fn random_env(m: usize, seed: u64) -> EnvQos {
 /// Executes a fail-over pair — a seeded-faulty primary and a healthy
 /// backup — over 30 virtual time steps, returning the full observable
 /// trace.
-fn faulty_failover_trace(seed: u64) -> Vec<(bool, Duration, Option<Vec<u8>>)> {
+fn faulty_failover_trace(seed: u64) -> Vec<(Completion, Duration)> {
     let clock = Arc::new(VirtualClock::new());
     let primary = FaultyProvider::new(
         SimulatedProvider::builder("a", "cap")
@@ -63,16 +64,19 @@ fn faulty_failover_trace(seed: u64) -> Vec<(bool, Duration, Option<Vec<u8>>)> {
     let strategy = Strategy::parse("a-b").expect("valid strategy");
     (0..30)
         .map(|i| {
-            let out = execute_strategy_with_clock(
+            let out = execute_scoped(
                 &strategy,
                 &providers,
                 &Invocation::new(i, "svc", vec![]),
                 None,
                 &*clock,
+                None,
+                &Budget::unlimited(),
+                CompletionPolicy::FirstSuccess,
             )
             .expect("providers resolve");
             clock.advance(Duration::from_millis(10));
-            (out.success, out.latency, out.payload)
+            (out.completion, out.latency)
         })
         .collect()
 }

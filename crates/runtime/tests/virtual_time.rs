@@ -6,10 +6,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use qce_runtime::engine::{execute_scoped, Budget, Completion, CompletionPolicy, EngineOutcome};
 use qce_runtime::{
-    execute_strategy_with_clock, execute_with_quorum_clock, Clock, FaultEvent, FaultKind,
-    FaultPlan, FaultyProvider, GatewayConfig, Harness, Invocation, MsSpec, Provider, ServiceScript,
-    SimulatedProvider, VirtualClock,
+    Clock, FaultEvent, FaultKind, FaultPlan, FaultyProvider, GatewayConfig, Harness, Invocation,
+    MsSpec, Provider, ServiceScript, SimulatedProvider, VirtualClock,
 };
 use qce_strategy::{Qos, Requirements, Strategy};
 
@@ -17,8 +17,24 @@ fn ms(n: u64) -> Duration {
     Duration::from_millis(n)
 }
 
-fn req() -> Invocation {
-    Invocation::new(1, "svc", vec![])
+/// Executes `strategy` through the scoped door on `clock`, no budget.
+fn run(
+    strategy: &str,
+    providers: &[Arc<dyn Provider>],
+    clock: &VirtualClock,
+    policy: CompletionPolicy,
+) -> EngineOutcome {
+    execute_scoped(
+        &Strategy::parse(strategy).unwrap(),
+        providers,
+        &Invocation::new(1, "svc", vec![]),
+        None,
+        clock,
+        None,
+        &Budget::unlimited(),
+        policy,
+    )
+    .unwrap()
 }
 
 /// A provider on `clock` with fixed latency/reliability/cost.
@@ -61,15 +77,8 @@ fn failover_latency_is_exact() {
         provider(&clock, "a", ms(10), 0.0, 10.0),
         provider(&clock, "b", ms(5), 1.0, 20.0),
     ];
-    let out = execute_strategy_with_clock(
-        &Strategy::parse("a-b").unwrap(),
-        &providers,
-        &req(),
-        None,
-        &*clock,
-    )
-    .unwrap();
-    assert!(out.success);
+    let out = run("a-b", &providers, &clock, CompletionPolicy::FirstSuccess);
+    assert!(out.completion.is_success());
     assert_eq!(out.latency, ms(15), "10 ms failure + 5 ms backup");
     assert_eq!(out.cost, 30.0);
     assert_eq!(clock.now(), ms(15));
@@ -85,15 +94,8 @@ fn speculative_winner_defines_latency() {
         provider(&clock, "a", ms(500), 1.0, 10.0),
         provider(&clock, "b", ms(2), 1.0, 20.0),
     ];
-    let out = execute_strategy_with_clock(
-        &Strategy::parse("a*b").unwrap(),
-        &providers,
-        &req(),
-        None,
-        &*clock,
-    )
-    .unwrap();
-    assert!(out.success);
+    let out = run("a*b", &providers, &clock, CompletionPolicy::FirstSuccess);
+    assert!(out.completion.is_success());
     assert_eq!(out.latency, ms(2), "first success wins");
     assert_eq!(out.cost, 30.0, "both started — both charged");
     assert_eq!(out.invocations.len(), 2, "the loser still completes");
@@ -110,15 +112,13 @@ fn short_circuit_cancels_unstarted_backup() {
         provider(&clock, "b", ms(1), 1.0, 99.0),
         provider(&clock, "c", ms(2), 1.0, 20.0),
     ];
-    let out = execute_strategy_with_clock(
-        &Strategy::parse("(a-b)*c").unwrap(),
+    let out = run(
+        "(a-b)*c",
         &providers,
-        &req(),
-        None,
-        &*clock,
-    )
-    .unwrap();
-    assert!(out.success);
+        &clock,
+        CompletionPolicy::FirstSuccess,
+    );
+    assert!(out.completion.is_success());
     assert_eq!(out.latency, ms(2));
     assert_eq!(out.cost, 30.0, "b was cancelled before starting");
     assert!(out.invocations.iter().all(|i| i.provider_id != "b"));
@@ -132,16 +132,9 @@ fn total_failure_latency_spans_the_chain() {
         provider(&clock, "a", ms(10), 0.0, 10.0),
         provider(&clock, "b", ms(5), 0.0, 20.0),
     ];
-    let out = execute_strategy_with_clock(
-        &Strategy::parse("a-b").unwrap(),
-        &providers,
-        &req(),
-        None,
-        &*clock,
-    )
-    .unwrap();
-    assert!(!out.success);
-    assert!(out.payload.is_none());
+    let out = run("a-b", &providers, &clock, CompletionPolicy::FirstSuccess);
+    assert!(!out.completion.is_success());
+    assert!(out.completion.payload().is_none());
     assert_eq!(out.latency, ms(15), "failure latency covers every attempt");
     assert_eq!(out.cost, 30.0);
 }
@@ -168,19 +161,21 @@ fn quorum_outvotes_a_byzantine_provider() {
         }]),
     );
     let providers: Vec<Arc<dyn Provider>> = vec![honest("a", ms(1)), liar, honest("c", ms(3))];
-    let out = execute_with_quorum_clock(
-        &Strategy::parse("a*b*c").unwrap(),
+    let out = run(
+        "a*b*c",
         &providers,
-        &req(),
-        None,
-        2,
-        &*clock,
-    )
-    .unwrap();
-    assert!(out.agreed);
-    assert_eq!(out.payload, Some(vec![21]), "the liar is outvoted");
-    assert_eq!(out.votes, 2);
-    assert_eq!(out.votes_cast, 3, "the byzantine result still voted");
+        &clock,
+        CompletionPolicy::Quorum { quorum: 2 },
+    );
+    assert_eq!(
+        out.completion,
+        Completion::Agreement {
+            payload: Some(vec![21]), // the liar is outvoted
+            votes: 2,
+            votes_cast: 3, // the byzantine result still voted
+            agreed: true,
+        }
+    );
     assert_eq!(out.latency, ms(3), "quorum reached at the second honest");
 }
 
@@ -364,15 +359,8 @@ fn virtual_sleep_costs_no_real_time() {
         provider(&clock, "a", Duration::from_secs(5), 1.0, 10.0),
         provider(&clock, "b", ms(1), 1.0, 20.0),
     ];
-    let out = execute_strategy_with_clock(
-        &Strategy::parse("a*b").unwrap(),
-        &providers,
-        &req(),
-        None,
-        &*clock,
-    )
-    .unwrap();
-    assert!(out.success);
+    let out = run("a*b", &providers, &clock, CompletionPolicy::FirstSuccess);
+    assert!(out.completion.is_success());
     assert_eq!(clock.now(), Duration::from_secs(5));
     assert!(
         wall_start.elapsed() < Duration::from_secs(2),

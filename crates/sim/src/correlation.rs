@@ -14,9 +14,7 @@
 //! much redundancy is really bought by equivalents that aren't
 //! failure-isolated.
 
-use std::time::Duration;
-
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use qce_strategy::{EstimateError, MsId, Strategy};
@@ -150,181 +148,6 @@ pub fn measure_reliability<R: Rng + ?Sized>(
     Ok(f64::from(successes) / f64::from(runs))
 }
 
-// ---------------------------------------------------------------------------
-// Scheduled correlated outages (failure storms)
-// ---------------------------------------------------------------------------
-
-/// A named failure domain: a shared radio link or power domain whose outage
-/// takes down every member microservice at once, for a *scheduled window*
-/// of virtual time.
-///
-/// This extends [`SharedHost`] beyond per-execution QoS correlation: a
-/// shared host flips a coin independently for every execution, while a
-/// failure domain is down for contiguous windows — the correlated-failure
-/// *storms* of the adversarial scenario suite. Windows are half-open
-/// `[start, end)`, sorted, and non-overlapping, so the domain state at any
-/// instant is well-defined and replay is deterministic.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FailureDomain {
-    /// Human-readable domain name (e.g. `"cell-tower-7"`).
-    pub name: String,
-    /// Microservices that lose connectivity when the domain is down.
-    pub members: Vec<MsId>,
-    /// Outage windows, half-open `[start, end)`, sorted and disjoint.
-    pub windows: Vec<(Duration, Duration)>,
-}
-
-impl FailureDomain {
-    /// Creates a failure domain from explicit outage windows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `members` is empty, a window is empty or reversed
-    /// (`end <= start`), or windows are unsorted/overlapping.
-    #[must_use]
-    pub fn new(
-        name: impl Into<String>,
-        members: Vec<MsId>,
-        windows: Vec<(Duration, Duration)>,
-    ) -> Self {
-        assert!(!members.is_empty(), "a failure domain needs members");
-        for w in &windows {
-            assert!(w.0 < w.1, "outage windows must satisfy start < end");
-        }
-        for pair in windows.windows(2) {
-            assert!(
-                pair[0].1 <= pair[1].0,
-                "outage windows must be sorted and disjoint"
-            );
-        }
-        FailureDomain {
-            name: name.into(),
-            members,
-            windows,
-        }
-    }
-
-    /// Generates a domain with seeded outage windows over `horizon`:
-    /// exponential gaps with mean `mean_time_between`, exponential outage
-    /// lengths with mean `mean_duration`. Same seed ⇒ same windows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `members` is empty or either mean is not positive.
-    #[must_use]
-    pub fn seeded(
-        name: impl Into<String>,
-        members: Vec<MsId>,
-        seed: u64,
-        horizon: Duration,
-        mean_time_between: Duration,
-        mean_duration: Duration,
-    ) -> Self {
-        assert!(
-            mean_time_between > Duration::ZERO && mean_duration > Duration::ZERO,
-            "outage process means must be positive"
-        );
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        let mut exp = |mean: Duration| {
-            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-            mean.mul_f64(-u.ln())
-        };
-        let mut windows = Vec::new();
-        let mut t = Duration::ZERO;
-        loop {
-            t += exp(mean_time_between);
-            if t >= horizon {
-                break;
-            }
-            let end = (t + exp(mean_duration)).min(horizon);
-            if end > t {
-                windows.push((t, end));
-            }
-            t = end;
-        }
-        FailureDomain::new(name, members, windows)
-    }
-
-    /// Whether the domain is down at instant `at`.
-    #[must_use]
-    pub fn down_at(&self, at: Duration) -> bool {
-        self.windows.iter().any(|&(s, e)| s <= at && at < e)
-    }
-
-    /// Total outage time within `[0, horizon)`.
-    #[must_use]
-    pub fn downtime(&self, horizon: Duration) -> Duration {
-        self.windows
-            .iter()
-            .map(|&(s, e)| e.min(horizon).saturating_sub(s.min(horizon)))
-            .sum()
-    }
-}
-
-/// Executes `strategy` once at virtual instant `at`: members of every
-/// domain that is down at `at` fail unconditionally (reliability zero for
-/// this execution), members of up domains behave per `env`.
-///
-/// Unlike [`execute_with_shared_fate`], the domain states are *not*
-/// sampled — they follow deterministically from the outage schedule — so
-/// the only randomness left is the members' own behaviour.
-///
-/// # Errors
-///
-/// Returns [`EstimateError::MissingMicroservice`] if the strategy
-/// references a microservice absent from `env`.
-pub fn execute_with_outages<R: Rng + ?Sized>(
-    executor: &VirtualExecutor,
-    strategy: &Strategy,
-    env: &Environment,
-    domains: &[FailureDomain],
-    at: Duration,
-    rng: &mut R,
-) -> Result<ExecutionTrace, EstimateError> {
-    let mut effective = env.clone();
-    for domain in domains.iter().filter(|d| d.down_at(at)) {
-        for &id in &domain.members {
-            if let Some(model) = effective.get_mut(id) {
-                model.reliability = qce_strategy::Reliability::NEVER;
-            }
-        }
-    }
-    executor.execute(strategy, &effective, rng)
-}
-
-/// Measured reliability of `strategy` over `runs` executions spread evenly
-/// across `[0, horizon)`, under the scheduled outages of `domains` — the
-/// time-averaged counterpart of [`measure_reliability`].
-///
-/// # Errors
-///
-/// Returns [`EstimateError::MissingMicroservice`] if the strategy
-/// references a microservice absent from `env`.
-///
-/// # Panics
-///
-/// Panics if `runs == 0` or `horizon` is zero.
-pub fn measure_reliability_over<R: Rng + ?Sized>(
-    strategy: &Strategy,
-    env: &Environment,
-    domains: &[FailureDomain],
-    horizon: Duration,
-    runs: u32,
-    rng: &mut R,
-) -> Result<f64, EstimateError> {
-    assert!(runs > 0, "at least one run is required");
-    assert!(horizon > Duration::ZERO, "horizon must be positive");
-    let executor = VirtualExecutor::new();
-    let mut successes = 0u32;
-    for k in 0..runs {
-        let at = horizon.mul_f64(f64::from(k) / f64::from(runs));
-        if execute_with_outages(&executor, strategy, env, domains, at, rng)?.success {
-            successes += 1;
-        }
-    }
-    Ok(f64::from(successes) / f64::from(runs))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,108 +238,5 @@ mod tests {
         let hosts = [SharedHost::new(vec![MsId(0), MsId(1)], 1.0)];
         let adjusted = preserve_marginals(&env(), &hosts).unwrap();
         assert_eq!(adjusted, env());
-    }
-
-    fn ms(n: u64) -> Duration {
-        Duration::from_millis(n)
-    }
-
-    #[test]
-    #[should_panic(expected = "members")]
-    fn domain_without_members_rejected() {
-        let _ = FailureDomain::new("d", vec![], vec![(ms(0), ms(1))]);
-    }
-
-    #[test]
-    #[should_panic(expected = "start < end")]
-    fn empty_outage_window_rejected() {
-        let _ = FailureDomain::new("d", vec![MsId(0)], vec![(ms(5), ms(5))]);
-    }
-
-    #[test]
-    #[should_panic(expected = "disjoint")]
-    fn overlapping_outage_windows_rejected() {
-        let _ = FailureDomain::new("d", vec![MsId(0)], vec![(ms(0), ms(10)), (ms(5), ms(20))]);
-    }
-
-    #[test]
-    fn down_at_windows_are_half_open() {
-        let d = FailureDomain::new("d", vec![MsId(0)], vec![(ms(10), ms(20)), (ms(40), ms(50))]);
-        assert!(!d.down_at(ms(9)));
-        assert!(d.down_at(ms(10)));
-        assert!(d.down_at(ms(19)));
-        assert!(!d.down_at(ms(20)));
-        assert!(d.down_at(ms(45)));
-        assert_eq!(d.downtime(ms(100)), ms(20));
-        assert_eq!(d.downtime(ms(45)), ms(15));
-    }
-
-    #[test]
-    fn seeded_domains_are_deterministic() {
-        let mk = |seed| {
-            FailureDomain::seeded(
-                "radio",
-                vec![MsId(0), MsId(1)],
-                seed,
-                Duration::from_secs(10),
-                Duration::from_millis(800),
-                Duration::from_millis(200),
-            )
-        };
-        assert_eq!(mk(7), mk(7), "same seed ⇒ same windows");
-        assert_ne!(mk(7), mk(8), "different seeds ⇒ different storms");
-        assert!(!mk(7).windows.is_empty(), "10 s horizon should see storms");
-    }
-
-    #[test]
-    fn outage_blackout_erodes_reliability_by_exact_uptime() {
-        // Perfectly reliable members + a domain covering 30% of the
-        // horizon: the time-averaged reliability is exactly the uptime
-        // fraction of the sampling instants — no randomness left.
-        let env = Environment::from_triples(&[(10.0, 5.0, 1.0), (10.0, 8.0, 1.0)]).unwrap();
-        let d = FailureDomain::new(
-            "power",
-            vec![MsId(0), MsId(1)],
-            vec![(Duration::from_secs(2), Duration::from_secs(5))],
-        );
-        let s = Strategy::parse("a-b").unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let measured =
-            measure_reliability_over(&s, &env, &[d], Duration::from_secs(10), 1000, &mut rng)
-                .unwrap();
-        assert!((measured - 0.7).abs() < 1e-9, "got {measured}");
-    }
-
-    #[test]
-    fn partial_outage_leaves_isolated_equivalents_standing() {
-        // Only ms0 is in the domain: the redundant pair still succeeds via
-        // ms1 while the storm rages.
-        let env = Environment::from_triples(&[(10.0, 5.0, 1.0), (10.0, 8.0, 1.0)]).unwrap();
-        let d = FailureDomain::new(
-            "radio",
-            vec![MsId(0)],
-            vec![(Duration::ZERO, Duration::from_secs(10))],
-        );
-        let s = Strategy::parse("a-b").unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let measured =
-            measure_reliability_over(&s, &env, &[d], Duration::from_secs(10), 200, &mut rng)
-                .unwrap();
-        assert_eq!(measured, 1.0);
-    }
-
-    #[test]
-    fn failure_domain_serde_round_trips() {
-        let d = FailureDomain::seeded(
-            "radio",
-            vec![MsId(0), MsId(2)],
-            11,
-            Duration::from_secs(5),
-            Duration::from_millis(700),
-            Duration::from_millis(300),
-        );
-        let text = serde_json::to_string(&d).unwrap();
-        let back: FailureDomain = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, d);
     }
 }

@@ -89,9 +89,9 @@ impl Environment {
         self.models.get(id.index())
     }
 
-    /// Mutable access to the model for `id`, if present. Used by
-    /// [`DynamicEnvironment`](crate::dynamics::DynamicEnvironment) to apply
-    /// scheduled QoS changes.
+    /// Mutable access to the model for `id`, if present. Used by the
+    /// shared-fate model ([`correlation`](crate::correlation)) to fail a
+    /// down host's members for one execution.
     #[must_use]
     pub fn get_mut(&mut self, id: MsId) -> Option<&mut MsModel> {
         self.models.get_mut(id.index())

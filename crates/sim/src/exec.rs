@@ -29,7 +29,7 @@
 
 use rand::Rng;
 
-use qce_strategy::{CompletionPolicy, EstimateError, MsId, Node, Strategy};
+use qce_strategy::{EstimateError, MsId, Node, Strategy};
 
 use crate::environment::Environment;
 use crate::trace::{ExecutionTrace, MsRecord};
@@ -145,125 +145,6 @@ impl VirtualExecutor {
     }
 }
 
-/// Trace of a policy-aware virtual execution (see
-/// [`VirtualExecutor::execute_with_policy`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PolicyTrace {
-    /// The underlying execution trace. `success` means the policy was
-    /// satisfied: first success under
-    /// [`CompletionPolicy::FirstSuccess`], quorum agreement under
-    /// [`CompletionPolicy::Quorum`].
-    pub trace: ExecutionTrace,
-    /// Successful invocations that completed by the decision instant.
-    /// Under first-success semantics this is `1` on success and `0`
-    /// otherwise; under a quorum it is the number of agreeing votes (the
-    /// simulator models honest equivalent microservices, so every success
-    /// votes for the same answer).
-    pub votes: usize,
-}
-
-impl VirtualExecutor {
-    /// Executes `strategy` once under `policy`, drawing all randomness from
-    /// `rng`.
-    ///
-    /// Under [`CompletionPolicy::FirstSuccess`] this is exactly
-    /// [`VirtualExecutor::execute`]. Under [`CompletionPolicy::Quorum`] the
-    /// walk mirrors the runtime engine's quorum semantics in virtual time:
-    /// a success no longer absorbs its sequential chain (the next stage
-    /// starts when the previous one *completes*, success or failure), and
-    /// the run decides at the `k`-th success. Invocations scheduled at or
-    /// after the decision instant never start; invocations still running
-    /// are cancelled and charged per this executor's cost semantics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EstimateError::MissingMicroservice`] if the strategy
-    /// references a microservice absent from `env`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `policy` is a quorum of zero.
-    pub fn execute_with_policy<R: Rng + ?Sized>(
-        &self,
-        strategy: &Strategy,
-        env: &Environment,
-        policy: CompletionPolicy,
-        rng: &mut R,
-    ) -> Result<PolicyTrace, EstimateError> {
-        let quorum = match policy {
-            CompletionPolicy::FirstSuccess => {
-                let trace = self.execute(strategy, env, rng)?;
-                let votes = usize::from(trace.success);
-                return Ok(PolicyTrace { trace, votes });
-            }
-            CompletionPolicy::Quorum { quorum } => {
-                assert!(quorum >= 1, "quorum must be at least 1");
-                quorum
-            }
-        };
-
-        for id in strategy.leaves() {
-            if env.get(id).is_none() {
-                return Err(EstimateError::MissingMicroservice(id));
-            }
-        }
-
-        // Schedule the whole strategy without short-circuiting (a success
-        // does not absorb its Seq chain under quorum), then decide at the
-        // k-th success and drop everything scheduled at or after it.
-        let mut schedule = Vec::with_capacity(strategy.len());
-        walk_quorum(strategy.node(), 0.0, env, rng, &mut schedule);
-
-        let mut success_ends: Vec<f64> = schedule
-            .iter()
-            .filter(|s| s.succeeded)
-            .map(|s| s.end)
-            .collect();
-        success_ends.sort_by(f64::total_cmp);
-        let agreed = success_ends.len() >= quorum;
-        let finish = if agreed {
-            success_ends[quorum - 1]
-        } else {
-            schedule.iter().map(|s| s.end).fold(0.0f64, f64::max)
-        };
-
-        let mut cost = 0.0;
-        let mut votes = 0;
-        let records: Vec<MsRecord> = schedule
-            .into_iter()
-            .map(|s| {
-                // Ties (start == finish) go to the decision: not started.
-                let started = !agreed || s.start < finish;
-                let cancelled = started && agreed && s.end > finish;
-                let charged = started && (self.charge_cancelled || !cancelled);
-                if charged {
-                    cost += env.get(s.ms).expect("validated above").cost;
-                }
-                let succeeded = started && s.succeeded && s.end <= finish;
-                votes += usize::from(succeeded);
-                MsRecord {
-                    ms: s.ms,
-                    start: s.start,
-                    end: s.end,
-                    started,
-                    succeeded,
-                    cancelled,
-                }
-            })
-            .collect();
-
-        Ok(PolicyTrace {
-            trace: ExecutionTrace {
-                success: agreed,
-                latency: finish,
-                cost,
-                records,
-            },
-            votes,
-        })
-    }
-}
-
 /// One scheduled invocation with its sampled outcome.
 struct Scheduled {
     ms: MsId,
@@ -335,44 +216,6 @@ fn walk<R: Rng + ?Sized>(
                 None => WalkOutcome::Failure(last_failure),
             }
         }
-    }
-}
-
-/// Schedules `node` for quorum execution starting at `t0`: nothing
-/// short-circuits (a Seq stage starts when its predecessor *completes*),
-/// and the returned time is the subtree's completion (makespan). The
-/// global k-th-success cut is applied by the caller.
-fn walk_quorum<R: Rng + ?Sized>(
-    node: &Node,
-    t0: f64,
-    env: &Environment,
-    rng: &mut R,
-    schedule: &mut Vec<Scheduled>,
-) -> f64 {
-    match node {
-        Node::Leaf(id) => {
-            let model = env.get(*id).expect("caller validated availability");
-            let (succeeded, latency) = model.sample_invocation(rng);
-            let end = t0 + latency;
-            schedule.push(Scheduled {
-                ms: *id,
-                start: t0,
-                end,
-                succeeded,
-            });
-            end
-        }
-        Node::Seq(children) => {
-            let mut cursor = t0;
-            for child in children {
-                cursor = walk_quorum(child, cursor, env, rng, schedule);
-            }
-            cursor
-        }
-        Node::Par(children) => children
-            .iter()
-            .map(|child| walk_quorum(child, t0, env, rng, schedule))
-            .fold(t0, f64::max),
     }
 }
 
@@ -577,117 +420,6 @@ mod tests {
                 .unwrap_err(),
             EstimateError::MissingMicroservice(MsId(1))
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "quorum")]
-    fn zero_quorum_policy_rejected() {
-        let env = det_env(&[(1.0, 1.0, true)]);
-        let s = Strategy::parse("a").unwrap();
-        let _ = VirtualExecutor::new().execute_with_policy(
-            &s,
-            &env,
-            CompletionPolicy::Quorum { quorum: 0 },
-            &mut rng(1),
-        );
-    }
-
-    #[test]
-    fn first_success_policy_matches_plain_execute() {
-        let env = det_env(&[(10.0, 2.0, false), (20.0, 5.0, true), (30.0, 9.0, true)]);
-        for expr in ["a-b-c", "a*b*c", "(a-b)*c", "a*b-c"] {
-            let s = Strategy::parse(expr).unwrap();
-            let exec = VirtualExecutor::new();
-            let plain = exec.execute(&s, &env, &mut rng(7)).unwrap();
-            let policy = exec
-                .execute_with_policy(&s, &env, CompletionPolicy::FirstSuccess, &mut rng(7))
-                .unwrap();
-            assert_eq!(policy.trace, plain, "{expr}");
-            assert_eq!(policy.votes, usize::from(plain.success));
-        }
-    }
-
-    #[test]
-    fn quorum_seq_does_not_absorb_successes() {
-        // a ok at 2, b ok at 2+3=5 → quorum of 2 met at 5; c never starts.
-        let env = det_env(&[(10.0, 2.0, true), (20.0, 3.0, true), (30.0, 4.0, true)]);
-        let s = Strategy::parse("a-b-c").unwrap();
-        let t = VirtualExecutor::new()
-            .execute_with_policy(
-                &s,
-                &env,
-                CompletionPolicy::Quorum { quorum: 2 },
-                &mut rng(1),
-            )
-            .unwrap();
-        assert!(t.trace.success);
-        assert_eq!(t.votes, 2);
-        assert_eq!(t.trace.latency, 5.0);
-        assert_eq!(t.trace.cost, 30.0, "c is pruned by the agreement");
-        assert!(!t.trace.records.iter().any(|r| r.ms == MsId(2) && r.started));
-    }
-
-    #[test]
-    fn quorum_par_decides_at_kth_success_and_cancels_the_rest() {
-        // Successes at 3 (b) and 5 (a); c would succeed at 8 → cancelled
-        // but charged (it started at 0).
-        let env = det_env(&[(10.0, 5.0, true), (20.0, 3.0, true), (30.0, 8.0, true)]);
-        let s = Strategy::parse("a*b*c").unwrap();
-        let t = VirtualExecutor::new()
-            .execute_with_policy(
-                &s,
-                &env,
-                CompletionPolicy::Quorum { quorum: 2 },
-                &mut rng(1),
-            )
-            .unwrap();
-        assert!(t.trace.success);
-        assert_eq!(t.votes, 2);
-        assert_eq!(t.trace.latency, 5.0);
-        assert_eq!(t.trace.cost, 60.0);
-        let c = t.trace.records.iter().find(|r| r.ms == MsId(2)).unwrap();
-        assert!(c.started && c.cancelled && !c.succeeded);
-    }
-
-    #[test]
-    fn unmet_quorum_runs_everything_and_reports_votes() {
-        let env = det_env(&[(10.0, 2.0, true), (20.0, 3.0, false)]);
-        let s = Strategy::parse("a-b").unwrap();
-        let t = VirtualExecutor::new()
-            .execute_with_policy(
-                &s,
-                &env,
-                CompletionPolicy::Quorum { quorum: 2 },
-                &mut rng(1),
-            )
-            .unwrap();
-        assert!(!t.trace.success);
-        assert_eq!(t.votes, 1);
-        assert_eq!(t.trace.latency, 5.0, "b runs 2..5 after a's success");
-        assert_eq!(t.trace.cost, 30.0, "nothing short-circuits");
-    }
-
-    #[test]
-    fn quorum_one_outcome_matches_first_success() {
-        // Same decision instant and cost as first-success on deterministic
-        // environments (records may differ in unreached tails).
-        let env = det_env(&[(10.0, 2.0, false), (20.0, 5.0, true), (30.0, 9.0, true)]);
-        for expr in ["a-b-c", "a*b*c", "(a-b)*c", "a*b-c"] {
-            let s = Strategy::parse(expr).unwrap();
-            let exec = VirtualExecutor::new();
-            let plain = exec.execute(&s, &env, &mut rng(9)).unwrap();
-            let q1 = exec
-                .execute_with_policy(
-                    &s,
-                    &env,
-                    CompletionPolicy::Quorum { quorum: 1 },
-                    &mut rng(9),
-                )
-                .unwrap();
-            assert_eq!(q1.trace.success, plain.success, "{expr}");
-            assert_eq!(q1.trace.latency, plain.latency, "{expr}");
-            assert_eq!(q1.trace.cost, plain.cost, "{expr}");
-        }
     }
 
     #[test]

@@ -13,17 +13,16 @@
 //!   place;
 //! * [`VirtualExecutor`] — executes a strategy in *virtual time* with exact
 //!   short-circuit and cost semantics (Assumption 2), replacing the paper's
-//!   `system.sleep` testbed with a noise-free equivalent;
+//!   `system.sleep` testbed with a noise-free equivalent. It is the
+//!   Monte-Carlo reference for Algorithm 1: a pure function of the tree
+//!   and the sampled outcomes — no clock, no threads, first-success only
+//!   (quorum execution, QoS drift and failure storms live in
+//!   `qce-runtime`, on the walker that serves requests);
 //! * [`simulate`] — Monte-Carlo aggregation used to validate Algorithm 1's
 //!   estimates (Section V.A.2: errors below 1%);
-//! * [`DynamicEnvironment`] — scheduled QoS drift (Fig. 8's reliability
-//!   drop/recovery);
 //! * [`SharedHost`] — correlated (shared-fate) failures for microservices
 //!   co-located on one device, quantifying when Algorithm 1's independence
-//!   assumption breaks;
-//! * [`FailureDomain`] — scheduled correlated *outages* (failure storms): a
-//!   shared radio link or power domain whose down-windows crash every
-//!   member at once, the adversarial-scenario counterpart of `SharedHost`.
+//!   assumption breaks.
 //!
 //! ## Quick start
 //!
@@ -54,21 +53,16 @@
 
 pub mod correlation;
 pub mod device;
-pub mod dynamics;
 pub mod environment;
 pub mod exec;
 pub mod microservice;
 pub mod montecarlo;
 pub mod trace;
 
-pub use correlation::{
-    execute_with_outages, execute_with_shared_fate, measure_reliability_over, preserve_marginals,
-    FailureDomain, SharedHost,
-};
+pub use correlation::{execute_with_shared_fate, preserve_marginals, SharedHost};
 pub use device::{environment_from_placements, Availability, Device, DeviceKind};
-pub use dynamics::{ChangeKind, DynamicEnvironment, QosChange};
 pub use environment::{table3_configurations, Environment, RandomEnvConfig};
-pub use exec::{PolicyTrace, VirtualExecutor};
+pub use exec::VirtualExecutor;
 pub use microservice::{LatencyDistribution, MsModel};
 pub use montecarlo::{relative_error_pct, simulate, simulate_with, McStats};
 pub use trace::{ExecutionTrace, MsRecord};
@@ -83,7 +77,6 @@ mod tests {
         assert_send_sync::<Environment>();
         assert_send_sync::<MsModel>();
         assert_send_sync::<VirtualExecutor>();
-        assert_send_sync::<DynamicEnvironment>();
         assert_send_sync::<ExecutionTrace>();
         assert_send_sync::<Device>();
     }

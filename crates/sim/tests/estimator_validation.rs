@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use qce_sim::{relative_error_pct, simulate, Environment, RandomEnvConfig, VirtualExecutor};
+use qce_sim::{relative_error_pct, simulate, Environment, RandomEnvConfig};
 use qce_strategy::enumerate::StrategySampler;
 use qce_strategy::estimate::{estimate, estimate_folding};
 use qce_strategy::{MsId, Strategy};
@@ -156,54 +156,4 @@ fn variable_latency_failover_still_matches() {
     // from means is exact up to sampling noise.
     assert!(relative_error_pct(stats.mean_latency, est.latency) < 2.0);
     assert!(relative_error_pct(stats.mean_cost, est.cost) < 2.0);
-}
-
-/// Drift scenario: after the scheduled reliability drop, measured
-/// reliability of the strategy falls accordingly — and recovers.
-#[test]
-fn dynamic_environment_shifts_measurements() {
-    use qce_sim::{ChangeKind, DynamicEnvironment, QosChange};
-    let base =
-        Environment::from_triples(&[(50.0, 30.0, 0.7), (50.0, 60.0, 0.7), (50.0, 80.0, 0.7)])
-            .unwrap();
-    let mut dyn_env = DynamicEnvironment::new(
-        base,
-        vec![
-            QosChange {
-                after_executions: 230,
-                ms: MsId(0),
-                change: ChangeKind::SetReliability(0.2),
-            },
-            QosChange {
-                after_executions: 430,
-                ms: MsId(0),
-                change: ChangeKind::SetReliability(0.7),
-            },
-        ],
-    );
-    let s = Strategy::parse("a").unwrap();
-    let exec = VirtualExecutor::new();
-    let mut rng = ChaCha8Rng::seed_from_u64(5);
-    let mut slot_rates = Vec::new();
-    for _slot in 0..6 {
-        let mut ok = 0u32;
-        for _ in 0..100 {
-            let trace = exec.execute(&s, dyn_env.current(), &mut rng).unwrap();
-            if trace.success {
-                ok += 1;
-            }
-            dyn_env.record_execution();
-        }
-        slot_rates.push(f64::from(ok) / 100.0);
-    }
-    // Slots 0–1 healthy (~0.7), slots 2–3 degraded (~0.2), slot 4+ recovered.
-    assert!(
-        slot_rates[0] > 0.55 && slot_rates[1] > 0.55,
-        "{slot_rates:?}"
-    );
-    assert!(
-        slot_rates[2] < 0.35 && slot_rates[3] < 0.35,
-        "{slot_rates:?}"
-    );
-    assert!(slot_rates[5] > 0.55, "{slot_rates:?}");
 }

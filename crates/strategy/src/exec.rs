@@ -1,4 +1,4 @@
-//! Execution-outcome vocabulary shared by every strategy walker.
+//! Execution-outcome vocabulary of the runtime's strategy walker.
 //!
 //! A strategy tree (Seq `-` / Par `*`, [`Node`](crate::Node)) can be
 //! *executed* under more than one notion of "done":
@@ -8,18 +8,18 @@
 //! * **quorum** — the Section VII future-work extension: execution keeps
 //!   going until `k` invocations return byte-identical payloads.
 //!
-//! The runtime's `ExecutionEngine` and the simulator's schedule walker
-//! both take a [`CompletionPolicy`] so the two interpretations share one
-//! traversal core, and both report early termination with a
-//! [`PruneReason`].
+//! Only the runtime's engine takes a [`CompletionPolicy`] (one traversal
+//! core serves both interpretations) and reports early termination with
+//! a [`PruneReason`]; the simulator's walker is first-success only.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// When is a strategy execution *complete*?
 ///
-/// Parameterizes the runtime `ExecutionEngine` and the simulator's
-/// schedule walker. The policy decides two things during the walk:
+/// Parameterizes the runtime's execution engine (`execute_scoped`,
+/// `ExecutionEngine`, the gateway), which rejects a zero quorum with a
+/// typed error. The policy decides two things during the walk:
 ///
 /// * whether a successful leaf ends the strategy (`FirstSuccess`: yes;
 ///   `Quorum`: only once `quorum` byte-equal payloads agree);

@@ -14,9 +14,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use qce_runtime::{
-    execute_strategy, execute_with_quorum, FnProvider, Invocation, InvokeError, Provider,
-};
+use qce_runtime::engine::{execute_scoped, Budget, Completion, CompletionPolicy};
+use qce_runtime::{FnProvider, Invocation, InvokeError, Provider, WallClock};
 use qce_strategy::Strategy;
 
 /// The ground truth the honest sensors observe.
@@ -44,6 +43,11 @@ fn flaky(id: &str, cost: f64) -> Arc<dyn Provider> {
     })
 }
 
+/// The bytes an execution answered with (none if nothing succeeded).
+fn answer(completion: &Completion) -> &[u8] {
+    completion.payload().map_or(&[], Vec::as_slice)
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // a: compromised but FAST (it wants to answer first);
     // b, c: honest; d: broken.
@@ -55,16 +59,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
     let strategy = Strategy::parse("a*b-c-d")?;
     let request = Invocation::new(1, "read-temp", vec![]);
+    // One door for both semantics: no collector, no telemetry, no budget.
+    let execute = |policy| {
+        execute_scoped(
+            &strategy,
+            &providers,
+            &request,
+            None,
+            &WallClock::new(),
+            None,
+            &Budget::unlimited(),
+            policy,
+        )
+    };
 
     println!("ground truth: {TRUE_TEMPERATURE} degrees (fire!)\n");
 
     // First-success semantics: the fast liar wins the race.
-    let naive = execute_strategy(&strategy, &providers, &request, None)?;
+    let naive = execute(CompletionPolicy::FirstSuccess)?;
     println!(
         "first-success: answered {:?} at cost {:.0} — {}",
-        naive.payload.as_deref().unwrap_or(&[]),
+        answer(&naive.completion),
         naive.cost,
-        if naive.payload.as_deref() == Some(&[TRUE_TEMPERATURE]) {
+        if answer(&naive.completion) == [TRUE_TEMPERATURE] {
             "correct"
         } else {
             "FOOLED by the rogue device"
@@ -72,24 +89,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Quorum-2: equivalent microservices must agree.
-    let quorum = execute_with_quorum(&strategy, &providers, &request, None, 2)?;
+    let quorum = execute(CompletionPolicy::Quorum { quorum: 2 })?;
+    let Completion::Agreement {
+        votes, votes_cast, ..
+    } = quorum.completion
+    else {
+        return Err("a quorum policy completes by agreement".into());
+    };
     println!(
         "quorum-2     : answered {:?} with {}/{} votes at cost {:.0} — {}",
-        quorum.payload.as_deref().unwrap_or(&[]),
-        quorum.votes,
-        quorum.votes_cast,
+        answer(&quorum.completion),
+        votes,
+        votes_cast,
         quorum.cost,
-        if quorum.payload.as_deref() == Some(&[TRUE_TEMPERATURE]) {
+        if answer(&quorum.completion) == [TRUE_TEMPERATURE] {
             "correct (liar outvoted)"
         } else {
             "fooled"
         }
     );
-    assert!(quorum.agreed);
-    assert_eq!(
-        quorum.payload.as_deref(),
-        Some([TRUE_TEMPERATURE].as_slice())
-    );
+    assert!(quorum.completion.is_success());
+    assert_eq!(answer(&quorum.completion), [TRUE_TEMPERATURE]);
 
     println!(
         "\nredundancy premium: quorum cost {:.0} vs first-success {:.0} \

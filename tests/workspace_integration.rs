@@ -1,17 +1,21 @@
 //! Cross-crate integration tests exercising the full pipeline through the
 //! `qce` façade: strategy algebra → simulation → runtime.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
+use qce::runtime::engine::{execute_scoped, Budget, CompletionPolicy};
 use qce::runtime::{
-    Client, Gateway, GatewayConfig, InMemoryMarket, MsSpec, ServiceScript, SimulatedProvider,
+    Client, Clock, Gateway, GatewayConfig, InMemoryMarket, Invocation, MsSpec, Provider,
+    ServiceScript, SimulatedProvider, VirtualClock, WallClock,
 };
 use qce::sim::{simulate, Environment, VirtualExecutor};
+use qce::strategy::enumerate::StrategySampler;
 use qce::strategy::estimate::estimate;
 use qce::strategy::{EnvQos, Generator, MsId, Qos, Requirements, Strategy};
 
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// The complete analytical pipeline: parse → estimate → generate → verify
@@ -68,7 +72,6 @@ fn three_executors_agree() {
     assert!((virtual_measured.mean_cost - estimated.cost).abs() / estimated.cost < 0.03);
 
     // Real threads (latencies in ms).
-    use qce::runtime::{execute_strategy, Invocation, Provider};
     let providers: Vec<Arc<dyn Provider>> = vec![
         SimulatedProvider::builder("d/a", "a")
             .cost(10.0)
@@ -87,10 +90,19 @@ fn three_executors_agree() {
     let mut cost_sum = 0.0;
     let mut ok = 0u32;
     for i in 0..runs {
-        let outcome =
-            execute_strategy(&strategy, &providers, &Invocation::new(i, "", vec![]), None).unwrap();
+        let outcome = execute_scoped(
+            &strategy,
+            &providers,
+            &Invocation::new(i, "", vec![]),
+            None,
+            &WallClock::new(),
+            None,
+            &Budget::unlimited(),
+            CompletionPolicy::FirstSuccess,
+        )
+        .unwrap();
         cost_sum += outcome.cost;
-        if outcome.success {
+        if outcome.completion.is_success() {
             ok += 1;
         }
     }
@@ -102,6 +114,76 @@ fn three_executors_agree() {
     );
     let reliability = f64::from(ok) / runs as f64;
     assert!((reliability - estimated.reliability.value()).abs() < 0.06);
+}
+
+/// The two strategy walkers that remain — the simulator's Monte-Carlo
+/// reference (`VirtualExecutor::execute`) and the runtime's event core
+/// behind `engine::execute_scoped` — agree case by case, not just on
+/// average: same success, same latency, same cost, same set of started
+/// microservices. Every microservice is up or down for sure and latencies
+/// are distinct powers of two, so every instant is a distinct subset sum
+/// and no tie can be broken two ways.
+#[test]
+fn sim_walker_and_event_core_agree_case_by_case() {
+    let mut rng = ChaCha8Rng::seed_from_u64(20);
+    let clock = Arc::new(VirtualClock::new());
+    for m in 1..=5usize {
+        let ids: Vec<MsId> = (0..m).map(MsId).collect();
+        let sampler = StrategySampler::new(&ids);
+        for _ in 0..60 {
+            let strategy = sampler.sample(&mut rng);
+            let up: Vec<bool> = (0..m).map(|_| rng.gen_bool(0.5)).collect();
+            let ctx = format!("strategy {strategy} up {up:?}");
+
+            let triples: Vec<(f64, f64, f64)> = (0..m)
+                .map(|i| (10.0 + i as f64, f64::from(1u32 << i), f64::from(up[i])))
+                .collect();
+            let env = Environment::from_triples(&triples).unwrap();
+            let trace = VirtualExecutor::new()
+                .execute(&strategy, &env, &mut rng)
+                .unwrap();
+
+            let providers: Vec<Arc<dyn Provider>> = triples
+                .iter()
+                .enumerate()
+                .map(|(i, &(cost, latency_ms, reliability))| {
+                    SimulatedProvider::builder(i.to_string(), "cap")
+                        .cost(cost)
+                        .latency(Duration::from_secs_f64(latency_ms / 1000.0))
+                        .reliability(reliability)
+                        .clock(Arc::clone(&clock) as Arc<dyn Clock>)
+                        .build() as Arc<dyn Provider>
+                })
+                .collect();
+            let outcome = execute_scoped(
+                &strategy,
+                &providers,
+                &Invocation::new(1, "", vec![]),
+                None,
+                &*clock,
+                None,
+                &Budget::unlimited(),
+                CompletionPolicy::FirstSuccess,
+            )
+            .unwrap();
+
+            assert_eq!(trace.success, outcome.completion.is_success(), "{ctx}");
+            assert_eq!(
+                Duration::from_secs_f64(trace.latency / 1000.0),
+                outcome.latency,
+                "{ctx}"
+            );
+            assert_eq!(trace.cost, outcome.cost, "{ctx}");
+            let started: BTreeSet<MsId> = trace.started().into_iter().collect();
+            let invoked: BTreeSet<MsId> = outcome
+                .invocations
+                .iter()
+                .map(|i| MsId(i.provider_id.parse().unwrap()))
+                .collect();
+            assert_eq!(started, invoked, "{ctx}");
+            assert_eq!(invoked.len(), outcome.invocations.len(), "{ctx}");
+        }
+    }
 }
 
 /// Full system test: publish a script, register devices, drive slots, and
