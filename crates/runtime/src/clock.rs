@@ -60,8 +60,8 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A source of time and sleep for the runtime.
@@ -129,12 +129,13 @@ pub trait Clock: Send + Sync + fmt::Debug {
         false
     }
 
-    /// Blocks until `ready()` returns true or — when `deadline` is `Some`
-    /// — this clock reaches `deadline`, whichever comes first. This is the
-    /// event loop's idle wait: `deadline` is the earliest scheduled
+    /// Blocks on `parker` until `ready()` returns true or — when
+    /// `deadline` is `Some` — this clock reaches `deadline`, whichever
+    /// comes first. This is the event loop's idle wait: `parker` is its
+    /// core's parking spot, `deadline` is the earliest scheduled
     /// completion event, and `ready` flips when another thread posts an
     /// event (the poster then calls
-    /// [`notify_sleepers`](Clock::notify_sleepers)).
+    /// [`notify_sleepers`](Clock::notify_sleepers) with the same parker).
     ///
     /// `ready` may be invoked while the clock holds internal locks, so it
     /// must be cheap and must not call back into this clock — reading an
@@ -147,7 +148,12 @@ pub trait Clock: Send + Sync + fmt::Debug {
     /// wait in [`enter_passive`](Clock::enter_passive)/
     /// [`exit_passive`](Clock::exit_passive); clocks with their own wait
     /// machinery should override it with a real blocking wait.
-    fn sleep_until_or(&self, deadline: Option<Duration>, ready: &dyn Fn() -> bool) {
+    fn sleep_until_or(
+        &self,
+        _parker: &Arc<Parker>,
+        deadline: Option<Duration>,
+        ready: &dyn Fn() -> bool,
+    ) {
         if ready() {
             return;
         }
@@ -166,10 +172,90 @@ pub trait Clock: Send + Sync + fmt::Debug {
         self.exit_passive();
     }
 
-    /// Wakes every thread blocked in [`sleep_until_or`](Clock::sleep_until_or)
-    /// so it can re-check its `ready` predicate. Posting an event and then
-    /// calling this (in that order) guarantees the wakeup is never lost.
-    fn notify_sleepers(&self) {}
+    /// Wakes the threads blocked in [`sleep_until_or`](Clock::sleep_until_or)
+    /// on `parker` — and nobody else — so they can re-check their `ready`
+    /// predicate. Posting an event and then calling this (in that order)
+    /// guarantees the wakeup is never lost.
+    fn notify_sleepers(&self, _parker: &Parker) {}
+}
+
+/// One event core's parking spot: the condvar its idle drivers block on in
+/// [`Clock::sleep_until_or`], so a post wakes the core it is for and no
+/// other. The condvar pairs with the *clock's* mutex, not one of its own:
+/// a time jump and a post must both be ordered against the sleeper's
+/// predicate check, and the clock's lock already orders the first.
+#[derive(Debug, Default)]
+pub struct Parker {
+    condvar: Condvar,
+    /// Threads blocked on `condvar`. Incremented under the clock's mutex
+    /// *before* `Condvar::wait` releases it and decremented under it after
+    /// the wait returns (so `Relaxed` is enough), and read only by a
+    /// notifier holding that mutex: zero means no thread can be parked — a
+    /// thread that has not yet counted itself has not yet checked its
+    /// predicate either, and will check it under the same lock after the
+    /// notifier's update. That is what lets `notify` skip `notify_all` —
+    /// an unconditional `futex(FUTEX_WAKE)` in std — without losing a
+    /// wake-up.
+    parked: AtomicUsize,
+    /// Notifies issued, i.e. the ones that found a thread parked.
+    wakes: AtomicU64,
+}
+
+thread_local! {
+    /// [`Parker::of_this_thread`], and the address of the clock it met.
+    static OWN_PARKER: RefCell<Option<(usize, Arc<Parker>)>> = const { RefCell::new(None) };
+}
+
+impl Parker {
+    /// The calling thread's own parker, for a per-request core: its
+    /// driver is its only idler, so the core allocates nothing to park.
+    /// Sharing a parker is always safe — a notify meant for another core
+    /// is a spurious wake-up — but a std condvar may meet only one mutex,
+    /// so a thread that changes clocks gets a new one.
+    pub(crate) fn of_this_thread(clock: &dyn Clock) -> Arc<Parker> {
+        let clock = clock as *const dyn Clock as *const () as usize;
+        OWN_PARKER.with(|own| match &mut *own.borrow_mut() {
+            Some((made_for, parker)) if *made_for == clock => Arc::clone(parker),
+            own => Arc::clone(&own.insert((clock, Arc::default())).1),
+        })
+    }
+
+    /// Notifies issued on this parker so far: posts that found a driver
+    /// parked, and time jumps that reached a parked driver's deadline.
+    pub(crate) fn wakes(&self) -> u64 {
+        self.wakes.load(Ordering::Relaxed)
+    }
+
+    /// Blocks on the condvar, releasing `guard` — the owning clock's lock
+    /// — for as long as the thread is parked.
+    fn wait<'a, T>(
+        &self,
+        guard: MutexGuard<'a, T>,
+        timeout: Option<Duration>,
+    ) -> MutexGuard<'a, T> {
+        self.parked.fetch_add(1, Ordering::Relaxed);
+        let guard = match timeout {
+            Some(timeout) => {
+                let woken = self.condvar.wait_timeout(guard, timeout);
+                woken.unwrap_or_else(PoisonError::into_inner).0
+            }
+            None => self
+                .condvar
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner),
+        };
+        self.parked.fetch_sub(1, Ordering::Relaxed);
+        guard
+    }
+
+    /// Wakes the parked threads to re-check their predicates; free when
+    /// nobody is parked. Call with the owning clock's lock held.
+    fn notify(&self) {
+        if self.parked.load(Ordering::Relaxed) > 0 {
+            self.wakes.fetch_add(1, Ordering::Relaxed);
+            self.condvar.notify_all();
+        }
+    }
 }
 
 /// True when `a` and `b` are the same clock object (pointer identity on
@@ -232,11 +318,9 @@ impl Drop for WorkerGuard<'_> {
 #[derive(Debug)]
 pub struct WallClock {
     epoch: Instant,
-    /// Threads blocked on `wake`, counted under the lock they wait on (see
-    /// [`VcState::waiting`]): `notify_sleepers` skips the wake-up syscall
-    /// when it reads zero.
-    waiters: Mutex<usize>,
-    wake: Condvar,
+    /// The lock every [`Parker`] used with this clock pairs with: a waiter
+    /// checks `ready` and a notifier reads [`Parker::parked`] under it.
+    waiters: Mutex<()>,
 }
 
 impl WallClock {
@@ -245,8 +329,7 @@ impl WallClock {
     pub fn new() -> Self {
         WallClock {
             epoch: Instant::now(),
-            waiters: Mutex::new(0),
-            wake: Condvar::new(),
+            waiters: Mutex::new(()),
         }
     }
 }
@@ -266,53 +349,28 @@ impl Clock for WallClock {
         std::thread::sleep(duration);
     }
 
-    fn sleep_until_or(&self, deadline: Option<Duration>, ready: &dyn Fn() -> bool) {
-        let mut guard = self
-            .waiters
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        loop {
-            // Checked under the waiters lock, which `notify_sleepers` also
-            // takes: a post-then-notify sequence can never slip between the
-            // check and the wait.
-            if ready() {
+    fn sleep_until_or(
+        &self,
+        parker: &Arc<Parker>,
+        deadline: Option<Duration>,
+        ready: &dyn Fn() -> bool,
+    ) {
+        let mut guard = self.waiters.lock().unwrap_or_else(PoisonError::into_inner);
+        // `ready` is checked under the waiters lock, which `notify_sleepers`
+        // also takes: a post-then-notify sequence can never slip between
+        // the check and the wait.
+        while !ready() {
+            let timeout = deadline.map(|deadline| deadline.saturating_sub(self.now()));
+            if timeout == Some(Duration::ZERO) {
                 return;
             }
-            let timeout = match deadline {
-                Some(deadline) => {
-                    let now = self.now();
-                    if now >= deadline {
-                        return;
-                    }
-                    Some(deadline - now)
-                }
-                None => None,
-            };
-            *guard += 1;
-            guard = match timeout {
-                Some(timeout) => {
-                    self.wake
-                        .wait_timeout(guard, timeout)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .0
-                }
-                None => self
-                    .wake
-                    .wait(guard)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner),
-            };
-            *guard -= 1;
+            guard = parker.wait(guard, timeout);
         }
     }
 
-    fn notify_sleepers(&self) {
-        let waiting = self
-            .waiters
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if *waiting > 0 {
-            self.wake.notify_all();
-        }
+    fn notify_sleepers(&self, parker: &Parker) {
+        let _waiters = self.waiters.lock().unwrap_or_else(PoisonError::into_inner);
+        parker.notify();
     }
 }
 
@@ -333,17 +391,13 @@ struct VcState {
     /// Sleepers that are registered worker threads; only these count
     /// toward the advance threshold.
     worker_sleepers: usize,
-    /// `(token, deadline)` per thread blocked in `sleep`, worker or not.
-    sleepers: Vec<(u64, Duration)>,
+    /// `(token, deadline, parker)` per thread blocked to a deadline,
+    /// worker or not: in `sleep` on the clock's own condvar (`None`), or
+    /// in `sleep_until_or` on its core's parker.
+    sleepers: Vec<(u64, Duration, Option<Arc<Parker>>)>,
     next_token: u64,
-    /// Threads blocked on the clock's condvar right now. Incremented under
-    /// the state lock *before* `Condvar::wait` releases it and decremented
-    /// under it after the wait returns, so whoever holds the lock and
-    /// reads zero knows no thread can be parked: a thread that has not yet
-    /// counted itself has not yet checked its predicate either, and will
-    /// check it under this same lock after the notifier's update. That is
-    /// what lets `notify` skip `notify_all` — an unconditional
-    /// `futex(FUTEX_WAKE)` in std — without losing a wake-up.
+    /// Threads blocked in `sleep` on the clock's own condvar right now,
+    /// counted as [`Parker::parked`] is.
     waiting: usize,
 }
 
@@ -395,33 +449,36 @@ impl VirtualClock {
     pub fn advance(&self, duration: Duration) {
         let mut state = self.lock();
         state.now = state.now.saturating_add(duration);
-        self.notify(&state);
+        self.notify_jump(&state);
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, VcState> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, VcState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Blocks on the condvar, counted in [`VcState::waiting`] for as long
-    /// as the thread is parked.
-    fn wait<'a>(
-        &self,
-        mut state: std::sync::MutexGuard<'a, VcState>,
-    ) -> std::sync::MutexGuard<'a, VcState> {
+    /// Blocks in `sleep` on the clock's own condvar, counted in
+    /// [`VcState::waiting`] for as long as the thread is parked.
+    fn wait<'a>(&self, mut state: MutexGuard<'a, VcState>) -> MutexGuard<'a, VcState> {
         state.waiting += 1;
         let mut state = self
             .wake
             .wait(state)
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+            .unwrap_or_else(PoisonError::into_inner);
         state.waiting -= 1;
         state
     }
 
-    /// Wakes every parked thread to re-check its predicate; free when
-    /// nobody is parked (see [`VcState::waiting`]).
-    fn notify(&self, state: &VcState) {
+    /// `now` has moved: wakes the parkers of the drivers whose deadline it
+    /// reached, and the `sleep`ers — who share one condvar, so all of them
+    /// — to re-check theirs. A driver waiting on `ready` alone has no
+    /// deadline here and is left asleep.
+    fn notify_jump(&self, state: &VcState) {
+        for (_, deadline, parker) in &state.sleepers {
+            match parker {
+                Some(parker) if *deadline <= state.now => parker.notify(),
+                _ => {}
+            }
+        }
         if state.waiting > 0 {
             self.wake.notify_all();
         }
@@ -449,7 +506,7 @@ impl VirtualClock {
         if state.worker_sleepers + state.parked < state.workers {
             return;
         }
-        let Some(earliest) = state.sleepers.iter().map(|&(_, deadline)| deadline).min() else {
+        let Some(earliest) = state.sleepers.iter().map(|(_, due, _)| *due).min() else {
             return;
         };
         // A deadline at or before `now` belongs to a sleeper that has been
@@ -457,7 +514,7 @@ impl VirtualClock {
         // advance when it next blocks or exits.
         if earliest > state.now {
             state.now = earliest;
-            self.notify(state);
+            self.notify_jump(state);
         }
     }
 }
@@ -482,7 +539,7 @@ impl Clock for VirtualClock {
         let deadline = state.now.saturating_add(duration);
         let token = state.next_token;
         state.next_token += 1;
-        state.sleepers.push((token, deadline));
+        state.sleepers.push((token, deadline, None));
         if is_worker {
             state.worker_sleepers += 1;
         }
@@ -490,7 +547,7 @@ impl Clock for VirtualClock {
         while state.now < deadline {
             state = self.wait(state);
         }
-        state.sleepers.retain(|&(t, _)| t != token);
+        state.sleepers.retain(|&(t, ..)| t != token);
         if is_worker {
             state.worker_sleepers -= 1;
         }
@@ -546,7 +603,12 @@ impl Clock for VirtualClock {
         WORKER_DEPTH.with(|depths| depths.borrow().get(&self.id).is_some_and(|&d| d > 0))
     }
 
-    fn sleep_until_or(&self, deadline: Option<Duration>, ready: &dyn Fn() -> bool) {
+    fn sleep_until_or(
+        &self,
+        parker: &Arc<Parker>,
+        deadline: Option<Duration>,
+        ready: &dyn Fn() -> bool,
+    ) {
         let is_worker = self.thread_is_worker();
         let mut state = self.lock();
         match deadline {
@@ -556,15 +618,17 @@ impl Clock for VirtualClock {
                 // counts toward the advance threshold.
                 let token = state.next_token;
                 state.next_token += 1;
-                state.sleepers.push((token, deadline));
+                state
+                    .sleepers
+                    .push((token, deadline, Some(Arc::clone(parker))));
                 if is_worker {
                     state.worker_sleepers += 1;
                 }
                 self.try_advance(&mut state);
                 while state.now < deadline && !ready() {
-                    state = self.wait(state);
+                    state = parker.wait(state, None);
                 }
-                state.sleepers.retain(|&(t, _)| t != token);
+                state.sleepers.retain(|&(t, ..)| t != token);
                 if is_worker {
                     state.worker_sleepers -= 1;
                 }
@@ -579,7 +643,7 @@ impl Clock for VirtualClock {
                     self.try_advance(&mut state);
                 }
                 while !ready() {
-                    state = self.wait(state);
+                    state = parker.wait(state, None);
                 }
                 if is_worker {
                     state.parked = state.parked.saturating_sub(1);
@@ -588,9 +652,9 @@ impl Clock for VirtualClock {
         }
     }
 
-    fn notify_sleepers(&self) {
-        let state = self.lock();
-        self.notify(&state);
+    fn notify_sleepers(&self, parker: &Parker) {
+        let _state = self.lock();
+        parker.notify();
     }
 }
 
@@ -758,7 +822,7 @@ mod tests {
         let clock = VirtualClock::new();
         clock.enter_worker();
         // Sole worker waiting on a scheduled event: time jumps there.
-        clock.sleep_until_or(Some(Duration::from_millis(25)), &|| false);
+        clock.sleep_until_or(&Arc::default(), Some(Duration::from_millis(25)), &|| false);
         assert_eq!(clock.now(), Duration::from_millis(25));
         clock.exit_worker();
     }
@@ -768,18 +832,20 @@ mod tests {
         use std::sync::atomic::AtomicBool;
         let clock = Arc::new(VirtualClock::new());
         let ready = Arc::new(AtomicBool::new(false));
+        let parker = Arc::new(Parker::default());
         let waker = {
             let clock = Arc::clone(&clock);
             let ready = Arc::clone(&ready);
+            let parker = Arc::clone(&parker);
             std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(10));
                 ready.store(true, Ordering::SeqCst);
-                clock.notify_sleepers();
+                clock.notify_sleepers(&parker);
             })
         };
         // Unregistered waiter with no deadline: virtual time must hold
         // still, and the wait must end when the poster signals.
-        clock.sleep_until_or(None, &|| ready.load(Ordering::SeqCst));
+        clock.sleep_until_or(&parker, None, &|| ready.load(Ordering::SeqCst));
         assert_eq!(clock.now(), Duration::ZERO);
         waker.join().unwrap();
     }
@@ -789,22 +855,24 @@ mod tests {
         use std::sync::atomic::AtomicBool;
         let clock = Arc::new(VirtualClock::new());
         let done = Arc::new(AtomicBool::new(false));
+        let parker = Arc::new(Parker::default());
         clock.enter_worker(); // the idle "event loop" worker
         clock.reserve_worker(); // a blocking leg's slot
         let leg = {
             let clock = Arc::clone(&clock);
             let done = Arc::clone(&done);
+            let parker = Arc::clone(&parker);
             std::thread::spawn(move || {
                 clock.adopt_worker();
                 clock.sleep(Duration::from_millis(40));
                 done.store(true, Ordering::SeqCst);
                 clock.exit_worker();
-                clock.notify_sleepers();
+                clock.notify_sleepers(&parker);
             })
         };
         // The loop has no timers (deadline None); its parked-style wait
         // must let the leg's sleep drive time to 40 ms.
-        clock.sleep_until_or(None, &|| done.load(Ordering::SeqCst));
+        clock.sleep_until_or(&parker, None, &|| done.load(Ordering::SeqCst));
         assert_eq!(clock.now(), Duration::from_millis(40));
         leg.join().unwrap();
         clock.exit_worker();
@@ -814,39 +882,63 @@ mod tests {
     fn wall_clock_sleep_until_or_times_out() {
         let clock = WallClock::new();
         let t0 = clock.now();
-        clock.sleep_until_or(Some(t0 + Duration::from_millis(5)), &|| false);
+        clock.sleep_until_or(
+            &Arc::default(),
+            Some(t0 + Duration::from_millis(5)),
+            &|| false,
+        );
         assert!(clock.now() - t0 >= Duration::from_millis(4));
     }
 
-    /// The waiter count must never cost a wake-up: a loop thread that idles
-    /// in `sleep_until_or` between tasks is woken by every single post,
-    /// whether the post finds it parked (notify) or still on its way to
-    /// the condvar (the predicate re-check under the lock). Each round
-    /// waits for its task to have run, so every post races the loop going
-    /// back to sleep; the receive timeout is the watchdog.
+    /// The parked count must never cost a wake-up: a loop thread that idles
+    /// in `sleep_until_or` between tasks is woken by every single post to
+    /// its core, whether the post finds it parked (notify) or still on its
+    /// way to the condvar (the predicate re-check under the lock) — and
+    /// with four cores' loops idling on one clock, by nobody else's. Each
+    /// round waits for its task to have run, so every post races a loop
+    /// going back to sleep; the receive timeout is the watchdog.
     fn every_post_wakes_the_idle_loop(clock: Arc<dyn Clock>) {
         use crate::engine::event::{EventCore, Shared};
         use std::sync::mpsc;
 
-        let core = Arc::new(EventCore::new(Shared::Owned(Arc::clone(&clock))));
-        let driver = {
-            let core = Arc::clone(&core);
-            std::thread::spawn(move || {
-                let _worker = WorkerGuard::enter(&*clock);
-                core.run_loop(&|_| unreachable!("no request is ever submitted"));
+        const POSTS: u32 = 10_000;
+        let parkers: Vec<Arc<Parker>> = (0..4).map(|_| Arc::default()).collect();
+        let cores: Vec<_> = parkers
+            .iter()
+            .map(|parker| {
+                let clock = Shared::Owned(Arc::clone(&clock));
+                Arc::new(EventCore::new(clock, Arc::clone(parker)))
             })
-        };
+            .collect();
+        let drivers: Vec<_> = cores
+            .iter()
+            .map(|core| {
+                let (core, clock) = (Arc::clone(core), Arc::clone(&clock));
+                std::thread::spawn(move || {
+                    let _worker = WorkerGuard::enter(&*clock);
+                    core.run_loop(&|_| unreachable!("no request is ever submitted"));
+                })
+            })
+            .collect();
         let (ran, rounds) = mpsc::channel();
-        for round in 0..10_000u32 {
+        for round in 0..POSTS {
             let ran = ran.clone();
-            core.post_task(Box::new(move || ran.send(round).unwrap()));
+            cores[round as usize % cores.len()]
+                .post_task(Box::new(move || ran.send(round).unwrap()));
             match rounds.recv_timeout(Duration::from_secs(20)) {
                 Ok(seen) => assert_eq!(seen, round),
-                Err(_) => panic!("post {round} never woke the loop"),
+                Err(_) => panic!("post {round} never woke its loop"),
             }
         }
-        core.shutdown();
-        driver.join().unwrap();
+        cores.iter().for_each(|core| core.shutdown());
+        drivers.into_iter().for_each(|d| d.join().unwrap());
+        for (core, parker) in cores.iter().zip(&parkers) {
+            assert_eq!(parker.parked.load(Ordering::Relaxed), 0);
+            // At most one per post of its own (and `shutdown`'s): the
+            // other three cores' 7 500 posts sent it none.
+            let own = u64::from(POSTS) / 4 + 1;
+            assert!(core.stats().wakeups <= own, "{:?}", core.stats());
+        }
     }
 
     #[test]
@@ -864,9 +956,217 @@ mod tests {
 
     #[test]
     fn wall_clock_wakes_an_idle_loop_on_every_post() {
-        let clock = Arc::new(WallClock::new());
-        every_post_wakes_the_idle_loop(Arc::clone(&clock) as Arc<dyn Clock>);
-        assert_eq!(*clock.waiters.lock().unwrap(), 0);
+        every_post_wakes_the_idle_loop(Arc::new(WallClock::new()));
+    }
+
+    /// Spins (yielding) until `done()`; the watchdog of the tests below,
+    /// whose waits end within microseconds unless a wake-up was lost.
+    fn spin_until(what: &str, done: impl Fn() -> bool) {
+        let start = Instant::now();
+        while !done() {
+            assert!(start.elapsed() < Duration::from_secs(20), "{what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// A thread idling in `sleep_until_or(parker, None, ..)` until `stop`,
+    /// counting the evaluations of its predicate.
+    struct Idler {
+        parker: Arc<Parker>,
+        evaluations: Arc<AtomicU64>,
+        thread: std::thread::JoinHandle<()>,
+    }
+
+    fn idler(clock: &Arc<dyn Clock>, stop: &Arc<AtomicU64>) -> Idler {
+        let parker = Arc::new(Parker::default());
+        let evaluations = Arc::new(AtomicU64::new(0));
+        let thread = {
+            let (clock, stop) = (Arc::clone(clock), Arc::clone(stop));
+            let (parker, evaluations) = (Arc::clone(&parker), Arc::clone(&evaluations));
+            std::thread::spawn(move || {
+                clock.sleep_until_or(&parker, None, &|| {
+                    evaluations.fetch_add(1, Ordering::SeqCst);
+                    stop.load(Ordering::SeqCst) != 0
+                });
+            })
+        };
+        spin_until("the idler never parked", || {
+            parker.parked.load(Ordering::SeqCst) == 1
+        });
+        Idler {
+            parker,
+            evaluations,
+            thread,
+        }
+    }
+
+    /// Two cores' drivers idle on one clock: posts to A are none of B's
+    /// business — B is sent no wake-up and never re-checks its predicate.
+    fn posts_to_one_core_leave_the_other_asleep(clock: Arc<dyn Clock>) {
+        let stop = Arc::new(AtomicU64::new(0));
+        let (a, b) = (idler(&clock, &stop), idler(&clock, &stop));
+        for _ in 0..1_000 {
+            clock.notify_sleepers(&a.parker);
+        }
+        assert!((1..=1_000).contains(&a.parker.wakes()), "A was woken");
+        assert_eq!(b.parker.wakes(), 0);
+        assert_eq!(
+            b.evaluations.load(Ordering::SeqCst),
+            1,
+            "only the check before B parked"
+        );
+        stop.store(1, Ordering::SeqCst);
+        for idler in [a, b] {
+            clock.notify_sleepers(&idler.parker);
+            idler.thread.join().unwrap();
+            assert!(idler.evaluations.load(Ordering::SeqCst) >= 2);
+        }
+    }
+
+    #[test]
+    fn virtual_clock_posts_wake_only_their_own_core() {
+        posts_to_one_core_leave_the_other_asleep(Arc::new(VirtualClock::new()));
+    }
+
+    #[test]
+    fn wall_clock_posts_wake_only_their_own_core() {
+        posts_to_one_core_leave_the_other_asleep(Arc::new(WallClock::new()));
+    }
+
+    /// A post is never lost to a driver on its way to the condvar: the
+    /// waiter goes straight back to sleep after each round and the poster
+    /// posts the next the moment it sees the last acknowledged, so the
+    /// store-then-notify races the check-then-wait 10 000 times.
+    fn a_post_racing_the_driver_to_the_condvar_is_never_lost(clock: Arc<dyn Clock>) {
+        const ROUNDS: u64 = 10_000;
+        let parker = Arc::new(Parker::default());
+        let (posted, acked) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let waiter = {
+            let (clock, parker) = (Arc::clone(&clock), Arc::clone(&parker));
+            let (posted, acked) = (Arc::clone(&posted), Arc::clone(&acked));
+            std::thread::spawn(move || {
+                for round in 1..=ROUNDS {
+                    clock.sleep_until_or(&parker, None, &|| posted.load(Ordering::SeqCst) >= round);
+                    acked.store(round, Ordering::SeqCst);
+                }
+            })
+        };
+        for round in 1..=ROUNDS {
+            posted.store(round, Ordering::SeqCst);
+            clock.notify_sleepers(&parker);
+            spin_until("a post was lost", || acked.load(Ordering::SeqCst) == round);
+        }
+        waiter.join().unwrap();
+        assert_eq!(parker.parked.load(Ordering::Relaxed), 0);
+        assert!(parker.wakes() <= ROUNDS);
+    }
+
+    #[test]
+    fn virtual_clock_never_loses_a_racing_post() {
+        a_post_racing_the_driver_to_the_condvar_is_never_lost(Arc::new(VirtualClock::new()));
+    }
+
+    #[test]
+    fn wall_clock_never_loses_a_racing_post() {
+        a_post_racing_the_driver_to_the_condvar_is_never_lost(Arc::new(WallClock::new()));
+    }
+
+    #[test]
+    fn a_time_jump_wakes_exactly_the_drivers_it_reaches() {
+        use std::sync::mpsc;
+        let ms = Duration::from_millis;
+        let clock = Arc::new(VirtualClock::new());
+        clock.enter_worker(); // this thread: runnable, so time holds at 0
+        let (woke, wakes) = mpsc::channel();
+        let drivers: Vec<_> = [5, 5, 9]
+            .into_iter()
+            .enumerate()
+            .map(|(i, deadline)| {
+                let parker = Arc::new(Parker::default());
+                let (go, held) = mpsc::channel::<()>();
+                clock.reserve_worker();
+                let thread = {
+                    let (clock, parker, woke) =
+                        (Arc::clone(&clock), Arc::clone(&parker), woke.clone());
+                    std::thread::spawn(move || {
+                        clock.adopt_worker();
+                        clock.sleep_until_or(&parker, Some(ms(deadline)), &|| false);
+                        woke.send((i, clock.now())).unwrap();
+                        // Registered and not in the clock: runnable, as
+                        // far as virtual time can tell.
+                        held.recv().unwrap();
+                        clock.exit_worker();
+                        woke.send((i, clock.now())).unwrap();
+                    })
+                };
+                spin_until("the driver never parked", || {
+                    parker.parked.load(Ordering::SeqCst) == 1
+                });
+                (parker, go, thread)
+            })
+            .collect();
+        let sent = || -> Vec<u64> { drivers.iter().map(|d| d.0.wakes()).collect() };
+        let next = || wakes.recv_timeout(Duration::from_secs(20)).unwrap();
+        assert_eq!((clock.now(), sent()), (Duration::ZERO, vec![0, 0, 0]));
+
+        // The last runnable worker leaves: one jump, to the earliest
+        // deadline, notifying the two drivers due then and not the third.
+        clock.exit_worker();
+        assert_eq!((clock.now(), sent()), (ms(5), vec![1, 1, 0]));
+        let mut first = [next(), next()];
+        first.sort_unstable();
+        assert_eq!(first, [(0, ms(5)), (1, ms(5))]);
+        // Both are awake and registered: time may not move under them.
+        assert_eq!((clock.now(), sent()), (ms(5), vec![1, 1, 0]));
+        drivers[0].1.send(()).unwrap();
+        assert_eq!(next(), (0, ms(5)), "one runnable worker still pins time");
+        assert_eq!(sent(), vec![1, 1, 0]);
+        // The second leaving is what lets time reach the third's deadline.
+        drivers[1].1.send(()).unwrap();
+        let mut last = [next(), next()];
+        last.sort_unstable();
+        assert_eq!(last, [(1, ms(9)), (2, ms(9))]);
+        assert_eq!(sent(), vec![1, 1, 1]);
+        drivers[2].1.send(()).unwrap();
+        assert_eq!(next(), (2, ms(9)));
+        for (_, _, thread) in drivers {
+            thread.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn one_jump_wakes_a_sleeper_and_a_driver_due_together() {
+        let clock = Arc::new(VirtualClock::new());
+        let parker = Arc::new(Parker::default());
+        let deadline = Duration::from_millis(7);
+        clock.enter_worker();
+        clock.reserve_worker();
+        clock.reserve_worker();
+        let sleeper = {
+            let clock = Arc::clone(&clock);
+            std::thread::spawn(move || {
+                let _worker = WorkerGuard::adopt(&*clock);
+                clock.sleep(deadline);
+                clock.now()
+            })
+        };
+        let driver = {
+            let (clock, parker) = (Arc::clone(&clock), Arc::clone(&parker));
+            std::thread::spawn(move || {
+                let _worker = WorkerGuard::adopt(&*clock);
+                clock.sleep_until_or(&parker, Some(deadline), &|| false);
+                clock.now()
+            })
+        };
+        spin_until("both never parked", || {
+            clock.lock().waiting == 1 && parker.parked.load(Ordering::SeqCst) == 1
+        });
+        assert_eq!(clock.now(), Duration::ZERO);
+        clock.exit_worker();
+        assert_eq!((clock.now(), parker.wakes()), (deadline, 1));
+        assert_eq!(sleeper.join().unwrap(), deadline);
+        assert_eq!(driver.join().unwrap(), deadline);
+        assert_eq!(clock.now(), deadline, "one jump served both");
     }
 
     #[test]
@@ -882,7 +1182,7 @@ mod tests {
         );
         fn counts(clock: &VirtualClock) -> Counts {
             let s = clock.lock();
-            let sleepers = s.sleepers.clone();
+            let sleepers = s.sleepers.iter().map(|s| (s.0, s.1)).collect();
             (
                 s.now,
                 s.workers,
@@ -902,7 +1202,8 @@ mod tests {
             (before.0, before.1, before.6),
             (Duration::from_millis(3), 2, 0)
         );
-        clock.notify_sleepers();
+        let parker = Parker::default();
+        clock.notify_sleepers(&parker);
         assert_eq!(counts(&clock), before);
         // `advance` with nobody waiting moves `now` and nothing else.
         clock.advance(Duration::from_millis(4));
@@ -913,8 +1214,11 @@ mod tests {
         clock.exit_worker();
 
         let wall = WallClock::new();
-        wall.notify_sleepers();
-        assert_eq!(*wall.waiters.lock().unwrap(), 0);
+        wall.notify_sleepers(&parker);
+        assert_eq!(
+            (parker.parked.load(Ordering::Relaxed), parker.wakes()),
+            (0, 0)
+        );
     }
 
     #[test]

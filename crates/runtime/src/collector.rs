@@ -135,7 +135,12 @@ impl Collector {
     /// Records one completed invocation for `provider_id`.
     pub fn record(&self, provider_id: &str, record: ExecutionRecord) {
         let mut map = self.records.write();
-        let ring = map.entry(provider_id.to_string()).or_default();
+        // `entry` wants an owned key — a `String` per call — and the ring
+        // is missing only on a provider's first record.
+        let ring = match map.get_mut(provider_id) {
+            Some(ring) => ring,
+            None => map.entry(provider_id.to_string()).or_default(),
+        };
         if ring.len() == self.window {
             ring.pop_front();
         }

@@ -55,7 +55,7 @@ use parking_lot::Mutex;
 
 use qce_strategy::{Node, Strategy};
 
-use crate::clock::Clock;
+use crate::clock::{Clock, Parker};
 use crate::collector::{Collector, ExecutionRecord};
 use crate::device::Provider;
 use crate::message::{Invocation, InvocationOutcome, InvokeError};
@@ -498,6 +498,8 @@ pub(crate) struct CoreStats {
     pub frames_live: usize,
     /// High-water mark of `frames_live` since the core was created.
     pub frames_peak: usize,
+    /// Wake-ups sent to the core's parked drivers ([`Parker::wakes`]).
+    pub wakeups: u64,
 }
 
 struct CoreState<'env> {
@@ -523,6 +525,11 @@ struct Deferred<'env> {
 pub(crate) struct EventCore<'env> {
     clock: Shared<'env, dyn Clock + 'env>,
     state: Mutex<CoreState<'env>>,
+    /// Where this core's drivers idle — theirs alone, so [`wake`] reaches
+    /// no other core's drivers on a shared clock.
+    ///
+    /// [`wake`]: EventCore::wake
+    parker: Arc<Parker>,
     /// Set (after pushing, before [`Clock::notify_sleepers`]) by anyone
     /// posting work from outside the driver; the driver's idle wait
     /// re-checks it so a post-while-falling-asleep is never lost.
@@ -564,9 +571,10 @@ impl<'env> CoreState<'env> {
 }
 
 impl<'env> EventCore<'env> {
-    pub(crate) fn new(clock: Shared<'env, dyn Clock + 'env>) -> Self {
+    pub(crate) fn new(clock: Shared<'env, dyn Clock + 'env>, parker: Arc<Parker>) -> Self {
         EventCore {
             clock,
+            parker,
             state: Mutex::new(CoreState {
                 ready: VecDeque::new(),
                 timers: BinaryHeap::new(),
@@ -592,6 +600,7 @@ impl<'env> EventCore<'env> {
             in_flight: state.requests.len(),
             frames_live: state.frames_live,
             frames_peak: state.frames_peak,
+            wakeups: self.parker.wakes(),
         }
     }
 
@@ -798,7 +807,7 @@ impl<'env> EventCore<'env> {
                 self.clock().release_worker();
             }
         }
-        self.clock().notify_sleepers();
+        self.clock().notify_sleepers(&self.parker);
     }
 
     /// Disarms the wake signal, releasing the clock slot [`wake`] reserved
@@ -854,8 +863,9 @@ impl<'env> EventCore<'env> {
             }
             state.timers.peek().map(|t| t.deadline)
         };
-        self.clock()
-            .sleep_until_or(deadline, &|| self.signal.load(Ordering::SeqCst));
+        self.clock().sleep_until_or(&self.parker, deadline, &|| {
+            self.signal.load(Ordering::SeqCst)
+        });
         true
     }
 
@@ -1376,7 +1386,7 @@ mod tests {
         let log = Mutex::new(Vec::new());
         let no_spawn = |_: BlockingTask| unreachable!("every leaf is timed");
 
-        let core = EventCore::new(Shared::Borrowed(&*clock));
+        let core = EventCore::new(Shared::Borrowed(&*clock), Arc::default());
         let spec = |name, provider| logged_request(name, &strategy, provider, &request, &log);
         let first = core.submit(spec("first", &instant), &no_spawn);
         let second = core.submit(spec("second", &slow), &no_spawn);
@@ -1416,7 +1426,7 @@ mod tests {
         let log = Mutex::new(Vec::new());
         let no_spawn = |_: BlockingTask| unreachable!("every leaf is timed");
 
-        let core = EventCore::new(Shared::Borrowed(&*clock));
+        let core = EventCore::new(Shared::Borrowed(&*clock), Arc::default());
         let spec = |name| logged_request(name, &strategy, &provider, &request, &log);
         let gone = core.submit(spec("gone"), &no_spawn);
         core.state.lock().requests.remove(gone);

@@ -45,7 +45,7 @@ use std::time::Duration;
 
 use qce_strategy::Strategy;
 
-use crate::clock::{Clock, WorkerGuard};
+use crate::clock::{Clock, Parker, WorkerGuard};
 use crate::collector::Collector;
 use crate::device::Provider;
 use crate::message::{Invocation, InvocationOutcome, RuntimeError};
@@ -95,6 +95,10 @@ pub struct EngineStats {
     /// bookkeeping, where the old model paid one OS thread stack per
     /// running leg).
     pub frame_bytes: usize,
+    /// Wake-ups sent to the core's event loops since it was created: posts
+    /// that found a loop parked, and virtual-time jumps that reached a
+    /// parked loop's deadline. A post to a busy loop sends none.
+    pub wakeups: u64,
 }
 
 /// Owned inputs for [`ExecutionEngine::execute`].
@@ -217,7 +221,7 @@ pub fn execute_scoped(
     // event loop runs inline on its thread, so registering again would
     // double-count it and stall the virtual clock.
     let worker = (!clock.thread_is_worker()).then(|| WorkerGuard::enter(clock));
-    let core = EventCore::new(Shared::Borrowed(clock));
+    let core = EventCore::new(Shared::Borrowed(clock), Parker::of_this_thread(clock));
     let result = std::thread::scope(|scope| {
         let core = &core;
         let spawn = move |task: BlockingTask| {
@@ -358,7 +362,8 @@ impl ExecutionEngine {
     ) -> EngineOutcome {
         // See `execute_scoped`: an already-registered caller keeps its slot.
         let worker = (!clock.thread_is_worker()).then(|| WorkerGuard::enter(&**clock));
-        let core = Arc::new(EventCore::new(Shared::Owned(Arc::clone(clock))));
+        let parker = Parker::of_this_thread(&**clock);
+        let core = Arc::new(EventCore::new(Shared::Owned(Arc::clone(clock)), parker));
         let spawn = self.pooled_spawner(&core, clock);
         let req = core.submit(request, &spawn);
         let result = core.drive_request(req, &spawn);

@@ -487,7 +487,10 @@ impl Gateway {
     ) -> Self {
         let telemetry = Telemetry::new(Arc::clone(&clock), config.telemetry_events);
         let engine = ExecutionEngine::new(config.worker_pool);
-        let core = Arc::new(EventCore::new(Shared::Owned(Arc::clone(&clock))));
+        let core = Arc::new(EventCore::new(
+            Shared::Owned(Arc::clone(&clock)),
+            Arc::default(),
+        ));
         let spawn = Arc::new(engine.pooled_spawner(&core, &clock));
         Gateway {
             market,
@@ -840,6 +843,7 @@ impl Gateway {
             frames_live: stats.frames_live,
             frames_peak: stats.frames_peak,
             frame_bytes: EventCore::frame_bytes(),
+            wakeups: stats.wakeups,
         }
     }
 
@@ -946,8 +950,15 @@ impl Drop for Gateway {
         // still running on the pool release their orphaned clock slots when
         // they post into the shut-down core.
         self.core.shutdown();
+        let current = std::thread::current().id();
         for handle in self.loops.lock().drain(..) {
-            let _ = handle.join();
+            // `submit_async`'s task holds the gateway for the length of
+            // `prepare`; if the caller's last `Arc` went meanwhile, this
+            // runs on a loop thread, which cannot join itself — it has
+            // seen the flag and exits when the task returns. Detach it.
+            if handle.thread().id() != current {
+                let _ = handle.join();
+            }
         }
     }
 }

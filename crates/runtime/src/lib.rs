@@ -101,7 +101,7 @@ pub mod script;
 pub mod telemetry;
 
 pub use client::{AdvisoryPolicy, Client, ClientError, QosRejected};
-pub use clock::{Clock, VirtualClock, WallClock, WorkerGuard};
+pub use clock::{Clock, Parker, VirtualClock, WallClock, WorkerGuard};
 pub use collector::{Collector, ExecutionRecord, ProviderStats};
 pub use device::{FnProvider, Provider, SimulatedProvider, SimulatedProviderBuilder};
 pub use engine::{

@@ -1,6 +1,7 @@
 //! Integration tests for the asynchronous submission path
-//! ([`Gateway::submit_async`]): panic isolation of the event loops and
-//! shutdown behaviour when the gateway drops with work in flight.
+//! ([`Gateway::submit_async`]): panic isolation of the event loops,
+//! shutdown behaviour when the gateway drops with work in flight, and two
+//! event loops serving what one does.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
@@ -241,4 +242,163 @@ fn dropped_handles_do_not_leak_frames_or_clock_slots() {
     let stats = gateway.engine_stats();
     assert_eq!(stats.in_flight, 0);
     assert_eq!(stats.frames_live, 0);
+}
+
+/// A market whose `fetch` holds its caller at a gate, and which reports
+/// being dropped — the last thing a dropping gateway does.
+struct GatedMarket {
+    inner: InMemoryMarket,
+    gate: Arc<Gate>,
+    dropped: std::sync::mpsc::Sender<()>,
+}
+
+impl Market for GatedMarket {
+    fn fetch(&self, service_id: &str) -> Result<ServiceScript, RuntimeError> {
+        self.gate.enter();
+        self.inner.fetch(service_id)
+    }
+
+    fn service_ids(&self) -> Vec<String> {
+        self.inner.service_ids()
+    }
+}
+
+impl Drop for GatedMarket {
+    fn drop(&mut self) {
+        let _ = self.dropped.send(());
+    }
+}
+
+/// Bugfix regression: `submit_async`'s task holds the gateway alive for
+/// the length of `prepare`, so a caller dropping its last `Arc` meanwhile
+/// makes the *event-loop thread* run `Gateway::drop` — which used to join
+/// every loop, itself included, and panic inside `drop` with `Resource
+/// deadlock avoided`. The loop must skip its own handle: the request
+/// resolves `Shutdown` and the thread exits without panicking.
+#[test]
+fn dropping_the_gateway_from_its_own_event_loop_does_not_panic() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let loop_panicked = Arc::new(AtomicBool::new(false));
+    let previous: Arc<dyn Fn(&std::panic::PanicHookInfo<'_>) + Send + Sync> =
+        Arc::from(std::panic::take_hook());
+    std::panic::set_hook({
+        let (loop_panicked, previous) = (Arc::clone(&loop_panicked), Arc::clone(&previous));
+        Box::new(move |info| {
+            let thread = std::thread::current();
+            if thread
+                .name()
+                .is_some_and(|n| n.starts_with("qce-event-loop-"))
+            {
+                loop_panicked.store(true, Ordering::SeqCst);
+            }
+            previous(info);
+        })
+    });
+
+    let clock = Arc::new(VirtualClock::new());
+    let gate = Gate::new();
+    let (dropped, gateway_dropped) = std::sync::mpsc::channel();
+    let inner = InMemoryMarket::new();
+    inner.publish(script("svc", 1)).unwrap();
+    let gateway = Arc::new(Gateway::with_clock(
+        Box::new(GatedMarket {
+            inner,
+            gate: Arc::clone(&gate),
+            dropped,
+        }),
+        GatewayConfig::default(),
+        Arc::clone(&clock) as Arc<dyn Clock>,
+    ));
+    gateway.registry().register(
+        SimulatedProvider::builder("dev0", "svc-cap0")
+            .latency(Duration::from_millis(1))
+            .reliability(1.0)
+            .clock(Arc::clone(&clock) as Arc<dyn Clock>)
+            .build(),
+    );
+    let handle = gateway.submit_async(Request::new("svc")).unwrap();
+    // The loop thread is inside `prepare`, holding the only other `Arc`.
+    gate.await_entered(1);
+    drop(gateway);
+    gate.open();
+    let result = handle.wait();
+    // The market goes with the gateway's fields, after `Gateway::drop`
+    // returned or unwound: by then a panic has been through the hook.
+    let dropped = gateway_dropped.recv_timeout(Duration::from_secs(20));
+    std::panic::set_hook(Box::new(move |info| previous(info)));
+    assert!(matches!(result, Err(RuntimeError::Shutdown)), "{result:?}");
+    dropped.expect("the gateway was never dropped");
+    assert!(
+        !loop_panicked.load(Ordering::SeqCst),
+        "Gateway::drop panicked on the event-loop thread"
+    );
+}
+
+/// What a gateway with `event_loops` loops answers to 400 requests over
+/// four services (slots of 25, so each service re-plans three times), all
+/// submitted at t = 0: every reply's `(service, strategy, cost, latency)`,
+/// sorted.
+fn served_by(event_loops: usize) -> Vec<(usize, String, u64, Duration)> {
+    use qce_runtime::WorkerGuard;
+
+    const SERVICES: usize = 4;
+    let clock = Arc::new(VirtualClock::new());
+    let scripts = (0..SERVICES).map(|s| {
+        let mut script = script(&format!("svc{s}"), 2);
+        script.slot_size = 25;
+        script
+    });
+    let gateway = Arc::new(Gateway::with_clock(
+        market_with(scripts.collect()),
+        GatewayConfig::builder().event_loops(event_loops).build(),
+        Arc::clone(&clock) as Arc<dyn Clock>,
+    ));
+    for s in 0..SERVICES {
+        for arm in 0..2 {
+            gateway.registry().register(
+                SimulatedProvider::builder(format!("dev{s}-{arm}"), format!("svc{s}-cap{arm}"))
+                    .cost(10.0 + (2 * s + arm) as f64)
+                    .latency(Duration::from_millis(1 + (s + 3 * arm) as u64))
+                    .reliability(1.0)
+                    .clock(Arc::clone(&clock) as Arc<dyn Clock>)
+                    .build(),
+            );
+        }
+    }
+    // Pinned: every request is admitted and planned before any completes,
+    // so no plan depends on how far the loops had got.
+    let handles: Vec<_> = {
+        let _pin = WorkerGuard::enter(&*clock);
+        (0..400)
+            .map(|i| {
+                let service = i % SERVICES;
+                let request = Request::new(format!("svc{service}"));
+                (service, gateway.submit_async(request).unwrap())
+            })
+            .collect()
+    };
+    let mut served: Vec<_> = handles
+        .into_iter()
+        .map(|(service, handle)| {
+            let reply = handle.wait().expect("every provider is reliable");
+            assert!(reply.success);
+            let cost = reply.cost.to_bits();
+            (service, reply.strategy_text, cost, reply.latency)
+        })
+        .collect();
+    served.sort_unstable();
+    // Every loop is idle (or about to be): the drop joins them all.
+    drop(Arc::into_inner(gateway).expect("the handles held no gateway"));
+    served
+}
+
+/// `event_loops` above one: two loops share the core (and its parker, so a
+/// post wakes both), and serve exactly what one loop serves.
+#[test]
+fn two_event_loops_serve_what_one_does() {
+    let one = served_by(1);
+    assert_eq!(one.len(), 400);
+    assert!(one.iter().any(|(_, strategy, ..)| *strategy != one[0].1));
+    assert_eq!(served_by(2), one);
 }

@@ -12,7 +12,7 @@ use qce_runtime::engine::{
     execute_scoped, Budget, Completion, CompletionPolicy, EngineOutcome, ExecSpec, ExecutionEngine,
 };
 use qce_runtime::{
-    Clock, Collector, FnProvider, Invocation, InvokeError, Provider, RuntimeError,
+    Clock, Collector, FnProvider, Invocation, InvokeError, Parker, Provider, RuntimeError,
     SimulatedProvider, VirtualClock, WallClock,
 };
 use qce_strategy::Strategy;
@@ -308,11 +308,16 @@ fn cancelled_seq_leg_never_descends_into_parallel_legs() {
         fn thread_is_worker(&self) -> bool {
             self.inner.thread_is_worker()
         }
-        fn sleep_until_or(&self, deadline: Option<Duration>, ready: &dyn Fn() -> bool) {
-            self.inner.sleep_until_or(deadline, ready);
+        fn sleep_until_or(
+            &self,
+            parker: &Arc<Parker>,
+            deadline: Option<Duration>,
+            ready: &dyn Fn() -> bool,
+        ) {
+            self.inner.sleep_until_or(parker, deadline, ready);
         }
-        fn notify_sleepers(&self) {
-            self.inner.notify_sleepers();
+        fn notify_sleepers(&self, parker: &Parker) {
+            self.inner.notify_sleepers(parker);
         }
     }
 
