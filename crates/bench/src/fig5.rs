@@ -16,7 +16,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use qce_sim::table3_configurations;
-use qce_strategy::enumerate::for_each_full;
+use qce_strategy::enumerate::StrategyIter;
 use qce_strategy::estimate::estimate;
 use qce_strategy::{Requirements, UtilityIndex};
 
@@ -82,10 +82,10 @@ pub fn distribution(
     for _ in 0..services {
         let env = config.generate(&mut rng).mean_qos_table();
         let ids = env.ids();
-        for_each_full(&ids, |s| {
+        for s in StrategyIter::full(&ids) {
             let qos = estimate(&s, &env).expect("environment covers ids");
             utilities.push(utility.utility(&qos, &requirements));
-        });
+        }
     }
     utilities.sort_by(|a, b| a.partial_cmp(b).expect("utilities are finite"));
     UtilityDistribution { utilities }

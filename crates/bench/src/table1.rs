@@ -11,7 +11,7 @@
 
 use std::path::Path;
 
-use qce_strategy::enumerate::{count_full, count_with_subsets, enumerate_full, paper, MAX_COUNT_M};
+use qce_strategy::enumerate::{count_full, count_with_subsets, paper, StrategyIter, MAX_COUNT_M};
 use qce_strategy::MsId;
 
 use crate::report::Report;
@@ -45,16 +45,9 @@ pub fn run(reports: &Path) -> std::io::Result<()> {
     for (i, &(m, paper_full)) in PAPER_FULL.iter().enumerate() {
         let reconstructed = paper::count_table1(m);
         let semantic = count_full(m);
-        // Cross-check by explicit enumeration where cheap (M ≤ 5).
-        let enumerated = if m <= 5 {
-            let ids: Vec<MsId> = (0..m).map(MsId).collect();
-            enumerate_full(&ids).len().to_string()
-        } else {
-            let ids: Vec<MsId> = (0..m).map(MsId).collect();
-            let mut n = 0u128;
-            qce_strategy::enumerate::for_each_full(&ids, |_| n += 1);
-            n.to_string()
-        };
+        // Cross-check by explicit enumeration.
+        let ids: Vec<MsId> = (0..m).map(MsId).collect();
+        let enumerated = StrategyIter::full(&ids).count().to_string();
         report.row([
             m.to_string(),
             paper_full.to_string(),

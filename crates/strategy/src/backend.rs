@@ -20,10 +20,11 @@
 //! [`BackendChoice::Threshold`] (the default) is the paper's rule itself:
 //! `Exhaustive` while `|M| ≤ θ`, `Greedy` beyond.
 //!
-//! [`BackendId`] is the compact identity that keys the plan cache: two
-//! backends may disagree on the winner for identical inputs, so cached
-//! plans must never cross backend boundaries. Only the exhaustive and beam
-//! searches are cached, so only they have an identity.
+//! A choice is the *request*; what ran is stamped on the result as a
+//! [`Method`](crate::Method). Two backends may disagree on the winner for
+//! identical inputs, so the plan cache keys each entry on the search the
+//! choice resolved to (exhaustive, or the beam at its width) and cached
+//! plans never cross backend boundaries.
 
 use std::fmt;
 use std::str::FromStr;
@@ -32,48 +33,6 @@ use serde::{Deserialize, Serialize};
 
 /// Default beam width for `--planner beam` without an explicit `:W`.
 pub const DEFAULT_BEAM_WIDTH: usize = 4;
-
-/// The compact identity of a search backend, used to key the plan cache.
-///
-/// Different backends can return different winners for identical inputs
-/// (greedy is an approximation; beam quality depends on the width), so the
-/// cache key must carry which backend — and for beam, which width —
-/// produced an entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct BackendId {
-    /// Stable backend name (`"exhaustive"` or `"beam"`).
-    pub name: &'static str,
-    /// Beam width for the beam backend; `0` for widthless backends.
-    pub width: u64,
-}
-
-impl BackendId {
-    /// The exhaustive branch-and-bound engine (both `F(M)` and `F'(M)`
-    /// modes — the cache key carries the subsets flag separately).
-    pub const EXHAUSTIVE: BackendId = BackendId {
-        name: "exhaustive",
-        width: 0,
-    };
-
-    /// The beam-search backend at the given width.
-    #[must_use]
-    pub fn beam(width: usize) -> BackendId {
-        BackendId {
-            name: "beam",
-            width: width as u64,
-        }
-    }
-}
-
-impl fmt::Display for BackendId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.width > 0 {
-            write!(f, "{}:{}", self.name, self.width)
-        } else {
-            f.write_str(self.name)
-        }
-    }
-}
 
 /// Which planning backend a generator (or the runtime's planner) should
 /// run. Parsed from `--planner` on the CLI.
@@ -177,13 +136,5 @@ mod tests {
         );
         assert!(serde_json::from_str::<BackendChoice>("\"Auto\"").is_err());
         assert_eq!(BackendChoice::default(), BackendChoice::Threshold);
-    }
-
-    #[test]
-    fn backend_id_display_and_cache_identity() {
-        assert_eq!(BackendId::EXHAUSTIVE.to_string(), "exhaustive");
-        assert_eq!(BackendId::beam(3).to_string(), "beam:3");
-        assert_ne!(BackendId::beam(3), BackendId::beam(4));
-        assert_ne!(BackendId::beam(1), BackendId::EXHAUSTIVE);
     }
 }

@@ -76,79 +76,14 @@ pub(crate) fn submasks(mask: Mask) -> impl Iterator<Item = Mask> {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming enumeration
+// Streaming iterator (unranking)
 // ---------------------------------------------------------------------------
-
-/// Calls `visit` once for every distinct strategy that uses **all** of
-/// `ids` — the set `F(M)` of the paper.
-///
-/// Strategies are produced in a deterministic order. This streams with
-/// `O(depth)` memory, so it can walk strategy spaces too large to collect
-/// (e.g. `F(7)` = 1 152 019 strategies).
-///
-/// # Panics
-///
-/// Panics if `ids` contains duplicates or more than 64 entries.
-///
-/// # Examples
-///
-/// ```
-/// use qce_strategy::enumerate::for_each_full;
-/// use qce_strategy::MsId;
-///
-/// let ids = [MsId(0), MsId(1)];
-/// let mut seen = Vec::new();
-/// for_each_full(&ids, |s| seen.push(s.to_string()));
-/// seen.sort();
-/// assert_eq!(seen, ["a*b", "a-b", "b-a"]);
-/// ```
-pub fn for_each_full(ids: &[MsId], mut visit: impl FnMut(Strategy)) {
-    let ctx = EnumCtx::new(ids);
-    if ids.is_empty() {
-        return;
-    }
-    let full: Mask = if ids.len() == 64 {
-        Mask::MAX
-    } else {
-        (1 << ids.len()) - 1
-    };
-    ctx.stream_all(full, &mut |node| {
-        visit(Strategy::from_node(node).expect("enumeration produces valid strategies"));
-    });
-}
-
-/// Calls `visit` once for every strategy over every non-empty subset of
-/// `ids` — the set `F'(M)` of the paper.
-///
-/// # Panics
-///
-/// Panics if `ids` contains duplicates or more than 64 entries.
-pub fn for_each_with_subsets(ids: &[MsId], mut visit: impl FnMut(Strategy)) {
-    if ids.is_empty() {
-        return;
-    }
-    assert!(ids.len() <= 64, "at most 64 microservices supported");
-    let full: Mask = if ids.len() == 64 {
-        Mask::MAX
-    } else {
-        (1 << ids.len()) - 1
-    };
-    let ctx = EnumCtx::new(ids);
-    for sub in submasks(full) {
-        if sub == 0 {
-            continue;
-        }
-        ctx.stream_all(sub, &mut |node| {
-            visit(Strategy::from_node(node).expect("enumeration produces valid strategies"));
-        });
-    }
-}
 
 /// Collects `F(M)`: every distinct strategy using **all** of `ids` — a
 /// `.collect()` over [`StrategyIter::full`].
 ///
-/// Practical for `M ≤ 6` (51 303 strategies); prefer [`for_each_full`] or
-/// [`StrategyIter`] beyond that.
+/// Practical for `M ≤ 6` (51 303 strategies); prefer [`StrategyIter`]
+/// beyond that.
 ///
 /// # Panics
 ///
@@ -168,50 +103,17 @@ pub fn for_each_with_subsets(ids: &[MsId], mut visit: impl FnMut(Strategy)) {
 /// ```
 #[must_use]
 pub fn enumerate_full(ids: &[MsId]) -> Vec<Strategy> {
-    if ids.is_empty() {
-        return Vec::new();
-    }
     StrategyIter::full(ids).collect()
 }
 
-/// Collects `F'(M)`: every strategy over every non-empty subset of `ids` —
-/// a `.collect()` over [`StrategyIter::with_subsets`].
-///
-/// ```
-/// use qce_strategy::enumerate::enumerate_with_subsets;
-/// use qce_strategy::MsId;
-///
-/// let ids: Vec<MsId> = (0..3).map(MsId).collect();
-/// assert_eq!(enumerate_with_subsets(&ids).len(), 31); // Table I (exact at M ≤ 3)
-/// ```
-///
-/// # Panics
-///
-/// Panics if `ids` contains duplicates or more than [`MAX_COUNT_M`]
-/// entries.
-#[must_use]
-pub fn enumerate_with_subsets(ids: &[MsId]) -> Vec<Strategy> {
-    if ids.is_empty() {
-        return Vec::new();
-    }
-    StrategyIter::with_subsets(ids).collect()
-}
-
-// ---------------------------------------------------------------------------
-// Streaming iterator (unranking)
-// ---------------------------------------------------------------------------
-
-/// A streaming enumerator over `F(M)` or `F'(M)` that yields candidates in
-/// the same canonical order as [`for_each_full`] / [`for_each_with_subsets`]
-/// without materializing a `Vec`.
+/// The streaming enumerator over `F(M)`: yields every strategy that uses
+/// all of the ids, in a deterministic canonical order, with `O(depth)`
+/// memory — so it can walk spaces too large to collect (`F(7)` =
+/// 1 152 019 strategies).
 ///
 /// Internally the iterator *unranks*: it inverts the counting recurrence of
 /// [`count_full`] to map an index `k ∈ [0, F(M))` directly to the `k`-th
-/// strategy of the enumeration order. That makes the iterator **splittable**
-/// — [`split_at`](StrategyIter::split_at) and
-/// [`chunks`](StrategyIter::chunks) cut the index range into independent
-/// sub-iterators, which is what the parallel generator uses to hand disjoint
-/// chunks of the search space to worker threads.
+/// strategy of the enumeration order.
 ///
 /// # Examples
 ///
@@ -219,38 +121,28 @@ pub fn enumerate_with_subsets(ids: &[MsId]) -> Vec<Strategy> {
 /// use qce_strategy::enumerate::{enumerate_full, StrategyIter};
 /// use qce_strategy::MsId;
 ///
+/// let ids = [MsId(0), MsId(1)];
+/// let mut seen: Vec<String> = StrategyIter::full(&ids).map(|s| s.to_string()).collect();
+/// seen.sort();
+/// assert_eq!(seen, ["a*b", "a-b", "b-a"]);
+///
 /// let ids: Vec<MsId> = (0..3).map(MsId).collect();
 /// let iter = StrategyIter::full(&ids);
 /// assert_eq!(iter.remaining(), 19);
 /// let streamed: Vec<_> = iter.collect();
 /// assert_eq!(streamed, enumerate_full(&ids));
-///
-/// // Chunked splitting covers the same space in the same overall order.
-/// let parts: Vec<_> = StrategyIter::full(&ids)
-///     .chunks(4)
-///     .into_iter()
-///     .flatten()
-///     .collect();
-/// assert_eq!(parts, streamed);
 /// ```
 #[derive(Debug, Clone)]
 pub struct StrategyIter {
-    shared: std::sync::Arc<IterShared>,
+    ids: Vec<MsId>,
+    counts: Counts,
     next: u128,
     end: u128,
 }
 
-#[derive(Debug)]
-struct IterShared {
-    ids: Vec<MsId>,
-    counts: Counts,
-    /// `(leaf mask, index of the family's first strategy)`, ascending by
-    /// index; one entry per enumerated subset.
-    families: Vec<(Mask, u128)>,
-}
-
 impl StrategyIter {
-    /// Iterates over `F(M)`: every strategy using **all** of `ids`.
+    /// Iterates over `F(M)`: every strategy using **all** of `ids` (none
+    /// for an empty list).
     ///
     /// # Panics
     ///
@@ -258,23 +150,6 @@ impl StrategyIter {
     /// entries (unranking needs exact counts).
     #[must_use]
     pub fn full(ids: &[MsId]) -> Self {
-        Self::over_families(ids, false)
-    }
-
-    /// Iterates over `F'(M)`: every strategy over every non-empty subset of
-    /// `ids`, subset families in the same order as
-    /// [`for_each_with_subsets`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ids` contains duplicates or more than [`MAX_COUNT_M`]
-    /// entries.
-    #[must_use]
-    pub fn with_subsets(ids: &[MsId]) -> Self {
-        Self::over_families(ids, true)
-    }
-
-    fn over_families(ids: &[MsId], subsets: bool) -> Self {
         assert!(
             ids.len() <= MAX_COUNT_M,
             "unranking needs exact counts; at most {MAX_COUNT_M} microservices"
@@ -285,31 +160,12 @@ impl StrategyIter {
         assert_eq!(sorted.len(), ids.len(), "microservice ids must be distinct");
 
         let counts = Counts::up_to(ids.len());
-        let mut families = Vec::new();
-        let mut total: u128 = 0;
-        if !ids.is_empty() {
-            let full: Mask = (1 << ids.len()) - 1;
-            if subsets {
-                for sub in submasks(full) {
-                    if sub == 0 {
-                        continue;
-                    }
-                    families.push((sub, total));
-                    total += counts.all(sub.count_ones() as usize);
-                }
-            } else {
-                families.push((full, 0));
-                total = counts.all(ids.len());
-            }
-        }
+        let end = counts.all(ids.len());
         StrategyIter {
-            shared: std::sync::Arc::new(IterShared {
-                ids: ids.to_vec(),
-                counts,
-                families,
-            }),
+            ids: ids.to_vec(),
+            counts,
             next: 0,
-            end: total,
+            end,
         }
     }
 
@@ -317,74 +173,6 @@ impl StrategyIter {
     #[must_use]
     pub fn remaining(&self) -> u128 {
         self.end - self.next
-    }
-
-    /// Splits into two iterators: the first yields the next `index`
-    /// strategies (clamped to what remains), the second the rest.
-    #[must_use]
-    pub fn split_at(self, index: u128) -> (Self, Self) {
-        let mid = self.next + index.min(self.remaining());
-        let left = StrategyIter {
-            shared: self.shared.clone(),
-            next: self.next,
-            end: mid,
-        };
-        let right = StrategyIter {
-            shared: self.shared,
-            next: mid,
-            end: self.end,
-        };
-        (left, right)
-    }
-
-    /// Splits into at most `n` near-equal contiguous chunks covering the
-    /// remaining strategies in order. Empty chunks are omitted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    #[must_use]
-    pub fn chunks(self, n: usize) -> Vec<Self> {
-        assert!(n > 0, "need at least one chunk");
-        let total = self.remaining();
-        let n_u = n as u128;
-        let base = total / n_u;
-        let extra = total % n_u;
-        let mut out = Vec::new();
-        let mut start = self.next;
-        for i in 0..n_u {
-            let len = base + u128::from(i < extra);
-            if len == 0 {
-                continue;
-            }
-            out.push(StrategyIter {
-                shared: self.shared.clone(),
-                next: start,
-                end: start + len,
-            });
-            start += len;
-        }
-        debug_assert_eq!(start, self.end);
-        out
-    }
-
-    /// Unranks the strategy at absolute index `k` (relative to the start of
-    /// the whole enumeration, not to this chunk).
-    fn unrank(&self, k: u128) -> Strategy {
-        let shared = &*self.shared;
-        // Last family whose first index is ≤ k.
-        let fam = shared
-            .families
-            .partition_point(|&(_, first)| first <= k)
-            .checked_sub(1)
-            .expect("index within enumeration range");
-        let (mask, first) = shared.families[fam];
-        let node = Unrank {
-            ids: &shared.ids,
-            counts: &shared.counts,
-        }
-        .all(mask, k - first);
-        Strategy::from_node(node).expect("unranking produces valid strategies")
     }
 }
 
@@ -395,9 +183,14 @@ impl Iterator for StrategyIter {
         if self.next >= self.end {
             return None;
         }
-        let s = self.unrank(self.next);
+        let full: Mask = (1 << self.ids.len()) - 1;
+        let node = Unrank {
+            ids: &self.ids,
+            counts: &self.counts,
+        }
+        .all(full, self.next);
         self.next += 1;
-        Some(s)
+        Some(Strategy::from_node(node).expect("unranking produces valid strategies"))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -407,9 +200,9 @@ impl Iterator for StrategyIter {
 }
 
 /// Inverse of the [`EnumCtx`] recursion: maps `(mask, index)` to the node
-/// the streaming enumeration would produce at that position. The index
-/// decomposition mirrors `stream_*` exactly — outer loops become quotient
-/// digits, inner loops remainders — so iteration order is identical.
+/// that recursion produces at that position. The index decomposition
+/// mirrors `stream_*` exactly — outer loops become quotient digits, inner
+/// loops remainders — so iteration order is identical.
 struct Unrank<'a> {
     ids: &'a [MsId],
     counts: &'a Counts,
@@ -516,6 +309,14 @@ impl Unrank<'_> {
     }
 }
 
+/// The push recursion over the canonical form: calls a visitor once per
+/// tree of a class (non-seq-rooted, seq-rooted, par-rooted) over a leaf
+/// mask. Not public — [`StrategyIter`] is the one public enumerator — and
+/// kept as the synthesis engine's family builder: `synth` compiles (or,
+/// for a family too large to cache, streams) every non-seq tree over a
+/// mask from it, where a whole family is wanted at once and a visitor
+/// builds it without an index per tree. A test pins its order to
+/// [`Unrank`]'s node for node.
 #[derive(Clone, Copy)]
 pub(crate) struct EnumCtx<'a> {
     ids: &'a [MsId],
@@ -529,12 +330,6 @@ impl<'a> EnumCtx<'a> {
         sorted.dedup();
         assert_eq!(sorted.len(), ids.len(), "microservice ids must be distinct");
         EnumCtx { ids }
-    }
-
-    /// All trees over `mask`: non-seq-rooted plus seq-rooted.
-    pub(crate) fn stream_all(&self, mask: Mask, f: &mut dyn FnMut(Node)) {
-        self.stream_non_seq(mask, f);
-        self.stream_seq(mask, f);
     }
 
     /// Trees whose root is not `Seq` (a leaf or a `Par`).
@@ -1236,9 +1031,20 @@ mod tests {
 
     #[test]
     fn semantic_subset_counts_by_enumeration() {
+        // F'(M) is F over every non-empty sub-list: enumerate each.
         let expected = [(2usize, 5usize), (3, 31), (4, 293), (5, 3991)];
         for (m, count) in expected {
-            assert_eq!(enumerate_with_subsets(&ids(m)).len(), count, "F'({m})");
+            let all = ids(m);
+            let enumerated: usize = (1..1u32 << m)
+                .map(|sub| {
+                    let picked: Vec<MsId> = (0..m)
+                        .filter(|&i| sub & (1 << i) != 0)
+                        .map(|i| all[i])
+                        .collect();
+                    enumerate_full(&picked).len()
+                })
+                .sum();
+            assert_eq!(enumerated, count, "F'({m})");
         }
     }
 
@@ -1345,27 +1151,27 @@ mod tests {
 
     #[test]
     fn streaming_matches_collected() {
-        let mut streamed = 0usize;
-        for_each_full(&ids(5), |_| streamed += 1);
-        assert_eq!(streamed, 2791);
-        let mut streamed = 0usize;
-        for_each_with_subsets(&ids(4), |_| streamed += 1);
-        assert_eq!(streamed, 293);
+        assert_eq!(StrategyIter::full(&ids(5)).count(), 2791);
+        assert_eq!(enumerate_full(&ids(5)).len(), 2791);
+        // Past what is practical to collect, the stream still counts out.
+        assert_eq!(StrategyIter::full(&ids(6)).count(), 51303);
     }
 
+    /// The engine builds its families with the [`EnumCtx`] push recursion
+    /// and the public iterator unranks: two recursions, one order. Node
+    /// for node over the full mask, so neither can drift from the other.
     #[test]
     fn iterator_matches_streaming_order_exactly() {
         for m in 1..=5 {
+            let ids = ids(m);
+            let ctx = EnumCtx::new(&ids);
+            let full: Mask = (1 << m) - 1;
             let mut streamed = Vec::new();
-            for_each_full(&ids(m), |s| streamed.push(s));
-            let unranked: Vec<Strategy> = StrategyIter::full(&ids(m)).collect();
+            ctx.stream_non_seq(full, &mut |node| streamed.push(node));
+            ctx.stream_seq(full, &mut |node| streamed.push(node));
+            assert_eq!(streamed.len() as u128, count_full(m), "M={m}");
+            let unranked: Vec<Node> = StrategyIter::full(&ids).map(|s| s.node().clone()).collect();
             assert_eq!(unranked, streamed, "full order diverges at M={m}");
-        }
-        for m in 1..=4 {
-            let mut streamed = Vec::new();
-            for_each_with_subsets(&ids(m), |s| streamed.push(s));
-            let unranked: Vec<Strategy> = StrategyIter::with_subsets(&ids(m)).collect();
-            assert_eq!(unranked, streamed, "subset order diverges at M={m}");
         }
     }
 
@@ -1373,37 +1179,8 @@ mod tests {
     fn iterator_remaining_matches_counts() {
         for m in 1..=6 {
             assert_eq!(StrategyIter::full(&ids(m)).remaining(), count_full(m));
-            assert_eq!(
-                StrategyIter::with_subsets(&ids(m)).remaining(),
-                count_with_subsets(m)
-            );
         }
         assert_eq!(StrategyIter::full(&[]).remaining(), 0);
-    }
-
-    #[test]
-    fn split_at_partitions_without_overlap() {
-        let all: Vec<Strategy> = StrategyIter::full(&ids(4)).collect();
-        for cut in [0u128, 1, 97, 195, 400] {
-            let (left, right) = StrategyIter::full(&ids(4)).split_at(cut);
-            let l: Vec<Strategy> = left.collect();
-            let r: Vec<Strategy> = right.collect();
-            assert_eq!(l.len() as u128, cut.min(195));
-            let mut joined = l;
-            joined.extend(r);
-            assert_eq!(joined, all, "split at {cut} loses or reorders");
-        }
-    }
-
-    #[test]
-    fn chunks_cover_the_space_in_order() {
-        let all: Vec<Strategy> = StrategyIter::with_subsets(&ids(4)).collect();
-        for n in [1usize, 2, 3, 7, 64, 1000] {
-            let chunks = StrategyIter::with_subsets(&ids(4)).chunks(n);
-            assert!(chunks.len() <= n);
-            let joined: Vec<Strategy> = chunks.into_iter().flatten().collect();
-            assert_eq!(joined, all, "chunks({n}) loses or reorders");
-        }
     }
 
     #[test]
@@ -1416,10 +1193,8 @@ mod tests {
 
     #[test]
     fn empty_id_list_enumerates_nothing() {
-        let mut visits = 0;
-        for_each_full(&[], |_| visits += 1);
-        for_each_with_subsets(&[], |_| visits += 1);
-        assert_eq!(visits, 0);
+        assert_eq!(StrategyIter::full(&[]).next(), None);
+        assert!(enumerate_full(&[]).is_empty());
     }
 
     #[test]

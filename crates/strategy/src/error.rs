@@ -209,6 +209,18 @@ pub enum GenerateError {
     /// attributes): Equation 1 divides by each requirement, so such inputs
     /// would produce NaN/∞ utilities that poison the ranking.
     InvalidRequirements(QosError),
+    /// The id list names the same microservice more than once; a strategy
+    /// uses each microservice at most once.
+    DuplicateMicroservice(MsId),
+    /// An exhaustive search was asked for over more microservices than
+    /// the strategy space can be counted for (`F(21)` overflows `u128`).
+    TooManyMicroservices {
+        /// Length of the id list.
+        got: usize,
+        /// The most an exhaustive search accepts
+        /// ([`MAX_COUNT_M`](crate::enumerate::MAX_COUNT_M)).
+        max: usize,
+    },
 }
 
 impl fmt::Display for GenerateError {
@@ -221,6 +233,13 @@ impl fmt::Display for GenerateError {
             GenerateError::InvalidRequirements(err) => {
                 write!(f, "invalid QoS requirements: {err}")
             }
+            GenerateError::DuplicateMicroservice(id) => {
+                write!(f, "microservice {id} is listed more than once")
+            }
+            GenerateError::TooManyMicroservices { got, max } => write!(
+                f,
+                "an exhaustive search covers at most {max} microservices, got {got}"
+            ),
         }
     }
 }
@@ -230,7 +249,9 @@ impl StdError for GenerateError {
         match self {
             GenerateError::Estimate(err) => Some(err),
             GenerateError::InvalidRequirements(err) => Some(err),
-            GenerateError::NoMicroservices => None,
+            GenerateError::NoMicroservices
+            | GenerateError::DuplicateMicroservice(_)
+            | GenerateError::TooManyMicroservices { .. } => None,
         }
     }
 }

@@ -40,19 +40,6 @@ pub enum CompletionPolicy {
     },
 }
 
-impl CompletionPolicy {
-    /// Does a Seq node stop at its first succeeding child?
-    ///
-    /// `true` for [`FirstSuccess`](CompletionPolicy::FirstSuccess)
-    /// (fail-over legs after a success never run), `false` for
-    /// [`Quorum`](CompletionPolicy::Quorum) (later stages still cast
-    /// votes).
-    #[must_use]
-    pub fn seq_absorbs_success(&self) -> bool {
-        matches!(self, CompletionPolicy::FirstSuccess)
-    }
-}
-
 impl fmt::Display for CompletionPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -84,13 +71,6 @@ impl fmt::Display for PruneReason {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn first_success_absorbs_seq_successes_quorum_does_not() {
-        assert!(CompletionPolicy::FirstSuccess.seq_absorbs_success());
-        assert!(!CompletionPolicy::Quorum { quorum: 1 }.seq_absorbs_success());
-        assert!(!CompletionPolicy::Quorum { quorum: 3 }.seq_absorbs_success());
-    }
 
     #[test]
     fn display_forms() {

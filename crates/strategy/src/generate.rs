@@ -15,12 +15,11 @@
 //! (Algorithm 2's line 1 prints the comparison inverted; we follow the
 //! prose — see `DESIGN.md`.)
 //!
-//! Two *subset* ablations discussed in the paper are also implemented:
-//! searching `F'(M)` instead of `F(M)`, and stopping the approximation as
-//! soon as including another microservice stops improving the utility. The
-//! paper advises against both in dynamic environments (microservices left
-//! out of the strategy never get fresh QoS observations), but they are
-//! useful baselines.
+//! Every search uses all of `ids`. The paper also discusses two *subset*
+//! variants — searching `F'(M)`, and stopping the approximation once
+//! another microservice stops improving the utility — and advises against
+//! both in a dynamic environment (a microservice left out of the strategy
+//! never gets a fresh QoS observation); neither is implemented.
 //!
 //! ## The synthesis engine
 //!
@@ -30,7 +29,7 @@
 //! utility-bound pruning plus a work-stealing thread pool, with results —
 //! winning strategy, QoS bits, utility, and tie-breaks — provably
 //! identical to the plain sequential scan. Any other estimator falls back
-//! to a generic scan (optionally chunk-parallel over [`StrategyIter`]).
+//! to a generic sequential scan over [`StrategyIter`].
 //! Either way [`Generated::report`] records how many candidates were
 //! estimated, how many the bounds pruned, and the wall-clock time.
 
@@ -41,10 +40,8 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
-use crate::backend::{BackendChoice, BackendId};
-use crate::enumerate::{
-    failover, for_each_full, for_each_with_subsets, speculative_parallel, StrategyIter, MAX_COUNT_M,
-};
+use crate::backend::BackendChoice;
+use crate::enumerate::{failover, speculative_parallel, StrategyIter, MAX_COUNT_M};
 use crate::error::{BuildError, EstimateError, GenerateError};
 use crate::estimate::{Algorithm1, Estimator};
 use crate::expr::Strategy;
@@ -58,20 +55,16 @@ use crate::utility::UtilityIndex;
 pub enum Method {
     /// Exhaustive search over `F(M)` (all microservices).
     Exhaustive,
-    /// Exhaustive search over `F'(M)` (subsets allowed).
-    ExhaustiveSubsets,
     /// Greedy approximation over all microservices (Algorithm 2).
     Approximation,
-    /// Greedy approximation that stops early when utility stops improving.
-    ApproximationEarlyStop,
     /// Predefined fail-over pattern (`a-b-…`), microservices ordered by
     /// individual utility.
     Failover,
     /// Predefined speculative-parallel pattern (`a*b*…`).
     SpeculativeParallel,
     /// Width-`W` beam search ([`Generator::beam`]): greedy at width 1,
-    /// exhaustive in the limit. The width is carried by the backend
-    /// identity ([`BackendId`]), not the method.
+    /// exhaustive in the limit. The width is part of the plan-cache key,
+    /// not of the method.
     Beam,
 }
 
@@ -79,9 +72,7 @@ impl fmt::Display for Method {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
             Method::Exhaustive => "exhaustive",
-            Method::ExhaustiveSubsets => "exhaustive-subsets",
             Method::Approximation => "approximation",
-            Method::ApproximationEarlyStop => "approximation-early-stop",
             Method::Failover => "failover",
             Method::SpeculativeParallel => "speculative-parallel",
             Method::Beam => "beam",
@@ -97,8 +88,8 @@ impl fmt::Display for Method {
 /// `[`Generated::evaluated`], the number of candidate strategies
 /// *considered*. Auxiliary estimates — the per-leaf ranking behind
 /// `sortByUtility`, the exhaustive engine's seed bounds — are never
-/// counted by any backend. For the exhaustive methods the sum equals the
-/// full search-space size (`F(M)` or `F'(M)`): pruning skips estimation
+/// counted by any backend. For the exhaustive method the sum equals the
+/// full search-space size `F(M)`: pruning skips estimation
 /// work, never candidates' consideration. Heuristic methods report their
 /// estimate count as `candidates_seen` with zero pruned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -414,8 +405,12 @@ impl Generator {
     ///
     /// # Errors
     ///
-    /// Returns [`GenerateError::NoMicroservices`] for an empty id list, or
-    /// an estimation error if `env` lacks an entry for some id.
+    /// Returns [`GenerateError::NoMicroservices`] for an empty id list,
+    /// [`GenerateError::DuplicateMicroservice`] for a repeated id, or an
+    /// estimation error if `env` lacks an entry for some id.
+    /// An exhaustive search (`ids.len() ≤ θ`, or asked for by name)
+    /// over more than [`MAX_COUNT_M`] ids returns
+    /// [`GenerateError::TooManyMicroservices`].
     pub fn generate(
         &self,
         env: &EnvQos,
@@ -441,13 +436,9 @@ impl Generator {
         req: &Requirements,
     ) -> Result<Generated, GenerateError> {
         let search = match choice {
-            BackendChoice::Exhaustive => Search::Exhaustive { subsets: false },
-            BackendChoice::Threshold if ids.len() <= self.threshold => {
-                Search::Exhaustive { subsets: false }
-            }
-            BackendChoice::Threshold | BackendChoice::Greedy => {
-                Search::Greedy { early_stop: false }
-            }
+            BackendChoice::Exhaustive => Search::Exhaustive,
+            BackendChoice::Threshold if ids.len() <= self.threshold => Search::Exhaustive,
+            BackendChoice::Threshold | BackendChoice::Greedy => Search::Greedy,
             BackendChoice::Beam(width) => Search::Beam(width.max(1)),
         };
         self.run(search, env, ids, req)
@@ -461,43 +452,33 @@ impl Generator {
     ///
     /// # Errors
     ///
-    /// Returns [`GenerateError::NoMicroservices`] for an empty id list, or
-    /// an estimation error if `env` lacks an entry for some id.
+    /// Returns [`GenerateError::NoMicroservices`] for an empty id list,
+    /// [`GenerateError::DuplicateMicroservice`] for a repeated id, or an
+    /// estimation error if `env` lacks an entry for some id.
+    /// More than [`MAX_COUNT_M`] ids return
+    /// [`GenerateError::TooManyMicroservices`]: `F(21)` overflows `u128`.
     pub fn exhaustive(
         &self,
         env: &EnvQos,
         ids: &[MsId],
         req: &Requirements,
     ) -> Result<Generated, GenerateError> {
-        self.run(Search::Exhaustive { subsets: false }, env, ids, req)
+        self.run(Search::Exhaustive, env, ids, req)
     }
 
-    /// Exhaustive search over `F'(M)`: like [`Generator::exhaustive`] but
-    /// candidate strategies may use any non-empty subset of `ids`.
+    /// The one door into every search. Once per call it vets the id list
+    /// (see [`vet`]), rejects an exhaustive search over more than
+    /// [`MAX_COUNT_M`] ids, then an id `env` does not cover; starts the
+    /// timer; serves the plan cache's entry if `search` is a cached one and
+    /// these inputs were searched before; and otherwise runs the algorithm
+    /// — a function from the validated inputs to a [`Found`] — stamps the
+    /// result, and memoizes it under the same key.
     ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Generator::exhaustive`].
-    pub fn exhaustive_subsets(
-        &self,
-        env: &EnvQos,
-        ids: &[MsId],
-        req: &Requirements,
-    ) -> Result<Generated, GenerateError> {
-        self.run(Search::Exhaustive { subsets: true }, env, ids, req)
-    }
-
-    /// The one door into every search. Once per call it rejects an empty id
-    /// list, then invalid requirements, then an id `env` does not cover;
-    /// starts the timer; serves the plan cache's entry if `search` is a
-    /// cached one and these inputs were searched before; and otherwise runs
-    /// the algorithm — a function from the validated inputs to a [`Found`]
-    /// — stamps the result, and memoizes it under the same key.
-    ///
-    /// Only the exhaustive searches and the beam are cached, each under its
-    /// own [`BackendId`] (and subsets flag). The exhaustive engine's bound
-    /// calls the algorithms that seed it directly, not this door, so a seed
-    /// is never counted, cached or timed as a search of its own.
+    /// Only the exhaustive search and the beam are cached, each keyed by
+    /// its own `search` value (the beam's carries the width). The exhaustive
+    /// engine's bound calls the algorithms that seed it directly, not this
+    /// door, so a seed is never counted, cached or timed as a search of its
+    /// own.
     fn run(
         &self,
         search: Search,
@@ -505,28 +486,25 @@ impl Generator {
         ids: &[MsId],
         req: &Requirements,
     ) -> Result<Generated, GenerateError> {
-        if ids.is_empty() {
-            return Err(GenerateError::NoMicroservices);
+        vet(ids, req)?;
+        if search == Search::Exhaustive && ids.len() > MAX_COUNT_M {
+            return Err(GenerateError::TooManyMicroservices {
+                got: ids.len(),
+                max: MAX_COUNT_M,
+            });
         }
-        req.validate().map_err(GenerateError::InvalidRequirements)?;
         if let Some(&id) = ids.iter().find(|&&id| env.get(id).is_none()) {
             return Err(EstimateError::MissingMicroservice(id).into());
         }
         let start = Instant::now();
-        let cached_as = match search {
-            Search::Exhaustive { subsets } => Some((subsets, BackendId::EXHAUSTIVE)),
-            Search::Beam(width) => Some((false, BackendId::beam(width))),
-            _ => None,
-        };
-        let memo = match (&self.plan_cache, cached_as) {
-            (Some(cache), Some((subsets, backend))) => {
-                let search = SearchId {
-                    subsets,
+        let memo = match (&self.plan_cache, search) {
+            (Some(cache), Search::Exhaustive | Search::Beam(_)) => {
+                let id = SearchId {
                     penalty: self.utility.k(),
                     estimator: self.estimator.name(),
-                    backend,
+                    search,
                 };
-                cache.key(env, ids, req, search).map(|key| (cache, key))
+                cache.key(env, ids, req, id).map(|key| (cache, key))
             }
             _ => None,
         };
@@ -542,8 +520,8 @@ impl Generator {
             return Ok(hit);
         }
         let (strategy, qos, utility, seen, pruned) = match search {
-            Search::Exhaustive { subsets } => self.scan(env, ids, req, subsets)?,
-            Search::Greedy { early_stop } => self.greedy(env, ids, req, early_stop)?,
+            Search::Exhaustive => self.scan(env, ids, req)?,
+            Search::Greedy => self.greedy(env, ids, req)?,
             Search::Beam(width) => self.beam_search(env, ids, req, width)?,
             Search::Failover { ranked: true } => {
                 self.pattern(failover, &self.sort_by_utility(env, ids, req)?, env, req)?
@@ -570,18 +548,10 @@ impl Generator {
         Ok(generated)
     }
 
-    /// The exhaustive search over `F(M)` (`F'(M)` with `subsets`): the
-    /// branch-and-bound engine for Algorithm 1, the generic scan for any
-    /// other estimator.
-    fn scan(
-        &self,
-        env: &EnvQos,
-        ids: &[MsId],
-        req: &Requirements,
-        subsets: bool,
-    ) -> Result<Found, GenerateError> {
-        let workers = self.resolved_parallelism();
-        if self.estimator.is_algorithm1() && ids.len() <= MAX_COUNT_M {
+    /// The exhaustive search over `F(M)`: the branch-and-bound engine for
+    /// Algorithm 1, the generic scan for any other estimator.
+    fn scan(&self, env: &EnvQos, ids: &[MsId], req: &Requirements) -> Result<Found, GenerateError> {
+        if self.estimator.is_algorithm1() {
             let initial_bound = if self.pruning {
                 self.seed_bound(env, ids, req)?
             } else {
@@ -593,9 +563,8 @@ impl Generator {
                 ids,
                 req,
                 utility: self.utility,
-                subsets,
                 pruning: self.pruning,
-                parallelism: workers,
+                parallelism: self.resolved_parallelism(),
                 initial_bound,
                 cache: &cache,
             });
@@ -607,7 +576,7 @@ impl Generator {
                 outcome.pruned,
             ))
         } else {
-            self.generic_scan(env, ids, req, subsets, workers)
+            self.generic_scan(env, ids, req)
         }
     }
 
@@ -632,8 +601,8 @@ impl Generator {
     }
 
     /// Utility of the best *seed* candidate — the greedy approximation and
-    /// the two predefined patterns, all of which are members of `F(M)`
-    /// (and hence of `F'(M)`) — used as the engine's initial pruning bar.
+    /// the two predefined patterns, all of which are members of `F(M)` —
+    /// used as the engine's initial pruning bar.
     /// Seed estimates are not counted in [`Generated::evaluated`].
     fn seed_bound(
         &self,
@@ -646,95 +615,34 @@ impl Generator {
         if ids.len() >= 2 {
             bound = bound.max(self.pattern(speculative_parallel, ids, env, req)?.2);
         }
-        bound = bound.max(self.greedy(env, ids, req, false)?.2);
+        bound = bound.max(self.greedy(env, ids, req)?.2);
         Ok(bound)
     }
 
-    /// Exhaustive scan through an arbitrary estimator: no pruning (the
-    /// branch-and-bound bounds are only admissible against Algorithm 1's
-    /// formulas), optionally chunked across worker threads with
-    /// [`StrategyIter`]. The winner is identical for any worker count
-    /// because the per-candidate comparison is a strict total order. The
+    /// Exhaustive scan through an arbitrary estimator: every candidate of
+    /// [`StrategyIter::full`] in order, no pruning (the branch-and-bound
+    /// bounds are only admissible against Algorithm 1's formulas). The
+    /// per-candidate comparison is the engine's strict total order, which
+    /// is what makes this the reference the engine is tested against. The
     /// first estimate the estimator refuses ends the scan with that error.
     fn generic_scan(
         &self,
         env: &EnvQos,
         ids: &[MsId],
         req: &Requirements,
-        subsets: bool,
-        workers: usize,
     ) -> Result<Found, GenerateError> {
-        type Best = Option<(Strategy, Qos, f64)>;
-        let merge = |best: &mut Best, s: Strategy, qos: Qos, u: f64| {
+        let mut best: Option<(Strategy, Qos, f64)> = None;
+        let mut seen = 0u64;
+        for s in StrategyIter::full(ids) {
+            let qos = self.estimator.estimate_uncached(&s, env)?;
+            let u = self.utility.utility(&qos, req);
+            seen += 1;
             let better = match &best {
                 None => true,
                 Some((bs, bq, bu)) => u > *bu || (u == *bu && better_tiebreak(&s, &qos, bs, bq)),
             };
             if better {
-                *best = Some((s, qos, u));
-            }
-        };
-        let consider = |best: &mut Best, seen: &mut u64, s: Strategy| {
-            let qos = self.estimator.estimate_uncached(&s, env)?;
-            let u = self.utility.utility(&qos, req);
-            *seen += 1;
-            merge(best, s, qos, u);
-            Ok::<(), EstimateError>(())
-        };
-        let locals: Vec<(Best, u64)> = if workers > 1 && ids.len() <= MAX_COUNT_M {
-            let iter = if subsets {
-                StrategyIter::with_subsets(ids)
-            } else {
-                StrategyIter::full(ids)
-            };
-            let consider = &consider;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = iter
-                    .chunks(workers)
-                    .into_iter()
-                    .map(|chunk| {
-                        scope.spawn(move || {
-                            let mut best = None;
-                            let mut seen = 0u64;
-                            for s in chunk {
-                                consider(&mut best, &mut seen, s)?;
-                            }
-                            Ok((best, seen))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("scan worker panicked"))
-                    .collect::<Result<_, EstimateError>>()
-            })?
-        } else {
-            // `for_each_*` has no `MAX_COUNT_M` ceiling, so very large id
-            // lists still scan (sequentially), exactly as before.
-            let mut best = None;
-            let mut seen = 0u64;
-            let mut refused = None;
-            let mut visit = |s: Strategy| {
-                if refused.is_none() {
-                    refused = consider(&mut best, &mut seen, s).err();
-                }
-            };
-            if subsets {
-                for_each_with_subsets(ids, &mut visit);
-            } else {
-                for_each_full(ids, &mut visit);
-            }
-            if let Some(err) = refused {
-                return Err(err.into());
-            }
-            vec![(best, seen)]
-        };
-        let mut seen = 0u64;
-        let mut best: Best = None;
-        for (local, n) in locals {
-            seen += n;
-            if let Some((s, qos, u)) = local {
-                merge(&mut best, s, qos, u);
+                best = Some((s, qos, u));
             }
         }
         let (strategy, qos, utility) =
@@ -750,30 +658,16 @@ impl Generator {
     ///
     /// # Errors
     ///
-    /// Returns [`GenerateError::NoMicroservices`] for an empty id list, or
-    /// an estimation error if `env` lacks an entry for some id.
+    /// Returns [`GenerateError::NoMicroservices`] for an empty id list,
+    /// [`GenerateError::DuplicateMicroservice`] for a repeated id, or an
+    /// estimation error if `env` lacks an entry for some id.
     pub fn approximation(
         &self,
         env: &EnvQos,
         ids: &[MsId],
         req: &Requirements,
     ) -> Result<Generated, GenerateError> {
-        self.run(Search::Greedy { early_stop: false }, env, ids, req)
-    }
-
-    /// The subset variant of the approximation heuristic: stops as soon as
-    /// including the next microservice no longer improves the utility.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Generator::approximation`].
-    pub fn approximation_early_stop(
-        &self,
-        env: &EnvQos,
-        ids: &[MsId],
-        req: &Requirements,
-    ) -> Result<Generated, GenerateError> {
-        self.run(Search::Greedy { early_stop: true }, env, ids, req)
+        self.run(Search::Greedy, env, ids, req)
     }
 
     fn greedy(
@@ -781,7 +675,6 @@ impl Generator {
         env: &EnvQos,
         ids: &[MsId],
         req: &Requirements,
-        early_stop: bool,
     ) -> Result<Found, GenerateError> {
         let order = self.sort_by_utility(env, ids, req)?;
         // Unified effort accounting: the per-leaf estimates behind the
@@ -807,17 +700,11 @@ impl Generator {
             let par_u = self.utility.utility(&par_qos, req);
             seen += 2;
             // Paper, Algorithm 2 line 8: strict '>' — ties go parallel.
-            let (cand, cand_qos, cand_u) = if seq_u > par_u {
+            (es, qos, utility) = if seq_u > par_u {
                 (seq, seq_qos, seq_u)
             } else {
                 (par, par_qos, par_u)
             };
-            if early_stop && cand_u <= utility {
-                break;
-            }
-            es = cand;
-            qos = cand_qos;
-            utility = cand_u;
         }
         Ok((es, qos, utility, seen, 0))
     }
@@ -828,8 +715,9 @@ impl Generator {
     ///
     /// # Errors
     ///
-    /// Returns [`GenerateError::NoMicroservices`] for an empty id list, or
-    /// an estimation error if `env` lacks an entry for some id.
+    /// Returns [`GenerateError::NoMicroservices`] for an empty id list,
+    /// [`GenerateError::DuplicateMicroservice`] for a repeated id, or an
+    /// estimation error if `env` lacks an entry for some id.
     pub fn failover(
         &self,
         env: &EnvQos,
@@ -846,8 +734,9 @@ impl Generator {
     ///
     /// # Errors
     ///
-    /// Returns [`GenerateError::NoMicroservices`] for an empty id list, or
-    /// an estimation error if `env` lacks an entry for some id.
+    /// Returns [`GenerateError::NoMicroservices`] for an empty id list,
+    /// [`GenerateError::DuplicateMicroservice`] for a repeated id, or an
+    /// estimation error if `env` lacks an entry for some id.
     pub fn failover_in_order(
         &self,
         env: &EnvQos,
@@ -896,13 +785,14 @@ impl Generator {
     /// ceiling.
     ///
     /// Results are memoized in the configured plan cache (if any) under a
-    /// width-specific [`BackendId`], so beam plans never collide with
-    /// exhaustive or greedy entries for the same inputs.
+    /// width-specific key, so beam plans never collide with exhaustive
+    /// entries (or another width's) for the same inputs.
     ///
     /// # Errors
     ///
-    /// Returns [`GenerateError::NoMicroservices`] for an empty id list, or
-    /// an estimation error if `env` lacks an entry for some id.
+    /// Returns [`GenerateError::NoMicroservices`] for an empty id list,
+    /// [`GenerateError::DuplicateMicroservice`] for a repeated id, or an
+    /// estimation error if `env` lacks an entry for some id.
     pub fn beam(
         &self,
         env: &EnvQos,
@@ -918,18 +808,16 @@ impl Generator {
     ///
     /// # Errors
     ///
-    /// Returns [`GenerateError::NoMicroservices`] for an empty id list, or
-    /// an estimation error if `env` lacks an entry for some id.
+    /// Returns [`GenerateError::NoMicroservices`] for an empty id list,
+    /// [`GenerateError::DuplicateMicroservice`] for a repeated id, or an
+    /// estimation error if `env` lacks an entry for some id.
     pub fn sort_by_utility(
         &self,
         env: &EnvQos,
         ids: &[MsId],
         req: &Requirements,
     ) -> Result<Vec<MsId>, GenerateError> {
-        if ids.is_empty() {
-            return Err(GenerateError::NoMicroservices);
-        }
-        req.validate().map_err(GenerateError::InvalidRequirements)?;
+        vet(ids, req)?;
         let mut scored: Vec<(MsId, f64)> = ids
             .iter()
             .map(|&id| {
@@ -945,15 +833,32 @@ impl Generator {
     }
 }
 
+/// The front check every entry point shares, in this order: an empty id
+/// list, a repeated id, invalid requirements. Past it `ids` is non-empty
+/// and distinct, which is what the searches' `expect("ids are distinct")`
+/// lean on.
+fn vet(ids: &[MsId], req: &Requirements) -> Result<(), GenerateError> {
+    if ids.is_empty() {
+        return Err(GenerateError::NoMicroservices);
+    }
+    // Quadratic but allocation-free: this runs on every plan-cache hit,
+    // and one Algorithm 1 estimate over `ids` is quadratic already.
+    if let Some((_, &id)) = (ids.iter().enumerate()).find(|&(i, id)| ids[..i].contains(id)) {
+        return Err(GenerateError::DuplicateMicroservice(id));
+    }
+    req.validate().map_err(GenerateError::InvalidRequirements)
+}
+
 /// The searches behind the door ([`Generator::run`]): what a
-/// [`BackendChoice`] or a named entry point resolves to.
-#[derive(Debug, Clone, Copy)]
-enum Search {
-    /// Every strategy in `F(M)`, or in `F'(M)` with `subsets`.
-    Exhaustive { subsets: bool },
-    /// Algorithm 2's approximation, optionally stopping at the first
-    /// microservice that does not improve the utility.
-    Greedy { early_stop: bool },
+/// [`BackendChoice`] or a named entry point resolves to, and — for the
+/// two cached ones — the part of the plan-cache key that says which search
+/// an entry answers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Search {
+    /// Every strategy in `F(M)`.
+    Exhaustive,
+    /// Algorithm 2's approximation.
+    Greedy,
     /// Beam search at this width (≥ 1).
     Beam(usize),
     /// The fail-over chain, `ranked` by individual utility or as given.
@@ -966,10 +871,8 @@ impl Search {
     /// The [`Method`] a result of this search is stamped with.
     fn method(self) -> Method {
         match self {
-            Search::Exhaustive { subsets: false } => Method::Exhaustive,
-            Search::Exhaustive { subsets: true } => Method::ExhaustiveSubsets,
-            Search::Greedy { early_stop: false } => Method::Approximation,
-            Search::Greedy { early_stop: true } => Method::ApproximationEarlyStop,
+            Search::Exhaustive => Method::Exhaustive,
+            Search::Greedy => Method::Approximation,
             Search::Beam(_) => Method::Beam,
             Search::Failover { .. } => Method::Failover,
             Search::SpeculativeParallel => Method::SpeculativeParallel,
@@ -1059,18 +962,6 @@ mod tests {
     }
 
     #[test]
-    fn exhaustive_subsets_at_least_as_good() {
-        let gen = Generator::default();
-        let env = env5();
-        let ids: Vec<MsId> = (0..4).map(MsId).collect();
-        let full = gen.exhaustive(&env, &ids, &req()).unwrap();
-        let subsets = gen.exhaustive_subsets(&env, &ids, &req()).unwrap();
-        assert!(subsets.utility >= full.utility);
-        assert_eq!(subsets.evaluated, 293, "F'(4) candidates");
-        assert_eq!(subsets.method, Method::ExhaustiveSubsets);
-    }
-
-    #[test]
     fn approximation_uses_all_microservices() {
         let gen = Generator::default();
         let env = env5();
@@ -1103,23 +994,6 @@ mod tests {
         let fo = gen.failover(&env, &ids, &req()).unwrap();
         let sp = gen.speculative_parallel(&env, &ids, &req()).unwrap();
         assert!(approx.utility >= fo.utility.min(sp.utility) - 1e-12);
-    }
-
-    #[test]
-    fn early_stop_yields_subset_when_extra_ms_hurts() {
-        // One excellent microservice + one terrible one: including the bad
-        // one can only lower utility, so the early-stop variant keeps just
-        // the good one.
-        let env = EnvQos::from_triples(&[(10.0, 10.0, 0.99), (500.0, 500.0, 0.2)]).unwrap();
-        let gen = Generator::default();
-        let out = gen
-            .approximation_early_stop(&env, &env.ids(), &req())
-            .unwrap();
-        assert_eq!(out.strategy, Strategy::leaf(MsId(0)));
-        assert_eq!(out.method, Method::ApproximationEarlyStop);
-        let full = gen.approximation(&env, &env.ids(), &req()).unwrap();
-        assert_eq!(full.strategy.len(), 2, "plain approximation keeps both");
-        assert!(out.utility >= full.utility);
     }
 
     #[test]
@@ -1199,13 +1073,67 @@ mod tests {
         }
     }
 
+    /// The door vets the id list once, for every entry point: a repeated
+    /// id is a typed error after the empty-list check and before anything
+    /// else, and an exhaustive search over more ids than the space can be
+    /// counted for is refused instead of entered.
+    #[test]
+    fn unvetted_id_lists_are_typed_errors_everywhere() {
+        let gen = Generator::default();
+        let env = env5();
+        let r = req();
+        let bad_req = Requirements { cost: 0.0, ..r };
+        for (name, run) in entry_points() {
+            for req in [&r, &bad_req] {
+                assert_eq!(
+                    run(&gen, &env, &[MsId(0), MsId(0)], req),
+                    Err(GenerateError::DuplicateMicroservice(MsId(0))),
+                    "{name}"
+                );
+                assert_eq!(
+                    run(&gen, &env, &[MsId(9), MsId(2), MsId(1), MsId(2)], req),
+                    Err(GenerateError::DuplicateMicroservice(MsId(2))),
+                    "{name}: a duplicate comes before a missing id"
+                );
+            }
+        }
+
+        let wide: EnvQos = (0..65)
+            .map(|i| Qos::new(10.0 + f64::from(i), 20.0, 0.5).unwrap())
+            .collect();
+        let exhaustive = entry_points()
+            .into_iter()
+            .filter(|(name, _)| name.contains("exhaustive"));
+        assert_eq!(exhaustive.clone().count(), 2);
+        for got in [21, 65] {
+            let ids: Vec<MsId> = (0..got).map(MsId).collect();
+            for (name, run) in exhaustive.clone() {
+                assert_eq!(
+                    run(&gen, &wide, &ids, &r),
+                    Err(GenerateError::TooManyMicroservices {
+                        got,
+                        max: MAX_COUNT_M
+                    }),
+                    "{name} over {got} ids"
+                );
+            }
+        }
+        // The searches that scale past the limit still run.
+        let ids: Vec<MsId> = (0..21).map(MsId).collect();
+        assert_eq!(gen.generate(&wide, &ids, &r).unwrap().strategy.len(), 21);
+        assert_eq!(gen.beam(&wide, &ids, &r, 2).unwrap().strategy.len(), 21);
+    }
+
     type EntryPoint = fn(&Generator, &EnvQos, &[MsId], &Requirements) -> Result<(), GenerateError>;
 
     /// Every public search entry point of [`Generator`], result dropped.
     fn entry_points() -> Vec<(&'static str, EntryPoint)> {
-        use crate::backend::BackendChoice;
         vec![
             ("generate", |g, e, i, r| g.generate(e, i, r).map(drop)),
+            ("generate_with(exhaustive)", |g, e, i, r| {
+                g.generate_with(BackendChoice::Exhaustive, e, i, r)
+                    .map(drop)
+            }),
             ("generate_with(beam)", |g, e, i, r| {
                 g.generate_with(BackendChoice::Beam(2), e, i, r).map(drop)
             }),
@@ -1213,14 +1141,8 @@ mod tests {
                 g.generate_with(BackendChoice::Greedy, e, i, r).map(drop)
             }),
             ("exhaustive", |g, e, i, r| g.exhaustive(e, i, r).map(drop)),
-            ("exhaustive_subsets", |g, e, i, r| {
-                g.exhaustive_subsets(e, i, r).map(drop)
-            }),
             ("approximation", |g, e, i, r| {
                 g.approximation(e, i, r).map(drop)
-            }),
-            ("approximation_early_stop", |g, e, i, r| {
-                g.approximation_early_stop(e, i, r).map(drop)
             }),
             ("beam", |g, e, i, r| g.beam(e, i, r, 3).map(drop)),
             ("failover", |g, e, i, r| g.failover(e, i, r).map(drop)),
@@ -1279,9 +1201,7 @@ mod tests {
         let r = req();
         let outputs = vec![
             gen.exhaustive(&env, &ids, &r).unwrap(),
-            gen.exhaustive_subsets(&env, &ids, &r).unwrap(),
             gen.approximation(&env, &ids, &r).unwrap(),
-            gen.approximation_early_stop(&env, &ids, &r).unwrap(),
             gen.failover(&env, &ids, &r).unwrap(),
             gen.failover_in_order(&env, &ids, &r).unwrap(),
             gen.speculative_parallel(&env, &ids, &r).unwrap(),
@@ -1296,13 +1216,13 @@ mod tests {
                 out.method
             );
         }
-        let approx = &outputs[2];
+        let approx = &outputs[1];
         assert_eq!(
             approx.evaluated,
             1 + 2 * (ids.len() - 1),
             "greedy counts the best-leaf incumbent plus two per step"
         );
-        assert_eq!(approx.evaluated, outputs[7].evaluated, "beam(1) matches");
+        assert_eq!(approx.evaluated, outputs[5].evaluated, "beam(1) matches");
     }
 
     #[test]
@@ -1367,7 +1287,6 @@ mod tests {
         let r = req();
 
         gen.approximation(&env, &ids, &r).unwrap();
-        gen.approximation_early_stop(&env, &ids, &r).unwrap();
         gen.failover(&env, &ids, &r).unwrap();
         gen.failover_in_order(&env, &ids, &r).unwrap();
         gen.speculative_parallel(&env, &ids, &r).unwrap();
@@ -1379,9 +1298,8 @@ mod tests {
         // One exhaustive miss is one miss and one entry: the seed-bound
         // estimates behind its pruning bar are not searches of their own.
         type Run = fn(&Generator, &EnvQos, &[MsId], &Requirements) -> Generated;
-        let searches: [Run; 4] = [
+        let searches: [Run; 3] = [
             |g, e, i, r| g.exhaustive(e, i, r).unwrap(),
-            |g, e, i, r| g.exhaustive_subsets(e, i, r).unwrap(),
             |g, e, i, r| g.beam(e, i, r, 2).unwrap(),
             |g, e, i, r| g.beam(e, i, r, 3).unwrap(),
         ];
@@ -1396,7 +1314,7 @@ mod tests {
             );
             fresh.push(out);
         }
-        // Four distinct entries; a repeat hits its own and nothing else's.
+        // Three distinct entries; a repeat hits its own and nothing else's.
         for (n, run) in searches.iter().enumerate() {
             let out = run(&gen, &env, &ids, &r);
             assert_eq!(out.source, PlanSource::Cached, "search {n}");
@@ -1405,21 +1323,12 @@ mod tests {
             let stats = cache.stats();
             assert_eq!(
                 (stats.hits, stats.misses, stats.entries),
-                (n as u64 + 1, 4, 4)
+                (n as u64 + 1, 3, 3)
             );
         }
         let methods: Vec<Method> = fresh.iter().map(|g| g.method).collect();
-        assert_eq!(
-            methods,
-            [
-                Method::Exhaustive,
-                Method::ExhaustiveSubsets,
-                Method::Beam,
-                Method::Beam
-            ]
-        );
-        assert_ne!(fresh[0].evaluated, fresh[1].evaluated, "F(4) vs F'(4)");
-        assert_ne!(fresh[2].evaluated, fresh[3].evaluated, "beam 2 vs beam 3");
+        assert_eq!(methods, [Method::Exhaustive, Method::Beam, Method::Beam]);
+        assert_ne!(fresh[1].evaluated, fresh[2].evaluated, "beam 2 vs beam 3");
     }
 }
 
@@ -1482,9 +1391,8 @@ mod engine_equivalence_tests {
 
     /// Satellite (d): the pruned, parallel engine returns exactly the same
     /// result — strategy, QoS bits, utility, evaluated count — as the
-    /// unpruned sequential scan, for every seeded environment at M ≤ 4,
-    /// in both `F(M)` and `F'(M)` modes; and `seen + pruned` always covers
-    /// the whole space.
+    /// unpruned sequential scan, for every seeded environment at M ≤ 4;
+    /// and `seen + pruned` always covers the whole space.
     #[test]
     fn pruned_parallel_engine_matches_unpruned_sequential_scan() {
         let requirements = Requirements::new(150.0, 150.0, 0.95).unwrap();
@@ -1505,39 +1413,24 @@ mod engine_equivalence_tests {
                 "engine pruned parallel",
                 Generator::builder().pruning(true).parallelism(4).build(),
             ),
-            (
-                "generic parallel scan",
-                Generator::builder()
-                    .estimator(Arc::new(PlainAlg1))
-                    .parallelism(3)
-                    .build(),
-            ),
         ];
         for m in 1..=4usize {
             for seed in 0..10u64 {
                 let mut rng = ChaCha8Rng::seed_from_u64(seed * 37 + m as u64);
                 let env = random_env(&mut rng, m);
                 let ids = env.ids();
-                for subsets in [false, true] {
-                    let run = |g: &Generator| {
-                        if subsets {
-                            g.exhaustive_subsets(&env, &ids, &requirements).unwrap()
-                        } else {
-                            g.exhaustive(&env, &ids, &requirements).unwrap()
-                        }
-                    };
-                    let truth = run(&ground_truth);
-                    assert_eq!(truth.report.candidates_pruned, 0);
-                    for (name, g) in &configs {
-                        let out = run(g);
-                        let what = format!("m={m} seed={seed} subsets={subsets} config={name}");
-                        assert_bit_identical(&truth, &out, &what);
-                        assert_eq!(
-                            out.report.candidates_seen + out.report.candidates_pruned,
-                            truth.report.candidates_seen,
-                            "{what}: seen+pruned must cover the space"
-                        );
-                    }
+                let run = |g: &Generator| g.exhaustive(&env, &ids, &requirements).unwrap();
+                let truth = run(&ground_truth);
+                assert_eq!(truth.report.candidates_pruned, 0);
+                for (name, g) in &configs {
+                    let out = run(g);
+                    let what = format!("m={m} seed={seed} config={name}");
+                    assert_bit_identical(&truth, &out, &what);
+                    assert_eq!(
+                        out.report.candidates_seen + out.report.candidates_pruned,
+                        truth.report.candidates_seen,
+                        "{what}: seen+pruned must cover the space"
+                    );
                 }
             }
         }
@@ -1580,28 +1473,16 @@ mod engine_equivalence_tests {
                     })
                     .collect();
                 let ids = env.ids();
-                for subsets in [false, true] {
-                    let run = |g: &Generator| {
-                        if subsets {
-                            g.exhaustive_subsets(&env, &ids, &requirements).unwrap()
-                        } else {
-                            g.exhaustive(&env, &ids, &requirements).unwrap()
-                        }
-                    };
-                    let truth = run(&ground_truth);
-                    for (name, g) in &configs {
-                        let what = format!("m={m} seed={seed} subsets={subsets} config={name}");
-                        assert_bit_identical(&truth, &run(g), &what);
-                    }
-                    if !subsets {
-                        let mut same_qos = 0;
-                        for_each_full(&ids, |s| {
-                            same_qos +=
-                                usize::from(crate::estimate::estimate(&s, &env) == Ok(truth.qos));
-                        });
-                        tied_cases += usize::from(same_qos > 1);
-                    }
+                let run = |g: &Generator| g.exhaustive(&env, &ids, &requirements).unwrap();
+                let truth = run(&ground_truth);
+                for (name, g) in &configs {
+                    let what = format!("m={m} seed={seed} config={name}");
+                    assert_bit_identical(&truth, &run(g), &what);
                 }
+                let same_qos = StrategyIter::full(&ids)
+                    .filter(|s| crate::estimate::estimate(s, &env) == Ok(truth.qos))
+                    .count();
+                tied_cases += usize::from(same_qos > 1);
             }
         }
         assert!(
@@ -1690,7 +1571,7 @@ mod engine_equivalence_tests {
     /// Tentpole property test: a *persistent* generator with the plan
     /// cache enabled selects a winner bit-identical to a fresh, cold,
     /// unpruned exhaustive search at every slot of every
-    /// seeded slot sequence — in both `F(M)` and `F'(M)` modes. Slot
+    /// seeded slot sequence. Slot
     /// sequences cycle through a few exact-repeat environments so cache
     /// hits genuinely occur (`quantum = 0` ⇒ exact-match keys).
     #[test]
@@ -1700,45 +1581,36 @@ mod engine_equivalence_tests {
             for seed in 0..4u64 {
                 let mut rng = ChaCha8Rng::seed_from_u64(seed * 101 + m as u64);
                 let phases: Vec<EnvQos> = (0..3).map(|_| random_env(&mut rng, m)).collect();
-                for subsets in [false, true] {
-                    let cache = Arc::new(PlanCache::new(PlanCacheConfig::default()));
-                    let persistent = Generator::builder()
-                        .pruning(true)
-                        .parallelism(2)
-                        .plan_cache(Arc::clone(&cache))
-                        .build();
-                    for slot in 0..9usize {
-                        let env = &phases[slot % phases.len()];
-                        let ids = env.ids();
-                        let run = |g: &Generator| {
-                            if subsets {
-                                g.exhaustive_subsets(env, &ids, &requirements).unwrap()
-                            } else {
-                                g.exhaustive(env, &ids, &requirements).unwrap()
-                            }
-                        };
-                        // Fresh cold ground truth every slot: generic
-                        // unpruned sequential scan.
-                        let truth = run(&Generator::builder()
-                            .estimator(Arc::new(PlainAlg1))
-                            .parallelism(1)
-                            .build());
-                        let out = run(&persistent);
-                        let what =
-                            format!("m={m} seed={seed} subsets={subsets} slot={slot} (cache)");
-                        assert_bit_identical(&truth, &out, &what);
-                        if slot >= phases.len() {
-                            // Every environment repeats exactly from the
-                            // second cycle on, so the plan must come
-                            // straight from the cache.
-                            assert_eq!(out.source, PlanSource::Cached, "{what}: source");
-                            assert_eq!(out.report.candidates_seen, 0, "{what}: no search work");
-                        }
+                let cache = Arc::new(PlanCache::new(PlanCacheConfig::default()));
+                let persistent = Generator::builder()
+                    .pruning(true)
+                    .parallelism(2)
+                    .plan_cache(Arc::clone(&cache))
+                    .build();
+                for slot in 0..9usize {
+                    let env = &phases[slot % phases.len()];
+                    let ids = env.ids();
+                    let run = |g: &Generator| g.exhaustive(env, &ids, &requirements).unwrap();
+                    // Fresh cold ground truth every slot: generic
+                    // unpruned sequential scan.
+                    let truth = run(&Generator::builder()
+                        .estimator(Arc::new(PlainAlg1))
+                        .parallelism(1)
+                        .build());
+                    let out = run(&persistent);
+                    let what = format!("m={m} seed={seed} slot={slot} (cache)");
+                    assert_bit_identical(&truth, &out, &what);
+                    if slot >= phases.len() {
+                        // Every environment repeats exactly from the
+                        // second cycle on, so the plan must come
+                        // straight from the cache.
+                        assert_eq!(out.source, PlanSource::Cached, "{what}: source");
+                        assert_eq!(out.report.candidates_seen, 0, "{what}: no search work");
                     }
-                    let stats = cache.stats();
-                    assert_eq!(stats.hits, 6, "two full repeat cycles hit");
-                    assert_eq!(stats.misses, 3, "one miss per distinct env");
                 }
+                let stats = cache.stats();
+                assert_eq!(stats.hits, 6, "two full repeat cycles hit");
+                assert_eq!(stats.misses, 3, "one miss per distinct env");
             }
         }
     }
@@ -1873,9 +1745,7 @@ mod engine_equivalence_tests {
 
     /// Satellite: an estimator may refuse a strategy (the trait allows any
     /// error). The generic scan used to `expect` every estimate and so
-    /// panicked — in the caller with one worker, in the scoped threads and
-    /// then the caller with more; it must return the error at any worker
-    /// count, in both `F(M)` and `F'(M)` modes.
+    /// panicked; it must return the error.
     #[test]
     fn a_refusing_estimator_is_an_error_not_a_panic() {
         /// Estimates single leaves only.
@@ -1896,25 +1766,11 @@ mod engine_equivalence_tests {
                 .unwrap();
         let requirements = Requirements::new(100.0, 100.0, 0.97).unwrap();
         let refused = Err(EstimateError::MissingMicroservice(MsId(99)).into());
-        for workers in [1, 2, 4] {
-            let gen = Generator::builder()
-                .estimator(Arc::new(LeavesOnly))
-                .parallelism(workers)
-                .build();
-            assert_eq!(
-                gen.exhaustive(&env, &env.ids(), &requirements),
-                refused,
-                "workers={workers}"
-            );
-            assert_eq!(
-                gen.exhaustive_subsets(&env, &env.ids(), &requirements),
-                refused,
-                "workers={workers} subsets"
-            );
-            // A space the estimator covers entirely still searches.
-            let single = gen.exhaustive(&env, &[MsId(1)], &requirements).unwrap();
-            assert_eq!(single.strategy, Strategy::leaf(MsId(1)));
-        }
+        let gen = Generator::builder().estimator(Arc::new(LeavesOnly)).build();
+        assert_eq!(gen.exhaustive(&env, &env.ids(), &requirements), refused);
+        // A space the estimator covers entirely still searches.
+        let single = gen.exhaustive(&env, &[MsId(1)], &requirements).unwrap();
+        assert_eq!(single.strategy, Strategy::leaf(MsId(1)));
     }
 
     /// The builder's knobs round-trip and `Generator::new` still works.

@@ -81,7 +81,7 @@ pub mod qos;
 mod synth;
 pub mod utility;
 
-pub use backend::{BackendChoice, BackendId, DEFAULT_BEAM_WIDTH};
+pub use backend::{BackendChoice, DEFAULT_BEAM_WIDTH};
 pub use enumerate::StrategyIter;
 pub use error::{BuildError, EstimateError, GenerateError, ParseError, QosError};
 pub use estimate::{Algorithm1, Estimator, Folding};
@@ -113,7 +113,6 @@ mod tests {
         assert_send_sync::<Algorithm1>();
         assert_send_sync::<Folding>();
         assert_send_sync::<BackendChoice>();
-        assert_send_sync::<BackendId>();
     }
 
     #[test]

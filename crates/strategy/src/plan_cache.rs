@@ -6,9 +6,9 @@
 //! in any way the search can observe. [`PlanCache`] exploits that by
 //! memoizing the winning [`Generated`] strategy keyed by the *search
 //! inputs* — the id list, the requirements, the utility penalty, the
-//! estimator, the search backend ([`BackendId`] — different backends can
-//! return different winners for identical inputs), and a (configurably
-//! quantized) per-microservice QoS vector.
+//! estimator, which search ran (exhaustive, or the beam at which width —
+//! different searches can return different winners for identical inputs),
+//! and a (configurably quantized) per-microservice QoS vector.
 //!
 //! ## Key quantization
 //!
@@ -51,8 +51,7 @@ use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 
-use crate::backend::BackendId;
-use crate::generate::Generated;
+use crate::generate::{Generated, Search};
 use crate::qos::{EnvQos, MsId, Requirements};
 
 /// How a plan was obtained: from a search, or straight from the
@@ -119,15 +118,13 @@ pub struct PlanCacheStats {
 /// environment.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SearchId {
-    /// `F'(M)` rather than `F(M)`.
-    pub(crate) subsets: bool,
     /// Utility penalty `k`.
     pub(crate) penalty: f64,
     /// Estimator identity ([`Estimator::name`](crate::Estimator::name)).
     pub(crate) estimator: &'static str,
-    /// Search backend identity (name plus beam width): a narrow-beam
-    /// winner must never be served to an exhaustive search.
-    pub(crate) backend: BackendId,
+    /// The search the door ran (a beam's value carries its width): a
+    /// narrow-beam winner must never be served to an exhaustive search.
+    pub(crate) search: Search,
 }
 
 /// The full identity of a search: any difference in these inputs can
@@ -136,13 +133,12 @@ pub(crate) struct SearchId {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct PlanKey {
     ids: Vec<MsId>,
-    subsets: bool,
     /// `(cost, latency, reliability)` requirement bit patterns.
     req: [u64; 3],
     /// Utility penalty `k` bit pattern.
     penalty: u64,
     estimator: &'static str,
-    backend: BackendId,
+    search: Search,
     /// Quantized `(r, l, c)` cells per microservice (exact bit patterns
     /// when the quantum is zero).
     env: Vec<[i64; 3]>,
@@ -350,7 +346,6 @@ impl PlanCache {
             .collect::<Option<Vec<_>>>()?;
         Some(PlanKey {
             ids: ids.to_vec(),
-            subsets: search.subsets,
             req: [
                 req.cost.to_bits(),
                 req.latency.to_bits(),
@@ -358,7 +353,7 @@ impl PlanCache {
             ],
             penalty: search.penalty.to_bits(),
             estimator: search.estimator,
-            backend: search.backend,
+            search: search.search,
             env,
         })
     }
@@ -436,44 +431,37 @@ mod tests {
     use crate::generate::Generator;
     use crate::qos::{EnvQos, Requirements};
 
-    const EX: BackendId = BackendId::EXHAUSTIVE;
+    const EX: Search = Search::Exhaustive;
 
     /// The key `cache` files the search these inputs identify under.
-    #[allow(clippy::too_many_arguments)]
     fn key(
         cache: &PlanCache,
         env: &EnvQos,
         ids: &[MsId],
         req: &Requirements,
-        subsets: bool,
         penalty: f64,
         estimator: &'static str,
-        backend: BackendId,
+        search: Search,
     ) -> PlanKey {
-        let search = SearchId {
-            subsets,
+        let id = SearchId {
             penalty,
             estimator,
-            backend,
+            search,
         };
-        cache.key(env, ids, req, search).expect("env covers ids")
+        cache.key(env, ids, req, id).expect("env covers ids")
     }
 
     /// Looks `cache` up under [`key`] of the remaining arguments.
-    #[allow(clippy::too_many_arguments)]
     fn lookup(
         cache: &PlanCache,
         env: &EnvQos,
         ids: &[MsId],
         req: &Requirements,
-        subsets: bool,
         penalty: f64,
         estimator: &'static str,
-        backend: BackendId,
+        search: Search,
     ) -> Option<Generated> {
-        cache.lookup(&key(
-            cache, env, ids, req, subsets, penalty, estimator, backend,
-        ))
+        cache.lookup(&key(cache, env, ids, req, penalty, estimator, search))
     }
 
     /// Stores `generated` in `cache` under [`key`] of the arguments between.
@@ -483,13 +471,12 @@ mod tests {
         env: &EnvQos,
         ids: &[MsId],
         req: &Requirements,
-        subsets: bool,
         penalty: f64,
         estimator: &'static str,
-        backend: BackendId,
+        search: Search,
         generated: &Generated,
     ) {
-        let key = key(cache, env, ids, req, subsets, penalty, estimator, backend);
+        let key = key(cache, env, ids, req, penalty, estimator, search);
         cache.store(key, generated);
     }
 
@@ -513,23 +500,22 @@ mod tests {
         let e1 = env(&[(50.0, 50.0, 0.6), (100.0, 100.0, 0.7)]);
         let g = plan(&e1);
         let ids = e1.ids();
-        store(&cache, &e1, &ids, &req(), false, 2.0, "algorithm1", EX, &g);
-        assert!(lookup(&cache, &e1, &ids, &req(), false, 2.0, "algorithm1", EX).is_some());
+        store(&cache, &e1, &ids, &req(), 2.0, "algorithm1", EX, &g);
+        assert!(lookup(&cache, &e1, &ids, &req(), 2.0, "algorithm1", EX).is_some());
 
         // One ulp of drift in a single attribute must miss.
         let mut e2 = e1.clone();
         let mut q = *e2.get(crate::MsId(0)).unwrap();
         q.cost = f64::from_bits(q.cost.to_bits() + 1);
         e2.set(crate::MsId(0), q);
-        assert!(lookup(&cache, &e2, &ids, &req(), false, 2.0, "algorithm1", EX).is_none());
+        assert!(lookup(&cache, &e2, &ids, &req(), 2.0, "algorithm1", EX).is_none());
 
-        // So must any change to requirements, subsets mode, penalty, or
-        // estimator identity.
+        // So must any change to requirements, penalty, or estimator
+        // identity.
         let other_req = Requirements::new(100.0, 100.0, 0.91).unwrap();
-        assert!(lookup(&cache, &e1, &ids, &other_req, false, 2.0, "algorithm1", EX).is_none());
-        assert!(lookup(&cache, &e1, &ids, &req(), true, 2.0, "algorithm1", EX).is_none());
-        assert!(lookup(&cache, &e1, &ids, &req(), false, 3.0, "algorithm1", EX).is_none());
-        assert!(lookup(&cache, &e1, &ids, &req(), false, 2.0, "folding", EX).is_none());
+        assert!(lookup(&cache, &e1, &ids, &other_req, 2.0, "algorithm1", EX).is_none());
+        assert!(lookup(&cache, &e1, &ids, &req(), 3.0, "algorithm1", EX).is_none());
+        assert!(lookup(&cache, &e1, &ids, &req(), 2.0, "folding", EX).is_none());
         // …or to the search backend: a beam search must never be served
         // the exhaustive winner (or another width's beam winner).
         assert!(lookup(
@@ -537,10 +523,9 @@ mod tests {
             &e1,
             &ids,
             &req(),
-            false,
             2.0,
             "algorithm1",
-            BackendId::beam(1)
+            Search::Beam(1)
         )
         .is_none());
         assert!(lookup(
@@ -548,17 +533,16 @@ mod tests {
             &e1,
             &ids,
             &req(),
-            false,
             2.0,
             "algorithm1",
-            BackendId::beam(2)
+            Search::Beam(2)
         )
         .is_none());
 
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.remote_hits, 0, "single view: every hit is local");
-        assert_eq!(stats.misses, 7);
+        assert_eq!(stats.misses, 6);
         assert_eq!(stats.entries, 1);
     }
 
@@ -571,13 +555,13 @@ mod tests {
         let e1 = env(&[(50.0, 50.0, 0.6)]);
         let ids = e1.ids();
         let g = plan(&e1);
-        store(&cache, &e1, &ids, &req(), false, 2.0, "algorithm1", EX, &g);
+        store(&cache, &e1, &ids, &req(), 2.0, "algorithm1", EX, &g);
         // 50.3 rounds into the same 1.0-wide cell as 50.0 …
         let near = env(&[(50.3, 49.8, 0.6)]);
-        assert!(lookup(&cache, &near, &ids, &req(), false, 2.0, "algorithm1", EX).is_some());
+        assert!(lookup(&cache, &near, &ids, &req(), 2.0, "algorithm1", EX).is_some());
         // … but 50.6 does not.
         let far = env(&[(50.6, 50.0, 0.6)]);
-        assert!(lookup(&cache, &far, &ids, &req(), false, 2.0, "algorithm1", EX).is_none());
+        assert!(lookup(&cache, &far, &ids, &req(), 2.0, "algorithm1", EX).is_none());
     }
 
     #[test]
@@ -591,14 +575,14 @@ mod tests {
             .collect();
         let ids = envs[0].ids();
         let g = plan(&envs[0]);
-        store(&cache, &envs[0], &ids, &req(), false, 2.0, "a1", EX, &g);
-        store(&cache, &envs[1], &ids, &req(), false, 2.0, "a1", EX, &g);
+        store(&cache, &envs[0], &ids, &req(), 2.0, "a1", EX, &g);
+        store(&cache, &envs[1], &ids, &req(), 2.0, "a1", EX, &g);
         // Touch entry 0 so entry 1 is the LRU victim.
-        assert!(lookup(&cache, &envs[0], &ids, &req(), false, 2.0, "a1", EX).is_some());
-        store(&cache, &envs[2], &ids, &req(), false, 2.0, "a1", EX, &g);
-        assert!(lookup(&cache, &envs[0], &ids, &req(), false, 2.0, "a1", EX).is_some());
-        assert!(lookup(&cache, &envs[1], &ids, &req(), false, 2.0, "a1", EX).is_none());
-        assert!(lookup(&cache, &envs[2], &ids, &req(), false, 2.0, "a1", EX).is_some());
+        assert!(lookup(&cache, &envs[0], &ids, &req(), 2.0, "a1", EX).is_some());
+        store(&cache, &envs[2], &ids, &req(), 2.0, "a1", EX, &g);
+        assert!(lookup(&cache, &envs[0], &ids, &req(), 2.0, "a1", EX).is_some());
+        assert!(lookup(&cache, &envs[1], &ids, &req(), 2.0, "a1", EX).is_none());
+        assert!(lookup(&cache, &envs[2], &ids, &req(), 2.0, "a1", EX).is_some());
         let stats = cache.stats();
         assert_eq!(stats.stale, 1, "one capacity eviction");
         assert_eq!(stats.entries, 2);
@@ -610,9 +594,9 @@ mod tests {
         let e1 = env(&[(50.0, 50.0, 0.6)]);
         let ids = e1.ids();
         let g = plan(&e1);
-        store(&cache, &e1, &ids, &req(), false, 2.0, "a1", EX, &g);
+        store(&cache, &e1, &ids, &req(), 2.0, "a1", EX, &g);
         assert_eq!(cache.invalidate(), 1);
-        assert!(lookup(&cache, &e1, &ids, &req(), false, 2.0, "a1", EX).is_none());
+        assert!(lookup(&cache, &e1, &ids, &req(), 2.0, "a1", EX).is_none());
         let stats = cache.stats();
         assert_eq!(stats.stale, 1);
         assert_eq!(stats.entries, 0);
@@ -627,8 +611,8 @@ mod tests {
         let e1 = env(&[(50.0, 50.0, 0.6)]);
         let ids = e1.ids();
         let g = plan(&e1);
-        store(&cache, &e1, &ids, &req(), false, 2.0, "a1", EX, &g);
-        assert!(lookup(&cache, &e1, &ids, &req(), false, 2.0, "a1", EX).is_none());
+        store(&cache, &e1, &ids, &req(), 2.0, "a1", EX, &g);
+        assert!(lookup(&cache, &e1, &ids, &req(), 2.0, "a1", EX).is_none());
         assert_eq!(cache.stats().entries, 0);
     }
 
@@ -641,10 +625,10 @@ mod tests {
         let g = plan(&e1);
 
         // View A stores; view B's lookup is a hit *and* a remote hit.
-        store(&a, &e1, &ids, &req(), false, 2.0, "a1", EX, &g);
-        assert!(lookup(&b, &e1, &ids, &req(), false, 2.0, "a1", EX).is_some());
+        store(&a, &e1, &ids, &req(), 2.0, "a1", EX, &g);
+        assert!(lookup(&b, &e1, &ids, &req(), 2.0, "a1", EX).is_some());
         // View A's own lookup is a plain local hit.
-        assert!(lookup(&a, &e1, &ids, &req(), false, 2.0, "a1", EX).is_some());
+        assert!(lookup(&a, &e1, &ids, &req(), 2.0, "a1", EX).is_some());
 
         let sa = a.stats();
         let sb = b.stats();
@@ -663,13 +647,13 @@ mod tests {
         let e2 = env(&[(60.0, 60.0, 0.7)]);
         let ids = e1.ids();
         let g = plan(&e1);
-        store(&a, &e1, &ids, &req(), false, 2.0, "a1", EX, &g);
-        store(&b, &e2, &ids, &req(), false, 2.0, "a1", EX, &g);
+        store(&a, &e1, &ids, &req(), 2.0, "a1", EX, &g);
+        store(&b, &e2, &ids, &req(), 2.0, "a1", EX, &g);
 
         // Invalidating A drops only A's entry; B's survives for both views.
         assert_eq!(a.invalidate(), 1);
-        assert!(lookup(&a, &e1, &ids, &req(), false, 2.0, "a1", EX).is_none());
-        assert!(lookup(&a, &e2, &ids, &req(), false, 2.0, "a1", EX).is_some());
+        assert!(lookup(&a, &e1, &ids, &req(), 2.0, "a1", EX).is_none());
+        assert!(lookup(&a, &e2, &ids, &req(), 2.0, "a1", EX).is_some());
         assert_eq!(a.stats().stale, 1);
         assert_eq!(a.stats().entries, 1);
     }
@@ -683,9 +667,9 @@ mod tests {
         let ids = e1.ids();
         let g = plan(&e1);
 
-        assert!(lookup(&a, &e1, &ids, &req(), false, 2.0, "a1", EX).is_none());
-        store(&a, &e1, &ids, &req(), false, 2.0, "a1", EX, &g);
-        assert!(lookup(&b, &e1, &ids, &req(), false, 2.0, "a1", EX).is_some());
+        assert!(lookup(&a, &e1, &ids, &req(), 2.0, "a1", EX).is_none());
+        store(&a, &e1, &ids, &req(), 2.0, "a1", EX, &g);
+        assert!(lookup(&b, &e1, &ids, &req(), 2.0, "a1", EX).is_some());
 
         let total = hub.stats();
         assert_eq!(total.hits, 1);

@@ -1,8 +1,8 @@
 //! Parallel branch-and-bound search engine behind
 //! [`Generator`](crate::Generator)'s exhaustive paths.
 //!
-//! The generic exhaustive scan streams every candidate of `F(M)` (or
-//! `F'(M)`), materializes it as a [`Strategy`], re-walks its timelines from
+//! The generic exhaustive scan streams every candidate of `F(M)`,
+//! materializes it as a [`Strategy`], re-walks its timelines from
 //! scratch, and estimates it with Algorithm 1. This engine keeps the result
 //! **bit-for-bit identical** (same winning strategy, same `Qos`, same
 //! utility) while doing strictly less work — and without building a tree,
@@ -35,8 +35,8 @@
 //!   never pruned and the chosen strategy stays deterministic under any
 //!   thread interleaving.
 //! * **Work-stealing jobs** — the search space is cut into jobs (one
-//!   par-rooted family plus one job per first-block choice, per leaf
-//!   subset); workers claim jobs off an atomic counter. The per-candidate
+//!   par-rooted family plus one job per first-block choice); workers
+//!   claim jobs off an atomic counter. The per-candidate
 //!   tie-break (utility, then cost, then latency, then the rendering's
 //!   bytes — compared only on a full tie, in a reused buffer) is a strict
 //!   total order, so the merged winner is independent of worker count and
@@ -304,8 +304,6 @@ pub(crate) struct SearchSpec<'a> {
     pub ids: &'a [MsId],
     pub req: &'a Requirements,
     pub utility: UtilityIndex,
-    /// Search `F'(M)` (subset families) instead of `F(M)`.
-    pub subsets: bool,
     pub pruning: bool,
     pub parallelism: usize,
     /// Utility of the best *member of the search space* known before the
@@ -326,11 +324,12 @@ pub(crate) struct SearchOutcome {
     /// Candidates actually estimated.
     pub seen: u64,
     /// Candidates skipped by pruning. `seen + pruned` always equals the
-    /// full space size (`F(M)` or `F'(M)`).
+    /// full space size `F(M)`.
     pub pruned: u64,
 }
 
-/// One unit of work-stealing: a slice of one leaf subset's strategy family.
+/// One unit of work-stealing: a slice of the strategy family over `mask`
+/// (the search's full leaf set).
 enum Job {
     /// All non-seq-rooted trees over `mask` (the single leaf, or every
     /// par-rooted tree).
@@ -508,26 +507,12 @@ pub(crate) fn search(spec: &SearchSpec<'_>) -> SearchOutcome {
         cache: spec.cache,
     };
 
-    let full: Mask = (1 << m) - 1;
-    let mut jobs: Vec<Job> = Vec::new();
-    let push_family = |jobs: &mut Vec<Job>, mask: Mask| {
-        jobs.push(Job::NonSeq { mask });
-        if mask.count_ones() >= 2 {
-            for first in submasks(mask) {
-                if first != 0 && first != mask {
-                    jobs.push(Job::SeqPartition { mask, first });
-                }
-            }
+    let mask: Mask = (1 << m) - 1;
+    let mut jobs = vec![Job::NonSeq { mask }];
+    for first in submasks(mask) {
+        if first != 0 && first != mask {
+            jobs.push(Job::SeqPartition { mask, first });
         }
-    };
-    if spec.subsets {
-        for sub in submasks(full) {
-            if sub != 0 {
-                push_family(&mut jobs, sub);
-            }
-        }
-    } else {
-        push_family(&mut jobs, full);
     }
 
     let workers = spec.parallelism.clamp(1, jobs.len());

@@ -257,7 +257,6 @@ fn sampler_eventually_covers_f3() {
 #[test]
 fn enumeration_count_m6_matches_recurrence() {
     let ids: Vec<MsId> = (0..6).map(MsId).collect();
-    let mut count = 0u128;
-    qce_strategy::enumerate::for_each_full(&ids, |_| count += 1);
-    assert_eq!(count, qce_strategy::enumerate::count_full(6));
+    let count = qce_strategy::StrategyIter::full(&ids).count();
+    assert_eq!(count as u128, qce_strategy::enumerate::count_full(6));
 }
