@@ -6,37 +6,52 @@
 //! a 500 ms simulated latency costs microseconds) and *deterministic*
 //! (latency assertions are exact equalities, not fuzzy bounds).
 //!
-//! # The advance protocol
+//! # The wait protocol
 //!
-//! [`VirtualClock`] coordinates real OS threads over simulated time. It
-//! tracks, per clock:
+//! [`VirtualClock`] coordinates real OS threads over simulated time with
+//! one state machine (`VcState`, private). Its transitions never block:
+//! each changes counters under the clock's one lock and *returns* the
+//! [`Parker`]s to notify. The clock's methods are the shell — lock, one
+//! transition, the notifies it returned — and a thread blocks only on a
+//! parker a wait transition counted it onto.
 //!
-//! * **workers** — threads currently doing runtime work. Registration is
-//!   *thread-bound*: a worker slot is reserved with
-//!   [`Clock::reserve_worker`] (or [`Clock::enter_worker`]) and bound to
-//!   an OS thread with [`Clock::adopt_worker`], so the clock knows which
-//!   threads count as workers.
-//! * **worker sleepers** — registered worker threads blocked in
-//!   [`Clock::sleep`]. Sleeps from *unregistered* threads (a market
-//!   fetch on a caller thread, a test poking a provider directly) are
-//!   tracked only for their deadlines and never count toward the advance
-//!   threshold, so virtual time cannot jump while a registered worker is
-//!   still computing just because some bystander thread went to sleep.
-//! * **parked** — workers blocked in a *passive* wait (joining spawned
-//!   children), which make no progress on their own.
+//! Virtual time *jumps* — straight to the earliest waiting deadline —
+//! exactly when no worker can make progress: a deadline lies ahead of
+//! `now` and `worker_sleepers + parked >= workers`. `workers` counts slots
+//! of threads doing runtime work (thread-bound: reserved, then adopted by
+//! the OS thread that works in it), `worker_sleepers` those waiting to a
+//! deadline, `parked` those in a passive wait — joining children, idling
+//! with no deadline — which make no progress on their own. A wait from an
+//! *unregistered* thread (a market fetch on a caller thread, a test poking
+//! a provider directly) lends its deadline and never counts toward the
+//! threshold, so time cannot jump while a registered worker is still
+//! computing just because some bystander went to sleep; with no workers
+//! registered it advances time at once. Every transition that can make
+//! the condition true ends by trying the jump, which *reaches* a waiter
+//! when its deadline is at or before the new `now` and a thread is parked
+//! on its parker; a waiter with no deadline waits on `ready` alone and a
+//! jump leaves it asleep.
 //!
-//! Virtual time advances — jumping straight to the earliest sleeping
-//! deadline (registered or not) — exactly when no worker can make
-//! progress: at least one sleeper exists and
-//! `worker_sleepers + parked >= workers`. A thread that sleeps while no
-//! workers are registered advances time immediately.
+//! | transition: callers | precondition | counters changed | who is woken |
+//! |---|---|---|---|
+//! | `reserve`: [`Clock::reserve_worker`] | — | `workers + 1` | nobody |
+//! | `release`: [`Clock::release_worker`] | a slot is held | `workers − 1`; jump | waiters the jump reached |
+//! | `go_passive`: [`Clock::enter_passive`] | caller is a worker | `parked + 1`; jump | waiters the jump reached |
+//! | `go_active`: [`Clock::exit_passive`] | a passive mark is held | `parked − 1` | nobody: the threshold only got harder |
+//! | `begin_wait`: [`Clock::sleep`], [`Clock::sleep_until_or`] | — | with a deadline, an entry in `sleepers` and, for a worker, `worker_sleepers + 1`; without, `parked + 1` for a worker; jump | waiters the jump reached |
+//! | `parks`: the same, next and after every wake-up | `ready` read in this lock hold | the parker's count `− 1` if it was parked, `+ 1` if it parks: not ready, deadline ahead | nobody |
+//! | `end_wait`: the same, returning | not parked | `begin_wait`'s undone; jump | waiters the jump reached |
+//! | `Parker::post`: [`Clock::notify_sleepers`] | the poster's flag is stored | none | the parker, unless its count is zero |
+//! | `advance`: [`VirtualClock::advance`] | — | `now + d` | waiters `now` reached |
+//! | none: [`Clock::adopt_worker`], [`Clock::disown_worker`], [`Clock::thread_is_worker`], [`Clock::now`] | — | none: the calling thread's own binding, or a read | nobody |
 //!
-//! Registered workers must never block outside [`Clock::sleep`] without
-//! bracketing the wait in [`Clock::enter_passive`]/[`Clock::exit_passive`],
-//! or virtual time stalls and every sleeper deadlocks. Use [`WorkerGuard`]
-//! rather than calling `enter_worker`/`exit_worker` by hand: it
-//! deregisters on drop, so a panicking provider cannot leak the worker
-//! count and hang every later sleeper.
+//! Registered workers must never block outside the clock's own waits
+//! without bracketing the wait in [`Clock::enter_passive`]/
+//! [`Clock::exit_passive`] (`passively` does), or virtual time stalls and
+//! every sleeper deadlocks. Use [`WorkerGuard`] rather than pairing
+//! reserve/adopt with disown/release by hand: it deregisters on drop, so a
+//! panicking provider cannot leak the worker count and hang every later
+//! sleeper.
 //!
 //! A parked parent is indistinguishable from a blocked one, so if the
 //! *last* child a parent is joining released its own slot on exit, there
@@ -76,11 +91,6 @@ pub trait Clock: Send + Sync + fmt::Debug {
     /// Blocks the calling thread for `duration` of this clock's time.
     fn sleep(&self, duration: Duration);
 
-    /// Registers the calling thread as an active worker — equivalent to
-    /// [`reserve_worker`](Clock::reserve_worker) followed by
-    /// [`adopt_worker`](Clock::adopt_worker). No-op for real-time clocks.
-    fn enter_worker(&self) {}
-
     /// Reserves one worker slot *without* binding it to a thread. A parent
     /// calls this before spawning a child thread so the slot exists before
     /// the child runs; the child then binds itself with
@@ -91,10 +101,6 @@ pub trait Clock: Send + Sync + fmt::Debug {
     /// [`reserve_worker`](Clock::reserve_worker). No-op for real-time
     /// clocks.
     fn adopt_worker(&self) {}
-
-    /// Unbinds the calling thread and releases one worker slot. No-op for
-    /// real-time clocks.
-    fn exit_worker(&self) {}
 
     /// Unbinds the calling thread from its worker slot *without* releasing
     /// the slot: the slot keeps counting toward the advance threshold until
@@ -144,58 +150,39 @@ pub trait Clock: Send + Sync + fmt::Debug {
     /// On [`VirtualClock`] a waiting registered worker counts toward the
     /// advance threshold (like a sleeper when `deadline` is `Some`, like a
     /// passive parent when it is `None`), so an idle event loop never
-    /// stalls virtual time. The default implementation brackets a polling
-    /// wait in [`enter_passive`](Clock::enter_passive)/
-    /// [`exit_passive`](Clock::exit_passive); clocks with their own wait
-    /// machinery should override it with a real blocking wait.
+    /// stalls virtual time.
     fn sleep_until_or(
         &self,
-        _parker: &Arc<Parker>,
+        parker: &Arc<Parker>,
         deadline: Option<Duration>,
         ready: &dyn Fn() -> bool,
-    ) {
-        if ready() {
-            return;
-        }
-        self.enter_passive();
-        loop {
-            if ready() {
-                break;
-            }
-            if let Some(deadline) = deadline {
-                if self.now() >= deadline {
-                    break;
-                }
-            }
-            std::thread::yield_now();
-        }
-        self.exit_passive();
-    }
+    );
 
     /// Wakes the threads blocked in [`sleep_until_or`](Clock::sleep_until_or)
     /// on `parker` — and nobody else — so they can re-check their `ready`
     /// predicate. Posting an event and then calling this (in that order)
     /// guarantees the wakeup is never lost.
-    fn notify_sleepers(&self, _parker: &Parker) {}
+    fn notify_sleepers(&self, parker: &Parker);
 }
 
-/// One event core's parking spot: the condvar its idle drivers block on in
-/// [`Clock::sleep_until_or`], so a post wakes the core it is for and no
-/// other. The condvar pairs with the *clock's* mutex, not one of its own:
-/// a time jump and a post must both be ordered against the sleeper's
-/// predicate check, and the clock's lock already orders the first.
+/// One parking spot: the condvar the idle drivers of one event core block
+/// on in [`Clock::sleep_until_or`] (and a thread in [`Clock::sleep`] on
+/// its own), so a post wakes the core it is for and no other. The condvar
+/// pairs with the *clock's* mutex, not one of its own: a time jump and a
+/// post must both be ordered against the waiter's predicate check, and the
+/// clock's lock already orders the first.
 #[derive(Debug, Default)]
 pub struct Parker {
     condvar: Condvar,
-    /// Threads blocked on `condvar`. Incremented under the clock's mutex
-    /// *before* `Condvar::wait` releases it and decremented under it after
-    /// the wait returns (so `Relaxed` is enough), and read only by a
-    /// notifier holding that mutex: zero means no thread can be parked — a
-    /// thread that has not yet counted itself has not yet checked its
-    /// predicate either, and will check it under the same lock after the
-    /// notifier's update. That is what lets `notify` skip `notify_all` —
-    /// an unconditional `futex(FUTEX_WAKE)` in std — without losing a
-    /// wake-up.
+    /// Threads blocked on `condvar`. Read and written only by the owning
+    /// clock's wait and post steps, under its mutex (so `Relaxed` is
+    /// enough): counted in *before* `Condvar::wait` releases the mutex and
+    /// out after the wait re-acquired it. Zero therefore means no thread
+    /// can be parked — a thread that has not yet counted itself has not
+    /// yet checked its predicate either, and will check it under the same
+    /// lock after the notifier's update. That is what lets [`Parker::post`]
+    /// skip `notify_all` — an unconditional `futex(FUTEX_WAKE)` in std —
+    /// without losing a wake-up.
     parked: AtomicUsize,
     /// Notifies issued, i.e. the ones that found a thread parked.
     wakes: AtomicU64,
@@ -207,11 +194,12 @@ thread_local! {
 }
 
 impl Parker {
-    /// The calling thread's own parker, for a per-request core: its
-    /// driver is its only idler, so the core allocates nothing to park.
-    /// Sharing a parker is always safe — a notify meant for another core
-    /// is a spurious wake-up — but a std condvar may meet only one mutex,
-    /// so a thread that changes clocks gets a new one.
+    /// The calling thread's own parker, for a per-request core — its
+    /// driver is its only idler, so the core allocates nothing to park —
+    /// and for the thread's plain sleeps. Sharing a parker is always safe
+    /// — a notify meant for another wait is a spurious wake-up — but a std
+    /// condvar may meet only one mutex, so a thread that changes clocks
+    /// gets a new one.
     pub(crate) fn of_this_thread(clock: &dyn Clock) -> Arc<Parker> {
         let clock = clock as *const dyn Clock as *const () as usize;
         OWN_PARKER.with(|own| match &mut *own.borrow_mut() {
@@ -220,41 +208,27 @@ impl Parker {
         })
     }
 
-    /// Notifies issued on this parker so far: posts that found a driver
-    /// parked, and time jumps that reached a parked driver's deadline.
+    /// Notifies issued on this parker so far: posts that found a thread
+    /// parked, and time jumps that reached a parked waiter's deadline.
     pub(crate) fn wakes(&self) -> u64 {
         self.wakes.load(Ordering::Relaxed)
     }
 
-    /// Blocks on the condvar, releasing `guard` — the owning clock's lock
-    /// — for as long as the thread is parked.
-    fn wait<'a, T>(
-        &self,
-        guard: MutexGuard<'a, T>,
-        timeout: Option<Duration>,
-    ) -> MutexGuard<'a, T> {
-        self.parked.fetch_add(1, Ordering::Relaxed);
-        let guard = match timeout {
-            Some(timeout) => {
-                let woken = self.condvar.wait_timeout(guard, timeout);
-                woken.unwrap_or_else(PoisonError::into_inner).0
-            }
-            None => self
-                .condvar
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner),
-        };
-        self.parked.fetch_sub(1, Ordering::Relaxed);
-        guard
+    /// A post to this parker: the parker itself when a thread is parked
+    /// on it, for the caller to [`notify`]; `None` when the notify may be
+    /// skipped (see [`Parker::parked`]). Call with the owning clock's lock
+    /// held.
+    fn post(&self) -> Option<&Parker> {
+        (self.parked.load(Ordering::Relaxed) > 0).then_some(self)
     }
+}
 
-    /// Wakes the parked threads to re-check their predicates; free when
-    /// nobody is parked. Call with the owning clock's lock held.
-    fn notify(&self) {
-        if self.parked.load(Ordering::Relaxed) > 0 {
-            self.wakes.fetch_add(1, Ordering::Relaxed);
-            self.condvar.notify_all();
-        }
+/// Issues the notifies a transition returned, for the parked threads to
+/// re-check their predicates. Call with the owning clock's lock held.
+fn notify<'a>(parkers: impl IntoIterator<Item = &'a Parker>) {
+    for parker in parkers {
+        parker.wakes.fetch_add(1, Ordering::Relaxed);
+        parker.condvar.notify_all();
     }
 }
 
@@ -293,13 +267,7 @@ pub struct WorkerGuard<'a> {
 impl<'a> WorkerGuard<'a> {
     /// Registers the calling thread as a new worker.
     pub fn enter(clock: &'a dyn Clock) -> Self {
-        clock.enter_worker();
-        WorkerGuard { clock }
-    }
-
-    /// Binds the calling thread to a slot the parent already created with
-    /// [`Clock::reserve_worker`].
-    pub fn adopt(clock: &'a dyn Clock) -> Self {
+        clock.reserve_worker();
         clock.adopt_worker();
         WorkerGuard { clock }
     }
@@ -307,8 +275,22 @@ impl<'a> WorkerGuard<'a> {
 
 impl Drop for WorkerGuard<'_> {
     fn drop(&mut self) {
-        self.clock.exit_worker();
+        self.clock.disown_worker();
+        self.clock.release_worker();
     }
+}
+
+/// Runs `wait` — a block on something other than `clock` — with the
+/// calling thread marked passive if it is a registered worker of `clock`,
+/// so the wait does not stall the virtual time its own wake-up needs.
+pub(crate) fn passively<T>(clock: &dyn Clock, wait: impl FnOnce() -> T) -> T {
+    if !clock.thread_is_worker() {
+        return wait();
+    }
+    clock.enter_passive();
+    let out = wait();
+    clock.exit_passive();
+    out
 }
 
 /// Real time: `now` measures from construction, `sleep` really sleeps.
@@ -364,13 +346,24 @@ impl Clock for WallClock {
             if timeout == Some(Duration::ZERO) {
                 return;
             }
-            guard = parker.wait(guard, timeout);
+            parker.parked.fetch_add(1, Ordering::Relaxed);
+            guard = match timeout {
+                Some(timeout) => {
+                    let woken = parker.condvar.wait_timeout(guard, timeout);
+                    woken.unwrap_or_else(PoisonError::into_inner).0
+                }
+                None => parker
+                    .condvar
+                    .wait(guard)
+                    .unwrap_or_else(PoisonError::into_inner),
+            };
+            parker.parked.fetch_sub(1, Ordering::Relaxed);
         }
     }
 
     fn notify_sleepers(&self, parker: &Parker) {
         let _waiters = self.waiters.lock().unwrap_or_else(PoisonError::into_inner);
-        parker.notify();
+        notify(parker.post());
     }
 }
 
@@ -383,7 +376,21 @@ thread_local! {
     static WORKER_DEPTH: RefCell<HashMap<u64, usize>> = RefCell::new(HashMap::new());
 }
 
-#[derive(Debug)]
+/// One thread's wait, as the thread carries it from lock hold to lock hold.
+struct Wait<'p> {
+    parker: &'p Arc<Parker>,
+    deadline: Option<Duration>,
+    /// Bound to a worker slot, so counted toward the advance threshold.
+    is_worker: bool,
+    /// Its entry in [`VcState::sleepers`], once begun with a deadline.
+    token: u64,
+    /// Counted in on `parker` by the last [`VcState::parks`].
+    parked: bool,
+}
+
+/// The whole wait protocol (the module docs have the table): every method
+/// is one non-blocking step taken under [`VirtualClock`]'s lock.
+#[derive(Debug, Default)]
 struct VcState {
     now: Duration,
     workers: usize,
@@ -391,17 +398,122 @@ struct VcState {
     /// Sleepers that are registered worker threads; only these count
     /// toward the advance threshold.
     worker_sleepers: usize,
-    /// `(token, deadline, parker)` per thread blocked to a deadline,
-    /// worker or not: in `sleep` on the clock's own condvar (`None`), or
-    /// in `sleep_until_or` on its core's parker.
-    sleepers: Vec<(u64, Duration, Option<Arc<Parker>>)>,
+    /// `(token, deadline, parker)` per thread waiting to a deadline, worker
+    /// or not; the parker is where it parks, for the jump that reaches the
+    /// deadline to notify.
+    sleepers: Vec<(u64, Duration, Arc<Parker>)>,
     next_token: u64,
-    /// Threads blocked in `sleep` on the clock's own condvar right now,
-    /// counted as [`Parker::parked`] is.
-    waiting: usize,
 }
 
-/// Deterministic simulated time (see the module docs for the advance
+/// Takes one off `count`. Going below zero is an unbalanced caller: loud
+/// where `debug_assertions` are on, absorbed (the count stays at zero,
+/// where it can stall nobody) where they are not.
+fn uncount(count: &mut usize, what: &str) {
+    debug_assert!(*count > 0, "{what} without its counterpart");
+    *count = count.saturating_sub(1);
+}
+
+impl VcState {
+    fn reserve(&mut self) {
+        self.workers += 1;
+    }
+
+    fn release(&mut self) -> impl Iterator<Item = &Parker> + '_ {
+        uncount(&mut self.workers, "release_worker");
+        self.jump()
+    }
+
+    fn go_passive(&mut self) -> impl Iterator<Item = &Parker> + '_ {
+        self.parked += 1;
+        self.jump()
+    }
+
+    fn go_active(&mut self) {
+        uncount(&mut self.parked, "exit_passive");
+    }
+
+    /// Registers `wait`: like a sleeper when it has a deadline, which then
+    /// takes part in the earliest-deadline computation; like a parked
+    /// parent when it has none, so other workers' sleeps can still advance
+    /// time while it contributes no deadline of its own.
+    fn begin_wait(&mut self, wait: &mut Wait<'_>) -> impl Iterator<Item = &Parker> + '_ {
+        match wait.deadline {
+            Some(deadline) => {
+                wait.token = self.next_token;
+                self.next_token += 1;
+                self.sleepers
+                    .push((wait.token, deadline, Arc::clone(wait.parker)));
+                self.worker_sleepers += usize::from(wait.is_worker);
+            }
+            None => self.parked += usize::from(wait.is_worker),
+        }
+        self.jump()
+    }
+
+    /// Whether the thread of `wait` — just registered, or back from its
+    /// parker for a reason or none — blocks on it (again), given the
+    /// `ready` it read in this lock hold.
+    fn parks(&self, wait: &mut Wait<'_>, ready: bool) -> bool {
+        if wait.parked {
+            wait.parker.parked.fetch_sub(1, Ordering::Relaxed);
+        }
+        wait.parked = !ready && wait.deadline.is_none_or(|deadline| self.now < deadline);
+        if wait.parked {
+            wait.parker.parked.fetch_add(1, Ordering::Relaxed);
+        }
+        wait.parked
+    }
+
+    fn end_wait(&mut self, wait: &Wait<'_>) -> impl Iterator<Item = &Parker> + '_ {
+        match wait.deadline {
+            Some(_) => {
+                self.sleepers.retain(|&(token, ..)| token != wait.token);
+                self.worker_sleepers -= usize::from(wait.is_worker);
+            }
+            None if wait.is_worker => uncount(&mut self.parked, "the end of a wait"),
+            None => {}
+        }
+        // A woken bystander leaving the sleeper set can unblock the
+        // remaining sleepers (their earliest deadline just changed); a
+        // woken worker re-entering computation makes the condition false,
+        // so re-checking here is always safe.
+        self.jump()
+    }
+
+    fn advance(&mut self, duration: Duration) -> impl Iterator<Item = &Parker> + '_ {
+        self.now = self.now.saturating_add(duration);
+        self.reached(true)
+    }
+
+    /// Jumps to the earliest waiting deadline if no worker can make
+    /// progress, and returns whom that reached. Every transition that
+    /// could block progress ends with it.
+    fn jump(&mut self) -> impl Iterator<Item = &Parker> + '_ {
+        let blocked = self.worker_sleepers + self.parked >= self.workers;
+        let waiters = if blocked { &self.sleepers[..] } else { &[] };
+        // A deadline at or before `now` belongs to a waiter that has been
+        // woken but has not yet removed itself; it will re-trigger the
+        // jump when it next blocks or exits.
+        match waiters.iter().map(|(_, due, _)| *due).min() {
+            Some(earliest) if earliest > self.now => {
+                self.now = earliest;
+                self.reached(true)
+            }
+            _ => self.reached(false),
+        }
+    }
+
+    /// The parkers to notify once `now` has `moved`: one per waiter whose
+    /// deadline it reached and whose parker has a thread parked. A waiter
+    /// on `ready` alone has no entry here and is left asleep.
+    fn reached(&self, moved: bool) -> impl Iterator<Item = &Parker> + '_ {
+        let waiters = if moved { &self.sleepers[..] } else { &[] };
+        let due = waiters.iter().filter(|(_, due, _)| *due <= self.now);
+        due.filter_map(|(.., parker)| parker.post())
+    }
+}
+
+/// Deterministic simulated time (see the module docs for the wait
 /// protocol).
 ///
 /// # Examples
@@ -421,7 +533,6 @@ struct VcState {
 pub struct VirtualClock {
     id: u64,
     state: Mutex<VcState>,
-    wake: Condvar,
 }
 
 impl VirtualClock {
@@ -430,16 +541,7 @@ impl VirtualClock {
     pub fn new() -> Self {
         VirtualClock {
             id: NEXT_CLOCK_ID.fetch_add(1, Ordering::Relaxed),
-            state: Mutex::new(VcState {
-                now: Duration::ZERO,
-                workers: 0,
-                parked: 0,
-                worker_sleepers: 0,
-                sleepers: Vec::new(),
-                next_token: 0,
-                waiting: 0,
-            }),
-            wake: Condvar::new(),
+            state: Mutex::default(),
         }
     }
 
@@ -447,75 +549,39 @@ impl VirtualClock {
     /// deadline is reached. Use this from tests to move through scheduled
     /// fault windows without invoking anything.
     pub fn advance(&self, duration: Duration) {
-        let mut state = self.lock();
-        state.now = state.now.saturating_add(duration);
-        self.notify_jump(&state);
+        notify(self.lock().advance(duration));
     }
 
     fn lock(&self) -> MutexGuard<'_, VcState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Blocks in `sleep` on the clock's own condvar, counted in
-    /// [`VcState::waiting`] for as long as the thread is parked.
-    fn wait<'a>(&self, mut state: MutexGuard<'a, VcState>) -> MutexGuard<'a, VcState> {
-        state.waiting += 1;
-        let mut state = self
-            .wake
-            .wait(state)
-            .unwrap_or_else(PoisonError::into_inner);
-        state.waiting -= 1;
-        state
-    }
-
-    /// `now` has moved: wakes the parkers of the drivers whose deadline it
-    /// reached, and the `sleep`ers — who share one condvar, so all of them
-    /// — to re-check theirs. A driver waiting on `ready` alone has no
-    /// deadline here and is left asleep.
-    fn notify_jump(&self, state: &VcState) {
-        for (_, deadline, parker) in &state.sleepers {
-            match parker {
-                Some(parker) if *deadline <= state.now => parker.notify(),
-                _ => {}
-            }
-        }
-        if state.waiting > 0 {
-            self.wake.notify_all();
-        }
-    }
-
-    /// Adjusts the calling thread's registration depth for this clock.
-    fn bind_thread(&self, delta: i64) {
-        WORKER_DEPTH.with(|depths| {
-            let mut depths = depths.borrow_mut();
-            let depth = depths.entry(self.id).or_insert(0);
-            if delta >= 0 {
-                *depth += delta as usize;
-            } else {
-                *depth = depth.saturating_sub((-delta) as usize);
-            }
-            if *depth == 0 {
-                depths.remove(&self.id);
-            }
-        });
-    }
-
-    /// Jumps to the earliest sleeping deadline if no worker can make
-    /// progress. Call after any counter change that could block progress.
-    fn try_advance(&self, state: &mut VcState) {
-        if state.worker_sleepers + state.parked < state.workers {
-            return;
-        }
-        let Some(earliest) = state.sleepers.iter().map(|(_, due, _)| *due).min() else {
-            return;
+    /// The one way to wait: on `parker`, until `ready()` or the deadline
+    /// that `deadline` makes of `now` — read in the lock hold that
+    /// registers the wait, so no jump can fall between the two.
+    fn wait(
+        &self,
+        parker: &Arc<Parker>,
+        deadline: impl FnOnce(Duration) -> Option<Duration>,
+        ready: &dyn Fn() -> bool,
+    ) {
+        let is_worker = self.thread_is_worker();
+        let mut state = self.lock();
+        let mut wait = Wait {
+            parker,
+            deadline: deadline(state.now),
+            is_worker,
+            token: 0,
+            parked: false,
         };
-        // A deadline at or before `now` belongs to a sleeper that has been
-        // woken but has not yet removed itself; it will re-trigger the
-        // advance when it next blocks or exits.
-        if earliest > state.now {
-            state.now = earliest;
-            self.notify_jump(state);
+        notify(state.begin_wait(&mut wait));
+        while state.parks(&mut wait, ready()) {
+            state = parker
+                .condvar
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
+        notify(state.end_wait(&wait));
     }
 }
 
@@ -534,69 +600,40 @@ impl Clock for VirtualClock {
         if duration.is_zero() {
             return;
         }
-        let is_worker = self.thread_is_worker();
-        let mut state = self.lock();
-        let deadline = state.now.saturating_add(duration);
-        let token = state.next_token;
-        state.next_token += 1;
-        state.sleepers.push((token, deadline, None));
-        if is_worker {
-            state.worker_sleepers += 1;
-        }
-        self.try_advance(&mut state);
-        while state.now < deadline {
-            state = self.wait(state);
-        }
-        state.sleepers.retain(|&(t, ..)| t != token);
-        if is_worker {
-            state.worker_sleepers -= 1;
-        }
-        // A woken bystander leaving the sleeper set can unblock the
-        // remaining sleepers (their earliest deadline just changed); a
-        // woken worker re-entering computation makes the condition false,
-        // so re-checking here is always safe.
-        self.try_advance(&mut state);
-    }
-
-    fn enter_worker(&self) {
-        self.reserve_worker();
-        self.adopt_worker();
+        let parker = Parker::of_this_thread(self);
+        self.wait(&parker, |now| Some(now.saturating_add(duration)), &|| false);
     }
 
     fn reserve_worker(&self) {
-        self.lock().workers += 1;
+        self.lock().reserve();
     }
 
     fn adopt_worker(&self) {
-        self.bind_thread(1);
-    }
-
-    fn exit_worker(&self) {
-        self.bind_thread(-1);
-        let mut state = self.lock();
-        state.workers = state.workers.saturating_sub(1);
-        self.try_advance(&mut state);
+        WORKER_DEPTH.with(|depths| *depths.borrow_mut().entry(self.id).or_insert(0) += 1);
     }
 
     fn disown_worker(&self) {
-        self.bind_thread(-1);
+        WORKER_DEPTH.with(|depths| {
+            let mut depths = depths.borrow_mut();
+            if let Some(depth) = depths.get_mut(&self.id) {
+                *depth -= 1;
+                if *depth == 0 {
+                    depths.remove(&self.id);
+                }
+            }
+        });
     }
 
     fn release_worker(&self) {
-        let mut state = self.lock();
-        state.workers = state.workers.saturating_sub(1);
-        self.try_advance(&mut state);
+        notify(self.lock().release());
     }
 
     fn enter_passive(&self) {
-        let mut state = self.lock();
-        state.parked += 1;
-        self.try_advance(&mut state);
+        notify(self.lock().go_passive());
     }
 
     fn exit_passive(&self) {
-        let mut state = self.lock();
-        state.parked = state.parked.saturating_sub(1);
+        self.lock().go_active();
     }
 
     fn thread_is_worker(&self) -> bool {
@@ -609,52 +646,12 @@ impl Clock for VirtualClock {
         deadline: Option<Duration>,
         ready: &dyn Fn() -> bool,
     ) {
-        let is_worker = self.thread_is_worker();
-        let mut state = self.lock();
-        match deadline {
-            Some(deadline) => {
-                // Wait like a sleeper: the deadline participates in the
-                // earliest-deadline computation, and a waiting worker
-                // counts toward the advance threshold.
-                let token = state.next_token;
-                state.next_token += 1;
-                state
-                    .sleepers
-                    .push((token, deadline, Some(Arc::clone(parker))));
-                if is_worker {
-                    state.worker_sleepers += 1;
-                }
-                self.try_advance(&mut state);
-                while state.now < deadline && !ready() {
-                    state = parker.wait(state, None);
-                }
-                state.sleepers.retain(|&(t, ..)| t != token);
-                if is_worker {
-                    state.worker_sleepers -= 1;
-                }
-                self.try_advance(&mut state);
-            }
-            None => {
-                // Nothing scheduled: wait like a parked parent so other
-                // workers' sleeps can still advance time, but contribute
-                // no deadline of our own.
-                if is_worker {
-                    state.parked += 1;
-                    self.try_advance(&mut state);
-                }
-                while !ready() {
-                    state = parker.wait(state, None);
-                }
-                if is_worker {
-                    state.parked = state.parked.saturating_sub(1);
-                }
-            }
-        }
+        self.wait(parker, |_| deadline, ready);
     }
 
     fn notify_sleepers(&self, parker: &Parker) {
         let _state = self.lock();
-        parker.notify();
+        notify(parker.post());
     }
 }
 
@@ -662,6 +659,21 @@ impl Clock for VirtualClock {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    mod model;
+
+    /// What [`WorkerGuard::enter`] does, for a test that deregisters on
+    /// another line, or thread, than it registered on.
+    fn enter_worker(clock: &VirtualClock) {
+        clock.reserve_worker();
+        clock.adopt_worker();
+    }
+
+    /// What dropping a [`WorkerGuard`] does.
+    fn exit_worker(clock: &VirtualClock) {
+        clock.disown_worker();
+        clock.release_worker();
+    }
 
     #[test]
     fn wall_clock_measures_real_time() {
@@ -698,7 +710,7 @@ mod tests {
         let a = VirtualClock::new();
         let b = VirtualClock::new();
         assert!(!a.thread_is_worker());
-        a.enter_worker();
+        enter_worker(&a);
         assert!(a.thread_is_worker(), "bound after enter");
         assert!(!b.thread_is_worker(), "binding is per clock");
         assert!(
@@ -713,11 +725,11 @@ mod tests {
     #[test]
     fn registered_worker_sleep_advances_when_all_blocked() {
         let clock = VirtualClock::new();
-        clock.enter_worker();
+        enter_worker(&clock);
         // The only worker sleeping means nothing else can run: advance.
         clock.sleep(Duration::from_millis(30));
         assert_eq!(clock.now(), Duration::from_millis(30));
-        clock.exit_worker();
+        exit_worker(&clock);
     }
 
     #[test]
@@ -736,7 +748,7 @@ mod tests {
                     clock.adopt_worker();
                     clock.sleep(Duration::from_millis(ms));
                     order.lock().push((name, clock.now()));
-                    clock.exit_worker();
+                    exit_worker(&clock);
                 });
             }
         });
@@ -748,20 +760,20 @@ mod tests {
     #[test]
     fn passive_parent_lets_children_advance() {
         let clock = Arc::new(VirtualClock::new());
-        clock.enter_worker(); // the "parent" worker
+        enter_worker(&clock); // the "parent" worker
         clock.reserve_worker(); // reserve the child's slot
         let child = {
             let clock = Arc::clone(&clock);
             std::thread::spawn(move || {
                 clock.adopt_worker();
                 clock.sleep(Duration::from_millis(40));
-                clock.exit_worker();
+                exit_worker(&clock);
             })
         };
         clock.enter_passive();
         child.join().unwrap();
         clock.exit_passive();
-        clock.exit_worker();
+        exit_worker(&clock);
         assert_eq!(clock.now(), Duration::from_millis(40));
     }
 
@@ -782,7 +794,7 @@ mod tests {
         // An unregistered thread sleeping must not fast-forward time while
         // a registered worker is still computing.
         let clock = Arc::new(VirtualClock::new());
-        clock.enter_worker();
+        enter_worker(&clock);
         let bystander = {
             let clock = Arc::clone(&clock);
             std::thread::spawn(move || clock.sleep(Duration::from_millis(5)))
@@ -796,7 +808,7 @@ mod tests {
         clock.sleep(Duration::from_millis(20));
         assert_eq!(clock.now(), Duration::from_millis(20));
         bystander.join().unwrap();
-        clock.exit_worker();
+        exit_worker(&clock);
     }
 
     #[test]
@@ -820,11 +832,11 @@ mod tests {
     #[test]
     fn sleep_until_or_advances_to_the_deadline() {
         let clock = VirtualClock::new();
-        clock.enter_worker();
+        enter_worker(&clock);
         // Sole worker waiting on a scheduled event: time jumps there.
         clock.sleep_until_or(&Arc::default(), Some(Duration::from_millis(25)), &|| false);
         assert_eq!(clock.now(), Duration::from_millis(25));
-        clock.exit_worker();
+        exit_worker(&clock);
     }
 
     #[test]
@@ -856,7 +868,7 @@ mod tests {
         let clock = Arc::new(VirtualClock::new());
         let done = Arc::new(AtomicBool::new(false));
         let parker = Arc::new(Parker::default());
-        clock.enter_worker(); // the idle "event loop" worker
+        enter_worker(&clock); // the idle "event loop" worker
         clock.reserve_worker(); // a blocking leg's slot
         let leg = {
             let clock = Arc::clone(&clock);
@@ -866,7 +878,7 @@ mod tests {
                 clock.adopt_worker();
                 clock.sleep(Duration::from_millis(40));
                 done.store(true, Ordering::SeqCst);
-                clock.exit_worker();
+                exit_worker(&clock);
                 clock.notify_sleepers(&parker);
             })
         };
@@ -875,7 +887,7 @@ mod tests {
         clock.sleep_until_or(&parker, None, &|| done.load(Ordering::SeqCst));
         assert_eq!(clock.now(), Duration::from_millis(40));
         leg.join().unwrap();
-        clock.exit_worker();
+        exit_worker(&clock);
     }
 
     #[test]
@@ -946,7 +958,10 @@ mod tests {
         let clock = Arc::new(VirtualClock::new());
         every_post_wakes_the_idle_loop(Arc::clone(&clock) as Arc<dyn Clock>);
         let state = clock.lock();
-        assert_eq!((state.workers, state.parked, state.waiting), (0, 0, 0));
+        assert_eq!(
+            (state.workers, state.parked, state.sleepers.len()),
+            (0, 0, 0)
+        );
         assert_eq!(
             state.now,
             Duration::ZERO,
@@ -1071,35 +1086,46 @@ mod tests {
         a_post_racing_the_driver_to_the_condvar_is_never_lost(Arc::new(WallClock::new()));
     }
 
-    #[test]
-    fn a_time_jump_wakes_exactly_the_drivers_it_reaches() {
+    /// Three registered threads wait to 5, 5 and 9 ms: in `Clock::sleep`,
+    /// each on its thread's own parker, or else as drivers in
+    /// `sleep_until_or`, each on a parker of its own.
+    fn a_time_jump_wakes_exactly_the_waiters_it_reaches(in_sleep: bool) {
         use std::sync::mpsc;
         let ms = Duration::from_millis;
         let clock = Arc::new(VirtualClock::new());
-        clock.enter_worker(); // this thread: runnable, so time holds at 0
+        enter_worker(&clock); // this thread: runnable, so time holds at 0
         let (woke, wakes) = mpsc::channel();
         let drivers: Vec<_> = [5, 5, 9]
             .into_iter()
             .enumerate()
             .map(|(i, deadline)| {
-                let parker = Arc::new(Parker::default());
+                let (parks_on, parker) = mpsc::channel();
                 let (go, held) = mpsc::channel::<()>();
                 clock.reserve_worker();
                 let thread = {
-                    let (clock, parker, woke) =
-                        (Arc::clone(&clock), Arc::clone(&parker), woke.clone());
+                    let (clock, woke) = (Arc::clone(&clock), woke.clone());
                     std::thread::spawn(move || {
                         clock.adopt_worker();
-                        clock.sleep_until_or(&parker, Some(ms(deadline)), &|| false);
+                        if in_sleep {
+                            parks_on.send(Parker::of_this_thread(&*clock)).unwrap();
+                            // Time holds at zero until all three sleep:
+                            // the deadlines are the durations.
+                            clock.sleep(ms(deadline));
+                        } else {
+                            let parker = Arc::new(Parker::default());
+                            parks_on.send(Arc::clone(&parker)).unwrap();
+                            clock.sleep_until_or(&parker, Some(ms(deadline)), &|| false);
+                        }
                         woke.send((i, clock.now())).unwrap();
                         // Registered and not in the clock: runnable, as
                         // far as virtual time can tell.
                         held.recv().unwrap();
-                        clock.exit_worker();
+                        exit_worker(&clock);
                         woke.send((i, clock.now())).unwrap();
                     })
                 };
-                spin_until("the driver never parked", || {
+                let parker: Arc<Parker> = parker.recv().unwrap();
+                spin_until("the waiter never parked", || {
                     parker.parked.load(Ordering::SeqCst) == 1
                 });
                 (parker, go, thread)
@@ -1110,8 +1136,8 @@ mod tests {
         assert_eq!((clock.now(), sent()), (Duration::ZERO, vec![0, 0, 0]));
 
         // The last runnable worker leaves: one jump, to the earliest
-        // deadline, notifying the two drivers due then and not the third.
-        clock.exit_worker();
+        // deadline, notifying the two waiters due then and not the third.
+        exit_worker(&clock);
         assert_eq!((clock.now(), sent()), (ms(5), vec![1, 1, 0]));
         let mut first = [next(), next()];
         first.sort_unstable();
@@ -1135,35 +1161,54 @@ mod tests {
     }
 
     #[test]
+    fn a_time_jump_wakes_exactly_the_drivers_it_reaches() {
+        a_time_jump_wakes_exactly_the_waiters_it_reaches(false);
+    }
+
+    /// The third `sleep`er is sent no wake-up by the jump that serves the
+    /// other two (they all shared one condvar once).
+    #[test]
+    fn a_time_jump_wakes_exactly_the_sleepers_it_reaches() {
+        a_time_jump_wakes_exactly_the_waiters_it_reaches(true);
+    }
+
+    #[test]
     fn one_jump_wakes_a_sleeper_and_a_driver_due_together() {
         let clock = Arc::new(VirtualClock::new());
         let parker = Arc::new(Parker::default());
         let deadline = Duration::from_millis(7);
-        clock.enter_worker();
+        enter_worker(&clock);
         clock.reserve_worker();
         clock.reserve_worker();
+        let (parks_on, own) = std::sync::mpsc::channel();
         let sleeper = {
             let clock = Arc::clone(&clock);
             std::thread::spawn(move || {
-                let _worker = WorkerGuard::adopt(&*clock);
+                clock.adopt_worker();
+                parks_on.send(Parker::of_this_thread(&*clock)).unwrap();
                 clock.sleep(deadline);
-                clock.now()
+                let woke_at = clock.now();
+                exit_worker(&clock);
+                woke_at
             })
         };
         let driver = {
             let (clock, parker) = (Arc::clone(&clock), Arc::clone(&parker));
             std::thread::spawn(move || {
-                let _worker = WorkerGuard::adopt(&*clock);
+                clock.adopt_worker();
                 clock.sleep_until_or(&parker, Some(deadline), &|| false);
-                clock.now()
+                let woke_at = clock.now();
+                exit_worker(&clock);
+                woke_at
             })
         };
+        let own: Arc<Parker> = own.recv().unwrap();
         spin_until("both never parked", || {
-            clock.lock().waiting == 1 && parker.parked.load(Ordering::SeqCst) == 1
+            own.parked.load(Ordering::SeqCst) == 1 && parker.parked.load(Ordering::SeqCst) == 1
         });
         assert_eq!(clock.now(), Duration::ZERO);
-        clock.exit_worker();
-        assert_eq!((clock.now(), parker.wakes()), (deadline, 1));
+        exit_worker(&clock);
+        assert_eq!((clock.now(), own.wakes(), parker.wakes()), (deadline, 1, 1));
         assert_eq!(sleeper.join().unwrap(), deadline);
         assert_eq!(driver.join().unwrap(), deadline);
         assert_eq!(clock.now(), deadline, "one jump served both");
@@ -1183,6 +1228,8 @@ mod tests {
         fn counts(clock: &VirtualClock) -> Counts {
             let s = clock.lock();
             let sleepers = s.sleepers.iter().map(|s| (s.0, s.1)).collect();
+            // Where this thread's `sleep` parked, if it did.
+            let waiting = Parker::of_this_thread(clock).parked.load(Ordering::Relaxed);
             (
                 s.now,
                 s.workers,
@@ -1190,11 +1237,11 @@ mod tests {
                 s.worker_sleepers,
                 sleepers,
                 s.next_token,
-                s.waiting,
+                waiting,
             )
         }
         let clock = VirtualClock::new();
-        clock.enter_worker();
+        enter_worker(&clock);
         clock.sleep(Duration::from_millis(3)); // a past sleeper leaves no trace
         clock.reserve_worker();
         let before = counts(&clock);
@@ -1211,7 +1258,7 @@ mod tests {
         moved.0 = Duration::from_millis(7);
         assert_eq!(counts(&clock), moved);
         clock.release_worker();
-        clock.exit_worker();
+        exit_worker(&clock);
 
         let wall = WallClock::new();
         wall.notify_sleepers(&parker);
@@ -1219,6 +1266,15 @@ mod tests {
             (parker.parked.load(Ordering::Relaxed), parker.wakes()),
             (0, 0)
         );
+    }
+
+    /// The whole workspace's suites run without tripping it, so nothing
+    /// leans on the saturation a release build keeps.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "release_worker without its counterpart")]
+    fn an_unbalanced_release_is_loud_under_debug_assertions() {
+        VirtualClock::new().release_worker();
     }
 
     #[test]
@@ -1233,11 +1289,11 @@ mod tests {
     fn two_clocks_do_not_share_thread_bindings() {
         let a = VirtualClock::new();
         let b = VirtualClock::new();
-        a.enter_worker();
+        enter_worker(&a);
         // The thread is a worker of `a` only: `b` sees an unregistered
         // sleep and advances instantly.
         b.sleep(Duration::from_millis(9));
         assert_eq!(b.now(), Duration::from_millis(9));
-        a.exit_worker();
+        exit_worker(&a);
     }
 }

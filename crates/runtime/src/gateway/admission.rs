@@ -4,7 +4,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::{mpsc, Arc, Mutex as StdMutex, MutexGuard, PoisonError};
 
-use crate::clock::Clock;
+use crate::clock::{passively, Clock};
 use crate::request::{QosClass, CLASS_COUNT};
 
 /// Per-service admission control: a bounded in-flight limit plus a
@@ -258,15 +258,8 @@ impl AdmissionGate {
             Admission::Shed(shed, ()) => return AdmitOutcome::Shed(shed),
             Admission::Queued(_, parked) => parked,
         };
-        let registered = clock.thread_is_worker();
-        if registered {
-            clock.enter_passive();
-        }
         // A waker dropped unfired means its gate is gone.
-        let outcome = parked.recv().unwrap_or(AdmitOutcome::Shutdown);
-        if registered {
-            clock.exit_passive();
-        }
+        let outcome = passively(clock, || parked.recv().unwrap_or(AdmitOutcome::Shutdown));
         self.lock().report_depth(class, on_queue_depth);
         outcome
     }

@@ -3,7 +3,7 @@
 
 use std::sync::{Arc, Mutex as StdMutex, OnceLock, PoisonError};
 
-use crate::clock::Clock;
+use crate::clock::{passively, Clock};
 use crate::engine::event::PanicPayload;
 use crate::message::RuntimeError;
 use crate::request::QosClass;
@@ -134,15 +134,7 @@ impl RequestHandle {
     /// request resolved and [`RuntimeError::DeadlineExceeded`] when the
     /// deadline expired while the request was still queued.
     pub fn wait(self) -> Result<ServiceResponse, RuntimeError> {
-        let registered = self.shared.clock.thread_is_worker();
-        if registered {
-            self.shared.clock.enter_passive();
-        }
-        let slot = self.shared.result.wait();
-        if registered {
-            self.shared.clock.exit_passive();
-        }
-        collect(slot)
+        collect(passively(&*self.shared.clock, || self.shared.result.wait()))
     }
 }
 

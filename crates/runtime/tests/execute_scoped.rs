@@ -279,18 +279,12 @@ fn cancelled_seq_leg_never_descends_into_parallel_legs() {
         fn sleep(&self, duration: Duration) {
             self.inner.sleep(duration);
         }
-        fn enter_worker(&self) {
-            self.inner.enter_worker();
-        }
         fn reserve_worker(&self) {
             self.reserves.fetch_add(1, Ordering::SeqCst);
             self.inner.reserve_worker();
         }
         fn adopt_worker(&self) {
             self.inner.adopt_worker();
-        }
-        fn exit_worker(&self) {
-            self.inner.exit_worker();
         }
         fn disown_worker(&self) {
             self.inner.disown_worker();
