@@ -3,10 +3,10 @@
 //! Each sweep point stands up a [`GatewayFleet`] of 1/8/32 shards on a
 //! fresh virtual clock: 40 identically-armed services (two requirement
 //! shapes) behind the consistent-hash router, fleet-registered providers,
-//! and one shared plan-cache store. The workload runs in waves; per wave,
-//! every service takes one sequential blocking *pathfinder* request —
-//! serializing the slot re-plans so the plan-cache hit/miss/remote
-//! counters are a deterministic function of the rig — followed by one
+//! and one private plan cache per service. The workload runs in waves; per
+//! wave, every service takes one sequential blocking *pathfinder* request
+//! — serializing the slot re-plans so the plan-cache hit/miss counters
+//! are a deterministic function of the rig — followed by one
 //! async batch across all services, submitted while a [`WorkerGuard`]
 //! pins virtual time so the whole batch starts at the same instant. The
 //! batch cycles the request class `Critical → Interactive → Bulk →
@@ -22,9 +22,6 @@
 //!   above the floor (`QCE_FLEET_CRITICAL_MIN_SATISFACTION` overrides it,
 //!   which CI uses to prove the gate trips);
 //! * **p99 latency** under the ceiling;
-//! * **cross-shard plan economics** — every multi-shard point must serve
-//!   at least one *remote* plan-cache hit (a plan synthesized on one
-//!   shard reused warm by another);
 //! * **drained cores** — no shard leaks an in-flight slot or frame.
 //!
 //! Every reported field is a deterministic function of the rig (virtual
@@ -44,15 +41,14 @@ use qce_runtime::{
     Clock, GatewayConfig, InMemoryMarket, MsSpec, QosClass, Request, ServiceScript,
     SimulatedProvider, VirtualClock, WorkerGuard,
 };
-use qce_strategy::{PlanCacheStats, Qos, Requirements};
+use qce_strategy::{Qos, Requirements};
 
 use crate::report::{fmt_f, Report};
 
-/// Services sharing the fleet (two requirement shapes, so the shared
-/// plan store holds two distinct keys per environment).
+/// Services sharing the fleet (two requirement shapes).
 const SERVICES: usize = 40;
 /// Waves per point; each wave closes every service's slot, so every wave
-/// re-plans (warm from the shared store after the first).
+/// re-plans (warm from the service's plan cache after the first).
 const WAVES: usize = 5;
 /// Equivalent microservices per service, with capabilities shared across
 /// services so one fleet-wide provider set serves everyone.
@@ -97,8 +93,8 @@ fn script(service: &str, shape: usize) -> ServiceScript {
     script
 }
 
-/// A fresh fleet on a fresh virtual clock: `shards` shards, shared plan
-/// store, 1-hour script TTL (nothing expires mid-run), and one
+/// A fresh fleet on a fresh virtual clock: `shards` shards, plan caching
+/// on, 1-hour script TTL (nothing expires mid-run), and one
 /// reliability-1.0 clock-bound provider per shared capability.
 fn rig(shards: usize) -> (Arc<VirtualClock>, GatewayFleet, Vec<String>) {
     let clock = Arc::new(VirtualClock::new());
@@ -143,7 +139,9 @@ struct PointOutcome {
     p99: Duration,
     critical_p99: Duration,
     makespan: Duration,
-    plan: PlanCacheStats,
+    plan_hits: u64,
+    plan_misses: u64,
+    plan_stale: u64,
     script_hits: u64,
     script_misses: u64,
     script_expired: u64,
@@ -169,9 +167,8 @@ impl PointOutcome {
             fmt_f(millis(self.p50), 3),
             fmt_f(millis(self.p99), 3),
             fmt_f(millis(self.makespan), 3),
-            self.plan.hits.to_string(),
-            self.plan.remote_hits.to_string(),
-            self.plan.misses.to_string(),
+            self.plan_hits.to_string(),
+            self.plan_misses.to_string(),
             self.script_misses.to_string(),
         ]);
     }
@@ -181,8 +178,8 @@ impl PointOutcome {
             "{{\"shards\": {}, \"clients\": {}, \"ok\": {}, \"shed\": {}, \
              \"critical\": {{\"requests\": {}, \"ok\": {}, \"satisfaction\": {}, \
              \"p99_ms\": {}}}, \"p50_ms\": {}, \"p99_ms\": {}, \"makespan_ms\": {}, \
-             \"plan_cache\": {{\"hits\": {}, \"remote_hits\": {}, \"misses\": {}, \
-             \"stale\": {}}}, \"script_cache\": {{\"hits\": {}, \"misses\": {}, \
+             \"plan_cache\": {{\"hits\": {}, \"misses\": {}, \"stale\": {}}}, \
+             \"script_cache\": {{\"hits\": {}, \"misses\": {}, \
              \"expired\": {}}}}}",
             self.shards,
             self.clients,
@@ -195,10 +192,9 @@ impl PointOutcome {
             fmt_f(millis(self.p50), 3),
             fmt_f(millis(self.p99), 3),
             fmt_f(millis(self.makespan), 3),
-            self.plan.hits,
-            self.plan.remote_hits,
-            self.plan.misses,
-            self.plan.stale,
+            self.plan_hits,
+            self.plan_misses,
+            self.plan_stale,
             self.script_hits,
             self.script_misses,
             self.script_expired,
@@ -228,7 +224,7 @@ fn point(shards: usize, max_clients: usize) -> io::Result<PointOutcome> {
     let (clock, fleet, services) = rig(shards);
 
     // Wave 0 (slot 0): one pathfinder per service establishes identical
-    // observations everywhere — the seed for the shared plan keys.
+    // observations everywhere.
     for service in &services {
         let response = fleet
             .submit(Request::new(service.as_str()))
@@ -250,8 +246,8 @@ fn point(shards: usize, max_clients: usize) -> io::Result<PointOutcome> {
     let mut class_cursor = 0usize;
     for _ in 0..WAVES {
         // Sequential pathfinders: the wave's re-plans happen one at a
-        // time, so cold stores, local hits, and remote hits land in a
-        // deterministic order.
+        // time, so cold searches and cache hits land in a deterministic
+        // order.
         for service in &services {
             let response = fleet
                 .submit(Request::new(service.as_str()))
@@ -301,11 +297,15 @@ fn point(shards: usize, max_clients: usize) -> io::Result<PointOutcome> {
     let mut shed = 0u64;
     let mut critical_requests = 0u64;
     let mut critical_ok = 0u64;
+    let (mut plan_hits, mut plan_misses, mut plan_stale) = (0u64, 0u64, 0u64);
     let mut drained = true;
     for shard in fleet.shards() {
         let snapshot = shard.gateway().telemetry().snapshot();
         for service in &snapshot.services {
             shed += service.requests_shed;
+            plan_hits += service.plan_cache_hits;
+            plan_misses += service.plan_cache_misses;
+            plan_stale += service.plan_cache_stale;
             if let Some(critical) = service.class(QosClass::Critical) {
                 critical_requests += critical.requests;
                 critical_ok += critical.successes;
@@ -327,7 +327,9 @@ fn point(shards: usize, max_clients: usize) -> io::Result<PointOutcome> {
         p99: percentile(&latencies, 99.0),
         critical_p99: percentile(&critical_latencies, 99.0),
         makespan: clock.now(),
-        plan: stats.plan_cache,
+        plan_hits,
+        plan_misses,
+        plan_stale,
         script_hits: stats.market.hits,
         script_misses: stats.market.misses,
         script_expired: stats.market.expired,
@@ -362,11 +364,6 @@ fn check_gates(outcome: &PointOutcome, floor: f64, violations: &mut Vec<String>)
             "{shards} shard(s): p99 {} ms above ceiling {} ms",
             fmt_f(millis(outcome.p99), 3),
             fmt_f(P99_CEILING_MS, 3)
-        ));
-    }
-    if shards > 1 && outcome.plan.remote_hits == 0 {
-        violations.push(format!(
-            "{shards} shard(s): no remote plan-cache hit — cross-shard sharing is dead"
         ));
     }
     if !outcome.drained {
@@ -417,7 +414,6 @@ fn run_with_floor(
             "p99_ms",
             "makespan_ms",
             "plan_hits",
-            "plan_remote",
             "plan_miss",
             "script_fetch",
         ],
@@ -430,10 +426,6 @@ fn run_with_floor(
          batch of {} requests cycling Critical/Interactive/Bulk/Scavenger",
         clients / WAVES.max(1),
     ));
-    report.note(
-        "plan_remote counts plans synthesized on one shard and served warm to \
-         another through the shared store",
-    );
     report.emit(reports, "bench_fleet")?;
 
     let json = format!(
@@ -473,8 +465,8 @@ fn run_with_floor(
 /// Returns an I/O error if an artifact cannot be written — or, after the
 /// artifacts are written so CI can key on the exit code, if any point
 /// sheds or fails a request, misses the Critical satisfaction floor or
-/// the p99 ceiling, serves no remote plan-cache hit on a multi-shard
-/// point, or leaves a shard's event core undrained (see the module docs).
+/// the p99 ceiling, or leaves a shard's event core undrained (see the
+/// module docs).
 pub fn run(
     reports: &Path,
     json_out: &Path,
@@ -493,30 +485,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn point_serves_everyone_and_shares_plans_across_shards() {
+    fn point_serves_everyone() {
         let outcome = point(2, 200).unwrap();
         assert_eq!(outcome.clients, WAVES * SERVICES); // one per service per wave
         assert_eq!(outcome.ok, outcome.clients);
         assert_eq!(outcome.shed, 0);
         assert!(outcome.drained);
-        assert!(
-            outcome.plan.remote_hits > 0,
-            "40 services over 2 shards must reuse plans remotely: {:?}",
-            outcome.plan
-        );
         assert!(outcome.critical_requests > 0);
         assert_eq!(outcome.critical_ok, outcome.critical_requests);
     }
 
+    /// Each service plans on one shard from its own cache, so what the
+    /// fleet spends on synthesis does not depend on how many shards it has:
+    /// one cold search per service, then a hit per wave.
     #[test]
-    fn single_shard_point_has_no_remote_hits() {
-        let outcome = point(1, 200).unwrap();
-        assert_eq!(outcome.ok, outcome.clients);
-        assert_eq!(
-            outcome.plan.remote_hits, 0,
-            "one shard, one view: every hit is local"
-        );
-        assert!(outcome.plan.hits > 0);
+    fn plan_counters_do_not_depend_on_the_shard_count() {
+        for shards in [1, 2, 8] {
+            let outcome = point(shards, 200).unwrap();
+            assert_eq!(outcome.ok, outcome.clients);
+            assert_eq!(
+                (outcome.plan_hits, outcome.plan_misses, outcome.plan_stale),
+                ((SERVICES * (WAVES - 1)) as u64, SERVICES as u64, 0),
+                "{shards} shard(s)"
+            );
+        }
     }
 
     #[test]
@@ -526,9 +518,9 @@ mod tests {
         run_with_floor(&dir, &json, 200, Some(2), CRITICAL_FLOOR).unwrap();
         let first = std::fs::read_to_string(&json).unwrap();
         assert!(first.contains("\"benchmark\": \"bench-fleet\""));
-        assert!(first.contains("\"remote_hits\""));
+        assert!(first.contains("\"plan_cache\""));
         let tsv = std::fs::read_to_string(dir.join("bench_fleet.tsv")).unwrap();
-        assert!(tsv.contains("plan_remote"));
+        assert!(tsv.contains("plan_hits"));
         run_with_floor(&dir, &json, 200, Some(2), CRITICAL_FLOOR).unwrap();
         let second = std::fs::read_to_string(&json).unwrap();
         assert_eq!(first, second, "fleet JSON must reproduce byte-for-byte");

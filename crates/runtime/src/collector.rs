@@ -63,7 +63,7 @@ impl ProviderStats {
     /// accepted: records carry raw `f64` costs, so one invocation of a
     /// provider advertising `NaN` poisons the mean. Planning must treat
     /// such a window like "no history" rather than panic or leak `NaN`
-    /// into `plan_slot` and the plan-cache quantizer.
+    /// into `Planner::plan_slot_for` and the plan-cache quantizer.
     #[must_use]
     pub fn checked_qos(&self) -> Option<Qos> {
         Qos::new(self.mean_cost, self.mean_latency_ms, self.success_rate).ok()

@@ -6,19 +6,20 @@
 //! over a stable hash ring ([`ServiceRouter`]): each service is planned
 //! and slot-accounted on exactly one shard (the feedback loop stays
 //! coherent), membership changes move only `~1/N` of the services, and
-//! three cross-shard amortization channels keep the shards from paying
+//! two cross-shard amortization channels keep the shards from paying
 //! `N×` for shared state:
 //!
 //! * **scripts** — every shard fronts the one cloud market with its own
 //!   read-through [`TtlMarket`] cache, so script updates propagate within
 //!   one TTL and repeat fetches stay local;
-//! * **plans** — all shards' planners share one [`PlanCacheHub`] store,
-//!   so a strategy synthesized on shard A is a warm
-//!   [`PlanSource::Cached`](qce_strategy::PlanSource) hit on shard B when
-//!   B sees the same quantized environment (attributed as a *remote* hit
-//!   in telemetry, so the cross-shard economics are measurable);
 //! * **providers** — registrations replay onto every shard, so routing a
 //!   service elsewhere never strands its devices.
+//!
+//! Plans are not shared: a shard builds each service's planner exactly as
+//! a lone gateway does (one private plan cache per service when
+//! [`GatewayConfig::plan_cache`] is on), so invalidation is exact and a
+//! service that moves to another shard pays one cold search there — less
+//! than a fleet-wide store costs to keep (DESIGN §11).
 //!
 //! ```
 //! use std::sync::Arc;
@@ -43,8 +44,6 @@ use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
 
-use qce_strategy::{PlanCacheConfig, PlanCacheHub, PlanCacheStats};
-
 use crate::clock::{Clock, WallClock};
 use crate::device::Provider;
 use crate::gateway::{Gateway, GatewayConfig, RequestHandle, ServiceResponse};
@@ -63,13 +62,6 @@ pub struct FleetConfig {
     pub vnodes: usize,
     /// Time-to-live of each shard's script cache (`ZERO` = never expire).
     pub script_ttl: Duration,
-    /// Share one plan-cache store across all shards (requires
-    /// [`GatewayConfig::plan_cache`]; `false` keeps per-shard caches).
-    pub share_plans: bool,
-    /// Capacity of the shared plan store — global across every shard and
-    /// service, so it should be sized well above the 64 plans of one
-    /// service's private cache ([`PlanCacheConfig::default`]).
-    pub plan_capacity: usize,
     /// Configuration applied to every shard's gateway.
     pub gateway: GatewayConfig,
 }
@@ -80,8 +72,6 @@ impl Default for FleetConfig {
             shards: 4,
             vnodes: 64,
             script_ttl: Duration::from_secs(60),
-            share_plans: true,
-            plan_capacity: 4096,
             gateway: GatewayConfig::default(),
         }
     }
@@ -89,7 +79,7 @@ impl Default for FleetConfig {
 
 /// Generates fluent setters: the struct is `#[non_exhaustive]`, so
 /// out-of-crate callers build one as
-/// `FleetConfig::default().shards(8).share_plans(false)`.
+/// `FleetConfig::default().shards(8).vnodes(128)`.
 macro_rules! fleet_config_setters {
     ($($(#[$doc:meta])* $field:ident: $ty:ty),* $(,)?) => {
         impl FleetConfig {
@@ -112,10 +102,6 @@ fleet_config_setters! {
     vnodes: usize,
     /// Sets the time-to-live of each shard's script cache.
     script_ttl: Duration,
-    /// Enables/disables the fleet-shared plan-cache store.
-    share_plans: bool,
-    /// Sets the capacity of the shared plan store.
-    plan_capacity: usize,
     /// Sets the configuration applied to every shard's gateway.
     gateway: GatewayConfig,
 }
@@ -126,9 +112,6 @@ fleet_config_setters! {
 pub struct FleetStats {
     /// Current member shards.
     pub shards: usize,
-    /// Shared plan-store totals (hits/remote hits/misses across every
-    /// shard); all-zero when plan sharing is off.
-    pub plan_cache: PlanCacheStats,
     /// Script-cache counters summed over the member shards.
     pub market: MarketCacheStats,
     /// Per-shard breakdown, ascending by shard id.
@@ -136,13 +119,11 @@ pub struct FleetStats {
 }
 
 /// `N` gateway shards behind a consistent-hash service router, sharing
-/// one market backend and (optionally) one plan-cache store. See the
-/// [module docs](self) for the design.
+/// one market backend. See the [module docs](self) for the design.
 pub struct GatewayFleet {
     config: FleetConfig,
     clock: Arc<dyn Clock>,
     backend: Arc<dyn Market>,
-    hub: Option<Arc<PlanCacheHub>>,
     router: RwLock<ServiceRouter>,
     shards: RwLock<BTreeMap<u32, Arc<GatewayShard>>>,
     next_shard: AtomicU32,
@@ -178,17 +159,10 @@ impl GatewayFleet {
         config: FleetConfig,
         clock: Arc<dyn Clock>,
     ) -> Self {
-        let hub = (config.share_plans && config.gateway.plan_cache).then(|| {
-            Arc::new(PlanCacheHub::new(PlanCacheConfig {
-                capacity: config.plan_capacity,
-                quantum: config.gateway.plan_quantize,
-            }))
-        });
         let fleet = GatewayFleet {
             config,
             clock,
             backend,
-            hub,
             router: RwLock::new(ServiceRouter::new(config.vnodes)),
             shards: RwLock::new(BTreeMap::new()),
             next_shard: AtomicU32::new(0),
@@ -203,8 +177,7 @@ impl GatewayFleet {
     /// Spawns one more shard, replays every known provider onto it, and
     /// adds it to the ring (moving `~1/N` of the services to it). Returns
     /// the new shard's id. Services moving here re-fetch their script
-    /// through this shard's cache and re-plan — warm from the shared plan
-    /// store when sharing is on.
+    /// through this shard's cache and re-plan cold, once.
     pub fn add_shard(&self) -> u32 {
         let id = self.next_shard.fetch_add(1, Ordering::Relaxed);
         let market = Arc::new(TtlMarket::new(
@@ -217,9 +190,6 @@ impl GatewayFleet {
             self.config.gateway,
             Arc::clone(&self.clock),
         ));
-        if let Some(hub) = &self.hub {
-            gateway.set_plan_hub(Arc::clone(hub));
-        }
         for provider in self.providers.lock().iter() {
             gateway.registry().register(Arc::clone(provider));
         }
@@ -317,8 +287,8 @@ impl GatewayFleet {
         }
     }
 
-    /// Aggregate counters: shared plan-store totals, summed script-cache
-    /// economics, and the per-shard breakdown.
+    /// Aggregate counters: summed script-cache economics and the per-shard
+    /// breakdown.
     #[must_use]
     pub fn stats(&self) -> FleetStats {
         let per_shard: Vec<ShardStats> = self
@@ -336,7 +306,6 @@ impl GatewayFleet {
             });
         FleetStats {
             shards: per_shard.len(),
-            plan_cache: self.hub.as_ref().map(|hub| hub.stats()).unwrap_or_default(),
             market,
             per_shard,
         }

@@ -27,7 +27,7 @@ use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
 
-use qce_strategy::{Attribute, PlanCacheHub, Qos, Requirements, Strategy};
+use qce_strategy::{Attribute, Qos, Requirements, Strategy};
 
 use crate::clock::{Clock, WallClock, WorkerGuard};
 use crate::collector::Collector;
@@ -449,13 +449,6 @@ pub struct Gateway {
     /// Event-loop threads, spawned lazily on the first `submit_async`,
     /// joined on drop.
     loops: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    /// When set (by [`Gateway::set_plan_hub`]), this gateway's one view
-    /// of the fleet-shared plan store. Every service planner memoizes
-    /// into it instead of a private cache, so plans synthesized by other
-    /// gateways in the same fleet are served warm here — and because the
-    /// whole gateway shares one view, only genuinely cross-gateway reuse
-    /// is attributed as *remote*.
-    plan_view: RwLock<Option<Arc<qce_strategy::PlanCache>>>,
 }
 
 impl std::fmt::Debug for Gateway {
@@ -505,23 +498,7 @@ impl Gateway {
             core,
             spawn,
             loops: Mutex::new(Vec::new()),
-            plan_view: RwLock::new(None),
         }
-    }
-
-    /// Plugs this gateway into a fleet-shared plan-cache hub: services
-    /// initialised *after* this call plan through this gateway's one
-    /// [view](PlanCacheHub::view) of the hub's store (when
-    /// [`GatewayConfig::plan_cache`] is enabled), so a plan synthesized on
-    /// any sharing gateway is a warm hit here — attributed as a *remote*
-    /// hit in telemetry. Call before the first request; already-planned
-    /// services keep their private caches.
-    ///
-    /// Invalidation stays view-scoped: a live override on one service
-    /// drops every entry this *gateway* stored (conservative — siblings
-    /// re-synthesize on their next slot), never other gateways' entries.
-    pub fn set_plan_hub(&self, hub: Arc<PlanCacheHub>) {
-        *self.plan_view.write() = Some(hub.view());
     }
 
     /// The device registry (devices register their microservices here).

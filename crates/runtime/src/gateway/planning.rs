@@ -164,18 +164,7 @@ impl Gateway {
             .record_market_fetch(self.clock.now().saturating_sub(t0), fetched.is_ok());
         let script = fetched?;
         script.validate()?;
-        let settings = self.config.synthesis_settings();
-        // A fleet-shared view replaces the private per-service cache (the
-        // local `plan_cache` knob still gates caching as a whole).
-        let view = self
-            .config
-            .plan_cache
-            .then(|| self.plan_view.read().clone())
-            .flatten();
-        let planner = match view {
-            Some(view) => Planner::with_cache(&script, &settings, view)?,
-            None => Planner::new(&script, &settings)?,
-        };
+        let planner = Planner::new(&script, &self.config.synthesis_settings())?;
         Ok(ServiceState {
             script,
             planner,

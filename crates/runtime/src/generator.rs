@@ -162,37 +162,9 @@ pub fn assumed_env(
         .collect()
 }
 
-/// Plans the strategy for a time slot.
-///
-/// Slot 0 executes the default strategy (collecting initial observations);
-/// later slots run the paper's Algorithm 2 (exhaustive below the threshold,
-/// approximation above it) against the assumed QoS table. When `telemetry`
-/// is provided, the generator's search effort (candidates seen/pruned,
-/// elapsed time) is accumulated into the service's counters.
-///
-/// # Errors
-///
-/// Returns [`RuntimeError::InvalidScript`] for an unparsable default
-/// strategy or penalty, or [`RuntimeError::Generation`] if generation
-/// fails.
-pub fn plan_slot(
-    script: &ServiceScript,
-    providers: &[Arc<dyn Provider>],
-    collector: &Collector,
-    slot: u64,
-    settings: &SynthesisSettings,
-    telemetry: Option<&Telemetry>,
-) -> Result<SlotPlan, RuntimeError> {
-    Planner::new(script, settings)?.plan_slot(script, providers, collector, slot, telemetry)
-}
-
 /// A persistent per-service planner: one [`Generator`] (and, when enabled,
 /// one [`PlanCache`]) that lives across slot boundaries, so cached plans
-/// survive from one re-plan to the next.
-///
-/// The free-standing [`plan_slot`] builds a throwaway `Planner` per call
-/// and therefore never hits the cache; the gateway keeps one `Planner` per
-/// service instead.
+/// survive from one re-plan to the next. The gateway keeps one per service.
 #[derive(Debug)]
 pub struct Planner {
     generator: Generator,
@@ -214,33 +186,6 @@ impl Planner {
                 ..PlanCacheConfig::default()
             }))
         });
-        Planner::build(script, settings, cache)
-    }
-
-    /// Builds the planner for `script` under `settings`, memoizing plans in
-    /// the provided (possibly [shared](PlanCache::share)) cache instead of
-    /// a private one. This is how a gateway fleet lets a plan synthesized
-    /// on one shard be served warm on another: every shard's planner holds
-    /// a view of the same store, and `settings.plan_cache` and
-    /// `plan_quantize` are ignored in favor of the cache's own
-    /// configuration.
-    ///
-    /// # Errors
-    ///
-    /// As [`Planner::new`].
-    pub fn with_cache(
-        script: &ServiceScript,
-        settings: &SynthesisSettings,
-        cache: Arc<PlanCache>,
-    ) -> Result<Self, RuntimeError> {
-        Planner::build(script, settings, Some(cache))
-    }
-
-    fn build(
-        script: &ServiceScript,
-        settings: &SynthesisSettings,
-        cache: Option<Arc<PlanCache>>,
-    ) -> Result<Self, RuntimeError> {
         let utility =
             UtilityIndex::new(script.penalty_k).map_err(|e| RuntimeError::InvalidScript {
                 reason: e.to_string(),
@@ -271,11 +216,12 @@ impl Planner {
         self.cache.as_ref().map_or(0, |cache| cache.invalidate())
     }
 
-    /// Plans the strategy for a time slot (see [`plan_slot`]).
+    /// Plans the strategy for a time slot against the script's own
+    /// requirement (see [`Planner::plan_slot_for`]).
     ///
     /// # Errors
     ///
-    /// As [`plan_slot`].
+    /// As [`Planner::plan_slot_for`].
     pub fn plan_slot(
         &self,
         script: &ServiceScript,
@@ -301,9 +247,18 @@ impl Planner {
     /// what the operator currently demands, not what the script was
     /// deployed with.
     ///
+    /// Slot 0 executes the default strategy (collecting initial
+    /// observations); later slots run the paper's Algorithm 2 (exhaustive
+    /// below the threshold, approximation above it) against the assumed QoS
+    /// table. When `telemetry` is provided, the generator's search effort
+    /// (candidates seen/pruned, elapsed time) is accumulated into the
+    /// service's counters.
+    ///
     /// # Errors
     ///
-    /// As [`plan_slot`].
+    /// Returns [`RuntimeError::InvalidScript`] for an unparsable default
+    /// strategy or penalty, or [`RuntimeError::Generation`] if generation
+    /// fails.
     pub fn plan_slot_for(
         &self,
         script: &ServiceScript,
@@ -391,6 +346,18 @@ mod tests {
             ],
             qce_strategy::Requirements::new(100.0, 100.0, 0.97).unwrap(),
         )
+    }
+
+    /// Plans one slot with a throwaway [`Planner`].
+    fn plan_slot(
+        script: &ServiceScript,
+        providers: &[Arc<dyn Provider>],
+        collector: &Collector,
+        slot: u64,
+        settings: &SynthesisSettings,
+        telemetry: Option<&Telemetry>,
+    ) -> Result<SlotPlan, RuntimeError> {
+        Planner::new(script, settings)?.plan_slot(script, providers, collector, slot, telemetry)
     }
 
     fn providers() -> Vec<Arc<dyn Provider>> {
@@ -720,8 +687,8 @@ mod tests {
                 qce_strategy::generate::DEFAULT_THRESHOLD
             );
             assert!(planner.generator.pruning());
-            assert_eq!(planner.cache.as_ref().unwrap().capacity(), 64);
         }
+        assert_eq!(PlanCacheConfig::default().capacity, 64);
     }
 
     #[test]
@@ -750,24 +717,6 @@ mod tests {
             .unwrap();
         assert_eq!(again.source, Some(PlanSource::Cached));
         assert_eq!(again.strategy, overridden.strategy);
-    }
-
-    #[test]
-    fn throwaway_plan_slot_never_caches() {
-        let collector = Collector::new(10);
-        let settings = SynthesisSettings {
-            plan_cache: true,
-            ..SynthesisSettings::default()
-        };
-        for slot in [1, 2] {
-            let plan =
-                plan_slot(&script(), &providers(), &collector, slot, &settings, None).unwrap();
-            assert_eq!(
-                plan.source,
-                Some(qce_strategy::PlanSource::Cold),
-                "a fresh Planner per call has nothing to reuse"
-            );
-        }
     }
 
     #[test]

@@ -114,9 +114,7 @@ pub use gateway::{
     Gateway, GatewayConfig, GatewayConfigBuilder, GatewayControl, QosAdvisory, RequestHandle,
     ServiceResponse, SlotRecord,
 };
-pub use generator::{
-    assumed_env, env_drift, plan_slot, Planner, SlotPlan, StrategyOrigin, SynthesisSettings,
-};
+pub use generator::{assumed_env, env_drift, Planner, SlotPlan, StrategyOrigin, SynthesisSettings};
 pub use harness::{Harness, HarnessBuilder};
 pub use market::{FileMarket, InMemoryMarket, Market, MarketCacheStats, TtlMarket};
 pub use message::{Invocation, InvocationOutcome, InvokeError, RuntimeError};

@@ -169,7 +169,6 @@ struct ServiceMetrics {
     /// Plan-cache gauges: absolute values of the service planner's
     /// [`PlanCacheStats`], stored (not accumulated) on every re-plan.
     plan_cache_hits: AtomicU64,
-    plan_cache_remote_hits: AtomicU64,
     plan_cache_misses: AtomicU64,
     plan_cache_stale: AtomicU64,
     strategy_switches: AtomicU64,
@@ -212,7 +211,6 @@ impl ServiceMetrics {
             plans_cold: AtomicU64::new(0),
             plans_cached: AtomicU64::new(0),
             plan_cache_hits: AtomicU64::new(0),
-            plan_cache_remote_hits: AtomicU64::new(0),
             plan_cache_misses: AtomicU64::new(0),
             plan_cache_stale: AtomicU64::new(0),
             strategy_switches: AtomicU64::new(0),
@@ -522,9 +520,11 @@ pub struct ServiceSnapshot {
     /// cache, captured at the last re-plan).
     #[serde(default)]
     pub plan_cache_hits: u64,
-    /// Plan-cache hits served from an entry another sharing view stored —
-    /// e.g. a plan synthesized on a different gateway shard (absolute
-    /// gauge; subset of `plan_cache_hits`).
+    /// Always `0`: plan caches are private per service, so no hit is
+    /// remote. The field outlives the fleet-wide plan store only because
+    /// the wall-clock benchmark (`benchmark/src/run.rs`) reads it and a
+    /// non-benchmark change may not touch `benchmark/`; the next
+    /// `benchmark/`-only change drops that probe and this field together.
     #[serde(default)]
     pub plan_cache_remote_hits: u64,
     /// Plan-cache lookups that missed (absolute gauge).
@@ -880,7 +880,7 @@ impl Telemetry {
     }
 
     /// Records the generator's search effort for one re-plan of `service`
-    /// (called by [`plan_slot`](crate::plan_slot)).
+    /// (called by [`Planner::plan_slot_for`](crate::Planner::plan_slot_for)).
     pub fn record_synthesis(&self, service: &str, report: &SynthesisReport) {
         let metrics = self.service(service);
         metrics
@@ -994,9 +994,6 @@ impl Telemetry {
     pub fn record_plan_cache(&self, service: &str, stats: &PlanCacheStats) {
         let metrics = self.service(service);
         metrics.plan_cache_hits.store(stats.hits, Ordering::Relaxed);
-        metrics
-            .plan_cache_remote_hits
-            .store(stats.remote_hits, Ordering::Relaxed);
         metrics
             .plan_cache_misses
             .store(stats.misses, Ordering::Relaxed);
@@ -1177,7 +1174,7 @@ impl Telemetry {
                 plans_cold: m.plans_cold.load(Ordering::Relaxed),
                 plans_cached: m.plans_cached.load(Ordering::Relaxed),
                 plan_cache_hits: m.plan_cache_hits.load(Ordering::Relaxed),
-                plan_cache_remote_hits: m.plan_cache_remote_hits.load(Ordering::Relaxed),
+                plan_cache_remote_hits: 0,
                 plan_cache_misses: m.plan_cache_misses.load(Ordering::Relaxed),
                 plan_cache_stale: m.plan_cache_stale.load(Ordering::Relaxed),
                 strategy_switches: m.strategy_switches.load(Ordering::Relaxed),
@@ -1439,7 +1436,6 @@ mod tests {
         t.record_replan("svc", 4, "generated", "a-b", None, Some(PlanSource::Cached));
         let stats = PlanCacheStats {
             hits: 2,
-            remote_hits: 1,
             misses: 3,
             stale: 1,
             entries: 3,
@@ -1452,7 +1448,7 @@ mod tests {
         assert_eq!(svc.plans_cold, 1);
         assert_eq!(svc.plans_cached, 3);
         assert_eq!(svc.plan_cache_hits, 2);
-        assert_eq!(svc.plan_cache_remote_hits, 1);
+        assert_eq!(svc.plan_cache_remote_hits, 0);
         assert_eq!(svc.plan_cache_misses, 3);
         assert_eq!(svc.plan_cache_stale, 1);
         // The event stream carries the provenance too.

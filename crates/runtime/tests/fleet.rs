@@ -1,11 +1,12 @@
 //! Integration tests for the sharded gateway fleet: consistent-hash
-//! routing end to end, cross-shard plan-cache sharing, provider replay
-//! onto joining shards, and clean eviction with work in flight.
+//! routing end to end, per-service plan caches (exact invalidation, what
+//! a membership change costs), provider replay onto joining shards, and
+//! clean eviction with work in flight.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use qce_runtime::fleet::{FleetConfig, GatewayFleet};
+use qce_runtime::fleet::{FleetConfig, GatewayFleet, GatewayShard};
 use qce_runtime::{
     Clock, FnProvider, GatewayConfig, InMemoryMarket, Market, MsSpec, Request, RuntimeError,
     ServiceScript, SimulatedProvider, VirtualClock,
@@ -91,62 +92,141 @@ fn fleet_routes_stably_and_serves_every_service() {
     assert_eq!(stats.shards, 4);
 }
 
-/// The cross-shard economics the fleet exists for: a plan synthesized on
-/// one shard is served warm — attributed as a *remote* hit — to an
-/// identically-shaped search on another shard.
-#[test]
-fn plans_synthesized_on_one_shard_hit_remotely_on_another() {
+/// `(source, strategy)` of every re-plan of `service` on `shard`, oldest
+/// first.
+fn replans(shard: &GatewayShard, service: &str) -> Vec<(Option<PlanSource>, String)> {
+    let snapshot = shard.gateway().telemetry().snapshot();
+    snapshot
+        .recent_events
+        .iter()
+        .filter_map(|event| match &event.kind {
+            qce_runtime::EventKind::SlotReplanned {
+                service: replanned,
+                source,
+                strategy,
+                ..
+            } if replanned == service => Some((*source, strategy.clone())),
+            _ => None,
+        })
+        .collect()
+}
+
+/// One request on `service`, then its slot is closed: the next request
+/// re-plans.
+fn serve_one_slot(fleet: &GatewayFleet, service: &str) {
+    assert!(fleet.submit(Request::new(service)).unwrap().success);
+    fleet.end_slot(service);
+}
+
+/// Invalidation in a fleet is exact, as on a lone gateway: `invalidate`
+/// drops one service's cached plans and nobody else's — not even a
+/// shard-mate's with the identical search key.
+fn assert_invalidation_spares_shard_mates(invalidate: impl Fn(&GatewayShard, &str)) {
     let services: Vec<String> = (0..16).map(|i| format!("svc-{i}")).collect();
     let names: Vec<&str> = services.iter().map(String::as_str).collect();
     let config = FleetConfig::default().gateway(GatewayConfig::builder().plan_cache(true).build());
     let (_clock, fleet) = fleet_with(&names, 2, config);
 
-    // Two identically-scripted services owned by *different* shards.
+    // Two identically-scripted services owned by the *same* shard.
     let a = names[0];
-    let b = *names
+    let b = *names[1..]
         .iter()
-        .find(|s| fleet.route(s) != fleet.route(a))
-        .expect("16 services over 4 shards span more than one shard");
-    assert_ne!(fleet.route(a), fleet.route(b));
+        .find(|s| fleet.route(s) == fleet.route(a))
+        .expect("16 services over 4 shards put two on one shard");
+    let shard = fleet.shard(fleet.route(a).unwrap()).unwrap();
 
-    // Slot 0 on both: the default strategy gathers identical observations
-    // (same providers, same latencies, one submission each).
-    assert!(fleet.submit(Request::new(a)).unwrap().success);
-    assert!(fleet.submit(Request::new(b)).unwrap().success);
-    fleet.end_slot(a);
-    fleet.end_slot(b);
+    // Slot 0 gathers observations; slot 1 plans from them and stores.
+    for _slot in 0..2 {
+        serve_one_slot(&fleet, a);
+        serve_one_slot(&fleet, b);
+    }
+    let stale = |service: &str| {
+        let snapshot = shard.gateway().telemetry().snapshot();
+        snapshot.service(service).unwrap().plan_cache_stale
+    };
+    let stale_before = stale(b);
 
-    // Slot 1 on `a` synthesizes and stores the plan; slot 1 on `b`
-    // searches with the same key (same script shape, same requirement,
-    // same observed environment) and must hit `a`'s entry remotely.
-    assert!(fleet.submit(Request::new(a)).unwrap().success);
-    let before = fleet.stats().plan_cache;
-    assert_eq!(before.misses, 1, "a's slot-1 search was the first lookup");
-    assert!(fleet.submit(Request::new(b)).unwrap().success);
-    let after = fleet.stats().plan_cache;
-    assert_eq!(after.hits, before.hits + 1);
+    invalidate(&shard, a);
+    assert_eq!(stale(a), 1, "a's stored plan was dropped");
+
+    // b's next boundary finds its own slot-1 plan where it left it.
+    serve_one_slot(&fleet, b);
     assert_eq!(
-        after.remote_hits,
-        before.remote_hits + 1,
-        "b's hit came from a's shard and must be attributed as remote"
+        replans(&shard, b).last().unwrap().0,
+        Some(PlanSource::Cached),
+        "b searched again after a was invalidated"
     );
+    assert_eq!(stale(b), stale_before);
+}
 
-    // The owning shard's telemetry agrees: b's slot was replanned from
-    // the cache.
-    let owner = fleet.shard(fleet.route(b).unwrap()).unwrap();
-    let snapshot = owner.gateway().telemetry().snapshot();
-    let source = snapshot
-        .recent_events
+#[test]
+fn evicting_one_service_keeps_its_shard_mates_plans_cached() {
+    assert_invalidation_spares_shard_mates(|shard, service| {
+        shard.gateway().evict_service(service);
+    });
+}
+
+#[test]
+fn overriding_one_service_keeps_its_shard_mates_plans_cached() {
+    assert_invalidation_spares_shard_mates(|shard, service| {
+        let strict = Requirements::new(900.0, 900.0, 0.6).unwrap();
+        shard.gateway().control().set_requirement(service, strict);
+    });
+}
+
+/// What a membership change costs: a service the ring moves to a joining
+/// shard leaves its plan memory behind, so its first re-plan there is one
+/// cold search — which finds the strategy the old shard served — and
+/// every boundary after that is served from the new shard's cache.
+#[test]
+fn moved_service_replans_cold_once_then_cached() {
+    let services: Vec<String> = (0..24).map(|i| format!("svc-{i}")).collect();
+    let names: Vec<&str> = services.iter().map(String::as_str).collect();
+    let config = FleetConfig::default()
+        .shards(1)
+        .gateway(GatewayConfig::builder().plan_cache(true).build());
+    let (_clock, fleet) = fleet_with(&names, 2, config);
+
+    // Every service reaches slot 1 on shard 0 and stores its plan there.
+    for _slot in 0..2 {
+        for service in &names {
+            serve_one_slot(&fleet, service);
+        }
+    }
+    let old_shard = fleet.shard(0).unwrap();
+
+    let joiner = fleet.add_shard();
+    let moved = *names
         .iter()
-        .filter_map(|event| match &event.kind {
-            qce_runtime::EventKind::SlotReplanned {
-                service, source, ..
-            } if service == b => Some(*source),
-            _ => None,
-        })
-        .next_back()
-        .flatten();
-    assert_eq!(source, Some(PlanSource::Cached));
+        .find(|s| fleet.route(s) == Some(joiner))
+        .expect("24 services over 2 shards leave the joiner empty");
+    let served_before = replans(&old_shard, moved).last().unwrap().clone();
+    assert_eq!(served_before.0, Some(PlanSource::Cold));
+
+    // On the joiner the service starts over: slot 0 runs the default
+    // strategy, slot 1 searches, slot 2 and 3 hit.
+    let new_shard = fleet.shard(joiner).unwrap();
+    for _slot in 0..4 {
+        serve_one_slot(&fleet, moved);
+    }
+    let on_joiner = replans(&new_shard, moved);
+    let sources: Vec<Option<PlanSource>> = on_joiner.iter().map(|(source, _)| *source).collect();
+    assert_eq!(
+        sources,
+        [
+            None,
+            Some(PlanSource::Cold),
+            Some(PlanSource::Cached),
+            Some(PlanSource::Cached)
+        ]
+    );
+    assert_eq!(
+        on_joiner[1].1, served_before.1,
+        "the joiner's cold search finds the plan the old shard served"
+    );
+    let snapshot = new_shard.gateway().telemetry().snapshot();
+    let gauges = snapshot.service(moved).unwrap();
+    assert_eq!((gauges.plan_cache_hits, gauges.plan_cache_misses), (2, 1));
 }
 
 /// Providers registered before a shard joins are replayed onto it, so

@@ -88,7 +88,7 @@ pub use estimate::{Algorithm1, Estimator, Folding};
 pub use exec::{CompletionPolicy, PruneReason};
 pub use expr::{Node, Strategy};
 pub use generate::{Generated, Generator, GeneratorBuilder, Method, SynthesisReport};
-pub use plan_cache::{PlanCache, PlanCacheConfig, PlanCacheHub, PlanCacheStats, PlanSource};
+pub use plan_cache::{PlanCache, PlanCacheConfig, PlanCacheStats, PlanSource};
 pub use qos::{Attribute, EnvQos, MsId, Polarity, Qos, Reliability, Requirements};
 pub use utility::UtilityIndex;
 

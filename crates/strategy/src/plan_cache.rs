@@ -21,33 +21,19 @@
 //! so the cached winner is **bit-identical** to what a fresh search would
 //! return (the search is deterministic).
 //!
-//! ## Sharing and attribution
-//!
-//! A `PlanCache` is a *view* onto a shared entry store. [`PlanCache::share`]
-//! creates a sibling view over the same store: lookups and stores go to the
-//! common memo, while hit/miss counters stay per-view so each consumer can
-//! report its own economics. Every entry remembers which view stored it;
-//! a hit served from an entry stored by a *different* view additionally
-//! counts as a `remote_hit` — this is how a fleet of gateway shards
-//! attributes "plan synthesized elsewhere, served warm here".
-//! [`PlanCacheHub`] packages the pattern: one hub per fleet, one
-//! [`PlanCacheHub::view`] per planner.
-//!
 //! ## Staleness
 //!
 //! Entries never expire by time; they are dropped by capacity eviction
 //! (least-recently-used) or by [`PlanCache::invalidate`], which the runtime
-//! calls when a service script is evicted or replaced. Invalidation is
-//! view-scoped: it drops the entries *this view stored* (plans derived from
-//! other consumers' identical search inputs remain valid for them). Both
-//! paths count into the shared `stale` statistic so operators can
-//! distinguish "the cache is too small / invalidated often" from a plain
-//! low hit rate.
+//! calls when a service script is evicted or replaced or a live override
+//! changes the planning requirement. Both paths count into the `stale`
+//! statistic so operators can distinguish "the cache is too small /
+//! invalidated often" from a plain low hit rate.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
@@ -99,17 +85,12 @@ impl Default for PlanCacheConfig {
 pub struct PlanCacheStats {
     /// Lookups that returned a cached plan.
     pub hits: u64,
-    /// Hits served from an entry stored by a *different* view of the
-    /// shared store (e.g. another gateway shard's planner). Always a
-    /// subset of `hits`; zero for an unshared cache.
-    #[serde(default)]
-    pub remote_hits: u64,
     /// Lookups that found no entry.
     pub misses: u64,
     /// Entries dropped before reuse: capacity evictions plus explicit
-    /// invalidations (script eviction/replacement). Shared across views.
+    /// invalidations (script eviction/replacement).
     pub stale: u64,
-    /// Entries currently resident (shared across views).
+    /// Entries currently resident.
     pub entries: usize,
 }
 
@@ -147,50 +128,24 @@ pub(crate) struct PlanKey {
 #[derive(Debug)]
 struct Entry {
     stamp: u64,
-    /// The view that stored (or last overwrote) this entry.
-    owner: u32,
     generated: Generated,
 }
 
-/// The store behind one or more [`PlanCache`] views.
+/// A bounded, thread-safe memo of synthesized plans. See the module docs
+/// for keying and staleness semantics.
+///
+/// Construct one, wrap it in an `Arc`, and hand it to
+/// [`GeneratorBuilder::plan_cache`](crate::GeneratorBuilder::plan_cache);
+/// the generator consults it on every exhaustive search.
 #[derive(Debug)]
-struct Store {
+pub struct PlanCache {
     config: PlanCacheConfig,
     entries: Mutex<HashMap<PlanKey, Entry>>,
     /// Monotone access stamp driving LRU eviction.
     clock: AtomicU64,
-    stale: AtomicU64,
-    /// Next view id handed out by [`PlanCache::share`].
-    views: AtomicU32,
-    /// Store-wide totals across all views (feed [`PlanCacheHub::stats`]).
-    total_hits: AtomicU64,
-    total_remote_hits: AtomicU64,
-    total_misses: AtomicU64,
-}
-
-impl Store {
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<PlanKey, Entry>> {
-        self.entries
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-/// A bounded, thread-safe memo of synthesized plans. See the module docs
-/// for keying, sharing, and staleness semantics.
-///
-/// Construct one, share it via `Arc`, and hand it to
-/// [`GeneratorBuilder::plan_cache`](crate::GeneratorBuilder::plan_cache);
-/// the generator consults it on every exhaustive search. [`PlanCache::share`]
-/// creates an independently-attributed view over the same entries.
-#[derive(Debug)]
-pub struct PlanCache {
-    store: Arc<Store>,
-    /// This view's identity, stamped on entries it stores.
-    view: u32,
     hits: AtomicU64,
-    remote_hits: AtomicU64,
     misses: AtomicU64,
+    stale: AtomicU64,
 }
 
 impl PlanCache {
@@ -198,96 +153,55 @@ impl PlanCache {
     #[must_use]
     pub fn new(config: PlanCacheConfig) -> Self {
         PlanCache {
-            store: Arc::new(Store {
-                config,
-                entries: Mutex::new(HashMap::new()),
-                clock: AtomicU64::new(0),
-                stale: AtomicU64::new(0),
-                views: AtomicU32::new(1),
-                total_hits: AtomicU64::new(0),
-                total_remote_hits: AtomicU64::new(0),
-                total_misses: AtomicU64::new(0),
-            }),
-            view: 0,
+            config,
+            entries: Mutex::new(HashMap::new()),
+            clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
-            remote_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            stale: AtomicU64::new(0),
         }
     }
 
-    /// Creates a sibling view over the same shared entry store with fresh
-    /// per-view counters. A plan stored through any view is visible to all
-    /// of them; a hit on an entry stored by another view counts as a
-    /// `remote_hit` on the view that looked it up.
-    #[must_use]
-    pub fn share(&self) -> PlanCache {
-        PlanCache {
-            store: Arc::clone(&self.store),
-            view: self.store.views.fetch_add(1, Ordering::Relaxed),
-            hits: AtomicU64::new(0),
-            remote_hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<PlanKey, Entry>> {
+        self.entries
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// The configured quantization step.
-    #[must_use]
-    pub fn quantum(&self) -> f64 {
-        self.store.config.quantum
-    }
-
-    /// The configured capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.store.config.capacity
-    }
-
-    /// This view's counters plus the shared stale/entry counts.
+    /// A point-in-time snapshot of the counters.
     #[must_use]
     pub fn stats(&self) -> PlanCacheStats {
         PlanCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
-            remote_hits: self.remote_hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            stale: self.store.stale.load(Ordering::Relaxed),
-            entries: self.store.lock().len(),
+            stale: self.stale.load(Ordering::Relaxed),
+            entries: self.lock().len(),
         }
     }
 
-    /// Drops the entries **this view stored** (the runtime calls this when
-    /// the service script backing the cached plans is evicted or replaced,
-    /// or when a live override changes the planning requirement), counting
-    /// each into the shared `stale` statistic. Entries stored by sibling
-    /// views remain — they were derived from those consumers' own inputs
-    /// and stay valid for them. Returns how many entries were dropped.
+    /// Drops every cached plan (the runtime calls this when the service
+    /// script backing them is evicted or replaced, or when a live override
+    /// changes the planning requirement), counting each into the `stale`
+    /// statistic. Returns how many entries were dropped.
     pub fn invalidate(&self) -> usize {
-        let mut entries = self.store.lock();
-        let before = entries.len();
-        entries.retain(|_, entry| entry.owner != self.view);
-        let dropped = before - entries.len();
-        self.store
-            .stale
-            .fetch_add(dropped as u64, Ordering::Relaxed);
+        let mut entries = self.lock();
+        let dropped = entries.len();
+        entries.clear();
+        self.stale.fetch_add(dropped as u64, Ordering::Relaxed);
         dropped
     }
 
     /// The plan memoized under `key`, counting a hit or a miss.
     pub(crate) fn lookup(&self, key: &PlanKey) -> Option<Generated> {
-        let mut entries = self.store.lock();
+        let mut entries = self.lock();
         match entries.get_mut(key) {
             Some(entry) => {
-                entry.stamp = self.store.clock.fetch_add(1, Ordering::Relaxed);
+                entry.stamp = self.clock.fetch_add(1, Ordering::Relaxed);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                self.store.total_hits.fetch_add(1, Ordering::Relaxed);
-                if entry.owner != self.view {
-                    self.remote_hits.fetch_add(1, Ordering::Relaxed);
-                    self.store.total_remote_hits.fetch_add(1, Ordering::Relaxed);
-                }
                 Some(entry.generated.clone())
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                self.store.total_misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
@@ -296,26 +210,25 @@ impl PlanCache {
     /// Memoizes `generated` under `key`, evicting the least-recently-used
     /// entry at capacity.
     pub(crate) fn store(&self, key: PlanKey, generated: &Generated) {
-        if self.store.config.capacity == 0 {
+        if self.config.capacity == 0 {
             return;
         }
-        let stamp = self.store.clock.fetch_add(1, Ordering::Relaxed);
-        let mut entries = self.store.lock();
-        if entries.len() >= self.store.config.capacity && !entries.contains_key(&key) {
+        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
+        let mut entries = self.lock();
+        if entries.len() >= self.config.capacity && !entries.contains_key(&key) {
             if let Some(oldest) = entries
                 .iter()
                 .min_by_key(|(_, e)| e.stamp)
                 .map(|(k, _)| k.clone())
             {
                 entries.remove(&oldest);
-                self.store.stale.fetch_add(1, Ordering::Relaxed);
+                self.stale.fetch_add(1, Ordering::Relaxed);
             }
         }
         entries.insert(
             key,
             Entry {
                 stamp,
-                owner: self.view,
                 generated: generated.clone(),
             },
         );
@@ -331,7 +244,7 @@ impl PlanCache {
         req: &Requirements,
         search: SearchId,
     ) -> Option<PlanKey> {
-        let quantum = self.store.config.quantum;
+        let quantum = self.config.quantum;
         let env = ids
             .iter()
             .map(|&id| {
@@ -371,57 +284,6 @@ pub fn cell(value: f64, quantum: f64) -> i64 {
     } else {
         // Bit pattern as a (bijective) i64 so both modes share a type.
         value.to_bits() as i64
-    }
-}
-
-/// A fleet-wide plan-sharing handle: one logical plan memo whose
-/// [`view`](PlanCacheHub::view)s hand independently-attributed [`PlanCache`]
-/// fronts to many planners (one per service cell per gateway shard).
-///
-/// Because the cache key is the full quantized *search identity* — ids,
-/// requirements, penalty, estimator, environment cells — two planners
-/// anywhere in the fleet that would run the identical search share one
-/// entry: the first to finish stores it, every other planner's lookup is a
-/// `remote_hit`. Aggregate economics are available via
-/// [`PlanCacheHub::stats`].
-#[derive(Debug)]
-pub struct PlanCacheHub {
-    root: PlanCache,
-}
-
-impl PlanCacheHub {
-    /// Creates a hub with an empty shared store.
-    #[must_use]
-    pub fn new(config: PlanCacheConfig) -> Self {
-        PlanCacheHub {
-            root: PlanCache::new(config),
-        }
-    }
-
-    /// A fresh attributed view onto the shared store, ready for
-    /// [`GeneratorBuilder::plan_cache`](crate::GeneratorBuilder::plan_cache).
-    #[must_use]
-    pub fn view(&self) -> Arc<PlanCache> {
-        Arc::new(self.root.share())
-    }
-
-    /// The configured quantization step.
-    #[must_use]
-    pub fn quantum(&self) -> f64 {
-        self.root.quantum()
-    }
-
-    /// Store-wide totals summed over every view.
-    #[must_use]
-    pub fn stats(&self) -> PlanCacheStats {
-        let store = &self.root.store;
-        PlanCacheStats {
-            hits: store.total_hits.load(Ordering::Relaxed),
-            remote_hits: store.total_remote_hits.load(Ordering::Relaxed),
-            misses: store.total_misses.load(Ordering::Relaxed),
-            stale: store.stale.load(Ordering::Relaxed),
-            entries: store.lock().len(),
-        }
     }
 }
 
@@ -541,7 +403,6 @@ mod tests {
 
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
-        assert_eq!(stats.remote_hits, 0, "single view: every hit is local");
         assert_eq!(stats.misses, 6);
         assert_eq!(stats.entries, 1);
     }
@@ -617,68 +478,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_views_attribute_remote_hits() {
-        let a = PlanCache::new(PlanCacheConfig::default());
-        let b = a.share();
-        let e1 = env(&[(50.0, 50.0, 0.6)]);
-        let ids = e1.ids();
-        let g = plan(&e1);
-
-        // View A stores; view B's lookup is a hit *and* a remote hit.
-        store(&a, &e1, &ids, &req(), 2.0, "a1", EX, &g);
-        assert!(lookup(&b, &e1, &ids, &req(), 2.0, "a1", EX).is_some());
-        // View A's own lookup is a plain local hit.
-        assert!(lookup(&a, &e1, &ids, &req(), 2.0, "a1", EX).is_some());
-
-        let sa = a.stats();
-        let sb = b.stats();
-        assert_eq!((sa.hits, sa.remote_hits, sa.misses), (1, 0, 0));
-        assert_eq!((sb.hits, sb.remote_hits, sb.misses), (1, 1, 0));
-        // Entries are shared.
-        assert_eq!(sa.entries, 1);
-        assert_eq!(sb.entries, 1);
-    }
-
-    #[test]
-    fn invalidate_is_view_scoped() {
-        let a = PlanCache::new(PlanCacheConfig::default());
-        let b = a.share();
-        let e1 = env(&[(50.0, 50.0, 0.6)]);
-        let e2 = env(&[(60.0, 60.0, 0.7)]);
-        let ids = e1.ids();
-        let g = plan(&e1);
-        store(&a, &e1, &ids, &req(), 2.0, "a1", EX, &g);
-        store(&b, &e2, &ids, &req(), 2.0, "a1", EX, &g);
-
-        // Invalidating A drops only A's entry; B's survives for both views.
-        assert_eq!(a.invalidate(), 1);
-        assert!(lookup(&a, &e1, &ids, &req(), 2.0, "a1", EX).is_none());
-        assert!(lookup(&a, &e2, &ids, &req(), 2.0, "a1", EX).is_some());
-        assert_eq!(a.stats().stale, 1);
-        assert_eq!(a.stats().entries, 1);
-    }
-
-    #[test]
-    fn hub_views_share_entries_and_aggregate_stats() {
-        let hub = PlanCacheHub::new(PlanCacheConfig::default());
-        let a = hub.view();
-        let b = hub.view();
-        let e1 = env(&[(50.0, 50.0, 0.6)]);
-        let ids = e1.ids();
-        let g = plan(&e1);
-
-        assert!(lookup(&a, &e1, &ids, &req(), 2.0, "a1", EX).is_none());
-        store(&a, &e1, &ids, &req(), 2.0, "a1", EX, &g);
-        assert!(lookup(&b, &e1, &ids, &req(), 2.0, "a1", EX).is_some());
-
-        let total = hub.stats();
-        assert_eq!(total.hits, 1);
-        assert_eq!(total.remote_hits, 1);
-        assert_eq!(total.misses, 1);
-        assert_eq!(total.entries, 1);
-    }
-
-    #[test]
     fn plan_source_display_and_default() {
         assert_eq!(PlanSource::Cold.to_string(), "cold");
         assert_eq!(PlanSource::Cached.to_string(), "cached");
@@ -687,14 +486,5 @@ mod tests {
         let back: PlanSource = serde_json::from_str(&json).unwrap();
         assert_eq!(back, PlanSource::Cached);
         assert!(serde_json::from_str::<PlanSource>("\"WarmStart\"").is_err());
-    }
-
-    #[test]
-    fn plan_cache_stats_deserializes_without_remote_hits() {
-        // Pre-sharing snapshots lack the field; serde must default it.
-        let json = r#"{"hits":3,"misses":1,"stale":0,"entries":2}"#;
-        let stats: PlanCacheStats = serde_json::from_str(json).unwrap();
-        assert_eq!(stats.hits, 3);
-        assert_eq!(stats.remote_hits, 0);
     }
 }

@@ -373,9 +373,10 @@ fn drive_gateway(options: &Options, trace: bool) -> Result<(Harness, u32), Strin
 
 /// `run --shards N`: the same `cli-service` behind a consistent-hash
 /// [`GatewayFleet`] of `N` gateway shards on a shared virtual clock —
-/// one shard owns the service's feedback loop, every shard shares the
-/// market and (with `--plan-cache`) one plan store. Prints the served
-/// count plus `Fleet::stats()`.
+/// one shard owns the service's feedback loop (and, with `--plan-cache`,
+/// its plan cache), every shard shares the market. Prints the served
+/// count, the plan-cache gauges summed over the shards' telemetry, and
+/// `GatewayFleet::stats()`.
 fn run_fleet(options: &Options) -> Result<(), String> {
     if options.trace {
         return Err("--trace is not supported with --shards".into());
@@ -416,13 +417,17 @@ fn run_fleet(options: &Options) -> Result<(), String> {
         stats.shards,
         clock.now().as_millis()
     );
+    let (mut hits, mut misses, mut stale) = (0u64, 0u64, 0u64);
+    for shard in fleet.shards() {
+        for service in &shard.gateway().telemetry().snapshot().services {
+            hits += service.plan_cache_hits;
+            misses += service.plan_cache_misses;
+            stale += service.plan_cache_stale;
+        }
+    }
     println!(
-        "plans    : {} hit(s) ({} remote), {} miss(es), {} stale, {} entr(ies) in the shared store",
-        stats.plan_cache.hits,
-        stats.plan_cache.remote_hits,
-        stats.plan_cache.misses,
-        stats.plan_cache.stale,
-        stats.plan_cache.entries
+        "plans    : {hits} hit(s), {misses} miss(es), {stale} stale across {} shard(s)",
+        stats.shards
     );
     println!(
         "scripts  : {} cache hit(s), {} fetch(es), {} expired across the shard fronts",
