@@ -12,8 +12,9 @@
 //! one state machine (`VcState`, private). Its transitions never block:
 //! each changes counters under the clock's one lock and *returns* the
 //! [`Parker`]s to notify. The clock's methods are the shell — lock, one
-//! transition, the notifies it returned — and a thread blocks only on a
-//! parker a wait transition counted it onto.
+//! transition, then one helper (`settle`) that publishes the transition's
+//! `now` to a lock-free mirror and sends the notifies it returned — and a
+//! thread blocks only on a parker a wait transition counted it onto.
 //!
 //! Virtual time *jumps* — straight to the earliest waiting deadline —
 //! exactly when no worker can make progress: a deadline lies ahead of
@@ -43,7 +44,13 @@
 //! | `end_wait`: the same, returning | not parked | `begin_wait`'s undone; jump | waiters the jump reached |
 //! | `Parker::post`: [`Clock::notify_sleepers`] | the poster's flag is stored | none | the parker, unless its count is zero |
 //! | `advance`: [`VirtualClock::advance`] | — | `now + d` | waiters `now` reached |
-//! | none: [`Clock::adopt_worker`], [`Clock::disown_worker`], [`Clock::thread_is_worker`], [`Clock::now`] | — | none: the calling thread's own binding, or a read | nobody |
+//! | none: [`Clock::adopt_worker`], [`Clock::disown_worker`], [`Clock::thread_is_worker`] | — | none: the calling thread's own binding | nobody |
+//! | none: [`Clock::now`] | — | none: a read of the mirror, which `settle` stores after every transition above, before its notifies; the locked `now` only past `u64::MAX` ns | nobody |
+//!
+//! The mirror is written only under the lock, in transition order, so it
+//! never goes back and never runs ahead of the locked `now`; a thread a
+//! transition woke re-takes the lock first, so it reads at least the `now`
+//! that woke it.
 //!
 //! Registered workers must never block outside the clock's own waits
 //! without bracketing the wait in [`Clock::enter_passive`]/
@@ -73,7 +80,6 @@
 //! on OS scheduling exactly as concurrent wall-clock work would.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -367,13 +373,15 @@ impl Clock for WallClock {
     }
 }
 
-/// Distinguishes clocks in the per-thread worker-registration map, so two
-/// `VirtualClock`s never see each other's bindings.
+/// Distinguishes clocks in the per-thread worker-registration table, so
+/// two `VirtualClock`s never see each other's bindings.
 static NEXT_CLOCK_ID: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
-    /// Worker-registration depth of this thread, per clock id.
-    static WORKER_DEPTH: RefCell<HashMap<u64, usize>> = RefCell::new(HashMap::new());
+    /// Worker-registration depth of this thread, per clock id; an entry
+    /// leaves when its depth reaches zero. A thread is bound to one or two
+    /// clocks at a time, so a scan beats hashing the id.
+    static WORKER_DEPTH: RefCell<Vec<(u64, usize)>> = const { RefCell::new(Vec::new()) };
 }
 
 /// One thread's wait, as the thread carries it from lock hold to lock hold.
@@ -413,30 +421,51 @@ fn uncount(count: &mut usize, what: &str) {
     *count = count.saturating_sub(1);
 }
 
+/// What a transition leaves for the shell: where `now` stands after it,
+/// and — iterated — the parkers to notify, one per waiter a move of `now`
+/// reached whose parker has a thread parked. A waiter on `ready` alone is
+/// never among them and is left asleep.
+struct Reached<'s> {
+    now: Duration,
+    waiters: std::slice::Iter<'s, (u64, Duration, Arc<Parker>)>,
+}
+
+impl<'s> Iterator for Reached<'s> {
+    type Item = &'s Parker;
+
+    fn next(&mut self) -> Option<&'s Parker> {
+        let now = self.now;
+        let mut due = self.waiters.by_ref().filter(|(_, due, _)| *due <= now);
+        due.find_map(|(.., parker)| parker.post())
+    }
+}
+
 impl VcState {
-    fn reserve(&mut self) {
+    fn reserve(&mut self) -> Reached<'_> {
         self.workers += 1;
+        self.reached(false)
     }
 
-    fn release(&mut self) -> impl Iterator<Item = &Parker> + '_ {
+    fn release(&mut self) -> Reached<'_> {
         uncount(&mut self.workers, "release_worker");
         self.jump()
     }
 
-    fn go_passive(&mut self) -> impl Iterator<Item = &Parker> + '_ {
+    fn go_passive(&mut self) -> Reached<'_> {
         self.parked += 1;
         self.jump()
     }
 
-    fn go_active(&mut self) {
+    fn go_active(&mut self) -> Reached<'_> {
         uncount(&mut self.parked, "exit_passive");
+        self.reached(false)
     }
 
     /// Registers `wait`: like a sleeper when it has a deadline, which then
     /// takes part in the earliest-deadline computation; like a parked
     /// parent when it has none, so other workers' sleeps can still advance
     /// time while it contributes no deadline of its own.
-    fn begin_wait(&mut self, wait: &mut Wait<'_>) -> impl Iterator<Item = &Parker> + '_ {
+    fn begin_wait(&mut self, wait: &mut Wait<'_>) -> Reached<'_> {
         match wait.deadline {
             Some(deadline) => {
                 wait.token = self.next_token;
@@ -464,7 +493,7 @@ impl VcState {
         wait.parked
     }
 
-    fn end_wait(&mut self, wait: &Wait<'_>) -> impl Iterator<Item = &Parker> + '_ {
+    fn end_wait(&mut self, wait: &Wait<'_>) -> Reached<'_> {
         match wait.deadline {
             Some(_) => {
                 self.sleepers.retain(|&(token, ..)| token != wait.token);
@@ -480,7 +509,7 @@ impl VcState {
         self.jump()
     }
 
-    fn advance(&mut self, duration: Duration) -> impl Iterator<Item = &Parker> + '_ {
+    fn advance(&mut self, duration: Duration) -> Reached<'_> {
         self.now = self.now.saturating_add(duration);
         self.reached(true)
     }
@@ -488,7 +517,7 @@ impl VcState {
     /// Jumps to the earliest waiting deadline if no worker can make
     /// progress, and returns whom that reached. Every transition that
     /// could block progress ends with it.
-    fn jump(&mut self) -> impl Iterator<Item = &Parker> + '_ {
+    fn jump(&mut self) -> Reached<'_> {
         let blocked = self.worker_sleepers + self.parked >= self.workers;
         let waiters = if blocked { &self.sleepers[..] } else { &[] };
         // A deadline at or before `now` belongs to a waiter that has been
@@ -503,13 +532,14 @@ impl VcState {
         }
     }
 
-    /// The parkers to notify once `now` has `moved`: one per waiter whose
-    /// deadline it reached and whose parker has a thread parked. A waiter
-    /// on `ready` alone has no entry here and is left asleep.
-    fn reached(&self, moved: bool) -> impl Iterator<Item = &Parker> + '_ {
+    /// Where `now` stands, and — when it has `moved` — the waiters it
+    /// reached.
+    fn reached(&self, moved: bool) -> Reached<'_> {
         let waiters = if moved { &self.sleepers[..] } else { &[] };
-        let due = waiters.iter().filter(|(_, due, _)| *due <= self.now);
-        due.filter_map(|(.., parker)| parker.post())
+        Reached {
+            now: self.now,
+            waiters: waiters.iter(),
+        }
     }
 }
 
@@ -533,7 +563,17 @@ impl VcState {
 pub struct VirtualClock {
     id: u64,
     state: Mutex<VcState>,
+    /// `state.now` in nanoseconds, published by [`VirtualClock::settle`]
+    /// after every transition, so [`Clock::now`] reads it without the
+    /// lock. It only ever trails the locked value, and only within the
+    /// lock hold that moves it. [`PAST_U64_NANOS`] stands for a `now` the
+    /// mirror cannot hold.
+    now_nanos: AtomicU64,
 }
+
+/// The mirror's value for a `now` past `u64::MAX` nanoseconds (about 584
+/// years), which only the locked state holds exactly.
+const PAST_U64_NANOS: u64 = u64::MAX;
 
 impl VirtualClock {
     /// Creates a virtual clock at time zero.
@@ -542,6 +582,7 @@ impl VirtualClock {
         VirtualClock {
             id: NEXT_CLOCK_ID.fetch_add(1, Ordering::Relaxed),
             state: Mutex::default(),
+            now_nanos: AtomicU64::new(0),
         }
     }
 
@@ -549,11 +590,21 @@ impl VirtualClock {
     /// deadline is reached. Use this from tests to move through scheduled
     /// fault windows without invoking anything.
     pub fn advance(&self, duration: Duration) {
-        notify(self.lock().advance(duration));
+        self.settle(self.lock().advance(duration));
     }
 
     fn lock(&self) -> MutexGuard<'_, VcState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The shell's half of every transition, called with the lock still
+    /// held (`self.settle(self.lock().release())`): publishes where `now`
+    /// stands, then notifies whom the move reached — so a woken thread,
+    /// which re-takes the lock, reads at least the `now` that woke it.
+    fn settle(&self, reached: Reached<'_>) {
+        let nanos = u64::try_from(reached.now.as_nanos()).unwrap_or(PAST_U64_NANOS);
+        self.now_nanos.store(nanos, Ordering::Release);
+        notify(reached);
     }
 
     /// The one way to wait: on `parker`, until `ready()` or the deadline
@@ -574,14 +625,14 @@ impl VirtualClock {
             token: 0,
             parked: false,
         };
-        notify(state.begin_wait(&mut wait));
+        self.settle(state.begin_wait(&mut wait));
         while state.parks(&mut wait, ready()) {
             state = parker
                 .condvar
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
         }
-        notify(state.end_wait(&wait));
+        self.settle(state.end_wait(&wait));
     }
 }
 
@@ -593,7 +644,10 @@ impl Default for VirtualClock {
 
 impl Clock for VirtualClock {
     fn now(&self) -> Duration {
-        self.lock().now
+        match self.now_nanos.load(Ordering::Acquire) {
+            PAST_U64_NANOS => self.lock().now,
+            nanos => Duration::from_nanos(nanos),
+        }
     }
 
     fn sleep(&self, duration: Duration) {
@@ -605,39 +659,45 @@ impl Clock for VirtualClock {
     }
 
     fn reserve_worker(&self) {
-        self.lock().reserve();
+        self.settle(self.lock().reserve());
     }
 
     fn adopt_worker(&self) {
-        WORKER_DEPTH.with(|depths| *depths.borrow_mut().entry(self.id).or_insert(0) += 1);
+        WORKER_DEPTH.with(|depths| {
+            let mut depths = depths.borrow_mut();
+            match depths.iter_mut().find(|(id, _)| *id == self.id) {
+                Some((_, depth)) => *depth += 1,
+                None => depths.push((self.id, 1)),
+            }
+        });
     }
 
     fn disown_worker(&self) {
         WORKER_DEPTH.with(|depths| {
             let mut depths = depths.borrow_mut();
-            if let Some(depth) = depths.get_mut(&self.id) {
-                *depth -= 1;
-                if *depth == 0 {
-                    depths.remove(&self.id);
+            if let Some(at) = depths.iter().position(|(id, _)| *id == self.id) {
+                depths[at].1 -= 1;
+                if depths[at].1 == 0 {
+                    depths.swap_remove(at);
                 }
             }
         });
     }
 
     fn release_worker(&self) {
-        notify(self.lock().release());
+        self.settle(self.lock().release());
     }
 
     fn enter_passive(&self) {
-        notify(self.lock().go_passive());
+        self.settle(self.lock().go_passive());
     }
 
     fn exit_passive(&self) {
-        self.lock().go_active();
+        self.settle(self.lock().go_active());
     }
 
     fn thread_is_worker(&self) -> bool {
-        WORKER_DEPTH.with(|depths| depths.borrow().get(&self.id).is_some_and(|&d| d > 0))
+        WORKER_DEPTH.with(|depths| depths.borrow().iter().any(|(id, _)| *id == self.id))
     }
 
     fn sleep_until_or(
@@ -703,6 +763,71 @@ mod tests {
         let clock = VirtualClock::new();
         clock.advance(Duration::from_millis(250));
         assert_eq!(clock.now(), Duration::from_millis(250));
+    }
+
+    /// `now` reads the mirror without the lock: two readers race a thread
+    /// that `advance`s and a worker whose sleeps make time jump, and
+    /// neither ever sees time go back, nor a value the locked state has
+    /// not reached yet.
+    #[test]
+    fn lock_free_now_is_monotone_and_never_ahead_of_the_lock() {
+        use std::sync::atomic::AtomicBool;
+        let clock = Arc::new(VirtualClock::new());
+        let done = Arc::new(AtomicBool::new(false));
+        std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    let (clock, done) = (&clock, &done);
+                    scope.spawn(move || {
+                        let (mut last, mut reads) = (Duration::ZERO, 0u64);
+                        while !done.load(Ordering::Acquire) || reads < 1_000 {
+                            let seen = clock.now();
+                            let locked = clock.lock().now;
+                            assert!(seen >= last, "now went back: {last:?} then {seen:?}");
+                            assert!(seen <= locked, "read {seen:?} before the lock had it");
+                            (last, reads) = (seen, reads + 1);
+                        }
+                        last
+                    })
+                })
+                .collect();
+            let advancer = scope.spawn(|| {
+                for _ in 0..20_000 {
+                    clock.advance(Duration::from_nanos(3));
+                }
+            });
+            let sleeper = scope.spawn(|| {
+                let _worker = WorkerGuard::enter(&*clock);
+                for _ in 0..20_000 {
+                    clock.sleep(Duration::from_nanos(5));
+                }
+            });
+            advancer.join().unwrap();
+            sleeper.join().unwrap();
+            done.store(true, Ordering::Release);
+            let end = clock.now();
+            assert!(end >= Duration::from_nanos(20_000 * 5), "{end:?}");
+            for reader in readers {
+                assert!(reader.join().unwrap() <= end);
+            }
+        });
+    }
+
+    /// Past `u64::MAX` nanoseconds the mirror holds the sentinel and `now`
+    /// reads the exact value under the lock.
+    #[test]
+    fn now_past_u64_nanos_reads_exactly_through_the_sentinel() {
+        let clock = VirtualClock::new();
+        let edge = Duration::from_nanos(u64::MAX);
+        clock.advance(edge - Duration::from_nanos(1));
+        assert_eq!(clock.now(), edge - Duration::from_nanos(1));
+        clock.advance(Duration::from_nanos(1));
+        assert_eq!(clock.now(), edge);
+        clock.advance(Duration::from_secs(7));
+        assert_eq!(clock.now_nanos.load(Ordering::Relaxed), PAST_U64_NANOS);
+        assert_eq!(clock.now(), edge + Duration::from_secs(7));
+        clock.advance(Duration::MAX);
+        assert_eq!(clock.now(), Duration::MAX, "advance saturates");
     }
 
     #[test]

@@ -391,10 +391,10 @@ impl World {
             }
             (_, one_step) => {
                 match one_step {
-                    Enter => self.state.reserve(),
+                    Enter => transition!(self, self.state.reserve()),
                     Exit => transition!(self, self.state.release()),
                     Passive => transition!(self, self.state.go_passive()),
-                    Active => self.state.go_active(),
+                    Active => transition!(self, self.state.go_active()),
                     Advance(by) => transition!(self, self.state.advance(ms(by)), by_advance: true),
                     Sleep(_) | Wait(..) | Post(_) => unreachable!("matched above"),
                 }

@@ -5,12 +5,21 @@
 //! against its provider, and the generator reads back windowed averages.
 //! Until a provider has observations, the script's *prior* QoS is used —
 //! that is why the first time slot runs the default strategy.
+//!
+//! Each provider's window sits behind a small lock of its own, in a map of
+//! shared handles (`ProviderWindow`). The request path resolves a
+//! provider's handle once per slot plan and records through it, so a leg
+//! takes the window's lock and nothing else; the by-name
+//! [`Collector::record`] is a lookup into the same handle. Windows are
+//! cleared in place by [`Collector::reset`], never removed, so a handle
+//! resolved before a reset records into the emptied window.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 
 use qce_strategy::Qos;
@@ -107,7 +116,27 @@ pub(crate) fn prior_with_advertised_cost(prior: &Qos, advertised: f64) -> Qos {
 #[derive(Debug)]
 pub struct Collector {
     window: usize,
-    records: RwLock<HashMap<String, VecDeque<ExecutionRecord>>>,
+    windows: RwLock<HashMap<String, Arc<ProviderWindow>>>,
+}
+
+/// One provider's sliding window of records, behind its own lock: the
+/// handle a slot plan resolves once and every leg on the provider records
+/// through.
+#[derive(Debug)]
+pub(crate) struct ProviderWindow {
+    capacity: usize,
+    ring: Mutex<VecDeque<ExecutionRecord>>,
+}
+
+impl ProviderWindow {
+    /// Appends `record`, evicting the oldest one when the window is full.
+    pub(crate) fn push(&self, record: ExecutionRecord) {
+        let mut ring = self.ring.lock();
+        if ring.len() == self.capacity {
+            ring.pop_front();
+        }
+        ring.push_back(record);
+    }
 }
 
 impl Collector {
@@ -122,7 +151,7 @@ impl Collector {
         assert!(window > 0, "window must hold at least one record");
         Collector {
             window,
-            records: RwLock::new(HashMap::new()),
+            windows: RwLock::new(HashMap::new()),
         }
     }
 
@@ -132,27 +161,40 @@ impl Collector {
         self.window
     }
 
+    /// Runs `f` on `provider_id`'s window, creating it on the provider's
+    /// first record. The map's read guard is held for the call, so a hit
+    /// costs a hash and no reference count.
+    fn with_window<R>(&self, provider_id: &str, f: impl FnOnce(&Arc<ProviderWindow>) -> R) -> R {
+        if let Some(window) = self.windows.read().get(provider_id) {
+            return f(window);
+        }
+        let mut map = self.windows.write();
+        let window = map.entry(provider_id.to_string()).or_insert_with(|| {
+            Arc::new(ProviderWindow {
+                capacity: self.window,
+                ring: Mutex::new(VecDeque::new()),
+            })
+        });
+        f(window)
+    }
+
+    /// The handle on `provider_id`'s window, created if the provider has
+    /// none yet. It stays valid across [`Collector::reset`].
+    pub(crate) fn provider_window(&self, provider_id: &str) -> Arc<ProviderWindow> {
+        self.with_window(provider_id, Arc::clone)
+    }
+
     /// Records one completed invocation for `provider_id`.
     pub fn record(&self, provider_id: &str, record: ExecutionRecord) {
-        let mut map = self.records.write();
-        // `entry` wants an owned key — a `String` per call — and the ring
-        // is missing only on a provider's first record.
-        let ring = match map.get_mut(provider_id) {
-            Some(ring) => ring,
-            None => map.entry(provider_id.to_string()).or_default(),
-        };
-        if ring.len() == self.window {
-            ring.pop_front();
-        }
-        ring.push_back(record);
+        self.with_window(provider_id, |window| window.push(record));
     }
 
     /// Windowed statistics for `provider_id`, or `None` if it has no
     /// observations yet.
     #[must_use]
     pub fn stats(&self, provider_id: &str) -> Option<ProviderStats> {
-        let map = self.records.read();
-        let ring = map.get(provider_id)?;
+        let map = self.windows.read();
+        let ring = map.get(provider_id)?.ring.lock();
         if ring.is_empty() {
             return None;
         }
@@ -188,31 +230,35 @@ impl Collector {
     /// Number of observations currently stored for `provider_id`.
     #[must_use]
     pub fn observation_count(&self, provider_id: &str) -> usize {
-        self.records
-            .read()
-            .get(provider_id)
-            .map_or(0, VecDeque::len)
+        let map = self.windows.read();
+        map.get(provider_id)
+            .map_or(0, |window| window.ring.lock().len())
     }
 
     /// Forgets every observation for `provider_id` (e.g. when a device
-    /// re-registers after leaving the environment).
+    /// re-registers after leaving the environment). The window is emptied
+    /// in place: a leg still in flight records into it afresh.
     pub fn reset(&self, provider_id: &str) {
-        self.records.write().remove(provider_id);
+        if let Some(window) = self.windows.read().get(provider_id) {
+            window.ring.lock().clear();
+        }
     }
 
     /// Forgets all observations.
     pub fn reset_all(&self) {
-        self.records.write().clear();
+        for window in self.windows.read().values() {
+            window.ring.lock().clear();
+        }
     }
 
     /// Ids of all providers with at least one observation.
     #[must_use]
     pub fn provider_ids(&self) -> Vec<String> {
         let mut ids: Vec<String> = self
-            .records
+            .windows
             .read()
             .iter()
-            .filter(|(_, ring)| !ring.is_empty())
+            .filter(|(_, window)| !window.ring.lock().is_empty())
             .map(|(id, _)| id.clone())
             .collect();
         ids.sort();

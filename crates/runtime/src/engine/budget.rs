@@ -3,7 +3,7 @@
 //! absolute deadline on the execution clock.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use qce_strategy::exec::PruneReason;
@@ -42,7 +42,9 @@ pub struct PruneDetail {
 /// are charged in full, preserving the paper's Assumption 2.
 ///
 /// Budgets are cheap to clone (two `Arc`s and a `Copy` deadline); clones
-/// share the same cancellation flag.
+/// share the same cancellation flag. The budget's own flag is created by
+/// its first `clone` or `cancel`, so a budget that sees neither allocates
+/// nothing.
 ///
 /// # Examples
 ///
@@ -54,7 +56,7 @@ pub struct PruneDetail {
 /// budget.cancel();
 /// assert!(budget.is_cancelled());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Budget {
     /// Absolute deadline on the execution clock (`clock.now() >= deadline`
     /// prunes), or `None` for no deadline.
@@ -62,11 +64,23 @@ pub struct Budget {
     /// Traffic class of the request this budget belongs to, attached to
     /// every prune for attribution.
     class: QosClass,
-    /// This request's own cancellation flag.
-    cancel: Arc<AtomicBool>,
+    /// This request's own cancellation flag, created by the first `clone`
+    /// (which shares it) or `cancel`: until then nothing can have set it.
+    cancel: OnceLock<Arc<AtomicBool>>,
     /// An upstream cancellation flag shared with other requests (e.g. the
     /// owning service's eviction flag); either flag cancels the budget.
     parent: Option<Arc<AtomicBool>>,
+}
+
+impl Clone for Budget {
+    fn clone(&self) -> Self {
+        Budget {
+            deadline: self.deadline,
+            class: self.class,
+            cancel: OnceLock::from(Arc::clone(self.flag())),
+            parent: self.parent.clone(),
+        }
+    }
 }
 
 impl Budget {
@@ -76,9 +90,14 @@ impl Budget {
         Budget {
             deadline: None,
             class: QosClass::default(),
-            cancel: Arc::new(AtomicBool::new(false)),
+            cancel: OnceLock::new(),
             parent: None,
         }
+    }
+
+    /// This budget's own cancellation flag, created on first use.
+    fn flag(&self) -> &Arc<AtomicBool> {
+        self.cancel.get_or_init(Arc::default)
     }
 
     /// Tags the budget with the request's traffic class, carried into
@@ -119,13 +138,15 @@ impl Budget {
 
     /// Cancels the request: every leg that has not started yet is pruned.
     pub fn cancel(&self) {
-        self.cancel.store(true, Ordering::SeqCst);
+        self.flag().store(true, Ordering::SeqCst);
     }
 
     /// Whether this budget (or its upstream parent) has been cancelled.
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
-        self.cancel.load(Ordering::SeqCst)
+        self.cancel
+            .get()
+            .is_some_and(|own| own.load(Ordering::SeqCst))
             || self
                 .parent
                 .as_ref()
@@ -191,6 +212,32 @@ mod tests {
         let clone = budget.clone();
         clone.cancel();
         assert!(budget.is_cancelled());
+    }
+
+    /// The flag is created lazily, by whichever of `clone` and `cancel`
+    /// comes first; either way, after a `clone` a `cancel` on either copy
+    /// cancels both — and every later clone.
+    #[test]
+    fn after_clone_a_cancel_on_either_copy_cancels_both() {
+        for cancel_the_original in [false, true] {
+            let original = Budget::unlimited().with_deadline(Duration::from_millis(5));
+            assert!(original.cancel.get().is_none(), "nothing allocated yet");
+            let copy = original.clone();
+            assert!(!original.is_cancelled() && !copy.is_cancelled());
+            if cancel_the_original {
+                original.cancel();
+            } else {
+                copy.cancel();
+            }
+            assert!(original.is_cancelled(), "{cancel_the_original}");
+            assert!(copy.is_cancelled(), "{cancel_the_original}");
+            assert!(original.clone().is_cancelled());
+            assert_eq!(copy.deadline(), Some(Duration::from_millis(5)));
+        }
+        // A budget cancelled before its first clone hands the set flag on.
+        let cancelled = Budget::unlimited();
+        cancelled.cancel();
+        assert!(cancelled.clone().is_cancelled());
     }
 
     #[test]

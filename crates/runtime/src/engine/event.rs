@@ -48,7 +48,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -56,10 +56,10 @@ use parking_lot::Mutex;
 use qce_strategy::{Node, Strategy};
 
 use crate::clock::{Clock, Parker};
-use crate::collector::{Collector, ExecutionRecord};
+use crate::collector::{Collector, ExecutionRecord, ProviderWindow};
 use crate::device::Provider;
 use crate::message::{Invocation, InvocationOutcome, InvokeError};
-use crate::telemetry::Telemetry;
+use crate::telemetry::{ProviderMetrics, Telemetry};
 
 use super::budget::Budget;
 use super::policy::PolicyState;
@@ -127,13 +127,59 @@ impl std::fmt::Debug for RequestResult {
     }
 }
 
+/// Where the legs run on one provider record: handles on its collector
+/// window and its telemetry counters, each resolved by the first leg that
+/// records (so a provider enters the collector and the snapshots exactly
+/// when it did while every leg looked them up by name) and reused by every
+/// later leg. A sink belongs to one collector and one telemetry hub: a
+/// slot plan's sinks serve only its gateway's requests, and the
+/// gateway-free doors build theirs per call.
+#[derive(Default)]
+pub(crate) struct LegSink {
+    window: OnceLock<Arc<ProviderWindow>>,
+    metrics: OnceLock<Arc<ProviderMetrics>>,
+}
+
+impl LegSink {
+    /// One sink per provider of `providers`, aligned with it.
+    pub(crate) fn aligned(providers: &[Arc<dyn Provider>]) -> Arc<[LegSink]> {
+        providers.iter().map(|_| LegSink::default()).collect()
+    }
+
+    /// Records a completed leg on `provider`: into `collector`, then into
+    /// `telemetry`, each when present.
+    fn record(
+        &self,
+        provider: &str,
+        collector: Option<&Collector>,
+        telemetry: Option<&Telemetry>,
+        record: ExecutionRecord,
+    ) {
+        if let Some(collector) = collector {
+            let window = self
+                .window
+                .get_or_init(|| collector.provider_window(provider));
+            window.push(record);
+        }
+        if let Some(telemetry) = telemetry {
+            let metrics = self
+                .metrics
+                .get_or_init(|| telemetry.provider_metrics(provider));
+            metrics.count_invocation(record.success, record.latency, record.cost);
+        }
+    }
+}
+
 /// Everything one request needs, with per-field borrow-or-own flexibility.
 /// This is the crate's own request form: the public entry points build it
 /// from their arguments, and the gateway builds it directly from a slot's
-/// shared plan (no per-request copy of the strategy or the providers).
+/// shared plan (no per-request copy of the strategy, the providers or
+/// their sinks).
 pub(crate) struct RequestSpec<'env> {
     pub strategy: Shared<'env, Strategy>,
     pub providers: Shared<'env, [Arc<dyn Provider>]>,
+    /// Where each provider's legs record, aligned with `providers`.
+    pub sinks: Shared<'env, [LegSink]>,
     pub request: Cow<'env, Invocation>,
     pub collector: Option<Shared<'env, Collector>>,
     pub telemetry: Option<Shared<'env, Telemetry>>,
@@ -439,6 +485,7 @@ enum FrameKind {
 struct RequestState<'env> {
     strategy: Shared<'env, Strategy>,
     providers: Shared<'env, [Arc<dyn Provider>]>,
+    sinks: Shared<'env, [LegSink]>,
     request: Cow<'env, Invocation>,
     collector: Option<Shared<'env, Collector>>,
     telemetry: Option<Shared<'env, Telemetry>>,
@@ -638,6 +685,7 @@ impl<'env> EventCore<'env> {
                 req = state.requests.insert(Entry::Running(RequestState {
                     strategy: spec.strategy,
                     providers: spec.providers,
+                    sinks: spec.sinks,
                     request: spec.request,
                     collector: spec.collector,
                     telemetry: spec.telemetry,
@@ -900,8 +948,9 @@ impl<'env> EventCore<'env> {
     }
 
     /// Completes one leaf: records the invocation exactly as the old
-    /// walker did (outcome, collector, telemetry, policy — in that order)
-    /// and delivers the resulting status to the parent frame. A completion
+    /// walker did (outcome, collector, telemetry, policy — in that order;
+    /// collector and telemetry through the provider's [`LegSink`]) and
+    /// delivers the resulting status to the parent frame. A completion
     /// for a request that no longer exists (core shut down concurrently)
     /// only releases its slot.
     fn process_leaf(
@@ -940,19 +989,16 @@ impl<'env> EventCore<'env> {
                         success,
                     });
                 }
-                if let Some(collector) = &request.collector {
-                    collector.record(
-                        provider.id(),
-                        ExecutionRecord {
-                            success,
-                            latency,
-                            cost,
-                        },
-                    );
-                }
-                if let Some(telemetry) = &request.telemetry {
-                    telemetry.record_invocation(provider.id(), success, latency, cost);
-                }
+                request.sinks[event.provider_index].record(
+                    provider.id(),
+                    request.collector.as_deref(),
+                    request.telemetry.as_deref(),
+                    ExecutionRecord {
+                        success,
+                        latency,
+                        cost,
+                    },
+                );
                 request.cost += cost;
                 match result {
                     Ok(payload) => {
@@ -1356,6 +1402,7 @@ mod tests {
         RequestSpec {
             strategy: Shared::Borrowed(strategy),
             providers: Shared::Borrowed(provider),
+            sinks: Shared::Owned(LegSink::aligned(provider)),
             request: Cow::Borrowed(request),
             collector: None,
             telemetry: None,

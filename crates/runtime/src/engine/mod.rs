@@ -51,7 +51,9 @@ use crate::device::Provider;
 use crate::message::{Invocation, InvocationOutcome, RuntimeError};
 use crate::telemetry::Telemetry;
 
-use event::{run_blocking, BlockingTask, Done, EventCore, RequestResult, RequestSpec, Shared};
+use event::{
+    run_blocking, BlockingTask, Done, EventCore, LegSink, RequestResult, RequestSpec, Shared,
+};
 pub(crate) use policy::PolicyState;
 pub(crate) use pool::WorkerPool;
 
@@ -139,6 +141,7 @@ impl ExecSpec {
     fn into_request(self) -> RequestSpec<'static> {
         RequestSpec {
             strategy: Shared::Owned(Arc::new(self.strategy)),
+            sinks: Shared::Owned(LegSink::aligned(&self.providers)),
             providers: Shared::Owned(self.providers.into()),
             request: Cow::Owned(self.request),
             collector: self.collector.map(Shared::Owned),
@@ -231,6 +234,7 @@ pub fn execute_scoped(
             RequestSpec {
                 strategy: Shared::Borrowed(strategy),
                 providers: Shared::Borrowed(providers),
+                sinks: Shared::Owned(LegSink::aligned(providers)),
                 request: Cow::Borrowed(request),
                 collector: collector.map(Shared::Borrowed),
                 telemetry: telemetry.map(Shared::Borrowed),
@@ -481,6 +485,7 @@ mod tests {
                         &clock,
                         RequestSpec {
                             strategy: Shared::Owned(Arc::new(strategy.clone())),
+                            sinks: Shared::Owned(LegSink::aligned(&providers)),
                             providers: Shared::Owned(providers.into()),
                             request: Cow::Owned(Invocation::new(7, "", vec![])),
                             collector: None,

@@ -14,7 +14,7 @@
 //! deterministically: clock time only moves when the simulation moves it.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -24,7 +24,7 @@ use rand_chacha::ChaCha8Rng;
 use crate::clock::Clock;
 use crate::device::{Provider, SimulatedProvider};
 use crate::message::{Invocation, InvokeError};
-use crate::telemetry::Telemetry;
+use crate::telemetry::{ProviderMetrics, Telemetry};
 
 /// What goes wrong (or right again) at a scheduled instant.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -242,6 +242,9 @@ pub struct FaultyProvider {
     plan: FaultPlan,
     condition: Mutex<FaultCondition>,
     telemetry: Option<Arc<Telemetry>>,
+    /// This provider's counters on `telemetry`, resolved by the first hit
+    /// (so the provider enters snapshots then, not at construction).
+    metrics: OnceLock<Arc<ProviderMetrics>>,
 }
 
 impl fmt::Debug for FaultyProvider {
@@ -264,6 +267,7 @@ impl FaultyProvider {
             plan,
             condition: Mutex::new(FaultCondition::default()),
             telemetry: None,
+            metrics: OnceLock::new(),
         })
     }
 
@@ -284,6 +288,7 @@ impl FaultyProvider {
             plan,
             condition: Mutex::new(FaultCondition::default()),
             telemetry: Some(telemetry),
+            metrics: OnceLock::new(),
         })
     }
 
@@ -335,11 +340,14 @@ impl FaultyProvider {
             }
         }
         drop(cond);
-        for (hit, fault) in hits.into_iter().zip(FAULT_NAMES) {
-            match hit {
-                Some(true) => telemetry.record_fault_window(self.id(), fault),
-                Some(false) => telemetry.count_fault_window(self.id()),
-                None => {}
+        for (first, fault) in hits.into_iter().zip(FAULT_NAMES) {
+            let Some(first) = first else { continue };
+            let metrics = self
+                .metrics
+                .get_or_init(|| telemetry.provider_metrics(self.id()));
+            metrics.count_fault_window();
+            if first {
+                telemetry.announce_fault_window(self.id(), fault);
             }
         }
         condition

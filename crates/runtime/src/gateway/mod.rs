@@ -22,7 +22,7 @@ pub use handle::RequestHandle;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
@@ -44,7 +44,7 @@ use crate::market::Market;
 use crate::message::{Invocation, RuntimeError};
 use crate::registry::Registry;
 use crate::request::{QosClass, Request};
-use crate::telemetry::Telemetry;
+use crate::telemetry::{ServiceMetrics, Telemetry};
 
 use admission::{Admission, AdmissionGate, AdmitOutcome, Shed, WakerFn};
 use control::ServiceOverrides;
@@ -257,8 +257,9 @@ pub struct ServiceResponse {
     pub latency: Duration,
     /// Total cost charged (Assumption 2).
     pub cost: f64,
-    /// The strategy that served the request.
-    pub strategy: Strategy,
+    /// The strategy that served the request: the slot plan's own, shared
+    /// with every other request of the slot.
+    pub strategy: Arc<Strategy>,
     /// The strategy rendered with the script's microservice names.
     pub strategy_text: String,
     /// Zero-based time slot the request fell into.
@@ -298,15 +299,18 @@ pub struct SlotRecord {
 
 /// One service's entry in the gateway: its state cell (`None` until the
 /// script has been fetched and validated), its admission gate, its live
-/// control-plane overrides, and the eviction flag chained into every
-/// in-flight request's [`Budget`]. Each service has its own lock so one
-/// service's (potentially expensive) slot re-plan never blocks
-/// invocations of another.
+/// control-plane overrides, the eviction flag chained into every
+/// in-flight request's [`Budget`], and the handle on its telemetry
+/// counters. Each service has its own lock so one service's (potentially
+/// expensive) slot re-plan never blocks invocations of another.
 struct ServiceEntry {
     cell: Mutex<Option<ServiceState>>,
     gate: Arc<AdmissionGate>,
     overrides: Mutex<ServiceOverrides>,
     evicted: Arc<AtomicBool>,
+    /// The service's counters, resolved by the first request that
+    /// finishes and counted through by every later one.
+    metrics: OnceLock<Arc<ServiceMetrics>>,
 }
 
 /// Who a request is, for every error and telemetry record on its path.
@@ -372,6 +376,8 @@ struct Resolved {
 /// of the [`ServiceResponse`] that is known before execution.
 struct Reply {
     meta: RequestMeta,
+    /// The service's entry, for its telemetry handle.
+    entry: Arc<ServiceEntry>,
     plan: Arc<SlotShared>,
     slot: u64,
     advisory: Option<QosAdvisory>,
@@ -394,8 +400,11 @@ impl Reply {
                 agreed,
             } => (agreed, payload, Some((votes, votes_cast))),
         };
-        telemetry.record_request(
-            &meta.service_id,
+        let metrics = self
+            .entry
+            .metrics
+            .get_or_init(|| telemetry.service_metrics(&meta.service_id));
+        metrics.count_request(
             meta.class,
             success,
             outcome.latency,
@@ -410,7 +419,7 @@ impl Reply {
             payload,
             latency: outcome.latency,
             cost: outcome.cost,
-            strategy: Strategy::clone(&self.plan.strategy),
+            strategy: Arc::clone(&self.plan.strategy),
             strategy_text: self.plan.strategy_text.clone(),
             slot: self.slot,
             origin: self.plan.origin.clone(),
@@ -449,6 +458,9 @@ pub struct Gateway {
     /// Event-loop threads, spawned lazily on the first `submit_async`,
     /// joined on drop.
     loops: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Set once `loops` holds a running loop: every later `submit_async`
+    /// reads this instead of taking the mutex.
+    loops_running: AtomicBool,
 }
 
 impl std::fmt::Debug for Gateway {
@@ -498,6 +510,7 @@ impl Gateway {
             core,
             spawn,
             loops: Mutex::new(Vec::new()),
+            loops_running: AtomicBool::new(false),
         }
     }
 
@@ -768,6 +781,7 @@ impl Gateway {
         let spec = RequestSpec {
             strategy: Shared::Owned(Arc::clone(&plan.strategy)),
             providers: Shared::Owned(Arc::clone(&plan.providers)),
+            sinks: Shared::Owned(Arc::clone(&plan.sinks)),
             request: Cow::Owned(Invocation::new(
                 meta.request_id,
                 meta.service_id.clone(),
@@ -785,6 +799,7 @@ impl Gateway {
         };
         let reply = Reply {
             meta,
+            entry: request.entry,
             plan,
             slot: planned.slot,
             advisory,
@@ -832,8 +847,12 @@ impl Gateway {
     ///
     /// If the OS refuses a thread, the loops that did start keep running
     /// (and later submissions use them); with none running the call fails
-    /// and the next submission tries again.
+    /// and the next submission tries again. Once a loop runs, the call is
+    /// one atomic load.
     fn ensure_loops(&self) -> Result<(), RuntimeError> {
+        if self.loops_running.load(Ordering::Acquire) {
+            return Ok(());
+        }
         let mut loops = self.loops.lock();
         if !loops.is_empty() {
             return Ok(());
@@ -858,6 +877,7 @@ impl Gateway {
                 }
             }
         }
+        self.loops_running.store(true, Ordering::Release);
         Ok(())
     }
 
@@ -875,6 +895,7 @@ impl Gateway {
                 gate: AdmissionGate::new(config.max_in_flight, config.admission_queue),
                 overrides: Mutex::new(ServiceOverrides::default()),
                 evicted: Arc::new(AtomicBool::new(false)),
+                metrics: OnceLock::new(),
             })
         }))
     }

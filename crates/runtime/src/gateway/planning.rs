@@ -8,6 +8,7 @@ use std::sync::Arc;
 use qce_strategy::{EnvQos, Qos, Requirements, Strategy};
 
 use crate::device::Provider;
+use crate::engine::event::LegSink;
 use crate::generator::{Planner, SlotPlan, StrategyOrigin};
 use crate::message::RuntimeError;
 use crate::script::{MsSpec, ServiceScript};
@@ -16,11 +17,15 @@ use super::{Gateway, ServiceEntry, SlotRecord};
 
 /// The part of a slot's plan every request of the slot reads and none
 /// changes, built once per re-plan and shared by `Arc`: the engine gets
-/// its own handles on the strategy and the providers, the reply keeps the
-/// whole.
+/// its own handles on the strategy, the providers and their sinks, the
+/// reply keeps the whole (and hands the strategy on to the response).
 pub(super) struct SlotShared {
     pub(super) strategy: Arc<Strategy>,
     pub(super) providers: Arc<[Arc<dyn Provider>]>,
+    /// Where each provider's legs record into the gateway's collector and
+    /// telemetry, aligned with `providers`: resolved by the slot's first
+    /// leg on the provider, then reused by every other.
+    pub(super) sinks: Arc<[LegSink]>,
     /// The strategy rendered with the script's microservice names.
     pub(super) strategy_text: String,
     pub(super) origin: StrategyOrigin,
@@ -214,6 +219,7 @@ impl Gateway {
         Ok(ActivePlan {
             shared: Arc::new(SlotShared {
                 strategy: Arc::new(plan.strategy),
+                sinks: LegSink::aligned(&providers),
                 providers: providers.into(),
                 strategy_text,
                 origin: plan.origin,

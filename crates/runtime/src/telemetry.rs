@@ -9,7 +9,14 @@
 //!
 //! * **Counters and histograms** are plain atomics, updated with relaxed
 //!   stores on every request/invocation — no lock is held while a provider
-//!   executes.
+//!   executes. They live in per-service and per-provider handles that
+//!   enter the maps (and so the snapshots) on their first record. The
+//!   request path resolves each handle once — a gateway service entry
+//!   its service's, a slot plan one per provider, on the first leg that
+//!   records — and counts through it without a map lock or a hash; the
+//!   by-name [`Telemetry::record_request`] and
+//!   [`Telemetry::record_invocation`] are lookups into the same handles.
+//!   A histogram's observation count is the sum of its buckets.
 //! * **Events** ([`TelemetryEvent`]) are rare (slot boundaries, failures)
 //!   and go through a short mutex into a bounded ring; when the ring is
 //!   full the oldest event is dropped and counted, never blocking the
@@ -49,12 +56,13 @@ const COST_EDGES_MILLI: [u64; 8] = [
 ];
 
 /// A fixed-bucket histogram over `u64` raw units (microseconds or
-/// milli-cost), updated with relaxed atomics.
+/// milli-cost), updated with relaxed atomics. Its observation count is not
+/// kept apart: every observation lands in exactly one bucket or the
+/// overflow, so the snapshot sums them.
 struct Histogram {
     edges: &'static [u64],
     buckets: Box<[AtomicU64]>,
     overflow: AtomicU64,
-    count: AtomicU64,
     /// Sum of raw units (microseconds / milli-cost).
     sum: AtomicU64,
 }
@@ -65,13 +73,11 @@ impl Histogram {
             edges,
             buckets: edges.iter().map(|_| AtomicU64::new(0)).collect(),
             overflow: AtomicU64::new(0),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
         }
     }
 
     fn record(&self, raw: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
         // Saturate, don't wrap: `micros` clamps out-of-range durations to
         // `u64::MAX`, and a single such observation through `fetch_add`
         // would wrap the running sum around to garbage. The sample itself
@@ -90,19 +96,21 @@ impl Histogram {
     /// Snapshot with raw units divided by `unit` (e.g. 1000.0 to render
     /// microseconds as milliseconds).
     fn snapshot(&self, unit: f64) -> HistogramSnapshot {
+        let buckets: Vec<HistogramBucket> = self
+            .edges
+            .iter()
+            .zip(self.buckets.iter())
+            .map(|(&edge, bucket)| HistogramBucket {
+                le: to_f64(edge) / unit,
+                count: bucket.load(Ordering::Relaxed),
+            })
+            .collect();
+        let overflow = self.overflow.load(Ordering::Relaxed);
         HistogramSnapshot {
-            count: self.count.load(Ordering::Relaxed),
+            count: buckets.iter().map(|b| b.count).sum::<u64>() + overflow,
             sum: to_f64(self.sum.load(Ordering::Relaxed)) / unit,
-            overflow: self.overflow.load(Ordering::Relaxed),
-            buckets: self
-                .edges
-                .iter()
-                .zip(self.buckets.iter())
-                .map(|(&edge, bucket)| HistogramBucket {
-                    le: to_f64(edge) / unit,
-                    count: bucket.load(Ordering::Relaxed),
-                })
-                .collect(),
+            overflow,
+            buckets,
         }
     }
 }
@@ -156,8 +164,10 @@ impl ClassMetrics {
     }
 }
 
-/// Per-service counters (all relaxed atomics).
-struct ServiceMetrics {
+/// Per-service counters (all relaxed atomics): the handle
+/// [`Telemetry::service_metrics`] hands out, which the gateway's service
+/// entry resolves once and counts every finished request through.
+pub(crate) struct ServiceMetrics {
     invocations: AtomicU64,
     successes: AtomicU64,
     advisories: AtomicU64,
@@ -236,10 +246,47 @@ impl ServiceMetrics {
     fn class(&self, class: QosClass) -> &ClassMetrics {
         &self.classes[class.index()]
     }
+
+    /// Counts one completed service request, attributed to its traffic
+    /// class (see [`Telemetry::record_request`]).
+    pub(crate) fn count_request(
+        &self,
+        class: QosClass,
+        success: bool,
+        latency: Duration,
+        cost: f64,
+        advisory: bool,
+        votes: Option<(usize, usize)>,
+    ) {
+        self.invocations.fetch_add(1, Ordering::Relaxed);
+        if success {
+            self.successes.fetch_add(1, Ordering::Relaxed);
+        }
+        if advisory {
+            self.advisories.fetch_add(1, Ordering::Relaxed);
+        }
+        if let Some((agreed, cast)) = votes {
+            self.quorum_votes_agreed
+                .fetch_add(agreed as u64, Ordering::Relaxed);
+            self.quorum_votes_cast
+                .fetch_add(cast as u64, Ordering::Relaxed);
+        }
+        self.latency.record(micros(latency));
+        self.cost.record(milli_cost(cost));
+        let per_class = self.class(class);
+        per_class.requests.fetch_add(1, Ordering::Relaxed);
+        if success {
+            per_class.successes.fetch_add(1, Ordering::Relaxed);
+        }
+        per_class.latency.record(micros(latency));
+    }
 }
 
-/// Per-provider counters (all relaxed atomics).
-struct ProviderMetrics {
+/// Per-provider counters (all relaxed atomics): the handle
+/// [`Telemetry::provider_metrics`] hands out, which a slot plan's leg
+/// sinks and a [`FaultyProvider`](crate::FaultyProvider) resolve once and
+/// count through.
+pub(crate) struct ProviderMetrics {
     invocations: AtomicU64,
     successes: AtomicU64,
     fault_window_hits: AtomicU64,
@@ -260,6 +307,22 @@ impl ProviderMetrics {
             latency: Histogram::new(&LATENCY_EDGES_US),
             cost: Histogram::new(&COST_EDGES_MILLI),
         }
+    }
+
+    /// Counts one microservice invocation on the provider (see
+    /// [`Telemetry::record_invocation`]).
+    pub(crate) fn count_invocation(&self, success: bool, latency: Duration, cost: f64) {
+        self.invocations.fetch_add(1, Ordering::Relaxed);
+        if success {
+            self.successes.fetch_add(1, Ordering::Relaxed);
+        }
+        self.latency.record(micros(latency));
+        self.cost.record(milli_cost(cost));
+    }
+
+    /// Counts one invocation landing inside an active fault window.
+    pub(crate) fn count_fault_window(&self) {
+        self.fault_window_hits.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -752,7 +815,9 @@ impl Telemetry {
         })
     }
 
-    fn service(&self, name: &str) -> Arc<ServiceMetrics> {
+    /// The counters of service `name`, created (entering snapshots) on the
+    /// first call.
+    pub(crate) fn service_metrics(&self, name: &str) -> Arc<ServiceMetrics> {
         if let Some(metrics) = self.services.read().get(name) {
             return Arc::clone(metrics);
         }
@@ -763,7 +828,9 @@ impl Telemetry {
         )
     }
 
-    fn provider(&self, name: &str) -> Arc<ProviderMetrics> {
+    /// The counters of provider `name`, created (entering snapshots) on
+    /// the first call.
+    pub(crate) fn provider_metrics(&self, name: &str) -> Arc<ProviderMetrics> {
         if let Some(metrics) = self.providers.read().get(name) {
             return Arc::clone(metrics);
         }
@@ -808,7 +875,8 @@ impl Telemetry {
     }
 
     /// Records a completed service request (gateway level), attributed to
-    /// the request's traffic class.
+    /// the request's traffic class. The gateway itself counts through the
+    /// service's handle; this looks the handle up by name.
     #[allow(clippy::too_many_arguments)]
     pub fn record_request(
         &self,
@@ -820,41 +888,16 @@ impl Telemetry {
         advisory: bool,
         votes: Option<(usize, usize)>,
     ) {
-        let metrics = self.service(service);
-        metrics.invocations.fetch_add(1, Ordering::Relaxed);
-        if success {
-            metrics.successes.fetch_add(1, Ordering::Relaxed);
-        }
-        if advisory {
-            metrics.advisories.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some((agreed, cast)) = votes {
-            metrics
-                .quorum_votes_agreed
-                .fetch_add(agreed as u64, Ordering::Relaxed);
-            metrics
-                .quorum_votes_cast
-                .fetch_add(cast as u64, Ordering::Relaxed);
-        }
-        metrics.latency.record(micros(latency));
-        metrics.cost.record(milli_cost(cost));
-        let per_class = metrics.class(class);
-        per_class.requests.fetch_add(1, Ordering::Relaxed);
-        if success {
-            per_class.successes.fetch_add(1, Ordering::Relaxed);
-        }
-        per_class.latency.record(micros(latency));
+        self.service_metrics(service)
+            .count_request(class, success, latency, cost, advisory, votes);
     }
 
     /// Records one microservice invocation on a provider (executor level).
+    /// The engine itself counts through the provider's handle; this looks
+    /// the handle up by name.
     pub fn record_invocation(&self, provider: &str, success: bool, latency: Duration, cost: f64) {
-        let metrics = self.provider(provider);
-        metrics.invocations.fetch_add(1, Ordering::Relaxed);
-        if success {
-            metrics.successes.fetch_add(1, Ordering::Relaxed);
-        }
-        metrics.latency.record(micros(latency));
-        metrics.cost.record(milli_cost(cost));
+        self.provider_metrics(provider)
+            .count_invocation(success, latency, cost);
     }
 
     /// A request entered the execution core.
@@ -882,7 +925,7 @@ impl Telemetry {
     /// Records the generator's search effort for one re-plan of `service`
     /// (called by [`Planner::plan_slot_for`](crate::Planner::plan_slot_for)).
     pub fn record_synthesis(&self, service: &str, report: &SynthesisReport) {
-        let metrics = self.service(service);
+        let metrics = self.service_metrics(service);
         metrics
             .candidates_seen
             .fetch_add(report.candidates_seen, Ordering::Relaxed);
@@ -907,7 +950,7 @@ impl Telemetry {
         report: Option<&SynthesisReport>,
         source: Option<PlanSource>,
     ) {
-        let metrics = self.service(service);
+        let metrics = self.service_metrics(service);
         metrics.replans.fetch_add(1, Ordering::Relaxed);
         match source {
             Some(PlanSource::Cold) => metrics.plans_cold.fetch_add(1, Ordering::Relaxed),
@@ -947,7 +990,7 @@ impl Telemetry {
     /// emitting an [`EventKind::ReplanTriggered`] event (counter first,
     /// so accounting stays gap-free under ring overflow).
     pub fn record_drift_trigger(&self, service: &str, slot: u64, drift: f64) {
-        self.service(service)
+        self.service_metrics(service)
             .drift_replans
             .fetch_add(1, Ordering::Relaxed);
         self.emit(EventKind::ReplanTriggered {
@@ -960,7 +1003,7 @@ impl Telemetry {
     /// Records a slot boundary that held its plan because the observed
     /// QoS stayed inside the active plan's quantization band.
     pub fn record_drift_hold(&self, service: &str) {
-        self.service(service)
+        self.service_metrics(service)
             .drift_holds
             .fetch_add(1, Ordering::Relaxed);
     }
@@ -969,7 +1012,7 @@ impl Telemetry {
     /// [`EventKind::ProviderResolutionFailed`] for missing providers and
     /// [`EventKind::PlanFailed`] for everything else.
     pub fn record_plan_failure(&self, service: &str, slot: u64, error: &RuntimeError) {
-        self.service(service)
+        self.service_metrics(service)
             .plan_failures
             .fetch_add(1, Ordering::Relaxed);
         match error {
@@ -992,7 +1035,7 @@ impl Telemetry {
     /// values are absolute gauges (the cache owns the authoritative
     /// counters), so this *stores* rather than accumulates.
     pub fn record_plan_cache(&self, service: &str, stats: &PlanCacheStats) {
-        let metrics = self.service(service);
+        let metrics = self.service_metrics(service);
         metrics.plan_cache_hits.store(stats.hits, Ordering::Relaxed);
         metrics
             .plan_cache_misses
@@ -1004,7 +1047,7 @@ impl Telemetry {
 
     /// Records slot records evicted from a service's bounded history.
     pub fn record_history_evicted(&self, service: &str, evicted: u64) {
-        self.service(service)
+        self.service_metrics(service)
             .history_evicted
             .fetch_add(evicted, Ordering::Relaxed);
     }
@@ -1014,7 +1057,7 @@ impl Telemetry {
     /// the event enters the ring, so shed accounting stays gap-free even
     /// when ring overflow drops the event itself.
     pub fn record_shed(&self, service: &str, class: QosClass, in_flight: u64, queued: u64) {
-        let metrics = self.service(service);
+        let metrics = self.service_metrics(service);
         metrics.requests_shed.fetch_add(1, Ordering::Relaxed);
         metrics.class(class).shed.fetch_add(1, Ordering::Relaxed);
         self.emit(EventKind::RequestShed {
@@ -1029,7 +1072,7 @@ impl Telemetry {
     /// [`EventKind::DeadlineExceeded`] event (counter first, same gap-free
     /// guarantee as [`record_shed`](Self::record_shed)).
     pub fn record_deadline_exceeded(&self, service: &str, request_id: u64, class: QosClass) {
-        self.service(service)
+        self.service_metrics(service)
             .deadline_exceeded
             .fetch_add(1, Ordering::Relaxed);
         self.emit(EventKind::DeadlineExceeded {
@@ -1042,7 +1085,7 @@ impl Telemetry {
     /// Records the admission queue depth of `service` (absolute gauge),
     /// tracking the high-water mark.
     pub fn record_admission_queue(&self, service: &str, depth: u64) {
-        let metrics = self.service(service);
+        let metrics = self.service_metrics(service);
         metrics
             .admission_queue_depth
             .store(depth, Ordering::Relaxed);
@@ -1054,7 +1097,7 @@ impl Telemetry {
     /// Records one class's admission queue depth for `service` (absolute
     /// gauge), tracking the per-class high-water mark.
     pub fn record_class_queue_depth(&self, service: &str, class: QosClass, depth: u64) {
-        let metrics = self.service(service);
+        let metrics = self.service_metrics(service);
         let per_class = metrics.class(class);
         per_class.queue_depth.store(depth, Ordering::Relaxed);
         per_class.queue_peak.fetch_max(depth, Ordering::Relaxed);
@@ -1065,7 +1108,7 @@ impl Telemetry {
     /// (counter first, same gap-free guarantee as
     /// [`record_shed`](Self::record_shed)).
     pub fn record_override(&self, service: &str, field: &str, value: &str) {
-        self.service(service)
+        self.service_metrics(service)
             .overrides
             .fetch_add(1, Ordering::Relaxed);
         self.emit(EventKind::OverrideApplied {
@@ -1089,19 +1132,17 @@ impl Telemetry {
     /// Records an invocation landing inside a provider's active fault
     /// window, emitting an [`EventKind::FaultWindowHit`] event.
     pub fn record_fault_window(&self, provider: &str, fault: &str) {
-        self.count_fault_window(provider);
+        self.provider_metrics(provider).count_fault_window();
+        self.announce_fault_window(provider, fault);
+    }
+
+    /// Emits the [`EventKind::FaultWindowHit`] event of a hit already
+    /// counted on the provider's handle.
+    pub(crate) fn announce_fault_window(&self, provider: &str, fault: &str) {
         self.emit(EventKind::FaultWindowHit {
             provider: provider.to_string(),
             fault: fault.to_string(),
         });
-    }
-
-    /// Counts an invocation landing inside a fault window whose
-    /// [`EventKind::FaultWindowHit`] event was already emitted.
-    pub(crate) fn count_fault_window(&self, provider: &str) {
-        self.provider(provider)
-            .fault_window_hits
-            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records the onset of a correlated-failure storm, emitting an
@@ -1129,7 +1170,7 @@ impl Telemetry {
     /// Records a provider leaving the environment (device churn), emitting
     /// an [`EventKind::ProviderLeft`] event.
     pub fn record_provider_left(&self, provider: &str) {
-        self.provider(provider)
+        self.provider_metrics(provider)
             .departures
             .fetch_add(1, Ordering::Relaxed);
         self.emit(EventKind::ProviderLeft {
@@ -1140,7 +1181,7 @@ impl Telemetry {
     /// Records a provider re-joining the environment (device churn),
     /// emitting an [`EventKind::ProviderRejoined`] event.
     pub fn record_provider_rejoined(&self, provider: &str) {
-        self.provider(provider)
+        self.provider_metrics(provider)
             .rejoins
             .fetch_add(1, Ordering::Relaxed);
         self.emit(EventKind::ProviderRejoined {

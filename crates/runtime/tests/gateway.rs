@@ -9,7 +9,8 @@ use std::time::Duration;
 
 use qce_runtime::{
     Clock, Gateway, GatewayConfig, InMemoryMarket, Market, MsSpec, PruneReason, QosClass, Request,
-    RuntimeError, ServiceResponse, ServiceScript, SimulatedProvider, StrategyOrigin,
+    RuntimeError, ServiceResponse, ServiceScript, SimulatedProvider, StrategyOrigin, VirtualClock,
+    WorkerGuard,
 };
 use qce_strategy::{Qos, Requirements};
 
@@ -305,6 +306,76 @@ fn plan_degrades_to_surviving_microservices_when_one_capability_is_gone() {
     let provider = snapshot.provider("dev0/read-temp").unwrap();
     assert_eq!(provider.departures, 1);
     assert_eq!(provider.rejoins, 1);
+}
+
+/// A leg in flight while its provider leaves and re-joins lands in the
+/// provider's emptied collector window — the window the slot plan resolved
+/// before the churn — exactly as it did when the record re-created a
+/// removed entry: one observation, statistics of that record alone, and an
+/// emptied window is never listed in between.
+#[test]
+fn a_leg_in_flight_across_churn_lands_in_the_emptied_window() {
+    let clock: Arc<dyn Clock> = Arc::new(VirtualClock::new());
+    let gateway = Arc::new(Gateway::with_clock(
+        market_with(script(1_000)),
+        GatewayConfig::default(),
+        Arc::clone(&clock),
+    ));
+    let devices: Vec<Arc<SimulatedProvider>> =
+        [("read-temp", 2u64), ("est-temp", 3), ("loc-temp", 5)]
+            .iter()
+            .enumerate()
+            .map(|(i, (cap, ms))| {
+                SimulatedProvider::builder(format!("dev{i}/{cap}"), *cap)
+                    .cost(40.0 + i as f64)
+                    .latency(Duration::from_millis(*ms))
+                    .clock(Arc::clone(&clock))
+                    .build()
+            })
+            .collect();
+    for device in &devices {
+        gateway
+            .registry()
+            .register(Arc::clone(device) as Arc<dyn qce_runtime::Provider>);
+    }
+    let churned = "dev1/est-temp";
+    let collector = gateway.collector();
+    for _ in 0..3 {
+        assert!(gateway.submit(Request::new("temp")).unwrap().success);
+    }
+    assert_eq!(collector.observation_count(churned), 3);
+
+    // This thread, registered and running, holds virtual time still: the
+    // request's three legs are started and none can complete.
+    let pinned = WorkerGuard::enter(&*clock);
+    let handle = gateway.submit_async(Request::new("temp")).unwrap();
+    let start = std::time::Instant::now();
+    while gateway.engine_stats().in_flight == 0 {
+        assert!(start.elapsed() < Duration::from_secs(20), "never started");
+        std::thread::yield_now();
+    }
+    assert!(gateway.provider_left(churned));
+    assert_eq!(collector.observation_count(churned), 0);
+    assert!(collector.stats(churned).is_none());
+    assert!(!collector.provider_ids().iter().any(|id| id == churned));
+    gateway.provider_joined(Arc::clone(&devices[1]) as Arc<dyn qce_runtime::Provider>);
+    assert!(!collector.provider_ids().iter().any(|id| id == churned));
+
+    assert!(handle.wait().unwrap().success);
+    drop(pinned);
+    assert_eq!(collector.observation_count(churned), 1);
+    let stats = collector.stats(churned).unwrap();
+    assert_eq!(
+        (
+            stats.count,
+            stats.success_rate,
+            stats.mean_latency_ms,
+            stats.mean_cost
+        ),
+        (1, 1.0, 3.0, 41.0)
+    );
+    assert!(collector.provider_ids().iter().any(|id| id == churned));
+    assert_eq!(collector.observation_count("dev0/read-temp"), 4);
 }
 
 #[test]

@@ -1,18 +1,21 @@
 //! Integration tests for the gateway telemetry layer and the slot-planning
 //! concurrency fixes: exact-count accounting over a multi-slot virtual-time
-//! run, and regression tests showing one service's slow script fetch or
-//! slot re-plan no longer blocks other services.
+//! run, a golden snapshot of every counter such a run leaves behind, and
+//! regression tests showing one service's slow script fetch or slot
+//! re-plan no longer blocks other services.
 
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
 
+use qce_runtime::engine::{execute_scoped, Budget, CompletionPolicy};
 use qce_runtime::{
-    EventKind, Gateway, GatewayConfig, Harness, InMemoryMarket, Market, MsSpec, Request,
-    RuntimeError, ServiceScript, SimulatedProvider, StrategyOrigin,
+    Clock, EventKind, FaultEvent, FaultKind, FaultPlan, Gateway, GatewayConfig, Harness,
+    InMemoryMarket, Invocation, Market, MsSpec, Provider, QosClass, Request, RuntimeError,
+    ServiceScript, SimulatedProvider, StrategyOrigin, WorkerGuard,
 };
-use qce_strategy::{Qos, Requirements};
+use qce_strategy::{Qos, Requirements, Strategy};
 
 fn spec(name: &str, capability: &str, latency: f64) -> MsSpec {
     MsSpec {
@@ -156,6 +159,208 @@ fn quorum_votes_flow_into_telemetry() {
     let svc = snapshot.service("svc").unwrap();
     assert_eq!(svc.quorum_votes_agreed, agreed as u64);
     assert_eq!(svc.quorum_votes_cast, cast as u64);
+}
+
+/// Compares `actual` with the golden file `name` under `tests/golden/`.
+/// On a mismatch the actual text is written next to the test binaries, so
+/// a deliberate change can be reviewed with `diff` and copied over.
+fn assert_golden(name: &str, expected: &str, actual: &str) {
+    if actual != expected {
+        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+        std::fs::write(&path, actual).unwrap();
+        panic!(
+            "{name} differs from tests/golden/{name}; the actual text is in {}",
+            path.display()
+        );
+    }
+}
+
+/// The snapshot is the contract: one virtual-clock run that touches every
+/// kind of record — blocking and asynchronous requests on two services,
+/// Critical requests that meet and miss their deadline, a shed on a
+/// bounded gate, fault-window hits, a provider leaving and re-joining
+/// between slots, an eviction, and a gateway-free `execute_scoped` — must
+/// leave exactly the telemetry snapshot and collector windows in
+/// `tests/golden/`, wall-clock fields zeroed. Providers a plan resolved
+/// but no leg ever invoked stay out of both.
+#[test]
+fn golden_snapshot_of_a_run_touching_every_record() {
+    let ms = Duration::from_millis;
+    let script = |id: &str, specs: &[(&str, &str)], slot_size: u32, default: Option<&str>| {
+        let specs = specs
+            .iter()
+            .map(|&(name, cap)| spec(name, cap, 5.0))
+            .collect();
+        let mut script =
+            ServiceScript::new(id, specs, Requirements::new(200.0, 100.0, 0.5).unwrap());
+        script.slot_size = slot_size;
+        script.default_strategy = default.map(str::to_string);
+        script
+    };
+    let device = |id: &str, cap: &str, latency: Duration, reliability: f64, cost: f64| {
+        SimulatedProvider::builder(id, cap)
+            .latency(latency)
+            .reliability(reliability)
+            .cost(cost)
+            .response(vec![b'r'])
+    };
+    let config = GatewayConfig::builder()
+        .plan_cache(true)
+        .max_in_flight(2)
+        .admission_queue(0)
+        .build();
+    let crash = FaultPlan::new(vec![
+        FaultEvent {
+            at: ms(10),
+            kind: FaultKind::Crash,
+        },
+        FaultEvent {
+            at: Duration::from_secs(10),
+            kind: FaultKind::Recover,
+        },
+    ]);
+    let h = Harness::builder()
+        .config(config)
+        .script(script(
+            "alpha",
+            &[("m0", "c0"), ("m1", "c1"), ("m2", "c3")],
+            3,
+            None,
+        ))
+        .script(script(
+            "beta",
+            &[("lead", "c2"), ("back", "c1")],
+            1_000,
+            Some("lead-back"),
+        ))
+        .script(script(
+            "gamma",
+            &[("solid", "c0"), ("spare", "c4")],
+            1_000,
+            Some("solid-spare"),
+        ))
+        .provider(device("d0/c0", "c0", ms(2), 1.0, 50.0))
+        .provider(device("d1/c1", "c1", ms(3), 1.0, 40.0))
+        .provider(device("d2/c2", "c2", ms(5), 0.0, 30.0))
+        .faulty(device("f3/c3", "c3", ms(1), 1.0, 20.0), crash)
+        .provider(device("s4/c4", "c4", ms(4), 1.0, 10.0))
+        .build();
+    let gateway = h.gateway();
+    let clock: Arc<dyn Clock> = Arc::clone(h.clock()) as Arc<dyn Clock>;
+
+    // Slot 0 of alpha (the parallel default) and beta's fail-over default.
+    for _ in 0..2 {
+        assert!(h.invoke("alpha").unwrap().success);
+    }
+    for _ in 0..2 {
+        assert!(h.invoke("beta").unwrap().success);
+    }
+    // `spare` is resolved into gamma's plan, but `solid` never fails.
+    assert!(h.invoke("gamma").unwrap().success);
+    assert_eq!(
+        gateway.current_strategy("gamma").as_deref(),
+        Some("solid-spare")
+    );
+    // Past 10 ms: alpha's `m2` leg lands in f3's crash window. Critical
+    // carries a 250 ms default deadline, met here.
+    let critical = h.submit(Request::new("alpha").class(QosClass::Critical));
+    assert!(critical.unwrap().pruned.is_none());
+
+    // A provider leaves and re-joins between alpha's slots.
+    assert!(gateway.provider_left("d1/c1"));
+    gateway.provider_joined(Arc::clone(h.provider("d1/c1")) as Arc<dyn Provider>);
+    for _ in 0..2 {
+        let handle = gateway.submit_async(Request::new("alpha")).unwrap();
+        assert_eq!(handle.wait().unwrap().slot, 1);
+    }
+
+    // beta's `lead` fails after 5 ms, past a 1 ms deadline: `back` is
+    // pruned.
+    let missed = h
+        .submit(
+            Request::new("beta")
+                .class(QosClass::Critical)
+                .deadline_ms(1),
+        )
+        .unwrap();
+    assert!(!missed.success);
+    assert!(missed.pruned.is_some());
+
+    // A shed: with this thread registered and running, virtual time holds
+    // still, so beta's two admitted requests stay in flight and fill its
+    // gate when the third arrives.
+    {
+        let _pinned = WorkerGuard::enter(&*clock);
+        let admitted: Vec<_> = (0..2)
+            .map(|_| gateway.submit_async(Request::new("beta")).unwrap())
+            .collect();
+        assert!(matches!(
+            gateway.submit_async(Request::new("beta")),
+            Err(RuntimeError::Overloaded { .. })
+        ));
+        for handle in admitted {
+            assert!(handle.wait().unwrap().success);
+        }
+    }
+
+    // The gateway-free door, recording into the gateway's own collector
+    // and telemetry; `x5/c5` is resolved but never invoked.
+    let spare: Arc<dyn Provider> = device("x5/c5", "c5", ms(1), 1.0, 5.0)
+        .clock(Arc::clone(&clock))
+        .build();
+    let providers = [Arc::clone(h.provider("d0/c0")) as Arc<dyn Provider>, spare];
+    let outcome = execute_scoped(
+        &Strategy::parse("a-b").unwrap(),
+        &providers,
+        &Invocation::new(0, "scoped", vec![]),
+        Some(gateway.collector()),
+        &*clock,
+        Some(gateway.telemetry()),
+        &Budget::unlimited(),
+        CompletionPolicy::FirstSuccess,
+    )
+    .unwrap();
+    assert!(outcome.completion.is_success());
+
+    // An eviction drops beta's plans and entry; the next request fetches
+    // its script again.
+    gateway.evict_service("beta");
+    assert!(h.invoke("beta").unwrap().success);
+
+    let mut snapshot = h.telemetry().snapshot();
+    for service in &mut snapshot.services {
+        service.synthesis_elapsed = Duration::ZERO;
+    }
+    for event in &mut snapshot.recent_events {
+        if let EventKind::SlotReplanned { elapsed, .. } = &mut event.kind {
+            *elapsed = Duration::ZERO;
+        }
+    }
+    snapshot.market.fetch_elapsed = Duration::ZERO;
+    for never_invoked in ["s4/c4", "x5/c5"] {
+        assert!(
+            snapshot.provider(never_invoked).is_none(),
+            "{never_invoked}"
+        );
+        assert!(gateway.collector().stats(never_invoked).is_none());
+    }
+    assert_golden(
+        "telemetry_snapshot.json",
+        include_str!("golden/telemetry_snapshot.json"),
+        &serde_json::to_string_pretty(&snapshot).unwrap(),
+    );
+
+    let collector = gateway.collector();
+    let windows: Vec<_> = ["d0/c0", "d1/c1", "d2/c2", "f3/c3", "s4/c4", "x5/c5"]
+        .into_iter()
+        .map(|id| (id, (collector.observation_count(id), collector.stats(id))))
+        .collect();
+    let collected = (collector.provider_ids(), windows);
+    assert_golden(
+        "collector_stats.json",
+        include_str!("golden/collector_stats.json"),
+        &serde_json::to_string_pretty(&collected).unwrap(),
+    );
 }
 
 /// A two-phase turnstile: the blocked side parks in `enter` until the test
