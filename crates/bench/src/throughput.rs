@@ -1,10 +1,11 @@
 //! `bench-throughput`: the gateway's concurrency story under load.
 //!
 //! N concurrent clients hammer *one* service whose Par-heavy strategy
-//! (`a*b*c`) runs on the gateway's shared [`ExecutionEngine`] worker pool,
-//! with microservice `a` under a fault plan (crashed from `t = 0`, so every
-//! request is charged a failing leg). Three phases on fresh virtual-time
-//! harnesses:
+//! (`a*b*c`) runs on the gateway's execution engine (simulated legs are
+//! clock events; a leg that must block would take the gateway's worker
+//! pool, whose occupancy the report shows), with microservice `a` under a
+//! fault plan (crashed from `t = 0`, so every request is charged a failing
+//! leg). Three phases on fresh virtual-time harnesses:
 //!
 //! 1. **sequential baseline** — one client issues all requests
 //!    back-to-back; its per-request outcomes are the ground truth.
@@ -24,8 +25,6 @@
 //! are time-independent (reliability 0 or 1, constant fault condition):
 //! thread interleaving can stagger virtual start times but can never
 //! change what a request returns.
-//!
-//! [`ExecutionEngine`]: qce_runtime::ExecutionEngine
 
 use std::io;
 use std::path::Path;

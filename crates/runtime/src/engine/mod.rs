@@ -5,20 +5,18 @@
 //! Strategy walks no longer park one OS thread per running leg. Instead,
 //! every started `Seq`/`Par` node is a small heap frame and every leaf
 //! invocation is a completion event scheduled on the [`Clock`] (see
-//! `engine/event.rs` for the core). Two entry points share it:
+//! `engine/event.rs` for the core). One public entry point uses it:
+//! [`execute_scoped`] borrows everything, the calling thread drives the
+//! event loop, and the rare leaf that must really block (capacity limits,
+//! foreign clocks, closure providers) runs on a scoped OS thread. With an
+//! unlimited [`Budget`] its behaviour is bit-for-bit the pre-engine
+//! executors' (`tests/engine_equivalence.rs` embeds them as oracles).
 //!
-//! * [`execute_scoped`] — borrows everything; the calling thread drives
-//!   the event loop, and the rare leaf that must really block (capacity
-//!   limits, foreign clocks, closure providers) runs on a scoped OS
-//!   thread. This is the one way to execute a strategy outside a
-//!   gateway; with an unlimited [`Budget`] its behaviour is bit-for-bit
-//!   the pre-engine executors' (`tests/engine_equivalence.rs` embeds
-//!   them as oracles).
-//! * [`ExecutionEngine::execute`] — owns its inputs ([`ExecSpec`]); the
-//!   calling thread drives, and blocking leaves run on the engine's
-//!   bounded, reusable worker pool (a saturated pool spills to one-shot
-//!   threads rather than queueing legs behind their own parents, so
-//!   capacity never deadlocks an execution — see [`PoolStats`]).
+//! The [`Gateway`](crate::Gateway) drives the same core with shared,
+//! slot-owned inputs, and runs its blocking leaves on its own bounded,
+//! reusable worker pool (a saturated pool spills to one-shot threads
+//! rather than queueing legs behind their own parents, so capacity never
+//! deadlocks an execution — see [`PoolStats`]).
 //!
 //! Both honour the paper's semantics: Assumption-2 cost accounting (every
 //! started invocation is charged in full), global short-circuit, and
@@ -101,57 +99,6 @@ pub struct EngineStats {
     /// that found a loop parked, and virtual-time jumps that reached a
     /// parked loop's deadline. A post to a busy loop sends none.
     pub wakeups: u64,
-}
-
-/// Owned inputs for [`ExecutionEngine::execute`].
-pub struct ExecSpec {
-    /// The strategy to execute.
-    pub strategy: Strategy,
-    /// Resolved providers, indexed by [`MsId`](qce_strategy::MsId).
-    pub providers: Vec<Arc<dyn Provider>>,
-    /// The client request.
-    pub request: Invocation,
-    /// Records completed invocations when provided.
-    pub collector: Option<Arc<Collector>>,
-    /// Records per-provider counters/histograms when provided.
-    pub telemetry: Option<Arc<Telemetry>>,
-    /// The clock the execution runs on.
-    pub clock: Arc<dyn Clock>,
-    /// Deadline/cancellation budget for this request.
-    pub budget: Budget,
-    /// When is the execution complete.
-    pub policy: CompletionPolicy,
-}
-
-impl std::fmt::Debug for ExecSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ExecSpec")
-            .field("strategy", &self.strategy)
-            .field("providers", &self.providers.len())
-            .field("request", &self.request.request_id)
-            .field("policy", &self.policy)
-            .finish_non_exhaustive()
-    }
-}
-
-impl ExecSpec {
-    /// The spec as an owning request its submitter drives itself, every
-    /// invocation recorded. `clock` is left behind: the core runs on its
-    /// own.
-    fn into_request(self) -> RequestSpec<'static> {
-        RequestSpec {
-            strategy: Shared::Owned(Arc::new(self.strategy)),
-            sinks: Shared::Owned(LegSink::aligned(&self.providers)),
-            providers: Shared::Owned(self.providers.into()),
-            request: Cow::Owned(self.request),
-            collector: self.collector.map(Shared::Owned),
-            telemetry: self.telemetry.map(Shared::Owned),
-            budget: self.budget,
-            policy: PolicyState::new(self.policy),
-            record_invocations: true,
-            done: Done::Park,
-        }
-    }
 }
 
 /// Rejects a quorum of zero, and strategies that reference an unresolved
@@ -252,128 +199,48 @@ pub fn execute_scoped(
     Ok(settle(result))
 }
 
-/// The unified execution engine: a bounded worker pool (for blocking
-/// leaves) plus the shared event core. One engine (and so one pool) is
-/// meant to be shared by many concurrent executions — the
-/// [`Gateway`](crate::Gateway) owns one.
-///
-/// # Examples
-///
-/// ```
-/// use std::sync::Arc;
-/// use std::time::Duration;
-/// use qce_runtime::engine::{Budget, CompletionPolicy, ExecSpec, ExecutionEngine};
-/// use qce_runtime::{Clock, Invocation, Provider, SimulatedProvider, VirtualClock};
-/// use qce_strategy::Strategy;
-///
-/// let clock: Arc<dyn Clock> = Arc::new(VirtualClock::new());
-/// let providers: Vec<Arc<dyn Provider>> = ["a", "b"]
-///     .iter()
-///     .map(|id| {
-///         SimulatedProvider::builder(*id, *id)
-///             .latency(Duration::from_millis(5))
-///             .cost(10.0)
-///             .clock(Arc::clone(&clock))
-///             .build() as Arc<dyn Provider>
-///     })
-///     .collect();
-///
-/// let engine = ExecutionEngine::new(4);
-/// let outcome = engine.execute(ExecSpec {
-///     strategy: Strategy::parse("a*b")?,
-///     providers,
-///     request: Invocation::new(1, "", vec![]),
-///     collector: None,
-///     telemetry: None,
-///     clock,
-///     budget: Budget::unlimited(),
-///     policy: CompletionPolicy::FirstSuccess,
-/// })?;
-/// assert!(outcome.completion.is_success());
-/// assert_eq!(outcome.cost, 20.0); // both started: both charged
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug)]
-pub struct ExecutionEngine {
-    pool: Arc<WorkerPool>,
+/// The pooled blocking-leaf spawner: runs a leaf that must really block
+/// on `pool`, reporting back into `core`. Holds the core weakly, so a
+/// task that outlives it (shutdown or eviction race) frees the clock slot
+/// reserved for its leg instead of panicking.
+pub(crate) fn pooled_spawner(
+    pool: &Arc<WorkerPool>,
+    core: &Arc<EventCore<'static>>,
+    clock: &Arc<dyn Clock>,
+) -> impl Fn(BlockingTask) + Send + Sync + 'static {
+    let core = Arc::downgrade(core);
+    let clock = Arc::clone(clock);
+    let pool = Arc::clone(pool);
+    move |task: BlockingTask| {
+        let core = core.clone();
+        let clock = Arc::clone(&clock);
+        pool.submit(Box::new(move || match core.upgrade() {
+            Some(core) => run_blocking(&core, task),
+            None => clock.release_worker(),
+        }));
+    }
 }
 
-impl ExecutionEngine {
-    /// Creates an engine whose pool keeps up to `capacity` persistent
-    /// worker threads for blocking leaves (`0` = no persistent workers;
-    /// every blocking leaf runs on a one-shot thread).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        ExecutionEngine {
-            pool: Arc::new(WorkerPool::new(capacity)),
-        }
-    }
-
-    /// Current worker-pool occupancy counters.
-    #[must_use]
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
-    }
-
-    /// The pooled blocking-leaf spawner: runs a leaf that must really block
-    /// on this engine's worker pool, reporting back into `core`. Holds the
-    /// core weakly, so a task that outlives it (shutdown or eviction race)
-    /// frees the clock slot reserved for its leg instead of panicking.
-    pub(crate) fn pooled_spawner(
-        &self,
-        core: &Arc<EventCore<'static>>,
-        clock: &Arc<dyn Clock>,
-    ) -> impl Fn(BlockingTask) + Send + Sync + 'static {
-        let core = Arc::downgrade(core);
-        let clock = Arc::clone(clock);
-        let pool = Arc::clone(&self.pool);
-        move |task: BlockingTask| {
-            let core = core.clone();
-            let clock = Arc::clone(&clock);
-            pool.submit(Box::new(move || match core.upgrade() {
-                Some(core) => run_blocking(&core, task),
-                None => clock.release_worker(),
-            }));
-        }
-    }
-
-    /// Executes `spec` on the calling thread's event loop; blocking
-    /// leaves run on the engine's worker pool.
-    ///
-    /// # Errors
-    ///
-    /// As [`execute_scoped`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a provider panics (propagated to the caller).
-    pub fn execute(&self, spec: ExecSpec) -> Result<EngineOutcome, RuntimeError> {
-        validate(&spec.strategy, &spec.providers, spec.policy)?;
-        let clock = Arc::clone(&spec.clock);
-        Ok(self.drive(&clock, spec.into_request()))
-    }
-
-    /// Runs `request` — already [`validate`]d, resolving by [`Done::Park`]
-    /// — to its outcome on a core of its own, driven by the calling
-    /// thread. The core is created and dropped per call on purpose: a pool
-    /// thread's trailing `wake()` can arm an idle core's signal, and the
-    /// clock slot the armed signal reserves would pin virtual time until a
-    /// driver came back — `Drop` is what disarms it.
-    pub(crate) fn drive(
-        &self,
-        clock: &Arc<dyn Clock>,
-        request: RequestSpec<'static>,
-    ) -> EngineOutcome {
-        // See `execute_scoped`: an already-registered caller keeps its slot.
-        let worker = (!clock.thread_is_worker()).then(|| WorkerGuard::enter(&**clock));
-        let parker = Parker::of_this_thread(&**clock);
-        let core = Arc::new(EventCore::new(Shared::Owned(Arc::clone(clock)), parker));
-        let spawn = self.pooled_spawner(&core, clock);
-        let req = core.submit(request, &spawn);
-        let result = core.drive_request(req, &spawn);
-        drop(worker);
-        settle(result)
-    }
+/// Runs `request` — already [`validate`]d, resolving by [`Done::Park`] —
+/// to its outcome on a core of its own, driven by the calling thread;
+/// blocking leaves run on `pool`. The core is created and dropped per
+/// call on purpose: a pool thread's trailing `wake()` can arm an idle
+/// core's signal, and the clock slot the armed signal reserves would pin
+/// virtual time until a driver came back — `Drop` is what disarms it.
+pub(crate) fn drive(
+    pool: &Arc<WorkerPool>,
+    clock: &Arc<dyn Clock>,
+    request: RequestSpec<'static>,
+) -> EngineOutcome {
+    // See `execute_scoped`: an already-registered caller keeps its slot.
+    let worker = (!clock.thread_is_worker()).then(|| WorkerGuard::enter(&**clock));
+    let parker = Parker::of_this_thread(&**clock);
+    let core = Arc::new(EventCore::new(Shared::Owned(Arc::clone(clock)), parker));
+    let spawn = pooled_spawner(pool, &core, clock);
+    let req = core.submit(request, &spawn);
+    let result = core.drive_request(req, &spawn);
+    drop(worker);
+    settle(result)
 }
 
 #[cfg(test)]
@@ -440,12 +307,12 @@ mod tests {
     }
 
     /// The gateway's request form keeps no `InvocationOutcome`s and adds
-    /// the cost up as legs complete; everything it does report must be
-    /// what `ExecutionEngine::execute` reports for the same inputs, bit
-    /// for bit — `-0.0` for a request that started nothing included.
+    /// the cost up as legs complete; everything `drive` reports for it
+    /// must be what `execute_scoped` reports for the same inputs, bit for
+    /// bit — `-0.0` for a request that started nothing included.
     #[test]
     fn record_free_requests_agree_with_execute() {
-        let engine = ExecutionEngine::new(2);
+        let pool = Arc::new(WorkerPool::new(2));
         let policies = [
             CompletionPolicy::FirstSuccess,
             CompletionPolicy::Quorum { quorum: 1 },
@@ -464,24 +331,24 @@ mod tests {
                     let ctx = format!("seed {seed} strategy {strategy} {policy:?} budget {which}");
 
                     let (clock, providers) = rig(m, mask, fault_mask, seed);
-                    let recorded = engine
-                        .execute(ExecSpec {
-                            strategy: strategy.clone(),
-                            providers,
-                            request: Invocation::new(7, "", vec![]),
-                            collector: None,
-                            telemetry: None,
-                            clock,
-                            budget: budget.clone(),
-                            policy,
-                        })
-                        .unwrap();
+                    let recorded = execute_scoped(
+                        &strategy,
+                        &providers,
+                        &Invocation::new(7, "", vec![]),
+                        None,
+                        &*clock,
+                        None,
+                        &budget,
+                        policy,
+                    )
+                    .unwrap();
                     // What the running total replaced.
                     let summed: f64 = recorded.invocations.iter().map(|i| i.cost).sum();
                     assert_eq!(recorded.cost.to_bits(), summed.to_bits(), "{ctx}");
 
                     let (clock, providers) = rig(m, mask, fault_mask, seed);
-                    let bare = engine.drive(
+                    let bare = drive(
+                        &pool,
                         &clock,
                         RequestSpec {
                             strategy: Shared::Owned(Arc::new(strategy.clone())),

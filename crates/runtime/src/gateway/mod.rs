@@ -36,8 +36,8 @@ use crate::engine::event::{
     BlockingTask, Done, EventCore, RequestResult, RequestSpec, Shared, TaskFn,
 };
 use crate::engine::{
-    Budget, Completion, CompletionPolicy, EngineOutcome, EngineStats, ExecutionEngine, PolicyState,
-    PoolStats, PruneDetail, PruneReason,
+    Budget, Completion, CompletionPolicy, EngineOutcome, EngineStats, PolicyState, PoolStats,
+    PruneDetail, PruneReason, WorkerPool,
 };
 use crate::generator::{StrategyOrigin, SynthesisSettings};
 use crate::market::Market;
@@ -99,8 +99,11 @@ pub struct GatewayConfig {
     /// that have not started when the deadline passes are pruned; legs
     /// already in flight complete and are charged (Assumption 2).
     pub request_deadline: Option<Duration>,
-    /// Persistent worker threads in the execution engine's pool (`0` = no
-    /// pool; every parallel leg runs on its own one-shot thread).
+    /// Persistent worker threads in the gateway's pool, which runs every
+    /// strategy leg that must really block (capacity limits, foreign
+    /// clocks, closure providers); timed legs are clock events and need no
+    /// thread. `0` = no pool: every blocking leg runs on its own one-shot
+    /// thread.
     pub worker_pool: usize,
     /// Event-loop threads draining asynchronous submissions
     /// ([`Gateway::submit_async`]). Requests are state machines on a shared
@@ -445,7 +448,9 @@ pub struct Gateway {
     clock: Arc<dyn Clock>,
     config: GatewayConfig,
     telemetry: Arc<Telemetry>,
-    engine: ExecutionEngine,
+    /// Runs the blocking leaves of every request, submitted blocking or
+    /// not (see [`GatewayConfig::worker_pool`]).
+    pool: Arc<WorkerPool>,
     services: RwLock<HashMap<String, Arc<ServiceEntry>>>,
     next_request: AtomicU64,
     /// Shared event core draining every asynchronous request
@@ -453,7 +458,7 @@ pub struct Gateway {
     /// clock events, continuations are heap frames, and
     /// [`GatewayConfig::event_loops`] threads step the whole gateway.
     core: Arc<EventCore<'static>>,
-    /// Routes a blocking leaf of `core` to the engine's worker pool.
+    /// Routes a blocking leaf of `core` to `pool`.
     spawn: Arc<dyn Fn(BlockingTask) + Send + Sync>,
     /// Event-loop threads, spawned lazily on the first `submit_async`,
     /// joined on drop.
@@ -491,18 +496,18 @@ impl Gateway {
         clock: Arc<dyn Clock>,
     ) -> Self {
         let telemetry = Telemetry::new(Arc::clone(&clock), config.telemetry_events);
-        let engine = ExecutionEngine::new(config.worker_pool);
+        let pool = Arc::new(WorkerPool::new(config.worker_pool));
         let core = Arc::new(EventCore::new(
             Shared::Owned(Arc::clone(&clock)),
             Arc::default(),
         ));
-        let spawn = Arc::new(engine.pooled_spawner(&core, &clock));
+        let spawn = Arc::new(crate::engine::pooled_spawner(&pool, &core, &clock));
         Gateway {
             market,
             registry: Arc::new(Registry::new()),
             collector: Arc::new(Collector::new(config.collector_window.max(1))),
             clock,
-            engine,
+            pool,
             config,
             telemetry,
             services: RwLock::new(HashMap::new()),
@@ -574,10 +579,12 @@ impl Gateway {
         let deadline = request.deadline;
         let (mut spec, reply) = self.prepare(request)?;
         if let Some(deadline) = deadline {
-            spec.budget = spec.budget.with_deadline(self.clock.now() + deadline);
+            spec.budget = spec
+                .budget
+                .with_deadline(self.clock.now().saturating_add(deadline));
         }
         // The caller's thread drives the walk: no hop to a loop thread.
-        let outcome = self.engine.drive(&self.clock, spec);
+        let outcome = crate::engine::drive(&self.pool, &self.clock, spec);
         Ok(reply.respond(&self.telemetry, outcome))
     }
 
@@ -609,7 +616,7 @@ impl Gateway {
         self.ensure_loops()?;
         let meta = request.meta.clone();
         let entry = Arc::clone(&request.entry);
-        let abs_deadline = request.deadline.map(|d| self.clock.now() + d);
+        let abs_deadline = request.deadline.map(|d| self.clock.now().saturating_add(d));
         let shared = Arc::new(HandleShared::new(Arc::clone(&self.clock)));
 
         // The admitted continuation, run on an event-loop thread. Its
@@ -817,11 +824,12 @@ impl Gateway {
         GatewayControl { gateway: self }
     }
 
-    /// Current occupancy counters of the engine's worker pool (capacity,
-    /// live/idle/running threads, spill count).
+    /// Current occupancy counters of the gateway's worker pool
+    /// ([`GatewayConfig::worker_pool`]): capacity, live/idle/running
+    /// threads, jobs submitted and spilled.
     #[must_use]
     pub fn pool_stats(&self) -> PoolStats {
-        self.engine.pool_stats()
+        self.pool.stats()
     }
 
     /// Live occupancy of the event core: requests in flight, resident

@@ -24,9 +24,9 @@
 //!   host; the gateway picks the best provider per capability
 //!   (Assumption 1);
 //! * [`Collector`] — windowed per-provider QoS statistics;
-//! * [`engine::execute_scoped`] — executes one strategy outside a gateway:
-//!   fail-over, speculative parallelism, global short-circuit and
-//!   Assumption-2 cost accounting under
+//! * [`engine::execute_scoped`] — the one way to execute a strategy
+//!   outside a gateway: fail-over, speculative parallelism, global
+//!   short-circuit and Assumption-2 cost accounting under
 //!   [`CompletionPolicy::FirstSuccess`]; under [`CompletionPolicy::Quorum`]
 //!   the paper's future-work extension, `q` agreeing results to outvote
 //!   malicious devices;
@@ -105,8 +105,8 @@ pub use clock::{Clock, Parker, VirtualClock, WallClock, WorkerGuard};
 pub use collector::{Collector, ExecutionRecord, ProviderStats};
 pub use device::{FnProvider, Provider, SimulatedProvider, SimulatedProviderBuilder};
 pub use engine::{
-    Budget, Completion, CompletionPolicy, EngineOutcome, EngineStats, ExecSpec, ExecutionEngine,
-    PoolStats, PruneDetail, PruneReason,
+    Budget, Completion, CompletionPolicy, EngineOutcome, EngineStats, PoolStats, PruneDetail,
+    PruneReason,
 };
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultProfile, FaultyProvider};
 pub use fleet::{FleetConfig, FleetStats, GatewayFleet, GatewayShard, ServiceRouter, ShardStats};

@@ -1,8 +1,9 @@
 //! Equivalence proofs for the unified execution engine: for random
 //! strategies (up to M = 5), deterministic provider reliabilities, and
-//! seeded fault plans, both engine entry points must reproduce the
-//! pre-engine executors *exactly* — outcome, payload, cost, latency, and
-//! the multiset of started invocations.
+//! seeded fault plans, the engine must reproduce the pre-engine executors
+//! *exactly* — outcome, payload, cost, latency, and the multiset of
+//! started invocations — both through its one public door and on the path
+//! that serves requests.
 //!
 //! The ground truth is the **original tree walkers**, copied verbatim
 //! below from the pre-engine `executor.rs` / `quorum.rs` (both files are
@@ -13,8 +14,15 @@
 //! virtual clocks:
 //!
 //! 1. the copied legacy walker (the oracle),
-//! 2. `execute_scoped` (scoped-spawner engine path),
-//! 3. `ExecutionEngine::execute` (pooled-spawner engine path).
+//! 2. `execute_scoped` (the gateway-free door, every invocation recorded),
+//! 3. a `Gateway` at slot 0 whose script's default strategy is the sampled
+//!    one (`Gateway::submit`: the record-free request form, driven on the
+//!    gateway's own pool). Its invocations are compared through its
+//!    telemetry's per-provider counts.
+//!
+//! A gateway script accepts only a quorum `1 ≤ q ≤ M`, and runs `q = 1` as
+//! first success. So the quorum property covers `q = 1` and `q > M` with
+//! `execute_scoped` alone; every other case runs all three rigs.
 //!
 //! Determinism argument: reliabilities are 0 or 1 and latencies are
 //! distinct powers of two, so every *success* instant is a distinct
@@ -32,15 +40,14 @@ use std::time::Duration;
 use parking_lot::Mutex;
 use proptest::prelude::*;
 
-use qce_runtime::engine::{
-    execute_scoped, Budget, Completion, CompletionPolicy, EngineOutcome, ExecSpec, ExecutionEngine,
-};
+use qce_runtime::engine::{execute_scoped, Budget, Completion, CompletionPolicy, EngineOutcome};
 use qce_runtime::{
-    Clock, FaultPlan, FaultProfile, FaultyProvider, Invocation, InvocationOutcome, Provider,
+    Clock, FaultPlan, FaultProfile, FaultyProvider, Gateway, GatewayConfig, InMemoryMarket,
+    Invocation, InvocationOutcome, MsSpec, Provider, Request, ServiceResponse, ServiceScript,
     SimulatedProvider, VirtualClock, WorkerGuard,
 };
 use qce_strategy::enumerate::StrategySampler;
-use qce_strategy::{MsId, Node, Strategy};
+use qce_strategy::{MsId, Node, Qos, Requirements, Strategy};
 
 // ---------------------------------------------------------------------------
 // The oracle: the pre-engine first-success walker, copied verbatim (minus
@@ -561,6 +568,67 @@ fn run_scoped(
     .unwrap()
 }
 
+/// Per provider that ran: `(id, invocations, successes)`, sorted by id.
+type Counts = Vec<(String, u64, u64)>;
+
+/// The oracle's trace reduced to what gateway telemetry counts.
+fn trace_counts(invocations: &[InvocationOutcome]) -> Counts {
+    let mut counts = std::collections::BTreeMap::<String, (u64, u64)>::new();
+    for invocation in invocations {
+        let entry = counts.entry(invocation.provider_id.clone()).or_default();
+        entry.0 += 1;
+        entry.1 += u64::from(invocation.success);
+    }
+    counts
+        .into_iter()
+        .map(|(id, (n, ok))| (id, n, ok))
+        .collect()
+}
+
+/// Rig 3: a gateway on the rig's clock, serving one request at slot 0.
+/// Its script lists one microservice per rig provider, its default
+/// strategy is `strategy` rendered with the script's names, and its quorum
+/// is `quorum`. Returns the response and the gateway telemetry's
+/// per-provider counts.
+fn run_gateway(
+    strategy: &Strategy,
+    clock: Arc<VirtualClock>,
+    providers: Vec<Arc<dyn Provider>>,
+    quorum: Option<usize>,
+) -> (ServiceResponse, Counts) {
+    let names: Vec<String> = (0..providers.len()).map(|i| format!("ms{i}")).collect();
+    let microservices = providers
+        .iter()
+        .zip(&names)
+        .map(|(provider, name)| MsSpec {
+            name: name.clone(),
+            capability: provider.capability().to_string(),
+            prior: Qos::new(10.0, 10.0, 0.5).unwrap(),
+        })
+        .collect();
+    let mut script = ServiceScript::new(
+        "svc",
+        microservices,
+        Requirements::new(1000.0, 1000.0, 0.5).unwrap(),
+    );
+    script.default_strategy = Some(strategy.to_string_with_names(&names));
+    script.quorum = quorum;
+    let market = InMemoryMarket::new();
+    market.publish(script).unwrap();
+    let gateway = Gateway::with_clock(Box::new(market), GatewayConfig::default(), clock);
+    for provider in providers {
+        gateway.registry().register(provider);
+    }
+    let response = gateway.submit(Request::new("svc")).unwrap();
+    assert_eq!(response.slot, 0);
+    assert_eq!(*response.strategy, *strategy, "the script's default serves");
+    assert_eq!(response.pruned, None);
+    let counts = (gateway.telemetry().snapshot().providers.iter())
+        .map(|p| (p.provider.clone(), p.invocations, p.successes))
+        .collect();
+    (response, counts)
+}
+
 /// `(success, payload)` of a first-success run.
 fn first(completion: Completion) -> (bool, Option<Vec<u8>>) {
     match completion {
@@ -589,8 +657,8 @@ fn agreement(completion: Completion) -> (Option<Vec<u8>>, usize, usize, bool) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// `CompletionPolicy::FirstSuccess` — both engine paths reproduce the
-    /// pre-engine first-success walker bit for bit.
+    /// `CompletionPolicy::FirstSuccess` — `execute_scoped` and the gateway
+    /// both reproduce the pre-engine first-success walker bit for bit.
     #[test]
     fn first_success_engine_equals_legacy_walker(
         m in 1usize..6,
@@ -608,19 +676,7 @@ proptest! {
         let (scoped_success, scoped_payload) = first(scoped.completion);
 
         let (clock, providers) = rig(m, mask, fault_mask, seed);
-        let engine = ExecutionEngine::new(4)
-            .execute(ExecSpec {
-                strategy: strategy.clone(),
-                providers,
-                request: request(),
-                collector: None,
-                telemetry: None,
-                clock: clock as Arc<dyn Clock>,
-                budget: Budget::unlimited(),
-                policy: CompletionPolicy::FirstSuccess,
-            })
-            .unwrap();
-        let (engine_success, engine_payload) = first(engine.completion);
+        let (gateway, counts) = run_gateway(&strategy, clock, providers, None);
 
         // Scoped engine vs original walker.
         prop_assert_eq!(scoped_success, oracle.success, "strategy {}", strategy);
@@ -634,21 +690,17 @@ proptest! {
             strategy
         );
 
-        // Pooled engine vs original walker.
-        prop_assert_eq!(engine_success, oracle.success, "strategy {}", strategy);
-        prop_assert_eq!(&engine_payload, &oracle.payload, "strategy {}", strategy);
-        prop_assert_eq!(engine.latency, oracle.latency, "strategy {}", strategy);
-        prop_assert_eq!(engine.cost, oracle.cost, "strategy {}", strategy);
-        prop_assert_eq!(engine.pruned, None);
-        prop_assert_eq!(
-            sorted_trace(&engine.invocations),
-            sorted_trace(&oracle.invocations),
-            "strategy {}",
-            strategy
-        );
+        // Gateway vs original walker.
+        prop_assert_eq!(gateway.success, oracle.success, "strategy {}", strategy);
+        prop_assert_eq!(&gateway.payload, &oracle.payload, "strategy {}", strategy);
+        prop_assert_eq!(gateway.latency, oracle.latency, "strategy {}", strategy);
+        prop_assert_eq!(gateway.cost.to_bits(), oracle.cost.to_bits(), "strategy {}", strategy);
+        prop_assert_eq!(gateway.votes, None);
+        prop_assert_eq!(counts, trace_counts(&oracle.invocations), "strategy {}", strategy);
     }
 
-    /// `CompletionPolicy::Quorum { k }` — both engine paths reproduce the
+    /// `CompletionPolicy::Quorum { k }` — `execute_scoped` and, for the
+    /// quorums a script runs (`2 ≤ k ≤ M`), the gateway both reproduce the
     /// pre-engine quorum walker bit for bit, votes included.
     #[test]
     fn quorum_engine_equals_legacy_walker(
@@ -668,22 +720,6 @@ proptest! {
         let (scoped_payload, scoped_votes, scoped_cast, scoped_agreed) =
             agreement(scoped.completion);
 
-        let (clock, providers) = rig(m, mask, fault_mask, seed);
-        let engine = ExecutionEngine::new(4)
-            .execute(ExecSpec {
-                strategy: strategy.clone(),
-                providers,
-                request: request(),
-                collector: None,
-                telemetry: None,
-                clock: clock as Arc<dyn Clock>,
-                budget: Budget::unlimited(),
-                policy: CompletionPolicy::Quorum { quorum },
-            })
-            .unwrap();
-        let (engine_payload, engine_votes, engine_cast, engine_agreed) =
-            agreement(engine.completion);
-
         // Scoped engine vs original walker.
         prop_assert_eq!(&scoped_payload, &oracle.payload, "strategy {} q{}", strategy, quorum);
         prop_assert_eq!(scoped_votes, oracle.votes, "strategy {} q{}", strategy, quorum);
@@ -699,22 +735,34 @@ proptest! {
             quorum
         );
 
-        // Pooled engine vs original walker.
-        prop_assert_eq!(&engine_payload, &oracle.payload, "strategy {} q{}", strategy, quorum);
-        prop_assert_eq!(engine_votes, oracle.votes, "strategy {} q{}", strategy, quorum);
-        prop_assert_eq!(engine_cast, oracle.votes_cast, "strategy {} q{}", strategy, quorum);
-        prop_assert_eq!(engine_agreed, oracle.agreed, "strategy {} q{}", strategy, quorum);
-        prop_assert_eq!(engine.latency, oracle.latency, "strategy {} q{}", strategy, quorum);
-        prop_assert_eq!(engine.cost, oracle.cost, "strategy {} q{}", strategy, quorum);
-        prop_assert_eq!(engine.pruned, None);
-        prop_assert_eq!(
-            sorted_trace(&engine.invocations),
-            sorted_trace(&oracle.invocations),
-            "strategy {} q{}",
-            strategy,
-            quorum
-        );
+        // Gateway vs original walker.
+        if (2..=m).contains(&quorum) {
+            let (clock, providers) = rig(m, mask, fault_mask, seed);
+            let (gateway, counts) = run_gateway(&strategy, clock, providers, Some(quorum));
+            let ctx = format!("strategy {strategy} q{quorum}");
+            assert_gateway_agrees(&gateway, &counts, &oracle, &ctx);
+        }
     }
+}
+
+/// A gateway quorum run against the quorum oracle: agreement, payload,
+/// votes, latency, cost bits and per-provider invocation counts.
+fn assert_gateway_agrees(
+    gateway: &ServiceResponse,
+    counts: &Counts,
+    oracle: &QuorumOracleOutcome,
+    ctx: &str,
+) {
+    assert_eq!(gateway.success, oracle.agreed, "{ctx}");
+    assert_eq!(gateway.payload, oracle.payload, "{ctx}");
+    assert_eq!(
+        gateway.votes,
+        Some((oracle.votes, oracle.votes_cast)),
+        "{ctx}"
+    );
+    assert_eq!(gateway.latency, oracle.latency, "{ctx}");
+    assert_eq!(gateway.cost.to_bits(), oracle.cost.to_bits(), "{ctx}");
+    assert_eq!(*counts, trace_counts(&oracle.invocations), "{ctx}");
 }
 
 /// Regression: a Par whose last leg finishes while the parent is
@@ -730,7 +778,7 @@ proptest! {
 /// The slot-handoff protocol (`Clock::disown_worker` /
 /// `Clock::release_worker`, [`SlotHandoff`] in the walker) closes the
 /// window; this replays the once-diverging case many times since the race
-/// needed scheduler pressure to fire.
+/// needed scheduler pressure to fire, on the gateway's request path.
 #[test]
 fn parked_parent_handoff_keeps_pending_leaves() {
     use proptest::test_runner::rng_for_case;
@@ -748,36 +796,15 @@ fn parked_parent_handoff_keeps_pending_leaves() {
     let quorum: usize = rng.gen_range(1usize..4);
     let strategy = sampled_strategy(m, seed);
 
+    assert!((2..=m).contains(&quorum), "a quorum the gateway runs");
+
     for iter in 0..200 {
         let (clock, providers) = rig(m, mask, fault_mask, seed);
         let oracle = oracle_quorum(&strategy, &providers, &request(), quorum, &*clock);
 
         let (clock, providers) = rig(m, mask, fault_mask, seed);
-        let engine = ExecutionEngine::new(4)
-            .execute(ExecSpec {
-                strategy: strategy.clone(),
-                providers,
-                request: request(),
-                collector: None,
-                telemetry: None,
-                clock: clock as Arc<dyn Clock>,
-                budget: Budget::unlimited(),
-                policy: CompletionPolicy::Quorum { quorum },
-            })
-            .unwrap();
-        let (engine_payload, engine_votes, engine_cast, engine_agreed) =
-            agreement(engine.completion);
+        let (gateway, counts) = run_gateway(&strategy, clock, providers, Some(quorum));
         let ctx = format!("iter {iter} strategy {strategy} q{quorum}");
-        assert_eq!(engine_payload, oracle.payload, "{ctx}");
-        assert_eq!(engine_votes, oracle.votes, "{ctx}");
-        assert_eq!(engine_cast, oracle.votes_cast, "{ctx}");
-        assert_eq!(engine_agreed, oracle.agreed, "{ctx}");
-        assert_eq!(engine.latency, oracle.latency, "{ctx}");
-        assert_eq!(engine.cost, oracle.cost, "{ctx}");
-        assert_eq!(
-            sorted_trace(&engine.invocations),
-            sorted_trace(&oracle.invocations),
-            "{ctx}"
-        );
+        assert_gateway_agrees(&gateway, &counts, &oracle, &ctx);
     }
 }

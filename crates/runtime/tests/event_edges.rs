@@ -15,7 +15,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use qce_runtime::engine::{Budget, Completion, CompletionPolicy, ExecSpec, ExecutionEngine};
+use qce_runtime::engine::{execute_scoped, Budget, Completion, CompletionPolicy};
 use qce_runtime::{Clock, Invocation, InvokeError, Provider, VirtualClock};
 use qce_strategy::Strategy;
 
@@ -79,20 +79,19 @@ fn run(
     t0: Duration,
     providers: Vec<Arc<dyn Provider>>,
 ) -> qce_runtime::engine::EngineOutcome {
-    let clock = Arc::new(VirtualClock::new());
+    let clock = VirtualClock::new();
     clock.advance(t0);
-    ExecutionEngine::new(4)
-        .execute(ExecSpec {
-            strategy: Strategy::parse(strategy).unwrap(),
-            providers,
-            request: Invocation::new(7, "edge-cap", vec![]),
-            collector: None,
-            telemetry: None,
-            clock: clock as Arc<dyn Clock>,
-            budget: Budget::unlimited(),
-            policy: CompletionPolicy::FirstSuccess,
-        })
-        .unwrap()
+    execute_scoped(
+        &Strategy::parse(strategy).unwrap(),
+        &providers,
+        &Invocation::new(7, "edge-cap", vec![]),
+        None,
+        &clock,
+        None,
+        &Budget::unlimited(),
+        CompletionPolicy::FirstSuccess,
+    )
+    .unwrap()
 }
 
 /// A leg declaring `Duration::MAX` from a non-zero start instant must

@@ -8,14 +8,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use qce_runtime::engine::{
-    execute_scoped, Budget, Completion, CompletionPolicy, EngineOutcome, ExecSpec, ExecutionEngine,
-};
+use qce_runtime::engine::{execute_scoped, Budget, Completion, CompletionPolicy, EngineOutcome};
 use qce_runtime::{
-    Clock, Collector, FnProvider, Invocation, InvokeError, Parker, Provider, RuntimeError,
-    SimulatedProvider, VirtualClock, WallClock,
+    Clock, Collector, FnProvider, Gateway, GatewayConfig, Invocation, InvokeError, Market, MsSpec,
+    Parker, Provider, Request, RuntimeError, ServiceScript, SimulatedProvider, VirtualClock,
+    WallClock,
 };
-use qce_strategy::Strategy;
+use qce_strategy::{Qos, Requirements, Strategy};
 
 fn req() -> Invocation {
     Invocation::new(1, "", vec![])
@@ -425,8 +424,23 @@ fn failing(id: &str) -> Arc<dyn Provider> {
     })
 }
 
-/// A zero quorum is a typed error from both doors, before anything is
-/// invoked, charged or recorded.
+/// A market that hands out its one script as published, unvetted — the
+/// way a script reaches a gateway from a market that does not validate.
+struct Unvetted(ServiceScript);
+
+impl Market for Unvetted {
+    fn fetch(&self, _service_id: &str) -> Result<ServiceScript, RuntimeError> {
+        Ok(self.0.clone())
+    }
+
+    fn service_ids(&self) -> Vec<String> {
+        vec![self.0.service_id.clone()]
+    }
+}
+
+/// A zero quorum is a typed error from both doors — `execute_scoped`'s
+/// policy and a gateway script's `quorum` — before anything is invoked,
+/// charged or recorded.
 #[test]
 fn zero_quorum_rejected() {
     let collector = Arc::new(Collector::new(10));
@@ -438,22 +452,28 @@ fn zero_quorum_rejected() {
         matches!(&scoped, Err(RuntimeError::InvalidScript { reason }) if reason.contains("quorum")),
         "{scoped:?}"
     );
-
-    let pooled = ExecutionEngine::new(1).execute(ExecSpec {
-        strategy: Strategy::parse("a").unwrap(),
-        providers,
-        request: req(),
-        collector: Some(Arc::clone(&collector)),
-        telemetry: None,
-        clock: Arc::new(WallClock::new()),
-        budget: Budget::unlimited(),
-        policy,
-    });
-    assert!(
-        matches!(&pooled, Err(RuntimeError::InvalidScript { reason }) if reason.contains("quorum")),
-        "{pooled:?}"
-    );
     assert_eq!(collector.observation_count("a"), 0);
+
+    let mut script = ServiceScript::new(
+        "svc",
+        vec![MsSpec {
+            name: "a".into(),
+            capability: "cap".into(),
+            prior: Qos::new(1.0, 1.0, 0.9).unwrap(),
+        }],
+        Requirements::new(10.0, 10.0, 0.5).unwrap(),
+    );
+    script.quorum = Some(0);
+    let gateway = Gateway::new(Box::new(Unvetted(script)), GatewayConfig::default());
+    gateway.registry().register(honest("a", 1, 1.0));
+    let served = gateway.submit(Request::new("svc"));
+    assert!(
+        matches!(&served, Err(RuntimeError::InvalidScript { reason }) if reason.contains("quorum")),
+        "{served:?}"
+    );
+    assert_eq!(gateway.collector().observation_count("a"), 0);
+    assert!(gateway.telemetry().snapshot().providers.is_empty());
+    assert_eq!(gateway.pool_stats().submitted, 0, "nothing was invoked");
 }
 
 #[test]

@@ -181,6 +181,22 @@ fn overloaded_provider_degrades_gracefully() {
         successes.iter().all(|&ok| ok),
         "equivalents absorb the overload: {successes:?}"
     );
+    // The capacity-capped leg blocks, so it ran on the gateway's pool,
+    // and every pool job has finished once the clients are back. (A job
+    // counts itself out just after its leg resolves the request, hence
+    // the short wait.)
+    assert!(
+        gateway.pool_stats().submitted > 0,
+        "x's legs ran on the pool"
+    );
+    let settled = (0..500).any(|_| {
+        let idle = gateway.pool_stats().running == 0;
+        if !idle {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        idle
+    });
+    assert!(settled, "{:?}", gateway.pool_stats());
 }
 
 #[test]

@@ -1382,6 +1382,119 @@ fn zero_deadline_is_rejected_before_admission_and_counted_once() {
     assert!(response.success);
 }
 
+/// Bugfix regression: anchoring a `Duration::MAX` deadline at "now" used
+/// to overflow and panic both entry points as soon as the clock had
+/// moved. A saturated absolute deadline means "never": from every source
+/// a deadline resolves from, and through both entry points, the request
+/// runs to success unpruned.
+#[test]
+fn maximal_deadline_never_trips_from_any_source_or_entry_point() {
+    use qce_runtime::clock::VirtualClock;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    for source in ["request", "config", "override"] {
+        for blocking in [true, false] {
+            let ctx = format!("{source} deadline, blocking {blocking}");
+            let clock = Arc::new(VirtualClock::new());
+            clock.advance(Duration::from_millis(5));
+            let config = GatewayConfig::builder()
+                .request_deadline((source == "config").then_some(Duration::MAX))
+                .build();
+            let gateway = Arc::new(Gateway::with_clock(
+                market_with(one_ms_script()),
+                config,
+                Arc::clone(&clock) as Arc<dyn Clock>,
+            ));
+            gateway.registry().register(
+                SimulatedProvider::builder("dev/cap-a", "cap-a")
+                    .latency(Duration::from_millis(1))
+                    .reliability(1.0)
+                    .clock(Arc::clone(&clock) as Arc<dyn Clock>)
+                    .build(),
+            );
+            let mut request = Request::new("svc");
+            match source {
+                "request" => request = request.deadline(Duration::MAX),
+                "override" => gateway.control().set_deadline("svc", Some(Duration::MAX)),
+                _ => {}
+            }
+            let served = catch_unwind(AssertUnwindSafe(|| {
+                if blocking {
+                    gateway.submit(request)
+                } else {
+                    gateway
+                        .submit_async(request)
+                        .and_then(|handle| handle.wait())
+                }
+            }));
+            let response = served
+                .unwrap_or_else(|_| panic!("{ctx}: panicked"))
+                .unwrap_or_else(|error| panic!("{ctx}: {error}"));
+            assert!(response.success, "{ctx}");
+            assert_eq!(response.pruned, None, "{ctx}");
+        }
+    }
+}
+
+/// A leaf that must really block (here a closure provider) runs on the
+/// gateway's worker pool, one pool job per leg, and the response is what
+/// `execute_scoped` reports for the same providers and strategy.
+#[test]
+fn blocking_legs_run_on_the_gateway_pool() {
+    use qce_runtime::engine::{execute_scoped, Budget, CompletionPolicy};
+    use qce_runtime::{FnProvider, Invocation, InvokeError, Provider, WallClock};
+    use qce_strategy::Strategy;
+
+    let providers: Vec<Arc<dyn Provider>> = vec![
+        FnProvider::new("dev/a", "cap-a", 4.0, |_| {
+            Err(InvokeError::ExecutionFailed {
+                reason: "down".to_string(),
+            })
+        }),
+        FnProvider::new("dev/b", "cap-b", 2.0, |_| Ok(vec![7])),
+        FnProvider::new("dev/c", "cap-c", 1.0, |_| Ok(vec![7])),
+    ];
+    let mut script = ServiceScript::new(
+        "svc",
+        ["a", "b", "c"]
+            .iter()
+            .map(|name| MsSpec {
+                name: (*name).into(),
+                capability: format!("cap-{name}"),
+                prior: Qos::new(5.0, 5.0, 0.9).unwrap(),
+            })
+            .collect(),
+        Requirements::new(1000.0, 1000.0, 0.5).unwrap(),
+    );
+    script.default_strategy = Some("a-b*c".to_string());
+    let gateway = Gateway::new(market_with(script), GatewayConfig::default());
+    for provider in &providers {
+        gateway.registry().register(Arc::clone(provider));
+    }
+
+    // `a` fails, then `b` and `c` start together: three blocking legs.
+    let before = gateway.pool_stats().submitted;
+    let response = gateway.submit(Request::new("svc")).unwrap();
+    assert_eq!(gateway.pool_stats().submitted - before, 3);
+
+    let scoped = execute_scoped(
+        &Strategy::parse("a-b*c").unwrap(),
+        &providers,
+        &Invocation::new(1, "svc", vec![]),
+        None,
+        &WallClock::new(),
+        None,
+        &Budget::unlimited(),
+        CompletionPolicy::FirstSuccess,
+    )
+    .unwrap();
+    assert_eq!(response.success, scoped.completion.is_success());
+    assert_eq!(response.payload.as_ref(), scoped.completion.payload());
+    assert_eq!(response.cost.to_bits(), scoped.cost.to_bits());
+    assert_eq!(response.cost, 7.0, "every started leg is charged");
+    assert_eq!(scoped.invocations.len(), 3);
+}
+
 /// An asynchronous submission is the same request as a blocking one:
 /// same planning, same execution, same telemetry — bit-identical
 /// response. This is the contract the shared request pipeline leans on,

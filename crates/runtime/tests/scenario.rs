@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use qce_runtime::engine::{Budget, Completion, CompletionPolicy, ExecSpec, ExecutionEngine};
+use qce_runtime::engine::{execute_scoped, Budget, Completion, CompletionPolicy};
 use qce_runtime::scenario::{
     merge_crash_windows, BackgroundFaults, Churn, LoadPhase, MsDef, Require, Scenario,
     ScenarioError, ServiceDef, Storm,
@@ -197,18 +197,17 @@ fn run_engine(
     policy: CompletionPolicy,
 ) -> qce_runtime::EngineOutcome {
     let (clock, providers) = rig_with_plans(m, mask, plans);
-    ExecutionEngine::new(4)
-        .execute(ExecSpec {
-            strategy: strategy.clone(),
-            providers,
-            request: Invocation::new(7, "", vec![]),
-            collector: None,
-            telemetry: None,
-            clock: clock as Arc<dyn Clock>,
-            budget: Budget::unlimited(),
-            policy,
-        })
-        .unwrap()
+    execute_scoped(
+        strategy,
+        &providers,
+        &Invocation::new(7, "", vec![]),
+        None,
+        &*clock,
+        None,
+        &Budget::unlimited(),
+        policy,
+    )
+    .unwrap()
 }
 
 proptest! {

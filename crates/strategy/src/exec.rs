@@ -17,9 +17,9 @@ use std::fmt;
 
 /// When is a strategy execution *complete*?
 ///
-/// Parameterizes the runtime's execution engine (`execute_scoped`,
-/// `ExecutionEngine`, the gateway), which rejects a zero quorum with a
-/// typed error. The policy decides two things during the walk:
+/// Parameterizes the runtime's execution engine (`execute_scoped` and the
+/// gateway), which rejects a zero quorum with a typed error. The policy
+/// decides two things during the walk:
 ///
 /// * whether a successful leaf ends the strategy (`FirstSuccess`: yes;
 ///   `Quorum`: only once `quorum` byte-equal payloads agree);
