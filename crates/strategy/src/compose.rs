@@ -84,9 +84,8 @@ pub fn pipeline_qos_on_success(stages: &[Qos]) -> Option<Qos> {
 /// observations exist; per-stage generators then optimize within their
 /// slice.
 ///
-/// # Panics
-///
-/// Panics if `stages == 0`.
+/// Returns `None` for zero stages, and where a share is not a valid
+/// requirement: a budget so small that dividing it rounds to zero.
 ///
 /// # Examples
 ///
@@ -95,22 +94,25 @@ pub fn pipeline_qos_on_success(stages: &[Qos]) -> Option<Qos> {
 /// use qce_strategy::Requirements;
 ///
 /// let end_to_end = Requirements::new(200.0, 100.0, 0.81)?;
-/// let per_stage = split_requirements(&end_to_end, 2);
+/// let per_stage = split_requirements(&end_to_end, 2).unwrap();
 /// assert_eq!(per_stage.cost, 100.0);
 /// assert_eq!(per_stage.latency, 50.0);
 /// assert!((per_stage.reliability.value() - 0.9).abs() < 1e-12);
+/// assert!(split_requirements(&end_to_end, 0).is_none());
 /// # Ok::<(), qce_strategy::QosError>(())
 /// ```
 #[must_use]
-pub fn split_requirements(end_to_end: &Requirements, stages: usize) -> Requirements {
-    assert!(stages >= 1, "a pipeline has at least one stage");
+pub fn split_requirements(end_to_end: &Requirements, stages: usize) -> Option<Requirements> {
+    if stages == 0 {
+        return None;
+    }
     let n = stages as f64;
     Requirements::new(
         end_to_end.cost / n,
         end_to_end.latency / n,
         end_to_end.reliability.value().powf(1.0 / n),
     )
-    .expect("dividing positive budgets keeps them positive")
+    .ok()
 }
 
 #[cfg(test)]
@@ -169,7 +171,7 @@ mod tests {
     #[test]
     fn split_requirements_recomposes() {
         let end_to_end = Requirements::new(300.0, 150.0, 0.729).unwrap();
-        let per_stage = split_requirements(&end_to_end, 3);
+        let per_stage = split_requirements(&end_to_end, 3).unwrap();
         // Three stages exactly meeting the per-stage floor recompose to the
         // end-to-end floor.
         let stage = q(
@@ -184,8 +186,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one stage")]
-    fn zero_stage_split_panics() {
-        let _ = split_requirements(&Requirements::new(1.0, 1.0, 0.5).unwrap(), 0);
+    fn zero_stages_split_to_none() {
+        let end_to_end = Requirements::new(1.0, 1.0, 0.5).unwrap();
+        assert_eq!(split_requirements(&end_to_end, 0), None);
+    }
+
+    #[test]
+    fn a_share_that_rounds_to_zero_splits_to_none() {
+        let tiny = f64::from_bits(1);
+        for (cost, latency) in [(tiny, 1.0), (1.0, tiny)] {
+            let end_to_end = Requirements::new(cost, latency, 0.9).unwrap();
+            assert!(split_requirements(&end_to_end, 1).is_some());
+            assert_eq!(split_requirements(&end_to_end, 2), None);
+        }
     }
 }

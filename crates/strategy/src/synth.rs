@@ -33,10 +33,21 @@
 //!   with the failure product of the leaves that *must* gate it. Pruning
 //!   uses a `1e-9` safety margin, so candidates tying the optimum are
 //!   never pruned and the chosen strategy stays deterministic under any
-//!   thread interleaving.
-//! * **Work-stealing jobs** — the search space is cut into jobs (one
-//!   par-rooted family plus one job per first-block choice); workers
-//!   claim jobs off an atomic counter. The per-candidate
+//!   thread interleaving. The par-rooted family over all of `ids`, which
+//!   that bound rarely discards whole, is also screened row by row: a
+//!   leaf a row starts at time 0 is never gated, so the row costs at least
+//!   those leaves' summed cost.
+//! * **Sure-prefix collapse** — once the fixed blocks of a chain hold a
+//!   leaf that never fails, every later cost, failure and latency term is
+//!   multiplied by an exact `0.0`, so all `F(|rest|)` completions share one
+//!   QoS, bit for bit. The engine estimates that class once, counts every
+//!   member as seen, and offers the tie-break the member that renders
+//!   least: the prefix, then the least rendering of any strategy over the
+//!   rest (memoized per mask beside the family rows).
+//! * **Work-stealing jobs** — the search space is cut into jobs (one job
+//!   per first-block choice, then the par-rooted family, last so that its
+//!   rows meet a bar the chains have raised); workers claim jobs off an
+//!   atomic counter. The per-candidate
 //!   tie-break (utility, then cost, then latency, then the rendering's
 //!   bytes — compared only on a full tie, in a reused buffer) is a strict
 //!   total order, so the merged winner is independent of worker count and
@@ -51,7 +62,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use crate::enumerate::{submasks, Counts, EnumCtx, Mask, MAX_COUNT_M};
-use crate::estimate::{estimate_from_timelines, walk, Timeline};
+use crate::estimate::{estimate_from_timelines, timelines, walk, Timeline};
 use crate::expr::{render_into, Node, Strategy};
 use crate::qos::{EnvQos, MsId, Qos, Reliability, Requirements};
 use crate::utility::UtilityIndex;
@@ -254,20 +265,28 @@ fn schedule(
 /// every search over the same `ids` slice (the
 /// [`Generator`](crate::Generator) keeps one per id list): `slots[mask]`
 /// lazily compiles every non-seq-rooted tree over `mask`, in canonical
-/// streaming order, into a [`Family`]. The candidate *trees* depend only on
-/// the id list, so rebuilding them per environment — which dominated the
-/// engine's profile — is pure waste; and once compiled the trees
-/// themselves are dropped: nothing here holds a [`Node`].
+/// streaming order, into a [`Family`], and memoizes the least rendering of
+/// any strategy over `mask`. The candidate *trees* depend only on the id
+/// list, so rebuilding them per environment — which dominated the engine's
+/// profile — is pure waste; and once compiled the trees themselves are
+/// dropped: nothing here holds a [`Node`].
 #[derive(Debug)]
 pub(crate) struct NodeCache {
-    slots: Vec<OnceLock<Family>>,
+    slots: Vec<Slot>,
+}
+
+/// What [`NodeCache`] keeps of one mask.
+#[derive(Debug, Default)]
+struct Slot {
+    family: OnceLock<Family>,
+    least: OnceLock<Box<str>>,
 }
 
 impl NodeCache {
     pub(crate) fn new(m: usize) -> Self {
         NodeCache {
             slots: (0..1usize << m.min(NODE_CACHE_MAX_M))
-                .map(|_| OnceLock::new())
+                .map(|_| Slot::default())
                 .collect(),
         }
     }
@@ -287,12 +306,47 @@ impl NodeCache {
         if counts.non_seq[n] > NODE_CACHE_MAX {
             return None;
         }
-        Some(slot.get_or_init(|| {
+        Some(slot.family.get_or_init(|| {
             let mut family = Family::with_capacity(n, to_u64(counts.non_seq[n]) as usize);
             ctx.stream_non_seq(mask, &mut |node| family.push(ids, &node));
             family.text.shrink_to_fit();
             family
         }))
+    }
+
+    /// The least rendering, byte for byte, of any strategy over `mask`,
+    /// computed on first use; `None` where the family over `mask` is not
+    /// cached. A strategy over `mask` is one non-seq block over it, or a
+    /// first block over a proper submask followed by any strategy over the
+    /// rest, rendered as the two joined by `-` — so behind a given first
+    /// block the rest's least rendering is the least continuation.
+    fn least(&self, ctx: EnumCtx<'_>, ids: &[MsId], counts: &Counts, mask: Mask) -> Option<&str> {
+        let family = self.family(ctx, ids, counts, mask)?;
+        let least = self.slots[mask as usize].least.get_or_init(|| {
+            let rows = family.rows().map(|row| row.text);
+            let mut least = rows.min().unwrap_or_default().to_owned();
+            let mut chain = String::new();
+            for first in submasks(mask).filter(|&first| first != 0 && first != mask) {
+                // Every submask of a cached mask is cached: its slot index
+                // is smaller and its family no larger.
+                let rest = self.least(ctx, ids, counts, mask & !first);
+                let head = self.family(ctx, ids, counts, first);
+                let (Some(rest), Some(head)) = (rest, head) else {
+                    unreachable!("a submask of a cached mask is cached");
+                };
+                for row in head.rows() {
+                    chain.clear();
+                    chain.push_str(row.text);
+                    chain.push('-');
+                    chain.push_str(rest);
+                    if chain < least {
+                        least.clone_from(&chain);
+                    }
+                }
+            }
+            least.into_boxed_str()
+        });
+        Some(least)
     }
 }
 
@@ -321,7 +375,8 @@ pub(crate) struct SearchOutcome {
     pub strategy: Strategy,
     pub qos: Qos,
     pub utility: f64,
-    /// Candidates actually estimated.
+    /// Candidates whose QoS an estimate established (a collapsed class
+    /// counts every member).
     pub seen: u64,
     /// Candidates skipped by pruning. `seen + pruned` always equals the
     /// full space size `F(M)`.
@@ -353,6 +408,9 @@ struct Tables {
     /// total expected cost of the mask's leaves when each can only be
     /// gated by the mask's other leaves.
     costlb1: Vec<f64>,
+    /// Per mask: `Σ_{i∈mask} cᵢ`, what the mask's leaves cost when nothing
+    /// gates them (see [`Tables::ungated_cost`]).
+    cost_sum: Vec<f64>,
 }
 
 impl Tables {
@@ -374,11 +432,13 @@ impl Tables {
         let size = 1usize << m;
         let mut fail = vec![1.0f64; size];
         let mut maxl = vec![0.0f64; size];
+        let mut cost_sum = vec![0.0f64; size];
         for mask in 1..size {
             let i = mask.trailing_zeros() as usize;
             let rest = mask & (mask - 1);
             fail[mask] = fail[rest] * (1.0 - meta[i].rel);
             maxl[mask] = maxl[rest].max(lat[i]);
+            cost_sum[mask] = cost_sum[rest] + meta[i].cost;
         }
         let mut costlb1 = vec![0.0f64; size];
         for (mask, slot) in costlb1.iter_mut().enumerate().skip(1) {
@@ -397,6 +457,7 @@ impl Tables {
             fail,
             maxl,
             costlb1,
+            cost_sum,
         }
     }
 
@@ -410,6 +471,33 @@ impl Tables {
 
     fn costlb1_of(&self, mask: Mask) -> f64 {
         self.costlb1[mask as usize]
+    }
+
+    /// A lower bound on the expected cost of `row` as a whole candidate
+    /// (nothing before it): the summed cost of the leaves it starts at its
+    /// offset (a start word naming nothing but [`OFFSET_BIT`]). With
+    /// positive latencies every leaf of the block ends after the offset, so
+    /// nothing gates those leaves and each is charged in full.
+    fn ungated_cost(&self, row: Row<'_>) -> f64 {
+        let (_, steps) = row.sched.split_last().expect("a row is never empty");
+        let mut at_offset = 0usize;
+        for &step in steps {
+            if step & ((1 << POS_SHIFT) - 1) == OFFSET_BIT {
+                at_offset |= 1 << (step >> POS_SHIFT);
+            }
+        }
+        self.cost_sum[at_offset]
+    }
+
+    /// Pushes the pointwise-earliest virtual `(end, reliability)` of
+    /// `mask`'s leaves onto `entries`, all relaxed to start at `offset`.
+    fn push_virtual_entries(&self, mask: Mask, offset: f64, entries: &mut Vec<(f64, f64)>) {
+        let mut bits = mask;
+        while bits != 0 {
+            let i = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            entries.push((offset + self.lat[i], self.meta[i].rel));
+        }
     }
 }
 
@@ -508,12 +596,12 @@ pub(crate) fn search(spec: &SearchSpec<'_>) -> SearchOutcome {
     };
 
     let mask: Mask = (1 << m) - 1;
-    let mut jobs = vec![Job::NonSeq { mask }];
-    for first in submasks(mask) {
-        if first != 0 && first != mask {
-            jobs.push(Job::SeqPartition { mask, first });
-        }
-    }
+    let mut jobs: Vec<Job> = submasks(mask)
+        .filter(|&first| first != 0 && first != mask)
+        .map(|first| Job::SeqPartition { mask, first })
+        .collect();
+    // Last, so that its rows are screened against a bar the chains raised.
+    jobs.push(Job::NonSeq { mask });
 
     let workers = spec.parallelism.clamp(1, jobs.len());
     let next = AtomicUsize::new(0);
@@ -705,21 +793,33 @@ impl<'a> JobRunner<'a> {
 
     /// All non-seq-rooted trees over `mask` (leaf or par-rooted).
     fn run_non_seq_family(&mut self, mask: Mask) {
+        let shared = self.shared;
         let n = mask.count_ones() as usize;
-        if self.shared.prune && self.shared.counts.non_seq[n] >= MIN_PRUNE_COUNT {
-            // Bound: every leaf starts at 0, so ends are at least the leaf
-            // latencies and every leaf is unconditionally chargeable only
-            // down to the one-block cost bound.
-            self.bentries.clear();
-            self.push_virtual_entries(mask, 0.0);
-            let cost_lb = self.shared.tables.costlb1_of(mask);
-            if self.prunable(cost_lb) {
-                self.pruned += to_u64(self.shared.counts.non_seq[n]);
-                return;
-            }
+        if !shared.prune || shared.counts.non_seq[n] < MIN_PRUNE_COUNT {
+            self.for_each_non_seq(mask, &mut |runner, row| {
+                runner.eval_final(&Fixed::NONE, row);
+            });
+            return;
         }
+        // Bound: every leaf starts at 0, so ends are at least the leaf
+        // latencies and every leaf is unconditionally chargeable only down
+        // to the one-block cost bound.
+        self.bentries.clear();
+        shared
+            .tables
+            .push_virtual_entries(mask, 0.0, &mut self.bentries);
+        let lat_lb = expected_latency(&mut self.bentries);
+        if self.below_bar(shared.tables.costlb1_of(mask), lat_lb) {
+            self.pruned += to_u64(shared.counts.non_seq[n]);
+            return;
+        }
+        // The same bound per row, with the row's own cost floor.
         self.for_each_non_seq(mask, &mut |runner, row| {
-            runner.eval_final(&Fixed::NONE, row);
+            if runner.below_bar(shared.tables.ungated_cost(row), lat_lb) {
+                runner.pruned += 1;
+            } else {
+                runner.eval_final(&Fixed::NONE, row);
+            }
         });
     }
 
@@ -879,6 +979,7 @@ impl<'a> JobRunner<'a> {
         let mark = self.scratch.len();
         self.walk_tracked(row, fixed.t0);
         let qos = self.qos_of_final(mark, fixed);
+        self.seen += 1;
         self.consider(qos, fixed, row.text);
         self.truncate_to(mark);
     }
@@ -927,6 +1028,9 @@ impl<'a> JobRunner<'a> {
     /// Extends the chain `fixed` (timelines in `scratch`) over the
     /// remaining leaves `rem`.
     fn chain_rest(&mut self, fixed: &Fixed<'_>, rem: Mask) {
+        if self.collapse(fixed, rem) {
+            return;
+        }
         let counts = &self.shared.counts;
         let r = rem.count_ones() as usize;
         // Option A — finish the chain with `rem` as one non-seq block.
@@ -934,8 +1038,9 @@ impl<'a> JobRunner<'a> {
         if self.shared.prune && counts.non_seq[r] >= MIN_PRUNE_COUNT {
             self.bentries.clear();
             self.push_fixed_entries();
-            self.push_virtual_entries(rem, fixed.t0);
-            let cost_lb = fixed.cost + fixed.fail * self.shared.tables.costlb1_of(rem);
+            let tables = &self.shared.tables;
+            tables.push_virtual_entries(rem, fixed.t0, &mut self.bentries);
+            let cost_lb = fixed.cost + fixed.fail * tables.costlb1_of(rem);
             if self.prunable(cost_lb) {
                 self.pruned += to_u64(counts.non_seq[r]);
                 enumerate_final = false;
@@ -955,12 +1060,57 @@ impl<'a> JobRunner<'a> {
         }
     }
 
-    /// Records an estimated candidate: the blocks of `fixed`, then the
-    /// block that renders as `last`. Nothing is rendered unless the
-    /// candidate ties the worker-local incumbent on utility, cost and
-    /// latency, or replaces it.
+    /// Settles every completion of the chain `fixed` over `rem` with one
+    /// estimate when the fixed blocks are sure to succeed, and returns
+    /// whether it did.
+    ///
+    /// A leaf that never fails leaves the failure product and the latency
+    /// accumulator's prefix product at exactly `0.0` (an underflow can
+    /// too), and the fast evaluator multiplies every later cost, failure
+    /// and latency term by one of them. So each of the `F(|rem|)`
+    /// completions estimates to `fixed`'s cost, its latency partial sum and
+    /// reliability 1, bit for bit; they tie on everything but their
+    /// renderings, and the one that renders least — the fixed blocks, then
+    /// the least rendering of any strategy over `rem` — stands for them all.
+    fn collapse(&mut self, fixed: &Fixed<'_>, rem: Mask) -> bool {
+        let shared = self.shared;
+        if !shared.fast_eval || fixed.fail != 0.0 || fixed.pf != 0.0 {
+            return false;
+        }
+        let Some(least) = shared
+            .cache
+            .least(self.ctx, shared.ids, &shared.counts, rem)
+        else {
+            return false;
+        };
+        let qos = Qos {
+            cost: fixed.cost,
+            latency: fixed.lat_partial,
+            reliability: Reliability::ALWAYS,
+        };
+        debug_assert_eq!(qos, self.estimate_rendered(fixed, least));
+        self.seen += to_u64(shared.counts.all(rem.count_ones() as usize));
+        self.consider(qos, fixed, least);
+        true
+    }
+
+    /// Algorithm 1 from scratch on the candidate that ends `fixed`'s blocks
+    /// with the rendering `last`: the reference a debug build checks a
+    /// collapsed class against.
+    fn estimate_rendered(&mut self, fixed: &Fixed<'_>, last: &str) -> Qos {
+        fixed.render(last, &mut self.rendering);
+        let tree =
+            Strategy::parse(&self.rendering).expect("the engine renders canonical strategies");
+        let timelines = timelines(&tree, self.shared.env).expect("caller validated coverage");
+        estimate_from_timelines(&timelines, self.shared.env)
+    }
+
+    /// Records an estimated candidate, or a class of them that tie on
+    /// their estimate: the blocks of `fixed`, then the block (or, for a
+    /// class, the least rest) that renders as `last`. Nothing is rendered
+    /// unless the candidate ties the worker-local incumbent on utility,
+    /// cost and latency, or replaces it.
     fn consider(&mut self, qos: Qos, fixed: &Fixed<'_>, last: &str) {
-        self.seen += 1;
         let u = self.shared.utility.utility(&qos, self.shared.req);
         // Global screen: a candidate strictly below the shared bar can be
         // neither the maximum nor one of its ties (the bar is always some
@@ -996,8 +1146,9 @@ impl<'a> JobRunner<'a> {
         let tables = &self.shared.tables;
         self.bentries.clear();
         self.push_fixed_entries();
-        self.push_virtual_entries(block, fixed.t0);
-        self.push_virtual_entries(tail, fixed.t0 + tables.maxl_of(block));
+        tables.push_virtual_entries(block, fixed.t0, &mut self.bentries);
+        let tail_offset = fixed.t0 + tables.maxl_of(block);
+        tables.push_virtual_entries(tail, tail_offset, &mut self.bentries);
         let cost_lb = fixed.cost
             + fixed.fail
                 * (tables.costlb1_of(block) + tables.fail_of(block) * tables.costlb1_of(tail));
@@ -1008,13 +1159,15 @@ impl<'a> JobRunner<'a> {
     /// and `cost_lb`, against the shared bar.
     fn prunable(&mut self, cost_lb: f64) -> bool {
         let lat_lb = expected_latency(&mut self.bentries);
-        let bound_qos = Qos {
-            cost: cost_lb,
-            latency: lat_lb,
-            reliability: Reliability::clamped(self.family_rel),
-        };
-        let ub = self.shared.utility.utility(&bound_qos, self.shared.req);
-        ub < from_ordered(self.shared.bar.load(Ordering::Relaxed)) - PRUNE_MARGIN
+        self.below_bar(cost_lb, lat_lb)
+    }
+
+    /// Whether no candidate of the current family that costs at least
+    /// `cost_lb` and takes at least `lat_lb` can reach the shared bar.
+    fn below_bar(&self, cost_lb: f64, lat_lb: f64) -> bool {
+        let shared = self.shared;
+        let ub = utility_bound(shared.utility, shared.req, cost_lb, lat_lb, self.family_rel);
+        ub < from_ordered(shared.bar.load(Ordering::Relaxed)) - PRUNE_MARGIN
     }
 
     /// Pushes `(end, reliability)` of every fixed timeline in `scratch`,
@@ -1022,19 +1175,6 @@ impl<'a> JobRunner<'a> {
     fn push_fixed_entries(&mut self) {
         for (t, meta) in self.scratch.iter().zip(&self.meta) {
             self.bentries.push((t.end, meta.rel));
-        }
-    }
-
-    /// Pushes the pointwise-earliest virtual end times of `mask`'s leaves,
-    /// all relaxed to start at `offset`.
-    fn push_virtual_entries(&mut self, mask: Mask, offset: f64) {
-        let tables = &self.shared.tables;
-        let mut bits = mask;
-        while bits != 0 {
-            let i = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            self.bentries
-                .push((offset + tables.lat[i], tables.meta[i].rel));
         }
     }
 
@@ -1086,6 +1226,24 @@ fn expected_latency(entries: &mut [(f64, f64)]) -> f64 {
     latency
 }
 
+/// The utility no candidate of reliability `rel` that costs at least
+/// `cost_lb` and takes at least `lat_lb` can exceed: utility is antitone in
+/// cost and latency.
+fn utility_bound(
+    utility: UtilityIndex,
+    req: &Requirements,
+    cost_lb: f64,
+    lat_lb: f64,
+    rel: f64,
+) -> f64 {
+    let bound = Qos {
+        cost: cost_lb,
+        latency: lat_lb,
+        reliability: Reliability::clamped(rel),
+    };
+    utility.utility(&bound, req)
+}
+
 fn to_u64(x: u128) -> u64 {
     u64::try_from(x).expect("pruned-family count exceeds u64")
 }
@@ -1093,6 +1251,9 @@ fn to_u64(x: u128) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::enumerate::StrategyIter;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     /// Thirty leaves with distinct, inexact latencies; leaf `a` has none.
     fn env30() -> EnvQos {
@@ -1164,6 +1325,100 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// What a collapsed chain ends with: for every mask up to M = 5, the
+    /// memoized least rendering is the least `to_string()` of any strategy
+    /// over the mask's ids. The names include `m` and `ms27`, one a prefix
+    /// of the other.
+    #[test]
+    fn the_least_rendering_is_the_least_over_the_space() {
+        let all = [MsId(3), MsId(27), MsId(0), MsId(12), MsId(5)];
+        for m in 1..=all.len() {
+            let ids = &all[..m];
+            let (ctx, counts, cache) = (EnumCtx::new(ids), Counts::up_to(m), NodeCache::new(m));
+            for mask in 1..1u64 << m {
+                let members: Vec<MsId> = (0..m)
+                    .filter(|i| mask >> i & 1 == 1)
+                    .map(|i| ids[i])
+                    .collect();
+                let least = StrategyIter::full(&members).map(|s| s.to_string()).min();
+                assert_eq!(
+                    cache.least(ctx, ids, &counts, mask),
+                    least.as_deref(),
+                    "{members:?}"
+                );
+            }
+        }
+        // A mask past the dense table has no memo, so chains over it are
+        // enumerated.
+        let ids: Vec<MsId> = (0..=NODE_CACHE_MAX_M).map(MsId).collect();
+        let (ctx, counts) = (EnumCtx::new(&ids), Counts::up_to(ids.len()));
+        let cache = NodeCache::new(ids.len());
+        assert_eq!(cache.least(ctx, &ids, &counts, 1 << NODE_CACHE_MAX_M), None);
+    }
+
+    /// The per-row screen of the par-rooted family is admissible: on
+    /// seeded tables with and without legs of reliability exactly 1.0, no
+    /// cached row over any mask up to M = 5, scheduled at time 0, has a
+    /// bound utility below its exact utility by more than the margin.
+    #[test]
+    fn a_rows_bound_never_undercuts_its_utility() {
+        let utility = UtilityIndex::default();
+        let mut rng = ChaCha8Rng::seed_from_u64(27);
+        let mut rows = 0;
+        for m in 1..=5 {
+            for draw in 0..8 {
+                let sure_legs = draw % 2 == 1;
+                let env: EnvQos = (0..m)
+                    .map(|_| {
+                        let r = if sure_legs && rng.gen_bool(0.5) {
+                            1.0
+                        } else {
+                            rng.gen_range(0.05..0.99)
+                        };
+                        let (cost, latency) =
+                            (rng.gen_range(10.0..300.0), rng.gen_range(1.0..300.0));
+                        Qos::new(cost, latency, r).unwrap()
+                    })
+                    .collect();
+                let (cost, latency) = (rng.gen_range(50.0..900.0), rng.gen_range(20.0..400.0));
+                let req = Requirements::new(cost, latency, 0.95).unwrap();
+                let ids = env.ids();
+                let tables = Tables::build(&env, &ids);
+                let (ctx, counts, cache) =
+                    (EnumCtx::new(&ids), Counts::up_to(m), NodeCache::new(m));
+                let mut entries = Vec::new();
+                for mask in 1..1u64 << m {
+                    entries.clear();
+                    tables.push_virtual_entries(mask, 0.0, &mut entries);
+                    let lat_lb = expected_latency(&mut entries);
+                    let rel = 1.0 - tables.fail_of(mask);
+                    for row in cache.family(ctx, &ids, &counts, mask).unwrap().rows() {
+                        let (mut timelines, mut meta) = (Vec::new(), Vec::new());
+                        schedule(row, 0.0, &ids, &tables, &mut timelines, &mut meta);
+                        let exact = estimate_from_timelines(&timelines, &env);
+                        let cost_lb = tables.ungated_cost(row);
+                        // Summed in another order than the estimate's.
+                        assert!(
+                            cost_lb > 0.0 && cost_lb <= exact.cost + 1e-9,
+                            "{}",
+                            row.text
+                        );
+                        let bound = utility_bound(utility, &req, cost_lb, lat_lb, rel);
+                        let exact = utility.utility(&exact, &req);
+                        assert!(
+                            bound >= exact - PRUNE_MARGIN,
+                            "{}: bound {bound} < utility {exact}",
+                            row.text
+                        );
+                        rows += 1;
+                    }
+                }
+            }
+        }
+        // Rows over every mask of M = 1..=5 ids, eight tables each.
+        assert_eq!(rows, 8 * (1 + 3 + 13 + 111 + 1_501));
     }
 
     #[test]
