@@ -16,7 +16,7 @@ use rand_chacha::ChaCha8Rng;
 use qce_sim::{relative_error_pct, simulate, RandomEnvConfig};
 use qce_strategy::enumerate::StrategySampler;
 use qce_strategy::estimate::estimate_folding;
-use qce_strategy::{Algorithm1, Estimator, MsId};
+use qce_strategy::{Algorithm1, Estimator, IdSet, MsId};
 
 use crate::report::{fmt_f, Report};
 
@@ -59,7 +59,10 @@ pub fn validate_with(
         // Random size 2–5, random environment from the exp2 base config.
         let m = 2 + i % 4;
         let ids: Vec<MsId> = (0..m).map(MsId).collect();
-        let strategy = StrategySampler::new(&ids).sample(&mut rng);
+        let strategy = IdSet::new(&ids)
+            .and_then(StrategySampler::new)
+            .expect("2 to 5 distinct ids")
+            .sample(&mut rng);
         let env = RandomEnvConfig {
             microservices: m,
             avg_cost: 70.0,

@@ -18,7 +18,7 @@ use rand_chacha::ChaCha8Rng;
 use qce_sim::table3_configurations;
 use qce_strategy::enumerate::StrategyIter;
 use qce_strategy::estimate::estimate;
-use qce_strategy::{Requirements, UtilityIndex};
+use qce_strategy::{IdSet, Requirements, UtilityIndex};
 
 use crate::report::{fmt_f, Report};
 
@@ -82,7 +82,8 @@ pub fn distribution(
     for _ in 0..services {
         let env = config.generate(&mut rng).mean_qos_table();
         let ids = env.ids();
-        for s in StrategyIter::full(&ids) {
+        let space = IdSet::new(&ids).and_then(StrategyIter::over);
+        for s in space.expect("Table III environments have 2 to 6 microservices") {
             let qos = estimate(&s, &env).expect("environment covers ids");
             utilities.push(utility.utility(&qos, &requirements));
         }

@@ -39,7 +39,8 @@ use rand_chacha::ChaCha8Rng;
 
 use qce_strategy::estimate::estimate;
 use qce_strategy::{
-    EnvQos, EstimateError, Estimator, Generated, Generator, Qos, Requirements, Strategy,
+    EnvQos, EstimateError, Estimator, Generated, Generator, Qos, Reliability, Requirements,
+    Strategy,
 };
 
 use crate::fig5::sim_requirements;
@@ -117,15 +118,16 @@ fn measure(
 
 /// `env` with its first `legs` microservices at reliability exactly 1.0.
 fn with_reliable_legs(env: &EnvQos, legs: usize) -> EnvQos {
-    let mut out = env.clone();
-    for id in env.ids().into_iter().take(legs) {
-        let qos = env.get(id).expect("ids come from env");
-        out.set(
-            id,
-            Qos::new(qos.cost, qos.latency, 1.0).expect("cost and latency were valid"),
-        );
-    }
-    out
+    env.iter()
+        .map(|(id, &qos)| {
+            let reliability = if id.index() < legs {
+                Reliability::ALWAYS
+            } else {
+                qos.reliability
+            };
+            Qos { reliability, ..qos }
+        })
+        .collect()
 }
 
 /// Verifies that an engine configuration reproduced the baseline search

@@ -49,24 +49,9 @@ pub struct ProviderStats {
 }
 
 impl ProviderStats {
-    /// Converts the stats into the estimator's QoS representation
-    /// (latency in milliseconds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the recorded values are out of domain. Prefer
-    /// [`ProviderStats::checked_qos`] anywhere a degenerate window (e.g. a
-    /// provider that advertised a non-finite cost) must not take the
-    /// gateway down.
-    #[must_use]
-    pub fn as_qos(&self) -> Qos {
-        self.checked_qos()
-            .expect("recorded statistics are in domain")
-    }
-
-    /// Converts the stats into the estimator's QoS representation, or
-    /// `None` when the window's aggregates are out of the QoS domain
-    /// (non-finite or negative mean cost/latency).
+    /// Converts the stats into the estimator's QoS representation (latency
+    /// in milliseconds), or `None` when the window's aggregates are out of
+    /// the QoS domain (non-finite or negative mean cost/latency).
     ///
     /// A window can be degenerate even though every [`ExecutionRecord`] was
     /// accepted: records carry raw `f64` costs, so one invocation of a
@@ -141,21 +126,16 @@ impl ProviderWindow {
 
 impl Collector {
     /// Creates a collector that keeps the most recent `window` observations
-    /// per provider.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window == 0`.
+    /// per provider; a window of `0` keeps one.
     #[must_use]
     pub fn new(window: usize) -> Self {
-        assert!(window > 0, "window must hold at least one record");
         Collector {
-            window,
+            window: window.max(1),
             windows: RwLock::new(HashMap::new()),
         }
     }
 
-    /// The configured window size.
+    /// The window size (at least 1).
     #[must_use]
     pub fn window(&self) -> usize {
         self.window
@@ -279,9 +259,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "window")]
-    fn zero_window_rejected() {
-        let _ = Collector::new(0);
+    fn zero_window_holds_one_record() {
+        let c = Collector::new(0);
+        assert_eq!(c.window(), 1);
+        c.record("p", rec(true, 10, 5.0));
+        c.record("p", rec(false, 30, 7.0));
+        assert_eq!(c.observation_count("p"), 1);
+        assert_eq!(c.stats("p").unwrap().mean_cost, 7.0);
     }
 
     #[test]
@@ -302,7 +286,7 @@ mod tests {
         assert_eq!(s.success_rate, 0.5);
         assert!((s.mean_latency_ms - 20.0).abs() < 1e-9);
         assert_eq!(s.mean_cost, 6.0);
-        let qos = s.as_qos();
+        let qos = s.checked_qos().unwrap();
         assert_eq!(qos.reliability.value(), 0.5);
     }
 
@@ -361,8 +345,8 @@ mod tests {
     fn poisoned_cost_window_falls_back_to_prior() {
         // Regression (scenario suite): a provider that advertises a NaN
         // cost gets that cost recorded verbatim by the engine; the window
-        // mean is then NaN. `qos_or_prior` used to call the panicking
-        // `as_qos()` here, taking the whole planning path down during a
+        // mean is then NaN. `qos_or_prior` used to call a panicking
+        // conversion here, taking the whole planning path down during a
         // blackout-storm slot. It must fall back to the prior instead.
         let c = Collector::new(10);
         let prior = Qos::new(50.0, 60.0, 0.7).unwrap();

@@ -324,7 +324,9 @@ mod tests {
             let mixed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let (mask, fault_mask) = ((mixed >> 8) as u8, (mixed >> 24) as u8);
             let ids: Vec<MsId> = (0..m).map(MsId).collect();
-            let strategy = StrategySampler::new(&ids)
+            let strategy = qce_strategy::IdSet::new(&ids)
+                .and_then(StrategySampler::new)
+                .unwrap()
                 .sample(&mut rand_chacha::ChaCha8Rng::seed_from_u64(seed));
             for policy in policies {
                 for (which, budget) in budgets().into_iter().enumerate() {

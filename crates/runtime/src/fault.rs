@@ -111,18 +111,18 @@ impl FaultPlan {
     /// Draws a reproducible schedule of non-overlapping fault windows over
     /// `[0, horizon)`: healthy gaps and fault durations are uniform around
     /// the profile's means, fault kinds are picked by weight. The same
-    /// `(seed, horizon, profile)` always yields the same plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if every weight in `profile` is zero.
+    /// `(seed, horizon, profile)` always yields the same plan; with every
+    /// weight zero it is [`FaultPlan::none`].
     #[must_use]
     pub fn seeded(seed: u64, horizon: Duration, profile: &FaultProfile) -> Self {
-        let total_weight = profile.crash_weight + profile.latency_weight + profile.byzantine_weight;
-        assert!(
-            total_weight > 0,
-            "fault profile must have a non-zero weight"
-        );
+        let weights = [
+            profile.crash_weight,
+            profile.latency_weight,
+            profile.byzantine_weight,
+        ];
+        if weights == [0; 3] {
+            return FaultPlan::none();
+        }
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         // Uniform in [0.5, 1.5) of `mean`.
         fn around(rng: &mut ChaCha8Rng, mean: Duration) -> Duration {
@@ -132,14 +132,7 @@ impl FaultPlan {
         let mut events = Vec::new();
         let mut t = around(&mut rng, profile.mean_time_between_faults);
         while t < horizon {
-            let (onset, clear) = match pick_weighted(
-                &mut rng,
-                &[
-                    profile.crash_weight,
-                    profile.latency_weight,
-                    profile.byzantine_weight,
-                ],
-            ) {
+            let (onset, clear) = match pick_weighted(&mut rng, &weights) {
                 0 => (FaultKind::Crash, FaultKind::Recover),
                 1 => (
                     FaultKind::AddLatency(profile.latency_spike),
@@ -168,10 +161,17 @@ impl FaultPlan {
     }
 }
 
+/// Picks an index with probability proportional to its weight; at least one
+/// weight is positive. The weights are summed in `u64`, so no profile
+/// overflows; a total that fits in `u32` is drawn as a `u32`, the draw every
+/// such profile has always made, so seeded plans stay what they were.
 fn pick_weighted(rng: &mut ChaCha8Rng, weights: &[u32]) -> usize {
-    let total: u32 = weights.iter().sum();
-    let mut draw = rng.gen_range(0..total);
-    for (i, &w) in weights.iter().enumerate() {
+    let total: u64 = weights.iter().copied().map(u64::from).sum();
+    let mut draw = match u32::try_from(total) {
+        Ok(total) => u64::from(rng.gen_range(0..total)),
+        Err(_) => rng.gen_range(0..total),
+    };
+    for (i, w) in weights.iter().copied().map(u64::from).enumerate() {
         if draw < w {
             return i;
         }
@@ -605,6 +605,30 @@ mod tests {
             0,
             "declined probe must not touch the inner provider"
         );
+    }
+
+    /// Weights are `u32`s a scenario file may set to anything: their sum
+    /// once overflowed, panicking in a debug build and drawing from an
+    /// empty range in a release one. All zero is no fault at all.
+    #[test]
+    fn seeded_plans_take_any_weights() {
+        let horizon = Duration::from_secs(5);
+        let huge = FaultProfile {
+            crash_weight: u32::MAX,
+            latency_weight: 1,
+            byzantine_weight: u32::MAX,
+            ..FaultProfile::default()
+        };
+        let plan = FaultPlan::seeded(7, horizon, &huge);
+        assert!(!plan.events().is_empty());
+        assert_eq!(plan, FaultPlan::seeded(7, horizon, &huge));
+        let silent = FaultProfile {
+            crash_weight: 0,
+            latency_weight: 0,
+            byzantine_weight: 0,
+            ..FaultProfile::default()
+        };
+        assert_eq!(FaultPlan::seeded(7, horizon, &silent), FaultPlan::none());
     }
 
     #[test]

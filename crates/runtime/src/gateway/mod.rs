@@ -505,7 +505,7 @@ impl Gateway {
         Gateway {
             market,
             registry: Arc::new(Registry::new()),
-            collector: Arc::new(Collector::new(config.collector_window.max(1))),
+            collector: Arc::new(Collector::new(config.collector_window)),
             clock,
             pool,
             config,

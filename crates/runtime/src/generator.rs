@@ -509,7 +509,7 @@ mod tests {
     fn all_failure_window_flows_through_planning() {
         // A provider whose entire observation window failed has
         // success_rate (and so assumed reliability) exactly 0.0; that must
-        // flow through ProviderStats::as_qos → plan_slot without panicking.
+        // flow through ProviderStats::checked_qos → plan_slot without panicking.
         let collector = Collector::new(10);
         for _ in 0..5 {
             collector.record(
@@ -523,7 +523,7 @@ mod tests {
         }
         let stats = collector.stats("d0/c0").unwrap();
         assert_eq!(stats.success_rate, 0.0);
-        assert_eq!(stats.as_qos().reliability.value(), 0.0);
+        assert_eq!(stats.checked_qos().unwrap().reliability.value(), 0.0);
         let plan = plan_slot(
             &script(),
             &providers(),
@@ -547,7 +547,7 @@ mod tests {
     #[test]
     fn zero_latency_window_flows_through_planning() {
         // On a virtual clock an invocation can complete in exactly zero
-        // time. The resulting latency-0 QoS must not panic in as_qos and
+        // time. The resulting latency-0 QoS must be in domain and
         // must not trip the synth engine's non-positive-latency pruning
         // guard: pruned and unpruned searches still agree.
         let collector = Collector::new(10);
@@ -561,7 +561,8 @@ mod tests {
                 },
             );
         }
-        assert_eq!(collector.stats("d0/c0").unwrap().as_qos().latency, 0.0);
+        let stats = collector.stats("d0/c0").unwrap();
+        assert_eq!(stats.checked_qos().unwrap().latency, 0.0);
         let pruned = plan_slot(
             &script(),
             &providers(),

@@ -505,6 +505,35 @@ mod tests {
         }
     }
 
+    /// A scenario file may give a background weight anything a `u32` holds;
+    /// validation checks only that one weight is positive. Summing these
+    /// once overflowed while the fault plans were drawn.
+    #[test]
+    fn extreme_background_weights_compile() {
+        let scenario = Scenario::from_json(
+            r#"{
+                "name": "heavy-weights", "seed": 3,
+                "slots": 2, "slot_ms": 100, "requests_per_slot": 1,
+                "load": [],
+                "services": [{
+                    "name": "svc",
+                    "microservices": [
+                        {"name": "a", "cost": 1.0, "latency_ms": 1.0, "reliability": 0.9}
+                    ],
+                    "require": {"cost": 10.0, "latency_ms": 10.0, "reliability": 0.5}
+                }],
+                "background": {
+                    "mean_time_between_ms": 20, "mean_duration_ms": 10,
+                    "crash_weight": 4294967295, "latency_weight": 1
+                }
+            }"#,
+        )
+        .unwrap();
+        let compiled = compile(&scenario).unwrap();
+        let events = compiled.plans["svc/a"].events();
+        assert!(events.iter().any(|e| e.kind == FaultKind::Crash));
+    }
+
     #[test]
     fn classes_stamp_from_phase_pattern_then_service_default() {
         let mut s = scenario();

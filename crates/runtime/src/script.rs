@@ -170,13 +170,9 @@ impl ServiceScript {
 
     /// Serializes the script to pretty JSON — the wire format of the
     /// service market.
-    ///
-    /// # Panics
-    ///
-    /// Never panics: every field of a `ServiceScript` is serializable.
     #[must_use]
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("scripts always serialize")
+        serde_json::to_string_pretty(self).expect("every field of a ServiceScript is serializable")
     }
 
     /// Parses a script from market JSON.

@@ -47,7 +47,7 @@ use qce_runtime::{
     SimulatedProvider, VirtualClock, WorkerGuard,
 };
 use qce_strategy::enumerate::StrategySampler;
-use qce_strategy::{MsId, Node, Qos, Requirements, Strategy};
+use qce_strategy::{IdSet, MsId, Node, Qos, Requirements, Strategy};
 
 // ---------------------------------------------------------------------------
 // The oracle: the pre-engine first-success walker, copied verbatim (minus
@@ -517,7 +517,10 @@ fn rig(
 fn sampled_strategy(m: usize, seed: u64) -> Strategy {
     use rand::SeedableRng;
     let ids: Vec<MsId> = (0..m).map(MsId).collect();
-    StrategySampler::new(&ids).sample(&mut rand_chacha::ChaCha8Rng::seed_from_u64(seed))
+    IdSet::new(&ids)
+        .and_then(StrategySampler::new)
+        .unwrap()
+        .sample(&mut rand_chacha::ChaCha8Rng::seed_from_u64(seed))
 }
 
 /// One invocation reduced to its observable fields (cost as bit pattern so

@@ -13,7 +13,7 @@ use rand_chacha::ChaCha8Rng;
 use qce_runtime::engine::{execute_scoped, Budget, Completion, CompletionPolicy, EngineOutcome};
 use qce_runtime::{Invocation, Provider, SimulatedProvider, WallClock};
 use qce_strategy::enumerate::StrategySampler;
-use qce_strategy::{EnvQos, MsId, Qos, Strategy};
+use qce_strategy::{EnvQos, IdSet, MsId, Qos, Strategy};
 
 /// Builds deterministic providers (reliability 0 or 1) with tiny latencies.
 fn deterministic_providers(outcomes: &[bool]) -> Vec<Arc<dyn Provider>> {
@@ -32,7 +32,10 @@ fn deterministic_providers(outcomes: &[bool]) -> Vec<Arc<dyn Provider>> {
 
 fn sampled_strategy(m: usize, seed: u64) -> Strategy {
     let ids: Vec<MsId> = (0..m).map(MsId).collect();
-    StrategySampler::new(&ids).sample(&mut ChaCha8Rng::seed_from_u64(seed))
+    IdSet::new(&ids)
+        .and_then(StrategySampler::new)
+        .unwrap()
+        .sample(&mut ChaCha8Rng::seed_from_u64(seed))
 }
 
 /// The door with its fixed arguments filled in.

@@ -15,12 +15,12 @@ use qce_runtime::{
 };
 use qce_strategy::enumerate::StrategySampler;
 use qce_strategy::estimate::estimate;
-use qce_strategy::{EnvQos, MsId, Qos, Strategy};
+use qce_strategy::{EnvQos, IdSet, MsId, Qos, Strategy};
 
 /// Draws a uniformly random strategy over `m` microservices from a seed.
 fn sampled_strategy(m: usize, seed: u64) -> Strategy {
     let ids: Vec<MsId> = (0..m).map(MsId).collect();
-    let sampler = StrategySampler::new(&ids);
+    let sampler = IdSet::new(&ids).and_then(StrategySampler::new).unwrap();
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     sampler.sample(&mut rng)
 }

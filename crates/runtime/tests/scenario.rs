@@ -33,7 +33,7 @@ use qce_runtime::{
     VirtualClock, WorkerGuard,
 };
 use qce_strategy::enumerate::StrategySampler;
-use qce_strategy::{MsId, Qos, Requirements, Strategy};
+use qce_strategy::{IdSet, MsId, Qos, Requirements, Strategy};
 
 // ---------------------------------------------------------------------------
 // Satellite 1: storm ≡ group-coupled per-leaf crash windows.
@@ -167,7 +167,10 @@ fn rig_with_plans(
 fn sampled_strategy(m: usize, seed: u64) -> Strategy {
     use rand::SeedableRng;
     let ids: Vec<MsId> = (0..m).map(MsId).collect();
-    StrategySampler::new(&ids).sample(&mut rand_chacha::ChaCha8Rng::seed_from_u64(seed))
+    IdSet::new(&ids)
+        .and_then(StrategySampler::new)
+        .unwrap()
+        .sample(&mut rand_chacha::ChaCha8Rng::seed_from_u64(seed))
 }
 
 type TraceKey = (String, String, Duration, bool, Option<Vec<u8>>, u64);

@@ -15,11 +15,14 @@ use rand_chacha::ChaCha8Rng;
 use qce_sim::{relative_error_pct, simulate, Environment, RandomEnvConfig};
 use qce_strategy::enumerate::StrategySampler;
 use qce_strategy::estimate::{estimate, estimate_folding};
-use qce_strategy::{MsId, Strategy};
+use qce_strategy::{IdSet, MsId, Strategy, StrategyIter};
 
 fn random_strategy(m: usize, seed: u64) -> Strategy {
     let ids: Vec<MsId> = (0..m).map(MsId).collect();
-    StrategySampler::new(&ids).sample(&mut ChaCha8Rng::seed_from_u64(seed))
+    IdSet::new(&ids)
+        .and_then(StrategySampler::new)
+        .unwrap()
+        .sample(&mut ChaCha8Rng::seed_from_u64(seed))
 }
 
 fn random_environment(m: usize, seed: u64) -> Environment {
@@ -101,7 +104,7 @@ fn all_f3_strategies_validate() {
     let table = env.mean_qos_table();
     let ids: Vec<MsId> = (0..3).map(MsId).collect();
     let mut rng = ChaCha8Rng::seed_from_u64(7);
-    for strategy in qce_strategy::enumerate::enumerate_full(&ids) {
+    for strategy in IdSet::new(&ids).and_then(StrategyIter::over).unwrap() {
         let est = estimate(&strategy, &table).unwrap();
         let stats = simulate(&strategy, &env, 20_000, &mut rng).unwrap();
         assert!(

@@ -8,11 +8,14 @@ use rand_chacha::ChaCha8Rng;
 
 use qce_sim::{Environment, LatencyDistribution, MsModel, VirtualExecutor};
 use qce_strategy::enumerate::StrategySampler;
-use qce_strategy::{MsId, Strategy};
+use qce_strategy::{IdSet, MsId, Strategy};
 
 fn sampled_strategy(m: usize, seed: u64) -> Strategy {
     let ids: Vec<MsId> = (0..m).map(MsId).collect();
-    StrategySampler::new(&ids).sample(&mut ChaCha8Rng::seed_from_u64(seed))
+    IdSet::new(&ids)
+        .and_then(StrategySampler::new)
+        .unwrap()
+        .sample(&mut ChaCha8Rng::seed_from_u64(seed))
 }
 
 fn random_env(m: usize, seed: u64, variable_latency: bool) -> Environment {

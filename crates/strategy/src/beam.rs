@@ -45,7 +45,7 @@ use std::collections::HashSet;
 
 use crate::error::GenerateError;
 use crate::expr::{Node, Strategy};
-use crate::generate::{better_tiebreak, Found, Generator};
+use crate::generate::{better_tiebreak, Found, Generator, IdSet};
 use crate::qos::{EnvQos, MsId, Qos, Requirements};
 
 /// One scored beam candidate.
@@ -159,11 +159,11 @@ impl Generator {
     pub(crate) fn beam_search(
         &self,
         env: &EnvQos,
-        ids: &[MsId],
+        ids: IdSet<'_>,
         req: &Requirements,
         width: usize,
     ) -> Result<Found, GenerateError> {
-        let order = self.sort_by_utility(env, ids, req)?;
+        let order = self.ranked(env, ids, req)?;
         let score = |s: Strategy| -> Result<Cand, GenerateError> {
             let qos = self.estimator().estimate(&s, env)?;
             let utility = self.utility_index().utility(&qos, req);
@@ -190,12 +190,12 @@ impl Generator {
                 .strategy
                 .clone()
                 .then(Strategy::leaf(x))
-                .expect("ids are distinct");
+                .expect("an IdSet's ids are distinct");
             let par = slots[0]
                 .strategy
                 .clone()
                 .race(Strategy::leaf(x))
-                .expect("ids are distinct");
+                .expect("an IdSet's ids are distinct");
             let seq_cand = score(seq)?;
             let par_cand = score(par)?;
             evaluated += 2;
@@ -369,7 +369,10 @@ mod tests {
                 // estimates for each prefix length k — pinning this proves
                 // the insertion set covers F(k) exactly, with no gaps and
                 // no over-count past canonical dedup.
-                let expected: u128 = 1 + (2..=m).map(crate::enumerate::count_full).sum::<u128>();
+                let expected: u128 = 1
+                    + (2..=m)
+                        .filter_map(crate::enumerate::count_full)
+                        .sum::<u128>();
                 assert_eq!(
                     beam.evaluated as u128, expected,
                     "{what}: each step's pool must cover exactly F(k)"

@@ -29,9 +29,11 @@
 //! confirm the semantic counts used here.
 //!
 //! This module reproduces the semantic numbers three independent ways:
-//! explicit enumeration ([`enumerate_full`]), a closed counting recurrence
+//! explicit enumeration ([`StrategyIter`]), a closed counting recurrence
 //! ([`count_full`]), and uniform random sampling ([`StrategySampler`])
-//! driven by the same recurrence.
+//! driven by the same recurrence. The enumerator and the sampler take an
+//! [`IdSet`], and refuse one longer than [`MAX_COUNT_M`] with
+//! [`GenerateError::TooManyMicroservices`].
 //!
 //! The enumeration works directly on the canonical form (see
 //! [`crate::expr::ast`]): a strategy tree alternates `Seq` and `Par` levels,
@@ -45,13 +47,14 @@
 //!   the distinguished *anchor* (exploiting commutativity), the remainder is
 //!   a single non-par tree or another par-rooted tree.
 
-use crate::error::BuildError;
+use crate::error::{BuildError, GenerateError};
 use crate::expr::{Node, Strategy};
-use crate::MsId;
+use crate::{IdSet, MsId};
 
-/// Maximum number of microservices supported by the counting recurrences.
+/// The most microservices the counting recurrences, the enumerators and
+/// the exhaustive search accept.
 ///
-/// `F(21)` overflows `u128`; enumeration is practical only far below this.
+/// Enumeration is practical only far below this.
 pub const MAX_COUNT_M: usize = 20;
 
 /// Bitmask over positions of a microservice slice.
@@ -79,37 +82,11 @@ pub(crate) fn submasks(mask: Mask) -> impl Iterator<Item = Mask> {
 // Streaming iterator (unranking)
 // ---------------------------------------------------------------------------
 
-/// Collects `F(M)`: every distinct strategy using **all** of `ids` — a
-/// `.collect()` over [`StrategyIter::full`].
-///
-/// Practical for `M ≤ 6` (51 303 strategies); prefer [`StrategyIter`]
-/// beyond that.
-///
-/// # Panics
-///
-/// Panics if `ids` contains duplicates or more than [`MAX_COUNT_M`]
-/// entries.
-///
-/// # Examples
-///
-/// ```
-/// use qce_strategy::enumerate::enumerate_full;
-/// use qce_strategy::MsId;
-///
-/// let ids: Vec<MsId> = (0..4).map(MsId).collect();
-/// // 195 semantically distinct strategies (the paper's Table I reports 207,
-/// // counting some commutative duplicates — see the module docs).
-/// assert_eq!(enumerate_full(&ids).len(), 195);
-/// ```
-#[must_use]
-pub fn enumerate_full(ids: &[MsId]) -> Vec<Strategy> {
-    StrategyIter::full(ids).collect()
-}
-
 /// The streaming enumerator over `F(M)`: yields every strategy that uses
 /// all of the ids, in a deterministic canonical order, with `O(depth)`
 /// memory — so it can walk spaces too large to collect (`F(7)` =
-/// 1 152 019 strategies).
+/// 1 152 019 strategies). Collect it where a `Vec` is wanted; that is
+/// practical for `M ≤ 6` (51 303 strategies).
 ///
 /// Internally the iterator *unranks*: it inverts the counting recurrence of
 /// [`count_full`] to map an index `k ∈ [0, F(M))` directly to the `k`-th
@@ -118,19 +95,23 @@ pub fn enumerate_full(ids: &[MsId]) -> Vec<Strategy> {
 /// # Examples
 ///
 /// ```
-/// use qce_strategy::enumerate::{enumerate_full, StrategyIter};
-/// use qce_strategy::MsId;
+/// use qce_strategy::{IdSet, MsId, Strategy, StrategyIter};
 ///
 /// let ids = [MsId(0), MsId(1)];
-/// let mut seen: Vec<String> = StrategyIter::full(&ids).map(|s| s.to_string()).collect();
+/// let mut seen: Vec<String> = StrategyIter::over(IdSet::new(&ids)?)?
+///     .map(|s| s.to_string())
+///     .collect();
 /// seen.sort();
 /// assert_eq!(seen, ["a*b", "a-b", "b-a"]);
 ///
-/// let ids: Vec<MsId> = (0..3).map(MsId).collect();
-/// let iter = StrategyIter::full(&ids);
-/// assert_eq!(iter.remaining(), 19);
-/// let streamed: Vec<_> = iter.collect();
-/// assert_eq!(streamed, enumerate_full(&ids));
+/// let ids: Vec<MsId> = (0..4).map(MsId).collect();
+/// let iter = StrategyIter::over(IdSet::new(&ids)?)?;
+/// assert_eq!(iter.remaining(), 195);
+/// // 195 semantically distinct strategies (the paper's Table I reports 207,
+/// // counting some commutative duplicates — see the module docs).
+/// let all: Vec<Strategy> = iter.collect();
+/// assert_eq!(all.len(), 195);
+/// # Ok::<(), qce_strategy::GenerateError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct StrategyIter {
@@ -141,31 +122,41 @@ pub struct StrategyIter {
 }
 
 impl StrategyIter {
-    /// Iterates over `F(M)`: every strategy using **all** of `ids` (none
-    /// for an empty list).
+    /// Iterates over `F(M)`: every strategy using **all** of `ids`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `ids` contains duplicates or more than [`MAX_COUNT_M`]
-    /// entries (unranking needs exact counts).
-    #[must_use]
-    pub fn full(ids: &[MsId]) -> Self {
-        assert!(
-            ids.len() <= MAX_COUNT_M,
-            "unranking needs exact counts; at most {MAX_COUNT_M} microservices"
-        );
-        let mut sorted: Vec<MsId> = ids.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), ids.len(), "microservice ids must be distinct");
-
-        let counts = Counts::up_to(ids.len());
+    /// [`GenerateError::TooManyMicroservices`] past [`MAX_COUNT_M`] ids.
+    pub fn over(ids: IdSet<'_>) -> Result<Self, GenerateError> {
+        let counts = Counts::over(ids)?;
         let end = counts.all(ids.len());
-        StrategyIter {
+        Ok(StrategyIter {
             ids: ids.to_vec(),
             counts,
             next: 0,
             end,
+        })
+    }
+
+    /// [`StrategyIter::over`] an unvetted list, yielding nothing for an
+    /// empty one. It outlives the move to [`IdSet`] only because the
+    /// wall-clock benchmark (`benchmark/src/probes.rs`) calls it and a
+    /// non-benchmark change may not touch `benchmark/`; the next
+    /// `benchmark/`-only change moves that probe to `over` and drops this.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ids` repeats an id or holds more than [`MAX_COUNT_M`].
+    #[must_use]
+    pub fn full(ids: &[MsId]) -> Self {
+        match IdSet::new(ids) {
+            Err(GenerateError::NoMicroservices) => StrategyIter {
+                ids: Vec::new(),
+                counts: Counts::default(),
+                next: 0,
+                end: 0,
+            },
+            set => set.and_then(Self::over).unwrap_or_else(|e| panic!("{e}")),
         }
     }
 
@@ -319,13 +310,11 @@ impl Unrank<'_> {
 /// [`Unrank`]'s node for node.
 #[derive(Clone, Copy)]
 pub(crate) struct EnumCtx<'a> {
-    ids: &'a [MsId],
+    ids: IdSet<'a>,
 }
 
 impl<'a> EnumCtx<'a> {
-    /// `ids` must be distinct and at most [`MAX_COUNT_M`] long: the
-    /// synthesis engine's callers pass a list `generate.rs::vet` accepted.
-    pub(crate) fn new(ids: &'a [MsId]) -> Self {
+    pub(crate) fn new(ids: IdSet<'a>) -> Self {
         EnumCtx { ids }
     }
 
@@ -426,9 +415,8 @@ impl<'a> EnumCtx<'a> {
 // Counting recurrences
 // ---------------------------------------------------------------------------
 
-/// Size-indexed counts of the enumeration classes above. All counts are
-/// exact in `u128` for `m ≤` [`MAX_COUNT_M`].
-#[derive(Debug, Clone)]
+/// Size-indexed counts of the enumeration classes above, exact in `u128`.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Counts {
     /// `non_seq[n]`: trees over `n` labeled leaves whose root is not `Seq`.
     pub(crate) non_seq: Vec<u128>,
@@ -443,20 +431,21 @@ pub(crate) struct Counts {
 }
 
 impl Counts {
-    pub(crate) fn up_to(m: usize) -> Self {
-        assert!(
-            m <= MAX_COUNT_M,
-            "strategy counts overflow u128 beyond M = {MAX_COUNT_M}"
-        );
+    /// The counts for up to `m` leaves; `None` past [`MAX_COUNT_M`], which
+    /// is how every count, the enumerator, the sampler and the engine learn
+    /// of that limit.
+    pub(crate) fn up_to(m: usize) -> Option<Self> {
+        if m > MAX_COUNT_M {
+            return None;
+        }
         let mut binom = vec![vec![0u128; m + 1]; m + 1];
         for row in binom.iter_mut() {
             row[0] = 1;
         }
         for n in 1..=m {
             for k in 1..=n {
-                let above = binom[n - 1][k - 1];
                 let left = if k < n { binom[n - 1][k] } else { 0 };
-                binom[n][k] = above.checked_add(left).expect("binomial overflow");
+                binom[n][k] = binom[n - 1][k - 1] + left;
             }
         }
 
@@ -477,42 +466,35 @@ impl Counts {
             if n >= 2 {
                 // Seq: first block of size j carrying a non-seq tree,
                 // remainder either one more non-seq block or a longer tail.
-                let mut total: u128 = 0;
-                for j in 1..n {
-                    let tails = non_seq[n - j]
-                        .checked_add(seq[n - j])
-                        .expect("count overflow");
-                    let term = binom[n][j]
-                        .checked_mul(non_seq[j])
-                        .and_then(|v| v.checked_mul(tails))
-                        .expect("count overflow");
-                    total = total.checked_add(term).expect("count overflow");
-                }
-                seq[n] = total;
+                seq[n] = (1..n)
+                    .map(|j| binom[n][j] * non_seq[j] * (non_seq[n - j] + seq[n - j]))
+                    .sum();
                 non_par[n] = seq[n];
             }
             // forest[n]: the block containing the lowest leaf has size j.
-            let mut total: u128 = 0;
-            for j in 1..=n {
-                let term = binom[n - 1][j - 1]
-                    .checked_mul(non_par[j])
-                    .and_then(|v| v.checked_mul(forest[n - j]))
-                    .expect("count overflow");
-                total = total.checked_add(term).expect("count overflow");
-            }
-            forest[n] = total;
+            forest[n] = (1..=n)
+                .map(|j| binom[n - 1][j - 1] * non_par[j] * forest[n - j])
+                .sum();
             if n >= 2 {
                 par[n] = forest[n] - non_par[n];
                 non_seq[n] = par[n];
             }
         }
-        Counts {
+        Some(Counts {
             non_seq,
             non_par,
             seq,
             par,
             binom,
-        }
+        })
+    }
+
+    /// The counts over `ids`, or [`GenerateError::TooManyMicroservices`].
+    pub(crate) fn over(ids: IdSet<'_>) -> Result<Self, GenerateError> {
+        Counts::up_to(ids.len()).ok_or(GenerateError::TooManyMicroservices {
+            got: ids.len(),
+            max: MAX_COUNT_M,
+        })
     }
 
     pub(crate) fn all(&self, n: usize) -> u128 {
@@ -523,57 +505,43 @@ impl Counts {
 /// Number of semantically distinct strategies using all of `m`
 /// microservices — the corrected `F(M)` (see the module docs for how this
 /// relates to the paper's Table I; [`paper::count_table1`] reproduces the
-/// published numbers).
-///
-/// # Panics
-///
-/// Panics if `m == 0` or `m >` [`MAX_COUNT_M`] (the count would overflow
-/// `u128`).
+/// published numbers); `Some(0)` for no microservices, `None` past
+/// [`MAX_COUNT_M`].
 ///
 /// # Examples
 ///
 /// ```
 /// use qce_strategy::enumerate::count_full;
 ///
-/// assert_eq!(count_full(2), 3);
-/// assert_eq!(count_full(5), 2791);
-/// assert_eq!(count_full(6), 51303);
+/// assert_eq!(count_full(2), Some(3));
+/// assert_eq!(count_full(5), Some(2791));
+/// assert_eq!(count_full(6), Some(51303));
+/// assert_eq!(count_full(0), Some(0));
+/// assert_eq!(count_full(21), None);
 /// ```
 #[must_use]
-pub fn count_full(m: usize) -> u128 {
-    assert!(m >= 1, "need at least one microservice");
-    Counts::up_to(m).all(m)
+pub fn count_full(m: usize) -> Option<u128> {
+    Counts::up_to(m).map(|counts| counts.all(m))
 }
 
 /// Number of semantically distinct strategies using between 1 and `m` of
 /// the microservices — the corrected `F'(M)` (the paper's Table I values
-/// are reproduced by [`paper::count_table1_subsets`]).
-///
-/// # Panics
-///
-/// Panics if `m == 0` or `m >` [`MAX_COUNT_M`].
+/// are reproduced by [`paper::count_table1_subsets`]); `Some(0)` for no
+/// microservices, `None` past [`MAX_COUNT_M`].
 ///
 /// # Examples
 ///
 /// ```
 /// use qce_strategy::enumerate::count_with_subsets;
 ///
-/// assert_eq!(count_with_subsets(2), 5);
-/// assert_eq!(count_with_subsets(3), 31);
-/// assert_eq!(count_with_subsets(6), 71405);
+/// assert_eq!(count_with_subsets(2), Some(5));
+/// assert_eq!(count_with_subsets(3), Some(31));
+/// assert_eq!(count_with_subsets(6), Some(71405));
 /// ```
 #[must_use]
-pub fn count_with_subsets(m: usize) -> u128 {
-    assert!(m >= 1, "need at least one microservice");
-    let counts = Counts::up_to(m);
-    (1..=m)
-        .map(|j| {
-            counts.binom[m][j]
-                .checked_mul(counts.all(j))
-                .expect("count overflow")
-        })
-        .try_fold(0u128, u128::checked_add)
-        .expect("count overflow")
+pub fn count_with_subsets(m: usize) -> Option<u128> {
+    let counts = Counts::up_to(m)?;
+    Some((1..=m).map(|j| counts.binom[m][j] * counts.all(j)).sum())
 }
 
 // ---------------------------------------------------------------------------
@@ -591,14 +559,15 @@ pub fn count_with_subsets(m: usize) -> u128 {
 ///
 /// ```
 /// use qce_strategy::enumerate::StrategySampler;
-/// use qce_strategy::MsId;
+/// use qce_strategy::{IdSet, MsId};
 /// use rand::SeedableRng;
 ///
 /// let ids: Vec<MsId> = (0..5).map(MsId).collect();
-/// let sampler = StrategySampler::new(&ids);
+/// let sampler = StrategySampler::new(IdSet::new(&ids)?)?;
 /// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
 /// let s = sampler.sample(&mut rng);
 /// assert_eq!(s.len(), 5);
+/// # Ok::<(), qce_strategy::GenerateError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct StrategySampler {
@@ -607,23 +576,16 @@ pub struct StrategySampler {
 }
 
 impl StrategySampler {
-    /// Creates a sampler over the given distinct microservice ids.
+    /// Creates a sampler over `ids`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `ids` is empty, contains duplicates, or has more than
-    /// [`MAX_COUNT_M`] entries.
-    #[must_use]
-    pub fn new(ids: &[MsId]) -> Self {
-        assert!(!ids.is_empty(), "need at least one microservice");
-        let mut sorted: Vec<MsId> = ids.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), ids.len(), "microservice ids must be distinct");
-        StrategySampler {
+    /// [`GenerateError::TooManyMicroservices`] past [`MAX_COUNT_M`] ids.
+    pub fn new(ids: IdSet<'_>) -> Result<Self, GenerateError> {
+        Ok(StrategySampler {
             ids: ids.to_vec(),
-            counts: Counts::up_to(ids.len()),
-        }
+            counts: Counts::over(ids)?,
+        })
     }
 
     /// Total number of strategies the sampler draws from (`F(M)`).
@@ -789,47 +751,35 @@ fn draw_subset<R: rand::Rng + ?Sized>(
 pub mod paper {
     use super::MAX_COUNT_M;
 
-    /// `F(M)` as counted by the paper's procedure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m == 0` or `m >` [`MAX_COUNT_M`].
+    /// `F(M)` as counted by the paper's procedure; `Some(0)` for no
+    /// microservices, `None` past [`MAX_COUNT_M`].
     ///
     /// # Examples
     ///
     /// ```
     /// use qce_strategy::enumerate::paper::count_table1;
     ///
-    /// assert_eq!(count_table1(4), 207);  // Table I
-    /// assert_eq!(count_table1(5), 3211); // Table I
+    /// assert_eq!(count_table1(4), Some(207));  // Table I
+    /// assert_eq!(count_table1(5), Some(3211)); // Table I
     /// ```
     #[must_use]
-    pub fn count_table1(m: usize) -> u128 {
-        assert!(m >= 1, "need at least one microservice");
-        let t = Tables::up_to(m);
-        t.all(m)
+    pub fn count_table1(m: usize) -> Option<u128> {
+        Tables::up_to(m).map(|t| t.all(m))
     }
 
-    /// `F'(M)` as counted by the paper's procedure.
+    /// `F'(M)` as counted by the paper's procedure; `Some(0)` for no
+    /// microservices, `None` past [`MAX_COUNT_M`].
     ///
     /// ```
     /// use qce_strategy::enumerate::paper::count_table1_subsets;
     ///
-    /// assert_eq!(count_table1_subsets(4), 305);  // Table I
-    /// assert_eq!(count_table1_subsets(5), 4471); // Table I
+    /// assert_eq!(count_table1_subsets(4), Some(305));  // Table I
+    /// assert_eq!(count_table1_subsets(5), Some(4471)); // Table I
     /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m == 0` or `m >` [`MAX_COUNT_M`].
     #[must_use]
-    pub fn count_table1_subsets(m: usize) -> u128 {
-        assert!(m >= 1, "need at least one microservice");
-        let t = Tables::up_to(m);
-        (1..=m)
-            .map(|j| t.binom[m][j].checked_mul(t.all(j)).expect("count overflow"))
-            .try_fold(0u128, u128::checked_add)
-            .expect("count overflow")
+    pub fn count_table1_subsets(m: usize) -> Option<u128> {
+        let t = Tables::up_to(m)?;
+        Some((1..=m).map(|j| t.binom[m][j] * t.all(j)).sum())
     }
 
     struct Tables {
@@ -846,12 +796,12 @@ pub mod paper {
     }
 
     impl Tables {
+        /// `None` past [`MAX_COUNT_M`].
         #[allow(clippy::needless_range_loop)]
-        fn up_to(m: usize) -> Self {
-            assert!(
-                m <= MAX_COUNT_M,
-                "strategy counts overflow u128 beyond M = {MAX_COUNT_M}"
-            );
+        fn up_to(m: usize) -> Option<Self> {
+            if m > MAX_COUNT_M {
+                return None;
+            }
             let mut binom = vec![vec![0u128; m + 1]; m + 1];
             for row in binom.iter_mut() {
                 row[0] = 1;
@@ -859,7 +809,7 @@ pub mod paper {
             for n in 1..=m {
                 for k in 1..=n {
                     let left = if k < n { binom[n - 1][k] } else { 0 };
-                    binom[n][k] = binom[n - 1][k - 1].checked_add(left).expect("overflow");
+                    binom[n][k] = binom[n - 1][k - 1] + left;
                 }
             }
             let mut non_seq = vec![0u128; m + 1];
@@ -900,12 +850,12 @@ pub mod paper {
                     non_seq[n] = par[n];
                 }
             }
-            Tables {
+            Some(Tables {
                 non_seq,
                 seq,
                 par,
                 binom,
-            }
+            })
         }
 
         fn all(&self, n: usize) -> u128 {
@@ -923,30 +873,25 @@ pub mod paper {
 
         #[test]
         fn table1_published_full_counts() {
-            assert_eq!(count_table1(1), 1);
-            assert_eq!(count_table1(2), 3);
-            assert_eq!(count_table1(3), 19);
-            assert_eq!(count_table1(4), 207);
-            assert_eq!(count_table1(5), 3211);
-            // Published value is 64 743; the reconstructed dedup yields
-            // 64 383 (0.56% below) — see the module docs.
-            assert_eq!(count_table1(6), 64383);
+            // Published from M = 2 on; the value at M = 6 is 64 743, the
+            // reconstructed dedup yields 64 383 (0.56% below) — see the
+            // module docs.
+            let counts: Vec<u128> = (0..=6).filter_map(count_table1).collect();
+            assert_eq!(counts, [0, 1, 3, 19, 207, 3211, 64383]);
+            assert_eq!(count_table1(MAX_COUNT_M + 1), None);
         }
 
         #[test]
         fn table1_published_subset_counts() {
-            assert_eq!(count_table1_subsets(1), 1);
-            assert_eq!(count_table1_subsets(2), 5);
-            assert_eq!(count_table1_subsets(3), 31);
-            assert_eq!(count_table1_subsets(4), 305);
-            assert_eq!(count_table1_subsets(5), 4471);
-            // Published value is 87 545; reconstruction gives 87 185.
-            assert_eq!(count_table1_subsets(6), 87185);
+            // Published value at M = 6 is 87 545; reconstruction gives 87 185.
+            let counts: Vec<u128> = (0..=6).filter_map(count_table1_subsets).collect();
+            assert_eq!(counts, [0, 1, 5, 31, 305, 4471, 87185]);
+            assert_eq!(count_table1_subsets(MAX_COUNT_M + 1), None);
         }
 
         #[test]
         fn paper_counts_never_below_semantic_counts() {
-            for m in 1..=10 {
+            for m in 0..=MAX_COUNT_M {
                 assert!(
                     count_table1(m) >= super::super::count_full(m),
                     "paper dedup keeps duplicates, so its count can't be smaller (m={m})"
@@ -1015,6 +960,18 @@ mod tests {
         (0..m).map(MsId).collect()
     }
 
+    /// `F(M)` over `ids`, collected.
+    fn all(ids: &[MsId]) -> Vec<Strategy> {
+        IdSet::new(ids)
+            .and_then(StrategyIter::over)
+            .unwrap()
+            .collect()
+    }
+
+    fn sampler(ids: &[MsId]) -> StrategySampler {
+        IdSet::new(ids).and_then(StrategySampler::new).unwrap()
+    }
+
     #[test]
     fn semantic_full_counts_by_enumeration() {
         // Semantically distinct counts; see module docs for the relation to
@@ -1022,7 +979,7 @@ mod tests {
         // enumeration of all binary expression trees.
         let expected = [(2usize, 3usize), (3, 19), (4, 195), (5, 2791)];
         for (m, count) in expected {
-            assert_eq!(enumerate_full(&ids(m)).len(), count, "F({m})");
+            assert_eq!(all(&ids(m)).len(), count, "F({m})");
         }
     }
 
@@ -1031,14 +988,14 @@ mod tests {
         // F'(M) is F over every non-empty sub-list: enumerate each.
         let expected = [(2usize, 5usize), (3, 31), (4, 293), (5, 3991)];
         for (m, count) in expected {
-            let all = ids(m);
+            let every = ids(m);
             let enumerated: usize = (1..1u32 << m)
                 .map(|sub| {
                     let picked: Vec<MsId> = (0..m)
                         .filter(|&i| sub & (1 << i) != 0)
-                        .map(|i| all[i])
+                        .map(|i| every[i])
                         .collect();
-                    enumerate_full(&picked).len()
+                    all(&picked).len()
                 })
                 .sum();
             assert_eq!(enumerated, count, "F'({m})");
@@ -1047,25 +1004,17 @@ mod tests {
 
     #[test]
     fn semantic_counting_recurrence() {
-        assert_eq!(count_full(1), 1);
-        assert_eq!(count_full(2), 3);
-        assert_eq!(count_full(3), 19);
-        assert_eq!(count_full(4), 195);
-        assert_eq!(count_full(5), 2791);
-        assert_eq!(count_full(6), 51303);
-        assert_eq!(count_with_subsets(1), 1);
-        assert_eq!(count_with_subsets(2), 5);
-        assert_eq!(count_with_subsets(3), 31);
-        assert_eq!(count_with_subsets(4), 293);
-        assert_eq!(count_with_subsets(5), 3991);
-        assert_eq!(count_with_subsets(6), 71405);
+        let full: Vec<u128> = (0..=6).filter_map(count_full).collect();
+        assert_eq!(full, [0, 1, 3, 19, 195, 2791, 51303]);
+        let subsets: Vec<u128> = (0..=6).filter_map(count_with_subsets).collect();
+        assert_eq!(subsets, [0, 1, 5, 31, 293, 3991, 71405]);
     }
 
     #[test]
     fn counts_strictly_grow() {
         let mut prev = 0u128;
-        for m in 1..=12 {
-            let c = count_full(m);
+        for m in 1..=MAX_COUNT_M {
+            let c = count_full(m).unwrap();
             assert!(c > prev, "F({m}) should exceed F({})", m - 1);
             prev = c;
         }
@@ -1074,7 +1023,7 @@ mod tests {
     #[test]
     fn enumeration_has_no_duplicates() {
         for m in 1..=5 {
-            let all = enumerate_full(&ids(m));
+            let all = all(&ids(m));
             let unique: HashSet<_> = all.iter().cloned().collect();
             assert_eq!(unique.len(), all.len(), "duplicates at M={m}");
         }
@@ -1083,7 +1032,7 @@ mod tests {
     #[test]
     fn enumerated_strategies_use_all_ids() {
         for m in 1..=5 {
-            for s in enumerate_full(&ids(m)) {
+            for s in all(&ids(m)) {
                 let mut leaves = s.leaves();
                 leaves.sort_unstable();
                 assert_eq!(leaves, ids(m), "strategy {s} misses ids");
@@ -1093,7 +1042,7 @@ mod tests {
 
     #[test]
     fn enumeration_round_trips_through_text() {
-        for s in enumerate_full(&ids(4)) {
+        for s in all(&ids(4)) {
             let reparsed = Strategy::parse(&s.to_string()).unwrap();
             assert_eq!(s, reparsed);
         }
@@ -1104,10 +1053,7 @@ mod tests {
         // The 19 strategies over {a, b, c}: 6 pure fail-over orderings,
         // 1 pure parallel, 6 of shape x-(y*z) / (y*z)-x, and 6 of shape
         // (x-y)*z with ordered (x,y).
-        let mut rendered: Vec<String> = enumerate_full(&ids(3))
-            .iter()
-            .map(Strategy::to_string)
-            .collect();
+        let mut rendered: Vec<String> = all(&ids(3)).iter().map(Strategy::to_string).collect();
         rendered.sort();
         let mut expected = vec![
             "a-b-c", "a-c-b", "b-a-c", "b-c-a", "c-a-b", "c-b-a", // fail-over
@@ -1131,7 +1077,7 @@ mod tests {
     #[test]
     fn enumeration_with_arbitrary_ids() {
         let custom = [MsId(7), MsId(3), MsId(11)];
-        let all = enumerate_full(&custom);
+        let all = all(&custom);
         assert_eq!(all.len(), 19);
         for s in &all {
             let mut leaves = s.leaves();
@@ -1140,18 +1086,36 @@ mod tests {
         }
     }
 
+    /// A repeated id never reaches the enumerator: the list is refused where
+    /// it becomes an [`IdSet`]. An over-long one is refused by the
+    /// enumerator and the sampler.
     #[test]
-    #[should_panic(expected = "distinct")]
     fn enumeration_rejects_duplicate_ids() {
-        let _ = enumerate_full(&[MsId(0), MsId(0)]);
+        assert_eq!(
+            IdSet::new(&[MsId(0), MsId(0)])
+                .and_then(StrategyIter::over)
+                .err(),
+            Some(GenerateError::DuplicateMicroservice(MsId(0)))
+        );
+        let long = ids(MAX_COUNT_M + 1);
+        let too_many = Some(GenerateError::TooManyMicroservices {
+            got: MAX_COUNT_M + 1,
+            max: MAX_COUNT_M,
+        });
+        let set = IdSet::new(&long).unwrap();
+        assert_eq!(StrategyIter::over(set).err(), too_many);
+        assert_eq!(StrategySampler::new(set).err(), too_many);
     }
 
     #[test]
     fn streaming_matches_collected() {
-        assert_eq!(StrategyIter::full(&ids(5)).count(), 2791);
-        assert_eq!(enumerate_full(&ids(5)).len(), 2791);
+        let over = |m| IdSet::new(&ids(m)).and_then(StrategyIter::over).unwrap();
+        assert_eq!(over(5).count(), 2791);
+        assert_eq!(all(&ids(5)).len(), 2791);
         // Past what is practical to collect, the stream still counts out.
-        assert_eq!(StrategyIter::full(&ids(6)).count(), 51303);
+        assert_eq!(over(6).count(), 51303);
+        // The benchmark's unvetted entry point walks the same order.
+        assert!(StrategyIter::full(&ids(4)).eq(over(4)));
     }
 
     /// The engine builds its families with the [`EnumCtx`] push recursion
@@ -1161,13 +1125,13 @@ mod tests {
     fn iterator_matches_streaming_order_exactly() {
         for m in 1..=5 {
             let ids = ids(m);
-            let ctx = EnumCtx::new(&ids);
+            let ctx = EnumCtx::new(IdSet::new(&ids).unwrap());
             let full: Mask = (1 << m) - 1;
             let mut streamed = Vec::new();
             ctx.stream_non_seq(full, &mut |node| streamed.push(node));
             ctx.stream_seq(full, &mut |node| streamed.push(node));
-            assert_eq!(streamed.len() as u128, count_full(m), "M={m}");
-            let unranked: Vec<Node> = StrategyIter::full(&ids).map(|s| s.node().clone()).collect();
+            assert_eq!(Some(streamed.len() as u128), count_full(m), "M={m}");
+            let unranked: Vec<Node> = all(&ids).iter().map(|s| s.node().clone()).collect();
             assert_eq!(unranked, streamed, "full order diverges at M={m}");
         }
     }
@@ -1175,14 +1139,14 @@ mod tests {
     #[test]
     fn iterator_remaining_matches_counts() {
         for m in 1..=6 {
-            assert_eq!(StrategyIter::full(&ids(m)).remaining(), count_full(m));
+            assert_eq!(Some(StrategyIter::full(&ids(m)).remaining()), count_full(m));
         }
         assert_eq!(StrategyIter::full(&[]).remaining(), 0);
     }
 
     #[test]
     fn iterator_size_hint_is_exact() {
-        let mut iter = StrategyIter::full(&ids(3));
+        let mut iter = IdSet::new(&ids(3)).and_then(StrategyIter::over).unwrap();
         assert_eq!(iter.size_hint(), (19, Some(19)));
         iter.next();
         assert_eq!(iter.size_hint(), (18, Some(18)));
@@ -1191,20 +1155,19 @@ mod tests {
     #[test]
     fn empty_id_list_enumerates_nothing() {
         assert_eq!(StrategyIter::full(&[]).next(), None);
-        assert!(enumerate_full(&[]).is_empty());
+        assert_eq!(IdSet::new(&[]), Err(GenerateError::NoMicroservices));
     }
 
     #[test]
     fn sampler_space_size_matches_counts() {
         for m in 1..=8 {
-            let sampler = StrategySampler::new(&ids(m));
-            assert_eq!(sampler.space_size(), count_full(m));
+            assert_eq!(Some(sampler(&ids(m)).space_size()), count_full(m));
         }
     }
 
     #[test]
     fn sampler_produces_valid_full_strategies() {
-        let sampler = StrategySampler::new(&ids(6));
+        let sampler = sampler(&ids(6));
         let mut rng = ChaCha8Rng::seed_from_u64(42);
         for _ in 0..200 {
             let s = sampler.sample(&mut rng);
@@ -1217,7 +1180,7 @@ mod tests {
     #[test]
     fn sampler_is_close_to_uniform_on_m2() {
         // F(2) = {a-b, b-a, a*b}; with 3000 draws each should get ~1000.
-        let sampler = StrategySampler::new(&ids(2));
+        let sampler = sampler(&ids(2));
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut counts = std::collections::HashMap::new();
         for _ in 0..3000 {
@@ -1233,7 +1196,7 @@ mod tests {
 
     #[test]
     fn sampler_covers_all_m3_strategies() {
-        let sampler = StrategySampler::new(&ids(3));
+        let sampler = sampler(&ids(3));
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let mut seen = HashSet::new();
         for _ in 0..2000 {
@@ -1254,8 +1217,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "overflow")]
-    fn count_beyond_limit_panics() {
-        let _ = count_full(MAX_COUNT_M + 1);
+    fn count_beyond_limit_is_none() {
+        assert_eq!(count_full(MAX_COUNT_M + 1), None);
+        assert_eq!(count_with_subsets(MAX_COUNT_M + 1), None);
+        assert!(count_with_subsets(MAX_COUNT_M).is_some());
     }
 }

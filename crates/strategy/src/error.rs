@@ -212,12 +212,13 @@ pub enum GenerateError {
     /// The id list names the same microservice more than once; a strategy
     /// uses each microservice at most once.
     DuplicateMicroservice(MsId),
-    /// An exhaustive search was asked for over more microservices than
-    /// the strategy space can be counted for (`F(21)` overflows `u128`).
+    /// An exhaustive search, an enumeration or a sample was asked for over
+    /// more than [`MAX_COUNT_M`](crate::enumerate::MAX_COUNT_M)
+    /// microservices.
     TooManyMicroservices {
         /// Length of the id list.
         got: usize,
-        /// The most an exhaustive search accepts
+        /// The most accepted
         /// ([`MAX_COUNT_M`](crate::enumerate::MAX_COUNT_M)).
         max: usize,
     },
@@ -238,7 +239,8 @@ impl fmt::Display for GenerateError {
             }
             GenerateError::TooManyMicroservices { got, max } => write!(
                 f,
-                "an exhaustive search covers at most {max} microservices, got {got}"
+                "an exhaustive search, enumeration or sample covers at most {max} \
+                 microservices, got {got}"
             ),
         }
     }

@@ -231,7 +231,9 @@ mod tests {
         // Algorithm 1 — exercised twice so the second pass is all hits.
         let env = env5();
         let ids = env.ids();
-        let sampler = StrategySampler::new(&ids);
+        let sampler = crate::IdSet::new(&ids)
+            .and_then(StrategySampler::new)
+            .unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let est = Algorithm1::new();
         let samples: Vec<Strategy> = (0..1000).map(|_| sampler.sample(&mut rng)).collect();

@@ -32,7 +32,7 @@ use crate::qos::EnvQos;
 /// ])?;
 /// let mix = latency_mixture(&Strategy::parse("a*b*c")?, &env)?;
 /// assert!((mix.mean() - 69.4).abs() < 1e-9);   // Algorithm 1's average
-/// assert!((mix.quantile(0.99) - 90.0).abs() < 1e-9); // but p99 is 90 ms
+/// assert_eq!(mix.quantile(0.99), Some(90.0)); // but p99 is 90 ms
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -71,22 +71,21 @@ impl LatencyMixture {
         self.variance().sqrt()
     }
 
-    /// The smallest completion time `t` with `P(X ≤ t) ≥ q`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < q ≤ 1`.
+    /// The smallest completion time `t` with `P(X ≤ t) ≥ q`, or `None`
+    /// unless `0 < q ≤ 1` (NaN included).
     #[must_use]
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!(q > 0.0 && q <= 1.0, "quantile must be in (0, 1]");
+    pub fn quantile(&self, q: f64) -> Option<f64> {
+        if !(q > 0.0 && q <= 1.0) {
+            return None;
+        }
         let mut acc = 0.0;
         for (t, p) in &self.points {
             acc += p;
             if acc >= q - 1e-12 {
-                return *t;
+                return Some(*t);
             }
         }
-        self.points.last().map_or(0.0, |(t, _)| *t)
+        self.points.last().map(|(t, _)| *t)
     }
 
     /// `P(X ≤ t)`.
@@ -198,18 +197,19 @@ mod tests {
     #[test]
     fn quantiles_walk_the_support() {
         let mix = latency_mixture(&Strategy::parse("a*b*c").unwrap(), &env()).unwrap();
-        assert_eq!(mix.quantile(0.05), 10.0);
-        assert_eq!(mix.quantile(0.5), 70.0);
-        assert_eq!(mix.quantile(0.73), 70.0);
-        assert_eq!(mix.quantile(0.74), 90.0);
-        assert_eq!(mix.quantile(1.0), 90.0);
+        assert_eq!(mix.quantile(0.05), Some(10.0));
+        assert_eq!(mix.quantile(0.5), Some(70.0));
+        assert_eq!(mix.quantile(0.73), Some(70.0));
+        assert_eq!(mix.quantile(0.74), Some(90.0));
+        assert_eq!(mix.quantile(1.0), Some(90.0));
     }
 
     #[test]
-    #[should_panic(expected = "quantile")]
     fn zero_quantile_rejected() {
         let mix = latency_mixture(&Strategy::parse("a").unwrap(), &env()).unwrap();
-        let _ = mix.quantile(0.0);
+        for q in [0.0, -1.0, f64::NAN, 1.5] {
+            assert_eq!(mix.quantile(q), None, "q = {q}");
+        }
     }
 
     #[test]
@@ -276,6 +276,6 @@ mod tests {
         }
         samples.sort_by(|x, y| x.partial_cmp(y).unwrap());
         let p90_mc = samples[(samples.len() as f64 * 0.9) as usize];
-        assert_eq!(mix.quantile(0.9), p90_mc);
+        assert_eq!(mix.quantile(0.9), Some(p90_mc));
     }
 }

@@ -460,7 +460,7 @@ impl Generator {
     /// [`GenerateError::DuplicateMicroservice`] for a repeated id, or an
     /// estimation error if `env` lacks an entry for some id.
     /// More than [`MAX_COUNT_M`] ids return
-    /// [`GenerateError::TooManyMicroservices`]: `F(21)` overflows `u128`.
+    /// [`GenerateError::TooManyMicroservices`].
     pub fn exhaustive(
         &self,
         env: &EnvQos,
@@ -471,12 +471,12 @@ impl Generator {
     }
 
     /// The one door into every search. Once per call it vets the id list
-    /// (see [`vet`]), rejects an exhaustive search over more than
-    /// [`MAX_COUNT_M`] ids, then an id `env` does not cover; starts the
-    /// timer; serves the plan cache's entry if `search` is a cached one and
-    /// these inputs were searched before; and otherwise runs the algorithm
-    /// — a function from the validated inputs to a [`Found`] — stamps the
-    /// result, and memoizes it under the same key.
+    /// into an [`IdSet`] (see [`vet`]), rejects an exhaustive search over
+    /// more than [`MAX_COUNT_M`] ids, then an id `env` does not cover;
+    /// starts the timer; serves the plan cache's entry if `search` is a
+    /// cached one and these inputs were searched before; and otherwise runs
+    /// the algorithm — a function from the validated inputs to a [`Found`]
+    /// — stamps the result, and memoizes it under the same key.
     ///
     /// Only the exhaustive search and the beam are cached, each keyed by
     /// its own `search` value (the beam's carries the width). The exhaustive
@@ -490,7 +490,7 @@ impl Generator {
         ids: &[MsId],
         req: &Requirements,
     ) -> Result<Generated, GenerateError> {
-        vet(ids, req)?;
+        let ids = vet(ids, req)?;
         if search == Search::Exhaustive && ids.len() > MAX_COUNT_M {
             return Err(GenerateError::TooManyMicroservices {
                 got: ids.len(),
@@ -508,7 +508,7 @@ impl Generator {
                     estimator: self.estimator.name(),
                     search,
                 };
-                cache.key(env, ids, req, id).map(|key| (cache, key))
+                cache.key(env, &ids, req, id).map(|key| (cache, key))
             }
             _ => None,
         };
@@ -528,10 +528,10 @@ impl Generator {
             Search::Greedy => self.greedy(env, ids, req)?,
             Search::Beam(width) => self.beam_search(env, ids, req, width)?,
             Search::Failover { ranked: true } => {
-                self.pattern(failover, &self.sort_by_utility(env, ids, req)?, env, req)?
+                self.pattern(failover, &self.ranked(env, ids, req)?, env, req)?
             }
-            Search::Failover { ranked: false } => self.pattern(failover, ids, env, req)?,
-            Search::SpeculativeParallel => self.pattern(speculative_parallel, ids, env, req)?,
+            Search::Failover { ranked: false } => self.pattern(failover, &ids, env, req)?,
+            Search::SpeculativeParallel => self.pattern(speculative_parallel, &ids, env, req)?,
         };
         let generated = Generated {
             strategy,
@@ -554,14 +554,19 @@ impl Generator {
 
     /// The exhaustive search over `F(M)`: the branch-and-bound engine for
     /// Algorithm 1, the generic scan for any other estimator.
-    fn scan(&self, env: &EnvQos, ids: &[MsId], req: &Requirements) -> Result<Found, GenerateError> {
+    fn scan(
+        &self,
+        env: &EnvQos,
+        ids: IdSet<'_>,
+        req: &Requirements,
+    ) -> Result<Found, GenerateError> {
         if self.estimator.is_algorithm1() {
             let initial_bound = if self.pruning {
                 self.seed_bound(env, ids, req)?
             } else {
                 f64::NEG_INFINITY
             };
-            let cache = self.node_cache(ids);
+            let cache = self.node_cache(&ids);
             let outcome = synth::search(&synth::SearchSpec {
                 env,
                 ids,
@@ -571,7 +576,7 @@ impl Generator {
                 parallelism: self.resolved_parallelism(),
                 initial_bound,
                 cache: &cache,
-            });
+            })?;
             Ok((
                 outcome.strategy,
                 outcome.qos,
@@ -611,20 +616,20 @@ impl Generator {
     fn seed_bound(
         &self,
         env: &EnvQos,
-        ids: &[MsId],
+        ids: IdSet<'_>,
         req: &Requirements,
     ) -> Result<f64, GenerateError> {
-        let order = self.sort_by_utility(env, ids, req)?;
+        let order = self.ranked(env, ids, req)?;
         let mut bound = self.pattern(failover, &order, env, req)?.2;
         if ids.len() >= 2 {
-            bound = bound.max(self.pattern(speculative_parallel, ids, env, req)?.2);
+            bound = bound.max(self.pattern(speculative_parallel, &ids, env, req)?.2);
         }
         bound = bound.max(self.greedy(env, ids, req)?.2);
         Ok(bound)
     }
 
     /// Exhaustive scan through an arbitrary estimator: every candidate of
-    /// [`StrategyIter::full`] in order, no pruning (the branch-and-bound
+    /// [`StrategyIter::over`] in order, no pruning (the branch-and-bound
     /// bounds are only admissible against Algorithm 1's formulas). The
     /// per-candidate comparison is the engine's strict total order, which
     /// is what makes this the reference the engine is tested against. The
@@ -632,12 +637,12 @@ impl Generator {
     fn generic_scan(
         &self,
         env: &EnvQos,
-        ids: &[MsId],
+        ids: IdSet<'_>,
         req: &Requirements,
     ) -> Result<Found, GenerateError> {
         let mut best: Option<(Strategy, Qos, f64)> = None;
         let mut seen = 0u64;
-        for s in StrategyIter::full(ids) {
+        for s in StrategyIter::over(ids)? {
             let qos = self.estimator.estimate_uncached(&s, env)?;
             let u = self.utility.utility(&qos, req);
             seen += 1;
@@ -649,8 +654,7 @@ impl Generator {
                 best = Some((s, qos, u));
             }
         }
-        let (strategy, qos, utility) =
-            best.expect("non-empty id list yields at least one strategy");
+        let (strategy, qos, utility) = best.expect("an IdSet spans at least one strategy");
         Ok((strategy, qos, utility, seen, 0))
     }
 
@@ -677,10 +681,10 @@ impl Generator {
     fn greedy(
         &self,
         env: &EnvQos,
-        ids: &[MsId],
+        ids: IdSet<'_>,
         req: &Requirements,
     ) -> Result<Found, GenerateError> {
-        let order = self.sort_by_utility(env, ids, req)?;
+        let order = self.ranked(env, ids, req)?;
         // Unified effort accounting: the per-leaf estimates behind the
         // sort are auxiliary and not counted (matching the exhaustive
         // engine, whose seed estimates are likewise free); the best-leaf
@@ -693,11 +697,11 @@ impl Generator {
             let seq = es
                 .clone()
                 .then(Strategy::leaf(next))
-                .expect("ids are distinct");
+                .expect("an IdSet's ids are distinct");
             let par = es
                 .clone()
                 .race(Strategy::leaf(next))
-                .expect("ids are distinct");
+                .expect("an IdSet's ids are distinct");
             let seq_qos = self.est(&seq, env)?;
             let par_qos = self.est(&par, env)?;
             let seq_u = self.utility.utility(&seq_qos, req);
@@ -821,7 +825,17 @@ impl Generator {
         ids: &[MsId],
         req: &Requirements,
     ) -> Result<Vec<MsId>, GenerateError> {
-        vet(ids, req)?;
+        self.ranked(env, vet(ids, req)?, req)
+    }
+
+    /// [`Generator::sort_by_utility`] behind the door: `ids` is vetted and
+    /// `req` valid.
+    pub(crate) fn ranked(
+        &self,
+        env: &EnvQos,
+        ids: IdSet<'_>,
+        req: &Requirements,
+    ) -> Result<Vec<MsId>, GenerateError> {
         let mut scored: Vec<(MsId, f64)> = ids
             .iter()
             .map(|&id| {
@@ -838,19 +852,62 @@ impl Generator {
 }
 
 /// The front check every entry point shares, in this order: an empty id
-/// list, a repeated id, invalid requirements. Past it `ids` is non-empty
-/// and distinct, which is what the searches' `expect("ids are distinct")`
-/// lean on.
-fn vet(ids: &[MsId], req: &Requirements) -> Result<(), GenerateError> {
-    if ids.is_empty() {
-        return Err(GenerateError::NoMicroservices);
+/// list and a repeated id (both [`IdSet::new`]), then invalid requirements.
+fn vet<'a>(ids: &'a [MsId], req: &Requirements) -> Result<IdSet<'a>, GenerateError> {
+    let ids = IdSet::new(ids)?;
+    req.validate().map_err(GenerateError::InvalidRequirements)?;
+    Ok(ids)
+}
+
+/// A vetted id list: non-empty, and no id twice. The searches, the
+/// enumerators and the sampler take one, so the list is checked once, where
+/// it comes in, and nowhere past that.
+///
+/// A borrowed view of the caller's slice (it derefs to `[MsId]`), so vetting
+/// allocates nothing.
+///
+/// ```
+/// use qce_strategy::{GenerateError, IdSet, MsId};
+///
+/// let ids = [MsId(2), MsId(0)];
+/// assert_eq!(IdSet::new(&ids)?.len(), 2);
+/// assert_eq!(IdSet::new(&[]), Err(GenerateError::NoMicroservices));
+/// assert_eq!(
+///     IdSet::new(&[MsId(1), MsId(3), MsId(1)]),
+///     Err(GenerateError::DuplicateMicroservice(MsId(1)))
+/// );
+/// # Ok::<(), GenerateError>(())
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct IdSet<'a>(&'a [MsId]);
+
+impl<'a> IdSet<'a> {
+    /// Vets `ids`.
+    ///
+    /// # Errors
+    ///
+    /// [`GenerateError::NoMicroservices`] for an empty list, or
+    /// [`GenerateError::DuplicateMicroservice`] naming the first id that
+    /// repeats an earlier one.
+    pub fn new(ids: &'a [MsId]) -> Result<Self, GenerateError> {
+        if ids.is_empty() {
+            return Err(GenerateError::NoMicroservices);
+        }
+        // Quadratic but allocation-free: this runs on every plan-cache hit,
+        // and one Algorithm 1 estimate over `ids` is quadratic already.
+        if let Some((_, &id)) = (ids.iter().enumerate()).find(|&(i, id)| ids[..i].contains(id)) {
+            return Err(GenerateError::DuplicateMicroservice(id));
+        }
+        Ok(IdSet(ids))
     }
-    // Quadratic but allocation-free: this runs on every plan-cache hit,
-    // and one Algorithm 1 estimate over `ids` is quadratic already.
-    if let Some((_, &id)) = (ids.iter().enumerate()).find(|&(i, id)| ids[..i].contains(id)) {
-        return Err(GenerateError::DuplicateMicroservice(id));
+}
+
+impl std::ops::Deref for IdSet<'_> {
+    type Target = [MsId];
+
+    fn deref(&self) -> &[MsId] {
+        self.0
     }
-    req.validate().map_err(GenerateError::InvalidRequirements)
 }
 
 /// The searches behind the door ([`Generator::run`]): what a
@@ -958,7 +1015,7 @@ mod tests {
         let ids: Vec<MsId> = (0..4).map(MsId).collect();
         let best = gen.exhaustive(&env, &ids, &req()).unwrap();
         let mut max_u = f64::NEG_INFINITY;
-        for s in crate::enumerate::enumerate_full(&ids) {
+        for s in IdSet::new(&ids).and_then(StrategyIter::over).unwrap() {
             let qos = estimate(&s, &env).unwrap();
             max_u = max_u.max(gen.utility_index().utility(&qos, &req()));
         }
@@ -1527,11 +1584,13 @@ mod engine_equivalence_tests {
                     assert_bit_identical(&truth, &out, &what);
                     assert_eq!(
                         out.report.candidates_seen + out.report.candidates_pruned,
-                        crate::enumerate::count_full(m) as u64,
+                        crate::enumerate::count_full(m).unwrap() as u64,
                         "{what}: seen + pruned must be F(M)"
                     );
                 }
-                let same_qos = StrategyIter::full(&ids)
+                let same_qos = IdSet::new(&ids)
+                    .and_then(StrategyIter::over)
+                    .unwrap()
                     .filter(|s| crate::estimate::estimate(s, &env) == Ok(truth.qos))
                     .count();
                 tied_cases += usize::from(same_qos > 1);
@@ -1693,7 +1752,7 @@ mod engine_equivalence_tests {
             old.reliability.value(),
         )
         .unwrap();
-        perturbed.set(ids[0], nudged);
+        perturbed.set(ids[0], nudged).unwrap();
         let out = gen.exhaustive(&perturbed, &ids, &requirements).unwrap();
         assert_ne!(out.source, PlanSource::Cached, "one ULP apart must miss");
         let truth = Generator::builder()

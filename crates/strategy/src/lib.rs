@@ -87,7 +87,7 @@ pub use error::{BuildError, EstimateError, GenerateError, ParseError, QosError};
 pub use estimate::{Algorithm1, Estimator, Folding};
 pub use exec::{CompletionPolicy, PruneReason};
 pub use expr::{Node, Strategy};
-pub use generate::{Generated, Generator, GeneratorBuilder, Method, SynthesisReport};
+pub use generate::{Generated, Generator, GeneratorBuilder, IdSet, Method, SynthesisReport};
 pub use plan_cache::{PlanCache, PlanCacheConfig, PlanCacheStats, PlanSource};
 pub use qos::{Attribute, EnvQos, MsId, Polarity, Qos, Reliability, Requirements};
 pub use utility::UtilityIndex;
@@ -110,6 +110,7 @@ mod tests {
         assert_send_sync::<GeneratorBuilder>();
         assert_send_sync::<SynthesisReport>();
         assert_send_sync::<StrategyIter>();
+        assert_send_sync::<IdSet<'static>>();
         assert_send_sync::<Algorithm1>();
         assert_send_sync::<Folding>();
         assert_send_sync::<BackendChoice>();

@@ -6,10 +6,11 @@
 //! requirements.
 
 use crate::enumerate::StrategyIter;
-use crate::error::EstimateError;
+use crate::error::GenerateError;
 use crate::estimate::Estimator;
 use crate::expr::Strategy;
-use crate::qos::{EnvQos, MsId, Qos};
+use crate::generate::IdSet;
+use crate::qos::{EnvQos, Qos};
 use crate::utility::dominates;
 
 /// Returns the indices of the Pareto-optimal entries of `candidates`
@@ -97,33 +98,31 @@ pub fn pareto_front<T>(items: Vec<T>, qos_of: impl Fn(&T) -> Qos) -> Vec<T> {
 ///
 /// # Errors
 ///
-/// Returns the estimator's error (e.g.
-/// [`EstimateError::MissingMicroservice`]) if `env` does not cover `ids`.
-///
-/// # Panics
-///
-/// Panics if `ids` contains duplicates or more than
-/// [`MAX_COUNT_M`](crate::enumerate::MAX_COUNT_M) entries.
+/// [`GenerateError::TooManyMicroservices`] past
+/// [`MAX_COUNT_M`](crate::enumerate::MAX_COUNT_M) ids, or the estimator's
+/// error (e.g. [`EstimateError::MissingMicroservice`](crate::EstimateError::MissingMicroservice))
+/// if `env` does not cover `ids`.
 ///
 /// # Examples
 ///
 /// ```
 /// use qce_strategy::pareto::pareto_strategies;
-/// use qce_strategy::{Algorithm1, EnvQos};
+/// use qce_strategy::{Algorithm1, EnvQos, IdSet};
 ///
 /// let env = EnvQos::from_triples(&[(50.0, 50.0, 0.6), (100.0, 100.0, 0.6)])?;
-/// let front = pareto_strategies(&env, &env.ids(), &Algorithm1::new())?;
+/// let ids = env.ids();
+/// let front = pareto_strategies(&env, IdSet::new(&ids)?, &Algorithm1::new())?;
 /// // F(2) = 3 candidates (a-b, b-a, a*b); none dominates all others.
 /// assert!(!front.is_empty() && front.len() <= 3);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn pareto_strategies(
     env: &EnvQos,
-    ids: &[MsId],
+    ids: IdSet<'_>,
     estimator: &dyn Estimator,
-) -> Result<Vec<(Strategy, Qos)>, EstimateError> {
+) -> Result<Vec<(Strategy, Qos)>, GenerateError> {
     let mut items = Vec::new();
-    for strategy in StrategyIter::full(ids) {
+    for strategy in StrategyIter::over(ids)? {
         let qos = estimator.estimate_uncached(&strategy, env)?;
         items.push((strategy, qos));
     }
@@ -133,7 +132,9 @@ pub fn pareto_strategies(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::EstimateError;
     use crate::estimate::{estimate, Algorithm1};
+    use crate::qos::MsId;
 
     fn q(c: f64, l: f64, r: f64) -> Qos {
         Qos::new(c, l, r).unwrap()
@@ -217,10 +218,12 @@ mod tests {
             EnvQos::from_triples(&[(50.0, 50.0, 0.6), (100.0, 100.0, 0.6), (150.0, 150.0, 0.7)])
                 .unwrap();
         let ids = env.ids();
-        let streamed = pareto_strategies(&env, &ids, &Algorithm1::new()).unwrap();
+        let ids = IdSet::new(&ids).unwrap();
+        let streamed = pareto_strategies(&env, ids, &Algorithm1::new()).unwrap();
 
         // Reference: materialize all F(3) = 19 candidates, then filter.
-        let all: Vec<(Strategy, Qos)> = StrategyIter::full(&ids)
+        let all: Vec<(Strategy, Qos)> = StrategyIter::over(ids)
+            .unwrap()
             .map(|s| {
                 let qos = estimate(&s, &env).unwrap();
                 (s, qos)
@@ -241,7 +244,8 @@ mod tests {
     #[test]
     fn pareto_strategies_reports_missing_microservice() {
         let env = EnvQos::from_triples(&[(50.0, 50.0, 0.6)]).unwrap();
-        let err = pareto_strategies(&env, &[MsId(0), MsId(7)], &Algorithm1::new());
-        assert!(matches!(err, Err(EstimateError::MissingMicroservice(_))));
+        let ids = [MsId(0), MsId(7)];
+        let err = pareto_strategies(&env, IdSet::new(&ids).unwrap(), &Algorithm1::new());
+        assert_eq!(err, Err(EstimateError::MissingMicroservice(MsId(7)).into()));
     }
 }

@@ -369,7 +369,7 @@ mod tests {
         let mut e2 = e1.clone();
         let mut q = *e2.get(crate::MsId(0)).unwrap();
         q.cost = f64::from_bits(q.cost.to_bits() + 1);
-        e2.set(crate::MsId(0), q);
+        e2.set(crate::MsId(0), q).unwrap();
         assert!(lookup(&cache, &e2, &ids, &req(), 2.0, "algorithm1", EX).is_none());
 
         // So must any change to requirements, penalty, or estimator

@@ -62,8 +62,10 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use crate::enumerate::{submasks, Counts, EnumCtx, Mask, MAX_COUNT_M};
+use crate::error::GenerateError;
 use crate::estimate::{estimate_from_timelines, timelines, walk, Timeline};
 use crate::expr::{render_into, Node, Strategy};
+use crate::generate::IdSet;
 use crate::qos::{EnvQos, MsId, Qos, Reliability, Requirements};
 use crate::utility::UtilityIndex;
 
@@ -350,12 +352,11 @@ impl NodeCache {
     }
 }
 
-/// Input to the engine. `ids` must be non-empty, distinct, fully covered
-/// by `env`, and at most [`MAX_COUNT_M`] long; `parallelism` must already
-/// be resolved to a concrete worker count (≥ 1).
+/// Input to the engine. `env` must cover `ids`; `parallelism` must
+/// already be resolved to a concrete worker count (≥ 1).
 pub(crate) struct SearchSpec<'a> {
     pub env: &'a EnvQos,
-    pub ids: &'a [MsId],
+    pub ids: IdSet<'a>,
     pub req: &'a Requirements,
     pub utility: UtilityIndex,
     pub pruning: bool,
@@ -504,7 +505,7 @@ impl Tables {
 /// Read-only state shared by all workers.
 struct Shared<'a> {
     env: &'a EnvQos,
-    ids: &'a [MsId],
+    ids: IdSet<'a>,
     req: &'a Requirements,
     utility: UtilityIndex,
     tables: Tables,
@@ -571,11 +572,14 @@ fn outranks(u: f64, qos: &Qos, cur: &Cand) -> Option<bool> {
 
 /// Runs the search and returns the utility-maximal strategy under the
 /// deterministic tie-break of the sequential exhaustive path.
-pub(crate) fn search(spec: &SearchSpec<'_>) -> SearchOutcome {
+///
+/// # Errors
+///
+/// [`GenerateError::TooManyMicroservices`] past [`MAX_COUNT_M`] ids.
+pub(crate) fn search(spec: &SearchSpec<'_>) -> Result<SearchOutcome, GenerateError> {
     let m = spec.ids.len();
-    assert!(m >= 1, "caller rejects empty id lists");
-    assert!(m <= MAX_COUNT_M, "search space counts overflow");
-    let tables = Tables::build(spec.env, spec.ids);
+    let counts = Counts::over(spec.ids)?;
+    let tables = Tables::build(spec.env, &spec.ids);
     // The cost bound's admissibility argument and the incremental
     // evaluator both need strictly positive latencies (later chain blocks
     // must end strictly after earlier leaves start); fall back to the
@@ -588,7 +592,7 @@ pub(crate) fn search(spec: &SearchSpec<'_>) -> SearchOutcome {
         req: spec.req,
         utility: spec.utility,
         tables,
-        counts: Counts::up_to(m),
+        counts,
         prune,
         fast_eval: positive_latencies,
         bar: AtomicU64::new(to_ordered(spec.initial_bound)),
@@ -652,14 +656,14 @@ pub(crate) fn search(spec: &SearchSpec<'_>) -> SearchOutcome {
         }
     }
     let best = best.expect("the utility-maximal family is never pruned");
-    SearchOutcome {
+    Ok(SearchOutcome {
         // The one tree this search builds.
         strategy: Strategy::parse(&best.text).expect("the engine renders canonical strategies"),
         qos: best.qos,
         utility: best.utility,
         seen,
         pruned,
-    }
+    })
 }
 
 /// Per-leaf QoS values a candidate's evaluation reads (one per `ids`
@@ -838,7 +842,7 @@ impl<'a> JobRunner<'a> {
         let shared = self.shared;
         match shared
             .cache
-            .family(self.ctx, shared.ids, &shared.counts, mask)
+            .family(self.ctx, &shared.ids, &shared.counts, mask)
         {
             Some(family) => {
                 for row in family.rows() {
@@ -849,7 +853,7 @@ impl<'a> JobRunner<'a> {
                 let ctx = self.ctx;
                 let mut one = Family::with_capacity(mask.count_ones() as usize, 1);
                 ctx.stream_non_seq(mask, &mut |node| {
-                    f(self, one.set_single(shared.ids, &node));
+                    f(self, one.set_single(&shared.ids, &node));
                 });
             }
         }
@@ -863,7 +867,7 @@ impl<'a> JobRunner<'a> {
         let end = schedule(
             row,
             offset,
-            shared.ids,
+            &shared.ids,
             &shared.tables,
             &mut self.scratch,
             &mut self.meta,
@@ -1079,7 +1083,7 @@ impl<'a> JobRunner<'a> {
         }
         let Some(least) = shared
             .cache
-            .least(self.ctx, shared.ids, &shared.counts, rem)
+            .least(self.ctx, &shared.ids, &shared.counts, rem)
         else {
             return false;
         };
@@ -1269,6 +1273,16 @@ mod tests {
             .collect()
     }
 
+    /// What the families over `ids` are built and read with.
+    fn context(ids: &[MsId]) -> (EnumCtx<'_>, Counts, NodeCache) {
+        let set = IdSet::new(ids).unwrap();
+        (
+            EnumCtx::new(set),
+            Counts::over(set).unwrap(),
+            NodeCache::new(ids.len()),
+        )
+    }
+
     /// `row` is `node`: it renders as the canonical strategy does, and at
     /// every offset its schedule gives [`walk`]'s timelines and makespan,
     /// bit for bit.
@@ -1310,7 +1324,7 @@ mod tests {
         let all = [MsId(3), MsId(27), MsId(0), MsId(12), MsId(5)];
         for m in 1..=all.len() {
             let ids = &all[..m];
-            let (ctx, counts, cache) = (EnumCtx::new(ids), Counts::up_to(m), NodeCache::new(m));
+            let (ctx, counts, cache) = context(ids);
             for mask in 1..1u64 << m {
                 let mut nodes = Vec::new();
                 ctx.stream_non_seq(mask, &mut |node| nodes.push(node));
@@ -1336,13 +1350,17 @@ mod tests {
         let all = [MsId(3), MsId(27), MsId(0), MsId(12), MsId(5)];
         for m in 1..=all.len() {
             let ids = &all[..m];
-            let (ctx, counts, cache) = (EnumCtx::new(ids), Counts::up_to(m), NodeCache::new(m));
+            let (ctx, counts, cache) = context(ids);
             for mask in 1..1u64 << m {
                 let members: Vec<MsId> = (0..m)
                     .filter(|i| mask >> i & 1 == 1)
                     .map(|i| ids[i])
                     .collect();
-                let least = StrategyIter::full(&members).map(|s| s.to_string()).min();
+                let least = IdSet::new(&members)
+                    .and_then(StrategyIter::over)
+                    .unwrap()
+                    .map(|s| s.to_string())
+                    .min();
                 assert_eq!(
                     cache.least(ctx, ids, &counts, mask),
                     least.as_deref(),
@@ -1353,8 +1371,7 @@ mod tests {
         // A mask past the dense table has no memo, so chains over it are
         // enumerated.
         let ids: Vec<MsId> = (0..=NODE_CACHE_MAX_M).map(MsId).collect();
-        let (ctx, counts) = (EnumCtx::new(&ids), Counts::up_to(ids.len()));
-        let cache = NodeCache::new(ids.len());
+        let (ctx, counts, cache) = context(&ids);
         assert_eq!(cache.least(ctx, &ids, &counts, 1 << NODE_CACHE_MAX_M), None);
     }
 
@@ -1386,8 +1403,7 @@ mod tests {
                 let req = Requirements::new(cost, latency, 0.95).unwrap();
                 let ids = env.ids();
                 let tables = Tables::build(&env, &ids);
-                let (ctx, counts, cache) =
-                    (EnumCtx::new(&ids), Counts::up_to(m), NodeCache::new(m));
+                let (ctx, counts, cache) = context(&ids);
                 let mut entries = Vec::new();
                 for mask in 1..1u64 << m {
                     entries.clear();

@@ -5,16 +5,18 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use qce_strategy::enumerate::{enumerate_full, StrategySampler};
+use qce_strategy::enumerate::{count_full, StrategySampler};
 use qce_strategy::estimate::{estimate, estimate_folding, timelines};
 use qce_strategy::pareto::pareto_indices;
 use qce_strategy::utility::dominates;
-use qce_strategy::{EnvQos, Generator, MsId, Node, Qos, Requirements, Strategy, UtilityIndex};
+use qce_strategy::{
+    EnvQos, Generator, IdSet, MsId, Node, Qos, Requirements, Strategy, StrategyIter, UtilityIndex,
+};
 
 /// Draws a uniformly random strategy over `m` microservices from a seed.
 fn sampled_strategy(m: usize, seed: u64) -> Strategy {
     let ids: Vec<MsId> = (0..m).map(MsId).collect();
-    let sampler = StrategySampler::new(&ids);
+    let sampler = IdSet::new(&ids).and_then(StrategySampler::new).unwrap();
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     sampler.sample(&mut rng)
 }
@@ -216,7 +218,7 @@ proptest! {
         let m = 4;
         let env = random_env(m, env_seed);
         let ids: Vec<MsId> = (0..m).map(MsId).collect();
-        for s in enumerate_full(&ids) {
+        for s in IdSet::new(&ids).and_then(StrategyIter::over).unwrap() {
             let qos = estimate(&s, &env).expect("estimates");
             prop_assert!(qos.cost.is_finite());
             prop_assert!(qos.latency.is_finite());
@@ -240,7 +242,7 @@ proptest! {
 #[test]
 fn sampler_eventually_covers_f3() {
     let ids: Vec<MsId> = (0..3).map(MsId).collect();
-    let sampler = StrategySampler::new(&ids);
+    let sampler = IdSet::new(&ids).and_then(StrategySampler::new).unwrap();
     let mut rng = ChaCha8Rng::seed_from_u64(99);
     let mut seen = std::collections::HashSet::new();
     for _ in 0..5000 {
@@ -257,6 +259,9 @@ fn sampler_eventually_covers_f3() {
 #[test]
 fn enumeration_count_m6_matches_recurrence() {
     let ids: Vec<MsId> = (0..6).map(MsId).collect();
-    let count = qce_strategy::StrategyIter::full(&ids).count();
-    assert_eq!(count as u128, qce_strategy::enumerate::count_full(6));
+    let count = IdSet::new(&ids)
+        .and_then(StrategyIter::over)
+        .unwrap()
+        .count();
+    assert_eq!(Some(count as u128), count_full(6));
 }

@@ -16,10 +16,10 @@
 //! cargo run --example strategy_explorer -- 50,50,60 100,100,60 150,150,70
 //! ```
 
-use qce_strategy::enumerate::{count_full, enumerate_full, paper};
+use qce_strategy::enumerate::paper;
 use qce_strategy::estimate::estimate;
 use qce_strategy::pareto::pareto_front;
-use qce_strategy::{EnvQos, Requirements, UtilityIndex};
+use qce_strategy::{EnvQos, IdSet, Requirements, StrategyIter, UtilityIndex};
 
 fn parse_args() -> Result<EnvQos, Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -58,17 +58,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {id}: {qos}");
     }
 
+    let ids = env.ids();
+    let space = StrategyIter::over(IdSet::new(&ids)?)?;
+    let table1 = paper::count_table1(m).ok_or("Table I counts stop at 20 microservices")?;
     println!(
         "\nStrategy space: {} semantically distinct strategies \
-         (the paper's Table I counts {}).",
-        count_full(m),
-        paper::count_table1(m)
+         (the paper's Table I counts {table1}).",
+        space.remaining()
     );
 
     // Estimate everything.
-    let ids = env.ids();
-    let mut scored: Vec<(qce_strategy::Strategy, qce_strategy::Qos)> = enumerate_full(&ids)
-        .into_iter()
+    let mut scored: Vec<(qce_strategy::Strategy, qce_strategy::Qos)> = space
         .map(|s| {
             let qos = estimate(&s, &env).expect("environment covers all ids");
             (s, qos)

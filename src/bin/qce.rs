@@ -79,10 +79,12 @@ use qce::runtime::{
     QosClass, Request, ServiceScript, SimulatedProvider, SimulatedProviderBuilder, VirtualClock,
 };
 use qce::sim::{simulate, Environment};
-use qce::strategy::enumerate::{count_full, enumerate_full, paper};
+use qce::strategy::enumerate::paper;
 use qce::strategy::estimate::{estimate, estimate_folding};
 use qce::strategy::pareto::pareto_front;
-use qce::strategy::{BackendChoice, EnvQos, Generator, Requirements, Strategy, UtilityIndex};
+use qce::strategy::{
+    BackendChoice, EnvQos, Generator, IdSet, Requirements, Strategy, StrategyIter, UtilityIndex,
+};
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -253,6 +255,13 @@ fn build_env(options: &Options) -> Result<EnvQos, String> {
         .map(|&(c, l, r)| (c, l, r / 100.0))
         .collect();
     EnvQos::from_triples(&triples).map_err(|e| e.to_string())
+}
+
+/// `F(M)` over every microservice of `env`.
+fn every_strategy(env: &EnvQos) -> Result<StrategyIter, String> {
+    IdSet::new(&env.ids())
+        .and_then(StrategyIter::over)
+        .map_err(|e| e.to_string())
 }
 
 fn requirements(options: &Options) -> Result<Requirements, String> {
@@ -557,16 +566,16 @@ fn run(command: &str, expr: Option<&str>, options: &Options) -> Result<(), Strin
                     "enumerate materializes all strategies; at most 6 microservices".into(),
                 );
             }
+            let space = every_strategy(&env)?;
+            let table1 = paper::count_table1(m).ok_or("Table I counts stop at 20 microservices")?;
             println!(
                 "{} semantically distinct strategies over {m} microservices \
-                 (the paper's Table I counts {})",
-                count_full(m),
-                paper::count_table1(m)
+                 (the paper's Table I counts {table1})",
+                space.remaining()
             );
             let req = requirements(options)?;
             let ui = UtilityIndex::new(options.k).map_err(|e| e.to_string())?;
-            let mut scored: Vec<(Strategy, f64)> = enumerate_full(&env.ids())
-                .into_iter()
+            let mut scored: Vec<(Strategy, f64)> = space
                 .map(|s| {
                     let qos = estimate(&s, &env).expect("environment covers ids");
                     let u = ui.utility(&qos, &req);
@@ -614,8 +623,7 @@ fn run(command: &str, expr: Option<&str>, options: &Options) -> Result<(), Strin
             if env.len() > 6 {
                 return Err("pareto materializes all strategies; at most 6 microservices".into());
             }
-            let scored: Vec<(Strategy, qce::strategy::Qos)> = enumerate_full(&env.ids())
-                .into_iter()
+            let scored: Vec<(Strategy, qce::strategy::Qos)> = every_strategy(&env)?
                 .map(|s| {
                     let qos = estimate(&s, &env).expect("environment covers ids");
                     (s, qos)

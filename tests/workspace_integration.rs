@@ -13,7 +13,7 @@ use qce::runtime::{
 use qce::sim::{simulate, Environment, VirtualExecutor};
 use qce::strategy::enumerate::StrategySampler;
 use qce::strategy::estimate::estimate;
-use qce::strategy::{EnvQos, Generator, MsId, Qos, Requirements, Strategy};
+use qce::strategy::{EnvQos, Generator, IdSet, MsId, Qos, Requirements, Strategy, StrategyIter};
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -129,7 +129,7 @@ fn sim_walker_and_event_core_agree_case_by_case() {
     let clock = Arc::new(VirtualClock::new());
     for m in 1..=5usize {
         let ids: Vec<MsId> = (0..m).map(MsId).collect();
-        let sampler = StrategySampler::new(&ids);
+        let sampler = IdSet::new(&ids).and_then(StrategySampler::new).unwrap();
         for _ in 0..60 {
             let strategy = sampler.sample(&mut rng);
             let up: Vec<bool> = (0..m).map(|_| rng.gen_bool(0.5)).collect();
@@ -272,7 +272,7 @@ fn exhaustive_agreement_m4() {
     let exec = VirtualExecutor::new();
     let mut rng = ChaCha8Rng::seed_from_u64(31);
     let ids: Vec<MsId> = (0..4).map(MsId).collect();
-    for strategy in qce::strategy::enumerate::enumerate_full(&ids) {
+    for strategy in IdSet::new(&ids).and_then(StrategyIter::over).unwrap() {
         let estimated = estimate(&strategy, &env).unwrap();
         let mut cost = 0.0;
         let runs = 4_000;
