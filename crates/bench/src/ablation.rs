@@ -12,6 +12,7 @@
 //!   latencies; quantify its error when real latencies are uniform or
 //!   exponential around the same mean.
 
+use std::num::NonZeroU32;
 use std::path::Path;
 
 use rand::SeedableRng;
@@ -228,12 +229,18 @@ pub fn cost_semantics(reports: &Path) -> std::io::Result<()> {
     let mut rng = ChaCha8Rng::seed_from_u64(6);
     for text in ["a-b-c-d-e", "a*b*c*d*e", "a-b*c-d-e", "c*(a*b-d*e)"] {
         let strategy = Strategy::parse(text).expect("valid");
-        let charged = simulate(&strategy, &env, 20_000, &mut rng).expect("simulates");
+        let charged = simulate(
+            &strategy,
+            &env,
+            NonZeroU32::new(20_000).expect("a positive literal"),
+            &mut rng,
+        )
+        .expect("simulates");
         let free = simulate_with(
             &VirtualExecutor::without_cancellation_charges(),
             &strategy,
             &env,
-            20_000,
+            NonZeroU32::new(20_000).expect("a positive literal"),
             &mut rng,
         )
         .expect("simulates");
@@ -302,7 +309,13 @@ pub fn latency_robustness(reports: &Path) -> std::io::Result<()> {
         for shape in ["constant", "uniform±50%", "exponential"] {
             let env = make_env(shape);
             let est = estimate(&strategy, &env.mean_qos_table()).expect("estimates");
-            let measured = simulate(&strategy, &env, 30_000, &mut rng).expect("simulates");
+            let measured = simulate(
+                &strategy,
+                &env,
+                NonZeroU32::new(30_000).expect("a positive literal"),
+                &mut rng,
+            )
+            .expect("simulates");
             let err = qce_sim::relative_error_pct(measured.mean_latency, est.latency);
             report.row([
                 text.to_string(),
@@ -376,7 +389,11 @@ pub fn correlation(reports: &Path) -> std::io::Result<()> {
                 continue; // marginal 0.6 not reachable under this h
             };
             let measured = qce_sim::correlation::measure_reliability(
-                &strategy, &adjusted, &hosts, 30_000, &mut rng,
+                &strategy,
+                &adjusted,
+                &hosts,
+                NonZeroU32::new(30_000).expect("a positive literal"),
+                &mut rng,
             )
             .expect("simulates");
             report.row([
@@ -431,12 +448,12 @@ mod tests {
         let env = Environment::from_triples(&FIRE_ENV).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let parallel = Strategy::parse("a*b*c*d*e").unwrap();
-        let charged = simulate(&parallel, &env, 5_000, &mut rng).unwrap();
+        let charged = simulate(&parallel, &env, NonZeroU32::new(5_000).unwrap(), &mut rng).unwrap();
         let free = simulate_with(
             &VirtualExecutor::without_cancellation_charges(),
             &parallel,
             &env,
-            5_000,
+            NonZeroU32::new(5_000).unwrap(),
             &mut rng,
         )
         .unwrap();
@@ -448,12 +465,12 @@ mod tests {
         );
         // Pure fail-over never cancels anyone, so the semantics agree.
         let failover = Strategy::parse("a-b-c-d-e").unwrap();
-        let charged = simulate(&failover, &env, 5_000, &mut rng).unwrap();
+        let charged = simulate(&failover, &env, NonZeroU32::new(5_000).unwrap(), &mut rng).unwrap();
         let free = simulate_with(
             &VirtualExecutor::without_cancellation_charges(),
             &failover,
             &env,
-            5_000,
+            NonZeroU32::new(5_000).unwrap(),
             &mut rng,
         )
         .unwrap();
@@ -485,7 +502,7 @@ mod tests {
         let env = make(LatencyDistribution::Exponential { mean: 50.0 });
         let s = Strategy::parse("a*b").unwrap();
         let est = estimate(&s, &env.mean_qos_table()).unwrap();
-        let measured = simulate(&s, &env, 40_000, &mut rng).unwrap();
+        let measured = simulate(&s, &env, NonZeroU32::new(40_000).unwrap(), &mut rng).unwrap();
         assert!(
             measured.mean_latency < est.latency,
             "measured {} vs estimate {}",

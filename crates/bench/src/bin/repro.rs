@@ -23,7 +23,7 @@
 //!
 //! options:
 //!   --services N      random services per configuration   (default 100)
-//!   --runs N          executions per strategy, estimation  (default 300)
+//!   --runs N          executions per strategy, estimation  (N ≥ 1, default 300)
 //!   --strategies N    strategies validated, estimation     (default 100)
 //!   --max-m N         largest M for fig7                   (default 10)
 //!   --exhaustive-m N  largest M searched exhaustively      (default 6)
@@ -38,13 +38,14 @@
 //!   --quick           small preset for smoke runs
 //! ```
 
+use std::num::NonZeroU32;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 #[derive(Debug, Clone)]
 struct Options {
     services: usize,
-    runs: u32,
+    runs: NonZeroU32,
     strategies: usize,
     max_m: usize,
     exhaustive_m: usize,
@@ -62,7 +63,7 @@ impl Default for Options {
     fn default() -> Self {
         Options {
             services: 100,
-            runs: 300,
+            runs: NonZeroU32::new(300).expect("a positive literal"),
             strategies: 100,
             max_m: 10,
             exhaustive_m: 6,
@@ -81,7 +82,7 @@ impl Default for Options {
 impl Options {
     fn quick(mut self) -> Self {
         self.services = 10;
-        self.runs = 300;
+        self.runs = NonZeroU32::new(300).expect("a positive literal");
         self.strategies = 20;
         self.max_m = 8;
         self.exhaustive_m = 6;

@@ -8,6 +8,7 @@
 //! scheduler noise at all, so the only error source is Monte-Carlo sampling
 //! (which shrinks with the number of runs).
 
+use std::num::NonZeroU32;
 use std::path::Path;
 
 use rand::SeedableRng;
@@ -38,7 +39,7 @@ pub struct Validation {
 /// Validates `strategies` random strategies (each measured over `runs`
 /// virtual executions) against Algorithm 1 and the folding baseline.
 #[must_use]
-pub fn validate(strategies: usize, runs: u32, seed: u64) -> Vec<Validation> {
+pub fn validate(strategies: usize, runs: NonZeroU32, seed: u64) -> Vec<Validation> {
     validate_with(&Algorithm1::new(), strategies, runs, seed)
 }
 
@@ -50,7 +51,7 @@ pub fn validate(strategies: usize, runs: u32, seed: u64) -> Vec<Validation> {
 pub fn validate_with(
     estimator: &dyn Estimator,
     strategies: usize,
-    runs: u32,
+    runs: NonZeroU32,
     seed: u64,
 ) -> Vec<Validation> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -98,7 +99,7 @@ pub fn validate_with(
 /// # Errors
 ///
 /// Returns an I/O error if the report cannot be written.
-pub fn run(reports: &Path, strategies: usize, runs: u32, seed: u64) -> std::io::Result<()> {
+pub fn run(reports: &Path, strategies: usize, runs: NonZeroU32, seed: u64) -> std::io::Result<()> {
     let validations = validate(strategies, runs, seed);
     let mean = |f: &dyn Fn(&Validation) -> f64| {
         validations.iter().map(f).sum::<f64>() / validations.len() as f64
@@ -147,7 +148,13 @@ pub fn run(reports: &Path, strategies: usize, runs: u32, seed: u64) -> std::io::
     let batches = 50;
     let mut batch_means = Vec::new();
     for _ in 0..batches {
-        let stats = simulate(&strategy, &env, 300, &mut rng).expect("simulates");
+        let stats = simulate(
+            &strategy,
+            &env,
+            NonZeroU32::new(300).expect("a positive literal"),
+            &mut rng,
+        )
+        .expect("simulates");
         batch_means.push(stats.mean_latency);
     }
     let grand = batch_means.iter().sum::<f64>() / batch_means.len() as f64;
@@ -164,10 +171,14 @@ pub fn run(reports: &Path, strategies: usize, runs: u32, seed: u64) -> std::io::
 mod tests {
     use super::*;
 
+    fn runs(n: u32) -> NonZeroU32 {
+        NonZeroU32::new(n).unwrap()
+    }
+
     #[test]
     fn errors_shrink_with_more_runs() {
-        let coarse = validate(12, 300, 1);
-        let fine = validate(12, 30_000, 1);
+        let coarse = validate(12, runs(300), 1);
+        let fine = validate(12, runs(30_000), 1);
         let mean =
             |v: &[Validation]| v.iter().map(|x| x.latency_err_pct).sum::<f64>() / v.len() as f64;
         assert!(mean(&fine) < mean(&coarse) + 0.5, "convergence");
@@ -180,7 +191,7 @@ mod tests {
 
     #[test]
     fn algorithm1_beats_folding_overall() {
-        let v = validate(30, 10_000, 2);
+        let v = validate(30, runs(10_000), 2);
         let alg1: f64 = v.iter().map(|x| x.latency_err_pct).sum();
         let folding: f64 = v.iter().map(|x| x.folding_latency_err_pct).sum();
         assert!(
@@ -191,7 +202,7 @@ mod tests {
 
     #[test]
     fn reliability_error_is_small() {
-        let v = validate(20, 10_000, 3);
+        let v = validate(20, runs(10_000), 3);
         for x in &v {
             assert!(
                 x.reliability_err < 0.02,
@@ -204,8 +215,8 @@ mod tests {
 
     #[test]
     fn validate_with_memoizing_estimator_matches_default_path() {
-        let default = validate(6, 300, 7);
-        let explicit = validate_with(&Algorithm1::new(), 6, 300, 7);
+        let default = validate(6, runs(300), 7);
+        let explicit = validate_with(&Algorithm1::new(), 6, runs(300), 7);
         assert_eq!(default.len(), explicit.len());
         for (a, b) in default.iter().zip(&explicit) {
             assert_eq!(a.strategy, b.strategy);
@@ -217,7 +228,7 @@ mod tests {
     #[test]
     fn run_writes_reports() {
         let dir = std::env::temp_dir().join(format!("qce-est-{}", std::process::id()));
-        run(&dir, 5, 300, 4).unwrap();
+        run(&dir, 5, runs(300), 4).unwrap();
         assert!(dir.join("estimation.tsv").exists());
         assert!(dir.join("estimation_worked.tsv").exists());
         std::fs::remove_dir_all(&dir).unwrap();

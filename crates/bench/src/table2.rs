@@ -3,6 +3,7 @@
 //! example comparing Algorithm 1 against the folding baseline and a
 //! Monte-Carlo measurement.
 
+use std::num::NonZeroU32;
 use std::path::Path;
 
 use rand::SeedableRng;
@@ -85,7 +86,13 @@ pub fn run_with(estimator: &dyn Estimator, reports: &Path) -> std::io::Result<()
         let qos = estimator
             .estimate(&strategy, &env)
             .expect("environment covers ids");
-        let measured = simulate(&strategy, &sim_env, 30_000, &mut rng).expect("simulates");
+        let measured = simulate(
+            &strategy,
+            &sim_env,
+            NonZeroU32::new(30_000).expect("a positive literal"),
+            &mut rng,
+        )
+        .expect("simulates");
         report.row([
             id.to_string(),
             text.to_string(),
@@ -114,7 +121,13 @@ pub fn run_with(estimator: &dyn Estimator, reports: &Path) -> std::io::Result<()
     let s = Strategy::parse("a*b*c").expect("valid expression");
     let alg1 = estimator.estimate(&s, &env3).expect("estimates");
     let folded = estimate_folding(&s, &env3).expect("estimates");
-    let measured = simulate(&s, &sim3, 60_000, &mut rng).expect("simulates");
+    let measured = simulate(
+        &s,
+        &sim3,
+        NonZeroU32::new(60_000).expect("a positive literal"),
+        &mut rng,
+    )
+    .expect("simulates");
     example.row(["Algorithm 1 (ours)".to_string(), fmt_f(alg1.latency, 2)]);
     example.row([
         "folding baseline [15]".to_string(),

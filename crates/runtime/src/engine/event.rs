@@ -47,8 +47,9 @@ use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::task::Waker;
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -69,8 +70,9 @@ use super::EngineOutcome;
 pub(crate) type PanicPayload = Box<dyn Any + Send + 'static>;
 
 /// Per-request completion callback, run by the driver outside the core
-/// lock once the request resolves.
-pub(crate) type DoneFn<'env> = Box<dyn FnOnce(RequestResult) + Send + 'env>;
+/// lock once the request resolves. It returns the wake-up it owes a thread
+/// parked on the result, if one is; the driver sends it (see [`Wakes`]).
+pub(crate) type DoneFn<'env> = Box<dyn FnOnce(RequestResult) -> Option<Waker> + Send + 'env>;
 
 /// Where a resolved request's [`RequestResult`] goes.
 pub(crate) enum Done<'env> {
@@ -547,6 +549,8 @@ pub(crate) struct CoreStats {
     pub frames_peak: usize,
     /// Wake-ups sent to the core's parked drivers ([`Parker::wakes`]).
     pub wakeups: u64,
+    /// Wake-ups sent to threads parked on a request's result.
+    pub waiter_wakes: u64,
 }
 
 struct CoreState<'env> {
@@ -568,6 +572,45 @@ struct Deferred<'env> {
     release_slots: usize,
 }
 
+/// The wake-ups a driver's resolves owe threads parked on their results,
+/// held until the end of the clock instant they were deferred at: the
+/// driver sends them all before it idles, before a step once its clock
+/// reads later than the oldest one's instant, and when it stops (drop).
+/// A waiter is thus woken no later than the end of the instant its
+/// request resolved at, and a client waiting on many requests resolving at
+/// one instant is woken once, not once per request. The buffer is kept
+/// from batch to batch.
+#[derive(Default)]
+struct Wakes {
+    waiters: Vec<Waker>,
+    /// The instant the oldest held wake-up was deferred at.
+    since: Duration,
+}
+
+impl Wakes {
+    fn defer(&mut self, waiter: Waker, now: Duration) {
+        if self.waiters.is_empty() {
+            self.since = now;
+        }
+        self.waiters.push(waiter);
+    }
+
+    /// Whether a wake-up is held from an instant `clock` has left.
+    fn overdue(&self, clock: &dyn Clock) -> bool {
+        !self.waiters.is_empty() && clock.now() > self.since
+    }
+
+    fn send(&mut self) {
+        self.waiters.drain(..).for_each(Waker::wake);
+    }
+}
+
+impl Drop for Wakes {
+    fn drop(&mut self) {
+        self.send();
+    }
+}
+
 /// The event-driven execution core (see the module docs).
 pub(crate) struct EventCore<'env> {
     clock: Shared<'env, dyn Clock + 'env>,
@@ -581,6 +624,8 @@ pub(crate) struct EventCore<'env> {
     /// posting work from outside the driver; the driver's idle wait
     /// re-checks it so a post-while-falling-asleep is never lost.
     signal: AtomicBool,
+    /// [`CoreStats::waiter_wakes`].
+    waiter_wakes: AtomicU64,
 }
 
 impl std::fmt::Debug for EventCore<'_> {
@@ -632,6 +677,7 @@ impl<'env> EventCore<'env> {
                 shutdown: false,
             }),
             signal: AtomicBool::new(false),
+            waiter_wakes: AtomicU64::new(0),
         }
     }
 
@@ -648,6 +694,7 @@ impl<'env> EventCore<'env> {
             frames_live: state.frames_live,
             frames_peak: state.frames_peak,
             wakeups: self.parker.wakes(),
+            waiter_wakes: self.waiter_wakes.load(Ordering::Relaxed),
         }
     }
 
@@ -701,7 +748,8 @@ impl<'env> EventCore<'env> {
                 self.start_node(&mut state, &mut deferred, req, None);
             }
         }
-        self.flush(deferred, spawn);
+        // A request resolved here, off any driver's turn, wakes at once.
+        self.flush(deferred, spawn, None);
         self.wake();
         req
     }
@@ -717,7 +765,8 @@ impl<'env> EventCore<'env> {
     ) -> Option<RequestResult> {
         let resolved =
             |state: &CoreState<'env>| !matches!(state.requests.get(req), Some(Entry::Running(_)));
-        while self.step(spawn, &resolved) {}
+        let mut wakes = Wakes::default();
+        while self.step(spawn, &resolved, &mut wakes) {}
         match self.state.lock().requests.remove(req) {
             Some(Entry::Parked(result)) => Some(result),
             _ => None,
@@ -725,9 +774,11 @@ impl<'env> EventCore<'env> {
     }
 
     /// Drives the core until [`EventCore::shutdown`] is called. This is
-    /// the gateway's event-loop thread body.
+    /// the gateway's event-loop thread body; the wake-ups it still holds
+    /// go out as it returns.
     pub(crate) fn run_loop(&self, spawn: &dyn Fn(BlockingTask)) {
-        while self.step(spawn, &|state| state.shutdown) {}
+        let mut wakes = Wakes::default();
+        while self.step(spawn, &|state| state.shutdown, &mut wakes) {}
     }
 
     /// Queues an embedder thunk on the ready queue.
@@ -808,7 +859,9 @@ impl<'env> EventCore<'env> {
             self.clock().release_worker();
         }
         for (done, result) in deferred.dones {
-            done(result);
+            if let Some(waiter) = self.call_done(done, result) {
+                waiter.wake();
+            }
         }
         self.wake();
     }
@@ -869,8 +922,18 @@ impl<'env> EventCore<'env> {
     }
 
     /// One driver iteration: process a ready event, else a due timer, else
-    /// wait. Returns `false` once `stop` holds.
-    fn step(&self, spawn: &dyn Fn(BlockingTask), stop: &dyn Fn(&CoreState<'env>) -> bool) -> bool {
+    /// wait. Returns `false` once `stop` holds. The wake-ups the
+    /// iteration's resolves owe join `wakes`, which is sent before the
+    /// wait and at the first iteration its instant is over.
+    fn step(
+        &self,
+        spawn: &dyn Fn(BlockingTask),
+        stop: &dyn Fn(&CoreState<'env>) -> bool,
+        wakes: &mut Wakes,
+    ) -> bool {
+        if wakes.overdue(self.clock()) {
+            wakes.send();
+        }
         let mut deferred = Deferred::default();
         {
             let mut state = self.state.lock();
@@ -890,7 +953,7 @@ impl<'env> EventCore<'env> {
             if let Some(event) = event {
                 self.process_event(&mut state, &mut deferred, event);
                 drop(state);
-                self.flush(deferred, spawn);
+                self.flush(deferred, spawn, Some(wakes));
                 return true;
             }
         }
@@ -911,13 +974,23 @@ impl<'env> EventCore<'env> {
             }
             state.timers.peek().map(|t| t.deadline)
         };
+        // Nothing is left to do at this instant, and the wait may move the
+        // clock on: the instant's waiters are owed their wake-ups now.
+        wakes.send();
         self.clock().sleep_until_or(&self.parker, deadline, &|| {
             self.signal.load(Ordering::SeqCst)
         });
         true
     }
 
-    fn flush(&self, deferred: Deferred<'env>, spawn: &dyn Fn(BlockingTask)) {
+    /// Runs what processing deferred. A wake-up a `done` callback returns
+    /// joins `wakes`, or is sent at once without one.
+    fn flush(
+        &self,
+        deferred: Deferred<'env>,
+        spawn: &dyn Fn(BlockingTask),
+        mut wakes: Option<&mut Wakes>,
+    ) {
         // Orphan slots are released only after processing (and after any
         // new reservations processing made), so virtual time never runs
         // ahead of a completion the driver has not finished accounting.
@@ -925,7 +998,13 @@ impl<'env> EventCore<'env> {
             self.clock().release_worker();
         }
         for (done, result) in deferred.dones {
-            done(result);
+            let Some(waiter) = self.call_done(done, result) else {
+                continue;
+            };
+            match wakes.as_deref_mut() {
+                Some(wakes) => wakes.defer(waiter, self.clock().now()),
+                None => waiter.wake(),
+            }
         }
         for task in deferred.tasks {
             task();
@@ -933,6 +1012,15 @@ impl<'env> EventCore<'env> {
         for task in deferred.spawns {
             spawn(task);
         }
+    }
+
+    /// Runs a request's `done` callback, counting the wake-up it returns.
+    fn call_done(&self, done: DoneFn<'env>, result: RequestResult) -> Option<Waker> {
+        let waiter = done(result);
+        if waiter.is_some() {
+            self.waiter_wakes.fetch_add(1, Ordering::Relaxed);
+        }
+        waiter
     }
 
     fn process_event(
@@ -1411,6 +1499,7 @@ mod tests {
             record_invocations: false,
             done: Done::Call(Box::new(move |result| {
                 log.lock().push((name, format!("{result:?}")));
+                None
             })),
         }
     }
@@ -1439,7 +1528,7 @@ mod tests {
         let second = core.submit(spec("second", &slow), &no_spawn);
         assert_eq!((first.index, second.index), (0, 1));
         // One driver step completes the zero-latency leaf; its slot frees.
-        assert!(core.step(&no_spawn, &|_| false));
+        assert!(core.step(&no_spawn, &|_| false, &mut Wakes::default()));
         assert_eq!(log.lock().len(), 1);
         assert_eq!(core.stats().in_flight, 1);
         let third = core.submit(spec("third", &slow), &no_spawn);
@@ -1489,11 +1578,86 @@ mod tests {
             result: LeafOutcome::Completed(Ok(vec![1])),
             orphan_slot: false,
         });
-        assert!(core.step(&no_spawn, &|_| false));
+        assert!(core.step(&no_spawn, &|_| false, &mut Wakes::default()));
         assert!(
             log.lock().is_empty(),
             "the stale completion resolved nothing"
         );
         assert_eq!(core.stats().in_flight, 1);
+    }
+
+    /// Counts the wake-ups sent to it.
+    #[derive(Default)]
+    struct Woken(AtomicU64);
+
+    impl std::task::Wake for Woken {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Every resolve owes a wake-up here. The driver holds those of one
+    /// instant until the instant is over: until it idles, or until a step
+    /// finds the clock moved on, or until it stops.
+    #[test]
+    fn a_driver_holds_an_instants_wake_ups_until_the_instant_ends() {
+        let ms = Duration::from_millis;
+        let clock = Arc::new(VirtualClock::new());
+        let provider = |latency| -> Vec<Arc<dyn Provider>> {
+            vec![SimulatedProvider::builder("p", "cap")
+                .latency(latency)
+                .clock(Arc::clone(&clock) as Arc<dyn Clock>)
+                .build()]
+        };
+        let (soon, later) = (provider(ms(1)), provider(ms(5)));
+        let strategy = Strategy::parse("a").unwrap();
+        let request = Invocation::new(1, "", vec![]);
+        let woken = Arc::new(Woken::default());
+        let spec = |providers| RequestSpec {
+            strategy: Shared::Borrowed(&strategy),
+            providers: Shared::Borrowed(providers),
+            sinks: Shared::Owned(LegSink::aligned(providers)),
+            request: Cow::Borrowed(&request),
+            collector: None,
+            telemetry: None,
+            budget: Budget::unlimited(),
+            policy: PolicyState::new(CompletionPolicy::FirstSuccess),
+            record_invocations: false,
+            done: Done::Call(Box::new({
+                let woken = Arc::clone(&woken);
+                move |_| Some(Waker::from(woken))
+            })),
+        };
+        let no_spawn = |_: BlockingTask| unreachable!("every leaf is timed");
+        let sent = || woken.0.load(Ordering::SeqCst);
+
+        let core = EventCore::new(Shared::Borrowed(&*clock), Arc::default());
+        for providers in [&soon, &soon, &soon, &later] {
+            core.submit(spec(providers), &no_spawn);
+        }
+        let mut wakes = Wakes::default();
+        let step = |wakes: &mut Wakes| core.step(&no_spawn, &|_| false, wakes);
+        assert!(step(&mut wakes), "idles to the first timer");
+        assert_eq!(clock.now(), ms(1));
+        for _ in 0..3 {
+            assert!(step(&mut wakes));
+        }
+        assert_eq!((sent(), core.stats().waiter_wakes), (0, 3), "held");
+        assert!(step(&mut wakes), "idles: sends, then sleeps to 5 ms");
+        assert_eq!((sent(), clock.now()), (3, ms(5)));
+        assert!(step(&mut wakes));
+        assert_eq!((sent(), core.stats().waiter_wakes), (3, 4), "held");
+        clock.advance(ms(1));
+        assert!(!core.step(&no_spawn, &|_| true, &mut wakes));
+        assert_eq!(sent(), 4, "sent first thing once the clock moved on");
+
+        // And on the way out, whatever is still held.
+        core.submit(spec(&soon), &no_spawn);
+        let mut wakes = Wakes::default();
+        assert!(core.step(&no_spawn, &|_| false, &mut wakes));
+        assert!(core.step(&no_spawn, &|_| false, &mut wakes));
+        assert_eq!(sent(), 4);
+        drop(wakes);
+        assert_eq!(sent(), 5);
     }
 }

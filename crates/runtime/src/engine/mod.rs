@@ -99,6 +99,13 @@ pub struct EngineStats {
     /// that found a loop parked, and virtual-time jumps that reached a
     /// parked loop's deadline. A post to a busy loop sends none.
     pub wakeups: u64,
+    /// Wake-ups sent to [`RequestHandle`](crate::RequestHandle) waiters
+    /// since the core was created: one per request that resolved while its
+    /// submitter was parked in `wait`. A loop sends those of one clock
+    /// instant together at its end, so one client waiting on a window of
+    /// requests costs at most one per instant per loop; a handle collected
+    /// after it resolved costs none.
+    pub waiter_wakes: u64,
 }
 
 /// Rejects a quorum of zero, and strategies that reference an unresolved

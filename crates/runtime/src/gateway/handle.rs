@@ -1,10 +1,14 @@
 //! The asynchronous side of a request: the [`RequestHandle`] a submitter
 //! holds and the shared slot the event loop resolves it through.
 
-use std::sync::{Arc, Mutex as StdMutex, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex as StdMutex, MutexGuard, PoisonError};
+use std::task::{Wake, Waker};
+use std::thread::Thread;
 
-use crate::clock::{passively, Clock};
-use crate::engine::event::PanicPayload;
+use crate::clock::Clock;
+use crate::engine::event::{PanicPayload, RequestResult};
+use crate::engine::EngineOutcome;
 use crate::message::RuntimeError;
 use crate::request::QosClass;
 
@@ -19,29 +23,107 @@ enum HandleResult {
     Panicked(PanicPayload),
 }
 
-/// State shared between a [`RequestHandle`] and the event-loop side that
-/// resolves it: a write-once cell, so the first `finish` wins and later
-/// calls (e.g. a shutdown guard racing a preemption result) are ignored.
-/// The submitter takes the result out from under the inner lock.
+/// The thread parked in [`RequestHandle::wait`], and whether it went
+/// passive on the handle's clock to park.
+struct Waiter {
+    thread: Thread,
+    passive: bool,
+}
+
+/// The handle's slot, under its lock.
+#[derive(Default)]
+struct Slot {
+    /// Set by the first resolve; later ones (a shutdown guard racing a
+    /// preemption result) are ignored.
+    resolved: bool,
+    /// The result, until the submitter takes it.
+    result: Option<HandleResult>,
+    /// Who is parked on the result, until its wake.
+    waiter: Option<Waiter>,
+}
+
+/// State shared between a [`RequestHandle`] and the side that resolves
+/// it. A resolve stores the result and, when the submitter is parked on
+/// it, *returns* the wake-up instead of sending it: a [`Waker`] whose
+/// `wake` hands the waiter its passive mark back and unparks it. The event
+/// loops hold those until the end of the clock instant (DESIGN §15);
+/// every other resolve wakes at once.
 pub(super) struct HandleShared {
     clock: Arc<dyn Clock>,
-    result: OnceLock<StdMutex<Option<HandleResult>>>,
+    slot: StdMutex<Slot>,
+    /// Set once the result may be collected: by the resolve when nobody is
+    /// parked, else by the wake. `try_wait` and `wait`'s fast path read it
+    /// without the lock. Stored `Release` after the result (and after the
+    /// wake cleared the waiter's passive mark), loaded `Acquire` before
+    /// the result is collected.
+    done: AtomicBool,
 }
 
 impl HandleShared {
     pub(super) fn new(clock: Arc<dyn Clock>) -> Self {
         HandleShared {
             clock,
-            result: OnceLock::new(),
+            slot: StdMutex::default(),
+            done: AtomicBool::new(false),
         }
     }
 
-    pub(super) fn finish(&self, result: Result<ServiceResponse, RuntimeError>) {
-        self.park(HandleResult::Done(Box::new(result)));
+    fn lock(&self) -> MutexGuard<'_, Slot> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn park(&self, result: HandleResult) {
-        let _ = self.result.set(StdMutex::new(Some(result)));
+    /// Resolves the handle and wakes a parked waiter at once: for resolves
+    /// that do not run on an event loop's turn.
+    pub(super) fn finish(self: &Arc<Self>, result: Result<ServiceResponse, RuntimeError>) {
+        if let Some(waiter) = self.resolve(HandleResult::Done(Box::new(result))) {
+            waiter.wake();
+        }
+    }
+
+    /// Stores `result` unless the handle is already resolved, and returns
+    /// the wake-up owed to a waiter parked on it.
+    fn resolve(self: &Arc<Self>, result: HandleResult) -> Option<Waker> {
+        let mut slot = self.lock();
+        if slot.resolved {
+            return None;
+        }
+        slot.resolved = true;
+        slot.result = Some(result);
+        if slot.waiter.is_some() {
+            return Some(Waker::from(Arc::clone(self)));
+        }
+        self.done.store(true, Ordering::Release);
+        None
+    }
+
+    /// Takes the result out of a resolved handle, resuming a provider
+    /// panic on the collecting thread.
+    fn collect(&self) -> Result<ServiceResponse, RuntimeError> {
+        let result = self.lock().result.take();
+        match result {
+            Some(HandleResult::Done(result)) => *result,
+            Some(HandleResult::Panicked(panic)) => std::panic::resume_unwind(panic),
+            // Unreachable: collecting consumes the handle.
+            None => Err(RuntimeError::Shutdown),
+        }
+    }
+}
+
+impl Wake for HandleShared {
+    /// The wake a resolve returned. A waiter that went passive on the
+    /// clock gets its mark back *before* it is unparked: the waker is about
+    /// to idle on the same clock, and a waiter still counted passive would
+    /// let that idle wait jump virtual time past it before it ran (the
+    /// slot-handoff rule of DESIGN §8).
+    fn wake(self: Arc<Self>) {
+        let Some(waiter) = self.lock().waiter.take() else {
+            return;
+        };
+        if waiter.passive {
+            self.clock.exit_passive();
+        }
+        self.done.store(true, Ordering::Release);
+        waiter.thread.unpark();
     }
 }
 
@@ -49,23 +131,41 @@ impl HandleShared {
 /// on any path that forgets to resolve the handle (a continuation discarded
 /// by a shutting-down core, a panic between admission and submission) fail
 /// it with [`RuntimeError::Shutdown`] so [`RequestHandle::wait`] can never
-/// park forever.
-pub(super) struct FinishGuard(pub(super) Arc<HandleShared>);
+/// park forever. Resolving through the guard disarms it.
+pub(super) struct FinishGuard(Option<Arc<HandleShared>>);
 
 impl FinishGuard {
-    pub(super) fn finish(self, result: Result<ServiceResponse, RuntimeError>) {
-        self.0.finish(result);
+    pub(super) fn new(shared: &Arc<HandleShared>) -> Self {
+        FinishGuard(Some(Arc::clone(shared)))
     }
 
-    pub(super) fn finish_panic(self, panic: PanicPayload) {
-        self.0.park(HandleResult::Panicked(panic));
+    /// See [`HandleShared::finish`].
+    pub(super) fn finish(mut self, result: Result<ServiceResponse, RuntimeError>) {
+        if let Some(shared) = self.0.take() {
+            shared.finish(result);
+        }
+    }
+
+    /// Resolves the handle with what the engine reported for its request
+    /// (`respond` assembles a finished one) and returns the wake-up owed to
+    /// its waiter, for the event loop to send at the end of the instant.
+    pub(super) fn resolve(
+        mut self,
+        result: RequestResult,
+        respond: impl FnOnce(EngineOutcome) -> ServiceResponse,
+    ) -> Option<Waker> {
+        self.0.take()?.resolve(match result {
+            RequestResult::Finished(outcome) => HandleResult::Done(Box::new(Ok(respond(outcome)))),
+            RequestResult::Panicked(panic) => HandleResult::Panicked(panic),
+            RequestResult::Shutdown => HandleResult::Done(Box::new(Err(RuntimeError::Shutdown))),
+        })
     }
 }
 
 impl Drop for FinishGuard {
     fn drop(&mut self) {
-        if self.0.result.get().is_none() {
-            self.0.finish(Err(RuntimeError::Shutdown));
+        if let Some(shared) = self.0.take() {
+            shared.finish(Err(RuntimeError::Shutdown));
         }
     }
 }
@@ -75,8 +175,7 @@ impl Drop for FinishGuard {
 ///
 /// The handle is detached from the request's execution: dropping it does
 /// not cancel the request (its deadline and admission bounds still
-/// apply), and [`RequestHandle::wait`] merely parks until the event loop
-/// resolves it.
+/// apply).
 #[derive(Debug)]
 pub struct RequestHandle {
     pub(super) request_id: u64,
@@ -110,18 +209,30 @@ impl RequestHandle {
     ///
     /// As [`RequestHandle::wait`], once resolved.
     pub fn try_wait(self) -> Result<Result<ServiceResponse, RuntimeError>, Self> {
-        match self.shared.result.get() {
-            Some(slot) => Ok(collect(slot)),
-            None => Err(self),
+        if self.shared.done.load(Ordering::Acquire) {
+            Ok(self.shared.collect())
+        } else {
+            Err(self)
         }
     }
 
     /// Parks until the request resolves and returns its response.
     ///
+    /// A request the event loop resolves wakes its waiter no later than
+    /// the end of the clock instant it resolved at: the loop hands out the
+    /// wake-ups of one instant together, before it idles or once its clock
+    /// has moved on, so a client waiting on a window of requests is woken
+    /// once per instant rather than once per request. On a
+    /// [`WallClock`](crate::WallClock) nearly every loop turn is a new
+    /// instant.
+    ///
     /// A caller registered as a worker of the gateway's clock is marked
     /// passive for the duration of the wait (exactly as a queued blocking
     /// submit would be), so waiting on a handle never stalls the virtual
-    /// time its own request needs to complete.
+    /// time its own request needs to complete. The wake hands the mark
+    /// back: it is cleared before the caller is unparked, so the resolving
+    /// loop's next idle wait cannot move virtual time past the resolve
+    /// instant before the caller has run.
     ///
     /// If a provider panicked during the request, the panic resumes here,
     /// on the thread that collects the result — the event loop itself is
@@ -134,17 +245,230 @@ impl RequestHandle {
     /// request resolved and [`RuntimeError::DeadlineExceeded`] when the
     /// deadline expired while the request was still queued.
     pub fn wait(self) -> Result<ServiceResponse, RuntimeError> {
-        collect(passively(&*self.shared.clock, || self.shared.result.wait()))
+        let shared = &*self.shared;
+        if !shared.done.load(Ordering::Acquire) {
+            let passive = shared.clock.thread_is_worker();
+            let mut slot = shared.lock();
+            if !slot.resolved {
+                // Passive before the waiter is published, so the wake that
+                // clears the mark always finds it set.
+                if passive {
+                    shared.clock.enter_passive();
+                }
+                slot.waiter = Some(Waiter {
+                    thread: std::thread::current(),
+                    passive,
+                });
+                drop(slot);
+                while !shared.done.load(Ordering::Acquire) {
+                    std::thread::park();
+                }
+            }
+        }
+        shared.collect()
     }
 }
 
-/// Takes the result out of a resolved handle's slot, resuming a provider
-/// panic on the collecting thread.
-fn collect(slot: &StdMutex<Option<HandleResult>>) -> Result<ServiceResponse, RuntimeError> {
-    match slot.lock().unwrap_or_else(PoisonError::into_inner).take() {
-        Some(HandleResult::Done(result)) => *result,
-        Some(HandleResult::Panicked(panic)) => std::panic::resume_unwind(panic),
-        // Unreachable: collecting consumes the handle.
-        None => Err(RuntimeError::Shutdown),
+#[cfg(test)]
+mod tests {
+    use std::sync::Barrier;
+    use std::time::{Duration, Instant};
+
+    use super::*;
+    use crate::{
+        FnProvider, Gateway, GatewayConfig, InMemoryMarket, MsSpec, Request, ServiceScript,
+        SimulatedProvider, VirtualClock, WallClock, WorkerGuard,
+    };
+    use qce_strategy::{Qos, Requirements};
+
+    fn shared() -> Arc<HandleShared> {
+        Arc::new(HandleShared::new(Arc::new(WallClock::new())))
+    }
+
+    fn handle(shared: &Arc<HandleShared>) -> RequestHandle {
+        RequestHandle {
+            request_id: 1,
+            class: QosClass::default(),
+            shared: Arc::clone(shared),
+        }
+    }
+
+    fn overloaded() -> RuntimeError {
+        RuntimeError::Overloaded {
+            service_id: "svc".into(),
+            class: QosClass::default(),
+            queue_depth: 3,
+        }
+    }
+
+    /// Spins (yielding) until a thread is parked in `wait` on `shared`.
+    fn await_parked(shared: &HandleShared) {
+        let start = Instant::now();
+        while shared.lock().waiter.is_none() {
+            assert!(start.elapsed() < Duration::from_secs(20), "never parked");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_resolve_before_wait_is_collected_without_parking() {
+        let shared = shared();
+        let waiting = handle(&shared);
+        FinishGuard::new(&shared).finish(Err(overloaded()));
+        assert!(shared.done.load(Ordering::Acquire), "nobody to wake");
+        assert_eq!(waiting.wait(), Err(overloaded()));
+        assert!(shared.lock().waiter.is_none(), "the waiter never parked");
+    }
+
+    /// The resolve returns the wake instead of sending it: the waiter stays
+    /// parked until whoever holds the wake sends it.
+    #[test]
+    fn a_waiter_parked_before_the_resolve_wakes_only_when_woken() {
+        let shared = shared();
+        let waiting = handle(&shared);
+        let waiter = std::thread::spawn(move || waiting.wait());
+        await_parked(&shared);
+        let guard = FinishGuard::new(&shared);
+        let wake = guard.resolve(RequestResult::Shutdown, |_| unreachable!("not finished"));
+        let wake = wake.expect("a parked waiter is owed a wake");
+        // The waiter returns only once `done` is set, which is the wake's.
+        assert!(
+            !shared.done.load(Ordering::Acquire),
+            "resolved, not yet woken"
+        );
+        wake.wake();
+        assert_eq!(waiter.join().unwrap(), Err(RuntimeError::Shutdown));
+    }
+
+    #[test]
+    fn try_wait_returns_the_handle_until_resolved() {
+        let shared = shared();
+        let pending = handle(&shared).try_wait().expect_err("unresolved");
+        FinishGuard::new(&shared).finish(Err(overloaded()));
+        assert_eq!(pending.try_wait().ok(), Some(Err(overloaded())));
+    }
+
+    /// An orphaned guard's `Shutdown` races a real resolve with the waiter
+    /// parked: the first wins, and only its side holds a wake.
+    #[test]
+    fn a_guard_drop_racing_a_resolve_wakes_once_and_the_first_wins() {
+        let mut won = [0u32; 2];
+        for _ in 0..500 {
+            let shared = shared();
+            let waiting = handle(&shared);
+            let waiter = std::thread::spawn(move || waiting.wait());
+            await_parked(&shared);
+            let start = Barrier::new(2);
+            let (resolved, orphan) = (FinishGuard::new(&shared), FinishGuard::new(&shared));
+            let wake = std::thread::scope(|scope| {
+                let dropper = scope.spawn(|| {
+                    start.wait();
+                    drop(orphan);
+                });
+                start.wait();
+                let wake = resolved.resolve(RequestResult::Shutdown, |_| unreachable!());
+                dropper.join().unwrap();
+                wake.map(|wake| (wake, shared.done.load(Ordering::Acquire)))
+            });
+            let outcome = match wake {
+                Some((wake, done)) => {
+                    assert!(!done, "the losing guard sent a wake too");
+                    wake.wake();
+                    won[0] += 1;
+                    waiter.join().unwrap()
+                }
+                None => {
+                    won[1] += 1;
+                    waiter.join().unwrap()
+                }
+            };
+            assert_eq!(outcome, Err(RuntimeError::Shutdown));
+            assert!(shared.lock().waiter.is_none());
+        }
+        assert_eq!(won[0] + won[1], 500, "{won:?}");
+    }
+
+    /// A gateway serving one-leg `services` on `clock`, every request in
+    /// one slot; the leg of `svc` is whatever registers for `svc-cap`.
+    fn gateway(clock: &Arc<VirtualClock>, services: &[&str]) -> Arc<Gateway> {
+        let market = InMemoryMarket::new();
+        for service in services {
+            let mut script = ServiceScript::new(
+                *service,
+                vec![MsSpec {
+                    name: "a".into(),
+                    capability: format!("{service}-cap"),
+                    prior: Qos::new(10.0, 1.0, 0.9).unwrap(),
+                }],
+                Requirements::new(1000.0, 1000.0, 0.5).unwrap(),
+            );
+            script.slot_size = 1 << 30;
+            market.publish(script).unwrap();
+        }
+        Arc::new(Gateway::with_clock(
+            Box::new(market),
+            GatewayConfig::default(),
+            Arc::clone(clock) as Arc<dyn Clock>,
+        ))
+    }
+
+    /// A leg of `ms` virtual milliseconds for `service`, a clock event.
+    fn timed(clock: &Arc<VirtualClock>, service: &str, ms: u64) -> Arc<SimulatedProvider> {
+        SimulatedProvider::builder(format!("{service}-dev"), format!("{service}-cap"))
+            .latency(Duration::from_millis(ms))
+            .reliability(1.0)
+            .clock(Arc::clone(clock) as Arc<dyn Clock>)
+            .build()
+    }
+
+    #[test]
+    fn dropping_the_gateway_under_a_parked_waiter_resolves_shutdown() {
+        let clock = Arc::new(VirtualClock::new());
+        let gateway = gateway(&clock, &["svc"]);
+        gateway.registry().register(timed(&clock, "svc", 10));
+        // Registered and running, this thread holds virtual time at zero:
+        // the request's 10 ms leg cannot complete.
+        let pin = WorkerGuard::enter(&*clock);
+        let waiting = gateway.submit_async(Request::new("svc")).unwrap();
+        let shared = Arc::clone(&waiting.shared);
+        let waiter = std::thread::spawn(move || waiting.wait());
+        await_parked(&shared);
+        drop(gateway);
+        assert_eq!(waiter.join().unwrap(), Err(RuntimeError::Shutdown));
+        assert_eq!(clock.now(), Duration::ZERO);
+        drop(pin);
+    }
+
+    /// The handoff: a registered waiter is woken right before the loop
+    /// idles to a later timer, and that idle wait must not jump virtual
+    /// time past the waiter before it has run — so it reads its request's
+    /// resolve instant, every time. The first request's leg blocks on the
+    /// worker pool for a little real time, so the waiter is fast asleep
+    /// when its wake comes and the loop reaches its idle wait first.
+    #[test]
+    fn a_registered_waiter_reads_its_resolve_instant_while_a_later_timer_waits() {
+        let clock = Arc::new(VirtualClock::new());
+        let gateway = gateway(&clock, &["blocking", "timed"]);
+        gateway
+            .registry()
+            .register(FnProvider::new("blocking-dev", "blocking-cap", 1.0, |_| {
+                std::thread::sleep(Duration::from_micros(100));
+                Ok(vec![1])
+            }));
+        gateway.registry().register(timed(&clock, "timed", 5));
+        let _worker = WorkerGuard::enter(&*clock);
+        let mut late = Vec::new();
+        for round in 0..1_000 {
+            let t0 = clock.now();
+            let blocking = gateway.submit_async(Request::new("blocking")).unwrap();
+            let timed = gateway.submit_async(Request::new("timed")).unwrap();
+            assert!(blocking.wait().unwrap().success);
+            if clock.now() != t0 {
+                late.push((round, clock.now() - t0));
+            }
+            assert!(timed.wait().unwrap().success);
+            assert_eq!(clock.now(), t0 + Duration::from_millis(5));
+        }
+        assert!(late.is_empty(), "read past the resolve instant: {late:?}");
     }
 }

@@ -32,9 +32,7 @@ use qce_strategy::{Attribute, Qos, Requirements, Strategy};
 use crate::clock::{Clock, WallClock, WorkerGuard};
 use crate::collector::Collector;
 use crate::device::Provider;
-use crate::engine::event::{
-    BlockingTask, Done, EventCore, RequestResult, RequestSpec, Shared, TaskFn,
-};
+use crate::engine::event::{BlockingTask, Done, EventCore, RequestSpec, Shared, TaskFn};
 use crate::engine::{
     Budget, Completion, CompletionPolicy, EngineOutcome, EngineStats, PolicyState, PoolStats,
     PruneDetail, PruneReason, WorkerPool,
@@ -625,7 +623,7 @@ impl Gateway {
         // fails the handle instead of leaving its waiter parked forever.
         let task: TaskFn<'static> = {
             let gateway = Arc::downgrade(self);
-            let finish = FinishGuard(Arc::clone(&shared));
+            let finish = FinishGuard::new(&shared);
             Box::new(move || {
                 let permit = request.entry.gate.permit();
                 let Some(gateway) = gateway.upgrade() else {
@@ -649,17 +647,11 @@ impl Gateway {
                 }
                 let telemetry = Arc::clone(&gateway.telemetry);
                 spec.done = Done::Call(Box::new(move |result| {
-                    // The permit outlives the finish call so the freed
+                    // The permit outlives the resolve so the freed
                     // admission slot is handed over only after the handle
-                    // resolves.
+                    // resolves. The waiter's wake goes back to the loop.
                     let _slot = permit;
-                    match result {
-                        RequestResult::Finished(outcome) => {
-                            finish.finish(Ok(reply.respond(&telemetry, outcome)));
-                        }
-                        RequestResult::Panicked(panic) => finish.finish_panic(panic),
-                        RequestResult::Shutdown => finish.finish(Err(RuntimeError::Shutdown)),
-                    }
+                    finish.resolve(result, |outcome| reply.respond(&telemetry, outcome))
                 }));
                 gateway.core.submit(spec, &*gateway.spawn);
             })
@@ -844,6 +836,7 @@ impl Gateway {
             frames_peak: stats.frames_peak,
             frame_bytes: EventCore::frame_bytes(),
             wakeups: stats.wakeups,
+            waiter_wakes: stats.waiter_wakes,
         }
     }
 

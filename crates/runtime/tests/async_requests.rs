@@ -1,7 +1,8 @@
 //! Integration tests for the asynchronous submission path
 //! ([`Gateway::submit_async`]): panic isolation of the event loops,
-//! shutdown behaviour when the gateway drops with work in flight, and two
-//! event loops serving what one does.
+//! shutdown behaviour when the gateway drops with work in flight, two
+//! event loops serving what one does, and one wake-up per resolve instant
+//! for a client waiting on a window.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
@@ -401,4 +402,73 @@ fn two_event_loops_serve_what_one_does() {
     assert_eq!(one.len(), 400);
     assert!(one.iter().any(|(_, strategy, ..)| *strategy != one[0].1));
     assert_eq!(served_by(2), one);
+}
+
+/// Three one-leg services of 1, 2 and 3 ms on a fresh virtual clock, every
+/// request in one slot.
+fn three_instant_gateway() -> (Arc<VirtualClock>, Arc<Gateway>) {
+    let clock = Arc::new(VirtualClock::new());
+    let scripts = (0..3).map(|s| {
+        let mut script = script(&format!("svc{s}"), 1);
+        script.slot_size = 1 << 30;
+        script
+    });
+    let gateway = Arc::new(Gateway::with_clock(
+        market_with(scripts.collect()),
+        GatewayConfig::default(),
+        Arc::clone(&clock) as Arc<dyn Clock>,
+    ));
+    for s in 0..3u64 {
+        gateway.registry().register(
+            SimulatedProvider::builder(format!("dev{s}"), format!("svc{s}-cap0"))
+                .cost(10.0 + s as f64)
+                .latency(Duration::from_millis(1 + s))
+                .reliability(1.0)
+                .clock(Arc::clone(&clock) as Arc<dyn Clock>)
+                .build(),
+        );
+    }
+    (clock, gateway)
+}
+
+/// A window of 1 000 requests submitted at one pinned instant resolves at
+/// three instants. The loop hands a parked waiter its wake-up at the end
+/// of the instant its request resolved at, not inside the resolve, so the
+/// one client waiting on the handles in order is woken at most once per
+/// instant, where a wake sent inside each resolve could cost it one per
+/// request. What it collects is what the same requests get through
+/// blocking `submit`.
+#[test]
+fn a_window_wakes_its_waiter_at_most_once_per_resolve_instant() {
+    use qce_runtime::WorkerGuard;
+
+    let requests = || (0..1_000).map(|i| Request::new(format!("svc{}", i % 3)));
+    let (clock, gateway) = three_instant_gateway();
+    let handles: Vec<_> = {
+        let _pin = WorkerGuard::enter(&*clock);
+        requests()
+            .map(|request| gateway.submit_async(request).unwrap())
+            .collect()
+    };
+    let windowed: Vec<_> = handles
+        .into_iter()
+        .map(|handle| handle.wait().unwrap())
+        .collect();
+    let mut instants: Vec<Duration> = windowed.iter().map(|reply| reply.latency).collect();
+    instants.sort_unstable();
+    instants.dedup();
+    assert_eq!(instants.len(), 3, "{instants:?}");
+    let wakes = gateway.engine_stats().waiter_wakes;
+    assert!(
+        wakes <= 3,
+        "{wakes} waiter wake-ups for three resolve instants"
+    );
+
+    let (_, oracle) = three_instant_gateway();
+    for (request, windowed) in requests().zip(&windowed) {
+        let blocking = oracle.submit(request).unwrap();
+        assert_eq!(&blocking, windowed);
+        assert_eq!(blocking.cost.to_bits(), windowed.cost.to_bits());
+    }
+    assert_eq!(oracle.engine_stats().waiter_wakes, 0, "nobody waited");
 }

@@ -14,6 +14,8 @@
 //! much redundancy is really bought by equivalents that aren't
 //! failure-isolated.
 
+use std::num::NonZeroU32;
+
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -126,18 +128,14 @@ pub fn execute_with_shared_fate<R: Rng + ?Sized>(
 ///
 /// Returns [`EstimateError::MissingMicroservice`] if the strategy
 /// references a microservice absent from `env`.
-///
-/// # Panics
-///
-/// Panics if `runs == 0`.
 pub fn measure_reliability<R: Rng + ?Sized>(
     strategy: &Strategy,
     env: &Environment,
     hosts: &[SharedHost],
-    runs: u32,
+    runs: NonZeroU32,
     rng: &mut R,
 ) -> Result<f64, EstimateError> {
-    assert!(runs > 0, "at least one run is required");
+    let runs = runs.get();
     let executor = VirtualExecutor::new();
     let mut successes = 0u32;
     for _ in 0..runs {
@@ -189,7 +187,14 @@ mod tests {
         let adjusted = preserve_marginals(&env(), &hosts).unwrap();
         let s = qce_strategy::Strategy::parse("a").unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let measured = measure_reliability(&s, &adjusted, &hosts, 40_000, &mut rng).unwrap();
+        let measured = measure_reliability(
+            &s,
+            &adjusted,
+            &hosts,
+            NonZeroU32::new(40_000).unwrap(),
+            &mut rng,
+        )
+        .unwrap();
         assert!(
             (measured - 0.6).abs() < 0.01,
             "marginal drifted: {measured}"
@@ -206,7 +211,14 @@ mod tests {
         let independent = estimate(&s, &env().mean_qos_table()).unwrap();
         assert!((independent.reliability.value() - 0.84).abs() < 1e-12);
         let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let measured = measure_reliability(&s, &adjusted, &hosts, 40_000, &mut rng).unwrap();
+        let measured = measure_reliability(
+            &s,
+            &adjusted,
+            &hosts,
+            NonZeroU32::new(40_000).unwrap(),
+            &mut rng,
+        )
+        .unwrap();
         assert!(
             (measured - 0.72).abs() < 0.01,
             "shared-fate reliability should be ~0.72, got {measured}"
@@ -225,7 +237,14 @@ mod tests {
         let s = qce_strategy::Strategy::parse("a-b").unwrap();
         let independent = estimate(&s, &env().mean_qos_table()).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let measured = measure_reliability(&s, &adjusted, &hosts, 40_000, &mut rng).unwrap();
+        let measured = measure_reliability(
+            &s,
+            &adjusted,
+            &hosts,
+            NonZeroU32::new(40_000).unwrap(),
+            &mut rng,
+        )
+        .unwrap();
         assert!(
             (measured - independent.reliability.value()).abs() < 0.01,
             "isolated hosts: {measured} vs {}",

@@ -42,7 +42,8 @@
 //! let estimated = estimate(&strategy, &env.mean_qos_table())?;
 //! // … validated by 10 000 virtual-time executions.
 //! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-//! let measured = simulate(&strategy, &env, 10_000, &mut rng)?;
+//! let runs = std::num::NonZeroU32::new(10_000).unwrap();
+//! let measured = simulate(&strategy, &env, runs, &mut rng)?;
 //! assert!((measured.mean_latency - estimated.latency).abs() / estimated.latency < 0.05);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

@@ -2,6 +2,8 @@
 //! estimator (paper Section V.A.2: 100 random strategies × 300 executions,
 //! estimation error below 1%).
 
+use std::num::NonZeroU32;
+
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -63,6 +65,7 @@ impl McStats {
 /// matching Algorithm 1 and refuting the folding estimate of 73.6:
 ///
 /// ```
+/// use std::num::NonZeroU32;
 /// use qce_sim::{simulate, Environment};
 /// use qce_strategy::Strategy;
 /// use rand::SeedableRng;
@@ -74,14 +77,15 @@ impl McStats {
 /// ])?;
 /// let s = Strategy::parse("a*b*c")?;
 /// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
-/// let stats = simulate(&s, &env, 30_000, &mut rng)?;
+/// let runs = NonZeroU32::new(30_000).unwrap();
+/// let stats = simulate(&s, &env, runs, &mut rng)?;
 /// assert!((stats.mean_latency - 69.4).abs() < 1.0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn simulate<R: Rng + ?Sized>(
     strategy: &Strategy,
     env: &Environment,
-    runs: u32,
+    runs: NonZeroU32,
     rng: &mut R,
 ) -> Result<McStats, EstimateError> {
     simulate_with(&VirtualExecutor::new(), strategy, env, runs, rng)
@@ -94,18 +98,14 @@ pub fn simulate<R: Rng + ?Sized>(
 ///
 /// Returns [`EstimateError::MissingMicroservice`] if the strategy
 /// references a microservice absent from `env`.
-///
-/// # Panics
-///
-/// Panics if `runs == 0`.
 pub fn simulate_with<R: Rng + ?Sized>(
     executor: &VirtualExecutor,
     strategy: &Strategy,
     env: &Environment,
-    runs: u32,
+    runs: NonZeroU32,
     rng: &mut R,
 ) -> Result<McStats, EstimateError> {
-    assert!(runs > 0, "at least one run is required");
+    let runs = runs.get();
     let mut latencies = Vec::with_capacity(runs as usize);
     let mut costs = Vec::with_capacity(runs as usize);
     let mut successes = 0u32;
@@ -172,7 +172,7 @@ mod tests {
         let env = env_3c3();
         let s = Strategy::parse("a*b*c").unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(42);
-        let stats = simulate(&s, &env, 50_000, &mut rng).unwrap();
+        let stats = simulate(&s, &env, NonZeroU32::new(50_000).unwrap(), &mut rng).unwrap();
         let est = estimate(&s, &env.mean_qos_table()).unwrap();
         assert!(
             relative_error_pct(stats.mean_latency, est.latency) < 1.0,
@@ -196,7 +196,7 @@ mod tests {
         .unwrap();
         let s = Strategy::parse("a-b-c-d-e").unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(43);
-        let stats = simulate(&s, &env, 50_000, &mut rng).unwrap();
+        let stats = simulate(&s, &env, NonZeroU32::new(50_000).unwrap(), &mut rng).unwrap();
         let est = estimate(&s, &env.mean_qos_table()).unwrap();
         assert!(relative_error_pct(stats.mean_latency, est.latency) < 1.5);
         assert!(relative_error_pct(stats.mean_cost, est.cost) < 1.5);
@@ -214,7 +214,7 @@ mod tests {
         .unwrap();
         let s = Strategy::parse("c*(a*b-d*e)").unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(44);
-        let stats = simulate(&s, &env, 50_000, &mut rng).unwrap();
+        let stats = simulate(&s, &env, NonZeroU32::new(50_000).unwrap(), &mut rng).unwrap();
         let est = estimate(&s, &env.mean_qos_table()).unwrap();
         assert!(relative_error_pct(stats.mean_latency, est.latency) < 1.5);
         assert!(relative_error_pct(stats.mean_cost, est.cost) < 1.5);
@@ -226,7 +226,7 @@ mod tests {
         let env = Environment::from_triples(&[(5.0, 10.0, 1.0)]).unwrap();
         let s = Strategy::parse("a").unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let stats = simulate(&s, &env, 100, &mut rng).unwrap();
+        let stats = simulate(&s, &env, NonZeroU32::new(100).unwrap(), &mut rng).unwrap();
         assert_eq!(stats.mean_latency, 10.0);
         assert_eq!(stats.std_latency, 0.0);
         assert_eq!(stats.success_rate, 1.0);
@@ -243,20 +243,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one run")]
-    fn zero_runs_panics() {
-        let env = env_3c3();
-        let s = Strategy::parse("a").unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let _ = simulate(&s, &env, 0, &mut rng);
-    }
-
-    #[test]
     fn missing_ms_propagates() {
         let env = Environment::from_triples(&[(1.0, 1.0, 0.5)]).unwrap();
         let s = Strategy::parse("a-b").unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        assert!(simulate(&s, &env, 10, &mut rng).is_err());
+        assert!(simulate(&s, &env, NonZeroU32::new(10).unwrap(), &mut rng).is_err());
     }
 
     #[test]
@@ -264,13 +255,13 @@ mod tests {
         let env = Environment::from_triples(&[(50.0, 100.0, 0.9), (50.0, 5.0, 0.9)]).unwrap();
         let s = Strategy::parse("a*b").unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(9);
-        let charged = simulate(&s, &env, 5_000, &mut rng).unwrap();
+        let charged = simulate(&s, &env, NonZeroU32::new(5_000).unwrap(), &mut rng).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         let free = simulate_with(
             &VirtualExecutor::without_cancellation_charges(),
             &s,
             &env,
-            5_000,
+            NonZeroU32::new(5_000).unwrap(),
             &mut rng,
         )
         .unwrap();

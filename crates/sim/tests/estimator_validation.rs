@@ -8,6 +8,8 @@
 //! time is free) and a tolerance that accounts for Monte-Carlo noise. The
 //! full-scale run lives in the `qce-bench` repro harness.
 
+use std::num::NonZeroU32;
+
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -48,7 +50,7 @@ proptest! {
         let env = random_environment(m, e_seed);
         let est = estimate(&strategy, &env.mean_qos_table()).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(s_seed ^ e_seed);
-        let stats = simulate(&strategy, &env, 20_000, &mut rng).unwrap();
+        let stats = simulate(&strategy, &env, NonZeroU32::new(20_000).unwrap(), &mut rng).unwrap();
         prop_assert!(
             relative_error_pct(stats.mean_latency, est.latency) < 3.0,
             "{strategy}: measured latency {} vs estimated {}",
@@ -79,7 +81,7 @@ fn section_3c3_example_at_scale() {
         Environment::from_triples(&[(1.0, 10.0, 0.1), (1.0, 90.0, 0.9), (1.0, 70.0, 0.7)]).unwrap();
     let s = Strategy::parse("a*b*c").unwrap();
     let mut rng = ChaCha8Rng::seed_from_u64(2020);
-    let stats = simulate(&s, &env, 60_000, &mut rng).unwrap();
+    let stats = simulate(&s, &env, NonZeroU32::new(60_000).unwrap(), &mut rng).unwrap();
     assert!(
         (stats.mean_latency - 69.4).abs() < 0.7,
         "measured {}",
@@ -106,7 +108,7 @@ fn all_f3_strategies_validate() {
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     for strategy in IdSet::new(&ids).and_then(StrategyIter::over).unwrap() {
         let est = estimate(&strategy, &table).unwrap();
-        let stats = simulate(&strategy, &env, 20_000, &mut rng).unwrap();
+        let stats = simulate(&strategy, &env, NonZeroU32::new(20_000).unwrap(), &mut rng).unwrap();
         assert!(
             relative_error_pct(stats.mean_latency, est.latency) < 3.0,
             "{strategy}: latency {} vs {}",
@@ -154,7 +156,7 @@ fn variable_latency_failover_still_matches() {
     let s = Strategy::parse("a-b").unwrap();
     let est = estimate(&s, &env.mean_qos_table()).unwrap();
     let mut rng = ChaCha8Rng::seed_from_u64(11);
-    let stats = simulate(&s, &env, 40_000, &mut rng).unwrap();
+    let stats = simulate(&s, &env, NonZeroU32::new(40_000).unwrap(), &mut rng).unwrap();
     // Fail-over latency is linear in the per-ms latencies, so the estimate
     // from means is exact up to sampling noise.
     assert!(relative_error_pct(stats.mean_latency, est.latency) < 2.0);

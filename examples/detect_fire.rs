@@ -14,6 +14,8 @@
 //!
 //! Run with: `cargo run --example detect_fire`
 
+use std::num::NonZeroU32;
+
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -153,8 +155,13 @@ fn report(name: &str, env: &qce_sim::Environment) -> Result<(), Box<dyn std::err
     let generated = generator.generate(&table, &ids, &requirements)?;
 
     let mut rng = ChaCha8Rng::seed_from_u64(1);
-    let fixed_measured = simulate(&fixed, env, 5_000, &mut rng)?;
-    let generated_measured = simulate(&generated.strategy, env, 5_000, &mut rng)?;
+    let fixed_measured = simulate(&fixed, env, NonZeroU32::new(5_000).unwrap(), &mut rng)?;
+    let generated_measured = simulate(
+        &generated.strategy,
+        env,
+        NonZeroU32::new(5_000).unwrap(),
+        &mut rng,
+    )?;
 
     println!("  fixed MOLE fail-over : {fixed} (U={fixed_utility:+.3}, {fixed_qos})");
     println!(

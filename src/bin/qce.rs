@@ -39,7 +39,7 @@
 //!                     re-plans every boundary (fixed cadence)
 //!   --parallelism N   generate: search worker threads (0 = auto, default)
 //!   --no-pruning      generate: disable branch-and-bound pruning
-//!   --runs N          simulate: executions (default 10000)
+//!   --runs N          simulate: executions (at least 1, default 10000)
 //!   --seed N          simulate/run/stats: RNG seed (default 42)
 //!   --top N           enumerate/pareto: rows to print (default 10)
 //!   --invocations N   run/stats: service requests to issue (default 20)
@@ -52,8 +52,9 @@
 //!   --max-in-flight N run/stats: concurrent requests per service
 //!                     (default 0 = unlimited); extras queue, then shed
 //!   --shards N        run: drive a consistent-hash fleet of N gateway
-//!                     shards (shared market + plan store) instead of a
-//!                     single gateway, and print the fleet stats
+//!                     shards (shared market and clock; each shard plans
+//!                     and caches its own services) instead of a single
+//!                     gateway, and print the fleet stats
 //!   --deadline-ms D   run/stats: per-request deadline in virtual
 //!                     milliseconds; strategy legs not yet started when it
 //!                     passes are pruned
@@ -69,6 +70,7 @@
 //!   qce stats --ms 50,5,90 --ms 50,8,90 --invocations 30
 //! ```
 
+use std::num::NonZeroU32;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -99,7 +101,7 @@ struct Options {
     replan_on_drift: bool,
     parallelism: usize,
     pruning: bool,
-    runs: u32,
+    runs: NonZeroU32,
     seed: u64,
     top: usize,
     invocations: u32,
@@ -126,7 +128,7 @@ impl Default for Options {
             replan_on_drift: false,
             parallelism: 0,
             pruning: true,
-            runs: 10_000,
+            runs: NonZeroU32::new(10_000).expect("a positive literal"),
             seed: 42,
             top: 10,
             invocations: 20,
@@ -851,6 +853,21 @@ mod tests {
         assert_eq!(options.top, 4);
     }
 
+    /// Bugfix regression: `simulate --runs 0` reached the Monte-Carlo
+    /// runner's zero-run assert and panicked; it is a usage error now.
+    #[test]
+    fn zero_runs_is_a_usage_error() {
+        let argv = [
+            "simulate", "a*b", "--ms", "10,5,90", "--ms", "8,6,80", "--runs",
+        ];
+        let runs = |n: &str| parse_args(&args(&[&argv[..], &[n]].concat()));
+        let error = runs("0").expect_err("zero runs");
+        assert!(error.starts_with("--runs: "), "{error}");
+        let (command, expr, options) = runs("1").unwrap();
+        assert_eq!(options.runs.get(), 1);
+        assert!(run(&command, expr.as_deref(), &options).is_ok());
+    }
+
     #[test]
     fn parse_args_rejects_garbage() {
         assert!(parse_args(&args(&[])).is_err());
@@ -875,7 +892,7 @@ mod tests {
         assert!(run("estimate", Some("a-b"), &options).is_ok());
         assert!(run("estimate", Some("a-a"), &options).is_err());
         assert!(run("estimate", None, &options).is_err());
-        options.runs = 50;
+        options.runs = NonZeroU32::new(50).unwrap();
         assert!(run("simulate", Some("a*b"), &options).is_ok());
         assert!(run("bogus", None, &options).is_err());
         options.triples.clear();

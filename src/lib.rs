@@ -44,7 +44,8 @@
 //!     (150.0, 150.0, 0.7),
 //! ])?;
 //! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-//! let measured = simulate(&generated.strategy, &sim_env, 20_000, &mut rng)?;
+//! let runs = std::num::NonZeroU32::new(20_000).unwrap();
+//! let measured = simulate(&generated.strategy, &sim_env, runs, &mut rng)?;
 //! assert!((measured.mean_cost - generated.qos.cost).abs() / generated.qos.cost < 0.05);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

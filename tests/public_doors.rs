@@ -1,17 +1,24 @@
 //! Every public door that takes caller input, fed the inputs it must refuse
 //! or settle: empty, repeated, 21-id and 65-id lists; NaN and infinities;
 //! a zero collector window; zero and overflowing fault weights; quantiles
-//! outside `(0, 1]`; strategy text nested past the parser's limit. Each
+//! outside `(0, 1]`; strategy text nested past the parser's limit; the
+//! fewest Monte-Carlo runs and a strategy naming an absent id. Each
 //! case runs under `catch_unwind` and must return its error, `None` or its
 //! documented value — never unwind. One table spans both library crates,
 //! in the manner of the generator's own
 //! `unvetted_id_lists_are_typed_errors_everywhere`.
 
 use std::fmt::Debug;
+use std::num::NonZeroU32;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+
 use qce::runtime::{Collector, FaultPlan, FaultProfile, HistogramBucket, HistogramSnapshot};
+use qce::sim::correlation::measure_reliability;
+use qce::sim::{simulate, simulate_with, Environment, SharedHost, VirtualExecutor};
 use qce::strategy::enumerate::{
     count_full, count_with_subsets, paper, StrategySampler, MAX_COUNT_M,
 };
@@ -319,9 +326,68 @@ fn value_cases() -> Vec<Case> {
     cases
 }
 
+/// The Monte-Carlo doors take their run count as `NonZeroU32`, so zero
+/// runs cannot be asked for; the fewest they can run is one.
+fn run_cases() -> Vec<Case> {
+    let env = || Environment::from_triples(&[(1.0, 10.0, 0.5)]).unwrap();
+    let rng = || ChaCha8Rng::seed_from_u64(1);
+    let one = Strategy::parse("a").unwrap();
+    let absent = Strategy::parse("a-b").unwrap();
+    let missing = EstimateError::MissingMicroservice(MsId(1));
+    let host = || [SharedHost::new(vec![MsId(0)], 0.5)];
+    let (s1, s2, s3, s4) = (one.clone(), one.clone(), one, absent.clone());
+    vec![
+        (
+            "simulate(1 run)".to_string(),
+            Box::new(move || {
+                let stats = simulate(&s1, &env(), NonZeroU32::MIN, &mut rng());
+                expect(stats.map(|s| (s.runs, s.std_latency)), Ok((1, 0.0)))
+            }),
+        ),
+        (
+            "simulate_with(1 run)".to_string(),
+            Box::new(move || {
+                let executor = VirtualExecutor::without_cancellation_charges();
+                let stats = simulate_with(&executor, &s2, &env(), NonZeroU32::MIN, &mut rng());
+                expect(stats.map(|s| s.runs), Ok(1))
+            }),
+        ),
+        (
+            "measure_reliability(1 run)".to_string(),
+            Box::new(move || {
+                let measured =
+                    measure_reliability(&s3, &env(), &host(), NonZeroU32::MIN, &mut rng());
+                expect_that(measured, |r| matches!(r, Ok(x) if *x == 0.0 || *x == 1.0))
+            }),
+        ),
+        (
+            "simulate(absent id)".to_string(),
+            Box::new(move || {
+                let stats = simulate(&s4, &env(), NonZeroU32::MIN, &mut rng());
+                expect(stats.err(), Some(missing.clone()))
+            }),
+        ),
+        (
+            "measure_reliability(absent id)".to_string(),
+            Box::new(move || {
+                let runs = NonZeroU32::new(10).unwrap();
+                let measured = measure_reliability(&absent, &env(), &host(), runs, &mut rng());
+                expect(
+                    measured.err(),
+                    Some(EstimateError::MissingMicroservice(MsId(1))),
+                )
+            }),
+        ),
+    ]
+}
+
 #[test]
 fn no_public_door_unwinds_on_its_input() {
-    let cases: Vec<Case> = id_cases().into_iter().chain(value_cases()).collect();
+    let cases: Vec<Case> = id_cases()
+        .into_iter()
+        .chain(value_cases())
+        .chain(run_cases())
+        .collect();
     let mut failures = Vec::new();
     for (name, case) in &cases {
         match catch_unwind(AssertUnwindSafe(case)) {
@@ -333,6 +399,6 @@ fn no_public_door_unwinds_on_its_input() {
     assert!(failures.is_empty(), "{}", failures.join("\n"));
     // Four lists through four doors and twelve searches, eight counts past
     // the limit and one of nothing; eight values, nine non-finite QoS
-    // fields, eight quantiles.
-    assert_eq!(cases.len(), 4 * (4 + 12) + 8 + 1 + 8 + 9 + 8);
+    // fields, eight quantiles; five through the three Monte-Carlo doors.
+    assert_eq!(cases.len(), 4 * (4 + 12) + 8 + 1 + 8 + 9 + 8 + 5);
 }

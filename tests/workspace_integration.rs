@@ -2,6 +2,7 @@
 //! `qce` façade: strategy algebra → simulation → runtime.
 
 use std::collections::BTreeSet;
+use std::num::NonZeroU32;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -39,7 +40,13 @@ fn analytic_pipeline_end_to_end() {
 
     // The generated strategy's estimate is confirmed by simulation.
     let mut rng = ChaCha8Rng::seed_from_u64(99);
-    let measured = simulate(&generated.strategy, &sim_env, 30_000, &mut rng).unwrap();
+    let measured = simulate(
+        &generated.strategy,
+        &sim_env,
+        NonZeroU32::new(30_000).unwrap(),
+        &mut rng,
+    )
+    .unwrap();
     assert!((measured.mean_cost - generated.qos.cost).abs() / generated.qos.cost < 0.03);
     assert!((measured.mean_latency - generated.qos.latency).abs() / generated.qos.latency < 0.03);
 
@@ -68,7 +75,13 @@ fn three_executors_agree() {
     // Virtual time.
     let sim_env = Environment::from_triples(&triples).unwrap();
     let mut rng = ChaCha8Rng::seed_from_u64(5);
-    let virtual_measured = simulate(&strategy, &sim_env, 40_000, &mut rng).unwrap();
+    let virtual_measured = simulate(
+        &strategy,
+        &sim_env,
+        NonZeroU32::new(40_000).unwrap(),
+        &mut rng,
+    )
+    .unwrap();
     assert!((virtual_measured.mean_cost - estimated.cost).abs() / estimated.cost < 0.03);
 
     // Real threads (latencies in ms).
