@@ -371,17 +371,18 @@ pub fn correlation(reports: &Path) -> std::io::Result<()> {
         .value();
     let mut rng = ChaCha8Rng::seed_from_u64(13);
     for h in [1.0, 0.9, 0.8, 0.7] {
+        let host = |members| SharedHost::new(members, h).expect("a probability");
         for (placement, hosts) in [
             (
                 "co-located (1 host)",
-                vec![SharedHost::new(vec![MsId(0), MsId(1), MsId(2)], h)],
+                vec![host(vec![MsId(0), MsId(1), MsId(2)])],
             ),
             (
                 "isolated (3 hosts)",
                 vec![
-                    SharedHost::new(vec![MsId(0)], h),
-                    SharedHost::new(vec![MsId(1)], h),
-                    SharedHost::new(vec![MsId(2)], h),
+                    host(vec![MsId(0)]),
+                    host(vec![MsId(1)]),
+                    host(vec![MsId(2)]),
                 ],
             ),
         ] {

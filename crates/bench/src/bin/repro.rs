@@ -17,7 +17,7 @@
 //!   bench-synth   synthesis engine: baseline vs pruned/parallel exhaustive search
 //!   bench-replan  slot re-planning: cold vs plan-cache
 //!   bench-throughput  gateway concurrency: N clients, admission control, worker pool
-//!   bench-fleet   sharded gateway fleet: consistent-hash routing, shared plan store
+//!   bench-fleet   sharded gateway fleet: consistent-hash routing, per-service plan caches
 //!   bench-scenarios   adversarial scenario pack: storms, flash crowds, churn + QoS gate
 //!   all           everything above
 //!

@@ -220,6 +220,13 @@ impl Parker {
         self.wakes.load(Ordering::Relaxed)
     }
 
+    /// Threads parked on this parker now, for a test to wait until its
+    /// driver sleeps.
+    #[cfg(test)]
+    pub(crate) fn parked(&self) -> usize {
+        self.parked.load(Ordering::Relaxed)
+    }
+
     /// A post to this parker: the parker itself when a thread is parked
     /// on it, for the caller to [`notify`]; `None` when the notify may be
     /// skipped (see [`Parker::parked`]). Call with the owning clock's lock

@@ -794,17 +794,31 @@ impl<'env> EventCore<'env> {
 
     /// Schedules an embedder thunk to run once the clock reaches
     /// `deadline`.
+    ///
+    /// Wakes the drivers only when the new timer is earlier than every
+    /// timer already scheduled (a tie is not earlier). That is sound
+    /// because a driver only ever idles to the heap's earliest deadline,
+    /// read under this same lock ([`EventCore::step`]'s idle path): a
+    /// later timer cannot make its sleep too long, and the driver finds it
+    /// when it next reads the heap. A timer that does not wake arms no
+    /// signal and so holds no clock slot; virtual time may then advance to
+    /// the earlier head, which is due first anyway.
     pub(crate) fn schedule_task(&self, deadline: Duration, task: TaskFn<'env>) {
         {
             let mut state = self.state.lock();
-            if !state.shutdown {
-                let seq = state.timer_seq;
-                state.timer_seq += 1;
-                state.timers.push(Timer {
-                    deadline,
-                    seq,
-                    event: Event::Task(task),
-                });
+            if state.shutdown {
+                return;
+            }
+            let earliest = state.timers.peek().is_none_or(|t| deadline < t.deadline);
+            let seq = state.timer_seq;
+            state.timer_seq += 1;
+            state.timers.push(Timer {
+                deadline,
+                seq,
+                event: Event::Task(task),
+            });
+            if !earliest {
+                return;
             }
         }
         self.wake();
@@ -1659,5 +1673,48 @@ mod tests {
         assert_eq!(sent(), 4);
         drop(wakes);
         assert_eq!(sent(), 5);
+    }
+
+    /// A driver idles to the heap's earliest deadline, so a scheduled task
+    /// wakes it only when it becomes the earliest: a later timer, or a tie,
+    /// waits for the driver's next read of the heap. Every task still runs
+    /// at its own deadline.
+    #[test]
+    fn a_timer_wakes_the_driver_only_when_it_becomes_the_earliest() {
+        use crate::clock::WorkerGuard;
+
+        let ms = Duration::from_millis;
+        let clock = VirtualClock::new();
+        let ran = Mutex::new(Vec::new());
+        let parker = Arc::new(Parker::default());
+        let core = EventCore::new(Shared::Borrowed(&clock), Arc::clone(&parker));
+        let schedule = |at| {
+            let (ran, clock) = (&ran, &clock);
+            core.schedule_task(at, Box::new(move || ran.lock().push((at, clock.now()))));
+        };
+        let no_spawn = |_: BlockingTask| unreachable!("no leaf runs");
+
+        std::thread::scope(|scope| {
+            // A second worker pins time while the driver parks at 10 ms.
+            let pin = WorkerGuard::enter(&clock);
+            schedule(ms(10));
+            scope.spawn(|| {
+                let _driver = WorkerGuard::enter(&clock);
+                let mut wakes = Wakes::default();
+                while core.step(&no_spawn, &|state| state.timers.is_empty(), &mut wakes) {}
+            });
+            while parker.parked() == 0 {
+                std::thread::yield_now();
+            }
+            let woken = parker.wakes();
+            schedule(ms(20));
+            schedule(ms(10));
+            assert_eq!(parker.wakes(), woken, "a later timer or a tie wakes nobody");
+            schedule(ms(5));
+            assert_eq!(parker.wakes(), woken + 1, "a new earliest wakes the driver");
+            drop(pin);
+        });
+        let at = |t| (ms(t), ms(t));
+        assert_eq!(*ran.lock(), [at(5), at(10), at(10), at(20)]);
     }
 }

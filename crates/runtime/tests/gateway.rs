@@ -1671,6 +1671,92 @@ fn queued_async_request_expires_without_executing() {
     assert_eq!(svc.latency_ms.count, 1, "only the first became a request");
 }
 
+/// A queued request's queue-deadline cancel wakes the event loop only when
+/// it becomes the loop's earliest timer. Here it lands behind another
+/// service's pending 3 ms leg, so scheduling it wakes nobody; the loop
+/// still runs it at 5 ms, on its way to the leg at 10 ms that holds the
+/// only slot, and the request fails with `DeadlineExceeded` once, never
+/// executed.
+#[test]
+fn a_later_queue_deadline_expires_without_waking_the_loop() {
+    use qce_runtime::clock::{VirtualClock, WorkerGuard};
+    use qce_runtime::telemetry::EventKind;
+
+    let ms = Duration::from_millis;
+    let clock = Arc::new(VirtualClock::new());
+    let market = InMemoryMarket::new();
+    market.publish(one_ms_script()).unwrap();
+    let mut other = one_ms_script();
+    other.service_id = "other".into();
+    other.microservices[0].capability = "cap-b".into();
+    market.publish(other).unwrap();
+    let config = GatewayConfig::builder()
+        .max_in_flight(1)
+        .admission_queue(4)
+        .build();
+    let gateway = Arc::new(Gateway::with_clock(
+        Box::new(market),
+        config,
+        Arc::clone(&clock) as Arc<dyn Clock>,
+    ));
+    for (cap, latency) in [("cap-a", ms(10)), ("cap-b", ms(3))] {
+        gateway.registry().register(
+            SimulatedProvider::builder(format!("dev/{cap}"), cap)
+                .cost(50.0)
+                .latency(latency)
+                .reliability(1.0)
+                .clock(Arc::clone(&clock) as Arc<dyn Clock>)
+                .build(),
+        );
+    }
+    let (other, first, queued, wakeups) = {
+        let _pin = WorkerGuard::enter(&*clock);
+        let other = gateway.submit_async(Request::new("other")).unwrap();
+        let first = gateway.submit_async(Request::new("svc")).unwrap();
+        // Both legs are on the loop's timer heap: 3 ms and 10 ms.
+        while gateway.engine_stats().in_flight < 2 {
+            std::thread::yield_now();
+        }
+        let wakeups = gateway.engine_stats().wakeups;
+        let queued = gateway
+            .submit_async(Request::new("svc").deadline(ms(5)))
+            .unwrap();
+        assert_eq!(
+            gateway.engine_stats().wakeups,
+            wakeups,
+            "a 5 ms cancel behind a 3 ms leg wakes nobody"
+        );
+        (other, first, queued, wakeups)
+    };
+    match queued.wait() {
+        Err(RuntimeError::DeadlineExceeded { service_id, class }) => {
+            assert_eq!(service_id, "svc");
+            assert_eq!(class, QosClass::Interactive);
+        }
+        other => panic!("expected queue-deadline expiry, got {other:?}"),
+    }
+    assert_eq!(other.wait().unwrap().latency, ms(3));
+    assert_eq!(first.wait().unwrap().latency, ms(10));
+    assert!(
+        gateway.engine_stats().wakeups > wakeups,
+        "time jumps woke it"
+    );
+    let expired: Vec<_> = gateway
+        .telemetry()
+        .events()
+        .into_iter()
+        .filter(
+            |e| matches!(&e.kind, EventKind::DeadlineExceeded { service, .. } if service == "svc"),
+        )
+        .map(|e| e.at)
+        .collect();
+    assert_eq!(expired, [ms(5)], "one expiry, stamped at its deadline");
+    let snapshot = gateway.telemetry().snapshot();
+    let svc = snapshot.service("svc").unwrap();
+    assert_eq!(svc.deadline_exceeded, 1, "counted exactly once");
+    assert_eq!(svc.invocations, 1, "the expired request never executed");
+}
+
 /// The preemption contract carries over to asynchronous waiters: a
 /// queued async Scavenger preempted by a Critical arrival resolves its
 /// handle with `Overloaded` and is counted as shed.

@@ -19,7 +19,7 @@ use std::num::NonZeroU32;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use qce_strategy::{EstimateError, MsId, Strategy};
+use qce_strategy::{EstimateError, MsId, QosError, Reliability, Strategy};
 
 use crate::environment::Environment;
 use crate::exec::VirtualExecutor;
@@ -38,19 +38,16 @@ pub struct SharedHost {
 impl SharedHost {
     /// Creates a shared host.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `availability` is not within `[0, 1]`.
-    #[must_use]
-    pub fn new(members: Vec<MsId>, availability: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&availability),
-            "availability must be a probability"
-        );
-        SharedHost {
+    /// Returns [`QosError::ReliabilityOutOfRange`] if `availability` is not
+    /// a probability: outside `[0, 1]`, or NaN.
+    pub fn new(members: Vec<MsId>, availability: f64) -> Result<Self, QosError> {
+        Reliability::new(availability)?;
+        Ok(SharedHost {
             members,
             availability,
-        }
+        })
     }
 }
 
@@ -158,15 +155,31 @@ mod tests {
         Environment::from_triples(&[(10.0, 5.0, 0.6), (10.0, 8.0, 0.6)]).unwrap()
     }
 
+    /// One host over `members`, at an availability that is a probability.
+    fn host(members: &[usize], availability: f64) -> SharedHost {
+        SharedHost::new(members.iter().copied().map(MsId).collect(), availability).unwrap()
+    }
+
     #[test]
-    #[should_panic(expected = "probability")]
     fn bad_availability_rejected() {
-        let _ = SharedHost::new(vec![MsId(0)], 1.5);
+        for bad in [1.5, -0.25, f64::NAN, f64::INFINITY] {
+            let host = SharedHost::new(vec![MsId(0)], bad);
+            assert!(
+                matches!(host, Err(QosError::ReliabilityOutOfRange(v)) if v.to_bits() == bad.to_bits()),
+                "{bad}: {host:?}"
+            );
+        }
+        for edge in [0.0, 1.0] {
+            assert_eq!(
+                SharedHost::new(vec![MsId(0)], edge).unwrap().availability,
+                edge
+            );
+        }
     }
 
     #[test]
     fn preserve_marginals_divides_by_availability() {
-        let hosts = [SharedHost::new(vec![MsId(0), MsId(1)], 0.75)];
+        let hosts = [host(&[0, 1], 0.75)];
         let adjusted = preserve_marginals(&env(), &hosts).unwrap();
         assert!((adjusted.get(MsId(0)).unwrap().reliability.value() - 0.8).abs() < 1e-12);
         assert!((adjusted.get(MsId(1)).unwrap().reliability.value() - 0.8).abs() < 1e-12);
@@ -175,15 +188,15 @@ mod tests {
     #[test]
     fn preserve_marginals_rejects_impossible() {
         // Marginal 0.6 cannot come from a host that is up half the time.
-        let hosts = [SharedHost::new(vec![MsId(0)], 0.5)];
+        let hosts = [host(&[0], 0.5)];
         assert!(preserve_marginals(&env(), &hosts).is_none());
-        let hosts = [SharedHost::new(vec![MsId(9)], 0.9)];
+        let hosts = [host(&[9], 0.9)];
         assert!(preserve_marginals(&env(), &hosts).is_none(), "unknown id");
     }
 
     #[test]
     fn marginal_reliability_is_preserved_empirically() {
-        let hosts = [SharedHost::new(vec![MsId(0), MsId(1)], 0.75)];
+        let hosts = [host(&[0, 1], 0.75)];
         let adjusted = preserve_marginals(&env(), &hosts).unwrap();
         let s = qce_strategy::Strategy::parse("a").unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(3);
@@ -205,7 +218,7 @@ mod tests {
     fn correlation_erodes_strategy_reliability() {
         // Independent estimate: 1 - 0.4² = 0.84. Shared fate at h = 0.75:
         // true reliability = h·(1-(1-0.8)²) = 0.75·0.96 = 0.72.
-        let hosts = [SharedHost::new(vec![MsId(0), MsId(1)], 0.75)];
+        let hosts = [host(&[0, 1], 0.75)];
         let adjusted = preserve_marginals(&env(), &hosts).unwrap();
         let s = qce_strategy::Strategy::parse("a-b").unwrap();
         let independent = estimate(&s, &env().mean_qos_table()).unwrap();
@@ -229,10 +242,7 @@ mod tests {
     #[test]
     fn isolated_hosts_match_the_independent_estimate() {
         // One host per microservice: correlation disappears.
-        let hosts = [
-            SharedHost::new(vec![MsId(0)], 0.75),
-            SharedHost::new(vec![MsId(1)], 0.75),
-        ];
+        let hosts = [host(&[0], 0.75), host(&[1], 0.75)];
         let adjusted = preserve_marginals(&env(), &hosts).unwrap();
         let s = qce_strategy::Strategy::parse("a-b").unwrap();
         let independent = estimate(&s, &env().mean_qos_table()).unwrap();
@@ -254,7 +264,7 @@ mod tests {
 
     #[test]
     fn always_up_host_changes_nothing() {
-        let hosts = [SharedHost::new(vec![MsId(0), MsId(1)], 1.0)];
+        let hosts = [host(&[0, 1], 1.0)];
         let adjusted = preserve_marginals(&env(), &hosts).unwrap();
         assert_eq!(adjusted, env());
     }

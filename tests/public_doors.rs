@@ -27,7 +27,7 @@ use qce::strategy::expr::MAX_NESTING_DEPTH;
 use qce::strategy::pareto::pareto_strategies;
 use qce::strategy::{
     Algorithm1, BackendChoice, EnvQos, EstimateError, GenerateError, Generator, IdSet, MsId,
-    ParseError, Qos, Reliability, Requirements, Strategy, StrategyIter,
+    ParseError, Qos, QosError, Reliability, Requirements, Strategy, StrategyIter,
 };
 
 /// What a case found wrong, if anything.
@@ -286,6 +286,16 @@ fn value_cases() -> Vec<Case> {
             }),
         ),
     ];
+    for bad in [1.5, -0.25, f64::NAN, f64::INFINITY] {
+        cases.push((
+            format!("SharedHost::new({bad})"),
+            Box::new(move || {
+                expect_that(SharedHost::new(vec![MsId(0)], bad), |r| {
+                    matches!(r, Err(QosError::ReliabilityOutOfRange(_)))
+                })
+            }),
+        ));
+    }
     let nan_inf = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
     for bad in nan_inf {
         for (at, triple) in [(bad, 1.0, 0.5), (1.0, bad, 0.5), (1.0, 1.0, bad)]
@@ -334,7 +344,7 @@ fn run_cases() -> Vec<Case> {
     let one = Strategy::parse("a").unwrap();
     let absent = Strategy::parse("a-b").unwrap();
     let missing = EstimateError::MissingMicroservice(MsId(1));
-    let host = || [SharedHost::new(vec![MsId(0)], 0.5)];
+    let host = || [SharedHost::new(vec![MsId(0)], 0.5).unwrap()];
     let (s1, s2, s3, s4) = (one.clone(), one.clone(), one, absent.clone());
     vec![
         (
@@ -398,7 +408,8 @@ fn no_public_door_unwinds_on_its_input() {
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
     // Four lists through four doors and twelve searches, eight counts past
-    // the limit and one of nothing; eight values, nine non-finite QoS
-    // fields, eight quantiles; five through the three Monte-Carlo doors.
-    assert_eq!(cases.len(), 4 * (4 + 12) + 8 + 1 + 8 + 9 + 8 + 5);
+    // the limit and one of nothing; eight values, four host availabilities,
+    // nine non-finite QoS fields, eight quantiles; five through the three
+    // Monte-Carlo doors.
+    assert_eq!(cases.len(), 4 * (4 + 12) + 8 + 1 + 8 + 4 + 9 + 8 + 5);
 }
