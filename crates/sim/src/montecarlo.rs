@@ -7,7 +7,7 @@ use std::num::NonZeroU32;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use qce_strategy::{EstimateError, Qos, Strategy};
+use qce_strategy::{EstimateError, Qos, QosError, Strategy};
 
 use crate::environment::Environment;
 use crate::exec::VirtualExecutor;
@@ -33,14 +33,13 @@ impl McStats {
     /// The measured QoS triple (means), comparable to an Algorithm 1
     /// estimate.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the measured values fall outside their domains, which
-    /// cannot happen for stats produced by [`simulate`].
-    #[must_use]
-    pub fn as_qos(&self) -> Qos {
+    /// The [`QosError`] of [`Qos::new`] when a field is outside its domain
+    /// — never for stats produced by [`simulate`], but the fields are
+    /// public.
+    pub fn as_qos(&self) -> Result<Qos, QosError> {
         Qos::new(self.mean_cost, self.mean_latency, self.success_rate)
-            .expect("measured statistics are in domain")
     }
 
     /// Standard error of the mean latency.
@@ -230,7 +229,7 @@ mod tests {
         assert_eq!(stats.mean_latency, 10.0);
         assert_eq!(stats.std_latency, 0.0);
         assert_eq!(stats.success_rate, 1.0);
-        assert_eq!(stats.as_qos().cost, 5.0);
+        assert_eq!(stats.as_qos().unwrap().cost, 5.0);
         assert_eq!(stats.sem_latency(), 0.0);
     }
 

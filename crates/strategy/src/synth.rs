@@ -33,10 +33,12 @@
 //!   with the failure product of the leaves that *must* gate it. Pruning
 //!   uses a `1e-9` safety margin, so candidates tying the optimum are
 //!   never pruned and the chosen strategy stays deterministic under any
-//!   thread interleaving. The par-rooted family over all of `ids`, which
-//!   that bound rarely discards whole, is also screened row by row: a
-//!   leaf a row starts at time 0 is never gated, so the row costs at least
-//!   those leaves' summed cost.
+//!   thread interleaving. A family that bound does not discard whole is
+//!   then screened a group of rows at a time — the par-rooted job, a
+//!   chain's final block and a block that more blocks follow alike (see
+//!   `Screen`): a leaf a block starts at its offset is gated by nothing in
+//!   the block, so a row costs at least those leaves in full behind the
+//!   fixed prefix, and the cached rows are grouped by that leaf set.
 //! * **Sure-prefix collapse** — once the fixed blocks of a chain hold a
 //!   leaf that never fails, every later cost, failure and latency term is
 //!   multiplied by an exact `0.0`, so all `F(|rest|)` completions share one
@@ -51,13 +53,14 @@
 //!   tie-break (utility, then cost, then latency, then the rendering's
 //!   bytes — compared only on a full tie, in a reused buffer) is a strict
 //!   total order, so the merged winner is independent of worker count and
-//!   scheduling.
+//!   scheduling, and of the order rows are visited in.
 //!
 //! Pruning is disabled (the engine still runs, unpruned) when any leaf has
 //! a non-positive average latency: the cost bound's admissibility argument
 //! requires every already-fixed leaf to *strictly* precede the leaves of
 //! later blocks.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -77,9 +80,9 @@ use crate::utility::UtilityIndex;
 const PRUNE_MARGIN: f64 = 1e-9;
 
 /// Minimum number of candidates a family must contain before the engine
-/// bothers computing its utility bound. Evaluating a bound costs about as
-/// much as estimating one candidate, and bounds are recomputed per
-/// concrete chain prefix — for tiny families (deep in the chain
+/// bounds it — whole, and then a group of rows at a time. Evaluating a
+/// bound costs about as much as estimating one candidate, and bounds are
+/// recomputed per concrete chain prefix — for tiny families (deep in the chain
 /// recursion, where most contexts live) enumerating is cheaper than
 /// bounding. Pure performance knob: gated families are enumerated
 /// normally, so the search result is unaffected.
@@ -106,8 +109,8 @@ const OFFSET_BIT: u32 = 1 << MAX_COUNT_M;
 const POS_SHIFT: u32 = MAX_COUNT_M as u32 + 1;
 
 /// Every tree of one non-seq family (a leaf, or the par-rooted trees over
-/// one leaf subset) in canonical streaming order, as flat **rows**: what
-/// the evaluator and the tie-break need of a tree, with nothing to chase.
+/// one leaf subset) as flat **rows**: what the evaluator and the tie-break
+/// need of a tree, with nothing to chase.
 ///
 /// A row is a *schedule* and a *rendering*.
 ///
@@ -129,6 +132,13 @@ const POS_SHIFT: u32 = MAX_COUNT_M as u32 + 1;
 /// `Leaf`- or `Par`-rooted, so a chain renders as its blocks' renderings
 /// joined by `-`, and rendering is injective on canonical strategies: the
 /// search orders and finally rebuilds candidates from these bytes alone.
+///
+/// Rows come in **groups**: runs of rows that start the same leaves at the
+/// block's offset (see [`Family::at_offset`]), which is all a row's cost
+/// floor depends on, so the search screens a group at a time. A cached
+/// family is [`grouped`](Family::grouped) once, one group per such set of
+/// leaves; the order rows are visited in never decides a winner, because
+/// the tie-break is a strict total order.
 #[derive(Debug)]
 struct Family {
     /// Leaves per tree (every tree of the family covers the same subset).
@@ -139,6 +149,9 @@ struct Family {
     text: String,
     /// Where each row's rendering ends in `text`.
     text_ends: Vec<u32>,
+    /// Per group, in row order: the `ids`-position mask of the leaves its
+    /// rows start at the offset, and the index one past its last row.
+    groups: Vec<(Mask, u32)>,
 }
 
 /// One tree of a [`Family`].
@@ -155,21 +168,24 @@ impl Family {
             sched: Vec::with_capacity(rows * (leaves + 1)),
             text: String::new(),
             text_ends: Vec::with_capacity(rows),
+            groups: Vec::new(),
         }
     }
 
     /// Makes this the one-row family of `node` — how the trees of a family
-    /// too large to cache reach the evaluator — and returns the row.
-    fn set_single(&mut self, ids: &[MsId], node: &Node) -> Row<'_> {
+    /// too large to cache reach the evaluator.
+    fn set_single(&mut self, ids: &[MsId], node: &Node) {
         self.sched.clear();
         self.text.clear();
         self.text_ends.clear();
         self.push(ids, node);
-        self.rows().next().expect("just pushed")
+        self.groups.clear();
+        self.groups.push((self.at_offset(0), 1));
     }
 
     /// Appends the row of `node`, a canonical non-seq tree over `leaves`
-    /// of `ids`.
+    /// of `ids`, outside any group until the family is
+    /// [`grouped`](Family::grouped).
     fn push(&mut self, ids: &[MsId], node: &Node) {
         let first = self.sched.len();
         let makespan = compile(node, OFFSET_BIT, ids, first, &mut self.sched);
@@ -180,16 +196,110 @@ impl Family {
             .push(u32::try_from(self.text.len()).expect("a family renders into under 4 GiB"));
     }
 
+    /// The `ids`-position mask of the leaves row `row` starts at the
+    /// block's offset: its schedule words whose start mask names
+    /// [`OFFSET_BIT`] and no leaf. With positive latencies every leaf of
+    /// the block ends after the offset, so nothing in the block gates
+    /// these leaves.
+    fn at_offset(&self, row: usize) -> Mask {
+        let first = row * (self.leaves + 1);
+        self.sched[first..first + self.leaves]
+            .iter()
+            .filter(|&&step| step & ((1 << POS_SHIFT) - 1) == OFFSET_BIT)
+            .fold(0, |mask, &step| mask | 1 << (step >> POS_SHIFT))
+    }
+
+    /// Reorders the rows in place, stably, so that each group holds every
+    /// row that starts the same leaves at the offset, groups in mask order.
+    /// Only the renderings are copied; the schedules move by swaps.
+    fn grouped(mut self) -> Family {
+        let rows = self.text_ends.len();
+        // Per group: its mask, and its row and byte counts, which then
+        // become where its next row and rendering go.
+        let mut groups: Vec<(Mask, usize, usize)> = Vec::new();
+        for row in 0..rows {
+            let mask = self.at_offset(row);
+            let len = self.text_ends[row] as usize - self.text_start(row);
+            match groups.binary_search_by_key(&mask, |&(mask, ..)| mask) {
+                Ok(g) => {
+                    groups[g].1 += 1;
+                    groups[g].2 += len;
+                }
+                Err(g) => groups.insert(g, (mask, 1, len)),
+            }
+        }
+        let (mut row_at, mut byte_at) = (0, 0);
+        for (mask, rows, bytes) in &mut groups {
+            self.groups.push((*mask, (row_at + *rows) as u32));
+            (*rows, *bytes, row_at, byte_at) = (row_at, byte_at, row_at + *rows, byte_at + *bytes);
+        }
+        // Each row's place, its rendering copied there; its end replaced
+        // by its length until the rows are in place.
+        let mut text = vec![0u8; self.text.len()];
+        let mut place = Vec::with_capacity(rows);
+        for row in 0..rows {
+            let g = groups
+                .binary_search_by_key(&self.at_offset(row), |&(mask, ..)| mask)
+                .expect("every row's mask was tallied");
+            let (from, to) = (self.text_start(row), self.text_ends[row] as usize);
+            let (at, bytes) = (groups[g].1, groups[g].2);
+            text[bytes..bytes + to - from].copy_from_slice(&self.text.as_bytes()[from..to]);
+            (groups[g].1, groups[g].2) = (at + 1, bytes + to - from);
+            place.push(at as u32);
+        }
+        for row in (1..rows).rev() {
+            self.text_ends[row] -= self.text_ends[row - 1];
+        }
+        let width = self.leaves + 1;
+        for row in 0..rows {
+            while place[row] as usize != row {
+                // Every place below `row` is settled, so `to` is above it.
+                let to = place[row] as usize;
+                let (low, high) = self.sched.split_at_mut(to * width);
+                low[row * width..(row + 1) * width].swap_with_slice(&mut high[..width]);
+                self.text_ends.swap(row, to);
+                place.swap(row, to);
+            }
+        }
+        for row in 1..rows {
+            self.text_ends[row] += self.text_ends[row - 1];
+        }
+        self.text = String::from_utf8(text).expect("whole renderings, moved whole");
+        self
+    }
+
+    /// Where row `row`'s rendering starts in `text` — where the last one
+    /// ends, for one past the last row.
+    fn text_start(&self, row: usize) -> usize {
+        row.checked_sub(1)
+            .map_or(0, |before| self.text_ends[before] as usize)
+    }
+
     fn rows(&self) -> impl Iterator<Item = Row<'_>> {
-        let mut from = 0;
-        self.sched
-            .chunks_exact(self.leaves + 1)
-            .zip(&self.text_ends)
+        self.rows_in(0..self.text_ends.len())
+    }
+
+    fn rows_in(&self, rows: Range<usize>) -> impl Iterator<Item = Row<'_>> {
+        let width = self.leaves + 1;
+        let mut from = self.text_start(rows.start);
+        self.sched[rows.start * width..rows.end * width]
+            .chunks_exact(width)
+            .zip(&self.text_ends[rows])
             .map(move |(sched, &to)| {
                 let text = &self.text[from..to as usize];
                 from = to as usize;
                 Row { sched, text }
             })
+    }
+
+    /// Each group's start-at-offset mask, with the indices of its rows.
+    fn groups(&self) -> impl Iterator<Item = (Mask, Range<usize>)> + '_ {
+        let mut from = 0;
+        self.groups.iter().map(move |&(mask, to)| {
+            let rows = from..to as usize;
+            from = to as usize;
+            (mask, rows)
+        })
     }
 }
 
@@ -266,9 +376,9 @@ fn schedule(
 /// Environment-independent candidate families shared by every worker of
 /// every search over the same `ids` slice (the
 /// [`Generator`](crate::Generator) keeps one per id list): `slots[mask]`
-/// lazily compiles every non-seq-rooted tree over `mask`, in canonical
-/// streaming order, into a [`Family`], and memoizes the least rendering of
-/// any strategy over `mask`. The candidate *trees* depend only on the id
+/// lazily compiles every non-seq-rooted tree over `mask` into a
+/// [`Family`], grouped by the leaves each tree starts at the block's
+/// offset, and memoizes the least rendering of any strategy over `mask`. The candidate *trees* depend only on the id
 /// list, so rebuilding them per environment — which dominated the engine's
 /// profile — is pure waste; and once compiled the trees themselves are
 /// dropped: nothing here holds a [`Node`].
@@ -311,8 +421,7 @@ impl NodeCache {
         Some(slot.family.get_or_init(|| {
             let mut family = Family::with_capacity(n, to_u64(counts.non_seq[n]) as usize);
             ctx.stream_non_seq(mask, &mut |node| family.push(ids, &node));
-            family.text.shrink_to_fit();
-            family
+            family.grouped()
         }))
     }
 
@@ -410,7 +519,7 @@ struct Tables {
     /// gated by the mask's other leaves.
     costlb1: Vec<f64>,
     /// Per mask: `Σ_{i∈mask} cᵢ`, what the mask's leaves cost when nothing
-    /// gates them (see [`Tables::ungated_cost`]).
+    /// gates them (see [`Screen`]).
     cost_sum: Vec<f64>,
 }
 
@@ -474,20 +583,8 @@ impl Tables {
         self.costlb1[mask as usize]
     }
 
-    /// A lower bound on the expected cost of `row` as a whole candidate
-    /// (nothing before it): the summed cost of the leaves it starts at its
-    /// offset (a start word naming nothing but [`OFFSET_BIT`]). With
-    /// positive latencies every leaf of the block ends after the offset, so
-    /// nothing gates those leaves and each is charged in full.
-    fn ungated_cost(&self, row: Row<'_>) -> f64 {
-        let (_, steps) = row.sched.split_last().expect("a row is never empty");
-        let mut at_offset = 0usize;
-        for &step in steps {
-            if step & ((1 << POS_SHIFT) - 1) == OFFSET_BIT {
-                at_offset |= 1 << (step >> POS_SHIFT);
-            }
-        }
-        self.cost_sum[at_offset]
+    fn cost_sum_of(&self, mask: Mask) -> f64 {
+        self.cost_sum[mask as usize]
     }
 
     /// Pushes the pointwise-earliest virtual `(end, reliability)` of
@@ -499,6 +596,53 @@ impl Tables {
             bits &= bits - 1;
             entries.push((offset + self.lat[i], self.meta[i].rel));
         }
+    }
+}
+
+/// The bound a family of candidates is screened by: whole, and then a
+/// group of rows at a time. Every candidate of the family continues a
+/// chain of fixed blocks with one non-seq block over `block`, then covers
+/// `tail` — nothing, when the block is the last; the par-rooted job is
+/// that with nothing fixed.
+///
+/// With positive latencies every fixed leaf ends by the block's offset and
+/// gates every later leaf, and every block leaf ends after the offset and
+/// by the tail's start. So the fixed leaves cost exactly `cost`; a leaf the
+/// block starts at its offset is gated by the fixed leaves alone and costs
+/// `fail · cᵢ`; any other block leaf costs at least `fail · cᵢ` times the
+/// failure product of the other block leaves; and each tail leaf, gated by
+/// every fixed and block leaf and at most by the other tail leaves, costs
+/// at least `fail · fail(block) · cᵢ` times the failure product of the
+/// other tail leaves.
+#[derive(Clone, Copy)]
+struct Screen {
+    /// Exact cost contribution and failure product of the fixed leaves.
+    cost: f64,
+    fail: f64,
+    block: Mask,
+    tail: Mask,
+    /// The family's latency bound (see [`expected_latency`]).
+    lat_lb: f64,
+    /// Candidates each row of `block` begins.
+    weight: u64,
+}
+
+impl Screen {
+    /// A floor on the expected cost of every candidate of the family.
+    fn family_floor(&self, tables: &Tables) -> f64 {
+        self.floor(tables, tables.costlb1_of(self.block))
+    }
+
+    /// A floor on the expected cost of every candidate whose block starts
+    /// the leaves `at_offset` at its offset.
+    fn row_floor(&self, tables: &Tables, at_offset: Mask) -> f64 {
+        self.floor(tables, tables.cost_sum_of(at_offset))
+    }
+
+    /// `cost + fail · (block_cost + fail(block) · costlb1(tail))`.
+    fn floor(&self, tables: &Tables, block_cost: f64) -> f64 {
+        let tail_cost = tables.fail_of(self.block) * tables.costlb1_of(self.tail);
+        self.cost + self.fail * (block_cost + tail_cost)
     }
 }
 
@@ -788,47 +932,28 @@ impl<'a> JobRunner<'a> {
         self.meta.clear();
         self.lsorted.clear();
         match job {
-            Job::NonSeq { mask } => self.run_non_seq_family(*mask),
+            Job::NonSeq { mask } => self.run_final(&Fixed::NONE, *mask),
             Job::SeqPartition { mask, first } => {
                 self.run_partition(&Fixed::NONE, *first, mask & !first);
             }
         }
     }
 
-    /// All non-seq-rooted trees over `mask` (leaf or par-rooted).
-    fn run_non_seq_family(&mut self, mask: Mask) {
-        let shared = self.shared;
-        let n = mask.count_ones() as usize;
-        if !shared.prune || shared.counts.non_seq[n] < MIN_PRUNE_COUNT {
-            self.for_each_non_seq(mask, &mut |runner, row| {
-                runner.eval_final(&Fixed::NONE, row);
-            });
-            return;
-        }
-        // Bound: every leaf starts at 0, so ends are at least the leaf
-        // latencies and every leaf is unconditionally chargeable only down
-        // to the one-block cost bound.
-        self.bentries.clear();
-        shared
-            .tables
-            .push_virtual_entries(mask, 0.0, &mut self.bentries);
-        let lat_lb = expected_latency(&mut self.bentries);
-        if self.below_bar(shared.tables.costlb1_of(mask), lat_lb) {
-            self.pruned += to_u64(shared.counts.non_seq[n]);
-            return;
-        }
-        // The same bound per row, with the row's own cost floor.
-        self.for_each_non_seq(mask, &mut |runner, row| {
-            if runner.below_bar(shared.tables.ungated_cost(row), lat_lb) {
-                runner.pruned += 1;
-            } else {
-                runner.eval_final(&Fixed::NONE, row);
-            }
+    /// Every candidate that ends the chain `fixed` with one non-seq block
+    /// over `rem` — with nothing fixed, the whole [`Job::NonSeq`].
+    fn run_final(&mut self, fixed: &Fixed<'_>, rem: Mask) {
+        self.for_each_screened(fixed, rem, 0, &mut |runner, row| {
+            runner.eval_final(fixed, row);
         });
     }
 
-    /// Runs `f` once per non-seq-rooted tree over `mask`, in the canonical
-    /// streaming emission order.
+    /// Runs `f` once per row of the non-seq family over `block` that may
+    /// begin a candidate at the bar, where a candidate continues the chain
+    /// `fixed` with the row and then covers `tail` (nothing, when it is
+    /// empty). Every candidate it skips is counted as pruned.
+    ///
+    /// Past the pruning gate the family is bounded whole, and, unless that
+    /// discards it, its rows a group at a time (see [`Screen`]).
     ///
     /// Small families are compiled into the shared [`NodeCache`] on first
     /// use and replayed from the cached rows afterwards — the chain
@@ -836,25 +961,77 @@ impl<'a> JobRunner<'a> {
     /// prefix, and rebuilding the trees each time dominated the engine's
     /// profile. The cache only depends on `ids`, so it is shared across
     /// environments, searches, and workers. Oversized families stream as
-    /// trees, each compiled into a one-row family of its own, so `f` — and
-    /// everything below it — only ever sees rows.
-    fn for_each_non_seq(&mut self, mask: Mask, f: &mut impl FnMut(&mut Self, Row<'_>)) {
+    /// trees, each compiled into a one-row family of its own and screened
+    /// alone, so `f` — and everything below it — only ever sees rows.
+    fn for_each_screened(
+        &mut self,
+        fixed: &Fixed<'_>,
+        block: Mask,
+        tail: Mask,
+        f: &mut impl FnMut(&mut Self, Row<'_>),
+    ) {
         let shared = self.shared;
-        match shared
-            .cache
-            .family(self.ctx, &shared.ids, &shared.counts, mask)
-        {
-            Some(family) => {
-                for row in family.rows() {
-                    f(self, row);
-                }
+        let counts = &shared.counts;
+        let per_row = if tail == 0 {
+            1
+        } else {
+            counts.all(tail.count_ones() as usize)
+        };
+        let count = counts.non_seq[block.count_ones() as usize] * per_row;
+        let mut screen = None;
+        if shared.prune && count >= MIN_PRUNE_COUNT {
+            let tables = &shared.tables;
+            self.bentries.clear();
+            self.push_fixed_entries();
+            tables.push_virtual_entries(block, fixed.t0, &mut self.bentries);
+            let tail_offset = fixed.t0 + tables.maxl_of(block);
+            tables.push_virtual_entries(tail, tail_offset, &mut self.bentries);
+            let bound = Screen {
+                cost: fixed.cost,
+                fail: fixed.fail,
+                block,
+                tail,
+                lat_lb: expected_latency(&mut self.bentries),
+                weight: to_u64(per_row),
+            };
+            if self.below_bar(bound.family_floor(tables), bound.lat_lb) {
+                self.pruned += to_u64(count);
+                return;
             }
+            screen = Some(bound);
+        }
+        match shared.cache.family(self.ctx, &shared.ids, counts, block) {
+            Some(family) => self.visit(family, screen.as_ref(), f),
             None => {
                 let ctx = self.ctx;
-                let mut one = Family::with_capacity(mask.count_ones() as usize, 1);
-                ctx.stream_non_seq(mask, &mut |node| {
-                    f(self, one.set_single(&shared.ids, &node));
+                let mut one = Family::with_capacity(block.count_ones() as usize, 1);
+                ctx.stream_non_seq(block, &mut |node| {
+                    one.set_single(&shared.ids, &node);
+                    self.visit(&one, screen.as_ref(), f);
                 });
+            }
+        }
+    }
+
+    /// Runs `f` on the rows of `family`, but for each group `screen` puts
+    /// below the bar, whose candidates it counts as pruned.
+    fn visit(
+        &mut self,
+        family: &Family,
+        screen: Option<&Screen>,
+        f: &mut impl FnMut(&mut Self, Row<'_>),
+    ) {
+        let shared = self.shared;
+        for (at_offset, rows) in family.groups() {
+            if let Some(screen) = screen {
+                let floor = screen.row_floor(&shared.tables, at_offset);
+                if self.below_bar(floor, screen.lat_lb) {
+                    self.pruned += screen.weight * rows.len() as u64;
+                    continue;
+                }
+            }
+            for row in family.rows_in(rows) {
+                f(self, row);
             }
         }
     }
@@ -992,14 +1169,7 @@ impl<'a> JobRunner<'a> {
     /// and then cover `tail` — a whole [`Job::SeqPartition`] when nothing
     /// is fixed yet.
     fn run_partition(&mut self, fixed: &Fixed<'_>, block: Mask, tail: Mask) {
-        if self.shared.prune
-            && self.seq_partition_count(block, tail) >= MIN_PRUNE_COUNT
-            && self.partition_prunable(fixed, block, tail)
-        {
-            self.pruned += to_u64(self.seq_partition_count(block, tail));
-            return;
-        }
-        self.for_each_non_seq(block, &mut |runner, row| {
+        self.for_each_screened(fixed, block, tail, &mut |runner, row| {
             let mark = runner.scratch.len();
             let lmark = runner.lsorted.len();
             let t0 = runner.walk_tracked(row, fixed.t0);
@@ -1020,41 +1190,16 @@ impl<'a> JobRunner<'a> {
         });
     }
 
-    /// Number of seq-rooted trees with first block `first` and remainder
-    /// `rest` (either a single non-seq block or a longer chain).
-    fn seq_partition_count(&self, first: Mask, rest: Mask) -> u128 {
-        let counts = &self.shared.counts;
-        let b = first.count_ones() as usize;
-        let r = rest.count_ones() as usize;
-        counts.non_seq[b] * (counts.non_seq[r] + counts.seq[r])
-    }
-
     /// Extends the chain `fixed` (timelines in `scratch`) over the
     /// remaining leaves `rem`.
     fn chain_rest(&mut self, fixed: &Fixed<'_>, rem: Mask) {
         if self.collapse(fixed, rem) {
             return;
         }
-        let counts = &self.shared.counts;
-        let r = rem.count_ones() as usize;
         // Option A — finish the chain with `rem` as one non-seq block.
-        let mut enumerate_final = true;
-        if self.shared.prune && counts.non_seq[r] >= MIN_PRUNE_COUNT {
-            self.bentries.clear();
-            self.push_fixed_entries();
-            let tables = &self.shared.tables;
-            tables.push_virtual_entries(rem, fixed.t0, &mut self.bentries);
-            let cost_lb = fixed.cost + fixed.fail * tables.costlb1_of(rem);
-            if self.prunable(cost_lb) {
-                self.pruned += to_u64(counts.non_seq[r]);
-                enumerate_final = false;
-            }
-        }
-        if enumerate_final {
-            self.for_each_non_seq(rem, &mut |runner, row| runner.eval_final(fixed, row));
-        }
+        self.run_final(fixed, rem);
         // Option B — place a proper sub-block next and keep chaining.
-        if r < 2 {
+        if rem.count_ones() < 2 {
             return;
         }
         for next_block in submasks(rem) {
@@ -1142,28 +1287,6 @@ impl<'a> JobRunner<'a> {
         best.qos = qos;
         best.utility = u;
         self.shared.bar.fetch_max(to_ordered(u), Ordering::Relaxed);
-    }
-
-    /// Bound check for continuing the chain `fixed` with next block
-    /// `block` and remainder `tail`.
-    fn partition_prunable(&mut self, fixed: &Fixed<'_>, block: Mask, tail: Mask) -> bool {
-        let tables = &self.shared.tables;
-        self.bentries.clear();
-        self.push_fixed_entries();
-        tables.push_virtual_entries(block, fixed.t0, &mut self.bentries);
-        let tail_offset = fixed.t0 + tables.maxl_of(block);
-        tables.push_virtual_entries(tail, tail_offset, &mut self.bentries);
-        let cost_lb = fixed.cost
-            + fixed.fail
-                * (tables.costlb1_of(block) + tables.fail_of(block) * tables.costlb1_of(tail));
-        self.prunable(cost_lb)
-    }
-
-    /// Evaluates the utility upper bound from `self.bentries` (latency)
-    /// and `cost_lb`, against the shared bar.
-    fn prunable(&mut self, cost_lb: f64) -> bool {
-        let lat_lb = expected_latency(&mut self.bentries);
-        self.below_bar(cost_lb, lat_lb)
     }
 
     /// Whether no candidate of the current family that costs at least
@@ -1258,6 +1381,7 @@ mod tests {
     use crate::enumerate::StrategyIter;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+    use std::collections::HashMap;
 
     /// Thirty leaves with distinct, inexact latencies; leaf `a` has none.
     fn env30() -> EnvQos {
@@ -1318,6 +1442,8 @@ mod tests {
         }
     }
 
+    /// Rows are grouped, not in streaming order, so each tree is looked up
+    /// by its rendering, which no other tree of the family shares.
     #[test]
     fn every_cached_row_is_its_tree() {
         let env = env30();
@@ -1329,14 +1455,68 @@ mod tests {
                 let mut nodes = Vec::new();
                 ctx.stream_non_seq(mask, &mut |node| nodes.push(node));
                 let family = cache.family(ctx, ids, &counts, mask).unwrap();
+                let rows: HashMap<&str, Row<'_>> =
+                    family.rows().map(|row| (row.text, row)).collect();
                 assert_eq!(family.rows().count(), nodes.len());
+                assert_eq!(rows.len(), nodes.len());
                 assert_eq!(
                     nodes.len() as u128,
                     counts.non_seq[mask.count_ones() as usize]
                 );
-                for (row, node) in family.rows().zip(&nodes) {
-                    assert_row_is(row, node, ids, &env);
+                for node in &nodes {
+                    let text = Strategy::from_node(node.clone()).unwrap().to_string();
+                    assert_row_is(rows[text.as_str()], node, ids, &env);
                 }
+            }
+        }
+    }
+
+    /// Each cached family's groups partition its rows, in mask order and
+    /// one group per mask; every tree of the family is in exactly one;
+    /// and a group's mask names exactly the leaves each of its trees
+    /// starts at the block's offset, read off [`walk`]'s timelines.
+    #[test]
+    fn a_familys_groups_partition_its_rows() {
+        let env = env30();
+        // Every leaf has a positive latency (`a`, which has none, is out),
+        // so only those leaves start at the offset itself.
+        let all = [MsId(3), MsId(27), MsId(1), MsId(12), MsId(5)];
+        let offset = 2.5;
+        for m in 1..=all.len() {
+            let ids = &all[..m];
+            let (ctx, counts, cache) = context(ids);
+            for mask in 1..1u64 << m {
+                let family = cache.family(ctx, ids, &counts, mask).unwrap();
+                let (mut next, mut last) = (0, None);
+                let mut texts = Vec::new();
+                for (at, rows) in family.groups() {
+                    assert!(rows.start == next && rows.end > next, "{mask:b}");
+                    assert!(last < Some(at), "{mask:b}: groups out of mask order");
+                    (next, last) = (rows.end, Some(at));
+                    for row in family.rows_in(rows) {
+                        let tree = Strategy::parse(row.text).unwrap();
+                        let mut timelines = Vec::new();
+                        walk(tree.node(), offset, &env, &mut timelines).unwrap();
+                        let starts =
+                            timelines
+                                .iter()
+                                .filter(|t| t.start == offset)
+                                .fold(0, |starts, t| {
+                                    starts | 1 << ids.iter().position(|&id| id == t.ms).unwrap()
+                                });
+                        assert_eq!(at, starts, "{}", row.text);
+                        texts.push(row.text.to_owned());
+                    }
+                }
+                assert_eq!(next, family.rows().count());
+                assert_eq!(next as u128, counts.non_seq[mask.count_ones() as usize]);
+                let mut trees = Vec::new();
+                ctx.stream_non_seq(mask, &mut |node| {
+                    trees.push(Strategy::from_node(node).unwrap().to_string());
+                });
+                texts.sort();
+                trees.sort();
+                assert_eq!(texts, trees, "{mask:b}");
             }
         }
     }
@@ -1375,10 +1555,12 @@ mod tests {
         assert_eq!(cache.least(ctx, &ids, &counts, 1 << NODE_CACHE_MAX_M), None);
     }
 
-    /// The per-row screen of the par-rooted family is admissible: on
-    /// seeded tables with and without legs of reliability exactly 1.0, no
-    /// cached row over any mask up to M = 5, scheduled at time 0, has a
-    /// bound utility below its exact utility by more than the margin.
+    /// The screens are admissible. On seeded tables with and without legs
+    /// of reliability exactly 1.0, for every mask up to M = 5: no cached
+    /// row scheduled at time 0 has a bound utility below its exact utility
+    /// by more than the margin; and, for every chain over all of the ids,
+    /// the floor of each block it is screened by — the final one, and each
+    /// that more blocks follow — is at most the chain's exact cost.
     #[test]
     fn a_rows_bound_never_undercuts_its_utility() {
         let utility = UtilityIndex::default();
@@ -1410,31 +1592,117 @@ mod tests {
                     tables.push_virtual_entries(mask, 0.0, &mut entries);
                     let lat_lb = expected_latency(&mut entries);
                     let rel = 1.0 - tables.fail_of(mask);
-                    for row in cache.family(ctx, &ids, &counts, mask).unwrap().rows() {
-                        let (mut timelines, mut meta) = (Vec::new(), Vec::new());
-                        schedule(row, 0.0, &ids, &tables, &mut timelines, &mut meta);
-                        let exact = estimate_from_timelines(&timelines, &env);
-                        let cost_lb = tables.ungated_cost(row);
-                        // Summed in another order than the estimate's.
-                        assert!(
-                            cost_lb > 0.0 && cost_lb <= exact.cost + 1e-9,
-                            "{}",
-                            row.text
-                        );
-                        let bound = utility_bound(utility, &req, cost_lb, lat_lb, rel);
-                        let exact = utility.utility(&exact, &req);
-                        assert!(
-                            bound >= exact - PRUNE_MARGIN,
-                            "{}: bound {bound} < utility {exact}",
-                            row.text
-                        );
-                        rows += 1;
+                    let screen = Screen {
+                        cost: 0.0,
+                        fail: 1.0,
+                        block: mask,
+                        tail: 0,
+                        lat_lb,
+                        weight: 1,
+                    };
+                    let family = cache.family(ctx, &ids, &counts, mask).unwrap();
+                    for (at_offset, group) in family.groups() {
+                        let cost_lb = screen.row_floor(&tables, at_offset);
+                        for row in family.rows_in(group) {
+                            let (mut timelines, mut meta) = (Vec::new(), Vec::new());
+                            schedule(row, 0.0, &ids, &tables, &mut timelines, &mut meta);
+                            let exact = estimate_from_timelines(&timelines, &env);
+                            // Summed in another order than the estimate's.
+                            assert!(
+                                cost_lb > 0.0 && cost_lb <= exact.cost + 1e-9,
+                                "{}",
+                                row.text
+                            );
+                            let bound = utility_bound(utility, &req, cost_lb, lat_lb, rel);
+                            let exact = utility.utility(&exact, &req);
+                            assert!(
+                                bound >= exact - PRUNE_MARGIN,
+                                "{}: bound {bound} < utility {exact}",
+                                row.text
+                            );
+                            rows += 1;
+                        }
                     }
                 }
+                let chains = Chains {
+                    env: &env,
+                    ids: &ids,
+                    tables: &tables,
+                    ctx,
+                    counts: &counts,
+                    cache: &cache,
+                };
+                let every = chains.costs("", 0.0, 1.0, (1 << m) - 1);
+                assert_eq!(every.len() as u128, counts.all(m));
             }
         }
         // Rows over every mask of M = 1..=5 ids, eight tables each.
         assert_eq!(rows, 8 * (1 + 3 + 13 + 111 + 1_501));
+    }
+
+    /// What the chain floor checks read.
+    struct Chains<'a> {
+        env: &'a EnvQos,
+        ids: &'a [MsId],
+        tables: &'a Tables,
+        ctx: EnumCtx<'a>,
+        counts: &'a Counts,
+        cache: &'a NodeCache,
+    }
+
+    impl Chains<'_> {
+        /// Algorithm 1's expected cost of the candidate rendered as `text`.
+        fn cost(&self, text: &str) -> f64 {
+            let tree = Strategy::parse(text).unwrap();
+            let timelines = timelines(&tree, self.env).unwrap();
+            estimate_from_timelines(&timelines, self.env).cost
+        }
+
+        /// The exact costs of every candidate that continues the blocks
+        /// rendered as `prefix` (each followed by its `-`; exact cost
+        /// `cost`, failure product `fail`) over `rem`, after checking each
+        /// against the floor of its next block's group: as a final block
+        /// when it covers `rem`, and as one that more blocks follow
+        /// otherwise.
+        fn costs(&self, prefix: &str, cost: f64, fail: f64, rem: Mask) -> Vec<f64> {
+            let mut costs = Vec::new();
+            for block in submasks(rem).filter(|&block| block != 0) {
+                let tail = rem & !block;
+                let screen = Screen {
+                    cost,
+                    fail,
+                    block,
+                    tail,
+                    lat_lb: 0.0,
+                    weight: 1,
+                };
+                let family = self
+                    .cache
+                    .family(self.ctx, self.ids, self.counts, block)
+                    .unwrap();
+                for (at_offset, rows) in family.groups() {
+                    let floor = screen.row_floor(self.tables, at_offset);
+                    for row in family.rows_in(rows) {
+                        let text = format!("{prefix}{}", row.text);
+                        let done = if tail == 0 {
+                            vec![self.cost(&text)]
+                        } else {
+                            let fail = fail * self.tables.fail_of(block);
+                            self.costs(&format!("{text}-"), self.cost(&text), fail, tail)
+                        };
+                        for &exact in &done {
+                            // Summed in another order than the estimate's.
+                            assert!(
+                                floor <= exact + 1e-9,
+                                "{text}, then {tail:b}: floor {floor} > cost {exact}"
+                            );
+                        }
+                        costs.extend(done);
+                    }
+                }
+            }
+            costs
+        }
     }
 
     #[test]
@@ -1445,8 +1713,11 @@ mod tests {
         // The second call must leave nothing of the first behind.
         for text in ["a*(f-d*ms27-m)", "d*(m-a)*(ms27-f)"] {
             let tree = Strategy::parse(text).unwrap();
-            let row = one.set_single(&ids, tree.node());
-            assert_row_is(row, tree.node(), &ids, &env);
+            one.set_single(&ids, tree.node());
+            let mut rows = one.rows();
+            assert_row_is(rows.next().unwrap(), tree.node(), &ids, &env);
+            assert!(rows.next().is_none());
+            assert_eq!(one.groups().count(), 1);
         }
     }
 
@@ -1459,7 +1730,8 @@ mod tests {
         let chain: Vec<String> = ids[..19].iter().map(MsId::to_string).collect();
         let tree = Strategy::parse(&format!("t*({})", chain.join("-"))).unwrap();
         let mut one = Family::with_capacity(ids.len(), 1);
-        let row = one.set_single(&ids, tree.node());
+        one.set_single(&ids, tree.node());
+        let row = one.rows().next().unwrap();
         assert_eq!(row.sched[20], OFFSET_BIT | 1 << 19 | 1);
         assert_eq!(row.sched[19], 18 << POS_SHIFT | 1 << 18);
         assert_row_is(row, tree.node(), &ids, &env);

@@ -1,11 +1,11 @@
 //! Every public door that takes caller input, fed the inputs it must refuse
 //! or settle: empty, repeated, 21-id and 65-id lists; NaN and infinities;
-//! a zero collector window; zero and overflowing fault weights; quantiles
-//! outside `(0, 1]`; strategy text nested past the parser's limit; the
-//! fewest Monte-Carlo runs and a strategy naming an absent id. Each
-//! case runs under `catch_unwind` and must return its error, `None` or its
-//! documented value — never unwind. One table spans both library crates,
-//! in the manner of the generator's own
+//! a zero collector window; zero and overflowing fault weights; measured
+//! statistics outside their domains; quantiles outside `(0, 1]`; strategy
+//! text nested past the parser's limit; the fewest Monte-Carlo runs and a
+//! strategy naming an absent id. Each case runs under `catch_unwind` and
+//! must return its error, `None` or its documented value — never unwind.
+//! One table spans both library crates, in the manner of the generator's own
 //! `unvetted_id_lists_are_typed_errors_everywhere`.
 
 use std::fmt::Debug;
@@ -18,7 +18,7 @@ use rand_chacha::ChaCha8Rng;
 
 use qce::runtime::{Collector, FaultPlan, FaultProfile, HistogramBucket, HistogramSnapshot};
 use qce::sim::correlation::measure_reliability;
-use qce::sim::{simulate, simulate_with, Environment, SharedHost, VirtualExecutor};
+use qce::sim::{simulate, simulate_with, Environment, McStats, SharedHost, VirtualExecutor};
 use qce::strategy::enumerate::{
     count_full, count_with_subsets, paper, StrategySampler, MAX_COUNT_M,
 };
@@ -296,6 +296,50 @@ fn value_cases() -> Vec<Case> {
             }),
         ));
     }
+    let stats = McStats {
+        runs: 1,
+        success_rate: 0.5,
+        mean_latency: 1.0,
+        mean_cost: 1.0,
+        std_latency: 0.0,
+        std_cost: 0.0,
+    };
+    let bad_stats = [
+        (
+            "success_rate 1.5",
+            McStats {
+                success_rate: 1.5,
+                ..stats
+            },
+        ),
+        (
+            "success_rate NaN",
+            McStats {
+                success_rate: f64::NAN,
+                ..stats
+            },
+        ),
+        (
+            "mean_cost -1",
+            McStats {
+                mean_cost: -1.0,
+                ..stats
+            },
+        ),
+        (
+            "mean_latency ∞",
+            McStats {
+                mean_latency: f64::INFINITY,
+                ..stats
+            },
+        ),
+    ];
+    for (field, bad) in bad_stats {
+        cases.push((
+            format!("McStats::as_qos({field})"),
+            Box::new(move || expect_that(bad.as_qos(), Result::is_err)),
+        ));
+    }
     let nan_inf = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
     for bad in nan_inf {
         for (at, triple) in [(bad, 1.0, 0.5), (1.0, bad, 0.5), (1.0, 1.0, bad)]
@@ -409,7 +453,7 @@ fn no_public_door_unwinds_on_its_input() {
     assert!(failures.is_empty(), "{}", failures.join("\n"));
     // Four lists through four doors and twelve searches, eight counts past
     // the limit and one of nothing; eight values, four host availabilities,
-    // nine non-finite QoS fields, eight quantiles; five through the three
-    // Monte-Carlo doors.
-    assert_eq!(cases.len(), 4 * (4 + 12) + 8 + 1 + 8 + 4 + 9 + 8 + 5);
+    // four measured statistics, nine non-finite QoS fields, eight quantiles;
+    // five through the three Monte-Carlo doors.
+    assert_eq!(cases.len(), 4 * (4 + 12) + 8 + 1 + 8 + 4 + 4 + 9 + 8 + 5);
 }
