@@ -302,6 +302,7 @@ pub fn latency_robustness(reports: &Path) -> std::io::Result<()> {
                 })
                 .collect(),
         )
+        .expect("models are in MsId order")
     };
     let mut rng = ChaCha8Rng::seed_from_u64(8);
     for text in ["a-b-c", "a*b*c", "a-b*c"] {
@@ -497,6 +498,7 @@ mod tests {
                 )
                 .unwrap(),
             ])
+            .expect("models are in MsId order")
         };
         // Exponential parallel: measured mean latency below the mean-based
         // estimate (E[min] < min of means effect).

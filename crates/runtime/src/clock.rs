@@ -85,6 +85,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+use crate::engine::event::EventCore;
+
 /// A source of time and sleep for the runtime.
 ///
 /// `now` is an offset from the clock's epoch (construction time for
@@ -194,24 +196,79 @@ pub struct Parker {
     wakes: AtomicU64,
 }
 
+/// An event core a blocking drive left idle on its thread, for the
+/// thread's next blocking drive on the same clock.
+type IdleCore = Arc<EventCore<'static>>;
+
+/// What [`OWN_PARKER`] holds: the thread's parker, the address of the
+/// clock it was made for, and the idle core bound to it.
+struct OwnParker {
+    clock: usize,
+    parker: Arc<Parker>,
+    idle_core: Option<IdleCore>,
+}
+
 thread_local! {
-    /// [`Parker::of_this_thread`], and the address of the clock it met.
-    static OWN_PARKER: RefCell<Option<(usize, Arc<Parker>)>> = const { RefCell::new(None) };
+    /// [`Parker::of_this_thread`], and the idle core parked beside it.
+    static OWN_PARKER: RefCell<Option<OwnParker>> = const { RefCell::new(None) };
 }
 
 impl Parker {
-    /// The calling thread's own parker, for a per-request core — its
-    /// driver is its only idler, so the core allocates nothing to park —
+    /// The calling thread's own parker, for a core its caller drives
+    /// (`execute_scoped`, a blocking `drive`) — its driver is its only
+    /// idler, so the core allocates nothing to park —
     /// and for the thread's plain sleeps. Sharing a parker is always safe
     /// — a notify meant for another wait is a spurious wake-up — but a std
     /// condvar may meet only one mutex, so a thread that changes clocks
-    /// gets a new one.
+    /// gets a new one (and drops the idle core bound to the old one).
     pub(crate) fn of_this_thread(clock: &dyn Clock) -> Arc<Parker> {
+        Self::own(clock, |own| Arc::clone(&own.parker))
+    }
+
+    /// The idle core [`Parker::keep_idle_core`] last left beside the
+    /// calling thread's parker for `clock`, if any. It is taken, not lent:
+    /// a blocking drive nested inside the one it serves finds none.
+    pub(crate) fn take_idle_core(clock: &dyn Clock) -> Option<IdleCore> {
+        Self::own(clock, |own| own.idle_core.take())
+    }
+
+    /// Leaves `core` beside the calling thread's parker for its next
+    /// blocking drive. The caller vouches that the core is quiescent and
+    /// disarmed, and that no other thread holds it. The core is dropped
+    /// instead when it is not bound to this thread's current parker (the
+    /// thread changed clocks meanwhile; a parker is made for one clock, so
+    /// the parker decides) or a core is already kept (a nested drive left
+    /// its own).
+    pub(crate) fn keep_idle_core(core: IdleCore) {
+        let refused = OWN_PARKER.with(|own| match &mut *own.borrow_mut() {
+            Some(own) if Arc::ptr_eq(&own.parker, core.parker()) && own.idle_core.is_none() => {
+                own.idle_core = Some(core);
+                None
+            }
+            _ => Some(core),
+        });
+        drop(refused);
+    }
+
+    /// Runs `f` on the calling thread's entry for `clock`, replacing an
+    /// entry made for another clock. What a replaced entry held is dropped
+    /// after the thread-local is released.
+    fn own<R>(clock: &dyn Clock, f: impl FnOnce(&mut OwnParker) -> R) -> R {
         let clock = clock as *const dyn Clock as *const () as usize;
-        OWN_PARKER.with(|own| match &mut *own.borrow_mut() {
-            Some((made_for, parker)) if *made_for == clock => Arc::clone(parker),
-            own => Arc::clone(&own.insert((clock, Arc::default())).1),
-        })
+        let mut replaced = None;
+        let result = OWN_PARKER.with(|own| match &mut *own.borrow_mut() {
+            Some(own) if own.clock == clock => f(own),
+            own => {
+                replaced = own.take();
+                f(own.insert(OwnParker {
+                    clock,
+                    parker: Arc::default(),
+                    idle_core: None,
+                }))
+            }
+        });
+        drop(replaced);
+        result
     }
 
     /// Notifies issued on this parker so far: posts that found a thread

@@ -6,7 +6,8 @@
 //!
 //! * every started `Seq`/`Par` node is a [`Frame`] in a per-request arena
 //!   (frames are never removed until the request resolves, so the arena's
-//!   high-water mark is the request's true memory footprint); a frame
+//!   high-water mark is the request's true memory footprint, and the core
+//!   then keeps the emptied arena for its next request); a frame
 //!   stores only its `(parent frame, ordinal)` link, and the strategy node
 //!   it stands for is re-derived from that chain when a child starts;
 //! * every leaf invocation is either a **timed completion event** — the
@@ -218,10 +219,11 @@ struct Slot<T> {
     entry: SlotEntry<T>,
 }
 
-/// The in-flight table: a slot vector with an intrusive free list. A
-/// per-request core pays one allocation of one slot for it (an ordered
-/// map's first node is sized for eleven entries), a long-lived core reuses
-/// its slots, and lookup is an index plus a generation compare.
+/// The in-flight table: a slot vector with an intrusive free list. A new
+/// core pays one allocation of one slot for it (an ordered map's first
+/// node is sized for eleven entries), a core that serves request after
+/// request reuses its slots, and lookup is an index plus a generation
+/// compare.
 struct Slots<T> {
     slots: Vec<Slot<T>>,
     free: Option<u32>,
@@ -558,6 +560,9 @@ struct CoreState<'env> {
     timers: BinaryHeap<Timer<'env>>,
     timer_seq: u64,
     requests: Slots<Entry<'env>>,
+    /// A resolved request's frame arena, cleared, for the next request to
+    /// start with instead of allocating its own.
+    spare_frames: Vec<Frame>,
     frames_live: usize,
     frames_peak: usize,
     shutdown: bool,
@@ -672,6 +677,7 @@ impl<'env> EventCore<'env> {
                 timers: BinaryHeap::new(),
                 timer_seq: 0,
                 requests: Slots::new(),
+                spare_frames: Vec::new(),
                 frames_live: 0,
                 frames_peak: 0,
                 shutdown: false,
@@ -684,6 +690,25 @@ impl<'env> EventCore<'env> {
     /// The clock this core schedules on.
     pub(crate) fn clock(&self) -> &dyn Clock {
         &*self.clock
+    }
+
+    /// Where this core's drivers idle.
+    pub(crate) fn parker(&self) -> &Arc<Parker> {
+        &self.parker
+    }
+
+    /// Readies a blocking drive's core for its driver's next request:
+    /// disarms the wake signal (what `Drop` would do) and reports whether
+    /// the core is quiescent — nothing ready, no timer, no request and no
+    /// live frame. Only a quiescent core no other thread holds may be kept
+    /// for reuse; any other is dropped.
+    pub(crate) fn retire(&self) -> bool {
+        self.disarm();
+        let state = self.state.lock();
+        state.ready.is_empty()
+            && state.timers.is_empty()
+            && state.requests.len() == 0
+            && state.frames_live == 0
     }
 
     /// Current occupancy counters.
@@ -729,6 +754,7 @@ impl<'env> EventCore<'env> {
                     telemetry.record_engine_request_start();
                 }
                 let started_at = self.clock().now();
+                let frames = std::mem::take(&mut state.spare_frames);
                 req = state.requests.insert(Entry::Running(RequestState {
                     strategy: spec.strategy,
                     providers: spec.providers,
@@ -742,7 +768,7 @@ impl<'env> EventCore<'env> {
                     cost: -0.0,
                     invocations: spec.record_invocations.then(Vec::new),
                     pruned: None,
-                    frames: Vec::new(),
+                    frames,
                     done: spec.done,
                 }));
                 self.start_node(&mut state, &mut deferred, req, None);
@@ -1390,10 +1416,15 @@ impl<'env> EventCore<'env> {
         let Entry::Running(request) = std::mem::replace(entry, parked) else {
             unreachable!("only a running request's root resolves");
         };
-        state.frames_live -= request.frames.len();
+        let mut frames = request.frames;
+        state.frames_live -= frames.len();
         if let Some(telemetry) = &request.telemetry {
-            telemetry.record_engine_frames_done(request.frames.len());
+            telemetry.record_engine_frames_done(frames.len());
             telemetry.record_engine_request_end();
+        }
+        frames.clear();
+        if state.spare_frames.capacity() == 0 {
+            state.spare_frames = frames;
         }
         let result = match status {
             Status::Panicked(panic) => RequestResult::Panicked(panic),
@@ -1425,7 +1456,7 @@ impl Drop for EventCore<'_> {
     fn drop(&mut self) {
         // An armed wake signal holds a reserved worker slot on the clock
         // (see `wake`). If no driver runs again — the core shut down, or a
-        // per-request core finished its walk — the slot must not outlive
+        // blocking drive's core was not kept — the slot must not outlive
         // the core, or it would freeze virtual time for every other user
         // of a shared clock.
         self.disarm();

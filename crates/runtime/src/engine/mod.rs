@@ -37,7 +37,9 @@ pub use pool::PoolStats;
 pub use qce_strategy::{CompletionPolicy, PruneReason};
 
 use std::borrow::Cow;
+use std::cell::Cell;
 use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -106,6 +108,12 @@ pub struct EngineStats {
     /// requests costs at most one per instant per loop; a handle collected
     /// after it resolved costs none.
     pub waiter_wakes: u64,
+    /// Event cores the gateway's blocking [`submit`](crate::Gateway::submit)s
+    /// had to build. A client thread keeps its core idle between requests
+    /// and reuses it, so this is one per client thread (and clock), plus
+    /// one per request that sent a leg to the worker pool, panicked, or
+    /// was nested inside another request's provider on the same thread.
+    pub blocking_cores_built: u64,
 }
 
 /// Rejects a quorum of zero, and strategies that reference an unresolved
@@ -229,24 +237,48 @@ pub(crate) fn pooled_spawner(
 }
 
 /// Runs `request` — already [`validate`]d, resolving by [`Done::Park`] —
-/// to its outcome on a core of its own, driven by the calling thread;
-/// blocking leaves run on `pool`. The core is created and dropped per
-/// call on purpose: a pool thread's trailing `wake()` can arm an idle
-/// core's signal, and the clock slot the armed signal reserves would pin
-/// virtual time until a driver came back — `Drop` is what disarms it.
+/// to its outcome, driven by the calling thread; blocking leaves run on
+/// `pool`.
+///
+/// The core is the one this thread's last blocking drive on `clock` left
+/// idle beside its parker ([`Parker::keep_idle_core`]), or a new one,
+/// counted in `cores_built`. It goes back only when the request sent no
+/// leaf to the pool and left the core quiescent ([`EventCore::retire`]).
+/// A pool task holds the core weakly and wakes it after posting its leaf,
+/// so its trailing `wake()` can arm the signal of a core whose request
+/// already resolved, and the clock slot an armed signal reserves would pin
+/// virtual time until a driver came back. Such a core is dropped, and
+/// `Drop` disarms it; so is one a provider's panic unwinds past (a panic
+/// on a pool leg is caught there and re-raised here, after the pool sent
+/// its core away). A nested drive (a provider on this thread submitting
+/// again) finds no idle core while the outer one runs, so it builds its
+/// own.
 pub(crate) fn drive(
     pool: &Arc<WorkerPool>,
     clock: &Arc<dyn Clock>,
     request: RequestSpec<'static>,
+    cores_built: &AtomicU64,
 ) -> EngineOutcome {
     // See `execute_scoped`: an already-registered caller keeps its slot.
     let worker = (!clock.thread_is_worker()).then(|| WorkerGuard::enter(&**clock));
-    let parker = Parker::of_this_thread(&**clock);
-    let core = Arc::new(EventCore::new(Shared::Owned(Arc::clone(clock)), parker));
-    let spawn = pooled_spawner(pool, &core, clock);
+    let core = Parker::take_idle_core(&**clock).unwrap_or_else(|| {
+        cores_built.fetch_add(1, Ordering::Relaxed);
+        let parker = Parker::of_this_thread(&**clock);
+        Arc::new(EventCore::new(Shared::Owned(Arc::clone(clock)), parker))
+    });
+    // Most requests send no leaf to the pool: its spawner is built per task.
+    let pooled = Cell::new(false);
+    let spawn = |task: BlockingTask| {
+        pooled.set(true);
+        pooled_spawner(pool, &core, clock)(task);
+    };
     let req = core.submit(request, &spawn);
     let result = core.drive_request(req, &spawn);
     drop(worker);
+    if !pooled.get() && core.retire() {
+        debug_assert_eq!(Arc::strong_count(&core) + Arc::weak_count(&core), 1);
+        Parker::keep_idle_core(core);
+    }
     settle(result)
 }
 
@@ -371,6 +403,7 @@ mod tests {
                             record_invocations: false,
                             done: Done::Park,
                         },
+                        &AtomicU64::new(0),
                     );
                     assert!(bare.invocations.is_empty(), "{ctx}");
                     assert_eq!(bare.completion, recorded.completion, "{ctx}");
@@ -464,5 +497,243 @@ mod tests {
         assert_eq!(completed, ["a", "b", "e", "c", "d"]);
         assert_eq!(outcome.latency, Duration::from_millis(3));
         assert_eq!(outcome.cost, 5.0);
+    }
+
+    /// When a blocking drive's core is kept idle on its thread and when it
+    /// is not (see `drive`'s doc comment).
+    mod idle_core {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::AtomicBool;
+        use std::sync::{mpsc, OnceLock, Weak};
+
+        use qce_strategy::{Qos, Requirements};
+
+        use super::*;
+        use crate::{
+            FnProvider, Gateway, GatewayConfig, InMemoryMarket, MsSpec, Request, ServiceScript,
+        };
+
+        const MS: Duration = Duration::from_millis(1);
+
+        /// A gateway on `clock` serving one single-microservice script per
+        /// provider, each named after its provider's capability.
+        fn gateway(clock: &Arc<dyn Clock>, providers: Vec<Arc<dyn Provider>>) -> Arc<Gateway> {
+            let market = InMemoryMarket::new();
+            for provider in &providers {
+                let spec = MsSpec {
+                    name: provider.id().to_string(),
+                    capability: provider.capability().to_string(),
+                    prior: Qos::new(5.0, 1.0, 0.9).unwrap(),
+                };
+                let requirements = Requirements::new(1000.0, 1000.0, 0.5).unwrap();
+                let mut script =
+                    ServiceScript::new(provider.capability(), vec![spec], requirements);
+                script.slot_size = u32::MAX;
+                market.publish(script).unwrap();
+            }
+            let gateway = Gateway::with_clock(
+                Box::new(market),
+                GatewayConfig::default(),
+                Arc::clone(clock),
+            );
+            for provider in providers {
+                gateway.registry().register(provider);
+            }
+            Arc::new(gateway)
+        }
+
+        /// A timed provider of capability `capability`, 1 ms on `clock`.
+        fn timed(clock: &Arc<dyn Clock>, capability: &str) -> Arc<dyn Provider> {
+            SimulatedProvider::builder(format!("{capability}-0"), capability)
+                .latency(MS)
+                .clock(Arc::clone(clock))
+                .build()
+        }
+
+        /// An opaque provider of capability `pool`: its legs run on the
+        /// gateway's worker pool.
+        fn opaque() -> Arc<dyn Provider> {
+            FnProvider::new("pool-0", "pool", 1.0, |_| Ok(vec![1]))
+        }
+
+        fn submit(gateway: &Gateway, service: &str) {
+            assert!(gateway.submit(Request::new(service)).unwrap().success);
+        }
+
+        fn built(gateway: &Gateway) -> u64 {
+            gateway.engine_stats().blocking_cores_built
+        }
+
+        #[test]
+        fn submits_on_one_thread_build_one_core() {
+            let clock: Arc<dyn Clock> = Arc::new(VirtualClock::new());
+            let gateway = gateway(&clock, vec![timed(&clock, "timed")]);
+            for _ in 0..50 {
+                submit(&gateway, "timed");
+            }
+            assert_eq!(built(&gateway), 1);
+            std::thread::scope(|scope| {
+                scope.spawn(|| (0..50).for_each(|_| submit(&gateway, "timed")));
+            });
+            assert_eq!(built(&gateway), 2, "one per client thread");
+        }
+
+        /// A pool leg's request takes the idle core and does not put it
+        /// back, so the next request builds a fresh one.
+        #[test]
+        fn a_request_with_a_pool_leg_keeps_no_core() {
+            let clock: Arc<dyn Clock> = Arc::new(VirtualClock::new());
+            let gateway = gateway(&clock, vec![timed(&clock, "timed"), opaque()]);
+            let mut counts = Vec::new();
+            for service in ["timed", "pool", "timed", "pool", "pool", "timed", "timed"] {
+                submit(&gateway, service);
+                counts.push(built(&gateway));
+            }
+            assert_eq!(counts, [1, 1, 2, 2, 3, 4, 4]);
+        }
+
+        /// The trailing `wake()` of a pool task can arm its core's signal
+        /// after the request resolved. The slot that reserves must not
+        /// outlive the request, or another user of the clock sleeps for
+        /// ever: no pool leg's core is kept, and a registered sleeper on
+        /// the clock always comes back. (The late wake itself needs the
+        /// pool thread preempted between its post and its wake, so a run
+        /// meets it rarely; the first check does not depend on it.)
+        #[test]
+        fn a_pool_legs_trailing_wake_does_not_pin_virtual_time() {
+            let clock: Arc<dyn Clock> = Arc::new(VirtualClock::new());
+            let gateway = gateway(&clock, vec![timed(&clock, "timed"), opaque()]);
+            let (go, went) = mpsc::channel::<()>();
+            let (slept, done) = mpsc::channel();
+            let sleeper = Arc::clone(&clock);
+            std::thread::spawn(move || {
+                for () in went {
+                    let _worker = WorkerGuard::enter(&*sleeper);
+                    sleeper.sleep(MS);
+                    slept.send(()).unwrap();
+                }
+            });
+            for round in 0..200 {
+                if round % 4 == 0 {
+                    submit(&gateway, "timed");
+                } else {
+                    submit(&gateway, "pool");
+                    let kept = Parker::take_idle_core(&*clock);
+                    assert!(kept.is_none(), "round {round}: a pool leg's core was kept");
+                }
+                go.send(()).unwrap();
+                let woke = done.recv_timeout(Duration::from_secs(10));
+                assert!(woke.is_ok(), "round {round}: virtual time is pinned");
+            }
+        }
+
+        /// Submits `inner` through its gateway from inside its own timed
+        /// leg, on the thread driving the outer request.
+        #[derive(Debug)]
+        struct Nesting {
+            gateway: OnceLock<Weak<Gateway>>,
+        }
+
+        impl Provider for Nesting {
+            fn id(&self) -> &str {
+                "outer-0"
+            }
+
+            fn capability(&self) -> &str {
+                "outer"
+            }
+
+            fn cost(&self) -> f64 {
+                1.0
+            }
+
+            fn invoke(&self, _request: &Invocation) -> Result<Vec<u8>, InvokeError> {
+                unreachable!("always timed")
+            }
+
+            fn try_timed_invoke(
+                &self,
+                _request: &Invocation,
+                _clock: &dyn Clock,
+            ) -> Option<(Duration, Result<Vec<u8>, InvokeError>)> {
+                let gateway = self.gateway.get()?.upgrade()?;
+                let inner = gateway.submit(Request::new("inner")).ok()?;
+                Some((MS, inner.payload.ok_or(InvokeError::DeviceUnavailable)))
+            }
+        }
+
+        /// The outer request holds the thread's idle core, so the nested one
+        /// builds its own and leaves it idle; the outer core then finds the
+        /// place taken and is dropped. One core per outer request after the
+        /// first.
+        #[test]
+        fn a_nested_blocking_submit_builds_its_own_core() {
+            let clock: Arc<dyn Clock> = Arc::new(VirtualClock::new());
+            let nesting = Arc::new(Nesting {
+                gateway: OnceLock::new(),
+            });
+            let providers = vec![
+                Arc::clone(&nesting) as Arc<dyn Provider>,
+                timed(&clock, "inner"),
+            ];
+            let gateway = gateway(&clock, providers);
+            nesting.gateway.set(Arc::downgrade(&gateway)).unwrap();
+            for n in 1..=5 {
+                submit(&gateway, "outer");
+                assert_eq!(built(&gateway), n + 1);
+            }
+            assert_eq!(clock.now(), 5 * 2 * MS, "every leg took its 1 ms");
+        }
+
+        /// Panics in its timed leg, on the driving thread, while `panics`.
+        #[derive(Debug, Default)]
+        struct Panicky {
+            panics: AtomicBool,
+        }
+
+        impl Provider for Panicky {
+            fn id(&self) -> &str {
+                "panicky-0"
+            }
+
+            fn capability(&self) -> &str {
+                "panicky"
+            }
+
+            fn cost(&self) -> f64 {
+                1.0
+            }
+
+            fn invoke(&self, _request: &Invocation) -> Result<Vec<u8>, InvokeError> {
+                unreachable!("always timed")
+            }
+
+            fn try_timed_invoke(
+                &self,
+                _request: &Invocation,
+                _clock: &dyn Clock,
+            ) -> Option<(Duration, Result<Vec<u8>, InvokeError>)> {
+                assert!(!self.panics.load(Ordering::SeqCst), "provider panicked");
+                Some((MS, Ok(vec![1])))
+            }
+        }
+
+        #[test]
+        fn a_provider_panic_drops_the_core() {
+            let clock: Arc<dyn Clock> = Arc::new(VirtualClock::new());
+            let panicky = Arc::new(Panicky::default());
+            let gateway = gateway(&clock, vec![Arc::clone(&panicky) as Arc<dyn Provider>]);
+            submit(&gateway, "panicky");
+            assert_eq!(built(&gateway), 1);
+            panicky.panics.store(true, Ordering::SeqCst);
+            let unwound =
+                catch_unwind(AssertUnwindSafe(|| gateway.submit(Request::new("panicky"))));
+            assert!(unwound.is_err());
+            panicky.panics.store(false, Ordering::SeqCst);
+            submit(&gateway, "panicky");
+            submit(&gateway, "panicky");
+            assert_eq!(built(&gateway), 2, "the panicked core was not kept");
+            assert_eq!(clock.now(), 3 * MS);
+        }
     }
 }

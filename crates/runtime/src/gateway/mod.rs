@@ -34,8 +34,8 @@ use crate::collector::Collector;
 use crate::device::Provider;
 use crate::engine::event::{BlockingTask, Done, EventCore, RequestSpec, Shared, TaskFn};
 use crate::engine::{
-    Budget, Completion, CompletionPolicy, EngineOutcome, EngineStats, PolicyState, PoolStats,
-    PruneDetail, PruneReason, WorkerPool,
+    Budget, Completion, EngineOutcome, EngineStats, PolicyState, PoolStats, PruneDetail,
+    PruneReason, WorkerPool,
 };
 use crate::generator::{StrategyOrigin, SynthesisSettings};
 use crate::market::Market;
@@ -464,6 +464,8 @@ pub struct Gateway {
     /// Set once `loops` holds a running loop: every later `submit_async`
     /// reads this instead of taking the mutex.
     loops_running: AtomicBool,
+    /// [`EngineStats::blocking_cores_built`].
+    blocking_cores_built: AtomicU64,
 }
 
 impl std::fmt::Debug for Gateway {
@@ -514,6 +516,7 @@ impl Gateway {
             spawn,
             loops: Mutex::new(Vec::new()),
             loops_running: AtomicBool::new(false),
+            blocking_cores_built: AtomicU64::new(0),
         }
     }
 
@@ -582,7 +585,8 @@ impl Gateway {
                 .with_deadline(self.clock.now().saturating_add(deadline));
         }
         // The caller's thread drives the walk: no hop to a loop thread.
-        let outcome = crate::engine::drive(&self.pool, &self.clock, spec);
+        let outcome =
+            crate::engine::drive(&self.pool, &self.clock, spec, &self.blocking_cores_built);
         Ok(reply.respond(&self.telemetry, outcome))
     }
 
@@ -749,19 +753,15 @@ impl Gateway {
     }
 
     /// Pipeline stage 3 (after admission): plans the slot and builds what
-    /// the engine executes (validated; the entry point still anchors the
-    /// budget's deadline and, if it does not drive the request itself,
-    /// sets `done`) and what [`Reply::respond`] needs afterwards. Strategy
-    /// and providers are the slot's own, shared: a request copies neither.
+    /// the engine executes (the entry point still anchors the budget's
+    /// deadline and, if it does not drive the request itself, sets `done`)
+    /// and what [`Reply::respond`] needs afterwards. Strategy, providers
+    /// and policy are the slot's own, shared and validated once with the
+    /// plan: a request copies and checks none of them.
     fn prepare(&self, request: Resolved) -> Result<(RequestSpec<'static>, Reply), RuntimeError> {
         let meta = request.meta;
         let planned = self.plan_slot(&meta.service_id, &request.entry)?;
         let plan = planned.plan;
-        let policy = match planned.quorum {
-            Some(q) if q > 1 => CompletionPolicy::Quorum { quorum: q },
-            _ => CompletionPolicy::FirstSuccess,
-        };
-        crate::engine::validate(&plan.strategy, &plan.providers, policy)?;
 
         // The advisory judges the slot's estimated QoS against *this
         // request's* effective requirement (explicit → live override →
@@ -791,7 +791,7 @@ impl Gateway {
             budget: Budget::unlimited()
                 .with_class(meta.class)
                 .with_parent_flag(Arc::clone(&request.entry.evicted)),
-            policy: PolicyState::new(policy),
+            policy: PolicyState::new(plan.policy),
             // The response carries the total cost only.
             record_invocations: false,
             done: Done::Park,
@@ -826,7 +826,8 @@ impl Gateway {
 
     /// Live occupancy of the event core: requests in flight, resident
     /// continuation frames (live and peak), and the size of one frame —
-    /// the per-request memory unit that replaces a per-leg thread stack.
+    /// the per-request memory unit that replaces a per-leg thread stack —
+    /// plus the cores blocking submissions had to build.
     #[must_use]
     pub fn engine_stats(&self) -> EngineStats {
         let stats = self.core.stats();
@@ -837,6 +838,7 @@ impl Gateway {
             frame_bytes: EventCore::frame_bytes(),
             wakeups: stats.wakeups,
             waiter_wakes: stats.waiter_wakes,
+            blocking_cores_built: self.blocking_cores_built.load(Ordering::Relaxed),
         }
     }
 

@@ -9,6 +9,7 @@ use qce_strategy::{EnvQos, Qos, Requirements, Strategy};
 
 use crate::device::Provider;
 use crate::engine::event::LegSink;
+use crate::engine::CompletionPolicy;
 use crate::generator::{Planner, SlotPlan, StrategyOrigin};
 use crate::message::RuntimeError;
 use crate::script::{MsSpec, ServiceScript};
@@ -30,6 +31,9 @@ pub(super) struct SlotShared {
     pub(super) strategy_text: String,
     pub(super) origin: StrategyOrigin,
     pub(super) estimated: Option<Qos>,
+    /// How the slot's requests complete: the script's quorum, or first
+    /// success. Checked against the strategy and providers with the plan.
+    pub(super) policy: CompletionPolicy,
 }
 
 /// A slot's plan as [`Gateway::plan`] drafts it, before
@@ -38,6 +42,7 @@ pub(super) struct SlotShared {
 struct Draft {
     plan: SlotPlan,
     providers: Vec<Arc<dyn Provider>>,
+    policy: CompletionPolicy,
     /// See [`ActivePlan::names`].
     names: Vec<String>,
 }
@@ -73,7 +78,6 @@ pub(super) struct Planned {
     pub(super) plan: Arc<SlotShared>,
     pub(super) slot: u64,
     pub(super) base_requirements: Requirements,
-    pub(super) quorum: Option<usize>,
 }
 
 impl Gateway {
@@ -156,7 +160,6 @@ impl Gateway {
             plan: Arc::clone(&active.shared),
             slot: state.slot,
             base_requirements: state.script.requirements,
-            quorum: state.script.quorum,
         })
     }
 
@@ -191,6 +194,7 @@ impl Gateway {
         let Draft {
             plan,
             providers,
+            policy,
             names,
         } = self.plan(state, requirement).inspect_err(|error| {
             self.telemetry
@@ -224,6 +228,7 @@ impl Gateway {
                 strategy_text,
                 origin: plan.origin,
                 estimated: plan.estimated,
+                policy,
             }),
             assumed_env: plan.assumed_env,
             names,
@@ -231,8 +236,9 @@ impl Gateway {
         })
     }
 
-    /// Plans the current slot for `state`: resolve providers, then generate
-    /// (or default) the strategy.
+    /// Plans the current slot for `state`: resolve providers, generate (or
+    /// default) the strategy, then validate it with the script's completion
+    /// policy — once here, for every request of the slot.
     fn plan(
         &self,
         state: &ServiceState,
@@ -295,11 +301,17 @@ impl Gateway {
             state.slot,
             Some(&self.telemetry),
         )?;
+        let policy = match state.script.quorum {
+            Some(q) if q > 1 => CompletionPolicy::Quorum { quorum: q },
+            _ => CompletionPolicy::FirstSuccess,
+        };
+        crate::engine::validate(&plan.strategy, &providers, policy)?;
 
         Ok(Draft {
             names: script.ms_names().iter().map(|s| (*s).to_string()).collect(),
             plan,
             providers,
+            policy,
         })
     }
 

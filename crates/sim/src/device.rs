@@ -10,9 +10,9 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use qce_strategy::{MsId, QosError};
+use qce_strategy::QosError;
 
-use crate::environment::Environment;
+use crate::environment::{Environment, EnvironmentError};
 use crate::microservice::{LatencyDistribution, MsModel};
 
 /// Hardware class of an edge device, with a latency scaling factor relative
@@ -191,32 +191,28 @@ fn scale_latency(dist: LatencyDistribution, factor: f64) -> LatencyDistribution 
 /// convenient way to materialize the paper's "dissimilar edge environments"
 /// from one shared set of microservice definitions.
 ///
-/// Models must be supplied in [`MsId`] order starting at 0.
+/// Models must be supplied in [`MsId`](qce_strategy::MsId) order starting
+/// at 0.
 ///
 /// # Errors
 ///
-/// Returns a [`QosError`] if any hosted model leaves its QoS domain.
-///
-/// # Panics
-///
-/// Panics if model ids are not `0..n` in order.
+/// Returns [`EnvironmentError::Misindexed`] if model ids are not `0..n` in
+/// order, and [`EnvironmentError::Qos`] if a hosted model leaves its QoS
+/// domain.
 pub fn environment_from_placements(
     placements: &[(Device, MsModel)],
-) -> Result<Environment, QosError> {
+) -> Result<Environment, EnvironmentError> {
     let models = placements
         .iter()
-        .enumerate()
-        .map(|(i, (device, base))| {
-            assert_eq!(base.id, MsId(i), "models must be in MsId order");
-            device.host(base)
-        })
+        .map(|(device, base)| device.host(base))
         .collect::<Result<Vec<_>, _>>()?;
-    Ok(Environment::new(models))
+    Environment::new(models)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qce_strategy::MsId;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -339,12 +335,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "MsId order")]
-    fn out_of_order_placements_panic() {
+    fn out_of_order_placements_are_rejected() {
         let placements = vec![(
             Device::new("rack", DeviceKind::EdgeServer, Availability::AlwaysOn),
             MsModel::new(MsId(3), 0.9, LatencyDistribution::Constant(1.0), 1.0).unwrap(),
         )];
-        let _ = environment_from_placements(&placements);
+        assert_eq!(
+            environment_from_placements(&placements),
+            Err(EnvironmentError::Misindexed {
+                position: 0,
+                id: MsId(3)
+            })
+        );
     }
 }

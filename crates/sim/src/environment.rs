@@ -8,6 +8,41 @@ use qce_strategy::{EnvQos, MsId, QosError};
 
 use crate::microservice::{LatencyDistribution, MsModel};
 
+/// Why a list of models does not make an [`Environment`].
+#[derive(Debug, Clone, PartialEq)]
+#[non_exhaustive]
+pub enum EnvironmentError {
+    /// The model at `position` describes `id`, not `MsId(position)`.
+    Misindexed {
+        /// Where the model stands in the list.
+        position: usize,
+        /// The id it describes.
+        id: MsId,
+    },
+    /// A model's QoS left its domain.
+    Qos(QosError),
+}
+
+impl std::fmt::Display for EnvironmentError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EnvironmentError::Misindexed { position, id } => write!(
+                f,
+                "the model at position {position} describes {id}, not MsId({position})"
+            ),
+            EnvironmentError::Qos(error) => error.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for EnvironmentError {}
+
+impl From<QosError> for EnvironmentError {
+    fn from(error: QosError) -> Self {
+        EnvironmentError::Qos(error)
+    }
+}
+
 /// A simulated edge environment: the stochastic models of every equivalent
 /// microservice available in it, indexed by [`MsId`].
 ///
@@ -20,10 +55,10 @@ use crate::microservice::{LatencyDistribution, MsModel};
 /// let env = Environment::new(vec![
 ///     MsModel::new(MsId(0), 0.7, LatencyDistribution::Constant(10.0), 50.0)?,
 ///     MsModel::new(MsId(1), 0.9, LatencyDistribution::Constant(90.0), 50.0)?,
-/// ]);
+/// ])?;
 /// assert_eq!(env.len(), 2);
 /// assert_eq!(env.mean_qos_table().get(MsId(1)).unwrap().latency, 90.0);
-/// # Ok::<(), qce_strategy::QosError>(())
+/// # Ok::<(), qce_sim::EnvironmentError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct Environment {
@@ -34,19 +69,22 @@ impl Environment {
     /// Creates an environment from models; model `i` must describe
     /// `MsId(i)`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a model's id does not match its position.
-    #[must_use]
-    pub fn new(models: Vec<MsModel>) -> Self {
-        for (i, model) in models.iter().enumerate() {
-            assert_eq!(
-                model.id,
-                MsId(i),
-                "model at position {i} must describe MsId({i})"
-            );
+    /// Returns [`EnvironmentError::Misindexed`] for the first model whose
+    /// id does not match its position.
+    pub fn new(models: Vec<MsModel>) -> Result<Self, EnvironmentError> {
+        if let Some((position, model)) = models
+            .iter()
+            .enumerate()
+            .find(|(i, model)| model.id != MsId(*i))
+        {
+            return Err(EnvironmentError::Misindexed {
+                position,
+                id: model.id,
+            });
         }
-        Environment { models }
+        Ok(Environment { models })
     }
 
     /// Builds an environment of [`LatencyDistribution::Constant`] models
@@ -281,10 +319,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must describe MsId")]
     fn misindexed_models_rejected() {
         let model = MsModel::new(MsId(5), 0.5, LatencyDistribution::Constant(1.0), 1.0).unwrap();
-        let _ = Environment::new(vec![model]);
+        assert_eq!(
+            Environment::new(vec![model]),
+            Err(EnvironmentError::Misindexed {
+                position: 0,
+                id: MsId(5)
+            })
+        );
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub mod trace;
 
 pub use correlation::{execute_with_shared_fate, preserve_marginals, SharedHost};
 pub use device::{environment_from_placements, Availability, Device, DeviceKind};
-pub use environment::{table3_configurations, Environment, RandomEnvConfig};
+pub use environment::{table3_configurations, Environment, EnvironmentError, RandomEnvConfig};
 pub use exec::VirtualExecutor;
 pub use microservice::{LatencyDistribution, MsModel};
 pub use montecarlo::{relative_error_pct, simulate, simulate_with, McStats};

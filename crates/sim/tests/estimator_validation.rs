@@ -152,7 +152,8 @@ fn variable_latency_failover_still_matches() {
             20.0,
         )
         .unwrap(),
-    ]);
+    ])
+    .unwrap();
     let s = Strategy::parse("a-b").unwrap();
     let est = estimate(&s, &env.mean_qos_table()).unwrap();
     let mut rng = ChaCha8Rng::seed_from_u64(11);

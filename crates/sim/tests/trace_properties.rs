@@ -43,6 +43,7 @@ fn random_env(m: usize, seed: u64, variable_latency: bool) -> Environment {
             })
             .collect(),
     )
+    .unwrap()
 }
 
 proptest! {

@@ -45,7 +45,7 @@ use std::collections::HashSet;
 
 use crate::error::GenerateError;
 use crate::expr::{Node, Strategy};
-use crate::generate::{better_tiebreak, Found, Generator, IdSet};
+use crate::generate::{better_tiebreak, Found, Generator, IdSet, Via};
 use crate::qos::{EnvQos, MsId, Qos, Requirements};
 
 /// One scored beam candidate.
@@ -163,7 +163,7 @@ impl Generator {
         req: &Requirements,
         width: usize,
     ) -> Result<Found, GenerateError> {
-        let order = self.ranked(env, ids, req)?;
+        let order = self.ranked(Via::Estimator, env, ids, req)?;
         let score = |s: Strategy| -> Result<Cand, GenerateError> {
             let qos = self.estimator().estimate(&s, env)?;
             let utility = self.utility_index().utility(&qos, req);

@@ -387,10 +387,13 @@ impl Generator {
         &self.estimator
     }
 
-    /// Estimates through the configured estimator; ids are pre-validated
-    /// by every public entry point, but custom estimators may still fail.
-    fn est(&self, s: &Strategy, env: &EnvQos) -> Result<Qos, GenerateError> {
-        Ok(self.estimator.estimate(s, env)?)
+    /// Estimates `s` the way `via` says; ids are pre-validated by every
+    /// public entry point, but custom estimators may still fail.
+    fn est(&self, via: Via, s: &Strategy, env: &EnvQos) -> Result<Qos, GenerateError> {
+        Ok(match via {
+            Via::Estimator => self.estimator.estimate(s, env)?,
+            Via::Algorithm1 => crate::estimate::estimate(s, env)?,
+        })
     }
 
     /// `parallelism` with `0` resolved to the available cores.
@@ -525,13 +528,18 @@ impl Generator {
         }
         let (strategy, qos, utility, seen, pruned) = match search {
             Search::Exhaustive => self.scan(env, ids, req)?,
-            Search::Greedy => self.greedy(env, ids, req)?,
+            Search::Greedy => self.greedy(Via::Estimator, env, ids, req)?,
             Search::Beam(width) => self.beam_search(env, ids, req, width)?,
             Search::Failover { ranked: true } => {
-                self.pattern(failover, &self.ranked(env, ids, req)?, env, req)?
+                let order = self.ranked(Via::Estimator, env, ids, req)?;
+                self.pattern(Via::Estimator, failover, &order, env, req)?
             }
-            Search::Failover { ranked: false } => self.pattern(failover, &ids, env, req)?,
-            Search::SpeculativeParallel => self.pattern(speculative_parallel, &ids, env, req)?,
+            Search::Failover { ranked: false } => {
+                self.pattern(Via::Estimator, failover, &ids, env, req)?
+            }
+            Search::SpeculativeParallel => {
+                self.pattern(Via::Estimator, speculative_parallel, &ids, env, req)?
+            }
         };
         let generated = Generated {
             strategy,
@@ -613,18 +621,23 @@ impl Generator {
     /// the two predefined patterns, all of which are members of `F(M)` —
     /// used as the engine's initial pruning bar.
     /// Seed estimates are not counted in [`Generated::evaluated`].
+    ///
+    /// Only reached when the estimator is Algorithm 1, so the seeds call it
+    /// directly ([`Via::Algorithm1`]): the memo is bit-transparent, and the
+    /// scan never reads what the seeds would store in it.
     fn seed_bound(
         &self,
         env: &EnvQos,
         ids: IdSet<'_>,
         req: &Requirements,
     ) -> Result<f64, GenerateError> {
-        let order = self.ranked(env, ids, req)?;
-        let mut bound = self.pattern(failover, &order, env, req)?.2;
+        let via = Via::Algorithm1;
+        let order = self.ranked(via, env, ids, req)?;
+        let mut bound = self.pattern(via, failover, &order, env, req)?.2;
         if ids.len() >= 2 {
-            bound = bound.max(self.pattern(speculative_parallel, &ids, env, req)?.2);
+            bound = bound.max(self.pattern(via, speculative_parallel, &ids, env, req)?.2);
         }
-        bound = bound.max(self.greedy(env, ids, req)?.2);
+        bound = bound.max(self.greedy(via, env, ids, req)?.2);
         Ok(bound)
     }
 
@@ -680,18 +693,19 @@ impl Generator {
 
     fn greedy(
         &self,
+        via: Via,
         env: &EnvQos,
         ids: IdSet<'_>,
         req: &Requirements,
     ) -> Result<Found, GenerateError> {
-        let order = self.ranked(env, ids, req)?;
+        let order = self.ranked(via, env, ids, req)?;
         // Unified effort accounting: the per-leaf estimates behind the
         // sort are auxiliary and not counted (matching the exhaustive
         // engine, whose seed estimates are likewise free); the best-leaf
         // incumbent is the first candidate considered.
         let mut seen = 1;
         let mut es = Strategy::leaf(order[0]);
-        let mut qos = self.est(&es, env)?;
+        let mut qos = self.est(via, &es, env)?;
         let mut utility = self.utility.utility(&qos, req);
         for &next in &order[1..] {
             let seq = es
@@ -702,8 +716,8 @@ impl Generator {
                 .clone()
                 .race(Strategy::leaf(next))
                 .expect("an IdSet's ids are distinct");
-            let seq_qos = self.est(&seq, env)?;
-            let par_qos = self.est(&par, env)?;
+            let seq_qos = self.est(via, &seq, env)?;
+            let par_qos = self.est(via, &par, env)?;
             let seq_u = self.utility.utility(&seq_qos, req);
             let par_u = self.utility.utility(&par_qos, req);
             seen += 2;
@@ -773,13 +787,14 @@ impl Generator {
     /// one-candidate search.
     fn pattern(
         &self,
+        via: Via,
         shape: fn(&[MsId]) -> Result<Strategy, BuildError>,
         order: &[MsId],
         env: &EnvQos,
         req: &Requirements,
     ) -> Result<Found, GenerateError> {
         let strategy = shape(order).map_err(|_| GenerateError::NoMicroservices)?;
-        let qos = self.est(&strategy, env)?;
+        let qos = self.est(via, &strategy, env)?;
         let utility = self.utility.utility(&qos, req);
         Ok((strategy, qos, utility, 1, 0))
     }
@@ -825,13 +840,14 @@ impl Generator {
         ids: &[MsId],
         req: &Requirements,
     ) -> Result<Vec<MsId>, GenerateError> {
-        self.ranked(env, vet(ids, req)?, req)
+        self.ranked(Via::Estimator, env, vet(ids, req)?, req)
     }
 
     /// [`Generator::sort_by_utility`] behind the door: `ids` is vetted and
     /// `req` valid.
     pub(crate) fn ranked(
         &self,
+        via: Via,
         env: &EnvQos,
         ids: IdSet<'_>,
         req: &Requirements,
@@ -839,7 +855,7 @@ impl Generator {
         let mut scored: Vec<(MsId, f64)> = ids
             .iter()
             .map(|&id| {
-                let qos = self.est(&Strategy::leaf(id), env)?;
+                let qos = self.est(via, &Strategy::leaf(id), env)?;
                 Ok((id, self.utility.utility(&qos, req)))
             })
             .collect::<Result<_, GenerateError>>()?;
@@ -926,6 +942,18 @@ pub(crate) enum Search {
     Failover { ranked: bool },
     /// The speculative-parallel pattern.
     SpeculativeParallel,
+}
+
+/// Where a search's estimates come from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Via {
+    /// The configured estimator, memo included: every search of its own.
+    Estimator,
+    /// Algorithm 1 itself, bypassing the estimator: only for work done on
+    /// behalf of a search that runs only when the estimator
+    /// [`is_algorithm1`](Estimator::is_algorithm1) (the exhaustive
+    /// engine's seeds), where the two are bit-identical.
+    Algorithm1,
 }
 
 impl Search {

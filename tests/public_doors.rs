@@ -1,11 +1,12 @@
 //! Every public door that takes caller input, fed the inputs it must refuse
 //! or settle: empty, repeated, 21-id and 65-id lists; NaN and infinities;
 //! a zero collector window; zero and overflowing fault weights; measured
-//! statistics outside their domains; quantiles outside `(0, 1]`; strategy
-//! text nested past the parser's limit; the fewest Monte-Carlo runs and a
-//! strategy naming an absent id. Each case runs under `catch_unwind` and
-//! must return its error, `None` or its documented value — never unwind.
-//! One table spans both library crates, in the manner of the generator's own
+//! statistics outside their domains; models out of their `MsId` positions;
+//! quantiles outside `(0, 1]`; strategy text nested past the parser's
+//! limit; the fewest Monte-Carlo runs and a strategy naming an absent id.
+//! Each case runs under `catch_unwind` and must return its error, `None` or
+//! its documented value — never unwind. One table spans both library
+//! crates, in the manner of the generator's own
 //! `unvetted_id_lists_are_typed_errors_everywhere`.
 
 use std::fmt::Debug;
@@ -18,7 +19,11 @@ use rand_chacha::ChaCha8Rng;
 
 use qce::runtime::{Collector, FaultPlan, FaultProfile, HistogramBucket, HistogramSnapshot};
 use qce::sim::correlation::measure_reliability;
-use qce::sim::{simulate, simulate_with, Environment, McStats, SharedHost, VirtualExecutor};
+use qce::sim::{
+    environment_from_placements, simulate, simulate_with, Availability, Device, DeviceKind,
+    Environment, EnvironmentError, LatencyDistribution, McStats, MsModel, SharedHost,
+    VirtualExecutor,
+};
 use qce::strategy::enumerate::{
     count_full, count_with_subsets, paper, StrategySampler, MAX_COUNT_M,
 };
@@ -340,6 +345,30 @@ fn value_cases() -> Vec<Case> {
             Box::new(move || expect_that(bad.as_qos(), Result::is_err)),
         ));
     }
+    let model = |id| MsModel::new(MsId(id), 0.5, LatencyDistribution::Constant(1.0), 1.0).unwrap();
+    let misindexed = || {
+        Some(EnvironmentError::Misindexed {
+            position: 1,
+            id: MsId(0),
+        })
+    };
+    cases.push((
+        "Environment::new(MsId 0 twice)".to_string(),
+        Box::new(move || {
+            expect(
+                Environment::new(vec![model(0), model(0)]).err(),
+                misindexed(),
+            )
+        }),
+    ));
+    cases.push((
+        "environment_from_placements(MsId 0 twice)".to_string(),
+        Box::new(move || {
+            let device = Device::new("rack", DeviceKind::EdgeServer, Availability::AlwaysOn);
+            let placements = [(device.clone(), model(0)), (device, model(0))];
+            expect(environment_from_placements(&placements).err(), misindexed())
+        }),
+    ));
     let nan_inf = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
     for bad in nan_inf {
         for (at, triple) in [(bad, 1.0, 0.5), (1.0, bad, 0.5), (1.0, 1.0, bad)]
@@ -453,7 +482,10 @@ fn no_public_door_unwinds_on_its_input() {
     assert!(failures.is_empty(), "{}", failures.join("\n"));
     // Four lists through four doors and twelve searches, eight counts past
     // the limit and one of nothing; eight values, four host availabilities,
-    // four measured statistics, nine non-finite QoS fields, eight quantiles;
-    // five through the three Monte-Carlo doors.
-    assert_eq!(cases.len(), 4 * (4 + 12) + 8 + 1 + 8 + 4 + 4 + 9 + 8 + 5);
+    // four measured statistics, two misindexed model lists, nine non-finite
+    // QoS fields, eight quantiles; five through the three Monte-Carlo doors.
+    assert_eq!(
+        cases.len(),
+        4 * (4 + 12) + 8 + 1 + 8 + 4 + 4 + 2 + 9 + 8 + 5
+    );
 }
