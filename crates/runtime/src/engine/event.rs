@@ -61,7 +61,7 @@ use crate::clock::{Clock, Parker};
 use crate::collector::{Collector, ExecutionRecord, ProviderWindow};
 use crate::device::Provider;
 use crate::message::{Invocation, InvocationOutcome, InvokeError};
-use crate::telemetry::{ProviderMetrics, Telemetry};
+use crate::telemetry::{Scope, Telemetry};
 
 use super::budget::Budget;
 use super::policy::PolicyState;
@@ -140,7 +140,7 @@ impl std::fmt::Debug for RequestResult {
 #[derive(Default)]
 pub(crate) struct LegSink {
     window: OnceLock<Arc<ProviderWindow>>,
-    metrics: OnceLock<Arc<ProviderMetrics>>,
+    metrics: OnceLock<Arc<Scope>>,
 }
 
 impl LegSink {

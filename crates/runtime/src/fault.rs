@@ -24,7 +24,7 @@ use rand_chacha::ChaCha8Rng;
 use crate::clock::Clock;
 use crate::device::{Provider, SimulatedProvider};
 use crate::message::{Invocation, InvokeError};
-use crate::telemetry::{ProviderMetrics, Telemetry};
+use crate::telemetry::{EventKind, Scope, Telemetry};
 
 /// What goes wrong (or right again) at a scheduled instant.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -244,7 +244,7 @@ pub struct FaultyProvider {
     telemetry: Option<Arc<Telemetry>>,
     /// This provider's counters on `telemetry`, resolved by the first hit
     /// (so the provider enters snapshots then, not at construction).
-    metrics: OnceLock<Arc<ProviderMetrics>>,
+    metrics: OnceLock<Arc<Scope>>,
 }
 
 impl fmt::Debug for FaultyProvider {
@@ -347,7 +347,10 @@ impl FaultyProvider {
                 .get_or_init(|| telemetry.provider_metrics(self.id()));
             metrics.count_fault_window();
             if first {
-                telemetry.announce_fault_window(self.id(), fault);
+                telemetry.record(EventKind::FaultWindowHit {
+                    provider: self.id().to_string(),
+                    fault: fault.to_string(),
+                });
             }
         }
         condition

@@ -5,6 +5,7 @@ use std::time::Duration;
 use qce_strategy::Requirements;
 
 use crate::request::QosClass;
+use crate::telemetry::EventKind;
 
 use super::Gateway;
 
@@ -65,9 +66,11 @@ impl GatewayControl<'_> {
         let entry = self.gateway.service_entry(service_id);
         entry.overrides.lock().class = Some(class);
         self.gateway.invalidate_override_plans(service_id, &entry);
-        self.gateway
-            .telemetry
-            .record_override(service_id, "class", &class.to_string());
+        self.gateway.telemetry.record(EventKind::OverrideApplied {
+            service: service_id.to_string(),
+            field: "class".to_string(),
+            value: class.to_string(),
+        });
     }
 
     /// Overrides the per-request deadline of `service_id` (`None` clears a
@@ -76,10 +79,11 @@ impl GatewayControl<'_> {
     pub fn set_deadline(&self, service_id: &str, deadline: Option<Duration>) {
         let entry = self.gateway.service_entry(service_id);
         entry.overrides.lock().deadline = deadline;
-        let value = deadline.map_or_else(|| "none".to_string(), |d| format!("{}ms", d.as_millis()));
-        self.gateway
-            .telemetry
-            .record_override(service_id, "deadline", &value);
+        self.gateway.telemetry.record(EventKind::OverrideApplied {
+            service: service_id.to_string(),
+            field: "deadline".to_string(),
+            value: deadline.map_or_else(|| "none".to_string(), |d| format!("{}ms", d.as_millis())),
+        });
     }
 
     /// Overrides the QoS requirement requests of `service_id` are judged
@@ -92,8 +96,10 @@ impl GatewayControl<'_> {
         let entry = self.gateway.service_entry(service_id);
         entry.overrides.lock().requirement = Some(requirement);
         self.gateway.invalidate_override_plans(service_id, &entry);
-        self.gateway
-            .telemetry
-            .record_override(service_id, "requirement", &requirement.to_string());
+        self.gateway.telemetry.record(EventKind::OverrideApplied {
+            service: service_id.to_string(),
+            field: "requirement".to_string(),
+            value: requirement.to_string(),
+        });
     }
 }

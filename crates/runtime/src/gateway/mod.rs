@@ -42,7 +42,7 @@ use crate::market::Market;
 use crate::message::{Invocation, RuntimeError};
 use crate::registry::Registry;
 use crate::request::{QosClass, Request};
-use crate::telemetry::{ServiceMetrics, Telemetry};
+use crate::telemetry::{EventKind, ServiceMetrics, Telemetry};
 
 use admission::{Admission, AdmissionGate, AdmitOutcome, Shed, WakerFn};
 use control::ServiceOverrides;
@@ -314,6 +314,14 @@ struct ServiceEntry {
     metrics: OnceLock<Arc<ServiceMetrics>>,
 }
 
+impl ServiceEntry {
+    /// The service's counters, resolved on the first record.
+    fn counters(&self, telemetry: &Telemetry, service_id: &str) -> &ServiceMetrics {
+        self.metrics
+            .get_or_init(|| telemetry.service_metrics(service_id))
+    }
+}
+
 /// Who a request is, for every error and telemetry record on its path.
 #[derive(Clone)]
 struct RequestMeta {
@@ -323,17 +331,32 @@ struct RequestMeta {
 }
 
 impl RequestMeta {
-    /// The admission gate's queue-depth telemetry callback.
-    fn queue_depth<'a>(&'a self, telemetry: &'a Telemetry) -> impl Fn(QosClass, u64, u64) + 'a {
+    /// The admission gate's queue-depth telemetry callback, counting
+    /// through the service's handle.
+    fn queue_depth<'a>(
+        &'a self,
+        telemetry: &'a Telemetry,
+        entry: &'a ServiceEntry,
+    ) -> impl Fn(QosClass, u64, u64) + 'a {
         move |class, class_depth, total| {
-            telemetry.record_admission_queue(&self.service_id, total);
-            telemetry.record_class_queue_depth(&self.service_id, class, class_depth);
+            entry
+                .counters(telemetry, &self.service_id)
+                .count_queue_depth(class, class_depth, total);
         }
     }
 
-    /// Counts one deadline-exceeded event and builds the matching error.
+    /// Records the request's deadline expiry.
+    fn record_deadline_exceeded(&self, telemetry: &Telemetry) {
+        telemetry.record(EventKind::DeadlineExceeded {
+            service: self.service_id.clone(),
+            request_id: self.request_id,
+            class: self.class,
+        });
+    }
+
+    /// Records one deadline-exceeded event and builds the matching error.
     fn deadline_exceeded(&self, telemetry: &Telemetry) -> RuntimeError {
-        telemetry.record_deadline_exceeded(&self.service_id, self.request_id, self.class);
+        self.record_deadline_exceeded(telemetry);
         RuntimeError::DeadlineExceeded {
             service_id: self.service_id.clone(),
             class: self.class,
@@ -346,7 +369,12 @@ impl RequestMeta {
         match outcome {
             AdmitOutcome::Granted => Ok(()),
             AdmitOutcome::Shed(Shed { in_flight, queued }) => {
-                telemetry.record_shed(&self.service_id, self.class, in_flight, queued);
+                telemetry.record(EventKind::RequestShed {
+                    service: self.service_id.clone(),
+                    class: self.class,
+                    in_flight,
+                    queued,
+                });
                 Err(RuntimeError::Overloaded {
                     service_id: self.service_id.clone(),
                     class: self.class,
@@ -390,7 +418,7 @@ impl Reply {
     fn respond(self, telemetry: &Telemetry, outcome: EngineOutcome) -> ServiceResponse {
         let meta = self.meta;
         if outcome.pruned == Some(PruneReason::DeadlineExceeded) {
-            telemetry.record_deadline_exceeded(&meta.service_id, meta.request_id, meta.class);
+            meta.record_deadline_exceeded(telemetry);
         }
         let (success, payload, votes) = match outcome.completion {
             Completion::First { success, payload } => (success, payload, None),
@@ -401,18 +429,16 @@ impl Reply {
                 agreed,
             } => (agreed, payload, Some((votes, votes_cast))),
         };
-        let metrics = self
-            .entry
-            .metrics
-            .get_or_init(|| telemetry.service_metrics(&meta.service_id));
-        metrics.count_request(
-            meta.class,
-            success,
-            outcome.latency,
-            outcome.cost,
-            self.advisory.is_some(),
-            votes,
-        );
+        self.entry
+            .counters(telemetry, &meta.service_id)
+            .count_request(
+                meta.class,
+                success,
+                outcome.latency,
+                outcome.cost,
+                self.advisory.is_some(),
+                votes,
+            );
         ServiceResponse {
             request_id: meta.request_id,
             class: meta.class,
@@ -573,7 +599,7 @@ impl Gateway {
         let outcome = request.entry.gate.admit_blocking(
             request.meta.class,
             &*self.clock,
-            request.meta.queue_depth(&self.telemetry),
+            request.meta.queue_depth(&self.telemetry, &request.entry),
         );
         request.meta.admitted(&self.telemetry, outcome)?;
         let _permit = request.entry.gate.permit();
@@ -681,7 +707,7 @@ impl Gateway {
             meta.class,
             waiter,
             enqueue,
-            meta.queue_depth(&self.telemetry),
+            meta.queue_depth(&self.telemetry, &entry),
         ) {
             // The slot is counted; run the continuation on the event loop
             // exactly like a deferred grant.
@@ -691,7 +717,7 @@ impl Gateway {
                     let telemetry = Arc::clone(&self.telemetry);
                     let meta = meta.clone();
                     let cancel = move || {
-                        let depth = meta.queue_depth(&telemetry);
+                        let depth = meta.queue_depth(&telemetry, &entry);
                         if let Some(waker) = entry.gate.cancel_ticket(meta.class, ticket, depth) {
                             waker(AdmitOutcome::Expired);
                         }
@@ -809,7 +835,7 @@ impl Gateway {
     /// The gateway's runtime control plane: retunes a live service's
     /// traffic class, deadline, or requirement without re-planning its
     /// slot. Every applied override is recorded as exactly one
-    /// [`EventKind::OverrideApplied`](crate::EventKind::OverrideApplied)
+    /// [`EventKind::OverrideApplied`]
     /// telemetry event and takes effect at the next admission decision.
     #[must_use]
     pub fn control(&self) -> GatewayControl<'_> {
@@ -911,14 +937,16 @@ impl Gateway {
     /// re-resolve providers and will no longer select it.
     ///
     /// Returns `true` if the provider was registered. Emits an
-    /// [`EventKind::ProviderLeft`](crate::EventKind::ProviderLeft) marker
+    /// [`EventKind::ProviderLeft`] marker
     /// only when something was actually removed, so repeated departures
     /// are not double-counted.
     pub fn provider_left(&self, provider_id: &str) -> bool {
         let removed = self.registry.deregister(provider_id);
         if removed {
             self.collector.reset(provider_id);
-            self.telemetry.record_provider_left(provider_id);
+            self.telemetry.record(EventKind::ProviderLeft {
+                provider: provider_id.to_string(),
+            });
         }
         removed
     }
@@ -932,7 +960,8 @@ impl Gateway {
         let id = provider.id().to_string();
         self.collector.reset(&id);
         self.registry.register(provider);
-        self.telemetry.record_provider_rejoined(&id);
+        self.telemetry
+            .record(EventKind::ProviderRejoined { provider: id });
     }
 }
 

@@ -13,6 +13,7 @@ use crate::engine::CompletionPolicy;
 use crate::generator::{Planner, SlotPlan, StrategyOrigin};
 use crate::message::RuntimeError;
 use crate::script::{MsSpec, ServiceScript};
+use crate::telemetry::EventKind;
 
 use super::{Gateway, ServiceEntry, SlotRecord};
 
@@ -140,8 +141,11 @@ impl Gateway {
                         // inputs, so hold the plan for this slot.
                         Some(drift) if drift <= 0.0 => self.telemetry.record_drift_hold(service_id),
                         Some(drift) => {
-                            self.telemetry
-                                .record_drift_trigger(service_id, state.slot, drift);
+                            self.telemetry.record(EventKind::ReplanTriggered {
+                                service: service_id.to_string(),
+                                slot: state.slot,
+                                drift,
+                            });
                             held = None;
                         }
                         None => held = None,

@@ -25,6 +25,7 @@ use crate::harness::Harness;
 use crate::message::RuntimeError;
 use crate::request::{QosClass, Request};
 use crate::script::{MsSpec, ServiceScript};
+use crate::telemetry::EventKind;
 
 use super::compile::{compile, provider_seed, Action, CompiledScenario, ScheduledEvent};
 use super::model::{Require, Scenario, ScenarioError, DEFAULT_PENALTY_K};
@@ -504,10 +505,16 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioRun, ScenarioError> {
                 }
             }
             Action::StormOnset { storm, providers } => {
-                gateway.telemetry().record_storm_onset(storm, providers);
+                gateway.telemetry().record(EventKind::StormOnset {
+                    storm: storm.clone(),
+                    providers: providers.clone(),
+                });
             }
             Action::StormRecovered { storm, providers } => {
-                gateway.telemetry().record_storm_recovered(storm, providers);
+                gateway.telemetry().record(EventKind::StormRecovered {
+                    storm: storm.clone(),
+                    providers: providers.clone(),
+                });
             }
             Action::Leave { provider } => {
                 let _ = gateway.provider_left(provider);

@@ -9,18 +9,20 @@
 //!
 //! * **Counters and histograms** are plain atomics, updated with relaxed
 //!   stores on every request/invocation — no lock is held while a provider
-//!   executes. They live in per-service and per-provider handles that
-//!   enter the maps (and so the snapshots) on their first record. The
-//!   request path resolves each handle once — a gateway service entry
-//!   its service's, a slot plan one per provider, on the first leg that
-//!   records — and counts through it without a map lock or a hash; the
-//!   by-name [`Telemetry::record_request`] and
-//!   [`Telemetry::record_invocation`] are lookups into the same handles.
-//!   A histogram's observation count is the sum of its buckets.
+//!   executes. Each counter is a key into a scope's cell array; a scope
+//!   is one service, one of its classes, one provider, or the hub. The
+//!   service and provider handles enter the maps (and so the snapshots)
+//!   on their first record. The request path resolves each handle once —
+//!   a gateway service entry its service's, a slot plan one per provider,
+//!   on the first leg that records — and counts through it without a map
+//!   lock or a hash; the by-name [`Telemetry::record_request`] is a
+//!   lookup into the same handle. A histogram's observation count is the
+//!   sum of its buckets.
 //! * **Events** ([`TelemetryEvent`]) are rare (slot boundaries, failures)
-//!   and go through a short mutex into a bounded ring; when the ring is
-//!   full the oldest event is dropped and counted, never blocking the
-//!   emitter.
+//!   and enter through one door, [`Telemetry::record`], which moves the
+//!   event's counter and then emits it through a short mutex into a
+//!   bounded ring; when the ring is full the oldest event is dropped and
+//!   counted, never blocking the emitter.
 //! * **Snapshots** ([`Telemetry::snapshot`]) copy everything into a plain
 //!   serde-serializable [`MetricsSnapshot`] — sorted `Vec`s, not maps — so
 //!   dumps are deterministic and diffable.
@@ -138,73 +140,120 @@ fn milli_cost(cost: f64) -> u64 {
     }
 }
 
-/// Per-class counters of one service (all relaxed atomics): the
-/// shed/queue-depth/latency breakout behind [`ClassSnapshot`].
-struct ClassMetrics {
-    requests: AtomicU64,
-    successes: AtomicU64,
-    shed: AtomicU64,
-    /// Gauge: requests of this class waiting in the admission queue.
-    queue_depth: AtomicU64,
-    /// High-water mark of `queue_depth`.
-    queue_peak: AtomicU64,
-    latency: Histogram,
+/// Every counter the hub keeps, each named once. A [`Scope`] holds one
+/// cell per key; each snapshot type reads the keys it reports, and its
+/// fields say what they count.
+#[derive(Clone, Copy)]
+enum Key {
+    /// Requests served (a service or class scope) or invocations run (a
+    /// provider scope).
+    Requests,
+    Successes,
+    Advisories,
+    VotesCast,
+    VotesAgreed,
+    Replans,
+    PlansCold,
+    PlansCached,
+    PlanCacheHits,
+    PlanCacheMisses,
+    PlanCacheStale,
+    StrategySwitches,
+    DriftReplans,
+    DriftHolds,
+    PlanFailures,
+    HistoryEvicted,
+    Shed,
+    DeadlineExceeded,
+    QueueDepth,
+    QueuePeak,
+    CandidatesSeen,
+    CandidatesPruned,
+    SynthesisMicros,
+    Overrides,
+    FaultWindowHits,
+    Departures,
+    Rejoins,
+    MarketFetches,
+    MarketFetchFailures,
+    MarketFetchMicros,
+    StormOnsets,
+    StormRecoveries,
+    EngineInFlight,
+    EngineFrames,
+    EngineFramesPeak,
 }
 
-impl ClassMetrics {
+const KEYS: usize = Key::EngineFramesPeak as usize + 1;
+
+/// One scope's counters (all relaxed atomics): a cell per [`Key`] plus
+/// the latency and cost histograms. A service, each of its classes, each
+/// provider and the hub itself are one scope each. A provider's is the
+/// handle [`Telemetry::provider_metrics`] hands out, which a slot plan's
+/// leg sinks and a [`FaultyProvider`](crate::FaultyProvider) resolve once
+/// and count through.
+pub(crate) struct Scope {
+    cells: [AtomicU64; KEYS],
+    latency: Histogram,
+    cost: Histogram,
+}
+
+impl Scope {
     fn new() -> Self {
-        ClassMetrics {
-            requests: AtomicU64::new(0),
-            successes: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
-            queue_peak: AtomicU64::new(0),
+        Scope {
+            cells: std::array::from_fn(|_| AtomicU64::new(0)),
             latency: Histogram::new(&LATENCY_EDGES_US),
+            cost: Histogram::new(&COST_EDGES_MILLI),
         }
+    }
+
+    /// Adds `n` to `key`, returning the new value.
+    fn add(&self, key: Key, n: u64) -> u64 {
+        self.cells[key as usize]
+            .fetch_add(n, Ordering::Relaxed)
+            .wrapping_add(n)
+    }
+
+    fn sub(&self, key: Key, n: u64) {
+        self.cells[key as usize].fetch_sub(n, Ordering::Relaxed);
+    }
+
+    fn set(&self, key: Key, value: u64) {
+        self.cells[key as usize].store(value, Ordering::Relaxed);
+    }
+
+    /// Raises the high-water mark `key` to `value`.
+    fn peak(&self, key: Key, value: u64) {
+        self.cells[key as usize].fetch_max(value, Ordering::Relaxed);
+    }
+
+    fn get(&self, key: Key) -> u64 {
+        self.cells[key as usize].load(Ordering::Relaxed)
+    }
+
+    /// Counts one microservice invocation on the provider.
+    pub(crate) fn count_invocation(&self, success: bool, latency: Duration, cost: f64) {
+        self.add(Key::Requests, 1);
+        if success {
+            self.add(Key::Successes, 1);
+        }
+        self.latency.record(micros(latency));
+        self.cost.record(milli_cost(cost));
+    }
+
+    /// Counts one invocation landing inside an active fault window.
+    pub(crate) fn count_fault_window(&self) {
+        self.add(Key::FaultWindowHits, 1);
     }
 }
 
-/// Per-service counters (all relaxed atomics): the handle
-/// [`Telemetry::service_metrics`] hands out, which the gateway's service
-/// entry resolves once and counts every finished request through.
+/// One service's counters: the handle [`Telemetry::service_metrics`]
+/// hands out, which the gateway's service entry resolves once and counts
+/// every finished request and admission-queue change through.
 pub(crate) struct ServiceMetrics {
-    invocations: AtomicU64,
-    successes: AtomicU64,
-    advisories: AtomicU64,
-    quorum_votes_cast: AtomicU64,
-    quorum_votes_agreed: AtomicU64,
-    replans: AtomicU64,
-    plans_cold: AtomicU64,
-    plans_cached: AtomicU64,
-    /// Plan-cache gauges: absolute values of the service planner's
-    /// [`PlanCacheStats`], stored (not accumulated) on every re-plan.
-    plan_cache_hits: AtomicU64,
-    plan_cache_misses: AtomicU64,
-    plan_cache_stale: AtomicU64,
-    strategy_switches: AtomicU64,
-    /// Slot boundaries that re-planned because the observed QoS drifted
-    /// outside the active plan's quantization band (drift mode only).
-    drift_replans: AtomicU64,
-    /// Slot boundaries that kept the active plan because the observed
-    /// QoS stayed within its quantization band (drift mode only).
-    drift_holds: AtomicU64,
-    plan_failures: AtomicU64,
-    history_evicted: AtomicU64,
-    requests_shed: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    /// Gauge: requests waiting in the admission queue right now.
-    admission_queue_depth: AtomicU64,
-    /// High-water mark of `admission_queue_depth`.
-    admission_queue_peak: AtomicU64,
-    candidates_seen: AtomicU64,
-    candidates_pruned: AtomicU64,
-    synthesis_micros: AtomicU64,
-    /// Live-override applications via the gateway's control handle.
-    overrides: AtomicU64,
-    latency: Histogram,
-    cost: Histogram,
+    all: Scope,
     /// Per-class breakout, indexed by [`QosClass::index`].
-    classes: [ClassMetrics; CLASS_COUNT],
+    classes: [Scope; CLASS_COUNT],
     /// Strategy text of the last planned slot, for switch detection.
     last_strategy: Mutex<Option<String>>,
 }
@@ -212,38 +261,13 @@ pub(crate) struct ServiceMetrics {
 impl ServiceMetrics {
     fn new() -> Self {
         ServiceMetrics {
-            invocations: AtomicU64::new(0),
-            successes: AtomicU64::new(0),
-            advisories: AtomicU64::new(0),
-            quorum_votes_cast: AtomicU64::new(0),
-            quorum_votes_agreed: AtomicU64::new(0),
-            replans: AtomicU64::new(0),
-            plans_cold: AtomicU64::new(0),
-            plans_cached: AtomicU64::new(0),
-            plan_cache_hits: AtomicU64::new(0),
-            plan_cache_misses: AtomicU64::new(0),
-            plan_cache_stale: AtomicU64::new(0),
-            strategy_switches: AtomicU64::new(0),
-            drift_replans: AtomicU64::new(0),
-            drift_holds: AtomicU64::new(0),
-            plan_failures: AtomicU64::new(0),
-            history_evicted: AtomicU64::new(0),
-            requests_shed: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            admission_queue_depth: AtomicU64::new(0),
-            admission_queue_peak: AtomicU64::new(0),
-            candidates_seen: AtomicU64::new(0),
-            candidates_pruned: AtomicU64::new(0),
-            synthesis_micros: AtomicU64::new(0),
-            overrides: AtomicU64::new(0),
-            latency: Histogram::new(&LATENCY_EDGES_US),
-            cost: Histogram::new(&COST_EDGES_MILLI),
-            classes: std::array::from_fn(|_| ClassMetrics::new()),
+            all: Scope::new(),
+            classes: std::array::from_fn(|_| Scope::new()),
             last_strategy: Mutex::new(None),
         }
     }
 
-    fn class(&self, class: QosClass) -> &ClassMetrics {
+    fn class(&self, class: QosClass) -> &Scope {
         &self.classes[class.index()]
     }
 
@@ -258,71 +282,31 @@ impl ServiceMetrics {
         advisory: bool,
         votes: Option<(usize, usize)>,
     ) {
-        self.invocations.fetch_add(1, Ordering::Relaxed);
-        if success {
-            self.successes.fetch_add(1, Ordering::Relaxed);
+        for scope in [&self.all, self.class(class)] {
+            scope.add(Key::Requests, 1);
+            if success {
+                scope.add(Key::Successes, 1);
+            }
+            scope.latency.record(micros(latency));
         }
         if advisory {
-            self.advisories.fetch_add(1, Ordering::Relaxed);
+            self.all.add(Key::Advisories, 1);
         }
         if let Some((agreed, cast)) = votes {
-            self.quorum_votes_agreed
-                .fetch_add(agreed as u64, Ordering::Relaxed);
-            self.quorum_votes_cast
-                .fetch_add(cast as u64, Ordering::Relaxed);
+            self.all.add(Key::VotesAgreed, agreed as u64);
+            self.all.add(Key::VotesCast, cast as u64);
         }
-        self.latency.record(micros(latency));
-        self.cost.record(milli_cost(cost));
-        let per_class = self.class(class);
-        per_class.requests.fetch_add(1, Ordering::Relaxed);
-        if success {
-            per_class.successes.fetch_add(1, Ordering::Relaxed);
-        }
-        per_class.latency.record(micros(latency));
-    }
-}
-
-/// Per-provider counters (all relaxed atomics): the handle
-/// [`Telemetry::provider_metrics`] hands out, which a slot plan's leg
-/// sinks and a [`FaultyProvider`](crate::FaultyProvider) resolve once and
-/// count through.
-pub(crate) struct ProviderMetrics {
-    invocations: AtomicU64,
-    successes: AtomicU64,
-    fault_window_hits: AtomicU64,
-    departures: AtomicU64,
-    rejoins: AtomicU64,
-    latency: Histogram,
-    cost: Histogram,
-}
-
-impl ProviderMetrics {
-    fn new() -> Self {
-        ProviderMetrics {
-            invocations: AtomicU64::new(0),
-            successes: AtomicU64::new(0),
-            fault_window_hits: AtomicU64::new(0),
-            departures: AtomicU64::new(0),
-            rejoins: AtomicU64::new(0),
-            latency: Histogram::new(&LATENCY_EDGES_US),
-            cost: Histogram::new(&COST_EDGES_MILLI),
-        }
+        self.all.cost.record(milli_cost(cost));
     }
 
-    /// Counts one microservice invocation on the provider (see
-    /// [`Telemetry::record_invocation`]).
-    pub(crate) fn count_invocation(&self, success: bool, latency: Duration, cost: f64) {
-        self.invocations.fetch_add(1, Ordering::Relaxed);
-        if success {
-            self.successes.fetch_add(1, Ordering::Relaxed);
+    /// Sets the admission-queue gauges after `class`'s queue changed: the
+    /// service's total depth and the class's own, each with its
+    /// high-water mark.
+    pub(crate) fn count_queue_depth(&self, class: QosClass, class_depth: u64, total: u64) {
+        for (scope, depth) in [(&self.all, total), (self.class(class), class_depth)] {
+            scope.set(Key::QueueDepth, depth);
+            scope.peak(Key::QueuePeak, depth);
         }
-        self.latency.record(micros(latency));
-        self.cost.record(milli_cost(cost));
-    }
-
-    /// Counts one invocation landing inside an active fault window.
-    pub(crate) fn count_fault_window(&self) {
-        self.fault_window_hits.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -767,15 +751,9 @@ pub struct Telemetry {
     dropped: AtomicU64,
     events: Mutex<VecDeque<TelemetryEvent>>,
     services: RwLock<HashMap<String, Arc<ServiceMetrics>>>,
-    providers: RwLock<HashMap<String, Arc<ProviderMetrics>>>,
-    market_fetches: AtomicU64,
-    market_fetch_failures: AtomicU64,
-    market_fetch_micros: AtomicU64,
-    storm_onsets: AtomicU64,
-    storm_recoveries: AtomicU64,
-    engine_in_flight: AtomicU64,
-    engine_frames: AtomicU64,
-    engine_frames_peak: AtomicU64,
+    providers: RwLock<HashMap<String, Arc<Scope>>>,
+    /// The market's, the storms' and the execution core's counters.
+    hub: Scope,
     sink: RwLock<Option<EventSink>>,
 }
 
@@ -788,6 +766,19 @@ impl fmt::Debug for Telemetry {
             .field("providers", &self.providers.read().len())
             .finish_non_exhaustive()
     }
+}
+
+/// The handle `name` in `map`, created (entering snapshots) on the first
+/// call.
+fn handle<T>(map: &RwLock<HashMap<String, Arc<T>>>, name: &str, new: fn() -> T) -> Arc<T> {
+    if let Some(found) = map.read().get(name) {
+        return Arc::clone(found);
+    }
+    let mut map = map.write();
+    let created = map
+        .entry(name.to_string())
+        .or_insert_with(|| Arc::new(new()));
+    Arc::clone(created)
 }
 
 impl Telemetry {
@@ -803,14 +794,7 @@ impl Telemetry {
             events: Mutex::new(VecDeque::new()),
             services: RwLock::new(HashMap::new()),
             providers: RwLock::new(HashMap::new()),
-            market_fetches: AtomicU64::new(0),
-            market_fetch_failures: AtomicU64::new(0),
-            market_fetch_micros: AtomicU64::new(0),
-            storm_onsets: AtomicU64::new(0),
-            storm_recoveries: AtomicU64::new(0),
-            engine_in_flight: AtomicU64::new(0),
-            engine_frames: AtomicU64::new(0),
-            engine_frames_peak: AtomicU64::new(0),
+            hub: Scope::new(),
             sink: RwLock::new(None),
         })
     }
@@ -818,27 +802,71 @@ impl Telemetry {
     /// The counters of service `name`, created (entering snapshots) on the
     /// first call.
     pub(crate) fn service_metrics(&self, name: &str) -> Arc<ServiceMetrics> {
-        if let Some(metrics) = self.services.read().get(name) {
-            return Arc::clone(metrics);
-        }
-        let mut map = self.services.write();
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(ServiceMetrics::new())),
-        )
+        handle(&self.services, name, ServiceMetrics::new)
     }
 
     /// The counters of provider `name`, created (entering snapshots) on
     /// the first call.
-    pub(crate) fn provider_metrics(&self, name: &str) -> Arc<ProviderMetrics> {
-        if let Some(metrics) = self.providers.read().get(name) {
-            return Arc::clone(metrics);
+    pub(crate) fn provider_metrics(&self, name: &str) -> Arc<Scope> {
+        handle(&self.providers, name, Scope::new)
+    }
+
+    /// Records one event: moves the counter it stands for, then emits it.
+    /// The counter moves first, so accounting stays gap-free when ring
+    /// overflow drops the event itself.
+    // Rare by design; `cold` keeps callers' event building off hot paths.
+    #[cold]
+    pub fn record(&self, kind: EventKind) {
+        let svc = |name: &str, key| {
+            self.service_metrics(name).all.add(key, 1);
+        };
+        let provider = |name: &str, key| {
+            self.provider_metrics(name).add(key, 1);
+        };
+        match &kind {
+            EventKind::SlotReplanned {
+                service: name,
+                source,
+                ..
+            } => {
+                let all = &self.service_metrics(name).all;
+                all.add(Key::Replans, 1);
+                match source {
+                    Some(PlanSource::Cold) => all.add(Key::PlansCold, 1),
+                    Some(PlanSource::Cached) => all.add(Key::PlansCached, 1),
+                    None => 0,
+                };
+            }
+            EventKind::ReplanTriggered { service: name, .. } => svc(name, Key::DriftReplans),
+            EventKind::StrategySwitched { service: name, .. } => svc(name, Key::StrategySwitches),
+            EventKind::PlanFailed { service: name, .. }
+            | EventKind::ProviderResolutionFailed { service: name, .. } => {
+                svc(name, Key::PlanFailures);
+            }
+            // Every hit, announced or not, is counted on the provider's
+            // handle by the faulty provider itself.
+            EventKind::FaultWindowHit { .. } => {}
+            EventKind::RequestShed {
+                service: name,
+                class,
+                ..
+            } => {
+                let metrics = self.service_metrics(name);
+                metrics.all.add(Key::Shed, 1);
+                metrics.class(*class).add(Key::Shed, 1);
+            }
+            EventKind::DeadlineExceeded { service: name, .. } => svc(name, Key::DeadlineExceeded),
+            EventKind::OverrideApplied { service: name, .. } => svc(name, Key::Overrides),
+            EventKind::StormOnset { .. } => {
+                self.hub.add(Key::StormOnsets, 1);
+            }
+            EventKind::StormRecovered { .. } => {
+                self.hub.add(Key::StormRecoveries, 1);
+            }
+            EventKind::ProviderLeft { provider: name } => provider(name, Key::Departures),
+            EventKind::ProviderRejoined { provider: name } => provider(name, Key::Rejoins),
         }
-        let mut map = self.providers.write();
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(ProviderMetrics::new())),
-        )
+        self.emit(kind);
     }
 
     fn emit(&self, kind: EventKind) {
@@ -892,49 +920,34 @@ impl Telemetry {
             .count_request(class, success, latency, cost, advisory, votes);
     }
 
-    /// Records one microservice invocation on a provider (executor level).
-    /// The engine itself counts through the provider's handle; this looks
-    /// the handle up by name.
-    pub fn record_invocation(&self, provider: &str, success: bool, latency: Duration, cost: f64) {
-        self.provider_metrics(provider)
-            .count_invocation(success, latency, cost);
-    }
-
     /// A request entered the execution core.
-    pub fn record_engine_request_start(&self) {
-        self.engine_in_flight.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_engine_request_start(&self) {
+        self.hub.add(Key::EngineInFlight, 1);
     }
 
     /// A request left the execution core (resolved or shut down).
-    pub fn record_engine_request_end(&self) {
-        self.engine_in_flight.fetch_sub(1, Ordering::Relaxed);
+    pub(crate) fn record_engine_request_end(&self) {
+        self.hub.sub(Key::EngineInFlight, 1);
     }
 
     /// The core allocated one `Seq`/`Par` continuation frame.
-    pub fn record_engine_frame(&self) {
-        let frames = self.engine_frames.fetch_add(1, Ordering::Relaxed) + 1;
-        self.engine_frames_peak.fetch_max(frames, Ordering::Relaxed);
+    pub(crate) fn record_engine_frame(&self) {
+        let frames = self.hub.add(Key::EngineFrames, 1);
+        self.hub.peak(Key::EngineFramesPeak, frames);
     }
 
     /// A resolved request released its `frames` continuation frames.
-    pub fn record_engine_frames_done(&self, frames: usize) {
-        self.engine_frames
-            .fetch_sub(frames as u64, Ordering::Relaxed);
+    pub(crate) fn record_engine_frames_done(&self, frames: usize) {
+        self.hub.sub(Key::EngineFrames, frames as u64);
     }
 
     /// Records the generator's search effort for one re-plan of `service`
     /// (called by [`Planner::plan_slot_for`](crate::Planner::plan_slot_for)).
     pub fn record_synthesis(&self, service: &str, report: &SynthesisReport) {
-        let metrics = self.service_metrics(service);
-        metrics
-            .candidates_seen
-            .fetch_add(report.candidates_seen, Ordering::Relaxed);
-        metrics
-            .candidates_pruned
-            .fetch_add(report.candidates_pruned, Ordering::Relaxed);
-        metrics
-            .synthesis_micros
-            .fetch_add(micros(report.elapsed), Ordering::Relaxed);
+        let all = &self.service_metrics(service).all;
+        all.add(Key::CandidatesSeen, report.candidates_seen);
+        all.add(Key::CandidatesPruned, report.candidates_pruned);
+        all.add(Key::SynthesisMicros, micros(report.elapsed));
     }
 
     /// Records a successful slot re-plan, emitting a
@@ -950,20 +963,13 @@ impl Telemetry {
         report: Option<&SynthesisReport>,
         source: Option<PlanSource>,
     ) {
-        let metrics = self.service_metrics(service);
-        metrics.replans.fetch_add(1, Ordering::Relaxed);
-        match source {
-            Some(PlanSource::Cold) => metrics.plans_cold.fetch_add(1, Ordering::Relaxed),
-            Some(PlanSource::Cached) => metrics.plans_cached.fetch_add(1, Ordering::Relaxed),
-            None => 0,
-        };
-        let previous = {
-            let mut last = metrics.last_strategy.lock();
-            last.replace(strategy_text.to_string())
-        };
-        let default = SynthesisReport::default();
-        let report = report.copied().unwrap_or(default);
-        self.emit(EventKind::SlotReplanned {
+        let previous = self
+            .service_metrics(service)
+            .last_strategy
+            .lock()
+            .replace(strategy_text.to_string());
+        let report = report.copied().unwrap_or_default();
+        self.record(EventKind::SlotReplanned {
             service: service.to_string(),
             slot,
             origin: origin.to_string(),
@@ -973,220 +979,67 @@ impl Telemetry {
             elapsed: report.elapsed,
             source,
         });
-        if let Some(previous) = previous {
-            if previous != strategy_text {
-                metrics.strategy_switches.fetch_add(1, Ordering::Relaxed);
-                self.emit(EventKind::StrategySwitched {
-                    service: service.to_string(),
-                    slot,
-                    from: previous,
-                    to: strategy_text.to_string(),
-                });
-            }
+        if let Some(from) = previous.filter(|previous| previous != strategy_text) {
+            self.record(EventKind::StrategySwitched {
+                service: service.to_string(),
+                slot,
+                from,
+                to: strategy_text.to_string(),
+            });
         }
-    }
-
-    /// Records a drift-triggered re-plan decision at a slot boundary,
-    /// emitting an [`EventKind::ReplanTriggered`] event (counter first,
-    /// so accounting stays gap-free under ring overflow).
-    pub fn record_drift_trigger(&self, service: &str, slot: u64, drift: f64) {
-        self.service_metrics(service)
-            .drift_replans
-            .fetch_add(1, Ordering::Relaxed);
-        self.emit(EventKind::ReplanTriggered {
-            service: service.to_string(),
-            slot,
-            drift,
-        });
     }
 
     /// Records a slot boundary that held its plan because the observed
     /// QoS stayed inside the active plan's quantization band.
     pub fn record_drift_hold(&self, service: &str) {
-        self.service_metrics(service)
-            .drift_holds
-            .fetch_add(1, Ordering::Relaxed);
+        self.service_metrics(service).all.add(Key::DriftHolds, 1);
     }
 
     /// Records a failed slot plan, emitting
     /// [`EventKind::ProviderResolutionFailed`] for missing providers and
     /// [`EventKind::PlanFailed`] for everything else.
     pub fn record_plan_failure(&self, service: &str, slot: u64, error: &RuntimeError) {
-        self.service_metrics(service)
-            .plan_failures
-            .fetch_add(1, Ordering::Relaxed);
-        match error {
-            RuntimeError::NoProvider { capability } => {
-                self.emit(EventKind::ProviderResolutionFailed {
-                    service: service.to_string(),
-                    slot,
-                    capability: capability.clone(),
-                });
-            }
-            other => self.emit(EventKind::PlanFailed {
-                service: service.to_string(),
+        let service = service.to_string();
+        self.record(match error {
+            RuntimeError::NoProvider { capability } => EventKind::ProviderResolutionFailed {
+                service,
+                slot,
+                capability: capability.clone(),
+            },
+            other => EventKind::PlanFailed {
+                service,
                 slot,
                 reason: other.to_string(),
-            }),
-        }
+            },
+        });
     }
 
     /// Records the current state of a service planner's plan cache. The
     /// values are absolute gauges (the cache owns the authoritative
     /// counters), so this *stores* rather than accumulates.
     pub fn record_plan_cache(&self, service: &str, stats: &PlanCacheStats) {
-        let metrics = self.service_metrics(service);
-        metrics.plan_cache_hits.store(stats.hits, Ordering::Relaxed);
-        metrics
-            .plan_cache_misses
-            .store(stats.misses, Ordering::Relaxed);
-        metrics
-            .plan_cache_stale
-            .store(stats.stale, Ordering::Relaxed);
+        let all = &self.service_metrics(service).all;
+        all.set(Key::PlanCacheHits, stats.hits);
+        all.set(Key::PlanCacheMisses, stats.misses);
+        all.set(Key::PlanCacheStale, stats.stale);
     }
 
     /// Records slot records evicted from a service's bounded history.
     pub fn record_history_evicted(&self, service: &str, evicted: u64) {
         self.service_metrics(service)
-            .history_evicted
-            .fetch_add(evicted, Ordering::Relaxed);
-    }
-
-    /// Records a shed request (admission queue full), emitting an
-    /// [`EventKind::RequestShed`] event. The counter is incremented before
-    /// the event enters the ring, so shed accounting stays gap-free even
-    /// when ring overflow drops the event itself.
-    pub fn record_shed(&self, service: &str, class: QosClass, in_flight: u64, queued: u64) {
-        let metrics = self.service_metrics(service);
-        metrics.requests_shed.fetch_add(1, Ordering::Relaxed);
-        metrics.class(class).shed.fetch_add(1, Ordering::Relaxed);
-        self.emit(EventKind::RequestShed {
-            service: service.to_string(),
-            class,
-            in_flight,
-            queued,
-        });
-    }
-
-    /// Records a request whose deadline expired mid-execution, emitting an
-    /// [`EventKind::DeadlineExceeded`] event (counter first, same gap-free
-    /// guarantee as [`record_shed`](Self::record_shed)).
-    pub fn record_deadline_exceeded(&self, service: &str, request_id: u64, class: QosClass) {
-        self.service_metrics(service)
-            .deadline_exceeded
-            .fetch_add(1, Ordering::Relaxed);
-        self.emit(EventKind::DeadlineExceeded {
-            service: service.to_string(),
-            request_id,
-            class,
-        });
-    }
-
-    /// Records the admission queue depth of `service` (absolute gauge),
-    /// tracking the high-water mark.
-    pub fn record_admission_queue(&self, service: &str, depth: u64) {
-        let metrics = self.service_metrics(service);
-        metrics
-            .admission_queue_depth
-            .store(depth, Ordering::Relaxed);
-        metrics
-            .admission_queue_peak
-            .fetch_max(depth, Ordering::Relaxed);
-    }
-
-    /// Records one class's admission queue depth for `service` (absolute
-    /// gauge), tracking the per-class high-water mark.
-    pub fn record_class_queue_depth(&self, service: &str, class: QosClass, depth: u64) {
-        let metrics = self.service_metrics(service);
-        let per_class = metrics.class(class);
-        per_class.queue_depth.store(depth, Ordering::Relaxed);
-        per_class.queue_peak.fetch_max(depth, Ordering::Relaxed);
-    }
-
-    /// Records a live override applied through the gateway's control
-    /// handle, emitting exactly one [`EventKind::OverrideApplied`] event
-    /// (counter first, same gap-free guarantee as
-    /// [`record_shed`](Self::record_shed)).
-    pub fn record_override(&self, service: &str, field: &str, value: &str) {
-        self.service_metrics(service)
-            .overrides
-            .fetch_add(1, Ordering::Relaxed);
-        self.emit(EventKind::OverrideApplied {
-            service: service.to_string(),
-            field: field.to_string(),
-            value: value.to_string(),
-        });
+            .all
+            .add(Key::HistoryEvicted, evicted);
     }
 
     /// Records a market script fetch.
     pub fn record_market_fetch(&self, elapsed: Duration, success: bool) {
-        if success {
-            self.market_fetches.fetch_add(1, Ordering::Relaxed);
+        let outcome = if success {
+            Key::MarketFetches
         } else {
-            self.market_fetch_failures.fetch_add(1, Ordering::Relaxed);
-        }
-        self.market_fetch_micros
-            .fetch_add(micros(elapsed), Ordering::Relaxed);
-    }
-
-    /// Records an invocation landing inside a provider's active fault
-    /// window, emitting an [`EventKind::FaultWindowHit`] event.
-    pub fn record_fault_window(&self, provider: &str, fault: &str) {
-        self.provider_metrics(provider).count_fault_window();
-        self.announce_fault_window(provider, fault);
-    }
-
-    /// Emits the [`EventKind::FaultWindowHit`] event of a hit already
-    /// counted on the provider's handle.
-    pub(crate) fn announce_fault_window(&self, provider: &str, fault: &str) {
-        self.emit(EventKind::FaultWindowHit {
-            provider: provider.to_string(),
-            fault: fault.to_string(),
-        });
-    }
-
-    /// Records the onset of a correlated-failure storm, emitting an
-    /// [`EventKind::StormOnset`] event (counter first, same gap-free
-    /// guarantee as [`record_shed`](Self::record_shed)).
-    pub fn record_storm_onset(&self, storm: &str, providers: &[String]) {
-        self.storm_onsets.fetch_add(1, Ordering::Relaxed);
-        self.emit(EventKind::StormOnset {
-            storm: storm.to_string(),
-            providers: providers.to_vec(),
-        });
-    }
-
-    /// Records the end of a correlated-failure storm, emitting an
-    /// [`EventKind::StormRecovered`] event. Adaptation lag is measured
-    /// from this marker.
-    pub fn record_storm_recovered(&self, storm: &str, providers: &[String]) {
-        self.storm_recoveries.fetch_add(1, Ordering::Relaxed);
-        self.emit(EventKind::StormRecovered {
-            storm: storm.to_string(),
-            providers: providers.to_vec(),
-        });
-    }
-
-    /// Records a provider leaving the environment (device churn), emitting
-    /// an [`EventKind::ProviderLeft`] event.
-    pub fn record_provider_left(&self, provider: &str) {
-        self.provider_metrics(provider)
-            .departures
-            .fetch_add(1, Ordering::Relaxed);
-        self.emit(EventKind::ProviderLeft {
-            provider: provider.to_string(),
-        });
-    }
-
-    /// Records a provider re-joining the environment (device churn),
-    /// emitting an [`EventKind::ProviderRejoined`] event.
-    pub fn record_provider_rejoined(&self, provider: &str) {
-        self.provider_metrics(provider)
-            .rejoins
-            .fetch_add(1, Ordering::Relaxed);
-        self.emit(EventKind::ProviderRejoined {
-            provider: provider.to_string(),
-        });
+            Key::MarketFetchFailures
+        };
+        self.hub.add(outcome, 1);
+        self.hub.add(Key::MarketFetchMicros, micros(elapsed));
     }
 
     /// The events currently buffered in the ring, oldest first.
@@ -1206,46 +1059,44 @@ impl Telemetry {
             .iter()
             .map(|(name, m)| ServiceSnapshot {
                 service: name.clone(),
-                invocations: m.invocations.load(Ordering::Relaxed),
-                successes: m.successes.load(Ordering::Relaxed),
-                advisories: m.advisories.load(Ordering::Relaxed),
-                quorum_votes_cast: m.quorum_votes_cast.load(Ordering::Relaxed),
-                quorum_votes_agreed: m.quorum_votes_agreed.load(Ordering::Relaxed),
-                replans: m.replans.load(Ordering::Relaxed),
-                plans_cold: m.plans_cold.load(Ordering::Relaxed),
-                plans_cached: m.plans_cached.load(Ordering::Relaxed),
-                plan_cache_hits: m.plan_cache_hits.load(Ordering::Relaxed),
+                invocations: m.all.get(Key::Requests),
+                successes: m.all.get(Key::Successes),
+                advisories: m.all.get(Key::Advisories),
+                quorum_votes_cast: m.all.get(Key::VotesCast),
+                quorum_votes_agreed: m.all.get(Key::VotesAgreed),
+                replans: m.all.get(Key::Replans),
+                plans_cold: m.all.get(Key::PlansCold),
+                plans_cached: m.all.get(Key::PlansCached),
+                plan_cache_hits: m.all.get(Key::PlanCacheHits),
                 plan_cache_remote_hits: 0,
-                plan_cache_misses: m.plan_cache_misses.load(Ordering::Relaxed),
-                plan_cache_stale: m.plan_cache_stale.load(Ordering::Relaxed),
-                strategy_switches: m.strategy_switches.load(Ordering::Relaxed),
-                drift_replans: m.drift_replans.load(Ordering::Relaxed),
-                drift_holds: m.drift_holds.load(Ordering::Relaxed),
-                plan_failures: m.plan_failures.load(Ordering::Relaxed),
-                history_evicted: m.history_evicted.load(Ordering::Relaxed),
-                requests_shed: m.requests_shed.load(Ordering::Relaxed),
-                deadline_exceeded: m.deadline_exceeded.load(Ordering::Relaxed),
-                admission_queue_depth: m.admission_queue_depth.load(Ordering::Relaxed),
-                admission_queue_peak: m.admission_queue_peak.load(Ordering::Relaxed),
-                candidates_seen: m.candidates_seen.load(Ordering::Relaxed),
-                candidates_pruned: m.candidates_pruned.load(Ordering::Relaxed),
-                synthesis_elapsed: Duration::from_micros(
-                    m.synthesis_micros.load(Ordering::Relaxed),
-                ),
-                overrides: m.overrides.load(Ordering::Relaxed),
-                latency_ms: m.latency.snapshot(1000.0),
-                cost: m.cost.snapshot(1000.0),
+                plan_cache_misses: m.all.get(Key::PlanCacheMisses),
+                plan_cache_stale: m.all.get(Key::PlanCacheStale),
+                strategy_switches: m.all.get(Key::StrategySwitches),
+                drift_replans: m.all.get(Key::DriftReplans),
+                drift_holds: m.all.get(Key::DriftHolds),
+                plan_failures: m.all.get(Key::PlanFailures),
+                history_evicted: m.all.get(Key::HistoryEvicted),
+                requests_shed: m.all.get(Key::Shed),
+                deadline_exceeded: m.all.get(Key::DeadlineExceeded),
+                admission_queue_depth: m.all.get(Key::QueueDepth),
+                admission_queue_peak: m.all.get(Key::QueuePeak),
+                candidates_seen: m.all.get(Key::CandidatesSeen),
+                candidates_pruned: m.all.get(Key::CandidatesPruned),
+                synthesis_elapsed: Duration::from_micros(m.all.get(Key::SynthesisMicros)),
+                overrides: m.all.get(Key::Overrides),
+                latency_ms: m.all.latency.snapshot(1000.0),
+                cost: m.all.cost.snapshot(1000.0),
                 classes: QosClass::ALL
                     .iter()
                     .map(|&class| {
                         let c = m.class(class);
                         ClassSnapshot {
                             class,
-                            requests: c.requests.load(Ordering::Relaxed),
-                            successes: c.successes.load(Ordering::Relaxed),
-                            shed: c.shed.load(Ordering::Relaxed),
-                            queue_depth: c.queue_depth.load(Ordering::Relaxed),
-                            queue_peak: c.queue_peak.load(Ordering::Relaxed),
+                            requests: c.get(Key::Requests),
+                            successes: c.get(Key::Successes),
+                            shed: c.get(Key::Shed),
+                            queue_depth: c.get(Key::QueueDepth),
+                            queue_peak: c.get(Key::QueuePeak),
                             latency_ms: c.latency.snapshot(1000.0),
                         }
                     })
@@ -1258,38 +1109,37 @@ impl Telemetry {
             .providers
             .read()
             .iter()
-            .map(|(name, m)| ProviderSnapshot {
+            .map(|(name, p)| ProviderSnapshot {
                 provider: name.clone(),
-                invocations: m.invocations.load(Ordering::Relaxed),
-                successes: m.successes.load(Ordering::Relaxed),
-                fault_window_hits: m.fault_window_hits.load(Ordering::Relaxed),
-                departures: m.departures.load(Ordering::Relaxed),
-                rejoins: m.rejoins.load(Ordering::Relaxed),
-                latency_ms: m.latency.snapshot(1000.0),
-                cost: m.cost.snapshot(1000.0),
+                invocations: p.get(Key::Requests),
+                successes: p.get(Key::Successes),
+                fault_window_hits: p.get(Key::FaultWindowHits),
+                departures: p.get(Key::Departures),
+                rejoins: p.get(Key::Rejoins),
+                latency_ms: p.latency.snapshot(1000.0),
+                cost: p.cost.snapshot(1000.0),
             })
             .collect();
         providers.sort_by(|a, b| a.provider.cmp(&b.provider));
 
+        let hub = &self.hub;
         MetricsSnapshot {
             at: self.clock.now(),
             services,
             providers,
             market: MarketSnapshot {
-                fetches: self.market_fetches.load(Ordering::Relaxed),
-                fetch_failures: self.market_fetch_failures.load(Ordering::Relaxed),
-                fetch_elapsed: Duration::from_micros(
-                    self.market_fetch_micros.load(Ordering::Relaxed),
-                ),
+                fetches: hub.get(Key::MarketFetches),
+                fetch_failures: hub.get(Key::MarketFetchFailures),
+                fetch_elapsed: Duration::from_micros(hub.get(Key::MarketFetchMicros)),
             },
             storms: StormSnapshot {
-                onsets: self.storm_onsets.load(Ordering::Relaxed),
-                recoveries: self.storm_recoveries.load(Ordering::Relaxed),
+                onsets: hub.get(Key::StormOnsets),
+                recoveries: hub.get(Key::StormRecoveries),
             },
             engine: EngineSnapshot {
-                in_flight: self.engine_in_flight.load(Ordering::Relaxed),
-                frames: self.engine_frames.load(Ordering::Relaxed),
-                frames_peak: self.engine_frames_peak.load(Ordering::Relaxed),
+                in_flight: hub.get(Key::EngineInFlight),
+                frames: hub.get(Key::EngineFrames),
+                frames_peak: hub.get(Key::EngineFramesPeak),
             },
             events: EventRingSnapshot {
                 emitted: self.seq.load(Ordering::Relaxed),
@@ -1305,11 +1155,19 @@ impl Telemetry {
 mod tests {
     use super::*;
     use crate::clock::{VirtualClock, WallClock};
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn telemetry(capacity: usize) -> (Arc<VirtualClock>, Arc<Telemetry>) {
         let clock = Arc::new(VirtualClock::new());
         let t = Telemetry::new(Arc::clone(&clock) as Arc<dyn Clock>, capacity);
         (clock, t)
+    }
+
+    fn fault_hit(provider: &str) -> EventKind {
+        EventKind::FaultWindowHit {
+            provider: provider.to_string(),
+            fault: "crash".to_string(),
+        }
     }
 
     #[test]
@@ -1358,11 +1216,20 @@ mod tests {
         // per-service counters must stay gap-free because the counter is
         // incremented before the event enters the ring.
         let (_, t) = telemetry(2);
-        for i in 0..10 {
-            t.record_shed("svc", QosClass::Scavenger, 4, i);
+        for queued in 0..10 {
+            t.record(EventKind::RequestShed {
+                service: "svc".to_string(),
+                class: QosClass::Scavenger,
+                in_flight: 4,
+                queued,
+            });
         }
-        for i in 0..5 {
-            t.record_deadline_exceeded("svc", i, QosClass::Interactive);
+        for request_id in 0..5 {
+            t.record(EventKind::DeadlineExceeded {
+                service: "svc".to_string(),
+                request_id,
+                class: QosClass::Interactive,
+            });
         }
         let snap = t.snapshot();
         let svc = snap.service("svc").unwrap();
@@ -1378,9 +1245,10 @@ mod tests {
     #[test]
     fn admission_queue_gauge_tracks_peak() {
         let (_, t) = telemetry(4);
-        t.record_admission_queue("svc", 3);
-        t.record_admission_queue("svc", 7);
-        t.record_admission_queue("svc", 1);
+        let metrics = t.service_metrics("svc");
+        metrics.count_queue_depth(QosClass::Bulk, 1, 3);
+        metrics.count_queue_depth(QosClass::Bulk, 1, 7);
+        metrics.count_queue_depth(QosClass::Bulk, 1, 1);
         let snap = t.snapshot();
         let svc = snap.service("svc").unwrap();
         assert_eq!(svc.admission_queue_depth, 1, "gauge holds the last value");
@@ -1390,9 +1258,11 @@ mod tests {
     #[test]
     fn invocation_counters_accumulate_per_provider() {
         let (_, t) = telemetry(8);
-        t.record_invocation("d1/x", true, Duration::from_millis(2), 10.0);
-        t.record_invocation("d1/x", false, Duration::from_millis(4), 10.0);
-        t.record_invocation("d2/y", true, Duration::from_millis(1), 5.0);
+        let x = t.provider_metrics("d1/x");
+        x.count_invocation(true, Duration::from_millis(2), 10.0);
+        x.count_invocation(false, Duration::from_millis(4), 10.0);
+        t.provider_metrics("d2/y")
+            .count_invocation(true, Duration::from_millis(1), 5.0);
         let snap = t.snapshot();
         assert_eq!(snap.providers.len(), 2);
         // Sorted by id.
@@ -1622,7 +1492,7 @@ mod tests {
     fn event_ring_is_bounded_and_counts_drops() {
         let (_, t) = telemetry(2);
         for i in 0..5 {
-            t.record_fault_window(&format!("d{i}"), "crash");
+            t.record(fault_hit(&format!("d{i}")));
         }
         let snap = t.snapshot();
         assert_eq!(snap.recent_events.len(), 2);
@@ -1638,7 +1508,7 @@ mod tests {
     fn events_are_stamped_with_clock_time() {
         let (clock, t) = telemetry(8);
         clock.advance(Duration::from_millis(25));
-        t.record_fault_window("d", "latency");
+        t.record(fault_hit("d"));
         assert_eq!(t.events()[0].at, Duration::from_millis(25));
     }
 
@@ -1652,11 +1522,11 @@ mod tests {
             counter.fetch_add(1, Ordering::Relaxed);
         });
         for _ in 0..4 {
-            t.record_fault_window("d", "crash");
+            t.record(fault_hit("d"));
         }
         assert_eq!(seen.load(Ordering::Relaxed), 4);
         t.clear_sink();
-        t.record_fault_window("d", "crash");
+        t.record(fault_hit("d"));
         assert_eq!(seen.load(Ordering::Relaxed), 4, "sink removed");
     }
 
@@ -1672,7 +1542,8 @@ mod tests {
             false,
             None,
         );
-        t.record_invocation("d/x", true, Duration::from_millis(2), 25.0);
+        t.provider_metrics("d/x")
+            .count_invocation(true, Duration::from_millis(2), 25.0);
         t.record_replan("svc", 0, "default", "a*b", None, None);
         t.record_market_fetch(Duration::from_millis(1), true);
         let snap = t.snapshot();
@@ -1686,11 +1557,23 @@ mod tests {
     #[test]
     fn storm_and_churn_markers_accumulate_and_round_trip() {
         let (_, t) = telemetry(8);
-        let group = vec!["d0/c0".to_string(), "d1/c1".to_string()];
-        t.record_storm_onset("radio", &group);
-        t.record_provider_left("d0/c0");
-        t.record_provider_rejoined("d0/c0");
-        t.record_storm_recovered("radio", &group);
+        let storm = || "radio".to_string();
+        let group = || vec!["d0/c0".to_string(), "d1/c1".to_string()];
+        let provider = || "d0/c0".to_string();
+        t.record(EventKind::StormOnset {
+            storm: storm(),
+            providers: group(),
+        });
+        t.record(EventKind::ProviderLeft {
+            provider: provider(),
+        });
+        t.record(EventKind::ProviderRejoined {
+            provider: provider(),
+        });
+        t.record(EventKind::StormRecovered {
+            storm: storm(),
+            providers: group(),
+        });
         let snap = t.snapshot();
         assert_eq!(snap.storms.onsets, 1);
         assert_eq!(snap.storms.recoveries, 1);
@@ -1710,7 +1593,7 @@ mod tests {
     #[test]
     fn zero_capacity_ring_still_counts() {
         let (_, t) = telemetry(0);
-        t.record_fault_window("d", "crash");
+        t.record(fault_hit("d"));
         let snap = t.snapshot();
         assert!(snap.recent_events.is_empty());
         assert_eq!(snap.events.emitted, 1);
@@ -1746,15 +1629,21 @@ mod tests {
     #[test]
     fn class_queue_gauges_and_overrides_accumulate() {
         let (_, t) = telemetry(4);
-        t.record_class_queue_depth("svc", QosClass::Bulk, 2);
-        t.record_class_queue_depth("svc", QosClass::Bulk, 5);
-        t.record_class_queue_depth("svc", QosClass::Bulk, 1);
-        t.record_override("svc", "class", "critical");
+        let metrics = t.service_metrics("svc");
+        metrics.count_queue_depth(QosClass::Bulk, 2, 2);
+        metrics.count_queue_depth(QosClass::Bulk, 5, 5);
+        metrics.count_queue_depth(QosClass::Bulk, 1, 1);
+        t.record(EventKind::OverrideApplied {
+            service: "svc".to_string(),
+            field: "class".to_string(),
+            value: "critical".to_string(),
+        });
         let snap = t.snapshot();
         let svc = snap.service("svc").unwrap();
         let bulk = svc.class(QosClass::Bulk).unwrap();
         assert_eq!(bulk.queue_depth, 1, "gauge holds the last value");
         assert_eq!(bulk.queue_peak, 5, "peak is the high-water mark");
+        assert_eq!(svc.class(QosClass::Critical).unwrap().queue_peak, 0);
         assert_eq!(svc.overrides, 1);
         assert!(matches!(
             &snap.recent_events[0].kind,
@@ -1796,5 +1685,266 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    /// The snapshot's integer leaves by JSON path (array entries by
+    /// index), without the event ring's accounting.
+    fn counters(t: &Telemetry) -> BTreeMap<String, u64> {
+        fn walk(path: &str, value: &serde_json::Value, out: &mut BTreeMap<String, u64>) {
+            match value {
+                serde_json::Value::Object(map) => {
+                    for (key, value) in map.iter() {
+                        walk(&format!("{path}.{key}"), value, out);
+                    }
+                }
+                serde_json::Value::Array(items) => {
+                    for (i, value) in items.iter().enumerate() {
+                        walk(&format!("{path}.{i}"), value, out);
+                    }
+                }
+                serde_json::Value::UInt(n) => {
+                    out.insert(path.to_string(), *n);
+                }
+                _ => {}
+            }
+        }
+        let mut snap = t.snapshot();
+        snap.recent_events.clear();
+        snap.events.emitted = 0;
+        snap.events.dropped = 0;
+        let mut out = BTreeMap::new();
+        walk("", &serde_json::to_value(&snap).unwrap(), &mut out);
+        out
+    }
+
+    /// Each event kind, recorded once on a fresh hub, moves exactly the
+    /// counters its `record` arm names, each by one.
+    #[test]
+    fn each_event_moves_exactly_its_counter() {
+        let svc = || "svc".to_string();
+        let provider = || "p".to_string();
+        let replanned = |source| EventKind::SlotReplanned {
+            service: svc(),
+            slot: 1,
+            origin: "default".to_string(),
+            strategy: "a".to_string(),
+            candidates_seen: 3,
+            candidates_pruned: 2,
+            elapsed: Duration::from_micros(5),
+            source,
+        };
+        let cases: Vec<(EventKind, &[&str])> = vec![
+            (replanned(None), &[".services.0.replans"]),
+            (
+                replanned(Some(PlanSource::Cold)),
+                &[".services.0.replans", ".services.0.plans_cold"],
+            ),
+            (
+                replanned(Some(PlanSource::Cached)),
+                &[".services.0.replans", ".services.0.plans_cached"],
+            ),
+            (
+                EventKind::ReplanTriggered {
+                    service: svc(),
+                    slot: 1,
+                    drift: 0.5,
+                },
+                &[".services.0.drift_replans"],
+            ),
+            (
+                EventKind::StrategySwitched {
+                    service: svc(),
+                    slot: 1,
+                    from: "a".to_string(),
+                    to: "b".to_string(),
+                },
+                &[".services.0.strategy_switches"],
+            ),
+            (
+                EventKind::PlanFailed {
+                    service: svc(),
+                    slot: 1,
+                    reason: "boom".to_string(),
+                },
+                &[".services.0.plan_failures"],
+            ),
+            (
+                EventKind::ProviderResolutionFailed {
+                    service: svc(),
+                    slot: 1,
+                    capability: "c".to_string(),
+                },
+                &[".services.0.plan_failures"],
+            ),
+            (fault_hit("p"), &[]),
+            (
+                EventKind::RequestShed {
+                    service: svc(),
+                    class: QosClass::Scavenger,
+                    in_flight: 4,
+                    queued: 2,
+                },
+                &[".services.0.requests_shed", ".services.0.classes.3.shed"],
+            ),
+            (
+                EventKind::DeadlineExceeded {
+                    service: svc(),
+                    request_id: 7,
+                    class: QosClass::Bulk,
+                },
+                &[".services.0.deadline_exceeded"],
+            ),
+            (
+                EventKind::OverrideApplied {
+                    service: svc(),
+                    field: "class".to_string(),
+                    value: "bulk".to_string(),
+                },
+                &[".services.0.overrides"],
+            ),
+            (
+                EventKind::StormOnset {
+                    storm: "radio".to_string(),
+                    providers: vec![provider()],
+                },
+                &[".storms.onsets"],
+            ),
+            (
+                EventKind::StormRecovered {
+                    storm: "radio".to_string(),
+                    providers: vec![provider()],
+                },
+                &[".storms.recoveries"],
+            ),
+            (
+                EventKind::ProviderLeft {
+                    provider: provider(),
+                },
+                &[".providers.0.departures"],
+            ),
+            (
+                EventKind::ProviderRejoined {
+                    provider: provider(),
+                },
+                &[".providers.0.rejoins"],
+            ),
+        ];
+        for (kind, expected) in cases {
+            let (_, t) = telemetry(4);
+            t.service_metrics("svc");
+            t.provider_metrics("p");
+            let before = counters(&t);
+            t.record(kind.clone());
+            let after = counters(&t);
+            assert_eq!(
+                before.keys().collect::<Vec<_>>(),
+                after.keys().collect::<Vec<_>>(),
+                "{kind:?}"
+            );
+            let moved: Vec<(&str, u64)> = after
+                .iter()
+                .filter(|(path, n)| before[*path] != **n)
+                .map(|(path, n)| (path.as_str(), n - before[path]))
+                .collect();
+            let wanted: Vec<(&str, u64)> = {
+                let mut wanted: Vec<_> = expected.iter().map(|path| (*path, 1)).collect();
+                wanted.sort_unstable();
+                wanted
+            };
+            assert_eq!(moved, wanted, "{kind:?}");
+            assert_eq!(t.events().len(), 1, "{kind:?} is emitted once");
+        }
+    }
+
+    /// Every snapshot field reads its own key: with each cell of each
+    /// scope holding a distinct value, a field wired to another key (or
+    /// two fields wired to one) reads the wrong one.
+    #[test]
+    fn each_key_feeds_exactly_one_snapshot_field() {
+        let (_, t) = telemetry(4);
+        let svc = t.service_metrics("svc");
+        let provider = t.provider_metrics("p");
+        let scopes: Vec<&Scope> = std::iter::once(&svc.all)
+            .chain(&svc.classes)
+            .chain([&*provider, &t.hub])
+            .collect();
+        let value = |scope: usize, key: Key| 1000 * scope as u64 + key as u64 + 1;
+        for (s, scope) in scopes.iter().enumerate() {
+            for (k, cell) in scope.cells.iter().enumerate() {
+                cell.store(1000 * s as u64 + k as u64 + 1, Ordering::Relaxed);
+            }
+        }
+        let micros = |d: Duration| u64::try_from(d.as_micros()).unwrap();
+        let snap = t.snapshot();
+        let s = &snap.services[0];
+        let p = &snap.providers[0];
+        let mut fields: Vec<(u64, u64)> = vec![
+            (s.invocations, value(0, Key::Requests)),
+            (s.successes, value(0, Key::Successes)),
+            (s.advisories, value(0, Key::Advisories)),
+            (s.quorum_votes_cast, value(0, Key::VotesCast)),
+            (s.quorum_votes_agreed, value(0, Key::VotesAgreed)),
+            (s.replans, value(0, Key::Replans)),
+            (s.plans_cold, value(0, Key::PlansCold)),
+            (s.plans_cached, value(0, Key::PlansCached)),
+            (s.plan_cache_hits, value(0, Key::PlanCacheHits)),
+            (s.plan_cache_misses, value(0, Key::PlanCacheMisses)),
+            (s.plan_cache_stale, value(0, Key::PlanCacheStale)),
+            (s.strategy_switches, value(0, Key::StrategySwitches)),
+            (s.drift_replans, value(0, Key::DriftReplans)),
+            (s.drift_holds, value(0, Key::DriftHolds)),
+            (s.plan_failures, value(0, Key::PlanFailures)),
+            (s.history_evicted, value(0, Key::HistoryEvicted)),
+            (s.requests_shed, value(0, Key::Shed)),
+            (s.deadline_exceeded, value(0, Key::DeadlineExceeded)),
+            (s.admission_queue_depth, value(0, Key::QueueDepth)),
+            (s.admission_queue_peak, value(0, Key::QueuePeak)),
+            (s.candidates_seen, value(0, Key::CandidatesSeen)),
+            (s.candidates_pruned, value(0, Key::CandidatesPruned)),
+            (micros(s.synthesis_elapsed), value(0, Key::SynthesisMicros)),
+            (s.overrides, value(0, Key::Overrides)),
+        ];
+        for (i, c) in s.classes.iter().enumerate() {
+            assert_eq!(c.class, QosClass::ALL[i]);
+            fields.extend([
+                (c.requests, value(1 + i, Key::Requests)),
+                (c.successes, value(1 + i, Key::Successes)),
+                (c.shed, value(1 + i, Key::Shed)),
+                (c.queue_depth, value(1 + i, Key::QueueDepth)),
+                (c.queue_peak, value(1 + i, Key::QueuePeak)),
+            ]);
+        }
+        let hub = 1 + CLASS_COUNT + 1;
+        fields.extend([
+            (p.invocations, value(hub - 1, Key::Requests)),
+            (p.successes, value(hub - 1, Key::Successes)),
+            (p.fault_window_hits, value(hub - 1, Key::FaultWindowHits)),
+            (p.departures, value(hub - 1, Key::Departures)),
+            (p.rejoins, value(hub - 1, Key::Rejoins)),
+            (snap.market.fetches, value(hub, Key::MarketFetches)),
+            (
+                snap.market.fetch_failures,
+                value(hub, Key::MarketFetchFailures),
+            ),
+            (
+                micros(snap.market.fetch_elapsed),
+                value(hub, Key::MarketFetchMicros),
+            ),
+            (snap.storms.onsets, value(hub, Key::StormOnsets)),
+            (snap.storms.recoveries, value(hub, Key::StormRecoveries)),
+            (snap.engine.in_flight, value(hub, Key::EngineInFlight)),
+            (snap.engine.frames, value(hub, Key::EngineFrames)),
+            (snap.engine.frames_peak, value(hub, Key::EngineFramesPeak)),
+        ]);
+        let wanted: BTreeSet<u64> = fields.iter().map(|&(_, want)| want).collect();
+        assert_eq!(
+            wanted.len(),
+            fields.len(),
+            "the table names each key once per scope"
+        );
+        for (i, (got, want)) in fields.into_iter().enumerate() {
+            assert_eq!(got, want, "field {i} of the table");
+        }
+        assert_eq!(s.plan_cache_remote_hits, 0);
     }
 }
