@@ -309,16 +309,23 @@ struct ServiceEntry {
     gate: Arc<AdmissionGate>,
     overrides: Mutex<ServiceOverrides>,
     evicted: Arc<AtomicBool>,
-    /// The service's counters, resolved by the first request that
-    /// finishes and counted through by every later one.
-    metrics: OnceLock<Arc<ServiceMetrics>>,
+    /// The service's counters, shared with its gate's depth sink.
+    metrics: Arc<LazyMetrics>,
 }
 
-impl ServiceEntry {
-    /// The service's counters, resolved on the first record.
-    fn counters(&self, telemetry: &Telemetry, service_id: &str) -> &ServiceMetrics {
-        self.metrics
-            .get_or_init(|| telemetry.service_metrics(service_id))
+/// A service's counters, resolved on the first record — a finished
+/// request or a queue change — so a service that records nothing leaves
+/// no telemetry row.
+struct LazyMetrics {
+    telemetry: Arc<Telemetry>,
+    service_id: String,
+    cell: OnceLock<Arc<ServiceMetrics>>,
+}
+
+impl LazyMetrics {
+    fn get(&self) -> &ServiceMetrics {
+        self.cell
+            .get_or_init(|| self.telemetry.service_metrics(&self.service_id))
     }
 }
 
@@ -331,20 +338,6 @@ struct RequestMeta {
 }
 
 impl RequestMeta {
-    /// The admission gate's queue-depth telemetry callback, counting
-    /// through the service's handle.
-    fn queue_depth<'a>(
-        &'a self,
-        telemetry: &'a Telemetry,
-        entry: &'a ServiceEntry,
-    ) -> impl Fn(QosClass, u64, u64) + 'a {
-        move |class, class_depth, total| {
-            entry
-                .counters(telemetry, &self.service_id)
-                .count_queue_depth(class, class_depth, total);
-        }
-    }
-
     /// Records the request's deadline expiry.
     fn record_deadline_exceeded(&self, telemetry: &Telemetry) {
         telemetry.record(EventKind::DeadlineExceeded {
@@ -429,16 +422,14 @@ impl Reply {
                 agreed,
             } => (agreed, payload, Some((votes, votes_cast))),
         };
-        self.entry
-            .counters(telemetry, &meta.service_id)
-            .count_request(
-                meta.class,
-                success,
-                outcome.latency,
-                outcome.cost,
-                self.advisory.is_some(),
-                votes,
-            );
+        self.entry.metrics.get().count_request(
+            meta.class,
+            success,
+            outcome.latency,
+            outcome.cost,
+            self.advisory.is_some(),
+            votes,
+        );
         ServiceResponse {
             request_id: meta.request_id,
             class: meta.class,
@@ -596,11 +587,10 @@ impl Gateway {
         // Admission first: it bounds everything the request does from here
         // on (planning included). Shedding here keeps an overloaded
         // service's queue — and the gateway's thread usage — bounded.
-        let outcome = request.entry.gate.admit_blocking(
-            request.meta.class,
-            &*self.clock,
-            request.meta.queue_depth(&self.telemetry, &request.entry),
-        );
+        let outcome = request
+            .entry
+            .gate
+            .admit_blocking(request.meta.class, &*self.clock);
         request.meta.admitted(&self.telemetry, outcome)?;
         let _permit = request.entry.gate.permit();
         let deadline = request.deadline;
@@ -703,22 +693,14 @@ impl Gateway {
         };
 
         let enqueue = |waiter| (Box::new(waiter) as WakerFn, ());
-        match entry.gate.admit(
-            meta.class,
-            waiter,
-            enqueue,
-            meta.queue_depth(&self.telemetry, &entry),
-        ) {
+        match entry.gate.admit(meta.class, waiter, enqueue) {
             // The slot is counted; run the continuation on the event loop
             // exactly like a deferred grant.
             Admission::Admitted(waiter) => waiter(AdmitOutcome::Granted),
             Admission::Queued(ticket, ()) => {
                 if let Some(abs) = abs_deadline {
-                    let telemetry = Arc::clone(&self.telemetry);
-                    let meta = meta.clone();
                     let cancel = move || {
-                        let depth = meta.queue_depth(&telemetry, &entry);
-                        if let Some(waker) = entry.gate.cancel_ticket(meta.class, ticket, depth) {
+                        if let Some(waker) = entry.gate.cancel_ticket(meta.class, ticket) {
                             waker(AdmitOutcome::Expired);
                         }
                     };
@@ -919,12 +901,21 @@ impl Gateway {
         let mut services = self.services.write();
         let config = &self.config;
         Arc::clone(services.entry(service_id.to_string()).or_insert_with(|| {
+            let metrics = Arc::new(LazyMetrics {
+                telemetry: Arc::clone(&self.telemetry),
+                service_id: service_id.to_string(),
+                cell: OnceLock::new(),
+            });
+            let sink = Arc::clone(&metrics);
+            let depth_sink = Box::new(move |class, depth, total| {
+                sink.get().count_queue_depth(class, depth, total);
+            });
             Arc::new(ServiceEntry {
                 cell: Mutex::new(None),
-                gate: AdmissionGate::new(config.max_in_flight, config.admission_queue),
+                gate: AdmissionGate::new(config.max_in_flight, config.admission_queue, depth_sink),
                 overrides: Mutex::new(ServiceOverrides::default()),
                 evicted: Arc::new(AtomicBool::new(false)),
-                metrics: OnceLock::new(),
+                metrics,
             })
         }))
     }
@@ -971,9 +962,7 @@ impl Drop for Gateway {
         // their wakers fail the handles with `Shutdown` instead of leaving
         // waiters parked forever.
         for entry in self.services.get_mut().values() {
-            for waker in entry.gate.drain() {
-                waker(AdmitOutcome::Shutdown);
-            }
+            entry.gate.shutdown();
         }
         // Then the core: in-flight async requests resolve with `Shutdown`,
         // the loop threads observe the flag and exit, and blocking leaves

@@ -1,8 +1,9 @@
 //! Integration tests for the asynchronous submission path
 //! ([`Gateway::submit_async`]): panic isolation of the event loops,
 //! shutdown behaviour when the gateway drops with work in flight, two
-//! event loops serving what one does, and one wake-up per resolve instant
-//! for a client waiting on a window.
+//! event loops serving what one does, one wake-up per resolve instant
+//! for a client waiting on a window, and queue-depth gauges that follow an
+//! async queue down.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
@@ -11,7 +12,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use qce_runtime::{
-    Clock, FnProvider, Gateway, GatewayConfig, InMemoryMarket, Market, MsSpec, Request,
+    Clock, FnProvider, Gateway, GatewayConfig, InMemoryMarket, Market, MsSpec, QosClass, Request,
     RuntimeError, ServiceScript, SimulatedProvider, VirtualClock,
 };
 use qce_strategy::{Qos, Requirements};
@@ -471,4 +472,86 @@ fn a_window_wakes_its_waiter_at_most_once_per_resolve_instant() {
         assert_eq!(blocking.cost.to_bits(), windowed.cost.to_bits());
     }
     assert_eq!(oracle.engine_stats().waiter_wakes, 0, "nobody waited");
+}
+
+/// One service whose single leg blocks until `gate` opens, behind a gate
+/// of one in-flight slot and `queue` waiting places.
+fn gated_gateway(queue: usize, gate: &Arc<Gate>) -> Arc<Gateway> {
+    let config = GatewayConfig::builder()
+        .max_in_flight(1)
+        .admission_queue(queue)
+        .build();
+    let gateway = Arc::new(Gateway::new(market_with(vec![script("svc", 1)]), config));
+    let provider_gate = Arc::clone(gate);
+    gateway
+        .registry()
+        .register(FnProvider::new("dev", "svc-cap0", 10.0, move |_| {
+            provider_gate.enter();
+            Ok(vec![1])
+        }));
+    gateway
+}
+
+/// Queue depth as the service's gauges read it: the total and `class`'s.
+fn queue_depths(gateway: &Gateway, class: QosClass) -> (u64, u64) {
+    let snapshot = gateway.telemetry().snapshot();
+    let service = snapshot.service("svc").unwrap();
+    let class = service.class(class).map_or(0, |c| c.queue_depth);
+    (service.admission_queue_depth, class)
+}
+
+/// The async twin of the blocking queue test: the queue-depth gauges
+/// follow an async queue down as well as up. A slot handed to a queued
+/// async request, and a queued Scavenger preempted by a Critical arrival,
+/// each report the depth they leave behind. Every reading is asserted
+/// after the gate opens, so a wrong one fails the test instead of leaving
+/// a leg blocked under the gateway's drop.
+#[test]
+fn async_queue_depth_gauges_drain_with_grants_and_preemption() {
+    let deadline = Duration::from_secs(600);
+    let gate = Gate::new();
+    let gateway = gated_gateway(4, &gate);
+    let burst: Vec<_> = (0..3)
+        .map(|_| {
+            let request = Request::new("svc").deadline(deadline);
+            gateway.submit_async(request).unwrap()
+        })
+        .collect();
+    let queued = queue_depths(&gateway, QosClass::Interactive);
+    gate.open();
+    for handle in burst {
+        assert!(handle.wait().unwrap().success);
+    }
+    assert_eq!(queued, (2, 2));
+    assert_eq!(
+        queue_depths(&gateway, QosClass::Interactive),
+        (0, 0),
+        "the queue drained"
+    );
+
+    let gate = Gate::new();
+    let gateway = gated_gateway(1, &gate);
+    let submit = |class| {
+        let request = Request::new("svc").class(class).deadline(deadline);
+        gateway.submit_async(request).unwrap()
+    };
+    let running = submit(QosClass::Interactive);
+    let victim = submit(QosClass::Scavenger);
+    let queued = queue_depths(&gateway, QosClass::Scavenger);
+    let critical = submit(QosClass::Critical);
+    let shed = victim.wait();
+    let preempted = queue_depths(&gateway, QosClass::Scavenger);
+    let waiting = queue_depths(&gateway, QosClass::Critical);
+    gate.open();
+    assert!(running.wait().unwrap().success);
+    assert!(critical.wait().unwrap().success);
+    assert!(matches!(shed, Err(RuntimeError::Overloaded { .. })));
+    assert_eq!(queued, (1, 1));
+    assert_eq!(
+        preempted,
+        (1, 0),
+        "the preempted Scavenger left its class's queue"
+    );
+    assert_eq!(waiting, (1, 1));
+    assert_eq!(queue_depths(&gateway, QosClass::Critical), (0, 0));
 }
