@@ -41,10 +41,21 @@
 //! old thread-per-leg walker read on the leg's own thread. The driver
 //! releases the slot after it has processed the completion (and after any
 //! new reservations that processing made).
+//!
+//! # Machine and shell
+//!
+//! Who wakes whom is split the way the clock and the admission gate are.
+//! [`Agenda`] decides, with no lock, clock or parker: it holds the ready
+//! queue, the timer heap, the wake signal's armed bit and the shutdown
+//! flag, and each of its steps returns the [`Effect`] it owes the clock
+//! and the parker. [`EventCore`] is the shell: it takes the core lock,
+//! steps, applies a reserve and the signal's mirror before it unlocks and
+//! the notify, releases and handle wakes after (DESIGN §15 has the table).
 
 use std::any::Any;
 use std::borrow::Cow;
 use std::cmp::Ordering as CmpOrdering;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
 use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -349,15 +360,6 @@ pub(crate) struct BlockingTask {
     invocation: Invocation,
 }
 
-impl std::fmt::Debug for BlockingTask {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BlockingTask")
-            .field("req", &self.req)
-            .field("provider_index", &self.provider_index)
-            .finish_non_exhaustive()
-    }
-}
-
 /// Runs a [`BlockingTask`] to completion on the calling thread: binds the
 /// reserved worker slot, invokes the provider (catching panics), unbinds,
 /// and posts the completion event. The slot stays reserved — orphaned —
@@ -373,7 +375,7 @@ pub(crate) fn run_blocking(core: &EventCore<'_>, task: BlockingTask) {
         Ok(outcome) => LeafOutcome::Completed(outcome),
         Err(panic) => LeafOutcome::Panicked(panic),
     };
-    core.post_leaf(LeafEvent {
+    core.post(Event::Leaf(LeafEvent {
         req: task.req,
         parent: task.parent,
         provider_index: task.provider_index,
@@ -381,7 +383,7 @@ pub(crate) fn run_blocking(core: &EventCore<'_>, task: BlockingTask) {
         declared: None,
         result,
         orphan_slot: true,
-    });
+    }));
 }
 
 /// What a completed leaf reports back.
@@ -415,30 +417,36 @@ enum Event<'env> {
     Task(TaskFn<'env>),
 }
 
+impl Event<'_> {
+    fn orphan_slot(&self) -> bool {
+        matches!(self, Event::Leaf(leaf) if leaf.orphan_slot)
+    }
+}
+
 /// A scheduled event. The heap is a max-heap, so `Ord` is reversed on
 /// `(deadline, seq)`: the earliest deadline — ties broken by schedule
 /// order — is popped first, giving timers a deterministic total order.
-struct Timer<'env> {
+struct Timer<E> {
     deadline: Duration,
     seq: u64,
-    event: Event<'env>,
+    event: E,
 }
 
-impl PartialEq for Timer<'_> {
+impl<E> PartialEq for Timer<E> {
     fn eq(&self, other: &Self) -> bool {
         self.deadline == other.deadline && self.seq == other.seq
     }
 }
 
-impl Eq for Timer<'_> {}
+impl<E> Eq for Timer<E> {}
 
-impl PartialOrd for Timer<'_> {
+impl<E> PartialOrd for Timer<E> {
     fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for Timer<'_> {
+impl<E> Ord for Timer<E> {
     fn cmp(&self, other: &Self) -> CmpOrdering {
         other
             .deadline
@@ -556,16 +564,140 @@ pub(crate) struct CoreStats {
 }
 
 struct CoreState<'env> {
-    ready: VecDeque<Event<'env>>,
-    timers: BinaryHeap<Timer<'env>>,
-    timer_seq: u64,
+    agenda: Agenda<Event<'env>>,
     requests: Slots<Entry<'env>>,
     /// A resolved request's frame arena, cleared, for the next request to
     /// start with instead of allocating its own.
     spare_frames: Vec<Frame>,
     frames_live: usize,
     frames_peak: usize,
+}
+
+/// The wake protocol as a pure machine: what is queued, what is scheduled,
+/// and whether the drivers were signalled since one last found nothing to
+/// do. An armed signal holds one reserved clock slot, so virtual time
+/// cannot pass work no driver has picked up yet.
+struct Agenda<E> {
+    ready: VecDeque<E>,
+    timers: BinaryHeap<Timer<E>>,
+    timer_seq: u64,
+    armed: bool,
     shutdown: bool,
+}
+
+/// What a step of the [`Agenda`] leaves the shell to do.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Effect {
+    Quiet,
+    /// Notify the parker; the signal was armed already.
+    Notify,
+    /// Armed the signal: reserve its clock slot under the lock, then notify.
+    Arm,
+    /// The step disarmed the signal: release the slot it held.
+    Release,
+}
+
+/// What a driver's turn found.
+enum Turn<E> {
+    Run(E),
+    /// Nothing is due: wait to the earliest deadline, or the signal, which
+    /// the turn disarmed; the driver's held wake-ups are owed.
+    Park(Option<Duration>, Effect),
+    Stop,
+}
+
+impl<E> Agenda<E> {
+    fn new() -> Self {
+        Agenda {
+            ready: VecDeque::new(),
+            timers: BinaryHeap::new(),
+            timer_seq: 0,
+            armed: false,
+            shutdown: false,
+        }
+    }
+
+    /// Wakes the drivers: arms the signal unless it is armed, and
+    /// notifies either way.
+    fn rouse(&mut self) -> Effect {
+        if std::mem::replace(&mut self.armed, true) {
+            Effect::Notify
+        } else {
+            Effect::Arm
+        }
+    }
+
+    /// Queues `event` and wakes the drivers. A shut-down core hands the
+    /// event back, and still wakes them.
+    fn post(&mut self, event: E) -> (Option<E>, Effect) {
+        if self.shutdown {
+            return (Some(event), self.rouse());
+        }
+        self.ready.push_back(event);
+        (None, self.rouse())
+    }
+
+    /// Schedules `event` for `deadline`, the heap's one push. A `waking`
+    /// timer wakes the drivers only when it becomes the earliest (a tie is
+    /// not earlier): a driver idles only to the earliest deadline, read in
+    /// [`Agenda::turn`], so a later timer cannot make its wait too long. A
+    /// shut-down core hands the event back.
+    fn schedule(&mut self, deadline: Duration, event: E, waking: bool) -> (Option<E>, Effect) {
+        if self.shutdown {
+            return (Some(event), Effect::Quiet);
+        }
+        let earliest = self.timers.peek().is_none_or(|t| deadline < t.deadline);
+        let seq = self.timer_seq;
+        self.timer_seq += 1;
+        self.timers.push(Timer {
+            deadline,
+            seq,
+            event,
+        });
+        if !(waking && earliest) {
+            return (None, Effect::Quiet);
+        }
+        (None, self.rouse())
+    }
+
+    /// A driver's turn at `now`: the next ready event, else the next due
+    /// timer. With nothing due it disarms the signal — in the same step as
+    /// the look that found nothing, so no post falls between them — and
+    /// owes the driver's held wake-ups, since its wait may end the instant.
+    fn turn(&mut self, now: Duration, held: &mut Wakes) -> Turn<E> {
+        if self.shutdown {
+            return Turn::Stop;
+        }
+        if let Some(event) = self.ready.pop_front() {
+            return Turn::Run(event);
+        }
+        if let Some(timer) = self.timers.peek_mut() {
+            if timer.deadline <= now {
+                return Turn::Run(PeekMut::pop(timer).event);
+            }
+        }
+        held.owed = true;
+        let deadline = self.timers.peek().map(|t| t.deadline);
+        Turn::Park(deadline, self.retire())
+    }
+
+    /// Closes the agenda: drops the timers, hands back the ready events
+    /// and wakes the drivers, whose next turn stops.
+    fn shutdown(&mut self) -> (VecDeque<E>, Effect) {
+        self.shutdown = true;
+        self.timers.clear();
+        (std::mem::take(&mut self.ready), self.rouse())
+    }
+
+    /// Disarms the signal: what an idle turn, a kept core and a dropped
+    /// one do.
+    fn retire(&mut self) -> Effect {
+        if std::mem::replace(&mut self.armed, false) {
+            Effect::Release
+        } else {
+            Effect::Quiet
+        }
+    }
 }
 
 /// Everything processing defers to after the core lock is released.
@@ -578,18 +710,19 @@ struct Deferred<'env> {
 }
 
 /// The wake-ups a driver's resolves owe threads parked on their results,
-/// held until the end of the clock instant they were deferred at: the
-/// driver sends them all before it idles, before a step once its clock
-/// reads later than the oldest one's instant, and when it stops (drop).
-/// A waiter is thus woken no later than the end of the instant its
-/// request resolved at, and a client waiting on many requests resolving at
-/// one instant is woken once, not once per request. The buffer is kept
-/// from batch to batch.
+/// held until the end of the clock instant they were deferred at: sent
+/// before the driver idles (a turn that parks owes them), before a step
+/// once its clock reads later than the oldest one's instant, and when it
+/// stops (drop): a waiter is woken no later than the end of its request's
+/// instant, once for many requests resolving at one instant. The buffer is
+/// kept from batch to batch.
 #[derive(Default)]
 struct Wakes {
     waiters: Vec<Waker>,
     /// The instant the oldest held wake-up was deferred at.
     since: Duration,
+    /// Set by a turn that parks.
+    owed: bool,
 }
 
 impl Wakes {
@@ -600,13 +733,21 @@ impl Wakes {
         self.waiters.push(waiter);
     }
 
-    /// Whether a wake-up is held from an instant `clock` has left.
-    fn overdue(&self, clock: &dyn Clock) -> bool {
-        !self.waiters.is_empty() && clock.now() > self.since
+    /// Whether a wake-up is held from an instant before `now`.
+    fn overdue(&self, now: Duration) -> bool {
+        !self.waiters.is_empty() && now > self.since
     }
 
     fn send(&mut self) {
+        self.owed = false;
         self.waiters.drain(..).for_each(Waker::wake);
+    }
+
+    /// Sends the held wake-ups if a turn owed them.
+    fn send_owed(&mut self) {
+        if self.owed {
+            self.send();
+        }
     }
 }
 
@@ -620,14 +761,13 @@ impl Drop for Wakes {
 pub(crate) struct EventCore<'env> {
     clock: Shared<'env, dyn Clock + 'env>,
     state: Mutex<CoreState<'env>>,
-    /// Where this core's drivers idle — theirs alone, so [`wake`] reaches
-    /// no other core's drivers on a shared clock.
-    ///
-    /// [`wake`]: EventCore::wake
+    /// Where this core's drivers idle — theirs alone, so a wake reaches no
+    /// other core's drivers on a shared clock.
     parker: Arc<Parker>,
-    /// Set (after pushing, before [`Clock::notify_sleepers`]) by anyone
-    /// posting work from outside the driver; the driver's idle wait
-    /// re-checks it so a post-while-falling-asleep is never lost.
+    /// The agenda's armed bit, mirrored for the predicate an idle driver's
+    /// wait re-checks under the clock's lock, where the core's lock may
+    /// not be taken. Written only under the core lock, so it never
+    /// disagrees with the agenda once that lock is released.
     signal: AtomicBool,
     /// [`CoreStats::waiter_wakes`].
     waiter_wakes: AtomicU64,
@@ -673,14 +813,11 @@ impl<'env> EventCore<'env> {
             clock,
             parker,
             state: Mutex::new(CoreState {
-                ready: VecDeque::new(),
-                timers: BinaryHeap::new(),
-                timer_seq: 0,
+                agenda: Agenda::new(),
                 requests: Slots::new(),
                 spare_frames: Vec::new(),
                 frames_live: 0,
                 frames_peak: 0,
-                shutdown: false,
             }),
             signal: AtomicBool::new(false),
             waiter_wakes: AtomicU64::new(0),
@@ -703,12 +840,16 @@ impl<'env> EventCore<'env> {
     /// live frame. Only a quiescent core no other thread holds may be kept
     /// for reuse; any other is dropped.
     pub(crate) fn retire(&self) -> bool {
-        self.disarm();
-        let state = self.state.lock();
-        state.ready.is_empty()
-            && state.timers.is_empty()
-            && state.requests.len() == 0
-            && state.frames_live == 0
+        let (quiescent, effect) = {
+            let mut state = self.state.lock();
+            let effect = self.hold(state.agenda.retire());
+            let agenda = &state.agenda;
+            let idle = agenda.ready.is_empty() && agenda.timers.is_empty();
+            let quiescent = idle && state.requests.len() == 0 && state.frames_live == 0;
+            (quiescent, effect)
+        };
+        self.fire(effect);
+        quiescent
     }
 
     /// Current occupancy counters.
@@ -737,9 +878,9 @@ impl<'env> EventCore<'env> {
     pub(crate) fn submit(&self, spec: RequestSpec<'env>, spawn: &dyn Fn(BlockingTask)) -> ReqId {
         let mut deferred = Deferred::default();
         let req;
-        {
+        let effect = {
             let mut state = self.state.lock();
-            if state.shutdown {
+            if state.agenda.shutdown {
                 req = state
                     .requests
                     .insert(Entry::Parked(RequestResult::Shutdown));
@@ -773,10 +914,11 @@ impl<'env> EventCore<'env> {
                 }));
                 self.start_node(&mut state, &mut deferred, req, None);
             }
-        }
+            self.hold(state.agenda.rouse())
+        };
         // A request resolved here, off any driver's turn, wakes at once.
         self.flush(deferred, spawn, None);
-        self.wake();
+        self.fire(effect);
         req
     }
 
@@ -804,50 +946,19 @@ impl<'env> EventCore<'env> {
     /// go out as it returns.
     pub(crate) fn run_loop(&self, spawn: &dyn Fn(BlockingTask)) {
         let mut wakes = Wakes::default();
-        while self.step(spawn, &|state| state.shutdown, &mut wakes) {}
+        while self.step(spawn, &|_| false, &mut wakes) {}
     }
 
     /// Queues an embedder thunk on the ready queue.
     pub(crate) fn post_task(&self, task: TaskFn<'env>) {
-        {
-            let mut state = self.state.lock();
-            if !state.shutdown {
-                state.ready.push_back(Event::Task(task));
-            }
-        }
-        self.wake();
+        self.post(Event::Task(task));
     }
 
     /// Schedules an embedder thunk to run once the clock reaches
-    /// `deadline`.
-    ///
-    /// Wakes the drivers only when the new timer is earlier than every
-    /// timer already scheduled (a tie is not earlier). That is sound
-    /// because a driver only ever idles to the heap's earliest deadline,
-    /// read under this same lock ([`EventCore::step`]'s idle path): a
-    /// later timer cannot make its sleep too long, and the driver finds it
-    /// when it next reads the heap. A timer that does not wake arms no
-    /// signal and so holds no clock slot; virtual time may then advance to
-    /// the earlier head, which is due first anyway.
+    /// `deadline`, waking the drivers only when it becomes the earliest
+    /// timer ([`Agenda::schedule`]).
     pub(crate) fn schedule_task(&self, deadline: Duration, task: TaskFn<'env>) {
-        {
-            let mut state = self.state.lock();
-            if state.shutdown {
-                return;
-            }
-            let earliest = state.timers.peek().is_none_or(|t| deadline < t.deadline);
-            let seq = state.timer_seq;
-            state.timer_seq += 1;
-            state.timers.push(Timer {
-                deadline,
-                seq,
-                event: Event::Task(task),
-            });
-            if !earliest {
-                return;
-            }
-        }
-        self.wake();
+        self.apply(|agenda| agenda.schedule(deadline, Event::Task(task), true));
     }
 
     /// Shuts the core down: every in-flight request's `done` callback
@@ -857,28 +968,16 @@ impl<'env> EventCore<'env> {
     /// release their slots when they find the core shut down.
     pub(crate) fn shutdown(&self) {
         let mut deferred = Deferred::default();
-        {
+        let (drained, effect) = {
             let mut state = self.state.lock();
-            state.shutdown = true;
-            while let Some(event) = state.ready.pop_front() {
-                if let Event::Leaf(leaf) = event {
-                    if leaf.orphan_slot {
-                        deferred.release_slots += 1;
-                    }
-                }
-            }
-            state.timers.clear();
-            let CoreState {
-                requests,
-                frames_live,
-                ..
-            } = &mut *state;
-            requests.retain_in_order(|entry| {
+            let state = &mut *state;
+            let (drained, effect) = state.agenda.shutdown();
+            state.requests.retain_in_order(|entry| {
                 // An already parked result stays for its driver to collect.
                 let Entry::Running(request) = entry else {
                     return true;
                 };
-                *frames_live -= request.frames.len();
+                state.frames_live -= request.frames.len();
                 if let Some(telemetry) = &request.telemetry {
                     telemetry.record_engine_frames_done(request.frames.len());
                     telemetry.record_engine_request_end();
@@ -894,129 +993,98 @@ impl<'env> EventCore<'env> {
                     }
                 }
             });
-        }
-        for _ in 0..deferred.release_slots {
-            self.clock().release_worker();
-        }
-        for (done, result) in deferred.dones {
-            if let Some(waiter) = self.call_done(done, result) {
-                waiter.wake();
-            }
-        }
-        self.wake();
-    }
-
-    /// Posts a leaf completion from a blocking task's thread. If the core
-    /// has shut down the event is dropped and its orphan slot released
-    /// here, so an abandoned in-flight leg cannot freeze the clock.
-    fn post_leaf(&self, event: LeafEvent) {
-        let release_now = {
-            let mut state = self.state.lock();
-            if state.shutdown {
-                event.orphan_slot
-            } else {
-                state.ready.push_back(Event::Leaf(event));
-                false
-            }
+            (drained, self.hold(effect))
         };
-        if release_now {
-            self.clock().release_worker();
-        }
-        self.wake();
+        let orphans = drained.iter().filter(|event| event.orphan_slot());
+        deferred.release_slots += orphans.count();
+        self.flush(deferred, &|_| unreachable!("shutdown starts no leg"), None);
+        self.fire(effect);
     }
 
-    /// Signals the drivers that new events exist. The first signal in a
-    /// quiet period also *reserves a worker slot on the clock*: a driver
-    /// idling in [`Clock::sleep_until_or`] stays registered as a deadline
-    /// sleeper until it actually wakes, so without the reservation a
-    /// third thread deregistering (e.g. a submitter dropping its
-    /// [`WorkerGuard`]) could advance virtual time to the driver's own
-    /// deadline while posted events sit unprocessed — time running ahead
-    /// of work that was runnable at the earlier instant. The slot is
-    /// released when a driver disarms the signal ([`EventCore::step`]'s
-    /// idle path) or, if no driver ever runs again, on drop.
-    fn wake(&self) {
-        // Events are pushed before wake() is called and a driver disarms
-        // before re-checking the queues, so if the signal reads armed here
-        // the driver is guaranteed to find our event; only an unarmed
-        // signal needs the reservation. Reserving *before* publishing the
-        // armed state keeps the slot count conservative: a concurrent
-        // disarm can only release a reservation that already exists.
-        if !self.signal.load(Ordering::SeqCst) {
-            self.clock().reserve_worker();
-            if self.signal.swap(true, Ordering::SeqCst) {
-                self.clock().release_worker();
+    /// Queues `event` and wakes the drivers. If the core has shut down the
+    /// event is dropped and a blocking leg's orphan slot released here, so
+    /// an abandoned in-flight leg cannot freeze the clock.
+    fn post(&self, event: Event<'env>) {
+        if self
+            .apply(|agenda| agenda.post(event))
+            .is_some_and(|e| e.orphan_slot())
+        {
+            self.clock().release_worker();
+        }
+    }
+
+    /// One agenda step under the core lock, its effect applied.
+    fn apply<R>(&self, step: impl FnOnce(&mut Agenda<Event<'env>>) -> (R, Effect)) -> R {
+        let (out, effect) = {
+            let mut state = self.state.lock();
+            let (out, effect) = step(&mut state.agenda);
+            (out, self.hold(effect))
+        };
+        self.fire(effect);
+        out
+    }
+
+    /// The half of `effect` applied under the core lock: the signal's
+    /// mirror and an armed signal's clock slot, reserved before anyone can
+    /// see the work that armed it (core lock, then clock lock, as
+    /// `start_node` takes them for a blocking leaf).
+    fn hold(&self, effect: Effect) -> Effect {
+        match effect {
+            Effect::Arm => {
+                self.clock().reserve_worker();
+                self.signal.store(true, Ordering::SeqCst);
             }
+            Effect::Release => self.signal.store(false, Ordering::SeqCst),
+            Effect::Quiet | Effect::Notify => {}
         }
-        self.clock().notify_sleepers(&self.parker);
+        effect
     }
 
-    /// Disarms the wake signal, releasing the clock slot [`wake`] reserved
-    /// with it. Returns with the signal observed `false`.
-    ///
-    /// [`wake`]: EventCore::wake
-    fn disarm(&self) {
-        if self.signal.swap(false, Ordering::SeqCst) {
-            self.clock().release_worker();
+    /// The rest of `effect`, after the unlock. A late release only
+    /// over-counts the slots: it can hold virtual time back, never push it.
+    fn fire(&self, effect: Effect) {
+        match effect {
+            Effect::Arm | Effect::Notify => self.clock().notify_sleepers(&self.parker),
+            Effect::Release => self.clock().release_worker(),
+            Effect::Quiet => {}
         }
     }
 
     /// One driver iteration: process a ready event, else a due timer, else
-    /// wait. Returns `false` once `stop` holds. The wake-ups the
-    /// iteration's resolves owe join `wakes`, which is sent before the
-    /// wait and at the first iteration its instant is over.
+    /// wait. Returns `false` once `stop` holds or the core has shut down.
+    /// The wake-ups the iteration's resolves owe join `wakes`, sent before
+    /// the wait and at the first iteration its instant is over.
     fn step(
         &self,
         spawn: &dyn Fn(BlockingTask),
         stop: &dyn Fn(&CoreState<'env>) -> bool,
         wakes: &mut Wakes,
     ) -> bool {
-        if wakes.overdue(self.clock()) {
+        if wakes.overdue(self.clock().now()) {
             wakes.send();
         }
-        let mut deferred = Deferred::default();
-        {
+        let (deadline, effect) = {
             let mut state = self.state.lock();
             if stop(&state) {
                 return false;
             }
-            let event = if let Some(event) = state.ready.pop_front() {
-                Some(event)
-            } else {
-                let now = self.clock().now();
-                if state.timers.peek().is_some_and(|t| t.deadline <= now) {
-                    state.timers.pop().map(|t| t.event)
-                } else {
-                    None
+            match state.agenda.turn(self.clock().now(), wakes) {
+                Turn::Run(event) => {
+                    let mut deferred = Deferred::default();
+                    match event {
+                        Event::Task(task) => deferred.tasks.push(task),
+                        Event::Leaf(leaf) => self.process_leaf(&mut state, &mut deferred, leaf),
+                    }
+                    drop(state);
+                    self.flush(deferred, spawn, Some(wakes));
+                    return true;
                 }
-            };
-            if let Some(event) = event {
-                self.process_event(&mut state, &mut deferred, event);
-                drop(state);
-                self.flush(deferred, spawn, Some(wakes));
-                return true;
+                Turn::Park(deadline, effect) => (deadline, self.hold(effect)),
+                Turn::Stop => return false,
             }
-        }
-        // Idle: disarm the signal, then re-check under the lock — a post
-        // that landed between the unlock above and the disarm is caught
-        // here; one that lands later re-arms the signal our wait watches
-        // (and re-reserves the clock slot that keeps virtual time from
-        // advancing over it).
-        self.disarm();
-        let deadline = {
-            let state = self.state.lock();
-            if stop(&state) {
-                return false;
-            }
-            let now = self.clock().now();
-            if !state.ready.is_empty() || state.timers.peek().is_some_and(|t| t.deadline <= now) {
-                return true;
-            }
-            state.timers.peek().map(|t| t.deadline)
         };
-        // Nothing is left to do at this instant, and the wait may move the
-        // clock on: the instant's waiters are owed their wake-ups now.
-        wakes.send();
+        self.fire(effect);
+        wakes.send_owed();
         self.clock().sleep_until_or(&self.parker, deadline, &|| {
             self.signal.load(Ordering::SeqCst)
         });
@@ -1038,9 +1106,10 @@ impl<'env> EventCore<'env> {
             self.clock().release_worker();
         }
         for (done, result) in deferred.dones {
-            let Some(waiter) = self.call_done(done, result) else {
+            let Some(waiter) = done(result) else {
                 continue;
             };
+            self.waiter_wakes.fetch_add(1, Ordering::Relaxed);
             match wakes.as_deref_mut() {
                 Some(wakes) => wakes.defer(waiter, self.clock().now()),
                 None => waiter.wake(),
@@ -1051,27 +1120,6 @@ impl<'env> EventCore<'env> {
         }
         for task in deferred.spawns {
             spawn(task);
-        }
-    }
-
-    /// Runs a request's `done` callback, counting the wake-up it returns.
-    fn call_done(&self, done: DoneFn<'env>, result: RequestResult) -> Option<Waker> {
-        let waiter = done(result);
-        if waiter.is_some() {
-            self.waiter_wakes.fetch_add(1, Ordering::Relaxed);
-        }
-        waiter
-    }
-
-    fn process_event(
-        &self,
-        state: &mut CoreState<'env>,
-        deferred: &mut Deferred<'env>,
-        event: Event<'env>,
-    ) {
-        match event {
-            Event::Task(task) => deferred.tasks.push(task),
-            Event::Leaf(leaf) => self.process_leaf(state, deferred, leaf),
         }
     }
 
@@ -1154,7 +1202,7 @@ impl<'env> EventCore<'env> {
         let Some(Entry::Running(request)) = state.requests.get_mut(req) else {
             return;
         };
-        match *node_at(&request.strategy, &request.frames, parent) {
+        let (len, seq) = match *node_at(&request.strategy, &request.frames, parent) {
             Node::Leaf(id) => {
                 let provider_index = id.index();
                 // The short-circuit: once the policy halts or the budget
@@ -1166,22 +1214,20 @@ impl<'env> EventCore<'env> {
                 let provider = Arc::clone(&request.providers[provider_index]);
                 if let Some((latency, result)) = provider.try_timed_invoke(&request.request, clock)
                 {
+                    // Its submitter or driver is awake: the timer wakes nobody.
                     let t0 = clock.now();
-                    let seq = state.timer_seq;
-                    state.timer_seq += 1;
-                    state.timers.push(Timer {
-                        deadline: t0.saturating_add(latency),
-                        seq,
-                        event: Event::Leaf(LeafEvent {
-                            req,
-                            parent,
-                            provider_index,
-                            t0,
-                            declared: Some(latency),
-                            result: LeafOutcome::Completed(result),
-                            orphan_slot: false,
-                        }),
+                    let leaf = Event::Leaf(LeafEvent {
+                        req,
+                        parent,
+                        provider_index,
+                        t0,
+                        declared: Some(latency),
+                        result: LeafOutcome::Completed(result),
+                        orphan_slot: false,
                     });
+                    state
+                        .agenda
+                        .schedule(t0.saturating_add(latency), leaf, false);
                 } else {
                     // Reserve the slot *now*, under the core lock, so the
                     // clock cannot advance before the task's thread binds
@@ -1196,65 +1242,40 @@ impl<'env> EventCore<'env> {
                         invocation: Invocation::clone(&request.request),
                     });
                 }
+                return;
             }
-            Node::Seq(ref children) => {
-                let len = children.len();
-                let frame = Self::alloc_frame(
-                    &mut state.frames_live,
-                    &mut state.frames_peak,
-                    request,
-                    Frame {
-                        parent,
-                        kind: FrameKind::Seq { next: 0, len },
-                    },
-                );
-                self.advance_seq(state, deferred, req, frame);
+            Node::Seq(ref children) => (children.len(), true),
+            Node::Par(ref children) => (children.len(), false),
+        };
+        let kind = if seq {
+            FrameKind::Seq { next: 0, len }
+        } else {
+            FrameKind::Par {
+                pending: len,
+                succeeded: false,
+                cancelled: false,
+                panicked: None,
             }
-            Node::Par(ref children) => {
-                let len = children.len();
-                let frame = Self::alloc_frame(
-                    &mut state.frames_live,
-                    &mut state.frames_peak,
-                    request,
-                    Frame {
-                        parent,
-                        kind: FrameKind::Par {
-                            pending: len,
-                            succeeded: false,
-                            cancelled: false,
-                            panicked: None,
-                        },
-                    },
-                );
-                if len == 0 {
-                    self.resolve_frame(state, deferred, req, frame, Status::Failed);
-                    return;
-                }
-                // Fan every child out before any completion can process:
-                // `pending` starts at `len`, so even a zero-latency child
-                // resolving synchronously cannot fold the Par early.
-                for ordinal in 0..len {
-                    self.start_node(state, deferred, req, Some((frame, ordinal)));
-                }
-            }
-        }
-    }
-
-    /// Appends `frame` to the request `start_node` has just looked up, so
-    /// there is always a live request to allocate it for.
-    fn alloc_frame(
-        live: &mut usize,
-        peak: &mut usize,
-        request: &mut RequestState<'env>,
-        frame: Frame,
-    ) -> usize {
-        *live += 1;
-        *peak = (*peak).max(*live);
+        };
+        state.frames_live += 1;
+        state.frames_peak = state.frames_peak.max(state.frames_live);
         if let Some(telemetry) = &request.telemetry {
             telemetry.record_engine_frame();
         }
-        request.frames.push(frame);
-        request.frames.len() - 1
+        request.frames.push(Frame { parent, kind });
+        let frame = request.frames.len() - 1;
+        if seq {
+            self.advance_seq(state, deferred, req, frame);
+        } else if len == 0 {
+            self.resolve_frame(state, deferred, req, frame, Status::Failed);
+        } else {
+            // Fan every child out before any completion can process:
+            // `pending` starts at `len`, so even a zero-latency child
+            // resolving synchronously cannot fold the Par early.
+            for ordinal in 0..len {
+                self.start_node(state, deferred, req, Some((frame, ordinal)));
+            }
+        }
     }
 
     /// Starts the next leg of a Seq frame — checking the stop condition at
@@ -1267,35 +1288,22 @@ impl<'env> EventCore<'env> {
         req: ReqId,
         frame: usize,
     ) {
-        enum Step {
-            Exhausted,
-            Stopped,
-            Start(usize),
-        }
-        let clock = self.clock();
-        let step = {
-            let Some(request) = state.running(req) else {
-                return;
-            };
-            let FrameKind::Seq { next, len } = request.frames[frame].kind else {
-                unreachable!("advance_seq on a non-Seq frame");
-            };
-            if next == len {
-                Step::Exhausted
-            } else if request.stopped(clock) {
-                Step::Stopped
-            } else {
-                request.frames[frame].kind = FrameKind::Seq {
-                    next: next + 1,
-                    len,
-                };
-                Step::Start(next)
-            }
+        let Some(request) = state.running(req) else {
+            return;
         };
-        match step {
-            Step::Exhausted => self.resolve_frame(state, deferred, req, frame, Status::Failed),
-            Step::Stopped => self.resolve_frame(state, deferred, req, frame, Status::Cancelled),
-            Step::Start(ordinal) => self.start_node(state, deferred, req, Some((frame, ordinal))),
+        let FrameKind::Seq { next, len } = request.frames[frame].kind else {
+            unreachable!("advance_seq on a non-Seq frame");
+        };
+        if next == len {
+            self.resolve_frame(state, deferred, req, frame, Status::Failed);
+        } else if request.stopped(self.clock()) {
+            self.resolve_frame(state, deferred, req, frame, Status::Cancelled);
+        } else {
+            request.frames[frame].kind = FrameKind::Seq {
+                next: next + 1,
+                len,
+            };
+            self.start_node(state, deferred, req, Some((frame, next)));
         }
     }
 
@@ -1332,71 +1340,60 @@ impl<'env> EventCore<'env> {
             self.resolve_request(state, deferred, req, status);
             return;
         };
-        enum Next {
-            Advance,
-            Resolve(Status),
-            Wait,
-        }
-        let next = {
-            let Some(request) = state.running(req) else {
-                return;
-            };
-            let absorbs = request.policy.seq_absorbs_success();
-            match &mut request.frames[frame].kind {
-                FrameKind::Seq { .. } => match status {
-                    // A panic aborts the chain immediately, as unwinding
-                    // did in the thread model.
-                    Status::Panicked(panic) => Next::Resolve(Status::Panicked(panic)),
-                    // Under first-success semantics a succeeding fail-over
-                    // leg absorbs the chain; under quorum every stage
-                    // still runs so it can contribute votes.
-                    Status::Succeeded if absorbs => Next::Resolve(Status::Succeeded),
-                    Status::Cancelled => Next::Resolve(Status::Cancelled),
-                    Status::Succeeded | Status::Failed => Next::Advance,
-                },
-                FrameKind::Par {
-                    pending,
-                    succeeded,
-                    cancelled,
-                    panicked,
-                } => {
-                    match status {
-                        Status::Succeeded => *succeeded = true,
-                        Status::Cancelled => *cancelled = true,
-                        Status::Failed => {}
-                        Status::Panicked(panic) => {
-                            // The thread model re-raised the first panic
-                            // in child order (inline leg first); keep the
-                            // lowest ordinal.
-                            if panicked.as_ref().is_none_or(|(o, _)| ordinal < *o) {
-                                *panicked = Some((ordinal, panic));
-                            }
+        let Some(request) = state.running(req) else {
+            return;
+        };
+        let absorbs = request.policy.seq_absorbs_success();
+        let resolved = match &mut request.frames[frame].kind {
+            FrameKind::Seq { .. } => match status {
+                // A panic aborts the chain immediately, as unwinding did in
+                // the thread model.
+                Status::Panicked(panic) => Status::Panicked(panic),
+                // Under first-success semantics a succeeding fail-over leg
+                // absorbs the chain; under quorum every stage still runs so
+                // it can contribute votes.
+                Status::Succeeded if absorbs => Status::Succeeded,
+                Status::Cancelled => Status::Cancelled,
+                Status::Succeeded | Status::Failed => {
+                    return self.advance_seq(state, deferred, req, frame);
+                }
+            },
+            FrameKind::Par {
+                pending,
+                succeeded,
+                cancelled,
+                panicked,
+            } => {
+                match status {
+                    Status::Succeeded => *succeeded = true,
+                    Status::Cancelled => *cancelled = true,
+                    Status::Failed => {}
+                    Status::Panicked(panic) => {
+                        // The thread model re-raised the first panic in
+                        // child order (inline leg first); keep the lowest
+                        // ordinal.
+                        if panicked.as_ref().is_none_or(|(o, _)| ordinal < *o) {
+                            *panicked = Some((ordinal, panic));
                         }
                     }
-                    *pending -= 1;
-                    if *pending == 0 {
-                        let final_status = if let Some((_, panic)) = panicked.take() {
-                            Status::Panicked(panic)
-                        } else if *succeeded {
-                            Status::Succeeded
-                        } else if *cancelled {
-                            Status::Cancelled
-                        } else {
-                            Status::Failed
-                        };
-                        Next::Resolve(final_status)
-                    } else {
-                        Next::Wait
-                    }
                 }
-                FrameKind::Resolved => unreachable!("delivery to a resolved frame"),
+                *pending -= 1;
+                if *pending > 0 {
+                    return;
+                }
+                if let Some((_, panic)) = panicked.take() {
+                    Status::Panicked(panic)
+                } else if *succeeded {
+                    Status::Succeeded
+                } else if *cancelled {
+                    Status::Cancelled
+                } else {
+                    Status::Failed
+                }
             }
+            FrameKind::Resolved => unreachable!("delivery to a resolved frame"),
         };
-        match next {
-            Next::Advance => self.advance_seq(state, deferred, req, frame),
-            Next::Resolve(status) => self.resolve_frame(state, deferred, req, frame, status),
-            Next::Wait => {}
-        }
+        self.resolve_frame(state, deferred, req, frame, resolved);
     }
 
     /// The root resolved: assembles the [`EngineOutcome`] (at the
@@ -1454,17 +1451,20 @@ impl<'env> EventCore<'env> {
 
 impl Drop for EventCore<'_> {
     fn drop(&mut self) {
-        // An armed wake signal holds a reserved worker slot on the clock
-        // (see `wake`). If no driver runs again — the core shut down, or a
-        // blocking drive's core was not kept — the slot must not outlive
-        // the core, or it would freeze virtual time for every other user
-        // of a shared clock.
-        self.disarm();
+        // An armed wake signal holds a reserved worker slot on the clock.
+        // If no driver runs again — the core shut down, or a blocking
+        // drive's core was not kept — the slot must not outlive the core,
+        // or it would freeze virtual time for every other user of a shared
+        // clock.
+        let effect = self.state.get_mut().agenda.retire();
+        self.fire(effect);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    mod explore;
+
     use super::*;
     use crate::clock::VirtualClock;
     use crate::device::SimulatedProvider;
@@ -1614,7 +1614,7 @@ mod tests {
         let current = core.submit(spec("current"), &no_spawn);
         assert_eq!(current.index, gone.index);
 
-        core.post_leaf(LeafEvent {
+        core.post(Event::Leaf(LeafEvent {
             req: gone,
             parent: None,
             provider_index: 0,
@@ -1622,7 +1622,7 @@ mod tests {
             declared: None,
             result: LeafOutcome::Completed(Ok(vec![1])),
             orphan_slot: false,
-        });
+        }));
         assert!(core.step(&no_spawn, &|_| false, &mut Wakes::default()));
         assert!(
             log.lock().is_empty(),
@@ -1732,7 +1732,11 @@ mod tests {
             scope.spawn(|| {
                 let _driver = WorkerGuard::enter(&clock);
                 let mut wakes = Wakes::default();
-                while core.step(&no_spawn, &|state| state.timers.is_empty(), &mut wakes) {}
+                while core.step(
+                    &no_spawn,
+                    &|state| state.agenda.timers.is_empty(),
+                    &mut wakes,
+                ) {}
             });
             while parker.parked() == 0 {
                 std::thread::yield_now();

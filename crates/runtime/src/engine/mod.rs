@@ -244,15 +244,16 @@ pub(crate) fn pooled_spawner(
 /// idle beside its parker ([`Parker::keep_idle_core`]), or a new one,
 /// counted in `cores_built`. It goes back only when the request sent no
 /// leaf to the pool and left the core quiescent ([`EventCore::retire`]).
-/// A pool task holds the core weakly and wakes it after posting its leaf,
-/// so its trailing `wake()` can arm the signal of a core whose request
-/// already resolved, and the clock slot an armed signal reserves would pin
-/// virtual time until a driver came back. Such a core is dropped, and
-/// `Drop` disarms it; so is one a provider's panic unwinds past (a panic
-/// on a pool leg is caught there and re-raised here, after the pool sent
-/// its core away). A nested drive (a provider on this thread submitting
-/// again) finds no idle core while the outer one runs, so it builds its
-/// own.
+/// A pool leg's post arms the signal in the same lock hold as its push,
+/// so it cannot arm it after this driver consumed the leaf; but the pool
+/// task holds the core (upgraded from its weak handle) until its notify
+/// after the unlock returns, which can be after the request resolved, and
+/// a kept core must be one no other thread holds. Such a core is dropped,
+/// and `Drop` disarms it; so is one a provider's panic unwinds past (a
+/// panic on a pool leg is caught there and re-raised here, after the pool
+/// sent its core away). A nested drive (a provider on this thread
+/// submitting again) finds no idle core while the outer one runs, so it
+/// builds its own.
 pub(crate) fn drive(
     pool: &Arc<WorkerPool>,
     clock: &Arc<dyn Clock>,
@@ -592,13 +593,14 @@ mod tests {
             assert_eq!(counts, [1, 1, 2, 2, 3, 4, 4]);
         }
 
-        /// The trailing `wake()` of a pool task can arm its core's signal
-        /// after the request resolved. The slot that reserves must not
-        /// outlive the request, or another user of the clock sleeps for
-        /// ever: no pool leg's core is kept, and a registered sleeper on
-        /// the clock always comes back. (The late wake itself needs the
-        /// pool thread preempted between its post and its wake, so a run
-        /// meets it rarely; the first check does not depend on it.)
+        /// A pool task still holds its core while it notifies after its
+        /// post, which can be after the request resolved. The slot an
+        /// armed signal reserves must not outlive the request, or another
+        /// user of the clock sleeps for ever: no pool leg's core is kept,
+        /// and a registered sleeper on the clock always comes back. (The
+        /// late notify itself needs the pool thread preempted between its
+        /// post and its notify, so a run meets it rarely; the first check
+        /// does not depend on it.)
         #[test]
         fn a_pool_legs_trailing_wake_does_not_pin_virtual_time() {
             let clock: Arc<dyn Clock> = Arc::new(VirtualClock::new());
