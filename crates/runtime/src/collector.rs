@@ -4,7 +4,10 @@
 //! until their executions complete": every completed invocation is recorded
 //! against its provider, and the generator reads back windowed averages.
 //! Until a provider has observations, the script's *prior* QoS is used —
-//! that is why the first time slot runs the default strategy.
+//! that is why the first time slot runs the default strategy. What the
+//! gateway assumes about a provider is one rule, `Collector::assumed` (the
+//! window, else the prior with the advertised cost), read once per
+//! candidate by provider selection at a slot boundary.
 //!
 //! Each provider's window sits behind a small lock of its own, in a map of
 //! shared handles (`ProviderWindow`). The request path resolves a
@@ -61,22 +64,6 @@ impl ProviderStats {
     #[must_use]
     pub fn checked_qos(&self) -> Option<Qos> {
         Qos::new(self.mean_cost, self.mean_latency_ms, self.success_rate).ok()
-    }
-}
-
-/// The QoS to assume for a provider with no (usable) history: the script's
-/// prior with the provider's advertised cost substituted — but only when
-/// that advertised cost is in the QoS domain. Devices self-report costs, so
-/// a hostile or buggy registration (`NaN`, `-1.0`, `∞`) must not bypass
-/// [`Qos::new`] validation via struct-update and reach the planner.
-pub(crate) fn prior_with_advertised_cost(prior: &Qos, advertised: f64) -> Qos {
-    if advertised.is_finite() && advertised >= 0.0 {
-        Qos {
-            cost: advertised,
-            ..*prior
-        }
-    } else {
-        *prior
     }
 }
 
@@ -194,17 +181,29 @@ impl Collector {
         })
     }
 
-    /// The QoS the generator should assume for `provider_id`: windowed
-    /// measurements when available, the script's `prior` otherwise.
-    ///
-    /// Total: a degenerate window (see [`ProviderStats::checked_qos`])
-    /// falls back to the prior instead of panicking, so a total-blackout
-    /// slot or a poisoned cost can never abort planning.
+    /// The window half of what the gateway assumes about a provider:
+    /// `provider_id`'s window when [`ProviderStats::checked_qos`] accepts
+    /// it, `prior` otherwise, so a total-blackout slot or a poisoned cost
+    /// never aborts planning.
     #[must_use]
     pub fn qos_or_prior(&self, provider_id: &str, prior: &Qos) -> Qos {
         self.stats(provider_id)
             .and_then(|s| s.checked_qos())
             .unwrap_or(*prior)
+    }
+
+    /// The QoS the gateway assumes for `provider`: its window when
+    /// [`ProviderStats::checked_qos`] accepts it, else `prior` with the
+    /// provider's advertised cost if that cost is in the QoS domain — a
+    /// self-reported `NaN`, `-1.0` or `∞` keeps the prior's.
+    pub(crate) fn assumed(&self, provider: &dyn crate::Provider, prior: &Qos) -> Qos {
+        let cost = provider.cost();
+        let prior = if cost.is_finite() && cost >= 0.0 {
+            Qos { cost, ..*prior }
+        } else {
+            *prior
+        };
+        self.qos_or_prior(provider.id(), &prior)
     }
 
     /// Number of observations currently stored for `provider_id`.
@@ -364,11 +363,20 @@ mod tests {
 
     #[test]
     fn advertised_cost_substitution_is_validated() {
+        use crate::device::SimulatedProvider;
         let prior = Qos::new(50.0, 60.0, 0.7).unwrap();
-        assert_eq!(prior_with_advertised_cost(&prior, 5.0).cost, 5.0);
-        assert_eq!(prior_with_advertised_cost(&prior, f64::NAN).cost, 50.0);
-        assert_eq!(prior_with_advertised_cost(&prior, -1.0).cost, 50.0);
-        assert_eq!(prior_with_advertised_cost(&prior, f64::INFINITY).cost, 50.0);
+        let c = Collector::new(10);
+        let assumed = |cost: f64| {
+            let provider = SimulatedProvider::builder("p", "x").cost(cost).build();
+            c.assumed(provider.as_ref(), &prior)
+        };
+        assert_eq!(assumed(5.0), Qos { cost: 5.0, ..prior });
+        assert_eq!(assumed(f64::NAN), prior);
+        assert_eq!(assumed(-1.0), prior);
+        assert_eq!(assumed(f64::INFINITY), prior);
+        // A usable window wins over the advertised cost.
+        c.record("p", rec(true, 10, 7.0));
+        assert_eq!(assumed(5.0).cost, 7.0);
     }
 
     #[test]

@@ -1,16 +1,23 @@
 //! The generator side of the feedback loop: per-service planning state and
 //! the slot-boundary logic that plans, holds, or re-plans its strategy.
+//!
+//! A boundary reads the collector once, in provider selection: each
+//! capability's best live provider comes back with the QoS row it was
+//! judged on, and those rows are the table the slot plans over. In drift
+//! mode the same table decides whether the active plan holds — only when
+//! the requirement, the provider instances and every quantized cell are
+//! unchanged — so a departed or re-joined provider always re-plans.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use qce_strategy::{EnvQos, Qos, Requirements, Strategy};
+use qce_strategy::{EnvQos, GenerateError, Qos, Requirements, Strategy, UtilityIndex};
 
 use crate::device::Provider;
 use crate::engine::event::LegSink;
 use crate::engine::CompletionPolicy;
-use crate::generator::{Planner, SlotPlan, StrategyOrigin};
+use crate::generator::{env_drift, Planner, StrategyOrigin};
 use crate::message::RuntimeError;
 use crate::script::{MsSpec, ServiceScript};
 use crate::telemetry::EventKind;
@@ -37,30 +44,18 @@ pub(super) struct SlotShared {
     pub(super) policy: CompletionPolicy,
 }
 
-/// A slot's plan as [`Gateway::plan`] drafts it, before
-/// [`Gateway::replan`] records the decision and splits it into what
-/// requests share and what only planning reads.
-struct Draft {
-    plan: SlotPlan,
-    providers: Vec<Arc<dyn Provider>>,
-    policy: CompletionPolicy,
-    /// See [`ActivePlan::names`].
-    names: Vec<String>,
-}
-
 struct ActivePlan {
     shared: Arc<SlotShared>,
     /// The QoS table the plan was synthesized under, for the drift trigger.
     assumed_env: EnvQos,
-    /// Names of the microservices the plan was synthesized over, aligned
-    /// with the strategy's indices. Usually the script's full name list,
-    /// but a subset when providers for some capabilities were missing at
-    /// planning time (the slot plans over what it has).
-    names: Vec<String>,
     /// The effective requirement the plan was synthesized against, so the
     /// drift trigger never holds a plan across a live requirement change.
     requirement: Requirements,
 }
+
+/// One microservice's provider selection: its script entry, its best live
+/// provider, and the QoS row the provider was judged on.
+type Selected<'s> = (&'s MsSpec, Arc<dyn Provider>, Qos);
 
 pub(super) struct ServiceState {
     script: ServiceScript,
@@ -118,43 +113,15 @@ impl Gateway {
                     .lock()
                     .planning_requirement(&state.script.requirements);
                 // Take the previous slot's plan out *before* planning: if
-                // plan() fails (e.g. a provider departed), the stale plan
-                // must not keep serving the new slot — the next invocation
-                // retries planning instead.
-                let mut held = state.active.take();
-                if let Some(active) = &held {
-                    // With `replan_on_drift`, measure how far the
-                    // collector's table has moved from the plan's
-                    // assumptions before discarding it (`None` =
-                    // requirement or provider set changed, which always
-                    // re-plans).
-                    let drift = self
-                        .config
-                        .replan_on_drift
-                        .then(|| self.boundary_drift(state, active, &requirement))
-                        .flatten();
+                // the boundary fails (e.g. a provider departed), the stale
+                // plan must not keep serving the new slot — the next
+                // invocation retries planning instead.
+                let held = state.active.take();
+                if held.is_some() {
                     state.slot += 1;
                     state.invocations_in_slot = 0;
-                    match drift {
-                        // Every quantized cell of the assumed QoS table is
-                        // unchanged: a re-plan would see identical search
-                        // inputs, so hold the plan for this slot.
-                        Some(drift) if drift <= 0.0 => self.telemetry.record_drift_hold(service_id),
-                        Some(drift) => {
-                            self.telemetry.record(EventKind::ReplanTriggered {
-                                service: service_id.to_string(),
-                                slot: state.slot,
-                                drift,
-                            });
-                            held = None;
-                        }
-                        None => held = None,
-                    }
                 }
-                let active = match held {
-                    Some(active) => active,
-                    None => self.replan(service_id, state, &requirement)?,
-                };
+                let active = self.boundary(service_id, state, &requirement, held)?;
                 state.active.insert(active)
             }
         };
@@ -187,34 +154,96 @@ impl Gateway {
         })
     }
 
-    /// Plans `state`'s current slot and records the decision in telemetry
-    /// and the slot history.
-    fn replan(
+    /// Runs `state`'s slot boundary: selects each capability's provider,
+    /// then holds `held` (drift mode, nothing changed) or plans the slot
+    /// over the selection's table and records the decision in telemetry
+    /// and the slot history. A failure is recorded as the slot's.
+    fn boundary(
         &self,
         service_id: &str,
         state: &mut ServiceState,
         requirement: &Requirements,
+        held: Option<ActivePlan>,
     ) -> Result<ActivePlan, RuntimeError> {
-        let Draft {
-            plan,
-            providers,
-            policy,
-            names,
-        } = self.plan(state, requirement).inspect_err(|error| {
-            self.telemetry
-                .record_plan_failure(service_id, state.slot, error);
-        })?;
-        let strategy_text = plan.strategy.to_string_with_names(&names);
+        let slot = state.slot;
+        let failed = |error: RuntimeError| {
+            self.telemetry.record_plan_failure(service_id, slot, &error);
+            error
+        };
+        // An override's requirement reaches here unvetted; selection
+        // divides by it, so reject it as the planner would.
+        requirement
+            .validate()
+            .map_err(|e| RuntimeError::Generation {
+                reason: GenerateError::InvalidRequirements(e).to_string(),
+            })
+            .map_err(failed)?;
+        let rows = self
+            .select(&state.script, requirement, state.planner.utility())
+            .map_err(failed)?;
+        let providers: Vec<Arc<dyn Provider>> = rows
+            .iter()
+            .map(|(_, provider, _)| Arc::clone(provider))
+            .collect();
+        let env: EnvQos = rows.iter().map(|&(_, _, qos)| qos).collect();
+
+        if let Some(held) = held.filter(|_| self.config.replan_on_drift) {
+            let instance = |p: &Arc<dyn Provider>| Arc::as_ptr(p).cast::<()>();
+            let same_providers = held
+                .shared
+                .providers
+                .iter()
+                .map(instance)
+                .eq(providers.iter().map(instance));
+            if held.requirement == *requirement && same_providers {
+                let drift = env_drift(&held.assumed_env, &env, self.config.plan_quantize);
+                // Every quantized cell is unchanged: a re-plan would see
+                // identical search inputs, so the plan holds this slot.
+                if drift <= 0.0 {
+                    self.telemetry.record_drift_hold(service_id);
+                    return Ok(held);
+                }
+                self.telemetry.record(EventKind::ReplanTriggered {
+                    service: service_id.to_string(),
+                    slot,
+                    drift,
+                });
+            }
+        }
+
+        // Capabilities with no live provider are left out of this slot,
+        // which then plans over the script reduced to the rest.
+        let reduced;
+        let script = if rows.len() == state.script.microservices.len() {
+            &state.script
+        } else {
+            reduced = ServiceScript {
+                microservices: rows.iter().map(|(spec, _, _)| (*spec).clone()).collect(),
+                ..state.script.clone()
+            };
+            &reduced
+        };
+        let plan = state
+            .planner
+            .plan_slot_for(script, requirement, env, slot, Some(&self.telemetry))
+            .map_err(failed)?;
+        let policy = match script.quorum {
+            Some(q) if q > 1 => CompletionPolicy::Quorum { quorum: q },
+            _ => CompletionPolicy::FirstSuccess,
+        };
+        crate::engine::validate(&plan.strategy, &providers, policy).map_err(failed)?;
+
+        let strategy_text = plan.strategy.to_string_with_names(&script.ms_names());
         self.telemetry.record_replan(
             service_id,
-            state.slot,
+            slot,
             &plan.origin.to_string(),
             &strategy_text,
             plan.report.as_ref(),
             plan.source,
         );
         state.history.push_back(SlotRecord {
-            slot: state.slot,
+            slot,
             strategy_text: strategy_text.clone(),
             origin: plan.origin.clone(),
             estimated: plan.estimated,
@@ -235,33 +264,24 @@ impl Gateway {
                 policy,
             }),
             assumed_env: plan.assumed_env,
-            names,
             requirement: *requirement,
         })
     }
 
-    /// Plans the current slot for `state`: resolve providers, generate (or
-    /// default) the strategy, then validate it with the script's completion
-    /// policy — once here, for every request of the slot.
-    fn plan(
+    /// Resolves each of `script`'s microservices to its best provider
+    /// (Assumption 1), with the QoS row selection judged it on. A
+    /// capability with no live provider (device churn) is left out instead
+    /// of failing the service — the gateway plans over what it has, as long
+    /// as anything survives.
+    fn select<'s>(
         &self,
-        state: &ServiceState,
+        script: &'s ServiceScript,
         requirement: &Requirements,
-    ) -> Result<Draft, RuntimeError> {
-        let utility = qce_strategy::UtilityIndex::new(state.script.penalty_k).map_err(|e| {
-            RuntimeError::InvalidScript {
-                reason: e.to_string(),
-            }
-        })?;
-        // Resolve each equivalent microservice to its best provider.
-        // Capabilities with no live provider (device churn) are dropped
-        // from this slot's plan instead of failing the whole service — the
-        // gateway plans over what it has, as long as anything survives.
-        let mut specs: Vec<MsSpec> = Vec::with_capacity(state.script.microservices.len());
-        let mut providers: Vec<Arc<dyn Provider>> =
-            Vec::with_capacity(state.script.microservices.len());
-        let mut missing: Option<RuntimeError> = None;
-        for spec in &state.script.microservices {
+        utility: UtilityIndex,
+    ) -> Result<Vec<Selected<'s>>, RuntimeError> {
+        let mut rows = Vec::with_capacity(script.microservices.len());
+        let mut missing = None;
+        for spec in &script.microservices {
             match self.registry.best_provider(
                 &spec.capability,
                 &spec.prior,
@@ -269,92 +289,18 @@ impl Gateway {
                 utility,
                 requirement,
             ) {
-                Ok(provider) => {
-                    specs.push(spec.clone());
-                    providers.push(provider);
+                Ok((provider, qos)) => rows.push((spec, provider, qos)),
+                Err(error) => {
+                    missing.get_or_insert(error);
                 }
-                Err(error @ RuntimeError::NoProvider { .. }) => {
-                    if missing.is_none() {
-                        missing = Some(error);
-                    }
-                }
-                Err(error) => return Err(error),
             }
         }
         // A validated script lists at least one microservice, so nothing
         // surviving means at least one lookup reported its capability gone.
-        if let Some(error) = missing.filter(|_| providers.is_empty()) {
-            return Err(error);
+        match missing {
+            Some(error) if rows.is_empty() => Err(error),
+            _ => Ok(rows),
         }
-        let reduced_script;
-        let script = if specs.len() == state.script.microservices.len() {
-            &state.script
-        } else {
-            reduced_script = ServiceScript {
-                microservices: specs,
-                ..state.script.clone()
-            };
-            &reduced_script
-        };
-
-        let plan = state.planner.plan_slot_for(
-            script,
-            requirement,
-            &providers,
-            &self.collector,
-            state.slot,
-            Some(&self.telemetry),
-        )?;
-        let policy = match state.script.quorum {
-            Some(q) if q > 1 => CompletionPolicy::Quorum { quorum: q },
-            _ => CompletionPolicy::FirstSuccess,
-        };
-        crate::engine::validate(&plan.strategy, &providers, policy)?;
-
-        Ok(Draft {
-            names: script.ms_names().iter().map(|s| (*s).to_string()).collect(),
-            plan,
-            providers,
-            policy,
-        })
-    }
-
-    /// How far the collector's QoS table has drifted from `active`'s
-    /// assumed table, at the plan-cache quantization granularity (see
-    /// [`env_drift`](crate::env_drift)).
-    ///
-    /// Returns `None` — forcing a re-plan — when the effective requirement
-    /// changed since the plan was synthesized (live override), or the
-    /// plan's microservice set no longer maps onto the script (provider
-    /// churn reshaped the service mid-slot).
-    fn boundary_drift(
-        &self,
-        state: &ServiceState,
-        active: &ActivePlan,
-        requirement: &Requirements,
-    ) -> Option<f64> {
-        if active.requirement != *requirement {
-            return None;
-        }
-        // Rebuild the QoS table the planner would assume right now over
-        // the active plan's own provider set, then compare cell-by-cell.
-        let providers = &active.shared.providers;
-        let mut current: Vec<qce_strategy::Qos> = Vec::with_capacity(providers.len());
-        for (name, provider) in active.names.iter().zip(providers.iter()) {
-            let spec = state
-                .script
-                .microservices
-                .iter()
-                .find(|spec| &spec.name == name)?;
-            let prior = crate::collector::prior_with_advertised_cost(&spec.prior, provider.cost());
-            current.push(self.collector.qos_or_prior(provider.id(), &prior));
-        }
-        let current: EnvQos = current.into_iter().collect();
-        Some(crate::generator::env_drift(
-            &active.assumed_env,
-            &current,
-            self.config.plan_quantize,
-        ))
     }
 
     /// Removes `entry` from the map if it is still the registered,

@@ -139,9 +139,10 @@ pub struct SlotPlan {
 }
 
 /// Builds the QoS table the generator should assume for this script: for
-/// each microservice, collector observations of its resolved provider when
-/// available, the script prior (with the provider's advertised cost)
-/// otherwise.
+/// each microservice, what the collector assumes about its resolved
+/// provider — its window when usable, the script prior with the provider's
+/// advertised cost otherwise. The gateway gets the same rows from provider
+/// selection ([`Registry::best_provider`](crate::Registry::best_provider)).
 #[must_use]
 pub fn assumed_env(
     script: &ServiceScript,
@@ -152,13 +153,7 @@ pub fn assumed_env(
         .microservices
         .iter()
         .zip(providers)
-        .map(|(spec, provider)| {
-            // Advertised costs are self-reported; validate before
-            // substituting so a NaN/∞ registration cannot leak into the
-            // estimator or the plan-cache quantizer key.
-            let prior = crate::collector::prior_with_advertised_cost(&spec.prior, provider.cost());
-            collector.qos_or_prior(provider.id(), &prior)
-        })
+        .map(|(spec, provider)| collector.assumed(provider.as_ref(), &spec.prior))
         .collect()
 }
 
@@ -203,6 +198,12 @@ impl Planner {
         })
     }
 
+    /// The utility index the planner searches with, which provider
+    /// selection ranks by too.
+    pub(crate) fn utility(&self) -> UtilityIndex {
+        self.generator.utility_index()
+    }
+
     /// Counter snapshot of the plan cache, if one is enabled.
     #[must_use]
     pub fn cache_stats(&self) -> Option<PlanCacheStats> {
@@ -217,7 +218,8 @@ impl Planner {
     }
 
     /// Plans the strategy for a time slot against the script's own
-    /// requirement (see [`Planner::plan_slot_for`]).
+    /// requirement, over the table [`assumed_env`] builds for `providers`
+    /// (see [`Planner::plan_slot_for`]).
     ///
     /// # Errors
     ///
@@ -230,47 +232,40 @@ impl Planner {
         slot: u64,
         telemetry: Option<&Telemetry>,
     ) -> Result<SlotPlan, RuntimeError> {
-        self.plan_slot_for(
-            script,
-            &script.requirements,
-            providers,
-            collector,
-            slot,
-            telemetry,
-        )
+        let env = assumed_env(script, providers, collector);
+        self.plan_slot_for(script, &script.requirements, env, slot, telemetry)
     }
 
-    /// Plans the strategy for a time slot against an explicit *effective*
-    /// requirement instead of the script's own. The gateway resolves live
+    /// Plans the strategy for a time slot over the QoS table `env` (one row
+    /// per microservice of `script`, in order), against an explicit
+    /// *effective* requirement instead of the script's own. The gateway
+    /// builds `env` from its provider selection and resolves live
     /// per-service overrides (`qce ctl set-requirement` / `set-class`) into
-    /// this value, so the synthesized plan — and the plan-cache key — track
-    /// what the operator currently demands, not what the script was
+    /// `requirements`, so the synthesized plan — and the plan-cache key —
+    /// track what the operator currently demands, not what the script was
     /// deployed with.
     ///
     /// Slot 0 executes the default strategy (collecting initial
     /// observations); later slots run the paper's Algorithm 2 (exhaustive
-    /// below the threshold, approximation above it) against the assumed QoS
-    /// table. When `telemetry` is provided, the generator's search effort
-    /// (candidates seen/pruned, elapsed time) is accumulated into the
-    /// service's counters.
+    /// below the threshold, approximation above it) against `env`. When
+    /// `telemetry` is provided, the generator's search effort (candidates
+    /// seen/pruned, elapsed time) is accumulated into the service's
+    /// counters.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::InvalidScript`] for an unparsable default
-    /// strategy or penalty, or [`RuntimeError::Generation`] if generation
-    /// fails.
+    /// strategy, or [`RuntimeError::Generation`] if generation fails
+    /// (an invalid requirement included).
     pub fn plan_slot_for(
         &self,
         script: &ServiceScript,
         requirements: &Requirements,
-        providers: &[Arc<dyn Provider>],
-        collector: &Collector,
+        env: EnvQos,
         slot: u64,
         telemetry: Option<&Telemetry>,
     ) -> Result<SlotPlan, RuntimeError> {
-        let env = assumed_env(script, providers, collector);
         let ids = env.ids();
-        let requirements: Requirements = *requirements;
 
         if slot == 0 {
             let strategy = match script.parsed_default_strategy()? {
@@ -294,7 +289,7 @@ impl Planner {
 
         let generated: Generated = self
             .generator
-            .generate_with(self.choice, &env, &ids, &requirements)
+            .generate_with(self.choice, &env, &ids, requirements)
             .map_err(|e| RuntimeError::Generation {
                 reason: e.to_string(),
             })?;
@@ -369,6 +364,90 @@ mod tests {
                     .build() as Arc<dyn Provider>
             })
             .collect()
+    }
+
+    /// The gateway plans over the rows provider selection judged its
+    /// winners on; the benchmark and `plan_slot` over [`assumed_env`]. Both
+    /// must be one table, bit for bit, whatever the collector holds.
+    #[test]
+    fn selection_rows_are_the_assumed_env_bit_for_bit() {
+        use crate::registry::Registry;
+        use rand::{Rng, SeedableRng};
+        let costs = [10.0, 50.0, 80.0, f64::NAN];
+        let mut kinds_seen = [false; 5];
+        let mut reduced_seen = false;
+        for seed in 0..64 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let registry = Registry::new();
+            let collector = Collector::new(8);
+            let mut present = Vec::new();
+            for (i, spec) in script().microservices.iter().enumerate() {
+                // A capability with no provider at all reduces the slot.
+                if rng.gen_bool(0.15) {
+                    continue;
+                }
+                present.push(spec.clone());
+                for side in ["a", "b"] {
+                    let id = format!("d{i}{side}/{}", spec.capability);
+                    let cost = costs[rng.gen_range(0..costs.len())];
+                    registry.register(
+                        SimulatedProvider::builder(id.as_str(), spec.capability.as_str())
+                            .cost(cost)
+                            .build(),
+                    );
+                    // Empty, all-failure, zero-latency, poisoned or mixed.
+                    let kind = rng.gen_range(0..5);
+                    kinds_seen[kind] = true;
+                    for _ in 0..rng.gen_range(1..6) * usize::from(kind != 0) {
+                        collector.record(
+                            &id,
+                            ExecutionRecord {
+                                success: kind == 4 && rng.gen_bool(0.6),
+                                latency: match kind {
+                                    2 => Duration::ZERO,
+                                    _ => Duration::from_millis(rng.gen_range(1..200)),
+                                },
+                                cost: if kind == 3 { f64::NAN } else { cost.max(1.0) },
+                            },
+                        );
+                    }
+                }
+            }
+            let reduced = ServiceScript {
+                microservices: present,
+                ..script()
+            };
+            reduced_seen |= reduced.microservices.len() < 3;
+            let requirements = Requirements::new(
+                rng.gen_range(10.0..200.0),
+                rng.gen_range(10.0..200.0),
+                rng.gen_range(0.5..1.0),
+            )
+            .unwrap();
+            let (chosen, rows): (Vec<Arc<dyn Provider>>, Vec<Qos>) = reduced
+                .microservices
+                .iter()
+                .map(|spec| {
+                    registry
+                        .best_provider(
+                            &spec.capability,
+                            &spec.prior,
+                            &collector,
+                            UtilityIndex::default(),
+                            &requirements,
+                        )
+                        .unwrap()
+                })
+                .unzip();
+            let env = assumed_env(&reduced, &chosen, &collector);
+            assert_eq!(env.len(), rows.len(), "seed {seed}");
+            for (id, row) in env.ids().into_iter().zip(&rows) {
+                let cell = env.get(id).unwrap();
+                let bits = |q: &Qos| [q.cost, q.latency, q.reliability.value()].map(f64::to_bits);
+                assert_eq!(bits(cell), bits(row), "seed {seed} {id:?}");
+            }
+        }
+        assert!(kinds_seen.iter().all(|&seen| seen) && reduced_seen);
     }
 
     #[test]
@@ -708,13 +787,14 @@ mod tests {
         // A different effective requirement is a different search identity:
         // it must not be served the script-requirement plan.
         let strict = qce_strategy::Requirements::new(1000.0, 1000.0, 0.999).unwrap();
+        let env = || assumed_env(&script(), &providers(), &collector);
         let overridden = planner
-            .plan_slot_for(&script(), &strict, &providers(), &collector, 2, None)
+            .plan_slot_for(&script(), &strict, env(), 2, None)
             .unwrap();
         assert_eq!(overridden.source, Some(PlanSource::Cold));
         // Re-planning under the same effective requirement hits.
         let again = planner
-            .plan_slot_for(&script(), &strict, &providers(), &collector, 3, None)
+            .plan_slot_for(&script(), &strict, env(), 3, None)
             .unwrap();
         assert_eq!(again.source, Some(PlanSource::Cached));
         assert_eq!(again.strategy, overridden.strategy);

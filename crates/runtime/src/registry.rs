@@ -90,9 +90,15 @@ impl Registry {
     }
 
     /// Selects the provider of `capability` with the best current QoS
-    /// (Assumption 1), judged by the utility index against `requirements`
-    /// using collector observations (falling back to `prior` for providers
-    /// without history, with the provider's advertised cost substituted).
+    /// (Assumption 1), judged by the utility index against `requirements`,
+    /// and returns it with the QoS it was judged on: its collector window,
+    /// or `prior` with its advertised cost while it has no usable history.
+    /// That row is what a slot plans over, so the gateway reads each
+    /// candidate once per slot boundary.
+    ///
+    /// Ranking is a total order (`f64::total_cmp`, ties to the smaller id),
+    /// so selection stays well-defined even when tiny valid requirements
+    /// push a utility to `NaN`.
     ///
     /// # Errors
     ///
@@ -105,33 +111,15 @@ impl Registry {
         collector: &Collector,
         utility: UtilityIndex,
         requirements: &Requirements,
-    ) -> Result<Arc<dyn Provider>, RuntimeError> {
-        let candidates = self.providers_for(capability);
-        candidates
+    ) -> Result<(Arc<dyn Provider>, Qos), RuntimeError> {
+        self.providers_for(capability)
             .into_iter()
             .map(|p| {
-                // No (usable) history: use the script prior but the
-                // provider's advertised cost (devices register their
-                // costs). Both the advertised cost and the windowed
-                // aggregates are validated before use — a provider
-                // registering a NaN cost must not produce a NaN utility
-                // and abort selection below.
-                let assumed = collector
-                    .stats(p.id())
-                    .and_then(|s| s.checked_qos())
-                    .unwrap_or_else(|| {
-                        crate::collector::prior_with_advertised_cost(prior, p.cost())
-                    });
-                let score = utility.utility(&assumed, requirements);
-                (p, score)
+                let assumed = collector.assumed(p.as_ref(), prior);
+                (utility.utility(&assumed, requirements), p, assumed)
             })
-            .max_by(|(pa, ua), (pb, ub)| {
-                ua.partial_cmp(ub)
-                    .expect("utilities are finite")
-                    // Deterministic tie-break on id so selection is stable.
-                    .then_with(|| pb.id().cmp(pa.id()))
-            })
-            .map(|(p, _)| p)
+            .max_by(|(ua, pa, _), (ub, pb, _)| ua.total_cmp(ub).then_with(|| pb.id().cmp(pa.id())))
+            .map(|(_, p, assumed)| (p, assumed))
             .ok_or_else(|| RuntimeError::NoProvider {
                 capability: capability.to_string(),
             })
@@ -222,7 +210,8 @@ mod tests {
                 UtilityIndex::default(),
                 &requirements(),
             )
-            .unwrap();
+            .unwrap()
+            .0;
         assert_eq!(best.id(), "d2/x", "lower advertised cost wins");
     }
 
@@ -260,7 +249,8 @@ mod tests {
                 UtilityIndex::default(),
                 &requirements(),
             )
-            .unwrap();
+            .unwrap()
+            .0;
         assert_eq!(best.id(), "fast/x");
     }
 
@@ -285,7 +275,8 @@ mod tests {
                 UtilityIndex::default(),
                 &requirements(),
             )
-            .unwrap();
+            .unwrap()
+            .0;
         assert_eq!(best.id(), "good/x", "finite advertised cost wins");
     }
 
@@ -314,7 +305,8 @@ mod tests {
                 UtilityIndex::default(),
                 &requirements(),
             )
-            .unwrap();
+            .unwrap()
+            .0;
         assert_eq!(best.id(), "p1/x");
     }
 
@@ -333,7 +325,34 @@ mod tests {
                 UtilityIndex::default(),
                 &requirements(),
             )
-            .unwrap();
+            .unwrap()
+            .0;
         assert_eq!(best.id(), "a/x", "lexicographically smaller id wins ties");
+    }
+
+    #[test]
+    fn selection_is_total_when_utilities_are_nan() {
+        // Valid but tiny requirements overflow Equation 1's normalisation:
+        // the cost term is −∞, the reliability term +∞, and every
+        // candidate's utility is NaN. Ranking must stay a total order,
+        // ties to the id.
+        let registry = Registry::new();
+        registry.register(provider("b/x", "x", 10.0));
+        registry.register(provider("a/x", "x", 10.0));
+        let collector = Collector::new(10);
+        let prior = Qos::new(50.0, 50.0, 0.7).unwrap();
+        let tiny = Requirements::new(1e-310, 100.0, 1e-310).unwrap();
+        assert!(UtilityIndex::default().utility(&prior, &tiny).is_nan());
+        let (best, assumed) = registry
+            .best_provider("x", &prior, &collector, UtilityIndex::default(), &tiny)
+            .unwrap();
+        assert_eq!(best.id(), "a/x");
+        assert_eq!(
+            assumed,
+            Qos {
+                cost: 10.0,
+                ..prior
+            }
+        );
     }
 }

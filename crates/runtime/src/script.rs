@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use qce_strategy::{Qos, Requirements, Strategy};
+use qce_strategy::{Qos, Requirements, Strategy, UtilityIndex};
 
 use crate::message::RuntimeError;
 
@@ -129,7 +129,7 @@ impl ServiceScript {
     ///
     /// Returns [`RuntimeError::InvalidScript`] when the script has no
     /// microservices, duplicate names, an unparsable default strategy, an
-    /// invalid penalty, or a zero slot size.
+    /// invalid penalty or requirement, or a zero slot size.
     pub fn validate(&self) -> Result<(), RuntimeError> {
         if self.microservices.is_empty() {
             return Err(RuntimeError::InvalidScript {
@@ -144,11 +144,11 @@ impl ServiceScript {
                 reason: "duplicate microservice names".to_string(),
             });
         }
-        if !(self.penalty_k.is_finite() && self.penalty_k > 1.0) {
-            return Err(RuntimeError::InvalidScript {
-                reason: format!("penalty k must be > 1, got {}", self.penalty_k),
-            });
-        }
+        let invalid = |e: qce_strategy::QosError| RuntimeError::InvalidScript {
+            reason: e.to_string(),
+        };
+        UtilityIndex::new(self.penalty_k).map_err(invalid)?;
+        self.requirements.validate().map_err(invalid)?;
         if self.slot_size == 0 {
             return Err(RuntimeError::InvalidScript {
                 reason: "slot size must be positive".to_string(),
@@ -268,6 +268,43 @@ mod tests {
         assert!(s.validate().is_err());
         s.penalty_k = f64::NAN;
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn bad_penalty_is_reported_as_the_utility_index_reports_it() {
+        let mut s = script();
+        s.penalty_k = 0.5;
+        let Err(RuntimeError::InvalidScript { reason }) = s.validate() else {
+            panic!("a penalty of 0.5 must be rejected");
+        };
+        assert_eq!(
+            reason,
+            UtilityIndex::new(0.5).unwrap_err().to_string(),
+            "one penalty rule, one message"
+        );
+    }
+
+    #[test]
+    fn invalid_requirements_rejected() {
+        // The fields are public and deserialized unvetted, and Equation 1
+        // divides by them: a script must not reach its first request with
+        // a bound `Requirements::new` would have refused.
+        for (cost, latency) in [(0.0, 100.0), (f64::NAN, 100.0), (100.0, -1.0)] {
+            let mut s = script();
+            s.requirements.cost = cost;
+            s.requirements.latency = latency;
+            assert!(
+                matches!(s.validate(), Err(RuntimeError::InvalidScript { .. })),
+                "cost={cost} latency={latency}"
+            );
+        }
+        let mut s = script();
+        s.requirements.cost = 0.0;
+        let json = serde_json::to_string(&s).unwrap();
+        assert!(matches!(
+            ServiceScript::from_json(&json),
+            Err(RuntimeError::InvalidScript { .. })
+        ));
     }
 
     #[test]

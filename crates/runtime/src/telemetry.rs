@@ -942,7 +942,9 @@ impl Telemetry {
     }
 
     /// Records the generator's search effort for one re-plan of `service`
-    /// (called by [`Planner::plan_slot_for`](crate::Planner::plan_slot_for)).
+    /// (called by [`Planner::plan_slot_for`](crate::Planner::plan_slot_for),
+    /// the search a gateway's slot boundary runs over its selection's
+    /// table).
     pub fn record_synthesis(&self, service: &str, report: &SynthesisReport) {
         let all = &self.service_metrics(service).all;
         all.add(Key::CandidatesSeen, report.candidates_seen);

@@ -561,6 +561,120 @@ fn drift_replay_byte_identical_telemetry() {
 }
 
 #[test]
+fn drift_mode_drops_a_departed_provider_and_readmits_a_rejoined_one() {
+    // The default `a-b-c` runs `a` only, so the slot-1 plan never calls
+    // `b` and its window stays empty: the departure leaves every cell of
+    // the held plan's table unchanged. The boundary must still notice the
+    // provider set moved — a deregistered device is never served again,
+    // and a re-joined one is planned over at once.
+    use qce_runtime::clock::VirtualClock;
+    let clock = Arc::new(VirtualClock::new());
+    let mut s = script(1);
+    s.default_strategy = Some("readTempSensor-estTemp-readLocTemp".into());
+    let config = GatewayConfig::builder().replan_on_drift(true).build();
+    let gateway = Gateway::with_clock(market_with(s), config, Arc::clone(&clock) as Arc<dyn Clock>);
+    let device = |i: usize, cap: &str, ms: u64| {
+        SimulatedProvider::builder(format!("dev{i}/{cap}"), cap)
+            .cost(50.0)
+            .latency(Duration::from_millis(ms))
+            .seed(i as u64)
+            .clock(Arc::clone(&clock) as Arc<dyn Clock>)
+            .build()
+    };
+    gateway.registry().register(device(0, "read-temp", 2));
+    gateway.registry().register(device(1, "est-temp", 3));
+    gateway.registry().register(device(2, "loc-temp", 5));
+    let serve = || {
+        let response = gateway.submit(Request::new("temp")).unwrap();
+        (response.slot, response.strategy_text)
+    };
+    for _ in 0..3 {
+        serve();
+    }
+    assert_eq!(
+        gateway.collector().observation_count("dev1/est-temp"),
+        0,
+        "the setup holds a plan whose `estTemp` never ran"
+    );
+
+    assert!(gateway.provider_left("dev1/est-temp"));
+    for _ in 0..3 {
+        let (slot, strategy) = serve();
+        assert!(
+            !strategy.contains("estTemp"),
+            "slot {slot} served {strategy} after its device left"
+        );
+    }
+
+    gateway.provider_joined(device(1, "est-temp", 3));
+    let (slot, strategy) = serve();
+    assert!(
+        strategy.contains("estTemp"),
+        "slot {slot} served {strategy} after the device re-joined"
+    );
+    let history = gateway.slot_history("temp");
+    assert_eq!(history.last().unwrap().slot, slot, "the rejoin re-planned");
+}
+
+#[test]
+fn a_nan_requirement_override_fails_the_replan_instead_of_panicking() {
+    use qce_runtime::telemetry::EventKind;
+    // `Requirements`' fields are public, so an override can carry a NaN
+    // that `Requirements::new` would have refused. Provider selection
+    // divides by it; the boundary must reject it as the planner does.
+    let gateway = drift_gateway(GatewayConfig::default(), 1.0);
+    gateway.submit(Request::new("temp")).unwrap();
+    let nan = Requirements {
+        cost: f64::NAN,
+        ..Requirements::new(100.0, 100.0, 0.97).unwrap()
+    };
+    gateway.control().set_requirement("temp", nan);
+    let error = gateway.submit(Request::new("temp")).unwrap_err();
+    assert!(
+        matches!(&error, RuntimeError::Generation { reason } if reason.contains("NaN")),
+        "{error}"
+    );
+    let snapshot = gateway.telemetry().snapshot();
+    assert!(snapshot
+        .recent_events
+        .iter()
+        .any(|e| matches!(&e.kind, EventKind::PlanFailed { slot: 1, .. })));
+    // A valid override brings the service back.
+    gateway
+        .control()
+        .set_requirement("temp", Requirements::new(100.0, 100.0, 0.97).unwrap());
+    assert!(gateway.submit(Request::new("temp")).unwrap().success);
+}
+
+#[test]
+fn a_script_with_an_invalid_requirement_never_reaches_planning() {
+    // Equation 1 divides by the requirement: a zero cost bound must be
+    // refused before the first request, wherever the script comes from.
+    let mut s = script(1);
+    s.requirements.cost = 0.0;
+    assert!(matches!(
+        InMemoryMarket::new().publish(s.clone()),
+        Err(RuntimeError::InvalidScript { .. })
+    ));
+    // A market that hands the script over unvetted is vetted at fetch.
+    struct Unvetted(ServiceScript);
+    impl Market for Unvetted {
+        fn fetch(&self, _: &str) -> Result<ServiceScript, RuntimeError> {
+            Ok(self.0.clone())
+        }
+        fn service_ids(&self) -> Vec<String> {
+            vec![self.0.service_id.clone()]
+        }
+    }
+    let gateway = Gateway::new(Box::new(Unvetted(s)), GatewayConfig::default());
+    register_devices(&gateway, 1.0);
+    assert!(matches!(
+        gateway.submit(Request::new("temp")),
+        Err(RuntimeError::InvalidScript { .. })
+    ));
+}
+
+#[test]
 fn plan_cache_surfaces_in_telemetry() {
     use qce_runtime::clock::VirtualClock;
     use qce_runtime::telemetry::EventKind;
