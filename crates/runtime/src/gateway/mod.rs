@@ -61,7 +61,8 @@ pub struct GatewayConfig {
     /// provider). `0` is treated as `1`.
     pub collector_window: usize,
     /// Worker threads for the per-slot exhaustive search (`0` = one per
-    /// available core).
+    /// available core, counted once per service, when its planner is
+    /// built).
     pub generator_parallelism: usize,
     /// Cache winning plans per service, keyed by the search inputs, so a
     /// slot whose environment is unchanged skips the search entirely.
@@ -577,7 +578,9 @@ impl Gateway {
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::UnknownService`] if the market has no such
+    /// Returns [`RuntimeError::Generation`] if the request's own
+    /// requirement is invalid (see [`Requirements::validate`]),
+    /// [`RuntimeError::UnknownService`] if the market has no such
     /// script, [`RuntimeError::NoProvider`] if a capability has no
     /// registered provider, [`RuntimeError::Overloaded`] if the request
     /// was shed (queue full, or preempted out of its queue slot by a
@@ -624,7 +627,9 @@ impl Gateway {
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::DeadlineExceeded`] for a zero effective
+    /// Returns [`RuntimeError::Generation`] if the request's own
+    /// requirement is invalid (see [`Requirements::validate`]),
+    /// [`RuntimeError::DeadlineExceeded`] for a zero effective
     /// deadline, [`RuntimeError::Overloaded`] when the request is shed at
     /// submission, and [`RuntimeError::LoopSpawn`] when no event-loop
     /// thread could be started. All later failures surface through the
@@ -729,10 +734,16 @@ impl Gateway {
     /// exactly one deadline-exceeded event — before admission, so it never
     /// occupies a queue slot or enters the engine (which would charge its
     /// started leaves before the first prune check), and before the
-    /// service gets an entry, so such requests leave nothing behind.
+    /// service gets an entry, so such requests leave nothing behind. A
+    /// requirement of the request's own that fails
+    /// [`Requirements::validate`] is rejected here too, uncounted: the
+    /// response's advisory would judge the slot against it.
     fn resolve(&self, request: Request) -> Result<Resolved, RuntimeError> {
         let request_id = self.next_request.fetch_add(1, Ordering::Relaxed);
         let (service_id, class, deadline, requirement, payload) = request.into_parts();
+        if let Some(requirement) = &requirement {
+            planning::vet(requirement)?;
+        }
         let known = self.services.read().get(&service_id).map(Arc::clone);
         // A service without an entry has no overrides in force.
         let overrides = known

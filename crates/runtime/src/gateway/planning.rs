@@ -24,6 +24,16 @@ use crate::telemetry::EventKind;
 
 use super::{Gateway, ServiceEntry, SlotRecord};
 
+/// Rejects a requirement the planner would refuse, with the planner's
+/// error: a live override's, or a request's own.
+pub(super) fn vet(requirement: &Requirements) -> Result<(), RuntimeError> {
+    requirement
+        .validate()
+        .map_err(|e| RuntimeError::Generation {
+            reason: GenerateError::InvalidRequirements(e).to_string(),
+        })
+}
+
 /// The part of a slot's plan every request of the slot reads and none
 /// changes, built once per re-plan and shared by `Arc`: the engine gets
 /// its own handles on the strategy, the providers and their sinks, the
@@ -172,12 +182,7 @@ impl Gateway {
         };
         // An override's requirement reaches here unvetted; selection
         // divides by it, so reject it as the planner would.
-        requirement
-            .validate()
-            .map_err(|e| RuntimeError::Generation {
-                reason: GenerateError::InvalidRequirements(e).to_string(),
-            })
-            .map_err(failed)?;
+        vet(requirement).map_err(failed)?;
         let rows = self
             .select(&state.script, requirement, state.planner.utility())
             .map_err(failed)?;

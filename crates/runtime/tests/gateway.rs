@@ -646,6 +646,58 @@ fn a_nan_requirement_override_fails_the_replan_instead_of_panicking() {
     assert!(gateway.submit(Request::new("temp")).unwrap().success);
 }
 
+/// A request whose own requirement `Requirements::new` would refuse.
+fn nan_requirement_request() -> Request {
+    let nan = Requirements {
+        cost: f64::NAN,
+        ..Requirements::new(100.0, 100.0, 0.97).unwrap()
+    };
+    Request::new("temp").requirement(nan)
+}
+
+fn assert_refused_as_invalid(error: &RuntimeError) {
+    assert!(
+        matches!(error, RuntimeError::Generation { reason } if reason.contains("NaN")),
+        "{error}"
+    );
+}
+
+#[test]
+fn a_nan_request_requirement_is_refused_by_a_blocking_submit() {
+    // The response's advisory judges the slot against the request's own
+    // requirement, so a NaN one is refused before admission.
+    let gateway = drift_gateway(GatewayConfig::default(), 1.0);
+    let error = gateway.submit(nan_requirement_request()).unwrap_err();
+    assert_refused_as_invalid(&error);
+    assert!(gateway.submit(Request::new("temp")).unwrap().success);
+}
+
+#[test]
+fn a_nan_request_requirement_is_refused_by_submit_async_and_the_loop_lives_on() {
+    let gateway = Arc::new(drift_gateway(GatewayConfig::default(), 1.0));
+    // Once with the loops not yet started, once with them running.
+    let error = gateway.submit_async(nan_requirement_request()).unwrap_err();
+    assert_refused_as_invalid(&error);
+    let started = gateway.submit_async(Request::new("temp")).unwrap();
+    assert!(started.wait().unwrap().success);
+    let error = gateway.submit_async(nan_requirement_request()).unwrap_err();
+    assert_refused_as_invalid(&error);
+    let mut handle = gateway.submit_async(Request::new("temp")).unwrap();
+    let start = std::time::Instant::now();
+    let response = loop {
+        match handle.try_wait() {
+            Ok(result) => break result.unwrap(),
+            Err(pending) => handle = pending,
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(20),
+            "the event loop died"
+        );
+        std::thread::yield_now();
+    };
+    assert!(response.success);
+}
+
 #[test]
 fn a_script_with_an_invalid_requirement_never_reaches_planning() {
     // Equation 1 divides by the requirement: a zero cost bound must be

@@ -191,6 +191,10 @@ pub struct Generator {
     utility: UtilityIndex,
     threshold: usize,
     parallelism: usize,
+    /// `parallelism` with `0` resolved to the available cores, once: the
+    /// lookup reads cgroup files on Linux, and a re-planning runtime
+    /// searches every slot.
+    workers: usize,
     pruning: bool,
     estimator: Arc<dyn Estimator>,
     /// Environment-independent candidate-tree caches for the synthesis
@@ -274,7 +278,8 @@ impl GeneratorBuilder {
     }
 
     /// Worker threads for the exhaustive searches; `0` (the default)
-    /// resolves to the number of available cores at search time.
+    /// resolves to the number of available cores when the generator is
+    /// built.
     #[must_use]
     pub fn parallelism(mut self, workers: usize) -> Self {
         self.parallelism = workers;
@@ -319,6 +324,10 @@ impl GeneratorBuilder {
             utility: self.utility,
             threshold: self.threshold,
             parallelism: self.parallelism,
+            workers: match self.parallelism {
+                0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+                workers => workers,
+            },
             pruning: self.pruning,
             estimator: self
                 .estimator
@@ -394,17 +403,6 @@ impl Generator {
             Via::Estimator => self.estimator.estimate(s, env)?,
             Via::Algorithm1 => crate::estimate::estimate(s, env)?,
         })
-    }
-
-    /// `parallelism` with `0` resolved to the available cores.
-    fn resolved_parallelism(&self) -> usize {
-        if self.parallelism != 0 {
-            self.parallelism
-        } else {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        }
     }
 
     /// Algorithm 2: exhaustive search while `|M| ≤ θ`, greedy approximation
@@ -581,7 +579,7 @@ impl Generator {
                 req,
                 utility: self.utility,
                 pruning: self.pruning,
-                parallelism: self.resolved_parallelism(),
+                parallelism: self.workers,
                 initial_bound,
                 cache: &cache,
             })?;
@@ -1568,13 +1566,38 @@ mod engine_equivalence_tests {
     /// Half the legs at reliability exactly 1.0.
     const TIE_HEAVY: &[f64] = &[0.5, 0.8, 1.0, 1.0];
 
-    /// Twelve tables per M over a small lattice of costs, latencies and
-    /// the given `reliabilities`: the engine, pruned and unpruned on 1 and
-    /// 4 workers, must reproduce the generic scan bit for bit and account
-    /// for all of `F(M)`. Returns how many winners tied another candidate
-    /// on QoS.
+    /// The requirements the lattice and anchored tables are searched
+    /// under: the latency cap binds wherever the fast legs fail often.
+    fn tight_requirements() -> Requirements {
+        Requirements::new(40.0, 24.0, 0.97).unwrap()
+    }
+
+    /// Twelve lattice tables per M over a small lattice of costs,
+    /// latencies and the given `reliabilities`, matched by [`tables_match`].
     fn lattice_tables_match(ms: std::ops::RangeInclusive<usize>, reliabilities: &[f64]) -> usize {
-        let requirements = Requirements::new(40.0, 24.0, 0.97).unwrap();
+        tables_match(ms, |rng, m| {
+            (0..m)
+                .map(|_| {
+                    Qos::new(
+                        [10.0, 20.0, 40.0][rng.gen_range(0..3)],
+                        [8.0, 16.0][rng.gen_range(0..2)],
+                        reliabilities[rng.gen_range(0..reliabilities.len())],
+                    )
+                    .unwrap()
+                })
+                .collect()
+        })
+    }
+
+    /// Twelve tables per M, each drawn by `table` from its own seeded
+    /// generator: the engine, pruned and unpruned on 1 and 4 workers, must
+    /// reproduce the generic scan bit for bit and account for all of
+    /// `F(M)`. Returns how many winners tied another candidate on QoS.
+    fn tables_match(
+        ms: std::ops::RangeInclusive<usize>,
+        table: impl Fn(&mut ChaCha8Rng, usize) -> EnvQos,
+    ) -> usize {
+        let requirements = tight_requirements();
         let ground_truth = Generator::builder()
             .estimator(Arc::new(PlainAlg1))
             .parallelism(1)
@@ -1592,17 +1615,7 @@ mod engine_equivalence_tests {
         let mut tied_cases = 0;
         for m in ms {
             for seed in 0..12u64 {
-                let mut rng = ChaCha8Rng::seed_from_u64(seed * 41 + m as u64);
-                let env: EnvQos = (0..m)
-                    .map(|_| {
-                        Qos::new(
-                            [10.0, 20.0, 40.0][rng.gen_range(0..3)],
-                            [8.0, 16.0][rng.gen_range(0..2)],
-                            reliabilities[rng.gen_range(0..reliabilities.len())],
-                        )
-                        .unwrap()
-                    })
-                    .collect();
+                let env = table(&mut ChaCha8Rng::seed_from_u64(seed * 41 + m as u64), m);
                 let ids = env.ids();
                 let run = |g: &Generator| g.exhaustive(&env, &ids, &requirements).unwrap();
                 let truth = run(&ground_truth);
@@ -1625,6 +1638,62 @@ mod engine_equivalence_tests {
             }
         }
         tied_cases
+    }
+
+    /// A table shaped like a re-planned service of the wall-clock
+    /// benchmark: leg 0 never fails and meets the latency cap alone; the
+    /// other `m - 1` legs, dealt from faster-and-dearer to slower-and-
+    /// cheaper roles, fail now and then. So the latency cap binds, and the
+    /// rows that start a slow leg first lose on latency alone.
+    fn anchored_env(rng: &mut ChaCha8Rng, m: usize) -> EnvQos {
+        const ROLES: [(f64, f64); 5] = [
+            (10.0, 36.0),
+            (20.0, 28.0),
+            (50.0, 12.0),
+            (80.0, 8.0),
+            (40.0, 16.0),
+        ];
+        let turn = rng.gen_range(0..ROLES.len());
+        let anchor = Qos::new(30.0, 20.0, 1.0).unwrap();
+        let legs = (0..m - 1).map(|i| {
+            let (cost, latency) = ROLES[(turn + i) % ROLES.len()];
+            let latency = latency + rng.gen_range(0.0..1.0);
+            Qos::new(cost, latency, [0.6, 0.7, 0.8, 0.9][rng.gen_range(0..4)]).unwrap()
+        });
+        std::iter::once(anchor).chain(legs).collect()
+    }
+
+    /// Anchored tables, where the latency cap binds and the groups'
+    /// latency floors do the pruning, match the generic scan.
+    #[test]
+    fn anchored_latency_bound_tables_match_the_generic_scan() {
+        tables_match(2..=5, anchored_env);
+    }
+
+    /// How much of two tables the pruned engine estimates, pinned: a
+    /// looser bound shows up here, not only as a slower search, and so
+    /// does a group floor that leaves out the fixed blocks' ends, which
+    /// prunes more without losing a winner on any table above. One
+    /// anchored M = 5 table, and one random M = 6 table, whose chains are
+    /// screened behind fixed blocks. (Screening the groups by the family's
+    /// latency bound alone estimates 675 and 1 294 of them.)
+    #[test]
+    fn two_tables_estimate_a_pinned_share() {
+        let gen = Generator::builder().pruning(true).parallelism(1).build();
+        let anchored = anchored_env(&mut ChaCha8Rng::seed_from_u64(5), 5);
+        let random = random_env(&mut ChaCha8Rng::seed_from_u64(3), 6);
+        for (env, pinned) in [(anchored, (619, 2_172)), (random, (986, 50_317))] {
+            let out = gen
+                .exhaustive(&env, &env.ids(), &tight_requirements())
+                .unwrap();
+            let report = out.report;
+            assert_eq!(
+                (report.candidates_seen, report.candidates_pruned),
+                pinned,
+                "{}",
+                out.strategy
+            );
+        }
     }
 
     /// Pruning does real work on the paper's fire-detection environment:
@@ -1925,6 +1994,8 @@ mod engine_equivalence_tests {
         let legacy = Generator::new(UtilityIndex::default(), 4);
         assert_eq!(legacy.threshold(), 4);
         assert_eq!(legacy.parallelism(), 0, "legacy constructor: auto");
+        assert!(legacy.workers >= 1, "auto resolves to at least one worker");
+        assert_eq!(gen.workers, 8);
         assert!(legacy.pruning(), "legacy constructor: pruning on");
     }
 }

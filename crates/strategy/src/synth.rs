@@ -38,7 +38,9 @@
 //!   chain's final block and a block that more blocks follow alike (see
 //!   `Screen`): a leaf a block starts at its offset is gated by nothing in
 //!   the block, so a row costs at least those leaves in full behind the
-//!   fixed prefix, and the cached rows are grouped by that leaf set.
+//!   fixed prefix, and the cached rows are grouped by that leaf set. Every
+//!   other block leaf starts after one of those has ended, so a group also
+//!   has a latency floor of its own, tighter than the family's.
 //! * **Sure-prefix collapse** — once the fixed blocks of a chain hold a
 //!   leaf that never fails, every later cost, failure and latency term is
 //!   multiplied by an exact `0.0`, so all `F(|rest|)` completions share one
@@ -512,8 +514,10 @@ struct Tables {
     meta: Vec<Meta>,
     /// Per mask: product of failure probabilities.
     fail: Vec<f64>,
-    /// Per mask: maximum leaf latency.
+    /// Per mask: maximum and minimum leaf latency (`+∞` for the empty
+    /// mask's minimum).
     maxl: Vec<f64>,
+    minl: Vec<f64>,
     /// Per mask: `Σ_{i∈mask} cᵢ · fail[mask∖i]` — a lower bound on the
     /// total expected cost of the mask's leaves when each can only be
     /// gated by the mask's other leaves.
@@ -542,12 +546,14 @@ impl Tables {
         let size = 1usize << m;
         let mut fail = vec![1.0f64; size];
         let mut maxl = vec![0.0f64; size];
+        let mut minl = vec![f64::INFINITY; size];
         let mut cost_sum = vec![0.0f64; size];
         for mask in 1..size {
             let i = mask.trailing_zeros() as usize;
             let rest = mask & (mask - 1);
             fail[mask] = fail[rest] * (1.0 - meta[i].rel);
             maxl[mask] = maxl[rest].max(lat[i]);
+            minl[mask] = minl[rest].min(lat[i]);
             cost_sum[mask] = cost_sum[rest] + meta[i].cost;
         }
         let mut costlb1 = vec![0.0f64; size];
@@ -566,6 +572,7 @@ impl Tables {
             meta,
             fail,
             maxl,
+            minl,
             costlb1,
             cost_sum,
         }
@@ -577,6 +584,10 @@ impl Tables {
 
     fn maxl_of(&self, mask: Mask) -> f64 {
         self.maxl[mask as usize]
+    }
+
+    fn minl_of(&self, mask: Mask) -> f64 {
+        self.minl[mask as usize]
     }
 
     fn costlb1_of(&self, mask: Mask) -> f64 {
@@ -597,6 +608,39 @@ impl Tables {
             entries.push((offset + self.lat[i], self.meta[i].rel));
         }
     }
+
+    /// A floor on the expected latency of every candidate that continues
+    /// fixed blocks ending by `t0`, whose `(end, reliability)` `entries`
+    /// holds, with a block over `block` at `t0` that starts the leaves
+    /// `at_offset` there, then covers `tail`: [`expected_latency`] over
+    /// the fixed ends and these virtual ones.
+    ///
+    /// * A leaf of `at_offset` ends at `t0 + lᵢ`.
+    /// * Any other block leaf starts at the end of some block leaf, so, by
+    ///   induction in walk order, after `t0 + min l` over `at_offset`, and
+    ///   ends no earlier than that plus `lᵢ`. Rounding is monotone, so the
+    ///   computed ends obey the same inequalities.
+    /// * The tail starts at the block's makespan, which is at least the
+    ///   largest of those ends, and a tail leaf ends no earlier than that
+    ///   plus `lᵢ`.
+    ///
+    /// With `at_offset = block` this is the family's bound.
+    fn latency_floor(
+        &self,
+        entries: &mut Vec<(f64, f64)>,
+        t0: f64,
+        block: Mask,
+        at_offset: Mask,
+        tail: Mask,
+    ) -> f64 {
+        self.push_virtual_entries(at_offset, t0, entries);
+        let later = block & !at_offset;
+        let first_end = t0 + self.minl_of(at_offset);
+        self.push_virtual_entries(later, first_end, entries);
+        let tail_offset = (t0 + self.maxl_of(at_offset)).max(first_end + self.maxl_of(later));
+        self.push_virtual_entries(tail, tail_offset, entries);
+        expected_latency(entries)
+    }
 }
 
 /// The bound a family of candidates is screened by: whole, and then a
@@ -614,14 +658,21 @@ impl Tables {
 /// every fixed and block leaf and at most by the other tail leaves, costs
 /// at least `fail · fail(block) · cᵢ` times the failure product of the
 /// other tail leaves.
+///
+/// A group is screened by its latency too (see [`Tables::latency_floor`]):
+/// its rows start its leaves at the offset, and every other block leaf
+/// after one of them has ended.
 #[derive(Clone, Copy)]
 struct Screen {
     /// Exact cost contribution and failure product of the fixed leaves.
     cost: f64,
     fail: f64,
+    /// The block's offset: the fixed blocks' makespan.
+    t0: f64,
     block: Mask,
     tail: Mask,
-    /// The family's latency bound (see [`expected_latency`]).
+    /// The family's latency bound: the latency floor of a group that
+    /// started every block leaf at the offset.
     lat_lb: f64,
     /// Candidates each row of `block` begins.
     weight: u64,
@@ -980,21 +1031,16 @@ impl<'a> JobRunner<'a> {
         let count = counts.non_seq[block.count_ones() as usize] * per_row;
         let mut screen = None;
         if shared.prune && count >= MIN_PRUNE_COUNT {
-            let tables = &shared.tables;
-            self.bentries.clear();
-            self.push_fixed_entries();
-            tables.push_virtual_entries(block, fixed.t0, &mut self.bentries);
-            let tail_offset = fixed.t0 + tables.maxl_of(block);
-            tables.push_virtual_entries(tail, tail_offset, &mut self.bentries);
             let bound = Screen {
                 cost: fixed.cost,
                 fail: fixed.fail,
+                t0: fixed.t0,
                 block,
                 tail,
-                lat_lb: expected_latency(&mut self.bentries),
+                lat_lb: self.latency_floor(fixed.t0, block, block, tail),
                 weight: to_u64(per_row),
             };
-            if self.below_bar(bound.family_floor(tables), bound.lat_lb) {
+            if self.below_bar(bound.family_floor(&shared.tables), bound.lat_lb) {
                 self.pruned += to_u64(count);
                 return;
             }
@@ -1021,12 +1067,11 @@ impl<'a> JobRunner<'a> {
         screen: Option<&Screen>,
         f: &mut impl FnMut(&mut Self, Row<'_>),
     ) {
-        let shared = self.shared;
         for (at_offset, rows) in family.groups() {
             if let Some(screen) = screen {
-                let floor = screen.row_floor(&shared.tables, at_offset);
-                if self.below_bar(floor, screen.lat_lb) {
-                    self.pruned += screen.weight * rows.len() as u64;
+                let candidates = screen.weight * rows.len() as u64;
+                if self.group_below_bar(screen, at_offset, candidates) {
+                    self.pruned += candidates;
                     continue;
                 }
             }
@@ -1034,6 +1079,30 @@ impl<'a> JobRunner<'a> {
                 f(self, row);
             }
         }
+    }
+
+    /// Whether `screen` puts the `candidates` of the group whose rows
+    /// start the leaves `at_offset` at the block's offset below the bar:
+    /// by the group's cost floor at the family's latency bound, and then,
+    /// past the pruning gate and unless the group starts the whole block
+    /// there (its floor is then the family's), at its own latency floor.
+    fn group_below_bar(&mut self, screen: &Screen, at_offset: Mask, candidates: u64) -> bool {
+        let floor = screen.row_floor(&self.shared.tables, at_offset);
+        if self.below_bar(floor, screen.lat_lb) {
+            return true;
+        }
+        at_offset != screen.block && u128::from(candidates) >= MIN_PRUNE_COUNT && {
+            let lat_lb = self.latency_floor(screen.t0, screen.block, at_offset, screen.tail);
+            self.below_bar(floor, lat_lb)
+        }
+    }
+
+    /// [`Tables::latency_floor`] behind the fixed blocks in `scratch`.
+    fn latency_floor(&mut self, t0: f64, block: Mask, at_offset: Mask, tail: Mask) -> f64 {
+        self.bentries.clear();
+        self.push_fixed_entries();
+        let tables = &self.shared.tables;
+        tables.latency_floor(&mut self.bentries, t0, block, at_offset, tail)
     }
 
     /// Schedules `row` at `offset` onto `scratch`, with per-leaf QoS into
@@ -1381,6 +1450,7 @@ mod tests {
     use crate::enumerate::StrategyIter;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+    use std::cell::Cell;
     use std::collections::HashMap;
 
     /// Thirty leaves with distinct, inexact latencies; leaf `a` has none.
@@ -1556,16 +1626,18 @@ mod tests {
     }
 
     /// The screens are admissible. On seeded tables with and without legs
-    /// of reliability exactly 1.0, for every mask up to M = 5: no cached
-    /// row scheduled at time 0 has a bound utility below its exact utility
-    /// by more than the margin; and, for every chain over all of the ids,
-    /// the floor of each block it is screened by — the final one, and each
-    /// that more blocks follow — is at most the chain's exact cost.
+    /// of reliability exactly 1.0, for every chain over all of M = 1..=5
+    /// ids and every block it is screened by — the first, at time 0 behind
+    /// nothing, and each later one at the makespan of a fixed prefix; the
+    /// final one and each that more blocks follow: the cost floor and the
+    /// latency floor of the group the chain's row is in are at most the
+    /// chain's exact cost and latency, and their bound utility is below
+    /// its exact utility by no more than the margin.
     #[test]
     fn a_rows_bound_never_undercuts_its_utility() {
         let utility = UtilityIndex::default();
         let mut rng = ChaCha8Rng::seed_from_u64(27);
-        let mut rows = 0;
+        let (mut chains_seen, mut tighter) = (0, 0);
         for m in 1..=5 {
             for draw in 0..8 {
                 let sure_legs = draw % 2 == 1;
@@ -1586,44 +1658,7 @@ mod tests {
                 let ids = env.ids();
                 let tables = Tables::build(&env, &ids);
                 let (ctx, counts, cache) = context(&ids);
-                let mut entries = Vec::new();
-                for mask in 1..1u64 << m {
-                    entries.clear();
-                    tables.push_virtual_entries(mask, 0.0, &mut entries);
-                    let lat_lb = expected_latency(&mut entries);
-                    let rel = 1.0 - tables.fail_of(mask);
-                    let screen = Screen {
-                        cost: 0.0,
-                        fail: 1.0,
-                        block: mask,
-                        tail: 0,
-                        lat_lb,
-                        weight: 1,
-                    };
-                    let family = cache.family(ctx, &ids, &counts, mask).unwrap();
-                    for (at_offset, group) in family.groups() {
-                        let cost_lb = screen.row_floor(&tables, at_offset);
-                        for row in family.rows_in(group) {
-                            let (mut timelines, mut meta) = (Vec::new(), Vec::new());
-                            schedule(row, 0.0, &ids, &tables, &mut timelines, &mut meta);
-                            let exact = estimate_from_timelines(&timelines, &env);
-                            // Summed in another order than the estimate's.
-                            assert!(
-                                cost_lb > 0.0 && cost_lb <= exact.cost + 1e-9,
-                                "{}",
-                                row.text
-                            );
-                            let bound = utility_bound(utility, &req, cost_lb, lat_lb, rel);
-                            let exact = utility.utility(&exact, &req);
-                            assert!(
-                                bound >= exact - PRUNE_MARGIN,
-                                "{}: bound {bound} < utility {exact}",
-                                row.text
-                            );
-                            rows += 1;
-                        }
-                    }
-                }
+                let full = (1 << m) - 1;
                 let chains = Chains {
                     env: &env,
                     ids: &ids,
@@ -1631,13 +1666,20 @@ mod tests {
                     ctx,
                     counts: &counts,
                     cache: &cache,
+                    req: &req,
+                    utility,
+                    rel: 1.0 - tables.fail_of(full),
+                    tighter: Cell::new(0),
                 };
-                let every = chains.costs("", 0.0, 1.0, (1 << m) - 1);
+                let every = chains.estimates("", &[], 0.0, 0.0, 1.0, full);
                 assert_eq!(every.len() as u128, counts.all(m));
+                chains_seen += every.len();
+                tighter += chains.tighter.get();
             }
         }
-        // Rows over every mask of M = 1..=5 ids, eight tables each.
-        assert_eq!(rows, 8 * (1 + 3 + 13 + 111 + 1_501));
+        assert_eq!(chains_seen, 8 * (1 + 3 + 19 + 195 + 2_791));
+        // Groups whose latency floor is above their family's.
+        assert!(tighter > 1_000, "{tighter}");
     }
 
     /// What the chain floor checks read.
@@ -1648,32 +1690,62 @@ mod tests {
         ctx: EnumCtx<'a>,
         counts: &'a Counts,
         cache: &'a NodeCache,
+        req: &'a Requirements,
+        utility: UtilityIndex,
+        /// The reliability every chain over all of the ids has.
+        rel: f64,
+        /// Groups whose latency floor is above their family's.
+        tighter: Cell<usize>,
     }
 
     impl Chains<'_> {
-        /// Algorithm 1's expected cost of the candidate rendered as `text`.
-        fn cost(&self, text: &str) -> f64 {
+        /// Algorithm 1's estimate of the candidate rendered as `text`, with
+        /// its timelines and makespan.
+        fn estimate(&self, text: &str) -> (Qos, Vec<Timeline>, f64) {
             let tree = Strategy::parse(text).unwrap();
-            let timelines = timelines(&tree, self.env).unwrap();
-            estimate_from_timelines(&timelines, self.env).cost
+            let mut timelines = Vec::new();
+            let makespan = walk(tree.node(), 0.0, self.env, &mut timelines).unwrap();
+            (
+                estimate_from_timelines(&timelines, self.env),
+                timelines,
+                makespan,
+            )
         }
 
-        /// The exact costs of every candidate that continues the blocks
-        /// rendered as `prefix` (each followed by its `-`; exact cost
-        /// `cost`, failure product `fail`) over `rem`, after checking each
-        /// against the floor of its next block's group: as a final block
-        /// when it covers `rem`, and as one that more blocks follow
-        /// otherwise.
-        fn costs(&self, prefix: &str, cost: f64, fail: f64, rem: Mask) -> Vec<f64> {
-            let mut costs = Vec::new();
+        /// The exact estimates of every candidate that continues the blocks
+        /// rendered as `prefix` (each followed by its `-`; timelines
+        /// `fixed`, makespan `t0`, exact cost `cost`, failure product
+        /// `fail`) over `rem`, after checking each against the floors of
+        /// its next block's group: as a final block when it covers `rem`,
+        /// and as one that more blocks follow otherwise.
+        fn estimates(
+            &self,
+            prefix: &str,
+            fixed: &[Timeline],
+            t0: f64,
+            cost: f64,
+            fail: f64,
+            rem: Mask,
+        ) -> Vec<Qos> {
+            let fixed_entries: Vec<(f64, f64)> = fixed
+                .iter()
+                .map(|t| (t.end, self.env.get(t.ms).unwrap().reliability.value()))
+                .collect();
+            let latency_floor = |at_offset, block, tail| {
+                let mut entries = fixed_entries.clone();
+                self.tables
+                    .latency_floor(&mut entries, t0, block, at_offset, tail)
+            };
+            let mut estimates = Vec::new();
             for block in submasks(rem).filter(|&block| block != 0) {
                 let tail = rem & !block;
                 let screen = Screen {
                     cost,
                     fail,
+                    t0,
                     block,
                     tail,
-                    lat_lb: 0.0,
+                    lat_lb: latency_floor(block, block, tail),
                     weight: 1,
                 };
                 let family = self
@@ -1682,26 +1754,42 @@ mod tests {
                     .unwrap();
                 for (at_offset, rows) in family.groups() {
                     let floor = screen.row_floor(self.tables, at_offset);
+                    let lat_lb = latency_floor(at_offset, block, tail);
+                    assert!(
+                        floor > 0.0 && lat_lb >= screen.lat_lb,
+                        "{prefix}, {block:b}"
+                    );
+                    if lat_lb > screen.lat_lb {
+                        self.tighter.set(self.tighter.get() + 1);
+                    }
+                    let bound = utility_bound(self.utility, self.req, floor, lat_lb, self.rel);
                     for row in family.rows_in(rows) {
                         let text = format!("{prefix}{}", row.text);
+                        let (qos, timelines, makespan) = self.estimate(&text);
                         let done = if tail == 0 {
-                            vec![self.cost(&text)]
+                            vec![qos]
                         } else {
                             let fail = fail * self.tables.fail_of(block);
-                            self.costs(&format!("{text}-"), self.cost(&text), fail, tail)
+                            let prefix = format!("{text}-");
+                            self.estimates(&prefix, &timelines, makespan, qos.cost, fail, tail)
                         };
-                        for &exact in &done {
+                        for exact in &done {
                             // Summed in another order than the estimate's.
                             assert!(
-                                floor <= exact + 1e-9,
-                                "{text}, then {tail:b}: floor {floor} > cost {exact}"
+                                floor <= exact.cost + 1e-9 && lat_lb <= exact.latency + 1e-9,
+                                "{text}, then {tail:b}: floors ({floor}, {lat_lb}) > {exact:?}"
+                            );
+                            let exact = self.utility.utility(exact, self.req);
+                            assert!(
+                                bound >= exact - PRUNE_MARGIN,
+                                "{text}, then {tail:b}: bound {bound} < utility {exact}"
                             );
                         }
-                        costs.extend(done);
+                        estimates.extend(done);
                     }
                 }
             }
-            costs
+            estimates
         }
     }
 
