@@ -92,6 +92,14 @@ pub struct EngineStats {
     pub frames_live: usize,
     /// High-water mark of `frames_live` since the core was created.
     pub frames_peak: usize,
+    /// High-water mark of timers pending at once since the core was
+    /// created: completions of timed legs and scheduled tasks.
+    pub timers_peak: usize,
+    /// High-water mark of distinct deadlines among the pending timers
+    /// since the core was created. Timers that share a deadline share one
+    /// run, so on a clock with whole-millisecond latencies this stays far
+    /// below [`EngineStats::timers_peak`].
+    pub timer_runs_peak: usize,
     /// Bytes of core-resident state per frame (for memory-per-request
     /// accounting: a request's walk costs `frames × frame_bytes` plus its
     /// bookkeeping, where the old model paid one OS thread stack per

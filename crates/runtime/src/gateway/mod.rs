@@ -844,8 +844,9 @@ impl Gateway {
     }
 
     /// Live occupancy of the event core: requests in flight, resident
-    /// continuation frames (live and peak), and the size of one frame —
-    /// the per-request memory unit that replaces a per-leg thread stack —
+    /// continuation frames (live and peak), the peaks of pending timers
+    /// and of their distinct deadlines, and the size of one frame — the
+    /// per-request memory unit that replaces a per-leg thread stack —
     /// plus the cores blocking submissions had to build.
     #[must_use]
     pub fn engine_stats(&self) -> EngineStats {
@@ -854,6 +855,8 @@ impl Gateway {
             in_flight: stats.in_flight,
             frames_live: stats.frames_live,
             frames_peak: stats.frames_peak,
+            timers_peak: stats.timers_peak,
+            timer_runs_peak: stats.timer_runs_peak,
             frame_bytes: EventCore::frame_bytes(),
             wakeups: stats.wakeups,
             waiter_wakes: stats.waiter_wakes,

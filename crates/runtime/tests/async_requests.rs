@@ -474,6 +474,28 @@ fn a_window_wakes_its_waiter_at_most_once_per_resolve_instant() {
     assert_eq!(oracle.engine_stats().waiter_wakes, 0, "nobody waited");
 }
 
+/// The same window holds its thousand pending completions in three runs,
+/// one per resolve instant: the event core files timers that share a
+/// deadline together instead of ordering each against the others.
+#[test]
+fn a_window_of_one_instant_holds_many_timers_in_few_runs() {
+    use qce_runtime::WorkerGuard;
+
+    let (clock, gateway) = three_instant_gateway();
+    let handles: Vec<_> = {
+        let _pin = WorkerGuard::enter(&*clock);
+        (0..1_000)
+            .map(|i| gateway.submit_async(Request::new(format!("svc{}", i % 3))))
+            .collect::<Result<_, _>>()
+            .unwrap()
+    };
+    for handle in handles {
+        handle.wait().unwrap();
+    }
+    let stats = gateway.engine_stats();
+    assert_eq!((stats.timers_peak, stats.timer_runs_peak), (1_000, 3));
+}
+
 /// One service whose single leg blocks until `gate` opens, behind a gate
 /// of one in-flight slot and `queue` waiting places.
 fn gated_gateway(queue: usize, gate: &Arc<Gate>) -> Arc<Gateway> {
