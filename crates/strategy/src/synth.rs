@@ -610,10 +610,15 @@ impl Tables {
     }
 
     /// A floor on the expected latency of every candidate that continues
-    /// fixed blocks ending by `t0`, whose `(end, reliability)` `entries`
-    /// holds, with a block over `block` at `t0` that starts the leaves
-    /// `at_offset` there, then covers `tail`: [`expected_latency`] over
-    /// the fixed ends and these virtual ones.
+    /// fixed blocks ending by `t0`, whose latency accumulators are
+    /// `prefix` ([`Fixed::lat_partial`], [`Fixed::pf`]), with a block over
+    /// `block` at `t0` that starts the leaves `at_offset` there, then
+    /// covers `tail`: [`expected_latency`] over the fixed ends and these
+    /// virtual ones, whose `(end, reliability)` go into the empty
+    /// `entries`. Every virtual end comes after every fixed one, so the
+    /// sort of them all is the fixed entries' sort followed by that of the
+    /// virtual ones, and continuing `prefix` over the latter is the same
+    /// float operation sequence.
     ///
     /// * A leaf of `at_offset` ends at `t0 + lᵢ`.
     /// * Any other block leaf starts at the end of some block leaf, so, by
@@ -628,6 +633,7 @@ impl Tables {
     fn latency_floor(
         &self,
         entries: &mut Vec<(f64, f64)>,
+        prefix: (f64, f64),
         t0: f64,
         block: Mask,
         at_offset: Mask,
@@ -639,7 +645,7 @@ impl Tables {
         self.push_virtual_entries(later, first_end, entries);
         let tail_offset = (t0 + self.maxl_of(at_offset)).max(first_end + self.maxl_of(later));
         self.push_virtual_entries(tail, tail_offset, entries);
-        expected_latency(entries)
+        expected_latency(entries, prefix)
     }
 }
 
@@ -669,6 +675,8 @@ struct Screen {
     fail: f64,
     /// The block's offset: the fixed blocks' makespan.
     t0: f64,
+    /// Latency accumulators over the fixed leaves' sorted ends.
+    prefix: (f64, f64),
     block: Mask,
     tail: Mask,
     /// The family's latency bound: the latency floor of a group that
@@ -934,7 +942,7 @@ struct JobRunner<'a> {
     scratch: Vec<Timeline>,
     /// Reliability/failure/cost of each `scratch` entry, same order.
     meta: Vec<Meta>,
-    /// `(end, reliability)` scratch for latency bound evaluation.
+    /// `(end, reliability)` scratch for a latency floor's virtual ends.
     bentries: Vec<(f64, f64)>,
     /// `(end, reliability)` of the fixed chain prefix, stable-sorted by
     /// end time. Because every block's entries end strictly after every
@@ -1035,9 +1043,16 @@ impl<'a> JobRunner<'a> {
                 cost: fixed.cost,
                 fail: fixed.fail,
                 t0: fixed.t0,
+                prefix: (fixed.lat_partial, fixed.pf),
                 block,
                 tail,
-                lat_lb: self.latency_floor(fixed.t0, block, block, tail),
+                lat_lb: self.latency_floor(
+                    (fixed.lat_partial, fixed.pf),
+                    fixed.t0,
+                    block,
+                    block,
+                    tail,
+                ),
                 weight: to_u64(per_row),
             };
             if self.below_bar(bound.family_floor(&shared.tables), bound.lat_lb) {
@@ -1092,17 +1107,24 @@ impl<'a> JobRunner<'a> {
             return true;
         }
         at_offset != screen.block && u128::from(candidates) >= MIN_PRUNE_COUNT && {
-            let lat_lb = self.latency_floor(screen.t0, screen.block, at_offset, screen.tail);
+            let (prefix, t0, block, tail) = (screen.prefix, screen.t0, screen.block, screen.tail);
+            let lat_lb = self.latency_floor(prefix, t0, block, at_offset, tail);
             self.below_bar(floor, lat_lb)
         }
     }
 
     /// [`Tables::latency_floor`] behind the fixed blocks in `scratch`.
-    fn latency_floor(&mut self, t0: f64, block: Mask, at_offset: Mask, tail: Mask) -> f64 {
+    fn latency_floor(
+        &mut self,
+        prefix: (f64, f64),
+        t0: f64,
+        block: Mask,
+        at_offset: Mask,
+        tail: Mask,
+    ) -> f64 {
         self.bentries.clear();
-        self.push_fixed_entries();
         let tables = &self.shared.tables;
-        tables.latency_floor(&mut self.bentries, t0, block, at_offset, tail)
+        tables.latency_floor(&mut self.bentries, prefix, t0, block, at_offset, tail)
     }
 
     /// Schedules `row` at `offset` onto `scratch`, with per-leaf QoS into
@@ -1366,14 +1388,6 @@ impl<'a> JobRunner<'a> {
         ub < from_ordered(shared.bar.load(Ordering::Relaxed)) - PRUNE_MARGIN
     }
 
-    /// Pushes `(end, reliability)` of every fixed timeline in `scratch`,
-    /// reading the reliabilities already resolved into `meta`.
-    fn push_fixed_entries(&mut self) {
-        for (t, meta) in self.scratch.iter().zip(&self.meta) {
-            self.bentries.push((t.end, meta.rel));
-        }
-    }
-
     /// Exact expected-cost contribution of `scratch[mark..]` accumulated
     /// onto `base`, each entry gated per Algorithm 1's `e ≤ s` rule.
     ///
@@ -1406,11 +1420,12 @@ impl<'a> JobRunner<'a> {
 /// the expected value of "the earliest successful end, or the last end if
 /// everything fails". Monotone in every end time, so applying it to
 /// pointwise-earliest virtual ends lower-bounds the latency of any
-/// concrete schedule over the same leaves.
-fn expected_latency(entries: &mut [(f64, f64)]) -> f64 {
+/// concrete schedule over the same leaves. It continues `prefix`, the
+/// `(latency, failure product)` accumulators over entries that all end no
+/// later than these and none of which is the last (`(0.0, 1.0)` for none).
+fn expected_latency(entries: &mut [(f64, f64)], prefix: (f64, f64)) -> f64 {
     entries.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("latency must not be NaN"));
-    let mut latency = 0.0;
-    let mut prefix_fail = 1.0;
+    let (mut latency, mut prefix_fail) = prefix;
     for (i, &(end, r)) in entries.iter().enumerate() {
         if i + 1 == entries.len() {
             latency += prefix_fail * end;
@@ -1727,14 +1742,25 @@ mod tests {
             fail: f64,
             rem: Mask,
         ) -> Vec<Qos> {
-            let fixed_entries: Vec<(f64, f64)> = fixed
+            let mut fixed_entries: Vec<(f64, f64)> = fixed
                 .iter()
                 .map(|t| (t.end, self.env.get(t.ms).unwrap().reliability.value()))
                 .collect();
+            fixed_entries.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+            let fixed_latency = fixed_entries
+                .iter()
+                .fold((0.0, 1.0), |(lat, pf), &(end, r)| {
+                    (lat + pf * r * end, pf * (1.0 - r))
+                });
             let latency_floor = |at_offset, block, tail| {
-                let mut entries = fixed_entries.clone();
-                self.tables
-                    .latency_floor(&mut entries, t0, block, at_offset, tail)
+                self.tables.latency_floor(
+                    &mut Vec::new(),
+                    fixed_latency,
+                    t0,
+                    block,
+                    at_offset,
+                    tail,
+                )
             };
             let mut estimates = Vec::new();
             for block in submasks(rem).filter(|&block| block != 0) {
@@ -1743,6 +1769,7 @@ mod tests {
                     cost,
                     fail,
                     t0,
+                    prefix: fixed_latency,
                     block,
                     tail,
                     lat_lb: latency_floor(block, block, tail),
@@ -1855,7 +1882,7 @@ mod tests {
     fn expected_latency_matches_algorithm1_on_parallel() {
         // a*b*c with l=(10,90,70), r=(10%,90%,70%) — Section III.C.3.
         let mut entries = vec![(10.0, 0.1), (90.0, 0.9), (70.0, 0.7)];
-        let lat = expected_latency(&mut entries);
+        let lat = expected_latency(&mut entries, (0.0, 1.0));
         assert!((lat - 69.4).abs() < 1e-9, "got {lat}");
     }
 }
