@@ -131,8 +131,8 @@ fn zero_latency_leaf_completes_instantly_with_zero_latency() {
     assert_eq!(outcome.latency, Duration::ZERO);
 }
 
-/// Two legs whose deadlines both clamp to `Duration::MAX` tie on the
-/// timer heap; the sequence number breaks the tie in start order, and the
+/// Two legs whose deadlines both clamp to `Duration::MAX` share one timer
+/// run, which pops them in start order, and the
 /// *declared* latencies — which still differ — survive the clamp. Run the
 /// rig twice: byte-identical replay.
 #[test]

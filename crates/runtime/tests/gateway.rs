@@ -1879,7 +1879,7 @@ fn a_later_queue_deadline_expires_without_waking_the_loop() {
         let _pin = WorkerGuard::enter(&*clock);
         let other = gateway.submit_async(Request::new("other")).unwrap();
         let first = gateway.submit_async(Request::new("svc")).unwrap();
-        // Both legs are on the loop's timer heap: 3 ms and 10 ms.
+        // Both legs are on the loop's timers: 3 ms and 10 ms.
         while gateway.engine_stats().in_flight < 2 {
             std::thread::yield_now();
         }
