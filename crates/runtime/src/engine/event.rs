@@ -76,7 +76,7 @@ use crate::telemetry::{Scope, Telemetry};
 
 use super::budget::Budget;
 use super::policy::PolicyState;
-use super::EngineOutcome;
+use super::{EngineOutcome, EngineStats};
 
 /// A caught provider panic, re-raised on the submitter.
 pub(crate) type PanicPayload = Box<dyn Any + Send + 'static>;
@@ -386,6 +386,22 @@ pub(crate) fn run_blocking(core: &EventCore<'_>, task: BlockingTask) {
     }));
 }
 
+/// A leaf's [`Provider::try_timed_invoke`], with a panic as the leg's
+/// outcome: due at once, as a blocking leg's panic comes back from
+/// [`run_blocking`].
+fn timed_leg(
+    provider: &dyn Provider,
+    request: &Invocation,
+    clock: &dyn Clock,
+) -> Option<(Duration, LeafOutcome)> {
+    match catch_unwind(AssertUnwindSafe(|| {
+        provider.try_timed_invoke(request, clock)
+    })) {
+        Ok(timed) => timed.map(|(latency, result)| (latency, LeafOutcome::Completed(result))),
+        Err(panic) => Some((Duration::ZERO, LeafOutcome::Panicked(panic))),
+    }
+}
+
 /// What a completed leaf reports back.
 enum LeafOutcome {
     Completed(Result<Vec<u8>, InvokeError>),
@@ -681,25 +697,6 @@ impl RequestState<'_> {
     }
 }
 
-/// Point-in-time occupancy of an [`EventCore`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct CoreStats {
-    /// Requests currently in flight.
-    pub in_flight: usize,
-    /// Live `Seq`/`Par` frames across all in-flight requests.
-    pub frames_live: usize,
-    /// High-water mark of `frames_live` since the core was created.
-    pub frames_peak: usize,
-    /// High-water mark of pending timers since the core was created.
-    pub timers_peak: usize,
-    /// High-water mark of their distinct deadlines.
-    pub timer_runs_peak: usize,
-    /// Wake-ups sent to the core's parked drivers ([`Parker::wakes`]).
-    pub wakeups: u64,
-    /// Wake-ups sent to threads parked on a request's result.
-    pub waiter_wakes: u64,
-}
-
 struct CoreState<'env> {
     agenda: Agenda<Event<'env>>,
     requests: Slots<Entry<'env>>,
@@ -721,7 +718,8 @@ struct CoreState<'env> {
 /// and whether the drivers were signalled since one last found nothing to
 /// do. An armed signal holds one reserved clock slot, so virtual time
 /// cannot pass work no driver has picked up yet.
-struct Agenda<E> {
+#[cfg_attr(test, derive(Clone))]
+pub(crate) struct Agenda<E> {
     ready: VecDeque<E>,
     timers: Timers<E>,
     armed: bool,
@@ -730,7 +728,7 @@ struct Agenda<E> {
 
 /// What a step of the [`Agenda`] leaves the shell to do.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Effect {
+pub(crate) enum Effect {
     Quiet,
     /// Notify the parker; the signal was armed already.
     Notify,
@@ -741,7 +739,7 @@ enum Effect {
 }
 
 /// What a driver's turn found.
-enum Turn<E> {
+pub(crate) enum Turn<E> {
     /// Process this event: the next ready one, else the next due timer.
     /// The flag tells whether a timer is still due at the turn's instant
     /// after it; while one is, what the event's completion releases waits
@@ -754,7 +752,7 @@ enum Turn<E> {
 }
 
 impl<E> Agenda<E> {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Agenda {
             ready: VecDeque::new(),
             timers: Timers::new(),
@@ -765,7 +763,7 @@ impl<E> Agenda<E> {
 
     /// Wakes the drivers: arms the signal unless it is armed, and
     /// notifies either way.
-    fn rouse(&mut self) -> Effect {
+    pub(crate) fn rouse(&mut self) -> Effect {
         if std::mem::replace(&mut self.armed, true) {
             Effect::Notify
         } else {
@@ -775,7 +773,7 @@ impl<E> Agenda<E> {
 
     /// Queues `event` and wakes the drivers. A shut-down core hands the
     /// event back, and still wakes them.
-    fn post(&mut self, event: E) -> (Option<E>, Effect) {
+    pub(crate) fn post(&mut self, event: E) -> (Option<E>, Effect) {
         if self.shutdown {
             return (Some(event), self.rouse());
         }
@@ -788,7 +786,12 @@ impl<E> Agenda<E> {
     /// not earlier): a driver idles only to the earliest deadline, read in
     /// [`Agenda::turn`], so a later timer cannot make its wait too long. A
     /// shut-down core hands the event back.
-    fn schedule(&mut self, deadline: Duration, event: E, waking: bool) -> (Option<E>, Effect) {
+    pub(crate) fn schedule(
+        &mut self,
+        deadline: Duration,
+        event: E,
+        waking: bool,
+    ) -> (Option<E>, Effect) {
         if self.shutdown {
             return (Some(event), Effect::Quiet);
         }
@@ -805,7 +808,7 @@ impl<E> Agenda<E> {
     /// disarms the signal — in the same step as the look that found
     /// nothing, so no post falls between them — and owes the driver's held
     /// wake-ups, since its wait may end the instant.
-    fn turn(&mut self, now: Duration, held: &mut Wakes) -> Turn<E> {
+    pub(crate) fn turn(&mut self, now: Duration, held: &mut Wakes) -> Turn<E> {
         if self.shutdown {
             return Turn::Stop;
         }
@@ -819,7 +822,7 @@ impl<E> Agenda<E> {
 
     /// Closes the agenda: drops the timers, hands back the ready events
     /// and wakes the drivers, whose next turn stops.
-    fn shutdown(&mut self) -> (VecDeque<E>, Effect) {
+    pub(crate) fn shutdown(&mut self) -> (VecDeque<E>, Effect) {
         self.shutdown = true;
         self.timers.clear();
         (std::mem::take(&mut self.ready), self.rouse())
@@ -827,12 +830,23 @@ impl<E> Agenda<E> {
 
     /// Disarms the signal: what an idle turn, a kept core and a dropped
     /// one do.
-    fn retire(&mut self) -> Effect {
+    pub(crate) fn retire(&mut self) -> Effect {
         if std::mem::replace(&mut self.armed, false) {
             Effect::Release
         } else {
             Effect::Quiet
         }
+    }
+}
+
+#[cfg(test)]
+impl<E: Clone> Agenda<E> {
+    /// Everything that decides the agenda's future: the ready events, the
+    /// timers in pop order, and whether it is armed and shut down.
+    pub(crate) fn contents(&self) -> (Vec<E>, Vec<(Duration, E)>, bool, bool) {
+        let ready = self.ready.iter().cloned().collect();
+        let timers = self.timers.iter().map(|(at, event)| (at, event.clone()));
+        (ready, timers.collect(), self.armed, self.shutdown)
     }
 }
 
@@ -853,7 +867,7 @@ struct Deferred<'env> {
 /// instant, once for many requests resolving at one instant. The buffer is
 /// kept from batch to batch.
 #[derive(Default)]
-struct Wakes {
+pub(crate) struct Wakes {
     waiters: Vec<Waker>,
     /// The instant the oldest held wake-up was deferred at.
     since: Duration,
@@ -905,7 +919,7 @@ pub(crate) struct EventCore<'env> {
     /// not be taken. Written only under the core lock, so it never
     /// disagrees with the agenda once that lock is released.
     signal: AtomicBool,
-    /// [`CoreStats::waiter_wakes`].
+    /// [`EngineStats::waiter_wakes`].
     waiter_wakes: AtomicU64,
 }
 
@@ -990,23 +1004,21 @@ impl<'env> EventCore<'env> {
         quiescent
     }
 
-    /// Current occupancy counters.
-    pub(crate) fn stats(&self) -> CoreStats {
+    /// Current occupancy counters; `blocking_cores_built` is the
+    /// gateway's count, and reads 0 here.
+    pub(crate) fn stats(&self) -> EngineStats {
         let state = self.state.lock();
-        CoreStats {
+        EngineStats {
             in_flight: state.requests.len(),
             frames_live: state.frames_live,
             frames_peak: state.frames_peak,
             timers_peak: state.agenda.timers.peak,
             timer_runs_peak: state.agenda.timers.runs_peak,
+            frame_bytes: std::mem::size_of::<Frame>(),
             wakeups: self.parker.wakes(),
             waiter_wakes: self.waiter_wakes.load(Ordering::Relaxed),
+            blocking_cores_built: 0,
         }
-    }
-
-    /// Bytes of core-resident state per started `Seq`/`Par` node.
-    pub(crate) fn frame_bytes() -> usize {
-        std::mem::size_of::<Frame>()
     }
 
     /// Admits a request and starts its root node synchronously (so
@@ -1365,23 +1377,7 @@ impl<'env> EventCore<'env> {
                     return;
                 }
                 let provider = Arc::clone(&request.providers[provider_index]);
-                if let Some((latency, result)) = provider.try_timed_invoke(&request.request, clock)
-                {
-                    // Its submitter or driver is awake: the timer wakes nobody.
-                    let t0 = clock.now();
-                    let leaf = Event::Leaf(LeafEvent {
-                        req,
-                        parent,
-                        provider_index,
-                        t0,
-                        declared: Some(latency),
-                        result: LeafOutcome::Completed(result),
-                        orphan_slot: false,
-                    });
-                    state
-                        .agenda
-                        .schedule(t0.saturating_add(latency), leaf, false);
-                } else {
+                let Some((latency, result)) = timed_leg(&*provider, &request.request, clock) else {
                     // Reserve the slot *now*, under the core lock, so the
                     // clock cannot advance before the task's thread binds
                     // it — the same reserve-before-spawn discipline as the
@@ -1394,7 +1390,22 @@ impl<'env> EventCore<'env> {
                         provider,
                         invocation: Invocation::clone(&request.request),
                     });
-                }
+                    return;
+                };
+                // Its submitter or driver is awake: the timer wakes nobody.
+                let t0 = clock.now();
+                let leaf = Event::Leaf(LeafEvent {
+                    req,
+                    parent,
+                    provider_index,
+                    t0,
+                    declared: Some(latency),
+                    result,
+                    orphan_slot: false,
+                });
+                state
+                    .agenda
+                    .schedule(t0.saturating_add(latency), leaf, false);
                 return;
             }
             Node::Seq(ref children) => (children.len(), true),

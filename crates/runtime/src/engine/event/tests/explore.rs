@@ -186,13 +186,6 @@ impl Node {
     }
 
     fn copy(&self) -> Self {
-        let a = &self.agenda;
-        let agenda = Agenda {
-            ready: a.ready.clone(),
-            timers: a.timers.clone(),
-            armed: a.armed,
-            shutdown: a.shutdown,
-        };
         let drivers = self.drivers.iter().map(|d| Driver {
             phase: d.phase.clone(),
             wakes: Wakes {
@@ -203,7 +196,7 @@ impl Node {
             held: d.held.clone(),
         });
         Node {
-            agenda,
+            agenda: self.agenda.clone(),
             drivers: drivers.collect(),
             ..*self
         }

@@ -83,7 +83,10 @@ pub struct EngineOutcome {
 
 /// Point-in-time occupancy of the execution core: in-flight requests and
 /// the continuation frames their walks are holding.
+///
+/// `#[non_exhaustive]`: a new gauge is not a breaking change.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[non_exhaustive]
 pub struct EngineStats {
     /// Requests currently in flight.
     pub in_flight: usize,
@@ -119,8 +122,9 @@ pub struct EngineStats {
     /// Event cores the gateway's blocking [`submit`](crate::Gateway::submit)s
     /// had to build. A client thread keeps its core idle between requests
     /// and reuses it, so this is one per client thread (and clock), plus
-    /// one per request that sent a leg to the worker pool, panicked, or
-    /// was nested inside another request's provider on the same thread.
+    /// one per request that sent a leg to the worker pool, was unwound by
+    /// a panic, or was nested inside another request's provider on the
+    /// same thread.
     pub blocking_cores_built: u64,
 }
 
@@ -695,7 +699,9 @@ mod tests {
             assert_eq!(clock.now(), 5 * 2 * MS, "every leg took its 1 ms");
         }
 
-        /// Panics in its timed leg, on the driving thread, while `panics`.
+        /// Panics in `cost`, which the driver reads under the core lock
+        /// as it records a completed leg, while `panics`. (A panic in the
+        /// timed leg itself is that leg's outcome and unwinds nothing.)
         #[derive(Debug, Default)]
         struct Panicky {
             panics: AtomicBool,
@@ -711,6 +717,7 @@ mod tests {
             }
 
             fn cost(&self) -> f64 {
+                assert!(!self.panics.load(Ordering::SeqCst), "provider panicked");
                 1.0
             }
 
@@ -723,7 +730,6 @@ mod tests {
                 _request: &Invocation,
                 _clock: &dyn Clock,
             ) -> Option<(Duration, Result<Vec<u8>, InvokeError>)> {
-                assert!(!self.panics.load(Ordering::SeqCst), "provider panicked");
                 Some((MS, Ok(vec![1])))
             }
         }
@@ -743,7 +749,7 @@ mod tests {
             submit(&gateway, "panicky");
             submit(&gateway, "panicky");
             assert_eq!(built(&gateway), 2, "the panicked core was not kept");
-            assert_eq!(clock.now(), 3 * MS);
+            assert_eq!(clock.now(), 4 * MS);
         }
     }
 }

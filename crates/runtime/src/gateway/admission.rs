@@ -22,6 +22,7 @@ use crate::request::{QosClass, CLASS_COUNT};
 /// arrival may *preempt* the newest waiter of the lowest queued class
 /// ([`GatePolicy::preemption_victim`]), which is shed exactly as if it had
 /// never been queued.
+#[cfg_attr(test, derive(Clone, PartialEq, Eq, Hash))]
 pub(super) struct GatePolicy<W> {
     /// In-flight limit (`0` = unlimited).
     limit: usize,
@@ -134,6 +135,19 @@ impl<W> GatePolicy<W> {
         };
         let expired = queue.remove(position).map(|(_, waiter)| waiter);
         (expired, 1 << class.index())
+    }
+
+    /// What a step that changed the queues in `changed` reports: each
+    /// changed class's depth, and the total.
+    pub(super) fn depths(
+        &self,
+        changed: Changed,
+    ) -> impl Iterator<Item = (QosClass, u64, u64)> + '_ {
+        let total = self.queued() as u64;
+        let changed = QosClass::ALL
+            .into_iter()
+            .filter(move |c| changed & 1 << c.index() != 0);
+        changed.map(move |class| (class, self.waiting[class.index()].len() as u64, total))
     }
 
     /// The gate is closing: empties every queue and returns every waiter,
@@ -256,12 +270,8 @@ impl AdmissionGate {
     /// `step`, it cost an uncontended admit and release about 10 ns.
     #[cold]
     fn report(&self, policy: &GatePolicy<WakerFn>, changed: Changed) {
-        for class in QosClass::ALL
-            .into_iter()
-            .filter(|c| changed & 1 << c.index() != 0)
-        {
-            let depth = policy.waiting[class.index()].len() as u64;
-            (self.depth_sink)(class, depth, policy.queued() as u64);
+        for (class, depth, total) in policy.depths(changed) {
+            (self.depth_sink)(class, depth, total);
         }
     }
 
@@ -300,10 +310,13 @@ impl AdmissionGate {
         passively(clock, || parked.recv().unwrap_or(AdmitOutcome::Shutdown))
     }
 
-    /// [`GatePolicy::expire`]: `None` means the ticket already left the
-    /// queue and its waker has fired or is about to — do nothing then.
-    pub(super) fn cancel_ticket(&self, class: QosClass, ticket: u64) -> Option<WakerFn> {
-        self.step(|policy| policy.expire(class, ticket))
+    /// [`GatePolicy::expire`]: fails a still-queued ticket with
+    /// [`AdmitOutcome::Expired`]. A ticket that already left the queue has
+    /// had its waker fired, or is about to: nothing happens then.
+    pub(super) fn cancel_ticket(&self, class: QosClass, ticket: u64) {
+        if let Some(waker) = self.step(|policy| policy.expire(class, ticket)) {
+            waker(AdmitOutcome::Expired);
+        }
     }
 
     /// Fails every queued waiter with [`AdmitOutcome::Shutdown`], so a
@@ -480,10 +493,7 @@ mod tests {
                         match gate.admit(QosClass::Scavenger, waker, |w| (w, ())) {
                             Admission::Queued(ticket, ()) => {
                                 std::thread::yield_now();
-                                if let Some(waker) = gate.cancel_ticket(QosClass::Scavenger, ticket)
-                                {
-                                    waker(AdmitOutcome::Expired);
-                                }
+                                gate.cancel_ticket(QosClass::Scavenger, ticket);
                             }
                             Admission::Admitted(_) => {
                                 panic!("the slot is held for the whole race")
@@ -505,10 +515,7 @@ mod tests {
                         });
                         match gate.admit(QosClass::Critical, waker, |w| (w, ())) {
                             Admission::Queued(ticket, ()) => {
-                                if let Some(waker) = gate.cancel_ticket(QosClass::Critical, ticket)
-                                {
-                                    waker(AdmitOutcome::Expired);
-                                }
+                                gate.cancel_ticket(QosClass::Critical, ticket);
                             }
                             Admission::Admitted(_) => {
                                 panic!("the slot is held for the whole race")

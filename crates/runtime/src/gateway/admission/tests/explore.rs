@@ -75,17 +75,8 @@ impl Node {
     }
 
     fn copy(&self) -> Self {
-        let p = &self.policy;
-        let policy = GatePolicy {
-            limit: p.limit,
-            max_queue: p.max_queue,
-            in_flight: p.in_flight,
-            waiting: p.waiting.clone(),
-            wrr: p.wrr,
-            next_ticket: p.next_ticket,
-        };
         Node {
-            policy,
+            policy: self.policy.clone(),
             arrivals: self.arrivals,
         }
     }

@@ -1,5 +1,6 @@
 //! The asynchronous side of a request: the [`RequestHandle`] a submitter
-//! holds and the shared slot the event loop resolves it through.
+//! holds, the [`HandleState`] machine it waits on and the shell the event
+//! loop resolves it through.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex as StdMutex, MutexGuard, PoisonError};
@@ -7,21 +8,19 @@ use std::task::{Wake, Waker};
 use std::thread::Thread;
 
 use crate::clock::Clock;
-use crate::engine::event::{PanicPayload, RequestResult};
+use crate::engine::event::RequestResult;
 use crate::engine::EngineOutcome;
 use crate::message::RuntimeError;
 use crate::request::QosClass;
 
 use super::ServiceResponse;
 
-/// What an asynchronous request resolved to, parked in its handle until
-/// the submitter collects it.
-enum HandleResult {
-    // Boxed: a `ServiceResponse` dwarfs the panic payload, and the slot
-    // holds the variant until the submitter collects it.
-    Done(Box<Result<ServiceResponse, RuntimeError>>),
-    Panicked(PanicPayload),
-}
+/// What an asynchronous request resolved to, kept in its handle until the
+/// submitter collects it: its response or error, or the panic of a
+/// provider or of its preparation, resumed on the collecting thread.
+// Boxed: a `ServiceResponse` dwarfs the panic payload, and the handle holds
+// the result until the submitter collects it.
+pub(super) type HandleResult = std::thread::Result<Box<Result<ServiceResponse, RuntimeError>>>;
 
 /// The thread parked in [`RequestHandle::wait`], and whether it went
 /// passive on the handle's clock to park.
@@ -30,27 +29,84 @@ struct Waiter {
     passive: bool,
 }
 
-/// The handle's slot, under its lock.
-#[derive(Default)]
-struct Slot {
-    /// Set by the first resolve; later ones (a shutdown guard racing a
-    /// preemption result) are ignored.
-    resolved: bool,
-    /// The result, until the submitter takes it.
-    result: Option<HandleResult>,
-    /// Who is parked on the result, until its wake.
-    waiter: Option<Waiter>,
+/// A handle's life as a pure machine, split the way the admission gate
+/// and the event core are: each step changes the state and returns what
+/// it leaves [`HandleShared`], the shell, to do. `R` is the result and `W`
+/// who waits on it; a result before the resolve and a waiter after the
+/// collect are not states. `Parked` holds the submitter parked on an
+/// unresolved handle, `Owed` a result whose wake that submitter is owed.
+#[cfg_attr(test, derive(Clone, Debug, PartialEq, Eq, Hash))]
+pub(super) enum HandleState<R, W> {
+    Pending,
+    Parked(W),
+    Owed(R, W),
+    Ready(R),
+    Collected,
 }
 
-/// State shared between a [`RequestHandle`] and the side that resolves
-/// it. A resolve stores the result and, when the submitter is parked on
-/// it, *returns* the wake-up instead of sending it: a [`Waker`] whose
-/// `wake` hands the waiter its passive mark back and unparks it. The event
-/// loops hold those until the end of the clock instant (DESIGN §15);
-/// every other resolve wakes at once.
+/// What a resolve leaves the shell to do: mark the result collectable,
+/// hand out the wake owed to the parked waiter, or nothing (an earlier
+/// resolve won).
+#[cfg_attr(test, derive(Debug, PartialEq))]
+pub(super) enum Resolved {
+    Ready,
+    Owed,
+    Lost,
+}
+
+impl<R, W> HandleState<R, W> {
+    /// Stores `result` unless the handle is resolved already: the first
+    /// resolve wins (a shutdown guard racing a preemption result).
+    pub(super) fn resolve(&mut self, result: R) -> Resolved {
+        let (state, resolved) = match std::mem::replace(self, HandleState::Collected) {
+            HandleState::Pending => (HandleState::Ready(result), Resolved::Ready),
+            HandleState::Parked(waiter) => (HandleState::Owed(result, waiter), Resolved::Owed),
+            resolved => (resolved, Resolved::Lost),
+        };
+        *self = state;
+        resolved
+    }
+
+    /// Parks `waiter` on an unresolved handle; `false` when the result is
+    /// ready already.
+    pub(super) fn park(&mut self, waiter: W) -> bool {
+        let pending = matches!(self, HandleState::Pending);
+        if pending {
+            *self = HandleState::Parked(waiter);
+        }
+        pending
+    }
+
+    /// Sends the wake a resolve owed: the result becomes collectable and
+    /// the waiter comes back, with its passive mark, to be unparked.
+    pub(super) fn wake(&mut self) -> W {
+        match std::mem::replace(self, HandleState::Collected) {
+            HandleState::Owed(result, waiter) => {
+                *self = HandleState::Ready(result);
+                waiter
+            }
+            _ => unreachable!("only a resolve that found a waiter owes a wake"),
+        }
+    }
+
+    /// Takes the result out of a ready handle.
+    pub(super) fn collect(&mut self) -> R {
+        match std::mem::replace(self, HandleState::Collected) {
+            HandleState::Ready(result) => result,
+            _ => unreachable!("a handle is collected once, after it is ready"),
+        }
+    }
+}
+
+/// The shell of a [`HandleState`], shared between a [`RequestHandle`] and
+/// the side that resolves it. A resolve that finds the submitter parked
+/// *returns* the wake-up instead of sending it: a [`Waker`] whose `wake`
+/// hands the waiter its passive mark back and unparks it. The event loops
+/// hold those until the end of the clock instant (DESIGN §15); every other
+/// resolve wakes at once.
 pub(super) struct HandleShared {
     clock: Arc<dyn Clock>,
-    slot: StdMutex<Slot>,
+    state: StdMutex<HandleState<HandleResult, Waiter>>,
     /// Set once the result may be collected: by the resolve when nobody is
     /// parked, else by the wake. `try_wait` and `wait`'s fast path read it
     /// without the lock. Stored `Release` after the result (and after the
@@ -63,49 +119,38 @@ impl HandleShared {
     pub(super) fn new(clock: Arc<dyn Clock>) -> Self {
         HandleShared {
             clock,
-            slot: StdMutex::default(),
+            state: StdMutex::new(HandleState::Pending),
             done: AtomicBool::new(false),
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, Slot> {
-        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, HandleState<HandleResult, Waiter>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Resolves the handle and wakes a parked waiter at once: for resolves
     /// that do not run on an event loop's turn.
-    pub(super) fn finish(self: &Arc<Self>, result: Result<ServiceResponse, RuntimeError>) {
-        if let Some(waiter) = self.resolve(HandleResult::Done(Box::new(result))) {
+    pub(super) fn finish(self: &Arc<Self>, result: HandleResult) {
+        if let Some(waiter) = self.resolve(result) {
             waiter.wake();
         }
     }
 
-    /// Stores `result` unless the handle is already resolved, and returns
-    /// the wake-up owed to a waiter parked on it.
+    /// [`HandleState::resolve`], returning the wake-up it owes.
     fn resolve(self: &Arc<Self>, result: HandleResult) -> Option<Waker> {
-        let mut slot = self.lock();
-        if slot.resolved {
-            return None;
+        match self.lock().resolve(result) {
+            Resolved::Ready => self.done.store(true, Ordering::Release),
+            Resolved::Owed => return Some(Waker::from(Arc::clone(self))),
+            Resolved::Lost => {}
         }
-        slot.resolved = true;
-        slot.result = Some(result);
-        if slot.waiter.is_some() {
-            return Some(Waker::from(Arc::clone(self)));
-        }
-        self.done.store(true, Ordering::Release);
         None
     }
 
-    /// Takes the result out of a resolved handle, resuming a provider
-    /// panic on the collecting thread.
+    /// Takes the result out of a resolved handle, resuming a panic on the
+    /// collecting thread.
     fn collect(&self) -> Result<ServiceResponse, RuntimeError> {
-        let result = self.lock().result.take();
-        match result {
-            Some(HandleResult::Done(result)) => *result,
-            Some(HandleResult::Panicked(panic)) => std::panic::resume_unwind(panic),
-            // Unreachable: collecting consumes the handle.
-            None => Err(RuntimeError::Shutdown),
-        }
+        let result = self.lock().collect();
+        *result.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     }
 }
 
@@ -116,9 +161,7 @@ impl Wake for HandleShared {
     /// let that idle wait jump virtual time past it before it ran (the
     /// slot-handoff rule of DESIGN §8).
     fn wake(self: Arc<Self>) {
-        let Some(waiter) = self.lock().waiter.take() else {
-            return;
-        };
+        let waiter = self.lock().wake();
         if waiter.passive {
             self.clock.exit_passive();
         }
@@ -140,7 +183,7 @@ impl FinishGuard {
     }
 
     /// See [`HandleShared::finish`].
-    pub(super) fn finish(mut self, result: Result<ServiceResponse, RuntimeError>) {
+    pub(super) fn finish(mut self, result: HandleResult) {
         if let Some(shared) = self.0.take() {
             shared.finish(result);
         }
@@ -155,9 +198,9 @@ impl FinishGuard {
         respond: impl FnOnce(EngineOutcome) -> ServiceResponse,
     ) -> Option<Waker> {
         self.0.take()?.resolve(match result {
-            RequestResult::Finished(outcome) => HandleResult::Done(Box::new(Ok(respond(outcome)))),
-            RequestResult::Panicked(panic) => HandleResult::Panicked(panic),
-            RequestResult::Shutdown => HandleResult::Done(Box::new(Err(RuntimeError::Shutdown))),
+            RequestResult::Finished(outcome) => Ok(Box::new(Ok(respond(outcome)))),
+            RequestResult::Panicked(panic) => Err(panic),
+            RequestResult::Shutdown => Ok(Box::new(Err(RuntimeError::Shutdown))),
         })
     }
 }
@@ -165,7 +208,7 @@ impl FinishGuard {
 impl Drop for FinishGuard {
     fn drop(&mut self) {
         if let Some(shared) = self.0.take() {
-            shared.finish(Err(RuntimeError::Shutdown));
+            shared.finish(Ok(Box::new(Err(RuntimeError::Shutdown))));
         }
     }
 }
@@ -234,9 +277,11 @@ impl RequestHandle {
     /// loop's next idle wait cannot move virtual time past the resolve
     /// instant before the caller has run.
     ///
-    /// If a provider panicked during the request, the panic resumes here,
-    /// on the thread that collects the result — the event loop itself is
-    /// never poisoned.
+    /// If a provider panicked during the request, or the market, a
+    /// provider or the planner panicked while the loop prepared it, the
+    /// panic resumes here (and in [`RequestHandle::try_wait`]), on the
+    /// thread that collects the result — the event loop itself is never
+    /// poisoned and keeps serving.
     ///
     /// # Errors
     ///
@@ -248,18 +293,15 @@ impl RequestHandle {
         let shared = &*self.shared;
         if !shared.done.load(Ordering::Acquire) {
             let passive = shared.clock.thread_is_worker();
-            let mut slot = shared.lock();
-            if !slot.resolved {
-                // Passive before the waiter is published, so the wake that
-                // clears the mark always finds it set.
+            let thread = std::thread::current();
+            let mut state = shared.lock();
+            if state.park(Waiter { thread, passive }) {
+                // Passive under the lock, so the wake that clears the mark
+                // always finds it set.
                 if passive {
                     shared.clock.enter_passive();
                 }
-                slot.waiter = Some(Waiter {
-                    thread: std::thread::current(),
-                    passive,
-                });
-                drop(slot);
+                drop(state);
                 while !shared.done.load(Ordering::Acquire) {
                     std::thread::park();
                 }
@@ -304,7 +346,7 @@ mod tests {
     /// Spins (yielding) until a thread is parked in `wait` on `shared`.
     fn await_parked(shared: &HandleShared) {
         let start = Instant::now();
-        while shared.lock().waiter.is_none() {
+        while !matches!(*shared.lock(), HandleState::Parked(_)) {
             assert!(start.elapsed() < Duration::from_secs(20), "never parked");
             std::thread::yield_now();
         }
@@ -314,10 +356,13 @@ mod tests {
     fn a_resolve_before_wait_is_collected_without_parking() {
         let shared = shared();
         let waiting = handle(&shared);
-        FinishGuard::new(&shared).finish(Err(overloaded()));
+        FinishGuard::new(&shared).finish(Ok(Box::new(Err(overloaded()))));
         assert!(shared.done.load(Ordering::Acquire), "nobody to wake");
         assert_eq!(waiting.wait(), Err(overloaded()));
-        assert!(shared.lock().waiter.is_none(), "the waiter never parked");
+        assert!(
+            matches!(*shared.lock(), HandleState::Collected),
+            "the waiter never parked"
+        );
     }
 
     /// The resolve returns the wake instead of sending it: the waiter stays
@@ -344,7 +389,7 @@ mod tests {
     fn try_wait_returns_the_handle_until_resolved() {
         let shared = shared();
         let pending = handle(&shared).try_wait().expect_err("unresolved");
-        FinishGuard::new(&shared).finish(Err(overloaded()));
+        FinishGuard::new(&shared).finish(Ok(Box::new(Err(overloaded()))));
         assert_eq!(pending.try_wait().ok(), Some(Err(overloaded())));
     }
 
@@ -383,7 +428,7 @@ mod tests {
                 }
             };
             assert_eq!(outcome, Err(RuntimeError::Shutdown));
-            assert!(shared.lock().waiter.is_none());
+            assert!(matches!(*shared.lock(), HandleState::Collected));
         }
         assert_eq!(won[0] + won[1], 500, "{won:?}");
     }

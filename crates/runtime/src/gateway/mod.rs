@@ -21,6 +21,7 @@ pub use handle::RequestHandle;
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -32,7 +33,9 @@ use qce_strategy::{Attribute, Qos, Requirements, Strategy};
 use crate::clock::{Clock, WallClock, WorkerGuard};
 use crate::collector::Collector;
 use crate::device::Provider;
-use crate::engine::event::{BlockingTask, Done, EventCore, RequestSpec, Shared, TaskFn};
+use crate::engine::event::{
+    BlockingTask, Done, EventCore, PanicPayload, RequestSpec, Shared, TaskFn,
+};
 use crate::engine::{
     Budget, Completion, EngineOutcome, EngineStats, PolicyState, PoolStats, PruneDetail,
     PruneReason, WorkerPool,
@@ -395,6 +398,48 @@ struct Resolved {
     entry: Arc<ServiceEntry>,
 }
 
+/// What an admitted asynchronous request's continuation decided.
+enum Continued<R, S> {
+    /// Its deadline passed while it was queued: it never enters the engine.
+    Expired(R),
+    /// Preparing it failed.
+    Failed(RuntimeError),
+    /// Preparing it panicked: the panic resumes on whoever collects it.
+    Panicked(PanicPayload),
+    /// Prepared, for the engine.
+    Submitted(S),
+}
+
+/// Decides an admitted asynchronous request's continuation on the loop
+/// that runs it at `now`. The deadline is checked again because a
+/// grant at the deadline's own instant can run before the cancel timer
+/// due at it; `prepare` (planning, the market, the providers' selection
+/// data) runs under `catch_unwind`, so a panic there fails its request
+/// and never its loop.
+fn continued<R, S>(
+    now: Duration,
+    deadline: Option<Duration>,
+    request: R,
+    prepare: impl FnOnce(R) -> Result<S, RuntimeError>,
+) -> Continued<R, S> {
+    if deadline.is_some_and(|abs| now >= abs) {
+        return Continued::Expired(request);
+    }
+    match catch_unwind(AssertUnwindSafe(|| prepare(request))) {
+        Ok(Ok(prepared)) => Continued::Submitted(prepared),
+        Ok(Err(error)) => Continued::Failed(error),
+        Err(panic) => Continued::Panicked(panic),
+    }
+}
+
+/// Runs `resolve`, then releases an admitted request's `permit`: the
+/// freed slot is handed over only after the handle resolves.
+fn release_after<T>(permit: impl Sized, resolve: impl FnOnce() -> T) -> T {
+    let resolved = resolve();
+    drop(permit);
+    resolved
+}
+
 /// What [`Gateway::prepare`] keeps back while the engine runs: everything
 /// of the [`ServiceResponse`] that is known before execution.
 struct Reply {
@@ -623,7 +668,8 @@ impl Gateway {
     /// [`RuntimeError::DeadlineExceeded`] without ever executing), and
     /// the event loops, not the caller, drive the request — so errors
     /// after admission (shed by preemption, planning failure, shutdown)
-    /// are delivered through [`RequestHandle::wait`] rather than this call.
+    /// are delivered through [`RequestHandle::wait`] rather than this call,
+    /// and a panic while the loop prepares the request resumes there.
     ///
     /// # Errors
     ///
@@ -652,33 +698,32 @@ impl Gateway {
             Box::new(move || {
                 let permit = request.entry.gate.permit();
                 let Some(gateway) = gateway.upgrade() else {
-                    return;
+                    // The gateway is going: its guard resolves `Shutdown`.
+                    return release_after(permit, || drop(finish));
                 };
-                // The deadline may have passed while the ticket was queued
-                // (the scheduled cancellation races the grant): reject
-                // before planning, never entering the engine. Exactly one
-                // of this check and the cancellation task fires — whichever
-                // removes the ticket/runs the continuation first.
-                if abs_deadline.is_some_and(|abs| gateway.clock.now() >= abs) {
-                    let expired = request.meta.deadline_exceeded(&gateway.telemetry);
-                    return finish.finish(Err(expired));
-                }
-                let (mut spec, reply) = match gateway.prepare(request) {
-                    Ok(prepared) => prepared,
-                    Err(error) => return finish.finish(Err(error)),
+                let now = gateway.clock.now();
+                let result = match continued(now, abs_deadline, request, |r| gateway.prepare(r)) {
+                    Continued::Submitted((mut spec, reply)) => {
+                        if let Some(abs) = abs_deadline {
+                            spec.budget = spec.budget.with_deadline(abs);
+                        }
+                        let telemetry = Arc::clone(&gateway.telemetry);
+                        // The waiter's wake goes back to the loop.
+                        spec.done = Done::Call(Box::new(move |result| {
+                            let respond = |outcome| reply.respond(&telemetry, outcome);
+                            release_after(permit, || finish.resolve(result, respond))
+                        }));
+                        gateway.core.submit(spec, &*gateway.spawn);
+                        return;
+                    }
+                    Continued::Expired(request) => {
+                        let expired = request.meta.deadline_exceeded(&gateway.telemetry);
+                        Ok(Box::new(Err(expired)))
+                    }
+                    Continued::Failed(error) => Ok(Box::new(Err(error))),
+                    Continued::Panicked(panic) => Err(panic),
                 };
-                if let Some(abs) = abs_deadline {
-                    spec.budget = spec.budget.with_deadline(abs);
-                }
-                let telemetry = Arc::clone(&gateway.telemetry);
-                spec.done = Done::Call(Box::new(move |result| {
-                    // The permit outlives the resolve so the freed
-                    // admission slot is handed over only after the handle
-                    // resolves. The waiter's wake goes back to the loop.
-                    let _slot = permit;
-                    finish.resolve(result, |outcome| reply.respond(&telemetry, outcome))
-                }));
-                gateway.core.submit(spec, &*gateway.spawn);
+                release_after(permit, || finish.finish(result));
             })
         };
 
@@ -693,7 +738,7 @@ impl Gateway {
                 Ok(()) => core.post_task(task),
                 // Dropping the unrun task fires its FinishGuard, whose
                 // late Shutdown loses to this result (first wins).
-                Err(error) => shared.finish(Err(error)),
+                Err(error) => shared.finish(Ok(Box::new(Err(error)))),
             }
         };
 
@@ -704,11 +749,7 @@ impl Gateway {
             Admission::Admitted(waiter) => waiter(AdmitOutcome::Granted),
             Admission::Queued(ticket, ()) => {
                 if let Some(abs) = abs_deadline {
-                    let cancel = move || {
-                        if let Some(waker) = entry.gate.cancel_ticket(meta.class, ticket) {
-                            waker(AdmitOutcome::Expired);
-                        }
-                    };
+                    let cancel = move || entry.gate.cancel_ticket(meta.class, ticket);
                     self.core.schedule_task(abs, Box::new(cancel));
                 }
             }
@@ -850,17 +891,9 @@ impl Gateway {
     /// plus the cores blocking submissions had to build.
     #[must_use]
     pub fn engine_stats(&self) -> EngineStats {
-        let stats = self.core.stats();
         EngineStats {
-            in_flight: stats.in_flight,
-            frames_live: stats.frames_live,
-            frames_peak: stats.frames_peak,
-            timers_peak: stats.timers_peak,
-            timer_runs_peak: stats.timer_runs_peak,
-            frame_bytes: EventCore::frame_bytes(),
-            wakeups: stats.wakeups,
-            waiter_wakes: stats.waiter_wakes,
             blocking_cores_built: self.blocking_cores_built.load(Ordering::Relaxed),
+            ..self.core.stats()
         }
     }
 
@@ -998,6 +1031,8 @@ impl Drop for Gateway {
 
 #[cfg(test)]
 mod tests {
+    mod explore;
+
     use super::*;
     use crate::fleet::{FleetConfig, GatewayFleet};
     use crate::market::InMemoryMarket;

@@ -149,6 +149,9 @@ impl ServiceScript {
         };
         UtilityIndex::new(self.penalty_k).map_err(invalid)?;
         self.requirements.validate().map_err(invalid)?;
+        for prior in self.microservices.iter().map(|ms| ms.prior) {
+            Qos::new(prior.cost, prior.latency, prior.reliability.value()).map_err(invalid)?;
+        }
         if self.slot_size == 0 {
             return Err(RuntimeError::InvalidScript {
                 reason: "slot size must be positive".to_string(),
@@ -305,6 +308,39 @@ mod tests {
             ServiceScript::from_json(&json),
             Err(RuntimeError::InvalidScript { .. })
         ));
+    }
+
+    /// A prior `Qos::new` would refuse is refused, whether it is written
+    /// into the struct or read from market JSON.
+    #[test]
+    fn out_of_domain_priors_rejected() {
+        let json = serde_json::to_string(&script()).unwrap();
+        for (field, good, bad) in [
+            ("reliability", "0.7", "1.5"),
+            ("reliability", "0.7", "-0.2"),
+            ("cost", "50.0", "-10.0"),
+            ("latency", "50.0", "-1.0"),
+        ] {
+            let good = format!("\"{field}\":{good}");
+            assert!(json.contains(&good), "{json}");
+            let json = json.replacen(&good, &format!("\"{field}\":{bad}"), 1);
+            assert!(
+                matches!(
+                    ServiceScript::from_json(&json),
+                    Err(RuntimeError::InvalidScript { .. })
+                ),
+                "{field} = {bad}"
+            );
+        }
+        for (cost, latency) in [(-10.0, 50.0), (50.0, -1.0), (f64::NAN, 50.0)] {
+            let mut s = script();
+            s.microservices[1].prior.cost = cost;
+            s.microservices[1].prior.latency = latency;
+            assert!(
+                matches!(s.validate(), Err(RuntimeError::InvalidScript { .. })),
+                "cost={cost} latency={latency}"
+            );
+        }
     }
 
     #[test]

@@ -1,19 +1,20 @@
 //! Integration tests for the asynchronous submission path
-//! ([`Gateway::submit_async`]): panic isolation of the event loops,
-//! shutdown behaviour when the gateway drops with work in flight, two
-//! event loops serving what one does, one wake-up per resolve instant
-//! for a client waiting on a window, and queue-depth gauges that follow an
-//! async queue down.
+//! ([`Gateway::submit_async`]): panic isolation of the event loops (a
+//! provider's, a timed leg's and the market's), shutdown behaviour when
+//! the gateway drops with work in flight, two event loops serving what one
+//! does, one wake-up per resolve instant for a client waiting on a window,
+//! and queue-depth gauges that follow an async queue down.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
 use qce_runtime::{
-    Clock, FnProvider, Gateway, GatewayConfig, InMemoryMarket, Market, MsSpec, QosClass, Request,
-    RuntimeError, ServiceScript, SimulatedProvider, VirtualClock,
+    Clock, FnProvider, Gateway, GatewayConfig, InMemoryMarket, Invocation, InvokeError, Market,
+    MsSpec, Provider, QosClass, Request, RequestHandle, RuntimeError, ServiceResponse,
+    ServiceScript, SimulatedProvider, VirtualClock,
 };
 use qce_strategy::{Qos, Requirements};
 
@@ -76,6 +77,13 @@ fn market_with(scripts: Vec<ServiceScript>) -> Box<dyn Market> {
     Box::new(market)
 }
 
+/// The text a panic was raised with.
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+    let text = panic.downcast_ref::<&str>().copied().map(str::to_string);
+    text.or_else(|| panic.downcast_ref::<String>().cloned())
+        .unwrap_or_default()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -130,12 +138,7 @@ proptest! {
         let doomed = gateway.submit_async(Request::new("svc")).unwrap();
         let panic = catch_unwind(AssertUnwindSafe(|| doomed.wait()))
             .expect_err("the provider panic must resume on the collector");
-        let message = panic
-            .downcast_ref::<&str>()
-            .copied()
-            .map(str::to_string)
-            .or_else(|| panic.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
+        let message = panic_message(&*panic);
         prop_assert!(message.contains("boom"), "unexpected payload: {message}");
 
         // The sibling in flight during the panic and a fresh request after
@@ -576,4 +579,142 @@ fn async_queue_depth_gauges_drain_with_grants_and_preemption() {
     );
     assert_eq!(waiting, (1, 1));
     assert_eq!(queue_depths(&gateway, QosClass::Critical), (0, 0));
+}
+
+/// Collects `handle`, polling with `try_wait` for at most ten seconds of
+/// real time: a handle whose loop died fails the test instead of hanging
+/// it. A panic the request raised resumes here.
+fn collect_within_ten_seconds(mut handle: RequestHandle) -> Result<ServiceResponse, RuntimeError> {
+    let give_up = Instant::now() + Duration::from_secs(10);
+    loop {
+        handle = match handle.try_wait() {
+            Ok(result) => return result,
+            Err(pending) => pending,
+        };
+        assert!(Instant::now() < give_up, "the request never resolved");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Gateway over `market` with service `ok`'s one 1 ms leg registered.
+fn gateway_serving_ok(market: Box<dyn Market>) -> Arc<Gateway> {
+    let clock = Arc::new(VirtualClock::new());
+    let gateway = Arc::new(Gateway::with_clock(
+        market,
+        GatewayConfig::default(),
+        Arc::clone(&clock) as Arc<dyn Clock>,
+    ));
+    gateway.registry().register(
+        SimulatedProvider::builder("dev-ok", "ok-cap0")
+            .latency(Duration::from_millis(1))
+            .reliability(1.0)
+            .clock(Arc::clone(&clock) as Arc<dyn Clock>)
+            .build(),
+    );
+    gateway
+}
+
+/// Asserts that `submit_async(service)` resumes a panic whose text names
+/// `what` on the collecting thread, and that the gateway's loop then
+/// serves `ok`.
+fn panics_on_wait_and_keeps_serving(gateway: &Arc<Gateway>, service: &str, what: &str) {
+    let doomed = gateway.submit_async(Request::new(service)).unwrap();
+    let panic = catch_unwind(AssertUnwindSafe(|| collect_within_ten_seconds(doomed)))
+        .expect_err("the panic resumes on the collecting thread");
+    let message = panic_message(&*panic);
+    assert!(message.contains(what), "unexpected payload: {message}");
+    let after = gateway.submit_async(Request::new("ok")).unwrap();
+    assert!(collect_within_ten_seconds(after).unwrap().success);
+}
+
+/// A market whose `fetch` of service `bad` panics.
+struct PanickingMarket(InMemoryMarket);
+
+impl Market for PanickingMarket {
+    fn fetch(&self, service_id: &str) -> Result<ServiceScript, RuntimeError> {
+        assert_ne!(service_id, "bad", "boom: the market exploded");
+        self.0.fetch(service_id)
+    }
+
+    fn service_ids(&self) -> Vec<String> {
+        self.0.service_ids()
+    }
+}
+
+/// Bugfix regression: a panic in user code that an admitted request's
+/// continuation calls (here `Market::fetch`, while the slot is planned)
+/// used to unwind the event-loop thread. The request resolved `Shutdown`
+/// and lost the panic, and every later `submit_async` on the gateway
+/// waited for ever. The panic resumes on `wait`, as `submit` hands it to
+/// its caller, and the loop keeps serving.
+#[test]
+fn a_panicking_market_fetch_resumes_on_wait_and_the_loop_keeps_serving() {
+    let inner = InMemoryMarket::new();
+    inner.publish(script("ok", 1)).unwrap();
+    let gateway = gateway_serving_ok(Box::new(PanickingMarket(inner)));
+    panics_on_wait_and_keeps_serving(&gateway, "bad", "the market exploded");
+    panics_on_wait_and_keeps_serving(&gateway, "bad", "the market exploded");
+}
+
+/// A provider that takes its invocations as clock events and panics
+/// computing one.
+struct PanickingTimedLeg;
+
+impl Provider for PanickingTimedLeg {
+    fn id(&self) -> &str {
+        "bad-dev"
+    }
+
+    fn capability(&self) -> &str {
+        "bad-cap0"
+    }
+
+    fn cost(&self) -> f64 {
+        10.0
+    }
+
+    fn invoke(&self, _request: &Invocation) -> Result<Vec<u8>, InvokeError> {
+        Ok(vec![1])
+    }
+
+    fn try_timed_invoke(
+        &self,
+        _request: &Invocation,
+        _clock: &dyn Clock,
+    ) -> Option<(Duration, Result<Vec<u8>, InvokeError>)> {
+        panic!("boom: the timed leg exploded")
+    }
+}
+
+fn gateway_with_a_panicking_timed_leg() -> Arc<Gateway> {
+    let gateway = gateway_serving_ok(market_with(vec![script("bad", 1), script("ok", 1)]));
+    gateway.registry().register(Arc::new(PanickingTimedLeg));
+    gateway
+}
+
+/// Bugfix regression: `Provider::try_timed_invoke` runs on the event loop,
+/// and a panic in it used to unwind the loop thread, hanging its own
+/// request and every later one. It is that leg's panic, delivered as a
+/// blocking leg's is: `wait` resumes it, and the loop keeps serving.
+#[test]
+fn a_panicking_timed_leg_resumes_on_wait_and_the_loop_keeps_serving() {
+    let gateway = gateway_with_a_panicking_timed_leg();
+    panics_on_wait_and_keeps_serving(&gateway, "bad", "the timed leg exploded");
+    panics_on_wait_and_keeps_serving(&gateway, "bad", "the timed leg exploded");
+    let stats = gateway.engine_stats();
+    assert_eq!((stats.in_flight, stats.frames_live), (0, 0));
+}
+
+/// The same leg under a blocking `submit` panics its caller, and the next
+/// `submit` on that thread is served.
+#[test]
+fn a_panicking_timed_leg_panics_a_blocking_submit_which_keeps_serving() {
+    let gateway = gateway_with_a_panicking_timed_leg();
+    for _ in 0..2 {
+        let panic = catch_unwind(AssertUnwindSafe(|| gateway.submit(Request::new("bad"))))
+            .expect_err("the leg's panic reaches the caller");
+        let message = panic_message(&*panic);
+        assert!(message.contains("the timed leg exploded"), "{message}");
+        assert!(gateway.submit(Request::new("ok")).unwrap().success);
+    }
 }

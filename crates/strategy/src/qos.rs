@@ -108,9 +108,18 @@ use std::fmt;
 /// assert!(Reliability::new(1.2).is_err());
 /// # Ok::<(), qce_strategy::QosError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize)]
 #[serde(transparent)]
 pub struct Reliability(f64);
+
+/// Read through [`Reliability::new`]: the wire format is the bare
+/// probability, and a value outside `[0, 1]` is refused as the constructor
+/// refuses it.
+impl<'de> Deserialize<'de> for Reliability {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        Reliability::new(f64::deserialize(deserializer)?).map_err(serde::de::Error::custom)
+    }
+}
 
 impl Reliability {
     /// A reliability of exactly one: the execution always succeeds.
@@ -771,6 +780,18 @@ mod tests {
         let req = Requirements::new(100.0, 100.0, 0.97).unwrap();
         assert!(req.to_string().contains("Qr=97.0%"));
         assert_eq!(Attribute::Cost.to_string(), "cost");
+    }
+
+    #[test]
+    fn a_reliability_is_read_only_within_its_domain() {
+        let read = |json: &str| serde_json::from_str::<Reliability>(json);
+        assert_eq!(read("0.7").unwrap(), Reliability::new(0.7).unwrap());
+        assert_eq!(read("1.0").unwrap(), Reliability::ALWAYS);
+        for json in ["1.5", "-0.2", "1.0000001"] {
+            assert!(read(json).is_err(), "{json}");
+        }
+        let qos = r#"{"cost":1.0,"latency":1.0,"reliability":1.5}"#;
+        assert!(serde_json::from_str::<Qos>(qos).is_err());
     }
 
     #[test]
