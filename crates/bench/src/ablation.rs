@@ -40,7 +40,7 @@ pub const K_SWEEP: [f64; 5] = [1.2, 2.0, 3.0, 5.0, 10.0];
 /// # Panics
 ///
 /// Panics only on invalid constants (cannot happen).
-pub fn k_sensitivity(reports: &Path) -> std::io::Result<()> {
+pub(crate) fn k_sensitivity(reports: &Path) -> std::io::Result<()> {
     let env = EnvQos::from_triples(&FIRE_ENV).expect("valid QoS");
     let mut report = Report::new(
         "Ablation: utility penalty k (Eq. 1) on the fire-detection environment",
@@ -63,7 +63,9 @@ pub fn k_sensitivity(reports: &Path) -> std::io::Result<()> {
     ];
     for requirements in profiles {
         for k in K_SWEEP {
-            let generator = Generator::new(UtilityIndex::new(k).expect("k > 1"), 6);
+            let generator = Generator::builder()
+                .utility(UtilityIndex::new(k).expect("k > 1"))
+                .build();
             let generated = generator
                 .exhaustive(&env, &env.ids(), &requirements)
                 .expect("valid environment");
@@ -97,7 +99,9 @@ fn k_changes_the_winner() -> bool {
     let env = EnvQos::from_triples(&FIRE_ENV).expect("valid QoS");
     let requirements = Requirements::new(400.0, 90.0, 0.97).expect("valid");
     let pick = |k: f64| {
-        Generator::new(UtilityIndex::new(k).expect("k > 1"), 6)
+        Generator::builder()
+            .utility(UtilityIndex::new(k).expect("k > 1"))
+            .build()
             .exhaustive(&env, &env.ids(), &requirements)
             .expect("valid environment")
             .strategy
@@ -118,7 +122,7 @@ fn k_changes_the_winner() -> bool {
 /// # Panics
 ///
 /// Panics if the testbed fails to serve requests (cannot happen).
-pub fn window_sensitivity(
+pub(crate) fn window_sensitivity(
     reports: &Path,
     per_slot: u32,
     latency_scale: f64,
@@ -215,7 +219,7 @@ fn run_drift_with_window(window: usize, per_slot: u32, latency_scale: f64) -> Dr
 /// # Panics
 ///
 /// Panics only on invalid constants (cannot happen).
-pub fn cost_semantics(reports: &Path) -> std::io::Result<()> {
+pub(crate) fn cost_semantics(reports: &Path) -> std::io::Result<()> {
     let env = Environment::from_triples(&FIRE_ENV).expect("valid QoS");
     let mut report = Report::new(
         "Ablation: Assumption-2 cost vs free preemption (Table II strategies)",
@@ -269,7 +273,7 @@ pub fn cost_semantics(reports: &Path) -> std::io::Result<()> {
 /// # Panics
 ///
 /// Panics only on invalid constants (cannot happen).
-pub fn latency_robustness(reports: &Path) -> std::io::Result<()> {
+pub(crate) fn latency_robustness(reports: &Path) -> std::io::Result<()> {
     let mut report = Report::new(
         "Ablation: Algorithm 1 error vs latency distribution (same means)",
         &[
@@ -520,7 +524,9 @@ mod tests {
         let requirements = Requirements::new(100.0, 100.0, 0.97).unwrap();
         let mut violations: Vec<usize> = Vec::new();
         for k in [1.5, 3.0, 10.0] {
-            let generator = Generator::new(UtilityIndex::new(k).unwrap(), 6);
+            let generator = Generator::builder()
+                .utility(UtilityIndex::new(k).unwrap())
+                .build();
             let generated = generator
                 .exhaustive(&env, &env.ids(), &requirements)
                 .unwrap();

@@ -48,7 +48,7 @@ pub fn validate(strategies: usize, runs: NonZeroU32, seed: u64) -> Vec<Validatio
 /// [`Estimator`] implementations can be validated against the same
 /// virtual-time measurements.
 #[must_use]
-pub fn validate_with(
+pub(crate) fn validate_with(
     estimator: &dyn Estimator,
     strategies: usize,
     runs: NonZeroU32,

@@ -61,7 +61,7 @@ impl UtilityDistribution {
 
     /// Fraction of `(service, strategy)` pairs with utility above `level`.
     #[must_use]
-    pub fn fraction_above(&self, level: f64) -> f64 {
+    pub(crate) fn fraction_above(&self, level: f64) -> f64 {
         let above = self.utilities.iter().filter(|&&u| u > level).count();
         above as f64 / self.utilities.len() as f64
     }

@@ -60,7 +60,7 @@ impl ConfigResult {
     /// headline ≈2× ratio. `None` when no predefined strategy satisfies any
     /// service.
     #[must_use]
-    pub fn satisfaction_ratio(&self) -> Option<f64> {
+    pub(crate) fn satisfaction_ratio(&self) -> Option<f64> {
         let generated = self.stats[0].satisfied.max(self.stats[1].satisfied);
         let predefined = self.stats[2].satisfied.max(self.stats[3].satisfied);
         (predefined > 0).then(|| generated as f64 / predefined as f64)
@@ -70,7 +70,7 @@ impl ConfigResult {
 /// Runs one configuration: `services` random environments, each planned by
 /// all four methods.
 #[must_use]
-pub fn run_config(
+pub(crate) fn run_config(
     exp: &'static str,
     cfg: usize,
     config: &RandomEnvConfig,

@@ -43,7 +43,7 @@ impl Report {
 
     /// Renders the aligned console form.
     #[must_use]
-    pub fn to_console(&self) -> String {
+    pub(crate) fn to_console(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {
@@ -74,7 +74,7 @@ impl Report {
 
     /// Renders the TSV form (title and notes as `#` comments).
     #[must_use]
-    pub fn to_tsv(&self) -> String {
+    pub(crate) fn to_tsv(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "# {}", self.title);
         for note in &self.notes {

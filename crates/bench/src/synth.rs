@@ -25,9 +25,10 @@
 //!
 //! Every `(M, tables)` point gets fresh generators, so each
 //! configuration's first search also builds its candidate-family cache:
-//! the *mean* time includes that one cold search, the *warm* mean (over
-//! searches 2..n) is what a gateway's planner pays from its second re-plan
-//! on.
+//! the *mean* time includes that one cold search. The *warm* time, what a
+//! gateway's planner pays from its second re-plan on, is the median over
+//! repeated passes of a pass's mean search time once the cache is built
+//! (the first pass's searches 2..n, then each further pass).
 
 use std::io;
 use std::path::Path;
@@ -78,7 +79,7 @@ pub struct SynthPoint {
     pub config: &'static str,
     /// Mean wall time per exhaustive search, the first (cold) one included.
     pub mean_time: Duration,
-    /// Mean wall time over searches 2..n (the mean itself when n = 1).
+    /// Median over warm passes of a pass's mean time per search (module docs).
     pub warm_time: Duration,
     /// Candidates considered per search (estimated plus pruned; this is
     /// `F(M)` for the full exhaustive search).
@@ -90,30 +91,47 @@ pub struct SynthPoint {
     pub pruned: u64,
 }
 
+/// Warm passes timed per point: at least `MIN_WARM_PASSES`, then more
+/// while the further passes stay inside `WARM_BUDGET`, up to
+/// `MAX_WARM_PASSES`.
+const MIN_WARM_PASSES: usize = 3;
+const MAX_WARM_PASSES: usize = 15;
+const WARM_BUDGET: Duration = Duration::from_millis(5);
+
 /// Runs `generator.exhaustive` over every environment and returns the
-/// results plus the mean wall time per search, over all searches and over
-/// all but the first.
+/// first pass's results, its mean wall time per search, and the warm time
+/// (see the module docs).
 fn measure(
     generator: &Generator,
     envs: &[EnvQos],
     req: &Requirements,
 ) -> (Vec<Generated>, Duration, Duration) {
-    let mut times = Vec::with_capacity(envs.len());
-    let mut out = Vec::with_capacity(envs.len());
-    for env in envs {
-        let ids = env.ids();
-        let started = Instant::now();
-        let generated = generator
-            .exhaustive(env, &ids, req)
-            .expect("random environments are valid");
-        times.push(started.elapsed());
-        out.push(generated);
-    }
+    let ids: Vec<_> = envs.iter().map(EnvQos::ids).collect();
+    let pass = || -> (Vec<Generated>, Vec<Duration>) {
+        envs.iter()
+            .zip(&ids)
+            .map(|(env, ids)| {
+                let started = Instant::now();
+                let generated = generator
+                    .exhaustive(env, ids, req)
+                    .expect("random environments are valid");
+                (generated, started.elapsed())
+            })
+            .unzip()
+    };
     let mean = |times: &[Duration]| {
         times.iter().sum::<Duration>() / u32::try_from(times.len().max(1)).unwrap_or(1)
     };
-    let warm = if times.len() > 1 { &times[1..] } else { &times };
-    (out, mean(&times), mean(warm))
+    let (out, first) = pass();
+    let mut warm = vec![mean(if first.len() > 1 { &first[1..] } else { &first })];
+    let started = Instant::now();
+    while warm.len() < MIN_WARM_PASSES
+        || (warm.len() < MAX_WARM_PASSES && started.elapsed() < WARM_BUDGET)
+    {
+        warm.push(mean(&pass().1));
+    }
+    warm.sort_unstable();
+    (out, mean(&first), warm[warm.len() / 2])
 }
 
 /// `env` with its first `legs` microservices at reliability exactly 1.0.
@@ -293,7 +311,8 @@ pub fn run(
     report.note("every engine run verified bit-identical to the baseline search");
     report.note(
         "fresh generators per (M, tables): 'mean time' includes each configuration's first \
-         (cold, cache-building) search, 'warm mean' is over searches 2..n",
+         (cold, cache-building) search, 'warm mean' is the median over warm passes \
+         (searches 2..n, then whole repeat passes) of a pass's mean",
     );
     report.emit(reports, "bench_synth")?;
 

@@ -61,7 +61,7 @@ pub fn run(reports: &Path) -> std::io::Result<()> {
 ///
 /// Panics if the hard-coded strategies fail to parse or estimate (they
 /// cannot).
-pub fn run_with(estimator: &dyn Estimator, reports: &Path) -> std::io::Result<()> {
+pub(crate) fn run_with(estimator: &dyn Estimator, reports: &Path) -> std::io::Result<()> {
     let env = EnvQos::from_triples(&FIRE_ENV).expect("valid QoS");
     let sim_env = Environment::from_triples(&FIRE_ENV).expect("valid QoS");
     let mut rng = ChaCha8Rng::seed_from_u64(2);

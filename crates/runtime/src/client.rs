@@ -116,19 +116,6 @@ impl Client {
         self.submit(Request::new(service_id))
     }
 
-    /// Invokes an edge service by id.
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::invoke`].
-    pub fn invoke_with_payload(
-        &self,
-        service_id: &str,
-        payload: Vec<u8>,
-    ) -> Result<ServiceResponse, ClientError> {
-        self.submit(Request::new(service_id).payload(payload))
-    }
-
     /// Submits a typed [`Request`], applying the client's advisory policy
     /// to the response.
     ///

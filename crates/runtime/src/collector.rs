@@ -223,13 +223,6 @@ impl Collector {
         }
     }
 
-    /// Forgets all observations.
-    pub fn reset_all(&self) {
-        for window in self.windows.read().values() {
-            window.ring.lock().clear();
-        }
-    }
-
     /// Ids of all providers with at least one observation.
     #[must_use]
     pub fn provider_ids(&self) -> Vec<String> {
@@ -336,7 +329,7 @@ mod tests {
         c.reset("p");
         assert!(c.stats("p").is_none());
         assert!(c.stats("q").is_some());
-        c.reset_all();
+        c.reset("q");
         assert!(c.provider_ids().is_empty());
     }
 

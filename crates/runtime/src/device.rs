@@ -29,9 +29,15 @@ use crate::message::{Invocation, InvokeError};
 /// the same provider may serve concurrent requests.
 pub trait Provider: Send + Sync {
     /// Globally unique provider id, conventionally `"<device>/<capability>"`.
+    ///
+    /// Must not panic. The engine reads it under its core lock while it
+    /// records a completed leg, where a panic would end the thread driving
+    /// the request (an event loop with every request on it). It is a name,
+    /// not a computation: return a field.
     fn id(&self) -> &str;
 
     /// The capability this provider implements (e.g. `"read-temp-sensor"`).
+    /// Must not panic, for the reason [`Provider::id`] gives.
     fn capability(&self) -> &str;
 
     /// Cost charged per started invocation (Assumption 2).
@@ -82,15 +88,13 @@ impl fmt::Debug for dyn Provider {
 struct SimState {
     reliability: f64,
     latency: Duration,
-    jitter: Duration,
     online: bool,
     rng: ChaCha8Rng,
     invocations: u64,
 }
 
 /// A provider that emulates a device-hosted microservice: sleeps for the
-/// configured latency (± uniform jitter), then succeeds with the configured
-/// reliability.
+/// configured latency, then succeeds with the configured reliability.
 ///
 /// # Examples
 ///
@@ -148,7 +152,6 @@ impl SimulatedProvider {
             cost: 1.0,
             reliability: 1.0,
             latency: Duration::from_millis(1),
-            jitter: Duration::ZERO,
             seed: 0,
             response: Vec::new(),
             capacity: None,
@@ -209,16 +212,7 @@ impl SimulatedProvider {
         if !state.online {
             return (Duration::ZERO, Err(InvokeError::DeviceUnavailable));
         }
-        let jitter_ns = state.jitter.as_nanos() as u64;
-        let offset = if jitter_ns == 0 {
-            0i64
-        } else {
-            state
-                .rng
-                .gen_range(-(jitter_ns as i64) / 2..=(jitter_ns as i64) / 2)
-        };
-        let base = state.latency.as_nanos() as i64;
-        let sleep_ns = (base + offset).max(0) as u64;
+        let latency = state.latency;
         let reliability = state.reliability;
         let success = state.rng.gen_bool(reliability);
         let result = if success {
@@ -228,7 +222,7 @@ impl SimulatedProvider {
                 reason: "simulated microservice failure".to_string(),
             })
         };
-        (Duration::from_nanos(sleep_ns), result)
+        (latency, result)
     }
 }
 
@@ -240,7 +234,6 @@ pub struct SimulatedProviderBuilder {
     cost: f64,
     reliability: f64,
     latency: Duration,
-    jitter: Duration,
     seed: u64,
     response: Vec<u8>,
     capacity: Option<usize>,
@@ -266,14 +259,6 @@ impl SimulatedProviderBuilder {
     #[must_use]
     pub fn latency(mut self, latency: Duration) -> Self {
         self.latency = latency;
-        self
-    }
-
-    /// Adds symmetric uniform jitter: each invocation sleeps
-    /// `latency ± jitter/2` (default none).
-    #[must_use]
-    pub fn jitter(mut self, jitter: Duration) -> Self {
-        self.jitter = jitter;
         self
     }
 
@@ -322,7 +307,6 @@ impl SimulatedProviderBuilder {
             state: Mutex::new(SimState {
                 reliability: self.reliability,
                 latency: self.latency,
-                jitter: self.jitter,
                 online: true,
                 rng: ChaCha8Rng::seed_from_u64(self.seed),
                 invocations: 0,
@@ -540,27 +524,6 @@ mod tests {
     }
 
     #[test]
-    fn jitter_varies_latency() {
-        let clock = Arc::new(VirtualClock::new());
-        let p = SimulatedProvider::builder("d/cap", "cap")
-            .latency(Duration::from_millis(4))
-            .jitter(Duration::from_millis(4))
-            .seed(5)
-            .clock(Arc::clone(&clock) as Arc<dyn Clock>)
-            .build();
-        let req = Invocation::new(0, "cap", vec![]);
-        let mut samples = Vec::new();
-        for _ in 0..10 {
-            let t0 = clock.now();
-            let _ = p.invoke(&req);
-            samples.push(clock.now() - t0);
-        }
-        let min = samples.iter().min().unwrap();
-        let max = samples.iter().max().unwrap();
-        assert!(*max > *min, "jitter should vary sleep times");
-    }
-
-    #[test]
     fn builder_sets_response_and_metadata() {
         let p = SimulatedProvider::builder("dev/x", "x")
             .cost(42.0)
@@ -606,7 +569,6 @@ mod tests {
             let clock = Arc::new(VirtualClock::new());
             let p = SimulatedProvider::builder("d/cap", "cap")
                 .latency(Duration::from_millis(6))
-                .jitter(Duration::from_millis(4))
                 .reliability(0.5)
                 .seed(11)
                 .response(vec![9])

@@ -49,12 +49,12 @@ pub struct PruneDetail {
 /// # Examples
 ///
 /// ```
-/// use qce_runtime::engine::Budget;
+/// use qce_runtime::{engine::Budget, PruneReason, VirtualClock};
 ///
-/// let budget = Budget::unlimited();
-/// assert!(!budget.is_cancelled());
+/// let (clock, budget) = (VirtualClock::new(), Budget::unlimited());
+/// assert_eq!(budget.prune(&clock), None);
 /// budget.cancel();
-/// assert!(budget.is_cancelled());
+/// assert_eq!(budget.prune(&clock), Some(PruneReason::Cancelled));
 /// ```
 #[derive(Debug)]
 pub struct Budget {
@@ -143,7 +143,7 @@ impl Budget {
 
     /// Whether this budget (or its upstream parent) has been cancelled.
     #[must_use]
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.cancel
             .get()
             .is_some_and(|own| own.load(Ordering::SeqCst))

@@ -361,20 +361,20 @@ pub(crate) struct BlockingTask {
 }
 
 /// Runs a [`BlockingTask`] to completion on the calling thread: binds the
-/// reserved worker slot, invokes the provider (catching panics), unbinds,
-/// and posts the completion event. The slot stays reserved — orphaned —
-/// until the driver processes the event, pinning virtual time at the
-/// completion instant.
+/// reserved worker slot, invokes the provider and reads its cost (catching
+/// panics), unbinds, and posts the completion event. The slot stays
+/// reserved — orphaned — until the driver processes the event, pinning
+/// virtual time at the completion instant.
 pub(crate) fn run_blocking(core: &EventCore<'_>, task: BlockingTask) {
     let clock = core.clock();
     clock.adopt_worker();
     let t0 = clock.now();
-    let result = catch_unwind(AssertUnwindSafe(|| task.provider.invoke(&task.invocation)));
-    clock.disown_worker();
-    let result = match result {
-        Ok(outcome) => LeafOutcome::Completed(outcome),
+    let leg = || (task.provider.invoke(&task.invocation), task.provider.cost());
+    let result = match catch_unwind(AssertUnwindSafe(leg)) {
+        Ok((result, cost)) => LeafOutcome::Completed(result, cost),
         Err(panic) => LeafOutcome::Panicked(panic),
     };
+    clock.disown_worker();
     core.post(Event::Leaf(LeafEvent {
         req: task.req,
         parent: task.parent,
@@ -386,25 +386,26 @@ pub(crate) fn run_blocking(core: &EventCore<'_>, task: BlockingTask) {
     }));
 }
 
-/// A leaf's [`Provider::try_timed_invoke`], with a panic as the leg's
-/// outcome: due at once, as a blocking leg's panic comes back from
-/// [`run_blocking`].
+/// A leaf's [`Provider::try_timed_invoke`] and cost, with a panic in either
+/// as the leg's outcome: due at once, as a blocking leg's panic comes back
+/// from [`run_blocking`].
 fn timed_leg(
     provider: &dyn Provider,
     request: &Invocation,
     clock: &dyn Clock,
 ) -> Option<(Duration, LeafOutcome)> {
     match catch_unwind(AssertUnwindSafe(|| {
-        provider.try_timed_invoke(request, clock)
+        let (latency, result) = provider.try_timed_invoke(request, clock)?;
+        Some((latency, LeafOutcome::Completed(result, provider.cost())))
     })) {
-        Ok(timed) => timed.map(|(latency, result)| (latency, LeafOutcome::Completed(result))),
+        Ok(timed) => timed,
         Err(panic) => Some((Duration::ZERO, LeafOutcome::Panicked(panic))),
     }
 }
 
-/// What a completed leaf reports back.
+/// What a completed leaf reports back; its cost is read with it, under the leg's `catch_unwind`.
 enum LeafOutcome {
-    Completed(Result<Vec<u8>, InvokeError>),
+    Completed(Result<Vec<u8>, InvokeError>, f64),
     Panicked(PanicPayload),
 }
 
@@ -1305,7 +1306,7 @@ impl<'env> EventCore<'env> {
         }
         let status = match event.result {
             LeafOutcome::Panicked(panic) => Status::Panicked(panic),
-            LeafOutcome::Completed(result) => {
+            LeafOutcome::Completed(result, cost) => {
                 let clock = self.clock();
                 let Some(request) = state.running(event.req) else {
                     return;
@@ -1319,7 +1320,6 @@ impl<'env> EventCore<'env> {
                     .declared
                     .unwrap_or_else(|| now.saturating_sub(event.t0));
                 let success = result.is_ok();
-                let cost = provider.cost();
                 if let Some(invocations) = &mut request.invocations {
                     invocations.push(InvocationOutcome {
                         provider_id: provider.id().to_string(),
@@ -1799,7 +1799,7 @@ mod tests {
             provider_index: 0,
             t0: Duration::ZERO,
             declared: None,
-            result: LeafOutcome::Completed(Ok(vec![1])),
+            result: LeafOutcome::Completed(Ok(vec![1]), 0.0),
             orphan_slot: false,
         }));
         assert!(core.step(&no_spawn, &|_| false, &mut Wakes::default()));

@@ -699,9 +699,7 @@ mod tests {
             assert_eq!(clock.now(), 5 * 2 * MS, "every leg took its 1 ms");
         }
 
-        /// Panics in `cost`, which the driver reads under the core lock
-        /// as it records a completed leg, while `panics`. (A panic in the
-        /// timed leg itself is that leg's outcome and unwinds nothing.)
+        /// Panics in `cost` while `panics`.
         #[derive(Debug, Default)]
         struct Panicky {
             panics: AtomicBool,
@@ -734,8 +732,12 @@ mod tests {
             }
         }
 
+        /// The engine reads a leg's cost with the leg, inside the leg's
+        /// `catch_unwind`, so a panic in `cost` is that leg's outcome, due
+        /// at once: the drive ends normally and its core is kept, and
+        /// `submit` hands the panic to its caller.
         #[test]
-        fn a_provider_panic_drops_the_core() {
+        fn a_provider_cost_panic_keeps_the_core() {
             let clock: Arc<dyn Clock> = Arc::new(VirtualClock::new());
             let panicky = Arc::new(Panicky::default());
             let gateway = gateway(&clock, vec![Arc::clone(&panicky) as Arc<dyn Provider>]);
@@ -748,8 +750,8 @@ mod tests {
             panicky.panics.store(false, Ordering::SeqCst);
             submit(&gateway, "panicky");
             submit(&gateway, "panicky");
-            assert_eq!(built(&gateway), 2, "the panicked core was not kept");
-            assert_eq!(clock.now(), 4 * MS);
+            assert_eq!(built(&gateway), 1, "the core outlived the panic");
+            assert_eq!(clock.now(), 3 * MS, "the panicked leg took no time");
         }
     }
 }

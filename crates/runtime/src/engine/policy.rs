@@ -35,7 +35,7 @@ impl VoteBox {
 
     /// The plurality payload (ties broken by first-seen order), moved out
     /// of the tally.
-    pub fn into_winner(self) -> (Option<Vec<u8>>, usize) {
+    fn into_winner(self) -> (Option<Vec<u8>>, usize) {
         self.tally
             .into_iter()
             .max_by(|(_, (va, oa)), (_, (vb, ob))| va.cmp(vb).then(ob.cmp(oa)))

@@ -51,6 +51,9 @@ use crate::market::{Market, MarketCacheStats, TtlMarket};
 use crate::message::RuntimeError;
 use crate::request::Request;
 
+/// Virtual nodes each shard contributes to the hash ring.
+const VNODES: usize = 64;
+
 /// Fleet-level configuration. Construct with `FleetConfig::default()` and
 /// override fields; per-shard behaviour is the embedded [`GatewayConfig`].
 #[derive(Debug, Clone, Copy)]
@@ -58,8 +61,6 @@ use crate::request::Request;
 pub struct FleetConfig {
     /// Shards spawned at construction.
     pub shards: usize,
-    /// Virtual nodes each shard contributes to the hash ring.
-    pub vnodes: usize,
     /// Time-to-live of each shard's script cache (`ZERO` = never expire).
     pub script_ttl: Duration,
     /// Configuration applied to every shard's gateway.
@@ -70,7 +71,6 @@ impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
             shards: 4,
-            vnodes: 64,
             script_ttl: Duration::from_secs(60),
             gateway: GatewayConfig::default(),
         }
@@ -79,7 +79,7 @@ impl Default for FleetConfig {
 
 /// Generates fluent setters: the struct is `#[non_exhaustive]`, so
 /// out-of-crate callers build one as
-/// `FleetConfig::default().shards(8).vnodes(128)`.
+/// `FleetConfig::default().shards(8).script_ttl(Duration::ZERO)`.
 macro_rules! fleet_config_setters {
     ($($(#[$doc:meta])* $field:ident: $ty:ty),* $(,)?) => {
         impl FleetConfig {
@@ -98,8 +98,6 @@ macro_rules! fleet_config_setters {
 fleet_config_setters! {
     /// Sets the number of shards spawned at construction.
     shards: usize,
-    /// Sets the virtual nodes each shard contributes to the hash ring.
-    vnodes: usize,
     /// Sets the time-to-live of each shard's script cache.
     script_ttl: Duration,
     /// Sets the configuration applied to every shard's gateway.
@@ -163,7 +161,7 @@ impl GatewayFleet {
             config,
             clock,
             backend,
-            router: RwLock::new(ServiceRouter::new(config.vnodes)),
+            router: RwLock::new(ServiceRouter::new(VNODES)),
             shards: RwLock::new(BTreeMap::new()),
             next_shard: AtomicU32::new(0),
             providers: Mutex::new(Vec::new()),

@@ -52,6 +52,18 @@ use control::ServiceOverrides;
 use handle::{FinishGuard, HandleShared};
 use planning::{ServiceState, SlotShared};
 
+/// Capacity of a gateway's telemetry event ring.
+const TELEMETRY_EVENTS: usize = 1024;
+
+/// [`SlotRecord`]s kept per service; older records are evicted (and counted
+/// in telemetry) so long-running services don't leak.
+const HISTORY_LIMIT: usize = 1024;
+
+/// Persistent worker threads in a gateway's pool, which runs every
+/// strategy leg that must really block (capacity limits, foreign clocks,
+/// closure providers); timed legs are clock events and need no thread.
+const WORKER_POOL: usize = 8;
+
 /// Gateway configuration knobs.
 ///
 /// Construct with [`GatewayConfig::builder`] (the struct is
@@ -85,11 +97,6 @@ pub struct GatewayConfig {
     /// `false` (the default) re-plans at every boundary, the paper's
     /// fixed-cadence behavior.
     pub replan_on_drift: bool,
-    /// Maximum [`SlotRecord`]s kept per service; older records are evicted
-    /// (and counted in telemetry) so long-running services don't leak.
-    pub history_limit: usize,
-    /// Capacity of the telemetry event ring.
-    pub telemetry_events: usize,
     /// Maximum concurrent invocations per service (`0` = unlimited).
     /// Requests beyond the limit wait in the admission queue.
     pub max_in_flight: usize,
@@ -101,12 +108,6 @@ pub struct GatewayConfig {
     /// that have not started when the deadline passes are pruned; legs
     /// already in flight complete and are charged (Assumption 2).
     pub request_deadline: Option<Duration>,
-    /// Persistent worker threads in the gateway's pool, which runs every
-    /// strategy leg that must really block (capacity limits, foreign
-    /// clocks, closure providers); timed legs are clock events and need no
-    /// thread. `0` = no pool: every blocking leg runs on its own one-shot
-    /// thread.
-    pub worker_pool: usize,
     /// Event-loop threads draining asynchronous submissions
     /// ([`Gateway::submit_async`]). Requests are state machines on a shared
     /// event core, so one loop drains every service; extra loops only help
@@ -124,12 +125,9 @@ impl Default for GatewayConfig {
             plan_quantize: 0.0,
             planner: qce_strategy::BackendChoice::Threshold,
             replan_on_drift: false,
-            history_limit: 1024,
-            telemetry_events: 1024,
             max_in_flight: 0,
             admission_queue: 16,
             request_deadline: None,
-            worker_pool: 8,
             event_loops: 1,
         }
     }
@@ -210,18 +208,12 @@ impl GatewayConfigBuilder {
         planner: qce_strategy::BackendChoice,
         /// See [`GatewayConfig::replan_on_drift`].
         replan_on_drift: bool,
-        /// See [`GatewayConfig::history_limit`].
-        history_limit: usize,
-        /// See [`GatewayConfig::telemetry_events`].
-        telemetry_events: usize,
         /// See [`GatewayConfig::max_in_flight`].
         max_in_flight: usize,
         /// See [`GatewayConfig::admission_queue`].
         admission_queue: usize,
         /// See [`GatewayConfig::request_deadline`].
         request_deadline: Option<Duration>,
-        /// See [`GatewayConfig::worker_pool`].
-        worker_pool: usize,
         /// See [`GatewayConfig::event_loops`].
         event_loops: usize,
     }
@@ -510,7 +502,7 @@ pub struct Gateway {
     config: GatewayConfig,
     telemetry: Arc<Telemetry>,
     /// Runs the blocking leaves of every request, submitted blocking or
-    /// not (see [`GatewayConfig::worker_pool`]).
+    /// not: [`WORKER_POOL`] persistent threads.
     pool: Arc<WorkerPool>,
     services: RwLock<HashMap<String, Arc<ServiceEntry>>>,
     next_request: AtomicU64,
@@ -558,8 +550,8 @@ impl Gateway {
         config: GatewayConfig,
         clock: Arc<dyn Clock>,
     ) -> Self {
-        let telemetry = Telemetry::new(Arc::clone(&clock), config.telemetry_events);
-        let pool = Arc::new(WorkerPool::new(config.worker_pool));
+        let telemetry = Telemetry::new(Arc::clone(&clock), TELEMETRY_EVENTS);
+        let pool = Arc::new(WorkerPool::new(WORKER_POOL));
         let core = Arc::new(EventCore::new(
             Shared::Owned(Arc::clone(&clock)),
             Arc::default(),
@@ -876,8 +868,8 @@ impl Gateway {
         GatewayControl { gateway: self }
     }
 
-    /// Current occupancy counters of the gateway's worker pool
-    /// ([`GatewayConfig::worker_pool`]): capacity, live/idle/running
+    /// Current occupancy counters of the gateway's worker pool (eight
+    /// persistent threads): capacity, live/idle/running
     /// threads, jobs submitted and spilled.
     #[must_use]
     pub fn pool_stats(&self) -> PoolStats {

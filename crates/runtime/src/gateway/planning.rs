@@ -22,7 +22,7 @@ use crate::message::RuntimeError;
 use crate::script::{MsSpec, ServiceScript};
 use crate::telemetry::EventKind;
 
-use super::{Gateway, ServiceEntry, SlotRecord};
+use super::{Gateway, ServiceEntry, SlotRecord, HISTORY_LIMIT};
 
 /// Rejects a requirement the planner would refuse, with the planner's
 /// error: a live override's, or a request's own.
@@ -253,8 +253,7 @@ impl Gateway {
             origin: plan.origin.clone(),
             estimated: plan.estimated,
         });
-        let limit = self.config.history_limit.max(1);
-        while state.history.len() > limit {
+        while state.history.len() > HISTORY_LIMIT {
             state.history.pop_front();
             self.telemetry.record_history_evicted(service_id, 1);
         }
@@ -342,8 +341,7 @@ impl Gateway {
     }
 
     /// The per-slot planning history of `service_id` (empty if the service
-    /// has not been invoked yet). Bounded by
-    /// [`GatewayConfig::history_limit`](super::GatewayConfig::history_limit);
+    /// has not been invoked yet). Bounded to the latest 1 024 slots;
     /// evictions are counted in telemetry.
     #[must_use]
     pub fn slot_history(&self, service_id: &str) -> Vec<SlotRecord> {

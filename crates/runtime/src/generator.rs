@@ -178,7 +178,6 @@ impl Planner {
         let cache = settings.plan_cache.then(|| {
             Arc::new(PlanCache::new(PlanCacheConfig {
                 quantum: settings.plan_quantize,
-                ..PlanCacheConfig::default()
             }))
         });
         let utility =
@@ -768,7 +767,6 @@ mod tests {
             );
             assert!(planner.generator.pruning());
         }
-        assert_eq!(PlanCacheConfig::default().capacity, 64);
     }
 
     #[test]
@@ -842,10 +840,7 @@ mod tests {
             for second in perturbed {
                 let old = EnvQos::from_triples(&base).unwrap();
                 let new = EnvQos::from_triples(&[base[0], second]).unwrap();
-                let cache = Arc::new(PlanCache::new(PlanCacheConfig {
-                    capacity: 4,
-                    quantum,
-                }));
+                let cache = Arc::new(PlanCache::new(PlanCacheConfig { quantum }));
                 let generator = Generator::builder().plan_cache(cache).build();
                 generator
                     .exhaustive(&old, &old.ids(), &requirements)

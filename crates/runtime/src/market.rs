@@ -113,18 +113,6 @@ impl InMemoryMarket {
         }
     }
 
-    /// As [`InMemoryMarket::with_latency`], but the round-trip sleeps on
-    /// `clock` — pass a shared [`VirtualClock`](crate::VirtualClock) for
-    /// deterministic tests.
-    #[must_use]
-    pub fn with_latency_and_clock(latency: Duration, clock: Arc<dyn Clock>) -> Self {
-        InMemoryMarket {
-            fetch_latency: latency,
-            clock,
-            ..InMemoryMarket::default()
-        }
-    }
-
     /// Publishes (or replaces) a script.
     ///
     /// # Errors
@@ -427,10 +415,11 @@ mod tests {
     #[test]
     fn fetch_latency_is_applied() {
         let clock = Arc::new(crate::clock::VirtualClock::new());
-        let market = InMemoryMarket::with_latency_and_clock(
-            Duration::from_millis(20),
-            Arc::clone(&clock) as Arc<dyn Clock>,
-        );
+        let market = InMemoryMarket {
+            fetch_latency: Duration::from_millis(20),
+            clock: Arc::clone(&clock) as Arc<dyn Clock>,
+            ..InMemoryMarket::default()
+        };
         market.publish(script("a")).unwrap();
         market.fetch("a").unwrap();
         assert_eq!(clock.now(), Duration::from_millis(20));
@@ -439,10 +428,11 @@ mod tests {
     #[test]
     fn unknown_service_does_not_pay_the_round_trip() {
         let clock = Arc::new(crate::clock::VirtualClock::new());
-        let market = InMemoryMarket::with_latency_and_clock(
-            Duration::from_millis(20),
-            Arc::clone(&clock) as Arc<dyn Clock>,
-        );
+        let market = InMemoryMarket {
+            fetch_latency: Duration::from_millis(20),
+            clock: Arc::clone(&clock) as Arc<dyn Clock>,
+            ..InMemoryMarket::default()
+        };
         assert!(market.fetch("nope").is_err());
         assert_eq!(clock.now(), Duration::ZERO, "no script, no round-trip");
         assert_eq!(market.fetch_count(), 0);

@@ -34,18 +34,6 @@ pub struct PipelineResponse {
     pub stages: Vec<ServiceResponse>,
 }
 
-impl PipelineResponse {
-    /// Index of the stage that failed, if any.
-    #[must_use]
-    pub fn failed_stage(&self) -> Option<usize> {
-        if self.success {
-            None
-        } else {
-            Some(self.stages.len().saturating_sub(1))
-        }
-    }
-}
-
 /// Invokes `service_ids` as a sequential pipeline on `gateway`, feeding
 /// `payload` into the first stage and each stage's winning payload into
 /// the next.
@@ -180,7 +168,6 @@ mod tests {
         assert_eq!(out.payload, Some(vec![7, 11])); // (3·2)+1, (5·2)+1
         assert_eq!(out.stages.len(), 2);
         assert_eq!(out.cost, 20.0);
-        assert!(out.failed_stage().is_none());
     }
 
     #[test]
@@ -196,7 +183,6 @@ mod tests {
         let out = invoke_pipeline(&gateway, &["ok", "broken", "never"], vec![1]).unwrap();
         assert!(!out.success);
         assert_eq!(out.stages.len(), 2, "third stage never runs");
-        assert_eq!(out.failed_stage(), Some(1));
         assert_eq!(out.cost, 20.0, "only executed stages are charged");
         assert!(out.payload.is_none());
     }

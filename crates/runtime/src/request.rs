@@ -62,12 +62,6 @@ impl QosClass {
         self as usize
     }
 
-    /// The class with dense index `index` (inverse of [`QosClass::index`]).
-    #[must_use]
-    pub fn from_index(index: usize) -> Option<QosClass> {
-        QosClass::ALL.get(index).copied()
-    }
-
     /// Weighted-share dequeue weight: out of every 15 admissions granted
     /// to a fully backlogged queue, Critical gets 8, Interactive 4, Bulk
     /// 2, and Scavenger 1 — strict enough to protect Critical, non-zero
@@ -174,7 +168,8 @@ impl FromStr for QosClass {
 ///     .deadline_ms(50)
 ///     .payload(vec![1, 2, 3]);
 /// assert_eq!(request.service(), "temp");
-/// assert_eq!(request.explicit_class(), Some(QosClass::Critical));
+/// let (_, class, ..) = request.into_parts();
+/// assert_eq!(class, Some(QosClass::Critical));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Request {
@@ -244,25 +239,6 @@ impl Request {
         &self.service
     }
 
-    /// The class explicitly set on this request, if any (`None` defers to
-    /// the service override, then [`QosClass::default`]).
-    #[must_use]
-    pub fn explicit_class(&self) -> Option<QosClass> {
-        self.class
-    }
-
-    /// The deadline explicitly set on this request, if any.
-    #[must_use]
-    pub fn explicit_deadline(&self) -> Option<Duration> {
-        self.deadline
-    }
-
-    /// The requirement override explicitly set on this request, if any.
-    #[must_use]
-    pub fn explicit_requirement(&self) -> Option<&Requirements> {
-        self.requirement.as_ref()
-    }
-
     /// Consumes the request into its parts
     /// `(service, class, deadline, requirement, payload)`.
     #[must_use]
@@ -293,9 +269,8 @@ mod tests {
     fn class_order_and_indexing_agree() {
         for (i, class) in QosClass::ALL.iter().enumerate() {
             assert_eq!(class.index(), i);
-            assert_eq!(QosClass::from_index(i), Some(*class));
         }
-        assert_eq!(QosClass::from_index(CLASS_COUNT), None);
+        assert_eq!(QosClass::ALL.len(), CLASS_COUNT);
         assert!(QosClass::Critical < QosClass::Scavenger, "priority order");
     }
 
@@ -363,9 +338,10 @@ mod tests {
 
     #[test]
     fn bare_request_defers_everything() {
-        let request = Request::new("svc");
-        assert_eq!(request.explicit_class(), None);
-        assert_eq!(request.explicit_deadline(), None);
-        assert!(request.explicit_requirement().is_none());
+        let (_, class, deadline, requirement, payload) = Request::new("svc").into_parts();
+        assert_eq!(class, None);
+        assert_eq!(deadline, None);
+        assert!(requirement.is_none());
+        assert!(payload.is_empty());
     }
 }

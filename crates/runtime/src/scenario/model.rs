@@ -199,9 +199,6 @@ pub struct GatewayKnobs {
     /// Admission-queue capacity per service.
     #[serde(default)]
     pub admission_queue: Option<u32>,
-    /// Worker-pool size for strategy execution.
-    #[serde(default)]
-    pub worker_pool: Option<u32>,
 }
 
 /// Typed validation/parsing errors for scenarios. Malformed input returns

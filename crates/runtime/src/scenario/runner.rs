@@ -266,9 +266,6 @@ fn build_harness(scenario: &Scenario, compiled: &CompiledScenario) -> Harness {
     if let Some(v) = knobs.admission_queue {
         config = config.admission_queue(v as usize);
     }
-    if let Some(v) = knobs.worker_pool {
-        config = config.worker_pool(v as usize);
-    }
 
     let mut builder = Harness::builder().config(config.build());
     for service in &scenario.services {

@@ -718,3 +718,60 @@ fn a_panicking_timed_leg_panics_a_blocking_submit_which_keeps_serving() {
         assert!(gateway.submit(Request::new("ok")).unwrap().success);
     }
 }
+
+/// A timed provider whose `cost` panics while its second invocation is
+/// recorded, and only then.
+#[derive(Default)]
+struct CostPanicsOnSecondRequest {
+    invocations: std::sync::atomic::AtomicU32,
+}
+
+impl Provider for CostPanicsOnSecondRequest {
+    fn id(&self) -> &str {
+        "pricy-dev"
+    }
+
+    fn capability(&self) -> &str {
+        "pricy-cap0"
+    }
+
+    fn cost(&self) -> f64 {
+        let n = self.invocations.load(std::sync::atomic::Ordering::SeqCst);
+        assert_ne!(n, 2, "boom: the cost exploded");
+        10.0
+    }
+
+    fn invoke(&self, _request: &Invocation) -> Result<Vec<u8>, InvokeError> {
+        unreachable!("always timed")
+    }
+
+    fn try_timed_invoke(
+        &self,
+        _request: &Invocation,
+        _clock: &dyn Clock,
+    ) -> Option<(Duration, Result<Vec<u8>, InvokeError>)> {
+        self.invocations
+            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        Some((Duration::from_millis(1), Ok(vec![1])))
+    }
+}
+
+/// Bugfix regression: a completed leg's cost used to be read on the event
+/// loop, uncaught, while the leg was recorded, so a provider whose `cost`
+/// panicked ended the loop thread and every later `submit_async` hung. The
+/// cost is read with the leg, under its `catch_unwind`: the panic resumes
+/// on `wait`, and the loop serves the service's next request.
+#[test]
+fn a_panicking_provider_cost_resumes_on_wait_and_the_loop_keeps_serving() {
+    let gateway = gateway_serving_ok(market_with(vec![script("pricy", 1), script("ok", 1)]));
+    gateway
+        .registry()
+        .register(Arc::new(CostPanicsOnSecondRequest::default()));
+    let first = gateway.submit_async(Request::new("pricy")).unwrap();
+    assert!(collect_within_ten_seconds(first).unwrap().success);
+    panics_on_wait_and_keeps_serving(&gateway, "pricy", "the cost exploded");
+    let third = gateway.submit_async(Request::new("pricy")).unwrap();
+    let served = collect_within_ten_seconds(third).unwrap();
+    assert!(served.success);
+    assert_eq!(served.cost, 10.0);
+}

@@ -20,8 +20,7 @@ use qce_runtime::{Clock, Invocation, InvokeError, Provider, VirtualClock};
 use qce_strategy::Strategy;
 
 /// A provider that always takes the timed path, declaring exactly the
-/// configured latency — unlike `SimulatedProvider`, whose jitter math
-/// cannot represent latencies near `Duration::MAX`.
+/// configured latency and outcome.
 struct TimedLeaf {
     id: String,
     latency: Duration,

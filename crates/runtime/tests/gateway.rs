@@ -380,18 +380,22 @@ fn a_leg_in_flight_across_churn_lands_in_the_emptied_window() {
 
 #[test]
 fn history_is_bounded_and_evictions_are_counted() {
-    let config = GatewayConfig::builder().history_limit(3).build();
-    let gateway = Gateway::new(market_with(script(1)), config);
-    register_devices(&gateway, 1.0);
-    for _ in 0..10 {
+    // A service keeps its newest 1 024 slot records; slots are one
+    // request long here, so 1 030 requests evict the first six.
+    let gateway = drift_gateway(GatewayConfig::default(), 1.0);
+    for _ in 0..1030 {
         gateway.submit(Request::new("temp")).unwrap();
     }
     let history = gateway.slot_history("temp");
-    assert_eq!(history.len(), 3, "ring keeps only the newest records");
+    assert_eq!(history.len(), 1024, "ring keeps only the newest records");
     let slots: Vec<u64> = history.iter().map(|r| r.slot).collect();
-    assert_eq!(slots, vec![7, 8, 9], "oldest slots were evicted first");
+    assert_eq!(
+        slots,
+        (6..1030).collect::<Vec<u64>>(),
+        "oldest slots were evicted first"
+    );
     let snapshot = gateway.telemetry().snapshot();
-    assert_eq!(snapshot.service("temp").unwrap().history_evicted, 7);
+    assert_eq!(snapshot.service("temp").unwrap().history_evicted, 6);
 }
 
 /// Regression: a zero window reached `Collector::new`'s assertion and

@@ -520,8 +520,8 @@ fn service_b_is_served_during_service_a_replan() {
 /// order, even events that overflow the bounded ring.
 #[test]
 fn sink_streams_every_event_in_order() {
-    // Tiny ring: most events are evicted.
-    let config = GatewayConfig::builder().telemetry_events(2).build();
+    // The ring holds the newest 1 024 events; enough requests overflow it.
+    let config = GatewayConfig::default();
     let market = InMemoryMarket::new();
     market.publish(three_ms_script("svc", 1)).unwrap();
     let clock = Arc::new(qce_runtime::VirtualClock::new());
@@ -545,7 +545,7 @@ fn sink_streams_every_event_in_order() {
                 .build(),
         );
     }
-    for _ in 0..6 {
+    for _ in 0..1100 {
         gateway.submit(Request::new("svc")).unwrap();
     }
     let seen = seen.lock().unwrap();
@@ -553,6 +553,7 @@ fn sink_streams_every_event_in_order() {
     assert_eq!(*seen, expected, "gapless, ordered event stream");
     let snapshot = gateway.telemetry().snapshot();
     assert_eq!(snapshot.events.emitted, seen.len() as u64);
-    assert!(snapshot.events.dropped > 0, "the tiny ring overflowed");
-    assert_eq!(snapshot.recent_events.len(), 2);
+    assert!(seen.len() > 1024, "{} events overflow the ring", seen.len());
+    assert_eq!(snapshot.events.dropped, seen.len() as u64 - 1024);
+    assert_eq!(snapshot.recent_events.len(), 1024);
 }

@@ -7,7 +7,6 @@
 //! QoS of the microservices it hosts: availability gates reliability, and
 //! the device's compute class scales latency.
 
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use qce_strategy::QosError;
@@ -40,7 +39,7 @@ impl DeviceKind {
     /// example contrasts "high-performance edge servers" with "a
     /// solar-powered Raspberry Pi with much lower computational power".
     #[must_use]
-    pub fn latency_factor(self) -> f64 {
+    pub(crate) fn latency_factor(self) -> f64 {
         match self {
             DeviceKind::EdgeServer => 0.5,
             DeviceKind::Desktop => 1.0,
@@ -75,27 +74,9 @@ pub enum Availability {
 }
 
 impl Availability {
-    /// Whether the device is reachable for invocation number `invocation`
-    /// (0-based).
-    pub fn is_available<R: Rng + ?Sized>(&self, invocation: u64, rng: &mut R) -> bool {
-        match *self {
-            Availability::AlwaysOn => true,
-            Availability::DutyCycle { on, off } => {
-                if on == 0 {
-                    return false;
-                }
-                if off == 0 {
-                    return true;
-                }
-                invocation % (on + off) < on
-            }
-            Availability::Probabilistic { up } => rng.gen_bool(up.clamp(0.0, 1.0)),
-        }
-    }
-
     /// Long-run fraction of invocations for which the device is available.
     #[must_use]
-    pub fn duty_factor(&self) -> f64 {
+    pub(crate) fn duty_factor(&self) -> f64 {
         match *self {
             Availability::AlwaysOn => 1.0,
             Availability::DutyCycle { on, off } => {
@@ -213,8 +194,6 @@ pub fn environment_from_placements(
 mod tests {
     use super::*;
     use qce_strategy::MsId;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn latency_factors_ordered_by_capability() {
@@ -229,40 +208,30 @@ mod tests {
 
     #[test]
     fn always_on_availability() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        assert!(Availability::AlwaysOn.is_available(0, &mut rng));
         assert_eq!(Availability::AlwaysOn.duty_factor(), 1.0);
     }
 
     #[test]
     fn duty_cycle_pattern() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
         let a = Availability::DutyCycle { on: 2, off: 1 };
-        let pattern: Vec<bool> = (0..6).map(|i| a.is_available(i, &mut rng)).collect();
-        assert_eq!(pattern, vec![true, true, false, true, true, false]);
         assert!((a.duty_factor() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn degenerate_duty_cycles() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
         let never = Availability::DutyCycle { on: 0, off: 5 };
-        assert!(!never.is_available(0, &mut rng));
         assert_eq!(never.duty_factor(), 0.0);
         let always = Availability::DutyCycle { on: 5, off: 0 };
-        assert!(always.is_available(123, &mut rng));
         assert_eq!(always.duty_factor(), 1.0);
     }
 
     #[test]
     fn probabilistic_availability_converges() {
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let a = Availability::Probabilistic { up: 0.3 };
-        let n = 20_000u64;
-        let up = (0..n).filter(|&i| a.is_available(i, &mut rng)).count();
-        let rate = up as f64 / n as f64;
-        assert!((rate - 0.3).abs() < 0.02, "rate {rate}");
-        assert_eq!(a.duty_factor(), 0.3);
+        // The long-run fraction is the per-invocation probability, clamped
+        // into [0, 1].
+        assert_eq!(Availability::Probabilistic { up: 0.3 }.duty_factor(), 0.3);
+        assert_eq!(Availability::Probabilistic { up: 1.5 }.duty_factor(), 1.0);
+        assert_eq!(Availability::Probabilistic { up: -0.5 }.duty_factor(), 0.0);
     }
 
     #[test]

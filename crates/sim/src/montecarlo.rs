@@ -41,12 +41,6 @@ impl McStats {
     pub fn as_qos(&self) -> Result<Qos, QosError> {
         Qos::new(self.mean_cost, self.mean_latency, self.success_rate)
     }
-
-    /// Standard error of the mean latency.
-    #[must_use]
-    pub fn sem_latency(&self) -> f64 {
-        self.std_latency / f64::from(self.runs).sqrt()
-    }
 }
 
 /// Runs `strategy` `runs` times against `env` in virtual time and
@@ -230,7 +224,6 @@ mod tests {
         assert_eq!(stats.std_latency, 0.0);
         assert_eq!(stats.success_rate, 1.0);
         assert_eq!(stats.as_qos().unwrap().cost, 5.0);
-        assert_eq!(stats.sem_latency(), 0.0);
     }
 
     #[test]

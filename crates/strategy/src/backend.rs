@@ -12,8 +12,7 @@
 //! * `Greedy` — Algorithm 2's approximation
 //!   ([`Generator::approximation`](crate::Generator::approximation)),
 //!   `O(M)` estimates, shape-committed;
-//! * `Beam(W)` — the width-`W` beam search
-//!   ([`Generator::beam`](crate::Generator::beam)) that interpolates
+//! * `Beam(W)` — the width-`W` beam search that interpolates
 //!   between the two: width 1 *is* the greedy trajectory, width ∞ is
 //!   bit-identical to the exhaustive winner.
 //!

@@ -154,8 +154,8 @@ fn insertions(node: &Node, x: MsId, out: &mut Vec<Node>) {
 }
 
 impl Generator {
-    /// The beam search behind [`Generator::beam`], from inputs the door has
-    /// already validated (`width ≥ 1`).
+    /// The beam search behind [`BackendChoice::Beam`](crate::BackendChoice::Beam),
+    /// from inputs the door has already validated (`width ≥ 1`).
     pub(crate) fn beam_search(
         &self,
         env: &EnvQos,
@@ -287,6 +287,7 @@ impl Generator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::BackendChoice;
     use crate::generate::{Generated, Method};
     use crate::plan_cache::{PlanCache, PlanCacheConfig, PlanSource};
     use rand::{Rng, SeedableRng};
@@ -339,7 +340,9 @@ mod tests {
                 let env = random_env(&mut rng, m);
                 let ids = env.ids();
                 let greedy = gen.approximation(&env, &ids, &requirements).unwrap();
-                let beam = gen.beam(&env, &ids, &requirements, 1).unwrap();
+                let beam = gen
+                    .generate_with(BackendChoice::Beam(1), &env, &ids, &requirements)
+                    .unwrap();
                 let what = format!("m={m} seed={seed}");
                 assert_same_plan(&greedy, &beam, &what);
                 assert_eq!(beam.evaluated, greedy.evaluated, "{what}: evaluated");
@@ -361,7 +364,9 @@ mod tests {
                 let env = random_env(&mut rng, m);
                 let ids = env.ids();
                 let exact = gen.exhaustive(&env, &ids, &requirements).unwrap();
-                let beam = gen.beam(&env, &ids, &requirements, usize::MAX).unwrap();
+                let beam = gen
+                    .generate_with(BackendChoice::Beam(usize::MAX), &env, &ids, &requirements)
+                    .unwrap();
                 let what = format!("m={m} seed={seed}");
                 assert_same_plan(&exact, &beam, &what);
                 // The unbounded beam re-derives the full space at every
@@ -393,7 +398,9 @@ mod tests {
             let ids = env.ids();
             let mut last = f64::NEG_INFINITY;
             for width in [1usize, 2, 3, 4, 6, 8, 16, usize::MAX] {
-                let out = gen.beam(&env, &ids, &requirements, width).unwrap();
+                let out = gen
+                    .generate_with(BackendChoice::Beam(width), &env, &ids, &requirements)
+                    .unwrap();
                 assert!(
                     out.utility >= last,
                     "seed={seed} width={width}: {} < {last}",
@@ -403,7 +410,9 @@ mod tests {
             }
             let greedy = gen.approximation(&env, &ids, &requirements).unwrap();
             let exact = gen.exhaustive(&env, &ids, &requirements).unwrap();
-            let w1 = gen.beam(&env, &ids, &requirements, 1).unwrap();
+            let w1 = gen
+                .generate_with(BackendChoice::Beam(1), &env, &ids, &requirements)
+                .unwrap();
             assert_eq!(w1.utility.to_bits(), greedy.utility.to_bits());
             assert_eq!(last.to_bits(), exact.utility.to_bits());
         }
@@ -421,8 +430,12 @@ mod tests {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let env = random_env(&mut rng, 6);
             let ids = env.ids();
-            let narrow = gen.beam(&env, &ids, &requirements, 1).unwrap();
-            let wide = gen.beam(&env, &ids, &requirements, 4).unwrap();
+            let narrow = gen
+                .generate_with(BackendChoice::Beam(1), &env, &ids, &requirements)
+                .unwrap();
+            let wide = gen
+                .generate_with(BackendChoice::Beam(4), &env, &ids, &requirements)
+                .unwrap();
             if wide.utility > narrow.utility + 1e-9 {
                 improved += 1;
             }
@@ -440,7 +453,9 @@ mod tests {
         let env = random_env(&mut rng, 10);
         let ids = env.ids();
         let greedy = gen.approximation(&env, &ids, &requirements).unwrap();
-        let beam = gen.beam(&env, &ids, &requirements, 4).unwrap();
+        let beam = gen
+            .generate_with(BackendChoice::Beam(4), &env, &ids, &requirements)
+            .unwrap();
         assert_eq!(beam.strategy.len(), 10);
         assert!(beam.utility >= greedy.utility - 1e-12);
     }
@@ -460,13 +475,19 @@ mod tests {
         ])
         .unwrap();
         let ids = env.ids();
-        let first = gen.beam(&env, &ids, &requirements, 2).unwrap();
+        let first = gen
+            .generate_with(BackendChoice::Beam(2), &env, &ids, &requirements)
+            .unwrap();
         assert_eq!(first.source, PlanSource::Cold);
-        let repeat = gen.beam(&env, &ids, &requirements, 2).unwrap();
+        let repeat = gen
+            .generate_with(BackendChoice::Beam(2), &env, &ids, &requirements)
+            .unwrap();
         assert_eq!(repeat.source, PlanSource::Cached);
         assert_eq!(repeat.report.candidates_seen, 0);
         assert_same_plan(&first, &repeat, "cached repeat");
-        let wider = gen.beam(&env, &ids, &requirements, 3).unwrap();
+        let wider = gen
+            .generate_with(BackendChoice::Beam(3), &env, &ids, &requirements)
+            .unwrap();
         assert_eq!(wider.source, PlanSource::Cold, "other width must miss");
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().misses, 2);
@@ -479,13 +500,19 @@ mod tests {
         let gen = Generator::default();
         let env = EnvQos::from_triples(&[(50.0, 50.0, 0.6), (100.0, 100.0, 0.7)]).unwrap();
         let ids = env.ids();
-        let clamped = gen.beam(&env, &ids, &req(), 0).unwrap();
-        let one = gen.beam(&env, &ids, &req(), 1).unwrap();
+        let clamped = gen
+            .generate_with(BackendChoice::Beam(0), &env, &ids, &req())
+            .unwrap();
+        let one = gen
+            .generate_with(BackendChoice::Beam(1), &env, &ids, &req())
+            .unwrap();
         assert_same_plan(&clamped, &one, "width 0 behaves as width 1");
         assert!(matches!(
-            gen.beam(&env, &[], &req(), 4),
+            gen.generate_with(BackendChoice::Beam(4), &env, &[], &req()),
             Err(GenerateError::NoMicroservices)
         ));
-        assert!(gen.beam(&env, &[MsId(0), MsId(9)], &req(), 4).is_err());
+        assert!(gen
+            .generate_with(BackendChoice::Beam(4), &env, &[MsId(0), MsId(9)], &req())
+            .is_err());
     }
 }

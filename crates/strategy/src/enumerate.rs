@@ -588,12 +588,6 @@ impl StrategySampler {
         })
     }
 
-    /// Total number of strategies the sampler draws from (`F(M)`).
-    #[must_use]
-    pub fn space_size(&self) -> u128 {
-        self.counts.all(self.ids.len())
-    }
-
     /// Draws one strategy uniformly at random.
     pub fn sample<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> Strategy {
         let mut pool: Vec<MsId> = self.ids.clone();
@@ -1161,7 +1155,7 @@ mod tests {
     #[test]
     fn sampler_space_size_matches_counts() {
         for m in 1..=8 {
-            assert_eq!(Some(sampler(&ids(m)).space_size()), count_full(m));
+            assert_eq!(Some(sampler(&ids(m)).counts.all(m)), count_full(m));
         }
     }
 

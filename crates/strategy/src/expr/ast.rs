@@ -52,7 +52,7 @@ pub enum Node {
 impl Node {
     /// Number of microservice leaves in this subtree.
     #[must_use]
-    pub fn leaf_count(&self) -> usize {
+    pub(crate) fn leaf_count(&self) -> usize {
         match self {
             Node::Leaf(_) => 1,
             Node::Seq(children) | Node::Par(children) => {

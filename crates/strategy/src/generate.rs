@@ -62,9 +62,8 @@ pub enum Method {
     Failover,
     /// Predefined speculative-parallel pattern (`a*b*…`).
     SpeculativeParallel,
-    /// Width-`W` beam search ([`Generator::beam`]): greedy at width 1,
-    /// exhaustive in the limit. The width is part of the plan-cache key,
-    /// not of the method.
+    /// Width-`W` beam search: greedy at width 1, exhaustive in the limit.
+    /// The width is part of the plan-cache key, not of the method.
     Beam,
 }
 
@@ -339,21 +338,6 @@ impl GeneratorBuilder {
 }
 
 impl Generator {
-    /// Creates a generator with the given utility index and threshold `θ`,
-    /// with default parallelism (auto), pruning (on), and estimator
-    /// (Algorithm 1).
-    ///
-    /// **Deprecated** in favour of [`Generator::builder`], which exposes
-    /// the remaining knobs; kept as a thin stable wrapper (without a
-    /// `#[deprecated]` attribute, so existing builds stay warning-free).
-    #[must_use]
-    pub fn new(utility: UtilityIndex, threshold: usize) -> Self {
-        Generator::builder()
-            .utility(utility)
-            .threshold(threshold)
-            .build()
-    }
-
     /// Starts building a generator; see [`GeneratorBuilder`].
     #[must_use]
     pub fn builder() -> GeneratorBuilder {
@@ -797,52 +781,9 @@ impl Generator {
         Ok((strategy, qos, utility, 1, 0))
     }
 
-    /// Beam search of width `W` (clamped to ≥ 1): the pluggable middle
-    /// ground between [`Generator::approximation`] (identical results at
-    /// `W = 1`) and [`Generator::exhaustive`] (identical results as
-    /// `W → ∞`; bit-for-bit, not just equal utility). Runtime grows
-    /// roughly linearly in `W` and quadratically in `|ids|`, so moderate
-    /// widths stay practical far beyond the exhaustive search's `M ≤ 6`
-    /// ceiling.
-    ///
-    /// Results are memoized in the configured plan cache (if any) under a
-    /// width-specific key, so beam plans never collide with exhaustive
-    /// entries (or another width's) for the same inputs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GenerateError::NoMicroservices`] for an empty id list,
-    /// [`GenerateError::DuplicateMicroservice`] for a repeated id, or an
-    /// estimation error if `env` lacks an entry for some id.
-    pub fn beam(
-        &self,
-        env: &EnvQos,
-        ids: &[MsId],
-        req: &Requirements,
-        width: usize,
-    ) -> Result<Generated, GenerateError> {
-        self.run(Search::Beam(width.max(1)), env, ids, req)
-    }
-
     /// Sorts `ids` by individual (single-microservice) utility, best first —
-    /// the `sortByUtility` step of Algorithm 2. Ties break on the id.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GenerateError::NoMicroservices`] for an empty id list,
-    /// [`GenerateError::DuplicateMicroservice`] for a repeated id, or an
-    /// estimation error if `env` lacks an entry for some id.
-    pub fn sort_by_utility(
-        &self,
-        env: &EnvQos,
-        ids: &[MsId],
-        req: &Requirements,
-    ) -> Result<Vec<MsId>, GenerateError> {
-        self.ranked(Via::Estimator, env, vet(ids, req)?, req)
-    }
-
-    /// [`Generator::sort_by_utility`] behind the door: `ids` is vetted and
-    /// `req` valid.
+    /// the `sortByUtility` step of Algorithm 2. Ties break on the id. `ids`
+    /// is vetted and `req` valid.
     pub(crate) fn ranked(
         &self,
         via: Via,
@@ -1085,7 +1026,7 @@ mod tests {
 
     #[test]
     fn generate_switches_on_threshold() {
-        let gen = Generator::new(UtilityIndex::default(), 3);
+        let gen = Generator::builder().threshold(3).build();
         let env = env5();
         let small: Vec<MsId> = (0..3).map(MsId).collect();
         let large: Vec<MsId> = (0..5).map(MsId).collect();
@@ -1103,7 +1044,10 @@ mod tests {
     fn sort_by_utility_orders_best_first() {
         let gen = Generator::default();
         let env = env5();
-        let order = gen.sort_by_utility(&env, &env.ids(), &req()).unwrap();
+        let ids = env.ids();
+        let order = gen
+            .ranked(Via::Estimator, &env, IdSet::new(&ids).unwrap(), &req())
+            .unwrap();
         // a dominates every other microservice here (cheapest, fastest; its
         // lower reliability costs less utility than the others' overruns).
         assert_eq!(order[0], MsId(0));
@@ -1132,7 +1076,6 @@ mod tests {
         assert!(gen.approximation(&env, &[], &r).is_err());
         assert!(gen.failover(&env, &[], &r).is_err());
         assert!(gen.speculative_parallel(&env, &[], &r).is_err());
-        assert!(gen.sort_by_utility(&env, &[], &r).is_err());
 
         // Every entry point rejects, in this order: an empty id list, then
         // invalid requirements, then the first id `env` does not cover.
@@ -1208,7 +1151,13 @@ mod tests {
         // The searches that scale past the limit still run.
         let ids: Vec<MsId> = (0..21).map(MsId).collect();
         assert_eq!(gen.generate(&wide, &ids, &r).unwrap().strategy.len(), 21);
-        assert_eq!(gen.beam(&wide, &ids, &r, 2).unwrap().strategy.len(), 21);
+        assert_eq!(
+            gen.generate_with(BackendChoice::Beam(2), &wide, &ids, &r)
+                .unwrap()
+                .strategy
+                .len(),
+            21
+        );
     }
 
     type EntryPoint = fn(&Generator, &EnvQos, &[MsId], &Requirements) -> Result<(), GenerateError>;
@@ -1231,16 +1180,12 @@ mod tests {
             ("approximation", |g, e, i, r| {
                 g.approximation(e, i, r).map(drop)
             }),
-            ("beam", |g, e, i, r| g.beam(e, i, r, 3).map(drop)),
             ("failover", |g, e, i, r| g.failover(e, i, r).map(drop)),
             ("failover_in_order", |g, e, i, r| {
                 g.failover_in_order(e, i, r).map(drop)
             }),
             ("speculative_parallel", |g, e, i, r| {
                 g.speculative_parallel(e, i, r).map(drop)
-            }),
-            ("sort_by_utility", |g, e, i, r| {
-                g.sort_by_utility(e, i, r).map(drop)
             }),
         ]
     }
@@ -1292,8 +1237,10 @@ mod tests {
             gen.failover(&env, &ids, &r).unwrap(),
             gen.failover_in_order(&env, &ids, &r).unwrap(),
             gen.speculative_parallel(&env, &ids, &r).unwrap(),
-            gen.beam(&env, &ids, &r, 1).unwrap(),
-            gen.beam(&env, &ids, &r, 3).unwrap(),
+            gen.generate_with(BackendChoice::Beam(1), &env, &ids, &r)
+                .unwrap(),
+            gen.generate_with(BackendChoice::Beam(3), &env, &ids, &r)
+                .unwrap(),
         ];
         for out in &outputs {
             assert_eq!(
@@ -1315,7 +1262,7 @@ mod tests {
     #[test]
     fn generate_with_reproduces_every_backend() {
         use crate::backend::BackendChoice;
-        let gen = Generator::new(UtilityIndex::default(), 3);
+        let gen = Generator::builder().threshold(3).build();
         let env = env5();
         let ids = env.ids();
         let r = req();
@@ -1336,17 +1283,27 @@ mod tests {
         let beam = gen
             .generate_with(BackendChoice::Beam(2), &env, &ids, &r)
             .unwrap();
-        assert_eq!(beam, gen.beam(&env, &ids, &r, 2).unwrap());
+        assert_eq!(
+            beam,
+            gen.generate_with(BackendChoice::Beam(2), &env, &ids, &r)
+                .unwrap()
+        );
         assert_eq!(beam.method, Method::Beam);
         // A zero width clamps to 1 on both routes.
         let clamped = gen
             .generate_with(BackendChoice::Beam(0), &env, &ids, &r)
             .unwrap();
-        assert_eq!(clamped, gen.beam(&env, &ids, &r, 1).unwrap());
+        assert_eq!(
+            clamped,
+            gen.generate_with(BackendChoice::Beam(1), &env, &ids, &r)
+                .unwrap()
+        );
 
         // The entry points no `BackendChoice` names report what they ran:
         // the predefined chains are one estimate of the pattern itself.
-        let order = gen.sort_by_utility(&env, &ids, &r).unwrap();
+        let order = gen
+            .ranked(Via::Estimator, &env, IdSet::new(&ids).unwrap(), &r)
+            .unwrap();
         for (out, chain) in [
             (gen.failover(&env, &ids, &r).unwrap(), &order),
             (gen.failover_in_order(&env, &ids, &r).unwrap(), &ids),
@@ -1377,7 +1334,6 @@ mod tests {
         gen.failover(&env, &ids, &r).unwrap();
         gen.failover_in_order(&env, &ids, &r).unwrap();
         gen.speculative_parallel(&env, &ids, &r).unwrap();
-        gen.sort_by_utility(&env, &ids, &r).unwrap();
         gen.generate_with(BackendChoice::Greedy, &env, &ids, &r)
             .unwrap();
         assert_eq!(cache.stats(), PlanCacheStats::default());
@@ -1387,8 +1343,8 @@ mod tests {
         type Run = fn(&Generator, &EnvQos, &[MsId], &Requirements) -> Generated;
         let searches: [Run; 3] = [
             |g, e, i, r| g.exhaustive(e, i, r).unwrap(),
-            |g, e, i, r| g.beam(e, i, r, 2).unwrap(),
-            |g, e, i, r| g.beam(e, i, r, 3).unwrap(),
+            |g, e, i, r| g.generate_with(BackendChoice::Beam(2), e, i, r).unwrap(),
+            |g, e, i, r| g.generate_with(BackendChoice::Beam(3), e, i, r).unwrap(),
         ];
         let mut fresh = Vec::new();
         for (n, run) in searches.iter().enumerate() {
@@ -1896,10 +1852,6 @@ mod engine_equivalence_tests {
                 Err(GenerateError::InvalidRequirements(_))
             ));
             assert!(matches!(
-                gen.sort_by_utility(&env, &ids, req),
-                Err(GenerateError::InvalidRequirements(_))
-            ));
-            assert!(matches!(
                 gen.failover_in_order(&env, &ids, req),
                 Err(GenerateError::InvalidRequirements(_))
             ));
@@ -1943,7 +1895,12 @@ mod engine_equivalence_tests {
         assert!(out.utility.is_finite());
         assert!(out.utility < 0.0, "everything violates the requirements");
         let ranked = Generator::default()
-            .sort_by_utility(&env, &ids, &requirements)
+            .ranked(
+                Via::Estimator,
+                &env,
+                IdSet::new(&ids).unwrap(),
+                &requirements,
+            )
             .unwrap();
         assert_eq!(ranked.len(), ids.len());
     }
@@ -1978,9 +1935,10 @@ mod engine_equivalence_tests {
         assert_eq!(single.strategy, Strategy::leaf(MsId(1)));
     }
 
-    /// The builder's knobs round-trip and `Generator::new` still works.
+    /// The builder's knobs round-trip, and untouched knobs keep their
+    /// defaults.
     #[test]
-    fn builder_configures_and_legacy_constructor_still_works() {
+    fn builder_configures_and_keeps_defaults() {
         let gen = Generator::builder()
             .utility(UtilityIndex::default())
             .threshold(4)
@@ -1991,11 +1949,14 @@ mod engine_equivalence_tests {
         assert_eq!(gen.parallelism(), 8);
         assert!(!gen.pruning());
         assert_eq!(gen.estimator().name(), "algorithm1");
-        let legacy = Generator::new(UtilityIndex::default(), 4);
-        assert_eq!(legacy.threshold(), 4);
-        assert_eq!(legacy.parallelism(), 0, "legacy constructor: auto");
-        assert!(legacy.workers >= 1, "auto resolves to at least one worker");
+        let defaults = Generator::builder().threshold(4).build();
+        assert_eq!(defaults.threshold(), 4);
+        assert_eq!(defaults.parallelism(), 0, "default: auto");
+        assert!(
+            defaults.workers >= 1,
+            "auto resolves to at least one worker"
+        );
         assert_eq!(gen.workers, 8);
-        assert!(legacy.pruning(), "legacy constructor: pruning on");
+        assert!(defaults.pruning(), "default: pruning on");
     }
 }

@@ -60,12 +60,13 @@ impl fmt::Display for PlanSource {
     }
 }
 
+/// Maximum number of cached plans; the least-recently-used entry is
+/// evicted past this.
+const CAPACITY: usize = 64;
+
 /// Configuration for a [`PlanCache`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanCacheConfig {
-    /// Maximum number of cached plans; the least-recently-used entry is
-    /// evicted past this. Zero disables storing entirely.
-    pub capacity: usize,
     /// Quantization step applied to every environment QoS attribute when
     /// forming cache keys. `0` (the default) keys on exact bit patterns.
     pub quantum: f64,
@@ -73,10 +74,7 @@ pub struct PlanCacheConfig {
 
 impl Default for PlanCacheConfig {
     fn default() -> Self {
-        PlanCacheConfig {
-            capacity: 64,
-            quantum: 0.0,
-        }
+        PlanCacheConfig { quantum: 0.0 }
     }
 }
 
@@ -210,12 +208,9 @@ impl PlanCache {
     /// Memoizes `generated` under `key`, evicting the least-recently-used
     /// entry at capacity.
     pub(crate) fn store(&self, key: PlanKey, generated: &Generated) {
-        if self.config.capacity == 0 {
-            return;
-        }
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let mut entries = self.lock();
-        if entries.len() >= self.config.capacity && !entries.contains_key(&key) {
+        if entries.len() >= CAPACITY && !entries.contains_key(&key) {
             if let Some(oldest) = entries
                 .iter()
                 .min_by_key(|(_, e)| e.stamp)
@@ -409,10 +404,7 @@ mod tests {
 
     #[test]
     fn positive_quantum_coalesces_nearby_environments() {
-        let cache = PlanCache::new(PlanCacheConfig {
-            capacity: 8,
-            quantum: 1.0,
-        });
+        let cache = PlanCache::new(PlanCacheConfig { quantum: 1.0 });
         let e1 = env(&[(50.0, 50.0, 0.6)]);
         let ids = e1.ids();
         let g = plan(&e1);
@@ -427,26 +419,27 @@ mod tests {
 
     #[test]
     fn capacity_evicts_least_recently_used_and_counts_stale() {
-        let cache = PlanCache::new(PlanCacheConfig {
-            capacity: 2,
-            quantum: 0.0,
-        });
-        let envs: Vec<EnvQos> = (0..3)
-            .map(|i| env(&[(50.0 + f64::from(i), 50.0, 0.6)]))
+        let cache = PlanCache::new(PlanCacheConfig::default());
+        let envs: Vec<EnvQos> = (0..=CAPACITY)
+            .map(|i| env(&[(50.0 + i as f64, 50.0, 0.6)]))
             .collect();
         let ids = envs[0].ids();
         let g = plan(&envs[0]);
-        store(&cache, &envs[0], &ids, &req(), 2.0, "a1", EX, &g);
-        store(&cache, &envs[1], &ids, &req(), 2.0, "a1", EX, &g);
+        for e in &envs[..CAPACITY] {
+            store(&cache, e, &ids, &req(), 2.0, "a1", EX, &g);
+        }
+        assert_eq!(cache.stats().stale, 0, "64 plans fit");
         // Touch entry 0 so entry 1 is the LRU victim.
         assert!(lookup(&cache, &envs[0], &ids, &req(), 2.0, "a1", EX).is_some());
-        store(&cache, &envs[2], &ids, &req(), 2.0, "a1", EX, &g);
+        store(&cache, &envs[CAPACITY], &ids, &req(), 2.0, "a1", EX, &g);
         assert!(lookup(&cache, &envs[0], &ids, &req(), 2.0, "a1", EX).is_some());
         assert!(lookup(&cache, &envs[1], &ids, &req(), 2.0, "a1", EX).is_none());
-        assert!(lookup(&cache, &envs[2], &ids, &req(), 2.0, "a1", EX).is_some());
+        for e in &envs[2..] {
+            assert!(lookup(&cache, e, &ids, &req(), 2.0, "a1", EX).is_some());
+        }
         let stats = cache.stats();
         assert_eq!(stats.stale, 1, "one capacity eviction");
-        assert_eq!(stats.entries, 2);
+        assert_eq!(stats.entries, 64);
     }
 
     #[test]
@@ -461,20 +454,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.stale, 1);
         assert_eq!(stats.entries, 0);
-    }
-
-    #[test]
-    fn zero_capacity_never_stores() {
-        let cache = PlanCache::new(PlanCacheConfig {
-            capacity: 0,
-            quantum: 0.0,
-        });
-        let e1 = env(&[(50.0, 50.0, 0.6)]);
-        let ids = e1.ids();
-        let g = plan(&e1);
-        store(&cache, &e1, &ids, &req(), 2.0, "a1", EX, &g);
-        assert!(lookup(&cache, &e1, &ids, &req(), 2.0, "a1", EX).is_none());
-        assert_eq!(cache.stats().entries, 0);
     }
 
     #[test]

@@ -141,24 +141,6 @@ impl Reliability {
         }
     }
 
-    /// Creates a reliability from a percentage in `[0, 100]`, the unit the
-    /// paper uses in its tables.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QosError::ReliabilityOutOfRange`] if the percentage is not
-    /// within `[0, 100]`.
-    ///
-    /// ```
-    /// use qce_strategy::Reliability;
-    /// let r = Reliability::from_percent(70.0)?;
-    /// assert_eq!(r.value(), 0.7);
-    /// # Ok::<(), qce_strategy::QosError>(())
-    /// ```
-    pub fn from_percent(percent: f64) -> Result<Self, QosError> {
-        Self::new(percent / 100.0).map_err(|_| QosError::ReliabilityOutOfRange(percent))
-    }
-
     /// Creates a reliability, clamping out-of-range values into `[0, 1]`.
     ///
     /// Useful when sampling reliabilities from a random range that may
@@ -673,8 +655,6 @@ mod tests {
 
     #[test]
     fn reliability_percent_and_clamp() {
-        let r = Reliability::from_percent(97.0).unwrap();
-        assert!((r.value() - 0.97).abs() < 1e-12);
         assert_eq!(Reliability::clamped(1.5), Reliability::ALWAYS);
         assert_eq!(Reliability::clamped(-0.5), Reliability::NEVER);
         assert_eq!(Reliability::clamped(0.5).value(), 0.5);

@@ -20,7 +20,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::QosError;
-use crate::qos::{Attribute, Polarity, Qos, Requirements};
+use crate::qos::{Attribute, Qos, Requirements};
 
 /// Default penalty multiplier used when none is specified.
 ///
@@ -83,7 +83,7 @@ impl UtilityIndex {
     /// `value` and `requirement` must share the attribute's unit
     /// (reliability as a probability).
     #[must_use]
-    pub fn attribute_utility(&self, attr: Attribute, value: f64, requirement: f64) -> f64 {
+    pub(crate) fn attribute_utility(&self, attr: Attribute, value: f64, requirement: f64) -> f64 {
         debug_assert!(requirement > 0.0, "requirements are validated positive");
         let distance = (value - requirement).abs() / requirement;
         match attr.polarity().compare(value, requirement) {
@@ -123,20 +123,6 @@ impl Default for UtilityIndex {
     }
 }
 
-/// Polarity-aware "is `lhs` at least as good as `rhs`" comparison for a
-/// whole QoS triple: true iff every attribute of `lhs` is no worse.
-///
-/// This is the dominance test underlying Pareto optimality (see
-/// [`pareto`](crate::pareto)).
-#[must_use]
-pub fn no_worse_than(lhs: &Qos, rhs: &Qos) -> bool {
-    Attribute::ALL.iter().all(|&attr| {
-        attr.polarity()
-            .compare(lhs.attribute(attr), rhs.attribute(attr))
-            != std::cmp::Ordering::Less
-    })
-}
-
 /// Returns `true` when `lhs` Pareto-dominates `rhs`: no attribute is worse
 /// and at least one is strictly better.
 #[must_use]
@@ -153,13 +139,6 @@ pub fn dominates(lhs: &Qos, rhs: &Qos) -> bool {
         }
     }
     strictly_better
-}
-
-/// Convenience: which of `Polarity`'s categories an attribute's improvement
-/// direction falls into, as used when printing reports.
-#[must_use]
-pub fn polarity_of(attr: Attribute) -> Polarity {
-    attr.polarity()
 }
 
 #[cfg(test)]
@@ -243,9 +222,6 @@ mod tests {
         assert!(!dominates(&q1, &q3), "incomparable");
         assert!(!dominates(&q3, &q1), "incomparable");
         assert!(!dominates(&q1, &q1), "no self-domination");
-        assert!(no_worse_than(&q1, &q1));
-        assert!(no_worse_than(&q1, &q2));
-        assert!(!no_worse_than(&q3, &q1));
     }
 
     #[test]

@@ -123,9 +123,6 @@ fn searches() -> Vec<(&'static str, bool, Search)> {
         ("approximation", false, |g, e, i, r| {
             g.approximation(e, i, r).map(|o| o.strategy.len())
         }),
-        ("beam", false, |g, e, i, r| {
-            g.beam(e, i, r, 1).map(|o| o.strategy.len())
-        }),
         ("failover", false, |g, e, i, r| {
             g.failover(e, i, r).map(|o| o.strategy.len())
         }),
@@ -134,9 +131,6 @@ fn searches() -> Vec<(&'static str, bool, Search)> {
         }),
         ("speculative_parallel", false, |g, e, i, r| {
             g.speculative_parallel(e, i, r).map(|o| o.strategy.len())
-        }),
-        ("sort_by_utility", false, |g, e, i, r| {
-            g.sort_by_utility(e, i, r).map(|order| order.len())
         }),
     ]
 }
@@ -480,12 +474,12 @@ fn no_public_door_unwinds_on_its_input() {
         }
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
-    // Four lists through four doors and twelve searches, eight counts past
+    // Four lists through four doors and ten searches, eight counts past
     // the limit and one of nothing; eight values, four host availabilities,
     // four measured statistics, two misindexed model lists, nine non-finite
     // QoS fields, eight quantiles; five through the three Monte-Carlo doors.
     assert_eq!(
         cases.len(),
-        4 * (4 + 12) + 8 + 1 + 8 + 4 + 4 + 2 + 9 + 8 + 5
+        4 * (4 + 10) + 8 + 1 + 8 + 4 + 4 + 2 + 9 + 8 + 5
     );
 }
