@@ -160,12 +160,13 @@ struct DriftOutcome {
 }
 
 fn run_drift_with_window(window: usize, per_slot: u32, latency_scale: f64) -> DriftOutcome {
-    use qce_runtime::{GatewayConfig, Request};
+    use qce_runtime::{GatewayConfig, Request, WallClock};
     // Rebuild the testbed with a custom collector window.
     let tb = crate::testbed::build_with_config(
         per_slot,
         latency_scale,
         GatewayConfig::builder().collector_window(window).build(),
+        std::sync::Arc::new(WallClock::new()),
     );
     let drop_at = u64::from(per_slot) * 2; // drop at the start of slot 2
     let mut executed = 0u64;

@@ -13,7 +13,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use qce_runtime::{
-    Gateway, GatewayConfig, InMemoryMarket, MsSpec, Request, ServiceScript, SimulatedProvider,
+    Clock, Gateway, GatewayConfig, InMemoryMarket, MsSpec, Request, ServiceScript,
+    SimulatedProvider, WallClock,
 };
 use qce_strategy::{Qos, Requirements};
 
@@ -51,7 +52,7 @@ impl std::fmt::Debug for Testbed {
     }
 }
 
-/// Builds the testbed.
+/// Builds the testbed on real time.
 ///
 /// `slot_size` is the number of invocations per time slot (the paper uses
 /// 100); `latency_scale` multiplies the base latencies (1.0 = the paper's
@@ -66,17 +67,24 @@ pub fn build(slot_size: u32, latency_scale: f64) -> Testbed {
         slot_size,
         latency_scale,
         GatewayConfig::builder().collector_window(100).build(),
+        Arc::new(WallClock::new()),
     )
 }
 
 /// Like [`build`] but with an explicit gateway configuration (used by the
-/// collector-window ablation).
+/// collector-window ablation) and the clock the gateway and its three
+/// providers run on (a test passes a `VirtualClock`).
 ///
 /// # Panics
 ///
 /// Panics only on invalid constants (cannot happen).
 #[must_use]
-pub fn build_with_config(slot_size: u32, latency_scale: f64, config: GatewayConfig) -> Testbed {
+pub fn build_with_config(
+    slot_size: u32,
+    latency_scale: f64,
+    config: GatewayConfig,
+    clock: Arc<dyn Clock>,
+) -> Testbed {
     let market = InMemoryMarket::new();
     let mut script = ServiceScript::new(
         SERVICE,
@@ -98,7 +106,11 @@ pub fn build_with_config(slot_size: u32, latency_scale: f64, config: GatewayConf
     script.slot_size = slot_size;
     market.publish(script).expect("script is valid");
 
-    let gateway = Arc::new(Gateway::new(Box::new(market), config));
+    let gateway = Arc::new(Gateway::with_clock(
+        Box::new(market),
+        config,
+        Arc::clone(&clock),
+    ));
 
     let devices = ["raspberry-pi", "m92p-a", "m92p-b"];
     let mut sensor = None;
@@ -111,6 +123,7 @@ pub fn build_with_config(slot_size: u32, latency_scale: f64, config: GatewayConf
                 .latency(Duration::from_secs_f64(latency * latency_scale / 1e3))
                 .reliability(RELIABILITY)
                 .seed(100 + i as u64)
+                .clock(Arc::clone(&clock))
                 .build();
         if i == 0 {
             sensor = Some(Arc::clone(&provider));
@@ -189,8 +202,15 @@ mod tests {
     #[test]
     fn generated_strategy_matches_papers() {
         // Paper Section V.B: the generated strategy is
-        // readTempSensor-estTemp-readLocTemp.
-        let tb = build(30, 0.02);
+        // readTempSensor-estTemp-readLocTemp. On a virtual clock the
+        // measured latencies, and so the near tie with
+        // readTempSensor-estTemp*readLocTemp, are the same every run.
+        let tb = build_with_config(
+            30,
+            0.02,
+            GatewayConfig::builder().collector_window(100).build(),
+            Arc::new(qce_runtime::VirtualClock::new()),
+        );
         for _ in 0..30 {
             tb.gateway.submit(Request::new(SERVICE)).unwrap();
         }

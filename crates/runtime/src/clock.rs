@@ -60,19 +60,16 @@
 //! panicking provider cannot leak the worker count and hang every later
 //! sleeper.
 //!
-//! A parked parent is indistinguishable from a blocked one, so if the
-//! *last* child a parent is joining released its own slot on exit, there
-//! would be a window — children done, parent notified but not yet
-//! rescheduled — where `worker_sleepers + parked >= workers` holds
-//! spuriously and time skips past the parent's pending continuation.
-//! The slot-handoff rule closes it: a completing leg unbinds with
-//! [`Clock::disown_worker`], and the last leg to finish *while the
-//! parent is parked* leaves its slot counted for the parent to release
-//! ([`Clock::release_worker`]) after [`Clock::exit_passive`], once it is
-//! demonstrably running again. Every other leg — siblings outstanding,
-//! or parent still active on its inline child — releases its own slot,
-//! since a kept slot would then block the sleeps that legitimately drive
-//! time forward.
+//! An idle event-core driver is indistinguishable from a blocked thread,
+//! so if a finished blocking leg released its slot on exit, there would be
+//! a window — leg done, its completion posted but not yet processed —
+//! where `worker_sleepers + parked >= workers` holds spuriously and time
+//! skips past the continuation the completion starts. So a blocking leg
+//! only unbinds ([`Clock::disown_worker`], in the engine's `run_blocking`)
+//! and its slot stays counted, orphaned, until the driver has processed
+//! the completion and releases it ([`Clock::release_worker`]). A post to
+//! a core that has shut down releases the slot at once, and so does a
+//! pool task whose core is gone.
 //!
 //! Multiple top-level invocations may share one `VirtualClock` (each
 //! registers its own workers), but determinism then only extends to the

@@ -364,7 +364,7 @@ mod tests {
     /// bit — `-0.0` for a request that started nothing included.
     #[test]
     fn record_free_requests_agree_with_execute() {
-        let pool = Arc::new(WorkerPool::new(2));
+        let pool = Arc::new(WorkerPool::new());
         let policies = [
             CompletionPolicy::FirstSuccess,
             CompletionPolicy::Quorum { quorum: 1 },

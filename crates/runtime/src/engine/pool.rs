@@ -24,10 +24,13 @@ use serde::{Deserialize, Serialize};
 /// A unit of pool work: one parallel strategy leg.
 pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// Persistent worker threads per pool; only blocking legs need one.
+const WORKER_POOL: usize = 8;
+
 /// Point-in-time occupancy counters of an engine's worker pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PoolStats {
-    /// Maximum persistent worker threads (`0` = spill-only).
+    /// Maximum persistent worker threads (eight).
     pub capacity: usize,
     /// Persistent worker threads currently alive.
     pub threads: usize,
@@ -57,7 +60,6 @@ struct PoolState {
 }
 
 struct PoolInner {
-    capacity: usize,
     state: Mutex<PoolState>,
     available: Condvar,
 }
@@ -111,13 +113,10 @@ impl std::fmt::Debug for WorkerPool {
 }
 
 impl WorkerPool {
-    /// Creates a pool of up to `capacity` persistent worker threads
-    /// (spawned lazily). `capacity == 0` means every job spills to a
-    /// one-shot thread — the pre-pool behaviour.
-    pub fn new(capacity: usize) -> Self {
+    /// An empty pool; up to [`WORKER_POOL`] threads are spawned on demand.
+    pub fn new() -> Self {
         WorkerPool {
             inner: Arc::new(PoolInner {
-                capacity,
                 state: Mutex::new(PoolState {
                     jobs: VecDeque::new(),
                     idle: 0,
@@ -147,7 +146,7 @@ impl WorkerPool {
             state.jobs.push_back(job);
             drop(state);
             self.inner.available.notify_one();
-        } else if state.threads < self.inner.capacity {
+        } else if state.threads < WORKER_POOL {
             state.threads += 1;
             state.jobs.push_back(job);
             let inner = Arc::clone(&self.inner);
@@ -164,7 +163,7 @@ impl WorkerPool {
     pub fn stats(&self) -> PoolStats {
         let state = self.inner.lock();
         PoolStats {
-            capacity: self.inner.capacity,
+            capacity: WORKER_POOL,
             threads: state.threads,
             idle: state.idle,
             running: state.running,
@@ -210,7 +209,7 @@ mod tests {
 
     #[test]
     fn jobs_run_and_threads_are_reused() {
-        let pool = WorkerPool::new(2);
+        let pool = WorkerPool::new();
         run_and_wait(&pool, 1);
         // Wait for the worker to go idle so the next submit reuses it.
         for _ in 0..500 {
@@ -228,11 +227,12 @@ mod tests {
 
     #[test]
     fn saturated_pool_spills_instead_of_queueing() {
-        let pool = WorkerPool::new(2);
+        const JOBS: usize = WORKER_POOL + 2;
+        let pool = WorkerPool::new();
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let started = Arc::new(AtomicUsize::new(0));
         let (tx, rx) = mpsc::channel();
-        for _ in 0..5 {
+        for _ in 0..JOBS {
             let gate = Arc::clone(&gate);
             let started = Arc::clone(&started);
             let tx = tx.clone();
@@ -246,17 +246,17 @@ mod tests {
                 tx.send(()).unwrap();
             }));
         }
-        // All five must be *running* (none parked behind the busy pool)
-        // even though capacity is 2 — the overflow spilled.
+        // All ten must be *running* (none parked behind the busy pool)
+        // even though the pool holds eight threads — the overflow spilled.
         for _ in 0..500 {
-            if started.load(Ordering::SeqCst) == 5 {
+            if started.load(Ordering::SeqCst) == JOBS {
                 break;
             }
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         assert_eq!(
             started.load(Ordering::SeqCst),
-            5,
+            JOBS,
             "no job waits on a busy pool"
         );
         {
@@ -264,27 +264,19 @@ mod tests {
             *lock.lock().unwrap() = true;
             cv.notify_all();
         }
-        for _ in 0..5 {
+        for _ in 0..JOBS {
             rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap();
         }
         let stats = pool.stats();
-        assert_eq!(stats.submitted, 5);
-        assert_eq!(stats.spilled, 3, "two pooled, three spilled");
-        assert!(stats.peak_running <= 2);
-    }
-
-    #[test]
-    fn zero_capacity_spills_everything() {
-        let pool = WorkerPool::new(0);
-        run_and_wait(&pool, 3);
-        let stats = pool.stats();
-        assert_eq!(stats.threads, 0);
-        assert_eq!(stats.spilled, 3);
+        assert_eq!(stats.submitted, JOBS as u64);
+        assert_eq!(stats.threads, WORKER_POOL);
+        assert_eq!(stats.spilled, 2, "eight pooled, two spilled");
+        assert!(stats.peak_running <= WORKER_POOL);
     }
 
     #[test]
     fn drop_joins_workers() {
-        let pool = WorkerPool::new(4);
+        let pool = WorkerPool::new();
         run_and_wait(&pool, 8);
         drop(pool); // must not hang
     }

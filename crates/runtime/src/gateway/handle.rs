@@ -159,7 +159,8 @@ impl Wake for HandleShared {
     /// clock gets its mark back *before* it is unparked: the waker is about
     /// to idle on the same clock, and a waiter still counted passive would
     /// let that idle wait jump virtual time past it before it ran (the
-    /// slot-handoff rule of DESIGN §8).
+    /// waker-to-waiter handoff of DESIGN §8, the rule a finished blocking
+    /// leg's orphaned slot follows).
     fn wake(self: Arc<Self>) {
         let waiter = self.lock().wake();
         if waiter.passive {

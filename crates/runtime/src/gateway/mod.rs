@@ -59,11 +59,6 @@ const TELEMETRY_EVENTS: usize = 1024;
 /// in telemetry) so long-running services don't leak.
 const HISTORY_LIMIT: usize = 1024;
 
-/// Persistent worker threads in a gateway's pool, which runs every
-/// strategy leg that must really block (capacity limits, foreign clocks,
-/// closure providers); timed legs are clock events and need no thread.
-const WORKER_POOL: usize = 8;
-
 /// Gateway configuration knobs.
 ///
 /// Construct with [`GatewayConfig::builder`] (the struct is
@@ -502,7 +497,7 @@ pub struct Gateway {
     config: GatewayConfig,
     telemetry: Arc<Telemetry>,
     /// Runs the blocking leaves of every request, submitted blocking or
-    /// not: [`WORKER_POOL`] persistent threads.
+    /// not: eight persistent threads.
     pool: Arc<WorkerPool>,
     services: RwLock<HashMap<String, Arc<ServiceEntry>>>,
     next_request: AtomicU64,
@@ -551,7 +546,7 @@ impl Gateway {
         clock: Arc<dyn Clock>,
     ) -> Self {
         let telemetry = Telemetry::new(Arc::clone(&clock), TELEMETRY_EVENTS);
-        let pool = Arc::new(WorkerPool::new(WORKER_POOL));
+        let pool = Arc::new(WorkerPool::new());
         let core = Arc::new(EventCore::new(
             Shared::Owned(Arc::clone(&clock)),
             Arc::default(),

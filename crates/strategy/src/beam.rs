@@ -1,11 +1,12 @@
 //! Width-`W` beam search over execution strategies.
 //!
 //! The beam backend interpolates between the paper's two generation
-//! algorithms. Like Algorithm 2's greedy approximation it inserts one
-//! microservice per step, in descending individual-utility order; unlike
-//! the approximation it keeps a *beam* of `W` partial strategies per step
-//! and considers inserting the next microservice at **every** subtree
-//! position of every beam member (as a sequential predecessor, sequential
+//! algorithms. At width 1 it *is* Algorithm 2's greedy approximation: it
+//! inserts one microservice per step, in descending individual-utility
+//! order, and keeps the better of the root-level `es - m` and `(es) * m`.
+//! Wider, it keeps a *beam* of `W` partial strategies per step and
+//! considers inserting the next microservice at **every** subtree position
+//! of every beam member (as a sequential predecessor, sequential
 //! successor, or parallel sibling), not just at the root.
 //!
 //! ## Tiered slots
@@ -13,11 +14,10 @@
 //! The beam's slots are built in tiers so that slot `i` depends only on
 //! slots `≤ i` of the previous step:
 //!
-//! * **slot 1** replays the greedy trajectory exactly: its two candidates
-//!   are the root-level `es - m` / `(es) * m` continuations of the previous
-//!   slot 1, selected with Algorithm 2's tie rule (strict `>` — ties go
-//!   parallel). Width 1 therefore returns *precisely* the approximation's
-//!   strategy, QoS, and utility.
+//! * **slot 1** is the greedy trajectory: its two candidates are the
+//!   root-level `es - m` / `(es) * m` continuations of the previous slot 1,
+//!   selected with Algorithm 2's tie rule (strict `>` — ties go parallel).
+//!   At width 1 that is all a step does: two estimates, and no pool.
 //! * **slot `i ≥ 2`** is the best candidate — under the exhaustive
 //!   search's total order (utility, then cost, latency, rendering) — of a
 //!   pool that grows with the tier: tier 2 adds all whole-tree insertions
@@ -41,28 +41,13 @@
 //! winner is bit-identical to [`Generator::exhaustive`]'s (pinned by the
 //! property tests below at `M ≤ 5`).
 
+use std::cmp::Ordering;
 use std::collections::HashSet;
 
 use crate::error::GenerateError;
 use crate::expr::{Node, Strategy};
-use crate::generate::{better_tiebreak, Found, Generator, IdSet, Via};
-use crate::qos::{EnvQos, MsId, Qos, Requirements};
-
-/// One scored beam candidate.
-#[derive(Debug, Clone)]
-struct Cand {
-    strategy: Strategy,
-    qos: Qos,
-    utility: f64,
-}
-
-/// The exhaustive search's strict total order on distinct candidates:
-/// higher utility, then the deterministic tie-break (lower cost, lower
-/// latency, smaller rendering).
-fn ranks_better(a: &Cand, b: &Cand) -> bool {
-    a.utility > b.utility
-        || (a.utility == b.utility && better_tiebreak(&a.strategy, &a.qos, &b.strategy, &b.qos))
-}
+use crate::generate::{Found, Generator, Scored, Via};
+use crate::qos::{EnvQos, MsId, Requirements};
 
 /// Appends every way of inserting leaf `x` into `node` to `out`. Three
 /// rewrite families, applied at each subtree position `p` (the root and,
@@ -154,86 +139,70 @@ fn insertions(node: &Node, x: MsId, out: &mut Vec<Node>) {
 }
 
 impl Generator {
-    /// The beam search behind [`BackendChoice::Beam`](crate::BackendChoice::Beam),
-    /// from inputs the door has already validated (`width ≥ 1`).
+    /// The beam search at `width ≥ 1` over `order`, the ids ranked by
+    /// individual utility (best first), estimating the way `via` says.
+    /// Width 1 is Algorithm 2's approximation, lines 4–13.
     pub(crate) fn beam_search(
         &self,
+        via: Via,
+        order: &[MsId],
         env: &EnvQos,
-        ids: IdSet<'_>,
         req: &Requirements,
         width: usize,
     ) -> Result<Found, GenerateError> {
-        let order = self.ranked(Via::Estimator, env, ids, req)?;
-        let score = |s: Strategy| -> Result<Cand, GenerateError> {
-            let qos = self.estimator().estimate(&s, env)?;
-            let utility = self.utility_index().utility(&qos, req);
-            Ok(Cand {
-                strategy: s,
-                qos,
-                utility,
-            })
+        let score = |s: Strategy| -> Result<Scored, GenerateError> {
+            let qos = self.est(via, &s, env)?;
+            Ok(Scored::new(s, qos, self.utility_index().utility(&qos, req)))
         };
 
         // Unified effort accounting: the best-leaf incumbent counts as one
         // candidate; the per-leaf sorting estimates are auxiliary and do
         // not count (see `SynthesisReport`).
         let mut evaluated: u64 = 1;
-        let mut slots: Vec<Cand> = vec![score(Strategy::leaf(order[0]))?];
+        let mut slots: Vec<Scored> = vec![score(Strategy::leaf(order[0]))?];
         for &x in &order[1..] {
-            let mut pool: Vec<Cand> = Vec::new();
-            let mut taken: Vec<bool> = Vec::new();
-            let mut pooled: HashSet<Strategy> = HashSet::new();
-
-            // Tier 1: Algorithm 2's two root-level continuations, selected
-            // with its tie rule so slot 1 stays the greedy trajectory.
-            let seq = slots[0]
-                .strategy
-                .clone()
-                .then(Strategy::leaf(x))
-                .expect("an IdSet's ids are distinct");
-            let par = slots[0]
-                .strategy
-                .clone()
-                .race(Strategy::leaf(x))
-                .expect("an IdSet's ids are distinct");
-            let seq_cand = score(seq)?;
-            let par_cand = score(par)?;
+            // Tier 1: Algorithm 2's two root-level continuations of slot 1.
+            let es = &slots[0].strategy;
+            let seq = es.clone().then(Strategy::leaf(x));
+            let par = es.clone().race(Strategy::leaf(x));
+            let seq = score(seq.expect("an IdSet's ids are distinct"))?;
+            let par = score(par.expect("an IdSet's ids are distinct"))?;
             evaluated += 2;
             // Paper, Algorithm 2 line 8: strict '>' — ties go parallel.
-            let greedy_wins_seq = seq_cand.utility > par_cand.utility;
-            pooled.insert(seq_cand.strategy.clone());
-            pooled.insert(par_cand.strategy.clone());
-            pool.push(seq_cand);
-            pool.push(par_cand);
-            taken.extend([greedy_wins_seq, !greedy_wins_seq]);
-            let chosen_idx = usize::from(!greedy_wins_seq);
-            let mut next: Vec<Cand> = vec![pool[chosen_idx].clone()];
+            let (kept, other) = if seq.utility > par.utility {
+                (seq, par)
+            } else {
+                (par, seq)
+            };
+            if width == 1 {
+                slots[0] = kept;
+                continue;
+            }
 
-            // Tiers 2..=W: widen the pool with whole-tree insertions into
-            // the previous slots, then slot the best unslotted candidate.
-            // Tier i only reads previous slots ≤ i, which is what makes
-            // the slot prefix — and hence the result — width-monotone.
+            // Tiers 2..=W: widen the pool of unslotted candidates with
+            // whole-tree insertions into the previous slots, then slot its
+            // best. Tier i only reads previous slots ≤ i, which is what
+            // makes the slot prefix — and hence the result — width-monotone.
+            let mut pooled: HashSet<Strategy> =
+                HashSet::from([kept.strategy.clone(), other.strategy.clone()]);
+            let mut pool: Vec<Scored> = vec![other];
+            let mut next: Vec<Scored> = vec![kept];
             for tier in 1..width {
                 if tier > 1 && tier >= slots.len() {
                     // No insertion source remains for this or any later
-                    // tier, so the pool is final: drain the rest in rank
+                    // tier, so the pool is final: slot the rest in rank
                     // order with one sort instead of O(pool²) repeated
-                    // scans. Selection order is unchanged — `ranks_better`
-                    // is a strict total order on distinct candidates (the
-                    // tiebreak ends at the strategy's canonical text).
+                    // scans. Selection order is unchanged — the candidate
+                    // order is strict and total on distinct candidates.
                     // This is the width → ∞ fast path.
-                    let mut rest: Vec<usize> = (0..pool.len()).filter(|&i| !taken[i]).collect();
-                    rest.sort_by(|&a, &b| {
-                        if ranks_better(&pool[a], &pool[b]) {
-                            std::cmp::Ordering::Less
+                    pool.sort_by(|a, b| {
+                        if a.outranks(b) {
+                            Ordering::Less
                         } else {
-                            std::cmp::Ordering::Greater
+                            Ordering::Greater
                         }
                     });
-                    for &i in rest.iter().take(width - next.len()) {
-                        taken[i] = true;
-                        next.push(pool[i].clone());
-                    }
+                    next.extend(pool.drain(..).take(width - next.len()));
                     break;
                 }
                 let sources: &[usize] = if tier == 1 { &[0, 1] } else { &[tier] };
@@ -246,42 +215,26 @@ impl Generator {
                             .expect("inserted microservice is not in the seed");
                         if pooled.insert(s.clone()) {
                             pool.push(score(s)?);
-                            taken.push(false);
                             evaluated += 1;
                         }
                     }
                 }
-                let mut best: Option<usize> = None;
-                for (i, cand) in pool.iter().enumerate() {
-                    if taken[i] {
-                        continue;
-                    }
-                    if best.is_none_or(|b| ranks_better(cand, &pool[b])) {
-                        best = Some(i);
-                    }
-                }
-                let Some(best) = best else { break };
-                taken[best] = true;
-                next.push(pool[best].clone());
+                let Some(best) = best_of(&pool) else { break };
+                next.push(pool.swap_remove(best));
             }
             slots = next;
         }
 
         // The answer is the best slot under the exhaustive total order; at
         // width 1 the only slot is the greedy trajectory's endpoint.
-        let mut winner = 0usize;
-        for i in 1..slots.len() {
-            if ranks_better(&slots[i], &slots[winner]) {
-                winner = i;
-            }
-        }
-        let Cand {
-            strategy,
-            qos,
-            utility,
-        } = slots.swap_remove(winner);
-        Ok((strategy, qos, utility, evaluated, 0))
+        let winner = slots.swap_remove(best_of(&slots).expect("a beam keeps one slot"));
+        Ok((winner.strategy, winner.qos, winner.utility, evaluated, 0))
     }
+}
+
+/// The index of the best candidate of `cands` under the candidate order.
+fn best_of(cands: &[Scored]) -> Option<usize> {
+    (0..cands.len()).reduce(|b, i| if cands[i].outranks(&cands[b]) { i } else { b })
 }
 
 #[cfg(test)]
@@ -290,6 +243,7 @@ mod tests {
     use crate::backend::BackendChoice;
     use crate::generate::{Generated, Method};
     use crate::plan_cache::{PlanCache, PlanCacheConfig, PlanSource};
+    use crate::qos::Qos;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
     use std::sync::Arc;
@@ -327,28 +281,91 @@ mod tests {
         assert_eq!(a.utility.to_bits(), b.utility.to_bits(), "{what}: utility");
     }
 
-    /// Satellite property test: beam(width = 1) is the greedy trajectory
-    /// bit-for-bit — strategy, QoS bits, utility, and (under the unified
-    /// accounting) the evaluated count.
+    /// Algorithm 2's approximation (lines 4–13) transcribed line for line
+    /// onto Algorithm 1 and Equation 1, independent of the beam: sort the
+    /// leaves by individual utility (ties on the id), start from the best,
+    /// and at each next microservice `m` keep `es - m` only if its utility
+    /// is strictly greater than `(es) * m`'s. Returns the strategy, its
+    /// estimate and utility, the estimates made past the sort, and how many
+    /// steps tied on utility.
+    fn algorithm2(env: &EnvQos, req: &Requirements) -> (Strategy, Qos, f64, usize, usize) {
+        let ui = crate::UtilityIndex::default();
+        let judge = |s: &Strategy| {
+            let qos = crate::estimate::estimate(s, env).unwrap();
+            (qos, ui.utility(&qos, req))
+        };
+        let leaf_u = |id: MsId| judge(&Strategy::leaf(id)).1;
+        let mut sorted = env.ids();
+        sorted.sort_by(|&a, &b| leaf_u(b).total_cmp(&leaf_u(a)).then(a.cmp(&b)));
+        let mut es = Strategy::leaf(sorted[0]);
+        let (mut qos, mut utility) = judge(&es);
+        let (mut estimates, mut ties) = (1, 0);
+        for &m in &sorted[1..] {
+            let seq = es.clone().then(Strategy::leaf(m)).unwrap();
+            let par = es.clone().race(Strategy::leaf(m)).unwrap();
+            let (seq_qos, seq_u) = judge(&seq);
+            let (par_qos, par_u) = judge(&par);
+            estimates += 2;
+            ties += usize::from(seq_u == par_u);
+            // Line 8: strict '>' — ties go parallel.
+            (es, qos, utility) = if seq_u > par_u {
+                (seq, seq_qos, seq_u)
+            } else {
+                (par, par_qos, par_u)
+            };
+        }
+        (es, qos, utility, estimates, ties)
+    }
+
+    /// Satellite property test: beam(width = 1) and the approximation are
+    /// Algorithm 2 bit for bit — strategy, QoS bits, utility, and (under
+    /// the unified accounting) the evaluated count — on random tables and
+    /// on two tables whose first step ties on utility: once with the
+    /// sequential append cheaper and slower, once on every attribute.
     #[test]
     fn width_one_is_the_greedy_approximation() {
         let gen = Generator::default();
         let requirements = Requirements::new(150.0, 150.0, 0.95).unwrap();
+        let mut tables = Vec::new();
         for m in 1..=7usize {
             for seed in 0..8u64 {
                 let mut rng = ChaCha8Rng::seed_from_u64(seed * 53 + m as u64);
-                let env = random_env(&mut rng, m);
-                let ids = env.ids();
-                let greedy = gen.approximation(&env, &ids, &requirements).unwrap();
-                let beam = gen
-                    .generate_with(BackendChoice::Beam(1), &env, &ids, &requirements)
-                    .unwrap();
-                let what = format!("m={m} seed={seed}");
-                assert_same_plan(&greedy, &beam, &what);
-                assert_eq!(beam.evaluated, greedy.evaluated, "{what}: evaluated");
-                assert_eq!(beam.method, Method::Beam);
+                tables.push((random_env(&mut rng, m), requirements));
             }
         }
+        let tied = Requirements::new(40.0, 80.0, 0.9).unwrap();
+        for triples in [
+            [(10.0, 40.0, 1.0), (5.0, 20.0, 0.5)],
+            [(10.0, 40.0, 1.0), (0.0, 50.0, 0.5)],
+        ] {
+            tables.push((EnvQos::from_triples(&triples).unwrap(), tied));
+        }
+        let mut ties = 0;
+        for (n, (env, req)) in tables.iter().enumerate() {
+            let (strategy, qos, utility, evaluated, tied_steps) = algorithm2(env, req);
+            ties += tied_steps;
+            let paper = Generated {
+                strategy,
+                qos,
+                utility,
+                evaluated,
+                method: Method::Approximation,
+                report: crate::generate::SynthesisReport::default(),
+                source: PlanSource::Cold,
+            };
+            let ids = env.ids();
+            let greedy = gen.approximation(env, &ids, req).unwrap();
+            let beam = gen
+                .generate_with(BackendChoice::Beam(1), env, &ids, req)
+                .unwrap();
+            for (out, method) in [(&greedy, Method::Approximation), (&beam, Method::Beam)] {
+                let what = format!("table {n} via {method}");
+                assert_same_plan(&paper, out, &what);
+                assert_eq!(out.evaluated, evaluated, "{what}: evaluated");
+                assert_eq!(out.method, method);
+            }
+        }
+        assert_eq!(ties, 2, "only the two tied tables tie");
     }
 
     /// Satellite property test: an unbounded beam covers the full search

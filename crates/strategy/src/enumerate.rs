@@ -743,10 +743,8 @@ fn draw_subset<R: rand::Rng + ?Sized>(
 /// the paper's incompletely specified dedup procedure). Use
 /// [`count_full`] for the semantically correct counts.
 pub mod paper {
-    use super::MAX_COUNT_M;
-
     /// `F(M)` as counted by the paper's procedure; `Some(0)` for no
-    /// microservices, `None` past [`MAX_COUNT_M`].
+    /// microservices, `None` past [`MAX_COUNT_M`](super::MAX_COUNT_M).
     ///
     /// # Examples
     ///
@@ -762,7 +760,7 @@ pub mod paper {
     }
 
     /// `F'(M)` as counted by the paper's procedure; `Some(0)` for no
-    /// microservices, `None` past [`MAX_COUNT_M`].
+    /// microservices, `None` past [`MAX_COUNT_M`](super::MAX_COUNT_M).
     ///
     /// ```
     /// use qce_strategy::enumerate::paper::count_table1_subsets;
@@ -777,10 +775,6 @@ pub mod paper {
     }
 
     struct Tables {
-        /// `non_seq[n]`: leaf (n = 1) or paper-style Par. Kept for clarity
-        /// even though `all` only reads `seq` and `par`.
-        #[allow(dead_code)]
-        non_seq: Vec<u128>,
         /// `seq[n]`: Seq-rooted trees (identical to the semantic count at
         /// fixed child classes, but over paper-style children).
         seq: Vec<u128>,
@@ -790,22 +784,11 @@ pub mod paper {
     }
 
     impl Tables {
-        /// `None` past [`MAX_COUNT_M`].
+        /// `None` past [`MAX_COUNT_M`](super::MAX_COUNT_M).
         #[allow(clippy::needless_range_loop)]
         fn up_to(m: usize) -> Option<Self> {
-            if m > MAX_COUNT_M {
-                return None;
-            }
-            let mut binom = vec![vec![0u128; m + 1]; m + 1];
-            for row in binom.iter_mut() {
-                row[0] = 1;
-            }
-            for n in 1..=m {
-                for k in 1..=n {
-                    let left = if k < n { binom[n - 1][k] } else { 0 };
-                    binom[n][k] = binom[n - 1][k - 1] + left;
-                }
-            }
+            let binom = super::Counts::up_to(m)?.binom;
+            // `non_seq[n]`: leaf (n = 1) or paper-style Par.
             let mut non_seq = vec![0u128; m + 1];
             let mut seq = vec![0u128; m + 1];
             let mut par = vec![0u128; m + 1];
@@ -844,12 +827,7 @@ pub mod paper {
                     non_seq[n] = par[n];
                 }
             }
-            Some(Tables {
-                non_seq,
-                seq,
-                par,
-                binom,
-            })
+            Some(Tables { seq, par, binom })
         }
 
         fn all(&self, n: usize) -> u128 {
@@ -863,6 +841,7 @@ pub mod paper {
 
     #[cfg(test)]
     mod tests {
+        use super::super::MAX_COUNT_M;
         use super::*;
 
         #[test]

@@ -8,12 +8,15 @@
 //! * **Approximation heuristic** — sort the microservices by their
 //!   individual utility; start from the best one and, for each next
 //!   microservice `m`, keep the better of `es - m` (sequential append) and
-//!   `(es) * m` (parallel wrap).
+//!   `(es) * m` (parallel wrap). It is the beam search
+//!   ([`BackendChoice::Beam`]) at width 1.
 //!
 //! [`Generator`] combines them behind the paper's threshold rule: use the
-//! exhaustive search while `|M| ≤ θ`, switch to the approximation beyond.
+//! exhaustive search while `|M| ≤ θ`, switch to the approximation beyond,
+//! with `θ` the constant [`DEFAULT_THRESHOLD`] (6).
 //! (Algorithm 2's line 1 prints the comparison inverted; we follow the
-//! prose — see `DESIGN.md`.)
+//! prose — see `DESIGN.md`.) Every search ranks candidates by one order,
+//! `outranks`: utility, then cost, then latency, then the rendering.
 //!
 //! Every search uses all of `ids`. The paper also discusses two *subset*
 //! variants — searching `F'(M)`, and stopping the approximation once
@@ -33,6 +36,7 @@
 //! Either way [`Generated::report`] records how many candidates were
 //! estimated, how many the bounds pruned, and the wall-clock time.
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -152,8 +156,8 @@ impl fmt::Display for Generated {
     }
 }
 
-/// Strategy generator configured with a utility index and the exhaustive /
-/// approximation threshold `θ`.
+/// Strategy generator: Algorithm 2 under a utility index, with the
+/// synthesis engine's settings.
 ///
 /// # Examples
 ///
@@ -178,7 +182,6 @@ impl fmt::Display for Generated {
 ///
 /// // Tuning the engine goes through the builder:
 /// let tuned = Generator::builder()
-///     .threshold(6)
 ///     .parallelism(2)
 ///     .pruning(true)
 ///     .build();
@@ -188,7 +191,6 @@ impl fmt::Display for Generated {
 #[derive(Debug, Clone)]
 pub struct Generator {
     utility: UtilityIndex,
-    threshold: usize,
     parallelism: usize,
     /// `parallelism` with `0` resolved to the available cores, once: the
     /// lookup reads cgroup files on Linux, and a re-planning runtime
@@ -210,8 +212,8 @@ pub struct Generator {
 /// single-search cache) — they just rebuild the trees next time.
 const NODE_CACHE_LISTS: usize = 8;
 
-/// Default exhaustive/approximation switch-over: a warm search of
-/// `F(6) = 51 303` candidates takes about 1–3 ms on one core, one of
+/// Algorithm 2's exhaustive/approximation switch-over `θ`: a warm search
+/// of `F(6) = 51 303` candidates takes about 1–3 ms on one core, one of
 /// `F(7) = 1 152 019` about 270 ms (`BENCH_synth.json`, EXPERIMENTS.md).
 pub const DEFAULT_THRESHOLD: usize = 6;
 
@@ -222,8 +224,8 @@ impl Default for Generator {
 }
 
 /// Builder for [`Generator`] — the one place to configure the utility
-/// index, the exhaustive/approximation threshold, and the synthesis
-/// engine's parallelism, pruning, and estimator.
+/// index and the synthesis engine's parallelism, pruning, plan cache and
+/// estimator.
 ///
 /// # Examples
 ///
@@ -232,16 +234,14 @@ impl Default for Generator {
 ///
 /// let gen = Generator::builder()
 ///     .utility(UtilityIndex::default())
-///     .threshold(6)
 ///     .parallelism(0) // 0 = one worker per available core
 ///     .pruning(true)
 ///     .build();
-/// assert_eq!(gen.threshold(), 6);
+/// assert_eq!(gen.parallelism(), 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct GeneratorBuilder {
     utility: UtilityIndex,
-    threshold: usize,
     parallelism: usize,
     pruning: bool,
     estimator: Option<Arc<dyn Estimator>>,
@@ -252,7 +252,6 @@ impl Default for GeneratorBuilder {
     fn default() -> Self {
         GeneratorBuilder {
             utility: UtilityIndex::default(),
-            threshold: DEFAULT_THRESHOLD,
             parallelism: 0,
             pruning: true,
             estimator: None,
@@ -266,13 +265,6 @@ impl GeneratorBuilder {
     #[must_use]
     pub fn utility(mut self, utility: UtilityIndex) -> Self {
         self.utility = utility;
-        self
-    }
-
-    /// The exhaustive/approximation switch-over `θ` (Algorithm 2 line 1).
-    #[must_use]
-    pub fn threshold(mut self, threshold: usize) -> Self {
-        self.threshold = threshold;
         self
     }
 
@@ -321,7 +313,6 @@ impl GeneratorBuilder {
     pub fn build(self) -> Generator {
         Generator {
             utility: self.utility,
-            threshold: self.threshold,
             parallelism: self.parallelism,
             workers: match self.parallelism {
                 0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
@@ -350,12 +341,6 @@ impl Generator {
         self.utility
     }
 
-    /// The configured threshold `θ`.
-    #[must_use]
-    pub fn threshold(&self) -> usize {
-        self.threshold
-    }
-
     /// The configured worker count (`0` = auto).
     #[must_use]
     pub fn parallelism(&self) -> usize {
@@ -382,15 +367,15 @@ impl Generator {
 
     /// Estimates `s` the way `via` says; ids are pre-validated by every
     /// public entry point, but custom estimators may still fail.
-    fn est(&self, via: Via, s: &Strategy, env: &EnvQos) -> Result<Qos, GenerateError> {
+    pub(crate) fn est(&self, via: Via, s: &Strategy, env: &EnvQos) -> Result<Qos, GenerateError> {
         Ok(match via {
             Via::Estimator => self.estimator.estimate(s, env)?,
             Via::Algorithm1 => crate::estimate::estimate(s, env)?,
         })
     }
 
-    /// Algorithm 2: exhaustive search while `|M| ≤ θ`, greedy approximation
-    /// beyond.
+    /// Algorithm 2: exhaustive search while `|M| ≤ θ` ([`DEFAULT_THRESHOLD`]),
+    /// greedy approximation beyond.
     ///
     /// # Errors
     ///
@@ -426,7 +411,7 @@ impl Generator {
     ) -> Result<Generated, GenerateError> {
         let search = match choice {
             BackendChoice::Exhaustive => Search::Exhaustive,
-            BackendChoice::Threshold if ids.len() <= self.threshold => Search::Exhaustive,
+            BackendChoice::Threshold if ids.len() <= DEFAULT_THRESHOLD => Search::Exhaustive,
             BackendChoice::Threshold | BackendChoice::Greedy => Search::Greedy,
             BackendChoice::Beam(width) => Search::Beam(width.max(1)),
         };
@@ -510,8 +495,15 @@ impl Generator {
         }
         let (strategy, qos, utility, seen, pruned) = match search {
             Search::Exhaustive => self.scan(env, ids, req)?,
-            Search::Greedy => self.greedy(Via::Estimator, env, ids, req)?,
-            Search::Beam(width) => self.beam_search(env, ids, req, width)?,
+            Search::Greedy | Search::Beam(_) => {
+                let order = self.ranked(Via::Estimator, env, ids, req)?;
+                let width = if let Search::Beam(width) = search {
+                    width
+                } else {
+                    1
+                };
+                self.beam_search(Via::Estimator, &order, env, req, width)?
+            }
             Search::Failover { ranked: true } => {
                 let order = self.ranked(Via::Estimator, env, ids, req)?;
                 self.pattern(Via::Estimator, failover, &order, env, req)?
@@ -601,7 +593,8 @@ impl Generator {
 
     /// Utility of the best *seed* candidate — the greedy approximation and
     /// the two predefined patterns, all of which are members of `F(M)` —
-    /// used as the engine's initial pruning bar.
+    /// used as the engine's initial pruning bar. The leaves are ranked
+    /// once, for the fail-over chain and the approximation alike.
     /// Seed estimates are not counted in [`Generated::evaluated`].
     ///
     /// Only reached when the estimator is Algorithm 1, so the seeds call it
@@ -619,7 +612,7 @@ impl Generator {
         if ids.len() >= 2 {
             bound = bound.max(self.pattern(via, speculative_parallel, &ids, env, req)?.2);
         }
-        bound = bound.max(self.greedy(via, env, ids, req)?.2);
+        bound = bound.max(self.beam_search(via, &order, env, req, 1)?.2);
         Ok(bound)
     }
 
@@ -635,29 +628,27 @@ impl Generator {
         ids: IdSet<'_>,
         req: &Requirements,
     ) -> Result<Found, GenerateError> {
-        let mut best: Option<(Strategy, Qos, f64)> = None;
+        let mut best: Option<Scored> = None;
         let mut seen = 0u64;
         for s in StrategyIter::over(ids)? {
             let qos = self.estimator.estimate_uncached(&s, env)?;
-            let u = self.utility.utility(&qos, req);
+            let cand = Scored::new(s, qos, self.utility.utility(&qos, req));
             seen += 1;
-            let better = match &best {
-                None => true,
-                Some((bs, bq, bu)) => u > *bu || (u == *bu && better_tiebreak(&s, &qos, bs, bq)),
-            };
-            if better {
-                best = Some((s, qos, u));
+            if best.as_ref().is_none_or(|b| cand.outranks(b)) {
+                best = Some(cand);
             }
         }
-        let (strategy, qos, utility) = best.expect("an IdSet spans at least one strategy");
-        Ok((strategy, qos, utility, seen, 0))
+        let best = best.expect("an IdSet spans at least one strategy");
+        Ok((best.strategy, best.qos, best.utility, seen, 0))
     }
 
     /// The greedy approximation heuristic of Algorithm 2 (lines 4–13).
     ///
     /// Microservices are sorted by individual utility (best first); the
     /// strategy grows one microservice at a time, keeping the better of the
-    /// sequential append `es - m` and the parallel wrap `(es) * m`.
+    /// sequential append `es - m` and the parallel wrap `(es) * m`. It is
+    /// the beam at width 1, stamped [`Method::Approximation`] and never
+    /// plan-cached.
     ///
     /// # Errors
     ///
@@ -671,46 +662,6 @@ impl Generator {
         req: &Requirements,
     ) -> Result<Generated, GenerateError> {
         self.run(Search::Greedy, env, ids, req)
-    }
-
-    fn greedy(
-        &self,
-        via: Via,
-        env: &EnvQos,
-        ids: IdSet<'_>,
-        req: &Requirements,
-    ) -> Result<Found, GenerateError> {
-        let order = self.ranked(via, env, ids, req)?;
-        // Unified effort accounting: the per-leaf estimates behind the
-        // sort are auxiliary and not counted (matching the exhaustive
-        // engine, whose seed estimates are likewise free); the best-leaf
-        // incumbent is the first candidate considered.
-        let mut seen = 1;
-        let mut es = Strategy::leaf(order[0]);
-        let mut qos = self.est(via, &es, env)?;
-        let mut utility = self.utility.utility(&qos, req);
-        for &next in &order[1..] {
-            let seq = es
-                .clone()
-                .then(Strategy::leaf(next))
-                .expect("an IdSet's ids are distinct");
-            let par = es
-                .clone()
-                .race(Strategy::leaf(next))
-                .expect("an IdSet's ids are distinct");
-            let seq_qos = self.est(via, &seq, env)?;
-            let par_qos = self.est(via, &par, env)?;
-            let seq_u = self.utility.utility(&seq_qos, req);
-            let par_u = self.utility.utility(&par_qos, req);
-            seen += 2;
-            // Paper, Algorithm 2 line 8: strict '>' — ties go parallel.
-            (es, qos, utility) = if seq_u > par_u {
-                (seq, seq_qos, seq_u)
-            } else {
-                (par, par_qos, par_u)
-            };
-        }
-        Ok((es, qos, utility, seen, 0))
     }
 
     /// The predefined fail-over pattern over `ids`, ordered by individual
@@ -913,21 +864,59 @@ impl Search {
 /// estimated and how many skipped by bound.
 pub(crate) type Found = (Strategy, Qos, f64, u64, u64);
 
-/// Deterministic tie-break for equal utilities: lower cost, then lower
-/// latency, then the lexicographically smaller rendering.
+/// The candidate order every search ranks by, short of its last key:
+/// whether a candidate of utility `u` and estimate `qos` outranks one of
+/// `cur_u` and `cur_qos` — higher utility, then lower cost, then lower
+/// latency — or `None` on a full tie, which the smaller rendering settles.
+/// The caller renders, so only a tie is rendered.
 ///
-/// Together with the utility this is a *strict total order* on distinct
-/// canonical strategies (the rendering is injective), which is what lets
-/// the parallel engine in [`crate::synth`] merge per-worker maxima in any
+/// With the rendering this is a *strict total order* on distinct canonical
+/// strategies (the rendering is injective), which is what lets the
+/// parallel engine in [`crate::synth`] merge per-worker maxima in any
 /// order and still reproduce the sequential scan's winner.
-pub(crate) fn better_tiebreak(s: &Strategy, qos: &Qos, cur_s: &Strategy, cur_qos: &Qos) -> bool {
+pub(crate) fn outranks(u: f64, qos: &Qos, cur_u: f64, cur_qos: &Qos) -> Option<bool> {
+    if u != cur_u {
+        return Some(u > cur_u);
+    }
     if qos.cost != cur_qos.cost {
-        return qos.cost < cur_qos.cost;
+        return Some(qos.cost < cur_qos.cost);
     }
     if qos.latency != cur_qos.latency {
-        return qos.latency < cur_qos.latency;
+        return Some(qos.latency < cur_qos.latency);
     }
-    s.to_string() < cur_s.to_string()
+    None
+}
+
+/// A candidate of the beam or the generic scan with its estimate and
+/// utility. Its rendering, the order's last key, is made once, the first
+/// time a full tie asks for it.
+#[derive(Debug, Clone)]
+pub(crate) struct Scored {
+    pub(crate) strategy: Strategy,
+    pub(crate) qos: Qos,
+    pub(crate) utility: f64,
+    text: OnceCell<String>,
+}
+
+impl Scored {
+    pub(crate) fn new(strategy: Strategy, qos: Qos, utility: f64) -> Self {
+        Scored {
+            strategy,
+            qos,
+            utility,
+            text: OnceCell::new(),
+        }
+    }
+
+    /// Whether `self` comes before `other` in the candidate order.
+    pub(crate) fn outranks(&self, other: &Scored) -> bool {
+        outranks(self.utility, &self.qos, other.utility, &other.qos)
+            .unwrap_or_else(|| self.rendering() < other.rendering())
+    }
+
+    fn rendering(&self) -> &str {
+        self.text.get_or_init(|| self.strategy.to_string())
+    }
 }
 
 #[cfg(test)]
@@ -949,6 +938,17 @@ mod tests {
 
     fn req() -> Requirements {
         Requirements::new(100.0, 100.0, 0.97).unwrap()
+    }
+
+    /// The fire-detection environment with two more equivalents: one past
+    /// `θ` = 6.
+    fn env7() -> EnvQos {
+        let mut env = env5();
+        env.extend([
+            Qos::new(300.0, 300.0, 0.8).unwrap(),
+            Qos::new(350.0, 350.0, 0.9).unwrap(),
+        ]);
+        env
     }
 
     #[test]
@@ -1024,20 +1024,16 @@ mod tests {
         assert!(approx.utility >= fo.utility.min(sp.utility) - 1e-12);
     }
 
+    /// `θ` is 6: six ids are searched exhaustively, seven approximately.
     #[test]
     fn generate_switches_on_threshold() {
-        let gen = Generator::builder().threshold(3).build();
-        let env = env5();
-        let small: Vec<MsId> = (0..3).map(MsId).collect();
-        let large: Vec<MsId> = (0..5).map(MsId).collect();
-        assert_eq!(
-            gen.generate(&env, &small, &req()).unwrap().method,
-            Method::Exhaustive
-        );
-        assert_eq!(
-            gen.generate(&env, &large, &req()).unwrap().method,
-            Method::Approximation
-        );
+        let gen = Generator::default();
+        let env = env7();
+        let six: Vec<MsId> = (0..6).map(MsId).collect();
+        let six = gen.generate(&env, &six, &req()).unwrap();
+        assert_eq!((six.method, six.evaluated), (Method::Exhaustive, 51_303));
+        let seven = gen.generate(&env, &env.ids(), &req()).unwrap();
+        assert_eq!((seven.method, seven.evaluated), (Method::Approximation, 13));
     }
 
     #[test]
@@ -1262,16 +1258,27 @@ mod tests {
     #[test]
     fn generate_with_reproduces_every_backend() {
         use crate::backend::BackendChoice;
-        let gen = Generator::builder().threshold(3).build();
+        let gen = Generator::default();
+        let r = req();
+        // Threshold follows the paper rule: M = 7 > θ = 6 ⇒ greedy, and
+        // M = 6 ⇒ exhaustive.
+        let env = env7();
+        let out = gen
+            .generate_with(BackendChoice::Threshold, &env, &env.ids(), &r)
+            .unwrap();
+        assert_eq!(out, gen.generate(&env, &env.ids(), &r).unwrap());
+        assert_eq!(out, gen.approximation(&env, &env.ids(), &r).unwrap());
+        assert_eq!(out.method, Method::Approximation);
+        let six: Vec<MsId> = (0..6).map(MsId).collect();
+        let out = gen
+            .generate_with(BackendChoice::Threshold, &env, &six, &r)
+            .unwrap();
+        assert_eq!(out, gen.exhaustive(&env, &six, &r).unwrap());
+        assert_eq!(out.method, Method::Exhaustive);
+
+        // Each backend choice forces its side at any M.
         let env = env5();
         let ids = env.ids();
-        let r = req();
-        // Threshold follows the paper rule (M=5 > θ=3 ⇒ greedy).
-        let out = gen
-            .generate_with(BackendChoice::Threshold, &env, &ids, &r)
-            .unwrap();
-        assert_eq!(out, gen.generate(&env, &ids, &r).unwrap());
-        assert_eq!(out.method, Method::Approximation);
         let exact = gen
             .generate_with(BackendChoice::Exhaustive, &env, &ids, &r)
             .unwrap();
@@ -1935,22 +1942,23 @@ mod engine_equivalence_tests {
         assert_eq!(single.strategy, Strategy::leaf(MsId(1)));
     }
 
-    /// The builder's knobs round-trip, and untouched knobs keep their
-    /// defaults.
+    /// The builder's knobs round-trip, untouched knobs keep their
+    /// defaults, and none of them moves `θ` = 6.
     #[test]
     fn builder_configures_and_keeps_defaults() {
         let gen = Generator::builder()
             .utility(UtilityIndex::default())
-            .threshold(4)
             .parallelism(8)
             .pruning(false)
             .build();
-        assert_eq!(gen.threshold(), 4);
         assert_eq!(gen.parallelism(), 8);
         assert!(!gen.pruning());
         assert_eq!(gen.estimator().name(), "algorithm1");
-        let defaults = Generator::builder().threshold(4).build();
-        assert_eq!(defaults.threshold(), 4);
+        let env = EnvQos::from_triples(&[(50.0, 50.0, 0.6); 7]).unwrap();
+        let r = Requirements::new(100.0, 100.0, 0.97).unwrap();
+        let seven = gen.generate(&env, &env.ids(), &r).unwrap();
+        assert_eq!(seven.method, Method::Approximation, "M = 7 > θ");
+        let defaults = Generator::builder().build();
         assert_eq!(defaults.parallelism(), 0, "default: auto");
         assert!(
             defaults.workers >= 1,

@@ -52,8 +52,9 @@
 //!   per first-block choice, then the par-rooted family, last so that its
 //!   rows meet a bar the chains have raised); workers claim jobs off an
 //!   atomic counter. The per-candidate
-//!   tie-break (utility, then cost, then latency, then the rendering's
-//!   bytes — compared only on a full tie, in a reused buffer) is a strict
+//!   order (utility, then cost, then latency — `generate::outranks`, which
+//!   every search shares — then the rendering's bytes, compared only on a
+//!   full tie, in a reused buffer) is a strict
 //!   total order, so the merged winner is independent of worker count and
 //!   scheduling, and of the order rows are visited in.
 //!
@@ -70,7 +71,7 @@ use crate::enumerate::{submasks, Counts, EnumCtx, Mask, MAX_COUNT_M};
 use crate::error::GenerateError;
 use crate::estimate::{estimate_from_timelines, timelines, walk, Timeline};
 use crate::expr::{render_into, Node, Strategy};
-use crate::generate::IdSet;
+use crate::generate::{outranks, IdSet};
 use crate::qos::{EnvQos, MsId, Qos, Reliability, Requirements};
 use crate::utility::UtilityIndex;
 
@@ -755,24 +756,6 @@ struct Cand {
     utility: f64,
 }
 
-/// Whether a candidate of utility `u` and estimate `qos` outranks `cur` —
-/// higher utility, then lower cost, then lower latency — or `None` on a
-/// full tie, which the smaller rendering wins. The same strict total order
-/// as the generic scan's, with the rendering left to the caller so that it
-/// is only produced when it decides.
-fn outranks(u: f64, qos: &Qos, cur: &Cand) -> Option<bool> {
-    if u != cur.utility {
-        return Some(u > cur.utility);
-    }
-    if qos.cost != cur.qos.cost {
-        return Some(qos.cost < cur.qos.cost);
-    }
-    if qos.latency != cur.qos.latency {
-        return Some(qos.latency < cur.qos.latency);
-    }
-    None
-}
-
 /// Runs the search and returns the utility-maximal strategy under the
 /// deterministic tie-break of the sequential exhaustive path.
 ///
@@ -851,7 +834,8 @@ pub(crate) fn search(spec: &SearchSpec<'_>) -> Result<SearchOutcome, GenerateErr
         pruned += job_pruned;
         if let Some(c) = cand {
             let replace = best.as_ref().is_none_or(|cur| {
-                outranks(c.utility, &c.qos, cur).unwrap_or_else(|| c.text < cur.text)
+                outranks(c.utility, &c.qos, cur.utility, &cur.qos)
+                    .unwrap_or_else(|| c.text < cur.text)
             });
             if replace {
                 best = Some(c);
@@ -1359,7 +1343,7 @@ impl<'a> JobRunner<'a> {
             return;
         }
         if let Some(cur) = &self.best {
-            let wins = outranks(u, &qos, cur).unwrap_or_else(|| {
+            let wins = outranks(u, &qos, cur.utility, &cur.qos).unwrap_or_else(|| {
                 fixed.render(last, &mut self.rendering);
                 self.rendering < cur.text
             });

@@ -514,7 +514,6 @@ fn run(command: &str, expr: Option<&str>, options: &Options) -> Result<(), Strin
             let ui = UtilityIndex::new(options.k).map_err(|e| e.to_string())?;
             let generator = Generator::builder()
                 .utility(ui)
-                .threshold(6)
                 .parallelism(options.parallelism)
                 .pruning(options.pruning)
                 .build();
