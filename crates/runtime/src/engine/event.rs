@@ -84,7 +84,20 @@ pub(crate) type PanicPayload = Box<dyn Any + Send + 'static>;
 /// Per-request completion callback, run by the driver outside the core
 /// lock once the request resolves. It returns the wake-up it owes a thread
 /// parked on the result, if one is; the driver sends it (see [`Wakes`]).
-pub(crate) type DoneFn<'env> = Box<dyn FnOnce(RequestResult) -> Option<Waker> + Send + 'env>;
+/// A closure is one; a type of the embedder's can be one too, and then the
+/// box its task ran in can carry the request on (the gateway's `Flight`).
+pub(crate) trait OnDone: Send {
+    fn done(self: Box<Self>, result: RequestResult) -> Option<Waker>;
+}
+
+impl<F: FnOnce(RequestResult) -> Option<Waker> + Send> OnDone for F {
+    fn done(self: Box<Self>, result: RequestResult) -> Option<Waker> {
+        (*self)(result)
+    }
+}
+
+/// A boxed [`OnDone`].
+pub(crate) type DoneFn<'env> = Box<dyn OnDone + 'env>;
 
 /// Where a resolved request's [`RequestResult`] goes.
 pub(crate) enum Done<'env> {
@@ -97,8 +110,21 @@ pub(crate) enum Done<'env> {
 }
 
 /// An embedder thunk queued on the core (admission grants, queue-deadline
-/// cancellations). Runs on the driver thread, outside the core lock.
-pub(crate) type TaskFn<'env> = Box<dyn FnOnce() + Send + 'env>;
+/// cancellations). Runs on the driver thread, outside the core lock. A
+/// closure is one; so is the gateway's `Flight`, which is also its
+/// request's [`OnDone`].
+pub(crate) trait Task: Send {
+    fn run(self: Box<Self>);
+}
+
+impl<F: FnOnce() + Send> Task for F {
+    fn run(self: Box<Self>) {
+        (*self)();
+    }
+}
+
+/// A boxed [`Task`].
+pub(crate) type TaskFn<'env> = Box<dyn Task + 'env>;
 
 /// Either a borrow (scoped execution) or shared ownership (engine /
 /// gateway execution) of one piece of request state. Lets one state
@@ -851,13 +877,29 @@ impl<E: Clone> Agenda<E> {
     }
 }
 
-/// Everything processing defers to after the core lock is released.
+/// Entries a drained [`Deferred`] list keeps room for. A turn defers one
+/// task, the resolves of the requests its event finishes and the blocking
+/// legs it starts, so a few entries are the common case; a list a shutdown
+/// or a wide fan-out grew past this gives the excess back.
+const DEFERRED_KEPT: usize = 16;
+
+/// Everything processing defers to after the core lock is released. The
+/// thread stepping the core keeps one beside its [`Wakes`], and
+/// [`EventCore::flush`] drains it, so a turn does not allocate its lists
+/// again.
 #[derive(Default)]
 struct Deferred<'env> {
     spawns: Vec<BlockingTask>,
     dones: Vec<(DoneFn<'env>, RequestResult)>,
     tasks: Vec<TaskFn<'env>>,
     release_slots: usize,
+}
+
+/// Gives back the room of a drained `list` beyond [`DEFERRED_KEPT`].
+fn trim<T>(list: &mut Vec<T>) {
+    if list.capacity() > DEFERRED_KEPT {
+        list.shrink_to(DEFERRED_KEPT);
+    }
 }
 
 /// The wake-ups a driver's resolves owe threads parked on their results,
@@ -1070,7 +1112,7 @@ impl<'env> EventCore<'env> {
             self.hold(state.agenda.rouse())
         };
         // A request resolved here, off any driver's turn, wakes at once.
-        self.flush(deferred, spawn, None);
+        self.flush(&mut deferred, spawn, None);
         self.fire(effect);
         req
     }
@@ -1086,8 +1128,8 @@ impl<'env> EventCore<'env> {
     ) -> Option<RequestResult> {
         let resolved =
             |state: &CoreState<'env>| !matches!(state.requests.get(req), Some(Entry::Running(_)));
-        let mut wakes = Wakes::default();
-        while self.step(spawn, &resolved, &mut wakes) {}
+        let (mut wakes, mut deferred) = (Wakes::default(), Deferred::default());
+        while self.step(spawn, &resolved, &mut wakes, &mut deferred) {}
         match self.state.lock().requests.remove(req) {
             Some(Entry::Parked(result)) => Some(result),
             _ => None,
@@ -1098,8 +1140,8 @@ impl<'env> EventCore<'env> {
     /// the gateway's event-loop thread body; the wake-ups it still holds
     /// go out as it returns.
     pub(crate) fn run_loop(&self, spawn: &dyn Fn(BlockingTask)) {
-        let mut wakes = Wakes::default();
-        while self.step(spawn, &|_| false, &mut wakes) {}
+        let (mut wakes, mut deferred) = (Wakes::default(), Deferred::default());
+        while self.step(spawn, &|_| false, &mut wakes, &mut deferred) {}
     }
 
     /// Queues an embedder thunk on the ready queue.
@@ -1151,7 +1193,11 @@ impl<'env> EventCore<'env> {
         };
         let orphans = drained.iter().filter(|event| event.orphan_slot());
         deferred.release_slots += orphans.count();
-        self.flush(deferred, &|_| unreachable!("shutdown starts no leg"), None);
+        self.flush(
+            &mut deferred,
+            &|_| unreachable!("shutdown starts no leg"),
+            None,
+        );
         self.fire(effect);
     }
 
@@ -1214,12 +1260,15 @@ impl<'env> EventCore<'env> {
     /// a failure halts the walk first, as Algorithm 1's `e ≤ s` and the
     /// simulator have it.
     /// The wake-ups the iteration's resolves owe join `wakes`, sent before
-    /// the wait and at the first iteration its instant is over.
+    /// the wait and at the first iteration its instant is over; what it
+    /// defers past the lock goes through the `deferred` lists its thread
+    /// keeps.
     fn step(
         &self,
         spawn: &dyn Fn(BlockingTask),
         stop: &dyn Fn(&CoreState<'env>) -> bool,
         wakes: &mut Wakes,
+        deferred: &mut Deferred<'env>,
     ) -> bool {
         if wakes.overdue(self.clock().now()) {
             wakes.send();
@@ -1231,15 +1280,14 @@ impl<'env> EventCore<'env> {
             }
             match state.agenda.turn(self.clock().now(), wakes) {
                 Turn::Run(event, due) => {
-                    let mut deferred = Deferred::default();
                     state.holding = due;
                     match event {
                         Event::Task(task) => deferred.tasks.push(task),
-                        Event::Leaf(leaf) => self.process_leaf(&mut state, &mut deferred, leaf),
+                        Event::Leaf(leaf) => self.process_leaf(&mut state, deferred, leaf),
                     }
                     state.holding = false;
                     if !due {
-                        self.advance_held(&mut state, &mut deferred);
+                        self.advance_held(&mut state, deferred);
                     }
                     drop(state);
                     self.flush(deferred, spawn, Some(wakes));
@@ -1257,22 +1305,23 @@ impl<'env> EventCore<'env> {
         true
     }
 
-    /// Runs what processing deferred. A wake-up a `done` callback returns
-    /// joins `wakes`, or is sent at once without one.
+    /// Runs what processing deferred, draining `deferred` for its next
+    /// use. A wake-up a `done` callback returns joins `wakes`, or is sent
+    /// at once without one.
     fn flush(
         &self,
-        deferred: Deferred<'env>,
+        deferred: &mut Deferred<'env>,
         spawn: &dyn Fn(BlockingTask),
         mut wakes: Option<&mut Wakes>,
     ) {
         // Orphan slots are released only after processing (and after any
         // new reservations processing made), so virtual time never runs
         // ahead of a completion the driver has not finished accounting.
-        for _ in 0..deferred.release_slots {
+        for _ in 0..std::mem::take(&mut deferred.release_slots) {
             self.clock().release_worker();
         }
-        for (done, result) in deferred.dones {
-            let Some(waiter) = done(result) else {
+        for (done, result) in deferred.dones.drain(..) {
+            let Some(waiter) = done.done(result) else {
                 continue;
             };
             self.waiter_wakes.fetch_add(1, Ordering::Relaxed);
@@ -1281,12 +1330,15 @@ impl<'env> EventCore<'env> {
                 None => waiter.wake(),
             }
         }
-        for task in deferred.tasks {
-            task();
+        for task in deferred.tasks.drain(..) {
+            task.run();
         }
-        for task in deferred.spawns {
+        for task in deferred.spawns.drain(..) {
             spawn(task);
         }
+        trim(&mut deferred.dones);
+        trim(&mut deferred.tasks);
+        trim(&mut deferred.spawns);
     }
 
     /// Completes one leaf: records the invocation exactly as the old
@@ -1721,7 +1773,7 @@ mod tests {
             budget: Budget::unlimited(),
             policy: PolicyState::new(CompletionPolicy::FirstSuccess),
             record_invocations: false,
-            done: Done::Call(Box::new(move |result| {
+            done: Done::Call(Box::new(move |result: RequestResult| {
                 log.lock().push((name, format!("{result:?}")));
                 None
             })),
@@ -1752,7 +1804,12 @@ mod tests {
         let second = core.submit(spec("second", &slow), &no_spawn);
         assert_eq!((first.index, second.index), (0, 1));
         // One driver step completes the zero-latency leaf; its slot frees.
-        assert!(core.step(&no_spawn, &|_| false, &mut Wakes::default()));
+        assert!(core.step(
+            &no_spawn,
+            &|_| false,
+            &mut Wakes::default(),
+            &mut Deferred::default()
+        ));
         assert_eq!(log.lock().len(), 1);
         assert_eq!(core.stats().in_flight, 1);
         let third = core.submit(spec("third", &slow), &no_spawn);
@@ -1802,7 +1859,12 @@ mod tests {
             result: LeafOutcome::Completed(Ok(vec![1]), 0.0),
             orphan_slot: false,
         }));
-        assert!(core.step(&no_spawn, &|_| false, &mut Wakes::default()));
+        assert!(core.step(
+            &no_spawn,
+            &|_| false,
+            &mut Wakes::default(),
+            &mut Deferred::default()
+        ));
         assert!(
             log.lock().is_empty(),
             "the stale completion resolved nothing"
@@ -1849,7 +1911,7 @@ mod tests {
             record_invocations: false,
             done: Done::Call(Box::new({
                 let woken = Arc::clone(&woken);
-                move |_| Some(Waker::from(woken))
+                move |_: RequestResult| Some(Waker::from(woken))
             })),
         };
         let no_spawn = |_: BlockingTask| unreachable!("every leaf is timed");
@@ -1860,7 +1922,8 @@ mod tests {
             core.submit(spec(providers), &no_spawn);
         }
         let mut wakes = Wakes::default();
-        let step = |wakes: &mut Wakes| core.step(&no_spawn, &|_| false, wakes);
+        let step =
+            |wakes: &mut Wakes| core.step(&no_spawn, &|_| false, wakes, &mut Deferred::default());
         assert!(step(&mut wakes), "idles to the first timer");
         assert_eq!(clock.now(), ms(1));
         for _ in 0..3 {
@@ -1872,14 +1935,14 @@ mod tests {
         assert!(step(&mut wakes));
         assert_eq!((sent(), core.stats().waiter_wakes), (3, 4), "held");
         clock.advance(ms(1));
-        assert!(!core.step(&no_spawn, &|_| true, &mut wakes));
+        assert!(!core.step(&no_spawn, &|_| true, &mut wakes, &mut Deferred::default()));
         assert_eq!(sent(), 4, "sent first thing once the clock moved on");
 
         // And on the way out, whatever is still held.
         core.submit(spec(&soon), &no_spawn);
         let mut wakes = Wakes::default();
-        assert!(core.step(&no_spawn, &|_| false, &mut wakes));
-        assert!(core.step(&no_spawn, &|_| false, &mut wakes));
+        assert!(core.step(&no_spawn, &|_| false, &mut wakes, &mut Deferred::default()));
+        assert!(core.step(&no_spawn, &|_| false, &mut wakes, &mut Deferred::default()));
         assert_eq!(sent(), 4);
         drop(wakes);
         assert_eq!(sent(), 5);
@@ -1910,11 +1973,12 @@ mod tests {
             schedule(ms(10));
             scope.spawn(|| {
                 let _driver = WorkerGuard::enter(&clock);
-                let mut wakes = Wakes::default();
+                let (mut wakes, mut deferred) = (Wakes::default(), Deferred::default());
                 while core.step(
                     &no_spawn,
                     &|state| state.agenda.timers.is_empty(),
                     &mut wakes,
+                    &mut deferred,
                 ) {}
             });
             while parker.parked() == 0 {

@@ -210,8 +210,20 @@ pub(super) enum AdmitOutcome {
 }
 
 /// Continuation of a queued ticket, always invoked after the gate lock is
-/// released.
-pub(super) type WakerFn = Box<dyn FnOnce(AdmitOutcome) + Send>;
+/// released. A closure is one; so is an asynchronous request's `Flight`,
+/// which carries the request on in the same box.
+pub(super) trait OnAdmit: Send {
+    fn fire(self: Box<Self>, outcome: AdmitOutcome);
+}
+
+impl<F: FnOnce(AdmitOutcome) + Send> OnAdmit for F {
+    fn fire(self: Box<Self>, outcome: AdmitOutcome) {
+        (*self)(outcome);
+    }
+}
+
+/// A boxed [`OnAdmit`].
+pub(super) type WakerFn = Box<dyn OnAdmit>;
 
 /// Where the gate reports a queue's depth after a step changed it:
 /// `(class, class depth, total depth)`.
@@ -285,7 +297,7 @@ impl AdmissionGate {
     ) -> Admission<V, P> {
         let (admission, preempted) = self.step(|policy| policy.arrive(class, waiter, enqueue));
         if let Some((waker, occupancy)) = preempted {
-            waker(AdmitOutcome::Shed(occupancy));
+            waker.fire(AdmitOutcome::Shed(occupancy));
         }
         admission
     }
@@ -298,7 +310,8 @@ impl AdmissionGate {
         // (its only receiver) parks on it.
         let enqueue = |()| {
             let (fill, parked) = mpsc::sync_channel(1);
-            let waker: WakerFn = Box::new(move |outcome| fill.send(outcome).unwrap_or_default());
+            let waker: WakerFn =
+                Box::new(move |outcome: AdmitOutcome| fill.send(outcome).unwrap_or_default());
             (waker, parked)
         };
         let parked = match self.admit(class, (), enqueue) {
@@ -315,7 +328,7 @@ impl AdmissionGate {
     /// had its waker fired, or is about to: nothing happens then.
     pub(super) fn cancel_ticket(&self, class: QosClass, ticket: u64) {
         if let Some(waker) = self.step(|policy| policy.expire(class, ticket)) {
-            waker(AdmitOutcome::Expired);
+            waker.fire(AdmitOutcome::Expired);
         }
     }
 
@@ -323,7 +336,7 @@ impl AdmissionGate {
     /// closing gateway leaves no waiter pending forever.
     pub(super) fn shutdown(&self) {
         for waker in self.step(GatePolicy::shutdown) {
-            waker(AdmitOutcome::Shutdown);
+            waker.fire(AdmitOutcome::Shutdown);
         }
     }
 
@@ -349,7 +362,7 @@ pub(super) struct AdmissionPermit {
 impl Drop for AdmissionPermit {
     fn drop(&mut self) {
         if let Some(waker) = self.gate.step(GatePolicy::finish) {
-            waker(AdmitOutcome::Granted);
+            waker.fire(AdmitOutcome::Granted);
         }
     }
 }
@@ -487,7 +500,7 @@ mod tests {
                 scope.spawn(move || {
                     for _ in 0..rounds {
                         let fired = Arc::clone(&fired);
-                        let waker: WakerFn = Box::new(move |_| {
+                        let waker: WakerFn = Box::new(move |_: AdmitOutcome| {
                             fired.fetch_add(1, Ordering::SeqCst);
                         });
                         match gate.admit(QosClass::Scavenger, waker, |w| (w, ())) {
@@ -498,7 +511,7 @@ mod tests {
                             Admission::Admitted(_) => {
                                 panic!("the slot is held for the whole race")
                             }
-                            Admission::Shed(_, waker) => waker(AdmitOutcome::Shutdown),
+                            Admission::Shed(_, waker) => waker.fire(AdmitOutcome::Shutdown),
                         }
                     }
                 })
@@ -510,7 +523,7 @@ mod tests {
                 scope.spawn(move || {
                     for _ in 0..rounds {
                         let fired = Arc::clone(&fired);
-                        let waker: WakerFn = Box::new(move |_| {
+                        let waker: WakerFn = Box::new(move |_: AdmitOutcome| {
                             fired.fetch_add(1, Ordering::SeqCst);
                         });
                         match gate.admit(QosClass::Critical, waker, |w| (w, ())) {
@@ -520,7 +533,7 @@ mod tests {
                             Admission::Admitted(_) => {
                                 panic!("the slot is held for the whole race")
                             }
-                            Admission::Shed(_, waker) => waker(AdmitOutcome::Shutdown),
+                            Admission::Shed(_, waker) => waker.fire(AdmitOutcome::Shutdown),
                         }
                     }
                 })

@@ -1,6 +1,7 @@
 //! The asynchronous side of a request: the [`RequestHandle`] a submitter
 //! holds, the [`HandleState`] machine it waits on and the shell the event
-//! loop resolves it through.
+//! loop resolves it through, with the request's own `Flight` as the
+//! result.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex as StdMutex, MutexGuard, PoisonError};
@@ -8,19 +9,18 @@ use std::task::{Wake, Waker};
 use std::thread::Thread;
 
 use crate::clock::Clock;
-use crate::engine::event::RequestResult;
-use crate::engine::EngineOutcome;
 use crate::message::RuntimeError;
 use crate::request::QosClass;
 
-use super::ServiceResponse;
+use super::{Flight, ServiceResponse};
 
 /// What an asynchronous request resolved to, kept in its handle until the
-/// submitter collects it: its response or error, or the panic of a
-/// provider or of its preparation, resumed on the collecting thread.
-// Boxed: a `ServiceResponse` dwarfs the panic payload, and the handle holds
-// the result until the submitter collects it.
-pub(super) type HandleResult = std::thread::Result<Box<Result<ServiceResponse, RuntimeError>>>;
+/// submitter collects it: the request's own [`Flight`], carrying its
+/// response or error, or the panic of a provider or of its preparation,
+/// resumed on the collecting thread. A box, not the result: the handle
+/// stays small, and the thread that collects the result frees the box it
+/// allocated.
+pub(super) type HandleResult = Box<Flight>;
 
 /// The thread parked in [`RequestHandle::wait`], and whether it went
 /// passive on the handle's clock to park.
@@ -137,7 +137,7 @@ impl HandleShared {
     }
 
     /// [`HandleState::resolve`], returning the wake-up it owes.
-    fn resolve(self: &Arc<Self>, result: HandleResult) -> Option<Waker> {
+    pub(super) fn resolve(self: &Arc<Self>, result: HandleResult) -> Option<Waker> {
         match self.lock().resolve(result) {
             Resolved::Ready => self.done.store(true, Ordering::Release),
             Resolved::Owed => return Some(Waker::from(Arc::clone(self))),
@@ -149,8 +149,8 @@ impl HandleShared {
     /// Takes the result out of a resolved handle, resuming a panic on the
     /// collecting thread.
     fn collect(&self) -> Result<ServiceResponse, RuntimeError> {
-        let result = self.lock().collect();
-        *result.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        let flight = self.lock().collect();
+        flight.into_result()
     }
 }
 
@@ -168,49 +168,6 @@ impl Wake for HandleShared {
         }
         self.done.store(true, Ordering::Release);
         waiter.thread.unpark();
-    }
-}
-
-/// Guards an asynchronous request's handle against being orphaned: drops
-/// on any path that forgets to resolve the handle (a continuation discarded
-/// by a shutting-down core, a panic between admission and submission) fail
-/// it with [`RuntimeError::Shutdown`] so [`RequestHandle::wait`] can never
-/// park forever. Resolving through the guard disarms it.
-pub(super) struct FinishGuard(Option<Arc<HandleShared>>);
-
-impl FinishGuard {
-    pub(super) fn new(shared: &Arc<HandleShared>) -> Self {
-        FinishGuard(Some(Arc::clone(shared)))
-    }
-
-    /// See [`HandleShared::finish`].
-    pub(super) fn finish(mut self, result: HandleResult) {
-        if let Some(shared) = self.0.take() {
-            shared.finish(result);
-        }
-    }
-
-    /// Resolves the handle with what the engine reported for its request
-    /// (`respond` assembles a finished one) and returns the wake-up owed to
-    /// its waiter, for the event loop to send at the end of the instant.
-    pub(super) fn resolve(
-        mut self,
-        result: RequestResult,
-        respond: impl FnOnce(EngineOutcome) -> ServiceResponse,
-    ) -> Option<Waker> {
-        self.0.take()?.resolve(match result {
-            RequestResult::Finished(outcome) => Ok(Box::new(Ok(respond(outcome)))),
-            RequestResult::Panicked(panic) => Err(panic),
-            RequestResult::Shutdown => Ok(Box::new(Err(RuntimeError::Shutdown))),
-        })
-    }
-}
-
-impl Drop for FinishGuard {
-    fn drop(&mut self) {
-        if let Some(shared) = self.0.take() {
-            shared.finish(Ok(Box::new(Err(RuntimeError::Shutdown))));
-        }
     }
 }
 
@@ -336,6 +293,14 @@ mod tests {
         }
     }
 
+    /// A flight on its way to resolving `shared`.
+    fn flight(shared: &Arc<HandleShared>) -> Box<Flight> {
+        Box::new(Flight {
+            handle: Some(Arc::clone(shared)),
+            stage: super::super::Stage::Moved,
+        })
+    }
+
     fn overloaded() -> RuntimeError {
         RuntimeError::Overloaded {
             service_id: "svc".into(),
@@ -357,7 +322,7 @@ mod tests {
     fn a_resolve_before_wait_is_collected_without_parking() {
         let shared = shared();
         let waiting = handle(&shared);
-        FinishGuard::new(&shared).finish(Ok(Box::new(Err(overloaded()))));
+        shared.finish(Flight::resolved(Err(overloaded())));
         assert!(shared.done.load(Ordering::Acquire), "nobody to wake");
         assert_eq!(waiting.wait(), Err(overloaded()));
         assert!(
@@ -374,8 +339,7 @@ mod tests {
         let waiting = handle(&shared);
         let waiter = std::thread::spawn(move || waiting.wait());
         await_parked(&shared);
-        let guard = FinishGuard::new(&shared);
-        let wake = guard.resolve(RequestResult::Shutdown, |_| unreachable!("not finished"));
+        let wake = shared.resolve(Flight::resolved(Err(RuntimeError::Shutdown)));
         let wake = wake.expect("a parked waiter is owed a wake");
         // The waiter returns only once `done` is set, which is the wake's.
         assert!(
@@ -390,11 +354,11 @@ mod tests {
     fn try_wait_returns_the_handle_until_resolved() {
         let shared = shared();
         let pending = handle(&shared).try_wait().expect_err("unresolved");
-        FinishGuard::new(&shared).finish(Ok(Box::new(Err(overloaded()))));
+        shared.finish(Flight::resolved(Err(overloaded())));
         assert_eq!(pending.try_wait().ok(), Some(Err(overloaded())));
     }
 
-    /// An orphaned guard's `Shutdown` races a real resolve with the waiter
+    /// An orphaned flight's `Shutdown` races a real resolve with the waiter
     /// parked: the first wins, and only its side holds a wake.
     #[test]
     fn a_guard_drop_racing_a_resolve_wakes_once_and_the_first_wins() {
@@ -405,20 +369,20 @@ mod tests {
             let waiter = std::thread::spawn(move || waiting.wait());
             await_parked(&shared);
             let start = Barrier::new(2);
-            let (resolved, orphan) = (FinishGuard::new(&shared), FinishGuard::new(&shared));
+            let (resolved, orphan) = (flight(&shared), flight(&shared));
             let wake = std::thread::scope(|scope| {
                 let dropper = scope.spawn(|| {
                     start.wait();
                     drop(orphan);
                 });
                 start.wait();
-                let wake = resolved.resolve(RequestResult::Shutdown, |_| unreachable!());
+                let wake = resolved.resolve(Ok(Err(RuntimeError::Shutdown)));
                 dropper.join().unwrap();
                 wake.map(|wake| (wake, shared.done.load(Ordering::Acquire)))
             });
             let outcome = match wake {
                 Some((wake, done)) => {
-                    assert!(!done, "the losing guard sent a wake too");
+                    assert!(!done, "the losing flight sent a wake too");
                     wake.wake();
                     won[0] += 1;
                     waiter.join().unwrap()

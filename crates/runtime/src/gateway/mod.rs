@@ -23,7 +23,8 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
+use std::task::Waker;
 use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
@@ -34,7 +35,7 @@ use crate::clock::{Clock, WallClock, WorkerGuard};
 use crate::collector::Collector;
 use crate::device::Provider;
 use crate::engine::event::{
-    BlockingTask, Done, EventCore, PanicPayload, RequestSpec, Shared, TaskFn,
+    BlockingTask, Done, EventCore, OnDone, PanicPayload, RequestResult, RequestSpec, Shared, Task,
 };
 use crate::engine::{
     Budget, Completion, EngineOutcome, EngineStats, PolicyState, PoolStats, PruneDetail,
@@ -47,9 +48,9 @@ use crate::registry::Registry;
 use crate::request::{QosClass, Request};
 use crate::telemetry::{EventKind, ServiceMetrics, Telemetry};
 
-use admission::{Admission, AdmissionGate, AdmitOutcome, Shed, WakerFn};
+use admission::{Admission, AdmissionGate, AdmissionPermit, AdmitOutcome, OnAdmit, Shed, WakerFn};
 use control::ServiceOverrides;
-use handle::{FinishGuard, HandleShared};
+use handle::HandleShared;
 use planning::{ServiceState, SlotShared};
 
 /// Capacity of a gateway's telemetry event ring.
@@ -289,13 +290,15 @@ pub struct SlotRecord {
     pub estimated: Option<Qos>,
 }
 
-/// One service's entry in the gateway: its state cell (`None` until the
-/// script has been fetched and validated), its admission gate, its live
-/// control-plane overrides, the eviction flag chained into every
+/// One service's entry in the gateway: its id, its state cell (`None`
+/// until the script has been fetched and validated), its admission gate,
+/// its live control-plane overrides, the eviction flag chained into every
 /// in-flight request's [`Budget`], and the handle on its telemetry
 /// counters. Each service has its own lock so one service's (potentially
 /// expensive) slot re-plan never blocks invocations of another.
 struct ServiceEntry {
+    /// The service id every request's [`RequestMeta`] shares.
+    id: Arc<str>,
     cell: Mutex<Option<ServiceState>>,
     gate: Arc<AdmissionGate>,
     overrides: Mutex<ServiceOverrides>,
@@ -309,7 +312,7 @@ struct ServiceEntry {
 /// no telemetry row.
 struct LazyMetrics {
     telemetry: Arc<Telemetry>,
-    service_id: String,
+    service_id: Arc<str>,
     cell: OnceLock<Arc<ServiceMetrics>>,
 }
 
@@ -321,10 +324,12 @@ impl LazyMetrics {
 }
 
 /// Who a request is, for every error and telemetry record on its path.
+/// The id is its service entry's: a request copies it only into the error
+/// or event that names it.
 #[derive(Clone)]
 struct RequestMeta {
     request_id: u64,
-    service_id: String,
+    service_id: Arc<str>,
     class: QosClass,
 }
 
@@ -332,7 +337,7 @@ impl RequestMeta {
     /// Records the request's deadline expiry.
     fn record_deadline_exceeded(&self, telemetry: &Telemetry) {
         telemetry.record(EventKind::DeadlineExceeded {
-            service: self.service_id.clone(),
+            service: self.service_id.to_string(),
             request_id: self.request_id,
             class: self.class,
         });
@@ -342,7 +347,7 @@ impl RequestMeta {
     fn deadline_exceeded(&self, telemetry: &Telemetry) -> RuntimeError {
         self.record_deadline_exceeded(telemetry);
         RuntimeError::DeadlineExceeded {
-            service_id: self.service_id.clone(),
+            service_id: self.service_id.to_string(),
             class: self.class,
         }
     }
@@ -354,13 +359,13 @@ impl RequestMeta {
             AdmitOutcome::Granted => Ok(()),
             AdmitOutcome::Shed(Shed { in_flight, queued }) => {
                 telemetry.record(EventKind::RequestShed {
-                    service: self.service_id.clone(),
+                    service: self.service_id.to_string(),
                     class: self.class,
                     in_flight,
                     queued,
                 });
                 Err(RuntimeError::Overloaded {
-                    service_id: self.service_id.clone(),
+                    service_id: self.service_id.to_string(),
                     class: self.class,
                     queue_depth: queued,
                 })
@@ -478,6 +483,183 @@ impl Reply {
             votes,
             pruned: outcome.pruned,
             prune_detail: outcome.prune_detail,
+        }
+    }
+}
+
+/// An asynchronous request's one allocation besides its handle, made by
+/// [`Gateway::submit_async`] and, once the request resolves, freed by the
+/// thread that collects the result. The same box is in turn the admission
+/// waker of a queued request, the continuation its event loop runs once it
+/// is admitted, the callback the engine resolves it through, and its
+/// result, which the handle keeps until the submitter collects it. A
+/// flight dropped unresolved (a continuation a shut-down core discards, a
+/// panic between admission and submission) fails its handle with
+/// [`RuntimeError::Shutdown`], so [`RequestHandle::wait`] can never park
+/// forever.
+struct Flight {
+    /// The handle it resolves; taken by the resolve, so the first one wins.
+    handle: Option<Arc<HandleShared>>,
+    stage: Stage,
+}
+
+/// Where a [`Flight`] is on its way.
+enum Stage {
+    /// Submitted: waits for admission, then for its loop's turn. Holds
+    /// the gateway weakly, so a queued request does not keep it alive.
+    Admitting {
+        gateway: Weak<Gateway>,
+        core: Arc<EventCore<'static>>,
+        telemetry: Arc<Telemetry>,
+        request: Resolved,
+        /// The deadline, anchored at submission.
+        deadline: Option<Duration>,
+    },
+    /// In the engine, holding its admission slot.
+    Running {
+        reply: Reply,
+        telemetry: Arc<Telemetry>,
+        permit: AdmissionPermit,
+    },
+    /// Its response or error, or the panic of a provider or of its
+    /// preparation, to be resumed on the collecting thread.
+    Resolved(std::thread::Result<Result<ServiceResponse, RuntimeError>>),
+    /// Between two stages.
+    Moved,
+}
+
+impl Flight {
+    /// A resolved flight that resolves no handle.
+    fn resolved(result: Result<ServiceResponse, RuntimeError>) -> Box<Flight> {
+        Box::new(Flight {
+            handle: None,
+            stage: Stage::Resolved(Ok(result)),
+        })
+    }
+
+    fn take(&mut self) -> Stage {
+        std::mem::replace(&mut self.stage, Stage::Moved)
+    }
+
+    /// Stores `result` and resolves the handle with this box, returning
+    /// the wake-up owed to a waiter parked on it.
+    fn resolve(
+        mut self: Box<Self>,
+        result: std::thread::Result<Result<ServiceResponse, RuntimeError>>,
+    ) -> Option<Waker> {
+        self.stage = Stage::Resolved(result);
+        let handle = self.handle.take()?;
+        handle.resolve(self)
+    }
+
+    /// [`Flight::resolve`], waking the waiter at once: for resolves that
+    /// do not run on an event loop's turn.
+    fn finish(self: Box<Self>, result: std::thread::Result<Result<ServiceResponse, RuntimeError>>) {
+        if let Some(waiter) = self.resolve(result) {
+            waiter.wake();
+        }
+    }
+
+    /// The result a resolved flight carries; a panic resumes here.
+    fn into_result(mut self: Box<Self>) -> Result<ServiceResponse, RuntimeError> {
+        match self.take() {
+            Stage::Resolved(result) => {
+                result.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            }
+            _ => unreachable!("a handle holds only resolved flights"),
+        }
+    }
+}
+
+impl OnAdmit for Flight {
+    /// However the request leaves admission: admitted, it goes to the
+    /// event loop; otherwise it resolves with the (recorded) error.
+    fn fire(self: Box<Self>, outcome: AdmitOutcome) {
+        let Stage::Admitting {
+            core,
+            telemetry,
+            request,
+            ..
+        } = &self.stage
+        else {
+            unreachable!("a flight leaves admission once, before it runs")
+        };
+        match request.meta.admitted(telemetry, outcome) {
+            Ok(()) => Arc::clone(core).post_task(self),
+            Err(error) => self.finish(Ok(Err(error))),
+        }
+    }
+}
+
+impl Task for Flight {
+    /// The admitted continuation, on an event-loop thread: prepares the
+    /// request and submits it to the engine with this box as its `done`,
+    /// or resolves it if it expired, failed or panicked on the way.
+    fn run(mut self: Box<Self>) {
+        let Stage::Admitting {
+            gateway,
+            telemetry,
+            request,
+            deadline,
+            ..
+        } = self.take()
+        else {
+            unreachable!("a flight runs once, once admitted")
+        };
+        let permit = request.entry.gate.permit();
+        let Some(gateway) = gateway.upgrade() else {
+            // The gateway is going.
+            return release_after(permit, || self.finish(Ok(Err(RuntimeError::Shutdown))));
+        };
+        let now = gateway.clock.now();
+        let result = match continued(now, deadline, request, |r| gateway.prepare(r)) {
+            Continued::Submitted((mut spec, reply)) => {
+                if let Some(abs) = deadline {
+                    spec.budget = spec.budget.with_deadline(abs);
+                }
+                self.stage = Stage::Running {
+                    reply,
+                    telemetry,
+                    permit,
+                };
+                // The waiter's wake goes back to the loop.
+                spec.done = Done::Call(self);
+                gateway.core.submit(spec, &*gateway.spawn);
+                return;
+            }
+            Continued::Expired(request) => Ok(Err(request.meta.deadline_exceeded(&telemetry))),
+            Continued::Failed(error) => Ok(Err(error)),
+            Continued::Panicked(panic) => Err(panic),
+        };
+        release_after(permit, || self.finish(result));
+    }
+}
+
+impl OnDone for Flight {
+    /// The engine's result: assembles the response, resolves the handle,
+    /// then frees the admission slot.
+    fn done(mut self: Box<Self>, result: RequestResult) -> Option<Waker> {
+        let Stage::Running {
+            reply,
+            telemetry,
+            permit,
+        } = self.take()
+        else {
+            unreachable!("only a running flight resolves through the engine")
+        };
+        let result = match result {
+            RequestResult::Finished(outcome) => Ok(Ok(reply.respond(&telemetry, outcome))),
+            RequestResult::Panicked(panic) => Err(panic),
+            RequestResult::Shutdown => Ok(Err(RuntimeError::Shutdown)),
+        };
+        release_after(permit, || self.resolve(result))
+    }
+}
+
+impl Drop for Flight {
+    fn drop(&mut self) {
+        if let Some(handle) = self.handle.take() {
+            handle.finish(Flight::resolved(Err(RuntimeError::Shutdown)));
         }
     }
 }
@@ -672,77 +854,34 @@ impl Gateway {
         self.ensure_loops()?;
         let meta = request.meta.clone();
         let entry = Arc::clone(&request.entry);
-        let abs_deadline = request.deadline.map(|d| self.clock.now().saturating_add(d));
+        let deadline = request.deadline.map(|d| self.clock.now().saturating_add(d));
         let shared = Arc::new(HandleShared::new(Arc::clone(&self.clock)));
-
-        // The admitted continuation, run on an event-loop thread. Its
-        // FinishGuard is captured (not created inside the body), so a task
-        // discarded unrun — e.g. posted to an already shut-down core —
-        // fails the handle instead of leaving its waiter parked forever.
-        let task: TaskFn<'static> = {
-            let gateway = Arc::downgrade(self);
-            let finish = FinishGuard::new(&shared);
-            Box::new(move || {
-                let permit = request.entry.gate.permit();
-                let Some(gateway) = gateway.upgrade() else {
-                    // The gateway is going: its guard resolves `Shutdown`.
-                    return release_after(permit, || drop(finish));
-                };
-                let now = gateway.clock.now();
-                let result = match continued(now, abs_deadline, request, |r| gateway.prepare(r)) {
-                    Continued::Submitted((mut spec, reply)) => {
-                        if let Some(abs) = abs_deadline {
-                            spec.budget = spec.budget.with_deadline(abs);
-                        }
-                        let telemetry = Arc::clone(&gateway.telemetry);
-                        // The waiter's wake goes back to the loop.
-                        spec.done = Done::Call(Box::new(move |result| {
-                            let respond = |outcome| reply.respond(&telemetry, outcome);
-                            release_after(permit, || finish.resolve(result, respond))
-                        }));
-                        gateway.core.submit(spec, &*gateway.spawn);
-                        return;
-                    }
-                    Continued::Expired(request) => {
-                        let expired = request.meta.deadline_exceeded(&gateway.telemetry);
-                        Ok(Box::new(Err(expired)))
-                    }
-                    Continued::Failed(error) => Ok(Box::new(Err(error))),
-                    Continued::Panicked(panic) => Err(panic),
-                };
-                release_after(permit, || finish.finish(result));
-            })
-        };
-
-        // The waiter owns the continuation and fires exactly once, however
-        // the request leaves admission.
-        let waiter = {
-            let telemetry = Arc::clone(&self.telemetry);
-            let core = Arc::clone(&self.core);
-            let shared = Arc::clone(&shared);
-            let meta = meta.clone();
-            move |outcome| match meta.admitted(&telemetry, outcome) {
-                Ok(()) => core.post_task(task),
-                // Dropping the unrun task fires its FinishGuard, whose
-                // late Shutdown loses to this result (first wins).
-                Err(error) => shared.finish(Ok(Box::new(Err(error)))),
-            }
-        };
-
-        let enqueue = |waiter| (Box::new(waiter) as WakerFn, ());
-        match entry.gate.admit(meta.class, waiter, enqueue) {
+        // The request's one allocation besides its handle: it waits in
+        // the gate, runs on the loop and resolves the handle (`Flight`).
+        let flight = Box::new(Flight {
+            handle: Some(Arc::clone(&shared)),
+            stage: Stage::Admitting {
+                gateway: Arc::downgrade(self),
+                core: Arc::clone(&self.core),
+                telemetry: Arc::clone(&self.telemetry),
+                request,
+                deadline,
+            },
+        });
+        let enqueue = |flight| (flight as WakerFn, ());
+        match entry.gate.admit(meta.class, flight, enqueue) {
             // The slot is counted; run the continuation on the event loop
             // exactly like a deferred grant.
-            Admission::Admitted(waiter) => waiter(AdmitOutcome::Granted),
+            Admission::Admitted(flight) => flight.fire(AdmitOutcome::Granted),
             Admission::Queued(ticket, ()) => {
-                if let Some(abs) = abs_deadline {
+                if let Some(abs) = deadline {
                     let cancel = move || entry.gate.cancel_ticket(meta.class, ticket);
                     self.core.schedule_task(abs, Box::new(cancel));
                 }
             }
-            // The handle is never returned, so the waiter (and the
-            // continuation inside it) is simply discarded.
-            Admission::Shed(shed, _waiter) => {
+            // The handle is never returned: nobody is owed its result.
+            Admission::Shed(shed, mut flight) => {
+                flight.handle = None;
                 meta.admitted(&self.telemetry, AdmitOutcome::Shed(shed))?;
             }
         }
@@ -782,20 +921,25 @@ impl Gateway {
             .or(overrides.deadline)
             .or(self.config.request_deadline)
             .or_else(|| class.default_deadline());
-        let meta = RequestMeta {
-            request_id,
-            service_id,
-            class,
-        };
         if deadline == Some(Duration::ZERO) {
+            let meta = RequestMeta {
+                request_id,
+                service_id: service_id.into(),
+                class,
+            };
             return Err(meta.deadline_exceeded(&self.telemetry));
         }
+        let entry = known.unwrap_or_else(|| self.service_entry(&service_id));
         Ok(Resolved {
             deadline,
             requirement: requirement.or(overrides.requirement),
             payload,
-            entry: known.unwrap_or_else(|| self.service_entry(&meta.service_id)),
-            meta,
+            meta: RequestMeta {
+                request_id,
+                service_id: Arc::clone(&entry.id),
+                class,
+            },
+            entry,
         })
     }
 
@@ -830,7 +974,7 @@ impl Gateway {
             sinks: Shared::Owned(Arc::clone(&plan.sinks)),
             request: Cow::Owned(Invocation::new(
                 meta.request_id,
-                meta.service_id.clone(),
+                String::from(&*meta.service_id),
                 request.payload,
             )),
             collector: Some(Shared::Owned(Arc::clone(&self.collector))),
@@ -935,9 +1079,10 @@ impl Gateway {
         let mut services = self.services.write();
         let config = &self.config;
         Arc::clone(services.entry(service_id.to_string()).or_insert_with(|| {
+            let id: Arc<str> = service_id.into();
             let metrics = Arc::new(LazyMetrics {
                 telemetry: Arc::clone(&self.telemetry),
-                service_id: service_id.to_string(),
+                service_id: Arc::clone(&id),
                 cell: OnceLock::new(),
             });
             let sink = Arc::clone(&metrics);
@@ -945,6 +1090,7 @@ impl Gateway {
                 sink.get().count_queue_depth(class, depth, total);
             });
             Arc::new(ServiceEntry {
+                id,
                 cell: Mutex::new(None),
                 gate: AdmissionGate::new(config.max_in_flight, config.admission_queue, depth_sink),
                 overrides: Mutex::new(ServiceOverrides::default()),

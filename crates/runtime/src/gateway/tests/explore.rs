@@ -388,7 +388,7 @@ impl Node {
     }
 
     /// `HandleShared::finish`, a resolve off a loop's turn (also what an
-    /// orphaned `FinishGuard` does): its wake goes at once.
+    /// orphaned `Flight`'s drop does): its wake goes at once.
     fn finish(&mut self, i: u8, outcome: Outcome) -> Result<(), String> {
         if self.resolve(i, outcome)? {
             self.wake(i)?;

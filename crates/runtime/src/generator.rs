@@ -74,9 +74,9 @@ pub fn env_drift(old: &EnvQos, new: &EnvQos, quantum: f64) -> f64 {
         match (old.get(id), new.get(id)) {
             (Some(a), Some(b)) => {
                 for (x, y) in [
-                    (a.cost, b.cost),
-                    (a.latency, b.latency),
-                    (a.reliability.value(), b.reliability.value()),
+                    (a.cost(), b.cost()),
+                    (a.latency(), b.latency()),
+                    (a.reliability().value(), b.reliability().value()),
                 ] {
                     if cell(x, quantum) != cell(y, quantum) {
                         differing += 1;

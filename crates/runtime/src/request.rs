@@ -96,14 +96,14 @@ impl QosClass {
     /// the identity, preserving pre-class behaviour.
     #[must_use]
     pub fn default_requirement(self, base: &Requirements) -> Requirements {
-        let reliability = base.reliability.percent() / 100.0;
+        let reliability = base.reliability().percent() / 100.0;
         let adjusted = match self {
             QosClass::Critical => reliability.max(0.99),
             QosClass::Interactive => reliability,
             QosClass::Bulk => reliability.min(0.9),
             QosClass::Scavenger => reliability.min(0.5),
         };
-        Requirements::new(base.cost, base.latency, adjusted)
+        Requirements::new(base.cost(), base.latency(), adjusted)
             .unwrap_or_else(|_| unreachable!("clamped reliability stays in [0, 1]"))
     }
 }

@@ -150,7 +150,8 @@ impl ServiceScript {
         UtilityIndex::new(self.penalty_k).map_err(invalid)?;
         self.requirements.validate().map_err(invalid)?;
         for prior in self.microservices.iter().map(|ms| ms.prior) {
-            Qos::new(prior.cost, prior.latency, prior.reliability.value()).map_err(invalid)?;
+            Qos::new(prior.cost(), prior.latency(), prior.reliability().value())
+                .map_err(invalid)?;
         }
         if self.slot_size == 0 {
             return Err(RuntimeError::InvalidScript {

@@ -47,7 +47,7 @@ use std::collections::HashSet;
 use crate::error::GenerateError;
 use crate::expr::{Node, Strategy};
 use crate::generate::{Found, Generator, Scored, Via};
-use crate::qos::{EnvQos, MsId, Requirements};
+use crate::qos::{EnvQos, MsId, Qos, Requirements};
 
 /// Appends every way of inserting leaf `x` into `node` to `out`. Three
 /// rewrite families, applied at each subtree position `p` (the root and,
@@ -140,12 +140,14 @@ fn insertions(node: &Node, x: MsId, out: &mut Vec<Node>) {
 
 impl Generator {
     /// The beam search at `width ≥ 1` over `order`, the ids ranked by
-    /// individual utility (best first), estimating the way `via` says.
-    /// Width 1 is Algorithm 2's approximation, lines 4–13.
+    /// individual utility (best first), estimating the way `via` says;
+    /// `best` is the first leaf's estimate, as [`Generator::ranked`] made
+    /// it. Width 1 is Algorithm 2's approximation, lines 4–13.
     pub(crate) fn beam_search(
         &self,
         via: Via,
         order: &[MsId],
+        best: Qos,
         env: &EnvQos,
         req: &Requirements,
         width: usize,
@@ -159,7 +161,13 @@ impl Generator {
         // candidate; the per-leaf sorting estimates are auxiliary and do
         // not count (see `SynthesisReport`).
         let mut evaluated: u64 = 1;
-        let mut slots: Vec<Scored> = vec![score(Strategy::leaf(order[0]))?];
+        // The best leaf's estimate is the one `ranked` sorted it by.
+        let first = Scored::new(
+            Strategy::leaf(order[0]),
+            best,
+            self.utility_index().utility(&best, req),
+        );
+        let mut slots: Vec<Scored> = vec![first];
         for &x in &order[1..] {
             // Tier 1: Algorithm 2's two root-level continuations of slot 1.
             let es = &slots[0].strategy;

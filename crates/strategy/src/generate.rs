@@ -496,16 +496,16 @@ impl Generator {
         let (strategy, qos, utility, seen, pruned) = match search {
             Search::Exhaustive => self.scan(env, ids, req)?,
             Search::Greedy | Search::Beam(_) => {
-                let order = self.ranked(Via::Estimator, env, ids, req)?;
+                let (order, best) = self.ranked(Via::Estimator, env, ids, req)?;
                 let width = if let Search::Beam(width) = search {
                     width
                 } else {
                     1
                 };
-                self.beam_search(Via::Estimator, &order, env, req, width)?
+                self.beam_search(Via::Estimator, &order, best, env, req, width)?
             }
             Search::Failover { ranked: true } => {
-                let order = self.ranked(Via::Estimator, env, ids, req)?;
+                let (order, _) = self.ranked(Via::Estimator, env, ids, req)?;
                 self.pattern(Via::Estimator, failover, &order, env, req)?
             }
             Search::Failover { ranked: false } => {
@@ -607,12 +607,12 @@ impl Generator {
         req: &Requirements,
     ) -> Result<f64, GenerateError> {
         let via = Via::Algorithm1;
-        let order = self.ranked(via, env, ids, req)?;
+        let (order, best) = self.ranked(via, env, ids, req)?;
         let mut bound = self.pattern(via, failover, &order, env, req)?.2;
         if ids.len() >= 2 {
             bound = bound.max(self.pattern(via, speculative_parallel, &ids, env, req)?.2);
         }
-        bound = bound.max(self.beam_search(via, &order, env, req, 1)?.2);
+        bound = bound.max(self.beam_search(via, &order, best, env, req, 1)?.2);
         Ok(bound)
     }
 
@@ -734,26 +734,31 @@ impl Generator {
 
     /// Sorts `ids` by individual (single-microservice) utility, best first —
     /// the `sortByUtility` step of Algorithm 2. Ties break on the id. `ids`
-    /// is vetted and `req` valid.
+    /// is vetted and `req` valid. Returns the order and the first leaf's
+    /// estimate, which the approximation's slot 1 starts from instead of
+    /// estimating that leaf again.
     pub(crate) fn ranked(
         &self,
         via: Via,
         env: &EnvQos,
         ids: IdSet<'_>,
         req: &Requirements,
-    ) -> Result<Vec<MsId>, GenerateError> {
-        let mut scored: Vec<(MsId, f64)> = ids
+    ) -> Result<(Vec<MsId>, Qos), GenerateError> {
+        let mut scored: Vec<(MsId, Qos, f64)> = ids
             .iter()
             .map(|&id| {
                 let qos = self.est(via, &Strategy::leaf(id), env)?;
-                Ok((id, self.utility.utility(&qos, req)))
+                Ok((id, qos, self.utility.utility(&qos, req)))
             })
             .collect::<Result<_, GenerateError>>()?;
         // `total_cmp`, not `partial_cmp`: validated requirements keep
         // utilities finite, but ranking must stay a total order even if a
         // custom estimator smuggles a NaN through.
-        scored.sort_by(|(id_a, u_a), (id_b, u_b)| u_b.total_cmp(u_a).then_with(|| id_a.cmp(id_b)));
-        Ok(scored.into_iter().map(|(id, _)| id).collect())
+        scored.sort_by(|(id_a, _, u_a), (id_b, _, u_b)| {
+            u_b.total_cmp(u_a).then_with(|| id_a.cmp(id_b))
+        });
+        let best = scored[0].1;
+        Ok((scored.into_iter().map(|(id, ..)| id).collect(), best))
     }
 }
 
@@ -1041,12 +1046,15 @@ mod tests {
         let gen = Generator::default();
         let env = env5();
         let ids = env.ids();
-        let order = gen
+        let (order, best) = gen
             .ranked(Via::Estimator, &env, IdSet::new(&ids).unwrap(), &req())
             .unwrap();
         // a dominates every other microservice here (cheapest, fastest; its
         // lower reliability costs less utility than the others' overruns).
         assert_eq!(order[0], MsId(0));
+        // The best leaf's estimate comes back with the order, for the
+        // approximation's slot 1.
+        assert_eq!(best, estimate(&Strategy::leaf(order[0]), &env).unwrap());
         let utilities: Vec<f64> = order
             .iter()
             .map(|&id| {
@@ -1308,7 +1316,7 @@ mod tests {
 
         // The entry points no `BackendChoice` names report what they ran:
         // the predefined chains are one estimate of the pattern itself.
-        let order = gen
+        let (order, _) = gen
             .ranked(Via::Estimator, &env, IdSet::new(&ids).unwrap(), &r)
             .unwrap();
         for (out, chain) in [
@@ -1901,7 +1909,7 @@ mod engine_equivalence_tests {
         assert_bit_identical(&truth, &out, "all-infeasible env");
         assert!(out.utility.is_finite());
         assert!(out.utility < 0.0, "everything violates the requirements");
-        let ranked = Generator::default()
+        let (ranked, _) = Generator::default()
             .ranked(
                 Via::Estimator,
                 &env,

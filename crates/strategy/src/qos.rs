@@ -235,6 +235,24 @@ impl Qos {
         })
     }
 
+    /// Average execution cost.
+    #[must_use]
+    pub fn cost(&self) -> f64 {
+        self.cost
+    }
+
+    /// Average execution latency.
+    #[must_use]
+    pub fn latency(&self) -> f64 {
+        self.latency
+    }
+
+    /// Probability of a successful execution.
+    #[must_use]
+    pub fn reliability(&self) -> Reliability {
+        self.reliability
+    }
+
     /// Returns the value of the given attribute, with reliability expressed
     /// as a probability in `[0, 1]`.
     #[must_use]
@@ -384,6 +402,24 @@ impl Requirements {
         };
         req.validate()?;
         Ok(req)
+    }
+
+    /// Maximum acceptable average cost (`Q_c`).
+    #[must_use]
+    pub fn cost(&self) -> f64 {
+        self.cost
+    }
+
+    /// Maximum acceptable average latency (`Q_l`).
+    #[must_use]
+    pub fn latency(&self) -> f64 {
+        self.latency
+    }
+
+    /// Minimum acceptable reliability (`Q_r`).
+    #[must_use]
+    pub fn reliability(&self) -> Reliability {
+        self.reliability
     }
 
     /// Re-checks the invariants [`Requirements::new`] establishes: cost and
