@@ -247,9 +247,11 @@ fn sequential_phase(requests: usize) -> Phase {
 /// clock-visibly blocked: a client the OS is slow to schedule can no
 /// longer start its request at a later virtual instant than its peers
 /// (which would stagger the phase and inflate the makespan). The engine
-/// runs the request inline on the already-registered thread, and the
-/// admission gate parks a registered waiter passively, so the extra
-/// registration composes with both the unbounded and bounded phases.
+/// runs the request inline on the already-registered thread, and a client
+/// queued at the admission gate waits passively on a handoff whose grant
+/// clears that mark before waking it (DESIGN §8), so the extra
+/// registration composes with both the unbounded and bounded phases, and
+/// time cannot jump past a granted client the OS has not yet run.
 fn concurrent_phase(clients: usize, config: GatewayConfig) -> Phase {
     let harness = rig(config);
     let barrier = Barrier::new(clients);

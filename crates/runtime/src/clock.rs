@@ -53,12 +53,13 @@
 //! that woke it.
 //!
 //! Registered workers must never block outside the clock's own waits
-//! without bracketing the wait in [`Clock::enter_passive`]/
-//! [`Clock::exit_passive`] (`passively` does), or virtual time stalls and
-//! every sleeper deadlocks. Use [`WorkerGuard`] rather than pairing
-//! reserve/adopt with disown/release by hand: it deregisters on drop, so a
-//! panicking provider cannot leak the worker count and hang every later
-//! sleeper.
+//! without a passive mark ([`Clock::enter_passive`]), or virtual time
+//! stalls and every sleeper deadlocks; whoever wakes such a waiter clears
+//! its mark first ([`Clock::exit_passive`]), or time can jump past it
+//! before it runs (the gateway's `Handoff`, DESIGN §8). Use [`WorkerGuard`]
+//! rather than pairing reserve/adopt with disown/release by hand: it
+//! deregisters on drop, so a panicking provider cannot leak the worker
+//! count and hang every later sleeper.
 //!
 //! An idle event-core driver is indistinguishable from a blocked thread,
 //! so if a finished blocking leg released its slot on exit, there would be
@@ -133,9 +134,9 @@ pub trait Clock: Send + Sync + fmt::Debug {
     /// *this* clock. Layers that may be entered by either registered or
     /// unregistered threads use this to compose: the engine skips its own
     /// registration for a caller that is already a worker, and the
-    /// gateway's admission gate marks a registered caller's queue wait
-    /// passive so it does not stall virtual time. Always `false` for
-    /// real-time clocks (registration is a no-op there).
+    /// gateway marks a registered caller's wait on a request or on
+    /// admission passive. Always `false` for real-time clocks
+    /// (registration is a no-op there).
     fn thread_is_worker(&self) -> bool {
         false
     }
@@ -345,19 +346,6 @@ impl Drop for WorkerGuard<'_> {
         self.clock.disown_worker();
         self.clock.release_worker();
     }
-}
-
-/// Runs `wait` — a block on something other than `clock` — with the
-/// calling thread marked passive if it is a registered worker of `clock`,
-/// so the wait does not stall the virtual time its own wake-up needs.
-pub(crate) fn passively<T>(clock: &dyn Clock, wait: impl FnOnce() -> T) -> T {
-    if !clock.thread_is_worker() {
-        return wait();
-    }
-    clock.enter_passive();
-    let out = wait();
-    clock.exit_passive();
-    out
 }
 
 /// Real time: `now` measures from construction, `sleep` really sleeps.

@@ -52,6 +52,12 @@ enum Op {
     Active,
     /// `VirtualClock::advance`, milliseconds.
     Advance(u64),
+    /// A wait outside the clock (the gateway's `Handoff::wait`): passive
+    /// if a worker, until a `Hand` sets the one foreign flag.
+    Await,
+    /// The wake of that wait: `go_active` for a passive waiter, then the
+    /// flag.
+    Hand,
 }
 use Op::*;
 
@@ -78,6 +84,8 @@ const POOL: &[&[Op]] = &[
     &[Enter, Passive, Active, Exit],
     &[Advance(5)],
     &[Advance(4), Advance(4)],
+    &[Enter, Await, Exit],
+    &[Enter, Hand, Sleep(5), Exit],
 ];
 
 /// A way to break the shell's discipline around unchanged transitions.
@@ -91,6 +99,9 @@ enum Mutant {
     /// A poster decides whether to notify from a count it read earlier,
     /// before it set the flag.
     StaleCount,
+    /// A `Hand` only sets the flag, and the woken waiter clears its own
+    /// passive mark once it runs.
+    WaiterClearsOwnMark,
 }
 
 /// The steps a `Post` is made of, in the shell's order or a mutant's.
@@ -121,6 +132,8 @@ enum Phase {
     Posting(u8, bool),
     /// ([`Mutant::CountAfterCheck`]) decided to park, not yet counted.
     Uncounted(Rec),
+    /// In an `Await`, until the foreign flag is set.
+    Awaiting,
     Parked {
         rec: Rec,
         woken: bool,
@@ -162,6 +175,8 @@ struct World {
     /// `A`, `B`, then each thread's own.
     parkers: Vec<Arc<Parker>>,
     flags: [bool; 2],
+    /// The foreign flag a `Hand` sets.
+    handed: bool,
     threads: Vec<Thread>,
     /// No program `advance`s: waits end at exactly their deadlines.
     exact: bool,
@@ -195,6 +210,7 @@ impl World {
             state: VcState::default(),
             parkers: (0..2 + programs.len()).map(|_| Arc::default()).collect(),
             flags: [false; 2],
+            handed: false,
             threads: programs
                 .iter()
                 .map(|&program| Thread {
@@ -237,6 +253,7 @@ impl World {
             },
             parkers,
             flags: self.flags,
+            handed: self.handed,
             threads: self.threads.clone(),
             exact: self.exact,
         }
@@ -251,7 +268,7 @@ impl World {
             state.workers as u64,
             state.parked as u64,
             state.worker_sleepers as u64,
-            u64::from(self.flags[A]) | u64::from(self.flags[B]) << 1,
+            u64::from(self.flags[A]) | u64::from(self.flags[B]) << 1 | u64::from(self.handed) << 2,
         ];
         key.extend(self.parkers.iter().map(|p| p.parked.load(Relaxed) as u64));
         for thread in &self.threads {
@@ -276,6 +293,7 @@ impl World {
                     key.push(3 + u64::from(woken));
                     key.extend(wait(rec));
                 }
+                Phase::Awaiting => key.push(5),
             }
         }
         key
@@ -298,6 +316,15 @@ impl World {
                 state.now
             ));
         }
+        let woken = |t: &Thread| t.is_worker && t.phase == Phase::Awaiting && self.handed;
+        if let Some(t) =
+            (self.threads.iter().position(woken)).filter(|_| state.now > before && !by_advance)
+        {
+            return Err(format!(
+                "time moved past a woken waiter: now {:?} before T{t} ran",
+                state.now
+            ));
+        }
         for thread in &mut self.threads {
             if let Phase::Parked { rec, woken } = &mut thread.phase {
                 *woken |= returned.contains(&rec.parker);
@@ -310,6 +337,7 @@ impl World {
     fn enabled(&self) -> Vec<usize> {
         let can_run = |thread: &Thread| match thread.phase {
             Phase::Parked { woken, .. } => woken || thread.spurious > 0,
+            Phase::Awaiting => self.handed,
             _ => !thread.done(),
         };
         (0..self.threads.len())
@@ -332,6 +360,41 @@ impl World {
                 self.parkers[rec.parker].parked.fetch_add(1, Relaxed);
                 thread.phase = Phase::Parked { rec, woken: false };
                 "counts itself parked".to_string()
+            }
+            (Phase::Awaiting, _) => {
+                // Still passive only if the hand left the mark to it.
+                if thread.passive {
+                    transition!(self, self.state.go_active());
+                    thread.passive = false;
+                }
+                thread.next_op();
+                "wakes".to_string()
+            }
+            (_, Await) if self.handed => {
+                thread.next_op();
+                "finds it handed".to_string()
+            }
+            (_, Await) => {
+                // Passive under the handoff's lock, before it parks.
+                if thread.is_worker {
+                    transition!(self, self.state.go_passive());
+                    thread.passive = true;
+                }
+                thread.phase = Phase::Awaiting;
+                "parks".to_string()
+            }
+            (_, Hand) => {
+                for at in 0..self.threads.len() {
+                    let waiter = &self.threads[at];
+                    let owed = waiter.phase == Phase::Awaiting && waiter.passive;
+                    if owed && mutant != Some(Mutant::WaiterClearsOwnMark) {
+                        transition!(self, self.state.go_active());
+                        self.threads[at].passive = false;
+                    }
+                }
+                self.handed = true;
+                thread.next_op();
+                "hands over".to_string()
             }
             (_, Sleep(_) | Wait(..)) => {
                 let (parker, deadline) = match op {
@@ -396,7 +459,9 @@ impl World {
                     Passive => transition!(self, self.state.go_passive()),
                     Active => transition!(self, self.state.go_active()),
                     Advance(by) => transition!(self, self.state.advance(ms(by)), by_advance: true),
-                    Sleep(_) | Wait(..) | Post(_) => unreachable!("matched above"),
+                    Sleep(_) | Wait(..) | Post(_) | Await | Hand => {
+                        unreachable!("matched above")
+                    }
                 }
                 match one_step {
                     Enter | Exit => thread.is_worker = one_step == Enter,
@@ -499,9 +564,18 @@ impl World {
         }
         // Nobody can run unless the scheduler wakes it for nothing: then
         // everybody must have finished.
-        let asleep = |t: &Thread| matches!(t.phase, Phase::Parked { woken: false, .. });
+        let asleep = |t: &Thread| match t.phase {
+            Phase::Parked { woken, .. } => !woken,
+            Phase::Awaiting => !self.handed,
+            _ => false,
+        };
         if self.threads.iter().all(|t| t.done() || asleep(t)) {
             for (t, thread) in self.threads.iter().enumerate() {
+                if thread.phase == Phase::Awaiting {
+                    return Err(format!(
+                        "deadlock: T{t} awaits a hand nobody is left to give"
+                    ));
+                }
                 let Some(rec) = thread.wait() else { continue };
                 let flag = matches!(thread.program[thread.pc], Wait(flag, _) if self.flags[flag]);
                 let due = rec.deadline.is_some_and(|deadline| deadline <= state.now);
@@ -571,18 +645,17 @@ impl Explorer {
 /// another thread.
 fn scenarios(threads: usize) -> Vec<Vec<&'static [Op]>> {
     fn admissible(programs: &[&[Op]]) -> bool {
-        let posted = |flag, but: usize| {
+        let done_by_another = |wake: Op, but: usize| {
             let others = programs.iter().enumerate().filter(|&(at, _)| at != but);
-            others
-                .flat_map(|(_, p)| p.iter())
-                .any(|op| *op == Post(flag))
+            others.flat_map(|(_, p)| p.iter()).any(|op| *op == wake)
         };
         programs.iter().enumerate().all(|(at, program)| {
             let mut waits = program.iter().filter_map(|op| match op {
-                Wait(flag, None) => Some(*flag),
+                Wait(flag, None) => Some(Post(*flag)),
+                Await => Some(Hand),
                 _ => None,
             });
-            waits.all(|flag| posted(flag, at))
+            waits.all(|wake| done_by_another(wake, at))
         })
     }
     let mut all = Vec::new();
@@ -637,18 +710,23 @@ fn every_schedule_of_four_threads_keeps_the_protocol() {
     println!("4 x 4: {visited:?} in {:?}", start.elapsed());
 }
 
-/// Each way of breaking the shell's discipline loses a wake-up on some
-/// schedule, and the explorer names the first it meets.
+/// Each way of breaking the shell's discipline loses a wake-up, or lets
+/// time pass a woken waiter, on some schedule, and the explorer names the
+/// first it meets.
 #[test]
 fn the_explorer_finds_each_seeded_mutant() {
-    for mutant in [
-        Mutant::CountAfterCheck,
-        Mutant::PostBeforeFlag,
-        Mutant::StaleCount,
+    for (mutant, breaks) in [
+        (Mutant::CountAfterCheck, "lost wake-up"),
+        (Mutant::PostBeforeFlag, "lost wake-up"),
+        (Mutant::StaleCount, "lost wake-up"),
+        (
+            Mutant::WaiterClearsOwnMark,
+            "time moved past a woken waiter",
+        ),
     ] {
-        let found = explore(2, Some(mutant)).expect_err("the mutant loses a wake-up");
+        let found = explore(2, Some(mutant)).expect_err("the mutant breaks a rule");
         println!("{mutant:?}: {found}");
-        assert!(found.starts_with("lost wake-up"), "{mutant:?}: {found}");
+        assert!(found.starts_with(breaks), "{mutant:?}: {found}");
         assert!(found.contains("schedule: T"), "{mutant:?}: {found}");
     }
 }

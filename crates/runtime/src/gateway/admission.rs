@@ -7,9 +7,10 @@
 //! reports those queues' depths under the lock, unlocks and fires wakers.
 
 use std::collections::VecDeque;
-use std::sync::{mpsc, Arc, Mutex as StdMutex, PoisonError};
+use std::sync::{Arc, Mutex as StdMutex, PoisonError};
 
-use crate::clock::{passively, Clock};
+use super::handle::Handoff;
+use crate::clock::Clock;
 use crate::request::{QosClass, CLASS_COUNT};
 
 /// The admission policy: a bounded in-flight limit plus a bounded,
@@ -246,10 +247,7 @@ pub(super) enum Admission<V, P> {
 /// one lock, with a [`WakerFn`] as each queued ticket's continuation,
 /// fired exactly once when the ticket leaves the queue. An asynchronous
 /// request's waker continues it on the event loop; a blocking caller's
-/// fills the slot the caller parks on ([`AdmissionGate::admit_blocking`]),
-/// a plain OS wait that [`VirtualClock`](crate::VirtualClock) accounting
-/// does not see — a caller that is a registered clock worker is marked
-/// passive for its length, so it never stalls the requests it waits on.
+/// resolves the [`Handoff`] it waits on ([`AdmissionGate::admit_blocking`]).
 pub(super) struct AdmissionGate {
     policy: StdMutex<GatePolicy<WakerFn>>,
     /// Called under the lock for every queue a step changed, so depths
@@ -303,24 +301,18 @@ impl AdmissionGate {
     }
 
     /// [`AdmissionGate::admit`] for a caller that waits on its own thread:
-    /// a queued caller parks until its ticket's waker fires, marked passive
-    /// on `clock` if it is a registered worker (see the type docs).
-    pub(super) fn admit_blocking(&self, class: QosClass, clock: &dyn Clock) -> AdmitOutcome {
-        // The per-waiter slot: the ticket's waker fills it, the caller
-        // (its only receiver) parks on it.
+    /// a queued caller waits on the [`Handoff`] its ticket resolves (see
+    /// [`Handoff::wait`] for a registered worker's passive mark).
+    pub(super) fn admit_blocking(&self, class: QosClass, clock: &Arc<dyn Clock>) -> AdmitOutcome {
         let enqueue = |()| {
-            let (fill, parked) = mpsc::sync_channel(1);
-            let waker: WakerFn =
-                Box::new(move |outcome: AdmitOutcome| fill.send(outcome).unwrap_or_default());
-            (waker, parked)
+            let handoff = Arc::new(Handoff::new(Arc::clone(clock)));
+            (Box::new(Blocked(Arc::clone(&handoff))) as WakerFn, handoff)
         };
-        let parked = match self.admit(class, (), enqueue) {
-            Admission::Admitted(()) => return AdmitOutcome::Granted,
-            Admission::Shed(shed, ()) => return AdmitOutcome::Shed(shed),
-            Admission::Queued(_, parked) => parked,
-        };
-        // A waker dropped unfired means its gate is gone.
-        passively(clock, || parked.recv().unwrap_or(AdmitOutcome::Shutdown))
+        match self.admit(class, (), enqueue) {
+            Admission::Admitted(()) => AdmitOutcome::Granted,
+            Admission::Shed(shed, ()) => AdmitOutcome::Shed(shed),
+            Admission::Queued(_, handoff) => handoff.wait(),
+        }
     }
 
     /// [`GatePolicy::expire`]: fails a still-queued ticket with
@@ -347,6 +339,23 @@ impl AdmissionGate {
         AdmissionPermit {
             gate: Arc::clone(self),
         }
+    }
+}
+
+/// A queued blocking caller's continuation, resolving its [`Handoff`].
+/// Like a `Flight`, it resolves `Shutdown` if dropped unfired (its gate gone
+/// with the ticket queued, or a panic in a waker fired before it).
+struct Blocked(Arc<Handoff<AdmitOutcome>>);
+
+impl OnAdmit for Blocked {
+    fn fire(self: Box<Self>, outcome: AdmitOutcome) {
+        self.0.finish(outcome); // the drop's resolve that follows is lost
+    }
+}
+
+impl Drop for Blocked {
+    fn drop(&mut self) {
+        self.0.finish(AdmitOutcome::Shutdown);
     }
 }
 
@@ -485,7 +494,8 @@ mod tests {
         let gate = AdmissionGate::new(1, 2, Box::new(|_, _, _| {}));
         // Occupy the single in-flight slot for the whole race so every
         // arrival goes through the queue paths.
-        let permit = match gate.admit_blocking(QosClass::Bulk, &WallClock::new()) {
+        let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
+        let permit = match gate.admit_blocking(QosClass::Bulk, &clock) {
             AdmitOutcome::Granted => gate.permit(),
             _ => panic!("empty gate admits"),
         };

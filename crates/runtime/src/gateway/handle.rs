@@ -1,7 +1,7 @@
-//! The asynchronous side of a request: the [`RequestHandle`] a submitter
-//! holds, the [`HandleState`] machine it waits on and the shell the event
-//! loop resolves it through, with the request's own `Flight` as the
-//! result.
+//! The one way a thread waits on another for a one-shot result: the
+//! [`Handoff`] shell around the [`HandleState`] machine. A [`RequestHandle`]
+//! waits on one for its request's `Flight`, and a queued blocking `submit`
+//! for its admission outcome (`AdmissionGate::admit_blocking`).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex as StdMutex, MutexGuard, PoisonError};
@@ -22,8 +22,8 @@ use super::{Flight, ServiceResponse};
 /// allocated.
 pub(super) type HandleResult = Box<Flight>;
 
-/// The thread parked in [`RequestHandle::wait`], and whether it went
-/// passive on the handle's clock to park.
+/// The thread parked in [`Handoff::wait`], and whether it went passive on
+/// the handoff's clock to park.
 struct Waiter {
     thread: Thread,
     passive: bool,
@@ -31,7 +31,7 @@ struct Waiter {
 
 /// A handle's life as a pure machine, split the way the admission gate
 /// and the event core are: each step changes the state and returns what
-/// it leaves [`HandleShared`], the shell, to do. `R` is the result and `W`
+/// it leaves [`Handoff`], the shell, to do. `R` is the result and `W`
 /// who waits on it; a result before the resolve and a waiter after the
 /// collect are not states. `Parked` holds the submitter parked on an
 /// unresolved handle, `Owed` a result whose wake that submitter is owed.
@@ -98,15 +98,15 @@ impl<R, W> HandleState<R, W> {
     }
 }
 
-/// The shell of a [`HandleState`], shared between a [`RequestHandle`] and
-/// the side that resolves it. A resolve that finds the submitter parked
-/// *returns* the wake-up instead of sending it: a [`Waker`] whose `wake`
-/// hands the waiter its passive mark back and unparks it. The event loops
-/// hold those until the end of the clock instant (DESIGN §15); every other
-/// resolve wakes at once.
-pub(super) struct HandleShared {
+/// The shell of a [`HandleState`]: a one-shot result `R` that one side
+/// resolves and one thread waits for. A resolve that finds the waiter
+/// parked *returns* the wake-up instead of sending it: a [`Waker`] whose
+/// `wake` hands the waiter its passive mark back and unparks it. The event
+/// loops hold a request's wake until the end of the clock instant (DESIGN
+/// §15); every other resolve wakes at once ([`Handoff::finish`]).
+pub(super) struct Handoff<R> {
     clock: Arc<dyn Clock>,
-    state: StdMutex<HandleState<HandleResult, Waiter>>,
+    state: StdMutex<HandleState<R, Waiter>>,
     /// Set once the result may be collected: by the resolve when nobody is
     /// parked, else by the wake. `try_wait` and `wait`'s fast path read it
     /// without the lock. Stored `Release` after the result (and after the
@@ -115,29 +115,29 @@ pub(super) struct HandleShared {
     done: AtomicBool,
 }
 
-impl HandleShared {
+impl<R: Send + 'static> Handoff<R> {
     pub(super) fn new(clock: Arc<dyn Clock>) -> Self {
-        HandleShared {
+        Handoff {
             clock,
             state: StdMutex::new(HandleState::Pending),
             done: AtomicBool::new(false),
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, HandleState<HandleResult, Waiter>> {
+    fn lock(&self) -> MutexGuard<'_, HandleState<R, Waiter>> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Resolves the handle and wakes a parked waiter at once: for resolves
-    /// that do not run on an event loop's turn.
-    pub(super) fn finish(self: &Arc<Self>, result: HandleResult) {
+    /// Resolves the handoff and wakes a parked waiter at once: for
+    /// resolves that do not run on an event loop's turn.
+    pub(super) fn finish(self: &Arc<Self>, result: R) {
         if let Some(waiter) = self.resolve(result) {
             waiter.wake();
         }
     }
 
     /// [`HandleState::resolve`], returning the wake-up it owes.
-    pub(super) fn resolve(self: &Arc<Self>, result: HandleResult) -> Option<Waker> {
+    pub(super) fn resolve(self: &Arc<Self>, result: R) -> Option<Waker> {
         match self.lock().resolve(result) {
             Resolved::Ready => self.done.store(true, Ordering::Release),
             Resolved::Owed => return Some(Waker::from(Arc::clone(self))),
@@ -146,21 +146,38 @@ impl HandleShared {
         None
     }
 
-    /// Takes the result out of a resolved handle, resuming a panic on the
-    /// collecting thread.
-    fn collect(&self) -> Result<ServiceResponse, RuntimeError> {
-        let flight = self.lock().collect();
-        flight.into_result()
+    /// Parks until the handoff resolves and takes its result. A caller
+    /// registered as a worker of the clock is marked passive while it is
+    /// parked, so the wait never stalls the virtual time its own result
+    /// needs; the wake clears the mark before it unparks the caller.
+    pub(super) fn wait(&self) -> R {
+        if !self.done.load(Ordering::Acquire) {
+            let passive = self.clock.thread_is_worker();
+            let thread = std::thread::current();
+            let mut state = self.lock();
+            if state.park(Waiter { thread, passive }) {
+                // Passive under the lock, so the wake that clears the mark
+                // always finds it set.
+                if passive {
+                    self.clock.enter_passive();
+                }
+                drop(state);
+                while !self.done.load(Ordering::Acquire) {
+                    std::thread::park();
+                }
+            }
+        }
+        self.lock().collect()
     }
 }
 
-impl Wake for HandleShared {
+impl<R: Send + 'static> Wake for Handoff<R> {
     /// The wake a resolve returned. A waiter that went passive on the
-    /// clock gets its mark back *before* it is unparked: the waker is about
-    /// to idle on the same clock, and a waiter still counted passive would
-    /// let that idle wait jump virtual time past it before it ran (the
-    /// waker-to-waiter handoff of DESIGN §8, the rule a finished blocking
-    /// leg's orphaned slot follows).
+    /// clock gets its mark back *before* it is unparked: the waker may be
+    /// about to idle on the same clock, and a waiter still counted passive
+    /// would let that idle wait jump virtual time past it before it ran
+    /// (the waker-to-waiter handoff of DESIGN §8, the rule a finished
+    /// blocking leg's orphaned slot follows).
     fn wake(self: Arc<Self>) {
         let waiter = self.lock().wake();
         if waiter.passive {
@@ -168,6 +185,12 @@ impl Wake for HandleShared {
         }
         self.done.store(true, Ordering::Release);
         waiter.thread.unpark();
+    }
+}
+
+impl<R> std::fmt::Debug for Handoff<R> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Handoff").finish_non_exhaustive()
     }
 }
 
@@ -181,13 +204,7 @@ impl Wake for HandleShared {
 pub struct RequestHandle {
     pub(super) request_id: u64,
     pub(super) class: QosClass,
-    pub(super) shared: Arc<HandleShared>,
-}
-
-impl std::fmt::Debug for HandleShared {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HandleShared").finish_non_exhaustive()
-    }
+    pub(super) shared: Arc<Handoff<HandleResult>>,
 }
 
 impl RequestHandle {
@@ -211,7 +228,7 @@ impl RequestHandle {
     /// As [`RequestHandle::wait`], once resolved.
     pub fn try_wait(self) -> Result<Result<ServiceResponse, RuntimeError>, Self> {
         if self.shared.done.load(Ordering::Acquire) {
-            Ok(self.shared.collect())
+            Ok(self.shared.lock().collect().into_result())
         } else {
             Err(self)
         }
@@ -228,12 +245,12 @@ impl RequestHandle {
     /// instant.
     ///
     /// A caller registered as a worker of the gateway's clock is marked
-    /// passive for the duration of the wait (exactly as a queued blocking
-    /// submit would be), so waiting on a handle never stalls the virtual
-    /// time its own request needs to complete. The wake hands the mark
-    /// back: it is cleared before the caller is unparked, so the resolving
-    /// loop's next idle wait cannot move virtual time past the resolve
-    /// instant before the caller has run.
+    /// passive for the duration of the wait, so waiting on a handle never
+    /// stalls the virtual time its own request needs to complete. The wake
+    /// hands the mark back: it is cleared before the caller is unparked,
+    /// so the resolving loop's next idle wait cannot move virtual time past
+    /// the resolve instant before the caller has run. A queued blocking
+    /// submit waits for its admission the same way, through the same code.
     ///
     /// If a provider panicked during the request, or the market, a
     /// provider or the planner panicked while the loop prepared it, the
@@ -248,24 +265,7 @@ impl RequestHandle {
     /// request resolved and [`RuntimeError::DeadlineExceeded`] when the
     /// deadline expired while the request was still queued.
     pub fn wait(self) -> Result<ServiceResponse, RuntimeError> {
-        let shared = &*self.shared;
-        if !shared.done.load(Ordering::Acquire) {
-            let passive = shared.clock.thread_is_worker();
-            let thread = std::thread::current();
-            let mut state = shared.lock();
-            if state.park(Waiter { thread, passive }) {
-                // Passive under the lock, so the wake that clears the mark
-                // always finds it set.
-                if passive {
-                    shared.clock.enter_passive();
-                }
-                drop(state);
-                while !shared.done.load(Ordering::Acquire) {
-                    std::thread::park();
-                }
-            }
-        }
-        shared.collect()
+        self.shared.wait().into_result()
     }
 }
 
@@ -281,11 +281,11 @@ mod tests {
     };
     use qce_strategy::{Qos, Requirements};
 
-    fn shared() -> Arc<HandleShared> {
-        Arc::new(HandleShared::new(Arc::new(WallClock::new())))
+    fn shared() -> Arc<Handoff<HandleResult>> {
+        Arc::new(Handoff::new(Arc::new(WallClock::new())))
     }
 
-    fn handle(shared: &Arc<HandleShared>) -> RequestHandle {
+    fn handle(shared: &Arc<Handoff<HandleResult>>) -> RequestHandle {
         RequestHandle {
             request_id: 1,
             class: QosClass::default(),
@@ -294,7 +294,7 @@ mod tests {
     }
 
     /// A flight on its way to resolving `shared`.
-    fn flight(shared: &Arc<HandleShared>) -> Box<Flight> {
+    fn flight(shared: &Arc<Handoff<HandleResult>>) -> Box<Flight> {
         Box::new(Flight {
             handle: Some(Arc::clone(shared)),
             stage: super::super::Stage::Moved,
@@ -310,7 +310,7 @@ mod tests {
     }
 
     /// Spins (yielding) until a thread is parked in `wait` on `shared`.
-    fn await_parked(shared: &HandleShared) {
+    fn await_parked(shared: &Handoff<HandleResult>) {
         let start = Instant::now();
         while !matches!(*shared.lock(), HandleState::Parked(_)) {
             assert!(start.elapsed() < Duration::from_secs(20), "never parked");
@@ -398,9 +398,28 @@ mod tests {
         assert_eq!(won[0] + won[1], 500, "{won:?}");
     }
 
+    /// A gateway serving `blocking`, whose leg blocks on the worker pool
+    /// for 100 µs of real time and no virtual time, and `timed`, a 5 ms
+    /// timer on `clock`.
+    fn blocking_and_timed(clock: &Arc<VirtualClock>, config: GatewayConfig) -> Arc<Gateway> {
+        let gateway = gateway(clock, &["blocking", "timed"], config);
+        gateway
+            .registry()
+            .register(FnProvider::new("blocking-dev", "blocking-cap", 1.0, |_| {
+                std::thread::sleep(Duration::from_micros(100));
+                Ok(vec![1])
+            }));
+        gateway.registry().register(timed(clock, "timed", 5));
+        gateway
+    }
+
     /// A gateway serving one-leg `services` on `clock`, every request in
     /// one slot; the leg of `svc` is whatever registers for `svc-cap`.
-    fn gateway(clock: &Arc<VirtualClock>, services: &[&str]) -> Arc<Gateway> {
+    fn gateway(
+        clock: &Arc<VirtualClock>,
+        services: &[&str],
+        config: GatewayConfig,
+    ) -> Arc<Gateway> {
         let market = InMemoryMarket::new();
         for service in services {
             let mut script = ServiceScript::new(
@@ -417,7 +436,7 @@ mod tests {
         }
         Arc::new(Gateway::with_clock(
             Box::new(market),
-            GatewayConfig::default(),
+            config,
             Arc::clone(clock) as Arc<dyn Clock>,
         ))
     }
@@ -434,7 +453,7 @@ mod tests {
     #[test]
     fn dropping_the_gateway_under_a_parked_waiter_resolves_shutdown() {
         let clock = Arc::new(VirtualClock::new());
-        let gateway = gateway(&clock, &["svc"]);
+        let gateway = gateway(&clock, &["svc"], GatewayConfig::default());
         gateway.registry().register(timed(&clock, "svc", 10));
         // Registered and running, this thread holds virtual time at zero:
         // the request's 10 ms leg cannot complete.
@@ -458,14 +477,7 @@ mod tests {
     #[test]
     fn a_registered_waiter_reads_its_resolve_instant_while_a_later_timer_waits() {
         let clock = Arc::new(VirtualClock::new());
-        let gateway = gateway(&clock, &["blocking", "timed"]);
-        gateway
-            .registry()
-            .register(FnProvider::new("blocking-dev", "blocking-cap", 1.0, |_| {
-                std::thread::sleep(Duration::from_micros(100));
-                Ok(vec![1])
-            }));
-        gateway.registry().register(timed(&clock, "timed", 5));
+        let gateway = blocking_and_timed(&clock, GatewayConfig::default());
         let _worker = WorkerGuard::enter(&*clock);
         let mut late = Vec::new();
         for round in 0..1_000 {
@@ -480,5 +492,42 @@ mod tests {
             assert_eq!(clock.now(), t0 + Duration::from_millis(5));
         }
         assert!(late.is_empty(), "read past the resolve instant: {late:?}");
+    }
+
+    /// The same handoff for a queued blocking `submit`: a registered
+    /// client queued at an in-flight limit of one behind a request whose
+    /// leg blocks on the worker pool is asleep when its grant comes, and
+    /// the granting loop then idles to a later timer. That idle wait must
+    /// not jump virtual time past the client before it has run, so the
+    /// client's request starts, and ends, at its grant instant every time.
+    #[test]
+    fn a_queued_blocking_submit_reads_its_grant_instant_while_a_later_timer_waits() {
+        let clock = Arc::new(VirtualClock::new());
+        let config = GatewayConfig::builder().max_in_flight(1).build();
+        let gateway = blocking_and_timed(&clock, config);
+        let _worker = WorkerGuard::enter(&*clock);
+        let mut late = Vec::new();
+        for round in 0..1_000 {
+            let t0 = clock.now();
+            let first = gateway.submit_async(Request::new("blocking")).unwrap();
+            let timed = gateway.submit_async(Request::new("timed")).unwrap();
+            // Queued behind `first`, granted when its leg is done, at `t0`.
+            assert!(gateway.submit(Request::new("blocking")).unwrap().success);
+            if clock.now() != t0 {
+                late.push((round, clock.now() - t0));
+            }
+            assert!(first.wait().unwrap().success);
+            assert!(timed.wait().unwrap().success);
+            assert_eq!(clock.now(), t0 + Duration::from_millis(5));
+        }
+        let snapshot = gateway.telemetry().snapshot();
+        let queued = snapshot.service("blocking").unwrap().admission_queue_peak;
+        assert_eq!(queued, 1, "the blocking submit never queued");
+        assert!(
+            late.is_empty(),
+            "{} of 1 000 rounds read past the grant instant, first {:?}",
+            late.len(),
+            late[0]
+        );
     }
 }

@@ -50,7 +50,7 @@ use crate::telemetry::{EventKind, ServiceMetrics, Telemetry};
 
 use admission::{Admission, AdmissionGate, AdmissionPermit, AdmitOutcome, OnAdmit, Shed, WakerFn};
 use control::ServiceOverrides;
-use handle::HandleShared;
+use handle::{HandleResult, Handoff};
 use planning::{ServiceState, SlotShared};
 
 /// Capacity of a gateway's telemetry event ring.
@@ -499,7 +499,7 @@ impl Reply {
 /// forever.
 struct Flight {
     /// The handle it resolves; taken by the resolve, so the first one wins.
-    handle: Option<Arc<HandleShared>>,
+    handle: Option<Arc<Handoff<HandleResult>>>,
     stage: Stage,
 }
 
@@ -807,7 +807,7 @@ impl Gateway {
         let outcome = request
             .entry
             .gate
-            .admit_blocking(request.meta.class, &*self.clock);
+            .admit_blocking(request.meta.class, &self.clock);
         request.meta.admitted(&self.telemetry, outcome)?;
         let _permit = request.entry.gate.permit();
         let deadline = request.deadline;
@@ -855,7 +855,7 @@ impl Gateway {
         let meta = request.meta.clone();
         let entry = Arc::clone(&request.entry);
         let deadline = request.deadline.map(|d| self.clock.now().saturating_add(d));
-        let shared = Arc::new(HandleShared::new(Arc::clone(&self.clock)));
+        let shared = Arc::new(Handoff::new(Arc::clone(&self.clock)));
         // The request's one allocation besides its handle: it waits in
         // the gate, runs on the loop and resolves the handle (`Flight`).
         let flight = Box::new(Flight {

@@ -387,7 +387,7 @@ impl Node {
         Ok(resolved == Resolved::Owed)
     }
 
-    /// `HandleShared::finish`, a resolve off a loop's turn (also what an
+    /// `Handoff::finish`, a resolve off a loop's turn (also what an
     /// orphaned `Flight`'s drop does): its wake goes at once.
     fn finish(&mut self, i: u8, outcome: Outcome) -> Result<(), String> {
         if self.resolve(i, outcome)? {
