@@ -32,7 +32,9 @@
 //!   --latency-scale F testbed latency multiplier           (default 0.05)
 //!   --seed N          RNG seed                             (default 2020)
 //!   --reports DIR     report directory                     (default reports)
-//!   --sweep           bench-throughput: 10^2..10^5 async-client sweep
+//!   --sweep           bench-throughput: 10^2..10^5 async-client sweep,
+//!                     written to BENCH_throughput.json (only this mode
+//!                     writes it)
 //!   --max-clients N   largest sweep point / fleet clients  (default 100000)
 //!   --shards N        bench-fleet: cap the shard sweep at [1, N]
 //!   --quick           small preset for smoke runs
@@ -230,11 +232,7 @@ fn run_experiment(name: &str, options: &Options) -> std::io::Result<bool> {
                     options.max_clients,
                 )?
             } else {
-                qce_bench::throughput::run(
-                    reports,
-                    std::path::Path::new("BENCH_throughput.json"),
-                    8,
-                )?
+                qce_bench::throughput::run(reports, 8)?
             }
         }
         "bench-fleet" => qce_bench::fleet::run(

@@ -152,28 +152,6 @@ impl Phase {
             self.queue_peak.to_string(),
         ]);
     }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"clients\": {}, \"requests\": {}, \"ok\": {}, \"shed\": {}, \
-             \"shed_rate\": {}, \"makespan_ms\": {}, \"p50_ms\": {}, \"p99_ms\": {}, \
-             \"pool\": {{\"capacity\": {}, \"peak_running\": {}, \"submitted\": {}, \
-             \"spilled\": {}}}, \"queue_peak\": {}}}",
-            self.clients,
-            self.requests,
-            self.ok,
-            self.shed,
-            fmt_f(self.shed as f64 / self.requests.max(1) as f64, 4),
-            fmt_f(millis(self.makespan), 3),
-            fmt_f(millis(percentile(&self.latencies, 50.0)), 3),
-            fmt_f(millis(percentile(&self.latencies, 99.0)), 3),
-            self.pool.capacity,
-            self.pool.peak_running,
-            self.pool.submitted,
-            self.pool.spilled,
-            self.queue_peak,
-        )
-    }
 }
 
 fn millis(d: Duration) -> f64 {
@@ -278,8 +256,8 @@ fn concurrent_phase(clients: usize, config: GatewayConfig) -> Phase {
     collect(&harness, clients, results)
 }
 
-/// Runs the three phases and writes `reports/bench_throughput.tsv` plus
-/// `json_out` (committed as `BENCH_throughput.json`).
+/// Runs the three phases and writes `reports/bench_throughput.tsv`, and
+/// nothing else: `BENCH_throughput.json` is the sweep's ([`run_sweep`]).
 ///
 /// # Errors
 ///
@@ -287,7 +265,7 @@ fn concurrent_phase(clients: usize, config: GatewayConfig) -> Phase {
 /// on the exit code, if the unbounded concurrent phase shed a request,
 /// diverged from the sequential baseline, or failed to overlap same-service
 /// requests (makespan at or above 2x one request's).
-pub fn run(reports: &Path, json_out: &Path, clients: usize) -> io::Result<()> {
+pub fn run(reports: &Path, clients: usize) -> io::Result<()> {
     let clients = clients.max(1);
 
     let baseline = sequential_phase(clients);
@@ -359,26 +337,6 @@ pub fn run(reports: &Path, json_out: &Path, clients: usize) -> io::Result<()> {
          microservice a is crashed from t=0 by its fault plan",
     );
     report.emit(reports, "bench_throughput")?;
-
-    let json = format!(
-        "{{\n  \"benchmark\": \"bench-throughput\",\n  \"service\": \"{SERVICE}\",\n  \
-         \"strategy\": \"{STRATEGY}\",\n  \"clients\": {clients},\n  \
-         \"single_request_ms\": {},\n  \"speedup_vs_sequential\": {},\n  \
-         \"outcomes_match_baseline\": true,\n  \"sequential_baseline\": {},\n  \
-         \"concurrent_unbounded\": {},\n  \"concurrent_bounded\": {}\n}}\n",
-        fmt_f(millis(single_request), 3),
-        fmt_f(speedup, 2),
-        baseline.json(),
-        unbounded.json(),
-        bounded.json(),
-    );
-    if let Some(parent) = json_out.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::write(json_out, json)?;
-    println!("bench-throughput: wrote {}", json_out.display());
     Ok(())
 }
 
@@ -727,17 +685,21 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The three phases write their report and nothing else: the JSON
+    /// file beside it is the sweep's, committed, and theirs would clobber
+    /// it.
     #[test]
-    fn run_writes_report_and_json() {
+    fn run_writes_only_its_report() {
         let dir = std::env::temp_dir().join(format!("qce-throughput-{}", std::process::id()));
-        let json = dir.join("BENCH_throughput.json");
-        run(&dir, &json, 4).unwrap();
+        run(&dir, 4).unwrap();
         let tsv = std::fs::read_to_string(dir.join("bench_throughput.tsv")).unwrap();
         assert!(tsv.contains("concurrent-unbounded"));
         assert!(tsv.contains("queue_peak"));
-        let text = std::fs::read_to_string(&json).unwrap();
-        assert!(text.contains("\"outcomes_match_baseline\": true"));
-        assert!(text.contains("\"concurrent_bounded\""));
+        let written: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name())
+            .collect();
+        assert_eq!(written, ["bench_throughput.tsv"]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

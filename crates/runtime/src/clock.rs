@@ -460,6 +460,12 @@ struct VcState {
     /// deadline to notify.
     sleepers: Vec<(u64, Duration, Arc<Parker>)>,
     next_token: u64,
+    /// Holds of the clock's lock taken by [`VirtualClock::lock`], counted
+    /// under the lock itself, so counting adds no atomic. A wait's
+    /// re-acquisitions after a wake-up are not counted: how often a waiter
+    /// wakes depends on the schedule, the holds its caller asked for do
+    /// not.
+    holds: u64,
 }
 
 /// Takes one off `count`. Going below zero is an unbalanced caller: loud
@@ -643,7 +649,19 @@ impl VirtualClock {
     }
 
     fn lock(&self) -> MutexGuard<'_, VcState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.holds += 1;
+        state
+    }
+
+    /// Holds of the clock's lock so far (see `VcState::holds`); reading
+    /// them takes one more, uncounted.
+    #[cfg(test)]
+    pub(crate) fn lock_holds(&self) -> u64 {
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .holds
     }
 
     /// The shell's half of every transition, called with the lock still

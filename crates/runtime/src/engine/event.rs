@@ -28,8 +28,8 @@
 //!
 //! # Clock discipline
 //!
-//! The driver holds one worker slot (its caller's [`WorkerGuard`]
-//! (crate::WorkerGuard) or its own). While idle it waits in
+//! The driver holds one worker slot (its caller's
+//! [`WorkerGuard`](crate::WorkerGuard) or its own). While idle it waits in
 //! [`Clock::sleep_until_or`] — like a sleeper when a timer is armed, like
 //! a passive parent otherwise — so virtual time advances exactly to the
 //! next scheduled completion and never past it. A blocking leaf reserves a
@@ -52,6 +52,9 @@
 //! and the parker. [`EventCore`] is the shell: it takes the core lock,
 //! steps, applies a reserve and the signal's mirror before it unlocks and
 //! the notify, releases and handle wakes after (DESIGN §15 has the table).
+//! A driver keeps one hold from turn to turn while nothing waits for the
+//! unlock, and a submission, made by the core's running driver, wakes
+//! nobody.
 
 use std::any::Any;
 use std::borrow::Cow;
@@ -64,7 +67,7 @@ use std::sync::{Arc, OnceLock};
 use std::task::Waker;
 use std::time::Duration;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use qce_strategy::{Node, Strategy};
 
@@ -182,7 +185,7 @@ pub(crate) struct LegSink {
 
 impl LegSink {
     /// One sink per provider of `providers`, aligned with it.
-    pub(crate) fn aligned(providers: &[Arc<dyn Provider>]) -> Arc<[LegSink]> {
+    pub(crate) fn aligned(providers: &[Arc<dyn Provider>]) -> Box<[LegSink]> {
         providers.iter().map(|_| LegSink::default()).collect()
     }
 
@@ -210,19 +213,103 @@ impl LegSink {
     }
 }
 
-/// Everything one request needs, with per-field borrow-or-own flexibility.
-/// This is the crate's own request form: the public entry points build it
-/// from their arguments, and the gateway builds it directly from a slot's
-/// shared plan (no per-request copy of the strategy, the providers or
-/// their sinks).
-pub(crate) struct RequestSpec<'env> {
-    pub strategy: Shared<'env, Strategy>,
-    pub providers: Shared<'env, [Arc<dyn Provider>]>,
+/// What a request reads of its plan and never changes: the strategy, the
+/// providers its leaves name, where each provider's legs record, and the
+/// collector and telemetry hub they record into. A request holds one
+/// handle on it: the gateway's slot plan is one, shared by every request
+/// of the slot, and `execute_scoped` builds a [`BorrowedPlan`] from its
+/// arguments.
+pub(crate) trait Plan: Send + Sync {
+    fn strategy(&self) -> &Strategy;
+    fn providers(&self) -> &[Arc<dyn Provider>];
     /// Where each provider's legs record, aligned with `providers`.
-    pub sinks: Shared<'env, [LegSink]>,
+    fn sinks(&self) -> &[LegSink];
+    fn collector(&self) -> Option<&Collector>;
+    fn telemetry(&self) -> Option<&Telemetry>;
+}
+
+/// A [`Plan`] over borrowed inputs, with sinks of its own.
+pub(crate) struct BorrowedPlan<'a> {
+    pub strategy: &'a Strategy,
+    pub providers: &'a [Arc<dyn Provider>],
+    pub sinks: Box<[LegSink]>,
+    pub collector: Option<&'a Collector>,
+    pub telemetry: Option<&'a Telemetry>,
+}
+
+impl Plan for BorrowedPlan<'_> {
+    fn strategy(&self) -> &Strategy {
+        self.strategy
+    }
+
+    fn providers(&self) -> &[Arc<dyn Provider>] {
+        self.providers
+    }
+
+    fn sinks(&self) -> &[LegSink] {
+        &self.sinks
+    }
+
+    fn collector(&self) -> Option<&Collector> {
+        self.collector
+    }
+
+    fn telemetry(&self) -> Option<&Telemetry> {
+        self.telemetry
+    }
+}
+
+/// A [`Plan`] that owns its inputs, for a test's `'static` request.
+#[cfg(test)]
+pub(crate) struct OwnedPlan {
+    strategy: Strategy,
+    providers: Vec<Arc<dyn Provider>>,
+    sinks: Box<[LegSink]>,
+}
+
+#[cfg(test)]
+impl OwnedPlan {
+    pub(crate) fn new(strategy: Strategy, providers: Vec<Arc<dyn Provider>>) -> Self {
+        let sinks = LegSink::aligned(&providers);
+        OwnedPlan {
+            strategy,
+            providers,
+            sinks,
+        }
+    }
+}
+
+#[cfg(test)]
+impl Plan for OwnedPlan {
+    fn strategy(&self) -> &Strategy {
+        &self.strategy
+    }
+
+    fn providers(&self) -> &[Arc<dyn Provider>] {
+        &self.providers
+    }
+
+    fn sinks(&self) -> &[LegSink] {
+        &self.sinks
+    }
+
+    fn collector(&self) -> Option<&Collector> {
+        None
+    }
+
+    fn telemetry(&self) -> Option<&Telemetry> {
+        None
+    }
+}
+
+/// Everything one request needs. This is the crate's own request form:
+/// the public entry points build it from their arguments, and the gateway
+/// builds it directly from a slot's shared plan (no per-request copy of
+/// the strategy, the providers or their sinks, and one reference count
+/// for all of them).
+pub(crate) struct RequestSpec<'env> {
+    pub plan: Shared<'env, dyn Plan + 'env>,
     pub request: Cow<'env, Invocation>,
-    pub collector: Option<Shared<'env, Collector>>,
-    pub telemetry: Option<Shared<'env, Telemetry>>,
     pub budget: Budget,
     pub policy: PolicyState,
     /// Whether [`EngineOutcome::invocations`] is wanted. Every public
@@ -671,12 +758,8 @@ enum FrameKind {
 
 /// One in-flight request.
 struct RequestState<'env> {
-    strategy: Shared<'env, Strategy>,
-    providers: Shared<'env, [Arc<dyn Provider>]>,
-    sinks: Shared<'env, [LegSink]>,
+    plan: Shared<'env, dyn Plan + 'env>,
     request: Cow<'env, Invocation>,
-    collector: Option<Shared<'env, Collector>>,
-    telemetry: Option<Shared<'env, Telemetry>>,
     budget: Budget,
     policy: PolicyState,
     started_at: Duration,
@@ -724,12 +807,18 @@ impl RequestState<'_> {
     }
 }
 
+/// Frame arenas a core keeps for its next requests. A core with a few
+/// requests in flight at once reuses one arena per request; what a wider
+/// window resolves beyond this is freed.
+const ARENAS_KEPT: usize = 8;
+
 struct CoreState<'env> {
     agenda: Agenda<Event<'env>>,
     requests: Slots<Entry<'env>>,
-    /// A resolved request's frame arena, cleared, for the next request to
-    /// start with instead of allocating its own.
-    spare_frames: Vec<Frame>,
+    /// Resolved requests' frame arenas, cleared, for the next requests to
+    /// start with instead of allocating their own; an empty `Vec` is a free
+    /// place. Kept inline, so keeping them allocates nothing.
+    spare_frames: [Vec<Frame>; ARENAS_KEPT],
     frames_live: usize,
     frames_peak: usize,
     /// The `Seq` frames whose chain a completion released while a timer
@@ -739,6 +828,9 @@ struct CoreState<'env> {
     /// Set while the driver processes an event that left a timer due at
     /// its instant: a chain the event releases goes on `held`.
     holding: bool,
+    /// [`EngineStats::lock_holds`]: counted under the lock it counts, so
+    /// counting adds no atomic.
+    holds: u64,
 }
 
 /// The wake protocol as a pure machine: what is queued, what is scheduled,
@@ -790,7 +882,7 @@ impl<E> Agenda<E> {
 
     /// Wakes the drivers: arms the signal unless it is armed, and
     /// notifies either way.
-    pub(crate) fn rouse(&mut self) -> Effect {
+    fn rouse(&mut self) -> Effect {
         if std::mem::replace(&mut self.armed, true) {
             Effect::Notify
         } else {
@@ -895,6 +987,19 @@ struct Deferred<'env> {
     release_slots: usize,
 }
 
+impl Deferred<'_> {
+    /// Whether nothing waits for the unlock.
+    fn is_empty(&self) -> bool {
+        let Deferred {
+            spawns,
+            dones,
+            tasks,
+            release_slots,
+        } = self;
+        spawns.is_empty() && dones.is_empty() && tasks.is_empty() && *release_slots == 0
+    }
+}
+
 /// Gives back the room of a drained `list` beyond [`DEFERRED_KEPT`].
 fn trim<T>(list: &mut Vec<T>) {
     if list.capacity() > DEFERRED_KEPT {
@@ -926,9 +1031,10 @@ impl Wakes {
         self.waiters.push(waiter);
     }
 
-    /// Whether a wake-up is held from an instant before `now`.
-    fn overdue(&self, now: Duration) -> bool {
-        !self.waiters.is_empty() && now > self.since
+    /// Whether a wake-up is held from an instant before `now`, which is
+    /// read only when one is held.
+    fn overdue(&self, now: impl FnOnce() -> Duration) -> bool {
+        !self.waiters.is_empty() && now() > self.since
     }
 
     fn send(&mut self) {
@@ -1008,15 +1114,23 @@ impl<'env> EventCore<'env> {
             state: Mutex::new(CoreState {
                 agenda: Agenda::new(),
                 requests: Slots::new(),
-                spare_frames: Vec::new(),
+                spare_frames: Default::default(),
                 frames_live: 0,
                 frames_peak: 0,
                 held: Vec::new(),
                 holding: false,
+                holds: 0,
             }),
             signal: AtomicBool::new(false),
             waiter_wakes: AtomicU64::new(0),
         }
+    }
+
+    /// Takes the core lock, counting the hold.
+    fn lock(&self) -> MutexGuard<'_, CoreState<'env>> {
+        let mut state = self.state.lock();
+        state.holds += 1;
+        state
     }
 
     /// The clock this core schedules on.
@@ -1029,28 +1143,10 @@ impl<'env> EventCore<'env> {
         &self.parker
     }
 
-    /// Readies a blocking drive's core for its driver's next request:
-    /// disarms the wake signal (what `Drop` would do) and reports whether
-    /// the core is quiescent — nothing ready, no timer, no request and no
-    /// live frame. Only a quiescent core no other thread holds may be kept
-    /// for reuse; any other is dropped.
-    pub(crate) fn retire(&self) -> bool {
-        let (quiescent, effect) = {
-            let mut state = self.state.lock();
-            let effect = self.hold(state.agenda.retire());
-            let agenda = &state.agenda;
-            let idle = agenda.ready.is_empty() && agenda.timers.is_empty();
-            let quiescent = idle && state.requests.len() == 0 && state.frames_live == 0;
-            (quiescent, effect)
-        };
-        self.fire(effect);
-        quiescent
-    }
-
     /// Current occupancy counters; `blocking_cores_built` is the
     /// gateway's count, and reads 0 here.
     pub(crate) fn stats(&self) -> EngineStats {
-        let state = self.state.lock();
+        let state = self.lock();
         EngineStats {
             in_flight: state.requests.len(),
             frames_live: state.frames_live,
@@ -1060,6 +1156,7 @@ impl<'env> EventCore<'env> {
             frame_bytes: std::mem::size_of::<Frame>(),
             wakeups: self.parker.wakes(),
             waiter_wakes: self.waiter_wakes.load(Ordering::Relaxed),
+            lock_holds: state.holds,
             blocking_cores_built: 0,
         }
     }
@@ -1070,11 +1167,17 @@ impl<'env> EventCore<'env> {
     /// a request whose whole tree resolves synchronously (e.g. a
     /// pre-tripped budget) is resolved — callback run or result parked —
     /// before this returns.
+    ///
+    /// A submission wakes nobody: its caller must be this core's running,
+    /// registered driver (`engine::drive` and `execute_scoped` before they
+    /// drive, a gateway loop's continuation on its turn), whose next turn
+    /// reads the agenda. So it arms no signal, and reserves no clock slot:
+    /// time cannot pass the work while its driver runs.
     pub(crate) fn submit(&self, spec: RequestSpec<'env>, spawn: &dyn Fn(BlockingTask)) -> ReqId {
         let mut deferred = Deferred::default();
         let req;
-        let effect = {
-            let mut state = self.state.lock();
+        {
+            let mut state = self.lock();
             if state.agenda.shutdown {
                 req = state
                     .requests
@@ -1086,18 +1189,15 @@ impl<'env> EventCore<'env> {
                     deferred.dones.push((done, RequestResult::Shutdown));
                 }
             } else {
-                if let Some(telemetry) = &spec.telemetry {
+                if let Some(telemetry) = spec.plan.telemetry() {
                     telemetry.record_engine_request_start();
                 }
                 let started_at = self.clock().now();
-                let frames = std::mem::take(&mut state.spare_frames);
+                let spare = state.spare_frames.iter_mut().find(|a| a.capacity() > 0);
+                let frames = spare.map(std::mem::take).unwrap_or_default();
                 req = state.requests.insert(Entry::Running(RequestState {
-                    strategy: spec.strategy,
-                    providers: spec.providers,
-                    sinks: spec.sinks,
+                    plan: spec.plan,
                     request: spec.request,
-                    collector: spec.collector,
-                    telemetry: spec.telemetry,
                     budget: spec.budget,
                     policy: spec.policy,
                     started_at,
@@ -1109,11 +1209,9 @@ impl<'env> EventCore<'env> {
                 }));
                 self.start_node(&mut state, &mut deferred, req, None);
             }
-            self.hold(state.agenda.rouse())
-        };
+        }
         // A request resolved here, off any driver's turn, wakes at once.
         self.flush(&mut deferred, spawn, None);
-        self.fire(effect);
         req
     }
 
@@ -1121,19 +1219,37 @@ impl<'env> EventCore<'env> {
     /// [`Done::Park`] — resolves, and returns its result (`None` for an id
     /// that is not, or no longer, in the core). The calling thread is the
     /// driver: it should hold a worker slot on the clock.
+    ///
+    /// The lock hold that finds the request resolved also takes its result
+    /// and readies the core for its driver's next request: it disarms the
+    /// wake signal (what `Drop` would do) and reports, as the second value,
+    /// whether the core is quiescent — nothing ready, no timer, no request
+    /// and no live frame. Only a quiescent core no other thread holds may
+    /// be kept for reuse; any other is dropped.
     pub(crate) fn drive_request(
         &self,
         req: ReqId,
         spawn: &dyn Fn(BlockingTask),
-    ) -> Option<RequestResult> {
+    ) -> (Option<RequestResult>, bool) {
         let resolved =
             |state: &CoreState<'env>| !matches!(state.requests.get(req), Some(Entry::Running(_)));
         let (mut wakes, mut deferred) = (Wakes::default(), Deferred::default());
-        while self.step(spawn, &resolved, &mut wakes, &mut deferred) {}
-        match self.state.lock().requests.remove(req) {
+        let mut state = loop {
+            if let Some(state) = self.step(spawn, &resolved, &mut wakes, &mut deferred) {
+                break state;
+            }
+        };
+        let result = match state.requests.remove(req) {
             Some(Entry::Parked(result)) => Some(result),
             _ => None,
-        }
+        };
+        let effect = self.hold(state.agenda.retire());
+        let agenda = &state.agenda;
+        let idle = agenda.ready.is_empty() && agenda.timers.is_empty();
+        let quiescent = idle && state.requests.len() == 0 && state.frames_live == 0;
+        drop(state);
+        self.fire(effect);
+        (result, quiescent)
     }
 
     /// Drives the core until [`EventCore::shutdown`] is called. This is
@@ -1141,7 +1257,10 @@ impl<'env> EventCore<'env> {
     /// go out as it returns.
     pub(crate) fn run_loop(&self, spawn: &dyn Fn(BlockingTask)) {
         let (mut wakes, mut deferred) = (Wakes::default(), Deferred::default());
-        while self.step(spawn, &|_| false, &mut wakes, &mut deferred) {}
+        while self
+            .step(spawn, &|_| false, &mut wakes, &mut deferred)
+            .is_none()
+        {}
     }
 
     /// Queues an embedder thunk on the ready queue.
@@ -1164,7 +1283,7 @@ impl<'env> EventCore<'env> {
     pub(crate) fn shutdown(&self) {
         let mut deferred = Deferred::default();
         let (drained, effect) = {
-            let mut state = self.state.lock();
+            let mut state = self.lock();
             let state = &mut *state;
             let (drained, effect) = state.agenda.shutdown();
             state.held.clear();
@@ -1174,7 +1293,7 @@ impl<'env> EventCore<'env> {
                     return true;
                 };
                 state.frames_live -= request.frames.len();
-                if let Some(telemetry) = &request.telemetry {
+                if let Some(telemetry) = request.plan.telemetry() {
                     telemetry.record_engine_frames_done(request.frames.len());
                     telemetry.record_engine_request_end();
                 }
@@ -1216,7 +1335,7 @@ impl<'env> EventCore<'env> {
     /// One agenda step under the core lock, its effect applied.
     fn apply<R>(&self, step: impl FnOnce(&mut Agenda<Event<'env>>) -> (R, Effect)) -> R {
         let (out, effect) = {
-            let mut state = self.state.lock();
+            let mut state = self.lock();
             let (out, effect) = step(&mut state.agenda);
             (out, self.hold(effect))
         };
@@ -1250,8 +1369,12 @@ impl<'env> EventCore<'env> {
         }
     }
 
-    /// One driver iteration: process a ready event, else a due timer, else
-    /// wait. Returns `false` once `stop` holds or the core has shut down.
+    /// One driver iteration, in one hold of the core lock: process ready
+    /// events, else due timers, else wait. The hold is kept from turn to
+    /// turn while the events processed defer nothing and no held wake-up is
+    /// overdue; the iteration ends by unlocking to run what they deferred,
+    /// or to park. Returns the lock, still held, once `stop` holds or the
+    /// core has shut down, and `None` when the caller should step again.
     /// A chain that a completion releases while a timer is still due at
     /// the instant is held, and every held chain advances after the event
     /// that leaves none due (on a [`VirtualClock`](crate::VirtualClock),
@@ -1269,16 +1392,17 @@ impl<'env> EventCore<'env> {
         stop: &dyn Fn(&CoreState<'env>) -> bool,
         wakes: &mut Wakes,
         deferred: &mut Deferred<'env>,
-    ) -> bool {
-        if wakes.overdue(self.clock().now()) {
+    ) -> Option<MutexGuard<'_, CoreState<'env>>> {
+        let now = || self.clock().now();
+        if wakes.overdue(now) {
             wakes.send();
         }
-        let (deadline, effect) = {
-            let mut state = self.state.lock();
+        let mut state = self.lock();
+        let (deadline, effect) = loop {
             if stop(&state) {
-                return false;
+                return Some(state);
             }
-            match state.agenda.turn(self.clock().now(), wakes) {
+            match state.agenda.turn(now(), wakes) {
                 Turn::Run(event, due) => {
                     state.holding = due;
                     match event {
@@ -1289,20 +1413,24 @@ impl<'env> EventCore<'env> {
                     if !due {
                         self.advance_held(&mut state, deferred);
                     }
+                    if deferred.is_empty() && !wakes.overdue(now) {
+                        continue;
+                    }
                     drop(state);
                     self.flush(deferred, spawn, Some(wakes));
-                    return true;
+                    return None;
                 }
-                Turn::Park(deadline, effect) => (deadline, self.hold(effect)),
-                Turn::Stop => return false,
+                Turn::Park(deadline, effect) => break (deadline, self.hold(effect)),
+                Turn::Stop => return Some(state),
             }
         };
+        drop(state);
         self.fire(effect);
         wakes.send_owed();
         self.clock().sleep_until_or(&self.parker, deadline, &|| {
             self.signal.load(Ordering::SeqCst)
         });
-        true
+        None
     }
 
     /// Runs what processing deferred, draining `deferred` for its next
@@ -1363,7 +1491,8 @@ impl<'env> EventCore<'env> {
                 let Some(request) = state.running(event.req) else {
                     return;
                 };
-                let provider = &request.providers[event.provider_index];
+                let plan = &*request.plan;
+                let provider = &plan.providers()[event.provider_index];
                 let now = clock.now();
                 // Timed legs report the latency the provider declared; on
                 // an unclamped virtual clock `now - t0` equals it exactly,
@@ -1382,10 +1511,10 @@ impl<'env> EventCore<'env> {
                         success,
                     });
                 }
-                request.sinks[event.provider_index].record(
+                plan.sinks()[event.provider_index].record(
                     provider.id(),
-                    request.collector.as_deref(),
-                    request.telemetry.as_deref(),
+                    plan.collector(),
+                    plan.telemetry(),
                     ExecutionRecord {
                         success,
                         latency,
@@ -1419,7 +1548,7 @@ impl<'env> EventCore<'env> {
         let Some(Entry::Running(request)) = state.requests.get_mut(req) else {
             return;
         };
-        let (len, seq) = match *node_at(&request.strategy, &request.frames, parent) {
+        let (len, seq) = match *node_at(request.plan.strategy(), &request.frames, parent) {
             Node::Leaf(id) => {
                 let provider_index = id.index();
                 // The short-circuit: once the policy halts or the budget
@@ -1428,8 +1557,10 @@ impl<'env> EventCore<'env> {
                     self.deliver(state, deferred, req, parent, Status::Cancelled);
                     return;
                 }
-                let provider = Arc::clone(&request.providers[provider_index]);
-                let Some((latency, result)) = timed_leg(&*provider, &request.request, clock) else {
+                // Only a blocking leg's task owns its provider.
+                let provider = &request.plan.providers()[provider_index];
+                let Some((latency, result)) = timed_leg(&**provider, &request.request, clock)
+                else {
                     // Reserve the slot *now*, under the core lock, so the
                     // clock cannot advance before the task's thread binds
                     // it — the same reserve-before-spawn discipline as the
@@ -1439,7 +1570,7 @@ impl<'env> EventCore<'env> {
                         req,
                         parent,
                         provider_index,
-                        provider,
+                        provider: Arc::clone(provider),
                         invocation: Invocation::clone(&request.request),
                     });
                     return;
@@ -1475,7 +1606,7 @@ impl<'env> EventCore<'env> {
         };
         state.frames_live += 1;
         state.frames_peak = state.frames_peak.max(state.frames_live);
-        if let Some(telemetry) = &request.telemetry {
+        if let Some(telemetry) = request.plan.telemetry() {
             telemetry.record_engine_frame();
         }
         request.frames.push(Frame { parent, kind });
@@ -1645,13 +1776,13 @@ impl<'env> EventCore<'env> {
         };
         let mut frames = request.frames;
         state.frames_live -= frames.len();
-        if let Some(telemetry) = &request.telemetry {
+        if let Some(telemetry) = request.plan.telemetry() {
             telemetry.record_engine_frames_done(frames.len());
             telemetry.record_engine_request_end();
         }
         frames.clear();
-        if state.spare_frames.capacity() == 0 {
-            state.spare_frames = frames;
+        if let Some(place) = state.spare_frames.iter_mut().find(|a| a.capacity() == 0) {
+            *place = frames;
         }
         let result = match status {
             Status::Panicked(panic) => RequestResult::Panicked(panic),
@@ -1754,22 +1885,28 @@ mod tests {
         assert_eq!(slots.get(ids[1]), Some(&1));
     }
 
-    /// A request on `provider` alone whose resolution is appended to `log`
-    /// under `name`.
+    /// The plan of `strategy` over `providers`, recording nowhere.
+    fn plan<'a>(strategy: &'a Strategy, providers: &'a [Arc<dyn Provider>]) -> BorrowedPlan<'a> {
+        BorrowedPlan {
+            strategy,
+            providers,
+            sinks: LegSink::aligned(providers),
+            collector: None,
+            telemetry: None,
+        }
+    }
+
+    /// A request on `plan` whose resolution is appended to `log` under
+    /// `name`.
     fn logged_request<'env>(
         name: &'static str,
-        strategy: &'env Strategy,
-        provider: &'env [Arc<dyn Provider>],
+        plan: &'env BorrowedPlan<'env>,
         request: &'env Invocation,
         log: &'env Mutex<Vec<(&'static str, String)>>,
     ) -> RequestSpec<'env> {
         RequestSpec {
-            strategy: Shared::Borrowed(strategy),
-            providers: Shared::Borrowed(provider),
-            sinks: Shared::Owned(LegSink::aligned(provider)),
+            plan: Shared::Borrowed(plan),
             request: Cow::Borrowed(request),
-            collector: None,
-            telemetry: None,
             budget: Budget::unlimited(),
             policy: PolicyState::new(CompletionPolicy::FirstSuccess),
             record_invocations: false,
@@ -1794,22 +1931,25 @@ mod tests {
         };
         let (instant, slow) = (provider(0), provider(50));
         let strategy = Strategy::parse("a").unwrap();
+        let (instant, slow) = (plan(&strategy, &instant), plan(&strategy, &slow));
         let request = Invocation::new(1, "", vec![]);
         let log = Mutex::new(Vec::new());
         let no_spawn = |_: BlockingTask| unreachable!("every leaf is timed");
 
         let core = EventCore::new(Shared::Borrowed(&*clock), Arc::default());
-        let spec = |name, provider| logged_request(name, &strategy, provider, &request, &log);
+        let spec = |name, plan| logged_request(name, plan, &request, &log);
         let first = core.submit(spec("first", &instant), &no_spawn);
         let second = core.submit(spec("second", &slow), &no_spawn);
         assert_eq!((first.index, second.index), (0, 1));
         // One driver step completes the zero-latency leaf; its slot frees.
-        assert!(core.step(
-            &no_spawn,
-            &|_| false,
-            &mut Wakes::default(),
-            &mut Deferred::default()
-        ));
+        assert!(core
+            .step(
+                &no_spawn,
+                &|_| false,
+                &mut Wakes::default(),
+                &mut Deferred::default()
+            )
+            .is_none());
         assert_eq!(log.lock().len(), 1);
         assert_eq!(core.stats().in_flight, 1);
         let third = core.submit(spec("third", &slow), &no_spawn);
@@ -1839,12 +1979,13 @@ mod tests {
             .clock(Arc::clone(&clock))
             .build()];
         let strategy = Strategy::parse("a").unwrap();
+        let plan = plan(&strategy, &provider);
         let request = Invocation::new(1, "", vec![]);
         let log = Mutex::new(Vec::new());
         let no_spawn = |_: BlockingTask| unreachable!("every leaf is timed");
 
         let core = EventCore::new(Shared::Borrowed(&*clock), Arc::default());
-        let spec = |name| logged_request(name, &strategy, &provider, &request, &log);
+        let spec = |name| logged_request(name, &plan, &request, &log);
         let gone = core.submit(spec("gone"), &no_spawn);
         core.state.lock().requests.remove(gone);
         let current = core.submit(spec("current"), &no_spawn);
@@ -1859,12 +2000,14 @@ mod tests {
             result: LeafOutcome::Completed(Ok(vec![1]), 0.0),
             orphan_slot: false,
         }));
-        assert!(core.step(
-            &no_spawn,
-            &|_| false,
-            &mut Wakes::default(),
-            &mut Deferred::default()
-        ));
+        assert!(core
+            .step(
+                &no_spawn,
+                &|_| false,
+                &mut Wakes::default(),
+                &mut Deferred::default()
+            )
+            .is_none());
         assert!(
             log.lock().is_empty(),
             "the stale completion resolved nothing"
@@ -1897,15 +2040,12 @@ mod tests {
         };
         let (soon, later) = (provider(ms(1)), provider(ms(5)));
         let strategy = Strategy::parse("a").unwrap();
+        let (soon, later) = (plan(&strategy, &soon), plan(&strategy, &later));
         let request = Invocation::new(1, "", vec![]);
         let woken = Arc::new(Woken::default());
-        let spec = |providers| RequestSpec {
-            strategy: Shared::Borrowed(&strategy),
-            providers: Shared::Borrowed(providers),
-            sinks: Shared::Owned(LegSink::aligned(providers)),
+        let spec = |plan| RequestSpec {
+            plan: Shared::Borrowed(plan),
             request: Cow::Borrowed(&request),
-            collector: None,
-            telemetry: None,
             budget: Budget::unlimited(),
             policy: PolicyState::new(CompletionPolicy::FirstSuccess),
             record_invocations: false,
@@ -1918,12 +2058,15 @@ mod tests {
         let sent = || woken.0.load(Ordering::SeqCst);
 
         let core = EventCore::new(Shared::Borrowed(&*clock), Arc::default());
-        for providers in [&soon, &soon, &soon, &later] {
-            core.submit(spec(providers), &no_spawn);
+        for plan in [&soon, &soon, &soon, &later] {
+            core.submit(spec(plan), &no_spawn);
         }
         let mut wakes = Wakes::default();
-        let step =
-            |wakes: &mut Wakes| core.step(&no_spawn, &|_| false, wakes, &mut Deferred::default());
+        let step = |wakes: &mut Wakes| {
+            let mut deferred = Deferred::default();
+            core.step(&no_spawn, &|_| false, wakes, &mut deferred)
+                .is_none()
+        };
         assert!(step(&mut wakes), "idles to the first timer");
         assert_eq!(clock.now(), ms(1));
         for _ in 0..3 {
@@ -1935,14 +2078,17 @@ mod tests {
         assert!(step(&mut wakes));
         assert_eq!((sent(), core.stats().waiter_wakes), (3, 4), "held");
         clock.advance(ms(1));
-        assert!(!core.step(&no_spawn, &|_| true, &mut wakes, &mut Deferred::default()));
+        let mut deferred = Deferred::default();
+        let stopped = core.step(&no_spawn, &|_| true, &mut wakes, &mut deferred);
+        assert!(stopped.is_some());
+        drop(stopped);
         assert_eq!(sent(), 4, "sent first thing once the clock moved on");
 
         // And on the way out, whatever is still held.
         core.submit(spec(&soon), &no_spawn);
         let mut wakes = Wakes::default();
-        assert!(core.step(&no_spawn, &|_| false, &mut wakes, &mut Deferred::default()));
-        assert!(core.step(&no_spawn, &|_| false, &mut wakes, &mut Deferred::default()));
+        assert!(step(&mut wakes));
+        assert!(step(&mut wakes));
         assert_eq!(sent(), 4);
         drop(wakes);
         assert_eq!(sent(), 5);
@@ -1974,12 +2120,11 @@ mod tests {
             scope.spawn(|| {
                 let _driver = WorkerGuard::enter(&clock);
                 let (mut wakes, mut deferred) = (Wakes::default(), Deferred::default());
-                while core.step(
-                    &no_spawn,
-                    &|state| state.agenda.timers.is_empty(),
-                    &mut wakes,
-                    &mut deferred,
-                ) {}
+                let done = |state: &CoreState| state.agenda.timers.is_empty();
+                while core
+                    .step(&no_spawn, &done, &mut wakes, &mut deferred)
+                    .is_none()
+                {}
             });
             while parker.parked() == 0 {
                 std::thread::yield_now();
@@ -1994,5 +2139,95 @@ mod tests {
         });
         let at = |t| (ms(t), ms(t));
         assert_eq!(*ran.lock(), [at(5), at(10), at(10), at(20)]);
+    }
+
+    /// A submission made on a driver's turn wakes nobody: the driver reads
+    /// the agenda on its next turn. With a second driver parked on the same
+    /// parker and a worker pinning time, the parker's wake count does not
+    /// move across the submit, and the submitted leg still completes at its
+    /// deadline once time is let go.
+    #[test]
+    fn a_submit_on_a_drivers_turn_wakes_nobody() {
+        use crate::clock::WorkerGuard;
+
+        let ms = Duration::from_millis;
+        let clock = Arc::new(VirtualClock::new());
+        let dyn_clock = || Arc::clone(&clock) as Arc<dyn Clock>;
+        let parker = Arc::new(Parker::default());
+        let core = Arc::new(EventCore::new(
+            Shared::Owned(dyn_clock()),
+            Arc::clone(&parker),
+        ));
+        let provider: Vec<Arc<dyn Provider>> = vec![SimulatedProvider::builder("p", "cap")
+            .latency(ms(5))
+            .clock(dyn_clock())
+            .build()];
+        let plan: Arc<dyn Plan> = Arc::new(OwnedPlan::new(Strategy::parse("a").unwrap(), provider));
+        let submit_woke = Arc::new(Mutex::new(None));
+        let completed_at = Arc::new(Mutex::new(None));
+
+        let pin = WorkerGuard::enter(&*clock);
+        let drivers: Vec<_> = (0..2)
+            .map(|_| {
+                let (core, clock) = (Arc::clone(&core), dyn_clock());
+                std::thread::spawn(move || {
+                    let _driver = WorkerGuard::enter(&*clock);
+                    core.run_loop(&|_| unreachable!("every leaf is timed"));
+                })
+            })
+            .collect();
+        let task = {
+            let (core, parker, clock) = (Arc::clone(&core), Arc::clone(&parker), dyn_clock());
+            let (submit_woke, completed_at) = (Arc::clone(&submit_woke), Arc::clone(&completed_at));
+            move || {
+                // The other driver found nothing to do and parked.
+                let start = std::time::Instant::now();
+                while parker.parked() == 0 {
+                    assert!(start.elapsed() < Duration::from_secs(20), "never parked");
+                    std::thread::yield_now();
+                }
+                let spec = RequestSpec {
+                    plan: Shared::Owned(plan),
+                    request: Cow::Owned(Invocation::new(1, "", vec![])),
+                    budget: Budget::unlimited(),
+                    policy: PolicyState::new(CompletionPolicy::FirstSuccess),
+                    record_invocations: false,
+                    done: Done::Call(Box::new(move |_: RequestResult| {
+                        *completed_at.lock() = Some(clock.now());
+                        None
+                    })),
+                };
+                let before = parker.wakes();
+                core.submit(spec, &|_| unreachable!("every leaf is timed"));
+                *submit_woke.lock() = Some(parker.wakes() - before);
+            }
+        };
+        core.post_task(Box::new(task));
+        /// Spins (yielding) until `cell` is set; the watchdog of waits
+        /// that end within microseconds unless a wake-up was lost.
+        fn wait_for<T: Copy>(cell: &Mutex<Option<T>>) -> T {
+            let start = std::time::Instant::now();
+            loop {
+                if let Some(value) = *cell.lock() {
+                    return value;
+                }
+                assert!(start.elapsed() < Duration::from_secs(20), "never set");
+                std::thread::yield_now();
+            }
+        }
+        assert_eq!(
+            wait_for(&submit_woke),
+            0,
+            "the submit woke the parked driver"
+        );
+        assert_eq!(clock.now(), Duration::ZERO, "pinned");
+        drop(pin);
+        assert_eq!(
+            wait_for(&completed_at),
+            ms(5),
+            "the leg completed at its deadline"
+        );
+        core.shutdown();
+        drivers.into_iter().for_each(|d| d.join().unwrap());
     }
 }

@@ -52,7 +52,8 @@ use crate::message::{Invocation, InvocationOutcome, RuntimeError};
 use crate::telemetry::Telemetry;
 
 use event::{
-    run_blocking, BlockingTask, Done, EventCore, LegSink, RequestResult, RequestSpec, Shared,
+    run_blocking, BlockingTask, BorrowedPlan, Done, EventCore, LegSink, RequestResult, RequestSpec,
+    Shared,
 };
 pub(crate) use policy::PolicyState;
 pub(crate) use pool::WorkerPool;
@@ -119,6 +120,12 @@ pub struct EngineStats {
     /// requests costs at most one per instant per loop; a handle collected
     /// after it resolved costs none.
     pub waiter_wakes: u64,
+    /// Holds of the core's lock since it was created, this read's own
+    /// included: one per submission, post and scheduled task, one per
+    /// driver step (a step keeps its hold across the turns of an instant
+    /// while nothing waits for the unlock), and one per read of these
+    /// counters. The gauge of what a request pays in synchronization.
+    pub lock_holds: u64,
     /// Event cores the gateway's blocking [`submit`](crate::Gateway::submit)s
     /// had to build. A client thread keeps its core idle between requests
     /// and reuses it, so this is one per client thread (and clock), plus
@@ -198,6 +205,13 @@ pub fn execute_scoped(
     // event loop runs inline on its thread, so registering again would
     // double-count it and stall the virtual clock.
     let worker = (!clock.thread_is_worker()).then(|| WorkerGuard::enter(clock));
+    let plan = BorrowedPlan {
+        strategy,
+        providers,
+        sinks: LegSink::aligned(providers),
+        collector,
+        telemetry,
+    };
     let core = EventCore::new(Shared::Borrowed(clock), Parker::of_this_thread(clock));
     let result = std::thread::scope(|scope| {
         let core = &core;
@@ -206,12 +220,8 @@ pub fn execute_scoped(
         };
         let req = core.submit(
             RequestSpec {
-                strategy: Shared::Borrowed(strategy),
-                providers: Shared::Borrowed(providers),
-                sinks: Shared::Owned(LegSink::aligned(providers)),
+                plan: Shared::Borrowed(&plan),
                 request: Cow::Borrowed(request),
-                collector: collector.map(Shared::Borrowed),
-                telemetry: telemetry.map(Shared::Borrowed),
                 budget: budget.clone(),
                 policy,
                 record_invocations: true,
@@ -219,7 +229,7 @@ pub fn execute_scoped(
             },
             &spawn,
         );
-        core.drive_request(req, &spawn)
+        core.drive_request(req, &spawn).0
     });
     drop(core);
     drop(worker);
@@ -255,7 +265,9 @@ pub(crate) fn pooled_spawner(
 /// The core is the one this thread's last blocking drive on `clock` left
 /// idle beside its parker ([`Parker::keep_idle_core`]), or a new one,
 /// counted in `cores_built`. It goes back only when the request sent no
-/// leaf to the pool and left the core quiescent ([`EventCore::retire`]).
+/// leaf to the pool and left the core quiescent
+/// ([`EventCore::drive_request`] tells, and disarms the core, in the lock
+/// hold that finds the request resolved).
 /// A pool leg's post arms the signal in the same lock hold as its push,
 /// so it cannot arm it after this driver consumed the leaf; but the pool
 /// task holds the core (upgraded from its weak handle) until its notify
@@ -286,9 +298,9 @@ pub(crate) fn drive(
         pooled_spawner(pool, &core, clock)(task);
     };
     let req = core.submit(request, &spawn);
-    let result = core.drive_request(req, &spawn);
+    let (result, quiescent) = core.drive_request(req, &spawn);
     drop(worker);
-    if !pooled.get() && core.retire() {
+    if !pooled.get() && quiescent {
         debug_assert_eq!(Arc::strong_count(&core) + Arc::weak_count(&core), 1);
         Parker::keep_idle_core(core);
     }
@@ -300,6 +312,7 @@ mod tests {
     use super::*;
     use crate::clock::VirtualClock;
     use crate::device::SimulatedProvider;
+    use crate::engine::event::OwnedPlan;
     use crate::fault::{FaultPlan, FaultProfile, FaultyProvider};
     use crate::message::InvokeError;
     use qce_strategy::enumerate::StrategySampler;
@@ -405,12 +418,11 @@ mod tests {
                         &pool,
                         &clock,
                         RequestSpec {
-                            strategy: Shared::Owned(Arc::new(strategy.clone())),
-                            sinks: Shared::Owned(LegSink::aligned(&providers)),
-                            providers: Shared::Owned(providers.into()),
+                            plan: Shared::Owned(Arc::new(OwnedPlan::new(
+                                strategy.clone(),
+                                providers,
+                            ))),
                             request: Cow::Owned(Invocation::new(7, "", vec![])),
-                            collector: None,
-                            telemetry: None,
                             budget,
                             policy: PolicyState::new(policy),
                             record_invocations: false,

@@ -1,5 +1,5 @@
 //! Completion-policy state: the per-request mutable state behind a
-//! [`CompletionPolicy`](qce_strategy::CompletionPolicy) — the first-success
+//! [`CompletionPolicy`] — the first-success
 //! winner slot, or the quorum vote tally.
 
 use std::collections::HashMap;

@@ -35,7 +35,8 @@ use crate::clock::{Clock, WallClock, WorkerGuard};
 use crate::collector::Collector;
 use crate::device::Provider;
 use crate::engine::event::{
-    BlockingTask, Done, EventCore, OnDone, PanicPayload, RequestResult, RequestSpec, Shared, Task,
+    BlockingTask, Done, EventCore, OnDone, PanicPayload, Plan, RequestResult, RequestSpec, Shared,
+    Task,
 };
 use crate::engine::{
     Budget, Completion, EngineOutcome, EngineStats, PolicyState, PoolStats, PruneDetail,
@@ -969,16 +970,12 @@ impl Gateway {
             })
         });
         let spec = RequestSpec {
-            strategy: Shared::Owned(Arc::clone(&plan.strategy)),
-            providers: Shared::Owned(Arc::clone(&plan.providers)),
-            sinks: Shared::Owned(Arc::clone(&plan.sinks)),
+            plan: Shared::Owned(Arc::clone(&plan) as Arc<dyn Plan>),
             request: Cow::Owned(Invocation::new(
                 meta.request_id,
                 String::from(&*meta.service_id),
                 request.payload,
             )),
-            collector: Some(Shared::Owned(Arc::clone(&self.collector))),
-            telemetry: Some(Shared::Owned(Arc::clone(&self.telemetry))),
             budget: Budget::unlimited()
                 .with_class(meta.class)
                 .with_parent_flag(Arc::clone(&request.entry.evicted)),
@@ -1165,6 +1162,7 @@ impl Drop for Gateway {
 #[cfg(test)]
 mod tests {
     mod explore;
+    mod lock_holds;
 
     use super::*;
     use crate::fleet::{FleetConfig, GatewayFleet};

@@ -14,13 +14,14 @@ use std::sync::Arc;
 
 use qce_strategy::{EnvQos, GenerateError, Qos, Requirements, Strategy, UtilityIndex};
 
+use crate::collector::Collector;
 use crate::device::Provider;
-use crate::engine::event::LegSink;
+use crate::engine::event::{LegSink, Plan};
 use crate::engine::CompletionPolicy;
 use crate::generator::{env_drift, Planner, StrategyOrigin};
 use crate::message::RuntimeError;
 use crate::script::{MsSpec, ServiceScript};
-use crate::telemetry::EventKind;
+use crate::telemetry::{EventKind, Telemetry};
 
 use super::{Gateway, ServiceEntry, SlotRecord, HISTORY_LIMIT};
 
@@ -35,16 +36,20 @@ pub(super) fn vet(requirement: &Requirements) -> Result<(), RuntimeError> {
 }
 
 /// The part of a slot's plan every request of the slot reads and none
-/// changes, built once per re-plan and shared by `Arc`: the engine gets
-/// its own handles on the strategy, the providers and their sinks, the
-/// reply keeps the whole (and hands the strategy on to the response).
+/// changes, built once per re-plan and shared by `Arc`: it is each
+/// request's one handle on what the engine reads ([`Plan`]), and the
+/// reply keeps it too (and hands the strategy on to the response).
 pub(super) struct SlotShared {
     pub(super) strategy: Arc<Strategy>,
-    pub(super) providers: Arc<[Arc<dyn Provider>]>,
+    pub(super) providers: Box<[Arc<dyn Provider>]>,
     /// Where each provider's legs record into the gateway's collector and
     /// telemetry, aligned with `providers`: resolved by the slot's first
     /// leg on the provider, then reused by every other.
-    pub(super) sinks: Arc<[LegSink]>,
+    pub(super) sinks: Box<[LegSink]>,
+    /// The gateway's collector and telemetry hub, taken when the slot is
+    /// planned.
+    pub(super) collector: Arc<Collector>,
+    pub(super) telemetry: Arc<Telemetry>,
     /// The strategy rendered with the script's microservice names.
     pub(super) strategy_text: String,
     pub(super) origin: StrategyOrigin,
@@ -52,6 +57,28 @@ pub(super) struct SlotShared {
     /// How the slot's requests complete: the script's quorum, or first
     /// success. Checked against the strategy and providers with the plan.
     pub(super) policy: CompletionPolicy,
+}
+
+impl Plan for SlotShared {
+    fn strategy(&self) -> &Strategy {
+        &self.strategy
+    }
+
+    fn providers(&self) -> &[Arc<dyn Provider>] {
+        &self.providers
+    }
+
+    fn sinks(&self) -> &[LegSink] {
+        &self.sinks
+    }
+
+    fn collector(&self) -> Option<&Collector> {
+        Some(&self.collector)
+    }
+
+    fn telemetry(&self) -> Option<&Telemetry> {
+        Some(&self.telemetry)
+    }
 }
 
 struct ActivePlan {
@@ -262,6 +289,8 @@ impl Gateway {
                 strategy: Arc::new(plan.strategy),
                 sinks: LegSink::aligned(&providers),
                 providers: providers.into(),
+                collector: Arc::clone(&self.collector),
+                telemetry: Arc::clone(&self.telemetry),
                 strategy_text,
                 origin: plan.origin,
                 estimated: plan.estimated,

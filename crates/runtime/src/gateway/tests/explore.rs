@@ -478,11 +478,9 @@ impl Node {
                 }
                 let req = self.req(i);
                 req.stage = Stage::Engine;
-                // `EventCore::submit`: the leaf's timer wakes nobody, the
-                // submit rouses the drivers.
+                // `EventCore::submit`: the leaf's timer wakes nobody, and
+                // neither does the submission, made on its driver's turn.
                 let (_, effect) = self.agenda.schedule(at(now + LEAF), Ev::Leaf(i), false);
-                self.apply(effect);
-                let effect = self.agenda.rouse();
                 self.apply(effect);
                 return Ok(());
             }
